@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench benchjson verify
+.PHONY: build test vet lint race bench benchjson bench-e2e bench-test verify
 
 build:
 	$(GO) build ./...
@@ -28,5 +28,16 @@ bench:
 benchjson:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/benchjson > BENCH.json
 
+# The repo benchmark (benchmark/README.md), short: every workload for 2 s,
+# untraced. Each workload ends in one JSON result line and fails the
+# target if any operation's oracle does.
+bench-e2e:
+	bash benchmark/run.sh --workload all --seconds 2 --trace 0
+
+# The benchmark harness's own tests. It is a module of its own
+# (benchmark/go.mod), so `go test ./...` does not reach it.
+bench-test:
+	$(GO) test -C benchmark ./...
+
 # The full gate: everything must pass before a change lands.
-verify: build vet lint race
+verify: build vet lint race bench-test

@@ -82,6 +82,10 @@ type sortCall struct {
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	var mapRanges []*ast.RangeStmt
 	var sorts []sortCall
+	// closures maps a local variable to the function literal bound to it
+	// (capture := func(...) {...}), so a call to it from a map-range body
+	// can be followed into the literal.
+	closures := make(map[types.Object]*ast.FuncLit)
 	analysis.WalkSameFunc(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
@@ -94,11 +98,22 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if obj, ok := sortedSlice(pass.TypesInfo, n); ok {
 				sorts = append(sorts, sortCall{n.Pos(), obj})
 			}
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				lit, ok := rhs.(*ast.FuncLit)
+				if !ok || i >= len(n.Lhs) {
+					continue
+				}
+				if obj := analysis.RootObject(pass.TypesInfo, n.Lhs[i]); obj != nil {
+					closures[obj] = lit
+				}
+			}
 		}
 		return true
 	})
 	for _, r := range mapRanges {
-		checkRange(pass, r, sorts)
+		c := &rangeCheck{pass: pass, r: r, sorts: sorts, closures: closures, entered: make(map[*ast.FuncLit]bool)}
+		c.walk(r.Body, nil, func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) })
 	}
 }
 
@@ -117,45 +132,74 @@ func sortedSlice(info *types.Info, call *ast.CallExpr) (types.Object, bool) {
 	return obj, obj != nil
 }
 
-func checkRange(pass *analysis.Pass, r *ast.RangeStmt, sorts []sortCall) {
-	analysis.WalkSameFunc(r.Body, func(n ast.Node) bool {
+// rangeCheck looks for ordered effects reachable from one map-range body.
+type rangeCheck struct {
+	pass     *analysis.Pass
+	r        *ast.RangeStmt
+	sorts    []sortCall
+	closures map[types.Object]*ast.FuncLit
+	entered  map[*ast.FuncLit]bool // closures already followed: each is reported once, recursion ends
+}
+
+// walk reports the ordered effects of body, which runs once per map
+// element. within is the function literal body belongs to, nil for the
+// range body itself. Calls to local closures are followed into the
+// literal and reported at the call — the loop is where the ordering
+// leaks, and where a //lint:ignore belongs.
+func (c *rangeCheck) walk(body ast.Node, within *ast.FuncLit, report func(token.Pos, string)) {
+	analysis.WalkSameFunc(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send inside map iteration: delivery order depends on map iteration order; iterate over sorted keys instead")
+			report(n.Pos(), "channel send inside map iteration: delivery order depends on map iteration order; iterate over sorted keys instead")
 		case *ast.CallExpr:
-			checkWriteCall(pass, n)
+			if msg := writeCall(c.pass, n); msg != "" {
+				report(n.Pos(), msg)
+			}
+			id, ok := n.Fun.(*ast.Ident)
+			if !ok {
+				break
+			}
+			if lit := c.closures[c.pass.TypesInfo.Uses[id]]; lit != nil && !c.entered[lit] {
+				c.entered[lit] = true
+				c.walk(lit.Body, lit, func(_ token.Pos, msg string) {
+					report(n.Pos(), "call to closure "+id.Name+": "+msg)
+				})
+			}
 		case *ast.AssignStmt:
-			checkAppend(pass, n, r, sorts)
+			c.appends(n, within, report)
 		}
 		return true
 	})
 }
 
-// checkWriteCall flags ordered output produced inside the loop body:
-// fmt print functions and Write* methods on io.Writer implementations.
-func checkWriteCall(pass *analysis.Pass, call *ast.CallExpr) {
+// writeCall describes the ordered output call produces, if any: fmt
+// print functions and Write* methods on io.Writer implementations.
+func writeCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	if path, name, ok := analysis.CalleePkgFunc(pass.TypesInfo, call); ok {
 		if path == "fmt" && fmtWriters[name] {
-			pass.Reportf(call.Pos(), "fmt.%s inside map iteration: output row order depends on map iteration order; iterate over sorted keys instead", name)
+			return "fmt." + name + " inside map iteration: output row order depends on map iteration order; iterate over sorted keys instead"
 		}
-		return
+		return ""
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !writeMethods[sel.Sel.Name] {
-		return
+		return ""
 	}
 	recv := pass.TypesInfo.TypeOf(sel.X)
 	if recv == nil {
-		return
+		return ""
 	}
 	if types.Implements(recv, writerIface) || types.Implements(types.NewPointer(recv), writerIface) {
-		pass.Reportf(call.Pos(), "%s on an io.Writer inside map iteration: byte order depends on map iteration order; iterate over sorted keys instead", sel.Sel.Name)
+		return sel.Sel.Name + " on an io.Writer inside map iteration: byte order depends on map iteration order; iterate over sorted keys instead"
 	}
+	return ""
 }
 
-// checkAppend flags `x = append(x, ...)` in the loop body unless some
-// sort of x happens after the range statement in the same function.
-func checkAppend(pass *analysis.Pass, as *ast.AssignStmt, r *ast.RangeStmt, sorts []sortCall) {
+// appends flags `x = append(x, ...)` unless some sort of x happens after
+// the range statement in the same function. Inside a followed closure
+// only captured slices count: one declared in the literal is rebuilt on
+// every call and carries no order out of it.
+func (c *rangeCheck) appends(as *ast.AssignStmt, within *ast.FuncLit, report func(token.Pos, string)) {
 	for i, rhs := range as.Rhs {
 		call, ok := rhs.(*ast.CallExpr)
 		if !ok {
@@ -165,25 +209,48 @@ func checkAppend(pass *analysis.Pass, as *ast.AssignStmt, r *ast.RangeStmt, sort
 		if !ok || id.Name != "append" {
 			continue
 		}
-		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
+		if _, isBuiltin := c.pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
 			continue
 		}
 		var target types.Object
 		if i < len(as.Lhs) {
-			target = analysis.RootObject(pass.TypesInfo, as.Lhs[i])
+			target = analysis.RootObject(c.pass.TypesInfo, as.Lhs[i])
 		}
 		if target == nil {
 			continue
 		}
+		if within != nil && declaredIn(c.pass.TypesInfo, as.Lhs[i], within) {
+			continue
+		}
 		sorted := false
-		for _, s := range sorts {
-			if s.obj == target && s.pos > r.End() {
+		for _, s := range c.sorts {
+			if s.obj == target && s.pos > c.r.End() {
 				sorted = true
 				break
 			}
 		}
 		if !sorted {
-			pass.Reportf(call.Pos(), "append to %s inside map iteration without a subsequent sort: element order depends on map iteration order", target.Name())
+			report(call.Pos(), "append to "+target.Name()+" inside map iteration without a subsequent sort: element order depends on map iteration order")
+		}
+	}
+}
+
+// declaredIn reports whether the variable at the base of e (x in x,
+// x.f.g, x[i], *x) is declared inside lit.
+func declaredIn(info *types.Info, e ast.Expr, lit *ast.FuncLit) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			obj := info.ObjectOf(x)
+			return obj != nil && obj.Pos() >= lit.Pos() && obj.Pos() < lit.End()
+		default:
+			return false
 		}
 	}
 }

@@ -102,3 +102,92 @@ func suppressedProbe(m map[string]int, ch chan string) {
 		ch <- k
 	}
 }
+
+type segment struct{ pages []int }
+
+// closureAppend is the checkpoint-capture shape: the append hides in a
+// local closure, and the map range only calls it.
+func closureAppend(dirty map[int][]int) *segment {
+	seg := &segment{}
+	capture := func(page int) {
+		seg.pages = append(seg.pages, page)
+	}
+	for _, pages := range dirty {
+		for _, p := range pages {
+			capture(p) // want `call to closure capture: append to pages inside map iteration`
+		}
+	}
+	return seg
+}
+
+func closureSend(m map[string]int, ch chan string) {
+	emit := func(k string) { ch <- k }
+	for k := range m {
+		emit(k) // want `call to closure emit: channel send inside map iteration`
+	}
+}
+
+func closureViaClosure(w io.Writer, m map[string]int) {
+	line := func(k string) { fmt.Fprintln(w, k) }
+	both := func(k string) { line(k) }
+	for k := range m {
+		both(k) // want `call to closure both: call to closure line: fmt\.Fprintln inside map iteration`
+	}
+}
+
+// closureAppendThenSort: the collect-then-sort pattern holds through a
+// closure too.
+func closureAppendThenSort(m map[string]int) []string {
+	var out []string
+	add := func(k string) { out = append(out, k) }
+	for k := range m {
+		add(k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// closureLocalSlice: a slice declared inside the closure is rebuilt on
+// every call; nothing ordered escapes through it.
+func closureLocalSlice(m map[string][]int) int {
+	total := 0
+	sum := func(xs []int) int {
+		var evens []int
+		for _, x := range xs {
+			if x%2 == 0 {
+				evens = append(evens, x)
+			}
+		}
+		return len(evens)
+	}
+	for _, xs := range m {
+		total += sum(xs)
+	}
+	return total
+}
+
+// closureLocalStruct: the same through a field of a closure-local value.
+func closureLocalStruct(m map[string][]int) int {
+	total := 0
+	count := func(xs []int) int {
+		var s segment
+		for _, x := range xs {
+			s.pages = append(s.pages, x)
+		}
+		return len(s.pages)
+	}
+	for _, xs := range m {
+		total += count(xs)
+	}
+	return total
+}
+
+// closureOutsideLoop: calling the closure from slice iteration is fine.
+func closureOutsideLoop(keys []string) []string {
+	var out []string
+	add := func(k string) { out = append(out, k) }
+	for _, k := range keys {
+		add(k)
+	}
+	return out
+}

@@ -251,6 +251,15 @@ func (s *timedStore) Put(key string, data []byte) error {
 	return s.inner.Put(key, data)
 }
 
+// PutOwned implements storage.OwnedPutter: the windows apply as for Put,
+// and ownership of data passes through to inner.
+func (s *timedStore) PutOwned(key string, data []byte) error {
+	if err := s.check("put"); err != nil {
+		return err
+	}
+	return storage.PutOwned(s.inner, key, data)
+}
+
 // Get implements storage.Store.
 func (s *timedStore) Get(key string) ([]byte, error) {
 	if err := s.check("get"); err != nil {

@@ -256,9 +256,15 @@ func (c *Checkpointer) Rebase(seq uint64) {
 	c.took = false
 }
 
+// captures reports whether r's pages are protected and captured: a live
+// checkpointable region excluded neither wholly nor for its data.
+func (c *Checkpointer) captures(r *mem.Region) bool {
+	return r.Kind().Checkpointable() && !c.excluded[r] && !c.dataExcluded[r]
+}
+
 func (c *Checkpointer) protectAll() {
 	for _, r := range c.space.Regions() {
-		if r.Kind().Checkpointable() && !c.excluded[r] && !c.dataExcluded[r] {
+		if c.captures(r) {
 			r.ProtectAll()
 		}
 	}
@@ -297,7 +303,7 @@ func (c *Checkpointer) onFault(f mem.Fault) {
 
 func (c *Checkpointer) onMap(r *mem.Region, mapped bool) {
 	if mapped {
-		if c.running && r.Kind().Checkpointable() && !c.excluded[r] && !c.dataExcluded[r] {
+		if c.running && c.captures(r) {
 			r.ProtectAll()
 		}
 	} else {
@@ -345,7 +351,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		c.epoch = c.seq
 	}
 	c.took = true
-	seg := &Segment{
+	hdr := Segment{
 		Rank:        c.opts.Rank,
 		Seq:         c.seq,
 		Epoch:       c.epoch,
@@ -356,57 +362,44 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		Regions:     c.regionTable(),
 	}
 	ps := c.space.PageSize()
-	var dedupSkipped uint64
-	capture := func(r *mem.Region, idx uint64) {
-		rec := PageRecord{Addr: r.PageAddr(idx)}
-		if !seg.ContentFree {
-			if pd := r.PeekPage(idx); pd != nil {
-				rec.Data = append([]byte(nil), pd...)
-			}
-			if c.skipUnchanged(kind, rec.Addr, rec.Data) {
-				dedupSkipped++
-				return
-			}
+	// Regions are walked in address order — never c.dirty's map order,
+	// which would make the stored bytes differ between identical runs.
+	live := c.space.Regions()
+	var maxPages uint64
+	for _, r := range live {
+		if !c.captures(r) {
+			continue
 		}
-		seg.Pages = append(seg.Pages, rec)
+		if kind == Full {
+			maxPages += r.Pages()
+		} else if rs := c.dirty[r]; rs != nil {
+			maxPages += rs.CountBelow(r.Pages())
+		}
 	}
+	w := newSegWriter(&hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps), c.opts.Compress)
 	var silentPages uint64
-	switch kind {
-	case Full:
-		for _, r := range c.space.Regions() {
-			if !r.Kind().Checkpointable() || c.excluded[r] || c.dataExcluded[r] {
-				continue
-			}
-			for idx := uint64(0); idx < r.Pages(); idx++ {
-				capture(r, idx)
+	for _, r := range live {
+		if !c.captures(r) {
+			continue
+		}
+		limit := r.Pages()
+		if kind == Full {
+			for idx := uint64(0); idx < limit; idx++ {
+				c.capturePage(&w, kind, r, idx)
 			}
 			// A full capture copies current contents, DMA'd or not —
 			// the silent set is absorbed into this self-contained base.
 			r.ClearSilent()
+			continue
 		}
-	case Incremental:
 		// Pages the NIC dirtied without faulting are absent from
 		// c.dirty: this capture omits them, and a restore through it
 		// replays their stale pre-DMA contents. Count them as the
 		// segment's corruption risk.
-		for _, r := range c.space.Regions() {
-			if !r.Kind().Checkpointable() || c.excluded[r] || c.dataExcluded[r] {
-				continue
-			}
-			silentPages += r.SilentPages()
-		}
-		for r, rs := range c.dirty {
-			if r.Dead() {
-				delete(c.dirty, r)
-				continue
-			}
-			if c.dataExcluded[r] {
-				// Dirtied before ExcludeData: drop, never capture.
-				continue
-			}
-			limit := r.Pages()
+		silentPages += r.SilentPages()
+		if rs := c.dirty[r]; rs != nil {
 			for idx, ok := rs.NextSet(0); ok && idx < limit; idx, ok = rs.NextSet(idx + 1) {
-				capture(r, idx)
+				c.capturePage(&w, kind, r, idx)
 			}
 		}
 	}
@@ -418,38 +411,38 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		}
 	}
 	// Reset dirty state and re-protect: the next delta starts now.
-	for _, rs := range c.dirty {
+	for r, rs := range c.dirty {
+		if r.Dead() {
+			delete(c.dirty, r)
+			continue
+		}
 		rs.Clear()
 	}
 	c.protectAll()
 
-	var enc []byte
-	var payload uint64
+	enc := w.finish()
+	dedupSkipped := maxPages - w.pages // every candidate page is written or elided
+	pageBytes := w.pages * ps
+	// The sink absorbs the raw page volume, or the compressed payload
+	// when compression is on (the paper's IB metric is the former).
+	payload := pageBytes
 	if c.opts.Compress {
-		enc, payload = seg.EncodeCompressed()
-	} else {
-		enc, payload = seg.Encode(), uint64(len(seg.Pages))*ps
+		payload = w.payload
 	}
 	key := SegmentKey(c.opts.Rank, c.seq)
 	if err := c.opts.Store.Put(key, enc); err != nil {
 		return Result{}, fmt.Errorf("ckpt: persist %s: %w", key, err)
 	}
-	// The sink absorbs the raw page volume, or the compressed payload
-	// when compression is on (the paper's IB metric is the former).
-	durBytes := uint64(len(seg.Pages)) * ps
-	if c.opts.Compress {
-		durBytes = payload
-	}
 	res := Result{
 		Seq:           c.seq,
 		Epoch:         c.epoch,
 		Kind:          kind,
-		Pages:         uint64(len(seg.Pages)),
+		Pages:         w.pages,
 		Bytes:         uint64(len(enc)),
-		PageBytes:     uint64(len(seg.Pages)) * ps,
+		PageBytes:     pageBytes,
 		PayloadBytes:  payload,
 		DedupSkipped:  dedupSkipped,
-		Duration:      c.opts.Sink.WriteTime(durBytes),
+		Duration:      c.opts.Sink.WriteTime(payload),
 		ExcludedPages: c.excludedAccum,
 
 		SilentDirtyPages: silentPages,
@@ -473,6 +466,20 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	c.stats.PayloadBytes += payload
 	c.stats.SilentDirtyBytes += res.SilentDirtyBytes
 	return res, nil
+}
+
+// capturePage streams page idx of r into w, reading the live page in
+// place, unless content dedup elides it.
+func (c *Checkpointer) capturePage(w *segWriter, kind Kind, r *mem.Region, idx uint64) {
+	addr := r.PageAddr(idx)
+	var data []byte
+	if !w.contentFree {
+		data = r.PeekPage(idx)
+		if c.skipUnchanged(kind, addr, data) {
+			return
+		}
+	}
+	w.page(addr, data)
 }
 
 // skipUnchanged implements content deduplication: it records the page's
@@ -535,6 +542,7 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 		}
 	}
 	// Replay pages from the epoch base forward.
+	var zero []byte
 	for seq := target.Epoch; seq <= targetSeq; seq++ {
 		seg := target
 		if seq != targetSeq {
@@ -561,7 +569,9 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 				// Zero page: only meaningful if something nonzero
 				// was there before, which replay order guarantees
 				// is handled by overwriting.
-				zero := make([]byte, space.PageSize())
+				if zero == nil {
+					zero = make([]byte, space.PageSize())
+				}
 				r.LoadPage(idx, zero)
 				continue
 			}

@@ -106,6 +106,7 @@ func (c *Checkpointer) CheckpointOverlapped(onDone func(Result, error)) error {
 	}
 	c.protectAll()
 
+	seg.Pages = make([]PageRecord, 0, pages)
 	d.res = Result{
 		Seq:           c.seq,
 		Epoch:         c.epoch,
@@ -183,9 +184,13 @@ func (c *Checkpointer) finishDrain() {
 		return
 	}
 	c.inflight = nil
-	for r, rs := range d.pending {
-		if r.Dead() {
-			continue // already captured by overlapUnmap
+	// Address order, not d.pending's map order: the stored bytes must not
+	// differ between identical runs. Regions unmapped mid-drain are gone
+	// from the space and were captured by overlapUnmap.
+	for _, r := range c.space.Regions() {
+		rs := d.pending[r]
+		if rs == nil {
+			continue
 		}
 		// capturePending removes the current element while we iterate,
 		// which NextSet tolerates: the cursor never revisits positions
@@ -202,7 +207,7 @@ func (c *Checkpointer) finishDrain() {
 	} else {
 		enc, payload = d.seg.Encode(), uint64(len(d.seg.Pages))*c.space.PageSize()
 	}
-	key := fmt.Sprintf("rank%03d/seg%06d", c.opts.Rank, d.seg.Seq)
+	key := SegmentKey(c.opts.Rank, d.seg.Seq)
 	var err error
 	if perr := c.opts.Store.Put(key, enc); perr != nil {
 		err = fmt.Errorf("ckpt: persist %s: %w", key, perr)

@@ -10,7 +10,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -97,58 +96,106 @@ func (s *Segment) EncodeCompressed() ([]byte, uint64) {
 }
 
 func (s *Segment) encode(compress bool) ([]byte, uint64) {
-	var payload uint64
-	var buf bytes.Buffer
-	buf.WriteString(segmentMagic)
-	le := binary.LittleEndian
-	var scratch [8]byte
-	w32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf.Write(scratch[:4]) }
-	w64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf.Write(scratch[:8]) }
-	w32(segmentVersion)
-	w32(uint32(s.Rank))
-	w64(s.Seq)
-	w64(s.Epoch)
-	buf.WriteByte(byte(s.Kind))
-	if s.ContentFree {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	w64(s.PageSize)
-	w64(uint64(s.TakenAt))
-	w32(uint32(len(s.Regions)))
-	for _, r := range s.Regions {
-		w64(r.Start)
-		w64(r.Size)
-		buf.WriteByte(byte(r.Kind))
-	}
-	w64(uint64(len(s.Pages)))
+	var size uint64
 	for _, p := range s.Pages {
-		w64(p.Addr)
-		if s.ContentFree {
-			continue
-		}
-		switch {
-		case p.Data == nil:
-			buf.WriteByte(pageZero) // zero page, elided
-		case compress:
-			if c := rleCompress(p.Data); c != nil {
-				buf.WriteByte(pageRLE)
-				w32(uint32(len(c)))
-				buf.Write(c)
-				payload += uint64(len(c))
-				continue
-			}
-			buf.WriteByte(pageHasData)
-			buf.Write(p.Data)
-			payload += uint64(len(p.Data))
-		default:
-			buf.WriteByte(pageHasData)
-			buf.Write(p.Data)
-			payload += uint64(len(p.Data))
+		size += recordCap(s.ContentFree, compress, uint64(len(p.Data)))
+	}
+	w := newSegWriter(s, size, compress)
+	for _, p := range s.Pages {
+		w.page(p.Addr, p.Data)
+	}
+	return w.finish(), w.payload
+}
+
+// segHeaderLen is the fixed part of the wire form ahead of the region
+// table: magic, version, rank, seq, epoch, kind, content-free flag, page
+// size, capture time and region count.
+const segHeaderLen = 4 + 4 + 4 + 8 + 8 + 1 + 1 + 8 + 8 + 4
+
+// segWriter is the one segment encoder. It streams page records into a
+// single buffer allocated up front — the header and region table are
+// fixed-size and the caller bounds the page records — so a capture moves
+// each page byte once, from the live page into the wire form, and no
+// append reallocates.
+type segWriter struct {
+	buf         []byte
+	countOff    int // offset of the u64 page count, patched by finish
+	contentFree bool
+	compress    bool
+	pages       uint64
+	payload     uint64 // page-data bytes written, after zero elision and RLE
+}
+
+// recordCap is the most one page record with n data bytes can occupy:
+// the address, plus — unless content-free — a flag and the data. It is
+// exact for raw and content-free records; zero pages and RLE only shrink
+// one (an RLE record spends 4 bytes on a length to save at least 1).
+func recordCap(contentFree, compress bool, n uint64) uint64 {
+	if contentFree {
+		return 8
+	}
+	if compress {
+		n += 3
+	}
+	return 8 + 1 + n
+}
+
+// newSegWriter writes hdr's header and region table (hdr.Pages is
+// ignored) and reserves pageCap bytes for the page records to come.
+func newSegWriter(hdr *Segment, pageCap uint64, compress bool) segWriter {
+	le := binary.LittleEndian
+	buf := make([]byte, 0, segHeaderLen+17*len(hdr.Regions)+8+int(pageCap))
+	buf = append(buf, segmentMagic...)
+	buf = le.AppendUint32(buf, segmentVersion)
+	buf = le.AppendUint32(buf, uint32(hdr.Rank))
+	buf = le.AppendUint64(buf, hdr.Seq)
+	buf = le.AppendUint64(buf, hdr.Epoch)
+	buf = append(buf, byte(hdr.Kind), 0)
+	if hdr.ContentFree {
+		buf[len(buf)-1] = 1
+	}
+	buf = le.AppendUint64(buf, hdr.PageSize)
+	buf = le.AppendUint64(buf, uint64(hdr.TakenAt))
+	buf = le.AppendUint32(buf, uint32(len(hdr.Regions)))
+	for _, r := range hdr.Regions {
+		buf = le.AppendUint64(buf, r.Start)
+		buf = le.AppendUint64(buf, r.Size)
+		buf = append(buf, byte(r.Kind))
+	}
+	return segWriter{buf: le.AppendUint64(buf, 0), countOff: len(buf), contentFree: hdr.ContentFree, compress: compress}
+}
+
+// page appends one page record. data is read, never retained: nil is an
+// elided zero page, and content-free segments record the address only.
+func (w *segWriter) page(addr uint64, data []byte) {
+	le := binary.LittleEndian
+	w.pages++
+	w.buf = le.AppendUint64(w.buf, addr)
+	switch {
+	case w.contentFree:
+		return
+	case data == nil:
+		w.buf = append(w.buf, pageZero)
+		return
+	case w.compress:
+		if c := rleCompress(data); c != nil {
+			w.buf = append(w.buf, pageRLE)
+			w.buf = le.AppendUint32(w.buf, uint32(len(c)))
+			w.buf = append(w.buf, c...)
+			w.payload += uint64(len(c))
+			return
 		}
 	}
-	return buf.Bytes(), payload
+	w.buf = append(w.buf, pageHasData)
+	w.buf = append(w.buf, data...)
+	w.payload += uint64(len(data))
+}
+
+// finish patches the page count and returns the encoded segment, which
+// nothing else references.
+func (w *segWriter) finish() []byte {
+	binary.LittleEndian.PutUint64(w.buf[w.countOff:], w.pages)
+	return w.buf
 }
 
 // decoder is a bounds-checked little-endian reader.
@@ -191,7 +238,9 @@ func (d *decoder) u64() (uint64, error) {
 }
 
 // DecodeSegment parses a segment encoded by Encode, validating structure
-// and bounds.
+// and bounds. Raw page records alias data rather than copying it (every
+// Store.Get returns a private buffer), so the caller must not reuse data
+// while the segment is live.
 func DecodeSegment(data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)
@@ -291,7 +340,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 				if err != nil {
 					return nil, err
 				}
-				p.Data = append([]byte(nil), raw...)
+				p.Data = raw[:len(raw):len(raw)]
 			case pageRLE:
 				n, err := d.u32()
 				if err != nil {

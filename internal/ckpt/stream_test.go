@@ -1,0 +1,413 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/mem"
+	"repro/internal/storage"
+)
+
+// oracleEncode is the materialise-then-encode serialiser Checkpoint used
+// before it streamed: a bytes.Buffer fed from a []PageRecord. It is kept
+// as the reference the streaming writer's bytes are compared against.
+func oracleEncode(s *Segment, compress bool) ([]byte, uint64) {
+	var payload uint64
+	var buf bytes.Buffer
+	buf.WriteString(segmentMagic)
+	le := binary.LittleEndian
+	var scratch [8]byte
+	w32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf.Write(scratch[:4]) }
+	w64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf.Write(scratch[:8]) }
+	w32(segmentVersion)
+	w32(uint32(s.Rank))
+	w64(s.Seq)
+	w64(s.Epoch)
+	buf.WriteByte(byte(s.Kind))
+	if s.ContentFree {
+		buf.WriteByte(1)
+	} else {
+		buf.WriteByte(0)
+	}
+	w64(s.PageSize)
+	w64(uint64(s.TakenAt))
+	w32(uint32(len(s.Regions)))
+	for _, r := range s.Regions {
+		w64(r.Start)
+		w64(r.Size)
+		buf.WriteByte(byte(r.Kind))
+	}
+	w64(uint64(len(s.Pages)))
+	for _, p := range s.Pages {
+		w64(p.Addr)
+		if s.ContentFree {
+			continue
+		}
+		switch {
+		case p.Data == nil:
+			buf.WriteByte(pageZero)
+		case compress:
+			if c := rleCompress(p.Data); c != nil {
+				buf.WriteByte(pageRLE)
+				w32(uint32(len(c)))
+				buf.Write(c)
+				payload += uint64(len(c))
+				continue
+			}
+			fallthrough
+		default:
+			buf.WriteByte(pageHasData)
+			buf.Write(p.Data)
+			payload += uint64(len(p.Data))
+		}
+	}
+	return buf.Bytes(), payload
+}
+
+// oracleCapture materialises the segment the next Checkpoint must
+// produce — regions in address order, page data copied out — without
+// disturbing the checkpointer (dedup hashes are read, not updated).
+func oracleCapture(c *Checkpointer) (seg *Segment, skipped uint64) {
+	kind := Incremental
+	epoch := c.epoch
+	if !c.took || (c.opts.FullEvery > 0 && (c.seq-c.opts.StartSeq)%uint64(c.opts.FullEvery) == 0) {
+		kind, epoch = Full, c.seq
+	}
+	seg = &Segment{
+		Rank: c.opts.Rank, Seq: c.seq, Epoch: epoch, Kind: kind,
+		ContentFree: c.space.Phantom(), PageSize: c.space.PageSize(),
+		TakenAt: c.eng.Now(), Regions: c.regionTable(),
+		Pages: []PageRecord{},
+	}
+	for _, r := range c.space.Regions() {
+		if !r.Kind().Checkpointable() || c.excluded[r] || c.dataExcluded[r] {
+			continue
+		}
+		for idx := uint64(0); idx < r.Pages(); idx++ {
+			if kind == Incremental && (c.dirty[r] == nil || !c.dirty[r].Has(idx)) {
+				continue
+			}
+			rec := PageRecord{Addr: r.PageAddr(idx)}
+			if !seg.ContentFree {
+				if pd := r.PeekPage(idx); pd != nil {
+					rec.Data = append([]byte(nil), pd...)
+				}
+				if c.hashes != nil {
+					prev, seen := c.hashes[rec.Addr]
+					if kind == Incremental && seen && prev == pageHash(rec.Data, seg.PageSize) {
+						skipped++
+						continue
+					}
+				}
+			}
+			seg.Pages = append(seg.Pages, rec)
+		}
+	}
+	return seg, skipped
+}
+
+// TestStreamedCaptureMatchesOracle drives full and incremental captures
+// of phantom, raw, compressed and deduplicated spaces with several dirty
+// regions at once, and checks that the bytes Checkpoint streams into the
+// store are exactly what materialising the segment and running the old
+// encoder over it produces, and that they decode back to that segment.
+func TestStreamedCaptureMatchesOracle(t *testing.T) {
+	cases := []struct {
+		name    string
+		phantom bool
+		opts    Options
+	}{
+		{"phantom", true, Options{}},
+		{"raw", false, Options{}},
+		{"compress", false, Options{Compress: true}},
+		{"dedup", false, Options{DedupUnchanged: true}},
+		{"compress+dedup", false, Options{Compress: true, DedupUnchanged: true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(11, uint64(len(tc.name))))
+			eng := des.NewEngine()
+			sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: tc.phantom})
+			store := storage.NewMemStore()
+			opts := tc.opts
+			opts.Rank, opts.Store, opts.FullEvery, opts.TrackCow = 2, store, 4, true
+			c, err := NewCheckpointer(eng, sp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions := []*mem.Region{sp.MapData(3 * pageSize)}
+			for i := 0; i < 5; i++ {
+				r, err := sp.Mmap(uint64(4+i) * pageSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				regions = append(regions, r)
+			}
+			c.Start()
+			dirty := func(r *mem.Region) {
+				idx := rng.Uint64N(r.Pages())
+				switch {
+				case tc.phantom:
+					sp.WriteRange(r.PageAddr(idx), pageSize)
+				case rng.IntN(3) == 0: // constant fill: compresses, and repeats for dedup
+					sp.Write(r.PageAddr(idx), bytes.Repeat([]byte{7}, pageSize))
+				default:
+					page := make([]byte, pageSize)
+					for i := range page {
+						page[i] = byte(rng.Uint32())
+					}
+					sp.Write(r.PageAddr(idx), page)
+				}
+			}
+			var skippedTotal, zeroPages, shrunk uint64
+			for round := 0; round < 10; round++ {
+				eng.Schedule(eng.Now()+des.Second, func() {})
+				eng.Run(des.MaxTime)
+				for _, r := range regions {
+					for n := rng.IntN(4); n > 0 && !r.Dead(); n-- {
+						dirty(r)
+					}
+				}
+				if round == 6 { // a dirty region unmapped before its delta
+					if err := sp.Munmap(regions[3]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, skipped := oracleCapture(c)
+				wantEnc, wantPayload := oracleEncode(want, opts.Compress)
+				res, err := c.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := store.Get(SegmentKey(2, want.Seq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, wantEnc) {
+					t.Fatalf("round %d (%s): streamed %d bytes differ from the oracle's %d", round, want.Kind, len(got), len(wantEnc))
+				}
+				if !opts.Compress {
+					wantPayload = want.PageBytes()
+				}
+				wantRes := Result{
+					Seq: want.Seq, Epoch: want.Epoch, Kind: want.Kind,
+					Pages: uint64(len(want.Pages)), Bytes: uint64(len(wantEnc)),
+					PageBytes: want.PageBytes(), PayloadBytes: wantPayload, DedupSkipped: skipped,
+					Duration: res.Duration, ExcludedPages: res.ExcludedPages,
+				}
+				if res != wantRes {
+					t.Fatalf("round %d: result %+v, want %+v", round, res, wantRes)
+				}
+				dec, err := DecodeSegment(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dec, want) {
+					t.Fatalf("round %d: decoded segment differs from the captured one", round)
+				}
+				skippedTotal += skipped
+				for _, p := range want.Pages {
+					if p.Data == nil && !tc.phantom {
+						zeroPages++
+					}
+				}
+				if res.PayloadBytes < res.PageBytes {
+					shrunk++
+				}
+			}
+			// The run must have exercised what its case is named for.
+			if opts.DedupUnchanged && skippedTotal == 0 {
+				t.Error("no page was ever elided by dedup")
+			}
+			if opts.Compress && shrunk == 0 {
+				t.Error("no segment was ever shrunk by RLE")
+			}
+			if !tc.phantom && zeroPages == 0 {
+				t.Error("no never-written page was ever captured")
+			}
+		})
+	}
+}
+
+// TestEncodeMatchesOracle checks the materialised-segment entry points,
+// which the overlapped drain and external callers use, against the same
+// oracle — including records a capture never produces (short data,
+// content-free records that carry data).
+func TestEncodeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for i := 0; i < 200; i++ {
+		seg := &Segment{
+			Rank: rng.IntN(100), Seq: rng.Uint64(), Epoch: rng.Uint64(), Kind: Kind(rng.IntN(2)),
+			ContentFree: rng.IntN(4) == 0, PageSize: 512, TakenAt: des.Time(rng.Int64()),
+		}
+		for n := rng.IntN(4); n > 0; n-- {
+			seg.Regions = append(seg.Regions, RegionInfo{Start: rng.Uint64(), Size: rng.Uint64(), Kind: mem.Kind(rng.IntN(5))})
+		}
+		for n := rng.IntN(30); n > 0; n-- {
+			p := PageRecord{Addr: rng.Uint64()}
+			switch rng.IntN(4) {
+			case 0: // zero page
+			case 1:
+				p.Data = bytes.Repeat([]byte{byte(n)}, 512)
+			case 2:
+				p.Data = make([]byte, rng.IntN(600))
+				for j := range p.Data {
+					p.Data[j] = byte(rng.Uint32())
+				}
+			default:
+				p.Data = make([]byte, 512)
+				for j := range p.Data {
+					p.Data[j] = byte(rng.Uint32())
+				}
+			}
+			seg.Pages = append(seg.Pages, p)
+		}
+		want, _ := oracleEncode(seg, false)
+		if got := seg.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("segment %d: Encode differs from the oracle", i)
+		} else if !seg.ContentFree && cap(got) != len(got) {
+			t.Fatalf("segment %d: raw encode reserved %d bytes for %d", i, cap(got), len(got))
+		}
+		want, wantPayload := oracleEncode(seg, true)
+		got, payload := seg.EncodeCompressed()
+		if !bytes.Equal(got, want) || payload != wantPayload {
+			t.Fatalf("segment %d: EncodeCompressed differs from the oracle", i)
+		}
+	}
+}
+
+// TestDecodedPagesAliasOnlyTheirBuffer: DecodeSegment aliases page data
+// into the buffer it was handed, so scribbling on a decoded page — or
+// appending to it — may change that buffer and nothing else: not a
+// neighbouring page, and not what the store returns next time.
+func TestDecodedPagesAliasOnlyTheirBuffer(t *testing.T) {
+	seg := &Segment{PageSize: 8, Pages: []PageRecord{
+		{Addr: 0, Data: []byte("AAAAAAAA")},
+		{Addr: 8, Data: []byte("BBBBBBBB")},
+	}}
+	store := storage.NewMemStore()
+	if err := store.Put("k", seg.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *Segment {
+		data, err := store.Get("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	dec := load()
+	copy(dec.Pages[0].Data, "XXXXXXXX")
+	_ = append(dec.Pages[0].Data, "overflow!"...)
+	if string(dec.Pages[1].Data) != "BBBBBBBB" {
+		t.Fatalf("append to page 0 ran into page 1: %q", dec.Pages[1].Data)
+	}
+	if again := load(); !reflect.DeepEqual(again.Pages, seg.Pages) {
+		t.Fatalf("mutating a decoded page changed the stored segment: %q", again.Pages)
+	}
+}
+
+// discardStore accepts every Put and keeps nothing, so allocation counts
+// measure the checkpointer alone.
+type discardStore struct{ storage.Store }
+
+func (discardStore) Put(string, []byte) error { return nil }
+
+// TestPhantomCheckpointAllocsIndependentOfPages: a content-free capture
+// streams straight from the bitsets into one presized buffer, so the
+// number of objects it allocates must not grow with the page count.
+func TestPhantomCheckpointAllocsIndependentOfPages(t *testing.T) {
+	allocs := func(pages uint64, fullEvery int) float64 {
+		eng := des.NewEngine()
+		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
+		c, err := NewCheckpointer(eng, sp, Options{Store: discardStore{}, FullEvery: fullEvery, TrackCow: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := sp.Mmap(pages * pageSize)
+		c.Start()
+		return testing.AllocsPerRun(20, func() {
+			sp.WriteRange(r.Start(), pages/2*pageSize)
+			if _, err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, mode := range []struct {
+		name      string
+		fullEvery int
+	}{{"full", 1}, {"incremental", 0}} {
+		// fmt's sync.Pool sheds entries at random under the race detector,
+		// so SegmentKey costs an allocation on some runs: allow that noise,
+		// not the log2(pages) slice doublings of a materialised capture.
+		small, large := allocs(64, mode.fullEvery), allocs(64<<10, mode.fullEvery)
+		if large > small+2 {
+			t.Errorf("%s: %v allocs for 64 pages, %v for 64 Ki pages", mode.name, small, large)
+		}
+		if large > 24 {
+			t.Errorf("%s: %v allocs per checkpoint, want a handful", mode.name, large)
+		}
+	}
+}
+
+// Sage-1000MB's per-rank shape in the paper's configuration: a 954.6 MB
+// footprint in 16 KiB pages, about 15 % of it dirtied per timeslice.
+const (
+	sagePageSize = 16 << 10
+	sagePages    = 61094
+	sageDirty    = sagePages * 15 / 100
+)
+
+func benchPhantom(b *testing.B, fullEvery int) {
+	eng := des.NewEngine()
+	sp := mem.NewAddressSpace(mem.Config{PageSize: sagePageSize, Phantom: true})
+	c, _ := NewCheckpointer(eng, sp, Options{Store: storage.NewMemStore(), FullEvery: fullEvery, TrackCow: true})
+	r, _ := sp.Mmap(sagePages * sagePageSize)
+	c.Start()
+	c.Checkpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.WriteRange(r.Start(), sageDirty*sagePageSize)
+		res, err := c.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(res.Bytes))
+	}
+}
+
+func BenchmarkCheckpointPhantomFull(b *testing.B)        { benchPhantom(b, 1) }
+func BenchmarkCheckpointPhantomIncremental(b *testing.B) { benchPhantom(b, 0) }
+
+// BenchmarkCheckpointBacked captures the supervised stencil's shape: a
+// 1 MiB backed heap of 4 KiB pages, half of it rewritten per line.
+func BenchmarkCheckpointBacked(b *testing.B) {
+	eng := des.NewEngine()
+	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+	c, _ := NewCheckpointer(eng, sp, Options{Store: storage.NewMemStore(), FullEvery: 8})
+	r, _ := sp.Mmap(256 * pageSize)
+	row := bytes.Repeat([]byte{0xA5}, 128*pageSize)
+	c.Start()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(row)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row[0] = byte(i)
+		if err := sp.Write(r.Start()+uint64(i%2)*uint64(len(row)), row); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			b.Fatal(fmt.Errorf("checkpoint %d: %w", i, err))
+		}
+	}
+}

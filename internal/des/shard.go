@@ -119,11 +119,11 @@ type Group struct {
 	stopped  atomic.Bool
 	running  bool
 
-	work    []chan phaseReq
-	wg      sync.WaitGroup
-	counts  []uint64
-	panics  []any // per-shard recovered panic values, re-raised by the driver
-	started bool
+	work   []chan phaseReq // non-nil while a run has workers parked
+	wg     sync.WaitGroup  // phase barrier
+	exited sync.WaitGroup  // worker lifetimes, waited on by stopWorkers
+	counts []uint64
+	panics []any // per-shard recovered panic values, re-raised by the driver
 
 	tops, comms, bounds []Time // scratch, driver-only
 	busy                []int  // scratch: shards eligible this epoch
@@ -466,20 +466,20 @@ func (g *Group) runInstant(t Time) uint64 {
 	}
 }
 
-// startWorkers lazily spawns one parked goroutine per shard. Workers are
-// reused across runs for the life of the group.
+// startWorkers spawns one parked goroutine per shard, on the first
+// parallel phase of a run. Workers live exactly as long as that run:
+// stopWorkers releases them when it returns, so an abandoned group
+// leaves no goroutine (and no shard state pinned by one) behind.
 func (g *Group) startWorkers() {
-	if g.started {
-		return
-	}
-	g.started = true
 	g.work = make([]chan phaseReq, len(g.shards))
+	g.exited.Add(len(g.shards))
 	for i := range g.shards {
 		ch := make(chan phaseReq)
 		g.work[i] = ch
 		s := g.shards[i]
 		idx := i
 		go func() {
+			defer g.exited.Done()
 			for req := range ch {
 				func() {
 					defer func() {
@@ -494,6 +494,16 @@ func (g *Group) startWorkers() {
 			}
 		}()
 	}
+}
+
+// stopWorkers closes the work channels and waits for the workers to
+// exit. Driver-only, with every worker parked.
+func (g *Group) stopWorkers() {
+	for _, ch := range g.work {
+		close(ch)
+	}
+	g.work = nil
+	g.exited.Wait()
 }
 
 // phase runs every busy shard concurrently up to its bound. g.busy lists
@@ -522,6 +532,9 @@ func (g *Group) phase(until Time) uint64 {
 		}
 		g.critPath += maxc
 		return n
+	}
+	if g.work == nil {
+		g.startWorkers()
 	}
 	g.wg.Add(len(g.busy))
 	for _, i := range g.busy {
@@ -555,9 +568,11 @@ func (g *Group) run(until Time) uint64 {
 		panic("des: nested Run on a sharded engine group")
 	}
 	g.running = true
-	defer func() { g.running = false }()
+	defer func() {
+		g.stopWorkers()
+		g.running = false
+	}()
 	g.stopped.Store(false)
-	g.startWorkers()
 	L := g.Lookahead()
 	var fired uint64
 	for {

@@ -26,6 +26,7 @@ type Array struct {
 	reg   *mem.Region
 	base  uint64
 	n     int
+	buf   []byte // row I/O staging, grown to the widest row seen and reused
 }
 
 // NewArray maps a fresh arena holding n float64s.
@@ -66,6 +67,14 @@ func (a *Array) Region() *mem.Region { return a.reg }
 // Free unmaps the backing region.
 func (a *Array) Free() error { return a.space.Munmap(a.reg) }
 
+// staging returns the reusable byte buffer for a row of n elements.
+func (a *Array) staging(n int) []byte {
+	if cap(a.buf) < n*8 {
+		a.buf = make([]byte, n*8)
+	}
+	return a.buf[:n*8]
+}
+
 func (a *Array) check(off, n int) error {
 	if off < 0 || n < 0 || off+n > a.n {
 		return fmt.Errorf("kernels: slice [%d,%d) out of array of %d", off, off+n, a.n)
@@ -78,7 +87,7 @@ func (a *Array) Read(dst []float64, off int) error {
 	if err := a.check(off, len(dst)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(dst)*8)
+	buf := a.staging(len(dst))
 	if err := a.space.Read(a.base+uint64(off)*8, buf); err != nil {
 		return err
 	}
@@ -94,7 +103,7 @@ func (a *Array) Write(src []float64, off int) error {
 	if err := a.check(off, len(src)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(src)*8)
+	buf := a.staging(len(src))
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}

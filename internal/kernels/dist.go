@@ -241,14 +241,14 @@ func (d *DistStencil) sweep() {
 // Gather assembles the global interior (all owned rows, top to bottom)
 // into a single slice of nx*(ranks*rowsPerRank) values.
 func (d *DistStencil) Gather() ([]float64, error) {
-	var out []float64
-	row := make([]float64, d.nx)
+	out := make([]float64, d.nx*d.rowsPerRank*len(d.grids))
+	row := out
 	for i := range d.grids {
 		for y := 1; y <= d.rowsPerRank; y++ {
-			if err := d.grids[i].Cur().Read(row, y*d.nx); err != nil {
+			if err := d.grids[i].Cur().Read(row[:d.nx], y*d.nx); err != nil {
 				return nil, err
 			}
-			out = append(out, row...)
+			row = row[d.nx:]
 		}
 	}
 	return out, nil

@@ -16,6 +16,7 @@ type Stencil2D struct {
 	a, b   *Array
 	work   *Array // staging row: fully rewritten before any read, every sweep
 	iter   int
+	rows   []float64 // Step's up/mid/down/out rows, 4*nx, allocated on first sweep
 }
 
 // NewStencil2D allocates the two grid buffers in space, with boundary
@@ -113,10 +114,11 @@ func (s *Stencil2D) Iter() int { return s.iter }
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
 func (s *Stencil2D) Step() error {
 	cur, nxt := s.Cur(), s.next()
-	up := make([]float64, s.nx)
-	mid := make([]float64, s.nx)
-	down := make([]float64, s.nx)
-	out := make([]float64, s.nx)
+	if s.rows == nil {
+		s.rows = make([]float64, 4*s.nx)
+	}
+	nx := s.nx
+	up, mid, down, out := s.rows[:nx], s.rows[nx:2*nx], s.rows[2*nx:3*nx], s.rows[3*nx:]
 	if err := cur.Read(mid, 0); err != nil {
 		return err
 	}

@@ -492,3 +492,69 @@ func BenchmarkFFT1K(b *testing.B) {
 		}
 	}
 }
+
+// TestArrayRowIOZeroAlloc: row reads and writes stage through one
+// per-Array buffer, so after the first row of a given width they
+// allocate nothing — and neither does a whole Jacobi sweep.
+func TestArrayRowIOZeroAlloc(t *testing.T) {
+	a, err := NewArray(space(), 64*256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, 256)
+	for i := range row {
+		row[i] = float64(i) + 0.5
+	}
+	back := make([]float64, 256)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := a.Write(row, 3*256); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Read(back, 3*256); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Array.Write+Read of a warm row: %v allocs, want 0", allocs)
+	}
+	for i := range row {
+		if back[i] != row[i] {
+			t.Fatalf("row[%d] read back %v, wrote %v", i, back[i], row[i])
+		}
+	}
+	// A narrower access after a wide one reuses the wide buffer.
+	if allocs := testing.AllocsPerRun(100, func() { a.At(7) }); allocs != 0 {
+		t.Errorf("Array.At after a row access: %v allocs, want 0", allocs)
+	}
+
+	s, err := NewStencil2D(space(), 64, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2) // both buffers' pages and the row scratch exist
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Stencil2D.Step: %v allocs, want 0", allocs)
+	}
+}
+
+// BenchmarkArrayRowIO is the supervised stencil's row traffic: one
+// 256-element row written and read back.
+func BenchmarkArrayRowIO(b *testing.B) {
+	a, _ := NewArray(space(), 64*256)
+	row := make([]float64, 256)
+	b.SetBytes(2 * 256 * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i % 64) * 256
+		if err := a.Write(row, off); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Read(row, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -111,7 +111,8 @@ func badFrame(format string, args ...any) error {
 
 // ParseParityFrame decodes a canonical parity frame. It never panics on
 // arbitrary input; any malformation — including a CRC mismatch — is
-// reported as a wrapped storage.ErrCorrupt.
+// reported as a wrapped storage.ErrCorrupt. The frame's Payload aliases
+// data (every Store.Get returns a private buffer) rather than copying it.
 func ParseParityFrame(data []byte) (*ParityFrame, error) {
 	const fixed = 4 + 1 + 4 + 8 + 1 + 1 + 1
 	if len(data) < fixed+4+4 {
@@ -160,7 +161,7 @@ func ParseParityFrame(data []byte) (*ParityFrame, error) {
 	if len(body) != off+plen {
 		return nil, badFrame("payload length %d does not match frame size", plen)
 	}
-	f.Payload = append([]byte(nil), data[off:off+plen]...)
+	f.Payload = data[off : off+plen : off+plen]
 	return f, nil
 }
 

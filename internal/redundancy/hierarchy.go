@@ -335,17 +335,15 @@ func (h *Hierarchy) EncodeLine(seq uint64) (ExchangeReport, error) {
 			}
 			groupSend += uint64(len(data)) * uint64(len(g.Partners))
 		}
-		padded := make([][]byte, k)
-		for i, s := range segs {
-			if len(s) == maxLen {
-				padded[i] = s
-			} else {
-				p := make([]byte, maxLen)
-				copy(p, s)
-				padded[i] = p
-			}
+		if t := h.exchangeTime(segs, len(g.Partners)); t > rep.Time {
+			rep.Time = t
 		}
-		parity, err := h.codec.Encode(padded)
+		// The fetched copies are private: zero-pad the short ones in
+		// place to the shard length the codec needs.
+		for i, s := range segs {
+			segs[i] = append(s, make([]byte, maxLen-len(s))...)
+		}
+		parity, err := h.codec.Encode(segs)
 		if err != nil {
 			return rep, err
 		}
@@ -363,16 +361,14 @@ func (h *Hierarchy) EncodeLine(seq uint64) (ExchangeReport, error) {
 			if err != nil {
 				return rep, err
 			}
-			partner := g.Partners[j]
-			if err := h.local[partner].Put(ParityKey(gi, seq, k+j), enc); err != nil {
+			partner, framed := g.Partners[j], uint64(len(enc))
+			// The frame is exact-size and nothing else references it.
+			if err := storage.PutOwned(h.local[partner], ParityKey(gi, seq, k+j), enc); err != nil {
 				return rep, fmt.Errorf("redundancy: parity shard %d of group %d on rank %d: %w", k+j, gi, partner, err)
 			}
-			rep.ParityBytes += uint64(len(enc))
+			rep.ParityBytes += framed
 		}
 		rep.Bytes += groupSend
-		if t := h.exchangeTime(segs, len(g.Partners)); t > rep.Time {
-			rep.Time = t
-		}
 	}
 	h.stats.Encodes++
 	h.stats.ExchangeBytes += rep.Bytes

@@ -386,3 +386,40 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// BenchmarkEncodeLineRS4x2 parity-protects one committed line of the
+// multi-level benchmark's geometry: 12 ranks in domains of 2, RS 4+2,
+// each rank's segment a 130-page (~0.5 MB) backed stencil strip.
+func BenchmarkEncodeLineRS4x2(b *testing.B) {
+	dm, err := cluster.NewDomainMap(12, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := NewHierarchy(Config{
+		Scheme: Scheme{Kind: RS, K: 4, M: 2}, Domains: dm,
+		Global: storage.NewMemStore(), GlobalEvery: 8, Net: mpi.QsNet(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for r := 0; r < h.Ranks(); r++ {
+		seg := &ckpt.Segment{Rank: r, Kind: ckpt.Full, PageSize: 4096}
+		for p := 0; p < 130; p++ {
+			seg.Pages = append(seg.Pages, ckpt.PageRecord{Addr: uint64(p) * 4096, Data: bytes.Repeat([]byte{byte(r*7 + p)}, 4096)})
+		}
+		enc := seg.Encode()
+		total += int64(len(enc))
+		if err := h.RankStore(r).Put(ckpt.SegmentKey(r, 0), enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.EncodeLine(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -179,13 +179,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 		if uint32(len(data)) != mr.Length || SegmentCRC(data) != mr.CRC || len(data) > shardLen {
 			continue
 		}
-		if len(data) == shardLen {
-			shards[i] = data
-		} else {
-			p := make([]byte, shardLen)
-			copy(p, data)
-			shards[i] = p
-		}
+		shards[i] = append(data, make([]byte, shardLen-len(data))...)
 	}
 	if err := h.codec.Reconstruct(shards); err != nil {
 		v.stats.RebuildFailures++
@@ -219,7 +213,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	// (e.g. a MirrorStore short of quorum) doesn't fail the read, it
 	// just records the miss.
 	out := recovered[key]
-	if err := h.local[rank].Put(key, append([]byte(nil), out...)); err != nil {
+	if err := h.local[rank].Put(key, out); err != nil {
 		v.stats.RepairWriteFailures++
 	} else {
 		v.stats.RepairedBack++

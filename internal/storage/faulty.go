@@ -109,6 +109,16 @@ func (s *FaultyStore) roll(rate float64) bool {
 // Put implements Store, possibly dropping the write (transient), tearing
 // it, or flipping a stored bit.
 func (s *FaultyStore) Put(key string, data []byte) error {
+	return s.put(key, data, s.inner.Put)
+}
+
+// PutOwned implements OwnedPutter, injecting the same faults as Put and
+// forwarding ownership of whatever reaches the sink.
+func (s *FaultyStore) PutOwned(key string, data []byte) error {
+	return s.put(key, data, func(key string, data []byte) error { return PutOwned(s.inner, key, data) })
+}
+
+func (s *FaultyStore) put(key string, data []byte, sink func(string, []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.step() {
@@ -121,16 +131,16 @@ func (s *FaultyStore) Put(key string, data []byte) error {
 	if s.roll(s.cfg.TornWriteRate) {
 		s.stats.TornWrites++
 		// Persist a strict prefix and report success: the sink lied.
-		return s.inner.Put(key, data[:len(data)/2])
+		return sink(key, data[:len(data)/2])
 	}
 	if s.roll(s.cfg.CorruptRate) && len(data) > 0 {
 		s.stats.BitFlips++
 		bit := s.rng.IntN(len(data) * 8)
 		flipped := append([]byte(nil), data...)
 		flipped[bit/8] ^= 1 << (bit % 8)
-		return s.inner.Put(key, flipped)
+		return sink(key, flipped)
 	}
-	return s.inner.Put(key, data)
+	return sink(key, data)
 }
 
 // Get implements Store, possibly failing transiently.

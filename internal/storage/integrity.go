@@ -79,9 +79,10 @@ func NewIntegrityStore(inner Store) *IntegrityStore {
 	return &IntegrityStore{inner: inner}
 }
 
-// Put implements Store.
+// Put implements Store. The sealed frame is fresh and referenced by
+// nothing else, so the backing store may keep it without copying.
 func (s *IntegrityStore) Put(key string, data []byte) error {
-	return s.inner.Put(key, Seal(data))
+	return PutOwned(s.inner, key, Seal(data))
 }
 
 // Get implements Store, verifying the envelope before returning.

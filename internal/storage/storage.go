@@ -118,6 +118,13 @@ func (m Model) Headroom(requiredBps float64) float64 {
 }
 
 // Store persists named checkpoint segments.
+//
+// Buffer ownership: Put borrows data — the caller keeps the buffer and
+// may reuse or mutate it as soon as Put returns, so a store that holds
+// values in memory copies. Get returns a buffer private to the caller —
+// mutating it never changes what a later Get returns. A caller whose
+// buffer is fresh and referenced by nothing else can skip Put's copy
+// with PutOwned.
 type Store interface {
 	// Put stores data under key, replacing any previous value.
 	Put(key string, data []byte) error
@@ -133,6 +140,25 @@ type Store interface {
 	Size() (uint64, error)
 }
 
+// OwnedPutter is the optional fast path of a Store that would otherwise
+// copy on Put: PutOwned stores data under key and takes ownership of the
+// buffer, which the caller must not touch again — success or failure.
+// MemStore keeps the buffer as the stored value; pass-through wrappers
+// forward it.
+type OwnedPutter interface {
+	PutOwned(key string, data []byte) error
+}
+
+// PutOwned hands data to s without a defensive copy when s implements
+// OwnedPutter, and falls back to a plain Put otherwise. Either way the
+// caller gives up the buffer.
+func PutOwned(s Store, key string, data []byte) error {
+	if o, ok := s.(OwnedPutter); ok {
+		return o.PutOwned(key, data)
+	}
+	return s.Put(key, data)
+}
+
 // MemStore is an in-memory Store, safe for concurrent use.
 type MemStore struct {
 	mu sync.RWMutex
@@ -146,11 +172,16 @@ func NewMemStore() *MemStore {
 
 // Put implements Store.
 func (s *MemStore) Put(key string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	s.m[key] = cp
+	return s.PutOwned(key, cp)
+}
+
+// PutOwned implements OwnedPutter: data itself becomes the stored value.
+func (s *MemStore) PutOwned(key string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = data
 	return nil
 }
 
