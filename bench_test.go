@@ -1,7 +1,7 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (plus the DESIGN.md extension experiments). Each benchmark
-// regenerates its artefact end to end on the simulated substrate and
-// reports the headline quantities as custom metrics, so
+// Benchmark harness: one sub-benchmark per table, figure and ablation of
+// the evaluation (experiments.Artefacts), plus the supervisor benchmarks
+// below. Each regenerates its artefact end to end on the simulated
+// substrate and reports the headline quantities as custom metrics, so
 //
 //	go test -bench=. -benchmem
 //
@@ -18,7 +18,6 @@ import (
 	"repro/internal/autonomic"
 	"repro/internal/des"
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 func benchRanks() int {
@@ -30,274 +29,37 @@ func benchRanks() int {
 	return 16
 }
 
-func benchOpts() experiments.RunOpts {
-	return experiments.RunOpts{Ranks: benchRanks(), Seed: 7}
-}
-
-// BenchmarkTable2 regenerates Table 2 (memory footprint max/avg).
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkArtefact regenerates every deterministic artefact of
+// experiments.Artefacts as BenchmarkArtefact/<name> and reports its
+// headline metrics. Artefacts flagged BenchShards add a /shards8
+// sub-benchmark on an 8-shard parallel engine: virtual-time output is
+// bit-identical to the sequential run, only host wall-clock differs, and
+// cmd/benchjson derives speedup_vs_seq from the pair.
+func BenchmarkArtefact(b *testing.B) {
+	for _, a := range experiments.Artefacts {
+		if !a.InAll {
+			continue
 		}
-		b.ReportMetric(rows[0].AvgMB, "sage1000_avg_fp_MB")
-		b.ReportMetric(rows[0].MaxMB, "sage1000_max_fp_MB")
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (iteration period, overwrite %).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
+		opts := experiments.RunOpts{Ranks: benchRanks(), Seed: 7}
+		if a.BenchRanks > 0 {
+			opts.Ranks = min(opts.Ranks, a.BenchRanks)
 		}
-		b.ReportMetric(rows[0].PeriodS, "sage1000_period_s")
-		b.ReportMetric(rows[0].OverwritePct, "sage1000_overwrite_pct")
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4 (bandwidth requirements at 1 s).
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := a.Run(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range res.Metrics {
+					b.ReportMetric(m.Value, m.Name)
+				}
+			}
 		}
-		b.ReportMetric(rows[0].AvgMBs, "sage1000_avg_ib_MBs")
-		b.ReportMetric(rows[0].MaxMBs, "sage1000_max_ib_MBs")
-	}
-}
-
-// BenchmarkFig1 regenerates Figure 1 (Sage-1000MB IWS + data received).
-func BenchmarkFig1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
+		b.Run(a.Name, run)
+		if a.BenchShards {
+			opts.Shards = 8
+			b.Run(a.Name+"/shards8", run)
 		}
-		b.ReportMetric(res.DetectedPeriodS, "detected_period_s")
-	}
-}
-
-// BenchmarkFig1Shards8 regenerates Figure 1 on an 8-shard parallel
-// engine — the paired row for BenchmarkFig1. Virtual-time output is
-// bit-identical to the sequential benchmark; only host wall-clock
-// differs, and cmd/benchjson derives speedup_vs_seq from the pair.
-func BenchmarkFig1Shards8(b *testing.B) {
-	opts := benchOpts()
-	opts.Shards = 8
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig1(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DetectedPeriodS, "detected_period_s")
-	}
-}
-
-// benchFigTimeslices is a 5-point subset of the paper's 1-20 s sweep,
-// keeping multi-panel figure benches affordable.
-func benchFigTimeslices() []des.Time {
-	return []des.Time{
-		des.Second, 2 * des.Second, 5 * des.Second,
-		10 * des.Second, 20 * des.Second,
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2 (max/avg IB vs timeslice, 6 apps).
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(benchOpts(), benchFigTimeslices())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res[0].Avg.Points[len(res[0].Avg.Points)-1]
-		b.ReportMetric(last.Value, "sage1000_avg_ib_at_20s_MBs")
-	}
-}
-
-// BenchmarkFig3Fig4 regenerates Figures 3 and 4 (Sage footprint sweep).
-func BenchmarkFig3Fig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(benchOpts(), benchFigTimeslices())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.AvgIB[0].Points[0].Value/res.AvgIB[1].Points[0].Value,
-			"ib_1000MB_over_500MB")
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5 (weak scaling, 8-64 ranks).
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(experiments.RunOpts{Seed: 7}, benchFigTimeslices())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Ratio of per-process IB at 64 vs 8 ranks (paper: slightly
-		// below 1).
-		r := res.Curves[0].Points[0].Value / res.Curves[3].Points[0].Value
-		b.ReportMetric(r, "ib64_over_ib8")
-	}
-}
-
-// BenchmarkIntrusiveness regenerates §6.5 (instrumentation slowdown).
-func BenchmarkIntrusiveness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Intrusiveness(benchOpts(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Slowdown*100, "slowdown_at_1s_pct")
-	}
-}
-
-// BenchmarkAblationAlignment regenerates the A1 ablation (checkpoint
-// placement vs the bulk-synchronous structure).
-func BenchmarkAblationAlignment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationAlignment(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7, Periods: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MidBurstCowMB, "midburst_cow_MB")
-		b.ReportMetric(res.AlignedCowMB, "aligned_cow_MB")
-	}
-}
-
-// BenchmarkAblationIncremental regenerates the A3 ablation (incremental
-// vs full volume, memory exclusion).
-func BenchmarkAblationIncremental(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationIncremental(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7, Periods: 2}, 10*des.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Ratio, "incremental_over_full")
-		b.ReportMetric(res.ExcludedMB, "excluded_MB")
-	}
-}
-
-// BenchmarkPageSizeAblation regenerates the checkpoint-granularity
-// ablation (Table 1's page-granularity dimension).
-func BenchmarkPageSizeAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PageSizeAblation(
-			workload.Sage100MB(), experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[2].AvgIBMBs/rows[0].AvgIBMBs, "ib_64k_over_4k")
-		b.ReportMetric(rows[0].FaultsPerSec/rows[2].FaultsPerSec, "faults_4k_over_64k")
-	}
-}
-
-// BenchmarkSinkComparison regenerates the sink comparison (§3 + diskless
-// checkpointing [19]).
-func BenchmarkSinkComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SinkComparison(
-			workload.Sage1000MB(), experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7, Periods: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[1].HeadroomAvg, "disk_headroom")
-	}
-}
-
-// BenchmarkCompressionAblation regenerates the checkpoint-size
-// optimisation ablation on a real stencil ([18]).
-func BenchmarkCompressionAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CompressionAblation(0, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[3].Savings*100, "combined_savings_pct")
-	}
-}
-
-// BenchmarkRankSymmetry validates the bulk-synchronous premise (§6.1):
-// per-rank requirements are near-identical.
-func BenchmarkRankSymmetry(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RankSymmetry(
-			workload.SP(), experiments.RunOpts{Ranks: min(benchRanks(), 16), Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxSpread*100, "max_rank_spread_pct")
-	}
-}
-
-// BenchmarkRankSymmetryShards8 is BenchmarkRankSymmetry on an 8-shard
-// parallel engine: every rank carries a tracker, so this is the
-// most instrument-heavy sharded benchmark in the suite.
-func BenchmarkRankSymmetryShards8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RankSymmetry(
-			workload.SP(), experiments.RunOpts{Ranks: min(benchRanks(), 16), Seed: 7, Shards: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxSpread*100, "max_rank_spread_pct")
-	}
-}
-
-// BenchmarkBurstProfile regenerates the §6.2 burst-structure analysis
-// for all nine applications (the graphs the paper describes but omits).
-func BenchmarkBurstProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.BurstProfile(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].QuietFrac*100, "sage1000_quiet_pct")
-	}
-}
-
-// BenchmarkAdaptiveAlignment regenerates the adaptive quiet-window
-// checkpoint placement comparison (the paper's §6.2/§8 proposal).
-func BenchmarkAdaptiveAlignment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AdaptiveAlignment(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7, Periods: 3}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].CowMB, "fixed_cow_MB")
-		b.ReportMetric(rows[1].CowMB, "adaptive_cow_MB")
-	}
-}
-
-// BenchmarkMigrationPhases regenerates the live-migration placement
-// comparison (pre-copy migration on the same dirty-page substrate).
-func BenchmarkMigrationPhases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MigrationPhases(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].DowntimeMs, "burst_downtime_ms")
-		b.ReportMetric(rows[1].DowntimeMs, "window_downtime_ms")
-	}
-}
-
-// BenchmarkTrends regenerates the §6.6 technological-trends projection.
-func BenchmarkTrends(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Trends(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7}, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[8].NetHeadroom, "net_headroom_2012")
 	}
 }
 
@@ -321,39 +83,6 @@ func BenchmarkSelfHealing(b *testing.B) {
 		}
 		b.ReportMetric(float64(rep.Failures), "failures_survived")
 		b.ReportMetric(rep.Efficiency*100, "measured_efficiency_pct")
-	}
-}
-
-// BenchmarkStorageFaults runs the A14 storage-fault ablation: the
-// supervised run against decaying and dying sinks, single and mirrored.
-func BenchmarkStorageFaults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.StorageFaultAblation(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var degraded, completed int
-		for _, r := range rows {
-			degraded += r.Degraded
-			completed += r.Completed
-		}
-		b.ReportMetric(float64(completed), "runs_completed")
-		b.ReportMetric(float64(degraded), "degraded_recoveries")
-	}
-}
-
-// BenchmarkEfficiency regenerates the A2 extension (machine efficiency
-// under failures vs checkpoint interval).
-func BenchmarkEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Efficiency(
-			experiments.RunOpts{Ranks: min(benchRanks(), 8), Seed: 7, Periods: 2},
-			des.FromSeconds(3600))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.BestEff*100, "best_efficiency_pct")
-		b.ReportMetric(res.DalyS, "daly_interval_s")
 	}
 }
 

@@ -28,15 +28,16 @@ type Record struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// SpeedupVsSeq is set on BenchmarkXxxShardsN records whose sequential
-	// pair BenchmarkXxx appears in the same input: sequential ns/op over
-	// this record's ns/op.
+	// SpeedupVsSeq is set on BenchmarkXxxShardsN and BenchmarkXxx/shardsN
+	// records whose sequential pair BenchmarkXxx appears in the same
+	// input: sequential ns/op over this record's ns/op.
 	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
 }
 
 // shardsRe matches the shard-count segment of a paired sharded
-// benchmark name, e.g. the "Shards8" in "BenchmarkFig1Shards8-4".
-var shardsRe = regexp.MustCompile(`Shards\d+`)
+// benchmark name: the "Shards8" in "BenchmarkGroupShards8-4" or the
+// "/shards8" in "BenchmarkArtefact/fig1/shards8-4".
+var shardsRe = regexp.MustCompile(`Shards\d+|/shards\d+`)
 
 // annotateSpeedups fills SpeedupVsSeq on every sharded record whose
 // sequential pair (the same name with the ShardsN segment removed) is

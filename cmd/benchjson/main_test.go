@@ -48,12 +48,18 @@ func TestAnnotateSpeedups(t *testing.T) {
 		{Name: "BenchmarkFig1Shards8-4", NsPerOp: 100},
 		{Name: "BenchmarkOrphanShards2-4", NsPerOp: 50}, // no sequential pair
 		{Name: "BenchmarkTable2-4", NsPerOp: 200},       // no sharded pair
+		{Name: "BenchmarkArtefact/fig1-4", NsPerOp: 800},
+		{Name: "BenchmarkArtefact/fig1/shards8-4", NsPerOp: 200},
+		{Name: "BenchmarkArtefact/table2/shards8-4", NsPerOp: 50}, // no sequential pair
 	}
 	annotateSpeedups(recs)
 	if got := recs[1].SpeedupVsSeq; got != 3 {
 		t.Errorf("Fig1Shards8 speedup = %v, want 3", got)
 	}
-	for _, i := range []int{0, 2, 3} {
+	if got := recs[5].SpeedupVsSeq; got != 4 {
+		t.Errorf("fig1/shards8 speedup = %v, want 4", got)
+	}
+	for _, i := range []int{0, 2, 3, 4, 6} {
 		if recs[i].SpeedupVsSeq != 0 {
 			t.Errorf("%s speedup = %v, want 0 (unset)", recs[i].Name, recs[i].SpeedupVsSeq)
 		}

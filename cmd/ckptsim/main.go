@@ -61,13 +61,5 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("Machine efficiency under failures (system MTBF %v):\n", *mtbf)
-	fmt.Printf("%12s %12s %12s %12s %12s\n", "interval(s)", "ckpt(MB)", "cost(s)", "analytic", "simulated")
-	for _, r := range eff.Rows {
-		fmt.Printf("%12.0f %12.1f %12.2f %11.1f%% %11.1f%%\n",
-			r.IntervalS, r.CkptMB, r.CkptCostS, r.AnalyticEff*100, r.SimEff*100)
-	}
-	fmt.Printf("\n  best interval      : %.0f s (%.1f%% efficient)\n", eff.BestIntervalS, eff.BestEff*100)
-	fmt.Printf("  Young optimum      : %.0f s, Daly optimum: %.0f s\n", eff.YoungS, eff.DalyS)
-	fmt.Printf("  full checkpoints   : %.1f%% efficient at the same interval — incrementality buys %.1f points\n",
-		eff.FullCkptEff*100, (eff.BestEff-eff.FullCkptEff)*100)
+	fmt.Print(experiments.FormatEfficiency(eff))
 }

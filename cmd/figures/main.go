@@ -1,24 +1,25 @@
-// Command figures regenerates the data series behind the paper's
-// Figures 1-5 (plus the §6.5 intrusiveness numbers) as plain-text
-// columns, ready for any plotting tool.
+// Command figures regenerates the paper's evaluation — Tables 2-4, the
+// data series behind Figures 1-5, the §6.5 intrusiveness numbers and
+// every ablation — as plain-text columns, ready for any plotting tool.
+// The artefacts are those of experiments.Artefacts; -h lists them.
 //
 // Usage:
 //
-//	figures [-fig 1|2|3|4|5|intrusiveness|pagesize|sinks|compression|adaptive|migration|faults|cluster|chaos|service|rdma|ckptset|multilevel|trends|all] [-ranks 64] [-seed 7]
+//	figures [-fig name|all] [-ranks 64] [-seed 7] [-shards 0]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/profiling"
-	"repro/internal/workload"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 3, 4, 5, intrusiveness, pagesize, sinks, faults, cluster, chaos, service, rdma, ckptset, multilevel, scaling, trends or all")
+	fig := flag.String("fig", "all", "artefact to regenerate: "+strings.Join(experiments.Names(), ", ")+" or all")
 	ranks := flag.Int("ranks", 64, "MPI ranks")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	shards := flag.Int("shards", 0, "parallel event shards (0 = sequential engine; figure data is identical either way)")
@@ -31,224 +32,21 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	opts := experiments.RunOpts{Ranks: *ranks, Seed: *seed, Shards: *shards}
 	fail := func(err error) {
 		stopProf()
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 
-	if *fig == "1" || *fig == "all" {
-		res, err := experiments.Fig1(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Figure 1(a). Sage-1000MB IWS size per timeslice (MB), timeslice 1 s")
-		fmt.Print(experiments.FormatSeries(res.IWS))
-		fmt.Println()
-		fmt.Println("Figure 1(b). Sage-1000MB data received per timeslice (MB)")
-		fmt.Print(experiments.FormatSeries(res.Recv))
-		fmt.Printf("\ndetected main-iteration period: %.1f s\n\n", res.DetectedPeriodS)
+	arts, err := experiments.Select(*fig)
+	if err != nil {
+		fail(err)
 	}
-	if *fig == "2" || *fig == "all" {
-		res, err := experiments.Fig2(opts, nil)
+	for _, a := range arts {
+		res, err := a.Run(experiments.RunOpts{Ranks: *ranks, Seed: *seed, Shards: *shards})
 		if err != nil {
 			fail(err)
 		}
-		for i, panel := range res {
-			fmt.Printf("Figure 2(%c). %s: IB (MB/s) vs timeslice (paper @1s: avg %.1f, max %.1f)\n",
-				'a'+i, panel.App, panel.PaperAvg1s, panel.PaperMax1s)
-			fmt.Print(experiments.FormatCurves([]experiments.Curve{panel.Avg, panel.Max}))
-			fmt.Println()
-		}
-	}
-	if *fig == "3" || *fig == "4" || *fig == "all" {
-		res, err := experiments.Fig3(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		if *fig != "4" {
-			fmt.Println("Figure 3. Average IB (MB/s) vs timeslice for the Sage footprints")
-			fmt.Print(experiments.FormatCurves(res.AvgIB))
-			fmt.Println()
-		}
-		if *fig != "3" {
-			fmt.Println("Figure 4. IWS size / memory image size (%) vs timeslice")
-			fmt.Print(experiments.FormatCurves(res.Ratio))
-			fmt.Println()
-		}
-	}
-	if *fig == "5" || *fig == "all" {
-		res, err := experiments.Fig5(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Figure 5. Average IB (MB/s) vs timeslice for Sage-1000MB at 8-64 ranks")
-		fmt.Print(experiments.FormatCurves(res.Curves))
-		fmt.Println()
-	}
-	if *fig == "intrusiveness" || *fig == "all" {
-		rows, err := experiments.Intrusiveness(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Section 6.5. Instrumentation slowdown for Sage-1000MB")
-		fmt.Printf("%12s %12s %12s\n", "timeslice(s)", "slowdown(%)", "faults")
-		for _, r := range rows {
-			fmt.Printf("%12.1f %12.2f %12d\n", r.TimesliceS, r.Slowdown*100, r.Faults)
-		}
-		fmt.Println()
-	}
-	if *fig == "pagesize" || *fig == "all" {
-		rows, err := experiments.PageSizeAblation(workload.Sage100MB(), opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: checkpoint granularity (page size), Sage-100MB, timeslice 1 s")
-		fmt.Printf("%12s %12s %14s %12s\n", "page (KB)", "avg IB MB/s", "faults/s", "slowdown(%)")
-		for _, r := range rows {
-			fmt.Printf("%12d %12.1f %14.0f %12.2f\n", r.PageSizeKB, r.AvgIBMBs, r.FaultsPerSec, r.SlowdownPct)
-		}
-		fmt.Println()
-	}
-	if *fig == "sinks" || *fig == "all" {
-		rows, err := experiments.SinkComparison(workload.Sage1000MB(), opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Sink comparison for Sage-1000MB's 1 s requirement (§3, [19])")
-		fmt.Printf("%-36s %10s %10s %10s %10s\n", "sink", "peak MB/s", "headroom", "worst", "commit s")
-		for _, r := range rows {
-			fmt.Printf("%-36s %10.0f %9.1fx %9.1fx %10.3f\n",
-				r.Sink, r.PeakMBs, r.HeadroomAvg, r.HeadroomMax, r.CommitS)
-		}
-		fmt.Println()
-	}
-	if *fig == "compression" || *fig == "all" {
-		rows, err := experiments.CompressionAblation(0, 0, 0)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: checkpoint-size optimisations on a real stencil ([18])")
-		fmt.Print(experiments.FormatCompression(rows))
-		fmt.Println()
-	}
-	if *fig == "bursts" || *fig == "all" {
-		rows, err := experiments.BurstProfile(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Processing-burst structure of every application (§6.2, the unplotted graphs)")
-		fmt.Print(experiments.FormatBursts(rows))
-		fmt.Println()
-	}
-	if *fig == "adaptive" || *fig == "all" {
-		rows, err := experiments.AdaptiveAlignment(opts, 0)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Adaptive quiet-window checkpoint alignment (§6.2/§8 proposal), Sage-1000MB, 45 s cadence")
-		fmt.Print(experiments.FormatAdaptive(rows))
-		fmt.Println()
-	}
-	if *fig == "migration" || *fig == "all" {
-		rows, err := experiments.MigrationPhases(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Live migration of Sage-1000MB over QsNet, by trigger phase (§6.2, §7)")
-		fmt.Print(experiments.FormatMigration(rows))
-		fmt.Println()
-	}
-	if *fig == "faults" || *fig == "all" {
-		rows, err := experiments.StorageFaultAblation(nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: storage-tier faults vs the hardening stack (A14), supervised Jacobi, 4 ranks")
-		fmt.Print(experiments.FormatFaults(rows))
-		fmt.Println()
-	}
-	if *fig == "cluster" || *fig == "all" {
-		rows, err := experiments.FaultyClusterAblation(nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: cluster faults — flaky interconnect, heartbeat detection, two-phase commit (A15)")
-		fmt.Print(experiments.FormatCluster(rows))
-		fmt.Println()
-	}
-	if *fig == "chaos" || *fig == "all" {
-		rows, err := experiments.ChaosReplayAblation(nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: chaos schedules vs crash–restore–replay equivalence (A16), supervised Jacobi, 4 ranks")
-		fmt.Print(experiments.FormatChaos(rows))
-		fmt.Println()
-	}
-	if *fig == "service" || *fig == "all" {
-		rows, err := experiments.ServiceAblation(*seed, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: checkpoint-store service under load and faults (A17), 3 replicas, 1 s timeslice")
-		fmt.Print(experiments.FormatService(rows))
-		fmt.Println()
-	}
-	if *fig == "rdma" || *fig == "all" {
-		rows, err := experiments.RDMAAblation()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: RDMA direct-write delivery vs bounce buffers vs the drain protocol (A18), one-sided ring, 3 ranks")
-		fmt.Print(experiments.FormatRDMA(rows))
-		fmt.Println()
-	}
-	if *fig == "ckptset" || *fig == "all" {
-		rows, err := experiments.CkptSetAblation()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: analysis-selected vs whole-data-segment protection (A19), 5 kernels, seeded mid-run crash")
-		fmt.Print(experiments.FormatCkptSet(rows))
-		fmt.Println()
-	}
-	if *fig == "multilevel" || *fig == "all" {
-		rows, err := experiments.MultiLevelAblation(nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Ablation: multi-level checkpointing under correlated domain crashes (A21), 8 ranks, scheme x domain size x interval")
-		fmt.Print(experiments.FormatMultiLevel(rows))
-		fmt.Println()
-	}
-	// Excluded from "all": wall-clock numbers are host-dependent, unlike
-	// every other figure, which is deterministic virtual-time data.
-	if *fig == "scaling" || *fig == "a20" {
-		rows, err := experiments.ScalingTable(
-			[]workload.Spec{workload.Sage1000MB(), workload.Sweep3D()},
-			opts, []int{0, 1, 2, 4, 8})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Scaling: wall-clock of the measured reference run by engine topology (A20)")
-		fmt.Print(experiments.FormatScaling(rows))
-		fmt.Println()
-	}
-	if *fig == "trends" || *fig == "all" {
-		rows, err := experiments.Trends(opts, 8)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Section 6.6. Technological trends: projected feasibility margins")
-		fmt.Printf("%6s %14s %14s %12s %10s %10s\n",
-			"year", "required MB/s", "network MB/s", "disk MB/s", "net x", "disk x")
-		for _, r := range rows {
-			fmt.Printf("%6d %14.1f %14.0f %12.0f %10.1f %10.1f\n",
-				r.Year, r.RequiredMBs, r.NetworkMBs, r.DiskMBs, r.NetHeadroom, r.DiskHeadroom)
-		}
-		fmt.Println()
+		fmt.Print(res.Text())
 	}
 }

@@ -1,7 +1,8 @@
 // Command report regenerates the complete paper-vs-measured report as
-// Markdown on stdout: Tables 2-4, the figure-series summaries, the §6.5
-// intrusiveness numbers, and every extension experiment. EXPERIMENTS.md
-// is a curated snapshot of this output at -ranks 64.
+// Markdown on stdout: every artefact of experiments.Artefacts that
+// `figures -fig all` prints, one heading and one fenced table each.
+// docs/report.md is this output at -ranks 64; EXPERIMENTS.md is a
+// curated snapshot of it.
 //
 // Usage:
 //
@@ -13,204 +14,34 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/des"
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 func main() {
 	ranks := flag.Int("ranks", 64, "MPI ranks")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	flag.Parse()
-	opts := experiments.RunOpts{Ranks: *ranks, Seed: *seed}
-	smallOpts := experiments.RunOpts{Ranks: min(*ranks, 8), Seed: *seed}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}
-
 	fmt.Printf("# Reproduction report (%d ranks, seed %d)\n\n", *ranks, *seed)
-
-	// ---- Tables ----------------------------------------------------
-	t2, err := experiments.Table2(opts)
+	arts, err := experiments.Select("all")
 	if err != nil {
 		fail(err)
 	}
-	fmt.Print("## Table 2 — Memory Footprint Size (MB)\n\n")
-	fmt.Println("| Application | measured max | measured avg | paper max | paper avg |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, r := range t2 {
-		fmt.Printf("| %s | %.1f | %.1f | %.1f | %.1f |\n", r.App, r.MaxMB, r.AvgMB, r.PaperMax, r.PaperAvg)
-	}
-	fmt.Println()
-
-	t3, err := experiments.Table3(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## Table 3 — Main Iteration\n\n")
-	fmt.Println("| Application | period (s) | overwrite % | paper period | paper % |")
-	fmt.Println("|---|---|---|---|---|")
-	for _, r := range t3 {
-		fmt.Printf("| %s | %.2f | %.1f | %.2f | %.0f |\n", r.App, r.PeriodS, r.OverwritePct, r.PaperPeriod, r.PaperPct)
-	}
-	fmt.Println()
-
-	t4, err := experiments.Table4(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## Table 4 — Bandwidth Requirements (MB/s), timeslice 1 s\n\n")
-	fmt.Println("| Application | max | avg | paper max | paper avg | % net | % disk |")
-	fmt.Println("|---|---|---|---|---|---|---|")
-	for _, r := range t4 {
-		fmt.Printf("| %s | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f |\n",
-			r.App, r.MaxMBs, r.AvgMBs, r.PaperMax, r.PaperAvg, r.PctOfNetwork, r.PctOfDisk)
-	}
-	fmt.Println()
-
-	// ---- Figures (compact summaries) -------------------------------
-	f1, err := experiments.Fig1(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("## Figure 1 — Sage-1000MB trace\n\ndetected iteration period: **%.1f s** (paper: 145 s at 64 ranks)\n\n", f1.DetectedPeriodS)
-
-	ts := []des.Time{des.Second, 2 * des.Second, 5 * des.Second, 10 * des.Second, 20 * des.Second}
-	f2, err := experiments.Fig2(opts, ts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## Figure 2 — avg IB (MB/s) vs timeslice\n\n")
-	fmt.Print("| ts (s) |")
-	for _, p := range f2 {
-		fmt.Printf(" %s |", p.App)
-	}
-	fmt.Print("\n|---|")
-	for range f2 {
-		fmt.Print("---|")
-	}
-	fmt.Println()
-	for i, tsv := range ts {
-		fmt.Printf("| %d |", int(tsv.Seconds()))
-		for _, p := range f2 {
-			fmt.Printf(" %.1f |", p.Avg.Points[i].Value)
+	for _, a := range arts {
+		res, err := a.Run(experiments.RunOpts{Ranks: *ranks, Seed: *seed})
+		if err != nil {
+			fail(err)
 		}
-		fmt.Println()
-	}
-	fmt.Println()
-
-	f3, err := experiments.Fig3(opts, ts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## Figures 3 & 4 — Sage footprints\n\n")
-	fmt.Print("avg IB (MB/s) / IWS-to-footprint ratio (%):\n\n")
-	fmt.Println("| ts (s) | 1000MB | 500MB | 100MB | 50MB |")
-	fmt.Println("|---|---|---|---|---|")
-	for i, tsv := range ts {
-		fmt.Printf("| %d |", int(tsv.Seconds()))
-		for j := range f3.AvgIB {
-			fmt.Printf(" %.1f / %.0f%% |", f3.AvgIB[j].Points[i].Value, f3.Ratio[j].Points[i].Value)
+		fmt.Printf("## %s\n\n", a.Title)
+		for _, s := range res.Sections {
+			if s.Title != a.Title {
+				fmt.Printf("### %s\n\n", s.Title)
+			}
+			fmt.Printf("```\n%s```\n\n", s.Body)
 		}
-		fmt.Println()
 	}
-	fmt.Println()
-
-	f5, err := experiments.Fig5(experiments.RunOpts{Seed: *seed}, ts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## Figure 5 — weak scaling (avg IB, MB/s)\n\n")
-	fmt.Println("| ts (s) | 64 | 32 | 16 | 8 |")
-	fmt.Println("|---|---|---|---|---|")
-	for i, tsv := range ts {
-		fmt.Printf("| %d |", int(tsv.Seconds()))
-		for _, c := range f5.Curves {
-			fmt.Printf(" %.1f |", c.Points[i].Value)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-
-	intr, err := experiments.Intrusiveness(opts, nil)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Print("## §6.5 — Intrusiveness\n\n")
-	fmt.Println("| timeslice (s) | slowdown |")
-	fmt.Println("|---|---|")
-	for _, r := range intr {
-		fmt.Printf("| %.0f | %.1f%% |\n", r.TimesliceS, r.Slowdown*100)
-	}
-	fmt.Println()
-
-	// ---- Extensions -------------------------------------------------
-	fmt.Print("## Extensions\n\n")
-
-	al, err := experiments.AblationAlignment(smallOpts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A1 checkpoint placement (Sage, 1/iteration):** mid-burst %.0f MB CoW vs %.0f MB aligned; volumes %.0f vs %.0f MB.\n\n",
-		al.MidBurstCowMB, al.AlignedCowMB, al.MidBurstVolumeMB, al.AlignedVolumeMB)
-
-	eff, err := experiments.Efficiency(smallOpts, des.FromSeconds(3600))
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A2 efficiency under failures (1 h MTBF):** best %.1f%% at %.0f s interval (Daly: %.0f s); full checkpoints: %.1f%%.\n\n",
-		eff.BestEff*100, eff.BestIntervalS, eff.DalyS, eff.FullCkptEff*100)
-
-	inc, err := experiments.AblationIncremental(smallOpts, 10*des.Second)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A3 incremental vs full (10 s interval):** ratio %.2f, memory exclusion saved %.0f MB.\n\n", inc.Ratio, inc.ExcludedMB)
-
-	ps, err := experiments.PageSizeAblation(workload.Sage100MB(), smallOpts, nil)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A4 page size (Sage-100MB):** 4 KB: %.1f MB/s @ %.0f faults/s; 16 KB: %.1f @ %.0f; 64 KB: %.1f @ %.0f.\n\n",
-		ps[0].AvgIBMBs, ps[0].FaultsPerSec, ps[1].AvgIBMBs, ps[1].FaultsPerSec, ps[2].AvgIBMBs, ps[2].FaultsPerSec)
-
-	sinks, err := experiments.SinkComparison(workload.Sage1000MB(), smallOpts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("**A5 sinks (Sage-1000MB):**")
-	for _, r := range sinks {
-		fmt.Printf("  %s: %.1fx headroom, %.3f s commit.\n", r.Sink, r.HeadroomAvg, r.CommitS)
-	}
-	fmt.Println()
-
-	tr, err := experiments.Trends(smallOpts, 8)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A6 trends:** network headroom %.1fx (2004) → %.1fx (2012); disk %.1fx → %.1fx.\n\n",
-		tr[0].NetHeadroom, tr[8].NetHeadroom, tr[0].DiskHeadroom, tr[8].DiskHeadroom)
-
-	sym, err := experiments.RankSymmetry(workload.SP(), smallOpts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A7 rank symmetry (SP, all ranks tracked):** mean %.1f MB/s, max spread %.2f%%.\n\n",
-		sym.MeanMBs, sym.MaxSpread*100)
-
-	comp, err := experiments.CompressionAblation(0, 0, 0)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A8 checkpoint-size optimisations (real stencil):** plain %.2f MB → compress+dedup %.2f MB (%.0f%% saved).\n\n",
-		comp[0].PersistedMB, comp[3].PersistedMB, comp[3].Savings*100)
-
-	mig, err := experiments.MigrationPhases(smallOpts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("**A10 live migration (Sage-1000MB over QsNet):** burst trigger %d rounds / %.2f GB; window trigger %d rounds / %.2f GB.\n",
-		mig[0].Rounds, mig[0].TotalGB, mig[1].Rounds, mig[1].TotalGB)
 }

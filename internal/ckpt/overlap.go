@@ -79,7 +79,7 @@ func (c *Checkpointer) CheckpointOverlapped(onDone func(Result, error)) error {
 	switch kind {
 	case Full:
 		for _, r := range c.space.Regions() {
-			if !r.Kind().Checkpointable() || c.excluded[r] {
+			if !c.captures(r) {
 				continue
 			}
 			s := &bitset.Set{}

@@ -115,6 +115,49 @@ func TestOverlappedPreImageSemantics(t *testing.T) {
 	}
 }
 
+// An overlapped full segment honours ExcludeData exactly like the
+// synchronous path: a recomputable region's pages are never protected, so
+// they must not be captured either — least of all at their drain-end
+// content. The stored bytes are identical to a stop-and-copy at the
+// trigger.
+func TestOverlappedFullHonoursExcludeData(t *testing.T) {
+	take := func(overlapped bool) []byte {
+		eng, sp, c, store := newOverlap(t, slowSink())
+		kept, _ := sp.Mmap(2 * pageSize)
+		scratch, _ := sp.Mmap(2 * pageSize)
+		sp.Write(kept.Start(), bytes.Repeat([]byte{1}, 2*pageSize))
+		sp.Write(scratch.Start(), bytes.Repeat([]byte{2}, 2*pageSize))
+		c.ExcludeData(scratch)
+		c.Start()
+		if overlapped {
+			if err := c.CheckpointOverlapped(nil); err != nil {
+				t.Fatal(err)
+			}
+			// Unprotected, so this write takes no fault and leaves no
+			// pre-image: a captured scratch page would hold 3s.
+			eng.Schedule(des.Second, func() { sp.Write(scratch.Start(), bytes.Repeat([]byte{3}, pageSize)) })
+			eng.Run(des.MaxTime)
+		} else if _, err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := store.Get(SegmentKey(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := DecodeSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.Kind != Full || len(seg.Pages) != 2 || len(seg.Regions) != 2 {
+			t.Fatalf("overlapped=%v: kind %v, %d pages, %d regions; want full, 2, 2", overlapped, seg.Kind, len(seg.Pages), len(seg.Regions))
+		}
+		return data
+	}
+	if !bytes.Equal(take(true), take(false)) {
+		t.Fatal("overlapped full segment under ExcludeData differs from the synchronous one")
+	}
+}
+
 func TestOverlappedUnmapDuringDrain(t *testing.T) {
 	eng, sp, c, store := newOverlap(t, slowSink())
 	keep, _ := sp.Mmap(pageSize)

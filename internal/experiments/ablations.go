@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/des"
@@ -165,4 +166,32 @@ func Trends(opts RunOpts, years int) ([]TrendRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// FormatPageSize renders the page-granularity ablation.
+func FormatPageSize(rows []PageSizeRow) string {
+	s := fmt.Sprintf("%12s %12s %14s %12s\n", "page (KB)", "avg IB MB/s", "faults/s", "slowdown(%)")
+	for _, r := range rows {
+		s += fmt.Sprintf("%12d %12.1f %14.0f %12.2f\n", r.PageSizeKB, r.AvgIBMBs, r.FaultsPerSec, r.SlowdownPct)
+	}
+	return s
+}
+
+// FormatSinks renders the sink comparison.
+func FormatSinks(rows []SinkRow) string {
+	s := fmt.Sprintf("%-36s %10s %10s %10s %10s\n", "sink", "peak MB/s", "headroom", "worst", "commit s")
+	for _, r := range rows {
+		s += fmt.Sprintf("%-36s %10.0f %9.1fx %9.1fx %10.3f\n", r.Sink, r.PeakMBs, r.HeadroomAvg, r.HeadroomMax, r.CommitS)
+	}
+	return s
+}
+
+// FormatTrends renders the §6.6 projection.
+func FormatTrends(rows []TrendRow) string {
+	s := fmt.Sprintf("%6s %14s %14s %12s %10s %10s\n", "year", "required MB/s", "network MB/s", "disk MB/s", "net x", "disk x")
+	for _, r := range rows {
+		s += fmt.Sprintf("%6d %14.1f %14.0f %12.0f %10.1f %10.1f\n",
+			r.Year, r.RequiredMBs, r.NetworkMBs, r.DiskMBs, r.NetHeadroom, r.DiskHeadroom)
+	}
+	return s
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/autonomic"
 	"repro/internal/chaos"
 	"repro/internal/des"
-	"repro/internal/storage"
 )
 
 // A16: chaos replay ablation. A14 hardened the storage tier and A15 the
@@ -27,13 +26,7 @@ import (
 type ChaosRow struct {
 	// Schedule names the fault scenario.
 	Schedule string
-	// Runs and Completed count the seed sweep.
-	Runs, Completed int
-	// BitExact reports that every completed run matched its reference
-	// run bit for bit: per-rank address-space digests and checksum.
-	BitExact bool
-	// MeanEfficiency averages end-to-end efficiency over completed runs.
-	MeanEfficiency float64
+	SweepStats
 	// Failures sums injected failures; LostIterations the iterations
 	// rolled back and replayed.
 	Failures, LostIterations int
@@ -42,9 +35,6 @@ type ChaosRow struct {
 	ReplayedWork des.Time
 	// WastedCheckpoints sums committed lines invalidated by rollback.
 	WastedCheckpoints int
-	// MeanDowntime averages per-failure downtime (detection through
-	// respawn) across all failures of all runs.
-	MeanDowntime des.Time
 	// Degraded sums recoveries that fell back past the newest claimed
 	// line; AbortedCommits sums two-phase rounds killed mid-commit.
 	Degraded, AbortedCommits int
@@ -57,18 +47,17 @@ type ChaosRow struct {
 	ConfiguredInterval, YoungInterval des.Time
 }
 
-// chaosExperimentSchedules returns the A16 scenarios: name, schedule
-// text, and whether the runs use two-phase commit.
-func chaosExperimentSchedules() []struct {
+// chaosScenario is one A16 schedule: name, schedule text, and whether
+// the runs use two-phase commit.
+type chaosScenario struct {
 	Name     string
 	Text     string
 	TwoPhase bool
-} {
-	return []struct {
-		Name     string
-		Text     string
-		TwoPhase bool
-	}{
+}
+
+// chaosExperimentSchedules returns the A16 scenarios.
+func chaosExperimentSchedules() []chaosScenario {
+	return []chaosScenario{
 		{"crash", "crash at 1500ms..6s count 2 jitter 400ms", false},
 		{"commit-crash", "commit-crash at 1s..30s count 2", true},
 		{"partition+brownout",
@@ -80,92 +69,46 @@ func chaosExperimentSchedules() []struct {
 	}
 }
 
-// chaosExperimentConfig is the supervised run every scenario repeats:
-// the A15 grid with a fixed checkpoint timeslice, slow enough (nfs-class
-// sink, 200ms sweeps) that commit windows are wide targets.
-func chaosExperimentConfig(seed uint64) autonomic.Config {
-	return autonomic.Config{
-		Ranks:           4,
-		Nx:              32,
-		RowsPerRank:     8,
-		Boundary:        9,
-		Iterations:      40,
-		CkptEvery:       5,
-		ComputeTime:     200 * des.Millisecond,
-		RestartOverhead: 500 * des.Millisecond,
-		Sink:            storage.Model{Name: "nfs-class", Latency: 5 * des.Millisecond, Bandwidth: 2e4},
-		Seed:            seed,
-	}
-}
-
 // ChaosReplayAblation runs every A16 scenario over the given seeds
 // (nil → {3, 5, 9}) and aggregates per-schedule rows.
 func ChaosReplayAblation(seeds []uint64) ([]ChaosRow, error) {
-	if len(seeds) == 0 {
-		seeds = []uint64{3, 5, 9}
-	}
+	// The A15 run with a fixed checkpoint timeslice, slow enough
+	// (nfs-class sink, 200ms sweeps) that commit windows are wide targets.
+	base := smallJacobi(4, 0)
 	var rows []ChaosRow
 	for _, sc := range chaosExperimentSchedules() {
 		sched, err := chaos.ParseSchedule(sc.Text)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: schedule %q: %w", sc.Name, err)
 		}
-		row := ChaosRow{Schedule: sc.Name, BitExact: true}
-		var effSum float64
-		var downSum des.Time
-		var downN int
-		var commitSum des.Time
-		var lines, elapsedFailures int
-		var elapsedSum des.Time
-		for _, seed := range seeds {
-			cfg := chaosExperimentConfig(seed)
+		row := ChaosRow{Schedule: sc.Name, ConfiguredInterval: des.Time(base.CkptEvery) * base.ComputeTime}
+		var commitSum, elapsedSum des.Time
+		var lines int
+		var out *autonomic.ReplayOutcome
+		row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+			cfg.Sink = nfsClassSink
 			cfg.TwoPhaseCommit = sc.TwoPhase
-			row.Runs++
-			row.ConfiguredInterval = des.Time(cfg.CkptEvery) * cfg.ComputeTime
-			out, err := autonomic.ValidateReplay(cfg, sched)
-			if err != nil {
-				row.BitExact = false
-				continue
+			if out, err = autonomic.ValidateReplay(cfg, sched); err != nil {
+				return nil, false, err
 			}
-			rep := out.Injected
-			if !rep.Completed {
-				row.BitExact = false
-				continue
-			}
-			row.Completed++
-			if !out.BitExact() {
-				row.BitExact = false
-			}
-			effSum += rep.Efficiency
+			return out.Injected, out.BitExact(), nil
+		}, func(rep *autonomic.Report) {
+			row.BitFlips += out.Stats.BitFlips
 			row.Failures += rep.Failures
 			row.LostIterations += rep.LostIterations
-			row.ReplayedWork += des.Time(rep.LostIterations) * cfg.ComputeTime
 			row.WastedCheckpoints += rep.WastedCheckpoints
 			row.Degraded += rep.DegradedRecoveries
 			row.AbortedCommits += rep.AbortedCommits
-			row.BitFlips += out.Stats.BitFlips
-			for _, ev := range rep.FailureLog {
-				downSum += ev.Downtime
-				downN++
-			}
 			commitSum += rep.CommitTime
 			lines += rep.CommittedLines
 			elapsedSum += rep.Elapsed
-			elapsedFailures += rep.Failures
-		}
-		if row.Completed > 0 {
-			row.MeanEfficiency = effSum / float64(row.Completed)
-		} else {
-			row.BitExact = false
-		}
-		if downN > 0 {
-			row.MeanDowntime = downSum / des.Time(downN)
-		}
+		})
+		row.ReplayedWork = des.Time(row.LostIterations) * base.ComputeTime
 		// Young's optimum from measured quantities: C is the mean
 		// per-line commit pause, MTBF the elapsed time per failure.
-		if lines > 0 && elapsedFailures > 0 {
+		if lines > 0 && row.Failures > 0 {
 			c := commitSum.Seconds() / float64(lines)
-			mtbf := elapsedSum.Seconds() / float64(elapsedFailures)
+			mtbf := elapsedSum.Seconds() / float64(row.Failures)
 			row.YoungInterval = des.FromSeconds(math.Sqrt(2 * c * mtbf))
 		}
 		rows = append(rows, row)
@@ -179,12 +122,8 @@ func FormatChaos(rows []ChaosRow) string {
 	fmt.Fprintf(&b, "%-19s %6s %6s %6s %5s %5s %9s %6s %9s %5s %6s %6s %9s %9s\n",
 		"schedule", "done", "exact", "eff%", "fail", "lost", "replayed", "wasted", "downtime~", "degr", "abort", "flips", "interval", "young")
 	for _, r := range rows {
-		exact := "no"
-		if r.BitExact {
-			exact = "yes"
-		}
 		fmt.Fprintf(&b, "%-19s %4d/%-2d %6s %6.1f %5d %5d %9v %6d %9v %5d %6d %6d %9v %9v\n",
-			r.Schedule, r.Completed, r.Runs, exact, r.MeanEfficiency*100,
+			r.Schedule, r.Completed, r.Runs, yesNo(r.BitExact), r.MeanEfficiency*100,
 			r.Failures, r.LostIterations, r.ReplayedWork, r.WastedCheckpoints,
 			r.MeanDowntime, r.Degraded, r.AbortedCommits, r.BitFlips,
 			r.ConfiguredInterval, r.YoungInterval)

@@ -265,13 +265,9 @@ func FormatCkptSet(rows []CkptSetRow) string {
 	byKernel := make(map[string][2]float64)
 	var order []string
 	for _, r := range rows {
-		exact := "no"
-		if r.BitExact {
-			exact = "yes"
-		}
 		fmt.Fprintf(&b, "%-10s %-5s %7d %8d %8.1f %8.1f %8.1f %8.1f %6s\n",
 			r.Kernel, r.Mode, r.Regions, r.Excluded, r.MeanIWSPages,
-			r.FullKB, r.IncrKB, r.TotalKB, exact)
+			r.FullKB, r.IncrKB, r.TotalKB, yesNo(r.BitExact))
 		v := byKernel[r.Kernel]
 		if r.Mode == "whole" {
 			order = append(order, r.Kernel)

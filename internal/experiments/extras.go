@@ -297,3 +297,41 @@ func Efficiency(opts RunOpts, mtbf des.Time) (*EfficiencyResult, error) {
 		des.FromSeconds(out.BestIntervalS), fullCost, fullCost+30*des.Second, fm.SystemMTBF())
 	return out, nil
 }
+
+// FormatIntrusiveness renders the §6.5 rows.
+func FormatIntrusiveness(rows []IntrusivenessRow) string {
+	s := fmt.Sprintf("%12s %12s %12s\n", "timeslice(s)", "slowdown(%)", "faults")
+	for _, r := range rows {
+		s += fmt.Sprintf("%12.1f %12.2f %12d\n", r.TimesliceS, r.Slowdown*100, r.Faults)
+	}
+	return s
+}
+
+// FormatAlignment renders the A1 comparison, one row per placement.
+func FormatAlignment(r *AlignmentResult) string {
+	s := fmt.Sprintf("%-22s %8s %12s %10s\n", "placement", "ckpts", "volume MB", "CoW MB")
+	s += fmt.Sprintf("%-22s %8d %12.1f %10.1f\n", "mid-burst", r.Checkpoints, r.MidBurstVolumeMB, r.MidBurstCowMB)
+	s += fmt.Sprintf("%-22s %8d %12.1f %10.1f\n", "communication window", r.Checkpoints, r.AlignedVolumeMB, r.AlignedCowMB)
+	return s
+}
+
+// FormatIncremental renders the A3 comparison.
+func FormatIncremental(r *IncrementalResult) string {
+	return fmt.Sprintf("%8s %12s %16s %8s %12s\n%8d %12.1f %16.1f %8.2f %12.1f\n",
+		"ckpts", "full MB", "incremental MB", "ratio", "excluded MB",
+		r.Checkpoints, r.FullMB, r.IncrementalMB, r.Ratio, r.ExcludedMB)
+}
+
+// FormatEfficiency renders the A2 sweep and its optima.
+func FormatEfficiency(e *EfficiencyResult) string {
+	s := fmt.Sprintf("%12s %12s %12s %12s %12s\n", "interval(s)", "ckpt(MB)", "cost(s)", "analytic", "simulated")
+	for _, r := range e.Rows {
+		s += fmt.Sprintf("%12.0f %12.1f %12.2f %11.1f%% %11.1f%%\n",
+			r.IntervalS, r.CkptMB, r.CkptCostS, r.AnalyticEff*100, r.SimEff*100)
+	}
+	s += fmt.Sprintf("\n  best interval      : %.0f s (%.1f%% efficient)\n", e.BestIntervalS, e.BestEff*100)
+	s += fmt.Sprintf("  Young optimum      : %.0f s, Daly optimum: %.0f s\n", e.YoungS, e.DalyS)
+	s += fmt.Sprintf("  full checkpoints   : %.1f%% efficient at the same interval — incrementality buys %.1f points\n",
+		e.FullCkptEff*100, (e.BestEff-e.FullCkptEff)*100)
+	return s
+}

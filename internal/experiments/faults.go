@@ -25,15 +25,7 @@ type FaultRow struct {
 	// (1 = single sink).
 	Scenario string
 	Replicas int
-	// Runs and Completed count the seed sweep; a run that dies (sink
-	// unreachable, failure budget exhausted) is counted but not
-	// completed.
-	Runs, Completed int
-	// BitExact reports whether every completed run reproduced the
-	// failure-free reference checksum.
-	BitExact bool
-	// MeanEfficiency averages end-to-end efficiency over completed runs.
-	MeanEfficiency float64
+	SweepStats
 	// Recoveries, Degraded and CkptFailures sum the supervisor's
 	// accounting over completed runs: node-failure recoveries, the
 	// subset that fell back past the newest consistent line, and
@@ -99,49 +91,25 @@ func hardenedStack(sc faultScenario, seed uint64) (storage.Store, []*storage.Res
 	return m, tops, m, err
 }
 
-// faultBaseConfig is the supervised run every scenario repeats: small
-// enough to sweep, long enough for several node failures.
-func faultBaseConfig() autonomic.Config {
-	return autonomic.Config{
-		Ranks:           4,
-		Nx:              32,
-		RowsPerRank:     8,
-		Boundary:        9,
-		Iterations:      40,
-		CkptEvery:       5,
-		ComputeTime:     200 * des.Millisecond,
-		MTBF:            3 * des.Second,
-		RestartOverhead: 500 * des.Millisecond,
-	}
-}
-
 // StorageFaultAblation runs the A14 grid over the given failure seeds
 // (nil → a default sweep of three).
 func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
-	if len(seeds) == 0 {
-		seeds = []uint64{3, 5, 9}
-	}
 	// Ground truth: same computation, no failures, pristine store.
-	clean := faultBaseConfig()
-	clean.MTBF = 0
-	ref, err := autonomic.Run(clean)
+	ref, err := autonomic.Run(smallJacobi(4, 0))
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []FaultRow
 	for _, sc := range faultScenarios() {
-		row := FaultRow{Scenario: sc.name, Replicas: sc.replicas, BitExact: true}
-		var effSum float64
-		for _, seed := range seeds {
-			store, tops, mirror, err := hardenedStack(sc, seed)
+		row := FaultRow{Scenario: sc.name, Replicas: sc.replicas}
+		row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+			store, tops, mirror, err := hardenedStack(sc, cfg.Seed)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			cfg := faultBaseConfig()
-			cfg.Seed = seed
+			cfg.MTBF = 3 * des.Second
 			cfg.Store = store
-			row.Runs++
 			rep, err := autonomic.Run(cfg)
 			for _, t := range tops {
 				row.Retries += t.Stats().Retries
@@ -151,26 +119,15 @@ func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
 				row.Failovers += uint64(st.FailoverReads)
 				row.Repairs += uint64(st.ReadRepairs)
 			}
-			if err != nil || !rep.Completed {
-				// The storage tier won: an unmirrored outage (or an
-				// exhausted failure budget) is a legitimate outcome,
-				// recorded rather than masked.
-				continue
-			}
-			row.Completed++
-			effSum += rep.Efficiency
+			// The storage tier winning — an unmirrored outage, an
+			// exhausted failure budget — is a legitimate outcome,
+			// recorded as an incomplete run rather than a divergence.
+			return rep, err != nil || rep.Checksum == ref.Checksum, err
+		}, func(rep *autonomic.Report) {
 			row.Recoveries += rep.Recoveries
 			row.Degraded += rep.DegradedRecoveries
 			row.CkptFailures += rep.CheckpointFailures
-			if rep.Checksum != ref.Checksum {
-				row.BitExact = false
-			}
-		}
-		if row.Completed > 0 {
-			row.MeanEfficiency = effSum / float64(row.Completed)
-		} else {
-			row.BitExact = false
-		}
+		})
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -182,12 +139,8 @@ func FormatFaults(rows []FaultRow) string {
 	fmt.Fprintf(&b, "%-14s %4s %6s %6s %6s %6s %6s %6s %8s %6s %6s\n",
 		"scenario", "reps", "done", "exact", "eff%", "recov", "degr", "ckfail", "retries", "failov", "repair")
 	for _, r := range rows {
-		exact := "no"
-		if r.BitExact {
-			exact = "yes"
-		}
 		fmt.Fprintf(&b, "%-14s %4d %4d/%-2d %6s %6.1f %6d %6d %6d %8d %6d %6d\n",
-			r.Scenario, r.Replicas, r.Completed, r.Runs, exact,
+			r.Scenario, r.Replicas, r.Completed, r.Runs, yesNo(r.BitExact),
 			r.MeanEfficiency*100, r.Recoveries, r.Degraded, r.CkptFailures,
 			r.Retries, r.Failovers, r.Repairs)
 	}

@@ -64,8 +64,9 @@ func TestStorageFaultAblation(t *testing.T) {
 
 func TestFormatFaults(t *testing.T) {
 	rows := []FaultRow{{
-		Scenario: "decay", Replicas: 2, Runs: 3, Completed: 3, BitExact: true,
-		MeanEfficiency: 0.7, Recoveries: 10, Degraded: 1, Retries: 42,
+		Scenario: "decay", Replicas: 2,
+		SweepStats: SweepStats{Runs: 3, Completed: 3, BitExact: true, MeanEfficiency: 0.7},
+		Recoveries: 10, Degraded: 1, Retries: 42,
 	}}
 	out := FormatFaults(rows)
 	for _, want := range []string{"scenario", "decay", "3/3", "yes", "70.0", "42"} {

@@ -2,8 +2,9 @@
 // evaluation (§6) from the simulated substrate, plus the extension
 // experiments listed in DESIGN.md. Each experiment returns structured
 // rows carrying both the measured value and the paper's published value,
-// so callers (cmd/tables, cmd/figures, the benchmark harness and
-// EXPERIMENTS.md) can render paper-vs-measured side by side.
+// so callers can render paper-vs-measured side by side. Artefacts
+// (registry.go) is the one list of them that cmd/figures, cmd/report, the
+// benchmark harness and the golden test iterate.
 package experiments
 
 import (

@@ -36,18 +36,10 @@ type MultiLevelRow struct {
 	DomainSize int
 	// CkptEvery is the checkpoint timeslice in iterations.
 	CkptEvery int
-	// Runs and Completed count the seed sweep; BitExact reports that
-	// every completed injected run finished in the bit-identical state
-	// of its failure-free reference (digests and checksum).
-	Runs, Completed int
-	BitExact        bool
+	SweepStats
 	// Failures and DomainCrashes sum the injected faults; RanksLost is
 	// the total ranks the domain crashes killed (DomainSize each).
 	Failures, DomainCrashes, RanksLost int
-	// MeanDowntime and MeanRecoveryRead average, per failure, the
-	// virtual time from death to resumed team and the tiered chain-read
-	// portion of it.
-	MeanDowntime des.Time
 	// LevelBytes sums recovery reads per tier (L1 local, L2 parity
 	// rebuild, L3 global) over all runs; LevelTime the corresponding
 	// modelled read time.
@@ -62,24 +54,21 @@ type MultiLevelRow struct {
 	// for its rebuild capacity.
 	ParityMB   float64
 	L2Exchange des.Time
-	// MeanEfficiency averages end-to-end efficiency over completed runs.
-	MeanEfficiency float64
+}
+
+// multiLevelScheme is one point of the redundancy axis.
+type multiLevelScheme struct {
+	name        string
+	scheme      redundancy.Scheme
+	globalEvery int
 }
 
 // multiLevelSchemes returns the redundancy axis. The none baseline
 // writes every line through to L3 (classic two-level local+global);
 // the coded schemes park L3 at effectively-never so every recovered
 // byte must come from L1 survivors and L2 rebuilds.
-func multiLevelSchemes() []struct {
-	name        string
-	scheme      redundancy.Scheme
-	globalEvery int
-} {
-	return []struct {
-		name        string
-		scheme      redundancy.Scheme
-		globalEvery int
-	}{
+func multiLevelSchemes() []multiLevelScheme {
+	return []multiLevelScheme{
 		{"none", redundancy.Scheme{Kind: redundancy.None}, 1},
 		{"xor 2+1", redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1}, 1 << 20},
 		{"rs 2+2", redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2}, 1 << 20},
@@ -91,9 +80,6 @@ func multiLevelSchemes() []struct {
 // through autonomic.ValidateReplay, so bit-exactness is checked against
 // a failure-free reference of the same seed, per run.
 func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
-	if len(seeds) == 0 {
-		seeds = []uint64{3, 5, 9}
-	}
 	sched, err := chaos.ParseSchedule("domain-crash at 2500ms..30s domain d1")
 	if err != nil {
 		return nil, err
@@ -107,38 +93,20 @@ func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				row := MultiLevelRow{
-					Scheme: sc.name, DomainSize: domainSize, CkptEvery: every,
-					BitExact: true, ZeroGlobal: true,
-				}
-				var effSum float64
-				var downSum des.Time
-				var downN int
-				for _, seed := range seeds {
-					cfg := autonomic.Config{
-						Ranks: ranks, Nx: 32, RowsPerRank: 8, Boundary: 9,
-						Iterations: 40, CkptEvery: every,
-						ComputeTime:     200 * des.Millisecond,
-						RestartOverhead: 500 * des.Millisecond,
-						Seed:            seed,
-						MultiLevel: &autonomic.MultiLevelOptions{
-							Scheme:      sc.scheme,
-							Domains:     domains,
-							GlobalEvery: sc.globalEvery,
-						},
+				row := MultiLevelRow{Scheme: sc.name, DomainSize: domainSize, CkptEvery: every, ZeroGlobal: true}
+				row.SweepStats = sweepSeeds(seeds, ranks, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+					cfg.CkptEvery = every
+					cfg.MultiLevel = &autonomic.MultiLevelOptions{
+						Scheme:      sc.scheme,
+						Domains:     domains,
+						GlobalEvery: sc.globalEvery,
 					}
-					row.Runs++
 					out, err := autonomic.ValidateReplay(cfg, sched)
 					if err != nil {
-						row.BitExact = false
-						continue
+						return nil, false, err
 					}
-					rep := out.Injected
-					if !rep.Completed {
-						continue
-					}
-					row.Completed++
-					effSum += rep.Efficiency
+					return out.Injected, out.BitExact(), nil
+				}, func(rep *autonomic.Report) {
 					row.Failures += rep.Failures
 					row.DomainCrashes += rep.DomainCrashes
 					row.RanksLost += rep.DomainCrashes * domainSize
@@ -152,23 +120,8 @@ func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 					if rep.LevelReadBytes[redundancy.LevelGlobal] != 0 {
 						row.ZeroGlobal = false
 					}
-					for _, ev := range rep.FailureLog {
-						downSum += ev.Downtime
-						downN++
-					}
-					if !out.BitExact() {
-						row.BitExact = false
-					}
-				}
-				if row.Completed > 0 {
-					row.MeanEfficiency = effSum / float64(row.Completed)
-				} else {
-					row.BitExact = false
-					row.ZeroGlobal = false
-				}
-				if downN > 0 {
-					row.MeanDowntime = downSum / des.Time(downN)
-				}
+				})
+				row.ZeroGlobal = row.ZeroGlobal && row.Completed > 0
 				rows = append(rows, row)
 			}
 		}
@@ -183,19 +136,13 @@ func FormatMultiLevel(rows []MultiLevelRow) string {
 		"scheme", "dom", "every", "done", "exact", "lost", "rbld",
 		"down~", "L1-KB", "L2-KB", "L3-KB", "zeroL3", "parMB", "l2cost", "eff%")
 	for _, r := range rows {
-		yn := func(v bool) string {
-			if v {
-				return "yes"
-			}
-			return "no"
-		}
 		fmt.Fprintf(&b, "%-8s %4d %5d %4d/%-2d %6s %5d %5d %8v %9.1f %9.1f %9.1f %7s %6.2f %8v %6.1f\n",
-			r.Scheme, r.DomainSize, r.CkptEvery, r.Completed, r.Runs, yn(r.BitExact),
+			r.Scheme, r.DomainSize, r.CkptEvery, r.Completed, r.Runs, yesNo(r.BitExact),
 			r.RanksLost, r.Rebuilds, r.MeanDowntime,
 			float64(r.LevelBytes[redundancy.LevelLocal])/1e3,
 			float64(r.LevelBytes[redundancy.LevelParity])/1e3,
 			float64(r.LevelBytes[redundancy.LevelGlobal])/1e3,
-			yn(r.ZeroGlobal), r.ParityMB, r.L2Exchange, r.MeanEfficiency*100)
+			yesNo(r.ZeroGlobal), r.ParityMB, r.L2Exchange, r.MeanEfficiency*100)
 	}
 	return b.String()
 }

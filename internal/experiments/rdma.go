@@ -165,14 +165,10 @@ func FormatRDMA(rows []RDMARow) string {
 	var drainRounds bool
 	us := func(t des.Time) float64 { return float64(t) / float64(des.Microsecond) }
 	for _, r := range rows {
-		exact := "no"
-		if r.BitExact {
-			exact = "yes"
-		}
 		fmt.Fprintf(&b, "%-7s %4d %6d %9v %6.1f %9v %9.0f %9.0f %4d %9.1f %9.1f %9.1f %6s\n",
 			r.Regime, r.PutEvery, r.Pages, r.Elapsed, r.Efficiency*100,
 			r.CommitTime, us(r.DrainTime), us(r.RegisterTime), r.DrainTimeouts,
-			r.DirectBypassKB, r.SilentKB, r.ChainSilentKB, exact)
+			r.DirectBypassKB, r.SilentKB, r.ChainSilentKB, yesNo(r.BitExact))
 		if r.Regime == "drain" {
 			drainRounds = true
 			for p := range phases {

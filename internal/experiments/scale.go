@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/des"
@@ -127,4 +128,19 @@ type neverIteratedError struct{ name string }
 
 func (e *neverIteratedError) Error() string {
 	return "experiments: " + e.name + " never reached iteration 0"
+}
+
+// FormatSymmetry renders the A7 verdict.
+func FormatSymmetry(r *SymmetryResult) string {
+	return fmt.Sprintf("%-12s %6s %12s %14s\n%-12s %6d %12.1f %13.2f%%\n",
+		"Application", "ranks", "mean MB/s", "max spread", r.App, r.Ranks, r.MeanMBs, r.MaxSpread*100)
+}
+
+// FormatAggregate renders the A9 whole-machine rows.
+func FormatAggregate(rows []AggregateRow) string {
+	s := fmt.Sprintf("%8s %18s %16s\n", "ranks", "shared array GB/s", "per-node disks")
+	for _, r := range rows {
+		s += fmt.Sprintf("%8d %18.2f %16s\n", r.Ranks, r.RequiredArrayGBs, yesNo(r.PerNodeFeasible))
+	}
+	return s
 }

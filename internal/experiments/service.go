@@ -248,17 +248,10 @@ func FormatService(rows []ServiceRow) string {
 		"clients", "faults", "offer MB/s", "ack MB/s", "per-client", "p99 put",
 		"shed", "ddl", "quorF", "coal", "async", "spill", "fovr", "mode", "lossless")
 	for _, r := range rows {
-		faults, lossless := "no", "no"
-		if r.Faulted {
-			faults = "yes"
-		}
-		if r.Lossless {
-			lossless = "yes"
-		}
 		fmt.Fprintf(&b, "%7d %6s %9.2f %9.2f %10.3f %10v %6d %6d %6d %6d %6d %6d %5d %5d %8s\n",
-			r.Clients, faults, r.OfferedMBs, r.AckedMBs, r.PerClientMBs, r.P99Put,
+			r.Clients, yesNo(r.Faulted), r.OfferedMBs, r.AckedMBs, r.PerClientMBs, r.P99Put,
 			r.Sheds, r.Deadlines, r.QuorumFailures, r.Coalesced, r.AsyncAcks, r.SpillAcks,
-			r.Failovers, r.ModeChanges, lossless)
+			r.Failovers, r.ModeChanges, yesNo(r.Lossless))
 	}
 	fmt.Fprintf(&b, "paper budget: 100 MB/s per process at a 1 s timeslice (feasible while per-client stays under it)\n")
 	return b.String()
