@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestParseLine(t *testing.T) {
 	cases := []struct {
@@ -63,5 +67,50 @@ func TestAnnotateSpeedups(t *testing.T) {
 		if recs[i].SpeedupVsSeq != 0 {
 			t.Errorf("%s speedup = %v, want 0 (unset)", recs[i].Name, recs[i].SpeedupVsSeq)
 		}
+	}
+}
+
+func TestCompare(t *testing.T) {
+	old := map[string]Record{
+		"BenchmarkA":    {Name: "BenchmarkA-8", NsPerOp: 100, AllocsPerOp: 1000},
+		"BenchmarkB":    {Name: "BenchmarkB-8", NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkC":    {Name: "BenchmarkC-8", NsPerOp: 100, AllocsPerOp: -1},
+		"BenchmarkGone": {Name: "BenchmarkGone-8", NsPerOp: 1, AllocsPerOp: 1},
+	}
+	cur := map[string]Record{
+		"BenchmarkA":   {Name: "BenchmarkA-2", NsPerOp: 250, AllocsPerOp: 1000 + allocSlack(1000)}, // within noise
+		"BenchmarkB":   {Name: "BenchmarkB-2", NsPerOp: 50, AllocsPerOp: 19},                       // 10 -> 19: up
+		"BenchmarkC":   {Name: "BenchmarkC-2", NsPerOp: 100, AllocsPerOp: 7},                       // no baseline count
+		"BenchmarkNew": {Name: "BenchmarkNew-2", NsPerOp: 1, AllocsPerOp: 1},
+	}
+	var out strings.Builder
+	if worse := compare(&out, old, cur); worse != 1 {
+		t.Errorf("compare reported %d regressions, want 1 (BenchmarkB)\n%s", worse, out.String())
+	}
+	for _, want := range []string{"2.50", "0.50", "ALLOCS UP", "only in old: BenchmarkGone", "only in new: BenchmarkNew"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "ALLOCS UP") != 1 {
+		t.Errorf("more than one benchmark marked:\n%s", out.String())
+	}
+}
+
+func TestReadRecordsDropsProcsSuffix(t *testing.T) {
+	path := t.TempDir() + "/b.json"
+	data := `[{"name":"BenchmarkArtefact/fig1/shards8-4","ns_per_op":5,"allocs_per_op":3},{"name":"BenchmarkX-16","ns_per_op":1}]`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs["BenchmarkArtefact/fig1/shards8"].AllocsPerOp != 3 || recs["BenchmarkX"].NsPerOp != 1 || len(recs) != 2 {
+		t.Fatalf("records = %+v", recs)
+	}
+	if _, err := readRecords(path + ".missing"); err == nil {
+		t.Fatal("missing file accepted")
 	}
 }

@@ -25,6 +25,12 @@
 // share cache lines), and Event handles are small values validated by a
 // per-slot generation counter, so Schedule and Step perform no heap
 // allocations once the arena has reached its high-water mark.
+//
+// Queue depth is O(live activities), not O(scheduled firings): an activity
+// that fires many times — a sweep's ticks, an iteration's sends — is one
+// event series (ScheduleSeries and friends, series.go) holding exactly one
+// heap node however many firings remain, with the order and event counts it
+// would have had if every firing had been scheduled up front.
 package des
 
 import (
@@ -78,12 +84,14 @@ type Event struct {
 	at   Time
 }
 
-// Time reports the virtual time at which the event will fire (or fired).
+// Time reports the virtual time at which the event will fire (or fired);
+// for a series handle, the time of its first firing.
 func (e Event) Time() Time { return e.at }
 
 // Cancel removes the event from the queue. Cancelling an event that has
 // already fired or been cancelled is a no-op. Cancel reports whether the
-// event was still pending.
+// event was still pending. Cancelling a series handle drops every firing
+// the series has not yet made.
 func (e Event) Cancel() bool {
 	if e.eng == nil {
 		return false
@@ -97,7 +105,8 @@ func (e Event) Cancel() bool {
 }
 
 // Pending reports whether the event is still queued: scheduled, not yet
-// fired and not cancelled. The zero Event is never pending.
+// fired and not cancelled. A series is pending until its last firing. The
+// zero Event is never pending.
 func (e Event) Pending() bool {
 	if e.eng == nil {
 		return false
@@ -112,6 +121,7 @@ func (e Event) Pending() bool {
 type eventSlot struct {
 	fn    func()
 	gen   uint32
+	ser   int32 // 1 + index into Engine.series; 0 for a single event
 	dead  bool
 	local bool // shard-confined event class (see shard.go)
 }
@@ -138,6 +148,8 @@ type Engine struct {
 	heap    []heapNode
 	slots   []eventSlot
 	free    []int32
+	series  []series // arena behind multi-firing slots (series.go)
+	freeSer []int32
 	stopped bool
 	fired   uint64
 
@@ -198,6 +210,14 @@ func (e *Engine) ScheduleLocal(at Time, fn func()) Event {
 }
 
 func (e *Engine) schedule(at Time, fn func(), local bool) Event {
+	return e.enqueue(at, fn, local, 0, 1)
+}
+
+// enqueue is the one way into the queue: it takes an arena slot for fn,
+// reserves nseq consecutive sequence numbers and pushes the node for the
+// first of them. ser is the slot's series link (0 for a single event, which
+// reserves exactly one number).
+func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
@@ -217,14 +237,21 @@ func (e *Engine) schedule(at Time, fn func(), local bool) Event {
 	}
 	s := &e.slots[slot]
 	s.fn = fn
+	s.ser = ser
 	s.dead = false
 	s.local = local
 	e.push(heapNode{at: at, seq: e.seq, slot: slot})
-	e.seq++
-	if e.group != nil && !local && e.shard != controlShard {
+	e.seq += nseq
+	if e.tracksComm(local) {
 		e.pushComm(commNode{at: at, slot: slot, gen: s.gen})
 	}
 	return Event{eng: e, slot: slot, gen: s.gen, at: at}
+}
+
+// tracksComm reports whether a pending firing of the given class belongs
+// in the comm side heap: comm events on a group's data shards only.
+func (e *Engine) tracksComm(local bool) bool {
+	return e.group != nil && !local && e.shard != controlShard
 }
 
 // After queues fn to run d after the current virtual time.
@@ -255,51 +282,103 @@ func (e *Engine) push(n heapNode) {
 	e.heap = h
 }
 
-// pop removes and returns the minimum heap node.
-func (e *Engine) pop() heapNode {
+// takeLast removes and returns the heap's last node — the one that takes
+// the root's place (replaceTop) when the minimum is dropped, unless it was
+// the minimum itself.
+func (e *Engine) takeLast() heapNode {
+	last := len(e.heap) - 1
+	n := e.heap[last]
+	e.heap = e.heap[:last]
+	return n
+}
+
+// replaceTop overwrites the minimum heap node with n and sifts it down from
+// the root: a pop and a push in one pass. The heap must be non-empty.
+func (e *Engine) replaceTop(n heapNode) {
 	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	n := h[last]
-	h = h[:last]
-	e.heap = h
-	if last > 0 {
-		// Sift n down from the root.
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= len(h) {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > len(h) {
-				end = len(h)
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].before(h[m]) {
-					m = j
-				}
-			}
-			if !h[m].before(n) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
 		}
-		h[i] = n
+		m := c
+		end := c + 4
+		if end > len(h) {
+			end = len(h)
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(n) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	return top
+	h[i] = n
 }
 
 // reap frees the arena slot behind a popped node: drop the callback so the
 // GC can collect its closure, bump the generation so outstanding handles
-// go stale, and return the slot to the free-list.
+// go stale, and return the slot (and its series record, if any) to the
+// free-lists.
 func (e *Engine) reap(slot int32) {
 	s := &e.slots[slot]
+	if s.ser != 0 {
+		e.series[s.ser-1].offsets = nil
+		e.freeSer = append(e.freeSer, s.ser-1)
+		s.ser = 0
+	}
 	s.fn = nil
 	s.gen++
 	e.free = append(e.free, slot)
+}
+
+// skipDead reaps cancelled events off the top of the heap and reports
+// whether a live event remains. The common case — the top is live — is
+// small enough to inline into the run loops.
+func (e *Engine) skipDead() bool {
+	if len(e.heap) > 0 && !e.slots[e.heap[0].slot].dead {
+		return true
+	}
+	return e.reapDead()
+}
+
+// reapDead is skipDead's slow path: the heap is empty or its top is dead.
+func (e *Engine) reapDead() bool {
+	for len(e.heap) > 0 {
+		slot := e.heap[0].slot
+		if !e.slots[slot].dead {
+			return true
+		}
+		if n := e.takeLast(); len(e.heap) > 0 {
+			e.replaceTop(n)
+		}
+		e.reap(slot)
+	}
+	return false
+}
+
+// fire removes the earliest node, which the caller has established is
+// live, advances the clock to its timestamp and runs its callback. A single
+// event's slot is reaped; a series with firings left keeps its slot and
+// re-enters the heap at its next firing before the callback runs.
+func (e *Engine) fire() {
+	top := e.heap[0]
+	s := &e.slots[top.slot]
+	fn := s.fn
+	if s.ser == 0 || !e.rearm(top, s.ser-1) {
+		if n := e.takeLast(); len(e.heap) > 0 {
+			e.replaceTop(n)
+		}
+		e.reap(top.slot)
+	}
+	e.now = top.at
+	e.fired++
+	fn()
 }
 
 // Stop makes the currently executing Run return after the in-flight event
@@ -321,21 +400,11 @@ func (e *Engine) Step() bool {
 	if e.group != nil {
 		return e.group.step()
 	}
-	for len(e.heap) > 0 {
-		n := e.pop()
-		s := &e.slots[n.slot]
-		if s.dead {
-			e.reap(n.slot)
-			continue
-		}
-		fn := s.fn
-		e.reap(n.slot)
-		e.now = n.at
-		e.fired++
-		fn()
-		return true
+	if !e.skipDead() {
+		return false
 	}
-	return false
+	e.fire()
+	return true
 }
 
 // Run executes events in timestamp order until the queue is empty, an event
@@ -350,25 +419,12 @@ func (e *Engine) Run(until Time) uint64 {
 	}
 	e.stopped = false
 	var n uint64
-	for !e.stopped {
-		// Reap cancelled events off the top without firing them.
-		for len(e.heap) > 0 && e.slots[e.heap[0].slot].dead {
-			d := e.pop()
-			e.reap(d.slot)
-		}
-		if len(e.heap) == 0 {
-			break
-		}
+	for !e.stopped && e.skipDead() {
 		if e.heap[0].at > until {
 			e.now = until
 			break
 		}
-		top := e.pop()
-		fn := e.slots[top.slot].fn
-		e.reap(top.slot)
-		e.now = top.at
-		e.fired++
-		fn()
+		e.fire()
 		n++
 	}
 	return n

@@ -73,8 +73,11 @@ const OrderedKeyMin uint64 = 1 << 32
 // commNode is one entry of a shard's communication side-heap: the pending
 // comm events ordered by time, used to compute the group horizon. Entries
 // go stale when their event fires or is reaped (detected by generation
-// mismatch); cancelled-but-unreaped events still count, which is merely
-// conservative.
+// mismatch, or for a series by its pending firing having moved on);
+// cancelled-but-unreaped events still count, which is merely conservative.
+// A comm series has one entry, for its pending firing — the minimum of the
+// firings it has left, so the horizon it yields is the one its bulk-scheduled
+// firings would have.
 type commNode struct {
 	at   Time
 	slot int32
@@ -300,23 +303,21 @@ func (g *Group) drain() {
 // topAlive reaps cancelled events off the top of e's heap and reports the
 // time of the earliest live event, or MaxTime when empty.
 func (e *Engine) topAlive() Time {
-	for len(e.heap) > 0 {
-		if e.slots[e.heap[0].slot].dead {
-			d := e.pop()
-			e.reap(d.slot)
-			continue
-		}
+	if e.skipDead() {
 		return e.heap[0].at
 	}
 	return MaxTime
 }
 
 // nextCommTime reports the time of e's earliest pending comm event
-// (MaxTime if none), popping stale side-heap entries as it goes.
+// (MaxTime if none), popping stale side-heap entries as it goes. An entry
+// is stale once its slot was reaped or, for a series, once the series has
+// moved past the firing the entry recorded.
 func (e *Engine) nextCommTime() Time {
 	for len(e.commHeap) > 0 {
 		top := e.commHeap[0]
-		if e.slots[top.slot].gen != top.gen {
+		s := &e.slots[top.slot]
+		if s.gen != top.gen || (s.ser != 0 && e.series[s.ser-1].at() != top.at) {
 			e.popComm()
 			continue
 		}
@@ -368,17 +369,13 @@ func (e *Engine) popComm() {
 	e.commHeap = h
 }
 
-// fireTop pops and executes e's earliest live event, advancing the clock
-// to its timestamp. The caller has established that the heap top is live.
+// fireTop is fire for a grouped engine: it also records the executing
+// event's class, so a local event that schedules a comm event or posts
+// across shards is caught. The caller has established that the heap top is
+// live.
 func (e *Engine) fireTop() {
-	top := e.pop()
-	s := &e.slots[top.slot]
-	fn := s.fn
-	e.execLocal = s.local
-	e.reap(top.slot)
-	e.now = top.at
-	e.fired++
-	fn()
+	e.execLocal = e.slots[e.heap[0].slot].local
+	e.fire()
 	e.execLocal = false
 }
 

@@ -329,12 +329,11 @@ func (f *netFaults) suppressDup(src int) {
 // delivery at the first surviving copy, sender completion at the first
 // surviving ack. Every arrival offset is at least one transfer time and
 // therefore at least one latency — the sharded lookahead contract.
-func (w *World) sendFaulty(msg Message, onComplete func()) {
+func (w *World) sendFaulty(r *Rank, msg Message, onComplete func()) {
 	deliver, ack, _, _ := w.planARQ(msg.Src, msg.Dst, msg.Bytes, 0)
 	w.faults.suppressDup(msg.Src)
-	w.trackDelivery(msg.Dst)
 	src := w.engFor(msg.Src)
-	src.PostTo(w.engFor(msg.Dst), src.Now()+deliver, func() { w.ranks[msg.Dst].deliver(msg) })
+	w.post(r, msg, src.Now()+deliver)
 	if onComplete != nil {
 		src.After(ack, onComplete)
 	}
@@ -357,8 +356,7 @@ func (r *Rank) SendReliable(dst, tag int, bytes uint64, onComplete func(error)) 
 	r.stats.BytesSent += bytes
 	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, SentAt: eng.Now()}
 	if w.faults == nil {
-		w.trackDelivery(dst)
-		eng.PostTo(w.engFor(dst), eng.Now()+w.net.transfer(bytes), func() { w.ranks[dst].deliver(msg) })
+		w.post(r, msg, eng.Now()+w.net.transfer(bytes))
 		if onComplete != nil {
 			eng.After(w.net.Latency, func() { onComplete(nil) })
 		}
@@ -371,8 +369,7 @@ func (r *Rank) SendReliable(dst, tag int, bytes uint64, onComplete func(error)) 
 	deliver, ack, delivered, acked := w.planARQ(r.id, dst, bytes, maxA)
 	if delivered {
 		w.faults.suppressDup(r.id)
-		w.trackDelivery(dst)
-		eng.PostTo(w.engFor(dst), eng.Now()+deliver, func() { w.ranks[dst].deliver(msg) })
+		w.post(r, msg, eng.Now()+deliver)
 	}
 	if acked {
 		if onComplete != nil {
@@ -408,8 +405,7 @@ func (r *Rank) SendBestEffort(dst, tag int, bytes uint64, onComplete func()) {
 	r.stats.BytesSent += bytes
 	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, SentAt: eng.Now()}
 	if w.faults == nil {
-		w.trackDelivery(dst)
-		eng.PostTo(w.engFor(dst), eng.Now()+w.net.transfer(bytes), func() { w.ranks[dst].deliver(msg) })
+		w.post(r, msg, eng.Now()+w.net.transfer(bytes))
 	} else {
 		f := w.faults
 		f.smu.Lock()
@@ -428,11 +424,9 @@ func (r *Rank) SendBestEffort(dst, tag int, bytes uint64, onComplete func()) {
 				arr2 = arr + w.net.Latency + f.jitterFrom(rng)
 			}
 			f.smu.Unlock()
-			w.trackDelivery(dst)
-			eng.PostTo(w.engFor(dst), at+arr, func() { w.ranks[dst].deliver(msg) })
+			w.post(r, msg, at+arr)
 			if dup {
-				w.trackDelivery(dst)
-				eng.PostTo(w.engFor(dst), at+arr2, func() { w.ranks[dst].deliver(msg) })
+				w.post(r, msg, at+arr2)
 			}
 		}
 	}

@@ -117,9 +117,102 @@ type pendingRecv struct {
 	fn   func(Message)
 }
 
-type pendingMsg struct {
-	msg     Message
-	arrived des.Time
+// flight is the record of one message in flight, from injection until its
+// receive has finished. It carries the message, the receive it matched and
+// its own two event callbacks, bound once when the record is first made, so
+// moving a message along send → deliver → complete → bounce copy → finish
+// schedules existing func values and allocates nothing.
+//
+// Pool ownership. Records are recycled through per-rank free lists, and a
+// list is touched only from events of its own rank — that is, only on that
+// rank's engine shard: send takes the record from the sender's list, finish
+// returns it to the receiver's. In between the record belongs to whichever
+// event holds it; the hand-over from the sender's shard to the receiver's is
+// the PostTo of land, whose mailbox orders the two sides.
+type flight struct {
+	msg  Message
+	recv pendingRecv // the matched receive, valid from complete to finish
+
+	land   func() // arrival at the destination NIC: Rank.deliver
+	copied func() // end of the bounce-buffer copy: store, then finish
+}
+
+// maxFreeFlights bounds a rank's free list. A rank that receives more than
+// it sends (a gather root, a heartbeat monitor) would otherwise hoard every
+// record its peers allocate; past the bound the surplus goes to the GC.
+const maxFreeFlights = 256
+
+// takeFlight returns a record for a message r is injecting.
+func (r *Rank) takeFlight() *flight {
+	if n := len(r.freeFlights); n > 0 {
+		f := r.freeFlights[n-1]
+		r.freeFlights = r.freeFlights[:n-1]
+		return f
+	}
+	w, f := r.world, &flight{}
+	f.land = func() { w.ranks[f.msg.Dst].deliver(f) }
+	f.copied = func() {
+		dst := w.ranks[f.msg.Dst]
+		dst.store(f.recv.addr, f.msg.Bytes, f.msg.Payload)
+		dst.finish(f)
+	}
+	return f
+}
+
+// post injects msg, which src is sending, to arrive at its destination's
+// NIC at virtual time at. Every arrival is at least one link latency away,
+// so the cross-shard lookahead contract holds.
+func (w *World) post(src *Rank, msg Message, at des.Time) {
+	f := src.takeFlight()
+	f.msg = msg
+	w.trackDelivery(msg.Dst)
+	w.engFor(src.id).PostTo(w.engFor(msg.Dst), at, f.land)
+}
+
+// deque is a FIFO of values with cheap removal at the head — where matching
+// finds its entry whenever messages and receives pair up in order — and
+// ordered removal from the middle otherwise.
+type deque[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *deque[T]) len() int { return len(q.buf) - q.head }
+
+// at returns entry i, counted from the head.
+func (q *deque[T]) at(i int) *T { return &q.buf[q.head+i] }
+
+func (q *deque[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
+		// Full, and at least half of it is consumed head: slide the live
+		// entries down instead of growing.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// remove deletes entry i, counted from the head, keeping the others in
+// order, and returns it.
+func (q *deque[T]) remove(i int) T {
+	var zero T
+	i += q.head
+	v := q.buf[i]
+	if i == q.head {
+		q.buf[i] = zero
+		q.head++
+		if q.head == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+		}
+		return v
+	}
+	last := len(q.buf) - 1
+	copy(q.buf[i:], q.buf[i+1:])
+	q.buf[last] = zero
+	q.buf = q.buf[:last]
+	return v
 }
 
 // Stats aggregates per-rank communication counters.
@@ -151,11 +244,12 @@ type Rank struct {
 	id    int
 	space *mem.AddressSpace
 
-	bounce    *mem.Region // unprotected landing zone (Bounce mode / degraded RDMA)
-	recvQ     []*pendingRecv
-	arrived   []pendingMsg
-	stats     Stats
-	onDeliver func(bytes uint64, at des.Time)
+	bounce      *mem.Region        // unprotected landing zone (Bounce mode / degraded RDMA)
+	recvQ       deque[pendingRecv] // posted receives, in post order
+	arrived     deque[*flight]     // unexpected messages, in arrival order
+	freeFlights []*flight          // recycled records; see flight
+	stats       Stats
+	onDeliver   func(bytes uint64, at des.Time)
 
 	registered []*MemoryRegion // NIC-pinned regions (see rdma.go)
 	degraded   bool            // sticky bounce-mode fallback after drain timeout
@@ -313,15 +407,10 @@ func (r *Rank) send(dst, tag int, bytes uint64, payload []byte, onComplete func(
 	if w.faults != nil {
 		// Lossy fabric: exactly-once delivery rides the ARQ schedule;
 		// the sender completes at the first surviving ack.
-		w.sendFaulty(msg, onComplete)
+		w.sendFaulty(r, msg, onComplete)
 		return
 	}
-	arrival := w.net.transfer(bytes)
-	w.trackDelivery(dst)
-	// transfer() >= Latency, so the cross-shard lookahead contract holds.
-	src.PostTo(w.engFor(dst), src.Now()+arrival, func() {
-		w.ranks[dst].deliver(msg)
-	})
+	w.post(r, msg, src.Now()+w.net.transfer(bytes))
 	if onComplete != nil {
 		// Eager injection: sender-side overhead is one latency.
 		src.After(w.net.Latency, onComplete)
@@ -333,53 +422,64 @@ func (r *Rank) send(dst, tag int, bytes uint64, payload []byte, onComplete func(
 // skips the memory write and only counts bytes). fn runs once the payload
 // has been delivered — including the bounce-buffer copy in Bounce mode.
 func (r *Rank) Recv(src, tag int, destAddr uint64, fn func(Message)) {
-	pr := &pendingRecv{key: matchKey{src, tag}, addr: destAddr, fn: fn}
+	pr := pendingRecv{key: matchKey{src, tag}, addr: destAddr, fn: fn}
 	// Try unexpected-message queue first (arrival order).
-	for i, pm := range r.arrived {
-		if pr.matches(pm.msg) {
-			r.arrived = append(r.arrived[:i], r.arrived[i+1:]...)
-			r.complete(pr, pm.msg, pm.arrived)
+	for i := 0; i < r.arrived.len(); i++ {
+		if f := *r.arrived.at(i); pr.matches(&f.msg) {
+			r.arrived.remove(i)
+			f.recv = pr
+			r.complete(f)
 			return
 		}
 	}
-	r.recvQ = append(r.recvQ, pr)
+	r.recvQ.push(pr)
 }
 
-func (pr *pendingRecv) matches(m Message) bool {
+func (pr *pendingRecv) matches(m *Message) bool {
 	return (pr.key.src == AnySource || pr.key.src == m.Src) && pr.key.tag == m.Tag
 }
 
 // deliver handles a message arriving at the NIC at the current time.
 // It always executes on the destination rank's engine shard.
-func (r *Rank) deliver(m Message) {
+func (r *Rank) deliver(f *flight) {
 	r.world.untrackDelivery(r.id)
-	m.DeliveredAt = r.world.engFor(r.id).Now()
-	for i, pr := range r.recvQ {
-		if pr.matches(m) {
-			r.recvQ = append(r.recvQ[:i], r.recvQ[i+1:]...)
-			r.complete(pr, m, m.DeliveredAt)
+	f.msg.DeliveredAt = r.world.engFor(r.id).Now()
+	for i := 0; i < r.recvQ.len(); i++ {
+		if r.recvQ.at(i).matches(&f.msg) {
+			f.recv = r.recvQ.remove(i)
+			r.complete(f)
 			return
 		}
 	}
-	r.arrived = append(r.arrived, pendingMsg{m, m.DeliveredAt})
+	r.arrived.push(f)
+}
+
+// finish ends a matched receive once its payload has landed: counters, the
+// delivery hook, the record back to this rank's free list, then the
+// receive's continuation.
+func (r *Rank) finish(f *flight) {
+	m, fn := f.msg, f.recv.fn
+	f.msg.Payload, f.recv.fn = nil, nil
+	if len(r.freeFlights) < maxFreeFlights {
+		r.freeFlights = append(r.freeFlights, f)
+	}
+	r.stats.Recvs++
+	r.stats.BytesReceived += m.Bytes
+	if r.onDeliver != nil {
+		r.onDeliver(m.Bytes, r.world.engFor(r.id).Now())
+	}
+	if fn != nil {
+		fn(m)
+	}
 }
 
 // complete finishes a matched receive: the payload is written into the
-// destination buffer per the delivery mode, then fn runs.
-func (r *Rank) complete(pr *pendingRecv, m Message, arrivedAt des.Time) {
+// destination buffer per the delivery mode, then finish runs.
+func (r *Rank) complete(f *flight) {
 	w := r.world
-	finish := func() {
-		r.stats.Recvs++
-		r.stats.BytesReceived += m.Bytes
-		if r.onDeliver != nil {
-			r.onDeliver(m.Bytes, w.engFor(r.id).Now())
-		}
-		if pr.fn != nil {
-			pr.fn(m)
-		}
-	}
+	pr, m := &f.recv, &f.msg
 	if pr.addr == 0 || m.Bytes == 0 {
-		finish()
+		r.finish(f)
 		return
 	}
 	switch w.mode {
@@ -397,10 +497,10 @@ func (r *Rank) complete(pr *pendingRecv, m Message, arrivedAt des.Time) {
 				} else {
 					r.dmaStoreRange(pr.addr, m.Bytes)
 				}
-				finish()
+				r.finish(f)
 				return
 			}
-			r.bounceDeliver(pr.addr, m, finish)
+			r.bounceDeliver(f)
 			return
 		}
 		// DMA: no CPU involvement, no write faults — but a protected
@@ -410,13 +510,13 @@ func (r *Rank) complete(pr *pendingRecv, m Message, arrivedAt des.Time) {
 			// The payload is dropped; tracking below the NIC is
 			// impossible, which is precisely why the paper's
 			// library intercepts receive calls.
-			finish()
+			r.finish(f)
 			return
 		}
 		r.store(pr.addr, m.Bytes, m.Payload)
-		finish()
+		r.finish(f)
 	case Bounce:
-		r.bounceDeliver(pr.addr, m, finish)
+		r.bounceDeliver(f)
 	}
 }
 
@@ -424,13 +524,10 @@ func (r *Rank) complete(pr *pendingRecv, m Message, arrivedAt des.Time) {
 // into the unprotected buffer (no faults), then the CPU copies the
 // payload to its destination, faulting normally — the paper's
 // workaround, with its copy cost.
-func (r *Rank) bounceDeliver(addr uint64, m Message, finish func()) {
+func (r *Rank) bounceDeliver(f *flight) {
 	w := r.world
-	r.stats.BounceCopyBytes += m.Bytes
-	w.engFor(r.id).After(w.net.copyTime(m.Bytes), func() {
-		r.store(addr, m.Bytes, m.Payload)
-		finish()
-	})
+	r.stats.BounceCopyBytes += f.msg.Bytes
+	w.engFor(r.id).After(w.net.copyTime(f.msg.Bytes), f.copied)
 }
 
 // pageSpanProtected reports whether any page in [addr, addr+n) is
@@ -515,23 +612,33 @@ func (w *World) barrierSequential(r *Rank, fn func()) {
 	if w.faults != nil {
 		release += w.barrierPenalty(logTwo(len(w.ranks)), len(w.ranks), w.barrierMax, w.barrierGen)
 	}
-	fns := w.barrierFns
 	wait := w.barrierMax - w.barrierFirst
 	for _, rk := range w.ranks {
 		rk.stats.BarrierWaitTotal += wait
 	}
 	w.barrierArrived = 0
-	w.barrierFns = nil
 	w.barrierGen++
-	for _, f := range fns {
-		f := f
-		w.eng.Schedule(release, func() {
-			if f != nil {
-				f()
-			}
-		})
+	// One release event per rank, in arrival order. Nothing runs before
+	// this returns, so the list's backing array is free for the next
+	// generation as soon as its continuations are handed to the engine.
+	for _, f := range w.barrierFns {
+		w.eng.Schedule(release, orNoop(f))
 	}
+	clear(w.barrierFns)
+	w.barrierFns = w.barrierFns[:0]
 }
+
+// orNoop substitutes one shared no-op for a nil continuation, so a rank
+// that passed none still gets its release event (and Fired() its count)
+// without a wrapper closure per rank.
+func orNoop(f func()) func() {
+	if f == nil {
+		return noop
+	}
+	return f
+}
+
+func noop() {}
 
 // barrierSharded is the concurrent arrival path: ranks on different
 // shards may arrive from parallel worker goroutines, so the bookkeeping
@@ -579,12 +686,7 @@ func (w *World) barrierSharded(r *Rank, fn func()) {
 		rk.stats.BarrierWaitTotal += wait
 	}
 	for i := range w.ranks {
-		f := slots[i]
-		eng.PostToOrdered(w.engFor(i), release, des.OrderedKeyMin+gen, uint64(i), func() {
-			if f != nil {
-				f()
-			}
-		})
+		eng.PostToOrdered(w.engFor(i), release, des.OrderedKeyMin+gen, uint64(i), orNoop(slots[i]))
 	}
 }
 

@@ -74,6 +74,12 @@ type Runner struct {
 	spaces []*mem.AddressSpace
 	apps   []*app
 
+	// Per-spec schedules every rank shares, computed once: the sub-burst
+	// rate profile scaled to mean 1, and each send's offset from the start
+	// of its iteration (non-decreasing; the ranks' send series borrow it).
+	profile []float64
+	sendAt  []des.Time
+
 	iterZero des.Time // when rank 0 started iteration 0; 0 until known
 }
 
@@ -117,6 +123,8 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		}
 		r.apps = append(r.apps, a)
 	}
+	r.profile = normalize(spec.RateProfile)
+	r.sendAt = sendOffsets(spec, cfg.Ranks, r.apps[0].nMsgs)
 	// All ranks begin initialization at t=0, each on its own engine.
 	for _, a := range r.apps {
 		a := a
@@ -303,11 +311,12 @@ func (a *app) startInit() {
 	if perTick == 0 {
 		perTick = total
 	}
+	spans := []span{{a.static.Start(), a.static.Size()}, {a.arena.Start(), a.arena.Size()}}
 	var pos uint64
 	var step func()
 	step = func() {
 		n := min(perTick, total-pos)
-		a.writeAcross([]span{{a.static.Start(), a.static.Size()}, {a.arena.Start(), a.arena.Size()}}, pos, n)
+		a.writeAcross(spans, pos, n)
 		pos += n
 		if pos < total {
 			a.eng.After(tick, step)
@@ -410,7 +419,7 @@ func (a *app) startIteration() {
 	if s.IsSpike(a.iter) {
 		meanRate = s.SpikeSweeps * (s.WorkingSetMB + s.SpikeExtraMB) * MB / burst.Seconds()
 	}
-	profile := normalize(s.RateProfile)
+	profile := a.r.profile
 	subDur := burst / des.Time(len(profile))
 	tick := subDur / 12
 	if tick > a.r.Cfg.MaxTick {
@@ -430,8 +439,7 @@ func (a *app) startIteration() {
 		perTick := uint64(rate * tick.Seconds())
 		start := jitter + des.Time(bi)*subDur
 		// One closure serves every tick of this sub-burst: the per-tick
-		// state (cursor, spans) lives on the app, so scheduling the same
-		// func value repeatedly keeps the sweep loop allocation-free.
+		// state (cursor, spans) lives on the app.
 		doTick := func() {
 			spans := a.iterationSpans()
 			a.writeAcross(spans, a.cursor, perTick)
@@ -448,10 +456,10 @@ func (a *app) startIteration() {
 		}
 		// Sweep ticks write this rank's memory and schedule nothing, so
 		// they are local events: a sharded run excludes them from epoch
-		// horizons, which is what lets shards advance in parallel.
-		for off := des.Time(0); off+tick <= subDur; off += tick {
-			eng.AfterLocal(start+off+tick, doTick)
-		}
+		// horizons, which is what lets shards advance in parallel. The
+		// sub-burst's ticks, every tick from start+tick to start+subDur,
+		// are one series: one queue entry, not one per tick.
+		eng.ScheduleSeriesLocal(iterStart+start+tick, tick, int(subDur/tick), doTick)
 	}
 
 	// Burst end: drop the transient arena (memory exclusion target).
@@ -467,7 +475,7 @@ func (a *app) startIteration() {
 	// Communication burst: ring exchange with the right neighbour in
 	// clumps spread across the window between burst end and period end.
 	if a.nMsgs > 0 {
-		a.scheduleComm(iterStart, burst, period)
+		a.scheduleComm(iterStart, burst)
 	}
 
 	// Global reduction at period end synchronises ranks and starts the
@@ -482,18 +490,10 @@ func (a *app) startIteration() {
 }
 
 // scheduleComm posts this iteration's receives and schedules its sends.
-func (a *app) scheduleComm(iterStart des.Time, burst, period des.Time) {
-	s := a.r.Spec
+func (a *app) scheduleComm(iterStart, burst des.Time) {
 	eng := a.eng
-	n := a.r.Cfg.Ranks
-	right := (a.id + 1) % n
+	right := (a.id + 1) % a.r.Cfg.Ranks
 	slots := max(1, int(a.stripBytes/a.msgBytes))
-	window := period - burst
-	clumps := max(1, s.CommClumps)
-	perClump := (a.nMsgs + clumps - 1) / clumps
-	// Each clump is compressed into a short sub-window so received data
-	// arrives in bursts (Fig 1b), not as a smear.
-	clumpDur := des.Time(float64(window) * 0.05)
 
 	// Post all receives at burst end; they match sends as they arrive.
 	eng.Schedule(iterStart+burst, func() {
@@ -502,16 +502,29 @@ func (a *app) scheduleComm(iterStart des.Time, burst, period des.Time) {
 			a.rank.Recv(mpi.AnySource, 0, dest, nil)
 		}
 	})
-	msg := 0
-	sendOne := func() { a.rank.Send(right, 0, a.msgBytes, nil) }
-	for c := 0; c < clumps && msg < a.nMsgs; c++ {
+	// The iteration's sends are one comm series over the shared offsets.
+	eng.ScheduleSeriesAt(iterStart, a.r.sendAt, func() { a.rank.Send(right, 0, a.msgBytes, nil) })
+}
+
+// sendOffsets returns when each of an iteration's nMsgs ring sends leaves,
+// as offsets from the iteration start: clumps spread across the window
+// between burst end and period end, in send order.
+func sendOffsets(s Spec, ranks, nMsgs int) []des.Time {
+	burst := s.BurstDuration(ranks)
+	window := s.PeriodAt(ranks) - burst
+	clumps := max(1, s.CommClumps)
+	perClump := (nMsgs + clumps - 1) / clumps
+	// Each clump is compressed into a short sub-window so received data
+	// arrives in bursts (Fig 1b), not as a smear.
+	clumpDur := des.Time(float64(window) * 0.05)
+	at := make([]des.Time, 0, nMsgs)
+	for c := 0; c < clumps && len(at) < nMsgs; c++ {
 		clumpStart := burst + des.Time(float64(window)*(float64(c)+0.3)/float64(clumps))
-		for k := 0; k < perClump && msg < a.nMsgs; k++ {
-			at := clumpStart + des.Time(float64(clumpDur)*float64(k)/float64(perClump))
-			eng.Schedule(iterStart+at, sendOne)
-			msg++
+		for k := 0; k < perClump && len(at) < nMsgs; k++ {
+			at = append(at, clumpStart+des.Time(float64(clumpDur)*float64(k)/float64(perClump)))
 		}
 	}
+	return at
 }
 
 // normalize scales profile entries to mean 1.
