@@ -16,8 +16,11 @@ import (
 	"testing"
 
 	"repro/internal/autonomic"
+	"repro/internal/ckpt"
+	"repro/internal/ckptstore"
 	"repro/internal/des"
 	"repro/internal/experiments"
+	"repro/internal/storage"
 )
 
 func benchRanks() int {
@@ -145,5 +148,62 @@ func BenchmarkTwoPhaseCommit(b *testing.B) {
 		b.ReportMetric(rep.CommitTime.Seconds(), "commit_time_s")
 		b.ReportMetric(float64(rep.AbortedCommits), "aborted_commits")
 		b.ReportMetric(rep.Efficiency*100, "efficiency_pct")
+	}
+}
+
+// BenchmarkServiceHandlePut is the ckptstore rung of the ladder: one
+// 64 KB put frame through Service.Handle — decode, admission, and
+// whatever the durability level copies — on each of the three paths a
+// saturated or faulted service takes. sync replicates to three
+// in-memory replicas (three payload copies), shed is refused by the
+// admission controller (none), spill lands in the journal with every
+// replica down (one). B/op is the number to read: it is the payload
+// bytes the service moves per put it handles.
+func BenchmarkServiceHandlePut(b *testing.B) {
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	req := (&ckptstore.Frame{Kind: ckptstore.KindRequest, Op: ckptstore.OpPut, Client: 1, ID: 1, Key: ckpt.SegmentKey(0, 1), Payload: payload}).Encode()
+	for _, path := range []struct {
+		name   string
+		budget uint64 // in-flight budget; 0 = the default, which never sheds here
+		crash  bool   // take every replica down first
+		want   ckptstore.Status
+	}{
+		{name: "sync", want: ckptstore.StatusOK},
+		{name: "shed", budget: uint64(len(payload)) / 2, want: ckptstore.StatusOverload},
+		{name: "spill", crash: true, want: ckptstore.StatusOK},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			eng := des.NewEngine()
+			replicas := []storage.Store{storage.NewMemStore(), storage.NewMemStore(), storage.NewMemStore()}
+			svc, err := ckptstore.New(ckptstore.Config{Engine: eng, Replicas: replicas, InFlightBudget: path.budget})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			if path.crash {
+				for i := range replicas {
+					svc.Crash(i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := svc.Handle(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := ckptstore.DecodeFrame(resp)
+				if err != nil || r.Status != path.want {
+					b.Fatalf("status %d (%v), want %d", r.Status, err, path.want)
+				}
+				// Close the batch window and retire the in-flight bytes so
+				// every put meets an idle service; the engine's tickers
+				// allocate nothing.
+				eng.Run(eng.Now() + des.Second)
+			}
+		})
 	}
 }

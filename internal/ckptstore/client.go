@@ -9,10 +9,19 @@ import (
 // codec — the same bytes a networked deployment would put on the wire —
 // so the supervisor, two-phase commit, and ResilientStore compose with
 // the service exactly as with any other store.
+//
+// Buffer ownership follows storage.Store: Put borrows data (the request
+// is encoded into the client's one reused wire buffer, and the service
+// copies whatever it keeps before Handle returns), and Get returns a
+// buffer private to the caller (the payload of a response buffer nothing
+// else references).
 type Client struct {
 	svc    *Service
 	id     uint32
 	nextID uint64
+	// wire is the request encoding buffer, reused across ops: every
+	// attempt — shed, retried or acked — encodes without allocating.
+	wire []byte
 }
 
 // Client returns a connection for the given client id (one per rank).
@@ -20,16 +29,22 @@ func (s *Service) Client(id uint32) *Client {
 	return &Client{svc: s, id: id}
 }
 
-// roundTrip encodes the request, hands it to the service, and decodes
-// the response, translating the wire status back into the storage error
-// taxonomy.
-func (c *Client) roundTrip(req *Frame) (*Frame, error) {
+// roundTrip encodes the request, hands it to the service, decodes the
+// response and returns its payload, translating the wire status back
+// into the storage error taxonomy. A request the frame format cannot
+// carry is refused before it is encoded, with a permanent
+// ErrFrameTooLarge.
+func (c *Client) roundTrip(req *Frame) ([]byte, error) {
+	if err := checkSize(req.Key, len(req.Payload)); err != nil {
+		return nil, fmt.Errorf("ckptstore: client %d: %s: %w", c.id, req.Op, err)
+	}
 	c.nextID++
 	req.Kind = KindRequest
 	req.Client = c.id
 	req.ID = c.nextID
 	req.Deadline = c.svc.cfg.OpDeadline
-	respBytes, err := c.svc.Handle(req.Encode())
+	c.wire = req.AppendEncode(c.wire[:0])
+	respBytes, err := c.svc.Handle(c.wire)
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: client %d: %w", c.id, err)
 	}
@@ -43,7 +58,7 @@ func (c *Client) roundTrip(req *Frame) (*Frame, error) {
 	if err := resp.Status.Err(req.Op, req.Key); err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return resp.Payload, nil
 }
 
 // Put implements storage.Store.
@@ -54,11 +69,7 @@ func (c *Client) Put(key string, data []byte) error {
 
 // Get implements storage.Store.
 func (c *Client) Get(key string) ([]byte, error) {
-	resp, err := c.roundTrip(&Frame{Op: OpGet, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
+	return c.roundTrip(&Frame{Op: OpGet, Key: key})
 }
 
 // Delete implements storage.Store.
@@ -69,18 +80,18 @@ func (c *Client) Delete(key string) error {
 
 // Keys implements storage.Store.
 func (c *Client) Keys() ([]string, error) {
-	resp, err := c.roundTrip(&Frame{Op: OpKeys})
+	payload, err := c.roundTrip(&Frame{Op: OpKeys})
 	if err != nil {
 		return nil, err
 	}
-	return decodeKeys(resp.Payload)
+	return decodeKeys(payload)
 }
 
 // Size implements storage.Store.
 func (c *Client) Size() (uint64, error) {
-	resp, err := c.roundTrip(&Frame{Op: OpSize})
+	payload, err := c.roundTrip(&Frame{Op: OpSize})
 	if err != nil {
 		return 0, err
 	}
-	return decodeSize(resp.Payload)
+	return decodeSize(payload)
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/storage"
@@ -167,69 +168,119 @@ type Frame struct {
 // deadline(8) keylen(2) paylen(4).
 const frameHeaderLen = 4 + 1 + 1 + 1 + 1 + 4 + 8 + 8 + 2 + 4
 
-// Encode serialises the frame.
+// ErrFrameTooLarge reports a request the wire format cannot carry: the
+// key does not fit the u16 length field or the payload the u32 one.
+// Encoding such a frame would truncate the length and emit bytes whose
+// header disagrees with the body, so Client refuses it before encoding.
+// The error is permanent — retrying cannot shrink the request.
+var ErrFrameTooLarge = errors.New("ckptstore: key or payload exceeds the frame format's length fields")
+
+// maxKeyLen and maxPayloadLen are the largest key and payload the u16
+// and u32 length fields can describe.
+const (
+	maxKeyLen     = math.MaxUint16
+	maxPayloadLen = math.MaxUint32
+)
+
+// checkSize reports ErrFrameTooLarge (wrapped) when key or a payload of
+// payloadLen bytes would overflow its length field.
+func checkSize(key string, payloadLen int) error {
+	if len(key) > maxKeyLen {
+		return fmt.Errorf("%d-byte key: %w", len(key), ErrFrameTooLarge)
+	}
+	if uint64(payloadLen) > maxPayloadLen {
+		return fmt.Errorf("%d-byte payload: %w", payloadLen, ErrFrameTooLarge)
+	}
+	return nil
+}
+
+// Encode serialises the frame into a fresh buffer.
 func (f *Frame) Encode() []byte {
-	out := make([]byte, 0, frameHeaderLen+len(f.Key)+len(f.Payload))
-	out = append(out, frameMagic...)
-	out = append(out, frameVersion, f.Kind, uint8(f.Op), uint8(f.Status))
-	out = binary.LittleEndian.AppendUint32(out, f.Client)
-	out = binary.LittleEndian.AppendUint64(out, f.ID)
-	out = binary.LittleEndian.AppendUint64(out, uint64(f.Deadline))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Key)))
-	out = append(out, f.Key...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Payload)))
-	out = append(out, f.Payload...)
-	return out
+	return f.AppendEncode(make([]byte, 0, frameHeaderLen+len(f.Key)+len(f.Payload)))
+}
+
+// AppendEncode appends the frame's wire form to dst and returns the
+// extended slice — the one encoder. Key and Payload are read, never
+// retained, so a caller that passes a reused buffer encodes without
+// allocating once the buffer has grown to its largest frame.
+func (f *Frame) AppendEncode(dst []byte) []byte {
+	dst = append(dst, frameMagic...)
+	dst = append(dst, frameVersion, f.Kind, uint8(f.Op), uint8(f.Status))
+	dst = binary.LittleEndian.AppendUint32(dst, f.Client)
+	dst = binary.LittleEndian.AppendUint64(dst, f.ID)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Deadline))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Key)))
+	dst = append(dst, f.Key...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	dst = append(dst, f.Payload...)
+	return dst
 }
 
 // DecodeFrame parses one frame, rejecting anything Encode could not
 // have produced.
+//
+// Buffer ownership: the returned Payload aliases b (capacity-clipped, so
+// appending to it cannot reach past the frame) — decoding moves no
+// payload byte. It is valid only while the caller leaves b alone; a
+// consumer that keeps the payload past that point copies it. Key is a
+// string and therefore always a copy.
 func DecodeFrame(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := f.decode(b); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decode is DecodeFrame into an existing Frame; split out so that
+// DecodeFrame stays small enough to inline and a caller whose frame does
+// not escape keeps it on the stack.
+func (f *Frame) decode(b []byte) error {
 	if len(b) < frameHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadFrame, len(b), frameHeaderLen)
+		return fmt.Errorf("%w: %d bytes, want >= %d", ErrBadFrame, len(b), frameHeaderLen)
 	}
 	if string(b[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFrame, b[:4])
+		return fmt.Errorf("%w: bad magic %q", ErrBadFrame, b[:4])
 	}
 	if b[4] != frameVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrBadFrame, b[4])
+		return fmt.Errorf("%w: unknown version %d", ErrBadFrame, b[4])
 	}
-	f := &Frame{Kind: b[5], Op: Op(b[6]), Status: Status(b[7])}
+	*f = Frame{Kind: b[5], Op: Op(b[6]), Status: Status(b[7])}
 	if f.Kind != KindRequest && f.Kind != KindResponse {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, f.Kind)
+		return fmt.Errorf("%w: unknown kind %d", ErrBadFrame, f.Kind)
 	}
 	if f.Op < OpPut || f.Op > OpSize {
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadFrame, uint8(f.Op))
+		return fmt.Errorf("%w: unknown op %d", ErrBadFrame, uint8(f.Op))
 	}
 	if f.Status > StatusDeadline {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrBadFrame, uint8(f.Status))
+		return fmt.Errorf("%w: unknown status %d", ErrBadFrame, uint8(f.Status))
 	}
 	if f.Kind == KindRequest && f.Status != StatusOK {
-		return nil, fmt.Errorf("%w: request carries status %d", ErrBadFrame, uint8(f.Status))
+		return fmt.Errorf("%w: request carries status %d", ErrBadFrame, uint8(f.Status))
 	}
 	f.Client = binary.LittleEndian.Uint32(b[8:])
 	f.ID = binary.LittleEndian.Uint64(b[12:])
 	dl := binary.LittleEndian.Uint64(b[20:])
 	if int64(dl) < 0 {
-		return nil, fmt.Errorf("%w: negative deadline", ErrBadFrame)
+		return fmt.Errorf("%w: negative deadline", ErrBadFrame)
 	}
 	f.Deadline = des.Time(dl)
 	keyLen := int(binary.LittleEndian.Uint16(b[28:]))
 	rest := b[30:]
 	if len(rest) < keyLen+4 {
-		return nil, fmt.Errorf("%w: truncated key", ErrBadFrame)
+		return fmt.Errorf("%w: truncated key", ErrBadFrame)
 	}
 	f.Key = string(rest[:keyLen])
 	rest = rest[keyLen:]
 	payLen := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
 	if len(rest) != payLen {
-		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(rest))
+		return fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(rest))
 	}
 	if payLen > 0 {
-		f.Payload = append([]byte(nil), rest...)
+		f.Payload = rest[:payLen:payLen]
 	}
-	return f, nil
+	return nil
 }
 
 // encodeKeys packs a key list into a response payload: u32 count, then

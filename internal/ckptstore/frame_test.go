@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -113,5 +115,98 @@ func TestKeysPayloadRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeSize([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short size payload: %v", err)
+	}
+}
+
+// TestDecodeFrameAliasesInput pins the decode half of the ownership
+// contract: Payload is a capacity-clipped window onto the input, not a
+// copy.
+func TestDecodeFrameAliasesInput(t *testing.T) {
+	wire := (&Frame{Kind: KindRequest, Op: OpPut, Client: 1, ID: 1, Key: "k", Payload: []byte("payload")}).Encode()
+	f, err := DecodeFrame(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(f.Payload) != len(f.Payload) {
+		t.Fatalf("cap(Payload) = %d, len = %d: an append could run past the frame", cap(f.Payload), len(f.Payload))
+	}
+	wire[len(wire)-1] = 'D'
+	if string(f.Payload) != "payloaD" {
+		t.Fatalf("Payload = %q after mutating the input: decode copied", f.Payload)
+	}
+	if f.Key != "k" {
+		t.Fatalf("Key = %q", f.Key)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeFrame(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 { // the Key string (a one-byte key may not even need that)
+		t.Fatalf("DecodeFrame allocates %v/op, want <= 1", allocs)
+	}
+}
+
+// TestAppendEncodeReusesBuffer: AppendEncode is Encode onto the end of
+// dst, and a buffer that has grown once encodes without allocating.
+func TestAppendEncodeReusesBuffer(t *testing.T) {
+	f := &Frame{Kind: KindRequest, Op: OpPut, Client: 7, ID: 42, Deadline: 5, Key: "rank003/seg000009", Payload: bytes.Repeat([]byte{0xAB}, 4096)}
+	want := f.Encode()
+	got := f.AppendEncode([]byte("prefix"))
+	if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], want) {
+		t.Fatal("AppendEncode(dst) != dst + Encode()")
+	}
+	buf := f.AppendEncode(nil)
+	if allocs := testing.AllocsPerRun(100, func() { buf = f.AppendEncode(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendEncode into a grown buffer allocates %v/op, want 0", allocs)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("reused buffer holds different bytes")
+	}
+}
+
+// TestClientRefusesOversizedFrame: a key the u16 length field cannot
+// describe used to be encoded with a truncated length and bounce off the
+// service as a transport ErrBadFrame. The client must refuse it before
+// encoding, permanently, so a retrying wrapper gives up at once.
+func TestClientRefusesOversizedFrame(t *testing.T) {
+	svc, _, mems := newTestService(t, nil)
+	c := svc.Client(1)
+	longest := strings.Repeat("k", maxKeyLen)
+	if err := c.Put(longest, []byte("v")); err != nil {
+		t.Fatalf("a %d-byte key fits the format: %v", maxKeyLen, err)
+	}
+	if got, err := mems[0].Get(longest); err != nil || string(got) != "v" {
+		t.Fatalf("longest key did not round-trip: %q, %v", got, err)
+	}
+	rs := storage.NewResilientStore(c, storage.RetryPolicy{MaxAttempts: 5, BaseDelay: 1, MaxDelay: 2, Seed: 1})
+	tooLong := longest + "k"
+	before := svc.Stats()
+	for name, op := range map[string]func() error{
+		"put":    func() error { return rs.Put(tooLong, []byte("v")) },
+		"get":    func() error { _, err := rs.Get(tooLong); return err },
+		"delete": func() error { return rs.Delete(tooLong) },
+	} {
+		err := op()
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("%s: err = %v, want ErrFrameTooLarge", name, err)
+		}
+		if errors.Is(err, ErrBadFrame) || storage.IsTransient(err) {
+			t.Fatalf("%s: %v must be a permanent client-side refusal", name, err)
+		}
+	}
+	if st := rs.Stats(); st.Retries != 0 {
+		t.Fatalf("oversized request was retried %d times", st.Retries)
+	}
+	if after := svc.Stats(); after != before {
+		t.Fatalf("oversized request reached the service:\n%+v\n%+v", before, after)
+	}
+	if strconv.IntSize == 64 {
+		var fourGiB int64 = maxPayloadLen + 1
+		if err := checkSize("k", int(fourGiB)); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("4 GiB payload: err = %v, want ErrFrameTooLarge", err)
+		}
+		if err := checkSize("k", maxPayloadLen); err != nil {
+			t.Fatalf("largest payload: %v", err)
+		}
 	}
 }

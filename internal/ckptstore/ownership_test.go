@@ -1,0 +1,242 @@
+package ckptstore
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/des"
+	"repro/internal/storage"
+)
+
+// The buffer-ownership contract on the service path (DESIGN.md §10):
+// Client.Put borrows the caller's buffer and encodes it into one reused
+// wire buffer; DecodeFrame aliases that buffer; the service copies where
+// a value comes to rest — each replica, the spill journal — and keeps
+// nothing of the request. These tests scribble over both borrowed
+// buffers after Put returns and check that every resting place still
+// holds the bytes that were acknowledged.
+
+const ownedPayloadLen = 4096
+
+// putThenScribble puts a recognisable value under key through c, then
+// destroys both buffers the put borrowed: the caller's, directly, and
+// the client's wire buffer, by sending a second, different put of the
+// same size through it. It returns the value that was acknowledged.
+func putThenScribble(t *testing.T, c *Client, key string) []byte {
+	t.Helper()
+	want := bytes.Repeat([]byte{0xA5}, ownedPayloadLen)
+	buf := append([]byte(nil), want...)
+	if err := c.Put(key, buf); err != nil {
+		t.Fatalf("put %q: %v", key, err)
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if err := c.Put(key+"/next", bytes.Repeat([]byte{0x11}, ownedPayloadLen)); err != nil {
+		t.Fatalf("second put: %v", err)
+	}
+	if bytes.Contains(c.wire, want[:64]) {
+		t.Fatal("the second put did not overwrite the wire buffer: the test scribbles nothing")
+	}
+	return want
+}
+
+func wantReplica(t *testing.T, m *storage.MemStore, i int, key string, want []byte) {
+	t.Helper()
+	got, err := m.Get(key)
+	if err != nil {
+		t.Fatalf("replica %d: %v", i, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replica %d holds %x…, want %x…: it shares a borrowed buffer", i, got[:4], want[:4])
+	}
+}
+
+func wantJournal(t *testing.T, svc *Service, key string, want []byte) {
+	t.Helper()
+	e, ok := svc.journal[key]
+	if !ok {
+		t.Fatalf("no journal entry for %q", key)
+	}
+	if !bytes.Equal(e.data, want) {
+		t.Fatalf("journal holds %x…, want %x…: it shares a borrowed buffer", e.data[:4], want[:4])
+	}
+}
+
+func TestPutBorrowsOnSyncPath(t *testing.T) {
+	svc, _, mems := newTestService(t, nil)
+	want := putThenScribble(t, svc.Client(0), "k")
+	if st := svc.Stats(); st.SyncAcks != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+	for i, m := range mems {
+		wantReplica(t, m, i, "k", want)
+	}
+	// Replica copies are independent of each other too: damaging one
+	// replica's stored value (what a bit flip in its memory would do) must
+	// not reach the others.
+	_ = mems[0].PutOwned("k", []byte("damaged"))
+	wantReplica(t, mems[1], 1, "k", want)
+	wantReplica(t, mems[2], 2, "k", want)
+}
+
+func TestPutBorrowsOnAsyncPath(t *testing.T) {
+	svc, eng, mems := newTestService(t, nil)
+	svc.Crash(1)
+	svc.Crash(2)
+	want := putThenScribble(t, svc.Client(0), "k")
+	if st := svc.Stats(); st.AsyncAcks != 2 || st.JournaledBytes != 2*ownedPayloadLen {
+		t.Fatalf("stats: %+v", st)
+	}
+	wantReplica(t, mems[0], 0, "k", want)
+	wantJournal(t, svc, "k", want)
+	// The journal's copy is what drain replicates once the group heals.
+	svc.Heal(1)
+	svc.Heal(2)
+	eng.Run(eng.Now() + des.Second)
+	for i, m := range mems {
+		wantReplica(t, m, i, "k", want)
+	}
+}
+
+func TestPutBorrowsOnSpillAndPromotionPath(t *testing.T) {
+	svc, eng, mems := newTestService(t, nil)
+	svc.CrashLeader()
+	want := putThenScribble(t, svc.Client(0), "k")
+	if st := svc.Stats(); st.SpillAcks != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+	wantJournal(t, svc, "k", want)
+	c := svc.Client(0)
+	if got, err := c.Get("k"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get during promotion = %x…, %v", got[:4], err)
+	}
+	// Promotion completes and the spilled value drains to the survivors.
+	eng.Run(eng.Now() + 2*des.Second)
+	if st := svc.Stats(); st.Failovers != 1 || st.DrainedBytes != 2*ownedPayloadLen {
+		t.Fatalf("stats after promotion: %+v", st)
+	}
+	wantReplica(t, mems[1], 1, "k", want)
+	wantReplica(t, mems[2], 2, "k", want)
+}
+
+// TestGetResultStaysPrivate: a Get result belongs to the caller — later
+// ops through the same client (which reuse its wire buffer) do not change
+// it, and changing it does not change what the service holds. Checked for
+// a replica-served and a journal-served read.
+func TestGetResultStaysPrivate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(*Service)
+	}{
+		{"replica", func(*Service) {}},
+		{"journal", func(s *Service) { s.Crash(1); s.Crash(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, _, _ := newTestService(t, nil)
+			tc.setup(svc)
+			c := svc.Client(0)
+			a, b := bytes.Repeat([]byte{0xA5}, ownedPayloadLen), bytes.Repeat([]byte{0x5A}, ownedPayloadLen)
+			if err := c.Put("a", a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("b", b); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Get("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("cap %d != len %d: an append to a Get result could write into the response buffer", cap(got), len(got))
+			}
+			if _, err := c.Get("b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("c", b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, a) {
+				t.Fatal("a later op through the client changed an earlier Get result")
+			}
+			for i := range got {
+				got[i] = 0xEE
+			}
+			if again, err := c.Get("a"); err != nil || !bytes.Equal(again, a) {
+				t.Fatalf("mutating a Get result changed the stored value (%v)", err)
+			}
+		})
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes fn
+// allocates per call.
+func bytesPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestPutAllocationBudget guards what the A17 saturation sweep depends
+// on: a put the admission controller sheds — three of four puts at 32
+// clients — touches no payload-sized allocation, and an acknowledged put
+// allocates its replica copies and nothing else of that size.
+func TestPutAllocationBudget(t *testing.T) {
+	const payloadLen = 64 << 10
+	payload := bytes.Repeat([]byte{7}, payloadLen)
+	key := ckpt.SegmentKey(0, 1)
+
+	t.Run("shed", func(t *testing.T) {
+		svc, _, _ := newTestService(t, func(c *Config) { c.InFlightBudget = payloadLen / 2 })
+		c := svc.Client(0)
+		shed := func() {
+			if err := c.Put(key, payload); !storage.IsTransient(err) {
+				t.Fatalf("err = %v, want a retryable shed", err)
+			}
+		}
+		shed() // grows the wire buffer
+		b := bytesPerRun(100, shed)
+		if b > payloadLen/16 {
+			t.Fatalf("a shed put allocates %.0f bytes, want far below the %d-byte payload", b, payloadLen)
+		}
+		// Key string, response frame, and the client-side error text.
+		allocs := testing.AllocsPerRun(100, shed)
+		if allocs > 8 {
+			t.Fatalf("a shed put makes %v allocations, want <= 8", allocs)
+		}
+		t.Logf("shed put: %.0f bytes, %v allocations", b, allocs)
+		if st := svc.Stats(); st.OverloadSheds != st.Puts || st.AckedPuts != 0 {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
+
+	t.Run("acked", func(t *testing.T) {
+		svc, eng, mems := newTestService(t, nil)
+		c := svc.Client(0)
+		acked := func() {
+			if err := c.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			// Close the batch window and retire the in-flight bytes, so
+			// the next put is a fresh sync write, not a coalesced one.
+			eng.Run(eng.Now() + des.Second)
+		}
+		acked()
+		b := bytesPerRun(50, acked)
+		if lo, hi := float64(len(mems)*payloadLen), float64(len(mems)*payloadLen+payloadLen/8); b < lo || b > hi {
+			t.Fatalf("an acked put allocates %.0f bytes, want the %d replica copies (%.0f..%.0f)", b, len(mems), lo, hi)
+		}
+		if st := svc.Stats(); st.SyncAcks != st.Puts || st.CoalescedPuts != 0 {
+			t.Fatalf("stats: %+v", st)
+		}
+		t.Logf("acked put: %.0f bytes for %d x %d-byte replica copies", b, len(mems), payloadLen)
+	})
+}

@@ -2,7 +2,7 @@ package ckptstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/des"
@@ -175,6 +175,8 @@ type Service struct {
 	// Batching: an open batch absorbs Puts until batchEnd.
 	batchEnd  des.Time
 	batchKeys map[string]bool
+	// done is put's scratch for the per-replica completion times.
+	done []des.Time
 
 	// Spill journal: acked-but-not-quorum-durable writes, FIFO.
 	journal      map[string]journalEntry
@@ -428,7 +430,8 @@ func (s *Service) probe() {
 }
 
 // journalPut records replication debt for key. A newer entry replaces
-// an older one in place (keeping its FIFO slot).
+// an older one in place (keeping its FIFO slot). The journal outlives the
+// request, so it keeps its own copy of data.
 func (s *Service) journalPut(key string, data []byte, del bool) {
 	if old, ok := s.journal[key]; ok {
 		s.journalBytes -= uint64(len(old.data))
@@ -524,6 +527,12 @@ func (s *Service) RecoveryLine(ranks int) (uint64, bool, error) {
 // Handle services one encoded request frame and returns the encoded
 // response. Transport errors (unparseable frames) are returned as Go
 // errors; storage-level failures travel inside the response status.
+//
+// Buffer ownership: Handle borrows req. The decoded payload aliases it,
+// and the service copies exactly where a value comes to rest — each
+// replica's Store.Put and the spill journal (journalPut) — so nothing
+// refers to req once Handle returns and the caller may reuse it at once.
+// The response is a fresh buffer the caller owns.
 func (s *Service) Handle(req []byte) ([]byte, error) {
 	f, err := DecodeFrame(req)
 	if err != nil {
@@ -560,6 +569,17 @@ func (s *Service) Handle(req []byte) ([]byte, error) {
 	return resp.Encode(), nil
 }
 
+// put's refusals. Handle collapses each to a status byte (statusOf) and
+// the client rebuilds the detailed, per-key text from it (Status.Err), so
+// the service side formats nothing per call — under saturation most puts
+// end here.
+var (
+	errPastDeadline = fmt.Errorf("ckptstore: put would complete past its deadline: %w", storage.ErrDeadlineExceeded)
+	errOverBudget   = fmt.Errorf("ckptstore: put over the in-flight budget: %w", storage.ErrOverload)
+	errOverShare    = fmt.Errorf("ckptstore: put over the client's fair share: %w", storage.ErrOverload)
+	errSpillFull    = fmt.Errorf("ckptstore: put refused, spill journal full: %w", storage.ErrOverload)
+)
+
 // put admits, times, replicates, and acks one Put. The decision order
 // is: model the completion time first, then refuse (deadline, budget,
 // fairness) before any state changes, then commit.
@@ -584,23 +604,16 @@ func (s *Service) put(f *Frame) error {
 	arrive := now + linkCost
 	completion := arrive
 	if !coalesced && !s.promoting && s.upCount() > 0 {
-		var done []des.Time
+		done := s.done[:0]
 		for _, r := range s.reps {
 			if r.down {
 				continue
 			}
-			start := arrive
-			if r.busyUntil > start {
-				start = r.busyUntil
-			}
-			done = append(done, start+s.cfg.ReplicaModel.WriteTime(n))
+			done = append(done, max(arrive, r.busyUntil)+s.cfg.ReplicaModel.WriteTime(n))
 		}
-		sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
-		k := s.quorum
-		if k > len(done) {
-			k = len(done)
-		}
-		completion = done[k-1]
+		slices.Sort(done)
+		completion = done[min(s.quorum, len(done))-1]
+		s.done = done
 	}
 
 	// Admission: refuse before mutating anything.
@@ -610,33 +623,27 @@ func (s *Service) put(f *Frame) error {
 	}
 	if deadline > 0 && completion-now > deadline {
 		s.stats.DeadlineRefusals++
-		return fmt.Errorf("ckptstore: put %q would complete in %v, past deadline %v: %w",
-			f.Key, completion-now, deadline, storage.ErrDeadlineExceeded)
+		return errPastDeadline
 	}
 	if s.inflight+n > s.cfg.InFlightBudget {
 		s.stats.OverloadSheds++
-		return fmt.Errorf("ckptstore: put %q: in-flight %d+%d over budget %d: %w",
-			f.Key, s.inflight, n, s.cfg.InFlightBudget, storage.ErrOverload)
+		return errOverBudget
 	}
 	share := uint64(s.cfg.ClientShare * float64(s.cfg.InFlightBudget))
 	if s.perClient[f.Client]+n > share {
 		s.stats.FairnessSheds++
-		return fmt.Errorf("ckptstore: put %q: client %d over fair share %d: %w",
-			f.Key, f.Client, share, storage.ErrOverload)
+		return errOverShare
 	}
 	if s.mode == ModeRefuse || (s.spillPath() && s.journalBytes+n > s.cfg.SpillCapacity) {
 		s.stats.OverloadSheds++
 		s.refreshMode("spill journal full")
-		return fmt.Errorf("ckptstore: put %q: spill journal full (%d bytes): %w",
-			f.Key, s.journalBytes, storage.ErrOverload)
+		return errSpillFull
 	}
 
 	// Commit: account the batch and the in-flight window.
 	if newBatch {
 		s.batchEnd = now + s.cfg.BatchWindow
-		for k := range s.batchKeys {
-			delete(s.batchKeys, k)
-		}
+		clear(s.batchKeys)
 		s.stats.Batches++
 	}
 	s.batchKeys[f.Key] = true
@@ -811,7 +818,7 @@ func (v *serviceView) Keys() ([]string, error) {
 	for k := range set {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }
 

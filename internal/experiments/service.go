@@ -54,25 +54,38 @@ type ServiceRow struct {
 	Lossless bool
 }
 
-// serviceSegment builds one verifiable segment for rank: pages pages of
-// pageSize bytes, full or incremental against the chain's epoch.
-func serviceSegment(rank int, seq, epoch uint64, pages int, pageSize uint64, fill byte) *ckpt.Segment {
+// servicePages builds a client's page records: pages pages of pageSize
+// bytes cut from one slab, page p filled with fill+p. A client's page
+// contents do not change from tick to tick and Encode only reads them,
+// so serviceRun builds them once per client and every segment of that
+// client's chain shares them — the load generator must not be a large
+// part of the load it measures.
+func servicePages(pages int, pageSize uint64, fill byte) []ckpt.PageRecord {
+	slab := make([]byte, uint64(pages)*pageSize)
+	recs := make([]ckpt.PageRecord, pages)
+	for p := range recs {
+		lo, hi := uint64(p)*pageSize, uint64(p+1)*pageSize
+		data := slab[lo:hi:hi]
+		for i := range data {
+			data[i] = fill + byte(p)
+		}
+		recs[p] = ckpt.PageRecord{Addr: lo, Data: data}
+	}
+	return recs
+}
+
+// serviceSegment builds one verifiable segment for rank over the given
+// page records, full or incremental against the chain's epoch.
+func serviceSegment(rank int, seq, epoch uint64, pageSize uint64, recs []ckpt.PageRecord) *ckpt.Segment {
 	kind := ckpt.Incremental
 	if seq == epoch {
 		kind = ckpt.Full
 	}
-	seg := &ckpt.Segment{
+	return &ckpt.Segment{
 		Rank: rank, Seq: seq, Epoch: epoch, Kind: kind, PageSize: pageSize,
-		Regions: []ckpt.RegionInfo{{Start: 0, Size: uint64(pages) * pageSize}},
+		Regions: []ckpt.RegionInfo{{Start: 0, Size: uint64(len(recs)) * pageSize}},
+		Pages:   recs,
 	}
-	for p := 0; p < pages; p++ {
-		data := make([]byte, pageSize)
-		for i := range data {
-			data[i] = fill + byte(p)
-		}
-		seg.Pages = append(seg.Pages, ckpt.PageRecord{Addr: uint64(p) * pageSize, Data: data})
-	}
-	return seg
 }
 
 // ServiceAblation runs A17 for the given client counts (nil → 4, 12,
@@ -138,6 +151,7 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 	rng := rand.New(rand.NewPCG(seed, 0xA17))
 	type clientState struct {
 		store    storage.Store
+		pages    []ckpt.PageRecord
 		seq      uint64 // last seq offered
 		epoch    uint64 // chain base of the segment being written
 		acked    uint64 // last seq acknowledged
@@ -149,6 +163,7 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 	for i := range states {
 		states[i] = &clientState{
 			epoch: 1,
+			pages: servicePages(pages, pageSize, byte(seed)+byte(i)),
 			store: storage.NewResilientStore(svc.Client(uint32(i)), storage.RetryPolicy{
 				MaxAttempts: 3, BaseDelay: des.Millisecond, MaxDelay: 20 * des.Millisecond,
 				Deadline: 100 * des.Millisecond, Seed: seed + uint64(i),
@@ -167,8 +182,7 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 					cs.epoch = cs.seq
 					cs.rebase = false
 				}
-				seg := serviceSegment(i, cs.seq, cs.epoch, pages, pageSize, byte(seed)+byte(i))
-				enc := seg.Encode()
+				enc := serviceSegment(i, cs.seq, cs.epoch, pageSize, cs.pages).Encode()
 				cs.offered += uint64(len(enc))
 				if err := cs.store.Put(ckpt.SegmentKey(i, cs.seq), enc); err != nil {
 					// Shed or refused: the chain has a hole at cs.seq, so
