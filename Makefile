@@ -11,8 +11,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Determinism-contract multichecker (detlint, maporder, errwrap,
-# seedplumb) over every package. See DESIGN.md "Determinism contract".
+# Determinism-contract multichecker (detlint, maporder, shardorder,
+# errwrap, seedplumb, ckptset, deadexport) over every package. See
+# DESIGN.md "Determinism contract".
 lint:
 	$(GO) run ./cmd/lint ./...
 
@@ -39,5 +40,6 @@ bench-e2e:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# The full gate: everything must pass before a change lands.
+# The full gate: everything must pass before a change lands. This is the
+# definition; verify.sh is a one-line call of it.
 verify: build vet lint race bench-test

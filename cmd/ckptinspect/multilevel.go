@@ -60,7 +60,7 @@ func demoHierarchy(dir string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := h.EncodeLine(g.PerRank[0].Seq); err != nil {
+		if _, err := h.EncodeLine(g.Seq); err != nil {
 			return err
 		}
 	}

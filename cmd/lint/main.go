@@ -1,6 +1,6 @@
 // Command lint is the repo's determinism-contract multichecker. It
 // loads every matched package with the stdlib-only analysis framework
-// and runs six project-specific analyzers:
+// and runs seven project-specific analyzers:
 //
 //	detlint     no wall-clock time or ambient entropy in internal/ and cmd/
 //	maporder    no map-iteration order leaking into slices, writers, channels
@@ -10,6 +10,7 @@
 //	seedplumb   exported internal/ functions take seeds, never bake them in
 //	ckptset     committed .ckptspec protection specs match the classification
 //	            computed from kernel source
+//	deadexport  no exported internal/ name that only tests reference
 //
 // Usage:
 //
@@ -39,6 +40,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/ckptset"
+	"repro/internal/analysis/deadexport"
 	"repro/internal/analysis/detlint"
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/maporder"
@@ -52,6 +54,7 @@ import (
 // package, examples included — a nondeterministic example teaches the
 // wrong lesson. ckptset self-gates on packages that declare protection
 // roles, so applying it broadly costs nothing outside the kernels.
+// deadexport judges internal/ only: cmd/ and examples/ are the users.
 var checkers = []struct {
 	analyzer *analysis.Analyzer
 	applies  func(relPath string) bool
@@ -60,9 +63,12 @@ var checkers = []struct {
 	{maporder.Analyzer, func(string) bool { return true }},
 	{shardorder.Analyzer, func(string) bool { return true }},
 	{errwrap.Analyzer, inInternalOrCmd},
-	{seedplumb.Analyzer, func(rel string) bool { return strings.HasPrefix(rel, "internal/") }},
+	{seedplumb.Analyzer, inInternal},
 	{ckptset.Analyzer, inInternalOrCmd},
+	{deadexport.Analyzer, inInternal},
 }
+
+func inInternal(rel string) bool { return strings.HasPrefix(rel, "internal/") }
 
 func inInternalOrCmd(rel string) bool {
 	return strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")

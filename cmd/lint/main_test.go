@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,14 +30,12 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// TestLintCatchesPlant runs the multichecker over a scratch module
-// containing one violation of each analyzer's contract, pinning that
-// the ./... path (pattern expansion, scoping, loading) actually
-// reaches and reports them — a self-test that the gate has teeth.
-func TestLintCatchesPlant(t *testing.T) {
+// writeModule lays files (module-relative path → content) out under a
+// fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
+	for rel, content := range files {
 		path := filepath.Join(dir, filepath.FromSlash(rel))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -44,8 +44,35 @@ func TestLintCatchesPlant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", "module plant\n\ngo 1.22\n")
-	write("internal/sim/x.go", `package sim
+	return dir
+}
+
+// plantUser keeps the planted package's exports alive, so deadexport
+// reports only what a test seeds as dead.
+const plantUser = `package main
+
+import (
+	"os"
+
+	"plant/internal/sim"
+)
+
+func main() {
+	sim.Emit(os.Stdout, nil)
+	sim.Check(nil)
+	sim.NewGen()
+}
+`
+
+// TestLintCatchesPlant runs the multichecker over a scratch module
+// containing one violation of each analyzer's contract, pinning that
+// the ./... path (pattern expansion, scoping, loading) actually
+// reaches and reports them — a self-test that the gate has teeth.
+func TestLintCatchesPlant(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":          "module plant\n\ngo 1.22\n",
+		"cmd/use/main.go": plantUser,
+		"internal/sim/x.go": `package sim
 
 import (
 	"fmt"
@@ -67,7 +94,7 @@ func Emit(w io.Writer, m map[string]int) {
 func Check(err error) bool { return err == ErrBoom }
 
 func NewGen() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
-`)
+`})
 	var out bytes.Buffer
 	n, err := Lint(&out, dir, []string{"./..."})
 	if err != nil {
@@ -110,6 +137,32 @@ func NewGen() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
 		if !checks[category] {
 			t.Errorf("-json output missing a %s finding", category)
 		}
+	}
+}
+
+// TestDeadExportExitsOne builds the real command and runs it over a
+// module whose only blemish is one exported function nothing calls: the
+// finding must name it and the process must exit 1, which is what fails
+// `make lint` and the CI step.
+func TestDeadExportExitsOne(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "lint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/lint: %v\n%s", err, out)
+	}
+	dir := writeModule(t, map[string]string{
+		"go.mod":            "module plant\n\ngo 1.22\n",
+		"cmd/use/main.go":   "package main\n\nimport \"plant/internal/sim\"\n\nfunc main() { sim.Live() }\n",
+		"internal/sim/x.go": "package sim\n\nfunc Live() {}\n\nfunc Dead() {}\n",
+	})
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("lint over a seeded dead export: err = %v, want exit status 1\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("[deadexport] exported function Dead")) || bytes.Contains(out, []byte("Live")) {
+		t.Errorf("want exactly the Dead finding, got:\n%s", out)
 	}
 }
 

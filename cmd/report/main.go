@@ -1,8 +1,9 @@
 // Command report regenerates the complete paper-vs-measured report as
 // Markdown on stdout: every artefact of experiments.Artefacts that
 // `figures -fig all` prints, one heading and one fenced table each.
-// docs/report.md is this output at -ranks 64; EXPERIMENTS.md is a
-// curated snapshot of it.
+// EXPERIMENTS.md is a curated snapshot of this output at -ranks 64. The
+// output itself is not committed (docs/report.md is git-ignored): the
+// golden file TestGoldenAll pins is the one checked-in copy of the tables.
 //
 // Usage:
 //

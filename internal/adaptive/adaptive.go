@@ -36,16 +36,10 @@ type Options struct {
 	// out processing bursts longer than half an interval — Sage's
 	// bursts are ~40% of a 145 s iteration).
 	MaxDefer des.Time
-	// EarlySlack lets a trigger fire up to this long *before* its due
-	// time at the moment the application transitions from a burst into
-	// a quiet window — taking the opportunity rather than gambling that
-	// the due instant lands well (default Interval/4). Steadily quiet
-	// signals never fire early, so the mean cadence stays at Interval.
-	EarlySlack des.Time
-	// WindowSlices is how many recent samples define the "recent peak"
-	// (default 64).
-	WindowSlices int
 }
+
+// windowSlices is how many recent samples define the "recent peak".
+const windowSlices = 64
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Interval <= 0 {
@@ -59,15 +53,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MaxDefer == 0 {
 		o.MaxDefer = o.Interval
-	}
-	if o.EarlySlack == 0 {
-		o.EarlySlack = o.Interval / 4
-	}
-	if o.EarlySlack < 0 || o.EarlySlack >= o.Interval {
-		return o, fmt.Errorf("adaptive: early slack %v out of [0, interval)", o.EarlySlack)
-	}
-	if o.WindowSlices == 0 {
-		o.WindowSlices = 64
 	}
 	return o, nil
 }
@@ -107,7 +92,7 @@ func New(eng *des.Engine, opts Options, fire func()) (*Aligner, error) {
 	if fire == nil {
 		return nil, fmt.Errorf("adaptive: fire callback is required")
 	}
-	return &Aligner{eng: eng, opts: o, fire: fire, ring: make([]float64, 0, o.WindowSlices)}, nil
+	return &Aligner{eng: eng, opts: o, fire: fire, ring: make([]float64, 0, windowSlices)}, nil
 }
 
 // Start arms the first due time one interval from now.
@@ -155,9 +140,11 @@ func (a *Aligner) Feed(s tracker.Sample) {
 		if !quiet && now < a.dueAt+a.opts.MaxDefer {
 			return // still in a processing burst: keep deferring
 		}
-	case onset && now >= a.dueAt-a.opts.EarlySlack:
-		// A quiet window just opened shortly before the due time:
-		// take it rather than risk the due instant landing mid-burst.
+	case onset && now >= a.dueAt-a.opts.Interval/4:
+		// A quiet window just opened within a quarter interval before
+		// the due time: take it rather than risk the due instant
+		// landing mid-burst. Steadily quiet signals never fire early,
+		// so the mean cadence stays at Interval.
 	default:
 		return
 	}

@@ -37,6 +37,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	// Module loads (once per run) every non-test package of the module
+	// Pkg belongs to, for checks that need the whole program.
+	Module func() (*Module, error)
+
 	// Report delivers one diagnostic. The runner fills in Category
 	// and resolved Position, and applies suppression afterwards.
 	Report func(Diagnostic)

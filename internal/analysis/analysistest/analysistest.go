@@ -30,6 +30,8 @@ var wantRE = regexp.MustCompile("`([^`]*)`")
 // Run loads testdata/src/<pkg> relative to the calling test's working
 // directory, runs a over it, and reports any mismatch between the
 // diagnostics and the // want comments via t.
+//
+//lint:ignore deadexport the package is test support: every analyzer's golden test calls it
 func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join("testdata", "src"))

@@ -25,6 +25,34 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader // for Pass.Module
+}
+
+// A Module is the whole-program view of one Loader: every non-test
+// package under the module root, type-checked once and shared by every
+// Pass of the run. It is the hook a check needs when "is this used?"
+// cannot be answered from one package (deadexport).
+type Module struct {
+	Dir      string     // module root
+	Packages []*Package // path-sorted
+
+	facts map[*Analyzer]any
+}
+
+// Fact returns what build computed the first time analyzer a asked on
+// this module, so a whole-program index is built once per run rather
+// than once per package.
+func (m *Module) Fact(a *Analyzer, build func(*Module) (any, error)) (any, error) {
+	if f, ok := m.facts[a]; ok {
+		return f, nil
+	}
+	f, err := build(m)
+	if err != nil {
+		return nil, err
+	}
+	m.facts[a] = f
+	return f, nil
 }
 
 // A Loader parses and type-checks packages of a single module without
@@ -37,9 +65,10 @@ type Loader struct {
 	ModDir  string // module root (directory holding go.mod)
 	ModPath string // module path from go.mod
 
-	fset  *token.FileSet
-	std   types.Importer
-	cache map[string]*Package
+	fset   *token.FileSet
+	std    types.Importer
+	cache  map[string]*Package
+	module *Module
 }
 
 // NewLoader returns a Loader for the module rooted at modDir with
@@ -119,6 +148,19 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// Module loads every package of the module ("./...") and returns the
+// shared whole-program view.
+func (l *Loader) Module() (*Module, error) {
+	if l.module == nil {
+		pkgs, err := l.Load("./...")
+		if err != nil {
+			return nil, err
+		}
+		l.module = &Module{Dir: l.ModDir, Packages: pkgs, facts: make(map[*Analyzer]any)}
+	}
+	return l.module, nil
 }
 
 // LoadDir loads the package in the directory rel (relative to the
@@ -247,7 +289,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.cache[path] = p
 	return p, nil
 }

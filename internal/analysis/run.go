@@ -42,6 +42,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
+			Module:    pkg.loader.Module,
 		}
 		pass.Report = func(d Diagnostic) {
 			d.Category = a.Name

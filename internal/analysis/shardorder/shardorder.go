@@ -29,13 +29,14 @@ var Analyzer = &analysis.Analyzer{
 // order is observable: it decides FIFO tie-breaks between same-time
 // events and the canonical (source, sequence) keys of cross-shard posts.
 var schedMethods = map[string]bool{
-	"Schedule":      true,
-	"ScheduleLocal": true,
-	"After":         true,
-	"AfterLocal":    true,
-	"PostTo":        true,
-	"PostToOrdered": true,
-	"NewTicker":     true,
+	"Schedule":            true,
+	"ScheduleSeriesAt":    true,
+	"ScheduleSeriesLocal": true,
+	"After":               true,
+	"AfterLocal":          true,
+	"PostTo":              true,
+	"PostToOrdered":       true,
+	"NewTicker":           true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

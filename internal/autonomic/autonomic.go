@@ -117,8 +117,6 @@ type Config struct {
 	Store storage.Store
 	// Seed drives failure times deterministically.
 	Seed uint64
-	// MaxFailures aborts pathological runs (0 → 1000).
-	MaxFailures int
 
 	// NetFaults, when non-nil, runs the team over a flaky interconnect:
 	// per-link drop and duplication, delay jitter, and degradation
@@ -132,9 +130,6 @@ type Config struct {
 	// supervisor notices failures immediately — the paper's idealised
 	// constant-overhead assumption.
 	HeartbeatPeriod des.Time
-	// HeartbeatTimeout declares a peer dead after this much heartbeat
-	// silence (0 → 4×HeartbeatPeriod).
-	HeartbeatTimeout des.Time
 	// Engine, when non-nil, hosts the run on an existing (fresh, clock
 	// at zero) engine instead of a private one. Chaos wiring needs this:
 	// a chaos.Driver binds to an engine before Run, so the driver's
@@ -157,9 +152,6 @@ type Config struct {
 	// lines, so a mid-checkpoint failure can never surface a line the
 	// key space merely advertises.
 	TwoPhaseCommit bool
-	// CommitTimeout aborts a two-phase round whose acks straggle past
-	// this guard (0 disables; only meaningful with TwoPhaseCommit).
-	CommitTimeout des.Time
 	// RDMA, when non-nil, runs the team over an OS-bypass interconnect
 	// (mpi.Direct with registered memory regions): one-sided NIC writes
 	// land without raising tracker faults. Mode selects naive
@@ -199,6 +191,13 @@ type SpecBound interface {
 	ProtectionBindings(rank int) []ckptspec.Binding
 }
 
+// maxFailures aborts pathological runs.
+const maxFailures = 1000
+
+// heartbeatTimeout declares a peer dead after this much heartbeat
+// silence.
+func (c Config) heartbeatTimeout() des.Time { return 4 * c.HeartbeatPeriod }
+
 func (c Config) withDefaults() Config {
 	if c.Nx == 0 {
 		c.Nx = 64
@@ -224,17 +223,11 @@ func (c Config) withDefaults() Config {
 	if c.Sink == (storage.Model{}) {
 		c.Sink = storage.SCSISink()
 	}
-	if c.MaxFailures == 0 {
-		c.MaxFailures = 1000
-	}
 	if c.Workload == nil {
 		c.Workload = StencilFactory{
 			Nx: c.Nx, RowsPerRank: c.RowsPerRank,
 			Boundary: c.Boundary, ComputeTime: c.ComputeTime,
 		}
-	}
-	if c.HeartbeatPeriod > 0 && c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 4 * c.HeartbeatPeriod
 	}
 	if c.RDMA != nil {
 		opts := c.RDMA.withDefaults()
@@ -303,8 +296,8 @@ type Report struct {
 	// checkpoint re-bases a fresh chain.
 	CheckpointFailures int
 	// AbortedCommits counts two-phase rounds rolled back *after* a
-	// successful prepare — a rank death inside the commit window, a
-	// straggler timeout, or a refused COMMIT-marker write. Distinct
+	// successful prepare — a rank death inside the commit window or a
+	// refused COMMIT-marker write. Distinct
 	// from CheckpointFailures (prepare-phase storage refusals): an
 	// aborted commit had already paid the sink writes and deleted them.
 	AbortedCommits int
@@ -468,6 +461,15 @@ type Supervisor struct {
 	unrecovered     int       // failures absorbed since the last completed recovery
 }
 
+// newEngine returns the engine a run with the given Config.Shards is
+// hosted on: the control engine of a shard group, or a standalone one.
+func newEngine(shards int) *des.Engine {
+	if shards > 1 {
+		return des.NewGroup(shards).Control()
+	}
+	return des.NewEngine()
+}
+
 // Run executes the configured computation under supervision and returns
 // the report. The final checksum is filled in on success.
 func Run(cfg Config) (*Report, error) {
@@ -488,11 +490,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		if cfg.Shards > 1 {
-			eng = des.NewGroup(cfg.Shards).Control()
-		} else {
-			eng = des.NewEngine()
-		}
+		eng = newEngine(cfg.Shards)
 	}
 	if cfg.Chaos != nil {
 		// Fold the plan's partition/brownout windows into the interconnect
@@ -557,7 +555,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	if cfg.RDMA != nil {
 		// Before the workload maps its arenas: the bounce fallback arenas
 		// must exist before checkpointer exclusion below.
-		if err := world.EnableRDMA(cfg.RDMA.NIC); err != nil {
+		if err := world.EnableRDMA(); err != nil {
 			return nil, err
 		}
 	}
@@ -589,8 +587,9 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		}
 		if cfg.MultiLevel != nil {
 			// Under multi-level the commit pause is a *local* device
-			// write: ranks persist to their own L1, not the shared sink.
-			opts.Sink = cfg.MultiLevel.LocalSink
+			// write: ranks persist to their own L1 (NVMe), not the
+			// shared sink.
+			opts.Sink = storage.NVMeSink()
 			opts.FullEvery = cfg.MultiLevel.FullEvery
 		}
 		c, err := ckpt.NewCheckpointer(s.eng, spaces[i], opts)
@@ -625,7 +624,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	if cfg.HeartbeatPeriod > 0 && cfg.Ranks > 1 {
 		t.det, err = cluster.NewDetector(s.eng, world, cluster.DetectorConfig{
 			Period:  cfg.HeartbeatPeriod,
-			Timeout: cfg.HeartbeatTimeout,
+			Timeout: cfg.heartbeatTimeout(),
 		})
 		if err != nil {
 			return nil, err
@@ -694,7 +693,7 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 		cont()
 		return
 	}
-	seq := g.PerRank[0].Seq
+	seq := g.Seq
 	s.nextSeq = seq + 1
 	s.lastLineIter = iter
 	s.lineIter[seq] = iter
@@ -728,7 +727,7 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 // so the full round is a measured pause, not a modelled one.
 func (s *Supervisor) beginTwoPhase(t *team, iter int, next func()) {
 	ackDelay := 2 * mpi.QsNet().Latency
-	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{Timeout: s.cfg.CommitTimeout, AckDelay: ackDelay},
+	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: ackDelay},
 		func(g ckpt.GlobalResult, err error) {
 			if err != nil {
 				if errors.Is(err, ckpt.ErrCommitAborted) {
@@ -741,16 +740,16 @@ func (s *Supervisor) beginTwoPhase(t *team, iter int, next func()) {
 					// the future; do not resurrect the computation.
 					return
 				}
-				// Autonomous abort (straggler timeout, refused marker) or
+				// Autonomous abort (refused marker) or
 				// prepare refusal: the computation is unharmed. Realign
 				// the checkpointers and keep iterating without this line.
 				s.nextSeq = t.co.Resync()
 				next()
 				return
 			}
-			s.nextSeq = g.PerRank[0].Seq + 1
+			s.nextSeq = g.Seq + 1
 			s.lastLineIter = iter
-			s.lineIter[g.PerRank[0].Seq] = iter
+			s.lineIter[g.Seq] = iter
 			s.report.CommittedLines++
 			s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
 			s.report.CommitTime += s.eng.Now() - g.At
@@ -826,8 +825,8 @@ func (s *Supervisor) onFailure() {
 	if s.report.Completed || s.failed != nil {
 		return
 	}
-	if s.report.Failures >= s.cfg.MaxFailures {
-		s.fail(fmt.Errorf("autonomic: exceeded %d failures", s.cfg.MaxFailures))
+	if s.report.Failures >= maxFailures {
+		s.fail(fmt.Errorf("autonomic: exceeded %d failures", maxFailures))
 		return
 	}
 	s.report.Failures++
@@ -943,7 +942,7 @@ func (s *Supervisor) abandonDetection(t *team) {
 	t.det.Stop()
 	s.report.FalseSuspicions += t.det.FalseSuspicions()
 	failIter := s.pendingFailIter
-	s.eng.After(s.cfg.HeartbeatTimeout, func() {
+	s.eng.After(s.cfg.heartbeatTimeout(), func() {
 		if s.report.Completed || s.failed != nil || s.cur != nil || s.pendingRecovery.Pending() {
 			return
 		}

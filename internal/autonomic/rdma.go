@@ -61,9 +61,6 @@ type RDMAOptions struct {
 	// traffic when it expires are degraded to bounce-buffer delivery
 	// (0 → 10ms).
 	DrainTimeout des.Time
-	// NIC parameterises registration, quiesce, poll and reconnect costs
-	// (zero fields take mpi defaults).
-	NIC mpi.RDMAConfig
 }
 
 func (o RDMAOptions) withDefaults() RDMAOptions {
@@ -120,7 +117,7 @@ func (f PutFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Computa
 func registerRDMA(t *team) {
 	var maxPages uint64
 	for i := 0; i < t.world.Size(); i++ {
-		_, pages := t.world.Rank(i).RegisterAllData()
+		pages := t.world.Rank(i).RegisterAllData()
 		if pages > maxPages {
 			maxPages = pages
 		}
@@ -158,7 +155,6 @@ func (s *Supervisor) harvestRDMA(t *team) {
 // checkpoint proceeds over a consistent (reconciled) image rather than
 // a torn region.
 func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
-	nic := t.world.RDMAConfig()
 	opts := s.cfg.RDMA
 	s.report.DrainRounds++
 	phaseStart := s.eng.Now()
@@ -184,7 +180,7 @@ func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
 	if !enter(mpi.PhaseQuiesce) {
 		return
 	}
-	s.eng.After(nic.QuiesceDelay, func() {
+	s.eng.After(mpi.RDMAQuiesceDelay, func() {
 		if !alive() {
 			return
 		}
@@ -239,7 +235,7 @@ func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
 						if r.Degraded() {
 							continue
 						}
-						_, pages := r.RegisterAllData()
+						pages := r.RegisterAllData()
 						registered = true
 						if pages > rePages {
 							rePages = pages
@@ -257,7 +253,7 @@ func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
 						if !enter(mpi.PhaseReconnect) {
 							return
 						}
-						s.eng.After(nic.ReconnectLatency, func() {
+						s.eng.After(mpi.RDMAReconnectLatency, func() {
 							if !alive() {
 								return
 							}

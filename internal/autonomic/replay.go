@@ -84,10 +84,7 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 		return nil, fmt.Errorf("autonomic: reference run: %w", err)
 	}
 
-	eng := des.NewEngine()
-	if cfg.Shards > 1 {
-		eng = des.NewGroup(cfg.Shards).Control()
-	}
+	eng := newEngine(cfg.Shards)
 	driver := chaos.NewDriver(eng, plan)
 	inj := cfg
 	inj.MTBF = 0

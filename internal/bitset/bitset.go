@@ -57,16 +57,6 @@ func (s *Set) CountBelow(limit uint64) uint64 {
 // Count is Len: the number of elements, one OnesCount64 per word.
 func (s *Set) Count() uint64 { return s.Len() }
 
-// Any reports whether the set is non-empty without counting it.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // UnionWith adds every element of o to s, word at a time.
 func (s *Set) UnionWith(o *Set) {
 	for uint64(len(s.words)) < uint64(len(o.words)) {
@@ -74,29 +64,6 @@ func (s *Set) UnionWith(o *Set) {
 	}
 	for i, w := range o.words {
 		s.words[i] |= w
-	}
-}
-
-// AndNotWith removes every element of o from s (s = s \ o), word at a
-// time.
-func (s *Set) AndNotWith(o *Set) {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// IntersectWith keeps only elements present in both sets (s = s ∩ o).
-func (s *Set) IntersectWith(o *Set) {
-	for i := range s.words {
-		if i < len(o.words) {
-			s.words[i] &= o.words[i]
-		} else {
-			s.words[i] = 0
-		}
 	}
 }
 
@@ -124,21 +91,6 @@ func (s *Set) NextSet(from uint64) (uint64, bool) {
 	return 0, false
 }
 
-// CloneBelow returns an independent copy containing only the elements
-// strictly below limit — the word-level form of the clone-then-truncate
-// snapshot the checkpointers take at a trigger.
-func (s *Set) CloneBelow(limit uint64) *Set {
-	n := (limit + 63) / 64
-	if n > uint64(len(s.words)) {
-		n = uint64(len(s.words))
-	}
-	c := &Set{words: append([]uint64(nil), s.words[:n]...)}
-	if rem := limit % 64; rem != 0 && limit/64 < uint64(len(c.words)) {
-		c.words[limit/64] &= (1 << rem) - 1
-	}
-	return c
-}
-
 // Clear empties the set, retaining capacity.
 func (s *Set) Clear() {
 	for i := range s.words {
@@ -152,7 +104,10 @@ func (s *Set) Clone() *Set {
 }
 
 // ForEach calls fn for each element in ascending order until fn returns
-// false.
+// false. Hot paths iterate with NextSet; this is the plain form its
+// property test is checked against.
+//
+//lint:ignore deadexport reference iteration the NextSet property test compares against
 func (s *Set) ForEach(fn func(uint64) bool) {
 	for wi, w := range s.words {
 		for w != 0 {
@@ -163,14 +118,4 @@ func (s *Set) ForEach(fn func(uint64) bool) {
 			w &^= 1 << b
 		}
 	}
-}
-
-// ForEachBelow is ForEach restricted to elements strictly below limit.
-func (s *Set) ForEachBelow(limit uint64, fn func(uint64) bool) {
-	s.ForEach(func(i uint64) bool {
-		if i >= limit {
-			return false
-		}
-		return fn(i)
-	})
 }

@@ -72,18 +72,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestForEachBelow(t *testing.T) {
-	var s Set
-	for _, i := range []uint64{1, 70, 130} {
-		s.Add(i)
-	}
-	var got []uint64
-	s.ForEachBelow(130, func(i uint64) bool { got = append(got, i); return true })
-	if len(got) != 2 || got[0] != 1 || got[1] != 70 {
-		t.Fatalf("ForEachBelow = %v", got)
-	}
-}
-
 func TestClearClone(t *testing.T) {
 	var s Set
 	s.Add(7)

@@ -26,27 +26,14 @@ func TestPropertyBulkOpsMatchPerBit(t *testing.T) {
 
 		union := a.Clone()
 		union.UnionWith(b)
-		diff := a.Clone()
-		diff.AndNotWith(b)
-		inter := a.Clone()
-		inter.IntersectWith(b)
 
 		for i := uint64(0); i < limit; i++ {
 			if want := a.Has(i) || b.Has(i); union.Has(i) != want {
 				t.Fatalf("trial %d: UnionWith wrong at %d", trial, i)
 			}
-			if want := a.Has(i) && !b.Has(i); diff.Has(i) != want {
-				t.Fatalf("trial %d: AndNotWith wrong at %d", trial, i)
-			}
-			if want := a.Has(i) && b.Has(i); inter.Has(i) != want {
-				t.Fatalf("trial %d: IntersectWith wrong at %d", trial, i)
-			}
 		}
 		if union.Count() != union.Len() {
 			t.Fatalf("Count != Len")
-		}
-		if a.Any() != (a.Len() > 0) {
-			t.Fatalf("Any disagrees with Len")
 		}
 	}
 }
@@ -97,38 +84,8 @@ func TestNextSetRemoveDuringIteration(t *testing.T) {
 			t.Fatalf("visited %v, want %v", got, want)
 		}
 	}
-	if s.Any() {
+	if s.Len() != 0 {
 		t.Fatal("set should be empty after remove-during-iteration sweep")
-	}
-}
-
-// TestPropertyCloneBelow checks CloneBelow against ForEachBelow+Add.
-func TestPropertyCloneBelow(t *testing.T) {
-	for trial := 0; trial < 100; trial++ {
-		rng := rand.New(rand.NewPCG(13, uint64(trial)))
-		s := randomSet(rng, 300, 2000)
-		limit := rng.Uint64N(2100) // sometimes past the set's extent
-
-		got := s.CloneBelow(limit)
-		want := &Set{}
-		s.ForEachBelow(limit, func(i uint64) bool { want.Add(i); return true })
-
-		if got.Len() != want.Len() {
-			t.Fatalf("trial %d limit %d: CloneBelow has %d elements, want %d",
-				trial, limit, got.Len(), want.Len())
-		}
-		want.ForEach(func(i uint64) bool {
-			if !got.Has(i) {
-				t.Fatalf("trial %d limit %d: CloneBelow missing %d", trial, limit, i)
-			}
-			return true
-		})
-		// Independence: mutating the clone must not touch the source.
-		before := s.Len()
-		got.Clear()
-		if s.Len() != before {
-			t.Fatalf("trial %d: CloneBelow aliases the source", trial)
-		}
 	}
 }
 
@@ -147,10 +104,7 @@ func TestZeroAllocBulkOps(t *testing.T) {
 		fn   func()
 	}{
 		{"UnionWith", func() { a.UnionWith(b) }},
-		{"AndNotWith", func() { a.AndNotWith(b) }},
-		{"IntersectWith", func() { a.IntersectWith(b) }},
 		{"Count", func() { _ = a.Count() }},
-		{"Any", func() { _ = a.Any() }},
 		{"CountBelow", func() { _ = a.CountBelow(1000) }},
 		{"NextSetSweep", func() {
 			for i, ok := a.NextSet(0); ok; i, ok = a.NextSet(i + 1) {

@@ -62,9 +62,6 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 	}
 }
 
-// Plan returns the compiled plan the driver is executing.
-func (d *Driver) Plan() *Plan { return d.plan }
-
 // Stats returns a copy of the injection counters.
 func (d *Driver) Stats() Stats { return d.stats }
 
@@ -261,11 +258,16 @@ func (s *timedStore) PutOwned(key string, data []byte) error {
 }
 
 // Get implements storage.Store.
-func (s *timedStore) Get(key string) ([]byte, error) {
+func (s *timedStore) Get(key string) ([]byte, error) { return s.read(storage.Store.Get, key) }
+
+// View implements storage.Viewer: the windows apply as for Get.
+func (s *timedStore) View(key string) ([]byte, error) { return s.read(storage.View, key) }
+
+func (s *timedStore) read(get func(storage.Store, string) ([]byte, error), key string) ([]byte, error) {
 	if err := s.check("get"); err != nil {
 		return nil, err
 	}
-	return s.inner.Get(key)
+	return get(s.inner, key)
 }
 
 // Delete implements storage.Store.

@@ -66,10 +66,6 @@ type Result struct {
 	DedupSkipped uint64
 	// Duration is the modelled sink write time.
 	Duration des.Time
-	// CompletedAt is when the segment was fully persisted (overlapped
-	// checkpoints only; zero for synchronous ones, which complete at
-	// the trigger in simulation terms).
-	CompletedAt des.Time
 	// ExcludedPages counts dirty pages dropped because their region was
 	// unmapped before the checkpoint (memory exclusion).
 	ExcludedPages uint64
@@ -133,13 +129,9 @@ type Checkpointer struct {
 	excludedAccum uint64
 	hashes        map[uint64]uint64 // page addr → last persisted content hash
 
-	// CoW accounting drain state (TrackCow with synchronous
-	// checkpoints).
+	// CoW accounting drain state (TrackCow).
 	drainUntil des.Time
 	drainSet   map[*mem.Region]*bitset.Set
-
-	// In-flight overlapped checkpoint, if any (see overlap.go).
-	inflight *drain
 }
 
 // NewCheckpointer creates a checkpointer. Call Start to begin capturing
@@ -283,9 +275,6 @@ func (c *Checkpointer) onFault(f mem.Fault) {
 	idx := f.Region.PageIndex(f.Page)
 	rs.Add(idx)
 	f.Region.SetProtected(f.Page, false)
-	// Overlapped checkpointing: capture the pre-image of a pending page
-	// before the write lands.
-	c.overlapFault(f)
 	// CoW accounting: a write to a page captured by a still-draining
 	// segment forces a pre-image copy in an overlapped implementation.
 	if c.opts.TrackCow && c.drainSet != nil {
@@ -307,7 +296,6 @@ func (c *Checkpointer) onMap(r *mem.Region, mapped bool) {
 			r.ProtectAll()
 		}
 	} else {
-		c.overlapUnmap(r)
 		if rs, ok := c.dirty[r]; ok {
 			c.excludedAccum += rs.CountBelow(r.Pages())
 			delete(c.dirty, r)
@@ -341,9 +329,6 @@ func (c *Checkpointer) regionTable() []RegionInfo {
 func (c *Checkpointer) Checkpoint() (Result, error) {
 	if !c.running {
 		return Result{}, fmt.Errorf("ckpt: checkpointer not started")
-	}
-	if c.inflight != nil {
-		return Result{}, fmt.Errorf("ckpt: overlapped checkpoint %d still draining", c.inflight.seg.Seq)
 	}
 	kind := Incremental
 	if !c.took || (c.opts.FullEvery > 0 && (c.seq-c.opts.StartSeq)%uint64(c.opts.FullEvery) == 0) {
@@ -500,9 +485,11 @@ func (c *Checkpointer) skipUnchanged(kind Kind, addr uint64, data []byte) bool {
 // A fetch failure keeps the storage tier's typed cause (ErrNotFound,
 // ErrCorrupt, ErrUnavailable, ErrTransient); bytes that fetched but do
 // not decode are typed storage.ErrCorrupt, so callers can tell a missing
-// segment from a rotten one with errors.Is alone.
+// segment from a rotten one with errors.Is alone. The bytes are viewed,
+// not copied: raw page records alias what the store holds and are
+// read-only, as every reader here (verify, restore) treats them.
 func LoadSegment(store storage.Store, rank int, seq uint64) (*Segment, error) {
-	data, err := store.Get(SegmentKey(rank, seq))
+	data, err := storage.View(store, SegmentKey(rank, seq))
 	if err != nil {
 		return nil, err
 	}

@@ -55,9 +55,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if dec.Pages[1].Data != nil {
 		t.Fatal("zero page not elided")
 	}
-	if dec.PageBytes() != 2*pageSize {
-		t.Fatalf("PageBytes = %d", dec.PageBytes())
-	}
 }
 
 func TestSegmentContentFreeRoundTrip(t *testing.T) {

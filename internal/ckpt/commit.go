@@ -10,9 +10,9 @@ package ckpt
 // when their sink write completes, and only then does the coordinator
 // write a small COMMIT marker through the same (hardened) store. A line
 // without a verified marker never existed as far as recovery is
-// concerned, so a mid-checkpoint failure — or a straggler timeout, or a
-// refused marker write — aborts the line, deletes the prepared
-// segments, and falls back to the previous committed line.
+// concerned, so a mid-checkpoint failure — or a refused marker write —
+// aborts the line, deletes the prepared segments, and falls back to the
+// previous committed line.
 
 import (
 	"encoding/binary"
@@ -27,10 +27,9 @@ import (
 )
 
 // ErrCommitAborted reports a two-phase global checkpoint rolled back
-// after a successful prepare: a rank failure inside the commit window, a
-// straggler timeout, or a refused COMMIT-marker write. Distinct from a
-// prepare-phase storage refusal, which surfaces as the storage error
-// itself.
+// after a successful prepare: a rank failure inside the commit window or
+// a refused COMMIT-marker write. Distinct from a prepare-phase storage
+// refusal, which surfaces as the storage error itself.
 var ErrCommitAborted = errors.New("ckpt: global commit aborted")
 
 const (
@@ -97,9 +96,6 @@ func DecodeCommitMarker(data []byte) (CommitMarker, error) {
 
 // TwoPhaseOptions parameterises one prepare/commit round.
 type TwoPhaseOptions struct {
-	// Timeout aborts the round if some rank's ack has not arrived this
-	// long after the prepare started (0 disables the straggler guard).
-	Timeout des.Time
 	// AckDelay is the coordination-message cost added to each rank's
 	// sink write time before its ack lands at the coordinator.
 	AckDelay des.Time
@@ -110,7 +106,6 @@ type pendingCommit struct {
 	g       GlobalResult
 	acks    int
 	ackEvs  []des.Event
-	timeout des.Event
 	done    func(GlobalResult, error)
 	aborted bool
 }
@@ -150,9 +145,9 @@ func (co *Coordinator) PendingLastAck() (des.Time, bool) {
 // Failure paths, all of which leave no trace recovery could trust:
 //   - a prepare-phase Put refused by storage → segments of this seq are
 //     deleted and done receives the storage error directly;
-//   - straggler timeout, refused marker write, or an external
-//     AbortPending (rank death inside the window) → segments deleted, no
-//     marker, done receives an ErrCommitAborted-wrapped error.
+//   - refused marker write, or an external AbortPending (rank death
+//     inside the window) → segments deleted, no marker, done receives an
+//     ErrCommitAborted-wrapped error.
 func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResult, error)) {
 	if co.pending != nil {
 		panic(fmt.Sprintf("ckpt: two-phase commit %d already in flight", co.pending.g.Seq))
@@ -187,13 +182,6 @@ func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResul
 		}
 		p.ackEvs = append(p.ackEvs, co.eng.After(ackAt, func() { co.onAck(p) }))
 	}
-	if opts.Timeout > 0 {
-		seq := g.Seq
-		p.timeout = co.eng.After(opts.Timeout, func() {
-			co.abortPending(p, fmt.Errorf("ckpt: seq %d straggler timeout after %v (%d/%d acks): %w",
-				seq, opts.Timeout, p.acks, len(co.cps), ErrCommitAborted))
-		})
-	}
 }
 
 // onAck records one rank's prepare acknowledgement; the last ack writes
@@ -206,7 +194,6 @@ func (co *Coordinator) onAck(p *pendingCommit) {
 	if p.acks < len(co.cps) {
 		return
 	}
-	p.timeout.Cancel()
 	marker := CommitMarker{Seq: p.g.Seq, Ranks: len(co.cps), At: co.eng.Now()}
 	if err := co.cps[0].Store().Put(CommitKey(p.g.Seq), EncodeCommitMarker(marker)); err != nil {
 		co.abortPending(p, fmt.Errorf("ckpt: seq %d commit marker refused (%v): %w", p.g.Seq, err, ErrCommitAborted))
@@ -248,7 +235,6 @@ func (co *Coordinator) abortPending(p *pendingCommit, reason error) {
 	for _, ev := range p.ackEvs {
 		ev.Cancel()
 	}
-	p.timeout.Cancel()
 	co.deleteLine(p.g.Seq)
 	co.pending = nil
 	p.done(GlobalResult{}, reason)

@@ -171,26 +171,6 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 	}
 }
 
-// A straggler timeout aborts the round on its own.
-func TestStragglerTimeoutAborts(t *testing.T) {
-	store := storage.NewMemStore()
-	eng, co, _ := commitRig(t, 2, store)
-	var err error
-	done := false
-	// Acks land at 2s; a 1s straggler guard fires first.
-	co.BeginTwoPhase(TwoPhaseOptions{Timeout: des.Second}, func(_ GlobalResult, e error) { err, done = e, true })
-	eng.Run(des.MaxTime)
-	if !done || !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("straggler: done=%v err=%v", done, err)
-	}
-	if eng.Now() != des.Second {
-		t.Fatalf("abort at %v, want 1s", eng.Now())
-	}
-	if _, ok, _ := LatestCommittedSeq(store, 2); ok {
-		t.Fatal("timed-out line trusted")
-	}
-}
-
 // A prepare-phase storage refusal surfaces the storage error itself,
 // not ErrCommitAborted — the caller distinguishes refused from
 // rolled-back.

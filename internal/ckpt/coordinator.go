@@ -8,7 +8,8 @@ import (
 
 // GlobalResult describes one coordinated checkpoint across all ranks.
 type GlobalResult struct {
-	// Seq is the global checkpoint number.
+	// Seq is the line's sequence number: the one every rank's segment
+	// of this checkpoint is stored under.
 	Seq uint64
 	// At is the virtual time the checkpoint was triggered.
 	At des.Time
@@ -57,7 +58,7 @@ func NewCoordinator(eng *des.Engine, cps []*Checkpointer) (*Coordinator, error) 
 // GlobalCheckpoint checkpoints every rank at the current virtual time and
 // returns the aggregate result.
 func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
-	g := GlobalResult{Seq: uint64(len(co.results)), At: co.eng.Now()}
+	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
 	for _, c := range co.cps {
 		res, err := c.Checkpoint()
 		if err != nil {

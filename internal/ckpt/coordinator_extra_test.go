@@ -93,3 +93,64 @@ func TestChainVolume(t *testing.T) {
 		t.Fatal("missing target accepted")
 	}
 }
+
+// refuseNth is a store whose nth Put (1-based) is refused.
+type refuseNth struct {
+	storage.Store
+	n, puts int
+}
+
+func (s *refuseNth) Put(key string, data []byte) error {
+	s.puts++
+	if s.puts == s.n {
+		return storage.ErrUnavailable
+	}
+	return s.Store.Put(key, data)
+}
+
+// GlobalResult.Seq is the sequence the line's segments are stored under,
+// not a count of this coordinator's lines: a respawned team starts above
+// the old chain, and a refused line plus Resync skips a number.
+func TestGlobalResultSeqIsTheLineSequence(t *testing.T) {
+	eng := des.NewEngine()
+	store := &refuseNth{Store: storage.NewMemStore(), n: 4}
+	var cps []*Checkpointer
+	for i := 0; i < 2; i++ {
+		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+		sp.Mmap(pageSize)
+		c, err := NewCheckpointer(eng, sp, Options{Rank: i, Store: store, StartSeq: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		cps = append(cps, c)
+	}
+	co, _ := NewCoordinator(eng, cps)
+	line := func(want uint64) {
+		t.Helper()
+		g, err := co.GlobalCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Seq != want {
+			t.Fatalf("GlobalResult.Seq = %d, want %d", g.Seq, want)
+		}
+		for i, res := range g.PerRank {
+			if res.Seq != g.Seq {
+				t.Fatalf("rank %d wrote seq %d under line %d", i, res.Seq, g.Seq)
+			}
+			if _, err := store.Get(SegmentKey(i, g.Seq)); err != nil {
+				t.Fatalf("line %d: rank %d segment: %v", g.Seq, i, err)
+			}
+		}
+	}
+	line(7)
+	// Line 8: rank 0 persists, rank 1 is refused.
+	if _, err := co.GlobalCheckpoint(); err == nil {
+		t.Fatal("refused line reported success")
+	}
+	if next := co.Resync(); next != 9 {
+		t.Fatalf("Resync = %d, want 9 (rank 0 already consumed 8)", next)
+	}
+	line(9)
+}

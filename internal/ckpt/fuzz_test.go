@@ -29,7 +29,7 @@ func fuzzSegment() *Segment {
 
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add(fuzzSegment().Encode())
-	compressed, _ := fuzzSegment().EncodeCompressed()
+	compressed, _ := fuzzSegment().encode(true)
 	f.Add(compressed)
 	full := fuzzSegment()
 	full.Kind = Full

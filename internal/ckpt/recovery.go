@@ -89,60 +89,6 @@ func ParseSegmentKey(key string, rank *int, seq *uint64) bool {
 	return true
 }
 
-// Prune deletes segments that can no longer participate in any restore:
-// everything below each rank's newest chain base (the epoch of its
-// latest segment). Restores target the latest consistent line or later,
-// and every chain is self-contained from its base full segment, so older
-// epochs are garbage. It returns the number of segments deleted and the
-// bytes reclaimed.
-func Prune(store storage.Store, ranks int) (deleted int, reclaimed uint64, err error) {
-	keys, err := store.Keys()
-	if err != nil {
-		return 0, 0, err
-	}
-	// Find each rank's newest segment, then its epoch.
-	newest := make(map[int]uint64, ranks)
-	seen := make(map[int]bool, ranks)
-	for _, k := range keys {
-		var rank int
-		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) || rank < 0 || rank >= ranks {
-			continue
-		}
-		if !seen[rank] || s > newest[rank] {
-			newest[rank] = s
-		}
-		seen[rank] = true
-	}
-	floor := make(map[int]uint64, ranks)
-	for rank := range seen {
-		seg, err := LoadSegment(store, rank, newest[rank])
-		if err != nil {
-			return 0, 0, fmt.Errorf("ckpt: prune: %w", err)
-		}
-		floor[rank] = seg.Epoch
-	}
-	for _, k := range keys {
-		var rank int
-		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) || !seen[rank] {
-			continue
-		}
-		if s < floor[rank] {
-			data, err := store.Get(k)
-			if err != nil {
-				return deleted, reclaimed, err
-			}
-			if err := store.Delete(k); err != nil {
-				return deleted, reclaimed, err
-			}
-			deleted++
-			reclaimed += uint64(len(data))
-		}
-	}
-	return deleted, reclaimed, nil
-}
-
 // ChainVolume returns the total encoded bytes that a restore of the
 // given rank to targetSeq must read: the chain's base full segment plus
 // every delta up to the target. Together with a sink's read bandwidth
@@ -154,7 +100,7 @@ func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error
 	}
 	var total uint64
 	for seq := target.Epoch; seq <= targetSeq; seq++ {
-		data, err := store.Get(SegmentKey(rank, seq))
+		data, err := storage.View(store, SegmentKey(rank, seq))
 		if err != nil {
 			return 0, fmt.Errorf("ckpt: chain segment %d: %w", seq, err)
 		}

@@ -1,16 +1,8 @@
 package ckpt
 
-import (
-	"bytes"
-	"testing"
+import "testing"
 
-	"repro/internal/des"
-	"repro/internal/mem"
-	"repro/internal/storage"
-)
-
-// Satellite coverage: ParseSegmentKey against hostile key shapes, and
-// Prune against stores holding foreign keys and gapped sequence spaces.
+// ParseSegmentKey against hostile key shapes.
 
 func TestParseSegmentKeyEdgeCases(t *testing.T) {
 	var rank int
@@ -61,95 +53,5 @@ func TestParseSegmentKeyEdgeCases(t *testing.T) {
 				t.Errorf("malformed key %q accepted (rank=%d seq=%d)", key, rank, seq)
 			}
 		}
-	}
-}
-
-// chainedStore builds one rank's store with epochs 0(F),1,2 and 3(F),4
-// plus foreign keys that Prune must leave untouched.
-func chainedStore(t *testing.T) storage.Store {
-	t.Helper()
-	eng := des.NewEngine()
-	sp := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	store := storage.NewMemStore()
-	c, err := NewCheckpointer(eng, sp, Options{Store: store, FullEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := sp.Mmap(4 * 512)
-	c.Start()
-	for i := 0; i < 5; i++ {
-		sp.Write(r.Start(), bytes.Repeat([]byte{byte(i)}, 512))
-		if _, err := c.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store.Put("manifest.json", []byte(`{"owner":"someone else"}`))
-	store.Put("rank000/notes.txt", []byte("not a segment"))
-	return store
-}
-
-func TestPruneIgnoresForeignKeys(t *testing.T) {
-	store := chainedStore(t)
-	deleted, _, err := Prune(store, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deleted != 3 { // seqs 0-2 below the newest epoch base 3
-		t.Fatalf("deleted %d, want 3", deleted)
-	}
-	keys, _ := store.Keys()
-	foreign := 0
-	for _, k := range keys {
-		if k == "manifest.json" || k == "rank000/notes.txt" {
-			foreign++
-		}
-	}
-	if foreign != 2 {
-		t.Fatalf("foreign keys damaged: %v", keys)
-	}
-}
-
-func TestPruneWithSequenceGaps(t *testing.T) {
-	store := chainedStore(t)
-	// Open a gap below the newest epoch: seq 1 vanished (lost replica,
-	// manual cleanup). Prune must still remove the rest of the dead
-	// epoch without tripping on the hole.
-	if err := store.Delete(keyFor(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	deleted, _, err := Prune(store, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deleted != 2 { // seqs 0 and 2; 1 is already gone
-		t.Fatalf("deleted %d, want 2", deleted)
-	}
-	// The surviving epoch still restores.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	if err := Restore(store, 0, 4, fresh); err != nil {
-		t.Fatalf("restore after gapped prune: %v", err)
-	}
-}
-
-func TestPruneRanksBeyondStore(t *testing.T) {
-	store := chainedStore(t)
-	// Asking about more ranks than have segments: ranks with no data
-	// are simply absent; rank 0 still prunes.
-	deleted, _, err := Prune(store, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deleted != 3 {
-		t.Fatalf("deleted %d, want 3", deleted)
-	}
-}
-
-func TestPruneCorruptNewestSegment(t *testing.T) {
-	store := chainedStore(t)
-	// The newest segment's bytes are garbage: Prune needs its epoch and
-	// must fail loudly rather than guess a floor.
-	store.Put(keyFor(0, 4), []byte("garbage"))
-	if _, _, err := Prune(store, 1); err == nil {
-		t.Fatal("prune over a corrupt newest segment succeeded")
 	}
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -135,6 +136,47 @@ func TestCoordinatedRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRecoveryReadsViewTheStore: verifying a line and sizing its chain
+// read every segment through storage.View, so on the hardened in-memory
+// stack they allocate headers and page tables, not a copy of the bytes.
+// Recovery's cost then does not swing with how long the chain happened
+// to be when the failure struck.
+func TestRecoveryReadsViewTheStore(t *testing.T) {
+	const pages, chain = 64, 4
+	inner := storage.NewResilientStore(storage.NewIntegrityStore(storage.NewMemStore()), storage.RetryPolicy{})
+	store, err := storage.NewMirrorStore(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := des.NewEngine()
+	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+	r, _ := sp.Mmap(pages * pageSize)
+	c, _ := NewCheckpointer(eng, sp, Options{Store: store})
+	c.Start()
+	for i := 0; i < chain; i++ {
+		sp.Write(r.Start(), bytes.Repeat([]byte{byte(i + 1)}, pages*pageSize))
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var volume uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := VerifyLine(store, 1, chain-1); err != nil {
+		t.Fatal(err)
+	}
+	if volume, err = ChainVolume(store, 0, chain-1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if volume < chain*pages*pageSize {
+		t.Fatalf("chain volume %d, want at least %d page bytes", volume, chain*pages*pageSize)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > volume/4 {
+		t.Fatalf("verify + chain volume allocated %d bytes reading a %d-byte chain twice: the reads copy", got, volume)
+	}
+}
+
 func TestRestoreAllValidation(t *testing.T) {
 	store := storage.NewMemStore()
 	if _, err := RestoreAll(store, 0, 0); err == nil {
@@ -142,51 +184,5 @@ func TestRestoreAllValidation(t *testing.T) {
 	}
 	if _, err := RestoreAll(store, 2, 5); err == nil {
 		t.Fatal("missing segments accepted")
-	}
-}
-
-func TestPrune(t *testing.T) {
-	eng := des.NewEngine()
-	sp := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	store := storage.NewMemStore()
-	c, _ := NewCheckpointer(eng, sp, Options{Store: store, FullEvery: 3})
-	r, _ := sp.Mmap(4 * 512)
-	c.Start()
-	// Two full epochs: seqs 0(F),1,2, 3(F),4.
-	for i := 0; i < 5; i++ {
-		sp.WriteRange(r.Start(), 512)
-		if _, err := c.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, _ := store.Keys()
-	if len(before) != 5 {
-		t.Fatalf("segments before prune: %d", len(before))
-	}
-	deleted, reclaimed, err := Prune(store, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Epoch base of the newest segment (seq 4) is seq 3: seqs 0-2 go.
-	if deleted != 3 || reclaimed == 0 {
-		t.Fatalf("deleted %d (%d bytes)", deleted, reclaimed)
-	}
-	after, _ := store.Keys()
-	if len(after) != 2 {
-		t.Fatalf("segments after prune: %v", after)
-	}
-	// The surviving chain still restores.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	if err := Restore(store, 0, 4, fresh); err != nil {
-		t.Fatalf("restore after prune: %v", err)
-	}
-	// Pruning again is a no-op.
-	d2, _, _ := Prune(store, 1)
-	if d2 != 0 {
-		t.Fatalf("second prune deleted %d", d2)
-	}
-	// Empty store: no-op, no error.
-	if d3, _, err := Prune(storage.NewMemStore(), 2); err != nil || d3 != 0 {
-		t.Fatalf("empty prune: %d %v", d3, err)
 	}
 }

@@ -65,12 +65,6 @@ type Segment struct {
 	Pages       []PageRecord
 }
 
-// PageBytes returns the page payload volume (pages x page size), the
-// quantity the paper's Incremental Bandwidth measures.
-func (s *Segment) PageBytes() uint64 {
-	return uint64(len(s.Pages)) * s.PageSize
-}
-
 const (
 	segmentMagic   = "ICKP"
 	segmentVersion = 1
@@ -87,14 +81,10 @@ func (s *Segment) Encode() []byte {
 	return enc
 }
 
-// EncodeCompressed serialises the segment with per-page RLE compression
-// (pages that do not shrink stay raw). It additionally returns the page
-// payload volume actually persisted — the quantity a bandwidth-limited
-// sink has to absorb.
-func (s *Segment) EncodeCompressed() ([]byte, uint64) {
-	return s.encode(true)
-}
-
+// encode serialises the segment, with per-page RLE compression when
+// compress is set (pages that do not shrink stay raw). It additionally
+// returns the page payload volume actually persisted — the quantity a
+// bandwidth-limited sink has to absorb.
 func (s *Segment) encode(compress bool) ([]byte, uint64) {
 	var size uint64
 	for _, p := range s.Pages {
@@ -238,9 +228,9 @@ func (d *decoder) u64() (uint64, error) {
 }
 
 // DecodeSegment parses a segment encoded by Encode, validating structure
-// and bounds. Raw page records alias data rather than copying it (every
-// Store.Get returns a private buffer), so the caller must not reuse data
-// while the segment is live.
+// and bounds. Raw page records alias data rather than copying it, so the
+// caller must not reuse data while the segment is live — and must not
+// write through the segment when data is a storage.View.
 func DecodeSegment(data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)

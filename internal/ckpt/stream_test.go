@@ -191,13 +191,14 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 				if !bytes.Equal(got, wantEnc) {
 					t.Fatalf("round %d (%s): streamed %d bytes differ from the oracle's %d", round, want.Kind, len(got), len(wantEnc))
 				}
+				pageBytes := uint64(len(want.Pages)) * want.PageSize
 				if !opts.Compress {
-					wantPayload = want.PageBytes()
+					wantPayload = pageBytes
 				}
 				wantRes := Result{
 					Seq: want.Seq, Epoch: want.Epoch, Kind: want.Kind,
 					Pages: uint64(len(want.Pages)), Bytes: uint64(len(wantEnc)),
-					PageBytes: want.PageBytes(), PayloadBytes: wantPayload, DedupSkipped: skipped,
+					PageBytes: pageBytes, PayloadBytes: wantPayload, DedupSkipped: skipped,
 					Duration: res.Duration, ExcludedPages: res.ExcludedPages,
 				}
 				if res != wantRes {
@@ -274,9 +275,9 @@ func TestEncodeMatchesOracle(t *testing.T) {
 			t.Fatalf("segment %d: raw encode reserved %d bytes for %d", i, cap(got), len(got))
 		}
 		want, wantPayload := oracleEncode(seg, true)
-		got, payload := seg.EncodeCompressed()
+		got, payload := seg.encode(true)
 		if !bytes.Equal(got, want) || payload != wantPayload {
-			t.Fatalf("segment %d: EncodeCompressed differs from the oracle", i)
+			t.Fatalf("segment %d: compressed encode differs from the oracle", i)
 		}
 	}
 }

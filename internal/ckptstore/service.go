@@ -64,8 +64,6 @@ type Config struct {
 	// Replicas are the replication group's stores, leader first.
 	// Required, at least one.
 	Replicas []storage.Store
-	// Quorum is the write quorum (0 → majority of len(Replicas)).
-	Quorum int
 	// Link is the client↔frontend and frontend↔replica interconnect
 	// model (zero → mpi.QsNet).
 	Link mpi.Network
@@ -80,26 +78,29 @@ type Config struct {
 	// ClientShare caps any one client's share of InFlightBudget
 	// (0 → 0.5): one hot rank cannot starve the rest.
 	ClientShare float64
-	// BatchWindow is how long the frontend holds a batch open to
-	// coalesce Puts across clients (0 → 2 ms). Ops joining an open
-	// batch pay only serialization, not another link latency.
-	BatchWindow des.Time
 	// OpDeadline bounds every op's modeled completion (0 → none): an
 	// op that could not finish in time is refused up front with
 	// storage.ErrDeadlineExceeded rather than admitted and stalled.
 	OpDeadline des.Time
 	// SpillCapacity bounds the local spill journal (0 → 256 MiB).
 	SpillCapacity uint64
-	// DrainPeriod is how often journaled replication debt is re-offered
-	// to the replicas (0 → 50 ms).
-	DrainPeriod des.Time
-	// ProbePeriod is how often struck-out replicas are probed for
-	// recovery (0 → 250 ms).
-	ProbePeriod des.Time
 	// PromotionTime is the failover protocol's promotion latency after
 	// a leader crash (0 → 500 ms): election plus state hand-off.
 	PromotionTime des.Time
 }
+
+const (
+	// batchWindow is how long the frontend holds a batch open to
+	// coalesce Puts across clients. Ops joining an open batch pay only
+	// serialization, not another link latency.
+	batchWindow = 2 * des.Millisecond
+	// drainPeriod is how often journaled replication debt is re-offered
+	// to the replicas.
+	drainPeriod = 50 * des.Millisecond
+	// probePeriod is how often struck-out replicas are probed for
+	// recovery.
+	probePeriod = 250 * des.Millisecond
+)
 
 // Stats are the service's observable counters. All byte counts are
 // payload bytes, all latencies virtual time.
@@ -203,12 +204,6 @@ func New(cfg Config) (*Service, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("ckptstore: at least one replica is required")
 	}
-	if cfg.Quorum == 0 {
-		cfg.Quorum = len(cfg.Replicas)/2 + 1
-	}
-	if cfg.Quorum < 1 || cfg.Quorum > len(cfg.Replicas) {
-		return nil, fmt.Errorf("ckptstore: quorum %d out of range for %d replicas", cfg.Quorum, len(cfg.Replicas))
-	}
 	if cfg.Link.Bandwidth == 0 {
 		cfg.Link = mpi.QsNet()
 	}
@@ -221,17 +216,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ClientShare == 0 {
 		cfg.ClientShare = 0.5
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 2 * des.Millisecond
-	}
 	if cfg.SpillCapacity == 0 {
 		cfg.SpillCapacity = 256 << 20
-	}
-	if cfg.DrainPeriod == 0 {
-		cfg.DrainPeriod = 50 * des.Millisecond
-	}
-	if cfg.ProbePeriod == 0 {
-		cfg.ProbePeriod = 250 * des.Millisecond
 	}
 	if cfg.PromotionTime == 0 {
 		cfg.PromotionTime = 500 * des.Millisecond
@@ -242,13 +228,13 @@ func New(cfg Config) (*Service, error) {
 		perClient: make(map[uint32]uint64),
 		batchKeys: make(map[string]bool),
 		journal:   make(map[string]journalEntry),
-		quorum:    cfg.Quorum,
+		quorum:    len(cfg.Replicas)/2 + 1,
 	}
 	for _, st := range cfg.Replicas {
 		s.reps = append(s.reps, &replica{store: st})
 	}
-	s.drainTicker = s.eng.NewTicker(cfg.DrainPeriod, func(des.Time) { s.drain() })
-	s.probeTicker = s.eng.NewTicker(cfg.ProbePeriod, func(des.Time) { s.probe() })
+	s.drainTicker = s.eng.NewTicker(drainPeriod, func(des.Time) { s.drain() })
+	s.probeTicker = s.eng.NewTicker(probePeriod, func(des.Time) { s.probe() })
 	return s, nil
 }
 
@@ -272,9 +258,6 @@ func (s *Service) PutLatencies() []des.Time {
 func (s *Service) Transitions() []Transition {
 	return append([]Transition(nil), s.transitions...)
 }
-
-// Mode reports the current degradation level.
-func (s *Service) Mode() Mode { return s.mode }
 
 // Leader reports the current leader's replica index.
 func (s *Service) Leader() int { return s.leader }
@@ -642,7 +625,7 @@ func (s *Service) put(f *Frame) error {
 
 	// Commit: account the batch and the in-flight window.
 	if newBatch {
-		s.batchEnd = now + s.cfg.BatchWindow
+		s.batchEnd = now + batchWindow
 		clear(s.batchKeys)
 		s.stats.Batches++
 	}

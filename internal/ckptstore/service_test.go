@@ -79,8 +79,8 @@ func TestServiceBasicOpsThroughFrames(t *testing.T) {
 	if st.SyncAcks != 2 || st.QuorumFailures != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if svc.Mode() != ModeSync {
-		t.Fatalf("mode = %v, want sync", svc.Mode())
+	if svc.mode != ModeSync {
+		t.Fatalf("mode = %v, want sync", svc.mode)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestServiceDegradesToAsyncAndDrains(t *testing.T) {
 	if st.AsyncAcks != 1 || st.QuorumFailures != 1 {
 		t.Fatalf("stats after degraded put: %+v", st)
 	}
-	if svc.Mode() != ModeAsync {
-		t.Fatalf("mode = %v, want async", svc.Mode())
+	if svc.mode != ModeAsync {
+		t.Fatalf("mode = %v, want async", svc.mode)
 	}
 	// The acked value is readable while degraded (served from journal).
 	if got, err := c.Get("k"); err != nil || !bytes.Equal(got, []byte("v")) {
@@ -116,8 +116,8 @@ func TestServiceDegradesToAsyncAndDrains(t *testing.T) {
 	if st.DrainedBytes != 1 {
 		t.Fatalf("DrainedBytes = %d, want 1", st.DrainedBytes)
 	}
-	if svc.Mode() != ModeSync {
-		t.Fatalf("mode after drain = %v, want sync", svc.Mode())
+	if svc.mode != ModeSync {
+		t.Fatalf("mode after drain = %v, want sync", svc.mode)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestServiceDeadlineRefusal(t *testing.T) {
 }
 
 func TestServiceBatchingAndCoalescing(t *testing.T) {
-	svc, eng, _ := newTestService(t, func(c *Config) { c.BatchWindow = 10 * des.Millisecond })
+	svc, eng, _ := newTestService(t, nil)
 	a, b := svc.Client(1), svc.Client(2)
 	// Three puts inside one window: one batch; the duplicate key is
 	// write-coalesced.
@@ -267,8 +267,8 @@ func TestServiceLeaderFailover(t *testing.T) {
 	}
 	svc.Heal(1)
 	svc.CrashLeader()
-	if svc.Mode() != ModeSpill {
-		t.Fatalf("mode during promotion = %v, want spill", svc.Mode())
+	if svc.mode != ModeSpill {
+		t.Fatalf("mode during promotion = %v, want spill", svc.mode)
 	}
 	// Writes during promotion spill and still ack.
 	if err := c.Put("c", []byte("3")); err != nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/des"
 )
@@ -157,51 +156,6 @@ func SimulateMean(job Job, fm FailureModel, n int, seed uint64) (RunStats, error
 	return acc, nil
 }
 
-// Distribution summarises the spread of completion times across
-// Monte-Carlo trials — capacity planners care about the tail, not just
-// the mean.
-type Distribution struct {
-	Trials        int
-	MeanEff       float64
-	P50, P90, P99 des.Time // completion-time percentiles
-	WorstEff      float64
-}
-
-// SimulateDistribution runs n independent trials and reports completion
-// percentiles and the worst-case efficiency.
-func SimulateDistribution(job Job, fm FailureModel, n int, seed uint64) (Distribution, error) {
-	if n <= 0 {
-		return Distribution{}, fmt.Errorf("cluster: need at least one trial")
-	}
-	elapsed := make([]des.Time, n)
-	var effSum float64
-	worst := math.Inf(1)
-	for i := 0; i < n; i++ {
-		st, err := Simulate(job, fm, seed+uint64(i)*104729)
-		if err != nil {
-			return Distribution{}, err
-		}
-		elapsed[i] = st.Elapsed
-		effSum += st.Efficiency
-		if st.Efficiency < worst {
-			worst = st.Efficiency
-		}
-	}
-	sort.Slice(elapsed, func(i, j int) bool { return elapsed[i] < elapsed[j] })
-	pct := func(p float64) des.Time {
-		idx := int(p * float64(n-1))
-		return elapsed[idx]
-	}
-	return Distribution{
-		Trials:   n,
-		MeanEff:  effSum / float64(n),
-		P50:      pct(0.50),
-		P90:      pct(0.90),
-		P99:      pct(0.99),
-		WorstEff: worst,
-	}, nil
-}
-
 // YoungInterval returns Young's first-order optimal checkpoint interval
 // sqrt(2 * C * M) for checkpoint cost C and system MTBF M.
 func YoungInterval(ckptCost, mtbf des.Time) des.Time {
@@ -249,6 +203,8 @@ func AnalyticEfficiency(tau, ckptCost, restartCost, mtbf des.Time) float64 {
 // OptimalIntervalBruteForce sweeps intervals between lo and hi (geometric
 // steps) and returns the one maximising AnalyticEfficiency — used to
 // cross-check the closed forms.
+//
+//lint:ignore deadexport reference oracle the closed-form interval tests compare against
 func OptimalIntervalBruteForce(ckptCost, restartCost, mtbf, lo, hi des.Time, steps int) des.Time {
 	if steps < 2 || lo <= 0 || hi <= lo {
 		return 0

@@ -211,29 +211,3 @@ func BenchmarkSimulate(b *testing.B) {
 		}
 	}
 }
-
-func TestSimulateDistribution(t *testing.T) {
-	job := Job{Work: hours(50), Interval: hours(1), CkptCost: 30 * des.Second, RestartCost: 60 * des.Second}
-	fm := FailureModel{NodeMTBF: hours(500), Nodes: 100} // MTBF 5h
-	d, err := SimulateDistribution(job, fm, 50, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Trials != 50 {
-		t.Fatalf("trials = %d", d.Trials)
-	}
-	// Percentiles are ordered and all exceed the pure work time.
-	if !(d.P50 <= d.P90 && d.P90 <= d.P99) {
-		t.Fatalf("percentiles unordered: %v %v %v", d.P50, d.P90, d.P99)
-	}
-	if d.P50 <= hours(50) {
-		t.Fatalf("P50 %v below pure work time", d.P50)
-	}
-	// Worst-case efficiency below the mean, both in (0,1).
-	if d.WorstEff >= d.MeanEff || d.WorstEff <= 0 || d.MeanEff >= 1 {
-		t.Fatalf("efficiencies: worst=%v mean=%v", d.WorstEff, d.MeanEff)
-	}
-	if _, err := SimulateDistribution(job, fm, 0, 1); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-}

@@ -85,7 +85,6 @@ type Detector struct {
 	failed    []bool
 	failedAt  []des.Time
 	declared  []bool
-	detected  []Detection
 	falseSusp int
 	started   bool
 	stopped   bool
@@ -185,7 +184,6 @@ func (d *Detector) check(i int, now des.Time) {
 		}
 		d.declared[j] = true
 		det := Detection{Rank: j, Observer: i, FailedAt: d.failedAt[j], DetectedAt: now}
-		d.detected = append(d.detected, det)
 		if d.OnDeath != nil {
 			d.OnDeath(det)
 		}
@@ -228,9 +226,6 @@ func (d *Detector) Stop() {
 		d.checkers[i].Stop()
 	}
 }
-
-// Detections returns every confirmed detection so far.
-func (d *Detector) Detections() []Detection { return d.detected }
 
 // FalseSuspicions returns the count of live peers wrongly suspected.
 func (d *Detector) FalseSuspicions() int { return d.falseSusp }

@@ -28,7 +28,7 @@
 //
 // Queue depth is O(live activities), not O(scheduled firings): an activity
 // that fires many times — a sweep's ticks, an iteration's sends — is one
-// event series (ScheduleSeries and friends, series.go) holding exactly one
+// event series (ScheduleSeriesLocal/ScheduleSeriesAt, series.go) holding exactly one
 // heap node however many firings remain, with the order and event counts it
 // would have had if every firing had been scheduled up front.
 package des
@@ -36,7 +36,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -57,9 +56,6 @@ const MaxTime Time = math.MaxInt64
 
 // Seconds reports t as a floating-point number of virtual seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Duration converts t to a time.Duration for formatting purposes.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
@@ -184,6 +180,8 @@ func (e *Engine) Fired() uint64 {
 // Pending reports the number of events still queued (including cancelled
 // events not yet reaped). On a grouped engine it aggregates heaps and
 // undrained mailboxes across the whole group; call it between runs only.
+//
+//lint:ignore deadexport queue-depth probe the workload event-queue tests bound memory with
 func (e *Engine) Pending() int {
 	if e.group != nil {
 		return e.group.pending()
@@ -194,19 +192,9 @@ func (e *Engine) Pending() int {
 // Schedule queues fn to run at absolute virtual time at. Scheduling in the
 // past (before Now) panics: it would silently corrupt causality. On a
 // grouped engine the event is a comm event (it may interact with other
-// shards); see ScheduleLocal for the shard-confined class.
+// shards); see AfterLocal for the shard-confined class.
 func (e *Engine) Schedule(at Time, fn func()) Event {
 	return e.schedule(at, fn, false)
-}
-
-// ScheduleLocal queues a shard-confined event: fn promises to touch only
-// this engine's shard (its own memory spaces, its own future events) and
-// to schedule only further local events. Local events are excluded from
-// the group's horizon computation, which keeps per-shard event mass
-// (compute ticks, page faults) from serialising parallel epochs. On a
-// standalone engine the class is recorded but changes nothing.
-func (e *Engine) ScheduleLocal(at Time, fn func()) Event {
-	return e.schedule(at, fn, true)
 }
 
 func (e *Engine) schedule(at Time, fn func(), local bool) Event {
@@ -225,7 +213,7 @@ func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64)
 		panic("des: schedule with nil callback")
 	}
 	if e.execLocal && !local {
-		panic("des: local event scheduled a comm event; use ScheduleLocal/AfterLocal or reclassify the parent")
+		panic("des: local event scheduled a comm event; use AfterLocal/ScheduleSeriesLocal or reclassify the parent")
 	}
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -261,7 +249,12 @@ func (e *Engine) After(d Time, fn func()) Event {
 }
 
 // AfterLocal queues a shard-confined event d after the current virtual
-// time; see ScheduleLocal.
+// time: fn promises to touch only this engine's shard (its own memory
+// spaces, its own future events) and to schedule only further local
+// events. Local events are excluded from the group's horizon computation,
+// which keeps per-shard event mass (compute ticks, page faults) from
+// serialising parallel epochs. On a standalone engine the class is
+// recorded but changes nothing.
 func (e *Engine) AfterLocal(d Time, fn func()) Event {
 	return e.schedule(e.now+d, fn, true)
 }
@@ -478,6 +471,3 @@ func (t *Ticker) Stop() {
 	t.done = true
 	t.ev.Cancel()
 }
-
-// Period reports the ticker's firing period.
-func (t *Ticker) Period() Time { return t.period }

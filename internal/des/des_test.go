@@ -164,9 +164,6 @@ func TestTicker(t *testing.T) {
 		}
 	}
 	tk.Stop()
-	if tk.Period() != Second {
-		t.Fatalf("Period() = %v", tk.Period())
-	}
 }
 
 func TestTickerStopFromCallback(t *testing.T) {

@@ -42,17 +42,12 @@ func (s *series) at() Time {
 	return s.first + Time(s.k)*s.step
 }
 
-// ScheduleSeries queues fn to fire n times, at first, first+step, …,
-// first+(n-1)*step, as comm events. It is equivalent to n Schedule calls
-// made now, in time order, but holds one queue entry. step must not be
-// negative; n == 0 queues nothing and returns the zero Event. The returned
-// handle covers the whole series: Cancel drops every firing still to come.
-func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(series{first: first, step: step, n: n}, fn, false)
-}
-
-// ScheduleSeriesLocal is ScheduleSeries for the shard-confined event class;
-// see ScheduleLocal.
+// ScheduleSeriesLocal queues fn to fire n times, at first, first+step, …,
+// first+(n-1)*step, as shard-confined events (see AfterLocal). It is
+// equivalent to n AfterLocal calls made now, in time order, but holds one
+// queue entry. step must not be negative; n == 0 queues nothing and
+// returns the zero Event. The returned handle covers the whole series:
+// Cancel drops every firing still to come.
 func (e *Engine) ScheduleSeriesLocal(first, step Time, n int, fn func()) Event {
 	return e.scheduleSeries(series{first: first, step: step, n: n}, fn, true)
 }
@@ -65,12 +60,6 @@ func (e *Engine) ScheduleSeriesLocal(first, step Time, n int, fn func()) Event {
 // finished or been cancelled. One list may back any number of series.
 func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
 	return e.scheduleSeries(series{first: base, offsets: offsets, n: len(offsets)}, fn, false)
-}
-
-// ScheduleSeriesAtLocal is ScheduleSeriesAt for the shard-confined event
-// class; see ScheduleLocal.
-func (e *Engine) ScheduleSeriesAtLocal(base Time, offsets []Time, fn func()) Event {
-	return e.scheduleSeries(series{first: base, offsets: offsets, n: len(offsets)}, fn, true)
 }
 
 func (e *Engine) scheduleSeries(s series, fn func(), local bool) Event {

@@ -19,6 +19,13 @@ import (
 // shards. It is played twice: once through ScheduleSeries*, once through
 // the bulk loop the series replaces.
 
+// seriesComm is the comm-class uniform series. It has no exported
+// spelling — nothing outside these tests wants one — so they reach the
+// core the exported spellings share.
+func seriesComm(e *Engine, first, step Time, n int, fn func()) Event {
+	return e.scheduleSeries(series{first: first, step: step, n: n}, fn, false)
+}
+
 // opSpec is one scripted activity on one engine.
 type opSpec struct {
 	local   bool
@@ -66,11 +73,7 @@ func (p *player) schedule() {
 		case p.bulk || o.n == 1 && o.offsets == nil:
 			evs := make([]Event, o.n)
 			for k := range evs {
-				if o.local {
-					evs[k] = p.eng.ScheduleLocal(o.at(k), fn)
-				} else {
-					evs[k] = p.eng.Schedule(o.at(k), fn)
-				}
+				evs[k] = p.eng.schedule(o.at(k), fn, o.local)
 			}
 			p.cancel[id] = func() {
 				for _, ev := range evs {
@@ -78,17 +81,9 @@ func (p *player) schedule() {
 				}
 			}
 		default:
-			var ev Event
-			switch {
-			case o.offsets != nil && o.local:
-				ev = p.eng.ScheduleSeriesAtLocal(o.first, o.offsets, fn)
-			case o.offsets != nil:
-				ev = p.eng.ScheduleSeriesAt(o.first, o.offsets, fn)
-			case o.local:
-				ev = p.eng.ScheduleSeriesLocal(o.first, o.step, o.n, fn)
-			default:
-				ev = p.eng.ScheduleSeries(o.first, o.step, o.n, fn)
-			}
+			// Straight into the shared core: only two of the four
+			// class × shape combinations have an exported spelling.
+			ev := p.eng.scheduleSeries(series{first: o.first, step: o.step, offsets: o.offsets, n: o.n}, fn, o.local)
 			p.cancel[id] = func() { ev.Cancel() }
 		}
 		if o.cancel {
@@ -242,7 +237,7 @@ func TestPropertySeriesMatchesBulkGroup(t *testing.T) {
 func TestSeriesHoldsOneNode(t *testing.T) {
 	eng := NewEngine()
 	n := 0
-	ev := eng.ScheduleSeries(Microsecond, Microsecond, 1000, func() { n++ })
+	ev := seriesComm(eng, Microsecond, Microsecond, 1000, func() { n++ })
 	for i := 0; i < 999; i++ {
 		if eng.Pending() != 1 || !ev.Pending() {
 			t.Fatalf("after %d firings: %d nodes queued, handle pending %v", i, eng.Pending(), ev.Pending())
@@ -253,7 +248,7 @@ func TestSeriesHoldsOneNode(t *testing.T) {
 	if n != 1000 || eng.Pending() != 0 || ev.Pending() || eng.Now() != 1000*Microsecond {
 		t.Fatalf("fired %d, %d queued, pending %v, now %v", n, eng.Pending(), ev.Pending(), eng.Now())
 	}
-	if ev := eng.ScheduleSeries(eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
+	if ev := seriesComm(eng, eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
 		t.Fatal("an empty series queued something")
 	}
 }
@@ -286,7 +281,7 @@ func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 	}
 	// The cancelled series' slot and record are reusable.
 	k := 0
-	eng.ScheduleSeries(eng.Now(), 1, 4, func() { k++ })
+	seriesComm(eng, eng.Now(), 1, 4, func() { k++ })
 	eng.Run(MaxTime)
 	if k != 4 {
 		t.Fatalf("series after a cancelled one fired %d times, want 4", k)
@@ -308,9 +303,9 @@ func TestSeriesRejectsBadSchedules(t *testing.T) {
 	eng.Run(MaxTime)
 	fn := func() {}
 	mustPanic("decreasing times", func() { eng.ScheduleSeriesAt(10, []Time{0, 5, 4, 9}, fn) })
-	mustPanic("negative step", func() { eng.ScheduleSeries(10, -1, 3, fn) })
-	mustPanic("first firing in the past", func() { eng.ScheduleSeries(9, 1, 3, fn) })
-	mustPanic("nil callback", func() { eng.ScheduleSeries(10, 1, 3, nil) })
+	mustPanic("negative step", func() { seriesComm(eng, 10, -1, 3, fn) })
+	mustPanic("first firing in the past", func() { seriesComm(eng, 9, 1, 3, fn) })
+	mustPanic("nil callback", func() { seriesComm(eng, 10, 1, 3, nil) })
 	if eng.Pending() != 0 {
 		t.Fatalf("rejected series left %d nodes queued", eng.Pending())
 	}
@@ -325,7 +320,7 @@ func TestSeriesClassCheckedOnGroup(t *testing.T) {
 	var recovered any
 	e.ScheduleSeriesLocal(1, 1, 2, func() {
 		defer func() { recovered = recover() }()
-		e.ScheduleSeries(e.Now()+1, 1, 2, func() {})
+		seriesComm(e, e.Now()+1, 1, 2, func() {})
 	})
 	g.Control().Run(MaxTime)
 	if recovered == nil {
@@ -339,7 +334,7 @@ func TestZeroAllocSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		eng.ScheduleSeries(Time(i), Microsecond, 4, fn)
+		seriesComm(eng, Time(i), Microsecond, 4, fn)
 	}
 	eng.Run(MaxTime)
 	eng.ScheduleSeriesLocal(eng.Now(), Microsecond, 1<<30, fn)
@@ -383,7 +378,7 @@ func BenchmarkSeriesDeep(b *testing.B) {
 	b.Run("bulk", func(b *testing.B) {
 		run(b, func(e *Engine, first Time) {
 			for k := 0; k < firings; k++ {
-				e.ScheduleLocal(first+Time(k)*Microsecond, fn)
+				e.schedule(first+Time(k)*Microsecond, fn, true)
 			}
 		})
 	})

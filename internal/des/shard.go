@@ -12,7 +12,7 @@
 //     shards — send messages, post cross-shard events. Comm events are
 //     tracked in a per-shard side heap so the group can compute each
 //     shard's earliest future communication cheaply.
-//   - local (ScheduleLocal/AfterLocal): promises to touch only its own
+//   - local (AfterLocal/ScheduleSeriesLocal): promises to touch only its own
 //     shard's state and to schedule only further local events there.
 //     Local events are invisible to the horizon computation, which is
 //     what lets a shard burn through its private event mass (page

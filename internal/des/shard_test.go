@@ -317,7 +317,7 @@ func TestGroupStop(t *testing.T) {
 func TestLocalEventCannotGoCross(t *testing.T) {
 	g := NewGroup(2)
 	eng := g.Shard(0)
-	eng.ScheduleLocal(1, func() {
+	eng.AfterLocal(1, func() {
 		eng.After(1, func() {})
 	})
 	defer func() {

@@ -33,8 +33,8 @@ type ClusterRow struct {
 	SweepStats
 	// Failures and Recoveries sum node deaths and completed recoveries.
 	Failures, Recoveries int
-	// AbortedCommits sums two-phase rounds rolled back by a death (or
-	// straggler) inside the commit window.
+	// AbortedCommits sums two-phase rounds rolled back by a death inside
+	// the commit window.
 	AbortedCommits int
 	// MeanDetect and MaxDetect summarise the measured detection-latency
 	// distribution across all heartbeat-detected failures.

@@ -58,14 +58,8 @@ func AttachArray(space *mem.AddressSpace, addr uint64, n int) (*Array, error) {
 	return &Array{space: space, reg: reg, base: addr, n: n}, nil
 }
 
-// Len returns the element count.
-func (a *Array) Len() int { return a.n }
-
 // Region returns the backing region.
 func (a *Array) Region() *mem.Region { return a.reg }
-
-// Free unmaps the backing region.
-func (a *Array) Free() error { return a.space.Munmap(a.reg) }
 
 // staging returns the reusable byte buffer for a row of n elements.
 func (a *Array) staging(n int) []byte {
@@ -108,28 +102,6 @@ func (a *Array) Write(src []float64, off int) error {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
 	return a.space.Write(a.base+uint64(off)*8, buf)
-}
-
-// Fill sets every element to v.
-func (a *Array) Fill(v float64) error {
-	row := make([]float64, min(a.n, 4096))
-	for i := range row {
-		row[i] = v
-	}
-	for off := 0; off < a.n; off += len(row) {
-		chunk := row[:min(len(row), a.n-off)]
-		if err := a.Write(chunk, off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// At returns element i (convenience for tests; row I/O is faster).
-func (a *Array) At(i int) (float64, error) {
-	var one [1]float64
-	err := a.Read(one[:], i)
-	return one[0], err
 }
 
 // Checksum returns the sum of all elements — a cheap integrity probe for

@@ -106,9 +106,6 @@ func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, b
 // Iter returns the completed iteration count.
 func (d *DistStencil) Iter() int { return d.iter }
 
-// Grid returns rank i's local grid (rowsPerRank+2 rows including halos).
-func (d *DistStencil) Grid(i int) *Stencil2D { return d.grids[i] }
-
 // Stop makes all pending iteration callbacks no-ops — the failure path:
 // the computation is abandoned, whatever events remain in the engine fire
 // harmlessly against the dead instance.
@@ -256,6 +253,8 @@ func (d *DistStencil) Gather() ([]float64, error) {
 
 // GlobalReference runs the equivalent single-rank stencil for iters
 // iterations and returns its interior, for equivalence checks.
+//
+//lint:ignore deadexport reference oracle the distributed-stencil and supervisor tests compare against
 func GlobalReference(nx, rowsPerRank, ranks, iters int, boundary float64) ([]float64, error) {
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 4096})
 	g, err := NewStencil2D(sp, nx, ranks*rowsPerRank+2, boundary)

@@ -145,7 +145,7 @@ func TestDistStencilHaloWritesAreTracked(t *testing.T) {
 		f.Region.SetProtected(f.Page, false)
 	})
 	// Protect only rank 1's grids; the halo from rank 0 must fault.
-	d.Grid(1).Cur().Region().ProtectAll()
+	d.grids[1].Cur().Region().ProtectAll()
 	done := false
 	d.Run(1, nil, func() { done = true })
 	eng.Run(des.MaxTime)

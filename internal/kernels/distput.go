@@ -155,9 +155,6 @@ func (d *DistPut) writeVals(i int, addr uint64, vals []float64) error {
 // Iter returns the completed iteration count.
 func (d *DistPut) Iter() int { return d.iter }
 
-// Window returns rank i's current window values (test hook).
-func (d *DistPut) Window(i int) ([]float64, error) { return d.readVals(i, d.wAddr(i)) }
-
 // Stop makes all pending callbacks no-ops (the failure path).
 func (d *DistPut) Stop() { d.stopped = true }
 

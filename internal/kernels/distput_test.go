@@ -108,7 +108,7 @@ func TestDistPutDirectVsBounceDirtySets(t *testing.T) {
 	run := func(mode mpi.DeliveryMode, rdma bool) (faults, silent uint64, gather []float64) {
 		eng, w := putWorld(t, 2, mode)
 		if rdma {
-			if err := w.EnableRDMA(mpi.RDMAConfig{}); err != nil {
+			if err := w.EnableRDMA(); err != nil {
 				t.Fatal(err)
 			}
 		}

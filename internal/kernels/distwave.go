@@ -261,6 +261,8 @@ func (d *DistWavefront) Gather() ([]float64, error) {
 // WavefrontReference replays the same two-directional sweep sequentially
 // on plain slices over the equivalent global grid and returns its
 // interior after iters iterations.
+//
+//lint:ignore deadexport reference oracle the distributed-wavefront tests compare against
 func WavefrontReference(nx, rowsPerRank, ranks, iters int, seed float64) []float64 {
 	nyG := ranks*rowsPerRank + 2
 	v := make([]float64, nx*nyG)

@@ -61,9 +61,6 @@ func (f *FFT) fillTwiddles() error {
 	return f.tw.Write(buf, 0)
 }
 
-// N returns the transform size.
-func (f *FFT) N() int { return f.n }
-
 // Load writes the input signal into the primary buffer.
 func (f *FFT) Load(signal []complex128) error {
 	if len(signal) != f.n {
@@ -93,17 +90,6 @@ func log2(n int) int {
 		p++
 	}
 	return p
-}
-
-// Transform runs the full forward FFT and returns the spectrum.
-func (f *FFT) Transform() ([]complex128, error) {
-	passes := log2(f.n)
-	for p := 0; p < passes; p++ {
-		if err := f.Pass(); err != nil {
-			return nil, err
-		}
-	}
-	return f.Result()
 }
 
 // Pass performs one Stockham butterfly pass (there are log2(n) in total).
@@ -158,8 +144,8 @@ func (f *FFT) Pass() error {
 	return nil
 }
 
-// Result reads the spectrum out of the buffer holding the latest pass.
-func (f *FFT) Result() ([]complex128, error) {
+// result reads the spectrum out of the buffer holding the latest pass.
+func (f *FFT) result() ([]complex128, error) {
 	src, _ := f.cur()
 	buf := make([]float64, 2*f.n)
 	if err := src.Read(buf, 0); err != nil {
@@ -174,6 +160,8 @@ func (f *FFT) Result() ([]complex128, error) {
 
 // NaiveDFT computes the reference O(n^2) transform of signal, for
 // validating the FFT.
+//
+//lint:ignore deadexport reference oracle the FFT tests compare against
 func NaiveDFT(signal []complex128) []complex128 {
 	n := len(signal)
 	out := make([]complex128, n)
@@ -186,12 +174,4 @@ func NaiveDFT(signal []complex128) []complex128 {
 		out[k] = sum
 	}
 	return out
-}
-
-// NewFFTInSpace is a convenience that builds the FFT in a fresh backed
-// space and returns both.
-func NewFFTInSpace(n int) (*FFT, *mem.AddressSpace, error) {
-	space := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	f, err := NewFFT(space, n)
-	return f, space, err
 }

@@ -38,7 +38,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, _ := ref.Grid().Checksum()
+	want, _ := ref.grid().Checksum()
 
 	// Protected run, checkpoint every 5 iterations, crash at 23.
 	sp := space()
@@ -72,7 +72,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := resumed.Grid().Checksum()
+	got, _ := resumed.grid().Checksum()
 	if got != want {
 		t.Fatalf("SSOR resume checksum %v != reference %v", got, want)
 	}
@@ -84,7 +84,7 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.Grid().Checksum()
+	want, _ := ref.grid().Checksum()
 
 	sp := space()
 	w, _ := NewWavefront(sp, nx, ny, 2)
@@ -112,7 +112,7 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.Grid().Checksum()
+	got, _ := resumed.grid().Checksum()
 	if got != want {
 		t.Fatalf("wavefront resume checksum %v != %v", got, want)
 	}
@@ -124,7 +124,7 @@ func TestADICrashRestoreResume(t *testing.T) {
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.Grid().Checksum()
+	want, _ := ref.grid().Checksum()
 
 	sp := space()
 	a, _ := NewADI(sp, nx, ny, 9, 0.5)
@@ -149,7 +149,7 @@ func TestADICrashRestoreResume(t *testing.T) {
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.Grid().Checksum()
+	got, _ := resumed.grid().Checksum()
 	if got != want {
 		t.Fatalf("ADI resume checksum %v != %v", got, want)
 	}
@@ -165,9 +165,9 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	for i := range signal {
 		signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 	}
-	ref, _, _ := NewFFTInSpace(n)
+	ref, _ := NewFFT(space(), n)
 	ref.Load(signal)
-	want, err := ref.Transform()
+	want, err := transform(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFFTCrashMidTransform(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := resumed.Result()
+	got, err := resumed.result()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,30 +165,6 @@ func (s *Stencil2D) Run(n int) error {
 	return nil
 }
 
-// Residual returns the max absolute difference between the two buffers'
-// interiors — the Jacobi convergence measure.
-func (s *Stencil2D) Residual() (float64, error) {
-	ra := make([]float64, s.nx)
-	rb := make([]float64, s.nx)
-	var res float64
-	for y := 1; y < s.ny-1; y++ {
-		if err := s.a.Read(ra, y*s.nx); err != nil {
-			return 0, err
-		}
-		if err := s.b.Read(rb, y*s.nx); err != nil {
-			return 0, err
-		}
-		for x := 1; x < s.nx-1; x++ {
-			if d := ra[x] - rb[x]; d > res {
-				res = d
-			} else if -d > res {
-				res = -d
-			}
-		}
-	}
-	return res, nil
-}
-
 // SSOR is an in-place symmetric successive over-relaxation smoother on an
 // nx x ny grid: one forward (lower-triangular) and one backward
 // (upper-triangular) Gauss-Seidel sweep per iteration, like NAS LU's
@@ -242,8 +218,10 @@ func NewSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSO
 	return s, nil
 }
 
-// Grid returns the solution array.
-func (s *SSOR) Grid() *Array { return s.u }
+// grid returns the solution array, for the tests. It stays a method:
+// ckptset classifies a returned arena as escaping, and the committed
+// kernels.ckptspec records that reason (likewise Wavefront and ADI).
+func (s *SSOR) grid() *Array { return s.u }
 
 // Iter returns completed iterations.
 func (s *SSOR) Iter() int { return s.iter }
@@ -351,8 +329,8 @@ func NewWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront
 	return w, nil
 }
 
-// Grid returns the solution array.
-func (w *Wavefront) Grid() *Array { return w.v }
+// grid returns the solution array.
+func (w *Wavefront) grid() *Array { return w.v }
 
 // Iter returns completed iterations.
 func (w *Wavefront) Iter() int { return w.iter }
@@ -452,8 +430,8 @@ func NewADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI,
 	return a, nil
 }
 
-// Grid returns the solution array.
-func (a *ADI) Grid() *Array { return a.u }
+// grid returns the solution array.
+func (a *ADI) grid() *Array { return a.u }
 
 // Iter returns completed iterations.
 func (a *ADI) Iter() int { return a.iter }

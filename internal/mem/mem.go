@@ -37,7 +37,9 @@ type Kind uint8
 const (
 	// Data is compile-time initialized data.
 	Data Kind = iota
-	// BSS is compile-time allocated, zero-filled data.
+	// BSS is compile-time allocated, zero-filled data. No workload
+	// maps one (the models fold it into Data); the kind keeps its
+	// number because segment region tables store Kind on the wire.
 	BSS
 	// Heap is the brk/sbrk-grown dynamic area.
 	Heap
@@ -140,7 +142,6 @@ type Region struct {
 	silent []uint64
 	data   [][]byte // per-page contents; nil slices until first backed write
 	dead   bool
-	seq    uint64 // creation sequence, distinguishes remaps at the same address
 }
 
 // Start returns the base address of the region.
@@ -157,10 +158,6 @@ func (r *Region) Kind() Kind { return r.kind }
 
 // Dead reports whether the region has been unmapped.
 func (r *Region) Dead() bool { return r.dead }
-
-// Seq returns a unique creation sequence number; two regions mapped at the
-// same address at different times have different Seq values.
-func (r *Region) Seq() uint64 { return r.seq }
 
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() uint64 { return r.size >> r.space.pageShift }
@@ -241,6 +238,8 @@ func (r *Region) trimBitmap() {
 }
 
 // ProtectedPages returns the number of currently protected pages.
+//
+//lint:ignore deadexport protection-state probe the tracker tests assert on
 func (r *Region) ProtectedPages() uint64 {
 	var n uint64
 	for _, w := range r.wp {
@@ -268,16 +267,6 @@ func (r *Region) clearSilent(idx uint64) {
 	if r.silent != nil {
 		r.silent[idx/64] &^= 1 << (idx % 64)
 	}
-}
-
-// SilentDirty reports whether the page holding addr was modified by a
-// DMA write without a fault ever being delivered for it.
-func (r *Region) SilentDirty(addr uint64) bool {
-	if r.silent == nil {
-		return false
-	}
-	idx := r.PageIndex(addr)
-	return r.silent[idx/64]&(1<<(idx%64)) != 0
 }
 
 // SilentPages returns the number of silently dirty pages — pages whose
@@ -345,15 +334,13 @@ type AddressSpace struct {
 	cfg     Config
 	regions []*Region // live regions, sorted by start
 	heap    *Region
-	stack   *Region
 	handler FaultHandler
 	mapHook MapHook
 
 	pageShift uint // log2(PageSize)
 
 	mmapNext uint64
-	mmapFree []span // reusable gaps from unmapped arenas
-	seq      uint64
+	mmapFree []span  // reusable gaps from unmapped arenas
 	lastHit  *Region // single-entry lookup cache
 
 	faults     uint64 // total write faults delivered
@@ -374,12 +361,9 @@ func NewAddressSpace(cfg Config) *AddressSpace {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two", cfg.PageSize))
 	}
 	s := &AddressSpace{cfg: cfg, mmapNext: mmapBase, pageShift: uint(bits.TrailingZeros64(cfg.PageSize))}
-	s.stack = s.insert(stackTop-stackSize, stackSize, Stack)
+	s.insert(stackTop-stackSize, stackSize, Stack)
 	return s
 }
-
-// Config returns the configuration the space was created with.
-func (s *AddressSpace) Config() Config { return s.cfg }
 
 // PageSize returns the page size in bytes.
 func (s *AddressSpace) PageSize() uint64 { return s.cfg.PageSize }
@@ -417,8 +401,7 @@ func (s *AddressSpace) roundUp(n uint64) uint64 {
 
 // insert creates a region and splices it into the sorted live list.
 func (s *AddressSpace) insert(start, size uint64, kind Kind) *Region {
-	r := &Region{start: start, size: size, kind: kind, space: s, seq: s.seq}
-	s.seq++
+	r := &Region{start: start, size: size, kind: kind, space: s}
 	nPages := size >> s.pageShift
 	r.wp = make([]uint64, (nPages+63)/64)
 	if !s.cfg.Phantom {
@@ -445,43 +428,23 @@ func (s *AddressSpace) remove(r *Region) {
 }
 
 // MapData maps the initialized-data region. It may be called once.
-func (s *AddressSpace) MapData(size uint64) *Region { return s.mapStatic(dataBase, size, Data) }
-
-// MapBSS maps the zero-filled BSS region directly above the data region.
-func (s *AddressSpace) MapBSS(size uint64) *Region {
-	base := dataBase
-	if r := s.findKind(Data); r != nil {
-		base = r.End()
+func (s *AddressSpace) MapData(size uint64) *Region {
+	for _, r := range s.regions {
+		if r.kind == Data {
+			panic("mem: data region already mapped")
+		}
 	}
-	return s.mapStatic(base, size, BSS)
-}
-
-func (s *AddressSpace) mapStatic(base, size uint64, kind Kind) *Region {
-	if r := s.findKind(kind); r != nil {
-		panic(fmt.Sprintf("mem: %v region already mapped", kind))
-	}
-	size = s.roundUp(size)
-	r := s.insert(base, size, kind)
+	r := s.insert(dataBase, s.roundUp(size), Data)
 	if s.mapHook != nil {
 		s.mapHook(r, true)
 	}
 	return r
 }
 
-func (s *AddressSpace) findKind(kind Kind) *Region {
-	for _, r := range s.regions {
-		if r.kind == kind {
-			return r
-		}
-	}
-	return nil
-}
-
 // Heap returns the heap region, or nil before the first Sbrk growth.
+//
+//lint:ignore deadexport heap-region probe the ckpt and tracker tests assert on
 func (s *AddressSpace) Heap() *Region { return s.heap }
-
-// Stack returns the stack region.
-func (s *AddressSpace) Stack() *Region { return s.stack }
 
 // Brk returns the current heap break (heapBase when the heap is empty).
 func (s *AddressSpace) Brk() uint64 {
@@ -496,6 +459,8 @@ func (s *AddressSpace) Brk() uint64 {
 // base or growing by a non-representable amount returns an error.
 // Growth preserves existing page protection and contents; new pages start
 // unprotected and zero-filled, matching kernel brk semantics.
+//
+//lint:ignore deadexport the brk heap is part of the simulated process image (ckpt/tracker tests grow and shrink it); no shipped workload allocates through it yet
 func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
 	old := s.Brk()
 	if delta == 0 {
@@ -605,8 +570,8 @@ func (s *AddressSpace) Munmap(r *Region) error {
 // MapAt maps a region of the given kind at an explicit address — the
 // restore path, which must recreate regions at their original addresses.
 // start must be page-aligned and the range must not overlap any live
-// region. Mapping Heap or Stack this way updates the corresponding
-// shortcut so subsequent Sbrk/Stack calls behave normally.
+// region. Mapping Heap this way updates the heap shortcut so subsequent
+// Sbrk calls behave normally.
 func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 	ps := s.cfg.PageSize
 	if start%ps != 0 || size == 0 {
@@ -622,8 +587,6 @@ func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 	switch kind {
 	case Heap:
 		s.heap = r
-	case Stack:
-		s.stack = r
 	case Mmap:
 		if start+size > s.mmapNext {
 			s.mmapNext = start + size
@@ -671,6 +634,8 @@ func (s *AddressSpace) Footprint() uint64 {
 // ProtectAllData write-protects every page of every checkpointable region.
 // This is the alarm handler's re-protection step. It returns the number of
 // pages protected, which drives the intrusiveness model.
+//
+//lint:ignore deadexport whole-space protect the kernels tests use to observe a kernel's raw write set
 func (s *AddressSpace) ProtectAllData() uint64 {
 	var n uint64
 	for _, r := range s.regions {

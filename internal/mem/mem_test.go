@@ -47,9 +47,11 @@ func TestMapDataAndBSS(t *testing.T) {
 	if d.Size() != 12288 || d.Kind() != Data {
 		t.Fatalf("data region: size=%d kind=%v", d.Size(), d.Kind())
 	}
-	b := s.MapBSS(4096)
-	if b.Start() != d.End() {
-		t.Fatalf("bss start %#x, want %#x (end of data)", b.Start(), d.End())
+	// BSS has no mapper of its own any more; a restore recreates one
+	// with MapAt, directly above the data region.
+	b, err := s.MapAt(d.End(), 4096, BSS)
+	if err != nil || b.Kind() != BSS {
+		t.Fatalf("bss above data: %v %v", b, err)
 	}
 	if got := s.Footprint(); got != 12288+4096 {
 		t.Fatalf("Footprint = %d", got)
@@ -72,7 +74,7 @@ func TestStackNotInFootprint(t *testing.T) {
 	if s.Footprint() != 0 {
 		t.Fatalf("empty space footprint = %d, want 0 (stack excluded)", s.Footprint())
 	}
-	if s.Stack() == nil || s.Stack().Kind() != Stack {
+	if st := s.Find(stackTop - 1); st == nil || st.Kind() != Stack {
 		t.Fatal("stack region missing")
 	}
 }
@@ -159,8 +161,8 @@ func TestMmapMunmapReuse(t *testing.T) {
 	if c.Start() != aStart {
 		t.Fatalf("freed slot not reused: got %#x, want %#x", c.Start(), aStart)
 	}
-	if c.Seq() == a.Seq() {
-		t.Fatal("recycled region shares Seq with its predecessor")
+	if c == a {
+		t.Fatal("recycled slot reuses its predecessor's Region")
 	}
 	if err := s.Munmap(a); err == nil {
 		t.Fatal("double munmap succeeded")
@@ -377,7 +379,7 @@ func TestProtectAllData(t *testing.T) {
 	if !m.Protected(m.Start()) {
 		t.Fatal("mmap page not protected")
 	}
-	if s.Stack().ProtectedPages() != 0 {
+	if s.Find(stackTop-1).ProtectedPages() != 0 {
 		t.Fatal("stack was protected — the paper's library cannot protect the stack")
 	}
 	s.UnprotectAllData()

@@ -212,17 +212,3 @@ func FindBursts(values []float64, frac float64, minGap int) []Burst {
 	}
 	return bursts
 }
-
-// MeanBurstGap returns the mean distance (in samples) between the starts
-// of consecutive bursts — an alternative period estimate used to
-// cross-check DetectPeriod.
-func MeanBurstGap(bursts []Burst) float64 {
-	if len(bursts) < 2 {
-		return 0
-	}
-	var sum float64
-	for i := 1; i < len(bursts); i++ {
-		sum += float64(bursts[i].Start - bursts[i-1].Start)
-	}
-	return sum / float64(len(bursts)-1)
-}

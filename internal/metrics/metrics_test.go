@@ -178,16 +178,6 @@ func TestFindBurstsEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanBurstGap(t *testing.T) {
-	bursts := []Burst{{Start: 10}, {Start: 40}, {Start: 68}}
-	if got := MeanBurstGap(bursts); got != 29 {
-		t.Fatalf("MeanBurstGap = %v", got)
-	}
-	if MeanBurstGap(bursts[:1]) != 0 {
-		t.Fatal("single burst must yield 0")
-	}
-}
-
 // Property: Summarize bounds — Min <= Mean <= Max, Sum == Mean*N.
 func TestPropertySummaryBounds(t *testing.T) {
 	f := func(vals []float64) bool {

@@ -19,10 +19,6 @@ package mpi
 //     first ack survives the return path. Loss costs time, never data,
 //     so the kernels' halo exchanges and the collectives still complete.
 //
-//   - SendReliable exposes the bounded-retry variant: after MaxAttempts
-//     transmissions without a surviving ack the sender gives up and the
-//     completion callback receives a typed ErrLinkTimeout.
-//
 //   - SendBestEffort is the genuinely lossy datagram path (zero, one or
 //     two copies arrive; no retransmit) — the transport failure
 //     detectors gossip heartbeats over, so message loss produces real
@@ -32,17 +28,12 @@ package mpi
 // identical to the fault-free model.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
 
 	"repro/internal/des"
 )
-
-// ErrLinkTimeout reports that a bounded-retry send exhausted its
-// retransmit budget without a surviving acknowledgement.
-var ErrLinkTimeout = errors.New("mpi: link timeout")
 
 // LinkFault adds extra loss probability to one directed link.
 type LinkFault struct {
@@ -73,12 +64,6 @@ type NetFaultConfig struct {
 	// JitterMax adds a uniform [0, JitterMax) delay to each surviving
 	// packet. Zero disables jitter.
 	JitterMax des.Time
-	// RTO is the initial retransmission timeout; it doubles per attempt
-	// (capped). Zero selects 4x the message's transfer time.
-	RTO des.Time
-	// MaxAttempts bounds SendReliable's transmissions (0 -> 8). Plain
-	// sends ignore it: they retry until delivered.
-	MaxAttempts int
 	// Links lists per-link extra loss on top of DropRate.
 	Links []LinkFault
 	// Windows lists timed whole-fabric degradation intervals.
@@ -93,13 +78,11 @@ type NetFaultStats struct {
 	Drops uint64
 	// Retransmits counts ARQ retransmissions of point-to-point sends.
 	Retransmits uint64
-	// Timeouts counts bounded-retry sends that gave up (ErrLinkTimeout).
-	Timeouts uint64
 	// DupDeliveries counts duplicated packets drawn by the model.
 	DupDeliveries uint64
 	// SuppressedDups counts duplicates the ARQ receiver deduplicated.
 	SuppressedDups uint64
-	// ForcedDeliveries counts plain sends whose whole bounded plan was
+	// ForcedDeliveries counts plain sends whose whole plan was
 	// drawn lost and were delivered by the terminal forced attempt.
 	ForcedDeliveries uint64
 	// CollectiveRetransmits counts barrier/collective rounds that lost
@@ -177,12 +160,9 @@ func (w *World) SetFaults(cfg NetFaultConfig) error {
 	return nil
 }
 
-// Faulty reports whether a fault model is installed.
-func (w *World) Faulty() bool { return w.faults != nil }
-
-// FaultStats returns a copy of the fault-model counters (zero value when
+// faultStats returns a copy of the fault-model counters (zero value when
 // no model is installed). On sharded worlds, call between runs only.
-func (w *World) FaultStats() NetFaultStats {
+func (w *World) faultStats() NetFaultStats {
 	if w.faults == nil {
 		return NetFaultStats{}
 	}
@@ -249,34 +229,24 @@ func (f *netFaults) jitterFrom(rng *rand.Rand) des.Time {
 	return j
 }
 
-// rto returns the initial retransmission timeout for a message size.
-func (w *World) rto(bytes uint64) des.Time {
-	if w.faults.cfg.RTO > 0 {
-		return w.faults.cfg.RTO
-	}
-	return 4 * w.net.transfer(bytes)
-}
+// rto returns the initial retransmission timeout for a message size; it
+// doubles per attempt (capped).
+func (w *World) rto(bytes uint64) des.Time { return 4 * w.net.transfer(bytes) }
 
 // planARQ draws the complete ack/retransmit schedule of one
 // point-to-point message at injection time. It returns the offsets (from
 // now) of the first surviving data arrival and of the sender's first
-// surviving ack. maxAttempts <= 0 means an unlimited (plain-send) plan,
-// which always ends delivered and acked; a bounded plan may end
-// !acked, in which case ack holds the give-up offset after the full
-// backoff schedule.
-func (w *World) planARQ(src, dst int, bytes uint64, maxAttempts int) (deliver, ack des.Time, delivered, acked bool) {
+// surviving ack; the plan always ends delivered and acked.
+func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 	f := w.faults
 	f.smu.Lock()
 	defer f.smu.Unlock()
 	rng := f.rngFor(src)
 	now := w.engFor(src).Now()
-	unlimited := maxAttempts <= 0
-	if unlimited {
-		maxAttempts = reliableHardCap
-	}
 	rto := w.rto(bytes)
 	var start des.Time
-	for k := 0; k < maxAttempts; k++ {
+	var delivered, acked bool
+	for k := 0; k < reliableHardCap; k++ {
 		f.stats.Attempts++
 		if k > 0 {
 			f.stats.Retransmits++
@@ -299,18 +269,14 @@ func (w *World) planARQ(src, dst int, bytes uint64, maxAttempts int) (deliver, a
 		}
 		start += rto << uint(min(k, 6))
 	}
-	if unlimited {
-		if !delivered {
-			f.stats.ForcedDeliveries++
-			deliver, delivered = start+w.scaledTransfer(bytes, now+start), true
-		}
-		if !acked {
-			ack, acked = deliver+w.net.Latency, true
-		}
-	} else if !acked {
-		ack = start
+	if !delivered {
+		f.stats.ForcedDeliveries++
+		deliver = start + w.scaledTransfer(bytes, now+start)
 	}
-	return deliver, ack, delivered, acked
+	if !acked {
+		ack = deliver + w.net.Latency
+	}
+	return deliver, ack
 }
 
 // suppressDup accounts for in-flight duplication on an ARQ path: the
@@ -330,62 +296,12 @@ func (f *netFaults) suppressDup(src int) {
 // surviving ack. Every arrival offset is at least one transfer time and
 // therefore at least one latency — the sharded lookahead contract.
 func (w *World) sendFaulty(r *Rank, msg Message, onComplete func()) {
-	deliver, ack, _, _ := w.planARQ(msg.Src, msg.Dst, msg.Bytes, 0)
+	deliver, ack := w.planARQ(msg.Src, msg.Dst, msg.Bytes)
 	w.faults.suppressDup(msg.Src)
 	src := w.engFor(msg.Src)
 	w.post(r, msg, src.Now()+deliver)
 	if onComplete != nil {
 		src.After(ack, onComplete)
-	}
-}
-
-// SendReliable sends with bounded retransmission: the message is
-// retried up to NetFaultConfig.MaxAttempts times, and onComplete
-// receives nil on acknowledgement or an ErrLinkTimeout-wrapped error
-// when the budget is exhausted. Note the payload may still have been
-// delivered even when the sender times out (the acks, not the data, may
-// be what the link is eating) — exactly the ambiguity real ARQ senders
-// face. Without a fault model this is identical to Send.
-func (r *Rank) SendReliable(dst, tag int, bytes uint64, onComplete func(error)) {
-	if dst < 0 || dst >= len(r.world.ranks) {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
-	}
-	w := r.world
-	eng := w.engFor(r.id)
-	r.stats.Sends++
-	r.stats.BytesSent += bytes
-	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, SentAt: eng.Now()}
-	if w.faults == nil {
-		w.post(r, msg, eng.Now()+w.net.transfer(bytes))
-		if onComplete != nil {
-			eng.After(w.net.Latency, func() { onComplete(nil) })
-		}
-		return
-	}
-	maxA := w.faults.cfg.MaxAttempts
-	if maxA <= 0 {
-		maxA = 8
-	}
-	deliver, ack, delivered, acked := w.planARQ(r.id, dst, bytes, maxA)
-	if delivered {
-		w.faults.suppressDup(r.id)
-		w.post(r, msg, eng.Now()+deliver)
-	}
-	if acked {
-		if onComplete != nil {
-			eng.After(ack, func() { onComplete(nil) })
-		}
-		return
-	}
-	w.faults.smu.Lock()
-	w.faults.stats.Timeouts++
-	w.faults.smu.Unlock()
-	if onComplete != nil {
-		src := r.id
-		eng.After(ack, func() {
-			onComplete(fmt.Errorf("mpi: send %d->%d tag %d gave up after %d attempts: %w",
-				src, dst, tag, maxA, ErrLinkTimeout))
-		})
 	}
 }
 

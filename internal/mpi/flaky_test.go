@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/des"
@@ -27,7 +26,7 @@ func TestSetFaultsValidation(t *testing.T) {
 	if err := w.SetFaults(NetFaultConfig{Links: []LinkFault{{0, 1, 2.0}}}); err == nil {
 		t.Fatal("link drop rate 2.0 accepted")
 	}
-	if w.Faulty() {
+	if w.faults != nil {
 		t.Fatal("rejected configs must not install")
 	}
 }
@@ -53,12 +52,9 @@ func TestPlainSendExactlyOnceUnderLoss(t *testing.T) {
 			t.Fatalf("tag %d delivered %d times", tag, n)
 		}
 	}
-	st := w.FaultStats()
+	st := w.faultStats()
 	if st.Drops == 0 || st.Retransmits == 0 {
 		t.Fatalf("fault model idle under 40%% loss: %+v", st)
-	}
-	if st.Timeouts != 0 {
-		t.Fatalf("plain sends must never time out: %+v", st)
 	}
 }
 
@@ -87,48 +83,6 @@ func TestLossDelaysDelivery(t *testing.T) {
 	}
 }
 
-func TestSendReliableTimeoutTyped(t *testing.T) {
-	// A link dropping (clamped) ~95% of packets with 2 attempts: seed
-	// chosen so the plan loses everything and the send times out.
-	eng, w := faultyWorld(t, 2, Direct, NetFaultConfig{
-		Seed: 1, MaxAttempts: 2,
-		Links: []LinkFault{{Src: 0, Dst: 1, DropRate: 0.94}},
-	})
-	var timeouts, oks int
-	for i := 0; i < 40; i++ {
-		w.Rank(1).Recv(0, i, 0, nil)
-		w.Rank(0).SendReliable(1, i, 1024, func(err error) {
-			if err == nil {
-				oks++
-				return
-			}
-			if !errors.Is(err, ErrLinkTimeout) {
-				t.Fatalf("timeout error not typed: %v", err)
-			}
-			timeouts++
-		})
-	}
-	eng.Run(des.MaxTime)
-	if timeouts == 0 {
-		t.Fatalf("no timeouts on a 95%%-loss link (%d ok)", oks)
-	}
-	if got := w.FaultStats().Timeouts; got != uint64(timeouts) {
-		t.Fatalf("stats.Timeouts = %d, callbacks saw %d", got, timeouts)
-	}
-}
-
-func TestSendReliableCleanNetwork(t *testing.T) {
-	eng, w := testWorld(t, 2, Bounce)
-	var err error
-	done := false
-	w.Rank(1).Recv(0, 1, 0, func(Message) { done = true })
-	w.Rank(0).SendReliable(1, 1, 2048, func(e error) { err = e })
-	eng.Run(des.MaxTime)
-	if !done || err != nil {
-		t.Fatalf("clean SendReliable: delivered=%v err=%v", done, err)
-	}
-}
-
 // Best-effort datagrams genuinely lose and duplicate.
 func TestSendBestEffortLossAndDup(t *testing.T) {
 	eng, w := faultyWorld(t, 2, Direct, NetFaultConfig{Seed: 5, DropRate: 0.3, DupRate: 0.3})
@@ -150,7 +104,7 @@ func TestSendBestEffortLossAndDup(t *testing.T) {
 		w.Rank(0).SendBestEffort(1, 42, 64, func() { counts[tag]++ })
 	}
 	eng.Run(des.MaxTime)
-	st := w.FaultStats()
+	st := w.faultStats()
 	if st.Drops == 0 {
 		t.Fatal("no best-effort datagrams lost at 30% drop")
 	}
@@ -190,7 +144,7 @@ func TestFaultDeterminism(t *testing.T) {
 		if done != 4 {
 			t.Fatalf("allreduce completed on %d/4 ranks", done)
 		}
-		return eng.Now(), w.FaultStats()
+		return eng.Now(), w.faultStats()
 	}
 	t1, s1 := run(11)
 	t2, s2 := run(11)
@@ -246,8 +200,9 @@ func TestCollectivesCompleteUnderLoss(t *testing.T) {
 			}
 			done := 0
 			for r := 0; r < n; r++ {
-				w.Rank(r).Alltoall(4096, 0, func() {
-					w.Rank(done%n).Bcast(0, 2048, 0, func() { done++ })
+				rank := w.Rank(r)
+				rank.AllReduce(4096, 0, func() {
+					rank.Barrier(func() { done++ })
 				})
 			}
 			eng.Run(des.MaxTime)

@@ -251,12 +251,9 @@ type Rank struct {
 	stats       Stats
 	onDeliver   func(bytes uint64, at des.Time)
 
-	registered []*MemoryRegion // NIC-pinned regions (see rdma.go)
-	degraded   bool            // sticky bounce-mode fallback after drain timeout
+	registered []*mem.Region // NIC-pinned regions (see rdma.go)
+	degraded   bool          // sticky bounce-mode fallback after drain timeout
 }
-
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
 
 // Space returns the rank's address space.
 func (r *Rank) Space() *mem.AddressSpace { return r.space }
@@ -370,9 +367,6 @@ func (w *World) Size() int { return len(w.ranks) }
 
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
-// Mode returns the delivery mode.
-func (w *World) Mode() DeliveryMode { return w.mode }
 
 // BounceRegion returns rank i's bounce arena (nil in Direct mode).
 // The tracker must leave this region unprotected, exactly as the paper's

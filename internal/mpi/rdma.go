@@ -70,64 +70,25 @@ func ParseDrainPhase(s string) (DrainPhase, error) {
 	return 0, fmt.Errorf("mpi: unknown drain phase %q", s)
 }
 
-// RDMAConfig parameterises the registered-memory model. Zero fields
-// take defaults (see withDefaults) so the zero value is usable.
-type RDMAConfig struct {
-	// RegisterBase is the fixed cost of one register/deregister call.
-	RegisterBase des.Time
-	// RegisterPerPage is the per-page pinning/translation cost added on
-	// top of RegisterBase.
-	RegisterPerPage des.Time
-	// QuiesceDelay is the time for all ranks to stop injecting traffic.
-	QuiesceDelay des.Time
-	// DrainPoll is the interval at which AwaitDrain re-checks the
+// Costs of the registered-memory model.
+const (
+	// registerBase is the fixed cost of one register/deregister call,
+	// registerPerPage the per-page pinning/translation cost on top.
+	registerBase    = 10 * des.Microsecond
+	registerPerPage = 300 * des.Nanosecond
+	// RDMAQuiesceDelay is the time for all ranks to stop injecting
+	// traffic.
+	RDMAQuiesceDelay = 5 * des.Microsecond
+	// drainPoll is the interval at which AwaitDrain re-checks the
 	// in-flight counters.
-	DrainPoll des.Time
-	// ReconnectLatency is the cost of re-establishing transport
+	drainPoll = 10 * des.Microsecond
+	// RDMAReconnectLatency is the cost of re-establishing transport
 	// connections after re-registration.
-	ReconnectLatency des.Time
-}
-
-func (c RDMAConfig) withDefaults() RDMAConfig {
-	if c.RegisterBase <= 0 {
-		c.RegisterBase = 10 * des.Microsecond
-	}
-	if c.RegisterPerPage <= 0 {
-		c.RegisterPerPage = 300 * des.Nanosecond
-	}
-	if c.QuiesceDelay <= 0 {
-		c.QuiesceDelay = 5 * des.Microsecond
-	}
-	if c.DrainPoll <= 0 {
-		c.DrainPoll = 10 * des.Microsecond
-	}
-	if c.ReconnectLatency <= 0 {
-		c.ReconnectLatency = 100 * des.Microsecond
-	}
-	return c
-}
-
-// MemoryRegion is one registered (NIC-pinned) memory region of a rank.
-type MemoryRegion struct {
-	rank   *Rank
-	region *mem.Region
-}
-
-// Rank returns the owning rank's number.
-func (mr *MemoryRegion) Rank() int { return mr.rank.id }
-
-// Region returns the underlying address-space region.
-func (mr *MemoryRegion) Region() *mem.Region { return mr.region }
-
-// Pages returns the registered page count.
-func (mr *MemoryRegion) Pages() uint64 { return mr.region.Pages() }
-
-// Bytes returns the registered byte count.
-func (mr *MemoryRegion) Bytes() uint64 { return mr.region.Size() }
+	RDMAReconnectLatency = 100 * des.Microsecond
+)
 
 // rdmaState is the World's RDMA bookkeeping, installed by EnableRDMA.
 type rdmaState struct {
-	cfg      RDMAConfig
 	inflight []int // scheduled-but-unlanded deliveries, by destination rank
 	total    int
 }
@@ -136,7 +97,7 @@ type rdmaState struct {
 // world: each rank gets a bounce arena too (unprotected, tracker-
 // excluded) so it can degrade to bounce-buffer delivery when its
 // destination is unregistered or the drain protocol times out.
-func (w *World) EnableRDMA(cfg RDMAConfig) error {
+func (w *World) EnableRDMA() error {
 	if w.mode != Direct {
 		return fmt.Errorf("mpi: EnableRDMA requires Direct mode, world is %v", w.mode)
 	}
@@ -153,20 +114,8 @@ func (w *World) EnableRDMA(cfg RDMAConfig) error {
 		}
 		r.bounce = b
 	}
-	w.rdma = &rdmaState{cfg: cfg.withDefaults(), inflight: make([]int, len(w.ranks))}
+	w.rdma = &rdmaState{inflight: make([]int, len(w.ranks))}
 	return nil
-}
-
-// RDMAEnabled reports whether EnableRDMA has been called.
-func (w *World) RDMAEnabled() bool { return w.rdma != nil }
-
-// RDMAConfig returns the installed configuration (zero value if RDMA is
-// not enabled).
-func (w *World) RDMAConfig() RDMAConfig {
-	if w.rdma == nil {
-		return RDMAConfig{}
-	}
-	return w.rdma.cfg
 }
 
 // RegisterCost returns the des-clock cost of registering (or
@@ -175,35 +124,29 @@ func (w *World) RegisterCost(pages uint64) des.Time {
 	if w.rdma == nil {
 		return 0
 	}
-	return w.rdma.cfg.RegisterBase + des.Time(pages)*w.rdma.cfg.RegisterPerPage
+	return registerBase + des.Time(pages)*registerPerPage
 }
 
 // RegisterMemory pins reg with the NIC so Direct deliveries into it are
-// zero-copy. The returned handle stays valid until DeregisterAll. The
-// caller accounts the registration latency via World.RegisterCost.
-func (r *Rank) RegisterMemory(reg *mem.Region) *MemoryRegion {
-	mr := &MemoryRegion{rank: r, region: reg}
-	r.registered = append(r.registered, mr)
+// zero-copy, until DeregisterAll. The caller accounts the registration
+// latency via World.RegisterCost.
+func (r *Rank) RegisterMemory(reg *mem.Region) {
+	r.registered = append(r.registered, reg)
 	r.stats.RegisteredBytes += reg.Size()
-	return mr
 }
 
 // RegisterAllData registers every checkpointable region of the rank's
 // address space (the bounce arena and stack stay unregistered), in
-// address order. Returns the handles and the total registered pages.
-func (r *Rank) RegisterAllData() ([]*MemoryRegion, uint64) {
-	var (
-		regs  []*MemoryRegion
-		pages uint64
-	)
+// address order. Returns the total registered pages.
+func (r *Rank) RegisterAllData() (pages uint64) {
 	for _, reg := range r.space.Regions() {
 		if !reg.Kind().Checkpointable() || reg == r.bounce {
 			continue
 		}
-		regs = append(regs, r.RegisterMemory(reg))
+		r.RegisterMemory(reg)
 		pages += reg.Pages()
 	}
-	return regs, pages
+	return pages
 }
 
 // DeregisterAll tears down every registration and reconciles the pages
@@ -212,17 +155,14 @@ func (r *Rank) RegisterAllData() ([]*MemoryRegion, uint64) {
 // tracker and checkpointer see it before the checkpoint is cut. Returns
 // the deregistered page count and the number of silent pages replayed.
 func (r *Rank) DeregisterAll() (pages, replayed uint64) {
-	for _, mr := range r.registered {
-		pages += mr.region.Pages()
-		r.stats.RegisteredBytes -= mr.region.Size()
+	for _, reg := range r.registered {
+		pages += reg.Pages()
+		r.stats.RegisteredBytes -= reg.Size()
 	}
 	r.registered = nil
 	replayed = r.space.ReplaySilent()
 	return pages, replayed
 }
-
-// Registered returns the rank's live registration handles.
-func (r *Rank) Registered() []*MemoryRegion { return r.registered }
 
 // DegradeToBounce permanently switches the rank to bounce-buffer
 // delivery (the paper's workaround): the drain protocol invokes it when
@@ -237,8 +177,8 @@ func (r *Rank) Degraded() bool { return r.degraded }
 // registeredSpan reports whether [addr, addr+n) lies wholly inside one
 // of the rank's registered regions.
 func (r *Rank) registeredSpan(addr, n uint64) bool {
-	for _, mr := range r.registered {
-		if addr >= mr.region.Start() && addr+n <= mr.region.End() {
+	for _, reg := range r.registered {
+		if addr >= reg.Start() && addr+n <= reg.End() {
 			return true
 		}
 	}
@@ -263,23 +203,6 @@ func (w *World) untrackDelivery(dst int) {
 	w.rdma.total--
 }
 
-// InFlight returns the number of scheduled-but-unlanded deliveries
-// across the world (0 when RDMA is not enabled).
-func (w *World) InFlight() int {
-	if w.rdma == nil {
-		return 0
-	}
-	return w.rdma.total
-}
-
-// RankInFlight returns the in-flight delivery count bound for rank i.
-func (w *World) RankInFlight(i int) int {
-	if w.rdma == nil {
-		return 0
-	}
-	return w.rdma.inflight[i]
-}
-
 // strandedRanks lists destination ranks with in-flight deliveries, in
 // ascending rank order.
 func (w *World) strandedRanks() []int {
@@ -292,7 +215,7 @@ func (w *World) strandedRanks() []int {
 	return out
 }
 
-// AwaitDrain polls the in-flight counters every DrainPoll until they
+// AwaitDrain polls the in-flight counters every drainPoll until they
 // reach zero, then calls fn(nil). If timeout > 0 and the counters are
 // still nonzero once the polls have consumed it, fn receives the list
 // of stranded destination ranks instead — the drain protocol degrades
@@ -312,7 +235,7 @@ func (w *World) AwaitDrain(timeout des.Time, fn func(stranded []int)) {
 			fn(w.strandedRanks())
 			return
 		}
-		w.eng.After(w.rdma.cfg.DrainPoll, poll)
+		w.eng.After(drainPoll, poll)
 	}
 	poll()
 }
@@ -336,7 +259,7 @@ func (r *Rank) Put(dst int, destAddr uint64, data []byte, onComplete func()) {
 	payload := append([]byte(nil), data...)
 	target := w.ranks[dst]
 	if w.faults != nil {
-		deliver, ack, _, _ := w.planARQ(r.id, dst, n, 0)
+		deliver, ack := w.planARQ(r.id, dst, n)
 		w.faults.suppressDup(r.id)
 		w.trackDelivery(dst)
 		w.eng.After(deliver, func() { target.landPut(destAddr, payload) })

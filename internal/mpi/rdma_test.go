@@ -11,7 +11,7 @@ import (
 func rdmaWorld(t *testing.T, n int) (*des.Engine, *World) {
 	t.Helper()
 	eng, w := testWorld(t, n, Direct)
-	if err := w.EnableRDMA(RDMAConfig{}); err != nil {
+	if err := w.EnableRDMA(); err != nil {
 		t.Fatal(err)
 	}
 	return eng, w
@@ -35,7 +35,7 @@ func TestDrainPhaseNamesRoundTrip(t *testing.T) {
 
 func TestEnableRDMARequiresDirect(t *testing.T) {
 	_, w := testWorld(t, 2, Bounce)
-	if err := w.EnableRDMA(RDMAConfig{}); err == nil {
+	if err := w.EnableRDMA(); err == nil {
 		t.Fatal("EnableRDMA accepted a Bounce world")
 	}
 }
@@ -105,7 +105,8 @@ func TestRegisterAllDataAndDeregister(t *testing.T) {
 	_, w := rdmaWorld(t, 1)
 	r := w.Rank(0)
 	d := r.Space().MapData(4 * 4096)
-	regs, pages := r.RegisterAllData()
+	pages := r.RegisterAllData()
+	regs := r.registered
 	if len(regs) != 1 || pages != 4 {
 		t.Fatalf("RegisterAllData = %d regions / %d pages, want 1/4 (bounce+stack excluded)", len(regs), pages)
 	}
@@ -140,16 +141,16 @@ func TestPutOneSidedDelivery(t *testing.T) {
 
 	completed := false
 	r0.Put(1, win.Start(), []byte{1, 2, 3, 4}, func() { completed = true })
-	if w.InFlight() != 1 || w.RankInFlight(1) != 1 {
-		t.Fatalf("InFlight = %d / RankInFlight(1) = %d after injection, want 1/1", w.InFlight(), w.RankInFlight(1))
+	if w.rdma.total != 1 || w.rdma.inflight[1] != 1 {
+		t.Fatalf("in flight = %d / to rank 1 = %d after injection, want 1/1", w.rdma.total, w.rdma.inflight[1])
 	}
 	eng.Run(des.MaxTime)
 
 	if !completed {
 		t.Fatal("Put completion never ran")
 	}
-	if w.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after run, want 0", w.InFlight())
+	if w.rdma.total != 0 {
+		t.Fatalf("in flight = %d after run, want 0", w.rdma.total)
 	}
 	st := r1.Stats()
 	if st.BytesReceived != 4 || r0.Stats().Puts != 1 {
@@ -183,8 +184,8 @@ func TestPutUnderFaultsExactlyOnce(t *testing.T) {
 	if got := r1.Stats().BytesReceived; got != 20 {
 		t.Fatalf("BytesReceived = %d under ARQ, want exactly 20", got)
 	}
-	if w.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after drain, want 0", w.InFlight())
+	if w.rdma.total != 0 {
+		t.Fatalf("in flight = %d after drain, want 0", w.rdma.total)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestShardedChaosDeterministic(t *testing.T) {
 // must refuse to install on a sharded world.
 func TestShardedRDMARejected(t *testing.T) {
 	_, w := shardedWorld(t, 2, 2, Direct)
-	if err := w.EnableRDMA(RDMAConfig{}); err == nil {
+	if err := w.EnableRDMA(); err == nil {
 		t.Fatal("EnableRDMA accepted a sharded world")
 	}
 }

@@ -73,6 +73,8 @@ func (s *FaultyStore) Stats() FaultStats {
 }
 
 // Down reports whether the permanent outage has triggered.
+//
+//lint:ignore deadexport probe the autonomic hardened-storage tests assert on
 func (s *FaultyStore) Down() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,6 +83,8 @@ func (s *FaultyStore) Down() bool {
 
 // Kill forces the permanent outage immediately, regardless of
 // OutageAfterOps.
+//
+//lint:ignore deadexport fault injector the redundancy view tests kill a tier with
 func (s *FaultyStore) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -144,7 +148,12 @@ func (s *FaultyStore) put(key string, data []byte, sink func(string, []byte) err
 }
 
 // Get implements Store, possibly failing transiently.
-func (s *FaultyStore) Get(key string) ([]byte, error) {
+func (s *FaultyStore) Get(key string) ([]byte, error) { return s.read(Store.Get, key) }
+
+// View implements Viewer, injecting the same faults as Get.
+func (s *FaultyStore) View(key string) ([]byte, error) { return s.read(View, key) }
+
+func (s *FaultyStore) read(get func(Store, string) ([]byte, error), key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.step() {
@@ -154,7 +163,7 @@ func (s *FaultyStore) Get(key string) ([]byte, error) {
 		s.stats.Transients++
 		return nil, fmt.Errorf("get %q timed out: %w", key, ErrTransient)
 	}
-	return s.inner.Get(key)
+	return get(s.inner, key)
 }
 
 // Delete implements Store, possibly failing transiently.

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -87,6 +89,94 @@ func TestIntegrityPutAllocatesPayloadOnce(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.Put("k", data) }); allocs != 1 {
 		t.Fatalf("IntegrityStore(MemStore).Put allocates %v objects per call, want 1 (the sealed frame)", allocs)
+	}
+}
+
+// TestViewLendsStoredBuffer: View hands out the bytes MemStore holds —
+// bare and through every forwarding wrapper, where it is the payload
+// inside the sealed frame — and stays intact when the key is rewritten.
+// A store without the fast path answers View with a Get.
+func TestViewLendsStoredBuffer(t *testing.T) {
+	mem := NewMemStore()
+	mirror, err := NewMirrorStore(
+		NewResilientStore(NewIntegrityStore(NewFaultyStore(mem, FaultConfig{Seed: 1})), RetryPolicy{}),
+		NewResilientStore(NewIntegrityStore(NewMemStore()), RetryPolicy{}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("segment!"), 64)
+	if err := mirror.Put("k", want); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := View(mem, "k")
+	if err != nil || &frame[0] != &mem.m["k"][0] {
+		t.Fatalf("MemStore.View copied the stored value (err %v)", err)
+	}
+	got, err := View(mirror, "k")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("View through the stack: %v, equal %v", err, bytes.Equal(got, want))
+	}
+	if &got[0] != &mem.m["k"][envelopeHeader] {
+		t.Fatal("View through Mirror(Resilient(Integrity(Faulty(Mem)))) copied the payload")
+	}
+	if err := mirror.Put("k", []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("rewriting the key changed an earlier view")
+	}
+
+	var plain Store = struct{ Store }{mem} // hides MemStore.View
+	cp, err := View(plain, "k")
+	if err != nil || !bytes.Equal(cp, mem.m["k"]) {
+		t.Fatalf("fallback Get: %v", err)
+	}
+	if &cp[0] == &mem.m["k"][0] {
+		t.Fatal("a store without View lent its buffer")
+	}
+	if _, err := View(mem, "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("View of a missing key: %v, want ErrNotFound", err)
+	}
+}
+
+// TestViewFaultsLikeGet: a View is one "get" to every wrapper — the same
+// injected faults, retries, failover and read-repair, in the same order
+// — so swapping Get for View moves no seeded result.
+func TestViewFaultsLikeGet(t *testing.T) {
+	type outcome struct {
+		data   string
+		err    string
+		faults FaultStats
+		retry  RetryStats
+		mirror MirrorStats
+	}
+	run := func(read func(Store, string) ([]byte, error)) []outcome {
+		faulty := NewFaultyStore(NewMemStore(), FaultConfig{Seed: 9, TransientRate: 0.3, CorruptRate: 0.3, OutageAfterOps: 60})
+		res := NewResilientStore(NewIntegrityStore(faulty), RetryPolicy{Seed: 9, MaxAttempts: 3, BaseDelay: 1, MaxDelay: 8})
+		m, err := NewMirrorStore(res, NewIntegrityStore(NewMemStore()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []outcome
+		for i := 0; i < 40; i++ {
+			key := string(rune('a' + i%5))
+			if i < 10 {
+				m.Put(key, bytes.Repeat([]byte(key), 32))
+				continue
+			}
+			o := outcome{}
+			data, err := read(m, key)
+			if o.data = string(data); err != nil {
+				o.err = err.Error()
+			}
+			o.faults, o.retry, o.mirror = faulty.Stats(), res.Stats(), m.Stats()
+			out = append(out, o)
+		}
+		return out
+	}
+	if got, want := run(View), run(Store.Get); !reflect.DeepEqual(got, want) {
+		t.Fatalf("View and Get diverge:\nview %+v\nget  %+v", got, want)
 	}
 }
 

@@ -124,7 +124,7 @@ func (m Model) Headroom(requiredBps float64) float64 {
 // values in memory copies. Get returns a buffer private to the caller —
 // mutating it never changes what a later Get returns. A caller whose
 // buffer is fresh and referenced by nothing else can skip Put's copy
-// with PutOwned.
+// with PutOwned; a caller that only reads can skip Get's with View.
 type Store interface {
 	// Put stores data under key, replacing any previous value.
 	Put(key string, data []byte) error
@@ -159,6 +159,25 @@ func PutOwned(s Store, key string, data []byte) error {
 	return s.Put(key, data)
 }
 
+// Viewer is the read-side twin of OwnedPutter, the optional fast path of
+// a Store whose Get would otherwise copy: View returns the stored bytes
+// themselves, which the caller must not modify. MemStore lends its
+// stored value — it replaces values, never mutates one in place, so a
+// view stays intact across later Puts and Deletes; wrappers forward it.
+type Viewer interface {
+	View(key string) ([]byte, error)
+}
+
+// View reads key without a private copy when s implements Viewer, and
+// falls back to a plain Get otherwise. Either way the result is
+// read-only to the caller.
+func View(s Store, key string) ([]byte, error) {
+	if v, ok := s.(Viewer); ok {
+		return v.View(key)
+	}
+	return s.Get(key)
+}
+
 // MemStore is an in-memory Store, safe for concurrent use.
 type MemStore struct {
 	mu sync.RWMutex
@@ -187,15 +206,24 @@ func (s *MemStore) PutOwned(key string, data []byte) error {
 
 // Get implements Store.
 func (s *MemStore) Get(key string) ([]byte, error) {
+	d, err := s.View(key)
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]byte, len(d))
+	copy(cp, d)
+	return cp, nil
+}
+
+// View implements Viewer: the stored value itself.
+func (s *MemStore) View(key string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.m[key]
 	if !ok {
 		return nil, fmt.Errorf("key %q: %w", key, ErrNotFound)
 	}
-	cp := make([]byte, len(d))
-	copy(cp, d)
-	return cp, nil
+	return d, nil
 }
 
 // Delete implements Store.

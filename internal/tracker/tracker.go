@@ -50,8 +50,6 @@ type Options struct {
 	AlarmFixedCost des.Time
 	// OnSample, when set, observes each completed timeslice sample.
 	OnSample func(Sample)
-
-	keepSamples bool
 }
 
 // withDefaults fills zero fields with calibrated defaults.
@@ -148,23 +146,13 @@ func New(eng *des.Engine, space *mem.AddressSpace, opts Options) (*Tracker, erro
 	if opts.Timeslice <= 0 {
 		return nil, fmt.Errorf("tracker: timeslice must be positive, got %v", opts.Timeslice)
 	}
-	o := opts.withDefaults()
-	o.keepSamples = true
 	return &Tracker{
 		eng:      eng,
 		space:    space,
-		opts:     o,
+		opts:     opts.withDefaults(),
 		dirty:    make(map[*mem.Region]*bitset.Set),
 		excluded: make(map[*mem.Region]bool),
 	}, nil
-}
-
-// WithoutSamples disables sample retention (only the most recent sample is
-// kept); OnSample still fires. Long parameter sweeps use this to bound
-// memory.
-func (t *Tracker) WithoutSamples() *Tracker {
-	t.opts.keepSamples = false
-	return t
 }
 
 // Exclude marks a region as never write-protected and never counted in
@@ -237,9 +225,6 @@ func (t *Tracker) Stop() {
 	}
 	t.space.UnprotectAllData()
 }
-
-// Running reports whether the tracker is active.
-func (t *Tracker) Running() bool { return t.running }
 
 // protectAll write-protects every checkpointable region except exclusions,
 // charging the re-protection cost, and returns the pages protected.
@@ -350,14 +335,7 @@ func (t *Tracker) onAlarm(at des.Time) {
 	t.protectAll()
 	s.Overhead = t.sliceOverhead
 	t.sliceOverhead = 0
-	if t.opts.keepSamples {
-		t.samples = append(t.samples, s)
-	} else {
-		// Fresh slice, not append(t.samples[:0], s): a caller holding a
-		// slice from an earlier Samples() call must not see its contents
-		// rewritten in place.
-		t.samples = []Sample{s}
-	}
+	t.samples = append(t.samples, s)
 	if t.opts.OnSample != nil {
 		t.opts.OnSample(s)
 	}

@@ -158,7 +158,7 @@ func TestStopRestoresState(t *testing.T) {
 	tr.Start()
 	eng.Run(500 * des.Millisecond)
 	tr.Stop()
-	if tr.Running() {
+	if tr.running {
 		t.Fatal("Running after Stop")
 	}
 	if r.ProtectedPages() != 0 {
@@ -279,22 +279,15 @@ func TestOverheadAndSlowdown(t *testing.T) {
 	}
 }
 
-func TestOnSampleAndWithoutSamples(t *testing.T) {
+func TestOnSample(t *testing.T) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
 	var seen int
 	tr, _ := New(eng, sp, Options{Timeslice: des.Second, OnSample: func(Sample) { seen++ }})
-	tr.WithoutSamples()
 	tr.Start()
 	eng.Run(5 * des.Second)
-	if seen != 5 {
-		t.Fatalf("OnSample fired %d times, want 5", seen)
-	}
-	if len(tr.Samples()) != 1 {
-		t.Fatalf("retained %d samples, want 1 (latest only)", len(tr.Samples()))
-	}
-	if tr.Samples()[0].Index != 4 {
-		t.Fatalf("latest sample index = %d", tr.Samples()[0].Index)
+	if seen != 5 || len(tr.Samples()) != 5 {
+		t.Fatalf("OnSample fired %d times for %d samples, want 5 and 5", seen, len(tr.Samples()))
 	}
 }
 
@@ -425,7 +418,6 @@ func BenchmarkTrackerSweep(b *testing.B) {
 	sp := mem.NewAddressSpace(mem.Config{Phantom: true})
 	r, _ := sp.Mmap(256 * 1024 * 1024)
 	tr, _ := New(eng, sp, Options{Timeslice: des.Second})
-	tr.WithoutSamples()
 	tr.Start()
 	var t0 des.Time
 	b.SetBytes(256 * 1024 * 1024)
@@ -434,41 +426,5 @@ func BenchmarkTrackerSweep(b *testing.B) {
 		eng.Schedule(t0+des.Millisecond, func() { sp.WriteRange(r.Start(), r.Size()) })
 		t0 += des.Second
 		eng.Run(t0)
-	}
-}
-
-// TestSamplesNoAliasingWithoutRetention is the regression test for the
-// keep-last-sample branch: a slice obtained from Samples() before a
-// later alarm must not have its contents rewritten in place.
-func TestSamplesNoAliasingWithoutRetention(t *testing.T) {
-	eng, sp, tr := setup(t, des.Second)
-	r, _ := sp.Mmap(100 * pageSize)
-	tr.WithoutSamples()
-	tr.Start()
-
-	eng.Schedule(100*des.Millisecond, func() {
-		if err := sp.WriteRange(r.Start(), 10*pageSize); err != nil {
-			t.Error(err)
-		}
-	})
-	var held []Sample
-	eng.Schedule(1050*des.Millisecond, func() { held = tr.Samples() })
-	eng.Schedule(1100*des.Millisecond, func() {
-		if err := sp.WriteRange(r.Start(), 3*pageSize); err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run(2 * des.Second)
-	tr.Stop()
-
-	if len(held) != 1 || held[0].Index != 0 {
-		t.Fatalf("held = %+v, want the slice-0 sample", held)
-	}
-	if held[0].IWSPages != 10 {
-		t.Fatalf("held sample rewritten in place: IWSPages = %d, want 10", held[0].IWSPages)
-	}
-	cur := tr.Samples()
-	if len(cur) != 1 || cur[0].Index == 0 {
-		t.Fatalf("current samples = %+v, want only the latest", cur)
 	}
 }

@@ -19,10 +19,10 @@ func TestEventQueueStaysShallow(t *testing.T) {
 		t.Fatalf("reference rank count = %d, want the paper's 64", r.Cfg.Ranks)
 	}
 	peak := 0
-	for r.Iterations() < 2 && r.Eng.Step() {
+	for r.iterations() < 2 && r.Eng.Step() {
 		peak = max(peak, r.Eng.Pending())
 	}
-	if r.Iterations() < 2 {
+	if r.iterations() < 2 {
 		t.Fatal("run ended before two iterations completed")
 	}
 	t.Logf("peak queue depth %d entries over %d events", peak, r.Eng.Fired())

@@ -28,11 +28,6 @@ type Config struct {
 	Net mpi.Network
 	// Seed drives per-rank jitter; runs with equal seeds are identical.
 	Seed uint64
-	// MaxTick caps the sweep scheduling granularity. Zero selects
-	// 50 ms. Smaller ticks cost more events but resolve shorter
-	// timeslices; the runner automatically refines ticks for bursts
-	// shorter than ~20 ticks.
-	MaxTick des.Time
 	// Shards selects the event-engine topology. Zero or one runs the
 	// whole simulation on a single sequential engine (the default, and
 	// bit-identical to historical runs). Larger values spread ranks
@@ -41,6 +36,11 @@ type Config struct {
 	// results are identical at every shard count.
 	Shards int
 }
+
+// maxTick caps the sweep scheduling granularity. Smaller ticks cost more
+// events but resolve shorter timeslices; the runner automatically refines
+// ticks for bursts shorter than ~20 ticks.
+const maxTick = 50 * des.Millisecond
 
 func (c Config) withDefaults(spec Spec) Config {
 	if c.Ranks == 0 {
@@ -51,9 +51,6 @@ func (c Config) withDefaults(spec Spec) Config {
 	}
 	if c.Net == (mpi.Network{}) {
 		c.Net = mpi.QsNet()
-	}
-	if c.MaxTick == 0 {
-		c.MaxTick = 50 * des.Millisecond
 	}
 	return c
 }
@@ -147,9 +144,6 @@ func (r *Runner) EngineFor(i int) *des.Engine {
 	return r.Eng
 }
 
-// Group returns the shard group, or nil for a sequential run.
-func (r *Runner) Group() *des.Group { return r.group }
-
 // CriticalPathEvents reports the longest dependent event chain executed
 // so far. Eng.Fired()/CriticalPathEvents() is the run's available
 // concurrency — deterministic per seed and shard count, unlike
@@ -180,9 +174,9 @@ func (r *Runner) Now() des.Time {
 // initialization write burst (§6.3).
 func (r *Runner) IterZero() des.Time { return r.iterZero }
 
-// InitEstimate returns an analytic upper bound for the initialization
+// initEstimate returns an analytic upper bound for the initialization
 // phase duration, usable to size Run budgets before running.
-func (r *Runner) InitEstimate() des.Time {
+func (r *Runner) initEstimate() des.Time {
 	secs := r.Spec.PersistentMB() / r.Spec.InitRateMBs
 	return des.FromSeconds(secs*1.05) + 100*des.Millisecond
 }
@@ -208,15 +202,15 @@ func (r *Runner) InitTail() des.Time {
 	return des.Time(steps-1) * tick
 }
 
-// DurationFor returns a virtual-time budget covering initialization plus
+// durationFor returns a virtual-time budget covering initialization plus
 // the given number of iterations (plus slack for barrier drift).
-func (r *Runner) DurationFor(iterations int) des.Time {
+func (r *Runner) durationFor(iterations int) des.Time {
 	period := r.Spec.PeriodAt(r.Cfg.Ranks)
-	return r.InitEstimate() + des.Time(iterations)*period + period/4
+	return r.initEstimate() + des.Time(iterations)*period + period/4
 }
 
-// Iterations reports how many full iterations rank 0 has completed.
-func (r *Runner) Iterations() int { return r.apps[0].iter }
+// iterations reports how many full iterations rank 0 has completed.
+func (r *Runner) iterations() int { return r.apps[0].iter }
 
 // span is a byte extent the sweep walks through.
 type span struct {
@@ -422,12 +416,7 @@ func (a *app) startIteration() {
 	profile := a.r.profile
 	subDur := burst / des.Time(len(profile))
 	tick := subDur / 12
-	if tick > a.r.Cfg.MaxTick {
-		tick = a.r.Cfg.MaxTick
-	}
-	if tick < 100*des.Microsecond {
-		tick = 100 * des.Microsecond
-	}
+	tick = max(min(tick, maxTick), 100*des.Microsecond)
 	// Temporal locality: each tick also rewrites the whole trailing
 	// dwell window behind the sweep cursor. Re-touching already-dirty
 	// pages is nearly free in the simulation (a bitmap word scan), and

@@ -16,14 +16,14 @@ func shardedFingerprint(t *testing.T, shards int, backed bool) ([]uint64, []uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run(r.DurationFor(3))
+	r.Run(r.durationFor(3))
 	digests := make([]uint64, 4)
 	written := make([]uint64, 4)
 	for i := 0; i < 4; i++ {
 		digests[i] = r.Space(i).Digest(nil)
 		written[i] = r.Space(i).WrittenBytes()
 	}
-	return digests, written, r.Iterations(), r.IterZero(), r.Eng.Fired()
+	return digests, written, r.iterations(), r.IterZero(), r.Eng.Fired()
 }
 
 // TestShardedRunnerMatchesSequential pins the tentpole guarantee at the
@@ -83,8 +83,8 @@ func TestShardedRunnerParallelRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run(r.DurationFor(2))
-	if r.Iterations() < 2 {
-		t.Fatalf("iterations = %d", r.Iterations())
+	r.Run(r.durationFor(2))
+	if r.iterations() < 2 {
+		t.Fatalf("iterations = %d", r.iterations())
 	}
 }

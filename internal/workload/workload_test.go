@@ -123,9 +123,9 @@ func TestRunnerLifecycle(t *testing.T) {
 	if r.World.Size() != 4 {
 		t.Fatalf("world size = %d", r.World.Size())
 	}
-	r.Run(r.DurationFor(3))
-	if r.Iterations() < 3 {
-		t.Fatalf("iterations = %d, want >= 3", r.Iterations())
+	r.Run(r.durationFor(3))
+	if r.iterations() < 3 {
+		t.Fatalf("iterations = %d, want >= 3", r.iterations())
 	}
 	if r.IterZero() <= 0 {
 		t.Fatal("IterZero not recorded")
@@ -149,7 +149,7 @@ func TestRunnerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Run(r.DurationFor(2))
+		r.Run(r.durationFor(2))
 		return r.Space(0).WrittenBytes(), r.Eng.Fired()
 	}
 	w1, f1 := run()
@@ -187,7 +187,7 @@ func trackedRun(t *testing.T, spec Spec, ranks int, ts des.Time, iters int) (*me
 	}
 	tr.AttachRank(r.World, 0)
 	tr.Start()
-	r.Run(r.DurationFor(iters))
+	r.Run(r.durationFor(iters))
 	return tr.IWSSeries().After(r.IterZero().Seconds() + ts.Seconds()), r, tr
 }
 
@@ -230,7 +230,7 @@ func TestDynamicFootprintOscillates(t *testing.T) {
 	tr, _ := tracker.New(r.Eng, r.Space(0), tracker.Options{Timeslice: 250 * des.Millisecond})
 	tr.AttachRank(r.World, 0)
 	tr.Start()
-	r.Run(r.DurationFor(4))
+	r.Run(r.durationFor(4))
 	fp := tr.FootprintSeries().After(r.IterZero().Seconds())
 	m := metrics.Summarize(fp)
 	if m.Max <= m.Min {
@@ -259,7 +259,7 @@ func TestCommDataReceived(t *testing.T) {
 		t.Fatal("no data received recorded")
 	}
 	// ~0.25 MB per iteration (plus allreduce payloads).
-	perIter := m.Sum / float64(r.Iterations())
+	perIter := m.Sum / float64(r.iterations())
 	if perIter < 0.1 || perIter > 1.0 {
 		t.Fatalf("received %.3f MB per iteration, want ~0.25", perIter)
 	}
@@ -290,15 +290,15 @@ func TestWeakScalingPeriodStretch(t *testing.T) {
 	spec.ScaleAlpha = 0.05
 	spec.RefRanks = 2
 	r2, _ := New(spec, Config{Ranks: 2, Seed: 1})
-	r2.Run(r2.DurationFor(4))
+	r2.Run(r2.durationFor(4))
 	r8, _ := New(spec, Config{Ranks: 8, Seed: 1})
-	r8.Run(r8.DurationFor(4))
+	r8.Run(r8.durationFor(4))
 	// Same virtual budget per iteration; more ranks → longer period →
 	// same iteration count but measured over a longer wall time is
 	// covered by DurationFor. Just verify both progressed and that the
 	// configured period differs.
-	if r2.Iterations() < 4 || r8.Iterations() < 4 {
-		t.Fatalf("iterations: %d, %d", r2.Iterations(), r8.Iterations())
+	if r2.iterations() < 4 || r8.iterations() < 4 {
+		t.Fatalf("iterations: %d, %d", r2.iterations(), r8.iterations())
 	}
 	if spec.PeriodAt(8) <= spec.PeriodAt(2) {
 		t.Fatal("period did not stretch with ranks")
@@ -325,7 +325,7 @@ func BenchmarkTinyIteration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Run(r.InitEstimate() + des.Second)
+	r.Run(r.initEstimate() + des.Second)
 	period := spec.PeriodAt(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -385,7 +385,7 @@ func TestPropertyIWSBoundedByFootprint(t *testing.T) {
 			tr, _ := tracker.New(r.Eng, r.Space(0), tracker.Options{Timeslice: ts})
 			tr.AttachRank(r.World, 0)
 			tr.Start()
-			r.Run(r.DurationFor(3))
+			r.Run(r.durationFor(3))
 			for i, s := range tr.Samples() {
 				if s.IWSBytes > s.FootprintBytes {
 					t.Fatalf("%s ts=%v slice %d: IWS %d > footprint %d",

@@ -1,11 +1,5 @@
 #!/bin/sh
-# Full verification gate: build, vet, determinism-contract lint, the
-# race-enabled test suite, and the benchmark harness's own tests (a
-# separate module, invisible to ./...).
-# Same as `make verify` for environments without make.
-set -eux
-go build ./...
-go vet ./...
-go run ./cmd/lint ./...
-go test -race ./...
-go test -C benchmark ./...
+# The full verification gate is `make verify` (build, vet, lint, race
+# suite, benchmark harness tests); this script only calls it, for CI and
+# for muscle memory.
+exec make verify
