@@ -415,7 +415,17 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		payload = w.payload
 	}
 	key := SegmentKey(c.opts.Rank, c.seq)
-	if err := c.opts.Store.Put(key, enc); err != nil {
+	// enc is fresh and dropped here, so a store that keeps values in
+	// memory may keep this one — but only when the writer's size bound
+	// was exact: zero-elided, RLE and dedup segments come out shorter,
+	// and a keeping store would retain the slack for the line's life.
+	var err error
+	if len(enc) == cap(enc) {
+		err = storage.PutOwned(c.opts.Store, key, enc)
+	} else {
+		err = c.opts.Store.Put(key, enc)
+	}
+	if err != nil {
 		return Result{}, fmt.Errorf("ckpt: persist %s: %w", key, err)
 	}
 	res := Result{

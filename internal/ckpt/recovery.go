@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -64,29 +65,50 @@ func SegmentKey(rank int, seq uint64) string {
 	return fmt.Sprintf("rank%03d/seg%06d", rank, seq)
 }
 
-// ParseSegmentKey parses a store key of the form "rankNNN/segNNNNNN",
-// the layout written by Checkpointer.Checkpoint. Either out-pointer may
-// be nil when the caller only needs the other field (or just the match).
+// ParseSegmentKey inverts SegmentKey: it accepts exactly the keys
+// SegmentKey prints — decimal digits only, zero-padded to the printed
+// width and no further, no sign — so a key is a segment key to every
+// layer or to none, and a parsed rank is never negative. Either
+// out-pointer may be nil when the caller only needs the other field (or
+// just the match).
 func ParseSegmentKey(key string, rank *int, seq *uint64) bool {
-	parts := strings.Split(key, "/")
-	if len(parts) != 2 || !strings.HasPrefix(parts[0], "rank") || !strings.HasPrefix(parts[1], "seg") {
+	rest, ok := strings.CutPrefix(key, "rank")
+	if !ok {
 		return false
 	}
-	r, err := strconv.Atoi(strings.TrimPrefix(parts[0], "rank"))
-	if err != nil {
+	r, rest, ok := cutPadded(rest, 3)
+	if !ok || r > math.MaxInt {
 		return false
 	}
-	s, err := strconv.ParseUint(strings.TrimPrefix(parts[1], "seg"), 10, 64)
-	if err != nil {
+	if rest, ok = strings.CutPrefix(rest, "/seg"); !ok {
+		return false
+	}
+	s, rest, ok := cutPadded(rest, 6)
+	if !ok || rest != "" {
 		return false
 	}
 	if rank != nil {
-		*rank = r
+		*rank = int(r)
 	}
 	if seq != nil {
 		*seq = s
 	}
 	return true
+}
+
+// cutPadded consumes from the front of s the number fmt's %0<width>d
+// verb prints for a non-negative value: at least width digits, with
+// leading zeros only as padding up to width.
+func cutPadded(s string, width int) (n uint64, rest string, ok bool) {
+	i := 0
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	if i < width || (i > width && s[0] == '0') {
+		return 0, "", false
+	}
+	n, err := strconv.ParseUint(s[:i], 10, 64)
+	return n, s[i:], err == nil
 }
 
 // ChainVolume returns the total encoded bytes that a restore of the

@@ -8,9 +8,9 @@ func TestParseSegmentKeyEdgeCases(t *testing.T) {
 	var rank int
 	var seq uint64
 
-	// Width is a formatting convention, not a requirement.
-	if !ParseSegmentKey("rank7/seg12", &rank, &seq) || rank != 7 || seq != 12 {
-		t.Fatalf("unpadded key: rank=%d seq=%d", rank, seq)
+	// Numbers wider than the padding print unpadded and parse back.
+	if !ParseSegmentKey("rank1234/seg12345678", &rank, &seq) || rank != 1234 || seq != 12345678 {
+		t.Fatalf("wide key: rank=%d seq=%d", rank, seq)
 	}
 	// Maximum representable sequence survives the round trip.
 	if !ParseSegmentKey("rank000/seg18446744073709551615", &rank, &seq) || seq != ^uint64(0) {
@@ -20,7 +20,7 @@ func TestParseSegmentKeyEdgeCases(t *testing.T) {
 		"rank003/seg00001/extra", // too many separators
 		"rank/seg000001",         // empty rank digits
 		"rank003/seg",            // empty seq digits
-		"rank-03/seg000001",      // negative-looking rank... rejected by Atoi? no: "-03" parses
+		"rank-03/seg000001",      // what SegmentKey(-3, 1) prints: a sign is never a rank
 		"rank003seg000001",       // missing separator
 		"RANK003/seg000001",      // case matters
 		"rank003/SEG000001",
@@ -37,12 +37,6 @@ func TestParseSegmentKeyEdgeCases(t *testing.T) {
 		rank, seq = -1, 0
 		got := ParseSegmentKey(key, &rank, &seq)
 		switch key {
-		case "rank-03/seg000001":
-			// strconv.Atoi accepts a sign; the scan layer tolerates it
-			// and range checks (rank < 0) reject it downstream.
-			if got && rank >= 0 {
-				t.Errorf("key %q: rank %d parsed non-negative", key, rank)
-			}
 		case "rank999999999999999999/seg000001":
 			// Parses on 64-bit ints; the caller's rank-range check drops it.
 			if got && rank < 1 {
@@ -53,5 +47,40 @@ func TestParseSegmentKeyEdgeCases(t *testing.T) {
 				t.Errorf("malformed key %q accepted (rank=%d seq=%d)", key, rank, seq)
 			}
 		}
+	}
+}
+
+// TestParseSegmentKeyCanonicalOnly: the parser accepts exactly what
+// SegmentKey prints. Every other spelling strconv would read as the same
+// numbers — a sign, missing or extra padding — is not a segment key, so
+// no layer can see a negative rank or two keys for one segment.
+func TestParseSegmentKeyCanonicalOnly(t *testing.T) {
+	for _, tc := range []struct {
+		rank int
+		seq  uint64
+	}{{0, 0}, {7, 12}, {999, 999999}, {1000, 1000000}, {123456, ^uint64(0)}} {
+		key := SegmentKey(tc.rank, tc.seq)
+		var rank int
+		var seq uint64
+		if !ParseSegmentKey(key, &rank, &seq) || rank != tc.rank || seq != tc.seq {
+			t.Errorf("canonical key %q: ok rank=%d seq=%d", key, rank, seq)
+		}
+	}
+	for _, key := range []string{
+		"rank-1/seg0", "rank-01/seg000000", SegmentKey(-1, 0), // signed ranks
+		"rank+3/seg+07", "rank+03/seg000007", "rank003/seg+00007",
+		"rank1/seg2", "rank7/seg12", "rank003/seg12", "rank3/seg000012", // under-padded
+		"rank0003/seg000012", "rank003/seg0000012", "rank01000/seg000001", // over-padded
+	} {
+		rank, seq := 42, uint64(42)
+		if ParseSegmentKey(key, &rank, &seq) {
+			t.Errorf("non-canonical key %q accepted (rank=%d seq=%d)", key, rank, seq)
+		}
+		if rank != 42 || seq != 42 {
+			t.Errorf("rejected key %q wrote its out-parameters (rank=%d seq=%d)", key, rank, seq)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseSegmentKey("rank003/seg000042", nil, nil) }); n != 0 {
+		t.Errorf("ParseSegmentKey allocates %v times per call", n)
 	}
 }

@@ -412,3 +412,76 @@ func BenchmarkCheckpointBacked(b *testing.B) {
 		}
 	}
 }
+
+// handoffStore records how each segment reached the store and how much
+// unused capacity came with it.
+type handoffStore struct {
+	storage.Store
+	owned map[string]bool
+	slack map[string]int
+}
+
+func (s *handoffStore) arrive(key string, data []byte, owned bool) {
+	s.owned[key], s.slack[key] = owned, cap(data)-len(data)
+}
+
+func (s *handoffStore) Put(key string, data []byte) error {
+	s.arrive(key, data, false)
+	return s.Store.Put(key, data)
+}
+
+func (s *handoffStore) PutOwned(key string, data []byte) error {
+	s.arrive(key, data, true)
+	return storage.PutOwned(s.Store, key, data)
+}
+
+// TestCheckpointGivesExactSegmentsAway: Checkpoint drops its encode
+// buffer after the put, so it gives the buffer away — but only when the
+// writer's size bound was exact. A segment with elided zero pages (or RLE
+// pages) is shorter than its bound; a keeping store would retain the
+// slack for as long as the line lives, so those stay lent.
+func TestCheckpointGivesExactSegmentsAway(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		store := &handoffStore{Store: storage.NewMemStore(), owned: map[string]bool{}, slack: map[string]int{}}
+		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+		r, _ := sp.Mmap(8 * pageSize)
+		c, err := NewCheckpointer(des.NewEngine(), sp, Options{Store: store, Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		noisy := make([]byte, 8*pageSize) // incompressible, no zero page
+		for i := range noisy {
+			noisy[i] = byte(i*7 + i>>8 + 1)
+		}
+		sp.Write(r.Start(), noisy[:4*pageSize]) // seq 0: full, four pages never touched
+		c.Checkpoint()
+		sp.Write(r.Start(), noisy) // seq 1: eight dirty pages, all data
+		c.Checkpoint()
+		sp.Write(r.Start(), bytes.Repeat([]byte{9}, pageSize)) // seq 2: one constant page
+		c.Checkpoint()
+
+		// Under compression the bound reserves an RLE header per page,
+		// so even incompressible pages leave slack.
+		wantOwned := map[uint64]bool{0: false, 1: !compress, 2: !compress}
+		for seq, want := range wantOwned {
+			key := SegmentKey(0, seq)
+			owned, ok := store.owned[key]
+			if !ok {
+				t.Fatalf("compress=%v: line %d never reached the store", compress, seq)
+			}
+			if owned != want {
+				t.Errorf("compress=%v line %d: given away = %v, want %v (slack %d bytes)", compress, seq, owned, want, store.slack[key])
+			}
+			if owned && store.slack[key] != 0 {
+				t.Errorf("compress=%v line %d: gave away a buffer with %d bytes of slack", compress, seq, store.slack[key])
+			}
+			if !owned && store.slack[key] == 0 {
+				t.Errorf("compress=%v line %d: an exact buffer was lent", compress, seq)
+			}
+		}
+		if _, err := RestoreAll(store, 1, 2); err != nil {
+			t.Fatalf("compress=%v: restore through the handed-off segments: %v", compress, err)
+		}
+	}
+}

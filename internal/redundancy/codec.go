@@ -15,6 +15,7 @@
 package redundancy
 
 import (
+	"crypto/subtle"
 	"fmt"
 )
 
@@ -108,6 +109,52 @@ type Codec interface {
 	// entries must have equal length. On success every entry is
 	// non-nil.
 	Reconstruct(shards [][]byte) error
+
+	// encodeInto and fill are the forms the data path runs; Encode and
+	// Reconstruct wrap them with the equal-length check and, for Encode,
+	// the allocation. Both only read the shards they are given, and both
+	// zero-extend: a data shard shorter than the shard length counts as
+	// padded with zeros and one longer is read up to it, so callers pass
+	// borrowed, unpadded segments.
+
+	// encodeInto overwrites the m equal-length buffers of parity with
+	// the parity of the k data shards; the shard length is theirs.
+	encodeInto(data, parity [][]byte)
+	// fill replaces every nil entry of shards (length k+m, parity
+	// entries n bytes) with a freshly allocated n-byte reconstruction.
+	fill(shards [][]byte, n int) error
+}
+
+// encode is Codec.Encode for either codec.
+func encode(c Codec, data [][]byte) ([][]byte, error) {
+	if len(data) != c.DataShards() {
+		return nil, fmt.Errorf("redundancy: %s encode got %d shards, want %d", c.Name(), len(data), c.DataShards())
+	}
+	n, missing, err := checkShardLengths(data)
+	if err != nil {
+		return nil, err
+	}
+	if missing > 0 {
+		return nil, fmt.Errorf("redundancy: %s encode requires all %d data shards", c.Name(), c.DataShards())
+	}
+	parity := make([][]byte, c.ParityShards())
+	for i := range parity {
+		parity[i] = make([]byte, n)
+	}
+	c.encodeInto(data, parity)
+	return parity, nil
+}
+
+// reconstruct is Codec.Reconstruct for either codec.
+func reconstruct(c Codec, shards [][]byte) error {
+	if want := c.DataShards() + c.ParityShards(); len(shards) != want {
+		return fmt.Errorf("redundancy: %s reconstruct got %d shards, want %d", c.Name(), len(shards), want)
+	}
+	n, _, err := checkShardLengths(shards)
+	if err != nil {
+		return err
+	}
+	return c.fill(shards, n)
 }
 
 // NewCodec builds the codec for a scheme. None has no codec.
@@ -153,51 +200,35 @@ func (c *xorCodec) Name() string      { return fmt.Sprintf("xor(%d+1)", c.k) }
 func (c *xorCodec) DataShards() int   { return c.k }
 func (c *xorCodec) ParityShards() int { return 1 }
 
-func (c *xorCodec) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("redundancy: xor encode got %d shards, want %d", len(data), c.k)
-	}
-	shardLen, missing, err := checkShardLengths(data)
-	if err != nil {
-		return nil, err
-	}
-	if missing > 0 {
-		return nil, fmt.Errorf("redundancy: xor encode requires all %d data shards", c.k)
-	}
-	parity := make([]byte, shardLen)
-	for _, s := range data {
-		for i, b := range s {
-			parity[i] ^= b
-		}
-	}
-	return [][]byte{parity}, nil
-}
+func (c *xorCodec) Encode(data [][]byte) ([][]byte, error) { return encode(c, data) }
+func (c *xorCodec) Reconstruct(shards [][]byte) error      { return reconstruct(c, shards) }
 
-func (c *xorCodec) Reconstruct(shards [][]byte) error {
-	if len(shards) != c.k+1 {
-		return fmt.Errorf("redundancy: xor reconstruct got %d shards, want %d", len(shards), c.k+1)
-	}
-	shardLen, missing, err := checkShardLengths(shards)
-	if err != nil {
-		return err
-	}
-	if missing == 0 {
-		return nil
+func (c *xorCodec) encodeInto(data, parity [][]byte) { xorShards(parity[0], data) }
+
+func (c *xorCodec) fill(shards [][]byte, n int) error {
+	hole, missing := -1, 0
+	for i, s := range shards {
+		if s == nil {
+			hole = i
+			missing++
+		}
 	}
 	if missing > 1 {
 		return fmt.Errorf("redundancy: xor tolerates 1 lost shard, %d missing", missing)
 	}
-	rebuilt := make([]byte, shardLen)
-	hole := -1
-	for i, s := range shards {
-		if s == nil {
-			hole = i
-			continue
-		}
-		for j, b := range s {
-			rebuilt[j] ^= b
-		}
+	if missing == 1 {
+		rebuilt := make([]byte, n)
+		xorShards(rebuilt, shards) // the nil hole XORs nothing in
+		shards[hole] = rebuilt
 	}
-	shards[hole] = rebuilt
 	return nil
+}
+
+// xorShards overwrites dst with the XOR of src, each shard zero-extended
+// (or cut) to dst's length.
+func xorShards(dst []byte, src [][]byte) {
+	clear(dst[copy(dst, src[0]):])
+	for _, s := range src[1:] {
+		subtle.XORBytes(dst, dst, s[:min(len(s), len(dst))])
+	}
 }

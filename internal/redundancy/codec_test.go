@@ -9,10 +9,15 @@ import (
 func randShards(rng *rand.Rand, k, n int) [][]byte {
 	out := make([][]byte, k)
 	for i := range out {
-		out[i] = make([]byte, n)
-		for j := range out[i] {
-			out[i][j] = byte(rng.UintN(256))
-		}
+		out[i] = randBytes(rng, n)
+	}
+	return out
+}
+
+func randBytes(rng *rand.Rand, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(rng.UintN(256))
 	}
 	return out
 }

@@ -41,6 +41,8 @@ var ErrBadParityFrame = errors.New("redundancy: malformed parity frame")
 const (
 	parityMagic   = "CKPF"
 	parityVersion = 1
+	// parityFixedLen is the frame's length up to the member table.
+	parityFixedLen = 4 + 1 + 4 + 8 + 1 + 1 + 1
 )
 
 // MemberRef describes one member segment a parity shard protects.
@@ -73,34 +75,54 @@ type ParityFrame struct {
 
 // EncodeParityFrame serializes a frame in canonical form.
 func EncodeParityFrame(f *ParityFrame) ([]byte, error) {
+	buf, payload, err := beginParityFrame(f, len(f.Payload))
+	if err != nil {
+		return nil, err
+	}
+	copy(payload, f.Payload)
+	finishParityFrame(buf)
+	return buf, nil
+}
+
+// beginParityFrame allocates the exact-size frame of f around a payload
+// of payloadLen bytes (f.Payload is not read) and writes everything
+// before the payload. The caller fills the returned payload region — the
+// codec encodes straight into it — and seals the frame with
+// finishParityFrame.
+func beginParityFrame(f *ParityFrame, payloadLen int) (frame, payload []byte, err error) {
 	if f.K < 1 || f.K > 255 || f.M < 1 || f.M > 255 || f.K+f.M > 255 {
-		return nil, fmt.Errorf("redundancy: frame geometry k=%d m=%d out of range", f.K, f.M)
+		return nil, nil, fmt.Errorf("redundancy: frame geometry k=%d m=%d out of range", f.K, f.M)
 	}
 	if f.Shard < 0 || f.Shard >= f.K+f.M {
-		return nil, fmt.Errorf("redundancy: shard index %d outside [0, %d)", f.Shard, f.K+f.M)
+		return nil, nil, fmt.Errorf("redundancy: shard index %d outside [0, %d)", f.Shard, f.K+f.M)
 	}
 	if len(f.Members) != f.K {
-		return nil, fmt.Errorf("redundancy: frame lists %d members, want k=%d", len(f.Members), f.K)
+		return nil, nil, fmt.Errorf("redundancy: frame lists %d members, want k=%d", len(f.Members), f.K)
 	}
-	size := 4 + 1 + 4 + 8 + 1 + 1 + 1 + 12*f.K + 4 + len(f.Payload) + 4
-	buf := make([]byte, 0, size)
-	buf = append(buf, parityMagic...)
+	head := parityFixedLen + 12*f.K + 4
+	frame = make([]byte, head+payloadLen+4)
+	buf := append(frame[:0], parityMagic...)
 	buf = append(buf, parityVersion)
 	buf = binary.BigEndian.AppendUint32(buf, f.Group)
 	buf = binary.BigEndian.AppendUint64(buf, f.Seq)
 	buf = append(buf, byte(f.Shard), byte(f.K), byte(f.M))
 	for _, m := range f.Members {
 		if m.Rank < 0 || m.Rank > 1<<31-1 {
-			return nil, fmt.Errorf("redundancy: member rank %d out of range", m.Rank)
+			return nil, nil, fmt.Errorf("redundancy: member rank %d out of range", m.Rank)
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(m.Rank))
 		buf = binary.BigEndian.AppendUint32(buf, m.Length)
 		buf = binary.BigEndian.AppendUint32(buf, m.CRC)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, f.Payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
+	binary.BigEndian.PutUint32(frame[len(buf):head], uint32(payloadLen))
+	return frame, frame[head : head+payloadLen], nil
+}
+
+// finishParityFrame seals a frame begun by beginParityFrame once its
+// payload region is filled: it writes the CRC trailer.
+func finishParityFrame(frame []byte) {
+	body := frame[:len(frame)-4]
+	binary.BigEndian.PutUint32(frame[len(body):], crc32.Checksum(body, castagnoli))
 }
 
 // badFrame wraps a parse failure in both the frame error and the
@@ -112,11 +134,11 @@ func badFrame(format string, args ...any) error {
 // ParseParityFrame decodes a canonical parity frame. It never panics on
 // arbitrary input; any malformation — including a CRC mismatch — is
 // reported as a wrapped storage.ErrCorrupt. The frame's Payload aliases
-// data (every Store.Get returns a private buffer) rather than copying it.
+// data rather than copying it: what the caller may do with data — own it
+// after a Get, only read it after a View — holds for Payload.
 func ParseParityFrame(data []byte) (*ParityFrame, error) {
-	const fixed = 4 + 1 + 4 + 8 + 1 + 1 + 1
-	if len(data) < fixed+4+4 {
-		return nil, badFrame("%d bytes, need at least %d", len(data), fixed+8)
+	if len(data) < parityFixedLen+4+4 {
+		return nil, badFrame("%d bytes, need at least %d", len(data), parityFixedLen+8)
 	}
 	if string(data[:4]) != parityMagic {
 		return nil, badFrame("bad magic %q", data[:4])
@@ -143,7 +165,7 @@ func ParseParityFrame(data []byte) (*ParityFrame, error) {
 	if f.Shard >= f.K+f.M {
 		return nil, badFrame("shard index %d outside [0, %d)", f.Shard, f.K+f.M)
 	}
-	off := fixed
+	off := parityFixedLen
 	if len(body) < off+12*f.K+4 {
 		return nil, badFrame("truncated member table")
 	}

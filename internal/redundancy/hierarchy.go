@@ -279,14 +279,27 @@ func (s *rankStore) Put(key string, data []byte) error {
 	if err := s.h.local[s.rank].Put(key, data); err != nil {
 		return err
 	}
-	var seq uint64
-	every := uint64(max(s.h.cfg.GlobalEvery, 1))
-	if ckpt.ParseSegmentKey(key, nil, &seq) && seq%every == 0 {
+	if s.writesThrough(key) {
 		if err := s.h.cfg.Global.Put(key, data); err != nil {
 			return fmt.Errorf("redundancy: L3 write-through %q: %w", key, err)
 		}
 	}
 	return nil
+}
+
+// PutOwned implements storage.OwnedPutter: a line that stays on L1
+// becomes the stored value itself. A write-through line is lent instead,
+// because L3 reads the same bytes after L1 has them.
+func (s *rankStore) PutOwned(key string, data []byte) error {
+	if s.writesThrough(key) {
+		return s.Put(key, data)
+	}
+	return storage.PutOwned(s.h.local[s.rank], key, data)
+}
+
+func (s *rankStore) writesThrough(key string) bool {
+	var seq uint64
+	return ckpt.ParseSegmentKey(key, nil, &seq) && seq%uint64(max(s.h.cfg.GlobalEvery, 1)) == 0
 }
 
 func (s *rankStore) Get(key string) ([]byte, error) { return s.h.local[s.rank].Get(key) }
@@ -307,63 +320,53 @@ type ExchangeReport struct {
 	Time des.Time
 }
 
-// EncodeLine parity-protects checkpoint line seq: each group reads its
-// members' segments from L1, computes parity shards, and places the
-// framed shards on its partners' L1 stores. Missing member segments are
-// an error — the caller invokes this only after a line fully commits.
+// EncodeLine parity-protects checkpoint line seq: each group views its
+// members' segments on L1, encodes the parity shards straight into their
+// frames, and gives the frames to its partners' L1 stores. The segments
+// are borrowed and never padded — the codec zero-extends the short ones
+// — so the frames are the only buffers a line allocates. Missing member
+// segments are an error — the caller invokes this only after a line
+// fully commits.
 func (h *Hierarchy) EncodeLine(seq uint64) (ExchangeReport, error) {
 	var rep ExchangeReport
 	if h.codec == nil {
 		return rep, nil
 	}
-	k := h.cfg.Scheme.K
+	k, m := h.cfg.Scheme.K, h.cfg.Scheme.M
+	segs := make([][]byte, k)
+	members := make([]MemberRef, k)
+	frames := make([][]byte, m)
+	parity := make([][]byte, m)
 	for gi := range h.groups {
 		g := &h.groups[gi]
-		segs := make([][]byte, k)
-		members := make([]MemberRef, k)
-		maxLen := 0
+		shardLen := 0
 		var groupSend uint64
 		for i, r := range g.Members {
-			data, err := h.local[r].Get(ckpt.SegmentKey(r, seq))
+			data, err := storage.View(h.local[r], ckpt.SegmentKey(r, seq))
 			if err != nil {
 				return rep, fmt.Errorf("redundancy: group %d member %d line %d: %w", gi, r, seq, err)
 			}
 			segs[i] = data
 			members[i] = MemberRef{Rank: r, Length: uint32(len(data)), CRC: SegmentCRC(data)}
-			if len(data) > maxLen {
-				maxLen = len(data)
-			}
+			shardLen = max(shardLen, len(data))
 			groupSend += uint64(len(data)) * uint64(len(g.Partners))
 		}
 		if t := h.exchangeTime(segs, len(g.Partners)); t > rep.Time {
 			rep.Time = t
 		}
-		// The fetched copies are private: zero-pad the short ones in
-		// place to the shard length the codec needs.
-		for i, s := range segs {
-			segs[i] = append(s, make([]byte, maxLen-len(s))...)
-		}
-		parity, err := h.codec.Encode(segs)
-		if err != nil {
-			return rep, err
-		}
-		for j, p := range parity {
-			frame := &ParityFrame{
-				Group:   uint32(gi),
-				Seq:     seq,
-				Shard:   k + j,
-				K:       k,
-				M:       h.cfg.Scheme.M,
-				Members: members,
-				Payload: p,
-			}
-			enc, err := EncodeParityFrame(frame)
-			if err != nil {
+		for j := range frames {
+			hdr := ParityFrame{Group: uint32(gi), Seq: seq, Shard: k + j, K: k, M: m, Members: members}
+			var err error
+			if frames[j], parity[j], err = beginParityFrame(&hdr, shardLen); err != nil {
 				return rep, err
 			}
-			partner, framed := g.Partners[j], uint64(len(enc))
+		}
+		h.codec.encodeInto(segs, parity)
+		for j, frame := range frames {
+			finishParityFrame(frame)
+			partner, framed := g.Partners[j], uint64(len(frame))
 			// The frame is exact-size and nothing else references it.
-			if err := storage.PutOwned(h.local[partner], ParityKey(gi, seq, k+j), enc); err != nil {
+			if err := storage.PutOwned(h.local[partner], ParityKey(gi, seq, k+j), frame); err != nil {
 				return rep, fmt.Errorf("redundancy: parity shard %d of group %d on rank %d: %w", k+j, gi, partner, err)
 			}
 			rep.ParityBytes += framed

@@ -53,7 +53,7 @@ type ViewStats struct {
 }
 
 // RecoveryView is the tiered read path over a Hierarchy: it implements
-// storage.Store so the existing recovery machinery — VerifyChain,
+// storage.Store and storage.Viewer so the existing recovery machinery — VerifyChain,
 // LatestVerifiableSeq, ChainVolume, RestoreAll — transparently reads
 // L1 first, then rebuilds lost segments from surviving parity shards,
 // then falls back to L3. Every level is integrity-checked (segment
@@ -93,19 +93,29 @@ func (v *RecoveryView) account(level int, n int) {
 	v.stats.LevelBytes[level] += uint64(n)
 }
 
-// Get implements storage.Store with the tiered read path.
+// Get implements storage.Store: View plus the private copy Get promises.
 func (v *RecoveryView) Get(key string) ([]byte, error) {
+	data, err := v.View(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// View implements storage.Viewer with the tiered read path. The result
+// is a stored L1 or L3 value, or the view's own cached rebuild, lent
+// read-only.
+func (v *RecoveryView) View(key string) ([]byte, error) {
 	var rank int
 	var seq uint64
-	isSeg := ckpt.ParseSegmentKey(key, &rank, &seq)
-	if isSeg && rank < len(v.h.local) {
+	if ckpt.ParseSegmentKey(key, &rank, &seq) && rank < len(v.h.local) {
 		// Cached L2 rebuilds win over L1 so one recovery attributes a
 		// rebuilt segment to the same level on every pass.
 		if data, ok := v.rebuilt[key]; ok {
 			v.account(LevelParity, len(data))
-			return append([]byte(nil), data...), nil
+			return data, nil
 		}
-		if data, err := v.h.local[rank].Get(key); err == nil {
+		if data, err := storage.View(v.h.local[rank], key); err == nil {
 			// A local copy that no longer decodes is treated as lost,
 			// not trusted: fall through to the rebuild path.
 			if _, derr := ckpt.DecodeSegment(data); derr == nil {
@@ -118,7 +128,7 @@ func (v *RecoveryView) Get(key string) ([]byte, error) {
 			return data, nil
 		}
 	}
-	data, err := v.h.cfg.Global.Get(key)
+	data, err := storage.View(v.h.cfg.Global, key)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +138,9 @@ func (v *RecoveryView) Get(key string) ([]byte, error) {
 
 // rebuild reconstructs rank's segment at seq from its parity group's
 // surviving shards, caches every segment the reconstruction recovered,
-// and read-repairs the requested one back to the owner's L1.
+// and read-repairs the requested one back to the owner's L1. Survivors
+// are viewed where they are stored and never padded; only the holes are
+// allocated.
 func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error) {
 	h := v.h
 	if h.codec == nil || h.groupOf[rank] < 0 {
@@ -143,7 +155,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	shards := make([][]byte, k+m)
 	var ref *ParityFrame
 	for j, partner := range g.Partners {
-		raw, err := h.local[partner].Get(ParityKey(gi, seq, k+j))
+		raw, err := storage.View(h.local[partner], ParityKey(gi, seq, k+j))
 		if err != nil {
 			continue
 		}
@@ -167,11 +179,12 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	}
 	shardLen := len(ref.Payload)
 
-	// Surviving member segments become data shards, padded to the
-	// parity length; members whose local copy is missing, mis-sized, or
-	// fails its recorded CRC stay nil for the codec to fill.
+	// Surviving member segments become data shards as they are — the
+	// codec zero-extends them to the parity length; members whose local
+	// copy is missing, mis-sized, or fails its recorded CRC stay nil for
+	// the codec to fill.
 	for i, member := range g.Members {
-		data, err := h.local[member].Get(ckpt.SegmentKey(member, seq))
+		data, err := storage.View(h.local[member], ckpt.SegmentKey(member, seq))
 		if err != nil {
 			continue
 		}
@@ -179,9 +192,9 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 		if uint32(len(data)) != mr.Length || SegmentCRC(data) != mr.CRC || len(data) > shardLen {
 			continue
 		}
-		shards[i] = append(data, make([]byte, shardLen-len(data))...)
+		shards[i] = data
 	}
-	if err := h.codec.Reconstruct(shards); err != nil {
+	if err := h.codec.fill(shards, shardLen); err != nil {
 		v.stats.RebuildFailures++
 		return nil, fmt.Errorf("redundancy: rebuild group %d line %d: %w: %w", gi, seq, err, storage.ErrCorrupt)
 	}
@@ -218,7 +231,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	} else {
 		v.stats.RepairedBack++
 	}
-	return append([]byte(nil), out...), nil
+	return out, nil
 }
 
 // Keys implements storage.Store: the union of every L1's segment keys,
