@@ -10,7 +10,8 @@
 //	seedplumb   exported internal/ functions take seeds, never bake them in
 //	ckptset     committed .ckptspec protection specs match the classification
 //	            computed from kernel source
-//	deadexport  no exported internal/ name that only tests reference
+//	deadexport  no exported internal/ name that no program (cmd/, examples/,
+//	            benchmark/) can reach, no exported field nothing reachable sets
 //
 // Usage:
 //
@@ -54,7 +55,7 @@ import (
 // package, examples included — a nondeterministic example teaches the
 // wrong lesson. ckptset self-gates on packages that declare protection
 // roles, so applying it broadly costs nothing outside the kernels.
-// deadexport judges internal/ only: cmd/ and examples/ are the users.
+// deadexport judges internal/ only: cmd/ and examples/ are the roots.
 var checkers = []struct {
 	analyzer *analysis.Analyzer
 	applies  func(relPath string) bool

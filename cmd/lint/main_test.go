@@ -141,9 +141,9 @@ func NewGen() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
 }
 
 // TestDeadExportExitsOne builds the real command and runs it over a
-// module whose only blemish is one exported function nothing calls: the
-// finding must name it and the process must exit 1, which is what fails
-// `make lint` and the CI step.
+// module whose only blemishes are one exported function nothing calls
+// and one option field nothing sets: the findings must name them and the
+// process must exit 1, which is what fails `make lint` and the CI step.
 func TestDeadExportExitsOne(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lint")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -151,8 +151,8 @@ func TestDeadExportExitsOne(t *testing.T) {
 	}
 	dir := writeModule(t, map[string]string{
 		"go.mod":            "module plant\n\ngo 1.22\n",
-		"cmd/use/main.go":   "package main\n\nimport \"plant/internal/sim\"\n\nfunc main() { sim.Live() }\n",
-		"internal/sim/x.go": "package sim\n\nfunc Live() {}\n\nfunc Dead() {}\n",
+		"cmd/use/main.go":   "package main\n\nimport \"plant/internal/sim\"\n\nfunc main() { sim.Live(sim.Opts{Set: 1}) }\n",
+		"internal/sim/x.go": "package sim\n\ntype Opts struct{ Set, Never int }\n\nfunc Live(o Opts) int { return o.Set + o.Never }\n\nfunc Dead() {}\n",
 	})
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = dir
@@ -161,8 +161,10 @@ func TestDeadExportExitsOne(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("lint over a seeded dead export: err = %v, want exit status 1\n%s", err, out)
 	}
-	if !bytes.Contains(out, []byte("[deadexport] exported function Dead")) || bytes.Contains(out, []byte("Live")) {
-		t.Errorf("want exactly the Dead finding, got:\n%s", out)
+	for _, want := range []string{"[deadexport] exported function Dead", "[deadexport] exported field Opts.Never", "lint: 2 problem(s)"} {
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("want the Dead and Opts.Never findings and nothing else, missing %q in:\n%s", want, out)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@
 //
 //	_ = time.Now() // want `time\.Now`
 //
+// and may close a comment that says something else first, such as a
+// //lint:ignore directive expected to be reported as unused.
 // The payload is one or more backquoted regular expressions; each must
 // match exactly one diagnostic reported on that line, and every
 // diagnostic must be claimed by a pattern. Suppression is exercised
@@ -96,14 +98,13 @@ func collectWants(t *testing.T, p *analysis.Package) []want {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//")
-				if !ok {
+				// The expectation may trail other comment text, so a
+				// //lint:ignore line can carry one about itself.
+				i := strings.Index(c.Text, "// want `")
+				if i < 0 {
 					continue
 				}
-				rest, ok := strings.CutPrefix(strings.TrimSpace(text), "want")
-				if !ok {
-					continue
-				}
+				rest := c.Text[i:]
 				pos := p.Fset.Position(c.Pos())
 				ms := wantRE.FindAllStringSubmatch(rest, -1)
 				if len(ms) == 0 {

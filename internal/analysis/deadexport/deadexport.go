@@ -1,20 +1,30 @@
 // Package deadexport enforces "ship only what something runs": an
-// exported function, method, constant, variable or type that no
-// non-test code of the module references is API surface only tests
-// keep alive — every refactor must port it and nothing would notice
-// its absence. Delete it, or unexport it if its own package's tests
-// still want it.
+// exported function, method, constant, variable, type or struct field
+// of internal/ that no shipped program can reach is API surface only
+// tests keep alive — every refactor must port it and nothing would
+// notice its absence. Delete it, or unexport it if its own package's
+// tests still want it.
 //
-// The check is whole-program: it indexes every non-test package once
-// (Pass.Module) and answers each package from the index. A reference
-// from inside the declaration itself (recursion) does not count. Two
-// kinds of use are invisible to the type-checked index and are granted
-// by rule: a method whose receiver satisfies some interface through it
-// (error, fmt.Stringer, storage.Store, ...) is called through that
-// interface, and the frozen benchmark/ directory is a user although it
-// is a module of its own — its non-test files load with the rest (the
-// loader's ./... does not stop at a nested go.mod), and every
-// identifier its test files mention counts as used, by name.
+// The check is whole-program reachability: it indexes every non-test
+// package once (Pass.Module) — for each top-level declaration, the
+// objects it uses and the struct fields it sets — and marks live what
+// the module's programs reach: every declaration of a package main,
+// every init and blank declaration, and from there whatever a live
+// declaration uses. A name only dead code refers to (its own methods'
+// receivers, a dead caller, a helper of a dead caller) is dead. An
+// exported field of a live struct that no live code ever sets — by
+// composite literal, by assignment or ++/-- through any selector/index
+// chain, or by having its address taken — is an option with one value:
+// delete it together with the code it gates.
+//
+// Two kinds of use are invisible to the type-checked index and are
+// granted by rule: a method through which its live receiver type
+// satisfies some interface (error, fmt.Stringer, storage.Store, ...) is
+// called through that interface, and the frozen benchmark/ directory is
+// a user although it is a module of its own — its non-test files load
+// with the rest as one more package main (the loader's ./... does not
+// stop at a nested go.mod), and every identifier its test files mention
+// counts as used, by name.
 package deadexport
 
 import (
@@ -33,8 +43,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "deadexport",
 	Doc: "flag exported functions, methods, constants, variables and " +
-		"types that no non-test code references — delete them, or " +
-		"unexport what only the package's own tests use",
+		"types no shipped program reaches, and exported struct fields " +
+		"no reachable code sets — delete them, or unexport what only " +
+		"the package's own tests use",
 	Run: run,
 }
 
@@ -43,9 +54,17 @@ var Analyzer = &analysis.Analyzer{
 // what `go test -C benchmark` compiles against must keep its shape.
 var frozenUserDirs = []string{"benchmark"}
 
-// index is the module-wide answer to "who uses what".
+// A decl is what one top-level declaration refers to.
+type decl struct {
+	uses []types.Object // every object an identifier in it resolves to
+	sets []types.Object // struct fields it writes or takes the address of
+}
+
+// index is the module-wide answer to "what can a program reach".
 type index struct {
-	used       map[types.Object]bool     // referenced from outside its own declaration
+	decls      map[types.Object]*decl
+	live       map[types.Object]bool     // reachable declarations
+	set        map[types.Object]bool     // fields a live declaration sets
 	mentioned  map[string]bool           // identifier names in frozenUserDirs' test files
 	interfaces map[*types.Interface]bool // every interface a method might be called through
 }
@@ -60,45 +79,73 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, err
 	}
 	idx := fact.(*index)
-	check := func(id *ast.Ident, kind string) {
+	eachDecl(pass.Files, func(id *ast.Ident, node ast.Node, kind string) {
 		obj := pass.TypesInfo.Defs[id]
-		if obj == nil || !id.IsExported() || idx.used[obj] || idx.mentioned[id.Name] {
-			return
+		if kind == "method" && !idx.live[receiver(obj.(*types.Func))] {
+			return // a dead receiver type is one finding, not one per method
 		}
-		if fn, ok := obj.(*types.Func); ok && idx.viaInterface(fn) {
-			return
+		if id.IsExported() && !idx.live[obj] && !idx.mentioned[id.Name] {
+			pass.Reportf(id.Pos(), "exported %s %s is reachable from no program (cmd/, examples/, benchmark/); delete it, or unexport it if only this package's tests use it", kind, id.Name)
 		}
-		pass.Reportf(id.Pos(), "exported %s %s is referenced by no non-test code; delete it, or unexport it if only this package's tests use it", kind, id.Name)
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
+		if spec, ok := node.(*ast.TypeSpec); ok && idx.live[obj] {
+			idx.checkFields(pass, spec)
+		}
+	})
+	return nil, nil
+}
+
+// eachDecl calls fn for every name the files declare at top level, with
+// the declaring node (a FuncDecl, TypeSpec or ValueSpec) and its kind.
+func eachDecl(files []*ast.File, fn func(id *ast.Ident, node ast.Node, kind string)) {
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
 			case *ast.FuncDecl:
-				kind := "function"
-				if d.Recv != nil {
-					kind = "method"
+				if d.Recv == nil {
+					fn(d.Name, d, "function")
+				} else {
+					fn(d.Name, d, "method")
 				}
-				check(d.Name, kind)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						check(s.Name, "type")
+						fn(s.Name, s, "type")
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
-							check(name, d.Tok.String())
+							fn(name, s, d.Tok.String())
 						}
 					}
 				}
 			}
 		}
 	}
-	return nil, nil
+}
+
+// checkFields reports the exported fields of the live struct type spec
+// declares that no live code sets.
+func (idx *index) checkFields(pass *analysis.Pass, spec *ast.TypeSpec) {
+	ast.Inspect(spec.Type, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			for _, id := range field.Names {
+				if id.IsExported() && !idx.set[pass.TypesInfo.Defs[id]] && !idx.mentioned[id.Name] {
+					pass.Reportf(id.Pos(), "exported field %s.%s is set by no reachable non-test code: an option with one value; delete it and the code it gates", spec.Name.Name, id.Name)
+				}
+			}
+		}
+		return true
+	})
 }
 
 func buildIndex(mod *analysis.Module) (any, error) {
 	idx := &index{
-		used:       make(map[types.Object]bool),
+		decls:      make(map[types.Object]*decl),
+		live:       make(map[types.Object]bool),
+		set:        make(map[types.Object]bool),
 		mentioned:  make(map[string]bool),
 		interfaces: map[*types.Interface]bool{errorType: true},
 	}
@@ -114,6 +161,7 @@ func buildIndex(mod *analysis.Module) (any, error) {
 			}
 		}
 	}
+	var roots []types.Object
 	for _, pkg := range mod.Packages {
 		// Named interfaces of the package and of everything it imports
 		// (fmt.Stringer, sort.Interface, ...), plus the anonymous ones
@@ -127,24 +175,18 @@ func buildIndex(mod *analysis.Module) (any, error) {
 				idx.addInterface(tv.Type)
 			}
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				// self is the object a top-level func declares: its
-				// own body calling it keeps nothing alive.
-				var self types.Object
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = pkg.Info.Defs[fd.Name]
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if obj := origin(pkg.Info.Uses[id]); obj != nil && obj != self {
-							idx.used[obj] = true
-						}
-					}
-					return true
-				})
+		eachDecl(pkg.Files, func(id *ast.Ident, node ast.Node, _ string) {
+			obj := pkg.Info.Defs[id]
+			idx.decls[obj] = newDecl(pkg.Info, node)
+			// What runs without being called: a program's own
+			// declarations, package initialisers, blank declarations.
+			if pkg.Types.Name() == "main" || id.Name == "init" || id.Name == "_" {
+				roots = append(roots, obj)
 			}
-		}
+		})
+	}
+	for _, obj := range roots {
+		idx.reach(obj)
 	}
 	for _, rel := range frozenUserDirs {
 		if err := idx.mention(filepath.Join(mod.Dir, rel)); err != nil {
@@ -152,6 +194,98 @@ func buildIndex(mod *analysis.Module) (any, error) {
 		}
 	}
 	return idx, nil
+}
+
+// newDecl records what the declaration node refers to and which struct
+// fields it sets.
+func newDecl(info *types.Info, node ast.Node) *decl {
+	d := new(decl)
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := origin(info.Uses[n]); obj != nil {
+				d.uses = append(d.uses, obj)
+			}
+		case *ast.CompositeLit:
+			// A struct literal sets the fields it names, or, written
+			// positionally, every field.
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem() // the elided &T{...} of a []*T literal
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					d.sets = append(d.sets, origin(info.Uses[kv.Key.(*ast.Ident)]))
+				} else {
+					d.sets = append(d.sets, origin(st.Field(i)))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				d.setChain(info, lhs)
+			}
+		case *ast.IncDecStmt:
+			d.setChain(info, n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				d.setChain(info, n.X)
+			}
+		}
+		return true
+	})
+	return d
+}
+
+// setChain records every field on the selector/index chain e writes
+// through: x.A.B[i].C = v sets A, B and C.
+func (d *decl) setChain(info *types.Info, e ast.Expr) {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+				d.sets = append(d.sets, v.Origin())
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// reach marks obj live, and with it whatever its declaration uses and
+// sets. A live type brings along the methods interfaces call it by.
+func (idx *index) reach(obj types.Object) {
+	if idx.live[obj] {
+		return
+	}
+	idx.live[obj] = true
+	if d := idx.decls[obj]; d != nil {
+		for _, f := range d.sets {
+			idx.set[f] = true
+		}
+		for _, use := range d.uses {
+			idx.reach(use)
+		}
+	}
+	if tn, ok := obj.(*types.TypeName); ok {
+		if named, ok := tn.Type().(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); idx.viaInterface(named, m) {
+					idx.reach(m)
+				}
+			}
+		}
+	}
 }
 
 // origin maps an instantiated generic function or field back to its
@@ -164,6 +298,15 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+// receiver returns the type name method fn is declared on.
+func receiver(fn *types.Func) types.Object {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return types.Unalias(t).(*types.Named).Origin().Obj()
 }
 
 func (idx *index) addInterface(t types.Type) {
@@ -180,16 +323,8 @@ var errorsHooks = map[string]bool{"Unwrap": true, "Is": true, "As": true}
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // viaInterface reports whether fn is a method through which its
-// receiver type satisfies some known interface.
-func (idx *index) viaInterface(fn *types.Func) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
+// receiver type t satisfies some known interface.
+func (idx *index) viaInterface(t types.Type, fn *types.Func) bool {
 	ptr := types.NewPointer(t)
 	if errorsHooks[fn.Name()] && (types.Implements(t, errorType) || types.Implements(ptr, errorType)) {
 		return true

@@ -8,4 +8,7 @@ import (
 	"golden.test/deadexport"
 )
 
-func TestBench(t *testing.T) { deadexport.BenchOnly() }
+func TestBench(t *testing.T) {
+	deadexport.BenchOnly()
+	_ = deadexport.Options{BenchField: 1}
+}

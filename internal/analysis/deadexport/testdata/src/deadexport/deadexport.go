@@ -1,13 +1,13 @@
 // Package deadexport is the golden package for the deadexport analyzer.
-// Its users are golden.test/user (a type-checked importer) and
-// ../benchmark (a frozen directory read by name only).
+// Its users are golden.test/user (reachable from the program cmd/app)
+// and ../benchmark (a frozen directory read by name only).
 package deadexport
 
 import "fmt"
 
-// --- flagged: nothing outside tests refers to these ---
+// --- flagged: no program reaches these ---
 
-func Unused() {} // want `exported function Unused is referenced by no non-test code`
+func Unused() {} // want `exported function Unused is reachable from no program`
 
 const UnusedConst = 1 // want `exported const UnusedConst`
 
@@ -23,10 +23,56 @@ func Recursive(n int) int { // want `exported function Recursive`
 	return Recursive(n - 1)
 }
 
+// Factory is named only by its own methods' receivers; satisfying Sizer
+// does not help a type nothing constructs. One finding, not one per
+// method.
+type Factory struct{} // want `exported type Factory`
+
+func (Factory) Size() int { return 0 }
+func (Factory) Other()    {}
+
+// OnlyFromDead is called by user.Abandoned, which no program reaches.
+func OnlyFromDead(o Options) { // want `exported function OnlyFromDead`
+	viaHelper()
+}
+
+// OnlyViaHelper hangs off the same dead caller one unexported hop on.
+func OnlyViaHelper() {} // want `exported function OnlyViaHelper`
+
+func viaHelper() { OnlyViaHelper() }
+
 // T is alive (user constructs one); its methods are judged one by one.
 type T struct{ n int }
 
 func (t T) UnusedMethod() int { return t.n } // want `exported method UnusedMethod`
+
+// Options is alive; its fields are judged one by one.
+type Options struct {
+	NeverSet  int // want `exported field Options.NeverSet is set by no reachable non-test code`
+	SetByDead int // want `exported field Options.SetByDead`
+
+	//lint:ignore deadexport stale: user sets Keyed by key, so this suppresses nothing // want `unused //lint:ignore: check "deadexport"`
+	Keyed  int
+	Counts []int // user only ever does o.Counts[i]++
+	Nested struct {
+		Deep int // user assigns o.Nested.Deep, which sets both
+	}
+	Addr       int // user takes its address
+	Internal   int // set only by Configure below, which user calls
+	BenchField int // set only by ../benchmark/bench_test.go
+	// Injected is kept for tests on purpose, and says so.
+	//
+	//lint:ignore deadexport fault injector the golden tests drive
+	Injected int
+
+	unset int // unexported: not this check's business
+}
+
+// Pair is only ever built positionally, which sets every field.
+type Pair struct{ A, B int }
+
+// Configure is called from package user.
+func Configure(o *Options) { o.Internal = o.unset }
 
 // --- not flagged ---
 
@@ -54,7 +100,7 @@ func (e *Err) Unwrap() error { return e.cause }
 // UsedElsewhere is called from package user.
 func UsedElsewhere() *Err { return &Err{cause: fmt.Errorf("x")} }
 
-// UsedHere is called only inside this package — alive, if over-exported.
+// UsedHere is called only inside this package, by an init.
 func UsedHere() {}
 
 func init() { UsedHere() }

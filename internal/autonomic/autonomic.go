@@ -66,23 +66,6 @@ func (f StencilFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Com
 	return kernels.AttachDistStencil(eng, world, f.Nx, f.RowsPerRank, f.Boundary, f.ComputeTime, iter)
 }
 
-// WavefrontFactory supervises a pipelined transport sweep.
-type WavefrontFactory struct {
-	Nx, RowsPerRank int
-	Seed            float64
-	ComputeTime     des.Time
-}
-
-// New implements Factory.
-func (f WavefrontFactory) New(eng *des.Engine, world *mpi.World) (Computation, error) {
-	return kernels.NewDistWavefront(eng, world, f.Nx, f.RowsPerRank, f.Seed, f.ComputeTime)
-}
-
-// Attach implements Factory.
-func (f WavefrontFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Computation, error) {
-	return kernels.AttachDistWavefront(eng, world, f.Nx, f.RowsPerRank, f.Seed, f.ComputeTime, iter)
-}
-
 // Config parameterises a supervised run.
 type Config struct {
 	// Workload picks the computation; nil selects a StencilFactory
@@ -165,12 +148,6 @@ type Config struct {
 	// run on every re-attach before the team resumes. The workload
 	// must implement SpecBound to participate; others run unchanged.
 	Spec *ckptspec.Spec
-	// Shards, when > 1, hosts the run on the control engine of a shard
-	// group of that size instead of a standalone engine (ignored when
-	// Engine is set). Supervisor, team and chaos events all run at the
-	// group's serial instants, so the execution — and every digest —
-	// is bit-identical to a sequential run at any shard count.
-	Shards int
 	// MultiLevel, when non-nil, runs the checkpoint hierarchy: ranks
 	// commit to rank-local L1 stores, every committed line is parity-
 	// protected across ranks by the configured erasure scheme (L2), and
@@ -461,15 +438,6 @@ type Supervisor struct {
 	unrecovered     int       // failures absorbed since the last completed recovery
 }
 
-// newEngine returns the engine a run with the given Config.Shards is
-// hosted on: the control engine of a shard group, or a standalone one.
-func newEngine(shards int) *des.Engine {
-	if shards > 1 {
-		return des.NewGroup(shards).Control()
-	}
-	return des.NewEngine()
-}
-
 // Run executes the configured computation under supervision and returns
 // the report. The final checksum is filled in on success.
 func Run(cfg Config) (*Report, error) {
@@ -490,7 +458,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		eng = newEngine(cfg.Shards)
+		eng = des.NewEngine()
 	}
 	if cfg.Chaos != nil {
 		// Fold the plan's partition/brownout windows into the interconnect

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/des"
-	"repro/internal/kernels"
 	"repro/internal/storage"
 )
 
@@ -174,47 +173,6 @@ func TestEfficiencyDegradesWithFailureRate(t *testing.T) {
 	if math.IsNaN(healthy) || math.IsNaN(sick) {
 		t.Fatal("NaN efficiency")
 	}
-}
-
-// The supervisor is workload-agnostic: the pipelined wavefront heals
-// exactly like the stencil.
-func TestSelfHealingWavefront(t *testing.T) {
-	cfg := Config{
-		Workload:    WavefrontFactory{Nx: 24, RowsPerRank: 6, Seed: 5, ComputeTime: 50 * des.Millisecond},
-		Ranks:       4,
-		Iterations:  30,
-		CkptEvery:   4,
-		ComputeTime: 50 * des.Millisecond,
-		Seed:        21,
-	}
-	want := referenceChecksum(t, cfg)
-	// Pipelined iterations at 4 ranks cost ~2*4*50ms = 400ms; 30
-	// iterations ≈ 12s. MTBF 4s → a few failures.
-	cfg.MTBF = 4 * des.Second
-	cfg.RestartOverhead = 300 * des.Millisecond
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed || rep.Failures == 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if rep.Checksum != want {
-		t.Fatalf("wavefront healed checksum %v != %v", rep.Checksum, want)
-	}
-	// Cross-check against the sequential reference implementation.
-	ref := kernelsReferenceSum(24, 6, 4, 30, 5)
-	if rep.Checksum != ref {
-		t.Fatalf("checksum %v != sequential reference %v", rep.Checksum, ref)
-	}
-}
-
-func kernelsReferenceSum(nx, rows, ranks, iters int, seed float64) float64 {
-	var sum float64
-	for _, v := range kernels.WavefrontReference(nx, rows, ranks, iters, seed) {
-		sum += v
-	}
-	return sum
 }
 
 // TestSameSeedRunsLeaveIdenticalStores: determinism reaches the bytes at

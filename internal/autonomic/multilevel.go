@@ -41,6 +41,8 @@ type MultiLevelOptions struct {
 	// CorruptParityAt lists lines whose freshly placed parity shard is
 	// bit-flipped right after the encode — the injected at-rest rot that
 	// must degrade the rebuild to L3, never tear a restore.
+	//
+	//lint:ignore deadexport fault injector: the only way to drive corrupt parity → L3 fallback end to end, which the multilevel tests do
 	CorruptParityAt []uint64
 }
 

@@ -84,7 +84,7 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 		return nil, fmt.Errorf("autonomic: reference run: %w", err)
 	}
 
-	eng := newEngine(cfg.Shards)
+	eng := des.NewEngine()
 	driver := chaos.NewDriver(eng, plan)
 	inj := cfg
 	inj.MTBF = 0

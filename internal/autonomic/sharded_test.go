@@ -1,47 +1,41 @@
 package autonomic
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 
-	"repro/internal/chaos"
+	"repro/internal/des"
 )
 
-// TestShardedReplayEquivalence pins the acceptance criterion that
-// ValidateReplay digests are bit-identical across shard counts,
-// including a chaos schedule: the supervisor hosts every team on the
-// group's control engine, so sharding must not perturb a single event.
+// TestShardedReplayEquivalence pins that the supervisor on a shard
+// group's control engine perturbs no event: the same MTBF-driven run
+// hosted through Config.Engine on a standalone engine and on the control
+// engine of a group of 2 and of 8 agrees on every digest, on the virtual
+// makespan and on the failure log.
 func TestShardedReplayEquivalence(t *testing.T) {
-	sched, err := chaos.ParseSchedule("crash at 1500ms..6s count 2 jitter 400ms")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	type fp struct {
-		checksum string
-		digests  string
-	}
-	run := func(shards int) fp {
+	run := func(eng *des.Engine) *Report {
 		cfg := chaosBaseConfig(5)
-		cfg.Shards = shards
-		out, err := ValidateReplay(cfg, sched)
+		cfg.MTBF = 3 * des.Second
+		cfg.Engine = eng
+		rep, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if !out.BitExact() {
-			t.Fatalf("shards=%d: injected run not bit-exact against its own reference", shards)
+		if !rep.Completed || rep.Failures == 0 {
+			t.Fatalf("want a completed run with failures, got %+v", rep)
 		}
-		if out.Injected.Failures == 0 {
-			t.Fatalf("shards=%d: no failures injected", shards)
-		}
-		return fp{
-			checksum: fmt.Sprint(out.Injected.Checksum),
-			digests:  fmt.Sprintf("%x", out.Injected.SpaceDigests),
-		}
+		return rep
 	}
-	ref := run(0)
+	ref := run(des.NewEngine())
 	for _, shards := range []int{2, 8} {
-		if got := run(shards); got != ref {
-			t.Fatalf("shards=%d: fingerprint %+v diverged from sequential %+v", shards, got, ref)
+		got := run(des.NewGroup(shards).Control())
+		if got.Checksum != ref.Checksum || !reflect.DeepEqual(got.SpaceDigests, ref.SpaceDigests) {
+			t.Errorf("shards=%d: checksum %v digests %x, sequential %v %x",
+				shards, got.Checksum, got.SpaceDigests, ref.Checksum, ref.SpaceDigests)
+		}
+		if got.Elapsed != ref.Elapsed || !reflect.DeepEqual(got.FailureLog, ref.FailureLog) {
+			t.Errorf("shards=%d: elapsed %v failures %+v, sequential %v %+v",
+				shards, got.Elapsed, got.FailureLog, ref.Elapsed, ref.FailureLog)
 		}
 	}
 }

@@ -138,9 +138,9 @@ func (co *Coordinator) PendingLastAck() (des.Time, bool) {
 
 // BeginTwoPhase starts a prepare/commit global checkpoint. The prepare
 // phase writes every rank's segment now; rank i's ack arrives at its
-// sink write time (serialised under Staggered) plus AckDelay; once all
-// acks are in, the coordinator writes the COMMIT marker and done runs
-// with the aggregate result, at the commit's virtual completion time.
+// sink write time plus AckDelay; once all acks are in, the coordinator
+// writes the COMMIT marker and done runs with the aggregate result, at
+// the commit's virtual completion time.
 //
 // Failure paths, all of which leave no trace recovery could trust:
 //   - a prepare-phase Put refused by storage → segments of this seq are
@@ -165,22 +165,14 @@ func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResul
 		}
 		g.PerRank = append(g.PerRank, res)
 		g.TotalPageBytes += res.PageBytes
-		if co.Staggered {
-			g.MaxDuration += res.Duration
-		} else if res.Duration > g.MaxDuration {
+		if res.Duration > g.MaxDuration {
 			g.MaxDuration = res.Duration
 		}
 	}
 	p := &pendingCommit{g: g, done: done}
 	co.pending = p
-	var serial des.Time
 	for _, res := range g.PerRank {
-		ackAt := res.Duration + opts.AckDelay
-		if co.Staggered {
-			serial += res.Duration
-			ackAt = serial + opts.AckDelay
-		}
-		p.ackEvs = append(p.ackEvs, co.eng.After(ackAt, func() { co.onAck(p) }))
+		p.ackEvs = append(p.ackEvs, co.eng.After(res.Duration+opts.AckDelay, func() { co.onAck(p) }))
 	}
 }
 
@@ -201,9 +193,6 @@ func (co *Coordinator) onAck(p *pendingCommit) {
 	}
 	co.pending = nil
 	co.results = append(co.results, p.g)
-	if co.OnGlobal != nil {
-		co.OnGlobal(p.g)
-	}
 	p.done(p.g, nil)
 }
 

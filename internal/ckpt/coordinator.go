@@ -31,15 +31,6 @@ type Coordinator struct {
 	eng *des.Engine
 	cps []*Checkpointer
 
-	// OnGlobal, when set, observes each completed global checkpoint.
-	OnGlobal func(GlobalResult)
-
-	// Staggered models a *shared* checkpoint sink: ranks' segments
-	// serialise through it, so the global commit latency is the sum of
-	// per-rank write times rather than the maximum. The default
-	// (parallel) models per-node local disks, the paper's §3 setting.
-	Staggered bool
-
 	ticker  *des.Ticker
 	results []GlobalResult
 	// pending is the in-flight two-phase round, if any (see commit.go).
@@ -66,17 +57,11 @@ func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
 		}
 		g.PerRank = append(g.PerRank, res)
 		g.TotalPageBytes += res.PageBytes
-		if co.Staggered {
-			// Shared sink: commits serialise.
-			g.MaxDuration += res.Duration
-		} else if res.Duration > g.MaxDuration {
+		if res.Duration > g.MaxDuration {
 			g.MaxDuration = res.Duration
 		}
 	}
 	co.results = append(co.results, g)
-	if co.OnGlobal != nil {
-		co.OnGlobal(g)
-	}
 	return g, nil
 }
 

@@ -19,13 +19,11 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/adaptive"
 	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/storage"
-	"repro/internal/tracker"
 	"repro/internal/workload"
 )
 
@@ -150,21 +148,14 @@ type ProtectConfig struct {
 	Periods int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Sink models the stable-storage write cost (zero → SCSI).
-	Sink storage.Model
 	// Store receives the encoded segments (nil → a fresh in-memory
 	// store). Pass a storage.FileStore to persist checkpoints on disk
 	// for inspection with cmd/ckptinspect.
 	Store storage.Store
 	// TrackCow enables copy-on-write accounting during drains.
 	TrackCow bool
-	// Adaptive aligns checkpoint triggers to quiet communication
-	// windows detected from the live IWS signal (§6.2/§8), instead of
-	// the fixed Interval cadence. The mean cadence stays at Interval.
-	Adaptive bool
 	// Shards runs the simulation across parallel event shards (0 or 1 →
-	// sequential). Incompatible with Adaptive, whose rank-0 tracker
-	// feeds a controller that must observe every rank.
+	// sequential).
 	Shards int
 }
 
@@ -204,9 +195,6 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 	if cfg.Periods == 0 {
 		cfg.Periods = 2
 	}
-	if cfg.Adaptive && cfg.Shards > 1 {
-		return nil, fmt.Errorf("core: Adaptive and Shards are incompatible (the aligner's tracker signal is rank-0-local)")
-	}
 	r, err := workload.New(spec, workload.Config{Ranks: cfg.Ranks, Seed: cfg.Seed, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
@@ -230,7 +218,6 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 		c, err := ckpt.NewCheckpointer(r.EngineFor(i), r.Space(i), ckpt.Options{
 			Rank:      i,
 			Store:     store,
-			Sink:      cfg.Sink,
 			FullEvery: cfg.FullEvery,
 			TrackCow:  cfg.TrackCow,
 		})
@@ -245,30 +232,7 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Adaptive {
-		// Quiet-window alignment: a 1 s tracker on rank 0 feeds the
-		// aligner, which triggers global checkpoints.
-		al, err := adaptive.New(r.Eng, adaptive.Options{Interval: cfg.Interval}, func() {
-			if _, err := co.GlobalCheckpoint(); err != nil {
-				panic(fmt.Sprintf("core: adaptive checkpoint: %v", err))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		tr, err := tracker.New(r.Eng, r.Space(0), tracker.Options{
-			Timeslice: des.Second,
-			OnSample:  al.Feed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tr.Start()
-		al.Start()
-		defer tr.Stop()
-	} else {
-		co.StartInterval(cfg.Interval)
-	}
+	co.StartInterval(cfg.Interval)
 	r.Run(r.Now() + des.Time(cfg.Periods)*spec.PeriodAt(cfg.Ranks))
 	co.Stop()
 

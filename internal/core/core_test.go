@@ -94,30 +94,6 @@ func TestProtectUnknownApp(t *testing.T) {
 	}
 }
 
-func TestProtectAdaptive(t *testing.T) {
-	p, err := Protect(ProtectConfig{
-		App: "Sage-50MB", Ranks: 2, Interval: 8 * des.Second,
-		Periods: 3, Adaptive: true, TrackCow: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Checkpoints < 3 {
-		t.Fatalf("adaptive checkpoints = %d", p.Checkpoints)
-	}
-	// Quiet-window alignment keeps CoW traffic near zero.
-	fixed, err := Protect(ProtectConfig{
-		App: "Sage-50MB", Ranks: 2, Interval: 8 * des.Second,
-		Periods: 3, TrackCow: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.CowMB > 0 && p.CowMB > fixed.CowMB/2 {
-		t.Fatalf("adaptive CoW %.1f MB not well below fixed %.1f MB", p.CowMB, fixed.CowMB)
-	}
-}
-
 // TestShardedMeasureLeavesNoGoroutines: a sharded engine group's workers
 // live for one Run, not for the life of the group, so a finished
 // measurement leaves no goroutine — and none of the world it pins —

@@ -113,6 +113,16 @@ func body[R any](format func(R) string) func(R) []Section {
 // Artefacts is the evaluation, declared once: cmd/figures, cmd/report,
 // the benchmark harness and the golden test all iterate this list. The
 // order is the order "all" prints.
+//
+// RunOpts.Shards reaches only the artefacts that measure through RunOne,
+// RunMany or RankSymmetry: table2-4, fig1-5, intrusiveness, pagesize,
+// sinks, bursts, trends, efficiency, symmetry and aggregate (scaling
+// sweeps its own shard counts). The rest build their worlds without it
+// and run on the sequential engine whatever it says: adaptive,
+// migration, alignment and incremental pass workload.New no shard count,
+// service (A17) reads only Seed, and compression and the supervised
+// ablations faults, cluster, chaos, rdma, ckptset and multilevel
+// (A14-A16, A18, A19, A21) take no RunOpts at all.
 var Artefacts = []Artefact{
 	{Name: "table2", Title: "Table 2. Memory Footprint Size (MB)", InAll: true,
 		run: table(Table2, body(FormatTable2), func(r []Table2Row) []Metric {

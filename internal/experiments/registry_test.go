@@ -19,7 +19,10 @@ import (
 const goldenAll = "testdata/golden/all-r8-s7.txt"
 
 // TestGoldenAll pins every deterministic artefact's text, byte for byte,
-// on the sequential engine and on four event shards.
+// on the sequential engine and on four event shards. The second pass is
+// a sharded run only for the artefacts RunOpts.Shards reaches (see
+// Artefacts); for the supervisor-driven ablations A14-A19 and A21, among
+// others, it repeats the first.
 func TestGoldenAll(t *testing.T) {
 	want, err := os.ReadFile(goldenAll)
 	if err != nil {

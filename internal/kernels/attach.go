@@ -14,29 +14,6 @@ import (
 // Together with the New constructors they give every kernel a full
 // crash/restore round trip, exercised by the integration tests.
 
-// gridRegions returns the mmap regions that exactly hold `elems`
-// float64s, in address order.
-func gridRegions(space *mem.AddressSpace, elems int) []*mem.Region {
-	want := uint64(elems) * 8
-	var out []*mem.Region
-	for _, r := range space.Regions() {
-		if r.Kind() == mem.Mmap && r.Size() >= want && r.Size() < want+space.PageSize() {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start() < out[j].Start() })
-	return out
-}
-
-// attachSingleGrid binds the unique grid-sized arena in the space.
-func attachSingleGrid(space *mem.AddressSpace, elems int) (*Array, error) {
-	regs := gridRegions(space, elems)
-	if len(regs) != 1 {
-		return nil, fmt.Errorf("kernels: found %d candidate grid arenas, want 1", len(regs))
-	}
-	return AttachArray(space, regs[0].Start(), elems)
-}
-
 // arenaLayout rebinds a kernel's full arena layout: one element count
 // per arena, in the order the New constructor allocates them. Mmap
 // bump-allocates monotonically and kernels never unmap, so address

@@ -446,8 +446,8 @@ func (s *AddressSpace) MapData(size uint64) *Region {
 //lint:ignore deadexport heap-region probe the ckpt and tracker tests assert on
 func (s *AddressSpace) Heap() *Region { return s.heap }
 
-// Brk returns the current heap break (heapBase when the heap is empty).
-func (s *AddressSpace) Brk() uint64 {
+// brk returns the current heap break (heapBase when the heap is empty).
+func (s *AddressSpace) brk() uint64 {
 	if s.heap == nil {
 		return heapBase
 	}
@@ -462,7 +462,7 @@ func (s *AddressSpace) Brk() uint64 {
 //
 //lint:ignore deadexport the brk heap is part of the simulated process image (ckpt/tracker tests grow and shrink it); no shipped workload allocates through it yet
 func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
-	old := s.Brk()
+	old := s.brk()
 	if delta == 0 {
 		return old, nil
 	}

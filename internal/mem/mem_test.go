@@ -81,7 +81,7 @@ func TestStackNotInFootprint(t *testing.T) {
 
 func TestSbrkGrowShrink(t *testing.T) {
 	s := newBacked(t)
-	base := s.Brk()
+	base := s.brk()
 	old, err := s.Sbrk(10000)
 	if err != nil || old != base {
 		t.Fatalf("Sbrk grow: old=%#x err=%v", old, err)
@@ -119,8 +119,8 @@ func TestSbrkGrowShrink(t *testing.T) {
 	if s.Heap() != nil {
 		t.Fatal("heap not unmapped at zero size")
 	}
-	if s.Brk() != base {
-		t.Fatalf("brk after full shrink = %#x, want %#x", s.Brk(), base)
+	if s.brk() != base {
+		t.Fatalf("brk after full shrink = %#x, want %#x", s.brk(), base)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestMapAtValidation(t *testing.T) {
 
 func TestMapAtHeapRestoresSbrk(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096})
-	heapBase := s.Brk()
+	heapBase := s.brk()
 	r, err := s.MapAt(heapBase, 2*4096, Heap)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,7 @@
 //
 // With backed address spaces the destination receives real page
 // contents, and the test suite asserts the destination is bit-identical
-// to the source at the instant migration completes, under concurrent
-// writes. Phantom spaces migrate metadata only (for full-scale volume
+// to the source as of the final stop-and-copy, under concurrent writes. Phantom spaces migrate metadata only (for full-scale volume
 // experiments).
 package migrate
 
@@ -40,11 +39,6 @@ type Options struct {
 	// StopPages triggers the final pause when a round's dirty set is
 	// at most this many pages (default 16).
 	StopPages uint64
-	// OnPause is called at the start of the final stop-and-copy — the
-	// moment a real migration SIGSTOPs the source process. The
-	// application driver must stop issuing writes when it fires; the
-	// destination is consistent with the source as of this instant.
-	OnPause func()
 }
 
 func (o Options) withDefaults() Options {
@@ -253,12 +247,9 @@ func (m *Migrator) nextRound(n int) {
 	prev := m.res.Rounds[len(m.res.Rounds)-1].Pages
 	converging := pending < prev
 	if pending <= m.opts.StopPages || n+1 >= m.opts.MaxRounds || !converging {
-		// Final stop-and-copy: the application pauses (OnPause is its
-		// SIGSTOP); the copy is atomic in virtual time, the downtime
-		// is its transfer cost.
-		if m.opts.OnPause != nil {
-			m.opts.OnPause()
-		}
+		// Final stop-and-copy: the copy is atomic in virtual time, so
+		// the destination equals the source as of this instant; the
+		// downtime is its transfer cost.
 		pages := m.snapshotDirty()
 		m.res.DowntimePages = pages
 		m.res.Downtime = m.opts.Link.WriteTime(pages * m.src.PageSize())

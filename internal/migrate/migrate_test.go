@@ -3,6 +3,7 @@ package migrate
 import (
 	"bytes"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,30 @@ func pair(t *testing.T) (*des.Engine, *mem.AddressSpace, *mem.AddressSpace) {
 // slowLink transfers one page per virtual second.
 func slowLink() storage.Model {
 	return storage.Model{Name: "slow", Bandwidth: pageSize}
+}
+
+// A srcWrite is one write the test issued to the migrating source.
+type srcWrite struct {
+	at   des.Time
+	off  uint64
+	data []byte
+}
+
+// equalsSourceAtPause reports whether got is what initial becomes under
+// the writes of log (in issue order) up to the migration's final
+// stop-and-copy, res.CompletedAt - res.Downtime. A write at that very
+// instant may have landed on either side of the copy.
+func equalsSourceAtPause(got, initial []byte, log []srcWrite, res Result) bool {
+	pause := res.CompletedAt - res.Downtime
+	want := bytes.Clone(initial)
+	i := 0
+	for ; i < len(log) && log[i].at < pause; i++ {
+		copy(want[log[i].off:], log[i].data)
+	}
+	for ; !bytes.Equal(got, want) && i < len(log) && log[i].at == pause; i++ {
+		copy(want[log[i].off:], log[i].data)
+	}
+	return bytes.Equal(got, want)
 }
 
 func TestQuiescentMigration(t *testing.T) {
@@ -70,25 +95,28 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 	eng, src, dst := pair(t)
 	const pages = 16
 	r, _ := src.Mmap(pages * pageSize)
-	src.Write(r.Start(), bytes.Repeat([]byte{1}, pages*pageSize))
+	initial := bytes.Repeat([]byte{1}, pages*pageSize)
+	src.Write(r.Start(), initial)
 
-	paused := false
 	m, err := New(eng, src, dst, Options{
 		Link:      slowLink(),
 		StopPages: 2,
-		OnPause:   func() { paused = true },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A writer keeps dirtying a shrinking set of pages until paused.
+	// A writer keeps dirtying a shrinking set of pages, through the
+	// cutover and past it: the source is never told to stop.
+	var log []srcWrite
 	var writer func(i int)
 	writer = func(i int) {
-		if paused {
+		if i == 60 {
 			return
 		}
 		n := max(1, 8-i) // shrinking working set → convergence
-		src.Write(r.Start(), bytes.Repeat([]byte{byte(i)}, n*pageSize))
+		data := bytes.Repeat([]byte{byte(i)}, n*pageSize)
+		src.Write(r.Start(), data)
+		log = append(log, srcWrite{eng.Now(), 0, data})
 		eng.After(des.Second, func() { writer(i + 1) })
 	}
 	eng.After(des.Second/2, func() { writer(0) })
@@ -99,19 +127,17 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 	}
 	eng.Run(des.MaxTime)
 
-	if !paused {
-		t.Fatal("OnPause never fired")
-	}
 	if len(res.Rounds) < 2 {
 		t.Fatalf("expected pre-copy rounds under live writes: %+v", res.Rounds)
 	}
+	if last := log[len(log)-1].at; last <= res.CompletedAt {
+		t.Fatalf("writer stopped at %v, before the migration completed at %v", last, res.CompletedAt)
+	}
 	// The defining property: destination == source at the pause.
-	want := make([]byte, pages*pageSize)
-	src.Read(r.Start(), want)
 	got := make([]byte, pages*pageSize)
 	dst.Read(r.Start(), got)
-	if !bytes.Equal(got, want) {
-		t.Fatal("destination diverged from paused source")
+	if !equalsSourceAtPause(got, initial, log, res) {
+		t.Fatal("destination diverged from the source as of the final copy")
 	}
 	// Total traffic exceeds the footprint (re-copied dirty pages).
 	if res.TotalBytes <= pages*pageSize {
@@ -129,18 +155,16 @@ func TestNonConvergingForcesPause(t *testing.T) {
 	eng, src, dst := pair(t)
 	const pages = 32
 	r, _ := src.Mmap(pages * pageSize)
-	paused := false
 	m, _ := New(eng, src, dst, Options{
 		Link:      slowLink(),
 		StopPages: 1,
 		MaxRounds: 20,
-		OnPause:   func() { paused = true },
 	})
 	// A writer that redirties the whole footprint continuously: the
 	// delta never shrinks, so the migrator must cut over anyway.
 	var writer func()
 	writer = func() {
-		if paused {
+		if eng.Now() > 10*pages*des.Second {
 			return
 		}
 		src.WriteRange(r.Start(), pages*pageSize)
@@ -215,32 +239,31 @@ func TestPropertyLiveMigrationConsistency(t *testing.T) {
 		dst := mem.NewAddressSpace(mem.Config{PageSize: 512})
 		const pages = 24
 		r, _ := src.Mmap(pages * 512)
-		paused := false
 		m, _ := New(eng, src, dst, Options{
 			Link:      storage.Model{Name: "l", Bandwidth: 512 * float64(rng.IntN(6)+1)},
 			StopPages: uint64(rng.IntN(4) + 1),
 			MaxRounds: rng.IntN(6) + 2,
-			OnPause:   func() { paused = true },
 		})
+		var log []srcWrite
 		for i := 0; i < rng.IntN(30); i++ {
-			at := des.Time(rng.IntN(20000)) * des.Millisecond
-			off := uint64(rng.IntN(pages)) * 512
-			val := byte(rng.IntN(256))
-			eng.Schedule(at, func() {
-				if !paused {
-					src.Write(r.Start()+off, bytes.Repeat([]byte{val}, 512))
-				}
-			})
+			w := srcWrite{
+				at:   des.Time(rng.IntN(20000)) * des.Millisecond,
+				off:  uint64(rng.IntN(pages)) * 512,
+				data: bytes.Repeat([]byte{byte(rng.IntN(256))}, 512),
+			}
+			log = append(log, w)
+			eng.Schedule(w.at, func() { src.Write(r.Start()+w.off, w.data) })
 		}
-		if m.Run(nil) != nil {
+		// Same-instant events fire in scheduling order.
+		sort.SliceStable(log, func(i, j int) bool { return log[i].at < log[j].at })
+		var res Result
+		if m.Run(func(rr Result, _ error) { res = rr }) != nil {
 			return false
 		}
 		eng.Run(des.MaxTime)
-		want := make([]byte, pages*512)
-		src.Read(r.Start(), want)
 		got := make([]byte, pages*512)
 		dst.Read(r.Start(), got)
-		return bytes.Equal(got, want)
+		return equalsSourceAtPause(got, make([]byte, pages*512), log, res)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

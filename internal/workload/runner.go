@@ -17,13 +17,6 @@ type Config struct {
 	// PageSize is the simulated page size; zero selects the Itanium II
 	// default (16 KB).
 	PageSize uint64
-	// Backed selects content-carrying pages. The default (phantom)
-	// carries protection metadata only, which is all the feasibility
-	// experiments need; checkpoint/restore tests require Backed.
-	Backed bool
-	// Mode selects NIC delivery; the default is Bounce, the paper's
-	// workaround, which is the only mode compatible with tracking.
-	Mode mpi.DeliveryMode
 	// Net is the interconnect model; the zero value selects QsNet.
 	Net mpi.Network
 	// Seed drives per-rank jitter; runs with equal seeds are identical.
@@ -90,7 +83,9 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults(spec)
 	spaces := make([]*mem.AddressSpace, cfg.Ranks)
 	for i := range spaces {
-		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: !cfg.Backed})
+		// Phantom pages carry protection metadata only, which is all
+		// the feasibility experiments need.
+		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
 	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces}
 	if cfg.Shards > 1 {
@@ -100,14 +95,14 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		for i := range engs {
 			engs[i] = r.EngineFor(i)
 		}
-		world, err := mpi.NewShardedWorld(engs, cfg.Net, cfg.Mode, spaces)
+		world, err := mpi.NewShardedWorld(engs, cfg.Net, mpi.Bounce, spaces)
 		if err != nil {
 			return nil, err
 		}
 		r.World = world
 	} else {
 		r.Eng = des.NewEngine()
-		world, err := mpi.NewWorld(r.Eng, cfg.Net, cfg.Mode, spaces)
+		world, err := mpi.NewWorld(r.Eng, cfg.Net, mpi.Bounce, spaces)
 		if err != nil {
 			return nil, err
 		}
@@ -189,17 +184,16 @@ func (r *Runner) initEstimate() des.Time {
 // sequence is identical to stepping the whole way.
 func (r *Runner) InitTail() des.Time {
 	// Mirrors startInit's schedule: every rank sweeps the same total at
-	// the same rate, one tick per 50 ms starting at t=0.
+	// the same rate, one tick per maxTick starting at t=0.
 	a := r.apps[0]
 	rate := r.Spec.InitRateMBs * MB
 	total := a.static.Size() + a.arena.Size()
-	tick := 50 * des.Millisecond
-	perTick := uint64(rate * tick.Seconds())
+	perTick := uint64(rate * maxTick.Seconds())
 	if perTick == 0 || perTick >= total {
 		return 0
 	}
 	steps := (total + perTick - 1) / perTick
-	return des.Time(steps-1) * tick
+	return des.Time(steps-1) * maxTick
 }
 
 // durationFor returns a virtual-time budget covering initialization plus
@@ -300,8 +294,7 @@ func newApp(r *Runner, id int) (*app, error) {
 func (a *app) startInit() {
 	rate := a.r.Spec.InitRateMBs * MB
 	total := a.static.Size() + a.arena.Size()
-	tick := 50 * des.Millisecond
-	perTick := uint64(rate * tick.Seconds())
+	perTick := uint64(rate * maxTick.Seconds())
 	if perTick == 0 {
 		perTick = total
 	}
@@ -313,7 +306,7 @@ func (a *app) startInit() {
 		a.writeAcross(spans, pos, n)
 		pos += n
 		if pos < total {
-			a.eng.After(tick, step)
+			a.eng.After(maxTick, step)
 			return
 		}
 		a.rank.Barrier(func() {

@@ -10,9 +10,9 @@ import (
 // shardedFingerprint runs tiny() at the given shard count and returns
 // the full observable state: per-rank space digests, written-byte
 // counts, iteration count, IterZero and total events fired.
-func shardedFingerprint(t *testing.T, shards int, backed bool) ([]uint64, []uint64, int, des.Time, uint64) {
+func shardedFingerprint(t *testing.T, shards int) ([]uint64, []uint64, int, des.Time, uint64) {
 	t.Helper()
-	r, err := New(tiny(), Config{Ranks: 4, Seed: 42, Shards: shards, Backed: backed})
+	r, err := New(tiny(), Config{Ranks: 4, Seed: 42, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,22 +31,20 @@ func shardedFingerprint(t *testing.T, shards int, backed bool) ([]uint64, []uint
 // iteration progress and total event counts — are bit-identical between
 // the sequential engine and every shard count.
 func TestShardedRunnerMatchesSequential(t *testing.T) {
-	for _, backed := range []bool{false, true} {
-		refD, refW, refIter, refZero, refFired := shardedFingerprint(t, 0, backed)
-		for _, shards := range []int{1, 2, 3, 8} {
-			d, w, iter, zero, fired := shardedFingerprint(t, shards, backed)
-			for i := range refD {
-				if d[i] != refD[i] || w[i] != refW[i] {
-					t.Fatalf("backed=%v shards=%d rank %d: digest/written %x/%d, want %x/%d",
-						backed, shards, i, d[i], w[i], refD[i], refW[i])
-				}
+	refD, refW, refIter, refZero, refFired := shardedFingerprint(t, 0)
+	for _, shards := range []int{1, 2, 3, 8} {
+		d, w, iter, zero, fired := shardedFingerprint(t, shards)
+		for i := range refD {
+			if d[i] != refD[i] || w[i] != refW[i] {
+				t.Fatalf("shards=%d rank %d: digest/written %x/%d, want %x/%d",
+					shards, i, d[i], w[i], refD[i], refW[i])
 			}
-			if iter != refIter || zero != refZero {
-				t.Fatalf("backed=%v shards=%d: iter=%d zero=%v, want %d/%v", backed, shards, iter, zero, refIter, refZero)
-			}
-			if fired != refFired {
-				t.Fatalf("backed=%v shards=%d: fired=%d, want %d", backed, shards, fired, refFired)
-			}
+		}
+		if iter != refIter || zero != refZero {
+			t.Fatalf("shards=%d: iter=%d zero=%v, want %d/%v", shards, iter, zero, refIter, refZero)
+		}
+		if fired != refFired {
+			t.Fatalf("shards=%d: fired=%d, want %d", shards, fired, refFired)
 		}
 	}
 }
