@@ -100,27 +100,20 @@ type Stats struct {
 }
 
 // Checkpointer takes full and incremental checkpoints of one address
-// space. It owns a dirty-page view built from write faults, independent of
+// space. It owns a dirty log built from write faults, independent of
 // (and stackable with) a tracker's.
 type Checkpointer struct {
 	eng   *des.Engine
 	space *mem.AddressSpace
 	opts  Options
 
-	dirty    map[*mem.Region]*bitset.Set
-	excluded map[*mem.Region]bool
-	// dataExcluded regions stay in every segment's region table (a
-	// restore recreates them zero-filled) but are never protected or
-	// captured: their contents are recomputable per a protection spec.
-	dataExcluded map[*mem.Region]bool
-	prevF        mem.FaultHandler
-	prevM        mem.MapHook
-	running      bool
-
-	// Single-entry fault cache, same rationale as the tracker's:
-	// consecutive faults repeat the region, so skip the map lookup.
-	lastFaultR  *mem.Region
-	lastFaultRS *bitset.Set
+	// log protects and captures every region it watches; Exclude and
+	// ExcludeData both take a region out of it.
+	log *mem.DirtyLog
+	// omitted regions (Exclude) are also left out of every segment's
+	// region table, so a restore does not recreate them; a region whose
+	// data alone is excluded stays in the table and comes back zero-filled.
+	omitted map[*mem.Region]bool
 
 	seq           uint64
 	epoch         uint64
@@ -132,6 +125,7 @@ type Checkpointer struct {
 	// CoW accounting drain state (TrackCow).
 	drainUntil des.Time
 	drainSet   map[*mem.Region]*bitset.Set
+	cow        func(*mem.Region, uint64) // cowFault as the log's OnFault value
 }
 
 // NewCheckpointer creates a checkpointer. Call Start to begin capturing
@@ -147,13 +141,16 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 		return nil, fmt.Errorf("ckpt: compression and dedup need page contents (backed address space)")
 	}
 	c := &Checkpointer{
-		eng:          eng,
-		space:        space,
-		opts:         opts,
-		seq:          opts.StartSeq,
-		dirty:        make(map[*mem.Region]*bitset.Set),
-		excluded:     make(map[*mem.Region]bool),
-		dataExcluded: make(map[*mem.Region]bool),
+		eng:     eng,
+		space:   space,
+		opts:    opts,
+		seq:     opts.StartSeq,
+		log:     mem.NewDirtyLog(space),
+		omitted: make(map[*mem.Region]bool),
+	}
+	c.log.OnMap = c.onMap
+	if opts.TrackCow {
+		c.cow = c.cowFault // installed on the log while a segment drains
 	}
 	if opts.DedupUnchanged {
 		c.hashes = make(map[uint64]uint64)
@@ -167,7 +164,8 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 // a restore does not recreate them.
 func (c *Checkpointer) Exclude(r *mem.Region) {
 	if r != nil {
-		c.excluded[r] = true
+		c.omitted[r] = true
+		c.log.Exclude(r)
 	}
 }
 
@@ -178,11 +176,7 @@ func (c *Checkpointer) Exclude(r *mem.Region) {
 // half of a ckptspec Recomputable classification — callers re-derive
 // the contents after a restore (recompute hook) or rely on the kernel
 // fully rewriting them before any read. Call before Start; idempotent.
-func (c *Checkpointer) ExcludeData(r *mem.Region) {
-	if r != nil {
-		c.dataExcluded[r] = true
-	}
-}
+func (c *Checkpointer) ExcludeData(r *mem.Region) { c.log.Exclude(r) }
 
 // ApplySpec excludes the data of every binding the spec classifies as
 // recomputable and returns those bindings, so the caller can run their
@@ -202,25 +196,14 @@ func (c *Checkpointer) ApplySpec(spec *ckptspec.Spec, bindings []ckptspec.Bindin
 // Start protects all data memory and installs the fault/map hooks,
 // chaining any previously installed ones.
 func (c *Checkpointer) Start() {
-	if c.running {
+	if c.log.IsOpen() {
 		panic("ckpt: already started")
 	}
-	c.running = true
-	c.prevF = c.space.SetFaultHandler(c.onFault)
-	c.prevM = c.space.SetMapHook(c.onMap)
-	c.protectAll()
+	c.log.Open()
 }
 
 // Stop removes the hooks and unprotects memory.
-func (c *Checkpointer) Stop() {
-	if !c.running {
-		return
-	}
-	c.running = false
-	c.space.SetFaultHandler(c.prevF)
-	c.space.SetMapHook(c.prevM)
-	c.space.UnprotectAllData()
-}
+func (c *Checkpointer) Stop() { c.log.Close() }
 
 // Stats returns a copy of the lifetime counters.
 func (c *Checkpointer) Stats() Stats { return c.stats }
@@ -248,75 +231,35 @@ func (c *Checkpointer) Rebase(seq uint64) {
 	c.took = false
 }
 
-// captures reports whether r's pages are protected and captured: a live
-// checkpointable region excluded neither wholly nor for its data.
-func (c *Checkpointer) captures(r *mem.Region) bool {
-	return r.Kind().Checkpointable() && !c.excluded[r] && !c.dataExcluded[r]
-}
-
-func (c *Checkpointer) protectAll() {
-	for _, r := range c.space.Regions() {
-		if c.captures(r) {
-			r.ProtectAll()
-		}
+// cowFault is the CoW accounting (TrackCow): a write to a page captured
+// by a still-draining segment forces a pre-image copy in an overlapped
+// implementation. It is the log's fault observer from a capture until
+// the first fault after the segment has drained.
+func (c *Checkpointer) cowFault(r *mem.Region, idx uint64) {
+	if c.eng.Now() >= c.drainUntil {
+		c.drainSet, c.log.OnFault = nil, nil
+	} else if ds := c.drainSet[r]; ds != nil && ds.Has(idx) {
+		ds.Remove(idx) // copy taken once per page per drain
+		c.stats.CowCopyBytes += c.space.PageSize()
 	}
 }
 
-func (c *Checkpointer) onFault(f mem.Fault) {
-	rs := c.lastFaultRS
-	if f.Region != c.lastFaultR {
-		rs = c.dirty[f.Region]
-		if rs == nil {
-			rs = &bitset.Set{}
-			c.dirty[f.Region] = rs
-		}
-		c.lastFaultR, c.lastFaultRS = f.Region, rs
-	}
-	idx := f.Region.PageIndex(f.Page)
-	rs.Add(idx)
-	f.Region.SetProtected(f.Page, false)
-	// CoW accounting: a write to a page captured by a still-draining
-	// segment forces a pre-image copy in an overlapped implementation.
-	if c.opts.TrackCow && c.drainSet != nil {
-		if c.eng.Now() >= c.drainUntil {
-			c.drainSet = nil
-		} else if ds := c.drainSet[f.Region]; ds != nil && ds.Has(idx) {
-			ds.Remove(idx) // copy taken once per page per drain
-			c.stats.CowCopyBytes += c.space.PageSize()
-		}
-	}
-	if c.prevF != nil {
-		c.prevF(f)
-	}
-}
-
-func (c *Checkpointer) onMap(r *mem.Region, mapped bool) {
-	if mapped {
-		if c.running && c.captures(r) {
-			r.ProtectAll()
-		}
-	} else {
-		if rs, ok := c.dirty[r]; ok {
-			c.excludedAccum += rs.CountBelow(r.Pages())
-			delete(c.dirty, r)
-		}
-		if r == c.lastFaultR {
-			c.lastFaultR, c.lastFaultRS = nil, nil
-		}
-		delete(c.excluded, r)
-		delete(c.dataExcluded, r)
+// onMap accounts memory exclusion: dirty pages dropped with an unmapped
+// region are reported by the next checkpoint.
+func (c *Checkpointer) onMap(r *mem.Region, mapped bool, pages uint64) {
+	if !mapped {
+		c.excludedAccum += pages
+		delete(c.omitted, r)
 		delete(c.drainSet, r)
 	}
-	if c.prevM != nil {
-		c.prevM(r, mapped)
-	}
 }
 
-// regionTable snapshots the live checkpointable regions.
-func (c *Checkpointer) regionTable() []RegionInfo {
+// regionTable is the segment's region table: the checkpointable regions
+// among live that were not omitted.
+func (c *Checkpointer) regionTable(live []*mem.Region) []RegionInfo {
 	var out []RegionInfo
-	for _, r := range c.space.Regions() {
-		if r.Kind().Checkpointable() && !c.excluded[r] {
+	for _, r := range live {
+		if r.Kind().Checkpointable() && !c.omitted[r] {
 			out = append(out, RegionInfo{Start: r.Start(), Size: r.Size(), Kind: r.Kind()})
 		}
 	}
@@ -327,7 +270,7 @@ func (c *Checkpointer) regionTable() []RegionInfo {
 // persists it to the store and re-protects memory. It returns the
 // result including the modelled sink write time.
 func (c *Checkpointer) Checkpoint() (Result, error) {
-	if !c.running {
+	if !c.log.IsOpen() {
 		return Result{}, fmt.Errorf("ckpt: checkpointer not started")
 	}
 	kind := Incremental
@@ -336,6 +279,9 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		c.epoch = c.seq
 	}
 	c.took = true
+	// Regions are walked in address order — never the log's map order,
+	// which would make the stored bytes differ between identical runs.
+	live := c.space.Regions()
 	hdr := Segment{
 		Rank:        c.opts.Rank,
 		Seq:         c.seq,
@@ -344,27 +290,24 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		ContentFree: c.space.Phantom(),
 		PageSize:    c.space.PageSize(),
 		TakenAt:     c.eng.Now(),
-		Regions:     c.regionTable(),
+		Regions:     c.regionTable(live),
 	}
 	ps := c.space.PageSize()
-	// Regions are walked in address order — never c.dirty's map order,
-	// which would make the stored bytes differ between identical runs.
-	live := c.space.Regions()
 	var maxPages uint64
 	for _, r := range live {
-		if !c.captures(r) {
+		if !c.log.Watches(r) {
 			continue
 		}
 		if kind == Full {
 			maxPages += r.Pages()
-		} else if rs := c.dirty[r]; rs != nil {
+		} else if rs := c.log.Pages(r); rs != nil {
 			maxPages += rs.CountBelow(r.Pages())
 		}
 	}
 	w := newSegWriter(&hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps), c.opts.Compress)
 	var silentPages uint64
 	for _, r := range live {
-		if !c.captures(r) {
+		if !c.log.Watches(r) {
 			continue
 		}
 		limit := r.Pages()
@@ -378,11 +321,11 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 			continue
 		}
 		// Pages the NIC dirtied without faulting are absent from
-		// c.dirty: this capture omits them, and a restore through it
+		// the log: this capture omits them, and a restore through it
 		// replays their stale pre-DMA contents. Count them as the
 		// segment's corruption risk.
 		silentPages += r.SilentPages()
-		if rs := c.dirty[r]; rs != nil {
+		if rs := c.log.Pages(r); rs != nil {
 			for idx, ok := rs.NextSet(0); ok && idx < limit; idx, ok = rs.NextSet(idx + 1) {
 				c.capturePage(&w, kind, r, idx)
 			}
@@ -390,20 +333,16 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	// CoW drain window for the next segment's accounting.
 	if c.opts.TrackCow {
-		c.drainSet = make(map[*mem.Region]*bitset.Set, len(c.dirty))
-		for r, rs := range c.dirty {
-			c.drainSet[r] = rs.Clone()
+		c.drainSet = make(map[*mem.Region]*bitset.Set)
+		c.log.OnFault = c.cow
+		for _, r := range live {
+			if rs := c.log.Pages(r); rs != nil {
+				c.drainSet[r] = rs.Clone()
+			}
 		}
 	}
 	// Reset dirty state and re-protect: the next delta starts now.
-	for r, rs := range c.dirty {
-		if r.Dead() {
-			delete(c.dirty, r)
-			continue
-		}
-		rs.Clear()
-	}
-	c.protectAll()
+	c.log.Reset()
 
 	enc := w.finish()
 	dedupSkipped := maxPages - w.pages // every candidate page is written or elided

@@ -347,8 +347,7 @@ func TestCowAccounting(t *testing.T) {
 	// Rewriting the same pages again during the drain: no double count
 	// (the pre-image is copied once).
 	eng.Schedule(3*des.Second, func() {
-		sp.UnprotectAllData() // force re-faults via re-protection below
-		c.protectAll()
+		c.log.Reset() // re-protect, forcing re-faults
 		sp.WriteRange(r.Start(), 3*pageSize)
 	})
 	// Writes after the drain completes don't count.

@@ -45,10 +45,10 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	}
 	// The excluded region is unprotected: its write took no fault and
 	// left no dirty record. The kept region faulted normally.
-	if c.dirty[scratch] != nil && c.dirty[scratch].CountBelow(scratch.Pages()) != 0 {
+	if c.log.Pages(scratch) != nil {
 		t.Fatalf("excluded region accumulated dirty pages")
 	}
-	if c.dirty[keep] == nil || c.dirty[keep].CountBelow(keep.Pages()) != 1 {
+	if rs := c.log.Pages(keep); rs == nil || rs.CountBelow(keep.Pages()) != 1 {
 		t.Fatalf("kept region did not fault")
 	}
 

@@ -81,15 +81,15 @@ func oracleCapture(c *Checkpointer) (seg *Segment, skipped uint64) {
 	seg = &Segment{
 		Rank: c.opts.Rank, Seq: c.seq, Epoch: epoch, Kind: kind,
 		ContentFree: c.space.Phantom(), PageSize: c.space.PageSize(),
-		TakenAt: c.eng.Now(), Regions: c.regionTable(),
+		TakenAt: c.eng.Now(), Regions: c.regionTable(c.space.Regions()),
 		Pages: []PageRecord{},
 	}
 	for _, r := range c.space.Regions() {
-		if !r.Kind().Checkpointable() || c.excluded[r] || c.dataExcluded[r] {
+		if !c.log.Watches(r) {
 			continue
 		}
 		for idx := uint64(0); idx < r.Pages(); idx++ {
-			if kind == Incremental && (c.dirty[r] == nil || !c.dirty[r].Has(idx)) {
+			if kind == Incremental && (c.log.Pages(r) == nil || !c.log.Pages(r).Has(idx)) {
 				continue
 			}
 			rec := PageRecord{Addr: r.PageAddr(idx)}
@@ -169,7 +169,7 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 				eng.Schedule(eng.Now()+des.Second, func() {})
 				eng.Run(des.MaxTime)
 				for _, r := range regions {
-					for n := rng.IntN(4); n > 0 && !r.Dead(); n-- {
+					for n := rng.IntN(4); n > 0 && sp.Find(r.Start()) == r; n-- {
 						dirty(r)
 					}
 				}

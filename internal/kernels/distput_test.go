@@ -123,9 +123,7 @@ func TestDistPutDirectVsBounceDirtySets(t *testing.T) {
 		}
 		// Protect everything, as a tracker/checkpointer would.
 		for i := 0; i < w.Size(); i++ {
-			sp := w.Rank(i).Space()
-			sp.ProtectAllData()
-			sp.SetFaultHandler(func(f mem.Fault) { f.Region.SetProtected(f.Addr, false) })
+			mem.NewDirtyLog(w.Rank(i).Space()).Open()
 		}
 		d.Run(6, nil, nil)
 		eng.Run(des.MaxTime)

@@ -148,18 +148,16 @@ func TestStencilDoubleBufferAlternation(t *testing.T) {
 	sp := space()
 	s, _ := NewStencil2D(sp, 64, 64, 1)
 	dirtyRegions := func() map[*mem.Region]bool {
-		out := map[*mem.Region]bool{}
-		h := sp.SetFaultHandler(func(f mem.Fault) {
-			out[f.Region] = true
-			f.Region.SetProtected(f.Page, false)
-		})
-		_ = h
-		sp.ProtectAllData()
+		log := mem.NewDirtyLog(sp)
+		log.Open()
+		defer log.Close()
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
 		}
-		sp.UnprotectAllData()
-		sp.SetFaultHandler(nil)
+		out := map[*mem.Region]bool{}
+		for _, r := range sp.Regions() {
+			out[r] = log.Pages(r) != nil
+		}
 		return out
 	}
 	d1 := dirtyRegions()

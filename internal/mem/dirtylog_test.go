@@ -1,0 +1,510 @@
+package mem
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// The model the log is tested against, written the slow obvious way: one
+// map entry per page, no bitmaps, no caches, no handler chain. For each
+// log it is "the pages written since my last Reset that I watch and that
+// are still mapped"; the protection bits are modelled too, because they
+// are shared — a page faults when *any* log protected it since its last
+// fault, a Close unprotects everything under every other log, and pages
+// a heap grows into start unprotected — and the fault counts depend on
+// exactly that.
+type page struct {
+	r   *Region
+	idx uint64
+}
+
+type refLog struct {
+	log      *DirtyLog
+	open     bool
+	excluded map[*Region]bool
+	pages    map[page]bool // may hold pages of dead regions and beyond a shrunk heap
+	faults   uint64
+
+	// What the log's observers reported against what the model expects.
+	seenFaults                  uint64
+	gotProtected, wantProtected uint64
+	gotDropped, wantDropped     uint64
+	gotMapEvents, wantMapEvents int
+}
+
+type refSpace struct {
+	t      *testing.T
+	s      *AddressSpace
+	prot   map[page]bool
+	silent map[page]bool
+	logs   []*refLog
+	faults uint64
+
+	// The handler and hook installed before any log: every event must
+	// still reach them, after the logs.
+	prevFaults     uint64
+	prevMaps       int
+	mapEvents      int
+	prevUnprotects bool
+}
+
+func newRefSpace(t *testing.T, nLogs int) *refSpace {
+	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}}
+	m.s.SetFaultHandler(func(f Fault) {
+		m.prevFaults++
+		if m.prevUnprotects {
+			f.Region.SetProtected(f.Page, false)
+		}
+	})
+	m.s.SetMapHook(func(*Region, bool) { m.prevMaps++ })
+	for i := 0; i < nLogs; i++ {
+		l := &refLog{log: NewDirtyLog(m.s), excluded: map[*Region]bool{}, pages: map[page]bool{}}
+		l.log.OnFault = func(r *Region, idx uint64) {
+			l.seenFaults++
+			if r.Protected(r.PageAddr(idx)) || !l.log.Pages(r).Has(idx) {
+				t.Errorf("OnFault(%v page %d) before the page was logged and unprotected", r.kind, idx)
+			}
+		}
+		l.log.OnMap = func(_ *Region, mapped bool, pages uint64) {
+			l.gotMapEvents++
+			if mapped {
+				l.gotProtected += pages
+			} else {
+				l.gotDropped += pages
+			}
+		}
+		m.logs = append(m.logs, l)
+	}
+	return m
+}
+
+func (l *refLog) watches(r *Region) bool { return r.kind != Stack && !l.excluded[r] }
+
+func (m *refSpace) exclude(l *refLog, r *Region) {
+	l.excluded[r] = true
+	l.log.Exclude(r)
+}
+
+func (m *refSpace) protect(l *refLog) uint64 {
+	var n uint64
+	for _, r := range m.s.Regions() {
+		if l.watches(r) {
+			for idx := uint64(0); idx < r.Pages(); idx++ {
+				m.prot[page{r, idx}] = true
+			}
+			n += r.Pages()
+		}
+	}
+	return n
+}
+
+func (m *refSpace) open(l *refLog) {
+	l.open = true
+	if got, want := l.log.Open(), m.protect(l); got != want {
+		m.t.Fatalf("Open protected %d pages, model %d", got, want)
+	}
+}
+
+func (m *refSpace) reset(l *refLog) {
+	clear(l.pages)
+	if got, want := l.log.Reset(), m.protect(l); got != want {
+		m.t.Fatalf("Reset protected %d pages, model %d", got, want)
+	}
+}
+
+func (m *refSpace) close(l *refLog) {
+	l.open = false
+	clear(m.prot)
+	l.log.Close()
+}
+
+// fault is one delivered write fault: every open log watching the region
+// records the page, and the page is writable again.
+func (m *refSpace) fault(p page) {
+	m.faults++
+	delete(m.prot, p)
+	delete(m.silent, p)
+	for _, l := range m.logs {
+		if l.open && l.watches(p.r) {
+			l.pages[p] = true
+			l.faults++
+		}
+	}
+}
+
+// write is a CPU write (dma false) or a NIC write to pages [first, last].
+func (m *refSpace) write(r *Region, first, last uint64, dma bool) {
+	for idx := first; idx <= last; idx++ {
+		if p := (page{r, idx}); m.prot[p] {
+			if dma {
+				m.silent[p] = true
+			} else {
+				m.fault(p)
+			}
+		}
+	}
+}
+
+func (m *refSpace) replaySilent() {
+	n := uint64(len(m.silent))
+	for p := range m.silent {
+		m.fault(p)
+	}
+	if got := m.s.ReplaySilent(); got != n {
+		m.t.Fatalf("ReplaySilent replayed %d pages, model %d", got, n)
+	}
+}
+
+// mapped and unmapped are the two map events, as the open logs see them.
+func (m *refSpace) mapped(r *Region) {
+	m.mapEvents++
+	for _, l := range m.logs {
+		if !l.open {
+			continue
+		}
+		l.wantMapEvents++
+		if l.watches(r) {
+			for idx := uint64(0); idx < r.Pages(); idx++ {
+				m.prot[page{r, idx}] = true
+			}
+			l.wantProtected += r.Pages()
+		}
+	}
+}
+
+func (m *refSpace) unmapped(r *Region) {
+	m.mapEvents++
+	m.forget(r, 0)
+	for _, l := range m.logs {
+		if !l.open {
+			continue
+		}
+		l.wantMapEvents++
+		for p := range l.pages {
+			if p.r == r {
+				if p.idx < r.Pages() {
+					l.wantDropped++
+				}
+				delete(l.pages, p)
+			}
+		}
+		delete(l.excluded, r)
+	}
+}
+
+// forget drops the protection and silent state of r's pages from idx up.
+func (m *refSpace) forget(r *Region, from uint64) {
+	for _, set := range []map[page]bool{m.prot, m.silent} {
+		for p := range set {
+			if p.r == r && p.idx >= from {
+				delete(set, p)
+			}
+		}
+	}
+}
+
+func (m *refSpace) sbrk(deltaPages int64) {
+	heap := m.s.Heap()
+	if _, err := m.s.Sbrk(deltaPages * int64(m.s.PageSize())); err != nil {
+		m.t.Fatal(err)
+	}
+	switch {
+	case heap == nil:
+		m.mapped(m.s.Heap())
+	case m.s.Heap() == nil:
+		m.unmapped(heap)
+	case deltaPages < 0:
+		m.forget(heap, heap.Pages())
+	}
+}
+
+// check compares everything observable with the model.
+func (m *refSpace) check(step string) {
+	t := m.t
+	t.Helper()
+	live := m.s.Regions()
+	for _, r := range live {
+		for idx := uint64(0); idx < r.Pages(); idx++ {
+			if got, want := r.Protected(r.PageAddr(idx)), m.prot[page{r, idx}]; got != want {
+				t.Fatalf("%s: %v page %d protected = %v, model %v", step, r.kind, idx, got, want)
+			}
+		}
+	}
+	if got, want := m.s.SilentDirtyBytes(), uint64(len(m.silent))*m.s.PageSize(); got != want {
+		t.Fatalf("%s: %d silent bytes, model %d", step, got, want)
+	}
+	if m.s.Faults() != m.faults || m.prevFaults != m.faults {
+		t.Fatalf("%s: space delivered %d faults, the handler under the logs saw %d, model %d", step, m.s.Faults(), m.prevFaults, m.faults)
+	}
+	if m.prevMaps != m.mapEvents {
+		t.Fatalf("%s: the hook under the logs saw %d map events, model %d", step, m.prevMaps, m.mapEvents)
+	}
+	for i, l := range m.logs {
+		var count uint64
+		for _, r := range live {
+			var got, want []uint64
+			if rs := l.log.Pages(r); rs != nil {
+				for idx, ok := rs.NextSet(0); ok && idx < r.Pages(); idx, ok = rs.NextSet(idx + 1) {
+					got = append(got, idx)
+				}
+			}
+			for idx := uint64(0); idx < r.Pages(); idx++ {
+				if l.pages[page{r, idx}] {
+					want = append(want, idx)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: log %d, %v region at %#x: pages %v, model %v", step, i, r.kind, r.start, got, want)
+			}
+			count += uint64(len(want))
+		}
+		if got := l.log.Count(); got != count {
+			t.Fatalf("%s: log %d: Count %d, model %d", step, i, got, count)
+		}
+		if l.log.Faults() != l.faults || l.seenFaults != l.faults {
+			t.Fatalf("%s: log %d: Faults %d, OnFault calls %d, model %d", step, i, l.log.Faults(), l.seenFaults, l.faults)
+		}
+		if l.gotProtected != l.wantProtected || l.gotDropped != l.wantDropped || l.gotMapEvents != l.wantMapEvents {
+			t.Fatalf("%s: log %d: OnMap reported %d events, %d pages protected, %d dropped; model %d, %d, %d", step, i,
+				l.gotMapEvents, l.gotProtected, l.gotDropped, l.wantMapEvents, l.wantProtected, l.wantDropped)
+		}
+	}
+}
+
+// step performs one random operation on the space and the model.
+func (m *refSpace) step(rng *rand.Rand) string {
+	s, ps := m.s, m.s.PageSize()
+	var data []*Region // writable data memory
+	for _, r := range s.Regions() {
+		if r.kind != Stack {
+			data = append(data, r)
+		}
+	}
+	pick := func() (r *Region, first, last uint64) {
+		r = data[rng.IntN(len(data))]
+		first = rng.Uint64N(r.Pages())
+		last = min(first+rng.Uint64N(4), r.Pages()-1)
+		return
+	}
+	must := func(err error) {
+		if err != nil {
+			m.t.Fatal(err)
+		}
+	}
+	op := rng.IntN(20)
+	switch {
+	case op < 8 && len(data) > 0: // CPU writes, byte- and page-granular
+		r, first, last := pick()
+		off := rng.Uint64N(ps)
+		n := (last-first)*ps + 1 + rng.Uint64N(ps-off)
+		if op < 4 {
+			must(s.Write(r.PageAddr(first)+off, make([]byte, n)))
+		} else {
+			must(s.WriteRange(r.PageAddr(first)+off, n))
+		}
+		m.write(r, first, last, false)
+		return fmt.Sprintf("write %v pages %d-%d", r.kind, first, last)
+	case op < 10 && len(data) > 0: // NIC writes
+		r, first, last := pick()
+		var err error
+		if op == 8 {
+			_, err = s.WriteDirect(r.PageAddr(first), make([]byte, (last-first+1)*ps))
+		} else {
+			_, err = s.WriteRangeDirect(r.PageAddr(first), (last-first+1)*ps)
+		}
+		must(err)
+		m.write(r, first, last, true)
+		return fmt.Sprintf("dma %v pages %d-%d", r.kind, first, last)
+	case op == 10:
+		m.replaySilent()
+		return "replay silent"
+	case op < 13:
+		r, err := s.Mmap((1 + rng.Uint64N(8)) * ps)
+		must(err)
+		m.mapped(r)
+		return fmt.Sprintf("mmap %d pages at %#x", r.Pages(), r.start)
+	case op == 13:
+		var arenas []*Region
+		for _, r := range data {
+			if r.kind == Mmap {
+				arenas = append(arenas, r)
+			}
+		}
+		if len(arenas) == 0 {
+			return "munmap: nothing mapped"
+		}
+		r := arenas[rng.IntN(len(arenas))]
+		must(s.Munmap(r))
+		m.unmapped(r)
+		return fmt.Sprintf("munmap %#x", r.start)
+	case op == 14:
+		m.sbrk(1 + rng.Int64N(6))
+		return "sbrk grow"
+	case op == 15:
+		if h := s.Heap(); h != nil {
+			m.sbrk(-(1 + rng.Int64N(int64(h.Pages())))) // sometimes all of it
+			return "sbrk shrink"
+		}
+		return "sbrk shrink: no heap"
+	}
+	// Each log resets on its own clock; now and then one closes while the
+	// others stay open, or reopens.
+	i := rng.IntN(len(m.logs))
+	l := m.logs[i]
+	switch {
+	case !l.open && rng.IntN(3) == 0:
+		m.open(l)
+		return fmt.Sprintf("open log %d", i)
+	case l.open && rng.IntN(12) == 0:
+		m.close(l)
+		return fmt.Sprintf("close log %d", i)
+	case l.open && rng.IntN(i+1) == 0:
+		m.reset(l)
+		return fmt.Sprintf("reset log %d", i)
+	}
+	return "idle"
+}
+
+func TestDirtyLogMatchesModel(t *testing.T) {
+	for _, nLogs := range []int{1, 2, 3} {
+		for seed := uint64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(nLogs)))
+			m := newRefSpace(t, nLogs)
+			s, ps := m.s, m.s.PageSize()
+			// A process image to start from, with per-log exclusions.
+			initial := []*Region{s.MapData(3 * ps)}
+			s.Sbrk(int64(5 * ps))
+			initial = append(initial, s.Heap())
+			for i := 0; i < 3; i++ {
+				r, _ := s.Mmap((2 + rng.Uint64N(6)) * ps)
+				initial = append(initial, r)
+			}
+			m.mapEvents = 5
+			for _, l := range m.logs {
+				for _, r := range initial {
+					if rng.IntN(4) == 0 {
+						m.exclude(l, r)
+					}
+				}
+				l.log.Exclude(nil)
+			}
+			where := func(i int, what string) string {
+				return fmt.Sprintf("%d logs, seed %d, step %d (%s)", nLogs, seed, i, what)
+			}
+			m.check(where(-1, "setup"))
+			for i := 0; i < 400; i++ {
+				m.check(where(i, m.step(rng)))
+			}
+			// Close what is still open in a random order, the space
+			// staying busy in between.
+			rng.Shuffle(len(m.logs), func(i, j int) { m.logs[i], m.logs[j] = m.logs[j], m.logs[i] })
+			for i, l := range m.logs {
+				if l.open {
+					m.close(l)
+				}
+				m.check(where(400+i, "final close"))
+				m.check(where(400+i, m.step(rng)))
+			}
+			for _, l := range m.logs { // step may have reopened one
+				if l.open {
+					m.close(l)
+				}
+			}
+			m.check(where(500, "all closed"))
+			// Nothing is protected, nothing is chained, and the handler
+			// and hook installed before the logs are alone again.
+			if len(s.logs) != 0 {
+				t.Fatalf("%s: %d logs still chained", where(500, "all closed"), len(s.logs))
+			}
+			r := initial[0]
+			r.ProtectAll()
+			for idx := uint64(0); idx < r.Pages(); idx++ {
+				m.prot[page{r, idx}] = true
+			}
+			m.prevUnprotects = true
+			if err := s.WriteRange(r.start, r.size); err != nil {
+				t.Fatal(err)
+			}
+			m.write(r, 0, r.Pages()-1, false)
+			if _, err := s.Mmap(ps); err != nil {
+				t.Fatal(err)
+			}
+			m.mapEvents++
+			m.check(where(501, "after the logs"))
+		}
+	}
+}
+
+// A log closed beneath an open one keeps passing events through; the
+// chain unwinds once everything above it has closed too.
+func TestDirtyLogClosesInAnyOrder(t *testing.T) {
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(4 * s.PageSize())
+	var under int
+	s.SetFaultHandler(func(Fault) { under++ })
+	a, b, c := NewDirtyLog(s), NewDirtyLog(s), NewDirtyLog(s)
+	a.Open()
+	b.Open()
+	c.Open()
+	b.Close() // the middle one; unprotects everything
+	a.Reset()
+	if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if a.Count() != 4 || c.Count() != 4 || b.Count() != 0 || under != 4 {
+		t.Fatalf("after closing the middle log: a %d, b %d, c %d pages, handler under the logs %d faults; want 4, 0, 4, 4",
+			a.Count(), b.Count(), c.Count(), under)
+	}
+	if len(s.logs) != 3 {
+		t.Fatalf("%d logs chained, want 3 (b passes through until c closes)", len(s.logs))
+	}
+	c.Close()
+	if len(s.logs) != 1 {
+		t.Fatalf("%d logs chained after the top closed, want 1", len(s.logs))
+	}
+	b.Open() // a closed log reopens on top
+	a.Close()
+	b.Reset()
+	s.WriteRange(r.Start(), s.PageSize())
+	if b.Count() != 1 || a.Count() != 4 || under != 5 {
+		t.Fatalf("reopened log: b %d pages, a %d, under %d; want 1, 4 (kept), 5", b.Count(), a.Count(), under)
+	}
+	b.Close()
+	b.Close() // idempotent
+	if len(s.logs) != 0 || r.ProtectedPages() != 0 {
+		t.Fatalf("%d logs chained, %d pages protected after the last close", len(s.logs), r.ProtectedPages())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("opening an open log did not panic")
+		}
+	}()
+	a.Open()
+	a.Open()
+}
+
+// The steady state of a sweep — a fault on a region the log already has
+// a set for — allocates nothing, stacked or not.
+func TestDirtyLogFaultDoesNotAllocate(t *testing.T) {
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(512 * s.PageSize())
+	a, b := NewDirtyLog(s), NewDirtyLog(s)
+	b.OnFault = func(*Region, uint64) {}
+	a.Open()
+	b.Open()
+	sweep := func() {
+		a.Reset()
+		if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep()
+	if n := testing.AllocsPerRun(20, sweep); n != 0 {
+		t.Fatalf("%v allocations per 512-fault sweep, want 0", n)
+	}
+	if a.Faults() != 22*512 || b.Faults() != 22*512 || b.Count() != 512 {
+		t.Fatalf("a %d faults, b %d faults and %d pages", a.Faults(), b.Faults(), b.Count())
+	}
+}

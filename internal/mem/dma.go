@@ -59,9 +59,8 @@ func (s *AddressSpace) WriteRangeDirect(addr, n uint64) (silentBytes uint64, err
 		return 0, err
 	}
 	ps := s.cfg.PageSize
-	first := r.PageIndex(addr)
 	last := r.PageIndex(addr + n - 1)
-	for idx := first; idx <= last; idx++ {
+	for idx := r.PageIndex(addr); idx <= last; idx++ {
 		if r.wp[idx/64]>>(idx%64)&1 == 0 {
 			continue
 		}
@@ -71,31 +70,7 @@ func (s *AddressSpace) WriteRangeDirect(addr, n uint64) (silentBytes uint64, err
 		hi := min(pa+ps, addr+n)
 		silentBytes += hi - lo
 	}
-	if !s.cfg.Phantom {
-		s.writeSeq++
-		v := s.writeSeq
-		idx := first
-		po := addr & (ps - 1)
-		for rem := n; rem > 0; {
-			chunk := ps - po
-			if chunk > rem {
-				chunk = rem
-			}
-			pd := r.data[idx]
-			if pd == nil {
-				pd = make([]byte, ps)
-				r.data[idx] = pd
-			}
-			fill := pd[po : po+chunk]
-			for i := range fill {
-				fill[i] = v
-			}
-			rem -= chunk
-			idx++
-			po = 0
-		}
-	}
-	s.writeBytes += n
+	s.fill(r, addr, n)
 	return silentBytes, nil
 }
 

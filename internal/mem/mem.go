@@ -156,9 +156,6 @@ func (r *Region) End() uint64 { return r.start + r.size }
 // Kind returns the region's classification.
 func (r *Region) Kind() Kind { return r.kind }
 
-// Dead reports whether the region has been unmapped.
-func (r *Region) Dead() bool { return r.dead }
-
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() uint64 { return r.size >> r.space.pageShift }
 
@@ -196,13 +193,6 @@ func (r *Region) ProtectAll() {
 		r.wp[i] = ^uint64(0)
 	}
 	r.trimBitmap()
-}
-
-// UnprotectAll clears write protection on every page of the region.
-func (r *Region) UnprotectAll() {
-	for i := range r.wp {
-		r.wp[i] = 0
-	}
 }
 
 // anyProtected reports whether any page in [first, last] (inclusive page
@@ -336,6 +326,7 @@ type AddressSpace struct {
 	heap    *Region
 	handler FaultHandler
 	mapHook MapHook
+	logs    []*DirtyLog // dirty logs chained into handler and mapHook, oldest first
 
 	pageShift uint // log2(PageSize)
 
@@ -631,29 +622,6 @@ func (s *AddressSpace) Footprint() uint64 {
 	return n
 }
 
-// ProtectAllData write-protects every page of every checkpointable region.
-// This is the alarm handler's re-protection step. It returns the number of
-// pages protected, which drives the intrusiveness model.
-//
-//lint:ignore deadexport whole-space protect the kernels tests use to observe a kernel's raw write set
-func (s *AddressSpace) ProtectAllData() uint64 {
-	var n uint64
-	for _, r := range s.regions {
-		if r.kind.Checkpointable() {
-			r.ProtectAll()
-			n += r.Pages()
-		}
-	}
-	return n
-}
-
-// UnprotectAllData clears write protection everywhere (detaching a tracker).
-func (s *AddressSpace) UnprotectAllData() {
-	for _, r := range s.regions {
-		r.UnprotectAll()
-	}
-}
-
 // fault delivers a write fault for the page containing addr and reports
 // whether the write may proceed.
 func (s *AddressSpace) fault(r *Region, addr uint64) error {
@@ -797,10 +765,8 @@ func (s *AddressSpace) WriteRange(addr, n uint64) error {
 	if err != nil {
 		return err
 	}
-	ps := s.cfg.PageSize
-	first := r.PageIndex(addr)
 	last := r.PageIndex(addr + n - 1)
-	for idx := first; idx <= last; {
+	for idx := r.PageIndex(addr); idx <= last; {
 		w := r.wp[idx/64] >> (idx % 64)
 		if w == 0 {
 			// Whole remainder of this bitmap word is unprotected.
@@ -818,30 +784,37 @@ func (s *AddressSpace) WriteRange(addr, n uint64) error {
 		}
 		idx++
 	}
-	if !s.cfg.Phantom {
-		s.writeSeq++
-		v := s.writeSeq
-		idx := first
-		po := addr & (ps - 1)
-		for rem := n; rem > 0; {
-			chunk := ps - po
-			if chunk > rem {
-				chunk = rem
-			}
-			pd := r.data[idx]
-			if pd == nil {
-				pd = make([]byte, ps)
-				r.data[idx] = pd
-			}
-			fill := pd[po : po+chunk]
-			for i := range fill {
-				fill[i] = v
-			}
-			rem -= chunk
-			idx++
-			po = 0
-		}
-	}
-	s.writeBytes += n
+	s.fill(r, addr, n)
 	return nil
+}
+
+// fill completes a contents-free bulk write of [addr, addr+n) inside r,
+// fault-delivering or DMA: a backed space gets the next rolling byte
+// value, one per call, so contents stay deterministic; every space
+// counts the bytes.
+func (s *AddressSpace) fill(r *Region, addr, n uint64) {
+	s.writeBytes += n
+	if s.cfg.Phantom {
+		return
+	}
+	s.writeSeq++
+	v := s.writeSeq
+	ps := s.cfg.PageSize
+	idx := r.PageIndex(addr)
+	po := addr & (ps - 1)
+	for n > 0 {
+		chunk := min(ps-po, n)
+		pd := r.data[idx]
+		if pd == nil {
+			pd = make([]byte, ps)
+			r.data[idx] = pd
+		}
+		fill := pd[po : po+chunk]
+		for i := range fill {
+			fill[i] = v
+		}
+		n -= chunk
+		idx++
+		po = 0
+	}
 }

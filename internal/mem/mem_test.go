@@ -151,7 +151,7 @@ func TestMmapMunmapReuse(t *testing.T) {
 	if err := s.Munmap(a); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Dead() {
+	if !a.dead {
 		t.Fatal("region not marked dead")
 	}
 	c, err := s.Mmap(4096)
@@ -372,9 +372,11 @@ func TestProtectAllData(t *testing.T) {
 	s.MapData(4096)
 	s.Sbrk(8192)
 	m, _ := s.Mmap(4096)
-	n := s.ProtectAllData()
+	// A dirty log with no exclusions protects exactly the data memory.
+	log := NewDirtyLog(s)
+	n := log.Open()
 	if n != 1+2+1 {
-		t.Fatalf("ProtectAllData = %d pages, want 4", n)
+		t.Fatalf("DirtyLog.Open protected %d pages, want 4", n)
 	}
 	if !m.Protected(m.Start()) {
 		t.Fatal("mmap page not protected")
@@ -382,9 +384,9 @@ func TestProtectAllData(t *testing.T) {
 	if s.Find(stackTop-1).ProtectedPages() != 0 {
 		t.Fatal("stack was protected — the paper's library cannot protect the stack")
 	}
-	s.UnprotectAllData()
+	log.Close()
 	if m.ProtectedPages() != 0 {
-		t.Fatal("UnprotectAllData left pages protected")
+		t.Fatal("DirtyLog.Close left pages protected")
 	}
 }
 

@@ -23,7 +23,6 @@ package migrate
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/storage"
@@ -85,17 +84,17 @@ type Migrator struct {
 	dst  *mem.AddressSpace
 	opts Options
 
-	dirty    map[*mem.Region]*bitset.Set
-	excluded map[*mem.Region]bool
-	prevF    mem.FaultHandler
-	running  bool
-	res      Result
-	onDone   func(Result, error)
+	// log holds the pages written since the last round; its map observer
+	// keeps the destination's layout in step with the source's.
+	log    *mem.DirtyLog
+	res    Result
+	err    error // first failure mirroring a source map event
+	onDone func(Result, error)
 }
 
 // New prepares a migration from src into dst. dst must be an empty
-// address space with the same page size and backing mode; the source's
-// region layout is replicated immediately.
+// address space with the same page size and backing mode; Run replicates
+// the source's region layout there and keeps it in step from then on.
 func New(eng *des.Engine, src, dst *mem.AddressSpace, opts Options) (*Migrator, error) {
 	if src.PageSize() != dst.PageSize() {
 		return nil, fmt.Errorf("migrate: page size mismatch %d vs %d", src.PageSize(), dst.PageSize())
@@ -108,73 +107,62 @@ func New(eng *des.Engine, src, dst *mem.AddressSpace, opts Options) (*Migrator, 
 			return nil, fmt.Errorf("migrate: destination already has a %v region", r.Kind())
 		}
 	}
-	return &Migrator{
-		eng:      eng,
-		src:      src,
-		dst:      dst,
-		opts:     opts.withDefaults(),
-		dirty:    make(map[*mem.Region]*bitset.Set),
-		excluded: make(map[*mem.Region]bool),
-	}, nil
+	m := &Migrator{eng: eng, src: src, dst: dst, opts: opts.withDefaults(), log: mem.NewDirtyLog(src)}
+	m.log.OnMap = m.onMap
+	return m, nil
 }
 
 // Exclude skips a region (transport bounce buffers).
-func (m *Migrator) Exclude(r *mem.Region) {
-	if r != nil {
-		m.excluded[r] = true
-	}
-}
+func (m *Migrator) Exclude(r *mem.Region) { m.log.Exclude(r) }
 
 // Run starts the migration; onDone fires at the virtual time the
 // destination is complete and consistent.
 func (m *Migrator) Run(onDone func(Result, error)) error {
-	if m.running {
+	if m.log.IsOpen() {
 		return fmt.Errorf("migrate: already running")
 	}
-	m.running = true
 	m.onDone = onDone
-	// Replicate the source layout at the destination.
+	// Round 0: replicate the source layout at the destination and copy
+	// the whole footprint. Contents are read now; anything overwritten
+	// later re-enters via the dirty rounds, tracked from here on.
 	for _, r := range m.src.Regions() {
-		if !r.Kind().Checkpointable() || m.excluded[r] {
+		if !m.log.Watches(r) {
 			continue
 		}
 		if _, err := m.dst.MapAt(r.Start(), r.Size(), r.Kind()); err != nil {
 			return fmt.Errorf("migrate: replicate region: %w", err)
 		}
-	}
-	// Track writes from now on.
-	m.prevF = m.src.SetFaultHandler(m.onFault)
-	m.protectAll()
-	// Round 0: the whole footprint.
-	var pages uint64
-	for _, r := range m.src.Regions() {
-		if r.Kind().Checkpointable() && !m.excluded[r] {
-			pages += r.Pages()
+		for idx := uint64(0); idx < r.Pages(); idx++ {
+			m.copyPage(r, idx)
 		}
 	}
-	m.copyAll()
-	m.round(0, pages)
+	m.round(0, m.log.Open())
 	return nil
 }
 
-func (m *Migrator) protectAll() {
-	for _, r := range m.src.Regions() {
-		if r.Kind().Checkpointable() && !m.excluded[r] {
-			r.ProtectAll()
-		}
+// onMap replays a source map event at the destination: an arena the
+// application maps during pre-copy must exist there before its pages
+// arrive, and one it unmaps must not survive the cutover. (A brk move
+// on an existing heap raises no event in mem, so it is not followed.)
+func (m *Migrator) onMap(r *mem.Region, mapped bool, _ uint64) {
+	if !m.log.Watches(r) {
+		return
+	}
+	var err error
+	if mapped {
+		_, err = m.dst.MapAt(r.Start(), r.Size(), r.Kind())
+	} else {
+		err = m.dst.Munmap(m.dst.Find(r.Start()))
+	}
+	if err != nil {
+		m.fail(fmt.Errorf("migrate: replay source map event: %w", err))
 	}
 }
 
-func (m *Migrator) onFault(f mem.Fault) {
-	rs := m.dirty[f.Region]
-	if rs == nil {
-		rs = &bitset.Set{}
-		m.dirty[f.Region] = rs
-	}
-	rs.Add(f.Region.PageIndex(f.Page))
-	f.Region.SetProtected(f.Page, false)
-	if m.prevF != nil {
-		m.prevF(f)
+// fail keeps the first error for onDone; the rounds run on regardless.
+func (m *Migrator) fail(err error) {
+	if m.err == nil {
+		m.err = err
 	}
 }
 
@@ -183,35 +171,25 @@ func (m *Migrator) copyPage(r *mem.Region, idx uint64) {
 	if m.src.Phantom() {
 		return // metadata-only migration
 	}
-	dr := m.dst.Find(r.PageAddr(idx))
-	if dr == nil {
-		return // region vanished at the destination (unmapped source)
+	pd, addr := r.PeekPage(idx), r.PageAddr(idx)
+	if pd == nil {
+		return // never written: zero at the destination too
 	}
-	if pd := r.PeekPage(idx); pd != nil {
-		dr.LoadPage(dr.PageIndex(r.PageAddr(idx)), pd)
-	}
-}
-
-// copyAll transfers every page (round 0). Contents are read at call time;
-// anything overwritten later re-enters via the dirty rounds.
-func (m *Migrator) copyAll() {
-	for _, r := range m.src.Regions() {
-		if !r.Kind().Checkpointable() || m.excluded[r] {
-			continue
-		}
-		for idx := uint64(0); idx < r.Pages(); idx++ {
-			m.copyPage(r, idx)
-		}
+	if dr := m.dst.Find(addr); dr != nil {
+		dr.LoadPage(dr.PageIndex(addr), pd)
+	} else {
+		m.fail(fmt.Errorf("migrate: page %#x has no region at the destination", addr))
 	}
 }
 
-// snapshotDirty copies the current dirty pages to the destination and
-// returns the count, resetting the dirty state and re-protecting.
+// snapshotDirty copies the current dirty pages to the destination, in
+// address order, and returns the count, resetting the dirty state and
+// re-protecting.
 func (m *Migrator) snapshotDirty() uint64 {
 	var pages uint64
-	for r, rs := range m.dirty {
-		if r.Dead() {
-			delete(m.dirty, r)
+	for _, r := range m.src.Regions() {
+		rs := m.log.Pages(r)
+		if rs == nil {
 			continue
 		}
 		limit := r.Pages()
@@ -219,9 +197,8 @@ func (m *Migrator) snapshotDirty() uint64 {
 			m.copyPage(r, idx)
 			pages++
 		}
-		rs.Clear()
 	}
-	m.protectAll()
+	m.log.Reset()
 	return pages
 }
 
@@ -238,12 +215,7 @@ func (m *Migrator) round(n int, pages uint64) {
 // nextRound fires when round n's transfer window closes: decide whether
 // to pre-copy again or pause for the final copy.
 func (m *Migrator) nextRound(n int) {
-	var pending uint64
-	for r, rs := range m.dirty {
-		if !r.Dead() {
-			pending += rs.CountBelow(r.Pages())
-		}
-	}
+	pending := m.log.Count()
 	prev := m.res.Rounds[len(m.res.Rounds)-1].Pages
 	converging := pending < prev
 	if pending <= m.opts.StopPages || n+1 >= m.opts.MaxRounds || !converging {
@@ -264,11 +236,9 @@ func (m *Migrator) nextRound(n int) {
 }
 
 func (m *Migrator) finish() {
-	m.src.SetFaultHandler(m.prevF)
-	m.src.UnprotectAllData()
-	m.running = false
+	m.log.Close()
 	m.res.CompletedAt = m.eng.Now()
 	if m.onDone != nil {
-		m.onDone(m.res, nil)
+		m.onDone(m.res, m.err)
 	}
 }

@@ -269,3 +269,78 @@ func TestPropertyLiveMigrationConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The source's layout moves while it migrates — Sage's allocator maps
+// and frees arenas all the time — and the destination must follow: an
+// arena mapped mid-round arrives with its contents, one unmapped
+// mid-round is gone at the cutover, and a recycled address carries the
+// new arena's bytes, not the old one's.
+func TestMigrationFollowsSourceLayout(t *testing.T) {
+	eng, src, dst := pair(t)
+	keep, _ := src.Mmap(4 * pageSize)
+	old, _ := src.Mmap(4 * pageSize)
+	src.Write(keep.Start(), bytes.Repeat([]byte{1}, 4*pageSize))
+	src.Write(old.Start(), bytes.Repeat([]byte{2}, 4*pageSize))
+	m, err := New(eng, src, dst, Options{Link: slowLink(), StopPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source's image after each writer step, to compare the
+	// destination with the one current at the cutover.
+	type image struct {
+		at     des.Time
+		digest uint64
+	}
+	images := []image{{0, src.Digest(nil)}}
+	step := func(at des.Time, fn func()) {
+		eng.Schedule(at, func() {
+			fn()
+			images = append(images, image{at, src.Digest(nil)})
+		})
+	}
+	// Round 0 moves 8 pages at one page a second. Mid-round the writer
+	// maps a larger arena (a fresh address), fills it and frees an old
+	// one; a round later it maps a small arena into the freed slot.
+	var fresh, recycled *mem.Region
+	step(3500*des.Millisecond, func() {
+		fresh, _ = src.Mmap(6 * pageSize)
+		src.Write(fresh.Start(), bytes.Repeat([]byte{3}, 6*pageSize))
+		if err := src.Munmap(old); err != nil {
+			t.Error(err)
+		}
+	})
+	step(9500*des.Millisecond, func() {
+		recycled, _ = src.Mmap(2 * pageSize)
+		if recycled.Start() != old.Start() {
+			t.Errorf("arena mapped at %#x, want the freed slot %#x", recycled.Start(), old.Start())
+		}
+		src.Write(recycled.Start()+pageSize, bytes.Repeat([]byte{4}, pageSize))
+		src.Write(fresh.Start(), bytes.Repeat([]byte{5}, pageSize))
+	})
+	var res Result
+	done := false
+	if err := m.Run(func(rr Result, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		res, done = rr, true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(des.MaxTime)
+	if !done {
+		t.Fatal("migration never completed")
+	}
+	want := images[0]
+	for _, im := range images {
+		if im.at < res.CompletedAt-res.Downtime {
+			want = im
+		}
+	}
+	if got := dst.Digest(nil); got != want.digest {
+		t.Errorf("destination digest %#x, source at the cutover (image of %v) %#x", got, want.at, want.digest)
+	}
+	if want != images[len(images)-1] {
+		t.Errorf("cutover at %v, before the writer's last step: rounds %+v", res.CompletedAt-res.Downtime, res.Rounds)
+	}
+}

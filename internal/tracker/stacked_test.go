@@ -1,0 +1,96 @@
+package tracker
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/des"
+	"repro/internal/mem"
+	"repro/internal/storage"
+)
+
+// A tracker and a CoW-accounting checkpointer stacked on one space, each
+// with its own exclusion and its own clock (1 s alarms, checkpoints at
+// 0.7 s and 1.7 s), under a fixed script that crosses every path the
+// two share: a page re-protected by the other mechanism faults twice in
+// one slice, a region is mapped and another unmapped dirty, the heap
+// shrinks under logged pages, a NIC write is replayed. The numbers are
+// what the two private copies of the mechanism produced before they
+// became one mem.DirtyLog; this file uses nothing the old API lacked.
+func TestStackedCountsFixedScript(t *testing.T) {
+	eng := des.NewEngine()
+	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+	a, _ := sp.Mmap(8 * pageSize)
+	b, _ := sp.Mmap(8 * pageSize)
+	scratch, _ := sp.Mmap(4 * pageSize)
+	sp.Sbrk(10 * pageSize)
+	c, err := ckpt.NewCheckpointer(eng, sp, ckpt.Options{
+		Store:    storage.NewMemStore(),
+		Sink:     storage.Model{Name: "slow", Bandwidth: 4 * pageSize}, // 4 pages a second
+		TrackCow: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ExcludeData(scratch)
+	c.Start()
+	tr, _ := New(eng, sp, Options{Timeslice: des.Second})
+	tr.Exclude(scratch)
+	tr.Start()
+
+	var results []ckpt.Result
+	checkpoint := func() {
+		res, err := c.Checkpoint()
+		if err != nil {
+			t.Error(err)
+		}
+		results = append(results, res)
+	}
+	at := func(ms int, fn func()) { eng.Schedule(des.Time(ms)*des.Millisecond, fn) }
+	at(100, func() {
+		sp.WriteRange(a.Start(), 6*pageSize)
+		sp.WriteRange(scratch.Start(), 4*pageSize) // excluded by both: no fault
+		sp.WriteRange(sp.Heap().Start(), 10*pageSize)
+	})
+	at(400, func() { sp.Sbrk(-4 * pageSize) }) // 4 logged heap pages fall off
+	at(700, checkpoint)                        // full: a 8 + b 8 + heap 6; re-protects
+	at(800, func() {
+		sp.WriteRange(a.Start(), 3*pageSize) // second fault this slice; CoW ×3
+		sp.WriteDirect(b.Start(), make([]byte, pageSize))
+	})
+	at(1300, func() {
+		n, _ := sp.Mmap(5 * pageSize) // protected by both on arrival
+		sp.WriteRange(n.Start(), 2*pageSize)
+		sp.WriteRange(b.Start()+2*pageSize, 4*pageSize)
+	})
+	at(1500, func() {
+		sp.ReplaySilent()
+		sp.Munmap(b) // dirty in both: 1 replayed + 4 written
+	})
+	at(1700, checkpoint) // delta
+	at(2200, func() { sp.WriteRange(a.Start()+7*pageSize, pageSize) })
+	eng.Run(3 * des.Second)
+	tr.Stop()
+	c.Stop()
+
+	var got string
+	for _, s := range tr.Samples() {
+		got += fmt.Sprintf("slice %d: iws %d faults %d excluded %d overhead %d\n",
+			s.Index, s.IWSPages, s.Faults, s.ExcludedBytes/pageSize, s.Overhead)
+	}
+	for _, r := range results {
+		got += fmt.Sprintf("seq %d %v: pages %d excluded %d silent %d\n", r.Seq, r.Kind, r.Pages, r.ExcludedPages, r.SilentDirtyPages)
+	}
+	got += fmt.Sprintf("tracker faults %d overhead %d; space faults %d; cow pages %d",
+		tr.TotalFaults(), tr.TotalOverhead(), sp.Faults(), c.Stats().CowCopyBytes/pageSize)
+	const want = `slice 0: iws 12 faults 19 excluded 0 overhead 647200
+slice 1: iws 2 faults 7 excluded 5 overhead 293600
+slice 2: iws 1 faults 1 excluded 0 overhead 219600
+seq 0 full: pages 22 excluded 0 silent 0
+seq 1 incremental: pages 5 excluded 5 silent 0
+tracker faults 27 overhead 1160400; space faults 27; cow pages 3`
+	if got != want {
+		t.Fatalf("stacked counts moved:\n%s\nwant:\n%s", got, want)
+	}
+}

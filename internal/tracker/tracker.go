@@ -7,10 +7,10 @@
 // Correspondence with the real library:
 //
 //   - LD_PRELOAD + MPI_Init interception   → Tracker.Start
-//   - mprotect(PROT_READ) over data memory → mem.AddressSpace.ProtectAllData
-//   - SIGSEGV handler marking dirty pages  → the mem.FaultHandler installed here
+//   - mprotect(PROT_READ) over data memory → mem.DirtyLog.Open / Reset
+//   - SIGSEGV handler marking dirty pages  → mem.DirtyLog's fault body
 //   - setitimer alarm per timeslice        → des.Ticker
-//   - mmap/munmap interception             → mem.MapHook (memory exclusion, §4.2)
+//   - mmap/munmap interception             → mem.DirtyLog.OnMap (memory exclusion, §4.2)
 //   - network receive interception         → mpi delivery hook + bounce buffer
 //
 // The tracker also carries the paper's intrusiveness model (§6.5): each
@@ -22,7 +22,6 @@ package tracker
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/ckptspec"
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -111,33 +110,26 @@ type Tracker struct {
 	space *mem.AddressSpace
 	opts  Options
 
-	dirty    map[*mem.Region]*bitset.Set
-	excluded map[*mem.Region]bool // regions never protected (bounce buffers)
-
-	// Single-entry fault cache: consecutive faults overwhelmingly hit the
-	// same region (the sweep walks one arena), so the per-fault map lookup
-	// is skipped while the region repeats.
-	lastFaultR  *mem.Region
-	lastFaultRS *bitset.Set
+	// log is the protect → fault → dirty set → re-protect loop; the
+	// tracker adds the alarm, the cost model and the samples.
+	log *mem.DirtyLog
 
 	ticker      *des.Ticker
-	prevFault   mem.FaultHandler
-	prevMap     mem.MapHook
 	prevDeliver func(uint64, des.Time)
 	rank        *mpi.Rank
-	running     bool
 
-	sliceStart    des.Time
-	sliceFaults   uint64
-	sliceRecv     uint64
-	sliceExcluded uint64
-	sliceOverhead des.Time
+	// Per-slice state. The log counts faults and TotalOverhead prices
+	// them, so a slice keeps both totals as they stood when it began.
+	sliceStart     des.Time
+	sliceFaults0   uint64
+	sliceOverhead0 des.Time
+	sliceRecv      uint64
+	sliceExcluded  uint64
 
-	samples       []Sample
-	sampleCount   int
-	totalOverhead des.Time
-	totalFaults   uint64
-	startAt       des.Time
+	samples     []Sample
+	sampleCount int
+	protectCost des.Time // every protection pass so far
+	startAt     des.Time
 }
 
 // New creates a tracker for the given address space. Call Start to begin
@@ -146,24 +138,16 @@ func New(eng *des.Engine, space *mem.AddressSpace, opts Options) (*Tracker, erro
 	if opts.Timeslice <= 0 {
 		return nil, fmt.Errorf("tracker: timeslice must be positive, got %v", opts.Timeslice)
 	}
-	return &Tracker{
-		eng:      eng,
-		space:    space,
-		opts:     opts.withDefaults(),
-		dirty:    make(map[*mem.Region]*bitset.Set),
-		excluded: make(map[*mem.Region]bool),
-	}, nil
+	t := &Tracker{eng: eng, space: space, opts: opts.withDefaults(), log: mem.NewDirtyLog(space)}
+	t.log.OnMap = t.onMap
+	return t, nil
 }
 
 // Exclude marks a region as never write-protected and never counted in
 // the IWS. The MPI bounce buffer must be excluded: the paper's library
 // keeps its network landing zone writable so the NIC can deposit messages
 // (§4.2). Call before Start.
-func (t *Tracker) Exclude(r *mem.Region) {
-	if r != nil {
-		t.excluded[r] = true
-	}
-}
+func (t *Tracker) Exclude(r *mem.Region) { t.log.Exclude(r) }
 
 // ApplySpec excludes every binding the spec classifies as recomputable
 // — the regions the ckptset analysis proved are never read across an
@@ -197,15 +181,12 @@ func (t *Tracker) AttachRank(w *mpi.World, rankID int) {
 // Start write-protects all data memory, installs the fault and map hooks,
 // and arms the timeslice alarm.
 func (t *Tracker) Start() {
-	if t.running {
+	if t.log.IsOpen() {
 		panic("tracker: already started")
 	}
-	t.running = true
 	t.startAt = t.eng.Now()
 	t.sliceStart = t.eng.Now()
-	t.prevFault = t.space.SetFaultHandler(t.onFault)
-	t.prevMap = t.space.SetMapHook(t.onMap)
-	t.protectAll()
+	t.chargeProtect(t.opts.AlarmFixedCost, t.log.Open())
 	t.ticker = t.eng.NewTicker(t.opts.Timeslice, t.onAlarm)
 }
 
@@ -213,128 +194,64 @@ func (t *Tracker) Start() {
 // The partial final timeslice is discarded, matching the paper's per-
 // timeslice reporting.
 func (t *Tracker) Stop() {
-	if !t.running {
+	if !t.log.IsOpen() {
 		return
 	}
-	t.running = false
 	t.ticker.Stop()
-	t.space.SetFaultHandler(t.prevFault)
-	t.space.SetMapHook(t.prevMap)
 	if t.rank != nil {
 		t.rank.SetDeliveryHook(t.prevDeliver)
 	}
-	t.space.UnprotectAllData()
+	t.log.Close()
 }
 
-// protectAll write-protects every checkpointable region except exclusions,
-// charging the re-protection cost, and returns the pages protected.
-func (t *Tracker) protectAll() uint64 {
-	var pages uint64
-	for _, r := range t.space.Regions() {
-		if !r.Kind().Checkpointable() || t.excluded[r] {
-			continue
-		}
-		r.ProtectAll()
-		pages += r.Pages()
-	}
-	cost := t.opts.AlarmFixedCost + des.Time(pages)*t.opts.ReprotectCostPerPage
-	t.sliceOverhead += cost
-	t.totalOverhead += cost
-	return pages
+// chargeProtect accrues the cost of one protection pass: a fixed part
+// (the alarm's signal delivery and bookkeeping; zero for a region mapped
+// mid-slice) plus the per-page mprotect cost.
+func (t *Tracker) chargeProtect(fixed des.Time, pages uint64) {
+	t.protectCost += fixed + des.Time(pages)*t.opts.ReprotectCostPerPage
 }
 
-// onFault is the SIGSEGV-handler analogue: mark the page dirty, unprotect
-// it so subsequent writes in this timeslice proceed at full speed, and
-// charge the fault cost. A previously installed handler (e.g. a
-// checkpointer's) is chained afterwards so mechanisms can stack.
-func (t *Tracker) onFault(f mem.Fault) {
-	rs := t.lastFaultRS
-	if f.Region != t.lastFaultR {
-		rs = t.dirty[f.Region]
-		if rs == nil {
-			rs = &bitset.Set{}
-			t.dirty[f.Region] = rs
-		}
-		t.lastFaultR, t.lastFaultRS = f.Region, rs
-	}
-	rs.Add(f.Region.PageIndex(f.Page))
-	f.Region.SetProtected(f.Page, false)
-	t.sliceFaults++
-	t.totalFaults++
-	t.sliceOverhead += t.opts.FaultCost
-	t.totalOverhead += t.opts.FaultCost
-	if t.prevFault != nil {
-		t.prevFault(f)
-	}
-}
-
-// onMap tracks region lifetime, mirroring the library's mmap/munmap
-// interception (§4.1). A newly mapped region is write-protected
-// immediately so its initialization writes are observed; dirty pages of an
-// unmapped region are counted as excluded and dropped — they will never be
-// needed again, the memory-exclusion optimisation of §4.2.
-func (t *Tracker) onMap(r *mem.Region, mapped bool) {
+// onMap prices region lifetime (§4.1): a newly mapped region was just
+// write-protected so its initialization writes are observed; the dirty
+// pages of an unmapped region are counted as excluded — they will never
+// be needed again, the memory-exclusion optimisation of §4.2.
+func (t *Tracker) onMap(_ *mem.Region, mapped bool, pages uint64) {
 	if mapped {
-		if t.running && r.Kind().Checkpointable() && !t.excluded[r] {
-			r.ProtectAll()
-			cost := des.Time(r.Pages()) * t.opts.ReprotectCostPerPage
-			t.sliceOverhead += cost
-			t.totalOverhead += cost
-		}
-		if t.prevMap != nil {
-			t.prevMap(r, mapped)
-		}
-		return // dirty state is created lazily on first fault
-	}
-	if rs, ok := t.dirty[r]; ok {
-		t.sliceExcluded += rs.CountBelow(r.Pages()) * t.space.PageSize()
-		delete(t.dirty, r)
-	}
-	if r == t.lastFaultR {
-		t.lastFaultR, t.lastFaultRS = nil, nil
-	}
-	delete(t.excluded, r)
-	if t.prevMap != nil {
-		t.prevMap(r, mapped)
+		t.chargeProtect(0, pages)
+	} else {
+		t.sliceExcluded += pages * t.space.PageSize()
 	}
 }
 
 // onAlarm is the timeslice boundary: snapshot the IWS, emit the sample,
 // reset dirty state and re-protect everything.
 func (t *Tracker) onAlarm(at des.Time) {
-	ps := t.space.PageSize()
-	var iwsPages uint64
-	for r, rs := range t.dirty {
-		if r.Dead() {
-			delete(t.dirty, r) // defensive; onMap normally handles this
-			continue
-		}
-		// Only pages within the region's *current* size count: a heap
-		// that shrank since the writes leaves its tail excluded.
-		iwsPages += rs.CountBelow(r.Pages())
-		rs.Clear()
-	}
+	// Only pages within a region's *current* size count: a heap that
+	// shrank since the writes leaves its tail excluded.
+	iwsPages := t.log.Count()
+	faults := t.log.Faults()
 	s := Sample{
 		Index:          t.sampleCount,
 		Start:          t.sliceStart,
 		End:            at,
 		IWSPages:       iwsPages,
-		IWSBytes:       iwsPages * ps,
+		IWSBytes:       iwsPages * t.space.PageSize(),
 		ExcludedBytes:  t.sliceExcluded,
 		FootprintBytes: t.space.Footprint(),
 		RecvBytes:      t.sliceRecv,
-		Faults:         t.sliceFaults,
+		Faults:         faults - t.sliceFaults0,
 
 		SilentDirtyBytes: t.space.SilentDirtyBytes(),
 	}
 	t.sampleCount++
 	t.sliceStart = at
-	t.sliceFaults = 0
+	t.sliceFaults0 = faults
 	t.sliceRecv = 0
 	t.sliceExcluded = 0
-	t.protectAll()
-	s.Overhead = t.sliceOverhead
-	t.sliceOverhead = 0
+	t.chargeProtect(t.opts.AlarmFixedCost, t.log.Reset())
+	total := t.TotalOverhead()
+	s.Overhead = total - t.sliceOverhead0
+	t.sliceOverhead0 = total
 	t.samples = append(t.samples, s)
 	if t.opts.OnSample != nil {
 		t.opts.OnSample(s)
@@ -345,10 +262,14 @@ func (t *Tracker) onAlarm(at des.Time) {
 func (t *Tracker) Samples() []Sample { return t.samples }
 
 // TotalFaults returns the number of write faults taken since Start.
-func (t *Tracker) TotalFaults() uint64 { return t.totalFaults }
+func (t *Tracker) TotalFaults() uint64 { return t.log.Faults() }
 
-// TotalOverhead returns the accumulated instrumentation CPU time.
-func (t *Tracker) TotalOverhead() des.Time { return t.totalOverhead }
+// TotalOverhead returns the accumulated instrumentation CPU time: every
+// protection pass plus the per-fault cost (SIGSEGV delivery, handler
+// bookkeeping, mprotect of one page).
+func (t *Tracker) TotalOverhead() des.Time {
+	return t.protectCost + des.Time(t.log.Faults())*t.opts.FaultCost
+}
 
 // Slowdown returns the modelled relative slowdown of the application due
 // to instrumentation — overhead time divided by monitored virtual time —
@@ -358,7 +279,7 @@ func (t *Tracker) Slowdown() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return t.totalOverhead.Seconds() / elapsed.Seconds()
+	return t.TotalOverhead().Seconds() / elapsed.Seconds()
 }
 
 // IWSSeries returns the per-timeslice IWS sizes in MB (Fig 1a).

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 const pageSize = 4096
@@ -158,7 +160,7 @@ func TestStopRestoresState(t *testing.T) {
 	tr.Start()
 	eng.Run(500 * des.Millisecond)
 	tr.Stop()
-	if tr.running {
+	if tr.log.IsOpen() {
 		t.Fatal("Running after Stop")
 	}
 	if r.ProtectedPages() != 0 {
@@ -426,5 +428,47 @@ func BenchmarkTrackerSweep(b *testing.B) {
 		eng.Schedule(t0+des.Millisecond, func() { sp.WriteRange(r.Start(), r.Size()) })
 		t0 += des.Second
 		eng.Run(t0)
+	}
+}
+
+// BenchmarkStackedFaultSweep is the A12 shape: a CoW-accounting
+// checkpointer and a tracker stacked on one phantom space, so every
+// fault of the sweep is delivered to two dirty logs — with no segment
+// draining (idle), and inside the drain window of one that captured
+// every page (draining: the checkpointer's per-fault observer runs too).
+// No checkpoint is taken inside the loop — the rung prices fault
+// delivery, not capture.
+func BenchmarkStackedFaultSweep(b *testing.B) {
+	for _, mode := range []string{"idle", "draining"} {
+		b.Run(mode, func(b *testing.B) {
+			eng := des.NewEngine()
+			sp := mem.NewAddressSpace(mem.Config{Phantom: true})
+			r, _ := sp.Mmap(256 * 1024 * 1024)
+			c, err := ckpt.NewCheckpointer(eng, sp, ckpt.Options{
+				Store: storage.NewMemStore(), TrackCow: true,
+				Sink: storage.Model{Name: "slow", Bandwidth: 1000}, // drains for days
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Start()
+			if mode == "draining" {
+				sp.WriteRange(r.Start(), r.Size())
+				if _, err := c.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tr, _ := New(eng, sp, Options{Timeslice: des.Second})
+			tr.Start()
+			var t0 des.Time
+			b.SetBytes(256 * 1024 * 1024)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Schedule(t0+des.Millisecond, func() { sp.WriteRange(r.Start(), r.Size()) })
+				t0 += des.Second
+				eng.Run(t0)
+			}
+		})
 	}
 }

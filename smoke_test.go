@@ -9,8 +9,14 @@ package repro
 // only means something if something runs them.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -68,5 +74,99 @@ func TestExampleSmoke(t *testing.T) {
 				t.Fatalf("%s reports divergence:\n%s", tc.example, out)
 			}
 		})
+	}
+}
+
+// declared returns the names declared at the top level of the package in
+// dir (types, funcs, vars, consts; test files left out).
+func declared(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// DESIGN.md §3 is the map a reader starts from, and it had rotted: a
+// dozen "key types" that no longer existed, four of seven programs and
+// five of eleven examples missing. It is checked against the tree now.
+func TestDesignInventory(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "## 3. System inventory")
+	section, _, _ = strings.Cut(section, "\n## 4.")
+	row := regexp.MustCompile("(?m)^\\| `(internal/[a-z/]+)` \\|[^|]*\\|([^|]*)\\|$")
+	name := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)`")
+	rows := map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		pkg := m[1]
+		rows[pkg] = true
+		decls := declared(t, pkg)
+		keys := name.FindAllStringSubmatch(m[2], -1)
+		if len(keys) == 0 {
+			t.Errorf("DESIGN.md §3: row %s names no declaration", pkg)
+		}
+		for _, k := range keys {
+			if !decls[k[1]] {
+				t.Errorf("DESIGN.md §3: row %s names `%s`, which the package does not declare", pkg, k[1])
+			}
+		}
+	}
+	// Every package has a row.
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if src, _ := filepath.Glob(filepath.Join(path, "*.go")); len(src) > 0 && !rows[filepath.ToSlash(path)] {
+			t.Errorf("DESIGN.md §3: package %s has no row", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every program is listed.
+	for _, root := range []string{"cmd", "examples"} {
+		dirs, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if prog := "`" + root + "/" + d.Name() + "`"; !strings.Contains(section, prog) {
+				t.Errorf("DESIGN.md §3: %s is not listed", prog)
+			}
+		}
 	}
 }
