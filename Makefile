@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench benchjson bench-e2e bench-test verify
+.PHONY: build test fmt vet lint race bench benchjson bench-e2e bench-test verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt is a gate: any file it would rewrite fails the target.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -42,4 +46,4 @@ bench-test:
 
 # The full gate: everything must pass before a change lands. This is the
 # definition; verify.sh is a one-line call of it.
-verify: build vet lint race bench-test
+verify: build fmt vet lint race bench-test

@@ -11,12 +11,13 @@
 //   - naive Direct: the restored line misses the silent pages, and the
 //     replay is unfaithful — the measured corruption the under-count
 //     causes.
+//
 //   - drain protocol: every checkpoint boundary quiesces, drains
 //     in-flight puts, deregisters (replaying the suppressed faults),
 //     cuts the line, re-registers, reconnects — and the same crash
 //     replays bit-exactly.
 //
-//	go run ./examples/rdma_drain
+//     go run ./examples/rdma_drain
 package main
 
 import (

@@ -304,7 +304,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 			maxPages += rs.CountBelow(r.Pages())
 		}
 	}
-	w := newSegWriter(&hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps), c.opts.Compress)
+	w := newSegWriter(nil, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps), c.opts.Compress)
 	var silentPages uint64
 	for _, r := range live {
 		if !c.log.Watches(r) {

@@ -29,7 +29,7 @@ func fuzzSegment() *Segment {
 
 func FuzzDecodeSegment(f *testing.F) {
 	f.Add(fuzzSegment().Encode())
-	compressed, _ := fuzzSegment().encode(true)
+	compressed, _ := fuzzSegment().encode(nil, true)
 	f.Add(compressed)
 	full := fuzzSegment()
 	full.Kind = Full

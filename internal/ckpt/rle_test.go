@@ -127,7 +127,7 @@ func TestCompressedSegmentRoundTrip(t *testing.T) {
 	}
 	seg.Pages = append(seg.Pages, PageRecord{Addr: 0x3000, Data: raw})
 
-	enc, payload := seg.encode(true)
+	enc, payload := seg.encode(nil, true)
 	if payload >= 2*4096 {
 		t.Fatalf("payload %d did not shrink", payload)
 	}

@@ -75,22 +75,29 @@ const (
 )
 
 // Encode serialises the segment to a portable little-endian byte stream
-// with raw (uncompressed) page payloads.
-func (s *Segment) Encode() []byte {
-	enc, _ := s.encode(false)
+// with raw (uncompressed) page payloads, in a fresh buffer of exactly
+// the size needed.
+func (s *Segment) Encode() []byte { return s.AppendEncode(nil) }
+
+// AppendEncode appends what Encode returns to dst and returns the
+// extended slice, allocating only when dst's spare capacity falls short
+// — so a caller whose store borrows (storage.Store.Put) encodes every
+// segment into one reused buffer.
+func (s *Segment) AppendEncode(dst []byte) []byte {
+	enc, _ := s.encode(dst, false)
 	return enc
 }
 
-// encode serialises the segment, with per-page RLE compression when
-// compress is set (pages that do not shrink stay raw). It additionally
-// returns the page payload volume actually persisted — the quantity a
-// bandwidth-limited sink has to absorb.
-func (s *Segment) encode(compress bool) ([]byte, uint64) {
+// encode appends the serialised segment to dst, with per-page RLE
+// compression when compress is set (pages that do not shrink stay raw).
+// It additionally returns the page payload volume actually persisted —
+// the quantity a bandwidth-limited sink has to absorb.
+func (s *Segment) encode(dst []byte, compress bool) ([]byte, uint64) {
 	var size uint64
 	for _, p := range s.Pages {
 		size += recordCap(s.ContentFree, compress, uint64(len(p.Data)))
 	}
-	w := newSegWriter(s, size, compress)
+	w := newSegWriter(dst, s, size, compress)
 	for _, p := range s.Pages {
 		w.page(p.Addr, p.Data)
 	}
@@ -103,7 +110,7 @@ func (s *Segment) encode(compress bool) ([]byte, uint64) {
 const segHeaderLen = 4 + 4 + 4 + 8 + 8 + 1 + 1 + 8 + 8 + 4
 
 // segWriter is the one segment encoder. It streams page records into a
-// single buffer allocated up front — the header and region table are
+// single buffer sized up front — the header and region table are
 // fixed-size and the caller bounds the page records — so a capture moves
 // each page byte once, from the live page into the wire form, and no
 // append reallocates.
@@ -130,11 +137,15 @@ func recordCap(contentFree, compress bool, n uint64) uint64 {
 	return 8 + 1 + n
 }
 
-// newSegWriter writes hdr's header and region table (hdr.Pages is
-// ignored) and reserves pageCap bytes for the page records to come.
-func newSegWriter(hdr *Segment, pageCap uint64, compress bool) segWriter {
+// newSegWriter appends hdr's header and region table (hdr.Pages is
+// ignored) to dst and reserves pageCap bytes for the page records to
+// come — in dst's own spare capacity when that suffices.
+func newSegWriter(dst []byte, hdr *Segment, pageCap uint64, compress bool) segWriter {
 	le := binary.LittleEndian
-	buf := make([]byte, 0, segHeaderLen+17*len(hdr.Regions)+8+int(pageCap))
+	buf := dst
+	if need := segHeaderLen + 17*len(hdr.Regions) + 8 + int(pageCap); cap(buf)-len(buf) < need {
+		buf = append(make([]byte, 0, len(dst)+need), dst...)
+	}
 	buf = append(buf, segmentMagic...)
 	buf = le.AppendUint32(buf, segmentVersion)
 	buf = le.AppendUint32(buf, uint32(hdr.Rank))
@@ -181,8 +192,8 @@ func (w *segWriter) page(addr uint64, data []byte) {
 	w.payload += uint64(len(data))
 }
 
-// finish patches the page count and returns the encoded segment, which
-// nothing else references.
+// finish patches the page count and returns the buffer with the encoded
+// segment appended.
 func (w *segWriter) finish() []byte {
 	binary.LittleEndian.PutUint64(w.buf[w.countOff:], w.pages)
 	return w.buf

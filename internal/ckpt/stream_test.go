@@ -235,12 +235,13 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEncodeMatchesOracle checks the materialised-segment entry points,
-// which the overlapped drain and external callers use, against the same
+// TestEncodeMatchesOracle checks the materialised-segment entry points
+// (Encode, and AppendEncode into a caller's buffer) against the same
 // oracle — including records a capture never produces (short data,
 // content-free records that carry data).
 func TestEncodeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
+	var reused []byte // AppendEncode's buffer, dirty with the previous segment
 	for i := 0; i < 200; i++ {
 		seg := &Segment{
 			Rank: rng.IntN(100), Seq: rng.Uint64(), Epoch: rng.Uint64(), Kind: Kind(rng.IntN(2)),
@@ -274,8 +275,20 @@ func TestEncodeMatchesOracle(t *testing.T) {
 		} else if !seg.ContentFree && cap(got) != len(got) {
 			t.Fatalf("segment %d: raw encode reserved %d bytes for %d", i, cap(got), len(got))
 		}
+		// The same bytes appended to a reused, dirty buffer — in place
+		// when its capacity suffices — and behind a prefix left intact.
+		spare, before := cap(reused), reused[:cap(reused)]
+		reused = seg.AppendEncode(reused[:0])
+		if !bytes.Equal(reused, want) {
+			t.Fatalf("segment %d: AppendEncode into a dirty buffer differs from the oracle", i)
+		} else if spare >= len(want) && &reused[0] != &before[0] {
+			t.Fatalf("segment %d: AppendEncode reallocated with %d bytes spare for %d", i, spare, len(want))
+		}
+		if got := seg.AppendEncode([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("segment %d: AppendEncode behind a prefix differs from the oracle", i)
+		}
 		want, wantPayload := oracleEncode(seg, true)
-		got, payload := seg.encode(true)
+		got, payload := seg.encode(nil, true)
 		if !bytes.Equal(got, want) || payload != wantPayload {
 			t.Fatalf("segment %d: compressed encode differs from the oracle", i)
 		}

@@ -79,8 +79,8 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
 }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(*refEvent)) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -152,6 +152,7 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 	type clientState struct {
 		store    storage.Store
 		pages    []ckpt.PageRecord
+		enc      []byte // encode buffer, reused: the store's Put borrows
 		seq      uint64 // last seq offered
 		epoch    uint64 // chain base of the segment being written
 		acked    uint64 // last seq acknowledged
@@ -182,9 +183,9 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 					cs.epoch = cs.seq
 					cs.rebase = false
 				}
-				enc := serviceSegment(i, cs.seq, cs.epoch, pageSize, cs.pages).Encode()
-				cs.offered += uint64(len(enc))
-				if err := cs.store.Put(ckpt.SegmentKey(i, cs.seq), enc); err != nil {
+				cs.enc = serviceSegment(i, cs.seq, cs.epoch, pageSize, cs.pages).AppendEncode(cs.enc[:0])
+				cs.offered += uint64(len(cs.enc))
+				if err := cs.store.Put(ckpt.SegmentKey(i, cs.seq), cs.enc); err != nil {
 					// Shed or refused: the chain has a hole at cs.seq, so
 					// the next attempt must start a fresh full chain.
 					cs.failures++

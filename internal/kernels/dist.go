@@ -35,6 +35,7 @@ type DistStencil struct {
 	onIter    func(iter int, done func())
 	doneAll   func()
 	targetIts int
+	halo      []byte // rowBytes' buffer for a row that straddles pages
 }
 
 // tags for halo messages: from above (row arrives at local row 0) and
@@ -57,7 +58,7 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 	}
 	d := &DistStencil{
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime,
+		boundary: boundary, computeT: computeTime, halo: make([]byte, nx*8),
 	}
 	for i := 0; i < world.Size(); i++ {
 		g, err := NewStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, boundary)
@@ -91,7 +92,7 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boundary float64, computeTime des.Time, iter int) (*DistStencil, error) {
 	d := &DistStencil{
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime, iter: iter,
+		boundary: boundary, computeT: computeTime, iter: iter, halo: make([]byte, nx*8),
 	}
 	for i := 0; i < world.Size(); i++ {
 		g, err := AttachStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, iter)
@@ -123,15 +124,23 @@ func (d *DistStencil) Run(target int, onIter func(iter int, done func()), onDone
 	d.iterate()
 }
 
-// rowBytes reads local row y of rank i's current buffer as raw bytes.
+// rowBytes returns local row y of rank i's current buffer as raw bytes,
+// valid until the next call: the page storage itself when the row sits
+// in one written page (SendData copies it at injection, the one copy a
+// halo row makes), the reusable halo buffer when it straddles pages.
 func (d *DistStencil) rowBytes(i, y int) []byte {
-	g := d.grids[i]
-	buf := make([]byte, d.nx*8)
-	addr := g.Cur().base + uint64(y*d.nx*8)
-	if err := g.Cur().space.Read(addr, buf); err != nil {
+	space, addr := d.grids[i].Cur().space, d.rowAddr(i, y)
+	run, err := space.LoadRun(addr, uint64(len(d.halo)))
+	if err == nil {
+		if b, _ := run.Next(); len(b) == len(d.halo) {
+			return b
+		}
+		err = space.Read(addr, d.halo)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("kernels: halo read: %v", err))
 	}
-	return buf
+	return d.halo
 }
 
 // rowAddr returns the address of local row y in rank i's current buffer.

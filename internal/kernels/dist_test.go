@@ -157,6 +157,45 @@ func TestDistStencilHaloWritesAreTracked(t *testing.T) {
 	}
 }
 
+// TestHaloRowDoesNotAllocate: a halo row leaves as the page storage it
+// sits in, or — when it straddles pages — through the solver's one halo
+// buffer; either way reading it allocates nothing, and the bytes are the
+// row's, zeros included where a page was never written.
+func TestHaloRowDoesNotAllocate(t *testing.T) {
+	// 384-element rows are 3 KB: on 4 KB pages rows 0, 3 and 4 sit in one
+	// page, rows 1 and 2 straddle two. 2048-element rows span four pages,
+	// and nothing but SetRow ever writes the middle two.
+	for _, nx := range []int{384, 2048} {
+		eng, w := distWorld(t, 2)
+		d, err := NewDistStencil(eng, w, nx, 6, 2.5, des.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, nx)
+		got := make([]float64, nx)
+		for y := 0; y < 5; y++ {
+			for x := range want {
+				want[x] = float64(y*nx+x) + 0.25
+			}
+			if y == 3 { // as the constructor left it: edges, and zeros between
+				clear(want)
+				want[0], want[nx-1] = 2.5, 2.5
+			} else if err := d.grids[1].SetRow(y, want); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() { sinkRow = d.rowBytes(1, y) }); n != 0 {
+				t.Errorf("%d-element rows: rowBytes(row %d): %v allocs, want 0", nx, y, n)
+			}
+			decodeFloats(got, sinkRow)
+			if !sameBits(got, want) {
+				t.Errorf("%d-element rows: rowBytes(row %d) returned other bytes than the row's", nx, y)
+			}
+		}
+	}
+}
+
+var sinkRow []byte
+
 func BenchmarkDistStencilIteration(b *testing.B) {
 	eng := des.NewEngine()
 	spaces := make([]*mem.AddressSpace, 4)

@@ -1,9 +1,7 @@
 package kernels
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -45,6 +43,9 @@ type DistPut struct {
 	onIter    func(iter int, done func())
 	doneAll   func()
 	targetIts int
+
+	w, a    []float64 // sweep's and putPayload's window and accumulator values
+	payload []byte    // putPayload's wire form; Put copies it at injection
 }
 
 // NewDistPut builds the ring over the given world: per rank one arena of
@@ -114,16 +115,21 @@ func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed flo
 	if computeTime <= 0 {
 		return nil, fmt.Errorf("kernels: compute time must be positive")
 	}
+	// Window and accumulator are float64 arrays in all but type.
+	sp := world.Rank(0).Space()
+	if err := checkElems(sp, pages); err != nil {
+		return nil, err
+	}
+	n := pages * int(sp.PageSize()) / 8
 	return &DistPut{
 		world: world, eng: eng, pages: pages, putEvery: putEvery,
 		seed: seed, computeT: computeTime,
+		w: make([]float64, n), a: make([]float64, n), payload: make([]byte, n*8),
 	}, nil
 }
 
 // vals is the float64 count of one buffer.
-func (d *DistPut) vals() int {
-	return d.pages * int(d.world.Rank(0).Space().PageSize()) / 8
-}
+func (d *DistPut) vals() int { return len(d.a) }
 
 // wAddr returns rank i's window base; aAddr its accumulator base.
 func (d *DistPut) wAddr(i int) uint64 { return d.arenas[i].Start() }
@@ -131,25 +137,13 @@ func (d *DistPut) aAddr(i int) uint64 {
 	return d.arenas[i].Start() + uint64(d.pages)*d.world.Rank(i).Space().PageSize()
 }
 
-func (d *DistPut) readVals(i int, addr uint64) ([]float64, error) {
-	n := d.vals()
-	buf := make([]byte, n*8)
-	if err := d.world.Rank(i).Space().Read(addr, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for j := range out {
-		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
-	}
-	return out, nil
+// readVals decodes the buffer of rank i at addr into dst.
+func (d *DistPut) readVals(i int, addr uint64, dst []float64) error {
+	return loadFloats(d.world.Rank(i).Space(), addr, dst)
 }
 
 func (d *DistPut) writeVals(i int, addr uint64, vals []float64) error {
-	buf := make([]byte, len(vals)*8)
-	for j, v := range vals {
-		binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(v))
-	}
-	return d.world.Rank(i).Space().Write(addr, buf)
+	return storeFloats(d.world.Rank(i).Space(), addr, vals)
 }
 
 // Iter returns the completed iteration count.
@@ -221,12 +215,11 @@ func (d *DistPut) iterate() {
 // sweep folds rank i's window into its accumulator with ordinary
 // (tracked) CPU writes.
 func (d *DistPut) sweep(i int) error {
-	w, err := d.readVals(i, d.wAddr(i))
-	if err != nil {
+	w, a := d.w, d.a
+	if err := d.readVals(i, d.wAddr(i), w); err != nil {
 		return err
 	}
-	a, err := d.readVals(i, d.aAddr(i))
-	if err != nil {
+	if err := d.readVals(i, d.aAddr(i), a); err != nil {
 		return err
 	}
 	for j := range a {
@@ -238,28 +231,28 @@ func (d *DistPut) sweep(i int) error {
 // putPayload derives the bytes rank i sends into its neighbour's window:
 // a pure function of the accumulator, so the whole computation is
 // state-determined and replays bit-exactly from any consistent line.
+// The bytes are valid until the next call.
 func (d *DistPut) putPayload(i int) ([]byte, error) {
-	a, err := d.readVals(i, d.aAddr(i))
-	if err != nil {
+	a := d.a
+	if err := d.readVals(i, d.aAddr(i), a); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, len(a)*8)
 	for j, v := range a {
-		binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(0.5*v+1))
+		a[j] = 0.5*v + 1
 	}
-	return buf, nil
+	encodeFloats(d.payload, a)
+	return d.payload, nil
 }
 
 // Gather returns the concatenated accumulators of all ranks — the
 // verification solution.
 func (d *DistPut) Gather() ([]float64, error) {
-	var out []float64
+	n := d.vals()
+	out := make([]float64, n*d.world.Size())
 	for i := 0; i < d.world.Size(); i++ {
-		a, err := d.readVals(i, d.aAddr(i))
-		if err != nil {
+		if err := d.readVals(i, d.aAddr(i), out[i*n:(i+1)*n]); err != nil {
 			return nil, err
 		}
-		out = append(out, a...)
 	}
 	return out, nil
 }

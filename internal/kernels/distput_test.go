@@ -195,3 +195,28 @@ func TestAttachDistPutResumesState(t *testing.T) {
 		}
 	}
 }
+
+// TestDistPutSweepDoesNotAllocate: the sweep decodes window and
+// accumulator into the ring's own scratch and encodes straight into the
+// accumulator's pages; the put payload is built in one reused buffer.
+func TestDistPutSweepDoesNotAllocate(t *testing.T) {
+	eng, w := putWorld(t, 2, mpi.Bounce)
+	d, err := NewDistPut(eng, w, 2, 1, 0.5, des.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := d.sweep(1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DistPut.sweep: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := d.putPayload(1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DistPut.putPayload: %v allocs, want 0", n)
+	}
+}

@@ -14,9 +14,9 @@ import (
 type Stencil2D struct {
 	nx, ny int
 	a, b   *Array
-	work   *Array // staging row: fully rewritten before any read, every sweep
+	work   *Array // scratch row: fully rewritten before any read, every sweep
 	iter   int
-	rows   []float64 // Step's up/mid/down/out rows, 4*nx, allocated on first sweep
+	rows   []float64 // Step's up/mid/down/out rows, 4*nx
 }
 
 // NewStencil2D allocates the two grid buffers in space, with boundary
@@ -37,7 +37,7 @@ func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stenc
 	if err != nil {
 		return nil, err
 	}
-	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work}
+	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work, rows: make([]float64, 4*nx)}
 	// Boundary rows/columns hold the boundary value in both buffers.
 	row := make([]float64, nx)
 	for i := range row {
@@ -66,7 +66,7 @@ func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stenc
 // AttachStencil2D rebuilds a Stencil2D handle over a restored address
 // space. The arenas must have been created by NewStencil2D with the
 // same dimensions; they are rebound by allocation-order layout matching
-// (NewStencil2D allocates a, b, then the staging row). iter sets the
+// (NewStencil2D allocates a, b, then the scratch row). iter sets the
 // completed-iteration count, which selects the current buffer — pass
 // the iteration the checkpoint was taken at.
 func AttachStencil2D(space *mem.AddressSpace, nx, ny, iter int) (*Stencil2D, error) {
@@ -77,7 +77,7 @@ func AttachStencil2D(space *mem.AddressSpace, nx, ny, iter int) (*Stencil2D, err
 	if err != nil {
 		return nil, err
 	}
-	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter}, nil
+	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter, rows: make([]float64, 4*nx)}, nil
 }
 
 // SetRow writes initial conditions into row y of *both* buffers, so the
@@ -114,9 +114,6 @@ func (s *Stencil2D) Iter() int { return s.iter }
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
 func (s *Stencil2D) Step() error {
 	cur, nxt := s.Cur(), s.next()
-	if s.rows == nil {
-		s.rows = make([]float64, 4*s.nx)
-	}
 	nx := s.nx
 	up, mid, down, out := s.rows[:nx], s.rows[nx:2*nx], s.rows[2*nx:3*nx], s.rows[3*nx:]
 	if err := cur.Read(mid, 0); err != nil {
@@ -130,12 +127,16 @@ func (s *Stencil2D) Step() error {
 		if err := cur.Read(down, (y+1)*s.nx); err != nil {
 			return err
 		}
+		// One common length, and mid's right-hand neighbours as a slice
+		// of their own, so the inner loop carries no bounds check.
+		up, mid, down := up[:len(out)], mid[:len(out)], down[:len(out)]
+		right := mid[1:]
 		out[0] = mid[0]
-		out[s.nx-1] = mid[s.nx-1]
-		for x := 1; x < s.nx-1; x++ {
-			out[x] = 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
+		out[len(out)-1] = mid[len(out)-1]
+		for x := 1; x < len(right); x++ {
+			out[x] = 0.25 * (up[x] + down[x] + mid[x-1] + right[x])
 		}
-		// Publish through the staging arena before committing to the
+		// Publish through the scratch arena before committing to the
 		// grid, the way production solvers assemble a result row in
 		// private workspace. The arena is rewritten at the same offset
 		// from protected inputs on every sweep — never read across an
@@ -173,7 +174,7 @@ func (s *Stencil2D) Run(n int) error {
 type SSOR struct {
 	nx, ny int
 	u      *Array
-	work   *Array // staging row: fully rewritten before any read, every sweep
+	work   *Array // scratch row: fully rewritten before any read, every sweep
 	omega  float64
 	iter   int
 }
@@ -295,7 +296,7 @@ func (s *SSOR) Step() error {
 type Wavefront struct {
 	nx, ny int
 	v      *Array
-	work   *Array // staging row: fully rewritten before any read, every sweep
+	work   *Array // scratch row: fully rewritten before any read, every sweep
 	iter   int
 }
 
@@ -396,7 +397,7 @@ func (w *Wavefront) Step() error {
 type ADI struct {
 	nx, ny int
 	u      *Array
-	work   *Array // staging: row slot at 0, column slot at nx; rewritten every solve
+	work   *Array // scratch: row slot at 0, column slot at nx; rewritten every solve
 	iter   int
 	lambda float64 // implicit coupling strength
 }

@@ -491,9 +491,10 @@ func BenchmarkFFT1K(b *testing.B) {
 	}
 }
 
-// TestArrayRowIOZeroAlloc: row reads and writes stage through one
-// per-Array buffer, so after the first row of a given width they
-// allocate nothing — and neither does a whole Jacobi sweep.
+// TestArrayRowIOZeroAlloc: row reads and writes code floats in place in
+// the pages a mem.PageRun lends — a value, no staging buffer — so over
+// warm pages they allocate nothing, and neither does a whole Jacobi
+// sweep.
 func TestArrayRowIOZeroAlloc(t *testing.T) {
 	a, err := NewArray(space(), 64*256)
 	if err != nil {
@@ -519,7 +520,6 @@ func TestArrayRowIOZeroAlloc(t *testing.T) {
 			t.Fatalf("row[%d] read back %v, wrote %v", i, back[i], row[i])
 		}
 	}
-	// A narrower access after a wide one reuses the wide buffer.
 	if allocs := testing.AllocsPerRun(100, func() { at(a, 7) }); allocs != 0 {
 		t.Errorf("Array.At after a row access: %v allocs, want 0", allocs)
 	}

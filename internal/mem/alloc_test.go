@@ -2,9 +2,9 @@ package mem
 
 import "testing"
 
-// TestZeroAllocUnprotectedWrite pins the Write fast path: with no
-// protection bits set in the covered range, a backed Write must copy
-// bytes in and return without constructing a Fault or allocating.
+// TestZeroAllocUnprotectedWrite: with no protection bits set in the
+// covered range, a backed Write must copy bytes in and return without
+// constructing a Fault or allocating.
 func TestZeroAllocUnprotectedWrite(t *testing.T) {
 	s := NewAddressSpace(Config{})
 	r, err := s.Mmap(1024 * 1024)
@@ -47,10 +47,10 @@ func TestZeroAllocPhantomWriteRange(t *testing.T) {
 	}
 }
 
-// TestFastPathStatsMatchSlowPath checks the fast path accounts written
-// bytes identically to the per-page slow path: the same Write issued
-// against protected and unprotected pages must leave the same bytes in
-// memory and the same writeBytes tally.
+// TestFastPathStatsMatchSlowPath: the same Write issued against
+// protected pages (a fault each, then the store) and unprotected ones
+// (the store alone) must leave the same bytes in memory and the same
+// writeBytes tally.
 func TestFastPathStatsMatchSlowPath(t *testing.T) {
 	mk := func(protect bool) (*AddressSpace, *Region) {
 		s := NewAddressSpace(Config{})

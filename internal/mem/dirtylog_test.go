@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -41,6 +42,8 @@ type refSpace struct {
 	silent map[page]bool
 	logs   []*refLog
 	faults uint64
+	// Bytes written, CPU or NIC — the space's WrittenBytes.
+	written uint64
 
 	// The handler and hook installed before any log: every event must
 	// still reach them, after the logs.
@@ -134,8 +137,10 @@ func (m *refSpace) fault(p page) {
 	}
 }
 
-// write is a CPU write (dma false) or a NIC write to pages [first, last].
-func (m *refSpace) write(r *Region, first, last uint64, dma bool) {
+// write is a CPU write (dma false) or a NIC write of n bytes to pages
+// [first, last].
+func (m *refSpace) write(r *Region, first, last, n uint64, dma bool) {
+	m.written += n
 	for idx := first; idx <= last; idx++ {
 		if p := (page{r, idx}); m.prot[p] {
 			if dma {
@@ -235,6 +240,9 @@ func (m *refSpace) check(step string) {
 	if got, want := m.s.SilentDirtyBytes(), uint64(len(m.silent))*m.s.PageSize(); got != want {
 		t.Fatalf("%s: %d silent bytes, model %d", step, got, want)
 	}
+	if got := m.s.WrittenBytes(); got != m.written {
+		t.Fatalf("%s: %d bytes written, model %d", step, got, m.written)
+	}
 	if m.s.Faults() != m.faults || m.prevFaults != m.faults {
 		t.Fatalf("%s: space delivered %d faults, the handler under the logs saw %d, model %d", step, m.s.Faults(), m.prevFaults, m.faults)
 	}
@@ -295,27 +303,47 @@ func (m *refSpace) step(rng *rand.Rand) string {
 	}
 	op := rng.IntN(20)
 	switch {
-	case op < 8 && len(data) > 0: // CPU writes, byte- and page-granular
+	case op < 8 && len(data) > 0: // CPU writes, byte- and page-granular, and a read
 		r, first, last := pick()
 		off := rng.Uint64N(ps)
 		n := (last-first)*ps + 1 + rng.Uint64N(ps-off)
-		if op < 4 {
-			must(s.Write(r.PageAddr(first)+off, make([]byte, n)))
-		} else {
-			must(s.WriteRange(r.PageAddr(first)+off, n))
+		addr := r.PageAddr(first) + off
+		switch {
+		case op < 3:
+			must(s.Write(addr, make([]byte, n)))
+		case op < 5:
+			must(s.WriteRange(addr, n))
+		case op < 7: // a store through lent pages
+			run, err := s.StoreRun(addr, n)
+			must(err)
+			var lent uint64
+			for b, k := run.Next(); k > 0; b, k = run.Next() {
+				if len(b) != k {
+					m.t.Fatalf("store run lent %d bytes for a %d-byte chunk", len(b), k)
+				}
+				lent += uint64(k)
+			}
+			must(run.Err())
+			if lent != n {
+				m.t.Fatalf("store run lent %d of %d bytes", lent, n)
+			}
+		default: // a load: no log, bit or count may move
+			must(drain(s.LoadRun(addr, n)))
+			return fmt.Sprintf("load %v pages %d-%d", r.kind, first, last)
 		}
-		m.write(r, first, last, false)
+		m.write(r, first, last, n, false)
 		return fmt.Sprintf("write %v pages %d-%d", r.kind, first, last)
 	case op < 10 && len(data) > 0: // NIC writes
 		r, first, last := pick()
+		n := (last - first + 1) * ps
 		var err error
 		if op == 8 {
-			_, err = s.WriteDirect(r.PageAddr(first), make([]byte, (last-first+1)*ps))
+			_, err = s.WriteDirect(r.PageAddr(first), make([]byte, n))
 		} else {
-			_, err = s.WriteRangeDirect(r.PageAddr(first), (last-first+1)*ps)
+			_, err = s.WriteRangeDirect(r.PageAddr(first), n)
 		}
 		must(err)
-		m.write(r, first, last, true)
+		m.write(r, first, last, n, true)
 		return fmt.Sprintf("dma %v pages %d-%d", r.kind, first, last)
 	case op == 10:
 		m.replaySilent()
@@ -423,16 +451,29 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			for idx := uint64(0); idx < r.Pages(); idx++ {
 				m.prot[page{r, idx}] = true
 			}
+			// With nobody to unprotect it, the first page a store run
+			// reaches takes its fault and ends the run: one fault, the
+			// page still protected, nothing lent and nothing counted.
+			run, err := s.StoreRun(r.start+ps, 2*ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, n := run.Next(); n != 0 || b != nil || !errors.Is(run.Err(), ErrSegv) {
+				t.Fatalf("store run on a page nobody unprotects lent %d bytes, err %v", n, run.Err())
+			}
+			m.faults++
+			delete(m.silent, page{r, 1}) // a delivered fault is seen, stored or not
+			m.check(where(501, "segv"))
 			m.prevUnprotects = true
 			if err := s.WriteRange(r.start, r.size); err != nil {
 				t.Fatal(err)
 			}
-			m.write(r, 0, r.Pages()-1, false)
+			m.write(r, 0, r.Pages()-1, r.size, false)
 			if _, err := s.Mmap(ps); err != nil {
 				t.Fatal(err)
 			}
 			m.mapEvents++
-			m.check(where(501, "after the logs"))
+			m.check(where(502, "after the logs"))
 		}
 	}
 }

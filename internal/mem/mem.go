@@ -7,9 +7,10 @@
 // The real system write-protects pages with mprotect and receives SIGSEGV
 // on the first write; Go's runtime owns those mechanisms, so this package
 // reproduces the semantics in a library: every write goes through
-// AddressSpace.Write or AddressSpace.WriteRange, which checks the page's
-// protection bit and synchronously invokes the registered fault handler
-// before the write completes — exactly the ordering a SIGSEGV handler sees.
+// AddressSpace.Write, AddressSpace.WriteRange or a PageRun begun with
+// AddressSpace.StoreRun, which check the page's protection bit and
+// synchronously invoke the registered fault handler before the write
+// completes — exactly the ordering a SIGSEGV handler sees.
 //
 // Two backing modes are supported. In backed mode each page holds real
 // bytes, so a checkpointer can save and restore genuine contents. In
@@ -195,30 +196,6 @@ func (r *Region) ProtectAll() {
 	r.trimBitmap()
 }
 
-// anyProtected reports whether any page in [first, last] (inclusive page
-// indexes) is write-protected, testing the bitmap a 64-page word at a time.
-// It is the gate for the unprotected-write fast path: after the first
-// fault of a timeslice unprotects a page, every later write to it answers
-// this with at most three word loads and no per-page bit arithmetic.
-func (r *Region) anyProtected(first, last uint64) bool {
-	fw, lw := first/64, last/64
-	if fw == lw {
-		// (1<<64)-1 is all-ones under Go's shift semantics, so a full
-		// 64-page span degrades gracefully.
-		mask := (uint64(1)<<(last-first+1) - 1) << (first % 64)
-		return r.wp[fw]&mask != 0
-	}
-	if r.wp[fw]>>(first%64) != 0 {
-		return true
-	}
-	for w := fw + 1; w < lw; w++ {
-		if r.wp[w] != 0 {
-			return true
-		}
-	}
-	return r.wp[lw]&(uint64(1)<<(last%64+1)-1) != 0
-}
-
 // trimBitmap clears bits beyond the last page so popcounts stay exact.
 func (r *Region) trimBitmap() {
 	n := r.Pages()
@@ -303,20 +280,6 @@ func (r *Region) LoadPage(idx uint64, data []byte) {
 		r.data[idx] = make([]byte, r.space.cfg.PageSize)
 	}
 	copy(r.data[idx], data)
-}
-
-// PageData returns the contents of the page holding addr, materialising a
-// zero page on first access. It panics in phantom mode, where pages have
-// no contents by construction.
-func (r *Region) PageData(addr uint64) []byte {
-	if r.space.cfg.Phantom {
-		panic("mem: PageData on phantom address space")
-	}
-	idx := r.PageIndex(addr)
-	if r.data[idx] == nil {
-		r.data[idx] = make([]byte, r.space.cfg.PageSize)
-	}
-	return r.data[idx]
 }
 
 // AddressSpace is a simulated process address space.
@@ -645,108 +608,150 @@ func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 	if r == nil {
 		return nil, fmt.Errorf("%w: %#x", ErrUnmapped, addr)
 	}
-	if addr+n > r.End() {
-		return nil, fmt.Errorf("%w: [%#x,%#x) crosses region end %#x", ErrBadRange, addr, addr+n, r.End())
+	// addr is inside r, so End()-addr cannot wrap where addr+n can.
+	if n > r.End()-addr {
+		return nil, fmt.Errorf("%w: %d bytes at %#x cross region end %#x", ErrBadRange, n, addr, r.End())
 	}
 	return r, nil
 }
 
-// copyIn stores data into the region starting at addr, page by page. The
-// caller guarantees the range lies inside the region and faults have been
-// resolved; the page walk is index-based so the per-page address
-// arithmetic of the generic path is paid once, not per chunk.
-func (r *Region) copyIn(addr uint64, data []byte) {
-	ps := r.space.cfg.PageSize
-	idx := r.PageIndex(addr)
-	po := addr & (ps - 1)
-	for len(data) > 0 {
-		chunk := ps - po
-		if chunk > uint64(len(data)) {
-			chunk = uint64(len(data))
+// PageRun is a cursor over the page storage behind one byte range of a
+// region: each Next lends the caller the next page's bytes, clipped to
+// the range, so a consumer that knows its own element layout reads or
+// writes memory in place instead of staging through a buffer.
+//
+// The lend contract: a chunk is the page's own storage — valid until
+// its region is unmapped (or the heap shrinks below it) and never to be
+// retained past the call that obtained it; a store run's chunk is the
+// caller's to overwrite, a read run's is not. A phantom space lends
+// nothing (a nil chunk) but walks, faults and counts identically.
+//
+// It is a value: hold it in a local, it allocates nothing.
+type PageRun struct {
+	r     *Region
+	addr  uint64 // next byte to lend
+	left  uint64 // bytes of the range not lent yet
+	total uint64 // a completed store run counts this many bytes written
+	mode  runMode
+	err   error
+}
+
+type runMode uint8
+
+const (
+	runRead  runMode = iota // never faults; a never-written page lends nil
+	runStore                // faults on protected pages, materialises, counts
+	runRaw                  // materialises only: stores below protection (DMA, fill)
+)
+
+// StoreRun begins a CPU store of n bytes at addr: the range is located
+// once, then each Next delivers the write fault for its page if (and
+// only if) the page is protected — the same fault address, order and
+// handler chain as Write, which is this loop with a copy in it — and
+// lends the page. A handler that leaves the page protected ends the run
+// with ErrSegv, earlier pages stored and nothing counted; the Next that
+// lends the last page counts the n bytes.
+func (s *AddressSpace) StoreRun(addr, n uint64) (PageRun, error) {
+	return s.run(addr, n, runStore)
+}
+
+// LoadRun begins a read of n bytes at addr. Reads never fault (the paper
+// tracks write accesses only) and never materialise: a page that was
+// never written, and every page of a phantom space, lends nil, meaning
+// all zero.
+func (s *AddressSpace) LoadRun(addr, n uint64) (PageRun, error) {
+	return s.run(addr, n, runRead)
+}
+
+func (s *AddressSpace) run(addr, n uint64, mode runMode) (PageRun, error) {
+	if n == 0 {
+		return PageRun{}, nil
+	}
+	r, err := s.checkRange(addr, n)
+	if err != nil {
+		return PageRun{}, err
+	}
+	return PageRun{r: r, addr: addr, left: n, total: n, mode: mode}, nil
+}
+
+// Next lends the next page of the range: n bytes of it, n > 0, in b —
+// or, where there is no storage to lend (see LoadRun and the phantom
+// rule), n bytes and a nil b. n is 0 when the range is exhausted or a
+// store faulted fatally (see Err).
+func (p *PageRun) Next() (b []byte, n int) {
+	if p.left == 0 || p.err != nil {
+		return nil, 0
+	}
+	r := p.r
+	s := r.space
+	ps := s.cfg.PageSize
+	idx := r.PageIndex(p.addr)
+	po := p.addr & (ps - 1)
+	size := min(ps-po, p.left)
+	if p.mode == runStore && r.wp[idx/64]&(1<<(idx%64)) != 0 {
+		if p.err = s.fault(r, p.addr); p.err != nil {
+			return nil, 0
 		}
+	}
+	if !s.cfg.Phantom {
 		pd := r.data[idx]
-		if pd == nil {
+		if pd == nil && p.mode != runRead {
 			pd = make([]byte, ps)
 			r.data[idx] = pd
 		}
-		copy(pd[po:po+chunk], data[:chunk])
-		data = data[chunk:]
-		idx++
-		po = 0
+		if pd != nil {
+			b = pd[po : po+size : po+size]
+		}
+	}
+	p.addr += size
+	p.left -= size
+	if p.left == 0 && p.mode == runStore {
+		s.writeBytes += p.total
+	}
+	return b, int(size)
+}
+
+// Err returns the ErrSegv that ended a store run early, if any.
+func (p *PageRun) Err() error { return p.err }
+
+// copyIn stores data into the region starting at addr, below protection.
+// The caller guarantees the range lies inside the region.
+func (r *Region) copyIn(addr uint64, data []byte) {
+	run := PageRun{r: r, addr: addr, left: uint64(len(data)), mode: runRaw}
+	for b, n := run.Next(); n > 0; b, n = run.Next() {
+		data = data[copy(b, data):]
 	}
 }
 
 // Write stores data at addr, faulting on protected pages first. In
 // phantom mode the bytes are discarded but protection checks, fault
 // delivery and accounting behave identically.
-//
-// The common case — every page in range already unprotected, i.e. any
-// write after the first fault of the timeslice — takes a fast path: one
-// word-level bitmap test, no Fault construction, no per-page protection
-// checks.
 func (s *AddressSpace) Write(addr uint64, data []byte) error {
-	n := uint64(len(data))
-	if n == 0 {
-		return nil
-	}
-	r, err := s.checkRange(addr, n)
+	run, err := s.StoreRun(addr, uint64(len(data)))
 	if err != nil {
 		return err
 	}
-	if !r.anyProtected(r.PageIndex(addr), r.PageIndex(addr+n-1)) {
-		if !s.cfg.Phantom {
-			r.copyIn(addr, data)
-		}
-		s.writeBytes += n
-		return nil
+	for b, n := run.Next(); n > 0; b, n = run.Next() {
+		copy(b, data)
+		data = data[n:]
 	}
-	ps := s.cfg.PageSize
-	for off := uint64(0); off < n; {
-		pageEnd := (addr + off + ps) &^ (ps - 1)
-		chunk := min(n-off, pageEnd-(addr+off))
-		if r.Protected(addr + off) {
-			if err := s.fault(r, addr+off); err != nil {
-				return err
-			}
-		}
-		if !s.cfg.Phantom {
-			pd := r.PageData(addr + off)
-			po := (addr + off) & (ps - 1)
-			copy(pd[po:po+chunk], data[off:off+chunk])
-		}
-		off += chunk
-	}
-	s.writeBytes += n
-	return nil
+	return run.Err()
 }
 
 // Read copies memory at addr into buf. Reads never fault: the paper
 // tracks write accesses only. Reading in phantom mode zero-fills.
 func (s *AddressSpace) Read(addr uint64, buf []byte) error {
-	n := uint64(len(buf))
-	if n == 0 {
-		return nil
-	}
-	r, err := s.checkRange(addr, n)
+	run, err := s.LoadRun(addr, uint64(len(buf)))
 	if err != nil {
 		return err
 	}
-	if s.cfg.Phantom {
-		clear(buf)
-		return nil
-	}
-	ps := s.cfg.PageSize
-	for off := uint64(0); off < n; {
-		pageEnd := (addr + off + ps) &^ (ps - 1)
-		chunk := min(n-off, pageEnd-(addr+off))
-		idx := r.PageIndex(addr + off)
-		po := (addr + off) & (ps - 1)
-		if pd := r.data[idx]; pd != nil {
-			copy(buf[off:off+chunk], pd[po:po+chunk])
+	for b, n := run.Next(); n > 0; b, n = run.Next() {
+		if b != nil {
+			copy(buf, b)
 		} else {
-			clear(buf[off : off+chunk])
+			clear(buf[:n])
 		}
-		off += chunk
+		buf = buf[n:]
 	}
 	return nil
 }
@@ -799,22 +804,10 @@ func (s *AddressSpace) fill(r *Region, addr, n uint64) {
 	}
 	s.writeSeq++
 	v := s.writeSeq
-	ps := s.cfg.PageSize
-	idx := r.PageIndex(addr)
-	po := addr & (ps - 1)
-	for n > 0 {
-		chunk := min(ps-po, n)
-		pd := r.data[idx]
-		if pd == nil {
-			pd = make([]byte, ps)
-			r.data[idx] = pd
+	run := PageRun{r: r, addr: addr, left: n, mode: runRaw}
+	for b, n := run.Next(); n > 0; b, n = run.Next() {
+		for i := range b {
+			b[i] = v
 		}
-		fill := pd[po : po+chunk]
-		for i := range fill {
-			fill[i] = v
-		}
-		n -= chunk
-		idx++
-		po = 0
 	}
 }

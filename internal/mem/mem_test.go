@@ -427,17 +427,6 @@ func TestFindCache(t *testing.T) {
 	}
 }
 
-func TestPhantomPageDataPanics(t *testing.T) {
-	s := NewAddressSpace(Config{PageSize: 4096, Phantom: true})
-	r, _ := s.Mmap(4096)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PageData on phantom space did not panic")
-		}
-	}()
-	r.PageData(r.Start())
-}
-
 func TestPhantomReadZeroFills(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096, Phantom: true})
 	r, _ := s.Mmap(4096)
