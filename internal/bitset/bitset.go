@@ -10,12 +10,15 @@ type Set struct {
 }
 
 // Add inserts i, growing the set as needed.
-func (s *Set) Add(i uint64) {
-	w := i / 64
+func (s *Set) Add(i uint64) { s.OrWord(i/64, 1<<(i%64)) }
+
+// OrWord inserts w*64+b for every set bit b of m — 64 Adds in one —
+// growing the set as needed.
+func (s *Set) OrWord(w, m uint64) {
 	for uint64(len(s.words)) <= w {
 		s.words = append(s.words, 0)
 	}
-	s.words[w] |= 1 << (i % 64)
+	s.words[w] |= m
 }
 
 // Has reports whether i is in the set.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -20,6 +21,13 @@ import (
 // and records only regions it watches: a fault another log's protection
 // raised on a region this one excludes is that log's to record and
 // unprotect.
+//
+// When nothing but logs handles a space's faults, a WriteRange hands
+// them the protected pages of a bitmap word at once, log by log from the
+// top of the chain, instead of page by page through every log. Counts,
+// sets and protection bits come out the same; only OnFault observers of
+// stacked logs can tell, and each still sees its own log's pages in
+// ascending order.
 type DirtyLog struct {
 	space    *AddressSpace
 	sets     map[*Region]*bitset.Set // created on a region's first fault
@@ -32,9 +40,10 @@ type DirtyLog struct {
 	lastR   *Region
 	lastSet *bitset.Set
 
-	open  bool
-	prevF FaultHandler
-	prevM MapHook
+	open        bool
+	prevForeign bool // the space's foreign flag before Open chained the log
+	prevF       FaultHandler
+	prevM       MapHook
 
 	// OnFault, when set, observes each page the log records, after it is
 	// logged and unprotected.
@@ -76,7 +85,8 @@ func (l *DirtyLog) Open() uint64 {
 	}
 	s := l.space
 	if !slices.Contains(s.logs, l) { // else closed out of order: still chained
-		l.prevF = s.SetFaultHandler(l.fault)
+		l.prevF, l.prevForeign = s.handler, s.foreign
+		s.handler = l.fault
 		l.prevM = s.SetMapHook(l.mapEvent)
 		s.logs = append(s.logs, l)
 	}
@@ -102,12 +112,14 @@ func (l *DirtyLog) Close() {
 	l.lastR, l.lastSet = nil, nil
 	s := l.space
 	for n := len(s.logs); n > 0 && !s.logs[n-1].open; n-- {
-		s.SetFaultHandler(s.logs[n-1].prevF)
-		s.SetMapHook(s.logs[n-1].prevM)
+		top := s.logs[n-1]
+		s.handler, s.foreign = top.prevF, top.prevForeign
+		s.SetMapHook(top.prevM)
 		s.logs = s.logs[:n-1]
 	}
 	for _, r := range s.regions {
 		clear(r.wp)
+		r.armed = false
 	}
 }
 
@@ -172,22 +184,34 @@ func (l *DirtyLog) setFor(r *Region) *bitset.Set {
 	return rs
 }
 
-// fault is the SIGSEGV-handler analogue: log the page and unprotect it
-// so later writes in the interval proceed at full speed.
-func (l *DirtyLog) fault(f Fault) {
-	r := f.Region
+// records reports whether r's faults are this log's to record.
+func (l *DirtyLog) records(r *Region) bool {
 	if r != l.lastR {
 		l.lastR, l.lastSet = r, l.setFor(r)
 	}
-	if l.lastSet != nil {
-		idx := r.PageIndex(f.Page)
-		l.lastSet.Add(idx)
-		r.wp[idx/64] &^= 1 << (idx % 64)
-		l.faults++
-		if l.OnFault != nil {
-			l.OnFault(r, idx)
-		}
+	return l.lastSet != nil
+}
+
+// record is the SIGSEGV-handler analogue for the faulting pages m of
+// bitmap word w of r: log them and unprotect them so later writes in
+// the interval proceed at full speed.
+func (l *DirtyLog) record(r *Region, w, m uint64) {
+	if !l.records(r) {
+		return
 	}
+	l.lastSet.OrWord(w, m)
+	r.wp[w] &^= m
+	l.faults += uint64(bits.OnesCount64(m))
+	for ; m != 0 && l.OnFault != nil; m &= m - 1 {
+		l.OnFault(r, w*64+uint64(bits.TrailingZeros64(m)))
+	}
+}
+
+// fault is the log's link in the handler chain: one page, then the
+// handler below.
+func (l *DirtyLog) fault(f Fault) {
+	idx := f.Region.PageIndex(f.Page)
+	l.record(f.Region, idx/64, 1<<(idx%64))
 	if l.prevF != nil {
 		l.prevF(f)
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -16,6 +17,10 @@ import (
 // fault, a Close unprotects everything under every other log, and pages
 // a heap grows into start unprotected — and the fault counts depend on
 // exactly that.
+//
+// With a handler below the logs every fault goes page by page; with
+// none, a WriteRange hands the logs a bitmap word at a time. Each log's
+// OnFault must see the same pages, in ascending order, either way.
 type page struct {
 	r   *Region
 	idx uint64
@@ -30,6 +35,7 @@ type refLog struct {
 
 	// What the log's observers reported against what the model expects.
 	seenFaults                  uint64
+	gotSeq, wantSeq             []page // OnFault calls since the last check
 	gotProtected, wantProtected uint64
 	gotDropped, wantDropped     uint64
 	gotMapEvents, wantMapEvents int
@@ -45,27 +51,25 @@ type refSpace struct {
 	// Bytes written, CPU or NIC — the space's WrittenBytes.
 	written uint64
 
-	// The handler and hook installed before any log: every event must
-	// still reach them, after the logs.
+	// The handler and hook installed before any log, if below: every
+	// event must still reach them, after the logs.
+	below          bool
 	prevFaults     uint64
 	prevMaps       int
 	mapEvents      int
 	prevUnprotects bool
 }
 
-func newRefSpace(t *testing.T, nLogs int) *refSpace {
+func newRefSpace(t *testing.T, nLogs int, below bool) *refSpace {
 	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}}
-	m.s.SetFaultHandler(func(f Fault) {
-		m.prevFaults++
-		if m.prevUnprotects {
-			f.Region.SetProtected(f.Page, false)
-		}
-	})
-	m.s.SetMapHook(func(*Region, bool) { m.prevMaps++ })
+	if below {
+		m.hookBelow()
+	}
 	for i := 0; i < nLogs; i++ {
 		l := &refLog{log: NewDirtyLog(m.s), excluded: map[*Region]bool{}, pages: map[page]bool{}}
 		l.log.OnFault = func(r *Region, idx uint64) {
 			l.seenFaults++
+			l.gotSeq = append(l.gotSeq, page{r, idx})
 			if r.Protected(r.PageAddr(idx)) || !l.log.Pages(r).Has(idx) {
 				t.Errorf("OnFault(%v page %d) before the page was logged and unprotected", r.kind, idx)
 			}
@@ -81,6 +85,18 @@ func newRefSpace(t *testing.T, nLogs int) *refSpace {
 		m.logs = append(m.logs, l)
 	}
 	return m
+}
+
+// hookBelow installs the handler and hook the logs chain in front of.
+func (m *refSpace) hookBelow() {
+	m.below = true
+	m.s.SetFaultHandler(func(f Fault) {
+		m.prevFaults++
+		if m.prevUnprotects {
+			f.Region.SetProtected(f.Page, false)
+		}
+	})
+	m.s.SetMapHook(func(*Region, bool) { m.prevMaps++ })
 }
 
 func (l *refLog) watches(r *Region) bool { return r.kind != Stack && !l.excluded[r] }
@@ -133,6 +149,7 @@ func (m *refSpace) fault(p page) {
 		if l.open && l.watches(p.r) {
 			l.pages[p] = true
 			l.faults++
+			l.wantSeq = append(l.wantSeq, p)
 		}
 	}
 }
@@ -154,7 +171,15 @@ func (m *refSpace) write(r *Region, first, last, n uint64, dma bool) {
 
 func (m *refSpace) replaySilent() {
 	n := uint64(len(m.silent))
+	// In address order, as the space replays them.
+	var ps []page
 	for p := range m.silent {
+		ps = append(ps, p)
+	}
+	slices.SortFunc(ps, func(a, b page) int {
+		return cmp.Or(cmp.Compare(a.r.start, b.r.start), cmp.Compare(a.idx, b.idx))
+	})
+	for _, p := range ps {
 		m.fault(p)
 	}
 	if got := m.s.ReplaySilent(); got != n {
@@ -231,6 +256,9 @@ func (m *refSpace) check(step string) {
 	t.Helper()
 	live := m.s.Regions()
 	for _, r := range live {
+		if !r.armed && r.ProtectedPages() != 0 {
+			t.Fatalf("%s: %v region at %#x has %d protected pages and is not armed", step, r.kind, r.start, r.ProtectedPages())
+		}
 		for idx := uint64(0); idx < r.Pages(); idx++ {
 			if got, want := r.Protected(r.PageAddr(idx)), m.prot[page{r, idx}]; got != want {
 				t.Fatalf("%s: %v page %d protected = %v, model %v", step, r.kind, idx, got, want)
@@ -243,10 +271,10 @@ func (m *refSpace) check(step string) {
 	if got := m.s.WrittenBytes(); got != m.written {
 		t.Fatalf("%s: %d bytes written, model %d", step, got, m.written)
 	}
-	if m.s.Faults() != m.faults || m.prevFaults != m.faults {
+	if m.s.Faults() != m.faults || m.below && m.prevFaults != m.faults {
 		t.Fatalf("%s: space delivered %d faults, the handler under the logs saw %d, model %d", step, m.s.Faults(), m.prevFaults, m.faults)
 	}
-	if m.prevMaps != m.mapEvents {
+	if m.below && m.prevMaps != m.mapEvents {
 		t.Fatalf("%s: the hook under the logs saw %d map events, model %d", step, m.prevMaps, m.mapEvents)
 	}
 	for i, l := range m.logs {
@@ -274,6 +302,10 @@ func (m *refSpace) check(step string) {
 		if l.log.Faults() != l.faults || l.seenFaults != l.faults {
 			t.Fatalf("%s: log %d: Faults %d, OnFault calls %d, model %d", step, i, l.log.Faults(), l.seenFaults, l.faults)
 		}
+		if !slices.Equal(l.gotSeq, l.wantSeq) {
+			t.Fatalf("%s: log %d: OnFault saw pages %v, model %v", step, i, l.gotSeq, l.wantSeq)
+		}
+		l.gotSeq, l.wantSeq = l.gotSeq[:0], l.wantSeq[:0]
 		if l.gotProtected != l.wantProtected || l.gotDropped != l.wantDropped || l.gotMapEvents != l.wantMapEvents {
 			t.Fatalf("%s: log %d: OnMap reported %d events, %d pages protected, %d dropped; model %d, %d, %d", step, i,
 				l.gotMapEvents, l.gotProtected, l.gotDropped, l.wantMapEvents, l.wantProtected, l.wantDropped)
@@ -399,7 +431,9 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 	for _, nLogs := range []int{1, 2, 3} {
 		for seed := uint64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(nLogs)))
-			m := newRefSpace(t, nLogs)
+			// Odd seeds have nothing below the logs: their sweeps take
+			// the word path.
+			m := newRefSpace(t, nLogs, seed%2 == 0)
 			s, ps := m.s, m.s.PageSize()
 			// A process image to start from, with per-log exclusions.
 			initial := []*Region{s.MapData(3 * ps)}
@@ -442,8 +476,8 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			}
 			m.check(where(500, "all closed"))
 			// Nothing is protected, nothing is chained, and the handler
-			// and hook installed before the logs are alone again.
-			if len(s.logs) != 0 {
+			// and hook installed before the logs, if any, are alone again.
+			if len(s.logs) != 0 || !m.below && (s.handler != nil || s.mapHook != nil) {
 				t.Fatalf("%s: %d logs still chained", where(500, "all closed"), len(s.logs))
 			}
 			r := initial[0]
@@ -464,6 +498,10 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			m.faults++
 			delete(m.silent, page{r, 1}) // a delivered fault is seen, stored or not
 			m.check(where(501, "segv"))
+			if !m.below {
+				m.hookBelow()
+				m.prevFaults, m.prevMaps = m.faults, m.mapEvents
+			}
 			m.prevUnprotects = true
 			if err := s.WriteRange(r.start, r.size); err != nil {
 				t.Fatal(err)
@@ -547,5 +585,87 @@ func TestDirtyLogFaultDoesNotAllocate(t *testing.T) {
 	}
 	if a.Faults() != 22*512 || b.Faults() != 22*512 || b.Count() != 512 {
 		t.Fatalf("a %d faults, b %d faults and %d pages", a.Faults(), b.Faults(), b.Count())
+	}
+}
+
+// Logs open, nothing below them, but none records the region: the
+// write takes the page-by-page path, and its first protected page
+// faults once and ends it with ErrSegv, the pages after it untouched.
+func TestDirtyLogSegvWhenNoLogRecords(t *testing.T) {
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(130 * s.PageSize())
+	a, b := NewDirtyLog(s), NewDirtyLog(s)
+	a.Exclude(r)
+	b.Exclude(r)
+	a.Open()
+	b.Open()
+	r.ProtectAll()
+	r.SetProtected(r.Start(), false)
+	err := s.WriteRange(r.Start(), r.Size())
+	if !errors.Is(err, ErrSegv) {
+		t.Fatalf("write to a region no log records: %v, want ErrSegv", err)
+	}
+	if s.Faults() != 1 || a.Faults() != 0 || b.Faults() != 0 || r.ProtectedPages() != r.Pages()-1 {
+		t.Fatalf("space %d faults, logs %d and %d, %d of %d pages protected; want 1, 0, 0, %d",
+			s.Faults(), a.Faults(), b.Faults(), r.ProtectedPages(), r.Pages(), r.Pages()-1)
+	}
+}
+
+// Stacked logs with nothing below take a sweep's faults a bitmap word at
+// a time, top of the chain first, each in ascending order; a handler
+// below them makes it page by page through the chain again. Either way
+// a delivery into an existing set allocates nothing.
+func TestDirtyLogWordDelivery(t *testing.T) {
+	type seen struct {
+		log string
+		idx uint64
+	}
+	for _, below := range []bool{false, true} {
+		s := NewAddressSpace(Config{Phantom: true})
+		r, _ := s.Mmap(130 * s.PageSize())
+		if below {
+			s.SetFaultHandler(func(Fault) {})
+		}
+		var got []seen
+		a, b := NewDirtyLog(s), NewDirtyLog(s)
+		a.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"a", idx}) }
+		b.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"b", idx}) }
+		a.Open()
+		b.Open() // the top of the chain
+		if err := s.WriteRange(r.Start()+5*s.PageSize(), 120*s.PageSize()); err != nil {
+			t.Fatal(err)
+		}
+		var want []seen
+		add := func(lo, hi uint64, logs ...string) {
+			for _, l := range logs {
+				for idx := lo; idx < hi; idx++ {
+					want = append(want, seen{l, idx})
+				}
+			}
+		}
+		if below {
+			for idx := uint64(5); idx < 125; idx++ {
+				add(idx, idx+1, "b", "a")
+			}
+		} else {
+			add(5, 64, "b", "a")
+			add(64, 125, "b", "a")
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("handler below %v: OnFault order %v, want %v", below, got, want)
+		}
+		a.OnFault, b.OnFault = nil, nil
+		sweep := func() {
+			a.Reset()
+			if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(20, sweep); n != 0 {
+			t.Fatalf("handler below %v: %v allocations per sweep, want 0", below, n)
+		}
+		if a.Count() != r.Pages() || b.Count() != r.Pages() || s.Faults() != 120+21*r.Pages() {
+			t.Fatalf("handler below %v: a %d pages, b %d, space %d faults", below, a.Count(), b.Count(), s.Faults())
+		}
 	}
 }

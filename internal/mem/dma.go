@@ -27,16 +27,7 @@ func (s *AddressSpace) WriteDirect(addr uint64, data []byte) (silentBytes uint64
 	if err != nil {
 		return 0, err
 	}
-	ps := s.cfg.PageSize
-	for off := uint64(0); off < n; {
-		pageEnd := (addr + off + ps) &^ (ps - 1)
-		chunk := min(n-off, pageEnd-(addr+off))
-		if r.Protected(addr + off) {
-			r.markSilent(r.PageIndex(addr + off))
-			silentBytes += chunk
-		}
-		off += chunk
-	}
+	silentBytes = r.markSilent(addr, n)
 	if !s.cfg.Phantom {
 		r.copyIn(addr, data)
 	}
@@ -58,20 +49,37 @@ func (s *AddressSpace) WriteRangeDirect(addr, n uint64) (silentBytes uint64, err
 	if err != nil {
 		return 0, err
 	}
-	ps := s.cfg.PageSize
-	last := r.PageIndex(addr + n - 1)
-	for idx := r.PageIndex(addr); idx <= last; idx++ {
-		if r.wp[idx/64]>>(idx%64)&1 == 0 {
-			continue
-		}
-		r.markSilent(idx)
-		pa := r.PageAddr(idx)
-		lo := max(pa, addr)
-		hi := min(pa+ps, addr+n)
-		silentBytes += hi - lo
-	}
+	silentBytes = r.markSilent(addr, n)
 	s.fill(r, addr, n)
 	return silentBytes, nil
+}
+
+// markSilent marks every protected page of [addr, addr+n), a range
+// inside r, silent-dirty and returns the bytes of the range that landed
+// on them: whole pages, less the parts of the first and last page the
+// range does not cover.
+func (r *Region) markSilent(addr, n uint64) uint64 {
+	first, last := r.PageIndex(addr), r.PageIndex(addr+n-1)
+	var pages uint64
+	for w, m := r.protected(first, last); m != 0; w, m = r.protected(w*64+64, last) {
+		if r.silent == nil {
+			r.silent = make([]uint64, len(r.wp))
+		}
+		r.silent[w] |= m
+		pages += uint64(bits.OnesCount64(m))
+	}
+	if pages == 0 {
+		return 0
+	}
+	ps := r.space.cfg.PageSize
+	silent := pages * ps
+	if r.Protected(addr) {
+		silent -= addr & (ps - 1)
+	}
+	if r.Protected(addr + n - 1) {
+		silent -= ps - 1 - ((addr + n - 1) & (ps - 1))
+	}
+	return silent
 }
 
 // SilentDirtyBytes returns the total bytes of silently dirty pages

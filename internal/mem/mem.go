@@ -143,6 +143,11 @@ type Region struct {
 	silent []uint64
 	data   [][]byte // per-page contents; nil slices until first backed write
 	dead   bool
+	// armed records that some page may be protected: ProtectAll and
+	// SetProtected(…, true) set it, and only a wholesale clear of wp
+	// (DirtyLog.Close) unsets it. Unset ⇒ wp is all zero, so a write to
+	// memory nobody protects skips the protection walk.
+	armed bool
 }
 
 // Start returns the base address of the region.
@@ -183,6 +188,7 @@ func (r *Region) SetProtected(addr uint64, protected bool) {
 	idx := r.PageIndex(addr)
 	if protected {
 		r.wp[idx/64] |= 1 << (idx % 64)
+		r.armed = true
 	} else {
 		r.wp[idx/64] &^= 1 << (idx % 64)
 	}
@@ -194,6 +200,28 @@ func (r *Region) ProtectAll() {
 		r.wp[i] = ^uint64(0)
 	}
 	r.trimBitmap()
+	r.armed = true
+}
+
+// protected is the one walk of the protection bitmap: the first bitmap
+// word w at or after page from's that holds protected pages of [from,
+// last], and m, the mask of those pages in it — m is 0 when there are
+// none. Unprotected memory is skipped a word (64 pages) at a time, and
+// a region nothing protected is skipped whole.
+func (r *Region) protected(from, last uint64) (w, m uint64) {
+	if !r.armed || from > last {
+		return 0, 0
+	}
+	w, lw := from/64, last/64
+	m = r.wp[w] &^ (1<<(from%64) - 1)
+	for m == 0 && w < lw {
+		w++
+		m = r.wp[w]
+	}
+	if w == lw {
+		m &= ^uint64(0) >> (63 - last%64)
+	}
+	return w, m
 }
 
 // trimBitmap clears bits beyond the last page so popcounts stay exact.
@@ -213,20 +241,6 @@ func (r *Region) ProtectedPages() uint64 {
 		n += uint64(bits.OnesCount64(w))
 	}
 	return n
-}
-
-// markSilent records that a DMA write landed on protected page idx and
-// reports whether the bit was newly set.
-func (r *Region) markSilent(idx uint64) bool {
-	if r.silent == nil {
-		r.silent = make([]uint64, len(r.wp))
-	}
-	w, b := idx/64, uint64(1)<<(idx%64)
-	if r.silent[w]&b != 0 {
-		return false
-	}
-	r.silent[w] |= b
-	return true
 }
 
 // clearSilent drops the silent mark on page idx, if any.
@@ -298,8 +312,13 @@ type AddressSpace struct {
 	lastHit  *Region // single-entry lookup cache
 
 	faults     uint64 // total write faults delivered
-	writeSeq   byte   // rolling fill value for backed WriteRange
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
+	writeSeq   byte   // rolling fill value for backed WriteRange
+	// foreign records that handler is not the chain of logs alone: a
+	// SetFaultHandler handler sits in it, or replaced it. Unset, a
+	// write's faults can go to the logs a bitmap word at a time
+	// (faultWord).
+	foreign bool
 }
 
 type span struct{ start, size uint64 }
@@ -337,6 +356,7 @@ func (s *AddressSpace) WrittenBytes() uint64 { return s.writeBytes }
 func (s *AddressSpace) SetFaultHandler(h FaultHandler) FaultHandler {
 	old := s.handler
 	s.handler = h
+	s.foreign = h != nil || len(s.logs) > 0
 	return old
 }
 
@@ -602,6 +622,35 @@ func (s *AddressSpace) fault(r *Region, addr uint64) error {
 	return nil
 }
 
+// logsRecord reports whether a write's faults on r may be delivered a
+// word at a time: the handler is the chain of dirty logs alone, and an
+// open one records r, so every fault unprotects its page and none can
+// end in ErrSegv.
+func (s *AddressSpace) logsRecord(r *Region) bool {
+	if s.foreign {
+		return false
+	}
+	for _, l := range s.logs {
+		if l.records(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// faultWord is fault for the protected pages m of bitmap word w of r at
+// once, on a chain logsRecord admitted: the space counts and un-silences
+// them, then each log, from the top of the chain down, records them all.
+func (s *AddressSpace) faultWord(r *Region, w, m uint64) {
+	s.faults += uint64(bits.OnesCount64(m))
+	if r.silent != nil {
+		r.silent[w] &^= m
+	}
+	for i := len(s.logs) - 1; i >= 0; i-- {
+		s.logs[i].record(r, w, m)
+	}
+}
+
 // checkRange locates the region wholly containing [addr, addr+n) or fails.
 func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 	r := s.Find(addr)
@@ -759,9 +808,13 @@ func (s *AddressSpace) Read(addr uint64, buf []byte) error {
 // WriteRange marks the whole byte range [addr, addr+n) as written,
 // faulting on each protected page it touches, without supplying contents.
 // It is the bulk path used by synthetic workloads sweeping large extents:
-// cost is O(pages touched), and pages already unprotected are skipped a
-// bitmap word (64 pages) at a time. In backed mode the range is filled
-// with a rolling per-call byte value so contents remain deterministic.
+// unprotected pages are skipped a bitmap word (64 pages) at a time, and
+// a region nothing protected costs no walk at all. When only dirty logs
+// handle faults and one records r, a word's faults are delivered to them
+// at once (faultWord); otherwise each fault is delivered alone, in page
+// order, and the bitmap is read again after it. In backed mode the range
+// is filled with a rolling per-call byte value so contents remain
+// deterministic.
 func (s *AddressSpace) WriteRange(addr, n uint64) error {
 	if n == 0 {
 		return nil
@@ -771,23 +824,27 @@ func (s *AddressSpace) WriteRange(addr, n uint64) error {
 		return err
 	}
 	last := r.PageIndex(addr + n - 1)
-	for idx := r.PageIndex(addr); idx <= last; {
-		w := r.wp[idx/64] >> (idx % 64)
-		if w == 0 {
-			// Whole remainder of this bitmap word is unprotected.
-			idx = (idx/64 + 1) * 64
-			continue
+	w, m := r.protected(r.PageIndex(addr), last)
+	if m != 0 && s.logsRecord(r) {
+		for ; m != 0; w, m = r.protected(w*64+64, last) {
+			s.faultWord(r, w, m)
 		}
-		skip := uint64(bits.TrailingZeros64(w))
-		if skip > 0 {
-			idx += skip
-			continue
+	}
+	for m != 0 {
+		// Page by page. The handler may change any page's protection,
+		// so the bitmap is read again after each fault — but only tested
+		// for the next page, whose address does not wait on that read
+		// (taking it from the word read back costs a cold sweep 25 %).
+		idx := w*64 + uint64(bits.TrailingZeros64(m))
+		for {
+			if err := s.fault(r, max(r.PageAddr(idx), addr)); err != nil {
+				return err
+			}
+			if idx++; idx > last || r.wp[idx/64]&(1<<(idx%64)) == 0 {
+				break
+			}
 		}
-		pa := r.PageAddr(idx)
-		if err := s.fault(r, max(pa, addr)); err != nil {
-			return err
-		}
-		idx++
+		w, m = r.protected(idx, last)
 	}
 	s.fill(r, addr, n)
 	return nil

@@ -581,11 +581,36 @@ func BenchmarkWriteRangeColdSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteRangeHotSweep sweeps a region nothing ever protected:
+// it times the untracked skip (no protection walk at all) — the 63
+// ranks of an IWS run without a tracker — not a re-sweep of faulted
+// pages, which is BenchmarkWriteRangeFaultedSweep.
 func BenchmarkWriteRangeHotSweep(b *testing.B) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(64 * 1024 * 1024)
 	s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
 	s.WriteRange(r.Start(), r.Size())
+	b.SetBytes(64 * 1024 * 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteRangeFaultedSweep re-sweeps a region under an open
+// DirtyLog whose pages all faulted on the first sweep: armed, every bit
+// clear, so each sweep walks the bitmap and finds nothing — rank 0's
+// dwell window between two tracker resets.
+func BenchmarkWriteRangeFaultedSweep(b *testing.B) {
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(64 * 1024 * 1024)
+	NewDirtyLog(s).Open()
+	if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(64 * 1024 * 1024)
 	b.ReportAllocs()
 	b.ResetTimer()

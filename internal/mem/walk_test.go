@@ -1,0 +1,195 @@
+package mem
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// oracleWriteRange, oracleWriteDirect and oracleWriteRangeDirect are
+// the three protection-bitmap walks as they were before they became one
+// (Region.protected): WriteRange's own word skip, re-reading the bitmap
+// after every fault, and the DMA paths' page-by-page bit tests. They are
+// the reference the shared walk is compared against.
+func oracleWriteRange(s *AddressSpace, addr, n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	r, err := s.checkRange(addr, n)
+	if err != nil {
+		return err
+	}
+	last := r.PageIndex(addr + n - 1)
+	for idx := r.PageIndex(addr); idx <= last; {
+		w := r.wp[idx/64] >> (idx % 64)
+		if w == 0 {
+			idx = (idx/64 + 1) * 64
+			continue
+		}
+		if skip := uint64(bits.TrailingZeros64(w)); skip > 0 {
+			idx += skip
+			continue
+		}
+		if err := s.fault(r, max(r.PageAddr(idx), addr)); err != nil {
+			return err
+		}
+		idx++
+	}
+	s.fill(r, addr, n)
+	return nil
+}
+
+// oracleMarkSilent is the old single-page silent mark.
+func oracleMarkSilent(r *Region, idx uint64) {
+	if r.silent == nil {
+		r.silent = make([]uint64, len(r.wp))
+	}
+	r.silent[idx/64] |= 1 << (idx % 64)
+}
+
+func oracleWriteDirect(s *AddressSpace, addr uint64, data []byte) (silentBytes uint64, err error) {
+	n := uint64(len(data))
+	if n == 0 {
+		return 0, nil
+	}
+	r, err := s.checkRange(addr, n)
+	if err != nil {
+		return 0, err
+	}
+	ps := s.cfg.PageSize
+	for off := uint64(0); off < n; {
+		pageEnd := (addr + off + ps) &^ (ps - 1)
+		chunk := min(n-off, pageEnd-(addr+off))
+		if r.Protected(addr + off) {
+			oracleMarkSilent(r, r.PageIndex(addr+off))
+			silentBytes += chunk
+		}
+		off += chunk
+	}
+	if !s.cfg.Phantom {
+		r.copyIn(addr, data)
+	}
+	s.writeBytes += n
+	return silentBytes, nil
+}
+
+func oracleWriteRangeDirect(s *AddressSpace, addr, n uint64) (silentBytes uint64, err error) {
+	if n == 0 {
+		return 0, nil
+	}
+	r, err := s.checkRange(addr, n)
+	if err != nil {
+		return 0, err
+	}
+	ps := s.cfg.PageSize
+	last := r.PageIndex(addr + n - 1)
+	for idx := r.PageIndex(addr); idx <= last; idx++ {
+		if r.wp[idx/64]>>(idx%64)&1 == 0 {
+			continue
+		}
+		oracleMarkSilent(r, idx)
+		pa := r.PageAddr(idx)
+		silentBytes += min(pa+ps, addr+n) - max(pa, addr)
+	}
+	s.fill(r, addr, n)
+	return silentBytes, nil
+}
+
+// newWalkRig builds a runRig whose handler also moves protection ahead
+// of the fault — it unprotects the next page of some pages and protects a
+// later one of others — so a walk that stopped re-reading the bitmap
+// after each fault would deliver a different sequence.
+func newWalkRig(ps uint64, phantom bool) *runRig {
+	g := &runRig{s: NewAddressSpace(Config{PageSize: ps, Phantom: phantom}), stuck: map[uint64]bool{}}
+	g.r, _ = g.s.Mmap(150 * ps)
+	g.s.SetFaultHandler(func(f Fault) {
+		g.faults = append(g.faults, [2]uint64{f.Addr, f.Page})
+		r := f.Region
+		if !g.stuck[f.Page] {
+			r.SetProtected(f.Page, false)
+		}
+		switch idx := r.PageIndex(f.Page); {
+		case idx%11 == 5 && idx+1 < r.Pages():
+			r.SetProtected(r.PageAddr(idx+1), false)
+		case idx%13 == 7 && idx+3 < r.Pages():
+			r.SetProtected(r.PageAddr(idx+3), true)
+		}
+	})
+	return g
+}
+
+// TestProtectionWalkMatchesOracle: the same random script — protect and
+// unprotect spans, ProtectAll, CPU sweeps some of which die on a stuck
+// page, NIC writes, ClearSilent — run through the old walks on one
+// space and the shared one on another leaves every observable alike:
+// errors, silent bytes returned, the silent and protection bitmaps,
+// Faults, WrittenBytes, contents (every 25 steps: hashing is the cost)
+// and the delivered fault sequence. The
+// region starts never protected, so the first steps take the skip.
+func TestProtectionWalkMatchesOracle(t *testing.T) {
+	for _, ps := range []uint64{256, 4096} {
+		for _, phantom := range []bool{false, true} {
+			for seed := uint64(0); seed < 12; seed++ {
+				rng := rand.New(rand.NewPCG(seed, ps))
+				old, cur := newWalkRig(ps, phantom), newWalkRig(ps, phantom)
+				pages := old.r.Pages()
+				for step := 0; step < 150; step++ {
+					first := rng.Uint64N(pages)
+					last := min(first+rng.Uint64N(140), pages-1)
+					off := rng.Uint64N(ps)
+					n := (last-first)*ps + 1 + rng.Uint64N(ps-off)
+					rel := first*ps + off
+					where := fmt.Sprintf("page size %d phantom %v seed %d step %d", ps, phantom, seed, step)
+					var errOld, errCur error
+					var silentOld, silentCur uint64
+					switch op := rng.IntN(12); {
+					case op < 3 && step > 5:
+						protect := op > 0
+						for idx := first; idx <= last; idx++ {
+							old.r.SetProtected(old.r.PageAddr(idx), protect)
+							cur.r.SetProtected(cur.r.PageAddr(idx), protect)
+						}
+					case op == 3 && step > 5:
+						old.r.ProtectAll()
+						cur.r.ProtectAll()
+					case op == 4:
+						pa := old.r.PageAddr(first)
+						old.stuck[pa] = !old.stuck[pa]
+						cur.stuck[cur.r.PageAddr(first)] = old.stuck[pa]
+					case op < 8:
+						errOld = oracleWriteRange(old.s, old.r.Start()+rel, n)
+						errCur = cur.s.WriteRange(cur.r.Start()+rel, n)
+					case op < 10:
+						data := make([]byte, n)
+						for i := range data {
+							data[i] = byte(rng.Uint32())
+						}
+						silentOld, errOld = oracleWriteDirect(old.s, old.r.Start()+rel, data)
+						silentCur, errCur = cur.s.WriteDirect(cur.r.Start()+rel, data)
+					case op < 11:
+						silentOld, errOld = oracleWriteRangeDirect(old.s, old.r.Start()+rel, n)
+						silentCur, errCur = cur.s.WriteRangeDirect(cur.r.Start()+rel, n)
+					default:
+						old.r.ClearSilent()
+						cur.r.ClearSilent()
+					}
+					if errors.Is(errOld, ErrSegv) != errors.Is(errCur, ErrSegv) || (errOld == nil) != (errCur == nil) {
+						t.Fatalf("%s: oracle %v, shared walk %v", where, errOld, errCur)
+					}
+					if silentOld != silentCur {
+						t.Fatalf("%s: oracle %d silent bytes, shared walk %d", where, silentOld, silentCur)
+					}
+					if !slices.Equal(old.faults, cur.faults) || !slices.Equal(old.r.wp, cur.r.wp) || !slices.Equal(old.r.silent, cur.r.silent) ||
+						old.s.Faults() != cur.s.Faults() || old.s.WrittenBytes() != cur.s.WrittenBytes() ||
+						step%25 == 24 && old.s.Digest(nil) != cur.s.Digest(nil) {
+						t.Fatalf("%s:\noracle      %s silent %x\nshared walk %s silent %x", where, old.state(), old.r.silent, cur.state(), cur.r.silent)
+					}
+					old.faults, cur.faults = old.faults[:0], cur.faults[:0]
+				}
+			}
+		}
+	}
+}
