@@ -32,7 +32,7 @@ func benchRanks() int {
 	return 16
 }
 
-// BenchmarkArtefact regenerates every deterministic artefact of
+// BenchmarkArtefact regenerates every artefact of
 // experiments.Artefacts as BenchmarkArtefact/<name> and reports its
 // headline metrics. Artefacts flagged BenchShards add a /shards8
 // sub-benchmark on an 8-shard parallel engine: virtual-time output is
@@ -40,9 +40,6 @@ func benchRanks() int {
 // cmd/benchjson derives speedup_vs_seq from the pair.
 func BenchmarkArtefact(b *testing.B) {
 	for _, a := range experiments.Artefacts {
-		if !a.InAll {
-			continue
-		}
 		opts := experiments.RunOpts{Ranks: benchRanks(), Seed: 7}
 		if a.BenchRanks > 0 {
 			opts.Ranks = min(opts.Ranks, a.BenchRanks)

@@ -121,7 +121,7 @@ type Config struct {
 	Engine *des.Engine
 	// Chaos, when non-nil, drives deterministic scheduled failures from
 	// a compiled fault plan bound to Engine: node crashes at planned
-	// instants, crashes aimed inside two-phase commit windows, and — via
+	// instants, crashes aimed inside checkpoint commit windows, and — via
 	// the driver's MergeNetFaults, applied automatically — planned
 	// network partitions and brownouts. Storage-layer chaos (outages,
 	// brownouts, bit flips) rides the store the caller wrapped with
@@ -156,8 +156,6 @@ type Config struct {
 	// stores; recovery reads through the tiers — L1, L2 rebuild, L3 —
 	// with per-level accounting in the report. The chaos DSL's
 	// domain-crash fault kills whole failure domains at once.
-	// Incompatible with TwoPhaseCommit (the commit marker is a global-
-	// store protocol).
 	MultiLevel *MultiLevelOptions
 }
 
@@ -221,8 +219,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: grid %dx%d", c.Nx, c.RowsPerRank)
 	case c.Iterations < 1 || c.CkptEvery < 1:
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
-	case c.MultiLevel != nil && c.TwoPhaseCommit:
-		return fmt.Errorf("autonomic: MultiLevel is incompatible with TwoPhaseCommit")
+	case c.Chaos != nil && c.MultiLevel == nil && len(c.Chaos.Plan().DomainCrashes) > 0:
+		return fmt.Errorf("autonomic: chaos plan holds domain-crash faults, but without MultiLevel the run has no failure domains")
+	case c.Chaos != nil && (c.RDMA == nil || c.RDMA.Mode != RDMADrain) && len(c.Chaos.Plan().DrainCrashes) > 0:
+		return fmt.Errorf("autonomic: chaos plan holds crash-during-drain faults, but the run has no RDMA drain protocol")
 	}
 	return nil
 }
@@ -434,8 +434,8 @@ type Supervisor struct {
 	detecting       bool      // a heartbeat detection round is running
 	pendingRecovery des.Event // the in-flight respawn, cancellable
 	pendingFailIter int       // iteration count at the failure being recovered
-	pendingDegraded bool      // the in-flight recovery fell short of the claimed line
 	unrecovered     int       // failures absorbed since the last completed recovery
+	storeDown       int       // consecutive recoveries deferred by an unavailable store
 }
 
 // Run executes the configured computation under supervision and returns
@@ -543,8 +543,9 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	}
 	t := &team{world: world, d: d}
 	if cfg.RDMA != nil {
-		// The workload's arenas exist now; pin them with the NIC.
-		registerRDMA(t)
+		// The workload's arenas exist now; pin them with the NIC before
+		// the team starts iterating.
+		t.regCost = register(world)
 	}
 	for i := 0; i < cfg.Ranks; i++ {
 		opts := ckpt.Options{
@@ -628,10 +629,9 @@ func (s *Supervisor) startTeam() {
 	if t.regCost > 0 {
 		s.report.RegistrationTime += t.regCost
 		s.eng.After(t.regCost, func() {
-			if s.cur != t || s.detecting {
-				return
+			if s.live(t) {
+				run()
 			}
-			run()
 		})
 		return
 	}
@@ -639,104 +639,133 @@ func (s *Supervisor) startTeam() {
 }
 
 // commitLine cuts one coordinated checkpoint line for team t at
-// iteration iter and calls cont when the stop-and-copy pause resolves.
-// A refused line leaves the computation unharmed: cont still runs, the
-// run just carries on without that line.
+// iteration iter and calls cont when the commit resolves. Every mode is a
+// stage of one sequence: cut → bookkeeping (or refusal) → commit-window
+// chaos → parity → resume. The only mode branch is how the coordinator
+// cuts the line. A plain commit persists every rank now and pauses for
+// the slowest sink write. Two-phase commit prepares now and commits when
+// every rank's ack is in and the COMMIT marker is written. A refused line
+// leaves the computation unharmed: cont still runs, the run just carries
+// on without that line.
 func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
-	if s.cfg.TwoPhaseCommit {
-		s.beginTwoPhase(t, iter, cont)
+	if !s.cfg.TwoPhaseCommit {
+		g, err := t.co.GlobalCheckpoint()
+		if err != nil {
+			s.lineRefused(t, err, cont)
+			return
+		}
+		// Recorded at the cut: a failure inside the pause finds the line.
+		s.lineDone(g, iter, g.MaxDuration)
+		s.aimCommitCrashes(s.eng.Now() + g.MaxDuration)
+		s.eng.After(g.MaxDuration, func() { s.protect(t, g.Seq, cont) })
 		return
 	}
-	g, err := t.co.GlobalCheckpoint()
-	if err != nil {
-		// The storage tier refused the line. The computation is
-		// unharmed — realign the checkpointers (ranks that
-		// persisted before the error are ahead of ranks after it,
-		// and consumed dirty sets force a full re-base) and keep
-		// iterating without this line. The cost shows up as extra
-		// rollback distance if a failure lands before the next
-		// line commits.
+	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: 2 * mpi.QsNet().Latency},
+		func(g ckpt.GlobalResult, err error) {
+			if err != nil {
+				s.lineRefused(t, err, cont)
+				return
+			}
+			s.lineDone(g, iter, s.eng.Now()-g.At)
+			s.protect(t, g.Seq, cont)
+		})
+	// A prepare the storage tier refused has already resolved: there is
+	// no window left to aim at.
+	if lastAck, open := t.co.PendingLastAck(); open {
+		s.aimCommitCrashes(lastAck)
+	}
+}
+
+// lineDone records a committed line: the sequence the next incarnation
+// starts from, the iteration a recovery to it resumes at, and its cost.
+func (s *Supervisor) lineDone(g ckpt.GlobalResult, iter int, pause des.Time) {
+	s.nextSeq = g.Seq + 1
+	s.lastLineIter = iter
+	s.lineIter[g.Seq] = iter
+	s.report.CommittedLines++
+	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
+	s.report.CommitTime += pause
+}
+
+// lineRefused accounts a line that never committed — a storage refusal
+// at the cut, or a two-phase round aborted after its prepare. While the
+// team lives it realigns the checkpointers (ranks that persisted before
+// the error are ahead of ranks after it, and consumed dirty sets force a
+// full re-base) and resumes without the line; the cost shows up as extra
+// rollback distance if a failure lands before the next line commits. An
+// abort caused by a rank failure leaves the future to recovery.
+func (s *Supervisor) lineRefused(t *team, err error, cont func()) {
+	if errors.Is(err, ckpt.ErrCommitAborted) {
+		s.report.AbortedCommits++
+	} else {
 		s.report.CheckpointFailures++
-		s.nextSeq = t.co.Resync()
+	}
+	if !s.live(t) {
+		return
+	}
+	s.nextSeq = t.co.Resync()
+	cont()
+}
+
+// aimCommitCrashes is the commit window's chaos hook. The window opens
+// now and closes at end: the last prepare ack under two-phase commit
+// (the earliest instant the COMMIT marker could exist), the end of the
+// stop-and-copy pause otherwise (before the line's parity lands). A plan
+// may aim a node crash or a whole failure domain strictly inside it.
+func (s *Supervisor) aimCommitCrashes(end des.Time) {
+	c := s.cfg.Chaos
+	if c == nil {
+		return
+	}
+	now := s.eng.Now()
+	if delay, hit := c.CommitCrashDelay(now, end); hit {
+		s.eng.After(delay, s.onFailure)
+	}
+	if name, delay, hit := c.DomainCrashDelay(now, end); hit {
+		s.eng.After(delay, func() { s.domainCrash(name) })
+	}
+}
+
+// protect is the commit's last stage: under multi-level it parity-
+// protects the committed line (L2) and charges the exchange to the
+// pause; otherwise the team resumes at once. Encode errors never hurt
+// the run — the line simply carries no L2 protection.
+func (s *Supervisor) protect(t *team, seq uint64, cont func()) {
+	if !s.live(t) {
+		return
+	}
+	if s.ml == nil {
 		cont()
 		return
 	}
-	seq := g.Seq
-	s.nextSeq = seq + 1
-	s.lastLineIter = iter
-	s.lineIter[seq] = iter
-	s.report.CommittedLines++
-	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
-	s.report.CommitTime += g.MaxDuration
-	// A chaos plan may aim a correlated domain crash inside the commit
-	// pause: the line's segments are on L1 but its parity exchange has
-	// not resolved, so the newest line is exactly as exposed as a real
-	// mid-commit loss would leave it.
-	if s.cfg.Chaos != nil {
-		if name, delay, hit := s.cfg.Chaos.DomainCrashDelay(s.eng.Now(), s.eng.Now()+g.MaxDuration); hit {
-			s.eng.After(delay, func() { s.domainCrash(name) })
-		}
-	}
-	if s.ml == nil {
-		s.eng.After(g.MaxDuration, cont)
+	rep, err := s.ml.EncodeLine(seq)
+	if err != nil {
+		s.report.ParityEncodeFailures++
+		cont()
 		return
 	}
-	s.eng.After(g.MaxDuration, func() {
-		if s.cur != t || s.detecting {
-			return
+	s.report.L2ExchangeTime += rep.Time
+	s.report.ParityVolumeMB += float64(rep.ParityBytes) / 1e6
+	for _, at := range s.cfg.MultiLevel.CorruptParityAt {
+		if at == seq {
+			if _, ok := s.ml.CorruptParity(seq, s.mlRng); ok {
+				s.report.InjectedParityCorruptions++
+			}
 		}
-		s.protectLine(t, seq, cont)
+	}
+	s.eng.After(rep.Time, func() {
+		if s.live(t) {
+			cont()
+		}
 	})
 }
 
-// beginTwoPhase runs one prepare/commit checkpoint round for the current
-// team and resumes the computation when the round resolves. The done
-// callback fires at the commit's (or abort's) virtual completion time,
-// so the full round is a measured pause, not a modelled one.
-func (s *Supervisor) beginTwoPhase(t *team, iter int, next func()) {
-	ackDelay := 2 * mpi.QsNet().Latency
-	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: ackDelay},
-		func(g ckpt.GlobalResult, err error) {
-			if err != nil {
-				if errors.Is(err, ckpt.ErrCommitAborted) {
-					s.report.AbortedCommits++
-				} else {
-					s.report.CheckpointFailures++
-				}
-				if s.cur != t || s.detecting {
-					// Aborted by a rank failure: the recovery path owns
-					// the future; do not resurrect the computation.
-					return
-				}
-				// Autonomous abort (refused marker) or
-				// prepare refusal: the computation is unharmed. Realign
-				// the checkpointers and keep iterating without this line.
-				s.nextSeq = t.co.Resync()
-				next()
-				return
-			}
-			s.nextSeq = g.Seq + 1
-			s.lastLineIter = iter
-			s.lineIter[g.Seq] = iter
-			s.report.CommittedLines++
-			s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
-			s.report.CommitTime += s.eng.Now() - g.At
-			if s.cur != t || s.detecting {
-				return
-			}
-			next()
-		})
-	// A chaos plan may want this round killed mid-commit: after the
-	// prepare started, strictly before the last ack (the earliest instant
-	// the COMMIT marker could be written). If the prepare already resolved
-	// synchronously (storage refusal), there is no window to aim at.
-	if s.cfg.Chaos != nil {
-		if lastAck, open := t.co.PendingLastAck(); open {
-			if delay, hit := s.cfg.Chaos.CommitCrashDelay(s.eng.Now(), lastAck); hit {
-				s.eng.After(delay, s.onFailure)
-			}
-		}
-	}
+// live reports whether team t still owns the future: it is the current
+// incarnation, no failure detection has stalled it, and the run has
+// neither completed nor failed. Every continuation of the commit and
+// drain sequences passes through it.
+func (s *Supervisor) live(t *team) bool {
+	return s.cur == t && !s.detecting && !s.report.Completed && s.failed == nil
 }
 
 // finish completes the run: gather the verification checksum.
@@ -821,7 +850,7 @@ func (s *Supervisor) onFailure() {
 
 	if s.detecting {
 		// The job is already stalled waiting on the first death to be
-		// detected; this failure takes another of the survivors.
+		// detected; this failure takes more of the survivors.
 		s.killAnother(s.cur, victims)
 		return
 	}
@@ -857,47 +886,31 @@ func (s *Supervisor) onFailure() {
 		c.Stop()
 	}
 	if t.det != nil {
-		if len(victims) == 0 {
-			victims = []int{s.rng.IntN(s.cfg.Ranks)}
-		}
-		for _, v := range victims {
-			if live := t.det.MarkFailed(v); live == 0 {
-				s.abandonDetection(t)
-				return
-			}
-		}
+		s.killAnother(t, victims)
 		return // a survivor's timeout will fire onDetected
 	}
 	s.scheduleRecovery(s.pendingFailIter)
 }
 
-// killAnother fails one more live rank of a team already under
-// detection (or, under multi-level, the preset victim set of a domain
-// crash). Detection of the first death continues — unless nobody is
+// killAnother silences the victims in t's heartbeat detector — the
+// preset victim set of a domain crash under multi-level, otherwise one
+// more live rank picked at random. Detection continues unless nobody is
 // left alive to observe anything.
 func (s *Supervisor) killAnother(t *team, victims []int) {
-	if len(victims) > 0 {
-		for _, v := range victims {
-			if t.det.Failed(v) {
-				continue
-			}
-			if live := t.det.MarkFailed(v); live == 0 {
-				s.abandonDetection(t)
-				return
+	if len(victims) == 0 {
+		start := s.rng.IntN(s.cfg.Ranks)
+		for i := 0; i < s.cfg.Ranks; i++ {
+			if v := (start + i) % s.cfg.Ranks; !t.det.Failed(v) {
+				victims = []int{v}
+				break
 			}
 		}
-		return
 	}
-	start := s.rng.IntN(s.cfg.Ranks)
-	for i := 0; i < s.cfg.Ranks; i++ {
-		v := (start + i) % s.cfg.Ranks
-		if t.det.Failed(v) {
-			continue
-		}
-		if live := t.det.MarkFailed(v); live == 0 {
+	for _, v := range victims {
+		if !t.det.Failed(v) && t.det.MarkFailed(v) == 0 {
 			s.abandonDetection(t)
+			return
 		}
-		return
 	}
 }
 
@@ -932,20 +945,114 @@ func (s *Supervisor) onDetected(t *team, d cluster.Detection) {
 	s.scheduleRecovery(s.pendingFailIter)
 }
 
-// claimedSeq snapshots what the store *claims* is the newest line — the
-// commit-marker key space under two-phase commit, the segment key space
-// otherwise — before any data is touched. A recovery is degraded when
-// the line it actually restores falls short of this claim.
-func (s *Supervisor) claimedSeq() (uint64, bool, error) {
+// selection is what one recovery found: the restored spaces (nil for a
+// scratch restart), the line they hold, whether any line survived,
+// whether it fell short of the store's claim, and the chain-read time.
+type selection struct {
+	spaces   []*mem.AddressSpace
+	line     uint64
+	ok       bool
+	degraded bool
+	readTime des.Time
+}
+
+// scheduleRecovery selects and restores the newest trustworthy line now
+// (the store may decay further while the node respawns) and arms the
+// respawn after the restart overhead plus the measured chain-read time.
+// A store that is down defers the whole step by one restart overhead, as
+// a respawn that found it down would, instead of aborting the run. The
+// armed event is cancellable either way: a nested failure redoes it.
+func (s *Supervisor) scheduleRecovery(failIter int) {
+	s.pendingFailIter = failIter
+	sel, err := s.selectAndRestore()
+	if err != nil {
+		if !errors.Is(err, storage.ErrUnavailable) || s.storeDown >= maxFailures {
+			s.fail(err)
+			return
+		}
+		s.storeDown++
+		s.pendingRecovery = s.eng.After(s.cfg.RestartOverhead, func() {
+			s.pendingRecovery = des.Event{}
+			s.scheduleRecovery(failIter)
+		})
+		return
+	}
+	s.storeDown = 0
+	s.pendingRecovery = s.eng.After(s.cfg.RestartOverhead+sel.readTime, func() {
+		s.pendingRecovery = des.Event{}
+		s.recover(sel, failIter)
+	})
+}
+
+// selectAndRestore finds the newest recovery line the storage tier can
+// prove — every rank's chain fetched, integrity-checked and decoded —
+// and restores it. It reads through one store: the global store, or the
+// hierarchy's tiered view under multi-level (L1, then an L2 parity
+// rebuild, then L3, with the view's per-level accounting folded into the
+// report). Verification races ongoing sink decay (a replica's
+// op-countdown outage can land between proving a line and reading it
+// back), so a read failure re-verifies against the shifted world and
+// falls down to the next surviving line instead of aborting the run.
+// When no line survives the selection is a scratch restart.
+func (s *Supervisor) selectAndRestore() (sel selection, err error) {
+	src := s.store
+	var view *redundancy.RecoveryView
 	if s.ml != nil {
-		// The hierarchy's claim spans all three tiers: the recovery view
-		// advertises surviving L1 chains, parity-covered lines and L3.
-		return ckpt.LatestConsistentSeq(s.ml.NewView(), s.cfg.Ranks)
+		view = s.ml.NewView()
+		src = view
+		defer s.foldViewStats(view)
 	}
-	if !s.cfg.TwoPhaseCommit {
-		return ckpt.LatestConsistentSeq(s.store, s.cfg.Ranks)
+	// The trust rule. The claim is what the store advertises before any
+	// data is touched; a recovery is degraded when the line it restores
+	// falls short of it. Under two-phase commit the claim is the newest
+	// COMMIT marker and only marker-committed lines may be restored;
+	// otherwise it is the newest line every rank has a segment for, and
+	// the newest fully verifiable line wins.
+	claim, latest := ckpt.LatestConsistentSeq, ckpt.LatestVerifiableSeq
+	if s.cfg.TwoPhaseCommit {
+		claim, latest = newestMarker, ckpt.LatestCommittedSeq
 	}
-	keys, err := s.store.Keys()
+	best, claimed, err := claim(src, s.cfg.Ranks)
+	if err != nil {
+		return selection{}, err
+	}
+	for attempt := 0; attempt <= len(s.lineIter)+1; attempt++ {
+		line, ok, err := latest(src, s.cfg.Ranks)
+		if err != nil {
+			return selection{}, err
+		}
+		if !ok {
+			break
+		}
+		// The read price is the one place the tier shows. The global
+		// store prices Σ ChainVolume at the sink (read ≈ write bandwidth)
+		// before the restore; the view prices the bytes each level
+		// served, after it.
+		var chain uint64
+		if view == nil {
+			if chain = s.chainVolume(line); chain == 0 {
+				continue // line decayed under us: re-verify
+			}
+		}
+		spaces, err := ckpt.RestoreAll(src, s.cfg.Ranks, line)
+		if err != nil {
+			continue
+		}
+		sel = selection{spaces: spaces, line: line, ok: true, readTime: s.cfg.Sink.WriteTime(chain)}
+		if view != nil {
+			sel.readTime = s.tierReadTime(view.Stats())
+		}
+		break
+	}
+	sel.degraded = claimed && (!sel.ok || sel.line < best)
+	return sel, nil
+}
+
+// newestMarker returns the newest line store holds a COMMIT marker for,
+// unverified: the two-phase claim. It takes a rank count only to share
+// ckpt.LatestConsistentSeq's signature.
+func newestMarker(store storage.Store, _ int) (uint64, bool, error) {
+	keys, err := store.Keys()
 	if err != nil {
 		return 0, false, err
 	}
@@ -960,93 +1067,34 @@ func (s *Supervisor) claimedSeq() (uint64, bool, error) {
 	return best, ok, nil
 }
 
-// scheduleRecovery selects and restores the newest trustworthy line now
-// (the store may decay further while the node respawns) and arms the
-// respawn after the restart overhead plus the measured chain-read time.
-// The armed event is cancellable: a nested failure redoes the selection.
-func (s *Supervisor) scheduleRecovery(failIter int) {
-	best, okBest, err := s.claimedSeq()
-	if err != nil {
-		s.fail(err)
-		return
+// chainVolume sums every rank's chain bytes up to line in the global
+// store, or 0 when some chain no longer reads back.
+func (s *Supervisor) chainVolume(line uint64) uint64 {
+	var chain uint64
+	for r := 0; r < s.cfg.Ranks; r++ {
+		v, err := ckpt.ChainVolume(s.store, r, line)
+		if err != nil {
+			return 0
+		}
+		chain += v
 	}
-	spaces, line, ok, readTime := s.selectAndRestore()
-	if s.failed != nil {
-		return
-	}
-	s.pendingDegraded = okBest && (!ok || line < best)
-	s.pendingFailIter = failIter
-	downtime := s.cfg.RestartOverhead + readTime
-	s.pendingRecovery = s.eng.After(downtime, func() {
-		s.pendingRecovery = des.Event{}
-		s.recover(spaces, line, ok, failIter)
-	})
+	return chain
 }
 
-// selectAndRestore finds the newest recovery line the storage tier can
-// prove — every rank's chain fetched, integrity-checked and decoded —
-// and restores it. Verification races ongoing sink decay (a replica's
-// op-countdown outage can land between proving a line and reading it
-// back), so a read failure re-verifies against the shifted world and
-// falls down to the next surviving line instead of aborting the run.
-// Returns nil spaces when no line survives (scratch restart), plus the
-// virtual time the winning chain read costs.
-func (s *Supervisor) selectAndRestore() (spaces []*mem.AddressSpace, line uint64, ok bool, readTime des.Time) {
-	if s.ml != nil {
-		return s.selectAndRestoreTiered()
-	}
-	// Under two-phase commit only lines with a verified COMMIT marker
-	// may be trusted; otherwise the newest fully verifiable line wins.
-	latest := ckpt.LatestVerifiableSeq
-	if s.cfg.TwoPhaseCommit {
-		latest = ckpt.LatestCommittedSeq
-	}
-	for attempt := 0; attempt <= len(s.lineIter)+1; attempt++ {
-		var err error
-		line, ok, err = latest(s.store, s.cfg.Ranks)
-		if err != nil {
-			s.fail(err)
-			return nil, 0, false, 0
-		}
-		if !ok {
-			return nil, 0, false, 0
-		}
-		var chain uint64
-		for r := 0; r < s.cfg.Ranks; r++ {
-			v, err := ckpt.ChainVolume(s.store, r, line)
-			if err != nil {
-				chain = 0
-				break
-			}
-			chain += v
-		}
-		if chain == 0 {
-			continue // line decayed under us: re-verify
-		}
-		spaces, err = ckpt.RestoreAll(s.store, s.cfg.Ranks, line)
-		if err != nil {
-			continue
-		}
-		return spaces, line, true, s.cfg.Sink.WriteTime(chain) // read ≈ write bandwidth
-	}
-	// Every candidate decayed faster than we could read it.
-	return nil, 0, false, 0
-}
-
-// recover rebuilds the team around the restored spaces (nil → scratch
-// restart when no verifiable checkpoint survived).
-func (s *Supervisor) recover(spaces []*mem.AddressSpace, line uint64, haveLine bool, failIter int) {
+// recover rebuilds the team around the selected line (a scratch restart
+// when no verifiable checkpoint survived).
+func (s *Supervisor) recover(sel selection, failIter int) {
 	if s.report.Completed || s.failed != nil {
 		return
 	}
 	startIter := 0
-	if haveLine {
-		startIter = s.lineIter[line]
+	if sel.ok {
+		startIter = s.lineIter[sel.line]
 	}
 	s.lastLineIter = startIter
 	s.report.LostIterations += failIter - startIter
 	s.closeFailureRecords(startIter)
-	t, err := s.buildTeam(spaces, startIter)
+	t, err := s.buildTeam(sel.spaces, startIter)
 	if err != nil {
 		s.fail(err)
 		return
@@ -1057,9 +1105,8 @@ func (s *Supervisor) recover(spaces []*mem.AddressSpace, line uint64, haveLine b
 	// Recoveries == Failures still holds.
 	s.report.Recoveries += s.unrecovered
 	s.unrecovered = 0
-	if s.pendingDegraded {
+	if sel.degraded {
 		s.report.DegradedRecoveries++
-		s.pendingDegraded = false
 	}
 	s.startTeam()
 }

@@ -293,12 +293,6 @@ func TestMultiLevelConfigErrors(t *testing.T) {
 	base := mlBaseConfig(1, MultiLevelOptions{Scheme: redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1}})
 
 	cfg := base
-	cfg.TwoPhaseCommit = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("MultiLevel+TwoPhaseCommit accepted")
-	}
-
-	cfg = base
 	cfg.MultiLevel = &MultiLevelOptions{
 		Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
 		Domains: mlDomains(t, 8, 1), // run has 4 ranks

@@ -110,19 +110,24 @@ func (f PutFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Computa
 	return kernels.AttachDistPut(eng, world, f.Pages, f.PutEvery, f.Seed, f.ComputeTime, iter)
 }
 
-// registerRDMA pins every rank's checkpointable regions with the NIC on
-// a freshly built (or respawned) team and records the registration
-// latency the team must pay before it starts iterating. Ranks register
-// in parallel; the team waits for the slowest.
-func registerRDMA(t *team) {
+// register pins every rank's checkpointable regions with the NIC and
+// returns the latency the team waits for: ranks register in parallel, so
+// the slowest one's. Degraded ranks stay on the bounce path — their NIC
+// never re-pins, so no new silent writes can land — and a team with
+// nothing left to register pays nothing.
+func register(w *mpi.World) des.Time {
 	var maxPages uint64
-	for i := 0; i < t.world.Size(); i++ {
-		pages := t.world.Rank(i).RegisterAllData()
-		if pages > maxPages {
-			maxPages = pages
+	registered := false
+	for i := 0; i < w.Size(); i++ {
+		if r := w.Rank(i); !r.Degraded() {
+			maxPages = max(maxPages, r.RegisterAllData())
+			registered = true
 		}
 	}
-	t.regCost = t.world.RegisterCost(maxPages)
+	if !registered {
+		return 0
+	}
+	return w.RegisterCost(maxPages)
 }
 
 // harvestRDMA folds a dying (or finishing) team's NIC counters into the
@@ -148,121 +153,102 @@ func (s *Supervisor) harvestRDMA(t *team) {
 //
 //	Quiesce → DrainInFlight → Deregister → Checkpoint → Reregister → Reconnect
 //
-// Every phase entry is a chaos hook (crash-during-drain) and every
-// continuation is guarded, so a node crash mid-protocol abandons the
-// machine cleanly and the recovery path owns the future. A DrainInFlight
+// Every phase ends in the same step (see drainRound.step): the liveness
+// guard, the phase's charge, and the chaos hook (crash-during-drain) at
+// the next phase's entry, so a node crash mid-protocol abandons the
+// round cleanly and the recovery path owns the future. A DrainInFlight
 // timeout degrades the stranded ranks to bounce-buffer delivery — the
 // checkpoint proceeds over a consistent (reconciled) image rather than
 // a torn region.
 func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
-	opts := s.cfg.RDMA
 	s.report.DrainRounds++
-	phaseStart := s.eng.Now()
-	account := func(p mpi.DrainPhase) {
-		now := s.eng.Now()
-		s.report.DrainPhaseTime[p] += now - phaseStart
-		phaseStart = now
+	d := &drainRound{s: s, t: t, iter: iter, next: next, phaseStart: s.eng.Now()}
+	if d.enter(mpi.PhaseQuiesce) {
+		s.eng.After(mpi.RDMAQuiesceDelay, d.quiesced)
 	}
-	alive := func() bool {
-		return s.cur == t && !s.detecting && !s.report.Completed && s.failed == nil
-	}
-	// enter fires the chaos plan's crash-during-drain faults: entering a
-	// targeted phase kills a node on the spot, the adversarial instant
-	// for this protocol.
-	enter := func(p mpi.DrainPhase) bool {
-		if s.cfg.Chaos != nil && s.cfg.Chaos.DrainCrashHit(p, s.eng.Now()) {
-			s.onFailure()
-			return false
-		}
-		return true
-	}
+}
 
-	if !enter(mpi.PhaseQuiesce) {
+// drainRound is one drain protocol round in flight.
+type drainRound struct {
+	s          *Supervisor
+	t          *team
+	iter       int
+	next       func()
+	phaseStart des.Time
+}
+
+// enter fires the chaos plan's crash-during-drain faults: entering a
+// targeted phase kills a node on the spot, the adversarial instant for
+// this protocol. It reports whether the round survived.
+func (d *drainRound) enter(p mpi.DrainPhase) bool {
+	if c := d.s.cfg.Chaos; c != nil && c.DrainCrashHit(p, d.s.eng.Now()) {
+		d.s.onFailure()
+		return false
+	}
+	return true
+}
+
+// step ends phase p: guard the team's liveness, charge the phase's time,
+// and enter the next phase. It reports whether the round continues.
+func (d *drainRound) step(p mpi.DrainPhase) bool {
+	s := d.s
+	if !s.live(d.t) {
+		return false
+	}
+	now := s.eng.Now()
+	s.report.DrainPhaseTime[p] += now - d.phaseStart
+	d.phaseStart = now
+	return int(p)+1 == mpi.NumDrainPhases || d.enter(p+1)
+}
+
+func (d *drainRound) quiesced() {
+	if d.step(mpi.PhaseQuiesce) {
+		d.t.world.AwaitDrain(d.s.cfg.RDMA.DrainTimeout, d.drained)
+	}
+}
+
+func (d *drainRound) drained(stranded []int) {
+	s, w := d.s, d.t.world
+	if s.live(d.t) {
+		for _, i := range stranded {
+			w.Rank(i).DegradeToBounce()
+			s.report.DrainTimeouts++
+		}
+	}
+	if !d.step(mpi.PhaseDrainInFlight) {
 		return
 	}
-	s.eng.After(mpi.RDMAQuiesceDelay, func() {
-		if !alive() {
-			return
-		}
-		account(mpi.PhaseQuiesce)
-		if !enter(mpi.PhaseDrainInFlight) {
-			return
-		}
-		t.world.AwaitDrain(opts.DrainTimeout, func(stranded []int) {
-			if !alive() {
-				return
-			}
-			for _, i := range stranded {
-				t.world.Rank(i).DegradeToBounce()
-				s.report.DrainTimeouts++
-			}
-			account(mpi.PhaseDrainInFlight)
-			if !enter(mpi.PhaseDeregister) {
-				return
-			}
-			// Deregistration replays every suppressed write fault, so the
-			// checkpointers' dirty sets are ground truth before the line
-			// is cut. Ranks deregister in parallel; wait for the slowest.
-			var maxPages uint64
-			for i := 0; i < t.world.Size(); i++ {
-				pages, _ := t.world.Rank(i).DeregisterAll()
-				if pages > maxPages {
-					maxPages = pages
-				}
-			}
-			s.eng.After(t.world.RegisterCost(maxPages), func() {
-				if !alive() {
-					return
-				}
-				account(mpi.PhaseDeregister)
-				if !enter(mpi.PhaseCheckpoint) {
-					return
-				}
-				s.commitLine(t, iter, func() {
-					if !alive() {
-						return
-					}
-					account(mpi.PhaseCheckpoint)
-					if !enter(mpi.PhaseReregister) {
-						return
-					}
-					// Degraded ranks stay on the bounce path: their NIC
-					// never re-pins, so no new silent writes can land.
-					var rePages uint64
-					registered := false
-					for i := 0; i < t.world.Size(); i++ {
-						r := t.world.Rank(i)
-						if r.Degraded() {
-							continue
-						}
-						pages := r.RegisterAllData()
-						registered = true
-						if pages > rePages {
-							rePages = pages
-						}
-					}
-					reCost := des.Time(0)
-					if registered {
-						reCost = t.world.RegisterCost(rePages)
-					}
-					s.eng.After(reCost, func() {
-						if !alive() {
-							return
-						}
-						account(mpi.PhaseReregister)
-						if !enter(mpi.PhaseReconnect) {
-							return
-						}
-						s.eng.After(mpi.RDMAReconnectLatency, func() {
-							if !alive() {
-								return
-							}
-							account(mpi.PhaseReconnect)
-							next()
-						})
-					})
-				})
-			})
-		})
-	})
+	// Deregistration replays every suppressed write fault, so the
+	// checkpointers' dirty sets are ground truth before the line is cut.
+	// Ranks deregister in parallel; wait for the slowest.
+	var maxPages uint64
+	for i := 0; i < w.Size(); i++ {
+		pages, _ := w.Rank(i).DeregisterAll()
+		maxPages = max(maxPages, pages)
+	}
+	s.eng.After(w.RegisterCost(maxPages), d.deregistered)
+}
+
+func (d *drainRound) deregistered() {
+	if d.step(mpi.PhaseDeregister) {
+		d.s.commitLine(d.t, d.iter, d.committed)
+	}
+}
+
+func (d *drainRound) committed() {
+	if d.step(mpi.PhaseCheckpoint) {
+		d.s.eng.After(register(d.t.world), d.reregistered)
+	}
+}
+
+func (d *drainRound) reregistered() {
+	if d.step(mpi.PhaseReregister) {
+		d.s.eng.After(mpi.RDMAReconnectLatency, d.reconnected)
+	}
+}
+
+func (d *drainRound) reconnected() {
+	if d.step(mpi.PhaseReconnect) {
+		d.next()
+	}
 }

@@ -1,0 +1,193 @@
+package autonomic
+
+import (
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/ckpt"
+	"repro/internal/des"
+	"repro/internal/redundancy"
+	"repro/internal/storage"
+)
+
+// readLog is a store that records every key read through it.
+type readLog struct {
+	storage.Store
+	keys []string
+}
+
+func (l *readLog) Get(key string) ([]byte, error) {
+	l.keys = append(l.keys, key)
+	return l.Store.Get(key)
+}
+
+func (l *readLog) View(key string) ([]byte, error) {
+	l.keys = append(l.keys, key)
+	return storage.View(l.Store, key)
+}
+
+// Multi-level × two-phase commit is one commit sequence: the parity
+// stage follows the COMMIT marker, and the marker writes through to L3,
+// so recovery through the tiered view trusts committed lines only and
+// still finds one after any rank's L1 is gone. Every schedule replays
+// bit-exact; every schedule but commit-crash (which aborts the first
+// lines it hits) restores a committed line rather than restarting from
+// scratch; and L3 serves commit markers only — XOR 2+1 over singleton
+// domains rebuilds every lost segment from parity.
+func TestMultiLevelTwoPhaseReplayBitExact(t *testing.T) {
+	for _, sc := range []struct{ name, text string }{
+		{"crash", "crash at 2s..8s count 1"},
+		{"commit-crash", "commit-crash at 1s..30s count 2"},
+		{"domain-crash", "domain-crash at 2500ms..30s domain d1"},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			sched, err := chaos.ParseSchedule(sc.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []uint64{3, 5, 9, 11} {
+				cfg := mlBaseConfig(seed, MultiLevelOptions{
+					Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
+					Domains: mlDomains(t, 4, 1),
+				})
+				cfg.TwoPhaseCommit = true
+				var l3 *readLog
+				out, err := ValidateReplayStore(cfg, sched, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+					l3 = &readLog{Store: d.WrapStore(storage.NewMemStore())}
+					return l3
+				})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				checkBitExact(t, out, seed)
+				rep := out.Injected
+				if rep.Failures == 0 {
+					t.Fatalf("seed %d: chaos plan landed no failure", seed)
+				}
+				restored := false
+				for _, ev := range rep.FailureLog {
+					restored = restored || ev.RestoredIter > 0
+				}
+				if sc.name != "commit-crash" && !restored {
+					t.Errorf("seed %d: every recovery restarted from scratch: %+v", seed, rep.FailureLog)
+				}
+				if sc.name == "commit-crash" && rep.AbortedCommits == 0 {
+					t.Errorf("seed %d: commit crashes aborted no round", seed)
+				}
+				for _, k := range l3.keys {
+					var seq uint64
+					if !ckpt.ParseCommitKey(k, &seq) {
+						t.Errorf("seed %d: L3 served %q; it may serve commit markers only", seed, k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A commit-crash window on a plain-commit run lands inside the
+// stop-and-copy pause. The line was recorded at the cut, so the failure
+// restores the very line it interrupted and loses no iteration.
+func TestReplayPlainCommitCrashLands(t *testing.T) {
+	sched, err := chaos.ParseSchedule("commit-crash at 1s..30s count 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range chaosSeeds {
+		out, err := ValidateReplay(chaosBaseConfig(seed), sched)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkBitExact(t, out, seed)
+		rep := out.Injected
+		if out.Stats.CommitCrashes != 2 || rep.Failures != 2 {
+			t.Fatalf("seed %d: %d commit crashes aimed, %d failures; want 2 and 2", seed, out.Stats.CommitCrashes, rep.Failures)
+		}
+		for i, ev := range rep.FailureLog {
+			if ev.DuringCommit || ev.RestoredIter != ev.Iter || ev.Iter == 0 {
+				t.Errorf("seed %d: failure %d %+v: want the interrupted line restored", seed, i, ev)
+			}
+		}
+	}
+}
+
+// A crash whose recovery finds the store inside an outage waits it out,
+// one restart overhead at a time, instead of aborting the run. These are
+// the benchmark's heal-stencil configuration and schedule without the
+// mirror that hides the outage; at these seeds the claim step's Keys()
+// used to fail with storage.ErrUnavailable and abort the run.
+func TestReplayWaitsOutStorageOutage(t *testing.T) {
+	sched, err := chaos.ParseSchedule(`
+crash at 2s..12s count 2 jitter 300ms
+commit-crash at 1s..20s count 1
+storage-outage at 7s..8s
+bitflip at 1200ms..15s count 4
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{6, 13, 16} {
+		cfg := Config{
+			Ranks: 8, Nx: 256, RowsPerRank: 64, Boundary: 9,
+			Iterations: 80, CkptEvery: 5,
+			ComputeTime:     250 * des.Millisecond,
+			RestartOverhead: des.Second,
+			TwoPhaseCommit:  true,
+			Seed:            seed,
+		}
+		out, err := ValidateReplay(cfg, sched)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkBitExact(t, out, seed)
+		if out.Stats.OutageRefusals == 0 {
+			t.Errorf("seed %d: no operation met the outage", seed)
+		}
+	}
+}
+
+// runUnder runs cfg bound to a chaos driver for sched on a fresh engine.
+func runUnder(t *testing.T, cfg Config, sched string) (*des.Engine, error) {
+	t.Helper()
+	s, err := chaos.ParseSchedule(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.Compile(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = des.NewEngine()
+	cfg.Chaos = chaos.NewDriver(cfg.Engine, plan)
+	_, err = Run(cfg)
+	return cfg.Engine, err
+}
+
+// A domain crash needs failure domains: without MultiLevel the run is
+// rejected before its first event instead of spending the fault.
+func TestChaosRejectsDomainCrashWithoutMultiLevel(t *testing.T) {
+	eng, err := runUnder(t, chaosBaseConfig(3), "domain-crash at 1s..30s domain d0")
+	if err == nil {
+		t.Fatal("domain-crash accepted without MultiLevel")
+	}
+	if eng.Fired() != 0 {
+		t.Fatalf("rejected after %d events, want before the first", eng.Fired())
+	}
+}
+
+// A crash-during-drain fault needs the drain protocol: without RDMA, or
+// under naive RDMA, the run is rejected before its first event instead
+// of never asking the fault.
+func TestChaosRejectsDrainCrashWithoutDrain(t *testing.T) {
+	for _, rdma := range []*RDMAOptions{nil, {Mode: RDMANaive}} {
+		cfg := rdmaConfig(RDMANaive)
+		cfg.RDMA = rdma
+		eng, err := runUnder(t, cfg, "crash-during-drain at 0s..60s phase deregister")
+		if err == nil {
+			t.Fatalf("crash-during-drain accepted with RDMA %+v", rdma)
+		}
+		if eng.Fired() != 0 {
+			t.Fatalf("rejected after %d events, want before the first", eng.Fired())
+		}
+	}
+}

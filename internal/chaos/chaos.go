@@ -6,7 +6,7 @@
 // own dice, so "crash while the network is partitioned and the sink is
 // browning out" cannot be expressed, let alone reproduced. This package
 // turns adversarial failure timing into data: a declarative Schedule
-// lists fault specs (node crashes, crashes aimed inside two-phase commit
+// lists fault specs (node crashes, crashes aimed inside checkpoint commit
 // windows, crashes at RDMA drain-protocol phase entries, network
 // partitions and brownouts, storage outages and brownouts, silent
 // bit-flips of stored checkpoint payloads), each with
@@ -42,9 +42,10 @@ type Kind uint8
 const (
 	// Crash kills a node at a seeded instant inside the window.
 	Crash Kind = iota
-	// CommitCrash kills a node inside a two-phase checkpoint commit
-	// window (between prepare and the COMMIT-marker write) that opens
-	// during the spec's window. Each Count consumes one commit round.
+	// CommitCrash kills a node inside a checkpoint commit window that
+	// opens during the spec's window: between prepare and the
+	// COMMIT-marker write under two-phase commit, inside the
+	// stop-and-copy pause otherwise. Each Count consumes one commit round.
 	CommitCrash
 	// Partition severs the whole fabric for the window: severe packet
 	// loss on every link (clamped by the mpi layer's loss cap, so ARQ

@@ -49,7 +49,7 @@ type Plan struct {
 	Seed uint64
 	// Crashes are node-kill instants, ascending.
 	Crashes []des.Time
-	// CommitCrashes are windows inside which two-phase commit rounds are
+	// CommitCrashes are windows inside which checkpoint commit rounds are
 	// killed mid-commit, one round per entry.
 	CommitCrashes []Window
 	// NetWindows are the compiled partition/brownout fabric degradations

@@ -14,7 +14,7 @@ import (
 type Stats struct {
 	// Crashes counts node-kill events fired.
 	Crashes int
-	// CommitCrashes counts two-phase rounds the driver aimed a kill at.
+	// CommitCrashes counts commit rounds the driver aimed a kill at.
 	CommitCrashes int
 	// DrainCrashes counts drain rounds killed at a phase entry.
 	DrainCrashes int
@@ -65,6 +65,10 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 // Stats returns a copy of the injection counters.
 func (d *Driver) Stats() Stats { return d.stats }
 
+// Plan returns the compiled plan the driver executes, so a consumer can
+// reject faults its configuration has no instant to land.
+func (d *Driver) Plan() *Plan { return d.plan }
+
 // StartCrashes schedules every planned node-kill instant; each fires
 // kill. Call once, before the engine runs.
 func (d *Driver) StartCrashes(kill func()) {
@@ -82,13 +86,13 @@ func (d *Driver) StartCrashes(kill func()) {
 	}
 }
 
-// CommitCrashDelay asks whether a two-phase commit round opening at now,
-// whose last prepare ack is scheduled for lastAck, should be killed
-// mid-commit. It consumes at most one planned commit-crash window per
-// call and returns a seeded delay strictly inside [0, lastAck-now) —
-// after the prepare has started, before the COMMIT marker can be
-// written — so the resulting abort exercises the torn-line recovery
-// path at an adversarial instant.
+// CommitCrashDelay asks whether a checkpoint commit opening at now,
+// whose window closes at lastAck, should be killed mid-commit. Under
+// two-phase commit lastAck is the last prepare ack, the earliest instant
+// the COMMIT marker could be written, so the resulting abort exercises
+// the torn-line recovery path at an adversarial instant. It consumes at
+// most one planned commit-crash window per call and returns a seeded
+// delay strictly inside [0, lastAck-now).
 func (d *Driver) CommitCrashDelay(now, lastAck des.Time) (des.Time, bool) {
 	for i, w := range d.plan.CommitCrashes {
 		if d.commitUsed[i] || !w.contains(now) {

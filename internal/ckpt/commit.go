@@ -155,19 +155,11 @@ func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResul
 	if done == nil {
 		done = func(GlobalResult, error) {}
 	}
-	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
-	for _, c := range co.cps {
-		res, err := c.Checkpoint()
-		if err != nil {
-			co.deleteLine(g.Seq)
-			done(GlobalResult{}, err)
-			return
-		}
-		g.PerRank = append(g.PerRank, res)
-		g.TotalPageBytes += res.PageBytes
-		if res.Duration > g.MaxDuration {
-			g.MaxDuration = res.Duration
-		}
+	g, err := co.capture()
+	if err != nil {
+		co.deleteLine(g.Seq)
+		done(GlobalResult{}, err)
+		return
 	}
 	p := &pendingCommit{g: g, done: done}
 	co.pending = p
@@ -229,13 +221,12 @@ func (co *Coordinator) abortPending(p *pendingCommit, reason error) {
 	p.done(GlobalResult{}, reason)
 }
 
-// deleteLine removes every rank's segment at seq (best effort — a
-// decayed store may refuse; the absent COMMIT marker alone already keeps
-// recovery away from the line).
+// deleteLine removes every rank's segment at seq through the store that
+// rank wrote it to (best effort — a decayed store may refuse; the absent
+// COMMIT marker alone already keeps recovery away from the line).
 func (co *Coordinator) deleteLine(seq uint64) {
-	st := co.cps[0].Store()
 	for _, c := range co.cps {
-		_ = st.Delete(SegmentKey(c.Rank(), seq))
+		_ = c.Store().Delete(SegmentKey(c.Rank(), seq))
 	}
 }
 

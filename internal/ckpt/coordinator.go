@@ -49,11 +49,24 @@ func NewCoordinator(eng *des.Engine, cps []*Checkpointer) (*Coordinator, error) 
 // GlobalCheckpoint checkpoints every rank at the current virtual time and
 // returns the aggregate result.
 func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
+	g, err := co.capture()
+	if err != nil {
+		return GlobalResult{}, err
+	}
+	co.results = append(co.results, g)
+	return g, nil
+}
+
+// capture checkpoints every rank at the current virtual time: the one
+// capture loop behind both commit protocols. On error the partial result
+// still names the line's sequence, so a two-phase prepare can delete
+// what the ranks before the failure persisted.
+func (co *Coordinator) capture() (GlobalResult, error) {
 	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
 	for _, c := range co.cps {
 		res, err := c.Checkpoint()
 		if err != nil {
-			return GlobalResult{}, err
+			return g, err
 		}
 		g.PerRank = append(g.PerRank, res)
 		g.TotalPageBytes += res.PageBytes
@@ -61,7 +74,6 @@ func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
 			g.MaxDuration = res.Duration
 		}
 	}
-	co.results = append(co.results, g)
 	return g, nil
 }
 

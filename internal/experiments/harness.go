@@ -74,13 +74,12 @@ type RunResult struct {
 	Footprint *metrics.Series // MB mapped per slice
 	Samples   []tracker.Sample
 	Slowdown  float64
-	// Events is the total simulation events fired, the work unit the
-	// scaling experiment (A20) normalises wall-clock against.
+	// Events is the total simulation events fired.
 	Events uint64
 	// CritPathEvents is the longest dependent event chain of the run
 	// (every event, for a sequential run). Events/CritPathEvents is the
-	// run's available concurrency — a deterministic, host-independent
-	// companion to A20's wall-clock speedups.
+	// run's available concurrency, which the scaling table (A20) reports
+	// per engine topology.
 	CritPathEvents uint64
 }
 

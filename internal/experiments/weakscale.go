@@ -2,16 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"testing"
 
 	"repro/internal/workload"
 )
 
-// ScalingRow is one cell of the A20 scaling table: the wall-clock cost
-// of one measured reference run (the RunOne protocol) at a given engine
-// topology. Shards 0 is the sequential engine and the speedup baseline;
-// virtual-time results are bit-identical across every row of an app, so
-// the only thing that varies is host wall-clock.
+// ScalingRow is one cell of the A20 scaling table: one measured
+// reference run (the RunOne protocol) at a given engine topology. Shards
+// 0 is the sequential engine; virtual-time results are bit-identical
+// across every row of an app, so what varies is the critical path.
+// Every column is deterministic per seed and shard count; host
+// wall-clock per topology is the benchmark's (iws-paper against
+// iws-sharded), not this table's.
 type ScalingRow struct {
 	App    string
 	Ranks  int
@@ -19,27 +20,17 @@ type ScalingRow struct {
 	// Events is the simulation's total event count (identical across an
 	// app's rows — asserted, since it doubles as an equivalence check).
 	Events uint64
-	// WallNsPerRun is the measured wall-clock nanoseconds per run.
-	WallNsPerRun int64
-	// EventsPerSec is the event throughput.
-	EventsPerSec float64
-	// Speedup is sequential wall-clock / this row's wall-clock. It is
-	// bounded by the host's processor count; Concurrency is the
-	// host-independent ceiling.
-	Speedup float64
 	// CritPathEvents is the longest dependent event chain (== Events for
 	// the sequential row).
 	CritPathEvents uint64
 	// Concurrency is Events/CritPathEvents: the parallel speedup an
-	// unbounded host could realise at this topology. Deterministic per
-	// seed and shard count, so unlike wall-clock it may be golden-tested.
+	// unbounded host could realise at this topology.
 	Concurrency float64
 }
 
-// ScalingTable measures wall-clock throughput of each app's reference
-// run at each engine topology. shardCounts must start with 0 (the
-// sequential baseline); wall-clock comes from testing.Benchmark, so rows
-// are host-dependent — callers print them but must not golden them.
+// ScalingTable runs each app's reference run once per engine topology.
+// shardCounts must start with 0 (the sequential baseline every other
+// row's event count is checked against).
 func ScalingTable(specs []workload.Spec, base RunOpts, shardCounts []int) ([]ScalingRow, error) {
 	if len(shardCounts) == 0 || shardCounts[0] != 0 {
 		return nil, fmt.Errorf("experiments: scaling table needs shardCounts starting with 0 (the sequential baseline), got %v", shardCounts)
@@ -47,54 +38,29 @@ func ScalingTable(specs []workload.Spec, base RunOpts, shardCounts []int) ([]Sca
 	opts := base.withDefaults()
 	var rows []ScalingRow
 	for _, spec := range specs {
-		var seqNs int64
 		var seqEvents uint64
 		for _, shards := range shardCounts {
 			o := opts
 			o.Shards = shards
-			var events, crit uint64
-			var runErr error
-			br := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if runErr != nil {
-						continue
-					}
-					res, err := RunOne(spec, o)
-					if err != nil {
-						runErr = err
-						continue
-					}
-					events = res.Events
-					crit = res.CritPathEvents
-				}
-			})
-			if runErr != nil {
-				return nil, runErr
+			res, err := RunOne(spec, o)
+			if err != nil {
+				return nil, err
 			}
 			row := ScalingRow{
 				App:            spec.Name,
 				Ranks:          o.Ranks,
 				Shards:         shards,
-				Events:         events,
-				WallNsPerRun:   br.NsPerOp(),
-				CritPathEvents: crit,
+				Events:         res.Events,
+				CritPathEvents: res.CritPathEvents,
 			}
-			if row.WallNsPerRun > 0 {
-				row.EventsPerSec = float64(events) / (float64(row.WallNsPerRun) / 1e9)
-			}
-			if crit > 0 {
-				row.Concurrency = float64(events) / float64(crit)
+			if row.CritPathEvents > 0 {
+				row.Concurrency = float64(row.Events) / float64(row.CritPathEvents)
 			}
 			if shards == 0 {
-				seqNs, seqEvents = row.WallNsPerRun, events
-			} else {
-				if events != seqEvents {
-					return nil, fmt.Errorf("experiments: %s shards=%d fired %d events, sequential fired %d — determinism broken",
-						spec.Name, shards, events, seqEvents)
-				}
-				if row.WallNsPerRun > 0 {
-					row.Speedup = float64(seqNs) / float64(row.WallNsPerRun)
-				}
+				seqEvents = row.Events
+			} else if row.Events != seqEvents {
+				return nil, fmt.Errorf("experiments: %s shards=%d fired %d events, sequential fired %d — determinism broken",
+					spec.Name, shards, row.Events, seqEvents)
 			}
 			rows = append(rows, row)
 		}
@@ -102,22 +68,17 @@ func ScalingTable(specs []workload.Spec, base RunOpts, shardCounts []int) ([]Sca
 	return rows, nil
 }
 
-// FormatScaling renders the A20 table. The speedup column is measured
-// wall-clock (host-dependent); the concurrency column is the
-// deterministic Events/CritPathEvents ceiling.
+// FormatScaling renders the A20 table.
 func FormatScaling(rows []ScalingRow) string {
-	out := fmt.Sprintf("%-14s %6s %7s %12s %10s %14s %9s %12s\n",
-		"app", "ranks", "shards", "events", "wall ms", "events/sec", "speedup", "concurrency")
+	out := fmt.Sprintf("%-14s %6s %7s %12s %12s %12s\n",
+		"app", "ranks", "shards", "events", "crit path", "concurrency")
 	for _, r := range rows {
 		shards := fmt.Sprint(r.Shards)
-		speedup := "1.00x (base)"
-		if r.Shards > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-		} else {
+		if r.Shards == 0 {
 			shards = "seq"
 		}
-		out += fmt.Sprintf("%-14s %6d %7s %12d %10.1f %14.0f %9s %11.2fx\n",
-			r.App, r.Ranks, shards, r.Events, float64(r.WallNsPerRun)/1e6, r.EventsPerSec, speedup, r.Concurrency)
+		out += fmt.Sprintf("%-14s %6d %7s %12d %12d %11.2fx\n",
+			r.App, r.Ranks, shards, r.Events, r.CritPathEvents, r.Concurrency)
 	}
 	return out
 }

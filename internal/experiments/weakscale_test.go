@@ -48,19 +48,14 @@ func TestScalingTable(t *testing.T) {
 	if rows[1].Events != rows[0].Events {
 		t.Fatalf("event counts diverged: %d vs %d", rows[1].Events, rows[0].Events)
 	}
-	if rows[0].Concurrency != 1 {
-		t.Fatalf("sequential concurrency = %.2f, want 1", rows[0].Concurrency)
+	if rows[0].Concurrency != 1 || rows[0].CritPathEvents != rows[0].Events {
+		t.Fatalf("sequential row %+v: want concurrency 1 and the whole run on the critical path", rows[0])
 	}
 	if rows[1].Concurrency < 2 {
 		t.Fatalf("8-shard concurrency = %.2f, want >= 2", rows[1].Concurrency)
 	}
-	for _, r := range rows {
-		if r.WallNsPerRun <= 0 || r.EventsPerSec <= 0 {
-			t.Fatalf("missing wall-clock measurement: %+v", r)
-		}
-	}
 	out := FormatScaling(rows)
-	for _, col := range []string{"app", "shards", "events/sec", "speedup", "concurrency"} {
+	for _, col := range []string{"app", "shards", "events", "crit path", "concurrency"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("FormatScaling missing %q column:\n%s", col, out)
 		}

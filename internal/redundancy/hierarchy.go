@@ -263,9 +263,11 @@ func ParseParityKey(key string, group *int, seq *uint64, shard *int) bool {
 }
 
 // RankStore returns rank r's checkpoint store: every Put lands on L1,
-// and lines with seq % GlobalEvery == 0 write through to L3. Reads and
-// deletes touch L1 only — L3 is the archive of last resort and is never
-// pruned by rank-local retention.
+// and lines with seq % GlobalEvery == 0 write through to L3, as does
+// every two-phase COMMIT marker — it speaks for the whole team, so it
+// must outlive any one rank's L1. Reads and deletes touch L1 only — L3
+// is the archive of last resort and is never pruned by rank-local
+// retention.
 func (h *Hierarchy) RankStore(rank int) storage.Store {
 	return &rankStore{h: h, rank: rank}
 }
@@ -299,7 +301,10 @@ func (s *rankStore) PutOwned(key string, data []byte) error {
 
 func (s *rankStore) writesThrough(key string) bool {
 	var seq uint64
-	return ckpt.ParseSegmentKey(key, nil, &seq) && seq%uint64(max(s.h.cfg.GlobalEvery, 1)) == 0
+	if ckpt.ParseSegmentKey(key, nil, &seq) {
+		return seq%uint64(max(s.h.cfg.GlobalEvery, 1)) == 0
+	}
+	return ckpt.ParseCommitKey(key, &seq)
 }
 
 func (s *rankStore) Get(key string) ([]byte, error) { return s.h.local[s.rank].Get(key) }
