@@ -10,13 +10,18 @@ type Time int64
 
 type Event struct{}
 
+func (ev Event) Release()      {}
+func (ev Event) Pending() bool { return false }
+
 type Engine struct{}
 
-func (e *Engine) Schedule(at Time, fn func()) Event      { return Event{} }
-func (e *Engine) After(d Time, fn func()) Event          { return Event{} }
-func (e *Engine) AfterLocal(d Time, fn func()) Event     { return Event{} }
-func (e *Engine) PostTo(dst *Engine, at Time, fn func()) {}
-func (e *Engine) Now() Time                              { return 0 }
+func (e *Engine) Schedule(at Time, fn func()) Event                        { return Event{} }
+func (e *Engine) After(d Time, fn func()) Event                            { return Event{} }
+func (e *Engine) AfterLocal(d Time, fn func()) Event                       { return Event{} }
+func (e *Engine) HoldSeriesLocal(first, step Time, n int, fn func()) Event { return Event{} }
+func (e *Engine) PostTo(dst *Engine, at Time, fn func())                   {}
+func (e *Engine) Release()                                                 {}
+func (e *Engine) Now() Time                                                { return 0 }
 
 // scheduleFromMap schedules straight out of a map range: the FIFO order
 // of the resulting same-time events follows map iteration order.
@@ -32,6 +37,32 @@ func postFromMap(e *Engine, peers map[int]*Engine) {
 		e.PostTo(p, 10, func() {}) // want `Engine\.PostTo inside map iteration`
 		e.AfterLocal(1, func() {}) // want `Engine\.AfterLocal inside map iteration`
 	}
+}
+
+// holdFromMap reserves each hold's sequence block in map order.
+func holdFromMap(e *Engine, due map[string]Time) {
+	for _, at := range due {
+		e.HoldSeriesLocal(at, 1, 4, func() {}) // want `Engine\.HoldSeriesLocal inside map iteration`
+	}
+}
+
+// releaseFromMap runs held firings, and queues what is left of each hold,
+// in map order.
+func releaseFromMap(held map[int]Event) {
+	for _, ev := range held {
+		ev.Release() // want `Event\.Release inside map iteration`
+	}
+}
+
+// eventReadsAreFine: only Release orders anything on an Event, and only
+// Event's Release — an Engine method of that name is not flagged.
+func eventReadsAreFine(e *Engine, held map[int]Event) bool {
+	pending := false
+	for _, ev := range held {
+		pending = pending || ev.Pending()
+		e.Release()
+	}
+	return pending
 }
 
 // sortedKeys is the canonical fix: impose an order before scheduling.

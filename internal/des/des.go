@@ -31,6 +31,12 @@
 // event series (ScheduleSeriesLocal/ScheduleSeriesAt, series.go) holding exactly one
 // heap node however many firings remain, with the order and event counts it
 // would have had if every firing had been scheduled up front.
+//
+// Event count is O(observed firings): a series whose intermediate states
+// nothing reads can be held (HoldSeriesLocal), firing all its firings back
+// to back as one event at its last firing's key, and released
+// (Event.Release) into the ordinary series the moment something might read
+// them — the firings already due run at once and the rest keep their keys.
 package des
 
 import (
@@ -120,6 +126,8 @@ type eventSlot struct {
 	ser   int32 // 1 + index into Engine.series; 0 for a single event
 	dead  bool
 	local bool // shard-confined event class (see shard.go)
+	held  bool // a held series, queued at its last firing (series.go)
+	twin  bool // a released hold, queued at two keys (Event.Release)
 }
 
 // heapNode is one entry of the 4-ary min-heap. The ordering key (at, seq)
@@ -148,6 +156,10 @@ type Engine struct {
 	freeSer []int32
 	stopped bool
 	fired   uint64
+	// nowSeq completes the clock to a key: every firing keyed before
+	// (now, nowSeq) has run, or would have had it been queued on its own.
+	// It is how far Event.Release runs a held series.
+	nowSeq uint64
 
 	// Sharded mode (nil group for standalone engines; see shard.go).
 	group     *Group
@@ -198,14 +210,14 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 }
 
 func (e *Engine) schedule(at Time, fn func(), local bool) Event {
-	return e.enqueue(at, fn, local, 0, 1)
+	return e.enqueue(at, fn, local, 0, 1, false)
 }
 
 // enqueue is the one way into the queue: it takes an arena slot for fn,
 // reserves nseq consecutive sequence numbers and pushes the node for the
-// first of them. ser is the slot's series link (0 for a single event, which
-// reserves exactly one number).
-func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64) Event {
+// first of them (for a held series, the last). ser is the slot's series
+// link (0 for a single event, which reserves exactly one number).
+func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64, held bool) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
@@ -228,7 +240,13 @@ func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64)
 	s.ser = ser
 	s.dead = false
 	s.local = local
-	e.push(heapNode{at: at, seq: e.seq, slot: slot})
+	s.held = held
+	node := heapNode{at: at, seq: e.seq, slot: slot}
+	if held {
+		sr := &e.series[ser-1]
+		node = sr.key(sr.n-1, slot)
+	}
+	e.push(node)
 	e.seq += nseq
 	if e.tracksComm(local) {
 		e.pushComm(commNode{at: at, slot: slot, gen: s.gen})
@@ -321,6 +339,13 @@ func (e *Engine) replaceTop(n heapNode) {
 func (e *Engine) reap(slot int32) {
 	s := &e.slots[slot]
 	if s.ser != 0 {
+		if s.twin {
+			// A released hold's slot has two nodes queued (Release): it
+			// dies with the first to leave the heap, is freed with the second.
+			s.twin = false
+			s.dead = true
+			return
+		}
 		e.series[s.ser-1].offsets = nil
 		e.freeSer = append(e.freeSer, s.ser-1)
 		s.ser = 0
@@ -347,10 +372,7 @@ func (e *Engine) reapDead() bool {
 		if !e.slots[slot].dead {
 			return true
 		}
-		if n := e.takeLast(); len(e.heap) > 0 {
-			e.replaceTop(n)
-		}
-		e.reap(slot)
+		e.drop(slot)
 	}
 	return false
 }
@@ -364,14 +386,48 @@ func (e *Engine) fire() {
 	s := &e.slots[top.slot]
 	fn := s.fn
 	if s.ser == 0 || !e.rearm(top, s.ser-1) {
-		if n := e.takeLast(); len(e.heap) > 0 {
-			e.replaceTop(n)
+		if s.ser != 0 && s.held {
+			e.fireHeld(top)
+			return
 		}
-		e.reap(top.slot)
+		e.drop(top.slot)
 	}
-	e.now = top.at
+	e.now, e.nowSeq = top.at, top.seq
 	e.fired++
 	fn()
+}
+
+// fireHeld is fire for a held series' node: one event that runs the
+// callback once per firing, back to back at the node's instant.
+func (e *Engine) fireHeld(top heapNode) {
+	s := &e.slots[top.slot]
+	fn, sr := s.fn, &e.series[s.ser-1]
+	runs := sr.n - sr.k
+	e.drop(top.slot)
+	e.now, e.nowSeq = top.at, top.seq
+	e.fired++
+	for ; runs > 0; runs-- {
+		fn()
+	}
+}
+
+// drop removes the heap's root node, which belongs to slot, and reaps the
+// slot.
+func (e *Engine) drop(slot int32) {
+	if n := e.takeLast(); len(e.heap) > 0 {
+		e.replaceTop(n)
+	}
+	e.reap(slot)
+}
+
+// passed advances the clock to at least (at, seq): every firing of e keyed
+// before it has run, or would have had it been queued on its own. A group
+// calls it for the engines it moves past an instant without firing their
+// own events there.
+func (e *Engine) passed(at Time, seq uint64) {
+	if e.now < at || e.now == at && e.nowSeq < seq {
+		e.now, e.nowSeq = at, seq
+	}
 }
 
 // Stop makes the currently executing Run return after the in-flight event
@@ -388,7 +444,8 @@ func (e *Engine) Stop() {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when the queue is empty. On a grouped
 // engine it steps the globally earliest event anywhere in the group
-// (control engine first on ties, then shards in index order).
+// (control engine first on ties, then shards in index order) and moves
+// every member's clock to its timestamp.
 func (e *Engine) Step() bool {
 	if e.group != nil {
 		return e.group.step()
@@ -414,7 +471,7 @@ func (e *Engine) Run(until Time) uint64 {
 	var n uint64
 	for !e.stopped && e.skipDead() {
 		if e.heap[0].at > until {
-			e.now = until
+			e.now, e.nowSeq = until, e.seq
 			break
 		}
 		e.fire()

@@ -23,7 +23,7 @@ import (
 // spelling — nothing outside these tests wants one — so they reach the
 // core the exported spellings share.
 func seriesComm(e *Engine, first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(series{first: first, step: step, n: n}, fn, false)
+	return e.scheduleSeries(first, step, nil, n, fn, false, false)
 }
 
 // opSpec is one scripted activity on one engine.
@@ -34,12 +34,26 @@ type opSpec struct {
 	n       int    // firings; 1 with offsets == nil is a single event
 	offsets []Time // explicit firing offsets from first
 	cancel  bool   // cancelled straight after scheduling
+	hold    bool   // a HoldSeriesLocal series; scripts never cancel one
 
 	// What a single event does when it fires.
-	kill  int  // cancel activity kill-1 of the same engine
-	spawn Time // schedule a child of the same class this far ahead
-	post  Time // post a child to the next shard this far ahead (comm only)
+	kill    int  // cancel activity kill-1 of the same engine
+	spawn   Time // schedule a child of the same class this far ahead
+	post    Time // post a child to the next shard this far ahead (comm only)
+	release int  // record markID(release-1), then Release that activity
 }
+
+// holdMode is how a series run treats the script's holds.
+type holdMode int
+
+const (
+	releaseAtMarks holdMode = iota // Release where the script says
+	releaseAtOnce                  // Release straight after scheduling
+	neverRelease                   // record the marks, never Release
+)
+
+// markID is the trace id of a release mark for activity id.
+func markID(id int) int { return 1<<16 + id }
 
 func (o opSpec) at(k int) Time {
 	if o.offsets != nil {
@@ -55,21 +69,31 @@ type firing struct {
 
 // player plays one engine's script and records what fired.
 type player struct {
-	eng    *Engine
-	next   *Engine // PostTo target; nil on a standalone engine
-	bulk   bool
-	ops    []opSpec
-	cancel []func()
-	trace  []firing
+	eng     *Engine
+	next    *Engine // PostTo target; nil on a standalone engine
+	bulk    bool
+	holds   holdMode // series run only
+	ops     []opSpec
+	cancel  []func()
+	release []func()
+	trace   []firing
 }
 
 func (p *player) record(id int) { p.trace = append(p.trace, firing{id, p.eng.Now()}) }
 
 func (p *player) schedule() {
 	p.cancel = make([]func(), len(p.ops))
+	p.release = make([]func(), len(p.ops))
 	for id, o := range p.ops {
 		fn := p.callback(id, o)
+		p.release[id] = func() {}
 		switch {
+		case o.hold && !p.bulk:
+			ev := p.eng.HoldSeriesLocal(o.first, o.step, o.n, fn)
+			p.cancel[id] = func() {}
+			if p.holds != neverRelease {
+				p.release[id] = ev.Release
+			}
 		case p.bulk || o.n == 1 && o.offsets == nil:
 			evs := make([]Event, o.n)
 			for k := range evs {
@@ -80,22 +104,44 @@ func (p *player) schedule() {
 					ev.Cancel()
 				}
 			}
+			if o.hold {
+				p.cancel[id] = func() {}
+			}
+			if !p.bulk {
+				// Release on a single event is a no-op the trace checks.
+				p.release[id] = evs[0].Release
+			}
 		default:
 			// Straight into the shared core: only two of the four
 			// class × shape combinations have an exported spelling.
-			ev := p.eng.scheduleSeries(series{first: o.first, step: o.step, offsets: o.offsets, n: o.n}, fn, o.local)
+			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, o.local, false)
 			p.cancel[id] = func() { ev.Cancel() }
+			p.release[id] = ev.Release // a no-op on an ordinary series
 		}
 		if o.cancel {
 			p.cancel[id]()
 		}
 	}
+	if p.holds == releaseAtOnce {
+		for _, r := range p.release {
+			r()
+		}
+	}
+}
+
+// releaseNow is a release between engine calls: a mark, then Release.
+func (p *player) releaseNow(id int) {
+	p.record(markID(id))
+	p.release[id]()
 }
 
 func (p *player) callback(id int, o opSpec) func() {
 	child := func() { p.record(-id - 1) }
 	return func() {
 		p.record(id)
+		if o.release > 0 {
+			p.releaseNow(o.release - 1)
+		}
 		if o.kill > 0 {
 			p.cancel[o.kill-1]()
 		}
@@ -150,6 +196,81 @@ func randomScript(rng *rand.Rand, cancels bool) []opSpec {
 		ops[i] = o
 	}
 	return ops
+}
+
+// addHolds turns some of a script's uniform series into holds and some of
+// its inert single events into releases of a random activity (a hold, or
+// anything else, on which Release must do nothing).
+func addHolds(rng *rand.Rand, ops []opSpec) []opSpec {
+	ops = slices.Clone(ops)
+	for i := range ops {
+		o := &ops[i]
+		switch {
+		case o.offsets == nil && o.n != 1 && rng.IntN(2) == 0:
+			o.hold, o.local, o.cancel = true, true, false
+		case o.offsets == nil && o.n == 1 && o.kill == 0 && o.spawn == 0 && o.post == 0 && rng.IntN(2) == 0:
+			o.release = 1 + rng.IntN(len(ops))
+		}
+	}
+	return ops
+}
+
+// heldTrace derives, from one engine's bulk trace, the trace its series run
+// must record under the given hold mode, and how many fewer events that run
+// fires. A hold's firings run back to back where its one event fires — at
+// its last firing's place in the bulk order — unless a release mark comes
+// first: then the firings before the mark run at the mark and the rest stay
+// where they are. Every other entry is unchanged.
+func heldTrace(ops []opSpec, bulk []firing, holds holdMode) ([]firing, uint64) {
+	if holds == releaseAtOnce {
+		return bulk, 0
+	}
+	before, after := map[int][]firing{}, map[int][]firing{}
+	moved := map[int]bool{}
+	var saved uint64
+	for h, o := range ops {
+		if !o.hold {
+			continue
+		}
+		var at []int
+		mark := -1
+		for p, f := range bulk {
+			if f.id == h {
+				at = append(at, p)
+			}
+			if holds == releaseAtMarks && mark < 0 && f.id == markID(h) {
+				mark = p
+			}
+		}
+		if len(at) == 0 {
+			continue
+		}
+		last := at[len(at)-1]
+		if mark >= 0 && mark < last {
+			for _, p := range at {
+				if p < mark {
+					moved[p] = true
+					after[mark] = append(after[mark], firing{h, bulk[mark].at})
+					saved++
+				}
+			}
+			continue
+		}
+		for _, p := range at[:len(at)-1] {
+			moved[p] = true
+			before[last] = append(before[last], firing{h, bulk[last].at})
+		}
+		saved += uint64(len(at) - 1)
+	}
+	var want []firing
+	for p, f := range bulk {
+		want = append(want, before[p]...)
+		if !moved[p] {
+			want = append(want, f)
+		}
+		want = append(want, after[p]...)
+	}
+	return want, saved
 }
 
 func sameTrace(t *testing.T, what string, got, want []firing) {
@@ -230,6 +351,238 @@ func TestPropertySeriesMatchesBulkGroup(t *testing.T) {
 			t.Fatalf("trial %d: fired/critical path = %d/%d with series, %d/%d bulk-scheduled",
 				trial, fired[0], crit[0], fired[1], crit[1])
 		}
+	}
+}
+
+var holdModes = []holdMode{releaseAtOnce, releaseAtMarks, neverRelease}
+
+// The held-series property, on a standalone engine: a hold released before
+// its first firing is the ordinary series — same trace, same Fired(); a
+// hold released anywhere else, from a callback or between calls, gives the
+// bulk trace with its due firings caught up at the release; a hold never
+// released runs them all at its last key; nothing else moves.
+func TestPropertyHeldSeriesStandalone(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewPCG(0x401d, uint64(trial)))
+		ops := addHolds(rng, randomScript(rng, true))
+		between := []int{rng.IntN(len(ops)), rng.IntN(len(ops))}
+		play := func(bulk bool, holds holdMode) ([]firing, uint64) {
+			p := &player{eng: NewEngine(), bulk: bulk, holds: holds, ops: ops}
+			p.schedule()
+			p.eng.Run(10 * Microsecond)
+			for _, id := range between {
+				p.releaseNow(id)
+			}
+			for i := 0; i < 5; i++ {
+				p.eng.Step()
+			}
+			p.eng.Run(MaxTime)
+			if p.eng.Pending() != 0 {
+				t.Fatalf("trial %d: %d events left queued", trial, p.eng.Pending())
+			}
+			return p.trace, p.eng.Fired()
+		}
+		bulk, bulkFired := play(true, 0)
+		for _, holds := range holdModes {
+			got, fired := play(false, holds)
+			want, saved := heldTrace(ops, bulk, holds)
+			sameTrace(t, fmt.Sprintf("trial %d mode %d", trial, holds), got, want)
+			if fired != bulkFired-saved {
+				t.Fatalf("trial %d mode %d: Fired() = %d, want %d (bulk %d less %d held)", trial, holds, fired, bulkFired-saved, bulkFired, saved)
+			}
+		}
+	}
+}
+
+// The same property on a 3-shard group, where Release also runs from comm
+// events and between group runs. A hold released before its first firing
+// also leaves the critical path unchanged (on scripts without cancels, as
+// for the ordinary series).
+func TestPropertyHeldSeriesGroup(t *testing.T) {
+	const shards = 3
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewPCG(0x401e, uint64(trial)))
+		cancels := trial%2 == 0
+		scripts := make([][]opSpec, shards)
+		between := make([][]int, shards)
+		for s := range scripts {
+			scripts[s] = addHolds(rng, randomScript(rng, cancels))
+			between[s] = []int{rng.IntN(len(scripts[s]))}
+		}
+		play := func(bulk bool, holds holdMode) ([shards][]firing, uint64, uint64) {
+			g := NewGroup(shards)
+			g.DeclareLookahead(scriptLookahead)
+			players := make([]*player, shards)
+			for s := range players {
+				players[s] = &player{eng: g.Shard(s), next: g.Shard((s + 1) % shards), bulk: bulk, holds: holds, ops: scripts[s]}
+				players[s].schedule()
+			}
+			g.Control().Run(15 * Microsecond)
+			for s, p := range players {
+				for _, id := range between[s] {
+					p.releaseNow(id)
+				}
+			}
+			g.Control().Run(MaxTime)
+			var traces [shards][]firing
+			for s, p := range players {
+				traces[s] = p.trace
+			}
+			return traces, g.Control().Fired(), g.CriticalPathEvents()
+		}
+		bulk, bulkFired, bulkCrit := play(true, 0)
+		for _, holds := range holdModes {
+			got, fired, crit := play(false, holds)
+			var saved uint64
+			for s := 0; s < shards; s++ {
+				want, n := heldTrace(scripts[s], bulk[s], holds)
+				sameTrace(t, fmt.Sprintf("trial %d mode %d shard %d", trial, holds, s), got[s], want)
+				saved += n
+			}
+			if fired != bulkFired-saved {
+				t.Fatalf("trial %d mode %d: Fired() = %d, want %d", trial, holds, fired, bulkFired-saved)
+			}
+			if holds == releaseAtOnce && !cancels && crit != bulkCrit {
+				t.Fatalf("trial %d: critical path %d with holds released at once, %d bulk-scheduled", trial, crit, bulkCrit)
+			}
+		}
+	}
+}
+
+// Between engine calls Release runs what the engine has passed: after a
+// Step, the firings keyed before the event it fired; on a group, also what
+// the tie order (control, then shards by index) put before that event on
+// the other shards, and nothing at its instant on the shards behind it.
+func TestHeldReleaseAfterStep(t *testing.T) {
+	record := func(eng *Engine, got *[]Time) func() { return func() { *got = append(*got, eng.Now()) } }
+
+	eng := NewEngine()
+	var got []Time
+	ev := eng.HoldSeriesLocal(Microsecond, Microsecond, 10, record(eng, &got))
+	eng.Schedule(5*Microsecond, func() {}) // keyed after the hold's firing at 5 µs
+	eng.Step()
+	ev.Release()
+	if want := []Time{5 * Microsecond, 5 * Microsecond, 5 * Microsecond, 5 * Microsecond, 5 * Microsecond}; !slices.Equal(got, want) {
+		t.Fatalf("standalone: caught up %v, want %v", got, want)
+	}
+	eng.Run(MaxTime)
+	if len(got) != 10 || got[5] != 6*Microsecond || got[9] != 10*Microsecond || eng.Fired() != 6 {
+		t.Fatalf("standalone: fired at %v, %d events; want the last five at 6..10 µs, 6 events", got, eng.Fired())
+	}
+
+	for _, tc := range []struct {
+		hold, other int // shards
+		want        int // firings caught up after stepping the other shard's event at 5 µs
+	}{
+		{hold: 0, other: 1, want: 5}, // shard 0 is ahead: its firing at 5 µs went first
+		{hold: 1, other: 0, want: 4}, // shard 1 is behind: its firing at 5 µs comes after
+	} {
+		g := NewGroup(2)
+		g.DeclareLookahead(Microsecond)
+		he := g.Shard(tc.hold)
+		var got []Time
+		ev := he.HoldSeriesLocal(Microsecond, Microsecond, 10, record(he, &got))
+		g.Shard(tc.other).Schedule(5*Microsecond, func() {})
+		g.Control().Step()
+		ev.Release()
+		if len(got) != tc.want {
+			t.Fatalf("hold on shard %d: caught up %d firings after the step, want %d", tc.hold, len(got), tc.want)
+		}
+		g.Control().Run(MaxTime)
+		if len(got) != 10 || g.Control().Fired() != uint64(1+10-tc.want) {
+			t.Fatalf("hold on shard %d: %d firings, %d events", tc.hold, len(got), g.Control().Fired())
+		}
+	}
+}
+
+// A control event releasing a shard's hold sees that shard as the instant
+// has left it: a serial instant runs control first, then the shards in
+// index order, so a control event cascaded from a shard's event at t comes
+// after every shard has drained t — the hold's firing at t is due.
+func TestHeldReleaseFromControlInstant(t *testing.T) {
+	g := NewGroup(2) // no lookahead: same-instant cross-shard posts are legal
+	hold, other := g.Shard(0), g.Shard(1)
+	n := 0
+	ev := hold.HoldSeriesLocal(Microsecond, Microsecond, 10, func() { n++ })
+	other.Schedule(5*Microsecond, func() {
+		other.PostTo(g.Control(), 5*Microsecond, func() {
+			ev.Release()
+			if n != 5 {
+				t.Errorf("control event at 5 µs caught up %d firings, want 5", n)
+			}
+		})
+	})
+	g.Control().Run(MaxTime)
+	if n != 10 || g.Control().Fired() != 7 {
+		t.Fatalf("%d firings, %d events; want 10 and 7", n, g.Control().Fired())
+	}
+}
+
+// Cancel drops a hold, before or after its release, and Release does
+// nothing on anything but a pending hold.
+func TestHeldCancelAndNoOpRelease(t *testing.T) {
+	eng := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	ev := eng.HoldSeriesLocal(Microsecond, Microsecond, 5, fn)
+	if !ev.Pending() || ev.Time() != Microsecond || !ev.Cancel() {
+		t.Fatal("a hold must be pending from its first firing's time until cancelled")
+	}
+	ev.Release()
+	eng.Run(MaxTime)
+	if n != 0 || eng.Pending() != 0 {
+		t.Fatalf("cancelled hold fired %d times, %d nodes left", n, eng.Pending())
+	}
+
+	ev = eng.HoldSeriesLocal(eng.Now()+Microsecond, Microsecond, 5, fn)
+	eng.Run(eng.Now() + 2*Microsecond)
+	ev.Release() // catches up two firings; two nodes queued from here
+	if n != 2 || eng.Pending() != 2 || !ev.Cancel() {
+		t.Fatalf("after release: %d firings, %d nodes", n, eng.Pending())
+	}
+	eng.Run(MaxTime)
+	if n != 2 || eng.Pending() != 0 {
+		t.Fatalf("cancelled released hold: %d firings, %d nodes left", n, eng.Pending())
+	}
+
+	// A released hold finishing normally frees its slot once, after both nodes.
+	ev = eng.HoldSeriesLocal(eng.Now()+Microsecond, Microsecond, 3, fn)
+	ev.Release()
+	ev.Release()
+	eng.Run(MaxTime)
+	if n != 5 || eng.Pending() != 0 || ev.Pending() || len(eng.free) != len(eng.slots) {
+		t.Fatalf("released hold: %d firings, %d nodes, pending %v, %d of %d slots free", n, eng.Pending(), ev.Pending(), len(eng.free), len(eng.slots))
+	}
+
+	before := eng.Fired()
+	single := eng.After(Microsecond, fn)
+	ordinary := eng.ScheduleSeriesLocal(eng.Now()+Microsecond, Microsecond, 3, fn)
+	fired := eng.HoldSeriesLocal(eng.Now()+Microsecond, 0, 2, fn)
+	eng.Run(eng.Now() + Microsecond)
+	for _, h := range []Event{{}, single, ordinary, fired} {
+		h.Release()
+	}
+	eng.Run(MaxTime)
+	if n != 11 || eng.Fired()-before != 5 {
+		t.Fatalf("no-op releases: %d firings, %d events; want 11 and 5", n, eng.Fired()-before)
+	}
+}
+
+// The firings a Release runs on a shard are local-class: one that schedules
+// a comm event panics, even when the release comes from a comm event.
+func TestHeldReleaseIsLocalOnGroup(t *testing.T) {
+	g := NewGroup(2)
+	g.DeclareLookahead(Microsecond)
+	e := g.Shard(0)
+	ev := e.HoldSeriesLocal(Microsecond, Microsecond, 3, func() { e.After(Microsecond, func() {}) })
+	var recovered any
+	e.Schedule(2*Microsecond, func() {
+		defer func() { recovered = recover() }()
+		ev.Release()
+	})
+	g.Control().Run(2 * Microsecond)
+	if recovered == nil {
+		t.Fatal("a caught-up firing scheduled a comm event without a panic")
 	}
 }
 
@@ -352,34 +705,66 @@ func TestZeroAllocSeries(t *testing.T) {
 	}
 }
 
+// Holding, firing and releasing a series allocate nothing once the arenas
+// have grown: neither the one event of a hold nor the second node a release
+// queues.
+func TestZeroAllocHeldSeries(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		eng.HoldSeriesLocal(Time(i), Microsecond, 4, fn).Release()
+	}
+	eng.Run(MaxTime)
+	allocs := testing.AllocsPerRun(1000, func() {
+		eng.HoldSeriesLocal(eng.Now(), Microsecond, 8, fn)
+		eng.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("hold + fire allocates %v/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		ev := eng.HoldSeriesLocal(eng.Now(), Microsecond, 8, fn)
+		eng.Run(eng.Now() + 3*Microsecond)
+		ev.Release()
+		eng.Run(MaxTime)
+	})
+	if allocs != 0 {
+		t.Errorf("hold + release + fire allocates %v/op, want 0", allocs)
+	}
+}
+
 // BenchmarkSeriesDeep is the des rung of the ladder for deep queues: 64
 // activities of 1,500 firings each, interleaved in time, held as 64 series
-// (a 64-node heap) and as the same 96,000 events scheduled up front (a
-// 96,000-node heap). Both fire the identical sequence.
+// (a 64-node heap), as the same 96,000 events scheduled up front (a
+// 96,000-node heap), and as 64 holds (64 events of 1,500 firings each).
+// All three run the identical callbacks; ns/event is per firing.
 func BenchmarkSeriesDeep(b *testing.B) {
 	const activities, firings = 64, 1500
 	fn := func() {}
-	run := func(b *testing.B, schedule func(e *Engine, first Time)) {
+	run := func(b *testing.B, events uint64, schedule func(e *Engine, first Time)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := NewEngine()
 			for a := 0; a < activities; a++ {
 				schedule(e, Time(a)*Nanosecond)
 			}
-			if e.Run(MaxTime) != activities*firings {
+			if e.Run(MaxTime) != events {
 				b.Fatal("wrong event count")
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities*firings), "ns/event")
 	}
 	b.Run("series", func(b *testing.B) {
-		run(b, func(e *Engine, first Time) { e.ScheduleSeriesLocal(first, Microsecond, firings, fn) })
+		run(b, activities*firings, func(e *Engine, first Time) { e.ScheduleSeriesLocal(first, Microsecond, firings, fn) })
 	})
 	b.Run("bulk", func(b *testing.B) {
-		run(b, func(e *Engine, first Time) {
+		run(b, activities*firings, func(e *Engine, first Time) {
 			for k := 0; k < firings; k++ {
 				e.schedule(first+Time(k)*Microsecond, fn, true)
 			}
 		})
+	})
+	b.Run("held", func(b *testing.B) {
+		run(b, activities, func(e *Engine, first Time) { e.HoldSeriesLocal(first, Microsecond, firings, fn) })
 	})
 }

@@ -12,8 +12,9 @@
 //     shards — send messages, post cross-shard events. Comm events are
 //     tracked in a per-shard side heap so the group can compute each
 //     shard's earliest future communication cheaply.
-//   - local (AfterLocal/ScheduleSeriesLocal): promises to touch only its own
-//     shard's state and to schedule only further local events there.
+//   - local (AfterLocal/ScheduleSeriesLocal/HoldSeriesLocal): promises to
+//     touch only its own shard's state and to schedule only further local
+//     events there.
 //     Local events are invisible to the horizon computation, which is
 //     what lets a shard burn through its private event mass (page
 //     faults, compute ticks) without dragging every other shard's
@@ -176,9 +177,9 @@ func (g *Group) Control() *Engine { return g.control }
 func (e *Engine) Group() *Group { return e.group }
 
 // Now reports the group's current virtual time: the maximum member
-// clock, i.e. the instant of the most recently fired event (Run unifies
-// all member clocks before returning; Step advances only the fired
-// member's). Must not be called from inside a parallel phase.
+// clock, i.e. the instant of the most recently fired event (Run and Step
+// unify all member clocks before returning). Must not be called from inside
+// a parallel phase.
 func (g *Group) Now() Time { return g.maxNow() }
 
 // DeclareLookahead records that every cross-shard PostTo made by the
@@ -416,15 +417,16 @@ func (g *Group) maxNow() Time {
 	return t
 }
 
-// unifyNow advances every engine's clock to at least t.
-func (g *Group) unifyNow(t Time) {
-	if g.control.now < t {
-		g.control.now = t
-	}
-	for _, s := range g.shards {
-		if s.now < t {
-			s.now = t
+// unifyNow advances every engine's clock to at least t, past its firings
+// before t — and, with done (a run ending at t), past those queued at t.
+func (g *Group) unifyNow(t Time, done bool) {
+	for b := range g.boxes {
+		e := g.engineAt(b)
+		var seq uint64
+		if done {
+			seq = e.seq
 		}
+		e.passed(t, seq)
 	}
 }
 
@@ -435,7 +437,7 @@ func (g *Group) unifyNow(t Time) {
 // directly, so same-instant cascades across shards resolve within the
 // instant, exactly as a sequential engine would resolve them.
 func (g *Group) runInstant(t Time) uint64 {
-	g.unifyNow(t)
+	g.unifyNow(t, false)
 	var n uint64
 	for {
 		ran := false
@@ -447,6 +449,7 @@ func (g *Group) runInstant(t Time) uint64 {
 				return n
 			}
 		}
+		g.control.passed(t, g.control.seq)
 		for _, s := range g.shards {
 			for s.topAlive() == t {
 				s.fireTop()
@@ -456,6 +459,7 @@ func (g *Group) runInstant(t Time) uint64 {
 					return n
 				}
 			}
+			s.passed(t, s.seq)
 		}
 		if !ran {
 			return n
@@ -589,11 +593,11 @@ func (g *Group) run(until Time) uint64 {
 		if floor == MaxTime {
 			// Fully drained: unify clocks at the global frontier, like a
 			// sequential engine ending at its last executed event.
-			g.unifyNow(g.maxNow())
+			g.unifyNow(g.maxNow(), true)
 			break
 		}
 		if floor > until {
-			g.unifyNow(until)
+			g.unifyNow(until, true)
 			break
 		}
 		if ctop == floor {
@@ -651,8 +655,9 @@ func (g *Group) run(until Time) uint64 {
 }
 
 // step executes the single globally earliest pending event (control
-// first on ties, then shards in index order), advancing that engine's
-// clock. Driver-side single-threaded; cross-shard posts insert directly.
+// first on ties, then shards in index order), advancing every engine's
+// clock to its instant. Driver-side single-threaded; cross-shard posts
+// insert directly.
 func (g *Group) step() bool {
 	g.drain()
 	best := g.control
@@ -665,6 +670,22 @@ func (g *Group) step() bool {
 	}
 	if at == MaxTime {
 		return false
+	}
+	// Every clock moves to at, as a sequential engine's would. In the tie
+	// order the engines ahead of best have nothing left at that instant,
+	// and those behind it have not started on it.
+	ahead := true
+	for b := range g.boxes {
+		e := g.engineAt(b)
+		if e == best {
+			ahead = false
+			continue
+		}
+		var seq uint64
+		if ahead {
+			seq = e.seq
+		}
+		e.passed(at, seq)
 	}
 	best.fireTop()
 	g.critPath++

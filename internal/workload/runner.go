@@ -30,9 +30,8 @@ type Config struct {
 	Shards int
 }
 
-// maxTick caps the sweep scheduling granularity. Smaller ticks cost more
-// events but resolve shorter timeslices; the runner automatically refines
-// ticks for bursts shorter than ~20 ticks.
+// maxTick caps the sweep tick: every sub-burst is cut into 12 ticks,
+// clamped to [100 µs, maxTick]. The initialization sweep ticks at maxTick.
 const maxTick = 50 * des.Millisecond
 
 func (c Config) withDefaults(spec Spec) Config {
@@ -75,7 +74,7 @@ type Runner struct {
 
 // New builds the engine, address spaces, MPI world and per-rank
 // application instances, and schedules the data-initialization phase at
-// virtual time zero. Attach trackers to Space(i) before calling Run.
+// virtual time zero. Attach trackers through Space(i).
 func New(spec Spec, cfg Config) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -88,6 +87,8 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
 	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces}
+	// One backing array for every rank's held sub-burst handles.
+	held := make([]des.Event, cfg.Ranks*len(spec.RateProfile))
 	if cfg.Shards > 1 {
 		r.group = des.NewGroup(min(cfg.Shards, cfg.Ranks))
 		r.Eng = r.group.Control()
@@ -113,6 +114,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
+		a.held = held[i*len(spec.RateProfile) : (i+1)*len(spec.RateProfile)]
 		r.apps = append(r.apps, a)
 	}
 	r.profile = normalize(spec.RateProfile)
@@ -125,8 +127,21 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// Space returns rank i's address space.
-func (r *Runner) Space(i int) *mem.AddressSpace { return r.spaces[i] }
+// Space hands out rank i's address space: the door every tracker,
+// checkpointer and migrator attaches through. Until a rank's space has been
+// handed out, nothing can observe it mid-burst, so the runner holds each of
+// its sweep sub-bursts as one event (des.Engine.HoldSeriesLocal); handing
+// it out releases them into ordinary tick-by-tick series, so whatever
+// attaches sees exactly the state, and from then on the writes, of a run
+// that never held anything. Hand a space out before attaching anything to
+// it; World.Rank(i).Space() is no substitute — a sweep tick panics if it
+// finds that a never-handed-out space took a write fault.
+func (r *Runner) Space(i int) *mem.AddressSpace {
+	a := r.apps[i]
+	a.handed = true
+	a.release()
+	return r.spaces[i]
+}
 
 // EngineFor returns the engine rank i's events execute on: the single
 // sequential engine, or the rank's data shard in a sharded run. Per-rank
@@ -150,8 +165,15 @@ func (r *Runner) CriticalPathEvents() uint64 {
 	return r.Eng.Fired()
 }
 
-// Run advances the simulation until the given virtual time.
-func (r *Runner) Run(until des.Time) { r.Eng.Run(until) }
+// Run advances the simulation until the given virtual time. Held
+// sub-bursts are released when it returns, so between runs every space —
+// handed out or not — is in its tick-by-tick state.
+func (r *Runner) Run(until des.Time) {
+	r.Eng.Run(until)
+	for _, a := range r.apps {
+		a.release()
+	}
+}
 
 // Now reports the run's current virtual time: the engine clock, or the
 // maximum member clock of a sharded group (members may transiently skew
@@ -235,9 +257,19 @@ type app struct {
 
 	iter      int
 	transient *mem.Region
-	cursor    uint64 // sweep position within the iteration's spans
-	spans     []span
+	cursor    uint64  // sweep position within the iteration's spans
 	spanBuf   [2]span // scratch backing for iterationSpans
+
+	handed bool        // Runner.Space has handed the space out
+	held   []des.Event // this iteration's held sub-bursts, one per profile entry
+}
+
+// release turns the rank's held sub-bursts into ordinary series, running
+// the ticks already due (des.Event.Release).
+func (a *app) release() {
+	for _, h := range a.held {
+		h.Release()
+	}
 }
 
 func newApp(r *Runner, id int) (*app, error) {
@@ -435,13 +467,26 @@ func (a *app) startIteration() {
 					a.writeAcross(spans, a.cursor+total-dwellBytes, dwellBytes)
 				}
 			}
+			if !a.handed && a.space.Faults() != 0 {
+				panic(fmt.Sprintf("workload %s rank %d: write faults on a space never handed out by Runner.Space; its sweeps run held", a.r.Spec.Name, a.id))
+			}
 		}
 		// Sweep ticks write this rank's memory and schedule nothing, so
 		// they are local events: a sharded run excludes them from epoch
 		// horizons, which is what lets shards advance in parallel. The
 		// sub-burst's ticks, every tick from start+tick to start+subDur,
-		// are one series: one queue entry, not one per tick.
-		eng.ScheduleSeriesLocal(iterStart+start+tick, tick, int(subDur/tick), doTick)
+		// are one series: one queue entry, not one per tick. On a rank
+		// nothing observes (Space) they are also one event, at the last
+		// tick, until the space is handed out or the run returns.
+		first, n := iterStart+start+tick, int(subDur/tick)
+		if a.handed {
+			eng.ScheduleSeriesLocal(first, tick, n, doTick)
+			continue
+		}
+		// A burst overrunning its period could leave last iteration's
+		// hold pending; it becomes ordinary rather than being forgotten.
+		a.held[bi].Release()
+		a.held[bi] = eng.HoldSeriesLocal(first, tick, n, doTick)
 	}
 
 	// Burst end: drop the transient arena (memory exclusion target).
