@@ -21,11 +21,6 @@ func (l *readLog) Get(key string) ([]byte, error) {
 	return l.Store.Get(key)
 }
 
-func (l *readLog) View(key string) ([]byte, error) {
-	l.keys = append(l.keys, key)
-	return storage.View(l.Store, key)
-}
-
 // Multi-level × two-phase commit is one commit sequence: the parity
 // stage follows the COMMIT marker, and the marker writes through to L3,
 // so recovery through the tiered view trusts committed lines only and

@@ -172,10 +172,11 @@ func (d *Driver) MergeNetFaults(base *mpi.NetFaultConfig) *mpi.NetFaultConfig {
 // WrapStore interposes the plan's timed storage faults on inner and
 // schedules the plan's bit-flip instants against it. Outage windows
 // refuse every operation with storage.ErrUnavailable; brownout windows
-// drop a seeded fraction with storage.ErrTransient; bit flips mutate
-// stored bytes in place through inner itself, below whatever integrity
-// or retry layers the caller stacks on top — silent at-rest corruption
-// that only an integrity envelope can surface. Call once per run.
+// drop a seeded fraction with storage.ErrTransient; bit flips replace a
+// stored value with a flipped copy through inner itself, below whatever
+// integrity or retry layers the caller stacks on top — silent at-rest
+// corruption that only an integrity envelope can surface. Call once per
+// run.
 func (d *Driver) WrapStore(inner storage.Store) storage.Store {
 	if d.flipTarget != nil {
 		panic("chaos: WrapStore called twice")
@@ -207,10 +208,7 @@ func (d *Driver) flipBit() {
 		d.stats.BitFlipMisses++
 		return
 	}
-	bit := d.rng.IntN(len(data) * 8)
-	flipped := append([]byte(nil), data...)
-	flipped[bit/8] ^= 1 << (bit % 8)
-	if err := d.flipTarget.Put(key, flipped); err != nil {
+	if err := d.flipTarget.Put(key, storage.FlipBit(data, d.rng.IntN(len(data)*8))); err != nil {
 		d.stats.BitFlipMisses++
 		return
 	}
@@ -262,16 +260,11 @@ func (s *timedStore) PutOwned(key string, data []byte) error {
 }
 
 // Get implements storage.Store.
-func (s *timedStore) Get(key string) ([]byte, error) { return s.read(storage.Store.Get, key) }
-
-// View implements storage.Viewer: the windows apply as for Get.
-func (s *timedStore) View(key string) ([]byte, error) { return s.read(storage.View, key) }
-
-func (s *timedStore) read(get func(storage.Store, string) ([]byte, error), key string) ([]byte, error) {
+func (s *timedStore) Get(key string) ([]byte, error) {
 	if err := s.check("get"); err != nil {
 		return nil, err
 	}
-	return get(s.inner, key)
+	return s.inner.Get(key)
 }
 
 // Delete implements storage.Store.

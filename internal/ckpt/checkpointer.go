@@ -434,11 +434,11 @@ func (c *Checkpointer) skipUnchanged(kind Kind, addr uint64, data []byte) bool {
 // A fetch failure keeps the storage tier's typed cause (ErrNotFound,
 // ErrCorrupt, ErrUnavailable, ErrTransient); bytes that fetched but do
 // not decode are typed storage.ErrCorrupt, so callers can tell a missing
-// segment from a rotten one with errors.Is alone. The bytes are viewed,
-// not copied: raw page records alias what the store holds and are
-// read-only, as every reader here (verify, restore) treats them.
+// segment from a rotten one with errors.Is alone. The bytes are what Get
+// lends: raw page records alias what the store holds and are read-only,
+// as every reader here (verify, restore) treats them.
 func LoadSegment(store storage.Store, rank int, seq uint64) (*Segment, error) {
-	data, err := storage.View(store, SegmentKey(rank, seq))
+	data, err := store.Get(SegmentKey(rank, seq))
 	if err != nil {
 		return nil, err
 	}

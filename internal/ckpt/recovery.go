@@ -122,7 +122,7 @@ func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error
 	}
 	var total uint64
 	for seq := target.Epoch; seq <= targetSeq; seq++ {
-		data, err := storage.View(store, SegmentKey(rank, seq))
+		data, err := store.Get(SegmentKey(rank, seq))
 		if err != nil {
 			return 0, fmt.Errorf("ckpt: chain segment %d: %w", seq, err)
 		}

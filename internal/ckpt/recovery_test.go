@@ -137,8 +137,9 @@ func TestCoordinatedRecoveryEndToEnd(t *testing.T) {
 }
 
 // TestRecoveryReadsViewTheStore: verifying a line and sizing its chain
-// read every segment through storage.View, so on the hardened in-memory
-// stack they allocate headers and page tables, not a copy of the bytes.
+// read every segment through Get, which lends, so on the hardened
+// in-memory stack they allocate headers and page tables, not a copy of
+// the bytes.
 // Recovery's cost then does not swing with how long the chain happened
 // to be when the failure struck.
 func TestRecoveryReadsViewTheStore(t *testing.T) {

@@ -241,7 +241,7 @@ func (d *decoder) u64() (uint64, error) {
 // DecodeSegment parses a segment encoded by Encode, validating structure
 // and bounds. Raw page records alias data rather than copying it, so the
 // caller must not reuse data while the segment is live — and must not
-// write through the segment when data is a storage.View.
+// write through the segment when data is a store's Get result.
 func DecodeSegment(data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)

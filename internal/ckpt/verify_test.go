@@ -66,10 +66,8 @@ func TestVerifyChainDetectsDamage(t *testing.T) {
 	}
 	// Corrupt the mid-chain delta at seq 1 — target 2 must fail, target
 	// 4 (a different epoch) must still verify.
-	frame, _ := raw.Get(keyFor(0, 1))
-	good := append([]byte(nil), frame...)
-	frame[len(frame)-1] ^= 1
-	raw.Put(keyFor(0, 1), frame)
+	good, _ := raw.Get(keyFor(0, 1))
+	raw.Put(keyFor(0, 1), storage.FlipBit(good, 8*(len(good)-1)))
 	if err := VerifyChain(store, 0, 2); err == nil {
 		t.Fatal("chain over corrupt delta accepted")
 	}
@@ -107,8 +105,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 
 	// Corrupt rank 1's newest segment: line 4 is out, 3 still proves.
 	frame, _ := raw.Get(keyFor(1, 4))
-	frame[len(frame)/2] ^= 0x10
-	raw.Put(keyFor(1, 4), frame)
+	raw.Put(keyFor(1, 4), storage.FlipBit(frame, 8*(len(frame)/2)+4))
 	if seq, ok, _ = LatestVerifiableSeq(store, 2); !ok || seq != 3 {
 		t.Fatalf("after corrupting (1,4): seq=%d ok=%v, want 3", seq, ok)
 	}
@@ -128,6 +125,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 	for _, k := range mustKeys(t, raw) {
 		d, _ := raw.Get(k)
 		if len(d) > 0 {
+			d = bytes.Clone(d)
 			d[0] ^= 0xFF
 			raw.Put(k, d)
 		}
@@ -173,8 +171,7 @@ func TestVerifiedRestoreEquality(t *testing.T) {
 	}
 	// Newest segment rots at rest.
 	frame, _ := raw.Get(keyFor(0, 2))
-	frame[20] ^= 0x04
-	raw.Put(keyFor(0, 2), frame)
+	raw.Put(keyFor(0, 2), storage.FlipBit(frame, 8*20+2))
 
 	seq, ok, err := LatestVerifiableSeq(store, 1)
 	if err != nil || !ok || seq != 1 {

@@ -12,9 +12,9 @@ import (
 //
 // Buffer ownership follows storage.Store: Put borrows data (the request
 // is encoded into the client's one reused wire buffer, and the service
-// copies whatever it keeps before Handle returns), and Get returns a
-// buffer private to the caller (the payload of a response buffer nothing
-// else references).
+// copies whatever it keeps before Handle returns), and Get's result stays
+// intact (it is the payload of a response buffer nothing else
+// references).
 type Client struct {
 	svc    *Service
 	id     uint32

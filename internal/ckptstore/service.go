@@ -687,14 +687,16 @@ func (s *Service) spillPath() bool {
 }
 
 // get serves a read: journal first (the newest acked value), then the
-// leader, then follower failover.
+// leader, then follower failover. A journal hit lends the entry itself:
+// journalPut always stores a fresh copy, so an entry is replaced, never
+// changed in place.
 func (s *Service) get(key string) ([]byte, error) {
 	s.stats.Gets++
 	if e, ok := s.journal[key]; ok {
 		if e.del {
 			return nil, fmt.Errorf("ckptstore: get %q: %w", key, storage.ErrNotFound)
 		}
-		return append([]byte(nil), e.data...), nil
+		return e.data, nil
 	}
 	order := s.readOrder()
 	var firstErr error

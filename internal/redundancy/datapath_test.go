@@ -148,7 +148,7 @@ func TestBorrowedBuffersAreNeverWritten(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := h.NewView()
-		got, err := v.View(ckpt.SegmentKey(victim, 0))
+		got, err := v.Get(ckpt.SegmentKey(victim, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,10 +158,10 @@ func TestBorrowedBuffersAreNeverWritten(t *testing.T) {
 		if !bytes.Equal(got, segs[victim].orig) {
 			t.Fatalf("%v: rebuilt segment differs from what was stored", scheme)
 		}
-		// The rebuild also cached the survivors; reading them is a view
-		// of the stored value or of the cache, still unwritten.
+		// The rebuild also cached the survivors; reading them lends the
+		// stored value or the cache, still unwritten.
 		for _, r := range g.Members {
-			data, err := v.View(ckpt.SegmentKey(r, 0))
+			data, err := v.Get(ckpt.SegmentKey(r, 0))
 			if err != nil || !bytes.Equal(data, segs[r].orig) {
 				t.Fatalf("%v: member %d reads back wrong after the rebuild: %v", scheme, r, err)
 			}
@@ -198,7 +198,7 @@ func TestEncodeLineAllocatesOnlyFrames(t *testing.T) {
 			}
 		})
 	}
-	// Per group: m frames, and a key string per member viewed and per
+	// Per group: m frames, and a key string per member read and per
 	// frame stored. fmt's sync.Pool sheds entries at random under the
 	// race detector, so a key costs an extra allocation on some runs:
 	// allow that noise, not a buffer per member or per frame.
@@ -235,7 +235,7 @@ func TestRankStorePutOwnedForwardsOwnership(t *testing.T) {
 	if allocated > size/64 {
 		t.Fatalf("owned put of a non-write-through line allocated %d bytes: it copies", allocated)
 	}
-	stored, err := storage.View(h.Local(2), ckpt.SegmentKey(2, 3))
+	stored, err := h.Local(2).Get(ckpt.SegmentKey(2, 3))
 	if err != nil || len(stored) != size || &stored[0] != &buf[0] {
 		t.Fatalf("L1 does not hold the buffer it was given (err %v)", err)
 	}
@@ -245,7 +245,7 @@ func TestRankStorePutOwnedForwardsOwnership(t *testing.T) {
 
 	buf, _ = put(8) // write-through: both tiers borrow
 	for name, tier := range map[string]storage.Store{"L1": h.Local(2), "L3": h.Global()} {
-		stored, err := storage.View(tier, ckpt.SegmentKey(2, 8))
+		stored, err := tier.Get(ckpt.SegmentKey(2, 8))
 		if err != nil || !bytes.Equal(stored, buf) {
 			t.Fatalf("%s misses the write-through line: %v", name, err)
 		}

@@ -134,8 +134,8 @@ func badFrame(format string, args ...any) error {
 // ParseParityFrame decodes a canonical parity frame. It never panics on
 // arbitrary input; any malformation — including a CRC mismatch — is
 // reported as a wrapped storage.ErrCorrupt. The frame's Payload aliases
-// data rather than copying it: what the caller may do with data — own it
-// after a Get, only read it after a View — holds for Payload.
+// data rather than copying it: when data is a store's Get result, Payload
+// is read-only too.
 func ParseParityFrame(data []byte) (*ParityFrame, error) {
 	if len(data) < parityFixedLen+4+4 {
 		return nil, badFrame("%d bytes, need at least %d", len(data), parityFixedLen+8)

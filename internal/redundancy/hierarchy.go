@@ -325,7 +325,7 @@ type ExchangeReport struct {
 	Time des.Time
 }
 
-// EncodeLine parity-protects checkpoint line seq: each group views its
+// EncodeLine parity-protects checkpoint line seq: each group reads its
 // members' segments on L1, encodes the parity shards straight into their
 // frames, and gives the frames to its partners' L1 stores. The segments
 // are borrowed and never padded — the codec zero-extends the short ones
@@ -347,7 +347,7 @@ func (h *Hierarchy) EncodeLine(seq uint64) (ExchangeReport, error) {
 		shardLen := 0
 		var groupSend uint64
 		for i, r := range g.Members {
-			data, err := storage.View(h.local[r], ckpt.SegmentKey(r, seq))
+			data, err := h.local[r].Get(ckpt.SegmentKey(r, seq))
 			if err != nil {
 				return rep, fmt.Errorf("redundancy: group %d member %d line %d: %w", gi, r, seq, err)
 			}
@@ -443,9 +443,7 @@ func (h *Hierarchy) CorruptParity(seq uint64, rng *rand.Rand) (string, bool) {
 			if err != nil || len(data) == 0 {
 				continue
 			}
-			bit := rng.IntN(len(data) * 8)
-			data[bit/8] ^= 1 << (bit % 8)
-			if err := h.local[partner].Put(key, data); err != nil {
+			if err := h.local[partner].Put(key, storage.FlipBit(data, rng.IntN(len(data)*8))); err != nil {
 				continue
 			}
 			return key, true

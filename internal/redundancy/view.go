@@ -53,7 +53,7 @@ type ViewStats struct {
 }
 
 // RecoveryView is the tiered read path over a Hierarchy: it implements
-// storage.Store and storage.Viewer so the existing recovery machinery — VerifyChain,
+// storage.Store so the existing recovery machinery — VerifyChain,
 // LatestVerifiableSeq, ChainVolume, RestoreAll — transparently reads
 // L1 first, then rebuilds lost segments from surviving parity shards,
 // then falls back to L3. Every level is integrity-checked (segment
@@ -93,19 +93,10 @@ func (v *RecoveryView) account(level int, n int) {
 	v.stats.LevelBytes[level] += uint64(n)
 }
 
-// Get implements storage.Store: View plus the private copy Get promises.
-func (v *RecoveryView) Get(key string) ([]byte, error) {
-	data, err := v.View(key)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// View implements storage.Viewer with the tiered read path. The result
-// is a stored L1 or L3 value, or the view's own cached rebuild, lent
+// Get implements storage.Store with the tiered read path. The result is
+// a stored L1 or L3 value, or the view's own cached rebuild, lent
 // read-only.
-func (v *RecoveryView) View(key string) ([]byte, error) {
+func (v *RecoveryView) Get(key string) ([]byte, error) {
 	var rank int
 	var seq uint64
 	if ckpt.ParseSegmentKey(key, &rank, &seq) && rank < len(v.h.local) {
@@ -115,7 +106,7 @@ func (v *RecoveryView) View(key string) ([]byte, error) {
 			v.account(LevelParity, len(data))
 			return data, nil
 		}
-		if data, err := storage.View(v.h.local[rank], key); err == nil {
+		if data, err := v.h.local[rank].Get(key); err == nil {
 			// A local copy that no longer decodes is treated as lost,
 			// not trusted: fall through to the rebuild path.
 			if _, derr := ckpt.DecodeSegment(data); derr == nil {
@@ -128,7 +119,7 @@ func (v *RecoveryView) View(key string) ([]byte, error) {
 			return data, nil
 		}
 	}
-	data, err := storage.View(v.h.cfg.Global, key)
+	data, err := v.h.cfg.Global.Get(key)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +130,7 @@ func (v *RecoveryView) View(key string) ([]byte, error) {
 // rebuild reconstructs rank's segment at seq from its parity group's
 // surviving shards, caches every segment the reconstruction recovered,
 // and read-repairs the requested one back to the owner's L1. Survivors
-// are viewed where they are stored and never padded; only the holes are
+// are read where they are stored and never padded; only the holes are
 // allocated.
 func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error) {
 	h := v.h
@@ -155,7 +146,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	shards := make([][]byte, k+m)
 	var ref *ParityFrame
 	for j, partner := range g.Partners {
-		raw, err := storage.View(h.local[partner], ParityKey(gi, seq, k+j))
+		raw, err := h.local[partner].Get(ParityKey(gi, seq, k+j))
 		if err != nil {
 			continue
 		}
@@ -184,7 +175,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	// copy is missing, mis-sized, or fails its recorded CRC stay nil for
 	// the codec to fill.
 	for i, member := range g.Members {
-		data, err := storage.View(h.local[member], ckpt.SegmentKey(member, seq))
+		data, err := h.local[member].Get(ckpt.SegmentKey(member, seq))
 		if err != nil {
 			continue
 		}

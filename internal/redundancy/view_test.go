@@ -1,7 +1,6 @@
 package redundancy
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -318,56 +317,11 @@ func TestViewRejectsForeignKeys(t *testing.T) {
 		"rank-1/seg0", "rank-01/seg000000", "rank+3/seg+07", "rank1/seg2",
 		ckpt.SegmentKey(4, 0), ckpt.SegmentKey(1<<40, 0), "parity/g000/seq000000/s02", "",
 	} {
-		for name, read := range map[string]func(string) ([]byte, error){"Get": v.Get, "View": v.View} {
-			if data, err := read(key); !errors.Is(err, storage.ErrNotFound) {
-				t.Errorf("%s(%q) = %d bytes, %v; want ErrNotFound", name, key, len(data), err)
-			}
+		if data, err := v.Get(key); !errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("Get(%q) = %d bytes, %v; want ErrNotFound", key, len(data), err)
 		}
 	}
 	if st := v.Stats(); st != (ViewStats{}) {
 		t.Fatalf("misses were accounted: %+v", st)
-	}
-}
-
-// Get is View plus one copy: the same tiered read, the same accounting,
-// and a buffer the caller may scribble on without changing what the
-// tiers or the rebuild cache hold.
-func TestViewGetCopiesWhatViewLends(t *testing.T) {
-	f := buildFixture(t, Config{
-		Scheme:      Scheme{Kind: RS, K: 2, M: 2},
-		Domains:     domains(t, 8, 1),
-		Global:      storage.NewMemStore(),
-		GlobalEvery: 1000,
-	}, 2)
-	victim, healthy := f.h.Groups()[0].Members[0], f.h.Groups()[1].Members[0]
-	for _, rank := range []int{victim, healthy} {
-		key := ckpt.SegmentKey(rank, 1)
-		viaGet, viaView := f.h.NewView(), f.h.NewView()
-		// Each view's read-repair heals the victim's L1: lose it again.
-		if err := f.h.WipeRank(victim); err != nil {
-			t.Fatal(err)
-		}
-		lent, err := viaView.View(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.h.WipeRank(victim); err != nil {
-			t.Fatal(err)
-		}
-		got, err := viaGet.Get(key)
-		if err != nil || !bytes.Equal(got, lent) {
-			t.Fatalf("rank %d: Get and View disagree (%v)", rank, err)
-		}
-		if viaGet.Stats().LevelReads != viaView.Stats().LevelReads || viaGet.Stats().LevelBytes != viaView.Stats().LevelBytes {
-			t.Fatalf("rank %d: Get accounted %+v, View %+v", rank, viaGet.Stats(), viaView.Stats())
-		}
-		want := bytes.Clone(got)
-		for i := range got {
-			got[i] ^= 0xFF
-		}
-		again, err := viaGet.Get(key) // the cache (victim) or L1 (healthy)
-		if err != nil || !bytes.Equal(again, want) {
-			t.Fatalf("rank %d: scribbling on Get's result changed the next read (%v)", rank, err)
-		}
 	}
 }

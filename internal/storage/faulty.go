@@ -139,21 +139,13 @@ func (s *FaultyStore) put(key string, data []byte, sink func(string, []byte) err
 	}
 	if s.roll(s.cfg.CorruptRate) && len(data) > 0 {
 		s.stats.BitFlips++
-		bit := s.rng.IntN(len(data) * 8)
-		flipped := append([]byte(nil), data...)
-		flipped[bit/8] ^= 1 << (bit % 8)
-		return sink(key, flipped)
+		return sink(key, FlipBit(data, s.rng.IntN(len(data)*8)))
 	}
 	return sink(key, data)
 }
 
 // Get implements Store, possibly failing transiently.
-func (s *FaultyStore) Get(key string) ([]byte, error) { return s.read(Store.Get, key) }
-
-// View implements Viewer, injecting the same faults as Get.
-func (s *FaultyStore) View(key string) ([]byte, error) { return s.read(View, key) }
-
-func (s *FaultyStore) read(get func(Store, string) ([]byte, error), key string) ([]byte, error) {
+func (s *FaultyStore) Get(key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.step() {
@@ -163,7 +155,7 @@ func (s *FaultyStore) read(get func(Store, string) ([]byte, error), key string) 
 		s.stats.Transients++
 		return nil, fmt.Errorf("get %q timed out: %w", key, ErrTransient)
 	}
-	return get(s.inner, key)
+	return s.inner.Get(key)
 }
 
 // Delete implements Store, possibly failing transiently.

@@ -55,9 +55,7 @@ func TestIntegrityStoreDetectsTornAndFlippedWrites(t *testing.T) {
 		t.Fatalf("torn read err = %v, want ErrCorrupt", err)
 	}
 	// Flip one payload bit.
-	inner.Put("k", frame)
-	frame[len(frame)-1] ^= 0x80
-	inner.Put("k", frame)
+	inner.Put("k", FlipBit(frame, 8*len(frame)-1))
 	if _, err := s.Get("k"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped read err = %v, want ErrCorrupt", err)
 	}
@@ -216,8 +214,7 @@ func TestMirrorStoreFailoverAndReadRepair(t *testing.T) {
 	// Corrupt replica A's copy at rest; the mirror must serve B's and
 	// heal A.
 	frame, _ := a.Get("k")
-	frame[len(frame)-1] ^= 1
-	a.Put("k", frame)
+	a.Put("k", FlipBit(frame, 8*(len(frame)-1)))
 	got, err := m.Get("k")
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("Get = %q, %v", got, err)

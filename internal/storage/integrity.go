@@ -85,14 +85,10 @@ func (s *IntegrityStore) Put(key string, data []byte) error {
 	return PutOwned(s.inner, key, Seal(data))
 }
 
-// Get implements Store, verifying the envelope before returning.
-func (s *IntegrityStore) Get(key string) ([]byte, error) { return s.read(Store.Get, key) }
-
-// View implements Viewer: the verified payload inside inner's view.
-func (s *IntegrityStore) View(key string) ([]byte, error) { return s.read(View, key) }
-
-func (s *IntegrityStore) read(get func(Store, string) ([]byte, error), key string) ([]byte, error) {
-	frame, err := get(s.inner, key)
+// Get implements Store, verifying the envelope before returning: the
+// result is the payload inside the frame inner lent.
+func (s *IntegrityStore) Get(key string) ([]byte, error) {
+	frame, err := s.inner.Get(key)
 	if err != nil {
 		return nil, err
 	}

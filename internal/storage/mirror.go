@@ -95,20 +95,15 @@ func (s *MirrorStore) Put(key string, data []byte) error {
 }
 
 // Get implements Store: read the first healthy replica, repairing the
-// ones that were missing or served corrupt bytes.
-func (s *MirrorStore) Get(key string) ([]byte, error) { return s.read(Store.Get, key) }
-
-// View implements Viewer, failing over and repairing like Get (a repair
-// Puts, which copies, so no replica ends up sharing another's buffer).
-func (s *MirrorStore) View(key string) ([]byte, error) { return s.read(View, key) }
-
-func (s *MirrorStore) read(get func(Store, string) ([]byte, error), key string) ([]byte, error) {
+// ones that were missing or served corrupt bytes. A repair Puts the lent
+// value, which copies, so no replica ends up sharing another's buffer.
+func (s *MirrorStore) Get(key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var errs []error
 	var failed []Store
 	for i, r := range s.replicas {
-		data, err := get(r, key)
+		data, err := r.Get(key)
 		if err != nil {
 			errs = append(errs, err)
 			s.stats.ReplicaErrors[i]++

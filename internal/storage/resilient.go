@@ -137,16 +137,11 @@ func (s *ResilientStore) Put(key string, data []byte) error {
 }
 
 // Get implements Store.
-func (s *ResilientStore) Get(key string) ([]byte, error) { return s.read(Store.Get, key) }
-
-// View implements Viewer, retrying like Get.
-func (s *ResilientStore) View(key string) ([]byte, error) { return s.read(View, key) }
-
-func (s *ResilientStore) read(get func(Store, string) ([]byte, error), key string) ([]byte, error) {
+func (s *ResilientStore) Get(key string) ([]byte, error) {
 	var out []byte
 	err := s.do("get", key, func() error {
 		var err error
-		out, err = get(s.inner, key)
+		out, err = s.inner.Get(key)
 		return err
 	})
 	return out, err

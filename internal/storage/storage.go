@@ -5,6 +5,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -121,10 +122,12 @@ func (m Model) Headroom(requiredBps float64) float64 {
 //
 // Buffer ownership: Put borrows data — the caller keeps the buffer and
 // may reuse or mutate it as soon as Put returns, so a store that holds
-// values in memory copies. Get returns a buffer private to the caller —
-// mutating it never changes what a later Get returns. A caller whose
-// buffer is fresh and referenced by nothing else can skip Put's copy
-// with PutOwned; a caller that only reads can skip Get's with View.
+// values in memory copies. Get lends: its result is read-only to the
+// caller, and it stays intact across later Puts and Deletes, because a
+// store replaces a value and never changes one in place. A caller that
+// wants to change the bytes copies them first (FlipBit does, for fault
+// injectors). A caller whose buffer is fresh and referenced by nothing
+// else can skip Put's copy with PutOwned.
 type Store interface {
 	// Put stores data under key, replacing any previous value.
 	Put(key string, data []byte) error
@@ -159,23 +162,13 @@ func PutOwned(s Store, key string, data []byte) error {
 	return s.Put(key, data)
 }
 
-// Viewer is the read-side twin of OwnedPutter, the optional fast path of
-// a Store whose Get would otherwise copy: View returns the stored bytes
-// themselves, which the caller must not modify. MemStore lends its
-// stored value — it replaces values, never mutates one in place, so a
-// view stays intact across later Puts and Deletes; wrappers forward it.
-type Viewer interface {
-	View(key string) ([]byte, error)
-}
-
-// View reads key without a private copy when s implements Viewer, and
-// falls back to a plain Get otherwise. Either way the result is
-// read-only to the caller.
-func View(s Store, key string) ([]byte, error) {
-	if v, ok := s.(Viewer); ok {
-		return v.View(key)
-	}
-	return s.Get(key)
+// FlipBit returns a copy of data with bit flipped (bit 0 is the low bit
+// of data[0]) — the one way a fault injector corrupts a stored value
+// without writing into a buffer some earlier Get lent out.
+func FlipBit(data []byte, bit int) []byte {
+	flipped := bytes.Clone(data)
+	flipped[bit/8] ^= 1 << (bit % 8)
+	return flipped
 }
 
 // MemStore is an in-memory Store, safe for concurrent use.
@@ -204,26 +197,16 @@ func (s *MemStore) PutOwned(key string, data []byte) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store: the stored value itself, capacity-clipped so an
+// append cannot write into the store's array.
 func (s *MemStore) Get(key string) ([]byte, error) {
-	d, err := s.View(key)
-	if err != nil {
-		return nil, err
-	}
-	cp := make([]byte, len(d))
-	copy(cp, d)
-	return cp, nil
-}
-
-// View implements Viewer: the stored value itself.
-func (s *MemStore) View(key string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.m[key]
 	if !ok {
 		return nil, fmt.Errorf("key %q: %w", key, ErrNotFound)
 	}
-	return d, nil
+	return d[:len(d):len(d)], nil
 }
 
 // Delete implements Store.

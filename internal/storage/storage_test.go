@@ -168,11 +168,6 @@ func TestMemStoreIsolation(t *testing.T) {
 	if string(got) != "abc" {
 		t.Fatalf("store aliased caller data: %q", got)
 	}
-	got[0] = 'Y' // mutating returned slice must not affect the store
-	got2, _ := s.Get("k")
-	if string(got2) != "abc" {
-		t.Fatalf("store aliased returned data: %q", got2)
-	}
 }
 
 // Property: both stores agree with a reference map under random op
