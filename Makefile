@@ -15,9 +15,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Determinism-contract multichecker (detlint, maporder, shardorder,
-# errwrap, seedplumb, ckptset, deadexport) over every package. See
-# DESIGN.md "Determinism contract".
+# Determinism-contract multichecker (detlint, maporder, errwrap,
+# seedplumb, ckptset, deadexport) over every package. See DESIGN.md
+# "Determinism contract".
 lint:
 	$(GO) run ./cmd/lint ./...
 

@@ -34,17 +34,14 @@ func benchRanks() int {
 
 // BenchmarkArtefact regenerates every artefact of
 // experiments.Artefacts as BenchmarkArtefact/<name> and reports its
-// headline metrics. Artefacts flagged BenchShards add a /shards8
-// sub-benchmark on an 8-shard parallel engine: virtual-time output is
-// bit-identical to the sequential run, only host wall-clock differs, and
-// cmd/benchjson derives speedup_vs_seq from the pair.
+// headline metrics.
 func BenchmarkArtefact(b *testing.B) {
 	for _, a := range experiments.Artefacts {
 		opts := experiments.RunOpts{Ranks: benchRanks(), Seed: 7}
 		if a.BenchRanks > 0 {
 			opts.Ranks = min(opts.Ranks, a.BenchRanks)
 		}
-		run := func(b *testing.B) {
+		b.Run(a.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := a.Run(opts)
 				if err != nil {
@@ -54,12 +51,7 @@ func BenchmarkArtefact(b *testing.B) {
 					b.ReportMetric(m.Value, m.Name)
 				}
 			}
-		}
-		b.Run(a.Name, run)
-		if a.BenchShards {
-			opts.Shards = 8
-			b.Run(a.Name+"/shards8", run)
-		}
+		})
 	}
 }
 

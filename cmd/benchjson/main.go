@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go test -bench . -benchmem ./... | benchjson > BENCH.json
-//	benchjson -compare BENCH_29.json BENCH.json
+//	benchjson -compare BENCH_31.json BENCH.json
 package main
 
 import (
@@ -39,34 +39,6 @@ type Record struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// SpeedupVsSeq is set on BenchmarkXxxShardsN and BenchmarkXxx/shardsN
-	// records whose sequential pair BenchmarkXxx appears in the same
-	// input: sequential ns/op over this record's ns/op.
-	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
-}
-
-// shardsRe matches the shard-count segment of a paired sharded
-// benchmark name: the "Shards8" in "BenchmarkGroupShards8-4" or the
-// "/shards8" in "BenchmarkArtefact/fig1/shards8-4".
-var shardsRe = regexp.MustCompile(`Shards\d+|/shards\d+`)
-
-// annotateSpeedups fills SpeedupVsSeq on every sharded record whose
-// sequential pair (the same name with the ShardsN segment removed) is
-// present.
-func annotateSpeedups(recs []Record) {
-	byName := make(map[string]float64, len(recs))
-	for _, r := range recs {
-		byName[r.Name] = r.NsPerOp
-	}
-	for i := range recs {
-		r := &recs[i]
-		if !shardsRe.MatchString(r.Name) || r.NsPerOp == 0 {
-			continue
-		}
-		if seq, ok := byName[shardsRe.ReplaceAllString(r.Name, "")]; ok {
-			r.SpeedupVsSeq = seq / r.NsPerOp
-		}
-	}
 }
 
 func parseLine(line string) (Record, bool) {
@@ -221,7 +193,6 @@ func main() {
 		os.Exit(1)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-	annotateSpeedups(recs)
 	out, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

@@ -46,30 +46,6 @@ func TestParseLine(t *testing.T) {
 	}
 }
 
-func TestAnnotateSpeedups(t *testing.T) {
-	recs := []Record{
-		{Name: "BenchmarkFig1-4", NsPerOp: 300},
-		{Name: "BenchmarkFig1Shards8-4", NsPerOp: 100},
-		{Name: "BenchmarkOrphanShards2-4", NsPerOp: 50}, // no sequential pair
-		{Name: "BenchmarkTable2-4", NsPerOp: 200},       // no sharded pair
-		{Name: "BenchmarkArtefact/fig1-4", NsPerOp: 800},
-		{Name: "BenchmarkArtefact/fig1/shards8-4", NsPerOp: 200},
-		{Name: "BenchmarkArtefact/table2/shards8-4", NsPerOp: 50}, // no sequential pair
-	}
-	annotateSpeedups(recs)
-	if got := recs[1].SpeedupVsSeq; got != 3 {
-		t.Errorf("Fig1Shards8 speedup = %v, want 3", got)
-	}
-	if got := recs[5].SpeedupVsSeq; got != 4 {
-		t.Errorf("fig1/shards8 speedup = %v, want 4", got)
-	}
-	for _, i := range []int{0, 2, 3, 4, 6} {
-		if recs[i].SpeedupVsSeq != 0 {
-			t.Errorf("%s speedup = %v, want 0 (unset)", recs[i].Name, recs[i].SpeedupVsSeq)
-		}
-	}
-}
-
 func TestCompare(t *testing.T) {
 	old := map[string]Record{
 		"BenchmarkA":    {Name: "BenchmarkA-8", NsPerOp: 100, AllocsPerOp: 1000},
@@ -99,7 +75,7 @@ func TestCompare(t *testing.T) {
 
 func TestReadRecordsDropsProcsSuffix(t *testing.T) {
 	path := t.TempDir() + "/b.json"
-	data := `[{"name":"BenchmarkArtefact/fig1/shards8-4","ns_per_op":5,"allocs_per_op":3},{"name":"BenchmarkX-16","ns_per_op":1}]`
+	data := `[{"name":"BenchmarkArtefact/fig1-4","ns_per_op":5,"allocs_per_op":3},{"name":"BenchmarkX-16","ns_per_op":1}]`
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +83,7 @@ func TestReadRecordsDropsProcsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs["BenchmarkArtefact/fig1/shards8"].AllocsPerOp != 3 || recs["BenchmarkX"].NsPerOp != 1 || len(recs) != 2 {
+	if recs["BenchmarkArtefact/fig1"].AllocsPerOp != 3 || recs["BenchmarkX"].NsPerOp != 1 || len(recs) != 2 {
 		t.Fatalf("records = %+v", recs)
 	}
 	if _, err := readRecords(path + ".missing"); err == nil {

@@ -27,7 +27,6 @@ func main() {
 	periods := flag.Int("periods", 2, "iterations to protect")
 	mtbf := flag.Duration("mtbf", time.Hour, "system MTBF for the efficiency sweep")
 	seed := flag.Uint64("seed", 7, "simulation seed")
-	shards := flag.Int("shards", 0, "parallel event shards (0 = sequential engine; results are identical either way)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -42,7 +41,6 @@ func main() {
 		Periods:  *periods,
 		Seed:     *seed,
 		TrackCow: true,
-		Shards:   *shards,
 	})
 	if err != nil {
 		fail(err)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figures [-fig name|all] [-ranks 64] [-seed 7] [-shards 0]
+//	figures [-fig name|all] [-ranks 64] [-seed 7]
 package main
 
 import (
@@ -22,7 +22,6 @@ func main() {
 	fig := flag.String("fig", "all", "artefact to regenerate: "+strings.Join(experiments.Names(), ", ")+" or all")
 	ranks := flag.Int("ranks", 64, "MPI ranks")
 	seed := flag.Uint64("seed", 7, "simulation seed")
-	shards := flag.Int("shards", 0, "parallel event shards (0 = sequential engine; figure data is identical either way)")
 	prof := profiling.AddFlags()
 	flag.Parse()
 
@@ -43,7 +42,7 @@ func main() {
 		fail(err)
 	}
 	for _, a := range arts {
-		res, err := a.Run(experiments.RunOpts{Ranks: *ranks, Seed: *seed, Shards: *shards})
+		res, err := a.Run(experiments.RunOpts{Ranks: *ranks, Seed: *seed})
 		if err != nil {
 			fail(err)
 		}

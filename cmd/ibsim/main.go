@@ -26,7 +26,6 @@ func main() {
 	periods := flag.Int("periods", 3, "whole iterations to measure")
 	seed := flag.Uint64("seed", 7, "simulation seed")
 	includeInit := flag.Bool("init", false, "include the data-initialization burst in the trace")
-	shards := flag.Int("shards", 0, "parallel event shards (0 = sequential engine; results are identical either way)")
 	csv := flag.Bool("csv", false, "print the per-timeslice trace as CSV")
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 		Periods:     *periods,
 		Seed:        *seed,
 		IncludeInit: *includeInit,
-		Shards:      *shards,
 	})
 	if err != nil {
 		stopProf()

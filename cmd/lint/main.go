@@ -1,11 +1,9 @@
 // Command lint is the repo's determinism-contract multichecker. It
 // loads every matched package with the stdlib-only analysis framework
-// and runs seven project-specific analyzers:
+// and runs six project-specific analyzers:
 //
 //	detlint     no wall-clock time or ambient entropy in internal/ and cmd/
 //	maporder    no map-iteration order leaking into slices, writers, channels
-//	shardorder  no Engine scheduling calls inside map iteration — event
-//	            interleaving must not follow map order
 //	errwrap     sentinel errors compared with errors.Is and wrapped with %w
 //	seedplumb   exported internal/ functions take seeds, never bake them in
 //	ckptset     committed .ckptspec protection specs match the classification
@@ -46,7 +44,6 @@ import (
 	"repro/internal/analysis/errwrap"
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/seedplumb"
-	"repro/internal/analysis/shardorder"
 )
 
 // checkers binds each analyzer to the slice of the module it governs.
@@ -62,7 +59,6 @@ var checkers = []struct {
 }{
 	{detlint.Analyzer, inInternalOrCmd},
 	{maporder.Analyzer, func(string) bool { return true }},
-	{shardorder.Analyzer, func(string) bool { return true }},
 	{errwrap.Analyzer, inInternalOrCmd},
 	{seedplumb.Analyzer, inInternal},
 	{ckptset.Analyzer, inInternalOrCmd},
@@ -94,101 +90,70 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "lint:", err)
+		os.Exit(2)
+	}
+	m, err := load(".", patterns)
+	if err != nil {
+		fail(err)
+	}
 	if *writeSpecs {
-		files, err := SpecFiles(".", patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			os.Exit(2)
-		}
+		files := m.specFiles()
 		for _, path := range sortedKeys(files) {
 			if err := os.WriteFile(path, []byte(files[path]), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "lint:", err)
-				os.Exit(2)
+				fail(err)
 			}
 			fmt.Println("wrote", path)
 		}
 		return
 	}
-	var n int
-	var err error
+	diags, err := m.lint()
+	if err != nil {
+		fail(err)
+	}
 	if *asJSON {
-		n, err = LintJSON(os.Stdout, ".", patterns)
+		err = writeJSON(os.Stdout, diags)
 	} else {
-		n, err = Lint(os.Stdout, ".", patterns)
+		writeText(os.Stdout, diags)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lint:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	if n > 0 {
-		fmt.Fprintf(os.Stderr, "lint: %d problem(s)\n", n)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "lint: %d problem(s)\n", len(diags))
 		os.Exit(1)
 	}
 }
 
-// Lint runs the multichecker over patterns resolved against the module
-// enclosing dir, printing diagnostics to w, and returns the number of
-// findings. It is the whole of main's logic, factored so the test
-// suite can run the real gate in-process.
-func Lint(w io.Writer, dir string, patterns []string) (int, error) {
-	diags, err := run(dir, patterns)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range diags {
-		fmt.Fprintln(w, d)
-	}
-	return len(diags), nil
+// loaded is one load of the packages matched by a set of patterns: the
+// type-checking every mode shares, done once, so the tests can run the
+// real gate in-process over one load of the module.
+type loaded struct {
+	modPath string
+	pkgs    []*analysis.Package
 }
 
-// A Finding is the JSON shape of one diagnostic: flat, stable field
-// names, ready for CI artifact tooling.
-type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// LintJSON is Lint with machine-readable output: a JSON array of
-// findings (always an array, [] when clean).
-func LintJSON(w io.Writer, dir string, patterns []string) (int, error) {
-	diags, err := run(dir, patterns)
-	if err != nil {
-		return 0, err
-	}
-	findings := make([]Finding, 0, len(diags))
-	for _, d := range diags {
-		findings = append(findings, Finding{
-			File:    d.Position.Filename,
-			Line:    d.Position.Line,
-			Col:     d.Position.Column,
-			Check:   d.Category,
-			Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(findings); err != nil {
-		return len(findings), err
-	}
-	return len(findings), nil
-}
-
-func run(dir string, patterns []string) ([]analysis.Diagnostic, error) {
+// load resolves patterns against the module enclosing dir and parses and
+// type-checks every matched package.
+func load(dir string, patterns []string) (*loaded, error) {
 	modDir, modPath, err := analysis.FindModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	loader := analysis.NewLoader(modDir, modPath)
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := analysis.NewLoader(modDir, modPath).Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
+	return &loaded{modPath: modPath, pkgs: pkgs}, nil
+}
+
+// lint runs every checker over the packages it governs and returns the
+// findings.
+func (m *loaded) lint() ([]analysis.Diagnostic, error) {
 	var all []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, modPath), "/")
+	for _, pkg := range m.pkgs {
+		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, m.modPath), "/")
 		var active []*analysis.Analyzer
 		for _, c := range checkers {
 			if c.applies(rel) {
@@ -204,22 +169,13 @@ func run(dir string, patterns []string) ([]analysis.Diagnostic, error) {
 	return all, nil
 }
 
-// SpecFiles computes the protection-region spec of every matched
-// package that declares roles and returns the file contents keyed by
-// the absolute .ckptspec path — without writing anything, so tests and
-// the drift gate can compare against the committed files.
-func SpecFiles(dir string, patterns []string) (map[string]string, error) {
-	modDir, modPath, err := analysis.FindModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	loader := analysis.NewLoader(modDir, modPath)
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		return nil, err
-	}
+// specFiles computes the protection-region spec of every loaded package
+// that declares roles and returns the file contents keyed by the absolute
+// .ckptspec path — without writing anything, so tests and the drift gate
+// can compare against the committed files.
+func (m *loaded) specFiles() map[string]string {
 	files := make(map[string]string)
-	for _, pkg := range pkgs {
+	for _, pkg := range m.pkgs {
 		spec := ckptset.ComputeSpec(pkg)
 		if spec == nil {
 			continue
@@ -227,7 +183,42 @@ func SpecFiles(dir string, patterns []string) (map[string]string, error) {
 		path := filepath.Join(pkg.Dir, pkg.Types.Name()+".ckptspec")
 		files[path] = string(spec.Encode())
 	}
-	return files, nil
+	return files
+}
+
+// writeText prints one diagnostic per line.
+func writeText(w io.Writer, diags []analysis.Diagnostic) {
+	for _, d := range diags {
+		fmt.Fprintln(w, d)
+	}
+}
+
+// A Finding is the JSON shape of one diagnostic: flat, stable field
+// names, ready for CI artifact tooling.
+type Finding struct {
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
+}
+
+// writeJSON is writeText in machine-readable form: a JSON array of
+// findings (always an array, [] when clean).
+func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
+	findings := make([]Finding, 0, len(diags))
+	for _, d := range diags {
+		findings = append(findings, Finding{
+			File:    d.Position.Filename,
+			Line:    d.Position.Line,
+			Col:     d.Position.Column,
+			Check:   d.Category,
+			Message: d.Message,
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(findings)
 }
 
 func sortedKeys(m map[string]string) []string {

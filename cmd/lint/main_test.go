@@ -8,10 +8,33 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+// repo is the whole module, loaded and linted once for every test that
+// reads it: type-checking the module is most of what a lint run costs.
+var repo struct {
+	once  sync.Once
+	m     *loaded
+	diags []analysis.Diagnostic
+	err   error
+}
+
+func repoLint(t *testing.T) (*loaded, []analysis.Diagnostic) {
+	t.Helper()
+	repo.once.Do(func() {
+		if repo.m, repo.err = load(".", []string{"./..."}); repo.err == nil {
+			repo.diags, repo.err = repo.m.lint()
+		}
+	})
+	if repo.err != nil {
+		t.Fatalf("lint failed to run: %v", repo.err)
+	}
+	return repo.m, repo.diags
+}
 
 // TestRepoLintsClean runs the real multichecker — same loader, same
 // analyzers, same suppression — over the entire module and demands
@@ -20,13 +43,11 @@ import (
 // seed lands anywhere in the repo, this test fails before CI's
 // dedicated lint step even runs.
 func TestRepoLintsClean(t *testing.T) {
-	var out bytes.Buffer
-	n, err := Lint(&out, ".", []string{"./..."})
-	if err != nil {
-		t.Fatalf("lint failed to run: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("lint found %d problem(s) in the repo:\n%s", n, out.String())
+	_, diags := repoLint(t)
+	if len(diags) != 0 {
+		var out bytes.Buffer
+		writeText(&out, diags)
+		t.Errorf("lint found %d problem(s) in the repo:\n%s", len(diags), out.String())
 	}
 }
 
@@ -95,11 +116,17 @@ func Check(err error) bool { return err == ErrBoom }
 
 func NewGen() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
 `})
-	var out bytes.Buffer
-	n, err := Lint(&out, dir, []string{"./..."})
+	m, err := load(dir, []string{"./..."})
 	if err != nil {
 		t.Fatalf("lint failed to run: %v", err)
 	}
+	diags, err := m.lint()
+	if err != nil {
+		t.Fatalf("lint failed to run: %v", err)
+	}
+	n := len(diags)
+	var out bytes.Buffer
+	writeText(&out, diags)
 	// One finding per contract break: time.Now + rand.Int (detlint),
 	// Fprintln-in-map-range (maporder), == ErrBoom (errwrap),
 	// constant-seeded NewGen (seedplumb).
@@ -112,19 +139,18 @@ func NewGen() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
 		}
 	}
 
-	// The same run through -json: a parseable array carrying the same
-	// findings with populated positions.
+	// The same findings through -json: a parseable array with populated
+	// positions.
 	var jsonOut bytes.Buffer
-	n, err = LintJSON(&jsonOut, dir, []string{"./..."})
-	if err != nil {
-		t.Fatalf("json lint failed to run: %v", err)
+	if err := writeJSON(&jsonOut, diags); err != nil {
+		t.Fatal(err)
 	}
 	var findings []Finding
 	if err := json.Unmarshal(jsonOut.Bytes(), &findings); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, jsonOut.String())
 	}
-	if len(findings) != 5 || n != 5 {
-		t.Fatalf("-json reported %d findings (returned %d), want 5", len(findings), n)
+	if len(findings) != 5 {
+		t.Fatalf("-json reported %d findings, want 5", len(findings))
 	}
 	checks := make(map[string]bool)
 	for _, f := range findings {
@@ -171,13 +197,13 @@ func TestDeadExportExitsOne(t *testing.T) {
 // TestLintJSONCleanIsEmptyArray: a clean run emits [], not null — CI
 // tooling gets an array either way.
 func TestLintJSONCleanIsEmptyArray(t *testing.T) {
+	_, diags := repoLint(t)
 	var out bytes.Buffer
-	n, err := LintJSON(&out, ".", []string{"./internal/bitset"})
-	if err != nil {
+	if err := writeJSON(&out, diags); err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("bitset lints dirty: %s", out.String())
+	if len(diags) != 0 {
+		t.Fatalf("the repo lints dirty: %s", out.String())
 	}
 	if strings.TrimSpace(out.String()) != "[]" {
 		t.Errorf("clean -json output = %q, want []", out.String())
@@ -188,10 +214,8 @@ func TestLintJSONCleanIsEmptyArray(t *testing.T) {
 // regenerating every matched spec must reproduce the committed files
 // byte for byte. CI enforces the same with -write-specs + git diff.
 func TestSpecFilesMatchCommitted(t *testing.T) {
-	files, err := SpecFiles(".", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _ := repoLint(t)
+	files := m.specFiles()
 	if len(files) == 0 {
 		t.Fatal("no packages with protection regions found; expected internal/kernels")
 	}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/des"
@@ -50,17 +49,21 @@ type CommitMarker struct {
 // CommitKey returns the store key of seq's COMMIT marker.
 func CommitKey(seq uint64) string { return fmt.Sprintf("commit/seq%06d", seq) }
 
-// ParseCommitKey parses a key written by CommitKey.
+// ParseCommitKey inverts CommitKey: like ParseSegmentKey, it accepts
+// exactly the keys CommitKey prints, so every layer agrees on which line a
+// marker names. seq may be nil when the caller only needs the match.
 func ParseCommitKey(key string, seq *uint64) bool {
 	rest, ok := strings.CutPrefix(key, "commit/seq")
 	if !ok {
 		return false
 	}
-	s, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
+	s, rest, ok := cutPadded(rest, 6)
+	if !ok || rest != "" {
 		return false
 	}
-	*seq = s
+	if seq != nil {
+		*seq = s
+	}
 	return true
 }
 

@@ -69,6 +69,22 @@ func TestCommitMarkerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseCommitKeyIsCanonical: a key CommitKey never prints names no
+// line. LatestCommittedSeq fetches CommitKey(seq), so a parser that read
+// "commit/seq42" as line 42 would let the two-phase claim count a marker
+// recovery then cannot find.
+func TestParseCommitKeyIsCanonical(t *testing.T) {
+	for _, key := range []string{"commit/seq42", "commit/seq0000042", "commit/seq+00042", "commit/seq000042/", "commit/seq"} {
+		var seq uint64
+		if ParseCommitKey(key, &seq) {
+			t.Errorf("ParseCommitKey(%q) accepted line %d; CommitKey(%d) = %q", key, seq, seq, CommitKey(seq))
+		}
+	}
+	if !ParseCommitKey(CommitKey(1234567), nil) || ParseCommitKey("commit/seq42", nil) {
+		t.Fatal("ParseCommitKey with a nil seq must still report the match")
+	}
+}
+
 func TestDecodeCommitMarkerCorrupt(t *testing.T) {
 	valid := EncodeCommitMarker(CommitMarker{Seq: 1, Ranks: 2, At: 1})
 	for name, data := range map[string][]byte{

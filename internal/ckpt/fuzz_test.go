@@ -119,6 +119,25 @@ func FuzzParseSegmentKey(f *testing.F) {
 	})
 }
 
+func FuzzParseCommitKey(f *testing.F) {
+	f.Add(CommitKey(0))
+	f.Add(CommitKey(1234567))
+	f.Add("commit/seq42")
+	f.Add("commit/seq0000042")
+	f.Add("rank003/seg000007")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, key string) {
+		var seq uint64
+		if !ParseCommitKey(key, &seq) {
+			return
+		}
+		// The parser accepts exactly what CommitKey prints.
+		if got := CommitKey(seq); got != key {
+			t.Fatalf("accepted %q, but CommitKey(%d) prints %q", key, seq, got)
+		}
+	})
+}
+
 func FuzzDecodeCommitMarker(f *testing.F) {
 	f.Add(EncodeCommitMarker(CommitMarker{Seq: 0, Ranks: 1, At: 0}))
 	f.Add(EncodeCommitMarker(CommitMarker{Seq: 42, Ranks: 64, At: 9 * des.Second}))

@@ -57,8 +57,8 @@ type MeasureConfig struct {
 	// IncludeInit keeps the data-initialization burst in the series
 	// (summaries are computed either way on the post-init window).
 	IncludeInit bool
-	// Shards runs the simulation across parallel event shards (0 or 1 →
-	// sequential). Results are bit-identical at every shard count.
+	// Shards is accepted and ignored: every run is on one engine.
+	// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
 	Shards int
 }
 
@@ -103,7 +103,6 @@ func Measure(cfg MeasureConfig) (*MeasureResult, error) {
 		Periods:     cfg.Periods,
 		Seed:        cfg.Seed,
 		IncludeInit: cfg.IncludeInit,
-		Shards:      cfg.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -154,9 +153,6 @@ type ProtectConfig struct {
 	Store storage.Store
 	// TrackCow enables copy-on-write accounting during drains.
 	TrackCow bool
-	// Shards runs the simulation across parallel event shards (0 or 1 →
-	// sequential).
-	Shards int
 }
 
 // ProtectResult summarises a protected run.
@@ -195,7 +191,7 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 	if cfg.Periods == 0 {
 		cfg.Periods = 2
 	}
-	r, err := workload.New(spec, workload.Config{Ranks: cfg.Ranks, Seed: cfg.Seed, Shards: cfg.Shards})
+	r, err := workload.New(spec, workload.Config{Ranks: cfg.Ranks, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +207,7 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 	}
 	var cps []*ckpt.Checkpointer
 	for i := 0; i < cfg.Ranks; i++ {
-		// Per-rank checkpointers bind to the rank's engine; the
-		// coordinator below lives on r.Eng (the control engine in a
-		// sharded run), so global checkpoints execute at serial
-		// instants with every shard parked and all clocks unified.
-		c, err := ckpt.NewCheckpointer(r.EngineFor(i), r.Space(i), ckpt.Options{
+		c, err := ckpt.NewCheckpointer(r.Eng, r.Space(i), ckpt.Options{
 			Rank:      i,
 			Store:     store,
 			FullEvery: cfg.FullEvery,

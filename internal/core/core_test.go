@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/des"
 )
@@ -91,37 +89,5 @@ func TestProtect(t *testing.T) {
 func TestProtectUnknownApp(t *testing.T) {
 	if _, err := Protect(ProtectConfig{App: "nope"}); err == nil {
 		t.Fatal("unknown app accepted")
-	}
-}
-
-// TestShardedMeasureLeavesNoGoroutines: a sharded engine group's workers
-// live for one Run, not for the life of the group, so a finished
-// measurement leaves no goroutine — and none of the world it pins —
-// behind. GOMAXPROCS is raised so the parallel path (the one that spawns
-// workers) runs even on a single-processor host.
-func TestShardedMeasureLeavesNoGoroutines(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	before := runtime.NumGoroutine()
-	seq, err := Measure(MeasureConfig{App: "LU", Ranks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		m, err := Measure(MeasureConfig{App: "LU", Ranks: 8, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.AvgIBMBs != seq.AvgIBMBs || m.MaxIBMBs != seq.MaxIBMBs {
-			t.Fatalf("sharded IB %v/%v != sequential %v/%v", m.AvgIBMBs, m.MaxIBMBs, seq.AvgIBMBs, seq.MaxIBMBs)
-		}
-	}
-	// Run returns once every worker has signalled its exit; the runtime
-	// may take a moment longer to retire the goroutine itself.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before three sharded measurements, %d after", before, after)
 	}
 }

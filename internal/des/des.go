@@ -7,17 +7,10 @@
 // which makes whole-cluster runs bit-for-bit reproducible regardless of host
 // scheduling.
 //
-// The engine runs in one of two modes. A standalone Engine (NewEngine) is
-// strictly sequential: the paper's metrics (Incremental Working Set,
-// Incremental Bandwidth) are ratios of bytes to virtual time, so no
-// host-level parallelism inside one simulation is needed, and experiment
-// sweeps parallelise across independent Engine instances. A Group
-// (NewGroup, shard.go) runs several Engines — shards — concurrently on
-// worker goroutines, synchronising at conservative epoch barriers so that
-// per-seed results stay bit-identical to a sequential run regardless of
-// GOMAXPROCS or shard count. Cross-shard communication goes through
-// Engine.PostTo and a canonically ordered mailbox; see shard.go for the
-// event-class taxonomy (local / comm / serial) and the lookahead contract.
+// An Engine is strictly sequential: the paper's metrics (Incremental
+// Working Set, Incremental Bandwidth) are ratios of bytes to virtual time,
+// so no host-level parallelism inside one simulation is needed, and
+// experiment sweeps parallelise across independent Engine instances.
 //
 // The event queue is allocation-free in steady state: events live in a slot
 // arena recycled through a free-list, the priority queue is an index-based
@@ -28,12 +21,12 @@
 //
 // Queue depth is O(live activities), not O(scheduled firings): an activity
 // that fires many times — a sweep's ticks, an iteration's sends — is one
-// event series (ScheduleSeriesLocal/ScheduleSeriesAt, series.go) holding exactly one
-// heap node however many firings remain, with the order and event counts it
-// would have had if every firing had been scheduled up front.
+// event series (ScheduleSeries/ScheduleSeriesAt, series.go) holding exactly
+// one heap node however many firings remain, with the order and event
+// counts it would have had if every firing had been scheduled up front.
 //
 // Event count is O(observed firings): a series whose intermediate states
-// nothing reads can be held (HoldSeriesLocal), firing all its firings back
+// nothing reads can be held (HoldSeries), firing all its firings back
 // to back as one event at its last firing's key, and released
 // (Event.Release) into the ordinary series the moment something might read
 // them — the firings already due run at once and the rest keep their keys.
@@ -121,13 +114,12 @@ func (e Event) Pending() bool {
 // recycled through the engine's free-list; gen increments at each reap so
 // stale handles cannot alias a successor event in the same slot.
 type eventSlot struct {
-	fn    func()
-	gen   uint32
-	ser   int32 // 1 + index into Engine.series; 0 for a single event
-	dead  bool
-	local bool // shard-confined event class (see shard.go)
-	held  bool // a held series, queued at its last firing (series.go)
-	twin  bool // a released hold, queued at two keys (Event.Release)
+	fn   func()
+	gen  uint32
+	ser  int32 // 1 + index into Engine.series; 0 for a single event
+	dead bool
+	held bool // a held series, queued at its last firing (series.go)
+	twin bool // a released hold, queued at two keys (Event.Release)
 }
 
 // heapNode is one entry of the 4-ary min-heap. The ordering key (at, seq)
@@ -160,13 +152,6 @@ type Engine struct {
 	// (now, nowSeq) has run, or would have had it been queued on its own.
 	// It is how far Event.Release runs a held series.
 	nowSeq uint64
-
-	// Sharded mode (nil group for standalone engines; see shard.go).
-	group     *Group
-	shard     int        // index within the group; controlShard for the control engine
-	commHeap  []commNode // pending comm events, for horizon computation
-	postSeq   uint64     // canonical per-source ordering of cross-shard posts
-	execLocal bool       // class of the event currently executing
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -178,54 +163,31 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Fired reports the total number of events executed so far, a cheap proxy
-// for simulation work done (useful in benchmarks). On a grouped engine it
-// aggregates across every shard and the control engine, so sequential and
-// sharded runs of the same simulation report equal counts; call it
-// between runs only.
-func (e *Engine) Fired() uint64 {
-	if e.group != nil {
-		return e.group.firedTotal()
-	}
-	return e.fired
-}
+// for simulation work done (useful in benchmarks).
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events still queued (including cancelled
-// events not yet reaped). On a grouped engine it aggregates heaps and
-// undrained mailboxes across the whole group; call it between runs only.
+// events not yet reaped).
 //
 //lint:ignore deadexport queue-depth probe the workload event-queue tests bound memory with
-func (e *Engine) Pending() int {
-	if e.group != nil {
-		return e.group.pending()
-	}
-	return len(e.heap)
-}
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule queues fn to run at absolute virtual time at. Scheduling in the
-// past (before Now) panics: it would silently corrupt causality. On a
-// grouped engine the event is a comm event (it may interact with other
-// shards); see AfterLocal for the shard-confined class.
+// past (before Now) panics: it would silently corrupt causality.
 func (e *Engine) Schedule(at Time, fn func()) Event {
-	return e.schedule(at, fn, false)
-}
-
-func (e *Engine) schedule(at Time, fn func(), local bool) Event {
-	return e.enqueue(at, fn, local, 0, 1, false)
+	return e.enqueue(at, fn, 0, 1, false)
 }
 
 // enqueue is the one way into the queue: it takes an arena slot for fn,
 // reserves nseq consecutive sequence numbers and pushes the node for the
 // first of them (for a held series, the last). ser is the slot's series
 // link (0 for a single event, which reserves exactly one number).
-func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64, held bool) Event {
+func (e *Engine) enqueue(at Time, fn func(), ser int32, nseq uint64, held bool) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
 	if fn == nil {
 		panic("des: schedule with nil callback")
-	}
-	if e.execLocal && !local {
-		panic("des: local event scheduled a comm event; use AfterLocal/ScheduleSeriesLocal or reclassify the parent")
 	}
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -239,7 +201,6 @@ func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64,
 	s.fn = fn
 	s.ser = ser
 	s.dead = false
-	s.local = local
 	s.held = held
 	node := heapNode{at: at, seq: e.seq, slot: slot}
 	if held {
@@ -248,33 +209,13 @@ func (e *Engine) enqueue(at Time, fn func(), local bool, ser int32, nseq uint64,
 	}
 	e.push(node)
 	e.seq += nseq
-	if e.tracksComm(local) {
-		e.pushComm(commNode{at: at, slot: slot, gen: s.gen})
-	}
 	return Event{eng: e, slot: slot, gen: s.gen, at: at}
-}
-
-// tracksComm reports whether a pending firing of the given class belongs
-// in the comm side heap: comm events on a group's data shards only.
-func (e *Engine) tracksComm(local bool) bool {
-	return e.group != nil && !local && e.shard != controlShard
 }
 
 // After queues fn to run d after the current virtual time.
 // A negative d panics.
 func (e *Engine) After(d Time, fn func()) Event {
-	return e.schedule(e.now+d, fn, false)
-}
-
-// AfterLocal queues a shard-confined event d after the current virtual
-// time: fn promises to touch only this engine's shard (its own memory
-// spaces, its own future events) and to schedule only further local
-// events. Local events are excluded from the group's horizon computation,
-// which keeps per-shard event mass (compute ticks, page faults) from
-// serialising parallel epochs. On a standalone engine the class is
-// recorded but changes nothing.
-func (e *Engine) AfterLocal(d Time, fn func()) Event {
-	return e.schedule(e.now+d, fn, true)
+	return e.Schedule(e.now+d, fn)
 }
 
 // push inserts n into the 4-ary heap (sift-up).
@@ -420,36 +361,13 @@ func (e *Engine) drop(slot int32) {
 	e.reap(slot)
 }
 
-// passed advances the clock to at least (at, seq): every firing of e keyed
-// before it has run, or would have had it been queued on its own. A group
-// calls it for the engines it moves past an instant without firing their
-// own events there.
-func (e *Engine) passed(at Time, seq uint64) {
-	if e.now < at || e.now == at && e.nowSeq < seq {
-		e.now, e.nowSeq = at, seq
-	}
-}
-
 // Stop makes the currently executing Run return after the in-flight event
-// completes. Pending events stay queued. On a grouped engine it stops the
-// whole group; safe to call from any shard's events.
-func (e *Engine) Stop() {
-	if e.group != nil {
-		e.group.stopped.Store(true)
-		return
-	}
-	e.stopped = true
-}
+// completes. Pending events stay queued.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports false when the queue is empty. On a grouped
-// engine it steps the globally earliest event anywhere in the group
-// (control engine first on ties, then shards in index order) and moves
-// every member's clock to its timestamp.
+// its timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.group != nil {
-		return e.group.step()
-	}
 	if !e.skipDead() {
 		return false
 	}
@@ -461,12 +379,7 @@ func (e *Engine) Step() bool {
 // calls Stop, or the next event would fire strictly after until. The clock
 // ends at the time of the last executed event, or at until when the run was
 // bounded and events remain. Run returns the number of events executed.
-// On a grouped engine, Run drives the whole group through the parallel
-// epoch scheduler (shard.go) and returns the group-wide event count.
 func (e *Engine) Run(until Time) uint64 {
-	if e.group != nil {
-		return e.group.run(until)
-	}
 	e.stopped = false
 	var n uint64
 	for !e.stopped && e.skipDead() {

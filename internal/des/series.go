@@ -15,28 +15,24 @@ import (
 // with key (at(k+1), seq0+k+1) before its callback runs. Firing times are
 // non-decreasing, so that key is larger than every key the series had
 // before it, and it is the key firing k+1 would have carried had all n been
-// scheduled up front: the dequeue order of the whole engine, Fired(), the
-// tie-breaks against same-instant events and the shard horizons (the
-// pending firing is the minimum of those left) are the bulk-scheduled ones
-// by construction. A callback that re-arms itself with After is not
+// scheduled up front: the dequeue order of the whole engine, Fired() and
+// the tie-breaks against same-instant events are the bulk-scheduled ones by
+// construction. A callback that re-arms itself with After is not
 // equivalent: it draws a fresh sequence number at each firing and so moves
 // behind every event scheduled in between for the same instant.
 //
 // The one difference is after a Cancel. Bulk-scheduled firings that were
-// cancelled stay queued, and (comm class) keep lowering their shard's
-// horizon, until each is popped; a cancelled series leaves one dead node.
-// What fires, and when, is still identical; a group may cut its epochs at
-// other instants, so CriticalPathEvents can differ. The workload never
-// cancels a series.
+// cancelled stay queued until each is popped; a cancelled series leaves one
+// dead node. What fires, and when, is still identical.
 //
-// Held series. HoldSeriesLocal reserves the same block, but queues its one
+// Held series. HoldSeries reserves the same block, but queues its one
 // node at the block's last key (at(n-1), seq0+n-1) and, when that node
 // fires, runs every firing there, back to back: one event instead of n,
 // for an activity whose intermediate states nothing reads. Release turns
 // the hold back into the ordinary series at any point — the firings
 // already due run at once, the rest keep their reserved keys — so a hold
 // that is released before anything could tell the difference is
-// indistinguishable from ScheduleSeriesLocal. The last key is the one the
+// indistinguishable from ScheduleSeries. The last key is the one the
 // ordinary series' last firing carries, so a never-released hold still ties
 // with same-instant events exactly as that firing would.
 
@@ -66,36 +62,35 @@ func (s *series) key(k int32, slot int32) heapNode {
 	return heapNode{at: s.time(k), seq: s.seq0 + uint64(k), slot: slot}
 }
 
-// ScheduleSeriesLocal queues fn to fire n times, at first, first+step, …,
-// first+(n-1)*step, as shard-confined events (see AfterLocal). It is
-// equivalent to n AfterLocal calls made now, in time order, but holds one
-// queue entry. step must not be negative; n == 0 queues nothing and
-// returns the zero Event. The returned handle covers the whole series:
-// Cancel drops every firing still to come.
-func (e *Engine) ScheduleSeriesLocal(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, true, false)
+// ScheduleSeries queues fn to fire n times, at first, first+step, …,
+// first+(n-1)*step. It is equivalent to n Schedule calls made now, in time
+// order, but holds one queue entry. step must not be negative; n == 0
+// queues nothing and returns the zero Event. The returned handle covers
+// the whole series: Cancel drops every firing still to come.
+func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
+	return e.scheduleSeries(first, step, nil, n, fn, false)
 }
 
-// HoldSeriesLocal is ScheduleSeriesLocal for an activity nothing observes
-// until it is over: it reserves the same n sequence numbers, but its one
-// queue entry waits at the last firing's key and, when it fires, runs fn n
-// times in a row at that instant, as one event. Callbacks must not rely on
-// the clock or on events in between, and cannot cancel the firings that run
+// HoldSeries is ScheduleSeries for an activity nothing observes until it
+// is over: it reserves the same n sequence numbers, but its one queue
+// entry waits at the last firing's key and, when it fires, runs fn n times
+// in a row at that instant, as one event. Callbacks must not rely on the
+// clock or on events in between, and cannot cancel the firings that run
 // with them. Release on the returned handle turns it back into the
 // ordinary series; Cancel drops it.
-func (e *Engine) HoldSeriesLocal(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, true, true)
+func (e *Engine) HoldSeries(first, step Time, n int, fn func()) Event {
+	return e.scheduleSeries(first, step, nil, n, fn, true)
 }
 
-// Release turns a held series (HoldSeriesLocal) into the series
-// ScheduleSeriesLocal would have made. The firings that series would
-// already have made run now, in order: inside a callback, those keyed
-// before the running event; between calls, those keyed at or before the
-// last event fired, or at or before the bound a Run stopped at. The rest
-// keep the keys they reserved, so they interleave with every other event as
-// the ordinary series' firings would. On any other handle — a single event,
-// an ordinary series, a hold already released, fired or cancelled, the zero
-// Event — Release does nothing.
+// Release turns a held series (HoldSeries) into the series ScheduleSeries
+// would have made. The firings that series would already have made run
+// now, in order: inside a callback, those keyed before the running event;
+// between calls, those keyed at or before the last event fired, or at or
+// before the bound a Run stopped at. The rest keep the keys they reserved,
+// so they interleave with every other event as the ordinary series'
+// firings would. On any other handle — a single event, an ordinary series,
+// a hold already released, fired or cancelled, the zero Event — Release
+// does nothing.
 func (ev Event) Release() {
 	e := ev.eng
 	if e == nil {
@@ -107,9 +102,6 @@ func (ev Event) Release() {
 	}
 	s.held = false
 	idx, fn := s.ser-1, s.fn
-	// The firings run here belong to the shard-confined class.
-	prev := e.execLocal
-	e.execLocal = e.group != nil
 	for {
 		// Callbacks may grow the arenas or cancel the series: re-read both.
 		sr := &e.series[idx]
@@ -119,7 +111,6 @@ func (ev Event) Release() {
 		sr.k++
 		fn()
 	}
-	e.execLocal = prev
 	s, sr := &e.slots[ev.slot], &e.series[idx]
 	switch {
 	case s.dead:
@@ -136,16 +127,16 @@ func (ev Event) Release() {
 }
 
 // ScheduleSeriesAt queues fn to fire len(offsets) times, firing k at
-// base+offsets[k], as comm events: the series form of one Schedule call per
-// entry, in slice order. offsets must be non-decreasing (checked here — a
-// decreasing list would fire out of the order its sequence numbers imply)
-// and is borrowed, not copied: it must stay unmodified until the series has
+// base+offsets[k]: the series form of one Schedule call per entry, in
+// slice order. offsets must be non-decreasing (checked here — a decreasing
+// list would fire out of the order its sequence numbers imply) and is
+// borrowed, not copied: it must stay unmodified until the series has
 // finished or been cancelled. One list may back any number of series.
 func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
-	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, false, false)
+	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, false)
 }
 
-func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func(), local, held bool) Event {
+func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func(), held bool) Event {
 	if n < 0 || n > math.MaxInt32 || step < 0 {
 		panic(fmt.Sprintf("des: series of %d firings with step %v", n, step))
 	}
@@ -166,7 +157,7 @@ func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func
 		idx = int32(len(e.series) - 1)
 	}
 	e.series[idx] = series{first: first, step: step, offsets: offsets, n: int32(n), seq0: e.seq}
-	return e.enqueue(e.series[idx].time(0), fn, local, idx+1, uint64(n), held)
+	return e.enqueue(e.series[idx].time(0), fn, idx+1, uint64(n), held)
 }
 
 // rearm moves series idx, whose pending firing top is at the heap root, on
@@ -179,10 +170,6 @@ func (e *Engine) rearm(top heapNode, idx int32) bool {
 		return false
 	}
 	s.k++
-	at := s.at()
-	e.replaceTop(heapNode{at: at, seq: top.seq + 1, slot: top.slot})
-	if slot := &e.slots[top.slot]; e.tracksComm(slot.local) {
-		e.pushComm(commNode{at: at, slot: top.slot, gen: slot.gen})
-	}
+	e.replaceTop(heapNode{at: s.at(), seq: top.seq + 1, slot: top.slot})
 	return true
 }

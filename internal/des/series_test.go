@@ -13,33 +13,23 @@ import (
 // front — same callbacks at the same times in the same order, ties with
 // other events included.
 //
-// A script is a random per-shard program of single events and series, with
-// cancellations before and during the run, callbacks that schedule further
-// events as they fire and (on a group) comm events that post across
-// shards. It is played twice: once through ScheduleSeries*, once through
-// the bulk loop the series replaces.
-
-// seriesComm is the comm-class uniform series. It has no exported
-// spelling — nothing outside these tests wants one — so they reach the
-// core the exported spellings share.
-func seriesComm(e *Engine, first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, false, false)
-}
+// A script is a random program of single events and series, with
+// cancellations before and during the run and callbacks that schedule
+// further events as they fire. It is played twice: once through
+// ScheduleSeries*, once through the bulk loop the series replaces.
 
 // opSpec is one scripted activity on one engine.
 type opSpec struct {
-	local   bool
 	first   Time   // single events and uniform series
 	step    Time   // uniform series
 	n       int    // firings; 1 with offsets == nil is a single event
 	offsets []Time // explicit firing offsets from first
 	cancel  bool   // cancelled straight after scheduling
-	hold    bool   // a HoldSeriesLocal series; scripts never cancel one
+	hold    bool   // a HoldSeries series; scripts never cancel one
 
 	// What a single event does when it fires.
 	kill    int  // cancel activity kill-1 of the same engine
-	spawn   Time // schedule a child of the same class this far ahead
-	post    Time // post a child to the next shard this far ahead (comm only)
+	spawn   Time // schedule a child this far ahead
 	release int  // record markID(release-1), then Release that activity
 }
 
@@ -70,7 +60,6 @@ type firing struct {
 // player plays one engine's script and records what fired.
 type player struct {
 	eng     *Engine
-	next    *Engine // PostTo target; nil on a standalone engine
 	bulk    bool
 	holds   holdMode // series run only
 	ops     []opSpec
@@ -89,7 +78,7 @@ func (p *player) schedule() {
 		p.release[id] = func() {}
 		switch {
 		case o.hold && !p.bulk:
-			ev := p.eng.HoldSeriesLocal(o.first, o.step, o.n, fn)
+			ev := p.eng.HoldSeries(o.first, o.step, o.n, fn)
 			p.cancel[id] = func() {}
 			if p.holds != neverRelease {
 				p.release[id] = ev.Release
@@ -97,7 +86,7 @@ func (p *player) schedule() {
 		case p.bulk || o.n == 1 && o.offsets == nil:
 			evs := make([]Event, o.n)
 			for k := range evs {
-				evs[k] = p.eng.schedule(o.at(k), fn, o.local)
+				evs[k] = p.eng.Schedule(o.at(k), fn)
 			}
 			p.cancel[id] = func() {
 				for _, ev := range evs {
@@ -112,9 +101,8 @@ func (p *player) schedule() {
 				p.release[id] = evs[0].Release
 			}
 		default:
-			// Straight into the shared core: only two of the four
-			// class × shape combinations have an exported spelling.
-			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, o.local, false)
+			// Straight into the core both series shapes share.
+			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, false)
 			p.cancel[id] = func() { ev.Cancel() }
 			p.release[id] = ev.Release // a no-op on an ordinary series
 		}
@@ -146,19 +134,10 @@ func (p *player) callback(id int, o opSpec) func() {
 			p.cancel[o.kill-1]()
 		}
 		if o.spawn > 0 {
-			if o.local {
-				p.eng.AfterLocal(o.spawn, child)
-			} else {
-				p.eng.After(o.spawn, child)
-			}
-		}
-		if o.post > 0 && p.next != nil {
-			p.eng.PostTo(p.next, p.eng.Now()+o.post, func() {})
+			p.eng.After(o.spawn, child)
 		}
 	}
 }
-
-const scriptLookahead = 2 * Microsecond
 
 // randomScript draws one engine's program, with or without cancellations.
 // Times are whole microseconds in a narrow range, so most instants are
@@ -167,7 +146,7 @@ func randomScript(rng *rand.Rand, cancels bool) []opSpec {
 	us := func(n int64) Time { return Time(rng.Int64N(n)) * Microsecond }
 	ops := make([]opSpec, 12+rng.IntN(20))
 	for i := range ops {
-		o := opSpec{local: rng.IntN(2) == 0, first: us(40), n: 1, cancel: cancels && rng.IntN(8) == 0}
+		o := opSpec{first: us(40), n: 1, cancel: cancels && rng.IntN(8) == 0}
 		switch rng.IntN(4) {
 		case 0: // uniform series; step 0 stacks every firing on one instant
 			o.n = rng.IntN(30)
@@ -187,10 +166,6 @@ func randomScript(rng *rand.Rand, cancels bool) []opSpec {
 				}
 			case 1:
 				o.spawn = 1 + us(10)
-			case 2:
-				if !o.local {
-					o.post = scriptLookahead + us(10)
-				}
 			}
 		}
 		ops[i] = o
@@ -207,8 +182,8 @@ func addHolds(rng *rand.Rand, ops []opSpec) []opSpec {
 		o := &ops[i]
 		switch {
 		case o.offsets == nil && o.n != 1 && rng.IntN(2) == 0:
-			o.hold, o.local, o.cancel = true, true, false
-		case o.offsets == nil && o.n == 1 && o.kill == 0 && o.spawn == 0 && o.post == 0 && rng.IntN(2) == 0:
+			o.hold, o.cancel = true, false
+		case o.offsets == nil && o.n == 1 && o.kill == 0 && o.spawn == 0 && rng.IntN(2) == 0:
 			o.release = 1 + rng.IntN(len(ops))
 		}
 	}
@@ -311,49 +286,6 @@ func TestPropertySeriesMatchesBulkStandalone(t *testing.T) {
 	}
 }
 
-// On a group the per-shard traces and the total event count must match, and
-// so must the critical path — which depends on every epoch's horizons, and
-// so on the comm side heap seeing each comm series' pending firing. The
-// critical path is compared on the scripts without cancellations only: a
-// cancelled bulk-scheduled firing keeps lowering its shard's horizon until
-// its node is reaped, the firings a cancelled series never queued do not, so
-// after a cancellation the series engine may (safely) cut its epochs
-// elsewhere.
-func TestPropertySeriesMatchesBulkGroup(t *testing.T) {
-	const shards = 3
-	for trial := 0; trial < 100; trial++ {
-		rng := rand.New(rand.NewPCG(0x6e0b9, uint64(trial)))
-		cancels := trial%2 == 0
-		scripts := make([][]opSpec, shards)
-		for s := range scripts {
-			scripts[s] = randomScript(rng, cancels)
-		}
-		var traces [2][shards][]firing
-		var fired, crit [2]uint64
-		for mode, bulk := range []bool{false, true} {
-			g := NewGroup(shards)
-			g.DeclareLookahead(scriptLookahead)
-			players := make([]*player, shards)
-			for s := range players {
-				players[s] = &player{eng: g.Shard(s), next: g.Shard((s + 1) % shards), bulk: bulk, ops: scripts[s]}
-				players[s].schedule()
-			}
-			g.Control().Run(MaxTime)
-			for s, p := range players {
-				traces[mode][s] = p.trace
-			}
-			fired[mode], crit[mode] = g.Control().Fired(), g.CriticalPathEvents()
-		}
-		for s := 0; s < shards; s++ {
-			sameTrace(t, fmt.Sprintf("trial %d shard %d", trial, s), traces[0][s], traces[1][s])
-		}
-		if fired[0] != fired[1] || !cancels && crit[0] != crit[1] {
-			t.Fatalf("trial %d: fired/critical path = %d/%d with series, %d/%d bulk-scheduled",
-				trial, fired[0], crit[0], fired[1], crit[1])
-		}
-	}
-}
-
 var holdModes = []holdMode{releaseAtOnce, releaseAtMarks, neverRelease}
 
 // The held-series property, on a standalone engine: a hold released before
@@ -394,127 +326,21 @@ func TestPropertyHeldSeriesStandalone(t *testing.T) {
 	}
 }
 
-// The same property on a 3-shard group, where Release also runs from comm
-// events and between group runs. A hold released before its first firing
-// also leaves the critical path unchanged (on scripts without cancels, as
-// for the ordinary series).
-func TestPropertyHeldSeriesGroup(t *testing.T) {
-	const shards = 3
-	for trial := 0; trial < 100; trial++ {
-		rng := rand.New(rand.NewPCG(0x401e, uint64(trial)))
-		cancels := trial%2 == 0
-		scripts := make([][]opSpec, shards)
-		between := make([][]int, shards)
-		for s := range scripts {
-			scripts[s] = addHolds(rng, randomScript(rng, cancels))
-			between[s] = []int{rng.IntN(len(scripts[s]))}
-		}
-		play := func(bulk bool, holds holdMode) ([shards][]firing, uint64, uint64) {
-			g := NewGroup(shards)
-			g.DeclareLookahead(scriptLookahead)
-			players := make([]*player, shards)
-			for s := range players {
-				players[s] = &player{eng: g.Shard(s), next: g.Shard((s + 1) % shards), bulk: bulk, holds: holds, ops: scripts[s]}
-				players[s].schedule()
-			}
-			g.Control().Run(15 * Microsecond)
-			for s, p := range players {
-				for _, id := range between[s] {
-					p.releaseNow(id)
-				}
-			}
-			g.Control().Run(MaxTime)
-			var traces [shards][]firing
-			for s, p := range players {
-				traces[s] = p.trace
-			}
-			return traces, g.Control().Fired(), g.CriticalPathEvents()
-		}
-		bulk, bulkFired, bulkCrit := play(true, 0)
-		for _, holds := range holdModes {
-			got, fired, crit := play(false, holds)
-			var saved uint64
-			for s := 0; s < shards; s++ {
-				want, n := heldTrace(scripts[s], bulk[s], holds)
-				sameTrace(t, fmt.Sprintf("trial %d mode %d shard %d", trial, holds, s), got[s], want)
-				saved += n
-			}
-			if fired != bulkFired-saved {
-				t.Fatalf("trial %d mode %d: Fired() = %d, want %d", trial, holds, fired, bulkFired-saved)
-			}
-			if holds == releaseAtOnce && !cancels && crit != bulkCrit {
-				t.Fatalf("trial %d: critical path %d with holds released at once, %d bulk-scheduled", trial, crit, bulkCrit)
-			}
-		}
-	}
-}
-
 // Between engine calls Release runs what the engine has passed: after a
-// Step, the firings keyed before the event it fired; on a group, also what
-// the tie order (control, then shards by index) put before that event on
-// the other shards, and nothing at its instant on the shards behind it.
+// Step, the firings keyed before the event it fired.
 func TestHeldReleaseAfterStep(t *testing.T) {
-	record := func(eng *Engine, got *[]Time) func() { return func() { *got = append(*got, eng.Now()) } }
-
 	eng := NewEngine()
 	var got []Time
-	ev := eng.HoldSeriesLocal(Microsecond, Microsecond, 10, record(eng, &got))
+	ev := eng.HoldSeries(Microsecond, Microsecond, 10, func() { got = append(got, eng.Now()) })
 	eng.Schedule(5*Microsecond, func() {}) // keyed after the hold's firing at 5 µs
 	eng.Step()
 	ev.Release()
 	if want := []Time{5 * Microsecond, 5 * Microsecond, 5 * Microsecond, 5 * Microsecond, 5 * Microsecond}; !slices.Equal(got, want) {
-		t.Fatalf("standalone: caught up %v, want %v", got, want)
+		t.Fatalf("caught up %v, want %v", got, want)
 	}
 	eng.Run(MaxTime)
 	if len(got) != 10 || got[5] != 6*Microsecond || got[9] != 10*Microsecond || eng.Fired() != 6 {
-		t.Fatalf("standalone: fired at %v, %d events; want the last five at 6..10 µs, 6 events", got, eng.Fired())
-	}
-
-	for _, tc := range []struct {
-		hold, other int // shards
-		want        int // firings caught up after stepping the other shard's event at 5 µs
-	}{
-		{hold: 0, other: 1, want: 5}, // shard 0 is ahead: its firing at 5 µs went first
-		{hold: 1, other: 0, want: 4}, // shard 1 is behind: its firing at 5 µs comes after
-	} {
-		g := NewGroup(2)
-		g.DeclareLookahead(Microsecond)
-		he := g.Shard(tc.hold)
-		var got []Time
-		ev := he.HoldSeriesLocal(Microsecond, Microsecond, 10, record(he, &got))
-		g.Shard(tc.other).Schedule(5*Microsecond, func() {})
-		g.Control().Step()
-		ev.Release()
-		if len(got) != tc.want {
-			t.Fatalf("hold on shard %d: caught up %d firings after the step, want %d", tc.hold, len(got), tc.want)
-		}
-		g.Control().Run(MaxTime)
-		if len(got) != 10 || g.Control().Fired() != uint64(1+10-tc.want) {
-			t.Fatalf("hold on shard %d: %d firings, %d events", tc.hold, len(got), g.Control().Fired())
-		}
-	}
-}
-
-// A control event releasing a shard's hold sees that shard as the instant
-// has left it: a serial instant runs control first, then the shards in
-// index order, so a control event cascaded from a shard's event at t comes
-// after every shard has drained t — the hold's firing at t is due.
-func TestHeldReleaseFromControlInstant(t *testing.T) {
-	g := NewGroup(2) // no lookahead: same-instant cross-shard posts are legal
-	hold, other := g.Shard(0), g.Shard(1)
-	n := 0
-	ev := hold.HoldSeriesLocal(Microsecond, Microsecond, 10, func() { n++ })
-	other.Schedule(5*Microsecond, func() {
-		other.PostTo(g.Control(), 5*Microsecond, func() {
-			ev.Release()
-			if n != 5 {
-				t.Errorf("control event at 5 µs caught up %d firings, want 5", n)
-			}
-		})
-	})
-	g.Control().Run(MaxTime)
-	if n != 10 || g.Control().Fired() != 7 {
-		t.Fatalf("%d firings, %d events; want 10 and 7", n, g.Control().Fired())
+		t.Fatalf("fired at %v, %d events; want the last five at 6..10 µs, 6 events", got, eng.Fired())
 	}
 }
 
@@ -524,7 +350,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	eng := NewEngine()
 	n := 0
 	fn := func() { n++ }
-	ev := eng.HoldSeriesLocal(Microsecond, Microsecond, 5, fn)
+	ev := eng.HoldSeries(Microsecond, Microsecond, 5, fn)
 	if !ev.Pending() || ev.Time() != Microsecond || !ev.Cancel() {
 		t.Fatal("a hold must be pending from its first firing's time until cancelled")
 	}
@@ -534,7 +360,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 		t.Fatalf("cancelled hold fired %d times, %d nodes left", n, eng.Pending())
 	}
 
-	ev = eng.HoldSeriesLocal(eng.Now()+Microsecond, Microsecond, 5, fn)
+	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 5, fn)
 	eng.Run(eng.Now() + 2*Microsecond)
 	ev.Release() // catches up two firings; two nodes queued from here
 	if n != 2 || eng.Pending() != 2 || !ev.Cancel() {
@@ -546,7 +372,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	}
 
 	// A released hold finishing normally frees its slot once, after both nodes.
-	ev = eng.HoldSeriesLocal(eng.Now()+Microsecond, Microsecond, 3, fn)
+	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
 	ev.Release()
 	ev.Release()
 	eng.Run(MaxTime)
@@ -556,8 +382,8 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 
 	before := eng.Fired()
 	single := eng.After(Microsecond, fn)
-	ordinary := eng.ScheduleSeriesLocal(eng.Now()+Microsecond, Microsecond, 3, fn)
-	fired := eng.HoldSeriesLocal(eng.Now()+Microsecond, 0, 2, fn)
+	ordinary := eng.ScheduleSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
+	fired := eng.HoldSeries(eng.Now()+Microsecond, 0, 2, fn)
 	eng.Run(eng.Now() + Microsecond)
 	for _, h := range []Event{{}, single, ordinary, fired} {
 		h.Release()
@@ -568,29 +394,11 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	}
 }
 
-// The firings a Release runs on a shard are local-class: one that schedules
-// a comm event panics, even when the release comes from a comm event.
-func TestHeldReleaseIsLocalOnGroup(t *testing.T) {
-	g := NewGroup(2)
-	g.DeclareLookahead(Microsecond)
-	e := g.Shard(0)
-	ev := e.HoldSeriesLocal(Microsecond, Microsecond, 3, func() { e.After(Microsecond, func() {}) })
-	var recovered any
-	e.Schedule(2*Microsecond, func() {
-		defer func() { recovered = recover() }()
-		ev.Release()
-	})
-	g.Control().Run(2 * Microsecond)
-	if recovered == nil {
-		t.Fatal("a caught-up firing scheduled a comm event without a panic")
-	}
-}
-
 // A series holds one queue entry from creation to its last firing.
 func TestSeriesHoldsOneNode(t *testing.T) {
 	eng := NewEngine()
 	n := 0
-	ev := seriesComm(eng, Microsecond, Microsecond, 1000, func() { n++ })
+	ev := eng.ScheduleSeries(Microsecond, Microsecond, 1000, func() { n++ })
 	for i := 0; i < 999; i++ {
 		if eng.Pending() != 1 || !ev.Pending() {
 			t.Fatalf("after %d firings: %d nodes queued, handle pending %v", i, eng.Pending(), ev.Pending())
@@ -601,7 +409,7 @@ func TestSeriesHoldsOneNode(t *testing.T) {
 	if n != 1000 || eng.Pending() != 0 || ev.Pending() || eng.Now() != 1000*Microsecond {
 		t.Fatalf("fired %d, %d queued, pending %v, now %v", n, eng.Pending(), ev.Pending(), eng.Now())
 	}
-	if ev := seriesComm(eng, eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
+	if ev := eng.ScheduleSeries(eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
 		t.Fatal("an empty series queued something")
 	}
 }
@@ -611,7 +419,7 @@ func TestSeriesHoldsOneNode(t *testing.T) {
 func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 	eng := NewEngine()
 	n := 0
-	ev := eng.ScheduleSeriesLocal(Microsecond, Microsecond, 10, func() { n++ })
+	ev := eng.ScheduleSeries(Microsecond, Microsecond, 10, func() { n++ })
 	eng.Run(3 * Microsecond)
 	if !ev.Cancel() || ev.Cancel() || ev.Pending() {
 		t.Fatal("first Cancel must report pending, the second not")
@@ -634,7 +442,7 @@ func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 	}
 	// The cancelled series' slot and record are reusable.
 	k := 0
-	seriesComm(eng, eng.Now(), 1, 4, func() { k++ })
+	eng.ScheduleSeries(eng.Now(), 1, 4, func() { k++ })
 	eng.Run(MaxTime)
 	if k != 4 {
 		t.Fatalf("series after a cancelled one fired %d times, want 4", k)
@@ -656,28 +464,11 @@ func TestSeriesRejectsBadSchedules(t *testing.T) {
 	eng.Run(MaxTime)
 	fn := func() {}
 	mustPanic("decreasing times", func() { eng.ScheduleSeriesAt(10, []Time{0, 5, 4, 9}, fn) })
-	mustPanic("negative step", func() { seriesComm(eng, 10, -1, 3, fn) })
-	mustPanic("first firing in the past", func() { seriesComm(eng, 9, 1, 3, fn) })
-	mustPanic("nil callback", func() { seriesComm(eng, 10, 1, 3, nil) })
+	mustPanic("negative step", func() { eng.ScheduleSeries(10, -1, 3, fn) })
+	mustPanic("first firing in the past", func() { eng.ScheduleSeries(9, 1, 3, fn) })
+	mustPanic("nil callback", func() { eng.ScheduleSeries(10, 1, 3, nil) })
 	if eng.Pending() != 0 {
 		t.Fatalf("rejected series left %d nodes queued", eng.Pending())
-	}
-}
-
-// A local event may not start a comm series, exactly as it may not
-// Schedule a comm event.
-func TestSeriesClassCheckedOnGroup(t *testing.T) {
-	g := NewGroup(2)
-	g.DeclareLookahead(Microsecond)
-	e := g.Shard(0)
-	var recovered any
-	e.ScheduleSeriesLocal(1, 1, 2, func() {
-		defer func() { recovered = recover() }()
-		seriesComm(e, e.Now()+1, 1, 2, func() {})
-	})
-	g.Control().Run(MaxTime)
-	if recovered == nil {
-		t.Fatal("local series firing started a comm series without a panic")
 	}
 }
 
@@ -687,10 +478,10 @@ func TestZeroAllocSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		seriesComm(eng, Time(i), Microsecond, 4, fn)
+		eng.ScheduleSeries(Time(i), Microsecond, 4, fn)
 	}
 	eng.Run(MaxTime)
-	eng.ScheduleSeriesLocal(eng.Now(), Microsecond, 1<<30, fn)
+	eng.ScheduleSeries(eng.Now(), Microsecond, 1<<30, fn)
 	offsets := []Time{1, 2, 3, 5}
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
 		t.Errorf("series firing allocates %v/op, want 0", allocs)
@@ -712,18 +503,18 @@ func TestZeroAllocHeldSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		eng.HoldSeriesLocal(Time(i), Microsecond, 4, fn).Release()
+		eng.HoldSeries(Time(i), Microsecond, 4, fn).Release()
 	}
 	eng.Run(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
-		eng.HoldSeriesLocal(eng.Now(), Microsecond, 8, fn)
+		eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
 		eng.Step()
 	})
 	if allocs != 0 {
 		t.Errorf("hold + fire allocates %v/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(1000, func() {
-		ev := eng.HoldSeriesLocal(eng.Now(), Microsecond, 8, fn)
+		ev := eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
 		eng.Run(eng.Now() + 3*Microsecond)
 		ev.Release()
 		eng.Run(MaxTime)
@@ -755,16 +546,16 @@ func BenchmarkSeriesDeep(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities*firings), "ns/event")
 	}
 	b.Run("series", func(b *testing.B) {
-		run(b, activities*firings, func(e *Engine, first Time) { e.ScheduleSeriesLocal(first, Microsecond, firings, fn) })
+		run(b, activities*firings, func(e *Engine, first Time) { e.ScheduleSeries(first, Microsecond, firings, fn) })
 	})
 	b.Run("bulk", func(b *testing.B) {
 		run(b, activities*firings, func(e *Engine, first Time) {
 			for k := 0; k < firings; k++ {
-				e.schedule(first+Time(k)*Microsecond, fn, true)
+				e.Schedule(first+Time(k)*Microsecond, fn)
 			}
 		})
 	})
 	b.Run("held", func(b *testing.B) {
-		run(b, activities, func(e *Engine, first Time) { e.HoldSeriesLocal(first, Microsecond, firings, fn) })
+		run(b, activities, func(e *Engine, first Time) { e.HoldSeries(first, Microsecond, firings, fn) })
 	})
 }

@@ -40,10 +40,6 @@ type RunOpts struct {
 	// PageSize overrides the simulated page size (0 → the Itanium II's
 	// 16 KB). The page-size ablation sweeps this.
 	PageSize uint64
-	// Shards runs the simulation across that many parallel event shards
-	// (0 or 1 → sequential). Results are bit-identical at every shard
-	// count; only wall-clock time changes.
-	Shards int
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -74,13 +70,6 @@ type RunResult struct {
 	Footprint *metrics.Series // MB mapped per slice
 	Samples   []tracker.Sample
 	Slowdown  float64
-	// Events is the total simulation events fired.
-	Events uint64
-	// CritPathEvents is the longest dependent event chain of the run
-	// (every event, for a sequential run). Events/CritPathEvents is the
-	// run's available concurrency, which the scaling table (A20) reports
-	// per engine topology.
-	CritPathEvents uint64
 }
 
 // IBSummary summarises the IB series (init already excluded).
@@ -97,14 +86,12 @@ func (r *RunResult) FootprintSummary() metrics.Summary { return metrics.Summariz
 // free of straddle inflation.
 func RunOne(spec workload.Spec, opts RunOpts) (*RunResult, error) {
 	opts = opts.withDefaults()
-	r, err := workload.New(spec, workload.Config{Ranks: opts.Ranks, Seed: opts.Seed, PageSize: opts.PageSize, Shards: opts.Shards})
+	r, err := workload.New(spec, workload.Config{Ranks: opts.Ranks, Seed: opts.Seed, PageSize: opts.PageSize})
 	if err != nil {
 		return nil, err
 	}
-	// The tracker instruments rank 0 only, so it binds to rank 0's
-	// engine: in a sharded run its sampling alarms and delivery hooks
-	// stay on rank 0's shard.
-	tr, err := tracker.New(r.EngineFor(0), r.Space(0), tracker.Options{Timeslice: opts.Timeslice})
+	// The tracker instruments rank 0 only.
+	tr, err := tracker.New(r.Eng, r.Space(0), tracker.Options{Timeslice: opts.Timeslice})
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +100,8 @@ func RunOne(spec workload.Spec, opts RunOpts) (*RunResult, error) {
 	if opts.IncludeInit {
 		tr.Start()
 	} else {
-		// Run the bulk of initialization (parallel in a sharded run),
-		// then advance event by event until rank 0 enters iteration 0.
+		// Run the bulk of initialization, then advance event by event
+		// until rank 0 enters iteration 0.
 		r.Run(r.InitTail())
 		for r.IterZero() == 0 {
 			if !r.Eng.Step() {
@@ -141,18 +128,16 @@ func RunOne(spec workload.Spec, opts RunOpts) (*RunResult, error) {
 	tr.Stop()
 
 	return &RunResult{
-		Spec:           spec,
-		Opts:           opts,
-		IterZero:       r.IterZero(),
-		Period:         period,
-		IWS:            tr.IWSSeries(),
-		IB:             tr.IBSeries(),
-		Recv:           tr.RecvSeries(),
-		Footprint:      tr.FootprintSeries(),
-		Samples:        tr.Samples(),
-		Slowdown:       tr.Slowdown(),
-		Events:         r.Eng.Fired(),
-		CritPathEvents: r.CriticalPathEvents(),
+		Spec:      spec,
+		Opts:      opts,
+		IterZero:  r.IterZero(),
+		Period:    period,
+		IWS:       tr.IWSSeries(),
+		IB:        tr.IBSeries(),
+		Recv:      tr.RecvSeries(),
+		Footprint: tr.FootprintSeries(),
+		Samples:   tr.Samples(),
+		Slowdown:  tr.Slowdown(),
 	}, nil
 }
 

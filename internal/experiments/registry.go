@@ -44,10 +44,9 @@ type Artefact struct {
 	Aliases []string
 	Title   string
 	// BenchRanks caps the rank count the benchmark harness runs at (0 =
-	// no cap); BenchShards adds the paired 8-shard sub-benchmark.
-	BenchRanks  int
-	BenchShards bool
-	run         func(RunOpts) (Result, error)
+	// no cap).
+	BenchRanks int
+	run        func(RunOpts) (Result, error)
 }
 
 // Run regenerates the artefact.
@@ -110,16 +109,6 @@ func body[R any](format func(R) string) func(R) []Section {
 // Artefacts is the evaluation, declared once: cmd/figures, cmd/report,
 // the benchmark harness and the golden test all iterate this list. The
 // order is the order "all" prints.
-//
-// RunOpts.Shards reaches only the artefacts that measure through RunOne,
-// RunMany or RankSymmetry: table2-4, fig1-5, intrusiveness, pagesize,
-// sinks, bursts, trends, efficiency, symmetry and aggregate (scaling
-// sweeps its own shard counts). The rest build their worlds without it
-// and run on the sequential engine whatever it says: adaptive,
-// migration, alignment and incremental pass workload.New no shard count,
-// service (A17) reads only Seed, and compression and the supervised
-// ablations faults, cluster, chaos, rdma, ckptset and multilevel
-// (A14-A16, A18, A19, A21) take no RunOpts at all.
 var Artefacts = []Artefact{
 	{Name: "table2", Title: "Table 2. Memory Footprint Size (MB)",
 		run: table(Table2, body(FormatTable2), func(r []Table2Row) []Metric {
@@ -133,7 +122,7 @@ var Artefacts = []Artefact{
 		run: table(Table4, body(FormatTable4), func(r []Table4Row) []Metric {
 			return []Metric{{"sage1000_avg_ib_MBs", r[0].AvgMBs}, {"sage1000_max_ib_MBs", r[0].MaxMBs}}
 		})},
-	{Name: "fig1", Aliases: []string{"1"}, Title: "Figure 1. Sage-1000MB IWS size and data received per timeslice", BenchShards: true,
+	{Name: "fig1", Aliases: []string{"1"}, Title: "Figure 1. Sage-1000MB IWS size and data received per timeslice",
 		run: table(Fig1, func(r *Fig1Result) []Section {
 			return []Section{
 				{"Figure 1(a). Sage-1000MB IWS size per timeslice (MB), timeslice 1 s", FormatSeries(r.IWS)},
@@ -218,10 +207,6 @@ var Artefacts = []Artefact{
 		run: table(func(RunOpts) ([]CkptSetRow, error) { return CkptSetAblation() }, body(FormatCkptSet), nil)},
 	{Name: "multilevel", Title: "Ablation: multi-level checkpointing under correlated domain crashes (A21), 8 ranks, scheme x domain size x interval",
 		run: table(func(RunOpts) ([]MultiLevelRow, error) { return MultiLevelAblation(nil) }, body(FormatMultiLevel), nil)},
-	{Name: "scaling", Aliases: []string{"a20"}, Title: "Scaling: events, critical path and concurrency of the measured reference run by engine topology (A20)", BenchRanks: 8,
-		run: table(func(o RunOpts) ([]ScalingRow, error) {
-			return ScalingTable([]workload.Spec{workload.Sage1000MB(), workload.Sweep3D()}, o, []int{0, 1, 2, 4, 8})
-		}, body(FormatScaling), nil)},
 	{Name: "trends", Title: "Section 6.6. Technological trends: projected feasibility margins", BenchRanks: 8,
 		run: table(func(o RunOpts) ([]TrendRow, error) { return Trends(o, 8) }, body(FormatTrends),
 			func(r []TrendRow) []Metric { return []Metric{{"net_headroom_2012", r[8].NetHeadroom}} })},
@@ -241,7 +226,7 @@ var Artefacts = []Artefact{
 		}, body(FormatIncremental), func(r *IncrementalResult) []Metric {
 			return []Metric{{"incremental_over_full", r.Ratio}, {"excluded_MB", r.ExcludedMB}}
 		})},
-	{Name: "symmetry", Aliases: []string{"a7"}, Title: "Validation: per-rank IB spread with every rank tracked (A7, §6.1's premise), SP", BenchRanks: 16, BenchShards: true,
+	{Name: "symmetry", Aliases: []string{"a7"}, Title: "Validation: per-rank IB spread with every rank tracked (A7, §6.1's premise), SP", BenchRanks: 16,
 		run: table(func(o RunOpts) (*SymmetryResult, error) { return RankSymmetry(workload.SP(), o) }, body(FormatSymmetry),
 			func(r *SymmetryResult) []Metric { return []Metric{{"max_rank_spread_pct", r.MaxSpread * 100}} })},
 	{Name: "aggregate", Aliases: []string{"a9"}, Title: "Extension: whole-machine feasibility up to BlueGene/L scale (A9), Sage-1000MB", BenchRanks: 8,

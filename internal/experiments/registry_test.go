@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -18,11 +17,8 @@ import (
 //	go run ./cmd/figures -fig all -ranks 8 > internal/experiments/testdata/golden/all-r8-s7.txt
 const goldenAll = "testdata/golden/all-r8-s7.txt"
 
-// TestGoldenAll pins every deterministic artefact's text, byte for byte,
-// on the sequential engine and on four event shards. The second pass is
-// a sharded run only for the artefacts RunOpts.Shards reaches (see
-// Artefacts); for the supervisor-driven ablations A14-A19 and A21, among
-// others, it repeats the first.
+// TestGoldenAll pins every deterministic artefact's text, byte for byte.
+// Its one pass, shards0, runs each artefact on the single unsharded engine.
 func TestGoldenAll(t *testing.T) {
 	want, err := os.ReadFile(goldenAll)
 	if err != nil {
@@ -32,29 +28,27 @@ func TestGoldenAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			t.Parallel()
-			var got strings.Builder
-			for _, a := range arts {
-				res, err := a.Run(RunOpts{Ranks: 8, Seed: 7, Shards: shards})
-				if err != nil {
-					t.Fatalf("%s: %v", a.Name, err)
-				}
-				got.WriteString(res.Text())
+	t.Run("shards0", func(t *testing.T) {
+		t.Parallel()
+		var got strings.Builder
+		for _, a := range arts {
+			res, err := a.Run(RunOpts{Ranks: 8, Seed: 7})
+			if err != nil {
+				t.Fatalf("%s: %v", a.Name, err)
 			}
-			if got.String() == string(want) {
-				return
+			got.WriteString(res.Text())
+		}
+		if got.String() == string(want) {
+			return
+		}
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < min(len(gl), len(wl)); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from %s\n got: %q\nwant: %q", i+1, goldenAll, gl[i], wl[i])
 			}
-			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < min(len(gl), len(wl)); i++ {
-				if gl[i] != wl[i] {
-					t.Fatalf("line %d differs from %s\n got: %q\nwant: %q", i+1, goldenAll, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("output has %d lines, %s has %d", len(gl), goldenAll, len(wl))
-		})
-	}
+		}
+		t.Fatalf("output has %d lines, %s has %d", len(gl), goldenAll, len(wl))
+	})
 }
 
 func TestSelect(t *testing.T) {

@@ -30,7 +30,7 @@ type SymmetryResult struct {
 // measures how similar the per-rank bandwidth requirements are.
 func RankSymmetry(spec workload.Spec, opts RunOpts) (*SymmetryResult, error) {
 	opts = opts.withDefaults()
-	r, err := workload.New(spec, workload.Config{Ranks: opts.Ranks, Seed: opts.Seed, Shards: opts.Shards})
+	r, err := workload.New(spec, workload.Config{Ranks: opts.Ranks, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -42,9 +42,7 @@ func RankSymmetry(spec workload.Spec, opts RunOpts) (*SymmetryResult, error) {
 	}
 	trs := make([]*tracker.Tracker, opts.Ranks)
 	for i := 0; i < opts.Ranks; i++ {
-		// Each rank's tracker binds to that rank's engine so its
-		// sampling alarms stay on the rank's shard.
-		tr, err := tracker.New(r.EngineFor(i), r.Space(i), tracker.Options{Timeslice: opts.Timeslice})
+		tr, err := tracker.New(r.Eng, r.Space(i), tracker.Options{Timeslice: opts.Timeslice})
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,6 @@ package mpi
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/des"
 )
@@ -92,32 +91,13 @@ type NetFaultStats struct {
 	JitterTotal des.Time
 }
 
-// netFaults is the World's installed fault state.
-//
-// Sequential worlds draw every packet fate from the single shared rng,
-// preserving the historical per-seed timelines bit-for-bit. Sharded
-// worlds draw from per-source-rank streams (perSrc) instead: a shared
-// stream would be consumed in host-scheduling order by concurrent
-// shards, while per-source streams are consumed in each source rank's
-// own deterministic event order, making the full fault timeline — not
-// just the digests — identical at every shard count. Barrier penalties,
-// which have no single source rank, draw from a fresh per-generation
-// stream. smu guards the shared counters, which concurrent shards bump.
+// netFaults is the World's installed fault state. Every packet fate is
+// drawn from the one seeded rng, in event order.
 type netFaults struct {
-	cfg    NetFaultConfig
-	rng    *rand.Rand
-	perSrc []*rand.Rand // non-nil on sharded worlds
-	smu    sync.Mutex   // guards stats on sharded worlds
-	stats  NetFaultStats
-	links  map[[2]int]float64
-}
-
-// rngFor returns the draw stream for packets injected by src.
-func (f *netFaults) rngFor(src int) *rand.Rand {
-	if f.perSrc == nil {
-		return f.rng
-	}
-	return f.perSrc[src]
+	cfg   NetFaultConfig
+	rng   *rand.Rand
+	stats NetFaultStats
+	links map[[2]int]float64
 }
 
 // reliableHardCap bounds the unlimited-retry plan of plain sends. The
@@ -147,12 +127,6 @@ func (w *World) SetFaults(cfg NetFaultConfig) error {
 		rng:   rand.New(rand.NewPCG(cfg.Seed, 0xF1A4)),
 		links: make(map[[2]int]float64, len(cfg.Links)),
 	}
-	if w.sharded {
-		f.perSrc = make([]*rand.Rand, len(w.ranks))
-		for i := range f.perSrc {
-			f.perSrc[i] = rand.New(rand.NewPCG(cfg.Seed, 0xF1A4_0001+uint64(i)))
-		}
-	}
 	for _, l := range cfg.Links {
 		f.links[[2]int{l.Src, l.Dst}] += l.DropRate
 	}
@@ -161,13 +135,11 @@ func (w *World) SetFaults(cfg NetFaultConfig) error {
 }
 
 // faultStats returns a copy of the fault-model counters (zero value when
-// no model is installed). On sharded worlds, call between runs only.
+// no model is installed).
 func (w *World) faultStats() NetFaultStats {
 	if w.faults == nil {
 		return NetFaultStats{}
 	}
-	w.faults.smu.Lock()
-	defer w.faults.smu.Unlock()
 	return w.faults.stats
 }
 
@@ -218,13 +190,12 @@ func (w *World) scaledTransfer(bytes uint64, at des.Time) des.Time {
 	return base
 }
 
-// jitterFrom draws one packet's extra delay from rng. The caller holds
-// smu (or is on a sequential world, where smu is uncontended anyway).
-func (f *netFaults) jitterFrom(rng *rand.Rand) des.Time {
+// jitter draws one packet's extra delay.
+func (f *netFaults) jitter() des.Time {
 	if f.cfg.JitterMax <= 0 {
 		return 0
 	}
-	j := des.Time(rng.Int64N(int64(f.cfg.JitterMax)))
+	j := des.Time(f.rng.Int64N(int64(f.cfg.JitterMax)))
 	f.stats.JitterTotal += j
 	return j
 }
@@ -239,10 +210,7 @@ func (w *World) rto(bytes uint64) des.Time { return 4 * w.net.transfer(bytes) }
 // surviving ack; the plan always ends delivered and acked.
 func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 	f := w.faults
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	rng := f.rngFor(src)
-	now := w.engFor(src).Now()
+	now := w.eng.Now()
 	rto := w.rto(bytes)
 	var start des.Time
 	var delivered, acked bool
@@ -252,18 +220,18 @@ func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 			f.stats.Retransmits++
 		}
 		at := now + start
-		if rng.Float64() < w.lossAt(src, dst, at) {
+		if f.rng.Float64() < w.lossAt(src, dst, at) {
 			f.stats.Drops++
 		} else {
-			arr := start + w.scaledTransfer(bytes, at) + f.jitterFrom(rng)
+			arr := start + w.scaledTransfer(bytes, at) + f.jitter()
 			if !delivered {
 				deliver, delivered = arr, true
 			}
 			// The ack rides the reverse link.
-			if rng.Float64() < w.lossAt(dst, src, now+arr) {
+			if f.rng.Float64() < w.lossAt(dst, src, now+arr) {
 				f.stats.Drops++
 			} else {
-				ack, acked = arr+w.net.Latency+f.jitterFrom(rng), true
+				ack, acked = arr+w.net.Latency+f.jitter(), true
 				break
 			}
 		}
@@ -282,10 +250,8 @@ func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 // suppressDup accounts for in-flight duplication on an ARQ path: the
 // receiver's sequence numbers drop the extra copy, so it costs nothing
 // but shows up in the stats.
-func (f *netFaults) suppressDup(src int) {
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	if f.cfg.DupRate > 0 && f.rngFor(src).Float64() < f.cfg.DupRate {
+func (f *netFaults) suppressDup() {
+	if f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate {
 		f.stats.DupDeliveries++
 		f.stats.SuppressedDups++
 	}
@@ -293,15 +259,13 @@ func (f *netFaults) suppressDup(src int) {
 
 // sendFaulty routes a plain (exactly-once) send through the ARQ model:
 // delivery at the first surviving copy, sender completion at the first
-// surviving ack. Every arrival offset is at least one transfer time and
-// therefore at least one latency — the sharded lookahead contract.
+// surviving ack.
 func (w *World) sendFaulty(r *Rank, msg Message, onComplete func()) {
 	deliver, ack := w.planARQ(msg.Src, msg.Dst, msg.Bytes)
-	w.faults.suppressDup(msg.Src)
-	src := w.engFor(msg.Src)
-	w.post(r, msg, src.Now()+deliver)
+	w.faults.suppressDup()
+	w.post(r, msg, w.eng.Now()+deliver)
 	if onComplete != nil {
-		src.After(ack, onComplete)
+		w.eng.After(ack, onComplete)
 	}
 }
 
@@ -316,7 +280,7 @@ func (r *Rank) SendBestEffort(dst, tag int, bytes uint64, onComplete func()) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	w := r.world
-	eng := w.engFor(r.id)
+	eng := w.eng
 	r.stats.Sends++
 	r.stats.BytesSent += bytes
 	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, SentAt: eng.Now()}
@@ -324,25 +288,16 @@ func (r *Rank) SendBestEffort(dst, tag int, bytes uint64, onComplete func()) {
 		w.post(r, msg, eng.Now()+w.net.transfer(bytes))
 	} else {
 		f := w.faults
-		f.smu.Lock()
-		rng := f.rngFor(r.id)
 		f.stats.Attempts++
 		at := eng.Now()
-		if rng.Float64() < w.lossAt(r.id, dst, at) {
+		if f.rng.Float64() < w.lossAt(r.id, dst, at) {
 			f.stats.Drops++
-			f.smu.Unlock()
 		} else {
-			arr := w.scaledTransfer(bytes, at) + f.jitterFrom(rng)
-			dup := f.cfg.DupRate > 0 && rng.Float64() < f.cfg.DupRate
-			var arr2 des.Time
-			if dup {
-				f.stats.DupDeliveries++
-				arr2 = arr + w.net.Latency + f.jitterFrom(rng)
-			}
-			f.smu.Unlock()
+			arr := w.scaledTransfer(bytes, at) + f.jitter()
 			w.post(r, msg, at+arr)
-			if dup {
-				w.post(r, msg, at+arr2)
+			if f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate {
+				f.stats.DupDeliveries++
+				w.post(r, msg, at+arr+w.net.Latency+f.jitter())
 			}
 		}
 	}
@@ -358,19 +313,9 @@ const barrierMsgBytes = 64
 // dissemination round, the slowest participant's jitter, plus one
 // retransmit round whenever any of the N packets in the round is lost.
 // Drawn once per barrier, at release, by the last arriver — so every
-// rank still releases at the same virtual instant. A barrier has no
-// single source rank, and on sharded worlds which rank completes it is a
-// host-scheduling artifact, so sharded draws come from a fresh stream
-// keyed by the barrier generation; sequential worlds keep the shared
-// stream and their historical timelines.
-func (w *World) barrierPenalty(rounds, ranks int, at des.Time, gen uint64) des.Time {
+// rank still releases at the same virtual instant.
+func (w *World) barrierPenalty(rounds, ranks int, at des.Time) des.Time {
 	f := w.faults
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	rng := f.rng
-	if f.perSrc != nil {
-		rng = rand.New(rand.NewPCG(f.cfg.Seed, 0xBA22_1E20+gen))
-	}
 	rto := w.rto(barrierMsgBytes)
 	var penalty des.Time
 	for round := 0; round < rounds; round++ {
@@ -378,10 +323,10 @@ func (w *World) barrierPenalty(rounds, ranks int, at des.Time, gen uint64) des.T
 		var jmax des.Time
 		for i := 0; i < ranks; i++ {
 			f.stats.Attempts++
-			if rng.Float64() < w.aggLossAt(at+penalty) {
+			if f.rng.Float64() < w.aggLossAt(at+penalty) {
 				f.stats.Drops++
 				lost = true
-			} else if j := f.jitterFrom(rng); j > jmax {
+			} else if j := f.jitter(); j > jmax {
 				jmax = j
 			}
 		}

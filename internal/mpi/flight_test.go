@@ -84,56 +84,6 @@ func TestRingExchangeAllocFree(t *testing.T) {
 	}
 }
 
-// relay is a ring in which every completed receive re-posts itself and
-// forwards a message to the right neighbour, so each record a rank gets back
-// from its left neighbour is the one it sends on next: records migrate
-// around the ring, across every shard boundary.
-func relay(run func(des.Time) uint64, w *World, hops int) [][]des.Time {
-	n := w.Size()
-	seen := make([][]des.Time, n)
-	for i := 0; i < n; i++ {
-		r := w.Rank(i)
-		buf, _ := r.Space().Mmap(1 << 16)
-		left := hops
-		var cb func(Message)
-		cb = func(m Message) {
-			seen[i] = append(seen[i], m.DeliveredAt)
-			if left--; left > 0 {
-				r.Recv(AnySource, 0, buf.Start(), cb)
-				r.Send((i+1)%n, 0, uint64(2000+512*i), nil)
-			}
-		}
-		r.Recv(AnySource, 0, buf.Start(), cb)
-		r.Send((i+1)%n, 0, uint64(2000+512*i), nil)
-	}
-	run(des.MaxTime)
-	return seen
-}
-
-// TestShardedRelayMatchesSequential runs the relay with ranks spread over
-// parallel shards — under -race this is the check that a record is only
-// ever touched by the shard that currently owns it — and requires the
-// sequential world's delivery timeline.
-func TestShardedRelayMatchesSequential(t *testing.T) {
-	const ranks, hops = 8, 200
-	seqEng, seqW := testWorld(t, ranks, Bounce)
-	want := relay(seqEng.Run, seqW, hops)
-	for _, shards := range []int{2, 3, 8} {
-		g, w := shardedWorld(t, ranks, shards, Bounce)
-		got := relay(g.Control().Run, w, hops)
-		for i := range want {
-			if len(want[i]) != hops || !slices.Equal(got[i], want[i]) {
-				t.Fatalf("shards=%d rank %d: %d deliveries diverge from the sequential %d", shards, i, len(got[i]), len(want[i]))
-			}
-		}
-		for i := 0; i < ranks; i++ {
-			if n := len(w.Rank(i).freeFlights); n > 2 {
-				t.Fatalf("shards=%d rank %d pooled %d records for one message in flight", shards, i, n)
-			}
-		}
-	}
-}
-
 // TestUnexpectedMatchedOutOfHeadPosition: receives posted after their
 // messages arrived take the earliest arrival that matches, wherever it sits
 // in the unexpected queue, and leave the rest in arrival order.

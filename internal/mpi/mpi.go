@@ -23,7 +23,6 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -123,12 +122,9 @@ type pendingRecv struct {
 // moving a message along send → deliver → complete → bounce copy → finish
 // schedules existing func values and allocates nothing.
 //
-// Pool ownership. Records are recycled through per-rank free lists, and a
-// list is touched only from events of its own rank — that is, only on that
-// rank's engine shard: send takes the record from the sender's list, finish
-// returns it to the receiver's. In between the record belongs to whichever
-// event holds it; the hand-over from the sender's shard to the receiver's is
-// the PostTo of land, whose mailbox orders the two sides.
+// Records are recycled through per-rank free lists: send takes the record
+// from the sender's list, finish returns it to the receiver's. In between
+// the record belongs to whichever event holds it.
 type flight struct {
 	msg  Message
 	recv pendingRecv // the matched receive, valid from complete to finish
@@ -160,13 +156,12 @@ func (r *Rank) takeFlight() *flight {
 }
 
 // post injects msg, which src is sending, to arrive at its destination's
-// NIC at virtual time at. Every arrival is at least one link latency away,
-// so the cross-shard lookahead contract holds.
+// NIC at virtual time at.
 func (w *World) post(src *Rank, msg Message, at des.Time) {
 	f := src.takeFlight()
 	f.msg = msg
 	w.trackDelivery(msg.Dst)
-	w.engFor(src.id).PostTo(w.engFor(msg.Dst), at, f.land)
+	w.eng.Schedule(at, f.land)
 }
 
 // deque is a FIFO of values with cheap removal at the head — where matching
@@ -277,16 +272,8 @@ type World struct {
 	mode  DeliveryMode
 	ranks []*Rank
 
-	// engs, when non-nil, maps each rank to the engine shard it runs on
-	// (see NewShardedWorld). Nil worlds run every rank on eng.
-	engs    []*des.Engine
-	sharded bool
-
-	bmu            sync.Mutex // guards barrier state in sharded worlds
-	barrierGen     uint64
 	barrierArrived int
 	barrierFns     []func()
-	barrierSlots   []func() // per-rank arrival slots (sharded barriers)
 	barrierMax     des.Time
 	barrierFirst   des.Time
 
@@ -297,14 +284,6 @@ type World struct {
 	// rdma, when non-nil, is the registered-memory model installed by
 	// EnableRDMA (see rdma.go). Nil worlds skip in-flight tracking.
 	rdma *rdmaState
-}
-
-// engFor returns the engine rank id runs on.
-func (w *World) engFor(id int) *des.Engine {
-	if w.engs == nil {
-		return w.eng
-	}
-	return w.engs[id]
 }
 
 // NewWorld creates n ranks, each owning one of the provided address
@@ -325,39 +304,6 @@ func NewWorld(eng *des.Engine, net Network, mode DeliveryMode, spaces []*mem.Add
 			r.bounce = b
 		}
 		w.ranks = append(w.ranks, r)
-	}
-	return w, nil
-}
-
-// NewShardedWorld creates a world whose ranks are distributed over the
-// engines of a des.Group: rank i's events run on engs[i] (len(engs) must
-// equal len(spaces)), and cross-rank traffic between different shards
-// rides the group's mailbox protocol. Every per-message virtual delay in
-// this package is at least Network.Latency, so callers should declare
-// that latency as the group lookahead. Sharded worlds switch the fault
-// model (SetFaults) to per-source RNG streams and the barrier to keyed
-// cross-shard releases; both stay deterministic for a fixed seed at
-// every shard count.
-func NewShardedWorld(engs []*des.Engine, net Network, mode DeliveryMode, spaces []*mem.AddressSpace) (*World, error) {
-	if len(engs) != len(spaces) {
-		return nil, fmt.Errorf("mpi: %d engines for %d ranks", len(engs), len(spaces))
-	}
-	if net.Latency <= 0 {
-		return nil, fmt.Errorf("mpi: sharded world needs positive link latency for lookahead")
-	}
-	w, err := NewWorld(engs[0], net, mode, spaces)
-	if err != nil {
-		return nil, err
-	}
-	w.engs = engs
-	w.sharded = true
-	// Every cross-rank delivery carries at least one link latency of
-	// virtual delay (transfer, ARQ and barrier paths all lower-bound at
-	// Latency), so the network's latency is a sound epoch lookahead.
-	for _, e := range engs {
-		if g := e.Group(); g != nil {
-			g.DeclareLookahead(net.Latency)
-		}
 	}
 	return w, nil
 }
@@ -394,20 +340,19 @@ func (r *Rank) send(dst, tag int, bytes uint64, payload []byte, onComplete func(
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	w := r.world
-	src := w.engFor(r.id)
 	r.stats.Sends++
 	r.stats.BytesSent += bytes
-	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: src.Now()}
+	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: w.eng.Now()}
 	if w.faults != nil {
 		// Lossy fabric: exactly-once delivery rides the ARQ schedule;
 		// the sender completes at the first surviving ack.
 		w.sendFaulty(r, msg, onComplete)
 		return
 	}
-	w.post(r, msg, src.Now()+w.net.transfer(bytes))
+	w.post(r, msg, w.eng.Now()+w.net.transfer(bytes))
 	if onComplete != nil {
 		// Eager injection: sender-side overhead is one latency.
-		src.After(w.net.Latency, onComplete)
+		w.eng.After(w.net.Latency, onComplete)
 	}
 }
 
@@ -434,10 +379,9 @@ func (pr *pendingRecv) matches(m *Message) bool {
 }
 
 // deliver handles a message arriving at the NIC at the current time.
-// It always executes on the destination rank's engine shard.
 func (r *Rank) deliver(f *flight) {
 	r.world.untrackDelivery(r.id)
-	f.msg.DeliveredAt = r.world.engFor(r.id).Now()
+	f.msg.DeliveredAt = r.world.eng.Now()
 	for i := 0; i < r.recvQ.len(); i++ {
 		if r.recvQ.at(i).matches(&f.msg) {
 			f.recv = r.recvQ.remove(i)
@@ -460,7 +404,7 @@ func (r *Rank) finish(f *flight) {
 	r.stats.Recvs++
 	r.stats.BytesReceived += m.Bytes
 	if r.onDeliver != nil {
-		r.onDeliver(m.Bytes, r.world.engFor(r.id).Now())
+		r.onDeliver(m.Bytes, r.world.eng.Now())
 	}
 	if fn != nil {
 		fn(m)
@@ -521,7 +465,7 @@ func (r *Rank) complete(f *flight) {
 func (r *Rank) bounceDeliver(f *flight) {
 	w := r.world
 	r.stats.BounceCopyBytes += f.msg.Bytes
-	w.engFor(r.id).After(w.net.copyTime(f.msg.Bytes), f.copied)
+	w.eng.After(w.net.copyTime(f.msg.Bytes), f.copied)
 }
 
 // pageSpanProtected reports whether any page in [addr, addr+n) is
@@ -574,21 +518,11 @@ func logTwo(n int) int {
 // Barrier blocks r until every rank in the world has called Barrier for
 // the same generation. All continuations run at the same virtual time:
 // lastArrival + latency*ceil(log2 N), the dissemination-barrier cost.
-// Each rank's continuation fires as its own release event on that rank's
-// engine — in arrival order on sequential worlds, and in canonical
-// (generation, rank) key order on sharded worlds, where arrival order is
-// a host-scheduling artifact.
+// Each rank's continuation fires as its own release event, in arrival
+// order.
 func (r *Rank) Barrier(fn func()) {
 	w := r.world
 	r.stats.CollectiveCalls++
-	if w.sharded {
-		w.barrierSharded(r, fn)
-		return
-	}
-	w.barrierSequential(r, fn)
-}
-
-func (w *World) barrierSequential(r *Rank, fn func()) {
 	now := w.eng.Now()
 	if w.barrierArrived == 0 {
 		w.barrierMax = now
@@ -604,14 +538,13 @@ func (w *World) barrierSequential(r *Rank, fn func()) {
 	}
 	release := w.barrierMax + w.net.Latency*des.Time(logTwo(len(w.ranks)))
 	if w.faults != nil {
-		release += w.barrierPenalty(logTwo(len(w.ranks)), len(w.ranks), w.barrierMax, w.barrierGen)
+		release += w.barrierPenalty(logTwo(len(w.ranks)), len(w.ranks), w.barrierMax)
 	}
 	wait := w.barrierMax - w.barrierFirst
 	for _, rk := range w.ranks {
 		rk.stats.BarrierWaitTotal += wait
 	}
 	w.barrierArrived = 0
-	w.barrierGen++
 	// One release event per rank, in arrival order. Nothing runs before
 	// this returns, so the list's backing array is free for the next
 	// generation as soon as its continuations are handed to the engine.
@@ -634,56 +567,6 @@ func orNoop(f func()) func() {
 
 func noop() {}
 
-// barrierSharded is the concurrent arrival path: ranks on different
-// shards may arrive from parallel worker goroutines, so the bookkeeping
-// is commutative (max/min/count plus a per-rank slot, all under bmu) and
-// the completer posts one keyed release per rank — the canonical
-// (generation, rank) mailbox key, never mutex acquisition order, decides
-// how simultaneous releases interleave with other traffic.
-func (w *World) barrierSharded(r *Rank, fn func()) {
-	eng := w.engFor(r.id)
-	now := eng.Now()
-	w.bmu.Lock()
-	if w.barrierArrived == 0 {
-		w.barrierMax = now
-		w.barrierFirst = now
-		if w.barrierSlots == nil {
-			w.barrierSlots = make([]func(), len(w.ranks))
-		}
-	}
-	if now > w.barrierMax {
-		w.barrierMax = now
-	}
-	if now < w.barrierFirst {
-		w.barrierFirst = now
-	}
-	w.barrierArrived++
-	w.barrierSlots[r.id] = fn
-	if w.barrierArrived < len(w.ranks) {
-		w.bmu.Unlock()
-		return
-	}
-	release := w.barrierMax + w.net.Latency*des.Time(logTwo(len(w.ranks)))
-	gen := w.barrierGen
-	if w.faults != nil {
-		release += w.barrierPenalty(logTwo(len(w.ranks)), len(w.ranks), w.barrierMax, gen)
-	}
-	wait := w.barrierMax - w.barrierFirst
-	slots := w.barrierSlots
-	w.barrierSlots = make([]func(), len(w.ranks))
-	w.barrierArrived = 0
-	w.barrierGen++
-	w.bmu.Unlock()
-	for _, rk := range w.ranks {
-		// Safe unlocked: barrier completions are serialised by the
-		// arrival count, and BarrierWaitTotal is written only here.
-		rk.stats.BarrierWaitTotal += wait
-	}
-	for i := range w.ranks {
-		eng.PostToOrdered(w.engFor(i), release, des.OrderedKeyMin+gen, uint64(i), orNoop(slots[i]))
-	}
-}
-
 // AllReduce performs a global reduction of bytes payload per rank,
 // depositing the result at destAddr in every rank's space (0 to skip the
 // write). Completion follows barrier synchronisation plus the
@@ -692,19 +575,18 @@ func (r *Rank) AllReduce(bytes uint64, destAddr uint64, fn func()) {
 	w := r.world
 	steps := des.Time(logTwo(len(w.ranks)))
 	rank := r
-	eng := w.engFor(r.id)
 	r.Barrier(func() {
 		// Computed at release so degradation windows active *now* apply;
 		// identical for every rank (no draws), so completion stays
 		// simultaneous.
-		xfer := w.collectiveXfer(steps, bytes, eng.Now())
-		eng.After(xfer, func() {
+		xfer := w.collectiveXfer(steps, bytes, w.eng.Now())
+		w.eng.After(xfer, func() {
 			if destAddr != 0 && bytes > 0 {
 				rank.copyOut(destAddr, bytes)
 			}
 			rank.stats.BytesReceived += bytes * uint64(logTwo(len(w.ranks)))
 			if rank.onDeliver != nil {
-				rank.onDeliver(bytes*uint64(logTwo(len(w.ranks))), eng.Now())
+				rank.onDeliver(bytes*uint64(logTwo(len(w.ranks))), w.eng.Now())
 			}
 			if fn != nil {
 				fn()

@@ -101,9 +101,6 @@ func (w *World) EnableRDMA() error {
 	if w.mode != Direct {
 		return fmt.Errorf("mpi: EnableRDMA requires Direct mode, world is %v", w.mode)
 	}
-	if w.sharded {
-		return fmt.Errorf("mpi: EnableRDMA is unsupported on sharded worlds (drain/poll state is engine-global)")
-	}
 	for _, r := range w.ranks {
 		if r.bounce != nil {
 			continue
@@ -260,7 +257,7 @@ func (r *Rank) Put(dst int, destAddr uint64, data []byte, onComplete func()) {
 	target := w.ranks[dst]
 	if w.faults != nil {
 		deliver, ack := w.planARQ(r.id, dst, n)
-		w.faults.suppressDup(r.id)
+		w.faults.suppressDup()
 		w.trackDelivery(dst)
 		w.eng.After(deliver, func() { target.landPut(destAddr, payload) })
 		if onComplete != nil {

@@ -304,7 +304,7 @@ func (s *rankStore) writesThrough(key string) bool {
 	if ckpt.ParseSegmentKey(key, nil, &seq) {
 		return seq%uint64(max(s.h.cfg.GlobalEvery, 1)) == 0
 	}
-	return ckpt.ParseCommitKey(key, &seq)
+	return ckpt.ParseCommitKey(key, nil)
 }
 
 func (s *rankStore) Get(key string) ([]byte, error) { return s.h.local[s.rank].Get(key) }

@@ -21,12 +21,8 @@ type Config struct {
 	Net mpi.Network
 	// Seed drives per-rank jitter; runs with equal seeds are identical.
 	Seed uint64
-	// Shards selects the event-engine topology. Zero or one runs the
-	// whole simulation on a single sequential engine (the default, and
-	// bit-identical to historical runs). Larger values spread ranks
-	// round-robin across that many parallel event shards (clamped to
-	// Ranks), synchronised at deterministic epoch barriers; per-seed
-	// results are identical at every shard count.
+	// Shards is accepted and ignored: every run is on one engine.
+	// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
 	Shards int
 }
 
@@ -53,13 +49,9 @@ type Runner struct {
 	Spec Spec
 	Cfg  Config
 
-	// Eng is the engine experiments drive Run/Step on and the home of
-	// control-plane work (coordinators, adaptive controllers). With
-	// Shards <= 1 it is the single sequential engine; otherwise it is
-	// the group's control engine, whose events run at serial instants.
+	// Eng is the engine every rank's events and every instrument run on.
 	Eng    *des.Engine
 	World  *mpi.World
-	group  *des.Group
 	spaces []*mem.AddressSpace
 	apps   []*app
 
@@ -86,29 +78,14 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		// the feasibility experiments need.
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
-	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces}
+	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine()}
 	// One backing array for every rank's held sub-burst handles.
 	held := make([]des.Event, cfg.Ranks*len(spec.RateProfile))
-	if cfg.Shards > 1 {
-		r.group = des.NewGroup(min(cfg.Shards, cfg.Ranks))
-		r.Eng = r.group.Control()
-		engs := make([]*des.Engine, cfg.Ranks)
-		for i := range engs {
-			engs[i] = r.EngineFor(i)
-		}
-		world, err := mpi.NewShardedWorld(engs, cfg.Net, mpi.Bounce, spaces)
-		if err != nil {
-			return nil, err
-		}
-		r.World = world
-	} else {
-		r.Eng = des.NewEngine()
-		world, err := mpi.NewWorld(r.Eng, cfg.Net, mpi.Bounce, spaces)
-		if err != nil {
-			return nil, err
-		}
-		r.World = world
+	world, err := mpi.NewWorld(r.Eng, cfg.Net, mpi.Bounce, spaces)
+	if err != nil {
+		return nil, err
 	}
+	r.World = world
 	for i := 0; i < cfg.Ranks; i++ {
 		a, err := newApp(r, i)
 		if err != nil {
@@ -119,7 +96,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 	}
 	r.profile = normalize(spec.RateProfile)
 	r.sendAt = sendOffsets(spec, cfg.Ranks, r.apps[0].nMsgs)
-	// All ranks begin initialization at t=0, each on its own engine.
+	// All ranks begin initialization at t=0.
 	for _, a := range r.apps {
 		a := a
 		a.eng.Schedule(0, func() { a.startInit() })
@@ -130,7 +107,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 // Space hands out rank i's address space: the door every tracker,
 // checkpointer and migrator attaches through. Until a rank's space has been
 // handed out, nothing can observe it mid-burst, so the runner holds each of
-// its sweep sub-bursts as one event (des.Engine.HoldSeriesLocal); handing
+// its sweep sub-bursts as one event (des.Engine.HoldSeries); handing
 // it out releases them into ordinary tick-by-tick series, so whatever
 // attaches sees exactly the state, and from then on the writes, of a run
 // that never held anything. Hand a space out before attaching anything to
@@ -143,27 +120,14 @@ func (r *Runner) Space(i int) *mem.AddressSpace {
 	return r.spaces[i]
 }
 
-// EngineFor returns the engine rank i's events execute on: the single
-// sequential engine, or the rank's data shard in a sharded run. Per-rank
-// instruments (trackers, checkpointers) must bind to this engine so
-// their callbacks stay on the rank's shard.
-func (r *Runner) EngineFor(i int) *des.Engine {
-	if r.group != nil {
-		return r.group.Shard(i % r.group.Shards())
-	}
-	return r.Eng
-}
+// EngineFor returns r.Eng, whatever i.
+// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
+func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 
-// CriticalPathEvents reports the longest dependent event chain executed
-// so far. Eng.Fired()/CriticalPathEvents() is the run's available
-// concurrency — deterministic per seed and shard count, unlike
-// wall-clock. A sequential run has every event on the chain.
-func (r *Runner) CriticalPathEvents() uint64 {
-	if r.group != nil {
-		return r.group.CriticalPathEvents()
-	}
-	return r.Eng.Fired()
-}
+// CriticalPathEvents returns r.Eng.Fired(): on one engine every event is
+// on the critical path.
+// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
+func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
 // Run advances the simulation until the given virtual time. Held
 // sub-bursts are released when it returns, so between runs every space —
@@ -175,15 +139,8 @@ func (r *Runner) Run(until des.Time) {
 	}
 }
 
-// Now reports the run's current virtual time: the engine clock, or the
-// maximum member clock of a sharded group (members may transiently skew
-// within an epoch; they unify at Run boundaries).
-func (r *Runner) Now() des.Time {
-	if r.group != nil {
-		return r.group.Now()
-	}
-	return r.Eng.Now()
-}
+// Now reports the run's current virtual time.
+func (r *Runner) Now() des.Time { return r.Eng.Now() }
 
 // IterZero reports when rank 0 entered its first iteration (after the
 // data-initialization phase); zero until that has happened. Experiments
@@ -201,9 +158,9 @@ func (r *Runner) initEstimate() des.Time {
 // InitTail returns the virtual instant of the final initialization sweep
 // tick — a strict floor for the init barrier's release (the release adds
 // at least one network latency). Callers seeking the exact first
-// iteration boundary run to this point in bulk (parallel in a sharded
-// run), then Step the remaining handful of events; the resulting event
-// sequence is identical to stepping the whole way.
+// iteration boundary run to this point in bulk, then Step the remaining
+// handful of events; the resulting event sequence is identical to
+// stepping the whole way.
 func (r *Runner) InitTail() des.Time {
 	// Mirrors startInit's schedule: every rank sweeps the same total at
 	// the same rate, one tick per maxTick starting at t=0.
@@ -238,7 +195,7 @@ type app struct {
 	r     *Runner
 	id    int
 	rank  *mpi.Rank
-	eng   *des.Engine // the rank's engine (shard or sequential)
+	eng   *des.Engine // the runner's engine
 	space *mem.AddressSpace
 	rng   *rand.Rand
 
@@ -278,7 +235,7 @@ func newApp(r *Runner, id int) (*app, error) {
 		r:     r,
 		id:    id,
 		rank:  r.World.Rank(id),
-		eng:   r.EngineFor(id),
+		eng:   r.Eng,
 		space: r.spaces[id],
 		rng:   rand.New(rand.NewPCG(r.Cfg.Seed, uint64(id)+1)),
 	}
@@ -419,9 +376,8 @@ func (a *app) startIteration() {
 
 	// Dynamic applications map their transient arena for the duration
 	// of the processing burst (§4.1: Fortran90 allocates per cycle).
-	// Mapping touches only this rank's space, so the event is local.
 	if s.Dynamic && a.transientBytes > 0 {
-		eng.AfterLocal(jitter, func() {
+		eng.After(jitter, func() {
 			t, err := a.space.Mmap(a.transientBytes)
 			if err != nil {
 				panic(fmt.Sprintf("workload %s: transient mmap: %v", s.Name, err))
@@ -471,26 +427,23 @@ func (a *app) startIteration() {
 				panic(fmt.Sprintf("workload %s rank %d: write faults on a space never handed out by Runner.Space; its sweeps run held", a.r.Spec.Name, a.id))
 			}
 		}
-		// Sweep ticks write this rank's memory and schedule nothing, so
-		// they are local events: a sharded run excludes them from epoch
-		// horizons, which is what lets shards advance in parallel. The
-		// sub-burst's ticks, every tick from start+tick to start+subDur,
-		// are one series: one queue entry, not one per tick. On a rank
-		// nothing observes (Space) they are also one event, at the last
-		// tick, until the space is handed out or the run returns.
+		// The sub-burst's ticks, every tick from start+tick to
+		// start+subDur, are one series: one queue entry, not one per tick.
+		// On a rank nothing observes (Space) they are also one event, at
+		// the last tick, until the space is handed out or the run returns.
 		first, n := iterStart+start+tick, int(subDur/tick)
 		if a.handed {
-			eng.ScheduleSeriesLocal(first, tick, n, doTick)
+			eng.ScheduleSeries(first, tick, n, doTick)
 			continue
 		}
 		// A burst overrunning its period could leave last iteration's
 		// hold pending; it becomes ordinary rather than being forgotten.
 		a.held[bi].Release()
-		a.held[bi] = eng.HoldSeriesLocal(first, tick, n, doTick)
+		a.held[bi] = eng.HoldSeries(first, tick, n, doTick)
 	}
 
 	// Burst end: drop the transient arena (memory exclusion target).
-	eng.AfterLocal(jitter+burst, func() {
+	eng.After(jitter+burst, func() {
 		if a.transient != nil {
 			if err := a.space.Munmap(a.transient); err != nil {
 				panic(fmt.Sprintf("workload %s: transient munmap: %v", s.Name, err))
@@ -529,7 +482,7 @@ func (a *app) scheduleComm(iterStart, burst des.Time) {
 			a.rank.Recv(mpi.AnySource, 0, dest, nil)
 		}
 	})
-	// The iteration's sends are one comm series over the shared offsets.
+	// The iteration's sends are one series over the shared offsets.
 	eng.ScheduleSeriesAt(iterStart, a.r.sendAt, func() { a.rank.Send(right, 0, a.msgBytes, nil) })
 }
 
