@@ -193,8 +193,8 @@ func (c *Checkpointer) ApplySpec(spec *ckptspec.Spec, bindings []ckptspec.Bindin
 	return ex
 }
 
-// Start protects all data memory and installs the fault/map hooks,
-// chaining any previously installed ones.
+// Start opens the checkpointer's dirty log: it protects all data memory,
+// and the log stacks over any other log open on the space.
 func (c *Checkpointer) Start() {
 	if c.log.IsOpen() {
 		panic("ckpt: already started")
@@ -202,7 +202,7 @@ func (c *Checkpointer) Start() {
 	c.log.Open()
 }
 
-// Stop removes the hooks and unprotects memory.
+// Stop closes the dirty log, which unprotects memory.
 func (c *Checkpointer) Stop() { c.log.Close() }
 
 // Stats returns a copy of the lifetime counters.

@@ -274,6 +274,39 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// A heap grown while the checkpointer is logging grows protected: a
+// write to a grown page faults, so the next incremental checkpoint
+// captures it and a restore brings it back.
+func TestHeapGrownWhileLoggingIsCaptured(t *testing.T) {
+	_, sp, c, store := newCkpt(t)
+	sp.Sbrk(2 * pageSize)
+	c.Start()
+	if _, err := c.Checkpoint(); err != nil { // seq 0: full
+		t.Fatal(err)
+	}
+	sp.Sbrk(2 * pageSize)
+	addr := sp.Heap().Start() + 3*pageSize + 7
+	data := []byte("grown heap")
+	if err := sp.Write(addr, data); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Checkpoint() // seq 1: delta
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pages != 1 {
+		t.Fatalf("incremental checkpoint captured %d pages, want 1 (the grown heap page)", res.Pages)
+	}
+	fresh := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+	if err := Restore(store, 0, 1, fresh); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := fresh.Read(addr, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("restored grown heap page reads %q (%v), want %q", got, err, data)
+	}
+}
+
 func TestRestoreValidation(t *testing.T) {
 	_, _, c, store := newCkpt(t)
 	_ = c
@@ -364,28 +397,23 @@ func TestCowAccounting(t *testing.T) {
 }
 
 func TestHandlerChainingWithSecondConsumer(t *testing.T) {
-	// A second fault consumer (like a tracker) installed after the
-	// checkpointer still sees faults, and both dirty views agree.
+	// A second dirty log (like a tracker's) stacked over the
+	// checkpointer's still sees faults, and both dirty views agree.
 	_, sp, c, _ := newCkpt(t)
 	r, _ := sp.Mmap(6 * pageSize)
 	c.Start()
 	c.Checkpoint()
 	var seen int
-	prev := sp.SetFaultHandler(nil)
-	sp.SetFaultHandler(func(f mem.Fault) {
-		seen++
-		f.Region.SetProtected(f.Page, false)
-		if prev != nil {
-			prev(f)
-		}
-	})
+	outer := mem.NewDirtyLog(sp)
+	outer.OnFault = func(*mem.Region, uint64) { seen++ }
+	outer.Open()
 	sp.WriteRange(r.Start(), 4*pageSize)
 	res, _ := c.Checkpoint()
-	if seen != 4 {
-		t.Fatalf("outer handler saw %d faults", seen)
+	if seen != 4 || outer.Count() != 4 {
+		t.Fatalf("outer log saw %d faults, logged %d pages", seen, outer.Count())
 	}
 	if res.Pages != 4 {
-		t.Fatalf("checkpointer captured %d pages under chaining", res.Pages)
+		t.Fatalf("checkpointer captured %d pages under stacking", res.Pages)
 	}
 }
 

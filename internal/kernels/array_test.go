@@ -107,8 +107,8 @@ func TestFloatCodecBitExact(t *testing.T) {
 	}
 }
 
-// arrayRig is one address space holding one array, under a handler that
-// records every fault address and unprotects.
+// arrayRig is one address space holding one array, under an open dirty
+// log that records the address of every page that faults.
 type arrayRig struct {
 	space  *mem.AddressSpace
 	faults []uint64
@@ -119,10 +119,9 @@ type arrayRig struct {
 
 func newArrayRig(t *testing.T, ps uint64, phantom, staged bool, n int) *arrayRig {
 	g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: phantom})}
-	g.space.SetFaultHandler(func(f mem.Fault) {
-		g.faults = append(g.faults, f.Addr)
-		f.Region.SetProtected(f.Page, false)
-	})
+	log := mem.NewDirtyLog(g.space)
+	log.OnFault = func(r *mem.Region, idx uint64) { g.faults = append(g.faults, r.PageAddr(idx)) }
+	log.Open()
 	a, err := NewArray(g.space, n)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func newArrayRig(t *testing.T, ps uint64, phantom, staged bool, n int) *arrayRig
 // through the old staging implementation on one space and the in-place
 // one on another. Equal before and after, for every page size, backed
 // and phantom: the values read (as bits), the space Digest, Faults(),
-// WrittenBytes() and the sequence of delivered Fault.Addr.
+// WrittenBytes() and the sequence of faulting pages.
 func TestArrayMatchesStagingOracle(t *testing.T) {
 	for _, ps := range []uint64{8, 256, 4096, 16384} {
 		for _, phantom := range []bool{false, true} {
@@ -186,7 +185,7 @@ func TestArrayMatchesStagingOracle(t *testing.T) {
 				}
 				if old.space.Faults() != cur.space.Faults() || old.space.WrittenBytes() != cur.space.WrittenBytes() ||
 					!slices.Equal(old.faults, cur.faults) || old.space.Digest(nil) != cur.space.Digest(nil) {
-					t.Fatalf("%s: staging left %d faults %d bytes digest %x fault addrs %#x\n in place %d faults %d bytes digest %x fault addrs %#x", where,
+					t.Fatalf("%s: staging left %d faults %d bytes digest %x faulted pages %#x\n in place %d faults %d bytes digest %x faulted pages %#x", where,
 						old.space.Faults(), old.space.WrittenBytes(), old.space.Digest(nil), old.faults,
 						cur.space.Faults(), cur.space.WrittenBytes(), cur.space.Digest(nil), cur.faults)
 				}

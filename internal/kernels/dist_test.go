@@ -140,12 +140,15 @@ func TestDistStencilHaloWritesAreTracked(t *testing.T) {
 	}
 	sp := w.Rank(1).Space()
 	var haloFaults int
-	sp.SetFaultHandler(func(f mem.Fault) {
-		haloFaults++
-		f.Region.SetProtected(f.Page, false)
-	})
-	// Protect only rank 1's grids; the halo from rank 0 must fault.
-	d.grids[1].Cur().Region().ProtectAll()
+	// Log only rank 1's current grid; the halo from rank 0 must fault.
+	log := mem.NewDirtyLog(sp)
+	for _, r := range sp.Regions() {
+		if r != d.grids[1].Cur().Region() {
+			log.Exclude(r)
+		}
+	}
+	log.OnFault = func(*mem.Region, uint64) { haloFaults++ }
+	log.Open()
 	done := false
 	d.Run(1, nil, func() { done = true })
 	eng.Run(des.MaxTime)

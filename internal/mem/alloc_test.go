@@ -58,9 +58,8 @@ func TestFastPathStatsMatchSlowPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
 		if protect {
-			r.ProtectAll()
+			NewDirtyLog(s).Open()
 		}
 		return s, r
 	}

@@ -8,26 +8,32 @@ import (
 )
 
 // DirtyLog is the paper's instrument (§4), once: write-protect the data
-// memory of an address space, let the write-fault handler log the page
+// memory of an address space, log the page on its first write fault
 // and unprotect it, read the logged set at the client's boundary, clear
 // it and re-protect. The tracker (timeslice alarm), the checkpointer
 // (capture) and the migrator (pre-copy round) each hold one and differ
 // only in when they call Reset and what they do with the pages.
 //
-// Logs stack: Open chains the log's fault handler and map hook in front
-// of whatever SetFaultHandler/SetMapHook held, so an event reaches the
+// The open logs are the MMU's only client: every write fault and map
+// event goes to them, and nothing else. Logs stack: an event reaches the
 // most recently opened log first. Every log keeps its own sets — stacked
 // observers reset on different clocks over the same protection bits —
 // and records only regions it watches: a fault another log's protection
 // raised on a region this one excludes is that log's to record and
-// unprotect.
+// unprotect. A fault on a region no open log records is unhandled: the
+// write fails with ErrSegv.
 //
-// When nothing but logs handles a space's faults, a WriteRange hands
-// them the protected pages of a bitmap word at once, log by log from the
-// top of the chain, instead of page by page through every log. Counts,
-// sets and protection bits come out the same; only OnFault observers of
-// stacked logs can tell, and each still sees its own log's pages in
-// ascending order.
+// Faults are delivered a bitmap word at a time: a WriteRange hands the
+// logs a word's protected pages at once, log by log from the top of the
+// stack, and a single fault is the one-bit case. Each OnFault observer
+// sees its own log's pages in ascending order.
+//
+// An OnFault observer must not change protection: it runs in the middle
+// of a delivery that has already decided which pages fault.
+//
+// A heap that grows while a log watching it is open grows protected, so
+// writes to the new pages fault like any other. Growth is not a map
+// event: OnMap hears nothing of it.
 type DirtyLog struct {
 	space    *AddressSpace
 	sets     map[*Region]*bitset.Set // created on a region's first fault
@@ -39,11 +45,6 @@ type DirtyLog struct {
 	// it does. lastSet is nil for a region the log does not record.
 	lastR   *Region
 	lastSet *bitset.Set
-
-	open        bool
-	prevForeign bool // the space's foreign flag before Open chained the log
-	prevF       FaultHandler
-	prevM       MapHook
 
 	// OnFault, when set, observes each page the log records, after it is
 	// logged and unprotected.
@@ -80,43 +81,29 @@ func (l *DirtyLog) Watches(r *Region) bool {
 // returns the pages protected. Sets logged before an earlier Close are
 // kept.
 func (l *DirtyLog) Open() uint64 {
-	if l.open {
+	if l.IsOpen() {
 		panic("mem: dirty log already open")
 	}
-	s := l.space
-	if !slices.Contains(s.logs, l) { // else closed out of order: still chained
-		l.prevF, l.prevForeign = s.handler, s.foreign
-		s.handler = l.fault
-		l.prevM = s.SetMapHook(l.mapEvent)
-		s.logs = append(s.logs, l)
-	}
-	l.open = true
+	l.space.logs = append(l.space.logs, l)
 	l.lastR, l.lastSet = nil, nil
 	return l.protect()
 }
 
 // IsOpen reports whether the log is logging: opened and not yet closed.
-func (l *DirtyLog) IsOpen() bool { return l.open }
+func (l *DirtyLog) IsOpen() bool { return slices.Contains(l.space.logs, l) }
 
 // Close stops logging and clears write protection on the whole space —
 // so another log still open on it sees nothing more until its next
-// Reset. Logs close in any order: one closed beneath an open log stays
-// chained, passing events through, and the handler and hook that were
-// installed before a log are restored once it and every log opened
-// after it have closed. Closing a closed log is a no-op.
+// Reset. Logs close in any order, and a closed log leaves the stack at
+// once; reopened, it goes on top. Closing a closed log is a no-op.
 func (l *DirtyLog) Close() {
-	if !l.open {
+	s := l.space
+	i := slices.Index(s.logs, l)
+	if i < 0 {
 		return
 	}
-	l.open = false
+	s.logs = slices.Delete(s.logs, i, i+1)
 	l.lastR, l.lastSet = nil, nil
-	s := l.space
-	for n := len(s.logs); n > 0 && !s.logs[n-1].open; n-- {
-		top := s.logs[n-1]
-		s.handler, s.foreign = top.prevF, top.prevForeign
-		s.SetMapHook(top.prevM)
-		s.logs = s.logs[:n-1]
-	}
 	for _, r := range s.regions {
 		clear(r.wp)
 		r.armed = false
@@ -172,8 +159,9 @@ func (l *DirtyLog) Faults() uint64 { return l.faults }
 
 // setFor returns the set r's faults are logged in, creating it on the
 // region's first fault, or nil when they are not this log's to record.
+// Only an open log is asked.
 func (l *DirtyLog) setFor(r *Region) *bitset.Set {
-	if !l.open || !l.Watches(r) {
+	if !l.Watches(r) {
 		return nil
 	}
 	rs := l.sets[r]
@@ -184,20 +172,16 @@ func (l *DirtyLog) setFor(r *Region) *bitset.Set {
 	return rs
 }
 
-// records reports whether r's faults are this log's to record.
-func (l *DirtyLog) records(r *Region) bool {
+// record is what the paper's SIGSEGV catcher does, for the faulting
+// pages m of bitmap word w of r: log them and unprotect them so later
+// writes in the interval proceed at full speed. It reports whether r's
+// faults are the log's to record.
+func (l *DirtyLog) record(r *Region, w, m uint64) bool {
 	if r != l.lastR {
 		l.lastR, l.lastSet = r, l.setFor(r)
 	}
-	return l.lastSet != nil
-}
-
-// record is the SIGSEGV-handler analogue for the faulting pages m of
-// bitmap word w of r: log them and unprotect them so later writes in
-// the interval proceed at full speed.
-func (l *DirtyLog) record(r *Region, w, m uint64) {
-	if !l.records(r) {
-		return
+	if l.lastSet == nil {
+		return false
 	}
 	l.lastSet.OrWord(w, m)
 	r.wp[w] &^= m
@@ -205,41 +189,41 @@ func (l *DirtyLog) record(r *Region, w, m uint64) {
 	for ; m != 0 && l.OnFault != nil; m &= m - 1 {
 		l.OnFault(r, w*64+uint64(bits.TrailingZeros64(m)))
 	}
-}
-
-// fault is the log's link in the handler chain: one page, then the
-// handler below.
-func (l *DirtyLog) fault(f Fault) {
-	idx := f.Region.PageIndex(f.Page)
-	l.record(f.Region, idx/64, 1<<(idx%64))
-	if l.prevF != nil {
-		l.prevF(f)
-	}
+	return true
 }
 
 // mapEvent mirrors the library's mmap/munmap interception (§4.1): a new
 // region is protected at once so its initialisation writes are logged;
-// an unmapped region's logged pages will never be needed again.
+// an unmapped region's logged pages will never be needed again. Only an
+// open log is handed one.
 func (l *DirtyLog) mapEvent(r *Region, mapped bool) {
-	if l.open {
-		var pages uint64
-		if mapped {
-			if l.Watches(r) {
-				r.ProtectAll()
-				pages = r.Pages()
-			}
-		} else if rs := l.sets[r]; rs != nil {
-			pages = rs.CountBelow(r.Pages())
-			delete(l.sets, r)
+	var pages uint64
+	if mapped {
+		if l.Watches(r) {
+			r.ProtectAll()
+			pages = r.Pages()
 		}
-		if l.OnMap != nil {
-			l.OnMap(r, mapped, pages)
-		}
-		if !mapped {
-			delete(l.excluded, r)
-		}
+	} else if rs := l.sets[r]; rs != nil {
+		pages = rs.CountBelow(r.Pages())
+		delete(l.sets, r)
 	}
-	if l.prevM != nil {
-		l.prevM(r, mapped)
+	if l.OnMap != nil {
+		l.OnMap(r, mapped, pages)
 	}
+	if !mapped {
+		delete(l.excluded, r)
+	}
+}
+
+// grown protects the pages [from, r.Pages()) a heap r just grew by, if
+// the log watches it, so their first writes fault. Only an open log is
+// handed one.
+func (l *DirtyLog) grown(r *Region, from uint64) {
+	if !l.Watches(r) {
+		return
+	}
+	for idx := from; idx < r.Pages(); idx++ {
+		r.wp[idx/64] |= 1 << (idx % 64)
+	}
+	r.armed = true
 }

@@ -10,17 +10,17 @@ import (
 )
 
 // The model the log is tested against, written the slow obvious way: one
-// map entry per page, no bitmaps, no caches, no handler chain. For each
-// log it is "the pages written since my last Reset that I watch and that
-// are still mapped"; the protection bits are modelled too, because they
-// are shared — a page faults when *any* log protected it since its last
+// map entry per page, no bitmaps, no caches. For each log it is "the
+// pages written since my last Reset that I watch and that are still
+// mapped"; the protection bits are modelled too, because they are
+// shared — a page faults when *any* log protected it since its last
 // fault, a Close unprotects everything under every other log, and pages
-// a heap grows into start unprotected — and the fault counts depend on
-// exactly that.
+// a heap grows into start protected if an open log watches the heap —
+// and the fault counts depend on exactly that.
 //
-// With a handler below the logs every fault goes page by page; with
-// none, a WriteRange hands the logs a bitmap word at a time. Each log's
-// OnFault must see the same pages, in ascending order, either way.
+// A WriteRange hands the logs a bitmap word at a time, a Write or a
+// store run a page at a time; each log's OnFault must see the same
+// pages, in ascending order, either way.
 type page struct {
 	r   *Region
 	idx uint64
@@ -50,21 +50,10 @@ type refSpace struct {
 	faults uint64
 	// Bytes written, CPU or NIC — the space's WrittenBytes.
 	written uint64
-
-	// The handler and hook installed before any log, if below: every
-	// event must still reach them, after the logs.
-	below          bool
-	prevFaults     uint64
-	prevMaps       int
-	mapEvents      int
-	prevUnprotects bool
 }
 
-func newRefSpace(t *testing.T, nLogs int, below bool) *refSpace {
+func newRefSpace(t *testing.T, nLogs int) *refSpace {
 	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}}
-	if below {
-		m.hookBelow()
-	}
 	for i := 0; i < nLogs; i++ {
 		l := &refLog{log: NewDirtyLog(m.s), excluded: map[*Region]bool{}, pages: map[page]bool{}}
 		l.log.OnFault = func(r *Region, idx uint64) {
@@ -85,18 +74,6 @@ func newRefSpace(t *testing.T, nLogs int, below bool) *refSpace {
 		m.logs = append(m.logs, l)
 	}
 	return m
-}
-
-// hookBelow installs the handler and hook the logs chain in front of.
-func (m *refSpace) hookBelow() {
-	m.below = true
-	m.s.SetFaultHandler(func(f Fault) {
-		m.prevFaults++
-		if m.prevUnprotects {
-			f.Region.SetProtected(f.Page, false)
-		}
-	})
-	m.s.SetMapHook(func(*Region, bool) { m.prevMaps++ })
 }
 
 func (l *refLog) watches(r *Region) bool { return r.kind != Stack && !l.excluded[r] }
@@ -189,7 +166,6 @@ func (m *refSpace) replaySilent() {
 
 // mapped and unmapped are the two map events, as the open logs see them.
 func (m *refSpace) mapped(r *Region) {
-	m.mapEvents++
 	for _, l := range m.logs {
 		if !l.open {
 			continue
@@ -205,7 +181,6 @@ func (m *refSpace) mapped(r *Region) {
 }
 
 func (m *refSpace) unmapped(r *Region) {
-	m.mapEvents++
 	m.forget(r, 0)
 	for _, l := range m.logs {
 		if !l.open {
@@ -237,6 +212,10 @@ func (m *refSpace) forget(r *Region, from uint64) {
 
 func (m *refSpace) sbrk(deltaPages int64) {
 	heap := m.s.Heap()
+	var had uint64
+	if heap != nil {
+		had = heap.Pages()
+	}
 	if _, err := m.s.Sbrk(deltaPages * int64(m.s.PageSize())); err != nil {
 		m.t.Fatal(err)
 	}
@@ -247,6 +226,12 @@ func (m *refSpace) sbrk(deltaPages int64) {
 		m.unmapped(heap)
 	case deltaPages < 0:
 		m.forget(heap, heap.Pages())
+	default: // grown: not a map event, but protected if an open log watches the heap
+		for _, l := range m.logs {
+			for idx := had; l.open && l.watches(heap) && idx < heap.Pages(); idx++ {
+				m.prot[page{heap, idx}] = true
+			}
+		}
 	}
 }
 
@@ -271,11 +256,8 @@ func (m *refSpace) check(step string) {
 	if got := m.s.WrittenBytes(); got != m.written {
 		t.Fatalf("%s: %d bytes written, model %d", step, got, m.written)
 	}
-	if m.s.Faults() != m.faults || m.below && m.prevFaults != m.faults {
-		t.Fatalf("%s: space delivered %d faults, the handler under the logs saw %d, model %d", step, m.s.Faults(), m.prevFaults, m.faults)
-	}
-	if m.below && m.prevMaps != m.mapEvents {
-		t.Fatalf("%s: the hook under the logs saw %d map events, model %d", step, m.prevMaps, m.mapEvents)
+	if m.s.Faults() != m.faults {
+		t.Fatalf("%s: space delivered %d faults, model %d", step, m.s.Faults(), m.faults)
 	}
 	for i, l := range m.logs {
 		var count uint64
@@ -431,9 +413,7 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 	for _, nLogs := range []int{1, 2, 3} {
 		for seed := uint64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewPCG(seed, uint64(nLogs)))
-			// Odd seeds have nothing below the logs: their sweeps take
-			// the word path.
-			m := newRefSpace(t, nLogs, seed%2 == 0)
+			m := newRefSpace(t, nLogs)
 			s, ps := m.s, m.s.PageSize()
 			// A process image to start from, with per-log exclusions.
 			initial := []*Region{s.MapData(3 * ps)}
@@ -443,7 +423,6 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 				r, _ := s.Mmap((2 + rng.Uint64N(6)) * ps)
 				initial = append(initial, r)
 			}
-			m.mapEvents = 5
 			for _, l := range m.logs {
 				for _, r := range initial {
 					if rng.IntN(4) == 0 {
@@ -475,10 +454,8 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 				}
 			}
 			m.check(where(500, "all closed"))
-			// Nothing is protected, nothing is chained, and the handler
-			// and hook installed before the logs, if any, are alone again.
-			if len(s.logs) != 0 || !m.below && (s.handler != nil || s.mapHook != nil) {
-				t.Fatalf("%s: %d logs still chained", where(500, "all closed"), len(s.logs))
+			if len(s.logs) != 0 {
+				t.Fatalf("%s: %d logs still stacked", where(500, "all closed"), len(s.logs))
 			}
 			r := initial[0]
 			r.ProtectAll()
@@ -498,31 +475,15 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			m.faults++
 			delete(m.silent, page{r, 1}) // a delivered fault is seen, stored or not
 			m.check(where(501, "segv"))
-			if !m.below {
-				m.hookBelow()
-				m.prevFaults, m.prevMaps = m.faults, m.mapEvents
-			}
-			m.prevUnprotects = true
-			if err := s.WriteRange(r.start, r.size); err != nil {
-				t.Fatal(err)
-			}
-			m.write(r, 0, r.Pages()-1, r.size, false)
-			if _, err := s.Mmap(ps); err != nil {
-				t.Fatal(err)
-			}
-			m.mapEvents++
-			m.check(where(502, "after the logs"))
 		}
 	}
 }
 
-// A log closed beneath an open one keeps passing events through; the
-// chain unwinds once everything above it has closed too.
+// Logs close in any order: a closed log leaves the stack at once, and
+// one reopened goes on top.
 func TestDirtyLogClosesInAnyOrder(t *testing.T) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(4 * s.PageSize())
-	var under int
-	s.SetFaultHandler(func(Fault) { under++ })
 	a, b, c := NewDirtyLog(s), NewDirtyLog(s), NewDirtyLog(s)
 	a.Open()
 	b.Open()
@@ -532,28 +493,28 @@ func TestDirtyLogClosesInAnyOrder(t *testing.T) {
 	if err := s.WriteRange(r.Start(), r.Size()); err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 4 || c.Count() != 4 || b.Count() != 0 || under != 4 {
-		t.Fatalf("after closing the middle log: a %d, b %d, c %d pages, handler under the logs %d faults; want 4, 0, 4, 4",
-			a.Count(), b.Count(), c.Count(), under)
+	if a.Count() != 4 || c.Count() != 4 || b.Count() != 0 || s.Faults() != 4 {
+		t.Fatalf("after closing the middle log: a %d, b %d, c %d pages, space %d faults; want 4, 0, 4, 4",
+			a.Count(), b.Count(), c.Count(), s.Faults())
 	}
-	if len(s.logs) != 3 {
-		t.Fatalf("%d logs chained, want 3 (b passes through until c closes)", len(s.logs))
+	if !slices.Equal(s.logs, []*DirtyLog{a, c}) {
+		t.Fatalf("%d logs stacked, want a and c", len(s.logs))
 	}
 	c.Close()
-	if len(s.logs) != 1 {
-		t.Fatalf("%d logs chained after the top closed, want 1", len(s.logs))
-	}
 	b.Open() // a closed log reopens on top
+	if !slices.Equal(s.logs, []*DirtyLog{a, b}) {
+		t.Fatalf("%d logs stacked, want a and b", len(s.logs))
+	}
 	a.Close()
 	b.Reset()
 	s.WriteRange(r.Start(), s.PageSize())
-	if b.Count() != 1 || a.Count() != 4 || under != 5 {
-		t.Fatalf("reopened log: b %d pages, a %d, under %d; want 1, 4 (kept), 5", b.Count(), a.Count(), under)
+	if b.Count() != 1 || a.Count() != 4 || s.Faults() != 5 {
+		t.Fatalf("reopened log: b %d pages, a %d, space %d faults; want 1, 4 (kept), 5", b.Count(), a.Count(), s.Faults())
 	}
 	b.Close()
 	b.Close() // idempotent
 	if len(s.logs) != 0 || r.ProtectedPages() != 0 {
-		t.Fatalf("%d logs chained, %d pages protected after the last close", len(s.logs), r.ProtectedPages())
+		t.Fatalf("%d logs stacked, %d pages protected after the last close", len(s.logs), r.ProtectedPages())
 	}
 	defer func() {
 		if recover() == nil {
@@ -588,9 +549,9 @@ func TestDirtyLogFaultDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Logs open, nothing below them, but none records the region: the
-// write takes the page-by-page path, and its first protected page
-// faults once and ends it with ErrSegv, the pages after it untouched.
+// Logs open, but none records the region: the write's first protected
+// page faults once and ends it with ErrSegv, the pages after it
+// untouched.
 func TestDirtyLogSegvWhenNoLogRecords(t *testing.T) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(130 * s.PageSize())
@@ -611,61 +572,49 @@ func TestDirtyLogSegvWhenNoLogRecords(t *testing.T) {
 	}
 }
 
-// Stacked logs with nothing below take a sweep's faults a bitmap word at
-// a time, top of the chain first, each in ascending order; a handler
-// below them makes it page by page through the chain again. Either way
-// a delivery into an existing set allocates nothing.
+// Stacked logs take a sweep's faults a bitmap word at a time, top of
+// the stack first, each in ascending order, and a delivery into an
+// existing set allocates nothing.
 func TestDirtyLogWordDelivery(t *testing.T) {
 	type seen struct {
 		log string
 		idx uint64
 	}
-	for _, below := range []bool{false, true} {
-		s := NewAddressSpace(Config{Phantom: true})
-		r, _ := s.Mmap(130 * s.PageSize())
-		if below {
-			s.SetFaultHandler(func(Fault) {})
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(130 * s.PageSize())
+	var got []seen
+	a, b := NewDirtyLog(s), NewDirtyLog(s)
+	a.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"a", idx}) }
+	b.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"b", idx}) }
+	a.Open()
+	b.Open() // the top of the stack
+	if err := s.WriteRange(r.Start()+5*s.PageSize(), 120*s.PageSize()); err != nil {
+		t.Fatal(err)
+	}
+	var want []seen
+	add := func(lo, hi uint64, logs ...string) {
+		for _, l := range logs {
+			for idx := lo; idx < hi; idx++ {
+				want = append(want, seen{l, idx})
+			}
 		}
-		var got []seen
-		a, b := NewDirtyLog(s), NewDirtyLog(s)
-		a.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"a", idx}) }
-		b.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"b", idx}) }
-		a.Open()
-		b.Open() // the top of the chain
-		if err := s.WriteRange(r.Start()+5*s.PageSize(), 120*s.PageSize()); err != nil {
+	}
+	add(5, 64, "b", "a")
+	add(64, 125, "b", "a")
+	if !slices.Equal(got, want) {
+		t.Fatalf("OnFault order %v, want %v", got, want)
+	}
+	a.OnFault, b.OnFault = nil, nil
+	sweep := func() {
+		a.Reset()
+		if err := s.WriteRange(r.Start(), r.Size()); err != nil {
 			t.Fatal(err)
 		}
-		var want []seen
-		add := func(lo, hi uint64, logs ...string) {
-			for _, l := range logs {
-				for idx := lo; idx < hi; idx++ {
-					want = append(want, seen{l, idx})
-				}
-			}
-		}
-		if below {
-			for idx := uint64(5); idx < 125; idx++ {
-				add(idx, idx+1, "b", "a")
-			}
-		} else {
-			add(5, 64, "b", "a")
-			add(64, 125, "b", "a")
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("handler below %v: OnFault order %v, want %v", below, got, want)
-		}
-		a.OnFault, b.OnFault = nil, nil
-		sweep := func() {
-			a.Reset()
-			if err := s.WriteRange(r.Start(), r.Size()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := testing.AllocsPerRun(20, sweep); n != 0 {
-			t.Fatalf("handler below %v: %v allocations per sweep, want 0", below, n)
-		}
-		if a.Count() != r.Pages() || b.Count() != r.Pages() || s.Faults() != 120+21*r.Pages() {
-			t.Fatalf("handler below %v: a %d pages, b %d, space %d faults", below, a.Count(), b.Count(), s.Faults())
-		}
+	}
+	if n := testing.AllocsPerRun(20, sweep); n != 0 {
+		t.Fatalf("%v allocations per sweep, want 0", n)
+	}
+	if a.Count() != r.Pages() || b.Count() != r.Pages() || s.Faults() != 120+21*r.Pages() {
+		t.Fatalf("a %d pages, b %d, space %d faults", a.Count(), b.Count(), s.Faults())
 	}
 }

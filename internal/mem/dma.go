@@ -96,33 +96,21 @@ func (s *AddressSpace) SilentDirtyBytes() uint64 {
 }
 
 // ReplaySilent reconciles every silent-dirty page by delivering the
-// write fault the DMA engine suppressed: the installed fault-handler
-// chain (tracker, checkpointer) observes each page exactly as if the
-// CPU had written it, so the pages re-enter the incremental write set
-// before the next checkpoint. This is the deregistration step of an
-// RDMA drain protocol — once the NIC's mappings are torn down, the
-// pages it wrote are handed back to the MMU-based tracker. Returns the
-// number of pages replayed.
+// write fault the DMA engine suppressed: the open dirty logs (tracker,
+// checkpointer) record each page exactly as if the CPU had written it,
+// so the pages re-enter the incremental write set before the next
+// checkpoint. This is the deregistration step of an RDMA drain
+// protocol — once the NIC's mappings are torn down, the pages it wrote
+// are handed back to the MMU-based tracker. A page of a region no open
+// log records still takes its fault and is then unprotected, so it is
+// never checkpointed torn. Returns the number of pages replayed.
 func (s *AddressSpace) ReplaySilent() uint64 {
 	var pages uint64
 	for _, r := range s.regions {
-		if r.silent == nil {
-			continue
-		}
-		for w := range r.silent {
-			for word := r.silent[w]; word != 0; {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << b
-				idx := uint64(w)*64 + uint64(b)
-				pa := r.PageAddr(idx)
-				// fault() clears the silent bit and delivers the
-				// handler chain. A handler normally unprotects the
-				// page; if none is installed the write is recorded
-				// directly so the page is never checkpointed torn.
-				if err := s.fault(r, pa); err != nil {
-					r.SetProtected(pa, false)
-				}
-				pages++
+		for w, m := range r.silent {
+			pages += uint64(bits.OnesCount64(m))
+			for ; m != 0 && !s.faultWord(r, uint64(w), m); m &= m - 1 {
+				r.wp[w] &^= m & -m
 			}
 		}
 	}

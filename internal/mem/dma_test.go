@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -88,9 +89,9 @@ func TestFaultClearsSilent(t *testing.T) {
 	if r.SilentPages() != 1 {
 		t.Fatal("expected one silent page after DMA write")
 	}
-	// A CPU write faults, the handler unprotects, and the page is no
-	// longer silent: the tracker has now seen it.
-	s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Addr, false) })
+	// A CPU write faults, the log unprotects, and the page is no longer
+	// silent: the tracker has now seen it.
+	NewDirtyLog(s).Open()
 	if err := s.Write(r.Start()+1, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,26 +103,20 @@ func TestFaultClearsSilent(t *testing.T) {
 func TestReplaySilentDeliversSuppressedFaults(t *testing.T) {
 	s := newBacked(t)
 	r := s.MapData(4 * 4096)
-	r.ProtectAll()
+	var seen []uint64
+	countFaults(s, &seen)
 	if _, err := s.WriteRangeDirect(r.Start(), 3*4096); err != nil {
 		t.Fatal(err)
 	}
-	var seen []uint64
-	s.SetFaultHandler(func(f Fault) {
-		seen = append(seen, f.Page)
-		f.Region.SetProtected(f.Addr, false)
-	})
 	pages := s.ReplaySilent()
 	if pages != 3 {
 		t.Fatalf("ReplaySilent = %d pages, want 3", pages)
 	}
-	if len(seen) != 3 {
-		t.Fatalf("handler saw %d faults, want 3", len(seen))
+	if !slices.Equal(seen, []uint64{0, 1, 2}) || s.Faults() != 3 {
+		t.Fatalf("log saw pages %v, space %d faults; want [0 1 2] (address order), 3", seen, s.Faults())
 	}
-	for i, pg := range seen {
-		if want := r.Start() + uint64(i)*4096; pg != want {
-			t.Fatalf("fault %d at %#x, want %#x (address order)", i, pg, want)
-		}
+	if r.ProtectedPages() != 1 {
+		t.Fatalf("%d pages protected after replay, want 1 (the page the NIC missed)", r.ProtectedPages())
 	}
 	if s.SilentDirtyBytes() != 0 {
 		t.Fatal("silent bitmap not cleared by replay")
@@ -143,7 +138,7 @@ func TestReplaySilentWithoutHandlerUnprotects(t *testing.T) {
 		t.Fatalf("ReplaySilent = %d, want 1", pages)
 	}
 	if r.Protected(r.Start()) {
-		t.Fatal("handler-less replay must unprotect the page, not leave it torn")
+		t.Fatal("a replay no log records must unprotect the page, not leave it torn")
 	}
 }
 

@@ -1,0 +1,19 @@
+package mem
+
+// Fault is a page SetFaultHandler hands its h.
+//
+// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
+type Fault struct {
+	Page   uint64 // the page's base address
+	Region *Region
+}
+
+// SetFaultHandler opens a DirtyLog on s whose OnFault hands h each page
+// it records, in ascending order and already unprotected.
+//
+// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
+func (s *AddressSpace) SetFaultHandler(h func(Fault)) {
+	l := NewDirtyLog(s)
+	l.OnFault = func(r *Region, idx uint64) { h(Fault{Page: r.PageAddr(idx), Region: r}) }
+	l.Open()
+}

@@ -9,8 +9,9 @@
 // reproduces the semantics in a library: every write goes through
 // AddressSpace.Write, AddressSpace.WriteRange or a PageRun begun with
 // AddressSpace.StoreRun, which check the page's protection bit and
-// synchronously invoke the registered fault handler before the write
-// completes — exactly the ordering a SIGSEGV handler sees.
+// synchronously deliver the fault to the open dirty logs (DirtyLog, the
+// MMU's only client) before the write completes — exactly the ordering
+// a process catching SIGSEGV sees.
 //
 // Two backing modes are supported. In backed mode each page holds real
 // bytes, so a checkpointer can save and restore genuine contents. In
@@ -47,7 +48,7 @@ const (
 	// Mmap is a dynamically mapped arena (mmap/munmap).
 	Mmap
 	// Stack is the process stack. It cannot be write-protected: the
-	// fault handler itself needs a writable stack (§4.2).
+	// SIGSEGV catcher itself needs a writable stack (§4.2).
 	Stack
 )
 
@@ -74,9 +75,9 @@ func (k Kind) Checkpointable() bool { return k != Stack }
 
 // Errors returned by address-space operations.
 var (
-	// ErrSegv is returned when a write hits a protected page and the
-	// fault handler leaves the page protected (or none is installed) —
-	// the simulation analogue of an unhandled SIGSEGV.
+	// ErrSegv is returned when a write hits a protected page of a region
+	// no open dirty log records, so nothing unprotects it — the
+	// simulation analogue of an unhandled SIGSEGV.
 	ErrSegv = errors.New("mem: segmentation violation")
 	// ErrUnmapped is returned for accesses outside any live region.
 	ErrUnmapped = errors.New("mem: address not mapped")
@@ -84,29 +85,6 @@ var (
 	// or otherwise cannot be satisfied.
 	ErrBadRange = errors.New("mem: bad address range")
 )
-
-// Fault describes a write access to a write-protected page, delivered to
-// the fault handler before the write completes.
-type Fault struct {
-	// Addr is the faulting byte address.
-	Addr uint64
-	// Page is the page-aligned base address of the faulting page.
-	Page uint64
-	// Region is the region containing the page.
-	Region *Region
-}
-
-// FaultHandler receives write faults. A handler that wants the write to
-// proceed must unprotect the faulting page (Region.SetProtected(page,
-// false)); if the page is still protected when the handler returns, the
-// write fails with ErrSegv, like a re-raised signal.
-type FaultHandler func(Fault)
-
-// MapHook observes region lifetime. mapped is true when the region was
-// just created and false when it was just unmapped. The paper's
-// instrumentation library intercepts mmap/munmap the same way to keep its
-// view of the footprint current (§4.1).
-type MapHook func(r *Region, mapped bool)
 
 // Config parameterises an AddressSpace.
 type Config struct {
@@ -135,7 +113,7 @@ type Region struct {
 	space *AddressSpace
 	wp    []uint64 // write-protect bitmap, one bit per page
 	// silent marks pages a DMA write (WriteDirect) landed on while they
-	// were write-protected: modified memory no fault handler ever saw —
+	// were write-protected: modified memory no dirty log ever saw —
 	// the NIC-vs-mprotect conflict of §4.2 made observable. Allocated
 	// lazily on the first silent write; a bit clears when a CPU fault is
 	// finally delivered for the page (the tracker sees it after all) or
@@ -243,13 +221,6 @@ func (r *Region) ProtectedPages() uint64 {
 	return n
 }
 
-// clearSilent drops the silent mark on page idx, if any.
-func (r *Region) clearSilent(idx uint64) {
-	if r.silent != nil {
-		r.silent[idx/64] &^= 1 << (idx % 64)
-	}
-}
-
 // SilentPages returns the number of silently dirty pages — pages whose
 // contents changed underneath the protection machinery and are therefore
 // missing from any fault-derived dirty set.
@@ -301,9 +272,9 @@ type AddressSpace struct {
 	cfg     Config
 	regions []*Region // live regions, sorted by start
 	heap    *Region
-	handler FaultHandler
-	mapHook MapHook
-	logs    []*DirtyLog // dirty logs chained into handler and mapHook, oldest first
+	// logs are the open dirty logs, oldest first: the only consumers of
+	// write faults and map events.
+	logs []*DirtyLog
 
 	pageShift uint // log2(PageSize)
 
@@ -314,11 +285,6 @@ type AddressSpace struct {
 	faults     uint64 // total write faults delivered
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
 	writeSeq   byte   // rolling fill value for backed WriteRange
-	// foreign records that handler is not the chain of logs alone: a
-	// SetFaultHandler handler sits in it, or replaced it. Unset, a
-	// write's faults can go to the logs a bitmap word at a time
-	// (faultWord).
-	foreign bool
 }
 
 type span struct{ start, size uint64 }
@@ -350,23 +316,6 @@ func (s *AddressSpace) Faults() uint64 { return s.faults }
 // WrittenBytes returns the total number of bytes logically written (the
 // sum of Write/WriteRange lengths, not page-rounded).
 func (s *AddressSpace) WrittenBytes() uint64 { return s.writeBytes }
-
-// SetFaultHandler installs h as the write-fault handler, returning the
-// previous handler (nil if none).
-func (s *AddressSpace) SetFaultHandler(h FaultHandler) FaultHandler {
-	old := s.handler
-	s.handler = h
-	s.foreign = h != nil || len(s.logs) > 0
-	return old
-}
-
-// SetMapHook installs h to observe region map/unmap events, returning the
-// previous hook.
-func (s *AddressSpace) SetMapHook(h MapHook) MapHook {
-	old := s.mapHook
-	s.mapHook = h
-	return old
-}
 
 func (s *AddressSpace) roundUp(n uint64) uint64 {
 	ps := s.cfg.PageSize
@@ -409,9 +358,7 @@ func (s *AddressSpace) MapData(size uint64) *Region {
 		}
 	}
 	r := s.insert(dataBase, s.roundUp(size), Data)
-	if s.mapHook != nil {
-		s.mapHook(r, true)
-	}
+	s.mapEvent(r, true)
 	return r
 }
 
@@ -431,8 +378,10 @@ func (s *AddressSpace) brk() uint64 {
 // Sbrk grows (delta > 0) or shrinks (delta < 0) the heap by delta bytes,
 // page-rounded, returning the previous break. Shrinking below the heap
 // base or growing by a non-representable amount returns an error.
-// Growth preserves existing page protection and contents; new pages start
-// unprotected and zero-filled, matching kernel brk semantics.
+// Growth preserves existing page protection and contents; new pages are
+// zero-filled, matching kernel brk semantics, and start protected when an
+// open dirty log watches the heap (its first writes must fault), else
+// unprotected.
 //
 //lint:ignore deadexport the brk heap is part of the simulated process image (ckpt/tracker tests grow and shrink it); no shipped workload allocates through it yet
 func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
@@ -444,9 +393,7 @@ func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
 		grow := s.roundUp(uint64(delta))
 		if s.heap == nil {
 			s.heap = s.insert(heapBase, grow, Heap)
-			if s.mapHook != nil {
-				s.mapHook(s.heap, true)
-			}
+			s.mapEvent(s.heap, true)
 			return old, nil
 		}
 		r := s.heap
@@ -462,6 +409,9 @@ func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
 		}
 		if !s.cfg.Phantom {
 			r.data = append(r.data, make([][]byte, newPages-oldPages)...)
+		}
+		for _, l := range s.logs {
+			l.grown(r, oldPages)
 		}
 		return old, nil
 	}
@@ -486,9 +436,7 @@ func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
 	if r.size == 0 {
 		s.remove(r)
 		s.heap = nil
-		if s.mapHook != nil {
-			s.mapHook(r, false)
-		}
+		s.mapEvent(r, false)
 	}
 	return old, nil
 }
@@ -520,9 +468,7 @@ func (s *AddressSpace) Mmap(size uint64) (*Region, error) {
 		s.mmapNext += size
 	}
 	r := s.insert(start, size, Mmap)
-	if s.mapHook != nil {
-		s.mapHook(r, true)
-	}
+	s.mapEvent(r, true)
 	return r, nil
 }
 
@@ -535,9 +481,7 @@ func (s *AddressSpace) Munmap(r *Region) error {
 	}
 	s.remove(r)
 	s.mmapFree = append(s.mmapFree, span{r.start, r.size})
-	if s.mapHook != nil {
-		s.mapHook(r, false)
-	}
+	s.mapEvent(r, false)
 	return nil
 }
 
@@ -566,9 +510,7 @@ func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 			s.mmapNext = start + size
 		}
 	}
-	if s.mapHook != nil {
-		s.mapHook(r, true)
-	}
+	s.mapEvent(r, true)
 	return r, nil
 }
 
@@ -605,50 +547,36 @@ func (s *AddressSpace) Footprint() uint64 {
 	return n
 }
 
-// fault delivers a write fault for the page containing addr and reports
-// whether the write may proceed.
-func (s *AddressSpace) fault(r *Region, addr uint64) error {
-	s.faults++
-	// A delivered fault means the handler chain observes this page after
-	// all, so any earlier DMA write to it is no longer silent.
-	r.clearSilent(r.PageIndex(addr))
-	if s.handler != nil {
-		page := addr &^ (s.cfg.PageSize - 1)
-		s.handler(Fault{Addr: addr, Page: page, Region: r})
+// mapEvent hands a region's map (or unmap) to each open log, top of the
+// stack first.
+func (s *AddressSpace) mapEvent(r *Region, mapped bool) {
+	for i := len(s.logs) - 1; i >= 0; i-- {
+		s.logs[i].mapEvent(r, mapped)
 	}
-	if r.Protected(addr) {
-		return fmt.Errorf("%w: write to %#x", ErrSegv, addr)
-	}
-	return nil
 }
 
-// logsRecord reports whether a write's faults on r may be delivered a
-// word at a time: the handler is the chain of dirty logs alone, and an
-// open one records r, so every fault unprotects its page and none can
-// end in ErrSegv.
-func (s *AddressSpace) logsRecord(r *Region) bool {
-	if s.foreign {
-		return false
+// faultWord delivers the write faults on the protected pages m of bitmap
+// word w of r: the one delivery body, of which a single fault is the
+// one-bit case. Each open log that records r, top of the stack first,
+// logs the pages and unprotects them; the space then counts the faults
+// and clears them from the silent bits (a delivered fault means the
+// page is observed after all, so an earlier DMA write to it is no
+// longer silent). When no log records r, only the lowest page of m
+// faults — it is counted and un-silenced but stays protected — and
+// faultWord reports false: the write fails there with ErrSegv.
+func (s *AddressSpace) faultWord(r *Region, w, m uint64) bool {
+	recorded := false
+	for i := len(s.logs) - 1; i >= 0; i-- {
+		recorded = s.logs[i].record(r, w, m) || recorded
 	}
-	for _, l := range s.logs {
-		if l.records(r) {
-			return true
-		}
+	if !recorded {
+		m &= -m
 	}
-	return false
-}
-
-// faultWord is fault for the protected pages m of bitmap word w of r at
-// once, on a chain logsRecord admitted: the space counts and un-silences
-// them, then each log, from the top of the chain down, records them all.
-func (s *AddressSpace) faultWord(r *Region, w, m uint64) {
 	s.faults += uint64(bits.OnesCount64(m))
 	if r.silent != nil {
 		r.silent[w] &^= m
 	}
-	for i := len(s.logs) - 1; i >= 0; i-- {
-		s.logs[i].record(r, w, m)
-	}
+	return recorded
 }
 
 // checkRange locates the region wholly containing [addr, addr+n) or fails.
@@ -695,11 +623,11 @@ const (
 
 // StoreRun begins a CPU store of n bytes at addr: the range is located
 // once, then each Next delivers the write fault for its page if (and
-// only if) the page is protected — the same fault address, order and
-// handler chain as Write, which is this loop with a copy in it — and
-// lends the page. A handler that leaves the page protected ends the run
-// with ErrSegv, earlier pages stored and nothing counted; the Next that
-// lends the last page counts the n bytes.
+// only if) the page is protected — the same fault order and logs as
+// Write, which is this loop with a copy in it — and lends the page. A
+// protected page no open log records ends the run with ErrSegv, earlier
+// pages stored and nothing counted; the Next that lends the last page
+// counts the n bytes.
 func (s *AddressSpace) StoreRun(addr, n uint64) (PageRun, error) {
 	return s.run(addr, n, runStore)
 }
@@ -737,10 +665,9 @@ func (p *PageRun) Next() (b []byte, n int) {
 	idx := r.PageIndex(p.addr)
 	po := p.addr & (ps - 1)
 	size := min(ps-po, p.left)
-	if p.mode == runStore && r.wp[idx/64]&(1<<(idx%64)) != 0 {
-		if p.err = s.fault(r, p.addr); p.err != nil {
-			return nil, 0
-		}
+	if p.mode == runStore && r.wp[idx/64]&(1<<(idx%64)) != 0 && !s.faultWord(r, idx/64, 1<<(idx%64)) {
+		p.err = fmt.Errorf("%w: write to %#x", ErrSegv, p.addr)
+		return nil, 0
 	}
 	if !s.cfg.Phantom {
 		pd := r.data[idx]
@@ -808,13 +735,13 @@ func (s *AddressSpace) Read(addr uint64, buf []byte) error {
 // WriteRange marks the whole byte range [addr, addr+n) as written,
 // faulting on each protected page it touches, without supplying contents.
 // It is the bulk path used by synthetic workloads sweeping large extents:
-// unprotected pages are skipped a bitmap word (64 pages) at a time, and
-// a region nothing protected costs no walk at all. When only dirty logs
-// handle faults and one records r, a word's faults are delivered to them
-// at once (faultWord); otherwise each fault is delivered alone, in page
-// order, and the bitmap is read again after it. In backed mode the range
-// is filled with a rolling per-call byte value so contents remain
-// deterministic.
+// unprotected pages are skipped a bitmap word (64 pages) at a time, a
+// region nothing protected costs no walk at all, and the protected pages
+// of a word are delivered to the open logs at once (faultWord). A
+// protected page of a region no open log records ends the write with
+// ErrSegv, the pages before it faulted and nothing filled. In backed
+// mode the range is filled with a rolling per-call byte value so
+// contents remain deterministic.
 func (s *AddressSpace) WriteRange(addr, n uint64) error {
 	if n == 0 {
 		return nil
@@ -824,27 +751,10 @@ func (s *AddressSpace) WriteRange(addr, n uint64) error {
 		return err
 	}
 	last := r.PageIndex(addr + n - 1)
-	w, m := r.protected(r.PageIndex(addr), last)
-	if m != 0 && s.logsRecord(r) {
-		for ; m != 0; w, m = r.protected(w*64+64, last) {
-			s.faultWord(r, w, m)
+	for w, m := r.protected(r.PageIndex(addr), last); m != 0; w, m = r.protected(w*64+64, last) {
+		if !s.faultWord(r, w, m) {
+			return fmt.Errorf("%w: write to %#x", ErrSegv, max(r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))), addr))
 		}
-	}
-	for m != 0 {
-		// Page by page. The handler may change any page's protection,
-		// so the bitmap is read again after each fault — but only tested
-		// for the next page, whose address does not wait on that read
-		// (taking it from the word read back costs a cold sweep 25 %).
-		idx := w*64 + uint64(bits.TrailingZeros64(m))
-		for {
-			if err := s.fault(r, max(r.PageAddr(idx), addr)); err != nil {
-				return err
-			}
-			if idx++; idx > last || r.wp[idx/64]&(1<<(idx%64)) == 0 {
-				break
-			}
-		}
-		w, m = r.protected(idx, last)
 	}
 	s.fill(r, addr, n)
 	return nil

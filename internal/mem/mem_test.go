@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -227,15 +228,20 @@ func TestWriteUnmappedAndCrossRegion(t *testing.T) {
 	}
 }
 
+// countFaults opens a dirty log on s whose OnFault appends each page it
+// records to *pages.
+func countFaults(s *AddressSpace, pages *[]uint64) *DirtyLog {
+	l := NewDirtyLog(s)
+	l.OnFault = func(_ *Region, idx uint64) { *pages = append(*pages, idx) }
+	l.Open()
+	return l
+}
+
 func TestProtectionFaultDelivery(t *testing.T) {
 	s := newBacked(t)
 	r, _ := s.Mmap(4 * 4096)
-	var faults []Fault
-	s.SetFaultHandler(func(f Fault) {
-		faults = append(faults, f)
-		f.Region.SetProtected(f.Page, false) // first-touch unprotect
-	})
-	r.ProtectAll()
+	var faults []uint64
+	countFaults(s, &faults)
 	if got := r.ProtectedPages(); got != 4 {
 		t.Fatalf("ProtectedPages = %d, want 4", got)
 	}
@@ -243,11 +249,8 @@ func TestProtectionFaultDelivery(t *testing.T) {
 	if err := s.Write(r.Start()+100, make([]byte, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if len(faults) != 2 {
-		t.Fatalf("faults = %d, want 2 (write spans 2 pages)", len(faults))
-	}
-	if faults[0].Addr != r.Start()+100 || faults[0].Page != r.Start() {
-		t.Fatalf("fault[0] = %+v", faults[0])
+	if len(faults) != 2 || faults[0] != 0 || faults[1] != 1 {
+		t.Fatalf("faulted pages %v, want [0 1] (write spans 2 pages)", faults)
 	}
 	// Rewrite of the same pages: no more faults.
 	if err := s.Write(r.Start()+100, make([]byte, 5000)); err != nil {
@@ -261,13 +264,20 @@ func TestProtectionFaultDelivery(t *testing.T) {
 	}
 }
 
+// An open log that does not record the region leaves its page
+// protected: the write is an unhandled fault.
 func TestSegvWhenHandlerLeavesProtected(t *testing.T) {
 	s := newBacked(t)
 	r, _ := s.Mmap(4096)
-	s.SetFaultHandler(func(Fault) {}) // does not unprotect
+	l := NewDirtyLog(s)
+	l.Exclude(r)
+	l.Open()
 	r.ProtectAll()
-	if err := s.Write(r.Start(), []byte{1}); !errors.Is(err, ErrSegv) {
+	if err := s.Write(r.Start()+5, []byte{1}); !errors.Is(err, ErrSegv) {
 		t.Fatalf("want ErrSegv, got %v", err)
+	}
+	if s.Faults() != 1 || l.Faults() != 0 || !r.Protected(r.Start()) {
+		t.Fatalf("space %d faults, log %d, page protected %v; want 1, 0, true", s.Faults(), l.Faults(), r.Protected(r.Start()))
 	}
 }
 
@@ -286,34 +296,34 @@ func TestSegvWithoutHandler(t *testing.T) {
 func TestReadNeverFaults(t *testing.T) {
 	s := newBacked(t)
 	r, _ := s.Mmap(4096)
-	s.SetFaultHandler(func(Fault) { t.Fatal("read delivered a fault") })
-	r.ProtectAll()
+	l := NewDirtyLog(s)
+	l.OnFault = func(*Region, uint64) { t.Fatal("read delivered a fault") }
+	l.Open()
 	if err := s.Read(r.Start(), make([]byte, 100)); err != nil {
 		t.Fatal(err)
+	}
+	if s.Faults() != 0 || !r.Protected(r.Start()) {
+		t.Fatal("read faulted or unprotected the page")
 	}
 }
 
 func TestWriteRangeFaultPerPage(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096, Phantom: true})
 	r, _ := s.Mmap(1000 * 4096)
-	var n int
-	s.SetFaultHandler(func(f Fault) {
-		n++
-		f.Region.SetProtected(f.Page, false)
-	})
-	r.ProtectAll()
+	var pages []uint64
+	countFaults(s, &pages)
 	if err := s.WriteRange(r.Start(), 1000*4096); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1000 {
-		t.Fatalf("faults = %d, want 1000", n)
+	if len(pages) != 1000 || !slices.IsSorted(pages) {
+		t.Fatalf("faults = %d, want 1000 in page order", len(pages))
 	}
 	// Second sweep over unprotected pages: zero faults, fast path.
 	if err := s.WriteRange(r.Start(), 1000*4096); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1000 {
-		t.Fatalf("fast path faulted: %d", n)
+	if len(pages) != 1000 || s.Faults() != 1000 {
+		t.Fatalf("fast path faulted: %d", len(pages))
 	}
 	if s.WrittenBytes() != 2*1000*4096 {
 		t.Fatalf("WrittenBytes = %d", s.WrittenBytes())
@@ -324,20 +334,14 @@ func TestWriteRangePartialPages(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096, Phantom: true})
 	r, _ := s.Mmap(16 * 4096)
 	var pages []uint64
-	s.SetFaultHandler(func(f Fault) {
-		pages = append(pages, f.Region.PageIndex(f.Page))
-		f.Region.SetProtected(f.Page, false)
-	})
-	r.ProtectAll()
-	// Touch bytes [4000, 4100): spans pages 0 and 1 only.
+	countFaults(s, &pages)
+	// Touch bytes [4000, 4100): 4000..4100 crosses into page 1 at
+	// offset 4096, so pages 0 and 1 only.
 	if err := s.WriteRange(r.Start()+4000, 100); err != nil {
 		t.Fatal(err)
 	}
-	if len(pages) != 1 || pages[0] != 0 {
-		// 4000..4100 crosses into page 1 at offset 4096.
-		if len(pages) != 2 || pages[0] != 0 || pages[1] != 1 {
-			t.Fatalf("pages touched: %v", pages)
-		}
+	if !slices.Equal(pages, []uint64{0, 1}) {
+		t.Fatalf("pages touched: %v", pages)
 	}
 }
 
@@ -390,18 +394,24 @@ func TestProtectAllData(t *testing.T) {
 	}
 }
 
-func TestMapHook(t *testing.T) {
+// An open log's OnMap hears every region map and unmap, the heap's
+// included; growing or shrinking a live heap is not one.
+func TestDirtyLogOnMapEvents(t *testing.T) {
 	s := newBacked(t)
 	type ev struct {
 		kind   Kind
 		mapped bool
 	}
 	var evs []ev
-	s.SetMapHook(func(r *Region, mapped bool) { evs = append(evs, ev{r.Kind(), mapped}) })
+	l := NewDirtyLog(s)
+	l.OnMap = func(r *Region, mapped bool, _ uint64) { evs = append(evs, ev{r.Kind(), mapped}) }
+	l.Open()
 	s.MapData(4096)
 	r, _ := s.Mmap(4096)
 	s.Sbrk(4096)
+	s.Sbrk(8192)
 	s.Munmap(r)
+	s.Sbrk(-8192)
 	s.Sbrk(-4096)
 	want := []ev{{Data, true}, {Mmap, true}, {Heap, true}, {Mmap, false}, {Heap, false}}
 	if len(evs) != len(want) {
@@ -443,7 +453,7 @@ func TestPhantomReadZeroFills(t *testing.T) {
 }
 
 // Property: after protecting all and writing a random set of ranges with a
-// first-touch-unprotect handler, the set of unprotected pages equals
+// dirty log open, the set of unprotected pages equals
 // exactly the union of pages covered by the ranges.
 func TestPropertyDirtyPagesMatchWrites(t *testing.T) {
 	const pageSize = 4096
@@ -452,8 +462,7 @@ func TestPropertyDirtyPagesMatchWrites(t *testing.T) {
 		s := NewAddressSpace(Config{PageSize: pageSize, Phantom: true})
 		const pages = 256
 		r, _ := s.Mmap(pages * pageSize)
-		s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
-		r.ProtectAll()
+		NewDirtyLog(s).Open()
 		want := make(map[uint64]bool)
 		for i := 0; i < int(nWrites%40)+1; i++ {
 			start := uint64(rng.IntN(pages * pageSize))
@@ -566,10 +575,17 @@ func TestPropertyWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkWriteRangeColdSweep sweeps a region an open DirtyLog
+// re-protected whole: every page faults, delivered to the log a bitmap
+// word at a time — what a tracker pays per timeslice.
 func BenchmarkWriteRangeColdSweep(b *testing.B) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(64 * 1024 * 1024)
-	s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
+	NewDirtyLog(s).Open()
+	// The first sweep creates and sizes the log's set for r.
+	if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(64 * 1024 * 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -581,15 +597,17 @@ func BenchmarkWriteRangeColdSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteRangeHotSweep sweeps a region nothing ever protected:
-// it times the untracked skip (no protection walk at all) — the 63
-// ranks of an IWS run without a tracker — not a re-sweep of faulted
-// pages, which is BenchmarkWriteRangeFaultedSweep.
+// BenchmarkWriteRangeHotSweep sweeps a region nothing ever protected —
+// the open DirtyLog excludes it: it times the untracked skip (no
+// protection walk at all) — the 63 ranks of an IWS run without a
+// tracker — not a re-sweep of faulted pages, which is
+// BenchmarkWriteRangeFaultedSweep.
 func BenchmarkWriteRangeHotSweep(b *testing.B) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(64 * 1024 * 1024)
-	s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
-	s.WriteRange(r.Start(), r.Size())
+	l := NewDirtyLog(s)
+	l.Exclude(r)
+	l.Open()
 	b.SetBytes(64 * 1024 * 1024)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // oracleWrite and oracleRead are AddressSpace.Write and Read as they
 // were before they became loops over a PageRun — their own page walk,
-// fault first, then a copy — kept as the reference the accessor is
-// compared against.
+// fault first (the one-bit case of faultWord), then a copy — kept as
+// the reference the accessor is compared against.
 func oracleWrite(s *AddressSpace, addr uint64, data []byte) error {
 	n := uint64(len(data))
 	if n == 0 {
@@ -25,10 +26,8 @@ func oracleWrite(s *AddressSpace, addr uint64, data []byte) error {
 	ps := s.cfg.PageSize
 	for off := uint64(0); off < n; {
 		chunk := min(n-off, (addr+off+ps)&^(ps-1)-(addr+off))
-		if r.Protected(addr + off) {
-			if err := s.fault(r, addr+off); err != nil {
-				return err
-			}
+		if idx := r.PageIndex(addr + off); r.Protected(addr+off) && !s.faultWord(r, idx/64, 1<<(idx%64)) {
+			return fmt.Errorf("%w: write to %#x", ErrSegv, addr+off)
 		}
 		if !s.cfg.Phantom {
 			idx := r.PageIndex(addr + off)
@@ -123,26 +122,38 @@ func loadThrough(t *testing.T, s *AddressSpace, addr uint64, buf []byte) error {
 	return nil
 }
 
-// runRig is one address space under a scripted handler: faults on a
-// stuck page leave it protected (the write dies with ErrSegv), all
-// others unprotect. Two rigs given the same script must end up alike.
+// runRig is one address space and one region of it under an open dirty
+// log. While the rig is stuck the log does not record the region, so a
+// fault on any protected page of it is unhandled — the write dies with
+// ErrSegv and the page stays protected; otherwise every fault is
+// recorded and unprotects its page. The region starts never protected.
+// Two rigs given the same script must end up alike.
 type runRig struct {
 	s      *AddressSpace
 	r      *Region
-	stuck  map[uint64]bool // page base addresses the handler leaves protected
-	faults [][2]uint64     // Addr and Page of every fault delivered, in order
+	log    *DirtyLog
+	faults []uint64 // the page of every fault the log recorded, in order
 }
 
-func newRunRig(ps uint64, phantom bool) *runRig {
-	g := &runRig{s: NewAddressSpace(Config{PageSize: ps, Phantom: phantom}), stuck: map[uint64]bool{}}
-	g.r, _ = g.s.Mmap(12 * ps)
-	g.s.SetFaultHandler(func(f Fault) {
-		g.faults = append(g.faults, [2]uint64{f.Addr, f.Page})
-		if !g.stuck[f.Page] {
-			f.Region.SetProtected(f.Page, false)
-		}
-	})
+func newRunRig(ps uint64, phantom bool, pages uint64) *runRig {
+	g := &runRig{s: NewAddressSpace(Config{PageSize: ps, Phantom: phantom})}
+	g.r, _ = g.s.Mmap(pages * ps)
+	g.log = NewDirtyLog(g.s)
+	g.log.OnFault = func(_ *Region, idx uint64) { g.faults = append(g.faults, idx) }
+	g.log.Open()
+	clear(g.r.wp)
+	g.r.armed = false
 	return g
+}
+
+// stick makes the log stop (or resume) recording the rig's region.
+func (g *runRig) stick(stuck bool) {
+	if stuck {
+		g.log.Exclude(g.r)
+	} else {
+		delete(g.log.excluded, g.r)
+		g.log.lastR, g.log.lastSet = nil, nil
+	}
 }
 
 func (g *runRig) state() string {
@@ -152,23 +163,24 @@ func (g *runRig) state() string {
 			prot = append(prot, idx)
 		}
 	}
-	return fmt.Sprintf("faults %d written %d silent %d digest %x protected %v fault addrs %x",
+	return fmt.Sprintf("faults %d written %d silent %d digest %x protected %v faulted pages %v",
 		g.s.Faults(), g.s.WrittenBytes(), g.s.SilentDirtyBytes(), g.s.Digest(nil), prot, g.faults)
 }
 
 // TestPageRunMatchesOracle: the same random script — protect, DMA,
 // CPU stores and reads that start mid-page, end mid-page and span
-// several pages, some dying on a page the handler leaves protected —
-// run through the old Write/Read on one space and through PageRuns on
-// another leaves every observable alike: contents (Digest and the bytes
-// read back), Faults, WrittenBytes, silent bytes, protection bits and
-// the delivered fault sequence, address by address.
+// several pages, some dying on a stuck page (the one protected page of
+// a region the log does not record) — run through the old Write/Read
+// on one space and through PageRuns on another leaves every observable
+// alike: contents (Digest and the bytes read back), Faults,
+// WrittenBytes, silent bytes, protection bits and the recorded fault
+// sequence, page by page.
 func TestPageRunMatchesOracle(t *testing.T) {
 	for _, ps := range []uint64{8, 256, 4096} {
 		for _, phantom := range []bool{false, true} {
 			for seed := uint64(0); seed < 10; seed++ {
 				rng := rand.New(rand.NewPCG(seed, ps))
-				old, run := newRunRig(ps, phantom), newRunRig(ps, phantom)
+				old, run := newRunRig(ps, phantom, 12), newRunRig(ps, phantom, 12)
 				for step := 0; step < 120; step++ {
 					first := rng.Uint64N(old.r.Pages())
 					last := min(first+rng.Uint64N(4), old.r.Pages()-1)
@@ -184,7 +196,7 @@ func TestPageRunMatchesOracle(t *testing.T) {
 						}
 						errOld := oracleWrite(old.s, old.r.Start()+rel, data)
 						errRun := storeThrough(t, run.s, run.r.Start()+rel, data)
-						if errors.Is(errOld, ErrSegv) != errors.Is(errRun, ErrSegv) || (errOld == nil) != (errRun == nil) {
+						if errors.Is(errOld, ErrSegv) != errors.Is(errRun, ErrSegv) || fmt.Sprint(errOld) != fmt.Sprint(errRun) {
 							t.Fatalf("%s: oracle write %v, store run %v", where, errOld, errRun)
 						}
 					case op < 7:
@@ -201,10 +213,12 @@ func TestPageRunMatchesOracle(t *testing.T) {
 					case op == 7:
 						stick, pg := rng.IntN(2) == 0, rng.Uint64N(old.r.Pages())
 						for _, g := range []*runRig{old, run} {
-							g.r.ProtectAll()
-							clear(g.stuck)
+							g.stick(stick)
 							if stick {
-								g.stuck[g.r.PageAddr(pg)] = true
+								clear(g.r.wp)
+								g.r.SetProtected(g.r.PageAddr(pg), true)
+							} else {
+								g.r.ProtectAll()
 							}
 						}
 					case op == 8:
@@ -215,7 +229,7 @@ func TestPageRunMatchesOracle(t *testing.T) {
 						}
 					default:
 						for _, g := range []*runRig{old, run} {
-							clear(g.stuck)
+							g.stick(false)
 							g.s.ReplaySilent()
 						}
 					}
@@ -237,21 +251,24 @@ func TestPageRunMatchesOracle(t *testing.T) {
 // its fault and stays protected, later pages are untouched, and none
 // of the bytes count as written.
 func TestStoreRunSegvKeepsEarlierPages(t *testing.T) {
-	g := newRunRig(256, false)
+	g := newRunRig(256, false, 12)
 	g.r.ProtectAll()
-	g.stuck[g.r.PageAddr(2)] = true
 	data := bytes.Repeat([]byte{0xAB}, 4*256)
-	err := storeThrough(t, g.s, g.r.Start()+10, data)
-	if !errors.Is(err, ErrSegv) {
-		t.Fatalf("store over a stuck page: %v, want ErrSegv", err)
+	run, _ := g.s.StoreRun(g.r.Start()+10, uint64(len(data)))
+	chunks := 0
+	for b, n := run.Next(); n > 0; b, n = run.Next() {
+		copy(b, data)
+		data = data[n:]
+		if chunks++; chunks == 2 {
+			g.stick(true) // pages 0 and 1 faulted and were recorded; page 2 is stuck
+		}
 	}
-	wantFaults := []uint64{g.r.Start() + 10, g.r.PageAddr(1), g.r.PageAddr(2)}
-	var got []uint64
-	for _, f := range g.faults {
-		got = append(got, f[0])
+	err := run.Err()
+	if !errors.Is(err, ErrSegv) || !strings.HasSuffix(err.Error(), fmt.Sprintf("%#x", g.r.PageAddr(2))) {
+		t.Fatalf("store over a stuck page: %v, want ErrSegv at %#x", err, g.r.PageAddr(2))
 	}
-	if !slices.Equal(got, wantFaults) {
-		t.Fatalf("fault addresses %#x, want %#x (the store's address, then page bases)", got, wantFaults)
+	if !slices.Equal(g.faults, []uint64{0, 1}) || g.s.Faults() != 3 {
+		t.Fatalf("recorded pages %v, space %d faults; want [0 1], 3 (the stuck page's too)", g.faults, g.s.Faults())
 	}
 	if g.s.WrittenBytes() != 0 {
 		t.Fatalf("a store that died counted %d bytes", g.s.WrittenBytes())
@@ -268,7 +285,7 @@ func TestStoreRunSegvKeepsEarlierPages(t *testing.T) {
 		t.Fatal("the stuck page or one after it was materialised")
 	}
 	// A run that ended in ErrSegv stays ended.
-	run, _ := g.s.StoreRun(g.r.PageAddr(2), 8)
+	run, _ = g.s.StoreRun(g.r.PageAddr(2), 8)
 	if _, n := run.Next(); n != 0 || !errors.Is(run.Err(), ErrSegv) {
 		t.Fatalf("first Next on a stuck page lent %d bytes, err %v", n, run.Err())
 	}
@@ -285,7 +302,7 @@ func TestLoadRunNeverMaterialises(t *testing.T) {
 	r, _ := s.Mmap(4 * 256)
 	r.ProtectAll()
 	if err := s.Write(r.PageAddr(1)+5, []byte{1, 2, 3}); !errors.Is(err, ErrSegv) {
-		t.Fatalf("write with no handler: %v", err)
+		t.Fatalf("write with no log open: %v", err)
 	}
 	r.SetProtected(r.PageAddr(1), false)
 	if err := s.Write(r.PageAddr(1)+5, []byte{1, 2, 3}); err != nil {
@@ -317,7 +334,7 @@ func TestLoadRunNeverMaterialises(t *testing.T) {
 func TestPageRunDoesNotAllocate(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096})
 	r, _ := s.Mmap(8 * 4096)
-	s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
+	NewDirtyLog(s).Open()
 	sweep := func() {
 		r.ProtectAll()
 		run, err := s.StoreRun(r.Start()+100, 5*4096)
@@ -382,7 +399,7 @@ func TestRangeCheckDoesNotWrap(t *testing.T) {
 		for _, op := range ops {
 			s := NewAddressSpace(Config{PageSize: ps, Phantom: phantom})
 			r, _ := s.Mmap(2 * ps)
-			s.SetFaultHandler(func(f Fault) { f.Region.SetProtected(f.Page, false) })
+			NewDirtyLog(s).Open()
 			const off = ps
 			addr, fit := r.Start()+off, r.Size()-off
 			for _, c := range []struct {

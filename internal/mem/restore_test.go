@@ -95,8 +95,9 @@ func TestPeekAndLoadPage(t *testing.T) {
 		t.Fatalf("PeekPage: %v", pd[:4])
 	}
 	// LoadPage bypasses protection and faults.
-	r.ProtectAll()
-	s.SetFaultHandler(func(Fault) { t.Fatal("LoadPage delivered a fault") })
+	l := NewDirtyLog(s)
+	l.OnFault = func(*Region, uint64) { t.Fatal("LoadPage delivered a fault") }
+	l.Open()
 	data := bytes.Repeat([]byte{9}, 4096)
 	r.LoadPage(1, data)
 	if !r.Protected(r.PageAddr(1)) {
@@ -106,7 +107,9 @@ func TestPeekAndLoadPage(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("LoadPage contents")
 	}
-	s.SetFaultHandler(nil)
+	if s.Faults() != 0 {
+		t.Fatalf("LoadPage delivered %d faults", s.Faults())
+	}
 }
 
 func TestLoadPageValidation(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 
 // oracleWriteRange, oracleWriteDirect and oracleWriteRangeDirect are
 // the three protection-bitmap walks as they were before they became one
-// (Region.protected): WriteRange's own word skip, re-reading the bitmap
-// after every fault, and the DMA paths' page-by-page bit tests. They are
-// the reference the shared walk is compared against.
+// (Region.protected): WriteRange's own word skip, delivering each fault
+// alone (the one-bit case of faultWord) and re-reading the bitmap after
+// it, and the DMA paths' page-by-page bit tests. They are the reference
+// the shared walk is compared against.
 func oracleWriteRange(s *AddressSpace, addr, n uint64) error {
 	if n == 0 {
 		return nil
@@ -33,8 +34,8 @@ func oracleWriteRange(s *AddressSpace, addr, n uint64) error {
 			idx += skip
 			continue
 		}
-		if err := s.fault(r, max(r.PageAddr(idx), addr)); err != nil {
-			return err
+		if !s.faultWord(r, idx/64, 1<<(idx%64)) {
+			return fmt.Errorf("%w: write to %#x", ErrSegv, max(r.PageAddr(idx), addr))
 		}
 		idx++
 	}
@@ -98,43 +99,21 @@ func oracleWriteRangeDirect(s *AddressSpace, addr, n uint64) (silentBytes uint64
 	return silentBytes, nil
 }
 
-// newWalkRig builds a runRig whose handler also moves protection ahead
-// of the fault — it unprotects the next page of some pages and protects a
-// later one of others — so a walk that stopped re-reading the bitmap
-// after each fault would deliver a different sequence.
-func newWalkRig(ps uint64, phantom bool) *runRig {
-	g := &runRig{s: NewAddressSpace(Config{PageSize: ps, Phantom: phantom}), stuck: map[uint64]bool{}}
-	g.r, _ = g.s.Mmap(150 * ps)
-	g.s.SetFaultHandler(func(f Fault) {
-		g.faults = append(g.faults, [2]uint64{f.Addr, f.Page})
-		r := f.Region
-		if !g.stuck[f.Page] {
-			r.SetProtected(f.Page, false)
-		}
-		switch idx := r.PageIndex(f.Page); {
-		case idx%11 == 5 && idx+1 < r.Pages():
-			r.SetProtected(r.PageAddr(idx+1), false)
-		case idx%13 == 7 && idx+3 < r.Pages():
-			r.SetProtected(r.PageAddr(idx+3), true)
-		}
-	})
-	return g
-}
-
 // TestProtectionWalkMatchesOracle: the same random script — protect and
-// unprotect spans, ProtectAll, CPU sweeps some of which die on a stuck
-// page, NIC writes, ClearSilent — run through the old walks on one
-// space and the shared one on another leaves every observable alike:
-// errors, silent bytes returned, the silent and protection bitmaps,
-// Faults, WrittenBytes, contents (every 25 steps: hashing is the cost)
-// and the delivered fault sequence. The
+// unprotect spans, ProtectAll, CPU sweeps some of which die on a
+// protected page while the rig is stuck, NIC writes, ClearSilent — run
+// through the old walks on one space and the shared one on another
+// leaves every observable alike: errors, silent bytes returned, the
+// silent and protection bitmaps, Faults, WrittenBytes, contents (every
+// 25 steps: hashing is the cost) and the recorded fault sequence. The
 // region starts never protected, so the first steps take the skip.
 func TestProtectionWalkMatchesOracle(t *testing.T) {
 	for _, ps := range []uint64{256, 4096} {
 		for _, phantom := range []bool{false, true} {
 			for seed := uint64(0); seed < 12; seed++ {
 				rng := rand.New(rand.NewPCG(seed, ps))
-				old, cur := newWalkRig(ps, phantom), newWalkRig(ps, phantom)
+				old, cur := newRunRig(ps, phantom, 150), newRunRig(ps, phantom, 150)
+				stuck := false
 				pages := old.r.Pages()
 				for step := 0; step < 150; step++ {
 					first := rng.Uint64N(pages)
@@ -156,9 +135,9 @@ func TestProtectionWalkMatchesOracle(t *testing.T) {
 						old.r.ProtectAll()
 						cur.r.ProtectAll()
 					case op == 4:
-						pa := old.r.PageAddr(first)
-						old.stuck[pa] = !old.stuck[pa]
-						cur.stuck[cur.r.PageAddr(first)] = old.stuck[pa]
+						stuck = !stuck
+						old.stick(stuck)
+						cur.stick(stuck)
 					case op < 8:
 						errOld = oracleWriteRange(old.s, old.r.Start()+rel, n)
 						errCur = cur.s.WriteRange(cur.r.Start()+rel, n)
@@ -176,7 +155,7 @@ func TestProtectionWalkMatchesOracle(t *testing.T) {
 						old.r.ClearSilent()
 						cur.r.ClearSilent()
 					}
-					if errors.Is(errOld, ErrSegv) != errors.Is(errCur, ErrSegv) || (errOld == nil) != (errCur == nil) {
+					if errors.Is(errOld, ErrSegv) != errors.Is(errCur, ErrSegv) || fmt.Sprint(errOld) != fmt.Sprint(errCur) {
 						t.Fatalf("%s: oracle %v, shared walk %v", where, errOld, errCur)
 					}
 					if silentOld != silentCur {

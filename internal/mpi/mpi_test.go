@@ -21,6 +21,18 @@ func testWorld(t *testing.T, n int, mode DeliveryMode) (*des.Engine, *World) {
 	return eng, w
 }
 
+// openLog opens a dirty log over rank id's data memory, leaving its
+// bounce buffer unprotected as the tracker does; faults, when not nil,
+// counts the pages it records.
+func openLog(w *World, id int, faults *int) {
+	l := mem.NewDirtyLog(w.Rank(id).Space())
+	l.Exclude(w.BounceRegion(id))
+	if faults != nil {
+		l.OnFault = func(*mem.Region, uint64) { *faults++ }
+	}
+	l.Open()
+}
+
 func TestNewWorldValidation(t *testing.T) {
 	eng := des.NewEngine()
 	if _, err := NewWorld(eng, QsNet(), Direct, nil); err == nil {
@@ -119,8 +131,7 @@ func TestDirectModeNICConflict(t *testing.T) {
 	eng, w := testWorld(t, 2, Direct)
 	r1 := w.Rank(1)
 	buf, _ := r1.Space().Mmap(1 << 16)
-	r1.Space().SetFaultHandler(func(f mem.Fault) { f.Region.SetProtected(f.Page, false) })
-	buf.ProtectAll()
+	openLog(w, 1, nil)
 
 	faultsBefore := r1.Space().Faults()
 	r1.Recv(0, 0, buf.Start(), func(Message) {})
@@ -160,11 +171,7 @@ func TestBounceModeFaultsNaturally(t *testing.T) {
 	r1 := w.Rank(1)
 	buf, _ := r1.Space().Mmap(1 << 16)
 	var faults int
-	r1.Space().SetFaultHandler(func(f mem.Fault) {
-		faults++
-		f.Region.SetProtected(f.Page, false)
-	})
-	buf.ProtectAll()
+	openLog(w, 1, &faults)
 
 	done := false
 	r1.Recv(0, 0, buf.Start(), func(Message) { done = true })
@@ -382,11 +389,7 @@ func TestSendDataFaultsThroughTrackerPath(t *testing.T) {
 	r1 := w.Rank(1)
 	buf, _ := r1.Space().Mmap(1 << 14)
 	var faults int
-	r1.Space().SetFaultHandler(func(f mem.Fault) {
-		faults++
-		f.Region.SetProtected(f.Page, false)
-	})
-	buf.ProtectAll()
+	openLog(w, 1, &faults)
 	r1.Recv(0, 0, buf.Start(), nil)
 	w.Rank(0).SendData(1, 0, make([]byte, 5000), nil)
 	eng.Run(des.MaxTime)

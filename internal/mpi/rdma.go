@@ -148,9 +148,10 @@ func (r *Rank) RegisterAllData() (pages uint64) {
 
 // DeregisterAll tears down every registration and reconciles the pages
 // the NIC wrote behind the tracker's back: each silent-dirty page is
-// replayed through the fault-handler chain (mem.ReplaySilent), so the
-// tracker and checkpointer see it before the checkpoint is cut. Returns
-// the deregistered page count and the number of silent pages replayed.
+// replayed as a write fault to the open dirty logs (mem.ReplaySilent),
+// so the tracker and checkpointer see it before the checkpoint is cut.
+// Returns the deregistered page count and the number of silent pages
+// replayed.
 func (r *Rank) DeregisterAll() (pages, replayed uint64) {
 	for _, reg := range r.registered {
 		pages += reg.Pages()

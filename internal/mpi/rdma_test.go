@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/des"
-	"repro/internal/mem"
 )
 
 func rdmaWorld(t *testing.T, n int) (*des.Engine, *World) {
@@ -81,10 +80,8 @@ func TestUnregisteredDeliveryFallsBackToBounce(t *testing.T) {
 	eng, w := rdmaWorld(t, 2)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	buf := r1.Space().MapData(1 << 16)
-	buf.ProtectAll()
-
-	var faults uint64
-	r1.Space().SetFaultHandler(func(f mem.Fault) { faults++; f.Region.SetProtected(f.Addr, false) })
+	var faults int
+	openLog(w, 1, &faults)
 	r1.Recv(0, 1, buf.Start(), nil)
 	r0.Send(1, 1, 4096, nil)
 	eng.Run(des.MaxTime)
@@ -230,8 +227,7 @@ func TestDegradedRankUsesBouncePath(t *testing.T) {
 	r0, r1 := w.Rank(0), w.Rank(1)
 	win := r1.Space().MapData(4096)
 	r1.RegisterMemory(win)
-	win.ProtectAll()
-	r1.Space().SetFaultHandler(func(f mem.Fault) { f.Region.SetProtected(f.Addr, false) })
+	openLog(w, 1, nil)
 	r1.DegradeToBounce()
 
 	r0.Put(1, win.Start(), []byte{9, 9}, nil)

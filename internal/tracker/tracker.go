@@ -178,8 +178,8 @@ func (t *Tracker) AttachRank(w *mpi.World, rankID int) {
 	})
 }
 
-// Start write-protects all data memory, installs the fault and map hooks,
-// and arms the timeslice alarm.
+// Start opens the tracker's dirty log, which write-protects all data
+// memory, and arms the timeslice alarm.
 func (t *Tracker) Start() {
 	if t.log.IsOpen() {
 		panic("tracker: already started")
@@ -190,7 +190,8 @@ func (t *Tracker) Start() {
 	t.ticker = t.eng.NewTicker(t.opts.Timeslice, t.onAlarm)
 }
 
-// Stop cancels the alarm, removes the hooks and unprotects all memory.
+// Stop cancels the alarm and closes the dirty log, which unprotects all
+// memory.
 // The partial final timeslice is discarded, matching the paper's per-
 // timeslice reporting.
 func (t *Tracker) Stop() {
