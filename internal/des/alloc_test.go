@@ -2,6 +2,7 @@ package des
 
 import (
 	"container/heap"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -140,6 +141,58 @@ func TestPropertyHeapOrderMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// beforeRef is the two-branch heap order the branch-free before replaces.
+func beforeRef(n, m heapNode) bool {
+	return n.at < m.at || (n.at == m.at && n.seq < m.seq)
+}
+
+// beforeEdges are the keys where a borrow chain goes wrong first: the
+// extreme times either side of the sign flip, and extreme sequences.
+var (
+	beforeEdgeAt  = []Time{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	beforeEdgeSeq = []uint64{0, 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+)
+
+// TestPropertyBeforeMatchesReference: the branch-free key compare agrees
+// with the two-branch one on every pair of edge keys — equal times
+// included — and on random keys drawn near each other and far apart.
+func TestPropertyBeforeMatchesReference(t *testing.T) {
+	var keys []heapNode
+	for _, at := range beforeEdgeAt {
+		for _, seq := range beforeEdgeSeq {
+			keys = append(keys, heapNode{at: at, seq: seq})
+		}
+	}
+	rng := rand.New(rand.NewPCG(0xb4, 0x11))
+	for i := 0; i < 200; i++ {
+		keys = append(keys,
+			heapNode{at: Time(rng.Uint64()), seq: rng.Uint64()},
+			heapNode{at: Time(rng.Int64N(4) - 2), seq: rng.Uint64N(4)})
+	}
+	for _, n := range keys {
+		for _, m := range keys {
+			if got, want := n.before(m), beforeRef(n, m); got != want {
+				t.Fatalf("(%d, %d) before (%d, %d) = %v, want %v", n.at, n.seq, m.at, m.seq, got, want)
+			}
+		}
+	}
+}
+
+func FuzzHeapNodeBefore(f *testing.F) {
+	for _, at := range beforeEdgeAt {
+		for _, seq := range beforeEdgeSeq {
+			f.Add(int64(at), seq, int64(at), seq^1)
+			f.Add(int64(at), seq, int64(beforeEdgeAt[len(beforeEdgeAt)-1]-at), seq)
+		}
+	}
+	f.Fuzz(func(t *testing.T, at1 int64, seq1 uint64, at2 int64, seq2 uint64) {
+		n, m := heapNode{at: Time(at1), seq: seq1}, heapNode{at: Time(at2), seq: seq2}
+		if n.before(m) != beforeRef(n, m) || m.before(n) != beforeRef(m, n) {
+			t.Fatalf("(%d, %d) vs (%d, %d): branch-free order disagrees with the reference", at1, seq1, at2, seq2)
+		}
+	})
 }
 
 // TestPropertyReentrantScheduling checks order equivalence when

@@ -26,15 +26,24 @@
 // counts it would have had if every firing had been scheduled up front.
 //
 // Event count is O(observed firings): a series whose intermediate states
-// nothing reads can be held (HoldSeries), firing all its firings back
-// to back as one event at its last firing's key, and released
-// (Event.Release) into the ordinary series the moment something might read
-// them — the firings already due run at once and the rest keep their keys.
+// nothing reads can be held (HoldSeries), standing for all its firings as
+// one event at its last firing's key, whose counted callback is handed
+// the number of firings at once — so an activity that can do n firings'
+// work in closed form pays O(1) for them — and released (Event.Release)
+// into the ordinary series the moment something might read them: the
+// firings already due run at once, one by one, and the rest keep their
+// keys.
+//
+// The heap's key compare is a branch-free 128-bit borrow chain, and a
+// sift picks the smallest of four children arithmetically from it: the
+// order of a deep queue's children is close to random, so a branch per
+// compare is a branch the predictor misses.
 package des
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -114,7 +123,7 @@ func (e Event) Pending() bool {
 // recycled through the engine's free-list; gen increments at each reap so
 // stale handles cannot alias a successor event in the same slot.
 type eventSlot struct {
-	fn   func()
+	fn   func() // nil for a hold: its callback is the series' count
 	gen  uint32
 	ser  int32 // 1 + index into Engine.series; 0 for a single event
 	dead bool
@@ -132,8 +141,17 @@ type heapNode struct {
 
 // before is the heap order: earliest time first, FIFO tie-break on the
 // schedule sequence.
-func (n heapNode) before(m heapNode) bool {
-	return n.at < m.at || (n.at == m.at && n.seq < m.seq)
+func (n heapNode) before(m heapNode) bool { return n.borrow(m) != 0 }
+
+// borrow is before as 1 or 0. It compares (at, seq) as one 128-bit
+// unsigned number — at, sign-flipped so signed order is unsigned order,
+// above seq — by the borrow out of subtracting m from n, so a sift can
+// pick the smallest of four children without a branch for the predictor
+// to miss on their near-random order (replaceTop).
+func (n heapNode) borrow(m heapNode) uint64 {
+	_, b := bits.Sub64(n.seq, m.seq, 0)
+	_, b = bits.Sub64(uint64(n.at)^1<<63, uint64(m.at)^1<<63, b)
+	return b
 }
 
 // Engine owns the virtual clock and the pending-event queue.
@@ -181,12 +199,13 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 // enqueue is the one way into the queue: it takes an arena slot for fn,
 // reserves nseq consecutive sequence numbers and pushes the node for the
 // first of them (for a held series, the last). ser is the slot's series
-// link (0 for a single event, which reserves exactly one number).
+// link (0 for a single event, which reserves exactly one number); a
+// hold's fn is nil (its callback is the series record's).
 func (e *Engine) enqueue(at Time, fn func(), ser int32, nseq uint64, held bool) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, e.now))
 	}
-	if fn == nil {
+	if fn == nil && !held {
 		panic("des: schedule with nil callback")
 	}
 	var slot int32
@@ -260,9 +279,7 @@ func (e *Engine) replaceTop(n heapNode) {
 			end = len(h)
 		}
 		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
+			m ^= (m ^ j) & -int(h[j].borrow(h[m])) // m = j if h[j] is before h[m]
 		}
 		if !h[m].before(n) {
 			break
@@ -287,7 +304,7 @@ func (e *Engine) reap(slot int32) {
 			s.dead = true
 			return
 		}
-		e.series[s.ser-1].offsets = nil
+		e.series[s.ser-1] = series{}
 		e.freeSer = append(e.freeSer, s.ser-1)
 		s.ser = 0
 	}
@@ -326,11 +343,11 @@ func (e *Engine) fire() {
 	top := e.heap[0]
 	s := &e.slots[top.slot]
 	fn := s.fn
+	if fn == nil {
+		e.fireCounted(top)
+		return
+	}
 	if s.ser == 0 || !e.rearm(top, s.ser-1) {
-		if s.ser != 0 && s.held {
-			e.fireHeld(top)
-			return
-		}
 		e.drop(top.slot)
 	}
 	e.now, e.nowSeq = top.at, top.seq
@@ -338,18 +355,22 @@ func (e *Engine) fire() {
 	fn()
 }
 
-// fireHeld is fire for a held series' node: one event that runs the
-// callback once per firing, back to back at the node's instant.
-func (e *Engine) fireHeld(top heapNode) {
+// fireCounted is fire for a hold's node, whose callback is counted: one
+// event that hands it every firing the hold has left while it is held,
+// and one firing once Release has made it the ordinary series.
+func (e *Engine) fireCounted(top heapNode) {
 	s := &e.slots[top.slot]
-	fn, sr := s.fn, &e.series[s.ser-1]
-	runs := sr.n - sr.k
-	e.drop(top.slot)
+	sr := &e.series[s.ser-1]
+	count, runs := sr.count, 1
+	if s.held {
+		runs = int(sr.n - sr.k)
+		e.drop(top.slot)
+	} else if !e.rearm(top, s.ser-1) {
+		e.drop(top.slot)
+	}
 	e.now, e.nowSeq = top.at, top.seq
 	e.fired++
-	for ; runs > 0; runs-- {
-		fn()
-	}
+	count(runs)
 }
 
 // drop removes the heap's root node, which belongs to slot, and reaps the

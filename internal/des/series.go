@@ -27,14 +27,16 @@ import (
 //
 // Held series. HoldSeries reserves the same block, but queues its one
 // node at the block's last key (at(n-1), seq0+n-1) and, when that node
-// fires, runs every firing there, back to back: one event instead of n,
-// for an activity whose intermediate states nothing reads. Release turns
-// the hold back into the ordinary series at any point — the firings
-// already due run at once, the rest keep their reserved keys — so a hold
-// that is released before anything could tell the difference is
-// indistinguishable from ScheduleSeries. The last key is the one the
-// ordinary series' last firing carries, so a never-released hold still ties
-// with same-instant events exactly as that firing would.
+// fires, calls its counted callback once with the number of firings it
+// stands for: one event, and one call, instead of n, for an activity whose
+// intermediate states nothing reads and that can do n firings' work in
+// closed form. Release turns the hold back into the ordinary series at any
+// point — the firings already due run at once, one call each, the rest
+// keep their reserved keys and fire one at a time — so a hold that is
+// released before anything could tell the difference is indistinguishable
+// from ScheduleSeries. The last key is the one the ordinary series' last
+// firing carries, so a never-released hold still ties with same-instant
+// events exactly as that firing would.
 
 // series is the arena record behind a multi-firing slot: firing k is due at
 // first + k*step, or at first + offsets[k] when offsets is non-nil. (Whether
@@ -44,6 +46,9 @@ type series struct {
 	offsets     []Time // borrowed from the caller; not modified
 	k, n        int32  // pending firing, total firings
 	seq0        uint64 // sequence number reserved for firing 0
+	// count is a hold's callback (HoldSeries), handed the number of
+	// firings each call stands for; nil for any other series.
+	count func(runs int)
 }
 
 // time reports when firing k is due.
@@ -68,27 +73,31 @@ func (s *series) key(k int32, slot int32) heapNode {
 // queues nothing and returns the zero Event. The returned handle covers
 // the whole series: Cancel drops every firing still to come.
 func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, false)
+	return e.scheduleSeries(first, step, nil, n, fn, nil)
 }
 
 // HoldSeries is ScheduleSeries for an activity nothing observes until it
 // is over: it reserves the same n sequence numbers, but its one queue
-// entry waits at the last firing's key and, when it fires, runs fn n times
-// in a row at that instant, as one event. Callbacks must not rely on the
-// clock or on events in between, and cannot cancel the firings that run
-// with them. Release on the returned handle turns it back into the
-// ordinary series; Cancel drops it.
-func (e *Engine) HoldSeries(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, true)
+// entry waits at the last firing's key and, when it fires, calls fn once
+// with runs = n: one event at that instant standing for all n firings.
+// fn must do runs firings' work and must not rely on the clock or on
+// events in between. Release on the returned handle turns the hold back
+// into the ordinary series, whose firings each call fn(1); Cancel drops
+// it.
+func (e *Engine) HoldSeries(first, step Time, n int, fn func(runs int)) Event {
+	if fn == nil {
+		panic("des: hold with nil callback")
+	}
+	return e.scheduleSeries(first, step, nil, n, nil, fn)
 }
 
 // Release turns a held series (HoldSeries) into the series ScheduleSeries
 // would have made. The firings that series would already have made run
 // now, in order: inside a callback, those keyed before the running event;
 // between calls, those keyed at or before the last event fired, or at or
-// before the bound a Run stopped at. The rest keep the keys they reserved,
-// so they interleave with every other event as the ordinary series'
-// firings would. On any other handle — a single event, an ordinary series,
+// before the bound a Run stopped at — each a call fn(1). The rest keep
+// the keys they reserved, so they interleave with every other event as
+// the ordinary series' firings would. On any other handle — a single event, an ordinary series,
 // a hold already released, fired or cancelled, the zero Event — Release
 // does nothing.
 func (ev Event) Release() {
@@ -101,7 +110,8 @@ func (ev Event) Release() {
 		return
 	}
 	s.held = false
-	idx, fn := s.ser-1, s.fn
+	idx := s.ser - 1
+	count := e.series[idx].count
 	for {
 		// Callbacks may grow the arenas or cancel the series: re-read both.
 		sr := &e.series[idx]
@@ -109,7 +119,7 @@ func (ev Event) Release() {
 			break
 		}
 		sr.k++
-		fn()
+		count(1)
 	}
 	s, sr := &e.slots[ev.slot], &e.series[idx]
 	switch {
@@ -133,10 +143,12 @@ func (ev Event) Release() {
 // borrowed, not copied: it must stay unmodified until the series has
 // finished or been cancelled. One list may back any number of series.
 func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
-	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, false)
+	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, nil)
 }
 
-func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func(), held bool) Event {
+// scheduleSeries is the core both series shapes share; a non-nil count
+// makes the series a hold.
+func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func(), count func(int)) Event {
 	if n < 0 || n > math.MaxInt32 || step < 0 {
 		panic(fmt.Sprintf("des: series of %d firings with step %v", n, step))
 	}
@@ -156,17 +168,18 @@ func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func
 		e.series = append(e.series, series{})
 		idx = int32(len(e.series) - 1)
 	}
-	e.series[idx] = series{first: first, step: step, offsets: offsets, n: int32(n), seq0: e.seq}
-	return e.enqueue(e.series[idx].time(0), fn, idx+1, uint64(n), held)
+	e.series[idx] = series{first: first, step: step, offsets: offsets, n: int32(n), seq0: e.seq, count: count}
+	return e.enqueue(e.series[idx].time(0), fn, idx+1, uint64(n), count != nil)
 }
 
 // rearm moves series idx, whose pending firing top is at the heap root, on
 // to its next firing: the root node is replaced in place by the node that
 // firing would have had under bulk scheduling. It reports false, leaving
-// the heap untouched, when top was the last firing or the series is held.
+// the heap untouched, when top was the last firing. A held series' node
+// never comes here (fireCounted).
 func (e *Engine) rearm(top heapNode, idx int32) bool {
 	s := &e.series[idx]
-	if s.k+1 == s.n || e.slots[top.slot].held {
+	if s.k+1 == s.n {
 		return false
 	}
 	s.k++

@@ -66,6 +66,7 @@ type player struct {
 	cancel  []func()
 	release []func()
 	trace   []firing
+	runs    map[int][]int // each hold's counted calls, in order
 }
 
 func (p *player) record(id int) { p.trace = append(p.trace, firing{id, p.eng.Now()}) }
@@ -73,12 +74,18 @@ func (p *player) record(id int) { p.trace = append(p.trace, firing{id, p.eng.Now
 func (p *player) schedule() {
 	p.cancel = make([]func(), len(p.ops))
 	p.release = make([]func(), len(p.ops))
+	p.runs = map[int][]int{}
 	for id, o := range p.ops {
 		fn := p.callback(id, o)
 		p.release[id] = func() {}
 		switch {
 		case o.hold && !p.bulk:
-			ev := p.eng.HoldSeries(o.first, o.step, o.n, fn)
+			ev := p.eng.HoldSeries(o.first, o.step, o.n, func(runs int) {
+				p.runs[id] = append(p.runs[id], runs)
+				for ; runs > 0; runs-- {
+					fn()
+				}
+			})
 			p.cancel[id] = func() {}
 			if p.holds != neverRelease {
 				p.release[id] = ev.Release
@@ -102,7 +109,7 @@ func (p *player) schedule() {
 			}
 		default:
 			// Straight into the core both series shapes share.
-			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, false)
+			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, nil)
 			p.cancel[id] = func() { ev.Cancel() }
 			p.release[id] = ev.Release // a no-op on an ordinary series
 		}
@@ -298,7 +305,7 @@ func TestPropertyHeldSeriesStandalone(t *testing.T) {
 		rng := rand.New(rand.NewPCG(0x401d, uint64(trial)))
 		ops := addHolds(rng, randomScript(rng, true))
 		between := []int{rng.IntN(len(ops)), rng.IntN(len(ops))}
-		play := func(bulk bool, holds holdMode) ([]firing, uint64) {
+		play := func(bulk bool, holds holdMode) ([]firing, uint64, map[int][]int) {
 			p := &player{eng: NewEngine(), bulk: bulk, holds: holds, ops: ops}
 			p.schedule()
 			p.eng.Run(10 * Microsecond)
@@ -312,17 +319,40 @@ func TestPropertyHeldSeriesStandalone(t *testing.T) {
 			if p.eng.Pending() != 0 {
 				t.Fatalf("trial %d: %d events left queued", trial, p.eng.Pending())
 			}
-			return p.trace, p.eng.Fired()
+			return p.trace, p.eng.Fired(), p.runs
 		}
-		bulk, bulkFired := play(true, 0)
+		bulk, bulkFired, _ := play(true, 0)
 		for _, holds := range holdModes {
-			got, fired := play(false, holds)
+			got, fired, runs := play(false, holds)
 			want, saved := heldTrace(ops, bulk, holds)
 			sameTrace(t, fmt.Sprintf("trial %d mode %d", trial, holds), got, want)
 			if fired != bulkFired-saved {
 				t.Fatalf("trial %d mode %d: Fired() = %d, want %d (bulk %d less %d held)", trial, holds, fired, bulkFired-saved, bulkFired, saved)
 			}
+			for id, o := range ops {
+				if o.hold {
+					checkCounted(t, fmt.Sprintf("trial %d mode %d hold %d", trial, holds, id), runs[id], o.n)
+				}
+			}
 		}
+	}
+}
+
+// checkCounted: a hold's counted callback is handed exactly the firings
+// Release did not run. Held to the end, the hold is one call for all n;
+// released, every firing — caught up by Release or left to the ordinary
+// series — is a call of one.
+func checkCounted(t *testing.T, what string, runs []int, n int) {
+	t.Helper()
+	total, ones := 0, 0
+	for _, r := range runs {
+		total += r
+		if r == 1 {
+			ones++
+		}
+	}
+	if total != n || len(runs) != 1 && ones != len(runs) {
+		t.Fatalf("%s: counted calls %v for %d firings; want one call of %d, or %d calls of 1", what, runs, n, n, n)
 	}
 }
 
@@ -331,7 +361,13 @@ func TestPropertyHeldSeriesStandalone(t *testing.T) {
 func TestHeldReleaseAfterStep(t *testing.T) {
 	eng := NewEngine()
 	var got []Time
-	ev := eng.HoldSeries(Microsecond, Microsecond, 10, func() { got = append(got, eng.Now()) })
+	var runs []int
+	ev := eng.HoldSeries(Microsecond, Microsecond, 10, func(r int) {
+		runs = append(runs, r)
+		for ; r > 0; r-- {
+			got = append(got, eng.Now())
+		}
+	})
 	eng.Schedule(5*Microsecond, func() {}) // keyed after the hold's firing at 5 µs
 	eng.Step()
 	ev.Release()
@@ -342,6 +378,19 @@ func TestHeldReleaseAfterStep(t *testing.T) {
 	if len(got) != 10 || got[5] != 6*Microsecond || got[9] != 10*Microsecond || eng.Fired() != 6 {
 		t.Fatalf("fired at %v, %d events; want the last five at 6..10 µs, 6 events", got, eng.Fired())
 	}
+	checkCounted(t, "released after a Step", runs, 10)
+
+	// Never released, the hold is one event and one call for all ten.
+	runs, got = nil, nil
+	before := eng.Fired()
+	eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 10, func(r int) {
+		runs = append(runs, r)
+		got = append(got, eng.Now())
+	})
+	eng.Run(MaxTime)
+	if !slices.Equal(runs, []int{10}) || !slices.Equal(got, []Time{20 * Microsecond}) || eng.Fired()-before != 1 {
+		t.Fatalf("held to the end: calls %v at %v, %d events; want one call of 10 at 20 µs", runs, got, eng.Fired()-before)
+	}
 }
 
 // Cancel drops a hold, before or after its release, and Release does
@@ -350,7 +399,8 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	eng := NewEngine()
 	n := 0
 	fn := func() { n++ }
-	ev := eng.HoldSeries(Microsecond, Microsecond, 5, fn)
+	count := func(runs int) { n += runs }
+	ev := eng.HoldSeries(Microsecond, Microsecond, 5, count)
 	if !ev.Pending() || ev.Time() != Microsecond || !ev.Cancel() {
 		t.Fatal("a hold must be pending from its first firing's time until cancelled")
 	}
@@ -360,7 +410,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 		t.Fatalf("cancelled hold fired %d times, %d nodes left", n, eng.Pending())
 	}
 
-	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 5, fn)
+	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 5, count)
 	eng.Run(eng.Now() + 2*Microsecond)
 	ev.Release() // catches up two firings; two nodes queued from here
 	if n != 2 || eng.Pending() != 2 || !ev.Cancel() {
@@ -372,7 +422,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	}
 
 	// A released hold finishing normally frees its slot once, after both nodes.
-	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
+	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, count)
 	ev.Release()
 	ev.Release()
 	eng.Run(MaxTime)
@@ -383,7 +433,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	before := eng.Fired()
 	single := eng.After(Microsecond, fn)
 	ordinary := eng.ScheduleSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
-	fired := eng.HoldSeries(eng.Now()+Microsecond, 0, 2, fn)
+	fired := eng.HoldSeries(eng.Now()+Microsecond, 0, 2, count)
 	eng.Run(eng.Now() + Microsecond)
 	for _, h := range []Event{{}, single, ordinary, fired} {
 		h.Release()
@@ -501,7 +551,7 @@ func TestZeroAllocSeries(t *testing.T) {
 // queues.
 func TestZeroAllocHeldSeries(t *testing.T) {
 	eng := NewEngine()
-	fn := func() {}
+	fn := func(int) {}
 	for i := 0; i < 64; i++ {
 		eng.HoldSeries(Time(i), Microsecond, 4, fn).Release()
 	}
@@ -527,11 +577,12 @@ func TestZeroAllocHeldSeries(t *testing.T) {
 // BenchmarkSeriesDeep is the des rung of the ladder for deep queues: 64
 // activities of 1,500 firings each, interleaved in time, held as 64 series
 // (a 64-node heap), as the same 96,000 events scheduled up front (a
-// 96,000-node heap), and as 64 holds (64 events of 1,500 firings each).
-// All three run the identical callbacks; ns/event is per firing.
+// 96,000-node heap), and as 64 holds (64 events of 1,500 firings each,
+// one counted call apiece). ns/event is per firing.
 func BenchmarkSeriesDeep(b *testing.B) {
 	const activities, firings = 64, 1500
 	fn := func() {}
+	count := func(int) {}
 	run := func(b *testing.B, events uint64, schedule func(e *Engine, first Time)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -556,6 +607,30 @@ func BenchmarkSeriesDeep(b *testing.B) {
 		})
 	})
 	b.Run("held", func(b *testing.B) {
-		run(b, activities, func(e *Engine, first Time) { e.HoldSeries(first, Microsecond, firings, fn) })
+		run(b, activities, func(e *Engine, first Time) { e.HoldSeries(first, Microsecond, firings, count) })
 	})
+}
+
+// BenchmarkSeriesIrregular is the rung for a heap whose sifts cannot be
+// predicted: 200 series with unrelated steps and phases, about the live
+// queue of a 64-rank run, where BenchmarkSeriesDeep's activities fire in
+// a fixed rotation. ns/event is per firing.
+func BenchmarkSeriesIrregular(b *testing.B) {
+	const activities = 200
+	rng := rand.New(rand.NewPCG(1, 2))
+	first, step := make([]Time, activities), make([]Time, activities)
+	for a := range step {
+		first[a], step[a] = Time(rng.IntN(5000))*Microsecond, Time(1+rng.IntN(5000))*Microsecond
+	}
+	fn := func() {}
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		for a := range step {
+			e.ScheduleSeries(first[a], step[a], int(2*Second/step[a]), fn)
+		}
+		events += e.Run(MaxTime)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

@@ -284,7 +284,7 @@ type AddressSpace struct {
 
 	faults     uint64 // total write faults delivered
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
-	writeSeq   byte   // rolling fill value for backed WriteRange
+	writeSeq   byte   // rolling fill value for backed WriteRange/RewriteRange
 }
 
 type span struct{ start, size uint64 }
@@ -743,7 +743,17 @@ func (s *AddressSpace) Read(addr uint64, buf []byte) error {
 // mode the range is filled with a rolling per-call byte value so
 // contents remain deterministic.
 func (s *AddressSpace) WriteRange(addr, n uint64) error {
-	if n == 0 {
+	return s.RewriteRange(addr, n, 1)
+}
+
+// RewriteRange is k back-to-back WriteRange(addr, n) calls, stopping at
+// the first error, in O(1) of k. Only the first call can fault: a
+// delivered fault unprotects its page, and an undelivered one fails the
+// call with ErrSegv at the same address. The rest count their bytes and,
+// in backed mode, leave the range holding the k-th call's fill value.
+// k == 0 writes nothing.
+func (s *AddressSpace) RewriteRange(addr, n, k uint64) error {
+	if n == 0 || k == 0 {
 		return nil
 	}
 	r, err := s.checkRange(addr, n)
@@ -756,6 +766,8 @@ func (s *AddressSpace) WriteRange(addr, n uint64) error {
 			return fmt.Errorf("%w: write to %#x", ErrSegv, max(r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))), addr))
 		}
 	}
+	s.writeBytes += (k - 1) * n
+	s.writeSeq += byte(k - 1)
 	s.fill(r, addr, n)
 	return nil
 }

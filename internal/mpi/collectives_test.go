@@ -108,6 +108,52 @@ func TestCollectivesEdgeWorlds(t *testing.T) {
 	}
 }
 
+// An AllReduce round allocates nothing once every rank has made one: the
+// continuations are bound to the rank, not made per call.
+func TestAllReduceRoundAllocFree(t *testing.T) {
+	eng, w := testWorld(t, 4, Bounce)
+	done := 0
+	fn := func() { done++ }
+	round := func() {
+		for i := 0; i < 4; i++ {
+			w.Rank(i).AllReduce(8, 0, fn)
+		}
+		eng.Run(des.MaxTime)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("an AllReduce round allocates %v times", allocs)
+	}
+	if done != 4*52 {
+		t.Fatalf("%d continuations ran, want %d", done, 4*52)
+	}
+}
+
+// A rank that calls AllReduce again before its last call completed keeps
+// each call on its own arguments: both continuations run, in order, and
+// each call's bytes are received.
+func TestAllReduceOverlappingCalls(t *testing.T) {
+	eng, w := testWorld(t, 2, Bounce)
+	var order []int
+	// Rank 0's two calls are the two arrivals of one barrier generation.
+	w.Rank(0).AllReduce(100, 0, func() { order = append(order, 1) })
+	w.Rank(0).AllReduce(1000, 0, func() { order = append(order, 2) })
+	eng.Run(des.MaxTime)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("continuations ran as %v, want [1 2]", order)
+	}
+	if got := w.Rank(0).Stats().BytesReceived; got != 1100 {
+		t.Fatalf("rank 0 received %d bytes, want 1100", got)
+	}
+	// The rank's bound continuations are free again.
+	w.Rank(0).AllReduce(7, 0, func() { order = append(order, 3) })
+	w.Rank(1).AllReduce(7, 0, nil)
+	eng.Run(des.MaxTime)
+	if len(order) != 3 || w.Rank(0).Stats().BytesReceived != 1107 {
+		t.Fatalf("third call: order %v, %d bytes", order, w.Rank(0).Stats().BytesReceived)
+	}
+}
+
 // Single-rank collectives are free: no steps, no transfer, release after
 // zero dissemination rounds.
 func TestSingleRankCollectiveTiming(t *testing.T) {

@@ -248,6 +248,14 @@ type Rank struct {
 
 	registered []*mem.Region // NIC-pinned regions (see rdma.go)
 	degraded   bool          // sticky bounce-mode fallback after drain timeout
+
+	// ar is the rank's AllReduce in flight (call, while busy) and its two
+	// continuations, bound on the first call (AllReduce).
+	ar struct {
+		call          allReduceCall
+		busy          bool
+		release, done func()
+	}
 }
 
 // Space returns the rank's address space.
@@ -571,26 +579,54 @@ func noop() {}
 // depositing the result at destAddr in every rank's space (0 to skip the
 // write). Completion follows barrier synchronisation plus the
 // recursive-doubling transfer cost: log2(N) steps of (latency + bytes/bw).
+//
+// A rank's continuations are bound once and read the call's arguments
+// from the rank (allReduceCall); a call made while the rank's previous
+// one is still in flight gets continuations of its own.
 func (r *Rank) AllReduce(bytes uint64, destAddr uint64, fn func()) {
+	c := allReduceCall{bytes: bytes, dest: destAddr, fn: fn}
+	if r.ar.busy {
+		r.Barrier(func() { r.allReduceXfer(c.bytes, func() { r.allReduceDone(c) }) })
+		return
+	}
+	if r.ar.release == nil {
+		r.ar.release = func() { r.allReduceXfer(r.ar.call.bytes, r.ar.done) }
+		r.ar.done = func() {
+			c := r.ar.call
+			r.ar.call, r.ar.busy = allReduceCall{}, false
+			r.allReduceDone(c)
+		}
+	}
+	r.ar.call, r.ar.busy = c, true
+	r.Barrier(r.ar.release)
+}
+
+// allReduceCall is one AllReduce's arguments.
+type allReduceCall struct {
+	bytes, dest uint64
+	fn          func()
+}
+
+// allReduceXfer runs at the barrier's release: the transfer is computed
+// then so degradation windows active *now* apply; it is identical for
+// every rank (no draws), so completion stays simultaneous.
+func (r *Rank) allReduceXfer(bytes uint64, done func()) {
 	w := r.world
-	steps := des.Time(logTwo(len(w.ranks)))
-	rank := r
-	r.Barrier(func() {
-		// Computed at release so degradation windows active *now* apply;
-		// identical for every rank (no draws), so completion stays
-		// simultaneous.
-		xfer := w.collectiveXfer(steps, bytes, w.eng.Now())
-		w.eng.After(xfer, func() {
-			if destAddr != 0 && bytes > 0 {
-				rank.copyOut(destAddr, bytes)
-			}
-			rank.stats.BytesReceived += bytes * uint64(logTwo(len(w.ranks)))
-			if rank.onDeliver != nil {
-				rank.onDeliver(bytes*uint64(logTwo(len(w.ranks))), w.eng.Now())
-			}
-			if fn != nil {
-				fn()
-			}
-		})
-	})
+	w.eng.After(w.collectiveXfer(des.Time(logTwo(len(w.ranks))), bytes, w.eng.Now()), done)
+}
+
+// allReduceDone completes c on r: the result lands and c's continuation
+// runs.
+func (r *Rank) allReduceDone(c allReduceCall) {
+	w := r.world
+	if c.dest != 0 && c.bytes > 0 {
+		r.copyOut(c.dest, c.bytes)
+	}
+	r.stats.BytesReceived += c.bytes * uint64(logTwo(len(w.ranks)))
+	if r.onDeliver != nil {
+		r.onDeliver(c.bytes*uint64(logTwo(len(w.ranks))), w.eng.Now())
+	}
+	if c.fn != nil {
+		c.fn()
+	}
 }

@@ -9,17 +9,73 @@ import (
 	"repro/internal/mem"
 )
 
+// heldCases are small specs for the corners of a held sub-burst's closed
+// form (app.sweep) the registry's models do not reach: one sub-burst
+// sweeping its spans several times over, a dwell window at least as large
+// as the spans (so no tick rewrites it), spike and AltShift iterations
+// and a transient arena at a size where every sub-burst wraps, and bursts
+// that overrun their period.
+func heldCases() []Spec {
+	wrap := tiny()
+	wrap.Name, wrap.Sweeps, wrap.DwellMB, wrap.AltShiftMB = "tiny-wrap", 9, 1, 0.5
+	dwell := tiny()
+	dwell.Name, dwell.DwellMB, dwell.RateProfile = "tiny-dwell-covers", 4, []float64{1, 3}
+	spike := tiny()
+	spike.Name, spike.DwellMB, spike.RateProfile = "tiny-spike", 0.5, []float64{2, 1, 1}
+	spike.SpikeEveryK, spike.SpikeExtraMB, spike.SpikeSweeps = 2, 1.5, 5
+	dynamic := tiny()
+	dynamic.Name, dynamic.Dynamic, dynamic.DwellMB, dynamic.Sweeps = "tiny-dynamic", true, 0.5, 6
+	dynamic.Paper.MaxFootprintMB, dynamic.Paper.AvgFootprintMB = 10, 9
+	return []Spec{wrap, dwell, spike, dynamic, overrunSpec()}
+}
+
+// overrunSpec's bursts are longer than the period less the jitter, so an
+// iteration starts while the last one's sub-bursts still run, and its
+// spike iterations sweep at another rate than the iterations around them.
+func overrunSpec() Spec {
+	s := tiny()
+	s.Name, s.BurstFrac, s.DwellMB, s.RateProfile = "tiny-overrun", 0.999, 0.5, []float64{1, 2}
+	s.SpikeEveryK, s.SpikeExtraMB, s.SpikeSweeps = 2, 1, 4
+	return s
+}
+
+// TestOverrunKeepsEachSeriesParameters: when an iteration starts while the
+// last one's sub-bursts still run, each series keeps sweeping at its own
+// iteration's rate, though the sweep callbacks are bound once per rank.
+// The pinned bytes are what a runner making fresh closures every
+// iteration writes, with every rank handed out and with none; callbacks
+// that read the next iteration's rate write more.
+func TestOverrunKeepsEachSeriesParameters(t *testing.T) {
+	const want = 195_346_779
+	for _, handOut := range []int{4, 0} {
+		r, err := New(overrunSpec(), Config{Ranks: 4, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < handOut; i++ {
+			r.Space(i)
+		}
+		r.Run(r.durationFor(7))
+		for i, s := range r.spaces {
+			if s.WrittenBytes() != want {
+				t.Errorf("%d ranks handed out: rank %d wrote %d bytes, want %d", handOut, i, s.WrittenBytes(), want)
+			}
+		}
+	}
+}
+
 // TestHeldSweepsMatchTickByTick: holding the sub-bursts of ranks nobody
 // was handed changes how many events run, not what they write. For every
-// spec at 4 ranks, a runner with every rank handed out at New (every sweep
-// tick by tick) and one with only rank 0 handed out (ranks 1-3 held) agree
-// on each space's written bytes, footprint and digest after every Run
-// window. Rank 2 is handed out mid-burst, after Steps to the same event in
-// both runners: the dirty log opened on it then sees the same pages fault
-// in both.
+// spec at 4 ranks (the registry's and heldCases), a runner with every rank
+// handed out at New (every sweep tick by tick) and one with only rank 0
+// handed out (ranks 1-3 held, each unreleased sub-burst one closed-form
+// step) agree on each space's written bytes, footprint and digest and
+// each rank's sweep cursor after every Run window. Rank 2 is handed out
+// mid-burst, after Steps to the same event in both runners: the dirty log
+// opened on it then sees the same pages fault in both.
 func TestHeldSweepsMatchTickByTick(t *testing.T) {
 	const ranks = 4
-	for _, spec := range All() {
+	for _, spec := range append(All(), heldCases()...) {
 		t.Run(spec.Name, func(t *testing.T) {
 			build := func(handOut int) *Runner {
 				r, err := New(spec, Config{Ranks: ranks, Seed: 7})
@@ -40,9 +96,10 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 						continue // still held mid-run
 					}
 					a, b := open.spaces[i], held.spaces[i]
-					if a.WrittenBytes() != b.WrittenBytes() || a.Footprint() != b.Footprint() || a.Digest(nil) != b.Digest(nil) {
-						t.Fatalf("%s, rank %d: written/footprint/digest %d/%d/%x tick by tick, %d/%d/%x held",
-							when, i, a.WrittenBytes(), a.Footprint(), a.Digest(nil), b.WrittenBytes(), b.Footprint(), b.Digest(nil))
+					ca, cb := open.apps[i].cursor, held.apps[i].cursor
+					if a.WrittenBytes() != b.WrittenBytes() || a.Footprint() != b.Footprint() || a.Digest(nil) != b.Digest(nil) || ca != cb {
+						t.Fatalf("%s, rank %d: written/footprint/digest/cursor %d/%d/%x/%d tick by tick, %d/%d/%x/%d held",
+							when, i, a.WrittenBytes(), a.Footprint(), a.Digest(nil), ca, b.WrittenBytes(), b.Footprint(), b.Digest(nil), cb)
 					}
 				}
 			}

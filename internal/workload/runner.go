@@ -79,19 +79,18 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
 	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine()}
-	// One backing array for every rank's held sub-burst handles.
-	held := make([]des.Event, cfg.Ranks*len(spec.RateProfile))
+	// One backing array for every rank's sub-burst records.
+	bursts := make([]subBurst, cfg.Ranks*len(spec.RateProfile))
 	world, err := mpi.NewWorld(r.Eng, cfg.Net, mpi.Bounce, spaces)
 	if err != nil {
 		return nil, err
 	}
 	r.World = world
 	for i := 0; i < cfg.Ranks; i++ {
-		a, err := newApp(r, i)
+		a, err := newApp(r, i, bursts[i*len(spec.RateProfile):(i+1)*len(spec.RateProfile)])
 		if err != nil {
 			return nil, err
 		}
-		a.held = held[i*len(spec.RateProfile) : (i+1)*len(spec.RateProfile)]
 		r.apps = append(r.apps, a)
 	}
 	r.profile = normalize(spec.RateProfile)
@@ -209,6 +208,7 @@ type app struct {
 	transientBytes uint64 // per-iteration transient arena (dynamic apps)
 	stripBytes     uint64
 	shiftBytes     uint64
+	dwellBytes     uint64
 	msgBytes       uint64
 	nMsgs          int
 
@@ -217,19 +217,35 @@ type app struct {
 	cursor    uint64  // sweep position within the iteration's spans
 	spanBuf   [2]span // scratch backing for iterationSpans
 
-	handed bool        // Runner.Space has handed the space out
-	held   []des.Event // this iteration's held sub-bursts, one per profile entry
+	handed   bool       // Runner.Space has handed the space out
+	bursts   []subBurst // one per rate-profile entry
+	burstEnd des.Event  // the iteration's unmapTransient
+
+	// The iteration's other callbacks, bound once (newApp) so that an
+	// iteration allocates none: they read what they need from the app.
+	mapTransient, unmapTransient, periodEnd, nextIteration, postRecvs, send func()
+}
+
+// subBurst is one rate-profile entry of a rank's iterations: the sweep
+// callbacks bound to it once (newApp) and the parameters they read, which
+// each iteration sets for its own series.
+type subBurst struct {
+	perTick uint64 // bytes a tick sweeps, in iteration iter
+	iter    int
+	sweep   func(runs int) // a.sweep(perTick, iter, runs): a hold's callback
+	tick    func()         // sweep(1): a handed rank's ordinary series
+	held    des.Event      // the entry's latest hold
 }
 
 // release turns the rank's held sub-bursts into ordinary series, running
 // the ticks already due (des.Event.Release).
 func (a *app) release() {
-	for _, h := range a.held {
-		h.Release()
+	for i := range a.bursts {
+		a.bursts[i].held.Release()
 	}
 }
 
-func newApp(r *Runner, id int) (*app, error) {
+func newApp(r *Runner, id int, bursts []subBurst) (*app, error) {
 	s := r.Spec
 	a := &app{
 		r:     r,
@@ -250,6 +266,7 @@ func newApp(r *Runner, id int) (*app, error) {
 	a.persistentWS = a.wsBytes
 	a.stripBytes = uint64(s.CommStripMB * MB)
 	a.shiftBytes = uint64(s.AltShiftMB * MB)
+	a.dwellBytes = uint64(s.DwellMB * MB)
 	if s.CommMB > 0 {
 		a.msgBytes = uint64(s.CommMsgKB * 1024)
 		a.nMsgs = max(1, int(s.CommMB*MB/float64(a.msgBytes)+0.5))
@@ -274,7 +291,58 @@ func newApp(r *Runner, id int) (*app, error) {
 	a.arena = arena
 	a.sweepBase = arena.Start()
 	a.stripBase = arena.Start() + max(a.persistentWS+a.shiftBytes, spikeSpan)
+	a.bind(bursts)
 	return a, nil
+}
+
+// bind makes the callbacks every iteration schedules, once per rank.
+func (a *app) bind(bursts []subBurst) {
+	s := a.r.Spec
+	a.bursts = bursts
+	for i := range bursts {
+		b := &bursts[i]
+		b.sweep = func(runs int) { a.sweep(b.perTick, b.iter, runs) }
+		b.tick = func() { b.sweep(1) }
+	}
+	// Dynamic applications map their transient arena for the duration
+	// of the processing burst (§4.1: Fortran90 allocates per cycle).
+	a.mapTransient = func() {
+		t, err := a.space.Mmap(a.transientBytes)
+		if err != nil {
+			panic(fmt.Sprintf("workload %s: transient mmap: %v", s.Name, err))
+		}
+		a.transient = t
+	}
+	// Burst end: drop the transient arena (memory exclusion target).
+	a.unmapTransient = func() {
+		if a.transient != nil {
+			if err := a.space.Munmap(a.transient); err != nil {
+				panic(fmt.Sprintf("workload %s: transient munmap: %v", s.Name, err))
+			}
+			a.transient = nil
+		}
+	}
+	// Global reduction at period end synchronises ranks and starts the
+	// next iteration (the paper's codes end iterations with global
+	// convergence checks).
+	a.periodEnd = func() { a.rank.AllReduce(8, a.stripBase, a.nextIteration) }
+	a.nextIteration = func() {
+		a.iter++
+		a.startIteration()
+	}
+	if a.nMsgs == 0 {
+		return
+	}
+	// Post all receives at burst end; they match sends as they arrive.
+	slots := max(1, int(a.stripBytes/a.msgBytes))
+	a.postRecvs = func() {
+		for j := 0; j < a.nMsgs; j++ {
+			dest := a.stripBase + uint64(j%slots)*a.msgBytes
+			a.rank.Recv(mpi.AnySource, 0, dest, nil)
+		}
+	}
+	right := (a.id + 1) % a.r.Cfg.Ranks
+	a.send = func() { a.rank.Send(right, 0, a.msgBytes, nil) }
 }
 
 // startInit sweeps the whole persistent footprint once at the
@@ -292,7 +360,7 @@ func (a *app) startInit() {
 	var step func()
 	step = func() {
 		n := min(perTick, total-pos)
-		a.writeAcross(spans, pos, n)
+		a.writeAcross(spans, pos, n, 1)
 		pos += n
 		if pos < total {
 			a.eng.After(maxTick, step)
@@ -309,8 +377,9 @@ func (a *app) startInit() {
 }
 
 // writeAcross writes n bytes starting at logical offset pos within the
-// concatenation of the given spans, wrapping around.
-func (a *app) writeAcross(spans []span, pos, n uint64) {
+// concatenation of the given spans, wrapping around, k times over: each
+// piece is k back-to-back writes (mem.AddressSpace.RewriteRange).
+func (a *app) writeAcross(spans []span, pos, n, k uint64) {
 	var total uint64
 	for _, sp := range spans {
 		total += sp.size
@@ -331,7 +400,7 @@ func (a *app) writeAcross(spans []span, pos, n uint64) {
 			rem -= cand.size
 		}
 		w := min(n, sp.size-rem)
-		if err := a.space.WriteRange(sp.base+rem, w); err != nil {
+		if err := a.space.RewriteRange(sp.base+rem, w, k); err != nil {
 			panic(fmt.Sprintf("workload %s rank %d: sweep write: %v", a.r.Spec.Name, a.id, err))
 		}
 		pos = (pos + w) % total
@@ -374,16 +443,8 @@ func (a *app) startIteration() {
 	// artificially phase-locked at event granularity.
 	jitter := des.Time(a.rng.Int64N(int64(period/200) + 1))
 
-	// Dynamic applications map their transient arena for the duration
-	// of the processing burst (§4.1: Fortran90 allocates per cycle).
 	if s.Dynamic && a.transientBytes > 0 {
-		eng.After(jitter, func() {
-			t, err := a.space.Mmap(a.transientBytes)
-			if err != nil {
-				panic(fmt.Sprintf("workload %s: transient mmap: %v", s.Name, err))
-			}
-			a.transient = t
-		})
+		eng.After(jitter, a.mapTransient)
 	}
 
 	// Processing burst: sub-bursts with profiled rates sweep the
@@ -398,92 +459,92 @@ func (a *app) startIteration() {
 	subDur := burst / des.Time(len(profile))
 	tick := subDur / 12
 	tick = max(min(tick, maxTick), 100*des.Microsecond)
-	// Temporal locality: each tick also rewrites the whole trailing
-	// dwell window behind the sweep cursor. Re-touching already-dirty
-	// pages is nearly free in the simulation (a bitmap word scan), and
-	// in measurement terms the window contributes a constant DwellMB to
-	// every timeslice's IWS — the hot-inner-array behaviour.
-	dwellBytes := uint64(s.DwellMB * MB)
+	// A burst overrunning its period leaves last iteration's sub-bursts
+	// running into this one (a series' last tick precedes its burst end).
+	// Its holds become ordinary rather than being forgotten; they still
+	// read the sub-burst entries, so this iteration's series get callbacks
+	// of their own; and it holds nothing, since the spans would change
+	// under a held sub-burst when last iteration's burst end unmaps the
+	// transient arena (sweep).
+	overrun := a.burstEnd.Pending()
 	for bi, mult := range profile {
 		rate := meanRate * mult
 		perTick := uint64(rate * tick.Seconds())
 		start := jitter + des.Time(bi)*subDur
-		// One closure serves every tick of this sub-burst: the per-tick
-		// state (cursor, spans) lives on the app.
-		doTick := func() {
-			spans := a.iterationSpans()
-			a.writeAcross(spans, a.cursor, perTick)
-			a.cursor += perTick
-			if dwellBytes > 0 {
-				var total uint64
-				for _, sp := range spans {
-					total += sp.size
-				}
-				if dwellBytes < total {
-					a.writeAcross(spans, a.cursor+total-dwellBytes, dwellBytes)
-				}
-			}
-			if !a.handed && a.space.Faults() != 0 {
-				panic(fmt.Sprintf("workload %s rank %d: write faults on a space never handed out by Runner.Space; its sweeps run held", a.r.Spec.Name, a.id))
-			}
+		b := &a.bursts[bi]
+		b.held.Release()
+		sweep, doTick := b.sweep, b.tick
+		if overrun {
+			iter := a.iter
+			sweep = func(runs int) { a.sweep(perTick, iter, runs) }
+			doTick = func() { sweep(1) }
+		} else {
+			b.perTick, b.iter = perTick, a.iter
 		}
 		// The sub-burst's ticks, every tick from start+tick to
 		// start+subDur, are one series: one queue entry, not one per tick.
 		// On a rank nothing observes (Space) they are also one event, at
 		// the last tick, until the space is handed out or the run returns.
 		first, n := iterStart+start+tick, int(subDur/tick)
-		if a.handed {
+		if a.handed || overrun {
 			eng.ScheduleSeries(first, tick, n, doTick)
-			continue
+		} else {
+			b.held = eng.HoldSeries(first, tick, n, sweep)
 		}
-		// A burst overrunning its period could leave last iteration's
-		// hold pending; it becomes ordinary rather than being forgotten.
-		a.held[bi].Release()
-		a.held[bi] = eng.HoldSeries(first, tick, n, doTick)
 	}
 
-	// Burst end: drop the transient arena (memory exclusion target).
-	eng.After(jitter+burst, func() {
-		if a.transient != nil {
-			if err := a.space.Munmap(a.transient); err != nil {
-				panic(fmt.Sprintf("workload %s: transient munmap: %v", s.Name, err))
-			}
-			a.transient = nil
-		}
-	})
+	a.burstEnd = eng.After(jitter+burst, a.unmapTransient)
 
 	// Communication burst: ring exchange with the right neighbour in
 	// clumps spread across the window between burst end and period end.
 	if a.nMsgs > 0 {
-		a.scheduleComm(iterStart, burst)
+		// Receives are posted at burst end; the iteration's sends are one
+		// series over the shared offsets.
+		eng.Schedule(iterStart+burst, a.postRecvs)
+		eng.ScheduleSeriesAt(iterStart, a.r.sendAt, a.send)
 	}
 
-	// Global reduction at period end synchronises ranks and starts the
-	// next iteration (the paper's codes end iterations with global
-	// convergence checks).
-	eng.Schedule(iterStart+period, func() {
-		a.rank.AllReduce(8, a.stripBase, func() {
-			a.iter++
-			a.startIteration()
-		})
-	})
+	eng.Schedule(iterStart+period, a.periodEnd)
 }
 
-// scheduleComm posts this iteration's receives and schedules its sends.
-func (a *app) scheduleComm(iterStart, burst des.Time) {
-	eng := a.eng
-	right := (a.id + 1) % a.r.Cfg.Ranks
-	slots := max(1, int(a.stripBytes/a.msgBytes))
-
-	// Post all receives at burst end; they match sends as they arrive.
-	eng.Schedule(iterStart+burst, func() {
-		for j := 0; j < a.nMsgs; j++ {
-			dest := a.stripBase + uint64(j%slots)*a.msgBytes
-			a.rank.Recv(mpi.AnySource, 0, dest, nil)
+// sweep is a sub-burst's tick body, for runs ticks at once; perTick and
+// iter are its series' parameters. One tick writes perTick bytes at the
+// cursor and moves it on, then — temporal locality — rewrites the whole
+// trailing DwellMB window behind the cursor when that is smaller than the
+// spans: re-touching already-dirty pages is nearly free in the simulation
+// (a bitmap word scan), and in measurement terms the window contributes a
+// constant DwellMB to every timeslice's IWS — the hot-inner-array
+// behaviour.
+//
+// runs > 1 is a held sub-burst (des.Engine.HoldSeries) on a space never
+// handed out, so never armed: its ticks' only effects are the cursor and
+// the byte count. So it sweeps runs·perTick bytes in one pass — the same
+// bytes and pages as runs ticks — and rewrites the last tick's dwell
+// window runs times. That needs the spans its ticks read to be one set.
+// They are: a burst maps its transient arena before its first tick and
+// unmaps it after its last, an iteration holds nothing while the last
+// one's burst runs on, and the next iteration releases the holds. A held
+// sweep checks it.
+func (a *app) sweep(perTick uint64, iter, runs int) {
+	if runs > 1 && (iter != a.iter || (a.transient != nil) != (a.transientBytes > 0)) {
+		panic(fmt.Sprintf("workload %s rank %d: held sub-burst of iteration %d ends in iteration %d with the transient arena mapped %v", a.r.Spec.Name, a.id, iter, a.iter, a.transient != nil))
+	}
+	spans := a.iterationSpans()
+	n := uint64(runs) * perTick
+	a.writeAcross(spans, a.cursor, n, 1)
+	a.cursor += n
+	if a.dwellBytes > 0 {
+		var total uint64
+		for _, sp := range spans {
+			total += sp.size
 		}
-	})
-	// The iteration's sends are one series over the shared offsets.
-	eng.ScheduleSeriesAt(iterStart, a.r.sendAt, func() { a.rank.Send(right, 0, a.msgBytes, nil) })
+		if a.dwellBytes < total {
+			a.writeAcross(spans, a.cursor+total-a.dwellBytes, a.dwellBytes, uint64(runs))
+		}
+	}
+	if !a.handed && a.space.Faults() != 0 {
+		panic(fmt.Sprintf("workload %s rank %d: write faults on a space never handed out by Runner.Space; its sweeps run held", a.r.Spec.Name, a.id))
+	}
 }
 
 // sendOffsets returns when each of an iteration's nMsgs ring sends leaves,
