@@ -25,37 +25,20 @@ import (
 
 // Options configures an Aligner.
 type Options struct {
-	// Interval is the desired mean checkpoint interval (required).
+	// Interval is the desired mean checkpoint interval (required). It
+	// is also the deferral cap: a trigger may slip up to one whole
+	// cadence past its due time while waiting for a quiet window, which
+	// lets the aligner ride out processing bursts longer than half an
+	// interval (Sage's bursts are ~40% of a 145 s iteration).
 	Interval des.Time
-	// QuietFrac classifies a timeslice as quiet when its IWS is below
-	// this fraction of the recent peak (default 0.3).
-	QuietFrac float64
-	// MaxDefer bounds how long past the due time a trigger may slip
-	// while waiting for a quiet window (default Interval: deferring up
-	// to one whole cadence is acceptable, and it lets the aligner ride
-	// out processing bursts longer than half an interval — Sage's
-	// bursts are ~40% of a 145 s iteration).
-	MaxDefer des.Time
 }
+
+// quietFrac classifies a timeslice as quiet when its IWS is below this
+// fraction of the recent peak.
+const quietFrac = 0.3
 
 // windowSlices is how many recent samples define the "recent peak".
 const windowSlices = 64
-
-func (o Options) withDefaults() (Options, error) {
-	if o.Interval <= 0 {
-		return o, fmt.Errorf("adaptive: interval must be positive")
-	}
-	if o.QuietFrac == 0 {
-		o.QuietFrac = 0.3
-	}
-	if o.QuietFrac < 0 || o.QuietFrac >= 1 {
-		return o, fmt.Errorf("adaptive: quiet fraction %v out of [0,1)", o.QuietFrac)
-	}
-	if o.MaxDefer == 0 {
-		o.MaxDefer = o.Interval
-	}
-	return o, nil
-}
 
 // Stats counts the aligner's decisions.
 type Stats struct {
@@ -85,14 +68,13 @@ type Aligner struct {
 // New creates an aligner that calls fire for each (aligned) checkpoint
 // trigger. Feed it samples from a tracker's OnSample hook, then Start it.
 func New(eng *des.Engine, opts Options, fire func()) (*Aligner, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	if opts.Interval <= 0 {
+		return nil, fmt.Errorf("adaptive: interval must be positive")
 	}
 	if fire == nil {
 		return nil, fmt.Errorf("adaptive: fire callback is required")
 	}
-	return &Aligner{eng: eng, opts: o, fire: fire, ring: make([]float64, 0, windowSlices)}, nil
+	return &Aligner{eng: eng, opts: opts, fire: fire, ring: make([]float64, 0, windowSlices)}, nil
 }
 
 // Start arms the first due time one interval from now.
@@ -127,7 +109,7 @@ func (a *Aligner) Feed(s tracker.Sample) {
 		a.ringPos = (a.ringPos + 1) % len(a.ring)
 	}
 	peak := a.recentPeak()
-	quiet := peak == 0 || v < a.opts.QuietFrac*peak
+	quiet := peak == 0 || v < quietFrac*peak
 	onset := quiet && a.prevBusy
 	a.prevBusy = !quiet
 	if !a.armed {
@@ -137,7 +119,7 @@ func (a *Aligner) Feed(s tracker.Sample) {
 	switch {
 	case now >= a.dueAt:
 		// Due: fire when quiet, or when the deferral cap expires.
-		if !quiet && now < a.dueAt+a.opts.MaxDefer {
+		if !quiet && now < a.dueAt+a.opts.Interval {
 			return // still in a processing burst: keep deferring
 		}
 	case onset && now >= a.dueAt-a.opts.Interval/4:

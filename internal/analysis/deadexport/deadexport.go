@@ -15,7 +15,11 @@
 // exported field of a live struct that no live code ever sets — by
 // composite literal, by assignment or ++/-- through any selector/index
 // chain, or by having its address taken — is an option with one value:
-// delete it together with the code it gates.
+// delete it together with the code it gates. A field's own default is
+// not a setter: an else-less if whose condition compares x.F with its
+// zero value and whose body only assigns x.F (or a prefix of it, such
+// as x.Link for x.Link.Bandwidth) fills a value nobody chose, so a
+// field only such fills write is flagged like one nothing writes.
 //
 // Two kinds of use are invisible to the type-checked index and are
 // granted by rule: a method through which its live receiver type
@@ -29,11 +33,13 @@ package deadexport
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -200,8 +206,13 @@ func buildIndex(mod *analysis.Module) (any, error) {
 // fields it sets.
 func newDecl(info *types.Info, node ast.Node) *decl {
 	d := new(decl)
+	fills := make(map[*ast.AssignStmt]bool)
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			for _, a := range defaultFill(info, n) {
+				fills[a] = true
+			}
 		case *ast.Ident:
 			if obj := origin(info.Uses[n]); obj != nil {
 				d.uses = append(d.uses, obj)
@@ -225,6 +236,9 @@ func newDecl(info *types.Info, node ast.Node) *decl {
 				}
 			}
 		case *ast.AssignStmt:
+			if fills[n] {
+				break // a default, not a setter; its right-hand side still uses
+			}
 			for _, lhs := range n.Lhs {
 				d.setChain(info, lhs)
 			}
@@ -238,6 +252,71 @@ func newDecl(info *types.Info, node ast.Node) *decl {
 		return true
 	})
 	return d
+}
+
+// defaultFill returns the assignments of s when s is a default fill:
+// no init and no else, a condition x.F == zero (or <= zero, either
+// operand order), and a body of nothing but single assignments to x.F
+// or a prefix of its selector chain. Anything else returns nil.
+func defaultFill(info *types.Info, s *ast.IfStmt) []*ast.AssignStmt {
+	cond, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
+	if !ok || s.Init != nil || s.Else != nil || len(s.Body.List) == 0 {
+		return nil
+	}
+	field := cond.X
+	switch {
+	case isZero(info, cond.Y) && (cond.Op == token.EQL || cond.Op == token.LEQ):
+	case isZero(info, cond.X) && (cond.Op == token.EQL || cond.Op == token.GEQ):
+		field = cond.Y
+	default:
+		return nil
+	}
+	var prefixes []string
+	for e := ast.Unparen(field); ; {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		if v, ok := info.Uses[sel.Sel].(*types.Var); !ok || !v.IsField() {
+			break
+		}
+		prefixes = append(prefixes, types.ExprString(sel))
+		e = ast.Unparen(sel.X)
+	}
+	if len(prefixes) == 0 {
+		return nil // not a field compare
+	}
+	var fills []*ast.AssignStmt
+	for _, st := range s.Body.List {
+		a, ok := st.(*ast.AssignStmt)
+		if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 || !slices.Contains(prefixes, types.ExprString(a.Lhs[0])) {
+			return nil
+		}
+		fills = append(fills, a)
+	}
+	return fills
+}
+
+// isZero reports whether e is nil, an empty composite literal (T{}), or
+// a constant equal to its type's zero value.
+func isZero(info *types.Info, e ast.Expr) bool {
+	if lit, ok := ast.Unparen(e).(*ast.CompositeLit); ok {
+		return len(lit.Elts) == 0
+	}
+	tv := info.Types[e]
+	if tv.IsNil() {
+		return true
+	}
+	switch v := tv.Value; {
+	case v == nil:
+		return false
+	case v.Kind() == constant.String:
+		return constant.StringVal(v) == ""
+	case v.Kind() == constant.Bool:
+		return !constant.BoolVal(v)
+	default:
+		return constant.Sign(v) == 0
+	}
 }
 
 // setChain records every field on the selector/index chain e writes

@@ -60,6 +60,14 @@ type Options struct {
 	Addr       int // user takes its address
 	Internal   int // set only by Configure below, which user calls
 	BenchField int // set only by ../benchmark/bench_test.go
+
+	// Fields withDefaults fills. A zero-value default is not a setter.
+	Defaulted int  // want `exported field Options.Defaulted is set by no reachable non-test code`
+	Chosen    int  // user sets it; the default also fills it
+	Derived   int  // want `exported field Options.Derived`
+	Net       Link // want `exported field Options.Net`
+	Elsed     int  // its fill has an else: a write like any other
+	Capped    int  // a clamp is not a zero compare: a write like any other
 	// Injected is kept for tests on purpose, and says so.
 	//
 	//lint:ignore deadexport fault injector the golden tests drive
@@ -68,11 +76,42 @@ type Options struct {
 	unset int // unexported: not this check's business
 }
 
+// Link is filled whole when its Latency reads zero (a prefix fill).
+type Link struct{ Latency int }
+
+// withDefaults fills zero fields; Configure calls it.
+func (o Options) withDefaults() Options {
+	if o.Defaulted == 0 {
+		o.Defaulted = 3
+	}
+	if o.Chosen == 0 {
+		o.Chosen = 4
+	}
+	if o.Derived == 0 {
+		o.Derived = o.Chosen // derived, but still a default
+	}
+	if o.Net.Latency == 0 {
+		o.Net = Link{Latency: 5}
+	}
+	if o.Elsed == 0 {
+		o.Elsed = 6
+	} else {
+		o.unset++
+	}
+	if o.Capped > 10 {
+		o.Capped = 10
+	}
+	return o
+}
+
 // Pair is only ever built positionally, which sets every field.
 type Pair struct{ A, B int }
 
 // Configure is called from package user.
-func Configure(o *Options) { o.Internal = o.unset }
+func Configure(o *Options) {
+	*o = o.withDefaults()
+	o.Internal = o.unset
+}
 
 // --- not flagged ---
 

@@ -7,7 +7,7 @@ import "golden.test/deadexport"
 func Use() (int, error) {
 	var s deadexport.Sizer = deadexport.Mem{}
 	t := deadexport.T{}
-	o := deadexport.Options{Keyed: 1}
+	o := deadexport.Options{Keyed: 1, Chosen: 2}
 	o.Counts[0]++
 	o.Nested.Deep = 2
 	p := &o.Addr

@@ -169,10 +169,6 @@ type SpecBound interface {
 // maxFailures aborts pathological runs.
 const maxFailures = 1000
 
-// heartbeatTimeout declares a peer dead after this much heartbeat
-// silence.
-func (c Config) heartbeatTimeout() des.Time { return 4 * c.HeartbeatPeriod }
-
 func (c Config) withDefaults() Config {
 	if c.Nx == 0 {
 		c.Nx = 64
@@ -203,10 +199,6 @@ func (c Config) withDefaults() Config {
 			Nx: c.Nx, RowsPerRank: c.RowsPerRank,
 			Boundary: c.Boundary, ComputeTime: c.ComputeTime,
 		}
-	}
-	if c.RDMA != nil {
-		opts := c.RDMA.withDefaults()
-		c.RDMA = &opts
 	}
 	return c
 }
@@ -591,10 +583,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		return nil, err
 	}
 	if cfg.HeartbeatPeriod > 0 && cfg.Ranks > 1 {
-		t.det, err = cluster.NewDetector(s.eng, world, cluster.DetectorConfig{
-			Period:  cfg.HeartbeatPeriod,
-			Timeout: cfg.heartbeatTimeout(),
-		})
+		t.det, err = cluster.NewDetector(s.eng, world, cfg.HeartbeatPeriod)
 		if err != nil {
 			return nil, err
 		}
@@ -660,15 +649,14 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 		s.eng.After(g.MaxDuration, func() { s.protect(t, g.Seq, cont) })
 		return
 	}
-	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: 2 * mpi.QsNet().Latency},
-		func(g ckpt.GlobalResult, err error) {
-			if err != nil {
-				s.lineRefused(t, err, cont)
-				return
-			}
-			s.lineDone(g, iter, s.eng.Now()-g.At)
-			s.protect(t, g.Seq, cont)
-		})
+	t.co.BeginTwoPhase(func(g ckpt.GlobalResult, err error) {
+		if err != nil {
+			s.lineRefused(t, err, cont)
+			return
+		}
+		s.lineDone(g, iter, s.eng.Now()-g.At)
+		s.protect(t, g.Seq, cont)
+	})
 	// A prepare the storage tier refused has already resolved: there is
 	// no window left to aim at.
 	if lastAck, open := t.co.PendingLastAck(); open {
@@ -923,7 +911,7 @@ func (s *Supervisor) abandonDetection(t *team) {
 	t.det.Stop()
 	s.report.FalseSuspicions += t.det.FalseSuspicions()
 	failIter := s.pendingFailIter
-	s.eng.After(s.cfg.heartbeatTimeout(), func() {
+	s.eng.After(cluster.HeartbeatTimeout(s.cfg.HeartbeatPeriod), func() {
 		if s.report.Completed || s.failed != nil || s.cur != nil || s.pendingRecovery.Pending() {
 			return
 		}

@@ -57,18 +57,11 @@ func (m RDMAMode) String() string {
 type RDMAOptions struct {
 	// Mode picks naive Direct checkpointing or the drain protocol.
 	Mode RDMAMode
-	// DrainTimeout bounds the DrainInFlight phase; ranks still awaiting
-	// traffic when it expires are degraded to bounce-buffer delivery
-	// (0 → 10ms).
-	DrainTimeout des.Time
 }
 
-func (o RDMAOptions) withDefaults() RDMAOptions {
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * des.Millisecond
-	}
-	return o
-}
+// drainTimeout bounds the DrainInFlight phase; ranks still awaiting
+// traffic when it expires are degraded to bounce-buffer delivery.
+const drainTimeout = 10 * des.Millisecond
 
 // PutFactory supervises the one-sided-Put ring (kernels.DistPut): the
 // workload whose windows are only ever NIC-written, making the silent
@@ -203,7 +196,7 @@ func (d *drainRound) step(p mpi.DrainPhase) bool {
 
 func (d *drainRound) quiesced() {
 	if d.step(mpi.PhaseQuiesce) {
-		d.t.world.AwaitDrain(d.s.cfg.RDMA.DrainTimeout, d.drained)
+		d.t.world.AwaitDrain(drainTimeout, d.drained)
 	}
 }
 

@@ -132,10 +132,11 @@ func TestDrainCrashEveryPhaseReplaysBitExact(t *testing.T) {
 func TestDrainTimeoutDegradesToBounce(t *testing.T) {
 	store := storage.NewMemStore()
 	cfg := rdmaConfig(RDMADrain)
-	// 128-page (512 KiB) puts against a 50µs drain budget: the transfer
-	// cannot land in time, so every rank strands at the first boundary.
+	// 128-page (512 KiB) puts over a fabric degraded 50× for the whole
+	// run take ~29ms against the 10ms drain budget: the transfer cannot
+	// land in time, so every rank strands at the first boundary.
 	cfg.Workload = PutFactory{Pages: 128, PutEvery: 1, Seed: 1.0, ComputeTime: 50 * des.Millisecond}
-	cfg.RDMA = &RDMAOptions{Mode: RDMADrain, DrainTimeout: 50 * des.Microsecond}
+	cfg.NetFaults = &mpi.NetFaultConfig{Seed: 1, Windows: []mpi.DegradedWindow{{From: 0, To: des.MaxTime, SlowFactor: 50}}}
 	cfg.Store = store
 	rep, err := Run(cfg)
 	if err != nil {

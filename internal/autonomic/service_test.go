@@ -56,7 +56,6 @@ func serviceStack(crashOnPut int, partition bool) (func(*des.Engine, *chaos.Driv
 			// supervisor: this suite is about durability, not shedding.
 			InFlightBudget: 1 << 30,
 			ClientShare:    1.0,
-			SpillCapacity:  1 << 30,
 			PromotionTime:  300 * des.Millisecond,
 		})
 		if err != nil {
@@ -137,7 +136,6 @@ func TestServiceReplayCrashDuringPromotion(t *testing.T) {
 				},
 				InFlightBudget: 1 << 30,
 				ClientShare:    1.0,
-				SpillCapacity:  1 << 30,
 				PromotionTime:  300 * des.Millisecond,
 			})
 			if err != nil {

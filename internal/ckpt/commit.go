@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/des"
+	"repro/internal/mpi"
 	"repro/internal/storage"
 )
 
@@ -97,13 +98,6 @@ func DecodeCommitMarker(data []byte) (CommitMarker, error) {
 	}, nil
 }
 
-// TwoPhaseOptions parameterises one prepare/commit round.
-type TwoPhaseOptions struct {
-	// AckDelay is the coordination-message cost added to each rank's
-	// sink write time before its ack lands at the coordinator.
-	AckDelay des.Time
-}
-
 // pendingCommit is one in-flight prepare/commit round.
 type pendingCommit struct {
 	g       GlobalResult
@@ -141,7 +135,8 @@ func (co *Coordinator) PendingLastAck() (des.Time, bool) {
 
 // BeginTwoPhase starts a prepare/commit global checkpoint. The prepare
 // phase writes every rank's segment now; rank i's ack arrives at its
-// sink write time plus AckDelay; once all acks are in, the coordinator
+// sink write time plus one coordination round trip on the paper's QsNet
+// interconnect (twice its latency); once all acks are in, the coordinator
 // writes the COMMIT marker and done runs with the aggregate result, at
 // the commit's virtual completion time.
 //
@@ -151,7 +146,7 @@ func (co *Coordinator) PendingLastAck() (des.Time, bool) {
 //   - refused marker write, or an external AbortPending (rank death
 //     inside the window) → segments deleted, no marker, done receives an
 //     ErrCommitAborted-wrapped error.
-func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResult, error)) {
+func (co *Coordinator) BeginTwoPhase(done func(GlobalResult, error)) {
 	if co.pending != nil {
 		panic(fmt.Sprintf("ckpt: two-phase commit %d already in flight", co.pending.g.Seq))
 	}
@@ -166,8 +161,9 @@ func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResul
 	}
 	p := &pendingCommit{g: g, done: done}
 	co.pending = p
+	ackDelay := 2 * mpi.QsNet().Latency
 	for _, res := range g.PerRank {
-		p.ackEvs = append(p.ackEvs, co.eng.After(res.Duration+opts.AckDelay, func() { co.onAck(p) }))
+		p.ackEvs = append(p.ackEvs, co.eng.After(res.Duration+ackDelay, func() { co.onAck(p) }))
 	}
 }
 

@@ -109,15 +109,16 @@ func TestTwoPhaseCommitCompletes(t *testing.T) {
 	var doneAt des.Time
 	var doneErr error
 	done := false
-	co.BeginTwoPhase(TwoPhaseOptions{AckDelay: 10 * des.Millisecond}, func(res GlobalResult, err error) {
+	co.BeginTwoPhase(func(res GlobalResult, err error) {
 		g, doneErr, doneAt, done = res, err, eng.Now(), true
 	})
 	eng.Run(des.MaxTime)
 	if !done || doneErr != nil {
 		t.Fatalf("commit: done=%v err=%v", done, doneErr)
 	}
-	// 2 pages at 1 page/s per rank, parallel sinks: last ack at 2s+10ms.
-	if want := 2*des.Second + 10*des.Millisecond; doneAt != want {
+	// 2 pages at 1 page/s per rank, parallel sinks, plus one QsNet round
+	// trip (2 × 2µs): last ack at 2s+4µs.
+	if want := 2*des.Second + 4*des.Microsecond; doneAt != want {
 		t.Fatalf("committed at %v, want %v", doneAt, want)
 	}
 	if g.Seq != 0 || len(g.PerRank) != 3 {
@@ -146,7 +147,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 
 	// First, a line that fully commits.
 	var firstErr error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, err error) { firstErr = err })
+	co.BeginTwoPhase(func(_ GlobalResult, err error) { firstErr = err })
 	eng.Run(des.MaxTime)
 	if firstErr != nil {
 		t.Fatal(firstErr)
@@ -158,7 +159,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 	var abortErr error
 	aborted := false
 	eng.After(0, func() {
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, err error) { abortErr, aborted = err, true })
+		co.BeginTwoPhase(func(_ GlobalResult, err error) { abortErr, aborted = err, true })
 	})
 	eng.After(500*des.Millisecond, func() {
 		if !co.AbortPending(errors.New("rank 1 died")) {
@@ -196,7 +197,7 @@ func TestPrepareRefusalIsNotAbort(t *testing.T) {
 	})
 	_, co, _ := commitRig(t, 2, faulty)
 	var err error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err = e })
+	co.BeginTwoPhase(func(_ GlobalResult, e error) { err = e })
 	if err == nil {
 		t.Fatal("outage store accepted prepare")
 	}
@@ -218,7 +219,7 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 	eng, co, spaces := commitRig(t, 2, store)
 	for i := 0; i < 2; i++ {
 		var err error
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err = e })
+		co.BeginTwoPhase(func(_ GlobalResult, e error) { err = e })
 		eng.Run(des.MaxTime)
 		if err != nil {
 			t.Fatal(err)

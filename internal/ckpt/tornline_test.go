@@ -14,7 +14,7 @@ func TestRestoreErrorMissingSegment(t *testing.T) {
 	store := storage.NewMemStore()
 	eng, co, _ := commitRig(t, 3, store)
 	var commitErr error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { commitErr = e })
+	co.BeginTwoPhase(func(_ GlobalResult, e error) { commitErr = e })
 	eng.Run(des.MaxTime)
 	if commitErr != nil {
 		t.Fatal(commitErr)
@@ -48,7 +48,7 @@ func TestRestoreErrorCorruptSegment(t *testing.T) {
 	store := storage.NewMemStore()
 	eng, co, _ := commitRig(t, 3, store)
 	var commitErr error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { commitErr = e })
+	co.BeginTwoPhase(func(_ GlobalResult, e error) { commitErr = e })
 	eng.Run(des.MaxTime)
 	if commitErr != nil {
 		t.Fatal(commitErr)
@@ -83,7 +83,7 @@ func TestCrashBetweenPrepareAndCommitFallsBack(t *testing.T) {
 
 	// Line 0 fully commits.
 	var err0 error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err0 = e })
+	co.BeginTwoPhase(func(_ GlobalResult, e error) { err0 = e })
 	eng.Run(des.MaxTime)
 	if err0 != nil {
 		t.Fatal(err0)
@@ -94,7 +94,7 @@ func TestCrashBetweenPrepareAndCommitFallsBack(t *testing.T) {
 	// abort cleanup never runs, exactly as on a real node loss.
 	dirtyAll(spaces, 9)
 	eng.After(0, func() {
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(GlobalResult, error) {
+		co.BeginTwoPhase(func(GlobalResult, error) {
 			t.Error("done callback ran after the crash instant")
 		})
 	})
@@ -131,7 +131,7 @@ func TestTornCommittedLineFallsBack(t *testing.T) {
 	eng, co, spaces := commitRig(t, 3, store)
 	for i := 0; i < 2; i++ {
 		var err error
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err = e })
+		co.BeginTwoPhase(func(_ GlobalResult, e error) { err = e })
 		eng.Run(des.MaxTime)
 		if err != nil {
 			t.Fatal(err)

@@ -64,9 +64,6 @@ type Config struct {
 	// Replicas are the replication group's stores, leader first.
 	// Required, at least one.
 	Replicas []storage.Store
-	// Link is the client↔frontend and frontend↔replica interconnect
-	// model (zero → mpi.QsNet).
-	Link mpi.Network
 	// ReplicaModel is the per-replica persistence cost model (zero →
 	// storage.SCSISink): each replica is a serial device, so queueing
 	// delay emerges when offered load exceeds its bandwidth.
@@ -82,8 +79,6 @@ type Config struct {
 	// op that could not finish in time is refused up front with
 	// storage.ErrDeadlineExceeded rather than admitted and stalled.
 	OpDeadline des.Time
-	// SpillCapacity bounds the local spill journal (0 → 256 MiB).
-	SpillCapacity uint64
 	// PromotionTime is the failover protocol's promotion latency after
 	// a leader crash (0 → 500 ms): election plus state hand-off.
 	PromotionTime des.Time
@@ -100,6 +95,8 @@ const (
 	// probePeriod is how often struck-out replicas are probed for
 	// recovery.
 	probePeriod = 250 * des.Millisecond
+	// spillCapacity bounds the local spill journal.
+	spillCapacity = 256 << 20
 )
 
 // Stats are the service's observable counters. All byte counts are
@@ -179,10 +176,12 @@ type Service struct {
 	// done is put's scratch for the per-replica completion times.
 	done []des.Time
 
-	// Spill journal: acked-but-not-quorum-durable writes, FIFO.
+	// Spill journal: acked-but-not-quorum-durable writes, FIFO, at most
+	// spillCap bytes (spillCapacity; tests shrink it to fill it).
 	journal      map[string]journalEntry
 	journalOrder []string
 	journalBytes uint64
+	spillCap     uint64
 
 	mode        Mode
 	promoting   bool
@@ -204,9 +203,6 @@ func New(cfg Config) (*Service, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("ckptstore: at least one replica is required")
 	}
-	if cfg.Link.Bandwidth == 0 {
-		cfg.Link = mpi.QsNet()
-	}
 	if cfg.ReplicaModel.Bandwidth == 0 {
 		cfg.ReplicaModel = storage.SCSISink()
 	}
@@ -215,9 +211,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.ClientShare == 0 {
 		cfg.ClientShare = 0.5
-	}
-	if cfg.SpillCapacity == 0 {
-		cfg.SpillCapacity = 256 << 20
 	}
 	if cfg.PromotionTime == 0 {
 		cfg.PromotionTime = 500 * des.Millisecond
@@ -228,6 +221,7 @@ func New(cfg Config) (*Service, error) {
 		perClient: make(map[uint32]uint64),
 		batchKeys: make(map[string]bool),
 		journal:   make(map[string]journalEntry),
+		spillCap:  spillCapacity,
 		quorum:    len(cfg.Replicas)/2 + 1,
 	}
 	for _, st := range cfg.Replicas {
@@ -288,7 +282,7 @@ func (s *Service) setMode(to Mode, reason string) {
 func (s *Service) refreshMode(reason string) {
 	up := s.upCount()
 	switch {
-	case s.journalBytes >= s.cfg.SpillCapacity:
+	case s.journalBytes >= s.spillCap:
 		s.setMode(ModeRefuse, reason)
 	case s.promoting || up == 0:
 		s.setMode(ModeSpill, reason)
@@ -577,9 +571,10 @@ func (s *Service) put(f *Frame) error {
 	// write-combining across retries and re-bases.
 	newBatch := now >= s.batchEnd
 	coalesced := !newBatch && s.batchKeys[f.Key]
-	linkCost := des.Time(float64(n) / s.cfg.Link.Bandwidth * float64(des.Second))
+	link := mpi.QsNet() // the client↔frontend and frontend↔replica interconnect
+	linkCost := des.Time(float64(n) / link.Bandwidth * float64(des.Second))
 	if newBatch {
-		linkCost += s.cfg.Link.Latency
+		linkCost += link.Latency
 	}
 
 	// Completion estimate: wire transfer, then the quorum-th replica
@@ -617,7 +612,7 @@ func (s *Service) put(f *Frame) error {
 		s.stats.FairnessSheds++
 		return errOverShare
 	}
-	if s.mode == ModeRefuse || (s.spillPath() && s.journalBytes+n > s.cfg.SpillCapacity) {
+	if s.mode == ModeRefuse || (s.spillPath() && s.journalBytes+n > s.spillCap) {
 		s.stats.OverloadSheds++
 		s.refreshMode("spill journal full")
 		return errSpillFull

@@ -139,7 +139,8 @@ func TestServiceSpillsWhenAllReplicasDown(t *testing.T) {
 }
 
 func TestServiceRefusesWhenSpillFull(t *testing.T) {
-	svc, _, _ := newTestService(t, func(c *Config) { c.SpillCapacity = 8 })
+	svc, _, _ := newTestService(t, nil)
+	svc.spillCap = 8 // 256 MiB of spill is out of test scale
 	for i := 0; i < 3; i++ {
 		svc.Crash(i)
 	}

@@ -28,27 +28,10 @@ const HeartbeatTag = 9471
 // timestamp fit in a cache line.
 const heartbeatBytes = 64
 
-// DetectorConfig parameterises the heartbeat failure detector.
-type DetectorConfig struct {
-	// Period is the gossip and check interval. Required.
-	Period des.Time
-	// Timeout declares a peer dead after this much silence (0 -> 4x
-	// Period). Shorter detects faster but false-suspects more under
-	// loss.
-	Timeout des.Time
-	// Tag overrides the heartbeat message tag (0 -> HeartbeatTag).
-	Tag int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 4 * c.Period
-	}
-	if c.Tag == 0 {
-		c.Tag = HeartbeatTag
-	}
-	return c
-}
+// HeartbeatTimeout is how long a detector with the given heartbeat
+// period waits in silence before it declares a peer dead: four periods.
+// Shorter detects faster but false-suspects more under loss.
+func HeartbeatTimeout(period des.Time) des.Time { return 4 * period }
 
 // Detection records one confirmed failure detection.
 type Detection struct {
@@ -68,9 +51,9 @@ func (d Detection) Latency() des.Time { return d.DetectedAt - d.FailedAt }
 // ranks. OnDeath (if set) fires once per failed rank, at the virtual
 // time the first surviving observer's timeout expires.
 type Detector struct {
-	eng *des.Engine
-	w   *mpi.World
-	cfg DetectorConfig
+	eng    *des.Engine
+	w      *mpi.World
+	period des.Time
 
 	// OnDeath observes each confirmed detection. Set before Start.
 	OnDeath func(Detection)
@@ -90,16 +73,16 @@ type Detector struct {
 	stopped   bool
 }
 
-// NewDetector builds a detector over the world's ranks. Call Start to
-// begin gossip.
-func NewDetector(eng *des.Engine, w *mpi.World, cfg DetectorConfig) (*Detector, error) {
-	if cfg.Period <= 0 {
+// NewDetector builds a detector over the world's ranks that gossips and
+// checks every period and declares a peer dead after
+// HeartbeatTimeout(period) of silence. Call Start to begin gossip.
+func NewDetector(eng *des.Engine, w *mpi.World, period des.Time) (*Detector, error) {
+	if period <= 0 {
 		return nil, fmt.Errorf("cluster: heartbeat period must be positive")
 	}
-	cfg = cfg.withDefaults()
 	n := w.Size()
 	d := &Detector{
-		eng: eng, w: w, cfg: cfg,
+		eng: eng, w: w, period: period,
 		lastHeard: make([][]des.Time, n),
 		suspected: make([][]bool, n),
 		failed:    make([]bool, n),
@@ -127,10 +110,10 @@ func (d *Detector) Start() {
 		}
 		d.listen(i)
 		i := i
-		d.beaters = append(d.beaters, d.eng.NewTicker(d.cfg.Period, func(des.Time) {
+		d.beaters = append(d.beaters, d.eng.NewTicker(d.period, func(des.Time) {
 			d.beat(i)
 		}))
-		d.checkers = append(d.checkers, d.eng.NewTicker(d.cfg.Period, func(at des.Time) {
+		d.checkers = append(d.checkers, d.eng.NewTicker(d.period, func(at des.Time) {
 			d.check(i, at)
 		}))
 	}
@@ -138,7 +121,7 @@ func (d *Detector) Start() {
 
 // listen posts a perpetual receive chain for heartbeats on rank i.
 func (d *Detector) listen(i int) {
-	d.w.Rank(i).Recv(mpi.AnySource, d.cfg.Tag, 0, func(m mpi.Message) {
+	d.w.Rank(i).Recv(mpi.AnySource, HeartbeatTag, 0, func(m mpi.Message) {
 		if d.stopped {
 			return
 		}
@@ -156,7 +139,7 @@ func (d *Detector) beat(i int) {
 	}
 	for j := 0; j < d.w.Size(); j++ {
 		if j != i {
-			d.w.Rank(i).SendBestEffort(j, d.cfg.Tag, heartbeatBytes, nil)
+			d.w.Rank(i).SendBestEffort(j, HeartbeatTag, heartbeatBytes, nil)
 		}
 	}
 }
@@ -170,7 +153,7 @@ func (d *Detector) check(i int, now des.Time) {
 		if j == i || d.suspected[i][j] {
 			continue
 		}
-		if now-d.lastHeard[i][j] <= d.cfg.Timeout {
+		if now-d.lastHeard[i][j] <= HeartbeatTimeout(d.period) {
 			continue
 		}
 		d.suspected[i][j] = true

@@ -29,7 +29,7 @@ func hbWorld(t *testing.T, n int, faults *mpi.NetFaultConfig) (*des.Engine, *mpi
 
 func TestDetectorValidation(t *testing.T) {
 	eng, w := hbWorld(t, 2, nil)
-	if _, err := NewDetector(eng, w, DetectorConfig{}); err == nil {
+	if _, err := NewDetector(eng, w, 0); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -38,9 +38,9 @@ func TestDetectorValidation(t *testing.T) {
 // timeout + one check period, and never before the timeout elapses.
 func TestDetectionLatencyBounds(t *testing.T) {
 	period := 50 * des.Millisecond
-	timeout := 4 * period
+	timeout := HeartbeatTimeout(period)
 	eng, w := hbWorld(t, 4, nil)
-	d, err := NewDetector(eng, w, DetectorConfig{Period: period, Timeout: timeout})
+	d, err := NewDetector(eng, w, period)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDetectionLatencyBounds(t *testing.T) {
 func TestFalseSuspicionUnderLoss(t *testing.T) {
 	period := 20 * des.Millisecond
 	eng, w := hbWorld(t, 4, &mpi.NetFaultConfig{Seed: 21, DropRate: 0.55})
-	d, err := NewDetector(eng, w, DetectorConfig{Period: period, Timeout: 2 * period})
+	d, err := NewDetector(eng, w, period)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFalseSuspicionUnderLoss(t *testing.T) {
 	d.Start()
 	eng.Run(20 * des.Second)
 	if d.FalseSuspicions() == 0 {
-		t.Fatal("55% loss with a 2-period timeout produced no false suspicion")
+		t.Fatal("55% loss with a 4-period timeout produced no false suspicion")
 	}
 }
 
@@ -98,7 +98,7 @@ func TestDetectionUnderLossDeterministic(t *testing.T) {
 	run := func() (Detection, int) {
 		period := 25 * des.Millisecond
 		eng, w := hbWorld(t, 5, &mpi.NetFaultConfig{Seed: 9, DropRate: 0.3})
-		d, err := NewDetector(eng, w, DetectorConfig{Period: period})
+		d, err := NewDetector(eng, w, period)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestDetectionUnderLossDeterministic(t *testing.T) {
 // Stop halts gossip; MarkFailed twice is a no-op; Failed reports state.
 func TestDetectorLifecycle(t *testing.T) {
 	eng, w := hbWorld(t, 3, nil)
-	d, err := NewDetector(eng, w, DetectorConfig{Period: 10 * des.Millisecond})
+	d, err := NewDetector(eng, w, 10*des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/experiments"
@@ -195,11 +193,8 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Run(r.InitTail())
-	for r.IterZero() == 0 {
-		if !r.Eng.Step() {
-			return nil, fmt.Errorf("core: %s never started iterating", spec.Name)
-		}
+	if err := r.RunToIterZero(); err != nil {
+		return nil, err
 	}
 	store := cfg.Store
 	if store == nil {

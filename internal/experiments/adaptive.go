@@ -44,10 +44,8 @@ func AdaptiveAlignment(opts RunOpts, interval des.Time) ([]AdaptiveRow, error) {
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
-		for r.IterZero() == 0 {
-			if !r.Eng.Step() {
-				return AdaptiveRow{}, fmt.Errorf("experiments: %s never started iterating", spec.Name)
-			}
+		if err := r.RunToIterZero(); err != nil {
+			return AdaptiveRow{}, err
 		}
 		c, err := ckpt.NewCheckpointer(r.Eng, r.Space(0), ckpt.Options{
 			Store:    storage.NewMemStore(),

@@ -75,10 +75,8 @@ func ckptRun(spec workload.Spec, opts RunOpts, phase float64, n int) (cowBytes, 
 	if err != nil {
 		return 0, 0, err
 	}
-	for r.IterZero() == 0 {
-		if !r.Eng.Step() {
-			return 0, 0, fmt.Errorf("experiments: %s never started iterating", spec.Name)
-		}
+	if err := r.RunToIterZero(); err != nil {
+		return 0, 0, err
 	}
 	c, err := ckpt.NewCheckpointer(r.Eng, r.Space(0), ckpt.Options{
 		Store:    storage.NewMemStore(),
@@ -163,10 +161,8 @@ func AblationIncremental(opts RunOpts, interval des.Time) (*IncrementalResult, e
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		for r.IterZero() == 0 {
-			if !r.Eng.Step() {
-				return 0, 0, 0, fmt.Errorf("experiments: %s never started iterating", spec.Name)
-			}
+		if err := r.RunToIterZero(); err != nil {
+			return 0, 0, 0, err
 		}
 		c, err := ckpt.NewCheckpointer(r.Eng, r.Space(0), ckpt.Options{
 			Store:     storage.NewMemStore(),

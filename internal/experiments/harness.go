@@ -100,13 +100,8 @@ func RunOne(spec workload.Spec, opts RunOpts) (*RunResult, error) {
 	if opts.IncludeInit {
 		tr.Start()
 	} else {
-		// Run the bulk of initialization, then advance event by event
-		// until rank 0 enters iteration 0.
-		r.Run(r.InitTail())
-		for r.IterZero() == 0 {
-			if !r.Eng.Step() {
-				return nil, fmt.Errorf("experiments: %s never reached iteration 0", spec.Name)
-			}
+		if err := r.RunToIterZero(); err != nil {
+			return nil, err
 		}
 		tr.Start()
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/migrate"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -44,17 +43,11 @@ func MigrationPhases(opts RunOpts) ([]MigrationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for r.IterZero() == 0 {
-			if !r.Eng.Step() {
-				return nil, fmt.Errorf("experiments: %s never started iterating", spec.Name)
-			}
+		if err := r.RunToIterZero(); err != nil {
+			return nil, err
 		}
 		dst := mem.NewAddressSpace(mem.Config{PageSize: r.Space(0).PageSize(), Phantom: true})
-		m, err := migrate.New(r.Eng, r.Space(0), dst, migrate.Options{
-			Link:      storage.QsNetSink(),
-			StopPages: 256, // 4 MB residual at 16 KB pages
-			MaxRounds: 12,
-		})
+		m, err := migrate.New(r.Eng, r.Space(0), dst)
 		if err != nil {
 			return nil, err
 		}

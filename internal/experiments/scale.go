@@ -34,11 +34,8 @@ func RankSymmetry(spec workload.Spec, opts RunOpts) (*SymmetryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Run(r.InitTail())
-	for r.IterZero() == 0 {
-		if !r.Eng.Step() {
-			return nil, errNeverIterated(spec)
-		}
+	if err := r.RunToIterZero(); err != nil {
+		return nil, err
 	}
 	trs := make([]*tracker.Tracker, opts.Ranks)
 	for i := 0; i < opts.Ranks; i++ {
@@ -116,16 +113,6 @@ func AggregateFeasibility(spec workload.Spec, opts RunOpts, rankCounts []int) ([
 		}
 	}
 	return rows, nil
-}
-
-func errNeverIterated(spec workload.Spec) error {
-	return &neverIteratedError{spec.Name}
-}
-
-type neverIteratedError struct{ name string }
-
-func (e *neverIteratedError) Error() string {
-	return "experiments: " + e.name + " never reached iteration 0"
 }
 
 // FormatSymmetry renders the A7 verdict.

@@ -28,30 +28,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Options configures a migration.
-type Options struct {
-	// Link models the transfer path; the zero value selects QsNet.
-	Link storage.Model
-	// MaxRounds bounds the pre-copy phase (default 8). Reaching the
-	// bound forces the stop-and-copy regardless of convergence.
-	MaxRounds int
-	// StopPages triggers the final pause when a round's dirty set is
-	// at most this many pages (default 16).
-	StopPages uint64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Link == (storage.Model{}) {
-		o.Link = storage.QsNetSink()
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 8
-	}
-	if o.StopPages == 0 {
-		o.StopPages = 16
-	}
-	return o
-}
+// The migration policy the paper's full-scale runs use. A round's dirty
+// set of at most stopPages pages (4 MB at 16 KB pages) triggers the final
+// pause; maxRounds bounds the pre-copy phase, and reaching it forces the
+// stop-and-copy regardless of convergence. Pages move over QsNet II
+// (storage.QsNetSink).
+const (
+	maxRounds = 12
+	stopPages = 256
+)
 
 // RoundStat describes one pre-copy round.
 type RoundStat struct {
@@ -69,8 +54,8 @@ type Result struct {
 	Downtime      des.Time
 	// TotalBytes includes all rounds plus the final copy.
 	TotalBytes uint64
-	// Converged reports whether the delta shrank below StopPages
-	// (false when MaxRounds forced the pause).
+	// Converged reports whether the delta shrank to stopPages (false
+	// when the round bound or a growing delta forced the pause).
 	Converged bool
 	// CompletedAt is the virtual time the destination became live.
 	CompletedAt des.Time
@@ -79,10 +64,16 @@ type Result struct {
 // Migrator transfers one address space to a destination while the source
 // keeps running.
 type Migrator struct {
-	eng  *des.Engine
-	src  *mem.AddressSpace
-	dst  *mem.AddressSpace
-	opts Options
+	eng *des.Engine
+	src *mem.AddressSpace
+	dst *mem.AddressSpace
+
+	// The policy: storage.QsNetSink, maxRounds and stopPages. Tests of
+	// this package slow the link and lower the bounds to drive many
+	// rounds through a few backed pages.
+	link      storage.Model
+	maxRounds int
+	stopPages uint64
 
 	// log holds the pages written since the last round; its map observer
 	// keeps the destination's layout in step with the source's.
@@ -95,7 +86,7 @@ type Migrator struct {
 // New prepares a migration from src into dst. dst must be an empty
 // address space with the same page size and backing mode; Run replicates
 // the source's region layout there and keeps it in step from then on.
-func New(eng *des.Engine, src, dst *mem.AddressSpace, opts Options) (*Migrator, error) {
+func New(eng *des.Engine, src, dst *mem.AddressSpace) (*Migrator, error) {
 	if src.PageSize() != dst.PageSize() {
 		return nil, fmt.Errorf("migrate: page size mismatch %d vs %d", src.PageSize(), dst.PageSize())
 	}
@@ -107,7 +98,11 @@ func New(eng *des.Engine, src, dst *mem.AddressSpace, opts Options) (*Migrator, 
 			return nil, fmt.Errorf("migrate: destination already has a %v region", r.Kind())
 		}
 	}
-	m := &Migrator{eng: eng, src: src, dst: dst, opts: opts.withDefaults(), log: mem.NewDirtyLog(src)}
+	m := &Migrator{
+		eng: eng, src: src, dst: dst,
+		link: storage.QsNetSink(), maxRounds: maxRounds, stopPages: stopPages,
+		log: mem.NewDirtyLog(src),
+	}
 	m.log.OnMap = m.onMap
 	return m, nil
 }
@@ -206,7 +201,7 @@ func (m *Migrator) snapshotDirty() uint64 {
 // next step.
 func (m *Migrator) round(n int, pages uint64) {
 	bytes := pages * m.src.PageSize()
-	dur := m.opts.Link.WriteTime(bytes)
+	dur := m.link.WriteTime(bytes)
 	m.res.Rounds = append(m.res.Rounds, RoundStat{Round: n, Pages: pages, Bytes: bytes, Duration: dur})
 	m.res.TotalBytes += bytes
 	m.eng.After(dur, func() { m.nextRound(n) })
@@ -218,15 +213,15 @@ func (m *Migrator) nextRound(n int) {
 	pending := m.log.Count()
 	prev := m.res.Rounds[len(m.res.Rounds)-1].Pages
 	converging := pending < prev
-	if pending <= m.opts.StopPages || n+1 >= m.opts.MaxRounds || !converging {
+	if pending <= m.stopPages || n+1 >= m.maxRounds || !converging {
 		// Final stop-and-copy: the copy is atomic in virtual time, so
 		// the destination equals the source as of this instant; the
 		// downtime is its transfer cost.
 		pages := m.snapshotDirty()
 		m.res.DowntimePages = pages
-		m.res.Downtime = m.opts.Link.WriteTime(pages * m.src.PageSize())
+		m.res.Downtime = m.link.WriteTime(pages * m.src.PageSize())
 		m.res.TotalBytes += pages * m.src.PageSize()
-		m.res.Converged = pending <= m.opts.StopPages
+		m.res.Converged = pending <= m.stopPages
 		m.eng.After(m.res.Downtime, m.finish)
 		return
 	}

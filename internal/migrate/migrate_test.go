@@ -27,6 +27,13 @@ func slowLink() storage.Model {
 	return storage.Model{Name: "slow", Bandwidth: pageSize}
 }
 
+// slowed lowers m's policy to the scale of a few backed pages: at
+// stopPages 256 and QsNet II speed a multi-round migration needs hundreds
+// of dirty pages per microsecond-long round.
+func slowed(m *Migrator, link storage.Model, stop uint64, rounds int) {
+	m.link, m.stopPages, m.maxRounds = link, stop, rounds
+}
+
 // A srcWrite is one write the test issued to the migrating source.
 type srcWrite struct {
 	at   des.Time
@@ -55,7 +62,7 @@ func TestQuiescentMigration(t *testing.T) {
 	eng, src, dst := pair(t)
 	r, _ := src.Mmap(8 * pageSize)
 	src.Write(r.Start(), bytes.Repeat([]byte{0xAB}, 8*pageSize))
-	m, err := New(eng, src, dst, Options{Link: slowLink()})
+	m, err := New(eng, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,33 +100,32 @@ func TestQuiescentMigration(t *testing.T) {
 
 func TestLiveMigrationUnderWrites(t *testing.T) {
 	eng, src, dst := pair(t)
-	const pages = 16
+	const pages = 640
 	r, _ := src.Mmap(pages * pageSize)
 	initial := bytes.Repeat([]byte{1}, pages*pageSize)
 	src.Write(r.Start(), initial)
 
-	m, err := New(eng, src, dst, Options{
-		Link:      slowLink(),
-		StopPages: 2,
-	})
+	m, err := New(eng, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A writer keeps dirtying a shrinking set of pages, through the
-	// cutover and past it: the source is never told to stop.
+	// cutover and past it: the source is never told to stop. Round 0
+	// (640 pages, ~2.9ms) leaves the first write's 512 pages dirty; round
+	// 1 (~2.3ms) leaves 128, under stopPages, so the pause follows.
 	var log []srcWrite
 	var writer func(i int)
 	writer = func(i int) {
 		if i == 60 {
 			return
 		}
-		n := max(1, 8-i) // shrinking working set → convergence
+		n := max(1, 512-64*i) // shrinking working set → convergence
 		data := bytes.Repeat([]byte{byte(i)}, n*pageSize)
 		src.Write(r.Start(), data)
 		log = append(log, srcWrite{eng.Now(), 0, data})
-		eng.After(des.Second, func() { writer(i + 1) })
+		eng.After(500*des.Microsecond, func() { writer(i + 1) })
 	}
-	eng.After(des.Second/2, func() { writer(0) })
+	eng.After(250*des.Microsecond, func() { writer(0) })
 
 	var res Result
 	if err := m.Run(func(rr Result, err error) { res = rr }); err != nil {
@@ -129,6 +135,9 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 
 	if len(res.Rounds) < 2 {
 		t.Fatalf("expected pre-copy rounds under live writes: %+v", res.Rounds)
+	}
+	if !res.Converged {
+		t.Fatalf("shrinking working set did not converge: %+v", res)
 	}
 	if last := log[len(log)-1].at; last <= res.CompletedAt {
 		t.Fatalf("writer stopped at %v, before the migration completed at %v", last, res.CompletedAt)
@@ -153,24 +162,21 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 
 func TestNonConvergingForcesPause(t *testing.T) {
 	eng, src, dst := pair(t)
-	const pages = 32
+	const pages = 512 // over stopPages, so only non-convergence can pause
 	r, _ := src.Mmap(pages * pageSize)
-	m, _ := New(eng, src, dst, Options{
-		Link:      slowLink(),
-		StopPages: 1,
-		MaxRounds: 20,
-	})
-	// A writer that redirties the whole footprint continuously: the
-	// delta never shrinks, so the migrator must cut over anyway.
+	m, _ := New(eng, src, dst)
+	// A writer that redirties the whole footprint continuously — every
+	// 250µs against a ~2.3ms round: the delta never shrinks, so the
+	// migrator must cut over anyway.
 	var writer func()
 	writer = func() {
-		if eng.Now() > 10*pages*des.Second {
+		if eng.Now() > 10*des.Millisecond {
 			return
 		}
 		src.WriteRange(r.Start(), pages*pageSize)
-		eng.After(des.Second/4, writer)
+		eng.After(250*des.Microsecond, writer)
 	}
-	eng.After(des.Second/4, writer)
+	eng.After(250*des.Microsecond, writer)
 	var res Result
 	m.Run(func(rr Result, err error) { res = rr })
 	eng.Run(des.MaxTime)
@@ -181,7 +187,7 @@ func TestNonConvergingForcesPause(t *testing.T) {
 		t.Fatal("forced cutover should pay downtime")
 	}
 	// Downtime bounded by footprint / link.
-	if res.Downtime > slowLink().WriteTime(pages*pageSize) {
+	if res.Downtime > storage.QsNetSink().WriteTime(pages*pageSize) {
 		t.Fatalf("downtime %v exceeds full-copy time", res.Downtime)
 	}
 }
@@ -190,19 +196,19 @@ func TestValidation(t *testing.T) {
 	eng := des.NewEngine()
 	src := mem.NewAddressSpace(mem.Config{PageSize: 4096})
 	dstBad := mem.NewAddressSpace(mem.Config{PageSize: 8192})
-	if _, err := New(eng, src, dstBad, Options{}); err == nil {
+	if _, err := New(eng, src, dstBad); err == nil {
 		t.Fatal("page size mismatch accepted")
 	}
 	phantom := mem.NewAddressSpace(mem.Config{PageSize: 4096, Phantom: true})
-	if _, err := New(eng, src, phantom, Options{}); err == nil {
+	if _, err := New(eng, src, phantom); err == nil {
 		t.Fatal("backing mismatch accepted")
 	}
 	occupied := mem.NewAddressSpace(mem.Config{PageSize: 4096})
 	occupied.Mmap(4096)
-	if _, err := New(eng, src, occupied, Options{}); err == nil {
+	if _, err := New(eng, src, occupied); err == nil {
 		t.Fatal("occupied destination accepted")
 	}
-	m, _ := New(eng, src, mem.NewAddressSpace(mem.Config{PageSize: 4096}), Options{})
+	m, _ := New(eng, src, mem.NewAddressSpace(mem.Config{PageSize: 4096}))
 	if err := m.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,7 @@ func TestPhantomMigrationMetadataOnly(t *testing.T) {
 	dst := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
 	r, _ := src.Mmap(64 * pageSize)
 	src.WriteRange(r.Start(), 64*pageSize)
-	m, _ := New(eng, src, dst, Options{Link: storage.QsNetSink()})
+	m, _ := New(eng, src, dst)
 	var res Result
 	m.Run(func(rr Result, err error) { res = rr })
 	eng.Run(des.MaxTime)
@@ -239,11 +245,8 @@ func TestPropertyLiveMigrationConsistency(t *testing.T) {
 		dst := mem.NewAddressSpace(mem.Config{PageSize: 512})
 		const pages = 24
 		r, _ := src.Mmap(pages * 512)
-		m, _ := New(eng, src, dst, Options{
-			Link:      storage.Model{Name: "l", Bandwidth: 512 * float64(rng.IntN(6)+1)},
-			StopPages: uint64(rng.IntN(4) + 1),
-			MaxRounds: rng.IntN(6) + 2,
-		})
+		m, _ := New(eng, src, dst)
+		slowed(m, storage.Model{Name: "l", Bandwidth: 512 * float64(rng.IntN(6)+1)}, uint64(rng.IntN(4)+1), rng.IntN(6)+2)
 		var log []srcWrite
 		for i := 0; i < rng.IntN(30); i++ {
 			w := srcWrite{
@@ -281,10 +284,11 @@ func TestMigrationFollowsSourceLayout(t *testing.T) {
 	old, _ := src.Mmap(4 * pageSize)
 	src.Write(keep.Start(), bytes.Repeat([]byte{1}, 4*pageSize))
 	src.Write(old.Start(), bytes.Repeat([]byte{2}, 4*pageSize))
-	m, err := New(eng, src, dst, Options{Link: slowLink(), StopPages: 1})
+	m, err := New(eng, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowed(m, slowLink(), 1, maxRounds)
 	// The source's image after each writer step, to compare the
 	// destination with the one current at the cutover.
 	type image struct {

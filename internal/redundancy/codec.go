@@ -66,7 +66,7 @@ func (s Scheme) String() string {
 	}
 }
 
-// Validate checks the geometry against codec limits.
+// Validate checks the geometry against codec and frame limits.
 func (s Scheme) Validate() error {
 	switch s.Kind {
 	case None:
@@ -78,17 +78,19 @@ func (s Scheme) Validate() error {
 		if s.M != 1 {
 			return fmt.Errorf("redundancy: xor carries exactly one parity shard, got m=%d", s.M)
 		}
-		return nil
 	case RS:
 		if s.K < 1 || s.M < 1 {
 			return fmt.Errorf("redundancy: rs needs k >= 1 and m >= 1, got k=%d m=%d", s.K, s.M)
 		}
-		if s.K+s.M > 255 {
-			return fmt.Errorf("redundancy: rs over GF(2^8) supports k+m <= 255, got %d", s.K+s.M)
-		}
-		return nil
+	default:
+		return fmt.Errorf("redundancy: unknown scheme kind %d", uint8(s.Kind))
 	}
-	return fmt.Errorf("redundancy: unknown scheme kind %d", uint8(s.Kind))
+	// A parity frame carries k and m in one byte each and caps k+m at
+	// 255, the shard count Reed-Solomon over GF(2^8) supports too.
+	if s.K+s.M > 255 {
+		return fmt.Errorf("redundancy: a parity group holds k+m <= 255 shards, got %d", s.K+s.M)
+	}
+	return nil
 }
 
 // Codec computes parity shards over equal-length data shards and

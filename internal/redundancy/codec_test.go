@@ -28,16 +28,27 @@ func TestSchemeValidate(t *testing.T) {
 		{Kind: XOR, K: 1, M: 1},
 		{Kind: XOR, K: 7, M: 1},
 		{Kind: RS, K: 2, M: 2},
+		{Kind: XOR, K: 254, M: 1},
 		{Kind: RS, K: 200, M: 55},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v rejected: %v", s, err)
 		}
+		// Every accepted geometry must frame its shards: a scheme the
+		// frame refuses builds a hierarchy that fails every EncodeLine.
+		if s.Kind == None {
+			continue
+		}
+		f := &ParityFrame{K: s.K, M: s.M, Members: make([]MemberRef, s.K)}
+		if _, err := EncodeParityFrame(f); err != nil {
+			t.Errorf("%v accepted, but its parity frame is refused: %v", s, err)
+		}
 	}
 	bad := []Scheme{
 		{Kind: XOR, K: 0, M: 1},
 		{Kind: XOR, K: 2, M: 2},
+		{Kind: XOR, K: 255, M: 1},
 		{Kind: RS, K: 0, M: 1},
 		{Kind: RS, K: 1, M: 0},
 		{Kind: RS, K: 200, M: 56},

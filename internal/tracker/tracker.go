@@ -33,36 +33,24 @@ import (
 // and bandwidths.
 const MB = 1e6
 
+// The intrusiveness model's calibrated costs (§6.5). faultCost is the
+// CPU cost of one write fault (SIGSEGV delivery, handler bookkeeping,
+// mprotect of one page), calibrated so Sage-1000MB at a 1 s timeslice
+// lands under the paper's <10% slowdown; reprotectCostPerPage is the
+// alarm-time cost per re-protected page; alarmFixedCost is the fixed
+// per-alarm cost (signal delivery, bookkeeping, flushing the sample).
+const (
+	faultCost            = 12 * des.Microsecond
+	reprotectCostPerPage = 400 * des.Nanosecond
+	alarmFixedCost       = 200 * des.Microsecond
+)
+
 // Options configures a Tracker.
 type Options struct {
 	// Timeslice is the checkpoint timeslice (required, > 0).
 	Timeslice des.Time
-	// FaultCost is the CPU cost charged per write fault (SIGSEGV
-	// delivery, handler bookkeeping, mprotect of one page). The default
-	// is 12 µs, calibrated so Sage-1000MB at a 1 s timeslice lands under
-	// the paper's <10% slowdown (§6.5).
-	FaultCost des.Time
-	// ReprotectCostPerPage is the alarm-time cost per re-protected page.
-	ReprotectCostPerPage des.Time
-	// AlarmFixedCost is the fixed per-alarm cost (signal delivery,
-	// bookkeeping, flushing the sample).
-	AlarmFixedCost des.Time
 	// OnSample, when set, observes each completed timeslice sample.
 	OnSample func(Sample)
-}
-
-// withDefaults fills zero fields with calibrated defaults.
-func (o Options) withDefaults() Options {
-	if o.FaultCost == 0 {
-		o.FaultCost = 12 * des.Microsecond
-	}
-	if o.ReprotectCostPerPage == 0 {
-		o.ReprotectCostPerPage = 400 * des.Nanosecond
-	}
-	if o.AlarmFixedCost == 0 {
-		o.AlarmFixedCost = 200 * des.Microsecond
-	}
-	return o
 }
 
 // Sample is the measurement for one completed timeslice.
@@ -138,7 +126,7 @@ func New(eng *des.Engine, space *mem.AddressSpace, opts Options) (*Tracker, erro
 	if opts.Timeslice <= 0 {
 		return nil, fmt.Errorf("tracker: timeslice must be positive, got %v", opts.Timeslice)
 	}
-	t := &Tracker{eng: eng, space: space, opts: opts.withDefaults(), log: mem.NewDirtyLog(space)}
+	t := &Tracker{eng: eng, space: space, opts: opts, log: mem.NewDirtyLog(space)}
 	t.log.OnMap = t.onMap
 	return t, nil
 }
@@ -186,7 +174,7 @@ func (t *Tracker) Start() {
 	}
 	t.startAt = t.eng.Now()
 	t.sliceStart = t.eng.Now()
-	t.chargeProtect(t.opts.AlarmFixedCost, t.log.Open())
+	t.chargeProtect(alarmFixedCost, t.log.Open())
 	t.ticker = t.eng.NewTicker(t.opts.Timeslice, t.onAlarm)
 }
 
@@ -209,7 +197,7 @@ func (t *Tracker) Stop() {
 // (the alarm's signal delivery and bookkeeping; zero for a region mapped
 // mid-slice) plus the per-page mprotect cost.
 func (t *Tracker) chargeProtect(fixed des.Time, pages uint64) {
-	t.protectCost += fixed + des.Time(pages)*t.opts.ReprotectCostPerPage
+	t.protectCost += fixed + des.Time(pages)*reprotectCostPerPage
 }
 
 // onMap prices region lifetime (§4.1): a newly mapped region was just
@@ -249,7 +237,7 @@ func (t *Tracker) onAlarm(at des.Time) {
 	t.sliceFaults0 = faults
 	t.sliceRecv = 0
 	t.sliceExcluded = 0
-	t.chargeProtect(t.opts.AlarmFixedCost, t.log.Reset())
+	t.chargeProtect(alarmFixedCost, t.log.Reset())
 	total := t.TotalOverhead()
 	s.Overhead = total - t.sliceOverhead0
 	t.sliceOverhead0 = total
@@ -269,7 +257,7 @@ func (t *Tracker) TotalFaults() uint64 { return t.log.Faults() }
 // protection pass plus the per-fault cost (SIGSEGV delivery, handler
 // bookkeeping, mprotect of one page).
 func (t *Tracker) TotalOverhead() des.Time {
-	return t.protectCost + des.Time(t.log.Faults())*t.opts.FaultCost
+	return t.protectCost + des.Time(t.log.Faults())*faultCost
 }
 
 // Slowdown returns the modelled relative slowdown of the application due

@@ -267,12 +267,7 @@ func TestRecvAccountingViaMPI(t *testing.T) {
 func TestOverheadAndSlowdown(t *testing.T) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
-	tr, _ := New(eng, sp, Options{
-		Timeslice:            des.Second,
-		FaultCost:            10 * des.Microsecond,
-		ReprotectCostPerPage: des.Microsecond,
-		AlarmFixedCost:       des.Millisecond,
-	})
+	tr, _ := New(eng, sp, Options{Timeslice: des.Second})
 	r, _ := sp.Mmap(1000 * pageSize)
 	tr.Start()
 	eng.Schedule(100*des.Millisecond, func() {
@@ -281,18 +276,18 @@ func TestOverheadAndSlowdown(t *testing.T) {
 	eng.Run(des.Second)
 	s := tr.Samples()[0]
 	// Overhead charged to slice 0: Start's initial protection pass
-	// (1ms + 1000 pages * 1us) + 1000 faults * 10us + the alarm's
-	// re-protection pass (1ms + 1000 pages * 1us) = 14ms.
-	want := 2*(des.Millisecond+1000*des.Microsecond) + 1000*10*des.Microsecond
+	// (200us + 1000 pages * 400ns) + 1000 faults * 12us + the alarm's
+	// re-protection pass (200us + 1000 pages * 400ns) = 13.2ms.
+	want := 2*(200*des.Microsecond+1000*400*des.Nanosecond) + 1000*12*des.Microsecond
 	if s.Overhead != want {
 		t.Fatalf("slice overhead = %v, want %v", s.Overhead, want)
 	}
 	if tr.TotalFaults() != 1000 {
 		t.Fatalf("TotalFaults = %d", tr.TotalFaults())
 	}
-	// Slowdown over 1s of virtual time: 14ms → 1.4%.
+	// Slowdown over 1s of virtual time: 13.2ms → 1.32%.
 	sd := tr.Slowdown()
-	if sd < 0.0135 || sd > 0.0145 {
+	if sd < 0.0127 || sd > 0.0137 {
 		t.Fatalf("Slowdown = %v", sd)
 	}
 }

@@ -17,8 +17,6 @@ type Config struct {
 	// PageSize is the simulated page size; zero selects the Itanium II
 	// default (16 KB).
 	PageSize uint64
-	// Net is the interconnect model; the zero value selects QsNet.
-	Net mpi.Network
 	// Seed drives per-rank jitter; runs with equal seeds are identical.
 	Seed uint64
 	// Shards is accepted and ignored: every run is on one engine.
@@ -36,9 +34,6 @@ func (c Config) withDefaults(spec Spec) Config {
 	}
 	if c.PageSize == 0 {
 		c.PageSize = mem.DefaultPageSize
-	}
-	if c.Net == (mpi.Network{}) {
-		c.Net = mpi.QsNet()
 	}
 	return c
 }
@@ -64,9 +59,10 @@ type Runner struct {
 	iterZero des.Time // when rank 0 started iteration 0; 0 until known
 }
 
-// New builds the engine, address spaces, MPI world and per-rank
-// application instances, and schedules the data-initialization phase at
-// virtual time zero. Attach trackers through Space(i).
+// New builds the engine, address spaces, MPI world (on the paper's QsNet
+// interconnect) and per-rank application instances, and schedules the
+// data-initialization phase at virtual time zero. Attach trackers through
+// Space(i).
 func New(spec Spec, cfg Config) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -81,7 +77,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine()}
 	// One backing array for every rank's sub-burst records.
 	bursts := make([]subBurst, cfg.Ranks*len(spec.RateProfile))
-	world, err := mpi.NewWorld(r.Eng, cfg.Net, mpi.Bounce, spaces)
+	world, err := mpi.NewWorld(r.Eng, mpi.QsNet(), mpi.Bounce, spaces)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +143,18 @@ func (r *Runner) Now() des.Time { return r.Eng.Now() }
 // initialization write burst (§6.3).
 func (r *Runner) IterZero() des.Time { return r.iterZero }
 
+// RunToIterZero advances the simulation to the exact instant rank 0
+// enters iteration 0 (IterZero), past the data-initialization phase.
+func (r *Runner) RunToIterZero() error {
+	r.Run(r.InitTail())
+	for r.iterZero == 0 {
+		if !r.Eng.Step() {
+			return fmt.Errorf("workload: %s never reached iteration 0", r.Spec.Name)
+		}
+	}
+	return nil
+}
+
 // initEstimate returns an analytic upper bound for the initialization
 // phase duration, usable to size Run budgets before running.
 func (r *Runner) initEstimate() des.Time {
@@ -156,10 +164,9 @@ func (r *Runner) initEstimate() des.Time {
 
 // InitTail returns the virtual instant of the final initialization sweep
 // tick — a strict floor for the init barrier's release (the release adds
-// at least one network latency). Callers seeking the exact first
-// iteration boundary run to this point in bulk, then Step the remaining
-// handful of events; the resulting event sequence is identical to
-// stepping the whole way.
+// at least one network latency). RunToIterZero runs to this point in
+// bulk, then Steps the remaining handful of events; the resulting event
+// sequence is identical to stepping the whole way.
 func (r *Runner) InitTail() des.Time {
 	// Mirrors startInit's schedule: every rank sweeps the same total at
 	// the same rate, one tick per maxTick starting at t=0.
