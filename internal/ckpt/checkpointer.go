@@ -304,7 +304,9 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 			maxPages += rs.CountBelow(r.Pages())
 		}
 	}
-	w := newSegWriter(nil, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps), c.opts.Compress)
+	// The bound also reserves the integrity envelope's room, so a sealing
+	// store seals the given-away segment where it lies.
+	w := newSegWriter(nil, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps)+storage.SealRoom, c.opts.Compress)
 	var silentPages uint64
 	for _, r := range live {
 		if !c.log.Watches(r) {
@@ -356,10 +358,11 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	key := SegmentKey(c.opts.Rank, c.seq)
 	// enc is fresh and dropped here, so a store that keeps values in
 	// memory may keep this one — but only when the writer's size bound
-	// was exact: zero-elided, RLE and dedup segments come out shorter,
-	// and a keeping store would retain the slack for the line's life.
+	// was exact, leaving just the envelope's room: zero-elided, RLE and
+	// dedup segments come out shorter, and a keeping store would retain
+	// the slack for the line's life.
 	var err error
-	if len(enc) == cap(enc) {
+	if len(enc)+storage.SealRoom == cap(enc) {
 		err = storage.PutOwned(c.opts.Store, key, enc)
 	} else {
 		err = c.opts.Store.Put(key, enc)

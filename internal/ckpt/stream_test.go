@@ -434,7 +434,8 @@ func (s *handoffStore) PutOwned(key string, data []byte) error {
 
 // TestCheckpointGivesExactSegmentsAway: Checkpoint drops its encode
 // buffer after the put, so it gives the buffer away — but only when the
-// writer's size bound was exact. A segment with elided zero pages (or RLE
+// writer's size bound was exact, leaving exactly the envelope's room
+// (storage.SealRoom) spare. A segment with elided zero pages (or RLE
 // pages) is shorter than its bound; a keeping store would retain the
 // slack for as long as the line lives, so those stay lent.
 func TestCheckpointGivesExactSegmentsAway(t *testing.T) {
@@ -470,10 +471,10 @@ func TestCheckpointGivesExactSegmentsAway(t *testing.T) {
 			if owned != want {
 				t.Errorf("compress=%v line %d: given away = %v, want %v (slack %d bytes)", compress, seq, owned, want, store.slack[key])
 			}
-			if owned && store.slack[key] != 0 {
-				t.Errorf("compress=%v line %d: gave away a buffer with %d bytes of slack", compress, seq, store.slack[key])
+			if owned && store.slack[key] != storage.SealRoom {
+				t.Errorf("compress=%v line %d: gave away a buffer with %d bytes of slack, want the %d-byte envelope room", compress, seq, store.slack[key], storage.SealRoom)
 			}
-			if !owned && store.slack[key] == 0 {
+			if !owned && store.slack[key] <= storage.SealRoom {
 				t.Errorf("compress=%v line %d: an exact buffer was lent", compress, seq)
 			}
 		}

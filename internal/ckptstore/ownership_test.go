@@ -12,9 +12,9 @@ import (
 
 // The buffer-ownership contract on the service path (DESIGN.md §10):
 // Client.Put borrows the caller's buffer and encodes it into one reused
-// wire buffer; DecodeFrame aliases that buffer; the service copies where
-// a value comes to rest — each replica, the spill journal — and keeps
-// nothing of the request. These tests scribble over both borrowed
+// wire buffer; DecodeFrame aliases that buffer; a put that comes to rest
+// is copied once, and that frozen copy is what each replica and the
+// spill journal keep — nothing of the request. These tests scribble over both borrowed
 // buffers after Put returns and check that every resting place still
 // holds the bytes that were acknowledged.
 
@@ -74,9 +74,9 @@ func TestPutBorrowsOnSyncPath(t *testing.T) {
 	for i, m := range mems {
 		wantReplica(t, m, i, "k", want)
 	}
-	// Replica copies are independent of each other too: damaging one
-	// replica's stored value (what a bit flip in its memory would do) must
-	// not reach the others.
+	// The replicas share one frozen copy, so damage replaces a value
+	// rather than changing it: damaging one replica's stored value (what a
+	// bit flip in its memory would do) must not reach the others.
 	_ = mems[0].PutOwned("k", []byte("damaged"))
 	wantReplica(t, mems[1], 1, "k", want)
 	wantReplica(t, mems[2], 2, "k", want)
@@ -188,7 +188,8 @@ func bytesPerRun(runs int, fn func()) float64 {
 // TestPutAllocationBudget guards what the A17 saturation sweep depends
 // on: a put the admission controller sheds — three of four puts at 32
 // clients — touches no payload-sized allocation, and an acknowledged put
-// allocates its replica copies and nothing else of that size.
+// allocates one copy of its payload, which every replica shares, and
+// nothing else of that size.
 func TestPutAllocationBudget(t *testing.T) {
 	const payloadLen = 64 << 10
 	payload := bytes.Repeat([]byte{7}, payloadLen)
@@ -231,12 +232,21 @@ func TestPutAllocationBudget(t *testing.T) {
 		}
 		acked()
 		b := bytesPerRun(50, acked)
-		if lo, hi := float64(len(mems)*payloadLen), float64(len(mems)*payloadLen+payloadLen/8); b < lo || b > hi {
-			t.Fatalf("an acked put allocates %.0f bytes, want the %d replica copies (%.0f..%.0f)", b, len(mems), lo, hi)
+		if lo, hi := float64(payloadLen), float64(payloadLen+payloadLen/8); b < lo || b > hi {
+			t.Fatalf("an acked put allocates %.0f bytes, want one copy shared by the %d replicas (%.0f..%.0f)", b, len(mems), lo, hi)
+		}
+		first, err := mems[0].Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range mems[1:] {
+			if got, err := m.Get(key); err != nil || &got[0] != &first[0] {
+				t.Fatalf("replica %d holds its own copy (err %v): the put copied per replica", i+1, err)
+			}
 		}
 		if st := svc.Stats(); st.SyncAcks != st.Puts || st.CoalescedPuts != 0 {
 			t.Fatalf("stats: %+v", st)
 		}
-		t.Logf("acked put: %.0f bytes for %d x %d-byte replica copies", b, len(mems), payloadLen)
+		t.Logf("acked put: %.0f bytes for one %d-byte copy shared by %d replicas", b, payloadLen, len(mems))
 	})
 }

@@ -1,6 +1,7 @@
 package ckptstore
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -407,17 +408,16 @@ func (s *Service) probe() {
 }
 
 // journalPut records replication debt for key. A newer entry replaces
-// an older one in place (keeping its FIFO slot). The journal outlives the
-// request, so it keeps its own copy of data.
+// an older one in place (keeping its FIFO slot). data is the put's one
+// frozen copy of its payload, which the journal keeps as it is — shared
+// with whichever replicas took it.
 func (s *Service) journalPut(key string, data []byte, del bool) {
 	if old, ok := s.journal[key]; ok {
 		s.journalBytes -= uint64(len(old.data))
 	} else {
 		s.journalOrder = append(s.journalOrder, key)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.journal[key] = journalEntry{data: cp, del: del}
+	s.journal[key] = journalEntry{data: data, del: del}
 	s.journalBytes += uint64(len(data))
 	s.stats.JournaledBytes += uint64(len(data))
 }
@@ -461,7 +461,8 @@ func (s *Service) drain() {
 }
 
 // writeAll offers one write (or delete) to every up replica and returns
-// the ack count. Failures strike the replica.
+// the ack count. Failures strike the replica. data is a frozen copy the
+// service owns, given to every replica: they all keep the one buffer.
 func (s *Service) writeAll(key string, data []byte, del bool) int {
 	acks := 0
 	for i, r := range s.reps {
@@ -475,7 +476,7 @@ func (s *Service) writeAll(key string, data []byte, del bool) int {
 				err = nil // the point of a tombstone is absence
 			}
 		} else {
-			err = r.store.Put(key, data)
+			err = storage.PutOwned(r.store, key, data)
 		}
 		if err != nil {
 			s.strike(i, err)
@@ -506,8 +507,8 @@ func (s *Service) RecoveryLine(ranks int) (uint64, bool, error) {
 // errors; storage-level failures travel inside the response status.
 //
 // Buffer ownership: Handle borrows req. The decoded payload aliases it,
-// and the service copies exactly where a value comes to rest — each
-// replica's Store.Put and the spill journal (journalPut) — so nothing
+// and a put that comes to rest clones it once and gives that frozen
+// copy to every replica and the spill journal — so nothing
 // refers to req once Handle returns and the caller may reuse it at once.
 // The response is a fresh buffer the caller owns.
 func (s *Service) Handle(req []byte) ([]byte, error) {
@@ -639,13 +640,15 @@ func (s *Service) put(f *Frame) error {
 	// Replicate (or spill) and ack at the achieved durability level.
 	switch {
 	case s.spillPath():
-		s.journalPut(f.Key, f.Payload, false)
+		s.journalPut(f.Key, bytes.Clone(f.Payload), false)
 		s.stats.SpillAcks++
 		s.refreshMode("put spilled")
 	default:
 		acks := 0
+		var data []byte
 		if !coalesced {
-			acks = s.writeAll(f.Key, f.Payload, false)
+			data = bytes.Clone(f.Payload)
+			acks = s.writeAll(f.Key, data, false)
 			for _, r := range s.reps {
 				if !r.down && completion > r.busyUntil {
 					r.busyUntil = completion
@@ -660,12 +663,12 @@ func (s *Service) put(f *Frame) error {
 			s.stats.SyncAcks++
 		case acks > 0:
 			s.stats.QuorumFailures++
-			s.journalPut(f.Key, f.Payload, false)
+			s.journalPut(f.Key, data, false)
 			s.stats.AsyncAcks++
 			s.refreshMode("put under quorum")
 		default:
 			s.stats.QuorumFailures++
-			s.journalPut(f.Key, f.Payload, false)
+			s.journalPut(f.Key, data, false)
 			s.stats.SpillAcks++
 			s.refreshMode("put reached no replica")
 		}
@@ -682,16 +685,16 @@ func (s *Service) spillPath() bool {
 }
 
 // get serves a read: journal first (the newest acked value), then the
-// leader, then follower failover. A journal hit lends the entry itself:
-// journalPut always stores a fresh copy, so an entry is replaced, never
-// changed in place.
+// leader, then follower failover. A journal hit lends the entry itself,
+// capacity-clipped (the spare room is a sealing replica's): an entry is
+// frozen and replaced, never changed in place.
 func (s *Service) get(key string) ([]byte, error) {
 	s.stats.Gets++
 	if e, ok := s.journal[key]; ok {
 		if e.del {
 			return nil, fmt.Errorf("ckptstore: get %q: %w", key, storage.ErrNotFound)
 		}
-		return e.data, nil
+		return e.data[:len(e.data):len(e.data)], nil
 	}
 	order := s.readOrder()
 	var firstErr error

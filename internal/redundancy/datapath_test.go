@@ -213,8 +213,9 @@ func TestEncodeLineAllocatesOnlyFrames(t *testing.T) {
 }
 
 // TestRankStorePutOwnedForwardsOwnership: a line that stays on L1 is
-// stored without a copy — the stored value is the caller's buffer — while
-// a write-through line is lent to both tiers and copied by each.
+// stored without a copy — the stored value is the caller's buffer — and
+// a write-through line is given to both tiers, which share that one
+// frozen buffer instead of copying it each.
 func TestRankStorePutOwnedForwardsOwnership(t *testing.T) {
 	h := memHierarchy(t, Scheme{Kind: RS, K: 4, M: 2}, 12, 8)
 	rs := h.RankStore(2)
@@ -243,14 +244,18 @@ func TestRankStorePutOwnedForwardsOwnership(t *testing.T) {
 		t.Fatal("off-cadence line reached L3")
 	}
 
-	buf, _ = put(8) // write-through: both tiers borrow
+	want := bytes.Repeat([]byte{8 + 1}, size)
+	buf, allocated = put(8) // write-through: both tiers keep the one buffer
+	if allocated > size/64 {
+		t.Fatalf("owned put of a write-through line allocated %d bytes: a tier copies", allocated)
+	}
 	for name, tier := range map[string]storage.Store{"L1": h.Local(2), "L3": h.Global()} {
 		stored, err := tier.Get(ckpt.SegmentKey(2, 8))
-		if err != nil || !bytes.Equal(stored, buf) {
+		if err != nil || !bytes.Equal(stored, want) {
 			t.Fatalf("%s misses the write-through line: %v", name, err)
 		}
-		if &stored[0] == &buf[0] {
-			t.Fatalf("%s kept a buffer the other tier was still to read", name)
+		if &stored[0] != &buf[0] {
+			t.Fatalf("%s copied a frozen buffer it could share", name)
 		}
 	}
 }

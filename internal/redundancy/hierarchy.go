@@ -277,26 +277,25 @@ type rankStore struct {
 	rank int
 }
 
-func (s *rankStore) Put(key string, data []byte) error {
-	if err := s.h.local[s.rank].Put(key, data); err != nil {
+func (s *rankStore) Put(key string, data []byte) error { return s.put(key, data, storage.Store.Put) }
+
+// PutOwned implements storage.OwnedPutter: the frozen buffer becomes the
+// stored value on L1 and, for a write-through line, on L3 as well — the
+// two tiers keep one buffer.
+func (s *rankStore) PutOwned(key string, data []byte) error {
+	return s.put(key, data, storage.PutOwned)
+}
+
+func (s *rankStore) put(key string, data []byte, put func(storage.Store, string, []byte) error) error {
+	if err := put(s.h.local[s.rank], key, data); err != nil {
 		return err
 	}
 	if s.writesThrough(key) {
-		if err := s.h.cfg.Global.Put(key, data); err != nil {
+		if err := put(s.h.cfg.Global, key, data); err != nil {
 			return fmt.Errorf("redundancy: L3 write-through %q: %w", key, err)
 		}
 	}
 	return nil
-}
-
-// PutOwned implements storage.OwnedPutter: a line that stays on L1
-// becomes the stored value itself. A write-through line is lent instead,
-// because L3 reads the same bytes after L1 has them.
-func (s *rankStore) PutOwned(key string, data []byte) error {
-	if s.writesThrough(key) {
-		return s.Put(key, data)
-	}
-	return storage.PutOwned(s.h.local[s.rank], key, data)
 }
 
 func (s *rankStore) writesThrough(key string) bool {

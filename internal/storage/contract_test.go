@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand/v2"
 	"testing"
 
@@ -13,6 +14,12 @@ import (
 	"repro/internal/redundancy"
 	"repro/internal/storage"
 )
+
+// sealable returns a copy of data with the envelope's room spare, as a
+// checkpoint writer gives a segment away.
+func sealable(data []byte) []byte {
+	return append(make([]byte, 0, len(data)+storage.SealRoom), data...)
+}
 
 // contractKey is a segment key, so the tiered RecoveryView serves it
 // from rank 1's L1 like any other store serves it from its own map.
@@ -96,19 +103,71 @@ func contractHierarchy(t *testing.T) *redundancy.Hierarchy {
 	return h
 }
 
-// TestStoreBufferOwnership pins the rule in the Store doc comment on
-// every in-repo Store: Put borrows the caller's buffer, and a Get result
-// stays intact across a later Put and Delete of its key.
+// writer returns the store tc writes through and its settle step.
+func (tc contractCase) writer() (storage.Store, func()) {
+	put, settle := tc.put, tc.settle
+	if put == nil {
+		put = tc.get
+	}
+	if settle == nil {
+		settle = func() {}
+	}
+	return put, settle
+}
+
+// TestStoreBufferOwnership pins the rules in the Store and OwnedPutter
+// doc comments on every in-repo Store: Put borrows the caller's buffer,
+// a Get result stays intact across a later Put and Delete of its key,
+// and a buffer given away with PutOwned is frozen — two stores of the
+// kind, given the one buffer directly and then through a 2-replica
+// mirror, never write its bytes and read back the same value.
 func TestStoreBufferOwnership(t *testing.T) {
+	twins := contractCases(t)
+	for i, tc := range contractCases(t) {
+		t.Run(tc.name+"/frozen shared", func(t *testing.T) {
+			putA, settleA := tc.writer()
+			putB, settleB := twins[i].writer()
+			readBack := func(buf []byte, sum uint32) {
+				t.Helper()
+				settleA()
+				settleB()
+				if crc32.ChecksumIEEE(buf) != sum {
+					t.Fatal("a store wrote into the bytes of a buffer it was given")
+				}
+				a, errA := tc.get.Get(contractKey)
+				b, errB := twins[i].get.Get(contractKey)
+				if errA != nil || errB != nil || !bytes.Equal(a, buf) || !bytes.Equal(b, buf) {
+					t.Fatalf("the two stores read back %v/%v, equal to the given bytes %v/%v",
+						errA, errB, bytes.Equal(a, buf), bytes.Equal(b, buf))
+				}
+			}
+			buf := sealable(contractValue(0xA5))
+			sum := crc32.ChecksumIEEE(buf)
+			for _, put := range []storage.Store{putA, putB} {
+				if err := storage.PutOwned(put, contractKey, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readBack(buf, sum)
+
+			mirror, err := storage.NewMirrorStore(putA, putB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := sealable(contractValue(0x5A))
+			nextSum := crc32.ChecksumIEEE(next)
+			if err := mirror.PutOwned(contractKey, next); err != nil {
+				t.Fatal(err)
+			}
+			readBack(next, nextSum)
+			if crc32.ChecksumIEEE(buf) != sum {
+				t.Fatal("a rewrite wrote into the bytes of the buffer given before")
+			}
+		})
+	}
 	for _, tc := range contractCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			put, settle := tc.put, tc.settle
-			if put == nil {
-				put = tc.get
-			}
-			if settle == nil {
-				settle = func() {}
-			}
+			put, settle := tc.writer()
 			want, next := contractValue(0xA5), contractValue(0x5A)
 			buf := bytes.Clone(want)
 			if err := put.Put(contractKey, buf); err != nil {

@@ -112,17 +112,13 @@ func (s *FaultyStore) roll(rate float64) bool {
 
 // Put implements Store, possibly dropping the write (transient), tearing
 // it, or flipping a stored bit.
-func (s *FaultyStore) Put(key string, data []byte) error {
-	return s.put(key, data, s.inner.Put)
-}
+func (s *FaultyStore) Put(key string, data []byte) error { return s.put(key, data, Store.Put) }
 
 // PutOwned implements OwnedPutter, injecting the same faults as Put and
 // forwarding ownership of whatever reaches the sink.
-func (s *FaultyStore) PutOwned(key string, data []byte) error {
-	return s.put(key, data, func(key string, data []byte) error { return PutOwned(s.inner, key, data) })
-}
+func (s *FaultyStore) PutOwned(key string, data []byte) error { return s.put(key, data, PutOwned) }
 
-func (s *FaultyStore) put(key string, data []byte, sink func(string, []byte) error) error {
+func (s *FaultyStore) put(key string, data []byte, put putFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.step() {
@@ -135,13 +131,16 @@ func (s *FaultyStore) put(key string, data []byte, sink func(string, []byte) err
 	if s.roll(s.cfg.TornWriteRate) {
 		s.stats.TornWrites++
 		// Persist a strict prefix and report success: the sink lied.
-		return sink(key, data[:len(data)/2])
+		// The prefix's capacity is clipped: a sealing layer below must
+		// not write its envelope over payload bytes a sibling keeps.
+		n := len(data) / 2
+		return put(s.inner, key, data[:n:n])
 	}
 	if s.roll(s.cfg.CorruptRate) && len(data) > 0 {
 		s.stats.BitFlips++
-		return sink(key, FlipBit(data, s.rng.IntN(len(data)*8)))
+		return put(s.inner, key, FlipBit(data, s.rng.IntN(len(data)*8)))
 	}
-	return sink(key, data)
+	return put(s.inner, key, data)
 }
 
 // Get implements Store, possibly failing transiently.

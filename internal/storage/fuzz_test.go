@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -16,6 +18,14 @@ func FuzzOpenEnvelope(f *testing.F) {
 	f.Add(Seal(bytes.Repeat([]byte{0xEE}, 1024)))
 	f.Add([]byte("ICSE"))
 	f.Add([]byte{})
+	// Version 1 frames (header first) are what an older build stored.
+	for _, payload := range [][]byte{nil, []byte("hello"), bytes.Repeat([]byte{0xEE}, 1024)} {
+		v1 := sealV1(payload)
+		if _, err := Open(v1); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("version 1 frame of %d bytes: err = %v, want ErrCorrupt", len(payload), err)
+		}
+		f.Add(v1)
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		payload, err := Open(frame)
 		if err != nil {
@@ -29,6 +39,16 @@ func FuzzOpenEnvelope(f *testing.F) {
 			t.Fatal("accepted frame is not a Seal image of its payload")
 		}
 	})
+}
+
+// sealV1 builds a version 1 envelope: magic, version, length and CRC-32C
+// as a header ahead of the payload.
+func sealV1(payload []byte) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(envelopeMagic), 1, 0, 0, 0)
+	out = le.AppendUint64(out, uint64(len(payload)))
+	out = le.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
 }
 
 // FuzzSealOpenRoundTrip pins the forward direction: every payload seals

@@ -22,19 +22,42 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenDetectsDamage(t *testing.T) {
-	frame := Seal([]byte("precious checkpoint bytes"))
+	payload := []byte("precious checkpoint bytes")
+	frame := Seal(payload)
+	if !bytes.Equal(frame[:len(payload)], payload) {
+		t.Fatal("the envelope does not trail the payload")
+	}
+	// inTrailer returns frame with b written at offset off of its trailer.
+	inTrailer := func(off int, b ...byte) []byte {
+		f := bytes.Clone(frame)
+		copy(f[len(payload)+off:], b)
+		return f
+	}
 	cases := map[string][]byte{
-		"truncated header": frame[:10],
-		"torn payload":     frame[:len(frame)-3],
-		"bad magic":        append([]byte("XXXX"), frame[4:]...),
+		"truncated trailer": frame[:10],
+		"torn payload":      frame[:len(frame)-3],
+		"bad magic":         inTrailer(0, 'X', 'X', 'X', 'X'),
+		"version 1":         inTrailer(4, 1),
+		"length off by one": inTrailer(8, byte(len(payload)+1)),
 	}
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-1] ^= 0x01
 	cases["bit flip"] = flipped
+	cases["payload bit flip"] = FlipBit(frame, 3)
 	for name, f := range cases {
 		if _, err := Open(f); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestOpenClipsPayload: the payload Open returns cannot be appended into
+// the trailer that follows it.
+func TestOpenClipsPayload(t *testing.T) {
+	frame := Seal([]byte("payload"))
+	got, err := Open(frame)
+	if err != nil || cap(got) != len(got) {
+		t.Fatalf("Open lent cap %d for len %d (err %v)", cap(got), len(got), err)
 	}
 }
 

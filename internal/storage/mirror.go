@@ -68,12 +68,18 @@ func (s *MirrorStore) Stats() MirrorStats {
 }
 
 // Put implements Store: write everywhere, succeed if anywhere.
-func (s *MirrorStore) Put(key string, data []byte) error {
+func (s *MirrorStore) Put(key string, data []byte) error { return s.put(key, data, Store.Put) }
+
+// PutOwned implements OwnedPutter: the one frozen buffer is given to
+// every replica, so R replicas keep one copy of the bytes, not R.
+func (s *MirrorStore) PutOwned(key string, data []byte) error { return s.put(key, data, PutOwned) }
+
+func (s *MirrorStore) put(key string, data []byte, put putFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var errs []error
 	for i, r := range s.replicas {
-		if err := r.Put(key, data); err != nil {
+		if err := put(r, key, data); err != nil {
 			errs = append(errs, err)
 			s.stats.ReplicaErrors[i]++
 		}

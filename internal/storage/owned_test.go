@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestPutOwnedKeepsBuffer: the owned fast path stores the caller's
 // buffer itself; a store without the fast path falls back to Put.
@@ -56,25 +59,153 @@ func TestIntegrityPutAllocatesPayloadOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkIntegrityMirrorPut is the hardened write path of one segment:
+// sealable returns a copy of data with SealRoom spare bytes, as a writer
+// that reserves the envelope's room hands it over.
+func sealable(data []byte) []byte {
+	return append(make([]byte, 0, len(data)+SealRoom), data...)
+}
+
+// TestIntegrityPutOwnedSealsInPlace: a buffer with SealRoom spare bytes
+// is sealed where it lies, and two IntegrityStores given the same buffer
+// keep the same frame; a buffer without the room is sealed into a copy.
+func TestIntegrityPutOwnedSealsInPlace(t *testing.T) {
+	payload := []byte("segment bytes")
+	memA, memB := NewMemStore(), NewMemStore()
+	buf := sealable(payload)
+	for _, mem := range []*MemStore{memA, memB} {
+		if err := NewIntegrityStore(mem).PutOwned("k", buf); err != nil {
+			t.Fatal(err)
+		}
+		frame := mem.m["k"]
+		if &frame[0] != &buf[0] || len(frame) != len(payload)+SealRoom || cap(frame) != len(frame) {
+			t.Fatalf("stored frame len %d cap %d, shared %v: want the buffer itself, clipped to payload+SealRoom",
+				len(frame), cap(frame), &frame[0] == &buf[0])
+		}
+		if got, err := Open(frame); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("in-place frame opens to %q, %v", got, err)
+		}
+		if !bytes.Equal(frame, Seal(payload)) {
+			t.Fatal("in-place frame differs from Seal's")
+		}
+	}
+	short := bytes.Clone(payload)
+	if err := NewIntegrityStore(memA).PutOwned("s", short[:len(short):len(short)]); err != nil {
+		t.Fatal(err)
+	}
+	if frame := memA.m["s"]; &frame[0] == &short[0] || !bytes.Equal(frame, Seal(payload)) {
+		t.Fatal("a buffer without SealRoom spare was not sealed into a fresh frame")
+	}
+}
+
+// TestSiblingSealWritesNothing: a replica sealing a frozen buffer its
+// sibling already sealed finds the trailer in place and writes nothing,
+// so a reader of the sibling's frame does not race with it (run under
+// -race: a rewrite of the same bytes is still a write).
+func TestSiblingSealWritesNothing(t *testing.T) {
+	first, second := NewIntegrityStore(NewMemStore()), NewIntegrityStore(NewMemStore())
+	buf := sealable([]byte("shared segment"))
+	if err := first.PutOwned("k", buf); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := 0; i < 100 && err == nil; i++ {
+			_, err = first.Get("k")
+		}
+		done <- err
+	}()
+	if err := second.PutOwned("k", buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornWriteClipsCapacity: a torn write forwards a prefix with its
+// capacity clipped. Without the clip, the IntegrityStore below the
+// injector would seal the prefix in place, writing its envelope over
+// payload bytes the second replica keeps — and that replica's CRC,
+// computed after, would vouch for the damage.
+func TestTornWriteClipsCapacity(t *testing.T) {
+	torn := NewFaultyStore(NewIntegrityStore(NewMemStore()), FaultConfig{Seed: 5, TornWriteRate: 1})
+	intact := NewMemStore()
+	m, err := NewMirrorStore(torn, NewIntegrityStore(intact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("0123456789abcdef"), 16)
+	if err := m.PutOwned("k", sealable(want)); err != nil {
+		t.Fatal(err)
+	}
+	if torn.Stats().TornWrites != 1 {
+		t.Fatalf("stats %+v: the write was not torn", torn.Stats())
+	}
+	frame, err := intact.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Open(frame); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replica 1 opens to %q… (err %v), want the original bytes", got[:min(len(got), 16)], err)
+	}
+}
+
+// hardenedMirror is the hardened write path of one segment:
 // Mirror(Resilient(Integrity(Mem)) × 2), as the benchmark workloads and
 // the A14 ablation stack it.
-func BenchmarkIntegrityMirrorPut(b *testing.B) {
+func hardenedMirror(tb testing.TB) *MirrorStore {
 	var replicas []Store
 	for i := 0; i < 2; i++ {
 		replicas = append(replicas, NewResilientStore(NewIntegrityStore(NewMemStore()), DefaultRetryPolicy()))
 	}
 	m, err := NewMirrorStore(replicas...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return m
+}
+
+// TestHardenedPutOwnedAllocatesNothing: giving a buffer with SealRoom
+// spare to the hardened stack, on a key it already holds, allocates
+// nothing — no frame per replica, no copy, no closure.
+func TestHardenedPutOwnedAllocatesNothing(t *testing.T) {
+	m := hardenedMirror(t)
+	buf := sealable(make([]byte, 64<<10))
+	const key = "rank000/seg000000"
+	if err := m.PutOwned(key, buf); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.PutOwned(key, buf) }); allocs != 0 {
+		t.Fatalf("Mirror(Resilient(Integrity(Mem)) x 2).PutOwned allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkIntegrityMirrorPut is the hardened write path of one segment:
+// lent is Put (each replica seals a copy), owned is PutOwned of a buffer
+// with SealRoom spare (sealed in place once, kept by both replicas).
+func BenchmarkIntegrityMirrorPut(b *testing.B) {
 	data := make([]byte, 512<<10)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Put("rank000/seg000000", data); err != nil {
-			b.Fatal(err)
+	const key = "rank000/seg000000"
+	b.Run("lent", func(b *testing.B) {
+		m := hardenedMirror(b)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := m.Put(key, data); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("owned", func(b *testing.B) {
+		m := hardenedMirror(b)
+		buf := sealable(data)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := m.PutOwned(key, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -132,8 +132,14 @@ func (s *ResilientStore) do(what, key string, op func() error) error {
 }
 
 // Put implements Store.
-func (s *ResilientStore) Put(key string, data []byte) error {
-	return s.do("put", key, func() error { return s.inner.Put(key, data) })
+func (s *ResilientStore) Put(key string, data []byte) error { return s.put(key, data, Store.Put) }
+
+// PutOwned implements OwnedPutter: every attempt offers the same frozen
+// buffer.
+func (s *ResilientStore) PutOwned(key string, data []byte) error { return s.put(key, data, PutOwned) }
+
+func (s *ResilientStore) put(key string, data []byte, put putFunc) error {
+	return s.do("put", key, func() error { return put(s.inner, key, data) })
 }
 
 // Get implements Store.

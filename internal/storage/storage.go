@@ -144,10 +144,17 @@ type Store interface {
 }
 
 // OwnedPutter is the optional fast path of a Store that would otherwise
-// copy on Put: PutOwned stores data under key and takes ownership of the
-// buffer, which the caller must not touch again — success or failure.
-// MemStore keeps the buffer as the stored value; pass-through wrappers
-// forward it.
+// copy on Put: PutOwned stores data under key and takes the whole
+// backing array, which the caller must not touch again — success or
+// failure.
+//
+// A given-away buffer is frozen: from then on nobody writes
+// data[:len(data)], so a wrapper may hand one buffer to several stores
+// (a mirror's replicas) or to the same store again (a retry), and they
+// all keep it. The spare capacity data[len:cap] belongs to the sealing
+// layer (IntegrityStore writes its envelope there). A forwarder that
+// gives on a shorter buffer clips its capacity (data[:n:n]), so no
+// sealing layer below it writes into bytes a sibling keeps.
 type OwnedPutter interface {
 	PutOwned(key string, data []byte) error
 }
@@ -161,6 +168,10 @@ func PutOwned(s Store, key string, data []byte) error {
 	}
 	return s.Put(key, data)
 }
+
+// putFunc is how a wrapper that serves both Put and PutOwned with one
+// body passes a buffer on: Store.Put lends it, PutOwned gives it away.
+type putFunc func(s Store, key string, data []byte) error
 
 // FlipBit returns a copy of data with bit flipped (bit 0 is the low bit
 // of data[0]) — the one way a fault injector corrupts a stored value
