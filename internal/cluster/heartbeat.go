@@ -60,6 +60,9 @@ type Detector struct {
 
 	beaters  []*des.Ticker
 	checkers []*des.Ticker
+	// hear[i] is rank i's heartbeat receive continuation (heard), bound
+	// once at Start.
+	hear []func(mpi.Message)
 	// lastHeard[observer][peer] is the last time observer heard peer.
 	lastHeard [][]des.Time
 	// suspected[observer][peer] latches a fired suspicion until a fresh
@@ -108,6 +111,7 @@ func (d *Detector) Start() {
 		for j := 0; j < n; j++ {
 			d.lastHeard[i][j] = now
 		}
+		d.hear = append(d.hear, d.heard(i))
 		d.listen(i)
 		i := i
 		d.beaters = append(d.beaters, d.eng.NewTicker(d.period, func(des.Time) {
@@ -119,16 +123,22 @@ func (d *Detector) Start() {
 	}
 }
 
-// listen posts a perpetual receive chain for heartbeats on rank i.
+// listen posts the next receive of rank i's perpetual heartbeat chain.
 func (d *Detector) listen(i int) {
-	d.w.Rank(i).Recv(mpi.AnySource, HeartbeatTag, 0, func(m mpi.Message) {
+	d.w.Rank(i).Recv(mpi.AnySource, HeartbeatTag, 0, d.hear[i])
+}
+
+// heard is rank i's heartbeat continuation: note the sender, then listen
+// again.
+func (d *Detector) heard(i int) func(mpi.Message) {
+	return func(m mpi.Message) {
 		if d.stopped {
 			return
 		}
 		d.lastHeard[i][m.Src] = d.eng.Now()
 		d.suspected[i][m.Src] = false
 		d.listen(i)
-	})
+	}
 }
 
 // beat gossips one round of heartbeats from rank i to every peer, over

@@ -148,3 +148,26 @@ func TestDetectorLifecycle(t *testing.T) {
 		t.Fatalf("engine still busy after Stop: %d events", fired)
 	}
 }
+
+// TestHeartbeatsReuseTheirContinuation: a heard heartbeat re-posts the
+// rank's receive with the continuation bound at Start, so on a clean
+// network a period of N² heartbeats allocates nothing once the queues and
+// the message records have warmed up.
+func TestHeartbeatsReuseTheirContinuation(t *testing.T) {
+	const ranks = 8
+	period := 50 * des.Millisecond
+	eng, w := hbWorld(t, ranks, nil)
+	d, err := NewDetector(eng, w, period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	eng.Run(eng.Now() + 4*period)
+	allocs := testing.AllocsPerRun(20, func() { eng.Run(eng.Now() + period) })
+	if allocs != 0 {
+		t.Fatalf("a heartbeat period on %d ranks allocates %v, want 0", ranks, allocs)
+	}
+	if d.FalseSuspicions() != 0 {
+		t.Fatalf("%d false suspicions on a clean network", d.FalseSuspicions())
+	}
+}

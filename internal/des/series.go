@@ -46,8 +46,8 @@ type series struct {
 	offsets     []Time // borrowed from the caller; not modified
 	k, n        int32  // pending firing, total firings
 	seq0        uint64 // sequence number reserved for firing 0
-	// count is a hold's callback (HoldSeries), handed the number of
-	// firings each call stands for; nil for any other series.
+	// count is a hold's callback (HoldSeries, HoldSeriesAt), handed the
+	// number of firings each call stands for; nil for any other series.
 	count func(runs int)
 }
 
@@ -91,15 +91,16 @@ func (e *Engine) HoldSeries(first, step Time, n int, fn func(runs int)) Event {
 	return e.scheduleSeries(first, step, nil, n, nil, fn)
 }
 
-// Release turns a held series (HoldSeries) into the series ScheduleSeries
-// would have made. The firings that series would already have made run
-// now, in order: inside a callback, those keyed before the running event;
-// between calls, those keyed at or before the last event fired, or at or
-// before the bound a Run stopped at — each a call fn(1). The rest keep
-// the keys they reserved, so they interleave with every other event as
-// the ordinary series' firings would. On any other handle — a single event, an ordinary series,
-// a hold already released, fired or cancelled, the zero Event — Release
-// does nothing.
+// Release turns a held series (HoldSeries, HoldSeriesAt) into the series
+// ScheduleSeries (ScheduleSeriesAt) would have made. The firings that
+// series would already have made run now, in order: inside a callback,
+// those keyed before the running event; between calls, those keyed at or
+// before the last event fired, or at or before the bound a Run stopped at
+// — each a call fn(1). The rest keep the keys they reserved, so they
+// interleave with every other event as the ordinary series' firings
+// would. On any other handle — a single event, an ordinary series, a hold
+// already released, fired or cancelled, the zero Event — Release does
+// nothing.
 func (ev Event) Release() {
 	e := ev.eng
 	if e == nil {
@@ -144,6 +145,17 @@ func (ev Event) Release() {
 // finished or been cancelled. One list may back any number of series.
 func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
 	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, nil)
+}
+
+// HoldSeriesAt is HoldSeries over explicit offsets: the hold of
+// ScheduleSeriesAt(base, offsets, ·), one event at base+offsets[n-1]
+// calling fn(len(offsets)) unless released first. offsets is borrowed as
+// ScheduleSeriesAt borrows it.
+func (e *Engine) HoldSeriesAt(base Time, offsets []Time, fn func(runs int)) Event {
+	if fn == nil {
+		panic("des: hold with nil callback")
+	}
+	return e.scheduleSeries(base, 0, offsets, len(offsets), nil, fn)
 }
 
 // scheduleSeries is the core both series shapes share; a non-nil count

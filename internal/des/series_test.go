@@ -80,12 +80,18 @@ func (p *player) schedule() {
 		p.release[id] = func() {}
 		switch {
 		case o.hold && !p.bulk:
-			ev := p.eng.HoldSeries(o.first, o.step, o.n, func(runs int) {
+			count := func(runs int) {
 				p.runs[id] = append(p.runs[id], runs)
 				for ; runs > 0; runs-- {
 					fn()
 				}
-			})
+			}
+			var ev Event
+			if o.offsets != nil {
+				ev = p.eng.HoldSeriesAt(o.first, o.offsets, count)
+			} else {
+				ev = p.eng.HoldSeries(o.first, o.step, o.n, count)
+			}
 			p.cancel[id] = func() {}
 			if p.holds != neverRelease {
 				p.release[id] = ev.Release
@@ -180,15 +186,16 @@ func randomScript(rng *rand.Rand, cancels bool) []opSpec {
 	return ops
 }
 
-// addHolds turns some of a script's uniform series into holds and some of
-// its inert single events into releases of a random activity (a hold, or
-// anything else, on which Release must do nothing).
+// addHolds turns some of a script's series, uniform (HoldSeries) and
+// explicit (HoldSeriesAt), into holds and some of its inert single events
+// into releases of a random activity (a hold, or anything else, on which
+// Release must do nothing).
 func addHolds(rng *rand.Rand, ops []opSpec) []opSpec {
 	ops = slices.Clone(ops)
 	for i := range ops {
 		o := &ops[i]
 		switch {
-		case o.offsets == nil && o.n != 1 && rng.IntN(2) == 0:
+		case (o.offsets != nil || o.n != 1) && rng.IntN(2) == 0:
 			o.hold, o.cancel = true, false
 		case o.offsets == nil && o.n == 1 && o.kill == 0 && o.spawn == 0 && rng.IntN(2) == 0:
 			o.release = 1 + rng.IntN(len(ops))
@@ -390,6 +397,108 @@ func TestHeldReleaseAfterStep(t *testing.T) {
 	eng.Run(MaxTime)
 	if !slices.Equal(runs, []int{10}) || !slices.Equal(got, []Time{20 * Microsecond}) || eng.Fired()-before != 1 {
 		t.Fatalf("held to the end: calls %v at %v, %d events; want one call of 10 at 20 µs", runs, got, eng.Fired()-before)
+	}
+}
+
+// A hold over explicit offsets (HoldSeriesAt), released between calls at
+// any point, is ScheduleSeriesAt with the firings already due caught up at
+// the release: against same-instant events scheduled before and after it
+// (repeated offsets included), every later firing keeps the place the
+// ordinary series gives it, the two reserve the same sequence numbers, and
+// Fired() differs by exactly the caught-up firings. Never released, it is
+// one event at the last offset's key that calls its callback once with
+// runs = n.
+func TestHoldSeriesAtMatchesScheduleSeriesAt(t *testing.T) {
+	const base = 3 * Microsecond
+	offsets := []Time{0, 2 * Microsecond, 2 * Microsecond, 5 * Microsecond, 5 * Microsecond, 5 * Microsecond, 9 * Microsecond}
+	const never = Time(-1)
+	const series, mark = -1, -2
+	play := func(hold bool, cut Time) ([]firing, uint64, []int, uint64) {
+		eng := NewEngine()
+		var trace []firing
+		var runs []int
+		rec := func(id int) func() { return func() { trace = append(trace, firing{id, eng.Now()}) } }
+		for i, off := range offsets {
+			eng.Schedule(base+off, rec(i))
+		}
+		var ev Event
+		if hold {
+			ev = eng.HoldSeriesAt(base, offsets, func(r int) {
+				runs = append(runs, r)
+				for ; r > 0; r-- {
+					rec(series)()
+				}
+			})
+		} else {
+			ev = eng.ScheduleSeriesAt(base, offsets, rec(series))
+		}
+		seq := eng.seq
+		for i, off := range offsets {
+			eng.Schedule(base+off, rec(100+i))
+		}
+		if cut != never {
+			eng.Run(cut)
+			rec(mark)()
+			ev.Release()
+		}
+		eng.Run(MaxTime)
+		return trace, eng.Fired(), runs, seq
+	}
+	cuts := []Time{never, base - Microsecond, MaxTime - 1}
+	for _, off := range slices.Compact(slices.Clone(offsets)) {
+		cuts = append(cuts, base+off)
+	}
+	for _, cut := range cuts {
+		want, wantFired, _, wantSeq := play(false, cut)
+		got, fired, runs, seq := play(true, cut)
+		if seq != wantSeq {
+			t.Fatalf("cut %v: the hold reserved up to sequence %d, the ordinary series %d", cut, seq, wantSeq)
+		}
+		// Derive the held trace from the ordinary one: the series firings
+		// before the mark run at the mark; never released, all but the
+		// last run where the last one does.
+		last, markAt := -1, len(want)
+		for p, f := range want {
+			switch f.id {
+			case series:
+				last = p
+			case mark:
+				markAt = p
+			}
+		}
+		// A cut at or after the last firing's instant finds the hold fired.
+		released := markAt < last
+		var derived []firing
+		caught := 0
+		for p, f := range want {
+			switch {
+			case f.id == series && (!released && p != last || released && p < markAt):
+				caught++
+			case f.id == series && !released:
+				for k := 0; k <= caught; k++ {
+					derived = append(derived, f)
+				}
+			case f.id == mark && released:
+				derived = append(derived, f)
+				for k := 0; k < caught; k++ {
+					derived = append(derived, firing{series, f.at})
+				}
+			default:
+				derived = append(derived, f)
+			}
+		}
+		sameTrace(t, fmt.Sprintf("cut %v", cut), got, derived)
+		saved := uint64(caught)
+		if !released {
+			if !slices.Equal(runs, []int{len(offsets)}) {
+				t.Fatalf("cut %v, hold not released: counted calls %v, want one of %d", cut, runs, len(offsets))
+			}
+		} else {
+			checkCounted(t, fmt.Sprintf("cut %v", cut), runs, len(offsets))
+		}
+		if fired != wantFired-saved {
+			t.Fatalf("cut %v: Fired() = %d held, %d ordinary less %d caught up", cut, fired, wantFired, saved)
+		}
 	}
 }
 
@@ -614,23 +723,42 @@ func BenchmarkSeriesDeep(b *testing.B) {
 // BenchmarkSeriesIrregular is the rung for a heap whose sifts cannot be
 // predicted: 200 series with unrelated steps and phases, about the live
 // queue of a 64-rank run, where BenchmarkSeriesDeep's activities fire in
-// a fixed rotation. ns/event is per firing.
+// a fixed rotation. series queues each activity as an ordinary series;
+// held as a hold over the same firing times given as offsets
+// (HoldSeriesAt, what a ring link into a rank nobody was handed runs its
+// messages as): one event and one counted call per activity. ns/event is
+// per firing.
 func BenchmarkSeriesIrregular(b *testing.B) {
 	const activities = 200
 	rng := rand.New(rand.NewPCG(1, 2))
 	first, step := make([]Time, activities), make([]Time, activities)
+	offsets := make([][]Time, activities)
+	var firings int
 	for a := range step {
 		first[a], step[a] = Time(rng.IntN(5000))*Microsecond, Time(1+rng.IntN(5000))*Microsecond
+		offsets[a] = make([]Time, 2*Second/step[a])
+		for k := range offsets[a] {
+			offsets[a][k] = Time(k) * step[a]
+		}
+		firings += len(offsets[a])
 	}
 	fn := func() {}
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for a := range step {
-			e.ScheduleSeries(first[a], step[a], int(2*Second/step[a]), fn)
+	count := func(int) {}
+	run := func(b *testing.B, schedule func(e *Engine, a int)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := NewEngine()
+			for a := range step {
+				schedule(e, a)
+			}
+			e.Run(MaxTime)
 		}
-		events += e.Run(MaxTime)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings), "ns/event")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.Run("series", func(b *testing.B) {
+		run(b, func(e *Engine, a int) { e.ScheduleSeries(first[a], step[a], len(offsets[a]), fn) })
+	})
+	b.Run("held", func(b *testing.B) {
+		run(b, func(e *Engine, a int) { e.HoldSeriesAt(first[a], offsets[a], count) })
+	})
 }

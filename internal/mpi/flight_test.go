@@ -139,20 +139,43 @@ func TestPostedMatchedOutOfHeadPosition(t *testing.T) {
 }
 
 // TestGatherRootPoolIsBounded: a rank that only receives must not hoard
-// every record its peers allocate.
+// its peers' records. Records go back to their sender (finish), so the
+// root pools none, each sender's list stays within the bound, and a second
+// gather reuses the senders' records instead of allocating more.
 func TestGatherRootPoolIsBounded(t *testing.T) {
 	eng, w := testWorld(t, 4, Bounce)
 	root := w.Rank(0)
-	for k := 0; k < 3*maxFreeFlights; k++ {
-		root.Recv(AnySource, 0, 0, nil)
-		w.Rank(1+k%3).Send(0, 0, 64, nil)
+	gather := func() {
+		for k := 0; k < 3*maxFreeFlights; k++ {
+			root.Recv(AnySource, 0, 0, nil)
+			w.Rank(1+k%3).Send(0, 0, 64, nil)
+		}
+		eng.Run(des.MaxTime)
 	}
-	eng.Run(des.MaxTime)
-	if st := root.Stats(); st.Recvs != 3*maxFreeFlights {
+	gather()
+	pooled := map[*flight]bool{}
+	for i := 1; i < 4; i++ {
+		for _, f := range w.Rank(i).freeFlights {
+			pooled[f] = true
+		}
+	}
+	gather()
+	if st := root.Stats(); st.Recvs != 6*maxFreeFlights {
 		t.Fatalf("root completed %d receives", st.Recvs)
 	}
-	if n := len(root.freeFlights); n != maxFreeFlights {
-		t.Fatalf("root pooled %d records, want the bound %d", n, maxFreeFlights)
+	if n := len(root.freeFlights); n != 0 {
+		t.Fatalf("root pooled %d of its senders' records", n)
+	}
+	for i := 1; i < 4; i++ {
+		list := w.Rank(i).freeFlights
+		if len(list) > maxFreeFlights || len(list) == 0 {
+			t.Fatalf("rank %d pooled %d records, want 1..%d", i, len(list), maxFreeFlights)
+		}
+		for _, f := range list {
+			if !pooled[f] {
+				t.Fatalf("rank %d allocated a record for the second gather instead of reusing one", i)
+			}
+		}
 	}
 }
 

@@ -123,8 +123,10 @@ type pendingRecv struct {
 // schedules existing func values and allocates nothing.
 //
 // Records are recycled through per-rank free lists: send takes the record
-// from the sender's list, finish returns it to the receiver's. In between
-// the record belongs to whichever event holds it.
+// from the sender's list and finish returns it there, so a rank that only
+// receives pools nothing and a sender keeps reusing its own records
+// whatever its peers do. In between the record belongs to whichever event
+// holds it.
 type flight struct {
 	msg  Message
 	recv pendingRecv // the matched receive, valid from complete to finish
@@ -133,9 +135,9 @@ type flight struct {
 	copied func() // end of the bounce-buffer copy: store, then finish
 }
 
-// maxFreeFlights bounds a rank's free list. A rank that receives more than
-// it sends (a gather root, a heartbeat monitor) would otherwise hoard every
-// record its peers allocate; past the bound the surplus goes to the GC.
+// maxFreeFlights bounds a rank's free list: a burst of sends allocates as
+// many records as it has in flight, and past the bound the surplus goes
+// to the GC once they land.
 const maxFreeFlights = 256
 
 // takeFlight returns a record for a message r is injecting.
@@ -149,6 +151,7 @@ func (r *Rank) takeFlight() *flight {
 	f.land = func() { w.ranks[f.msg.Dst].deliver(f) }
 	f.copied = func() {
 		dst := w.ranks[f.msg.Dst]
+		dst.stats.BounceCopyBytes += f.msg.Bytes
 		dst.store(f.recv.addr, f.msg.Bytes, f.msg.Payload)
 		dst.finish(f)
 	}
@@ -400,22 +403,30 @@ func (r *Rank) deliver(f *flight) {
 	r.arrived.push(f)
 }
 
-// finish ends a matched receive once its payload has landed: counters, the
-// delivery hook, the record back to this rank's free list, then the
+// finish ends a matched receive once its payload has landed: the record
+// back to its sender's free list, counters, the delivery hook, then the
 // receive's continuation.
 func (r *Rank) finish(f *flight) {
 	m, fn := f.msg, f.recv.fn
 	f.msg.Payload, f.recv.fn = nil, nil
-	if len(r.freeFlights) < maxFreeFlights {
-		r.freeFlights = append(r.freeFlights, f)
+	if src := r.world.ranks[m.Src]; len(src.freeFlights) < maxFreeFlights {
+		src.freeFlights = append(src.freeFlights, f)
 	}
-	r.stats.Recvs++
-	r.stats.BytesReceived += m.Bytes
-	if r.onDeliver != nil {
-		r.onDeliver(m.Bytes, r.world.eng.Now())
-	}
+	r.received(m.Bytes, 1)
 	if fn != nil {
 		fn(m)
+	}
+}
+
+// received counts k finished receives of bytes each, at the current time:
+// the counters, then the delivery hook once per receive.
+func (r *Rank) received(bytes uint64, k int) {
+	r.stats.Recvs += uint64(k)
+	r.stats.BytesReceived += uint64(k) * bytes
+	if r.onDeliver != nil {
+		for ; k > 0; k-- {
+			r.onDeliver(bytes, r.world.eng.Now())
+		}
 	}
 }
 
@@ -469,10 +480,10 @@ func (r *Rank) complete(f *flight) {
 // bounceDeliver lands a message via the bounce arena: the NIC writes
 // into the unprotected buffer (no faults), then the CPU copies the
 // payload to its destination, faulting normally — the paper's
-// workaround, with its copy cost.
+// workaround, with its copy cost. The copy is counted when it ends
+// (flight.copied).
 func (r *Rank) bounceDeliver(f *flight) {
 	w := r.world
-	r.stats.BounceCopyBytes += f.msg.Bytes
 	w.eng.After(w.net.copyTime(f.msg.Bytes), f.copied)
 }
 
@@ -498,18 +509,20 @@ func (r *Rank) pageSpanProtected(addr, n uint64) bool {
 // mode all target pages are already unprotected so no faults fire; in
 // Bounce mode this is the CPU copy, faulting like any application store.
 func (r *Rank) store(addr, n uint64, payload []byte) {
-	reg := r.space.Find(addr)
-	if reg == nil {
+	if payload == nil {
+		r.fill(addr, n, 1)
 		return
 	}
-	if addr+n > reg.End() {
-		n = reg.End() - addr
+	if reg := r.space.Find(addr); reg != nil {
+		_ = r.space.Write(addr, payload[:min(n, reg.End()-addr)])
 	}
-	if payload != nil {
-		_ = r.space.Write(addr, payload[:n])
-		return
+}
+
+// fill is k size-only stores of n bytes at addr, back to back.
+func (r *Rank) fill(addr, n uint64, k int) {
+	if reg := r.space.Find(addr); reg != nil {
+		_ = r.space.RewriteRange(addr, min(n, reg.End()-addr), uint64(k))
 	}
-	_ = r.space.WriteRange(addr, n)
 }
 
 // copyOut is the size-only store used by collectives' result buffers.

@@ -291,8 +291,8 @@ func (r *Rank) landPut(addr uint64, payload []byte) {
 	}
 	// Unregistered target, degraded rank, or a Bounce-mode world: the
 	// NIC lands in the bounce arena and the CPU copies out, faulting.
-	r.stats.BounceCopyBytes += n
 	w.eng.After(w.net.copyTime(n), func() {
+		r.stats.BounceCopyBytes += n
 		r.store(addr, n, payload)
 		done()
 	})

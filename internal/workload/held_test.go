@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/mem"
+	"repro/internal/mpi"
 )
 
 // heldCases are small specs for the corners of a held sub-burst's closed
@@ -148,6 +149,108 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 	}
 }
 
+// TestHeldMessagesMatchMessageByMessage: counting the ring links into
+// ranks nobody was handed (holdLink) changes how many events run, not what
+// any rank counts or writes. For every spec at 4 ranks (the registry's and
+// heldCases), a runner with every rank handed out at New (every message
+// sent, landed and copied as events) and one with none handed out agree on
+// every handed rank's mpi.Stats, written bytes, footprint and digest at
+// each hand-out, and on every rank's after each Run window:
+//   - ranks 0 and 1 are handed out at the RunToIterZero instant, after
+//     rank 0's startIteration and before the others' (as AdaptiveAlignment
+//     does): rank 0's own link to rank 1 was decided, and held, before
+//     either was handed out;
+//   - a Run window ends between the first message's landing and the end
+//     of its copy out of the bounce buffer;
+//   - rank 2 is handed out mid-clump, after Steps to the same event in
+//     both runners, with a message landed but not yet copied;
+//   - a later window covers whole iterations, rank 3 never handed out.
+func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
+	const ranks = 4
+	for _, spec := range append(All(), heldCases()...) {
+		t.Run(spec.Name, func(t *testing.T) {
+			if spec.CommMB == 0 {
+				t.Skip("no messages")
+			}
+			build := func(handOut int) *Runner {
+				r, err := New(spec, Config{Ranks: ranks, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < handOut; i++ {
+					r.Space(i)
+				}
+				return r
+			}
+			open, held := build(ranks), build(0)
+			runners := []*Runner{open, held}
+			same := func(when string, handed int) {
+				t.Helper()
+				for i := 0; i < handed; i++ {
+					a, b := open.World.Rank(i), held.World.Rank(i)
+					sa, sb := open.spaces[i], held.spaces[i]
+					if a.Stats() != b.Stats() || sa.WrittenBytes() != sb.WrittenBytes() || sa.Footprint() != sb.Footprint() || sa.Digest(nil) != sb.Digest(nil) {
+						t.Fatalf("%s, rank %d: message by message %+v, written/footprint/digest %d/%d/%x; held %+v, %d/%d/%x",
+							when, i, a.Stats(), sa.WrittenBytes(), sa.Footprint(), sa.Digest(nil), b.Stats(), sb.WrittenBytes(), sb.Footprint(), sb.Digest(nil))
+					}
+				}
+			}
+			for _, r := range runners {
+				if err := r.RunToIterZero(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if open.IterZero() != held.IterZero() {
+				t.Fatalf("iteration 0 starts at %v message by message, %v held", open.IterZero(), held.IterZero())
+			}
+			held.Space(0)
+			held.Space(1)
+			same("ranks 0 and 1 handed out at iteration 0", ranks)
+
+			net := mpi.QsNet()
+			msg := uint64(spec.CommMsgKB * 1024)
+			midCopy := func(k int) des.Time {
+				return open.IterZero() + open.sendAt[k] + net.TransferTime(msg) + net.CopyTime(msg)/2
+			}
+			for _, r := range runners {
+				r.Run(midCopy(0))
+			}
+			same("a window ending mid-copy", ranks)
+			if st := open.World.Rank(1).Stats(); st.Recvs != 0 || st.BounceCopyBytes != 0 {
+				t.Fatalf("rank 1 finished %d receives by the window's end: it does not end mid-copy", st.Recvs)
+			}
+
+			// Step both runners to the same event, with message n/2 of
+			// iteration 0 landed and not yet copied, and hand rank 2 out.
+			mark := max(midCopy(len(open.sendAt)/2), open.Now()+1)
+			for _, r := range runners {
+				marked := false
+				r.Eng.Schedule(mark, func() { marked = true })
+				for !marked && r.Eng.Step() {
+				}
+				r.Space(2)
+			}
+			same("rank 2 handed out mid-clump", 3)
+
+			// The first window ends mid-clump too; the second holds whole
+			// iterations, whose deposits into rank 3 are one event each.
+			period := spec.PeriodAt(ranks)
+			for w, end := range []des.Time{mark + period, mark + 7*period/2} {
+				for _, r := range runners {
+					r.Run(end)
+				}
+				same(fmt.Sprintf("window %d after the hand-out", w+1), ranks)
+			}
+			if st := held.World.Rank(3).Stats(); st.Recvs == 0 {
+				t.Fatal("rank 3 received nothing: the check is vacuous")
+			}
+			if held.Eng.Fired() >= open.Eng.Fired() {
+				t.Fatalf("held runner fired %d events, message by message %d: nothing was held", held.Eng.Fired(), open.Eng.Fired())
+			}
+		})
+	}
+}
+
 // TestSideDoorProtectionPanics: a rank's sweeps run held until Runner.Space
 // hands its space out, so a dirty log opened through the World's side door
 // would miss the ticks it was opened for. The first held tick to find a
@@ -165,4 +268,33 @@ func TestSideDoorProtectionPanics(t *testing.T) {
 		}
 	}()
 	r.Run(r.durationFor(2))
+}
+
+// TestHeldDepositChecksItsPreconditions: a deposit hold that fires
+// unreleased stands for a whole iteration on a rank never handed out and
+// never armed (depositHeld); one that finds otherwise panics rather than
+// count what the message path would not have done.
+func TestHeldDepositChecksItsPreconditions(t *testing.T) {
+	for name, spoil := range map[string]func(a *app){
+		"handed out":  func(a *app) { a.handed = true },
+		"faulted":     func(a *app) { log := mem.NewDirtyLog(a.space); log.Open(); _ = a.space.WriteRange(a.stripBase, 1) },
+		"mid-stream":  func(a *app) { a.deposited = 1 },
+		"partial run": func(a *app) { a.nMsgs++ },
+	} {
+		r, err := New(tiny(), Config{Ranks: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := r.apps[1]
+		runs := a.nMsgs
+		spoil(a)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "held deposit") {
+					t.Errorf("%s: recovered %q, want the held-deposit panic", name, msg)
+				}
+			}()
+			a.depositHeld(runs)
+		}()
+	}
 }

@@ -102,8 +102,9 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 // Space hands out rank i's address space: the door every tracker,
 // checkpointer and migrator attaches through. Until a rank's space has been
 // handed out, nothing can observe it mid-burst, so the runner holds each of
-// its sweep sub-bursts as one event (des.Engine.HoldSeries); handing
-// it out releases them into ordinary tick-by-tick series, so whatever
+// its sweep sub-bursts as one event (des.Engine.HoldSeries), and the
+// messages its left neighbour sends it as two (startIteration); handing
+// it out releases them into ordinary series, so whatever
 // attaches sees exactly the state, and from then on the writes, of a run
 // that never held anything. Hand a space out before attaching anything to
 // it; World.Rank(i).Space() is no substitute — a sweep tick panics if it
@@ -125,8 +126,8 @@ func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
 // Run advances the simulation until the given virtual time. Held
-// sub-bursts are released when it returns, so between runs every space —
-// handed out or not — is in its tick-by-tick state.
+// sub-bursts and messages are released when it returns, so between runs
+// every rank — handed out or not — is in its tick-by-tick state.
 func (r *Runner) Run(until des.Time) {
 	r.Eng.Run(until)
 	for _, a := range r.apps {
@@ -228,9 +229,21 @@ type app struct {
 	bursts   []subBurst // one per rate-profile entry
 	burstEnd des.Event  // the iteration's unmapTransient
 
+	// A ring link into a rank nobody was handed is counted (startIteration):
+	// booked is this rank's latest hold of its sends, deposits the latest
+	// hold of the messages into it, recvsHeld tells postRecvs that this
+	// iteration's receives are those deposits, and deposited counts them.
+	booked, deposits des.Event
+	recvsHeld        bool
+	deposited        int
+	slots            int // message slots in the ghost strip
+
 	// The iteration's other callbacks, bound once (newApp) so that an
 	// iteration allocates none: they read what they need from the app.
 	mapTransient, unmapTransient, periodEnd, nextIteration, postRecvs, send func()
+	// The counted link's two callbacks, bound on its first hold (holdLink),
+	// so that a runner whose ranks are all handed out makes neither.
+	book, deposit func(runs int)
 }
 
 // subBurst is one rate-profile entry of a rank's iterations: the sweep
@@ -244,12 +257,15 @@ type subBurst struct {
 	held    des.Event      // the entry's latest hold
 }
 
-// release turns the rank's held sub-bursts into ordinary series, running
-// the ticks already due (des.Event.Release).
+// release turns the rank's held sub-bursts, sends and incoming messages
+// into ordinary series, running the firings already due
+// (des.Event.Release).
 func (a *app) release() {
 	for i := range a.bursts {
 		a.bursts[i].held.Release()
 	}
+	a.booked.Release()
+	a.deposits.Release()
 }
 
 func newApp(r *Runner, id int, bursts []subBurst) (*app, error) {
@@ -341,16 +357,21 @@ func (a *app) bind(bursts []subBurst) {
 		return
 	}
 	// Post all receives at burst end; they match sends as they arrive.
-	slots := max(1, int(a.stripBytes/a.msgBytes))
+	a.slots = max(1, int(a.stripBytes/a.msgBytes))
 	a.postRecvs = func() {
+		if a.recvsHeld {
+			return
+		}
 		for j := 0; j < a.nMsgs; j++ {
-			dest := a.stripBase + uint64(j%slots)*a.msgBytes
-			a.rank.Recv(mpi.AnySource, 0, dest, nil)
+			a.rank.Recv(mpi.AnySource, 0, a.slotAddr(j), nil)
 		}
 	}
 	right := (a.id + 1) % a.r.Cfg.Ranks
 	a.send = func() { a.rank.Send(right, 0, a.msgBytes, nil) }
 }
+
+// slotAddr is where an iteration's message j lands in the ghost strip.
+func (a *app) slotAddr(j int) uint64 { return a.stripBase + uint64(j%a.slots)*a.msgBytes }
 
 // startInit sweeps the whole persistent footprint once at the
 // initialization rate (the initial IWS peak of Fig 1a), then joins a
@@ -506,9 +527,16 @@ func (a *app) startIteration() {
 	// clumps spread across the window between burst end and period end.
 	if a.nMsgs > 0 {
 		// Receives are posted at burst end; the iteration's sends are one
-		// series over the shared offsets.
+		// series over the shared offsets, or two holds when nobody was
+		// handed the receiver (holdLink).
 		eng.Schedule(iterStart+burst, a.postRecvs)
-		eng.ScheduleSeriesAt(iterStart, a.r.sendAt, a.send)
+		rcv := a.r.apps[(a.id+1)%a.r.Cfg.Ranks]
+		if rcv.handed {
+			rcv.recvsHeld = false
+			eng.ScheduleSeriesAt(iterStart, a.r.sendAt, a.send)
+		} else {
+			a.holdLink(rcv, iterStart)
+		}
 	}
 
 	eng.Schedule(iterStart+period, a.periodEnd)
@@ -552,6 +580,68 @@ func (a *app) sweep(perTick uint64, iter, runs int) {
 	if !a.handed && a.space.Faults() != 0 {
 		panic(fmt.Sprintf("workload %s rank %d: write faults on a space never handed out by Runner.Space; its sweeps run held", a.r.Spec.Name, a.id))
 	}
+}
+
+// holdLink counts this iteration's messages to rcv, a rank nobody was
+// handed: the sends are a hold of this rank's bookings over the shared
+// offsets, released at once if this rank was handed out, and the receives
+// a hold of rcv's deposits over the same offsets, CountedDelay later.
+//
+// That is exact because nothing can tell a message from its counted ends.
+// The runner's world loses nothing and takes the same time for every
+// message of a size (mpi.World.CountedDelay), no send has a completion,
+// no receive a continuation, and rcv's receives — the only ones its left
+// neighbour's messages can match, taken in post order — are posted at
+// burst end, before the first message lands (a valid spec's burst ends
+// before its period, and sendOffsets starts the sends after the burst).
+// So message k lands at iterStart+sendAt[k]+transfer into receive k and is
+// copied out copyTime later to slotAddr(k), as the deposit does; rcv posts
+// none of its own. The sender decides for its link, at iteration start: a
+// rank handed out after its own startIteration at that instant
+// (RunToIterZero stops right after rank 0's) gets the iteration's messages
+// by the message path when its left neighbour starts after the hand-out.
+func (a *app) holdLink(rcv *app, iterStart des.Time) {
+	eng := a.eng
+	if a.book == nil {
+		a.book = func(runs int) { a.rank.CountSends(a.msgBytes, runs) }
+	}
+	if rcv.deposit == nil {
+		rcv.deposit = rcv.depositHeld
+	}
+	a.booked.Release()
+	a.booked = eng.HoldSeriesAt(iterStart, a.r.sendAt, a.book)
+	if a.handed {
+		a.booked.Release()
+	}
+	rcv.deposits.Release()
+	rcv.deposits = eng.HoldSeriesAt(iterStart+a.r.World.CountedDelay(a.msgBytes), a.r.sendAt, rcv.deposit)
+	rcv.recvsHeld = true
+}
+
+// depositHeld lands runs of the messages into this rank: the next ones in
+// iteration order, each into its slot (slotAddr). runs > 1 is a held
+// deposit, never released, of a whole iteration on a rank never handed
+// out, so never armed: its only effects are counters and written bytes,
+// which do not depend on the order of the writes, so each slot takes its
+// share at once. A held deposit checks that.
+func (a *app) depositHeld(runs int) {
+	j := a.deposited % a.nMsgs
+	if runs == 1 {
+		a.rank.CountRecvs(a.slotAddr(j), a.msgBytes, 1)
+		a.deposited++
+		return
+	}
+	if a.handed || a.space.Faults() != 0 || j != 0 || runs != a.nMsgs {
+		panic(fmt.Sprintf("workload %s rank %d: held deposit of %d messages from message %d on a space handed out %v with %d write faults", a.r.Spec.Name, a.id, runs, j, a.handed, a.space.Faults()))
+	}
+	for s := 0; s < min(a.slots, runs); s++ {
+		k := runs / a.slots
+		if s < runs%a.slots {
+			k++
+		}
+		a.rank.CountRecvs(a.slotAddr(s), a.msgBytes, k)
+	}
+	a.deposited += runs
 }
 
 // sendOffsets returns when each of an iteration's nMsgs ring sends leaves,
