@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -69,17 +70,17 @@ func demoHierarchy(dir string) error {
 	if err := h.WipeRank(1); err != nil {
 		return err
 	}
-	fmt.Printf("demo: 4-rank xor 2+1 hierarchy, 3 lines, L3 every 2 lines; rank 1's L1 wiped\n\n")
 	return nil
 }
 
 // inspectMultiLevel prints a hierarchy's geometry and, per line × rank,
 // which redundancy level can serve the segment.
-func inspectMultiLevel(dir string, demo bool) error {
+func inspectMultiLevel(w io.Writer, dir string, demo bool) error {
 	if demo {
 		if err := demoHierarchy(dir); err != nil {
 			return err
 		}
+		fmt.Fprintf(w, "demo: 4-rank xor 2+1 hierarchy, 3 lines, L3 every 2 lines; rank 1's L1 wiped\n\n")
 	}
 	h, err := redundancy.LoadFileHierarchy(dir)
 	if err != nil {
@@ -87,13 +88,13 @@ func inspectMultiLevel(dir string, demo bool) error {
 	}
 	scheme := h.Scheme()
 	dm := h.Domains()
-	fmt.Printf("hierarchy: %d ranks, scheme %v", h.Ranks(), scheme.Kind)
+	fmt.Fprintf(w, "hierarchy: %d ranks, scheme %v", h.Ranks(), scheme.Kind)
 	if scheme.Kind != redundancy.None {
-		fmt.Printf(" k=%d m=%d", scheme.K, scheme.M)
+		fmt.Fprintf(w, " k=%d m=%d", scheme.K, scheme.M)
 	}
-	fmt.Printf(", %d failure domains, L3 every %d lines\n", dm.Domains(), h.GlobalEvery())
+	fmt.Fprintf(w, ", %d failure domains, L3 every %d lines\n", dm.Domains(), h.GlobalEvery())
 	for _, g := range h.Groups() {
-		fmt.Printf("  group %d: members %v  parity on %v  domains %s\n",
+		fmt.Fprintf(w, "  group %d: members %v  parity on %v  domains %s\n",
 			g.ID, g.Members, g.Partners, domainsOf(dm, append(append([]int(nil), g.Members...), g.Partners...)))
 	}
 
@@ -129,7 +130,7 @@ func inspectMultiLevel(dir string, demo bool) error {
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 
-	fmt.Printf("\n%-6s %-6s %-6s %-10s %-10s %-10s %s\n",
+	fmt.Fprintf(w, "\n%-6s %-6s %-6s %-10s %-10s %-10s %s\n",
 		"seq", "rank", "group", "L1-local", "L2-parity", "L3-global", "serves")
 	for _, seq := range ordered {
 		for r := 0; r < h.Ranks(); r++ {
@@ -145,7 +146,7 @@ func inspectMultiLevel(dir string, demo bool) error {
 			case l3 == "ok":
 				serves = redundancy.LevelName(redundancy.LevelGlobal)
 			}
-			fmt.Printf("%-6d %-6d %-6s %-10s %-10s %-10s %s\n", seq, r, gid, l1, l2, l3, serves)
+			fmt.Fprintf(w, "%-6d %-6d %-6s %-10s %-10s %-10s %s\n", seq, r, gid, l1, l2, l3, serves)
 		}
 	}
 
@@ -157,15 +158,15 @@ func inspectMultiLevel(dir string, demo bool) error {
 	}
 	st := view.Stats()
 	if ok {
-		fmt.Printf("\nlatest verifiable recovery line: seq %d\n", line)
+		fmt.Fprintf(w, "\nlatest verifiable recovery line: seq %d\n", line)
 	} else {
-		fmt.Println("\nNO verifiable recovery line at any level")
+		fmt.Fprintln(w, "\nNO verifiable recovery line at any level")
 	}
 	for l := 0; l < redundancy.LevelCount; l++ {
-		fmt.Printf("  %s: %d reads, %d bytes\n", redundancy.LevelName(l), st.LevelReads[l], st.LevelBytes[l])
+		fmt.Fprintf(w, "  %s: %d reads, %d bytes\n", redundancy.LevelName(l), st.LevelReads[l], st.LevelBytes[l])
 	}
 	if st.Rebuilds > 0 || st.CorruptShards > 0 || st.RebuildFailures > 0 {
-		fmt.Printf("  rebuilds %d (failed %d), corrupt parity shards %d, repaired back %d\n",
+		fmt.Fprintf(w, "  rebuilds %d (failed %d), corrupt parity shards %d, repaired back %d\n",
 			st.Rebuilds, st.RebuildFailures, st.CorruptShards, st.RepairedBack)
 	}
 	return nil

@@ -8,8 +8,8 @@
 //	seedplumb   exported internal/ functions take seeds, never bake them in
 //	ckptset     committed .ckptspec protection specs match the classification
 //	            computed from kernel source
-//	deadexport  no exported internal/ name that no program (cmd/, examples/,
-//	            benchmark/) can reach, no exported field nothing reachable sets
+//	deadexport  no exported internal/ name that no program (cmd/, benchmark/)
+//	            can reach, no exported field nothing reachable sets
 //
 // Usage:
 //
@@ -49,10 +49,11 @@ import (
 // checkers binds each analyzer to the slice of the module it governs.
 // detlint and errwrap guard the simulator and its tools; seedplumb is
 // about internal/ API shape; maporder applies to every non-test
-// package, examples included — a nondeterministic example teaches the
-// wrong lesson. ckptset self-gates on packages that declare protection
-// roles, so applying it broadly costs nothing outside the kernels.
-// deadexport judges internal/ only: cmd/ and examples/ are the roots.
+// package. The examples are Example functions in test files, outside
+// maporder's reach: an example whose output depends on map order fails
+// its own // Output: check instead. ckptset self-gates on packages that
+// declare protection roles, so applying it broadly costs nothing outside
+// the kernels. deadexport judges internal/ only: cmd/ is the root.
 var checkers = []struct {
 	analyzer *analysis.Analyzer
 	applies  func(relPath string) bool

@@ -91,7 +91,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return // a dead receiver type is one finding, not one per method
 		}
 		if id.IsExported() && !idx.live[obj] && !idx.mentioned[id.Name] {
-			pass.Reportf(id.Pos(), "exported %s %s is reachable from no program (cmd/, examples/, benchmark/); delete it, or unexport it if only this package's tests use it", kind, id.Name)
+			pass.Reportf(id.Pos(), "exported %s %s is reachable from no program (cmd/, benchmark/); delete it, or unexport it if only this package's tests use it", kind, id.Name)
 		}
 		if spec, ok := node.(*ast.TypeSpec); ok && idx.live[obj] {
 			idx.checkFields(pass, spec)

@@ -7,7 +7,7 @@ import "fmt"
 
 // --- flagged: no program reaches these ---
 
-func Unused() {} // want `exported function Unused is reachable from no program`
+func Unused() {} // want `exported function Unused is reachable from no program \(cmd/, benchmark/\); delete it`
 
 const UnusedConst = 1 // want `exported const UnusedConst`
 

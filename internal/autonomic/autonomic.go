@@ -102,7 +102,7 @@ type Config struct {
 	Seed uint64
 
 	// NetFaults, when non-nil, runs the team over a flaky interconnect:
-	// per-link drop and duplication, delay jitter, and degradation
+	// drop and duplication, delay jitter, and degradation
 	// windows, all seeded and deterministic (see mpi.NetFaultConfig).
 	NetFaults *mpi.NetFaultConfig
 	// HeartbeatPeriod, when > 0 (and Ranks > 1), runs a gossip-style
@@ -358,30 +358,6 @@ type Report struct {
 	CorruptParityShards   uint64
 	ParityRepairs         uint64
 	ParityRepairFailures  uint64
-}
-
-// MeanDetectionLatency averages the measured detection latencies
-// (0 when no failure was heartbeat-detected).
-func (r *Report) MeanDetectionLatency() des.Time {
-	if len(r.DetectionLatencies) == 0 {
-		return 0
-	}
-	var sum des.Time
-	for _, l := range r.DetectionLatencies {
-		sum += l
-	}
-	return sum / des.Time(len(r.DetectionLatencies))
-}
-
-// MaxDetectionLatency returns the slowest measured detection.
-func (r *Report) MaxDetectionLatency() des.Time {
-	var max des.Time
-	for _, l := range r.DetectionLatencies {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // team is one incarnation of the computation (between failures).

@@ -146,9 +146,6 @@ func TestDetectionLatencyMeasured(t *testing.T) {
 			t.Fatalf("latency[%d] = %v outside [%v, %v]", i, l, timeout-period, timeout+2*period)
 		}
 	}
-	if m := rep.MeanDetectionLatency(); m < timeout-period {
-		t.Fatalf("mean latency %v below %v", m, timeout-period)
-	}
 
 	// The same run without the detector recovers instantly on failure;
 	// with it, each failure's downtime grows by its detection latency.

@@ -56,7 +56,6 @@ func serviceStack(crashOnPut int, partition bool) (func(*des.Engine, *chaos.Driv
 			// supervisor: this suite is about durability, not shedding.
 			InFlightBudget: 1 << 30,
 			ClientShare:    1.0,
-			PromotionTime:  300 * des.Millisecond,
 		})
 		if err != nil {
 			panic(err)
@@ -136,17 +135,16 @@ func TestServiceReplayCrashDuringPromotion(t *testing.T) {
 				},
 				InFlightBudget: 1 << 30,
 				ClientShare:    1.0,
-				PromotionTime:  300 * des.Millisecond,
 			})
 			if err != nil {
 				panic(err)
 			}
 			client := &crashAfterPuts{Store: svc.Client(0), fireAt: 25, trigger: func() {
 				svc.CrashLeader()
-				// Kill the freshest follower halfway through the
+				// Kill the freshest follower halfway through the 500 ms
 				// promotion window; the protocol re-elects among the
 				// survivors. Heal it later so quorum returns.
-				eng.After(150*des.Millisecond, func() { svc.Crash(2) })
+				eng.After(250*des.Millisecond, func() { svc.Crash(2) })
 				eng.After(3*des.Second, func() { svc.Heal(2) })
 			}}
 			return storage.NewResilientStore(client, storage.RetryPolicy{

@@ -153,11 +153,11 @@ func TestPlanHorizonAndEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := p.Horizon(); h != 9*des.Second {
+	if h := p.horizon(); h != 9*des.Second {
 		t.Fatalf("horizon %v, want 9s", h)
 	}
-	if p.Events() != 2 {
-		t.Fatalf("events %d, want 2", p.Events())
+	if p.events() != 2 {
+		t.Fatalf("events %d, want 2", p.events())
 	}
 }
 
@@ -414,7 +414,7 @@ func FuzzParseSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parsed schedule fails compilation: %v", err)
 		}
-		if p.Events() == 0 {
+		if p.events() == 0 {
 			t.Fatal("non-empty schedule compiled to zero events")
 		}
 		// Round-trip sanity on spec kinds' names.

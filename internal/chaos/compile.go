@@ -69,9 +69,9 @@ type Plan struct {
 	DomainCrashes []DomainCrashWindow
 }
 
-// Horizon returns the virtual time after which the plan injects nothing
+// horizon returns the virtual time after which the plan injects nothing
 // more — useful for sizing runs so every fault actually lands.
-func (p *Plan) Horizon() des.Time {
+func (p *Plan) horizon() des.Time {
 	var h des.Time
 	grow := func(t des.Time) {
 		if t > h {
@@ -105,9 +105,9 @@ func (p *Plan) Horizon() des.Time {
 	return h
 }
 
-// Events reports how many discrete injections the plan holds (crashes,
+// events reports how many discrete injections the plan holds (crashes,
 // commit kills, bit flips) — windows count once each.
-func (p *Plan) Events() int {
+func (p *Plan) events() int {
 	return len(p.Crashes) + len(p.CommitCrashes) + len(p.BitFlips) +
 		len(p.NetWindows) + len(p.Outages) + len(p.Brownouts) +
 		len(p.DrainCrashes) + len(p.DomainCrashes)

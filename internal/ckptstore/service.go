@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/storage"
@@ -80,9 +79,6 @@ type Config struct {
 	// op that could not finish in time is refused up front with
 	// storage.ErrDeadlineExceeded rather than admitted and stalled.
 	OpDeadline des.Time
-	// PromotionTime is the failover protocol's promotion latency after
-	// a leader crash (0 → 500 ms): election plus state hand-off.
-	PromotionTime des.Time
 }
 
 const (
@@ -98,6 +94,9 @@ const (
 	probePeriod = 250 * des.Millisecond
 	// spillCapacity bounds the local spill journal.
 	spillCapacity = 256 << 20
+	// promotionTime is the failover protocol's promotion latency after
+	// a leader crash: election plus state hand-off.
+	promotionTime = 500 * des.Millisecond
 )
 
 // Stats are the service's observable counters. All byte counts are
@@ -213,9 +212,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ClientShare == 0 {
 		cfg.ClientShare = 0.5
 	}
-	if cfg.PromotionTime == 0 {
-		cfg.PromotionTime = 500 * des.Millisecond
-	}
 	s := &Service{
 		cfg:       cfg,
 		eng:       cfg.Engine,
@@ -249,12 +245,9 @@ func (s *Service) PutLatencies() []des.Time {
 	return append([]des.Time(nil), s.putLats...)
 }
 
-// Transitions returns a copy of the degradation-ladder timeline.
-func (s *Service) Transitions() []Transition {
-	return append([]Transition(nil), s.transitions...)
-}
-
 // Leader reports the current leader's replica index.
+//
+//lint:ignore deadexport probe the autonomic service tests assert on (TestServiceReplayCrashDuringPromotion)
 func (s *Service) Leader() int { return s.leader }
 
 // upCount counts replicas currently accepting ops.
@@ -365,7 +358,7 @@ func (s *Service) leaderDown(reason string) {
 	}
 	s.promoting = true
 	s.refreshMode("promotion started: " + reason)
-	s.eng.After(s.cfg.PromotionTime, s.finishPromotion)
+	s.eng.After(promotionTime, s.finishPromotion)
 }
 
 // finishPromotion elects the freshest reachable replica (max applied
@@ -383,7 +376,7 @@ func (s *Service) finishPromotion() {
 	}
 	if best == -1 {
 		s.stats.PromotionRestarts++
-		s.eng.After(s.cfg.PromotionTime, s.finishPromotion)
+		s.eng.After(promotionTime, s.finishPromotion)
 		return
 	}
 	s.leader = best
@@ -492,13 +485,6 @@ func (s *Service) writeAll(key string, data []byte, del bool) int {
 // group — the bytes a recovery would actually see. Experiments use it
 // to run ckpt.VerifyChain against the service's total state.
 func (s *Service) View() storage.Store { return (*serviceView)(s) }
-
-// RecoveryLine returns the newest checkpoint line (sequence number)
-// that verifies across all ranks in the service's current state — the
-// line a post-failover restart resumes from.
-func (s *Service) RecoveryLine(ranks int) (uint64, bool, error) {
-	return ckpt.LatestVerifiableSeq(s.View(), ranks)
-}
 
 // ---- Op handling ----
 

@@ -294,7 +294,7 @@ func TestServiceLeaderFailover(t *testing.T) {
 }
 
 func TestServiceCrashDuringPromotion(t *testing.T) {
-	svc, eng, _ := newTestService(t, func(c *Config) { c.PromotionTime = 100 * des.Millisecond })
+	svc, eng, _ := newTestService(t, nil)
 	c := svc.Client(0)
 	if err := c.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -316,17 +316,18 @@ func TestServiceCrashDuringPromotion(t *testing.T) {
 }
 
 func TestServicePromotionRestartsWhenNoSurvivor(t *testing.T) {
-	svc, eng, _ := newTestService(t, func(c *Config) { c.PromotionTime = 100 * des.Millisecond })
+	svc, eng, _ := newTestService(t, nil)
 	for i := 0; i < 3; i++ {
 		svc.Crash(i)
 	}
-	eng.Run(eng.Now() + 350*des.Millisecond)
+	// The election fails at promotionTime and re-arms for 2*promotionTime.
+	eng.Run(eng.Now() + promotionTime*3/2)
 	if st := svc.Stats(); st.PromotionRestarts == 0 {
 		t.Fatalf("promotion should re-arm with no survivor: %+v", st)
 	}
 	// A heal lets the stalled election complete.
 	svc.Heal(1)
-	eng.Run(eng.Now() + 300*des.Millisecond)
+	eng.Run(eng.Now() + promotionTime*3/2)
 	if svc.Leader() != 1 {
 		t.Fatalf("Leader = %d, want 1 after heal", svc.Leader())
 	}
@@ -360,9 +361,9 @@ func TestServiceRecoveryLineWithRealSegments(t *testing.T) {
 	for rank := 0; rank < ranks; rank++ {
 		writeChain(t, svc.Client(uint32(rank)), rank, 3)
 	}
-	seq, ok, err := svc.RecoveryLine(ranks)
+	seq, ok, err := ckpt.LatestVerifiableSeq(svc.View(), ranks)
 	if err != nil || !ok || seq != 3 {
-		t.Fatalf("RecoveryLine = %d, %v, %v; want 3, true, nil", seq, ok, err)
+		t.Fatalf("LatestVerifiableSeq = %d, %v, %v; want 3, true, nil", seq, ok, err)
 	}
 	// VerifyChain against the service view: every rank's chain is whole.
 	for rank := 0; rank < ranks; rank++ {
@@ -374,7 +375,7 @@ func TestServiceRecoveryLineWithRealSegments(t *testing.T) {
 
 func TestServiceDeterministicAcrossRuns(t *testing.T) {
 	run := func() (Stats, []des.Time, []Transition, int) {
-		svc, eng, _ := newTestService(t, func(c *Config) { c.PromotionTime = 100 * des.Millisecond })
+		svc, eng, _ := newTestService(t, nil)
 		clients := []*Client{svc.Client(0), svc.Client(1), svc.Client(2), svc.Client(3)}
 		tick := eng.NewTicker(5*des.Millisecond, func(at des.Time) {
 			for i, c := range clients {
@@ -384,9 +385,9 @@ func TestServiceDeterministicAcrossRuns(t *testing.T) {
 		})
 		eng.Schedule(50*des.Millisecond, svc.CrashLeader)
 		svc.PartitionFollower(1, 120*des.Millisecond, 220*des.Millisecond)
-		eng.Run(500 * des.Millisecond)
+		eng.Run(50*des.Millisecond + promotionTime + 350*des.Millisecond)
 		tick.Stop()
-		return svc.Stats(), svc.PutLatencies(), svc.Transitions(), svc.Leader()
+		return svc.Stats(), svc.PutLatencies(), svc.transitions, svc.Leader()
 	}
 	s1, l1, t1, lead1 := run()
 	s2, l2, t2, lead2 := run()

@@ -39,22 +39,15 @@ func Apps() []string {
 	return out
 }
 
-// MeasureConfig configures a Measure run.
+// MeasureConfig configures a Measure run: at least three whole
+// iterations after the data-initialization burst, sampled every 1 s.
 type MeasureConfig struct {
 	// App names one of Apps(). Required.
 	App string
 	// Ranks is the MPI process count (0 → the paper's 64).
 	Ranks int
-	// Timeslice is the checkpoint timeslice (0 → 1 s).
-	Timeslice des.Time
-	// Periods is the minimum number of whole iterations measured
-	// (0 → 3).
-	Periods int
 	// Seed makes runs reproducible (0 → a fixed default).
 	Seed uint64
-	// IncludeInit keeps the data-initialization burst in the series
-	// (summaries are computed either way on the post-init window).
-	IncludeInit bool
 	// Shards is accepted and ignored: every run is on one engine.
 	// Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
 	Shards int
@@ -95,21 +88,11 @@ func Measure(cfg MeasureConfig) (*MeasureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := experiments.RunOne(spec, experiments.RunOpts{
-		Ranks:       cfg.Ranks,
-		Timeslice:   cfg.Timeslice,
-		Periods:     cfg.Periods,
-		Seed:        cfg.Seed,
-		IncludeInit: cfg.IncludeInit,
-	})
+	run, err := experiments.RunOne(spec, experiments.RunOpts{Ranks: cfg.Ranks, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	ibWindow := run.IB
-	if cfg.IncludeInit {
-		ibWindow = run.IB.After(run.IterZero.Seconds() + run.Opts.Timeslice.Seconds())
-	}
-	ib := metrics.Summarize(ibWindow)
+	ib := metrics.Summarize(run.IB)
 	fp := run.FootprintSummary()
 	return &MeasureResult{
 		App:             spec.Name,
@@ -146,8 +129,9 @@ type ProtectConfig struct {
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Store receives the encoded segments (nil → a fresh in-memory
-	// store). Pass a storage.FileStore to persist checkpoints on disk
-	// for inspection with cmd/ckptinspect.
+	// store). Pass a storage.FileStore to persist checkpoints on disk.
+	// The models' memory is phantom, so the segments are content-free:
+	// they size a checkpoint but cannot restore one.
 	Store storage.Store
 	// TrackCow enables copy-on-write accounting during drains.
 	TrackCow bool

@@ -30,8 +30,8 @@ func TestRunOneBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.IWS.Len() < 6 {
-		t.Fatalf("too few samples: %d", r.IWS.Len())
+	if len(r.IWS.Points) < 6 {
+		t.Fatalf("too few samples: %d", len(r.IWS.Points))
 	}
 	if r.IterZero <= 0 {
 		t.Fatal("IterZero missing")

@@ -3,8 +3,8 @@
 // experiments listed in DESIGN.md. Each experiment returns structured
 // rows carrying both the measured value and the paper's published value,
 // so callers can render paper-vs-measured side by side. Artefacts
-// (registry.go) is the one list of them that cmd/figures, cmd/report, the
-// benchmark harness and the golden test iterate.
+// (registry.go) is the one list of them that cmd/figures, the benchmark
+// harness and the golden test iterate.
 package experiments
 
 import (

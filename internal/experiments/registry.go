@@ -106,9 +106,9 @@ func body[R any](format func(R) string) func(R) []Section {
 	return func(r R) []Section { return []Section{{Body: format(r)}} }
 }
 
-// Artefacts is the evaluation, declared once: cmd/figures, cmd/report,
-// the benchmark harness and the golden test all iterate this list. The
-// order is the order "all" prints.
+// Artefacts is the evaluation, declared once: cmd/figures (as text and
+// as Markdown), the benchmark harness and the golden test all iterate
+// this list. The order is the order "all" prints.
 var Artefacts = []Artefact{
 	{Name: "table2", Title: "Table 2. Memory Footprint Size (MB)",
 		run: table(Table2, body(FormatTable2), func(r []Table2Row) []Metric {

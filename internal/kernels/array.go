@@ -176,9 +176,9 @@ func encodeFloats(b []byte, src []float64) {
 	}
 }
 
-// Checksum returns the sum of all elements — a cheap integrity probe for
+// checksum returns the sum of all elements — a cheap integrity probe for
 // checkpoint/restore equivalence tests.
-func (a *Array) Checksum() (float64, error) {
+func (a *Array) checksum() (float64, error) {
 	row := make([]float64, min(a.n, 4096))
 	var sum float64
 	for off := 0; off < a.n; off += len(row) {

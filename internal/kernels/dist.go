@@ -270,7 +270,7 @@ func GlobalReference(nx, rowsPerRank, ranks, iters int, boundary float64) ([]flo
 	if err != nil {
 		return nil, err
 	}
-	if err := g.Run(iters); err != nil {
+	if err := g.run(iters); err != nil {
 		return nil, err
 	}
 	var out []float64

@@ -38,7 +38,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, _ := ref.grid().Checksum()
+	want, _ := ref.grid().checksum()
 
 	// Protected run, checkpoint every 5 iterations, crash at 23.
 	sp := space()
@@ -72,7 +72,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := resumed.grid().Checksum()
+	got, _ := resumed.grid().checksum()
 	if got != want {
 		t.Fatalf("SSOR resume checksum %v != reference %v", got, want)
 	}
@@ -84,7 +84,7 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.grid().Checksum()
+	want, _ := ref.grid().checksum()
 
 	sp := space()
 	w, _ := NewWavefront(sp, nx, ny, 2)
@@ -112,7 +112,7 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.grid().Checksum()
+	got, _ := resumed.grid().checksum()
 	if got != want {
 		t.Fatalf("wavefront resume checksum %v != %v", got, want)
 	}
@@ -124,7 +124,7 @@ func TestADICrashRestoreResume(t *testing.T) {
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.grid().Checksum()
+	want, _ := ref.grid().checksum()
 
 	sp := space()
 	a, _ := NewADI(sp, nx, ny, 9, 0.5)
@@ -149,7 +149,7 @@ func TestADICrashRestoreResume(t *testing.T) {
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.grid().Checksum()
+	got, _ := resumed.grid().checksum()
 	if got != want {
 		t.Fatalf("ADI resume checksum %v != %v", got, want)
 	}

@@ -156,8 +156,8 @@ func (s *Stencil2D) Step() error {
 	return nil
 }
 
-// Run performs n sweeps.
-func (s *Stencil2D) Run(n int) error {
+// run performs n sweeps.
+func (s *Stencil2D) run(n int) error {
 	for i := 0; i < n; i++ {
 		if err := s.Step(); err != nil {
 			return err

@@ -63,7 +63,7 @@ func TestArrayBasics(t *testing.T) {
 	if err := a.Read(dst, -1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	sum, err := a.Checksum()
+	sum, err := a.checksum()
 	if want := 1.5 - 2.25 + math.Pi; err != nil || sum != want {
 		t.Fatalf("Checksum = %v, %v; want %v", sum, err, want)
 	}
@@ -104,7 +104,7 @@ func TestStencilConvergesToBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(400); err != nil {
+	if err := s.run(400); err != nil {
 		t.Fatal(err)
 	}
 	// With all boundaries at 10 and Laplace's equation, the interior
@@ -307,13 +307,13 @@ func TestADISmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := a.grid().Checksum()
+	before, _ := a.grid().checksum()
 	for i := 0; i < 5; i++ {
 		if err := a.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, _ := a.grid().Checksum()
+	after, _ := a.grid().checksum()
 	// The implicit operator damps the solution toward zero (homogeneous
 	// Dirichlet at the implicit boundaries) while keeping it positive
 	// and bounded.
@@ -528,7 +528,7 @@ func TestArrayRowIOZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2) // both buffers' pages and the row scratch exist
+	s.run(2) // both buffers' pages and the row scratch exist
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := s.Step(); err != nil {
 			t.Fatal(err)

@@ -25,9 +25,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{t, v}) }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Values returns the sample values in order (a fresh slice).
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.Points))

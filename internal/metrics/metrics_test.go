@@ -13,19 +13,19 @@ func TestSeriesBasics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Add(float64(i), float64(i*10))
 	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Points) != 5 {
+		t.Fatalf("Len = %d", len(s.Points))
 	}
 	v := s.Values()
 	if len(v) != 5 || v[3] != 30 {
 		t.Fatalf("Values = %v", v)
 	}
 	after := s.After(2.5)
-	if after.Len() != 2 || after.Points[0].T != 3 {
+	if len(after.Points) != 2 || after.Points[0].T != 3 {
 		t.Fatalf("After(2.5) = %+v", after.Points)
 	}
-	if got := s.After(100); got.Len() != 0 {
-		t.Fatalf("After(100) kept %d points", got.Len())
+	if got := s.After(100); len(got.Points) != 0 {
+		t.Fatalf("After(100) kept %d points", len(got.Points))
 	}
 }
 

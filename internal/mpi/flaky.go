@@ -6,7 +6,7 @@ package mpi
 // level, and MPI implementations above lossy transports run an
 // ack/retransmit protocol. This file models both sides:
 //
-//   - A NetFaultConfig describes per-link loss probability, duplication,
+//   - A NetFaultConfig describes fabric-wide loss probability, duplication,
 //     delay jitter and timed degradation windows (a flaky cable, a
 //     congested switch). All randomness comes from one seeded PCG owned
 //     by the World, so a given seed reproduces the exact packet fate
@@ -34,12 +34,6 @@ import (
 	"repro/internal/des"
 )
 
-// LinkFault adds extra loss probability to one directed link.
-type LinkFault struct {
-	Src, Dst int
-	DropRate float64
-}
-
 // DegradedWindow degrades the whole fabric during [From, To): extra loss
 // probability and a transfer-time multiplier (a congested or flapping
 // switch). SlowFactor <= 1 means "no slowdown".
@@ -63,8 +57,6 @@ type NetFaultConfig struct {
 	// JitterMax adds a uniform [0, JitterMax) delay to each surviving
 	// packet. Zero disables jitter.
 	JitterMax des.Time
-	// Links lists per-link extra loss on top of DropRate.
-	Links []LinkFault
 	// Windows lists timed whole-fabric degradation intervals.
 	Windows []DegradedWindow
 }
@@ -97,7 +89,6 @@ type netFaults struct {
 	cfg   NetFaultConfig
 	rng   *rand.Rand
 	stats NetFaultStats
-	links map[[2]int]float64
 }
 
 // reliableHardCap bounds the unlimited-retry plan of plain sends. The
@@ -117,20 +108,7 @@ func (w *World) SetFaults(cfg NetFaultConfig) error {
 	if cfg.DropRate < 0 || cfg.DropRate >= 1 || cfg.DupRate < 0 || cfg.DupRate >= 1 {
 		return fmt.Errorf("mpi: fault rates must be in [0, 1): drop %v dup %v", cfg.DropRate, cfg.DupRate)
 	}
-	for _, l := range cfg.Links {
-		if l.DropRate < 0 || l.DropRate >= 1 {
-			return fmt.Errorf("mpi: link %d->%d drop rate %v out of [0, 1)", l.Src, l.Dst, l.DropRate)
-		}
-	}
-	f := &netFaults{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewPCG(cfg.Seed, 0xF1A4)),
-		links: make(map[[2]int]float64, len(cfg.Links)),
-	}
-	for _, l := range cfg.Links {
-		f.links[[2]int{l.Src, l.Dst}] += l.DropRate
-	}
-	w.faults = f
+	w.faults = &netFaults{cfg: cfg, rng: rand.New(rand.NewPCG(cfg.Seed, 0xF1A4))}
 	return nil
 }
 
@@ -143,17 +121,9 @@ func (w *World) faultStats() NetFaultStats {
 	return w.faults.stats
 }
 
-// lossAt returns the effective loss probability on src->dst at time at.
-func (w *World) lossAt(src, dst int, at des.Time) float64 {
-	f := w.faults
-	p := f.cfg.DropRate + f.links[[2]int{src, dst}] + f.windowDrop(at)
-	return min(p, maxLossRate)
-}
-
-// aggLossAt is the fabric-wide loss probability (no link term), used by
-// the analytic collective model.
-func (w *World) aggLossAt(at des.Time) float64 {
-	f := w.faults
+// lossAt returns the effective per-packet loss probability at time at,
+// the same on every link.
+func (f *netFaults) lossAt(at des.Time) float64 {
 	return min(f.cfg.DropRate+f.windowDrop(at), maxLossRate)
 }
 
@@ -208,7 +178,7 @@ func (w *World) rto(bytes uint64) des.Time { return 4 * w.net.transfer(bytes) }
 // point-to-point message at injection time. It returns the offsets (from
 // now) of the first surviving data arrival and of the sender's first
 // surviving ack; the plan always ends delivered and acked.
-func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
+func (w *World) planARQ(bytes uint64) (deliver, ack des.Time) {
 	f := w.faults
 	now := w.eng.Now()
 	rto := w.rto(bytes)
@@ -220,7 +190,7 @@ func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 			f.stats.Retransmits++
 		}
 		at := now + start
-		if f.rng.Float64() < w.lossAt(src, dst, at) {
+		if f.rng.Float64() < f.lossAt(at) {
 			f.stats.Drops++
 		} else {
 			arr := start + w.scaledTransfer(bytes, at) + f.jitter()
@@ -228,7 +198,7 @@ func (w *World) planARQ(src, dst int, bytes uint64) (deliver, ack des.Time) {
 				deliver, delivered = arr, true
 			}
 			// The ack rides the reverse link.
-			if f.rng.Float64() < w.lossAt(dst, src, now+arr) {
+			if f.rng.Float64() < f.lossAt(now+arr) {
 				f.stats.Drops++
 			} else {
 				ack, acked = arr+w.net.Latency+f.jitter(), true
@@ -261,7 +231,7 @@ func (f *netFaults) suppressDup() {
 // delivery at the first surviving copy, sender completion at the first
 // surviving ack.
 func (w *World) sendFaulty(r *Rank, msg Message, onComplete func()) {
-	deliver, ack := w.planARQ(msg.Src, msg.Dst, msg.Bytes)
+	deliver, ack := w.planARQ(msg.Bytes)
 	w.faults.suppressDup()
 	w.post(r, msg, w.eng.Now()+deliver)
 	if onComplete != nil {
@@ -290,7 +260,7 @@ func (r *Rank) SendBestEffort(dst, tag int, bytes uint64, onComplete func()) {
 		f := w.faults
 		f.stats.Attempts++
 		at := eng.Now()
-		if f.rng.Float64() < w.lossAt(r.id, dst, at) {
+		if f.rng.Float64() < f.lossAt(at) {
 			f.stats.Drops++
 		} else {
 			arr := w.scaledTransfer(bytes, at) + f.jitter()
@@ -323,7 +293,7 @@ func (w *World) barrierPenalty(rounds, ranks int, at des.Time) des.Time {
 		var jmax des.Time
 		for i := 0; i < ranks; i++ {
 			f.stats.Attempts++
-			if f.rng.Float64() < w.aggLossAt(at+penalty) {
+			if f.rng.Float64() < f.lossAt(at+penalty) {
 				f.stats.Drops++
 				lost = true
 			} else if j := f.jitter(); j > jmax {
@@ -351,7 +321,7 @@ func (w *World) collectiveXfer(steps des.Time, bytes uint64, now des.Time) des.T
 		return base
 	}
 	scaled := float64(base) * w.faults.slowFactorAt(now)
-	if p := w.aggLossAt(now); p > 0 {
+	if p := w.faults.lossAt(now); p > 0 {
 		scaled /= 1 - p
 	}
 	return des.Time(scaled)

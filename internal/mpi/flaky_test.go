@@ -23,9 +23,6 @@ func TestSetFaultsValidation(t *testing.T) {
 	if err := w.SetFaults(NetFaultConfig{DupRate: -0.1}); err == nil {
 		t.Fatal("negative dup rate accepted")
 	}
-	if err := w.SetFaults(NetFaultConfig{Links: []LinkFault{{0, 1, 2.0}}}); err == nil {
-		t.Fatal("link drop rate 2.0 accepted")
-	}
 	if w.faults != nil {
 		t.Fatal("rejected configs must not install")
 	}

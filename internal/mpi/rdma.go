@@ -257,7 +257,7 @@ func (r *Rank) Put(dst int, destAddr uint64, data []byte, onComplete func()) {
 	payload := append([]byte(nil), data...)
 	target := w.ranks[dst]
 	if w.faults != nil {
-		deliver, ack := w.planARQ(r.id, dst, n)
+		deliver, ack := w.planARQ(n)
 		w.faults.suppressDup()
 		w.trackDelivery(dst)
 		w.eng.After(deliver, func() { target.landPut(destAddr, payload) })

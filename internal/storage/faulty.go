@@ -66,6 +66,8 @@ func NewFaultyStore(inner Store, cfg FaultConfig) *FaultyStore {
 }
 
 // Stats returns a copy of the injection counters.
+//
+//lint:ignore deadexport counters the autonomic hardened-storage tests assert on (TestHardenedStorageRecovery)
 func (s *FaultyStore) Stats() FaultStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

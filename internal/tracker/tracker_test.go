@@ -314,7 +314,7 @@ func TestSeriesExports(t *testing.T) {
 	ib := tr.IBSeries()
 	fp := tr.FootprintSeries()
 	rcv := tr.RecvSeries()
-	if iws.Len() != 2 || ib.Len() != 2 || fp.Len() != 2 || rcv.Len() != 2 {
+	if len(iws.Points) != 2 || len(ib.Points) != 2 || len(fp.Points) != 2 || len(rcv.Points) != 2 {
 		t.Fatal("series lengths")
 	}
 	wantMB := 500 * pageSize / MB

@@ -196,8 +196,8 @@ func TestTrackedTinyIWS(t *testing.T) {
 	// Timeslice = period: every slice sees exactly one iteration's
 	// working set (plus the comm strip and reduction page).
 	iws, _, _ := trackedRun(t, spec, 4, des.Second, 6)
-	if iws.Len() < 4 {
-		t.Fatalf("too few samples: %d", iws.Len())
+	if len(iws.Points) < 4 {
+		t.Fatalf("too few samples: %d", len(iws.Points))
 	}
 	m := metrics.Summarize(iws)
 	// Working set 4 MB + strip 0.25 MB; allow page rounding slack.
