@@ -44,19 +44,6 @@ func (s *Set) Len() uint64 {
 	return n
 }
 
-// CountBelow returns the number of elements strictly less than limit.
-func (s *Set) CountBelow(limit uint64) uint64 {
-	var n uint64
-	full := limit / 64
-	for i := uint64(0); i < full && i < uint64(len(s.words)); i++ {
-		n += uint64(bits.OnesCount64(s.words[i]))
-	}
-	if rem := limit % 64; rem != 0 && full < uint64(len(s.words)) {
-		n += uint64(bits.OnesCount64(s.words[full] & ((1 << rem) - 1)))
-	}
-	return n
-}
-
 // Count is Len: the number of elements, one OnesCount64 per word.
 func (s *Set) Count() uint64 { return s.Len() }
 

@@ -28,19 +28,6 @@ func TestBasics(t *testing.T) {
 	}
 }
 
-func TestCountBelow(t *testing.T) {
-	var s Set
-	for _, i := range []uint64{0, 5, 63, 64, 65, 200} {
-		s.Add(i)
-	}
-	cases := map[uint64]uint64{0: 0, 1: 1, 6: 2, 64: 3, 65: 4, 66: 5, 201: 6, 1000: 6}
-	for limit, want := range cases {
-		if got := s.CountBelow(limit); got != want {
-			t.Errorf("CountBelow(%d) = %d, want %d", limit, got, want)
-		}
-	}
-}
-
 func TestForEachOrder(t *testing.T) {
 	var s Set
 	in := []uint64{200, 3, 64, 5}

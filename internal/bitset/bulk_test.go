@@ -105,7 +105,6 @@ func TestZeroAllocBulkOps(t *testing.T) {
 	}{
 		{"UnionWith", func() { a.UnionWith(b) }},
 		{"Count", func() { _ = a.Count() }},
-		{"CountBelow", func() { _ = a.CountBelow(1000) }},
 		{"NextSetSweep", func() {
 			for i, ok := a.NextSet(0); ok; i, ok = a.NextSet(i + 1) {
 			}

@@ -301,7 +301,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		if kind == Full {
 			maxPages += r.Pages()
 		} else if rs := c.log.Pages(r); rs != nil {
-			maxPages += rs.CountBelow(r.Pages())
+			maxPages += rs.Count()
 		}
 	}
 	// The bound also reserves the integrity envelope's room, so a sealing
@@ -312,9 +312,8 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		if !c.log.Watches(r) {
 			continue
 		}
-		limit := r.Pages()
 		if kind == Full {
-			for idx := uint64(0); idx < limit; idx++ {
+			for idx := uint64(0); idx < r.Pages(); idx++ {
 				c.capturePage(&w, kind, r, idx)
 			}
 			// A full capture copies current contents, DMA'd or not —
@@ -328,7 +327,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		// segment's corruption risk.
 		silentPages += r.SilentPages()
 		if rs := c.log.Pages(r); rs != nil {
-			for idx, ok := rs.NextSet(0); ok && idx < limit; idx, ok = rs.NextSet(idx + 1) {
+			for idx, ok := rs.NextSet(0); ok; idx, ok = rs.NextSet(idx + 1) {
 				c.capturePage(&w, kind, r, idx)
 			}
 		}
@@ -474,6 +473,9 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 	if target.PageSize != space.PageSize() {
 		return fmt.Errorf("ckpt: page size mismatch: segment %d, space %d", target.PageSize, space.PageSize())
 	}
+	if err := checkRegionTable(target.Regions, target.PageSize); err != nil {
+		return fmt.Errorf("ckpt: restore: %w", err)
+	}
 	// Recreate the layout of the target segment.
 	for _, ri := range target.Regions {
 		if _, err := space.MapAt(ri.Start, ri.Size, ri.Kind); err != nil {
@@ -501,9 +503,6 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 				continue // page's region gone by target time: excluded
 			}
 			idx := r.PageIndex(p.Addr)
-			if idx >= r.Pages() {
-				continue
-			}
 			if p.Data == nil {
 				// Zero page: only meaningful if something nonzero
 				// was there before, which replay order guarantees

@@ -227,15 +227,14 @@ func TestCheckpointDurationModel(t *testing.T) {
 func TestRestoreRoundTrip(t *testing.T) {
 	eng, sp, c, store := newCkpt(t)
 	d := sp.MapData(2 * pageSize)
-	sp.Sbrk(3 * pageSize)
+	arena, _ := sp.Mmap(3 * pageSize)
 	m, _ := sp.Mmap(4 * pageSize)
-	heap := sp.Heap()
 
 	write := func(addr uint64, val byte, n int) {
 		sp.Write(addr, bytes.Repeat([]byte{val}, n))
 	}
 	write(d.Start(), 0xD0, 100)
-	write(heap.Start()+pageSize, 0xE0, 2*pageSize)
+	write(arena.Start()+pageSize, 0xE0, 2*pageSize)
 	write(m.Start(), 0xF0, 300)
 	c.Start()
 	c.Checkpoint() // seq 0: full
@@ -268,42 +267,9 @@ func TestRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%v region contents differ after restore", r.Kind())
 		}
 	}
-	// Restored heap is usable.
-	if fresh.Heap() == nil || fresh.Heap().Size() != 3*pageSize {
-		t.Fatal("heap not reconstructed")
-	}
-}
-
-// A heap grown while the checkpointer is logging grows protected: a
-// write to a grown page faults, so the next incremental checkpoint
-// captures it and a restore brings it back.
-func TestHeapGrownWhileLoggingIsCaptured(t *testing.T) {
-	_, sp, c, store := newCkpt(t)
-	sp.Sbrk(2 * pageSize)
-	c.Start()
-	if _, err := c.Checkpoint(); err != nil { // seq 0: full
-		t.Fatal(err)
-	}
-	sp.Sbrk(2 * pageSize)
-	addr := sp.Heap().Start() + 3*pageSize + 7
-	data := []byte("grown heap")
-	if err := sp.Write(addr, data); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Checkpoint() // seq 1: delta
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pages != 1 {
-		t.Fatalf("incremental checkpoint captured %d pages, want 1 (the grown heap page)", res.Pages)
-	}
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-	if err := Restore(store, 0, 1, fresh); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if err := fresh.Read(addr, got); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("restored grown heap page reads %q (%v), want %q", got, err, data)
+	// The restored arena keeps its address, size and kind.
+	if r := fresh.Find(arena.Start()); r == nil || r.Start() != arena.Start() || r.Size() != 3*pageSize || r.Kind() != mem.Mmap {
+		t.Fatal("arena not reconstructed")
 	}
 }
 

@@ -48,7 +48,7 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	if c.log.Pages(scratch) != nil {
 		t.Fatalf("excluded region accumulated dirty pages")
 	}
-	if rs := c.log.Pages(keep); rs == nil || rs.CountBelow(keep.Pages()) != 1 {
+	if rs := c.log.Pages(keep); rs == nil || rs.Count() != 1 {
 		t.Fatalf("kept region did not fault")
 	}
 

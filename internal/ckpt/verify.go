@@ -21,8 +21,9 @@ import (
 // complete and sound: every segment from the chain's base full segment
 // through the target fetches, passes the storage tier's integrity
 // checks, decodes, and is chain-consistent (full base, matching epochs,
-// one page size, restorable content). A nil return means Restore to
-// targetSeq will not fail on the data path.
+// one page size, restorable content), and the target's region table is
+// one Restore maps as written (checkRegionTable). A nil return means
+// Restore to targetSeq will not fail on the data path.
 func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
 	target, err := LoadSegment(store, rank, targetSeq)
 	if err != nil {
@@ -34,6 +35,9 @@ func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
 	}
 	if target.Epoch > targetSeq {
 		return fmt.Errorf("ckpt: verify rank %d seq %d: epoch %d after target", rank, targetSeq, target.Epoch)
+	}
+	if err := checkRegionTable(target.Regions, target.PageSize); err != nil {
+		return fmt.Errorf("ckpt: verify rank %d seq %d: %w", rank, targetSeq, err)
 	}
 	for seq := target.Epoch; seq <= targetSeq; seq++ {
 		seg := target
@@ -60,6 +64,29 @@ func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
 			return fmt.Errorf("ckpt: verify rank %d seq %d: segment %d is content-free, not restorable",
 				rank, targetSeq, seq)
 		}
+	}
+	return nil
+}
+
+// checkRegionTable rejects a region table Restore could not map as
+// written: an entry unaligned to pageSize or empty, one wrapping past the
+// top of the address space, one not after its predecessor (the
+// checkpointer writes the table in address order, so an overlap is
+// exactly that), or one whose kind is not checkpointable data memory.
+func checkRegionTable(regions []RegionInfo, pageSize uint64) error {
+	var end uint64
+	for i, ri := range regions {
+		switch {
+		case ri.Start%pageSize != 0 || ri.Size%pageSize != 0 || ri.Size == 0:
+			return fmt.Errorf("region %d (%#x, %d bytes) is not whole %d-byte pages", i, ri.Start, ri.Size, pageSize)
+		case ri.Start+ri.Size <= ri.Start:
+			return fmt.Errorf("region %d (%#x, %d bytes) wraps the address space", i, ri.Start, ri.Size)
+		case i > 0 && ri.Start < end:
+			return fmt.Errorf("region %d at %#x overlaps or precedes region %d", i, ri.Start, i-1)
+		case !ri.Kind.Checkpointable():
+			return fmt.Errorf("region %d at %#x has kind %v, not checkpointable data", i, ri.Start, ri.Kind)
+		}
+		end = ri.Start + ri.Size
 	}
 	return nil
 }

@@ -30,10 +30,6 @@ import (
 //
 // An OnFault observer must not change protection: it runs in the middle
 // of a delivery that has already decided which pages fault.
-//
-// A heap that grows while a log watching it is open grows protected, so
-// writes to the new pages fault like any other. Growth is not a map
-// event: OnMap hears nothing of it.
 type DirtyLog struct {
 	space    *AddressSpace
 	sets     map[*Region]*bitset.Set // created on a region's first fault
@@ -52,8 +48,8 @@ type DirtyLog struct {
 	// OnMap, when set, observes region lifetime while the log is open.
 	// For a newly mapped region pages is the number of pages the log
 	// just protected (zero when it does not watch the region); for an
-	// unmapped one it is the number of logged pages, inside the region's
-	// current size, that were dropped with it — memory exclusion (§4.2).
+	// unmapped one it is the number of logged pages that were dropped
+	// with it — memory exclusion (§4.2).
 	OnMap func(r *Region, mapped bool, pages uint64)
 }
 
@@ -136,17 +132,15 @@ func (l *DirtyLog) protect() uint64 {
 
 // Pages returns the logged page indexes of r, or nil when none were
 // logged. The set is the log's own: read it, do not keep or change it.
-// Indexes at or beyond r.Pages() are pages of a heap that has shrunk
-// since; skip them.
 func (l *DirtyLog) Pages(r *Region) *bitset.Set { return l.sets[r] }
 
 // Count returns the number of logged pages that are still mapped: pages
-// of live regions inside their current size.
+// of live regions.
 func (l *DirtyLog) Count() uint64 {
 	var n uint64
 	for r, rs := range l.sets {
 		if !r.dead {
-			n += rs.CountBelow(r.Pages())
+			n += rs.Count()
 		}
 	}
 	return n
@@ -204,7 +198,7 @@ func (l *DirtyLog) mapEvent(r *Region, mapped bool) {
 			pages = r.Pages()
 		}
 	} else if rs := l.sets[r]; rs != nil {
-		pages = rs.CountBelow(r.Pages())
+		pages = rs.Count()
 		delete(l.sets, r)
 	}
 	if l.OnMap != nil {
@@ -213,17 +207,4 @@ func (l *DirtyLog) mapEvent(r *Region, mapped bool) {
 	if !mapped {
 		delete(l.excluded, r)
 	}
-}
-
-// grown protects the pages [from, r.Pages()) a heap r just grew by, if
-// the log watches it, so their first writes fault. Only an open log is
-// handed one.
-func (l *DirtyLog) grown(r *Region, from uint64) {
-	if !l.Watches(r) {
-		return
-	}
-	for idx := from; idx < r.Pages(); idx++ {
-		r.wp[idx/64] |= 1 << (idx % 64)
-	}
-	r.armed = true
 }

@@ -14,9 +14,8 @@ import (
 // pages written since my last Reset that I watch and that are still
 // mapped"; the protection bits are modelled too, because they are
 // shared — a page faults when *any* log protected it since its last
-// fault, a Close unprotects everything under every other log, and pages
-// a heap grows into start protected if an open log watches the heap —
-// and the fault counts depend on exactly that.
+// fault and a Close unprotects everything under every other log — and
+// the fault counts depend on exactly that.
 //
 // A WriteRange hands the logs a bitmap word at a time, a Write or a
 // store run a page at a time; each log's OnFault must see the same
@@ -30,7 +29,7 @@ type refLog struct {
 	log      *DirtyLog
 	open     bool
 	excluded map[*Region]bool
-	pages    map[page]bool // may hold pages of dead regions and beyond a shrunk heap
+	pages    map[page]bool // may hold pages of dead regions
 	faults   uint64
 
 	// What the log's observers reported against what the model expects.
@@ -181,7 +180,7 @@ func (m *refSpace) mapped(r *Region) {
 }
 
 func (m *refSpace) unmapped(r *Region) {
-	m.forget(r, 0)
+	m.forget(r)
 	for _, l := range m.logs {
 		if !l.open {
 			continue
@@ -189,9 +188,7 @@ func (m *refSpace) unmapped(r *Region) {
 		l.wantMapEvents++
 		for p := range l.pages {
 			if p.r == r {
-				if p.idx < r.Pages() {
-					l.wantDropped++
-				}
+				l.wantDropped++
 				delete(l.pages, p)
 			}
 		}
@@ -199,37 +196,12 @@ func (m *refSpace) unmapped(r *Region) {
 	}
 }
 
-// forget drops the protection and silent state of r's pages from idx up.
-func (m *refSpace) forget(r *Region, from uint64) {
+// forget drops the protection and silent state of r's pages.
+func (m *refSpace) forget(r *Region) {
 	for _, set := range []map[page]bool{m.prot, m.silent} {
 		for p := range set {
-			if p.r == r && p.idx >= from {
+			if p.r == r {
 				delete(set, p)
-			}
-		}
-	}
-}
-
-func (m *refSpace) sbrk(deltaPages int64) {
-	heap := m.s.Heap()
-	var had uint64
-	if heap != nil {
-		had = heap.Pages()
-	}
-	if _, err := m.s.Sbrk(deltaPages * int64(m.s.PageSize())); err != nil {
-		m.t.Fatal(err)
-	}
-	switch {
-	case heap == nil:
-		m.mapped(m.s.Heap())
-	case m.s.Heap() == nil:
-		m.unmapped(heap)
-	case deltaPages < 0:
-		m.forget(heap, heap.Pages())
-	default: // grown: not a map event, but protected if an open log watches the heap
-		for _, l := range m.logs {
-			for idx := had; l.open && l.watches(heap) && idx < heap.Pages(); idx++ {
-				m.prot[page{heap, idx}] = true
 			}
 		}
 	}
@@ -264,7 +236,7 @@ func (m *refSpace) check(step string) {
 		for _, r := range live {
 			var got, want []uint64
 			if rs := l.log.Pages(r); rs != nil {
-				for idx, ok := rs.NextSet(0); ok && idx < r.Pages(); idx, ok = rs.NextSet(idx + 1) {
+				for idx, ok := rs.NextSet(0); ok; idx, ok = rs.NextSet(idx + 1) {
 					got = append(got, idx)
 				}
 			}
@@ -315,7 +287,7 @@ func (m *refSpace) step(rng *rand.Rand) string {
 			m.t.Fatal(err)
 		}
 	}
-	op := rng.IntN(20)
+	op := rng.IntN(18)
 	switch {
 	case op < 8 && len(data) > 0: // CPU writes, byte- and page-granular, and a read
 		r, first, last := pick()
@@ -381,15 +353,6 @@ func (m *refSpace) step(rng *rand.Rand) string {
 		must(s.Munmap(r))
 		m.unmapped(r)
 		return fmt.Sprintf("munmap %#x", r.start)
-	case op == 14:
-		m.sbrk(1 + rng.Int64N(6))
-		return "sbrk grow"
-	case op == 15:
-		if h := s.Heap(); h != nil {
-			m.sbrk(-(1 + rng.Int64N(int64(h.Pages())))) // sometimes all of it
-			return "sbrk shrink"
-		}
-		return "sbrk shrink: no heap"
 	}
 	// Each log resets on its own clock; now and then one closes while the
 	// others stay open, or reopens.
@@ -416,9 +379,8 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			m := newRefSpace(t, nLogs)
 			s, ps := m.s, m.s.PageSize()
 			// A process image to start from, with per-log exclusions.
-			initial := []*Region{s.MapData(3 * ps)}
-			s.Sbrk(int64(5 * ps))
-			initial = append(initial, s.Heap())
+			arena, _ := s.Mmap(5 * ps)
+			initial := []*Region{s.MapData(3 * ps), arena}
 			for i := 0; i < 3; i++ {
 				r, _ := s.Mmap((2 + rng.Uint64N(6)) * ps)
 				initial = append(initial, r)

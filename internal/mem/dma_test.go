@@ -141,27 +141,3 @@ func TestReplaySilentWithoutHandlerUnprotects(t *testing.T) {
 		t.Fatal("a replay no log records must unprotect the page, not leave it torn")
 	}
 }
-
-func TestSbrkPreservesSilentBitmap(t *testing.T) {
-	s := newBacked(t)
-	if _, err := s.Sbrk(4 * 4096); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Heap()
-	h.ProtectAll()
-	if _, err := s.WriteDirect(h.Start()+3*4096, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Sbrk(2 * 4096); err != nil { // grow
-		t.Fatal(err)
-	}
-	if h.SilentPages() != 1 || h.silent[0] != 1<<3 {
-		t.Fatal("grow lost the silent bit")
-	}
-	if _, err := s.Sbrk(-4 * 4096); err != nil { // shrink past the silent page
-		t.Fatal(err)
-	}
-	if h.SilentPages() != 0 {
-		t.Fatalf("shrink left %d silent pages beyond the break", h.SilentPages())
-	}
-}

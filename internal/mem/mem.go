@@ -1,8 +1,7 @@
 // Package mem simulates the virtual-memory subsystem the paper's
 // instrumentation library relies on: a paged address space with per-page
 // write protection, synchronous write-fault delivery, and the UNIX data
-// memory areas (initialized data, BSS, heap grown with brk/sbrk, and
-// mmap'ed arenas).
+// memory areas (initialized data, BSS and mmap'ed arenas).
 //
 // The real system write-protects pages with mprotect and receives SIGSEGV
 // on the first write; Go's runtime owns those mechanisms, so this package
@@ -43,7 +42,10 @@ const (
 	// maps one (the models fold it into Data); the kind keeps its
 	// number because segment region tables store Kind on the wire.
 	BSS
-	// Heap is the brk/sbrk-grown dynamic area.
+	// Heap is a real process's brk-grown dynamic area. No workload maps
+	// one (dynamic memory is Mmap arenas, as the paper's library follows
+	// it); the kind keeps its number because segment region tables store
+	// Kind on the wire.
 	Heap
 	// Mmap is a dynamically mapped arena (mmap/munmap).
 	Mmap
@@ -70,8 +72,8 @@ func (k Kind) String() string {
 }
 
 // Checkpointable reports whether regions of this kind belong to the data
-// memory the paper checkpoints (everything except the stack).
-func (k Kind) Checkpointable() bool { return k != Stack }
+// memory the paper checkpoints: every kind above except the stack.
+func (k Kind) Checkpointable() bool { return k < Stack }
 
 // Errors returned by address-space operations.
 var (
@@ -98,7 +100,6 @@ type Config struct {
 // Layout constants. Addresses are synthetic; only page arithmetic matters.
 const (
 	dataBase  uint64 = 0x0000_4000_0000_0000
-	heapBase  uint64 = 0x0000_6000_0000_0000
 	mmapBase  uint64 = 0x0000_2000_0000_0000
 	stackTop  uint64 = 0x0000_7fff_ffff_0000
 	stackSize uint64 = 64 * 1024 // paper: max observed stack < 42 KB
@@ -271,7 +272,6 @@ func (r *Region) LoadPage(idx uint64, data []byte) {
 type AddressSpace struct {
 	cfg     Config
 	regions []*Region // live regions, sorted by start
-	heap    *Region
 	// logs are the open dirty logs, oldest first: the only consumers of
 	// write faults and map events.
 	logs []*DirtyLog
@@ -362,85 +362,6 @@ func (s *AddressSpace) MapData(size uint64) *Region {
 	return r
 }
 
-// Heap returns the heap region, or nil before the first Sbrk growth.
-//
-//lint:ignore deadexport heap-region probe the ckpt and tracker tests assert on
-func (s *AddressSpace) Heap() *Region { return s.heap }
-
-// brk returns the current heap break (heapBase when the heap is empty).
-func (s *AddressSpace) brk() uint64 {
-	if s.heap == nil {
-		return heapBase
-	}
-	return s.heap.End()
-}
-
-// Sbrk grows (delta > 0) or shrinks (delta < 0) the heap by delta bytes,
-// page-rounded, returning the previous break. Shrinking below the heap
-// base or growing by a non-representable amount returns an error.
-// Growth preserves existing page protection and contents; new pages are
-// zero-filled, matching kernel brk semantics, and start protected when an
-// open dirty log watches the heap (its first writes must fault), else
-// unprotected.
-//
-//lint:ignore deadexport the brk heap is part of the simulated process image (ckpt/tracker tests grow and shrink it); no shipped workload allocates through it yet
-func (s *AddressSpace) Sbrk(delta int64) (uint64, error) {
-	old := s.brk()
-	if delta == 0 {
-		return old, nil
-	}
-	if delta > 0 {
-		grow := s.roundUp(uint64(delta))
-		if s.heap == nil {
-			s.heap = s.insert(heapBase, grow, Heap)
-			s.mapEvent(s.heap, true)
-			return old, nil
-		}
-		r := s.heap
-		oldPages := r.Pages()
-		r.size += grow
-		newPages := r.Pages()
-		wpLen := (newPages + 63) / 64
-		for uint64(len(r.wp)) < wpLen {
-			r.wp = append(r.wp, 0)
-		}
-		for r.silent != nil && uint64(len(r.silent)) < wpLen {
-			r.silent = append(r.silent, 0)
-		}
-		if !s.cfg.Phantom {
-			r.data = append(r.data, make([][]byte, newPages-oldPages)...)
-		}
-		for _, l := range s.logs {
-			l.grown(r, oldPages)
-		}
-		return old, nil
-	}
-	shrink := s.roundUp(uint64(-delta))
-	if s.heap == nil || shrink > s.heap.size {
-		return old, fmt.Errorf("%w: sbrk(%d) below heap base", ErrBadRange, delta)
-	}
-	r := s.heap
-	r.size -= shrink
-	newPages := r.Pages()
-	r.wp = r.wp[:(newPages+63)/64]
-	r.trimBitmap()
-	if r.silent != nil {
-		r.silent = r.silent[:len(r.wp)]
-		if rem := newPages % 64; rem != 0 && len(r.silent) > 0 {
-			r.silent[len(r.silent)-1] &= (1 << rem) - 1
-		}
-	}
-	if !s.cfg.Phantom {
-		r.data = r.data[:newPages]
-	}
-	if r.size == 0 {
-		s.remove(r)
-		s.heap = nil
-		s.mapEvent(r, false)
-	}
-	return old, nil
-}
-
 // Mmap maps a new anonymous arena of at least size bytes (page-rounded)
 // and returns its region. Freed arena slots are reused first-fit, so a
 // workload that repeatedly frees and reallocates same-sized arenas — as
@@ -487,28 +408,22 @@ func (s *AddressSpace) Munmap(r *Region) error {
 
 // MapAt maps a region of the given kind at an explicit address — the
 // restore path, which must recreate regions at their original addresses.
-// start must be page-aligned and the range must not overlap any live
-// region. Mapping Heap this way updates the heap shortcut so subsequent
-// Sbrk calls behave normally.
+// start must be page-aligned, the page-rounded range must not wrap past
+// the top of the address space, and it must not overlap any live region.
 func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
-	ps := s.cfg.PageSize
-	if start%ps != 0 || size == 0 {
+	rounded := s.roundUp(size)
+	if start%s.cfg.PageSize != 0 || size == 0 || start+rounded <= start {
 		return nil, fmt.Errorf("%w: MapAt(%#x, %d)", ErrBadRange, start, size)
 	}
-	size = s.roundUp(size)
+	size = rounded
 	for _, r := range s.regions {
 		if start < r.End() && r.start < start+size {
 			return nil, fmt.Errorf("%w: MapAt overlaps %v region at %#x", ErrBadRange, r.kind, r.start)
 		}
 	}
 	r := s.insert(start, size, kind)
-	switch kind {
-	case Heap:
-		s.heap = r
-	case Mmap:
-		if start+size > s.mmapNext {
-			s.mmapNext = start + size
-		}
+	if kind == Mmap && start+size > s.mmapNext {
+		s.mmapNext = start + size
 	}
 	s.mapEvent(r, true)
 	return r, nil
@@ -598,10 +513,10 @@ func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 // writes memory in place instead of staging through a buffer.
 //
 // The lend contract: a chunk is the page's own storage — valid until
-// its region is unmapped (or the heap shrinks below it) and never to be
-// retained past the call that obtained it; a store run's chunk is the
-// caller's to overwrite, a read run's is not. A phantom space lends
-// nothing (a nil chunk) but walks, faults and counts identically.
+// its region is unmapped and never to be retained past the call that
+// obtained it; a store run's chunk is the caller's to overwrite, a read
+// run's is not. A phantom space lends nothing (a nil chunk) but walks,
+// faults and counts identically.
 //
 // It is a value: hold it in a local, it allocates nothing.
 type PageRun struct {

@@ -80,61 +80,6 @@ func TestStackNotInFootprint(t *testing.T) {
 	}
 }
 
-func TestSbrkGrowShrink(t *testing.T) {
-	s := newBacked(t)
-	base := s.brk()
-	old, err := s.Sbrk(10000)
-	if err != nil || old != base {
-		t.Fatalf("Sbrk grow: old=%#x err=%v", old, err)
-	}
-	if s.Heap() == nil || s.Heap().Size() != 12288 {
-		t.Fatalf("heap size = %d, want 12288", s.Heap().Size())
-	}
-	// Write into the new heap, then grow again; contents must survive.
-	addr := s.Heap().Start()
-	if err := s.Write(addr, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Sbrk(4096); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 5)
-	if err := s.Read(addr, buf); err != nil || string(buf) != "hello" {
-		t.Fatalf("heap contents after grow: %q err=%v", buf, err)
-	}
-	// Shrink back to one page.
-	if _, err := s.Sbrk(-12288); err != nil {
-		t.Fatal(err)
-	}
-	if s.Heap().Size() != 4096 {
-		t.Fatalf("heap size after shrink = %d", s.Heap().Size())
-	}
-	// Shrinking below base fails.
-	if _, err := s.Sbrk(-8192); err == nil {
-		t.Fatal("over-shrink succeeded")
-	}
-	// Shrink to exactly zero unmaps the heap.
-	if _, err := s.Sbrk(-4096); err != nil {
-		t.Fatal(err)
-	}
-	if s.Heap() != nil {
-		t.Fatal("heap not unmapped at zero size")
-	}
-	if s.brk() != base {
-		t.Fatalf("brk after full shrink = %#x, want %#x", s.brk(), base)
-	}
-}
-
-func TestSbrkZero(t *testing.T) {
-	s := newBacked(t)
-	if _, err := s.Sbrk(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Heap() != nil {
-		t.Fatal("Sbrk(0) created a heap")
-	}
-}
-
 func TestMmapMunmapReuse(t *testing.T) {
 	s := newBacked(t)
 	a, err := s.Mmap(8192)
@@ -374,7 +319,7 @@ func TestWriteRangeBackedFill(t *testing.T) {
 func TestProtectAllData(t *testing.T) {
 	s := newBacked(t)
 	s.MapData(4096)
-	s.Sbrk(8192)
+	s.Mmap(8192)
 	m, _ := s.Mmap(4096)
 	// A dirty log with no exclusions protects exactly the data memory.
 	log := NewDirtyLog(s)
@@ -394,8 +339,7 @@ func TestProtectAllData(t *testing.T) {
 	}
 }
 
-// An open log's OnMap hears every region map and unmap, the heap's
-// included; growing or shrinking a live heap is not one.
+// An open log's OnMap hears every region map and unmap.
 func TestDirtyLogOnMapEvents(t *testing.T) {
 	s := newBacked(t)
 	type ev struct {
@@ -408,12 +352,10 @@ func TestDirtyLogOnMapEvents(t *testing.T) {
 	l.Open()
 	s.MapData(4096)
 	r, _ := s.Mmap(4096)
-	s.Sbrk(4096)
-	s.Sbrk(8192)
+	a, _ := s.Mmap(3 * 4096)
 	s.Munmap(r)
-	s.Sbrk(-8192)
-	s.Sbrk(-4096)
-	want := []ev{{Data, true}, {Mmap, true}, {Heap, true}, {Mmap, false}, {Heap, false}}
+	s.Munmap(a)
+	want := []ev{{Data, true}, {Mmap, true}, {Mmap, true}, {Mmap, false}, {Mmap, false}}
 	if len(evs) != len(want) {
 		t.Fatalf("hook events: %+v", evs)
 	}
@@ -493,7 +435,7 @@ func TestPropertyDirtyPagesMatchWrites(t *testing.T) {
 	}
 }
 
-// Property: random mmap/munmap/sbrk sequences keep regions disjoint,
+// Property: random mmap/munmap sequences keep regions disjoint,
 // sorted, and footprint equal to the sum of live checkpointable sizes.
 func TestPropertyRegionInvariants(t *testing.T) {
 	f := func(seed uint64, nOps uint8) bool {
@@ -501,9 +443,8 @@ func TestPropertyRegionInvariants(t *testing.T) {
 		s := NewAddressSpace(Config{PageSize: 4096, Phantom: true})
 		var arenas []*Region
 		var want uint64
-		heapSize := int64(0)
 		for i := 0; i < int(nOps); i++ {
-			switch rng.IntN(4) {
+			switch rng.IntN(2) {
 			case 0:
 				sz := uint64(rng.IntN(64)+1) * 4096
 				r, err := s.Mmap(sz)
@@ -520,18 +461,6 @@ func TestPropertyRegionInvariants(t *testing.T) {
 						return false
 					}
 					arenas = append(arenas[:i], arenas[i+1:]...)
-				}
-			case 2:
-				d := int64(rng.IntN(16)+1) * 4096
-				s.Sbrk(d)
-				heapSize += d
-				want += uint64(d)
-			case 3:
-				if heapSize >= 4096 {
-					d := int64(rng.IntN(int(heapSize/4096))+1) * 4096
-					s.Sbrk(-d)
-					heapSize -= d
-					want -= uint64(d)
 				}
 			}
 		}

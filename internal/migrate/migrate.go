@@ -137,8 +137,7 @@ func (m *Migrator) Run(onDone func(Result, error)) error {
 
 // onMap replays a source map event at the destination: an arena the
 // application maps during pre-copy must exist there before its pages
-// arrive, and one it unmaps must not survive the cutover. (A brk move
-// on an existing heap raises no event in mem, so it is not followed.)
+// arrive, and one it unmaps must not survive the cutover.
 func (m *Migrator) onMap(r *mem.Region, mapped bool, _ uint64) {
 	if !m.log.Watches(r) {
 		return
@@ -187,8 +186,7 @@ func (m *Migrator) snapshotDirty() uint64 {
 		if rs == nil {
 			continue
 		}
-		limit := r.Pages()
-		for idx, ok := rs.NextSet(0); ok && idx < limit; idx, ok = rs.NextSet(idx + 1) {
+		for idx, ok := rs.NextSet(0); ok; idx, ok = rs.NextSet(idx + 1) {
 			m.copyPage(r, idx)
 			pages++
 		}

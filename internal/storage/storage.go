@@ -268,11 +268,15 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
+// path maps a key to its file. A key whose file name contains ".tmp" is
+// invalid: that name is reserved for Put's in-flight temp files, which
+// Keys and Size skip.
 func (s *FileStore) path(key string) (string, error) {
-	if key == "" || strings.Contains(key, "..") || filepath.IsAbs(key) {
+	p := filepath.Join(s.dir, filepath.FromSlash(key))
+	if key == "" || strings.Contains(key, "..") || filepath.IsAbs(key) || strings.Contains(filepath.Base(p), ".tmp") {
 		return "", fmt.Errorf("storage: invalid key %q", key)
 	}
-	return filepath.Join(s.dir, filepath.FromSlash(key)), nil
+	return p, nil
 }
 
 // Put implements Store. The write is crash-atomic: data goes to a

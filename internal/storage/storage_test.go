@@ -120,6 +120,30 @@ func TestFileStoreInvalidKeys(t *testing.T) {
 	}
 }
 
+// A key named like a temp file would be stored but hidden from Keys and
+// Size, so it is invalid; a ".tmp" directory name hides nothing.
+func TestFileStoreRejectsTempNames(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"rank000/notes.tmp", "seg.tmp7"} {
+		if err := fs.Put(key, []byte("x")); err == nil || !strings.Contains(err.Error(), "invalid key") {
+			t.Errorf("Put(%q) = %v, want an invalid-key error", key, err)
+		}
+	}
+	if err := fs.Put("r.tmp/seg", []byte("xy")); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := fs.Keys()
+	if err != nil || len(keys) != 1 || keys[0] != "r.tmp/seg" {
+		t.Fatalf("Keys = %v, %v; want [r.tmp/seg]", keys, err)
+	}
+	if n, err := fs.Size(); err != nil || n != 2 {
+		t.Fatalf("Size = %d, %v; want 2", n, err)
+	}
+}
+
 // TestFileStorePutAtomicity: Put must leave no temp residue, and a
 // half-written temp file must never shadow or appear alongside real
 // keys.

@@ -215,8 +215,6 @@ func (t *Tracker) onMap(_ *mem.Region, mapped bool, pages uint64) {
 // onAlarm is the timeslice boundary: snapshot the IWS, emit the sample,
 // reset dirty state and re-protect everything.
 func (t *Tracker) onAlarm(at des.Time) {
-	// Only pages within a region's *current* size count: a heap that
-	// shrank since the writes leaves its tail excluded.
 	iwsPages := t.log.Count()
 	faults := t.log.Faults()
 	s := Sample{

@@ -140,36 +140,6 @@ func TestNewlyMappedRegionIsProtected(t *testing.T) {
 	}
 }
 
-func TestHeapShrinkExcludesTail(t *testing.T) {
-	eng, sp, tr := setup(t, des.Second)
-	sp.Sbrk(20 * pageSize)
-	tr.Start()
-	eng.Schedule(100*des.Millisecond, func() {
-		sp.WriteRange(sp.Heap().Start(), 20*pageSize)
-		sp.Sbrk(-10 * pageSize)
-	})
-	eng.Run(des.Second)
-	if got := tr.Samples()[0].IWSPages; got != 10 {
-		t.Fatalf("IWS after heap shrink = %d, want 10", got)
-	}
-}
-
-// A heap grown mid-slice grows protected: writes to the grown pages
-// fault and count in that slice's IWS.
-func TestHeapGrowthCountsInIWS(t *testing.T) {
-	eng, sp, tr := setup(t, des.Second)
-	sp.Sbrk(4 * pageSize)
-	tr.Start()
-	eng.Schedule(100*des.Millisecond, func() {
-		sp.Sbrk(6 * pageSize)
-		sp.WriteRange(sp.Heap().Start()+3*pageSize, 5*pageSize) // 1 old page, 4 grown
-	})
-	eng.Run(des.Second)
-	if s := tr.Samples()[0]; s.IWSPages != 5 || s.Faults != 5 {
-		t.Fatalf("IWS after heap growth = %d pages, %d faults; want 5, 5", s.IWSPages, s.Faults)
-	}
-}
-
 func TestStopRestoresState(t *testing.T) {
 	eng, sp, tr := setup(t, des.Second)
 	r, _ := sp.Mmap(4 * pageSize)
