@@ -48,7 +48,10 @@ type CommitMarker struct {
 }
 
 // CommitKey returns the store key of seq's COMMIT marker.
-func CommitKey(seq uint64) string { return fmt.Sprintf("commit/seq%06d", seq) }
+func CommitKey(seq uint64) string {
+	var buf [32]byte
+	return string(appendPadded(append(buf[:0], "commit/seq"...), seq, 6))
+}
 
 // ParseCommitKey inverts CommitKey: like ParseSegmentKey, it accepts
 // exactly the keys CommitKey prints, so every layer agrees on which line a

@@ -62,7 +62,14 @@ func LatestConsistentSeq(store storage.Store, ranks int) (seq uint64, ok bool, e
 // SegmentKey returns the store key of one rank's segment — the layout
 // Checkpointer.Checkpoint writes and ParseSegmentKey parses.
 func SegmentKey(rank int, seq uint64) string {
-	return fmt.Sprintf("rank%03d/seg%06d", rank, seq)
+	var buf [64]byte
+	b := append(buf[:0], "rank"...)
+	if rank < 0 { // fmt's %03d: the sign counts toward the width
+		b = appendPadded(append(b, '-'), uint64(-rank), 2)
+	} else {
+		b = appendPadded(b, uint64(rank), 3)
+	}
+	return string(appendPadded(append(b, "/seg"...), seq, 6))
 }
 
 // ParseSegmentKey inverts SegmentKey: it accepts exactly the keys
@@ -109,6 +116,19 @@ func cutPadded(s string, width int) (n uint64, rest string, ok bool) {
 	}
 	n, err := strconv.ParseUint(s[:i], 10, 64)
 	return n, s[i:], err == nil
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits: what
+// fmt's %0<width>d prints for a non-negative value, and cutPadded reads.
+func appendPadded(b []byte, v uint64, width int) []byte {
+	n := 1
+	for x := v; x >= 10; x /= 10 {
+		n++
+	}
+	for ; n < width; n++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, v, 10)
 }
 
 // ChainVolume returns the total encoded bytes that a restore of the

@@ -1,6 +1,10 @@
 package ckpt
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // ParseSegmentKey against hostile key shapes.
 
@@ -84,3 +88,28 @@ func TestParseSegmentKeyCanonicalOnly(t *testing.T) {
 		t.Errorf("ParseSegmentKey allocates %v times per call", n)
 	}
 }
+
+// TestKeysMatchSprintf pins SegmentKey and CommitKey to the fmt.Sprintf
+// forms they are written without: under the pad width, at it, wider than
+// it (rank >= 1000, seq >= 10^6), signed, and at the extremes. Each key
+// costs one allocation, its string.
+func TestKeysMatchSprintf(t *testing.T) {
+	for _, rank := range []int{0, 7, 99, 999, 1000, 123456, math.MaxInt, -1, -3, -99, -100, math.MinInt} {
+		for _, seq := range []uint64{0, 1, 42, 99999, 999999, 1000000, 1234567, math.MaxUint64} {
+			if got, want := SegmentKey(rank, seq), fmt.Sprintf("rank%03d/seg%06d", rank, seq); got != want {
+				t.Errorf("SegmentKey(%d, %d) = %q, want %q", rank, seq, got, want)
+			}
+			if got, want := CommitKey(seq), fmt.Sprintf("commit/seq%06d", seq); got != want {
+				t.Errorf("CommitKey(%d) = %q, want %q", seq, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkKey = SegmentKey(1234, 1234567) }); n != 1 {
+		t.Errorf("SegmentKey: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkKey = CommitKey(1234567) }); n != 1 {
+		t.Errorf("CommitKey: %v allocs, want 1", n)
+	}
+}
+
+var sinkKey string

@@ -4,21 +4,24 @@
 // the simulated MMU: an Array opens a mem.PageRun over the elements it is
 // about to write, the run delivers the write fault of each protected
 // page exactly as a byte-wise AddressSpace.Write would, and the floats
-// are encoded straight into the page storage it lends (reads decode
-// from it the same way) — one pass each way, no copy in between. They
-// are scaled-down, genuine counterparts of the paper's applications
-// (Sweep3D's wavefront, LU's SSOR, BT/SP's ADI, FT's FFT): the
-// synthetic models in internal/workload reproduce the paper's
-// published write patterns at full scale, while these kernels validate
-// that the tracker and checkpointer observe *real* programs correctly —
-// double-buffered page alternation, in-place sweeps, transpose bursts —
-// and that checkpoint/restore preserves real computations.
+// are copied straight into the page storage it lends (reads copy out of
+// it the same way): a float64 and its 8 page bytes are the same memory.
+// Stencil2D.Step does not even copy its input rows: it reads them as
+// views of the pages a load run lends. A load view is read-only, and may
+// be held across the calls of one Step, because no region can be
+// unmapped inside it. The kernels are scaled-down, genuine counterparts
+// of the paper's applications (Sweep3D's wavefront, LU's SSOR, BT/SP's
+// ADI, FT's FFT): the synthetic models in internal/workload reproduce
+// the paper's published write patterns at full scale, while these
+// kernels validate that the tracker and checkpointer observe *real*
+// programs correctly — double-buffered page alternation, in-place
+// sweeps, transpose bursts — and that checkpoint/restore preserves real
+// computations.
 package kernels
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -103,6 +106,36 @@ func (a *Array) Write(src []float64, off int) error {
 	return storeFloats(a.space, a.base+uint64(off)*8, src)
 }
 
+// rowView returns elements [off, off+len(buf)) for reading: a view of
+// their page's storage when one written page holds them all, else buf
+// with the elements loaded into it. A view is read-only and valid until
+// the array's region is unmapped.
+func (a *Array) rowView(buf []float64, off int) ([]float64, error) {
+	if err := a.check(off, len(buf)); err != nil {
+		return nil, err
+	}
+	addr := a.base + uint64(off)*8
+	b, err := lend(a.space, addr, uint64(len(buf))*8)
+	if b != nil || err != nil {
+		return view[float64](b), err
+	}
+	return buf, loadFloats(a.space, addr, buf)
+}
+
+// lend returns the n bytes at addr as the storage of the one written page
+// that holds them all, read-only, or nil when no page does: the bytes
+// span pages, or their page was never written (and reads as zeros).
+func lend(space *mem.AddressSpace, addr, n uint64) ([]byte, error) {
+	run, err := space.LoadRun(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	if b, _ := run.Next(); uint64(len(b)) == n {
+		return b, nil
+	}
+	return nil, nil
+}
+
 // loadFloats decodes the len(dst) elements stored at addr, which must be
 // element-aligned within its page.
 func loadFloats(space *mem.AddressSpace, addr uint64, dst []float64) error {
@@ -137,43 +170,26 @@ func storeFloats(space *mem.AddressSpace, addr uint64, src []float64) error {
 	return run.Err()
 }
 
-// decodeFloats and encodeFloats are the one float64 wire codec of the
-// package: little-endian IEEE 754 bits, len(dst) (len(src)) elements in
-// the first 8 bytes each of b. Both re-slice b once and then work four
-// elements at a time over fixed 32-byte windows, which is what lets the
-// compiler drop the per-element bounds checks.
-func decodeFloats(dst []float64, b []byte) {
-	n := len(dst)
-	b = b[:n*8]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		w := b[i*8 : i*8+32 : i*8+32]
-		d := dst[i : i+4 : i+4]
-		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(w[0:8]))
-		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(w[8:16]))
-		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(w[16:24]))
-		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(w[24:32]))
-	}
-	for ; i < n; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8 : i*8+8]))
-	}
-}
+// decodeFloats and encodeFloats are the one float64 codec of the
+// package: len(dst) (len(src)) elements in the first 8 bytes each of b,
+// as little-endian IEEE 754 bits. The module runs on little-endian hosts
+// only (TestFloatCodecBitExact fails on any other), where that is the
+// float64's own memory, so each is one copy through view.
+func decodeFloats(dst []float64, b []byte) { copy(dst, view[float64](b)) }
 
-func encodeFloats(b []byte, src []float64) {
-	n := len(src)
-	b = b[:n*8]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		w := b[i*8 : i*8+32 : i*8+32]
-		v := src[i : i+4 : i+4]
-		binary.LittleEndian.PutUint64(w[0:8], math.Float64bits(v[0]))
-		binary.LittleEndian.PutUint64(w[8:16], math.Float64bits(v[1]))
-		binary.LittleEndian.PutUint64(w[16:24], math.Float64bits(v[2]))
-		binary.LittleEndian.PutUint64(w[24:32], math.Float64bits(v[3]))
-	}
-	for ; i < n; i++ {
-		binary.LittleEndian.PutUint64(b[i*8:i*8+8], math.Float64bits(src[i]))
-	}
+func encodeFloats(b []byte, src []float64) { copy(view[float64](b), src) }
+
+// view reinterprets s as the []To over the same memory: the one place
+// the package looks at page bytes as floats (or floats as bytes). A
+// []byte viewed as floats must start 8-byte aligned, which every chunk a
+// PageRun lends at an element-aligned address does: pages are allocated
+// whole, and elements never straddle them (checkElems). The view aliases
+// s: it is valid, and writable, exactly as long as s is.
+func view[To, From byte | float64](s []From) []To {
+	var to To
+	var from From
+	n := uintptr(len(s)) * unsafe.Sizeof(from) / unsafe.Sizeof(to)
+	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(s))), n)
 }
 
 // checksum returns the sum of all elements — a cheap integrity probe for

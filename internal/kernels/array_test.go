@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -73,10 +74,11 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// TestFloatCodecBitExact: every length from 0 to 9 (the unrolled body,
-// the scalar tail, and both empty) at every rotation of the awkward
-// values encodes to exactly math.Float64bits, little-endian, touches
-// nothing past n*8 bytes, and decodes back bit for bit.
+// TestFloatCodecBitExact: every length from 0 to 9 at every rotation
+// of the awkward values encodes to exactly math.Float64bits, as
+// binary.LittleEndian writes it — the check that view's page bytes are
+// the wire form — touches nothing past n*8 bytes, and decodes back bit
+// for bit.
 func TestFloatCodecBitExact(t *testing.T) {
 	for n := 0; n <= 9; n++ {
 		for rot := range awkward {
@@ -238,8 +240,8 @@ func TestArrayRefusesSubElementPages(t *testing.T) {
 }
 
 // BenchmarkFloatCodec is the codec rung: one 256-element row decoded
-// from, and encoded into, a 2 KB buffer — and the element-by-element
-// loop it replaced, measured in the same run.
+// from, and encoded into, a 2 KB buffer — one copy each — and the
+// element-by-element binary.LittleEndian loop, measured in the same run.
 func BenchmarkFloatCodec(b *testing.B) {
 	row := make([]float64, 256)
 	for i := range row {
@@ -261,5 +263,220 @@ func BenchmarkFloatCodec(b *testing.B) {
 				c.fn()
 			}
 		})
+	}
+}
+
+// stagingStep is Stencil2D.Step as it was before it read rows in place:
+// every row loaded into a buffer of its own, and every access coded
+// element by element through the staging oracle. The in-place Step is
+// held to it.
+func stagingStep(s *Stencil2D) error {
+	staged := func(a *Array) *stagingArray { return &stagingArray{space: a.space, base: a.base} }
+	cur, nxt, work := staged(s.Cur()), staged(s.next()), staged(s.work)
+	nx := s.nx
+	up, mid, down, out := make([]float64, nx), make([]float64, nx), make([]float64, nx), make([]float64, nx)
+	if err := cur.Read(mid, 0); err != nil {
+		return err
+	}
+	if err := cur.Read(down, nx); err != nil {
+		return err
+	}
+	for y := 1; y < s.ny-1; y++ {
+		up, mid, down = mid, down, up
+		if err := cur.Read(down, (y+1)*nx); err != nil {
+			return err
+		}
+		out[0], out[nx-1] = mid[0], mid[nx-1]
+		for x := 1; x < nx-1; x++ {
+			out[x] = 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
+		}
+		if err := work.Write(out, 0); err != nil {
+			return err
+		}
+		if err := work.Read(out, 0); err != nil {
+			return err
+		}
+		if err := nxt.Write(out, y*nx); err != nil {
+			return err
+		}
+	}
+	s.iter++
+	return nil
+}
+
+// jacobi is one sweep of the plain-[]float64 Jacobi iteration over an
+// nx-wide grid, in Step's order of operations: rows 0 and ny-1 and
+// every row's edge elements carry over, each interior cell is the mean
+// of its four neighbours.
+func jacobi(g []float64, nx int) []float64 {
+	next := slices.Clone(g)
+	for y := nx; y+2*nx <= len(g); y += nx {
+		for x := y + 1; x < y+nx-1; x++ {
+			next[x] = 0.25 * (g[x-nx] + g[x+nx] + g[x-1] + g[x+1])
+		}
+	}
+	return next
+}
+
+// TestStencilMatchesReference: Step reads its rows as views of page
+// storage where it can. Over several sweeps, with the grids re-protected
+// now and then as an incremental checkpointer does, its grid is the
+// plain Jacobi iteration's bit for bit, and its memory traffic — Faults(),
+// WrittenBytes(), the faulting-page sequence and the space Digest — is
+// the staging Step's. The grids cover rows that span pages (8- and
+// 256-byte pages), rows that share one (4096: two a page) or straddle a
+// page boundary (16384, 2400-byte rows), and pages never written, which
+// must read as zeros: an attached grid of which only a few rows were
+// ever set. A warm Step allocates nothing, fallback rows included.
+func TestStencilMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		ps       uint64
+		nx, ny   int
+		attached bool // AttachStencil2D over fresh arenas: rows never set are pages never written
+	}{
+		{8, 5, 7, false}, {256, 40, 9, false}, {256, 100, 6, false},
+		{4096, 256, 12, false}, {16384, 300, 20, false}, {16384, 256, 40, true},
+	} {
+		name := fmt.Sprintf("page size %d, %dx%d, attached %v", c.ps, c.nx, c.ny, c.attached)
+		rng := rand.New(rand.NewPCG(c.ps, uint64(c.nx)))
+		ref := make([]float64, c.nx*c.ny)
+		if !c.attached {
+			for y := 0; y < c.ny; y++ {
+				for _, x := range []int{0, c.nx - 1} {
+					ref[y*c.nx+x] = 1.5
+				}
+				if y == 0 || y == c.ny-1 {
+					for x := range c.nx {
+						ref[y*c.nx+x] = 1.5
+					}
+				}
+			}
+		}
+		seeded := []int{0, c.ny - 1, c.ny / 2}
+		for _, y := range seeded {
+			for x := range c.nx {
+				if ref[y*c.nx+x] = rng.NormFloat64(); rng.IntN(5) == 0 {
+					ref[y*c.nx+x] = awkward[rng.IntN(len(awkward))]
+				}
+			}
+		}
+		build := func() (*Stencil2D, *arrayRig) {
+			g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: c.ps})}
+			log := mem.NewDirtyLog(g.space)
+			log.OnFault = func(r *mem.Region, idx uint64) { g.faults = append(g.faults, r.PageAddr(idx)) }
+			log.Open()
+			var s *Stencil2D
+			var err error
+			if c.attached {
+				for _, n := range []int{c.nx * c.ny, c.nx * c.ny, c.nx} {
+					if _, err = g.space.Mmap(uint64(n) * 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s, err = AttachStencil2D(g.space, c.nx, c.ny, 0)
+			} else {
+				s, err = NewStencil2D(g.space, c.nx, c.ny, 1.5)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, y := range seeded {
+				if err := s.SetRow(y, ref[y*c.nx:(y+1)*c.nx]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range s.rows { // a never-written page must overwrite this with zero
+				s.rows[i] = 99
+			}
+			return s, g
+		}
+		s, cur := build()
+		oracle, old := build()
+		got := make([]float64, c.nx*c.ny)
+		for sweep := 1; sweep <= 6; sweep++ {
+			if sweep%3 == 0 {
+				for _, g := range []*arrayRig{cur, old} {
+					for _, r := range g.space.Regions() {
+						r.ProtectAll()
+					}
+				}
+			}
+			if errCur, errOld := s.Step(), stagingStep(oracle); errCur != nil || errOld != nil {
+				t.Fatalf("%s sweep %d: in place %v, staging %v", name, sweep, errCur, errOld)
+			}
+			ref = jacobi(ref, c.nx)
+			if err := s.Cur().Read(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, ref) {
+				t.Fatalf("%s sweep %d: the grid is not the plain Jacobi iteration's", name, sweep)
+			}
+			if old.space.Faults() != cur.space.Faults() || old.space.WrittenBytes() != cur.space.WrittenBytes() ||
+				!slices.Equal(old.faults, cur.faults) || old.space.Digest(nil) != cur.space.Digest(nil) {
+				t.Fatalf("%s sweep %d: staging left %d faults %d bytes digest %x faulted pages %#x\n in place %d faults %d bytes digest %x faulted pages %#x",
+					name, sweep, old.space.Faults(), old.space.WrittenBytes(), old.space.Digest(nil), old.faults,
+					cur.space.Faults(), cur.space.WrittenBytes(), cur.space.Digest(nil), cur.faults)
+			}
+		}
+		if len(cur.faults) == 0 {
+			t.Fatalf("%s: no sweep faulted", name)
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: warm Step: %v allocs, want 0", name, n)
+		}
+	}
+}
+
+// TestLentChunksAreElementAligned: view reads a lent chunk as float64s,
+// which must start 8-byte aligned. Every chunk a backed PageRun lends at
+// an element-aligned address does — at a page's start and mid-page, for
+// pages materialised by a store run, a byte-wise Write, a bulk
+// WriteRange and a restore's LoadPage, through store and load runs alike.
+// (The race detector's checkptr does not check this: it checks
+// alignment only for pointer-bearing element types.)
+func TestLentChunksAreElementAligned(t *testing.T) {
+	for _, ps := range []uint64{8, 256, 4096, 16384} {
+		sp := mem.NewAddressSpace(mem.Config{PageSize: ps})
+		r, err := sp.Mmap(8 * ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Write(r.PageAddr(0), make([]byte, ps)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.WriteRange(r.PageAddr(1), 2*ps); err != nil {
+			t.Fatal(err)
+		}
+		r.LoadPage(3, make([]byte, ps))
+		run, err := sp.StoreRun(r.PageAddr(4), 3*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := run.Next(); n > 0; _, n = run.Next() {
+		}
+		for _, off := range []uint64{0, 8, ps / 2 &^ 7, ps - 8} {
+			for _, store := range []bool{false, true} {
+				addr, n := r.Start()+off, 7*ps-off
+				run, err := sp.LoadRun(addr, n)
+				if store {
+					run, err = sp.StoreRun(addr, n)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b, n := run.Next(); n > 0; b, n = run.Next() {
+					if b == nil {
+						t.Fatalf("page size %d: a written page lent nil", ps)
+					}
+					if p := uintptr(unsafe.Pointer(unsafe.SliceData(b))); p%8 != 0 {
+						t.Errorf("page size %d, offset %d, store %v: chunk at %#x is not 8-byte aligned", ps, off, store, p)
+					}
+				}
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ type DistStencil struct {
 	onIter    func(iter int, done func())
 	doneAll   func()
 	targetIts int
-	halo      []byte // rowBytes' buffer for a row that straddles pages
+	halo      []byte // rowBytes' buffer for a row no one written page holds
 }
 
 // tags for halo messages: from above (row arrives at local row 0) and
@@ -127,20 +127,18 @@ func (d *DistStencil) Run(target int, onIter func(iter int, done func()), onDone
 // rowBytes returns local row y of rank i's current buffer as raw bytes,
 // valid until the next call: the page storage itself when the row sits
 // in one written page (SendData copies it at injection, the one copy a
-// halo row makes), the reusable halo buffer when it straddles pages.
+// halo row makes), the reusable halo buffer when no one written page
+// holds it.
 func (d *DistStencil) rowBytes(i, y int) []byte {
 	space, addr := d.grids[i].Cur().space, d.rowAddr(i, y)
-	run, err := space.LoadRun(addr, uint64(len(d.halo)))
-	if err == nil {
-		if b, _ := run.Next(); len(b) == len(d.halo) {
-			return b
-		}
-		err = space.Read(addr, d.halo)
+	b, err := lend(space, addr, uint64(len(d.halo)))
+	if err == nil && b == nil {
+		b, err = d.halo, space.Read(addr, d.halo)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("kernels: halo read: %v", err))
 	}
-	return d.halo
+	return b
 }
 
 // rowAddr returns the address of local row y in rank i's current buffer.

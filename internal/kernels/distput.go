@@ -44,8 +44,7 @@ type DistPut struct {
 	doneAll   func()
 	targetIts int
 
-	w, a    []float64 // sweep's and putPayload's window and accumulator values
-	payload []byte    // putPayload's wire form; Put copies it at injection
+	w, a []float64 // sweep's and putPayload's window and accumulator values
 }
 
 // NewDistPut builds the ring over the given world: per rank one arena of
@@ -124,7 +123,7 @@ func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed flo
 	return &DistPut{
 		world: world, eng: eng, pages: pages, putEvery: putEvery,
 		seed: seed, computeT: computeTime,
-		w: make([]float64, n), a: make([]float64, n), payload: make([]byte, n*8),
+		w: make([]float64, n), a: make([]float64, n),
 	}, nil
 }
 
@@ -231,7 +230,8 @@ func (d *DistPut) sweep(i int) error {
 // putPayload derives the bytes rank i sends into its neighbour's window:
 // a pure function of the accumulator, so the whole computation is
 // state-determined and replays bit-exactly from any consistent line.
-// The bytes are valid until the next call.
+// The bytes are the accumulator row's own (its wire form), valid until
+// the next call; Put copies them at injection.
 func (d *DistPut) putPayload(i int) ([]byte, error) {
 	a := d.a
 	if err := d.readVals(i, d.aAddr(i), a); err != nil {
@@ -240,8 +240,7 @@ func (d *DistPut) putPayload(i int) ([]byte, error) {
 	for j, v := range a {
 		a[j] = 0.5*v + 1
 	}
-	encodeFloats(d.payload, a)
-	return d.payload, nil
+	return view[byte](a), nil
 }
 
 // Gather returns the concatenated accumulators of all ranks — the

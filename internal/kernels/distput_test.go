@@ -198,7 +198,7 @@ func TestAttachDistPutResumesState(t *testing.T) {
 
 // TestDistPutSweepDoesNotAllocate: the sweep decodes window and
 // accumulator into the ring's own scratch and encodes straight into the
-// accumulator's pages; the put payload is built in one reused buffer.
+// accumulator's pages; the put payload is that scratch row's own bytes.
 func TestDistPutSweepDoesNotAllocate(t *testing.T) {
 	eng, w := putWorld(t, 2, mpi.Bounce)
 	d, err := NewDistPut(eng, w, 2, 1, 0.5, des.Millisecond)

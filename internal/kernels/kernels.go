@@ -16,7 +16,7 @@ type Stencil2D struct {
 	a, b   *Array
 	work   *Array // scratch row: fully rewritten before any read, every sweep
 	iter   int
-	rows   []float64 // Step's up/mid/down/out rows, 4*nx
+	rows   []float64 // Step's three row buffers (rowBuf) and its out row, 4*nx
 }
 
 // NewStencil2D allocates the two grid buffers in space, with boundary
@@ -112,19 +112,24 @@ func (s *Stencil2D) next() *Array {
 func (s *Stencil2D) Iter() int { return s.iter }
 
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
+// It reads cur's rows in place (Array.rowView): a row on one written page
+// is that page's storage, any other row is loaded into the row buffer
+// rowBuf(y), and rows y-1, y and y+1 never share one.
 func (s *Stencil2D) Step() error {
 	cur, nxt := s.Cur(), s.next()
-	nx := s.nx
-	up, mid, down, out := s.rows[:nx], s.rows[nx:2*nx], s.rows[2*nx:3*nx], s.rows[3*nx:]
-	if err := cur.Read(mid, 0); err != nil {
+	out := s.rows[3*s.nx:]
+	mid, err := cur.rowView(s.rowBuf(0), 0)
+	if err != nil {
 		return err
 	}
-	if err := cur.Read(down, s.nx); err != nil {
+	down, err := cur.rowView(s.rowBuf(1), s.nx)
+	if err != nil {
 		return err
 	}
 	for y := 1; y < s.ny-1; y++ {
-		up, mid, down = mid, down, up
-		if err := cur.Read(down, (y+1)*s.nx); err != nil {
+		up := mid
+		mid = down
+		if down, err = cur.rowView(s.rowBuf(y+1), (y+1)*s.nx); err != nil {
 			return err
 		}
 		// One common length, and mid's right-hand neighbours as a slice
@@ -154,6 +159,13 @@ func (s *Stencil2D) Step() error {
 	}
 	s.iter++
 	return nil
+}
+
+// rowBuf is the buffer Step loads row y into when it cannot read it in
+// place: one of three, in turn.
+func (s *Stencil2D) rowBuf(y int) []float64 {
+	i := y % 3 * s.nx
+	return s.rows[i : i+s.nx]
 }
 
 // run performs n sweeps.

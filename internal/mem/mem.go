@@ -513,8 +513,9 @@ func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 // writes memory in place instead of staging through a buffer.
 //
 // The lend contract: a chunk is the page's own storage — valid until
-// its region is unmapped and never to be retained past the call that
-// obtained it; a store run's chunk is the caller's to overwrite, a read
+// its region is unmapped, so retained no longer than the caller can
+// rule that out (kernels' Stencil2D.Step holds its load chunks across
+// one sweep); a store run's chunk is the caller's to overwrite, a read
 // run's is not. A phantom space lends nothing (a nil chunk) but walks,
 // faults and counts identically.
 //
