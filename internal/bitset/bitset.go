@@ -9,6 +9,10 @@ type Set struct {
 	words []uint64
 }
 
+// New returns an empty set with room for the elements below n: adding
+// them never reallocates.
+func New(n uint64) *Set { return &Set{words: make([]uint64, 0, (n+63)/64)} }
+
 // Add inserts i, growing the set as needed.
 func (s *Set) Add(i uint64) { s.OrWord(i/64, 1<<(i%64)) }
 
@@ -21,17 +25,20 @@ func (s *Set) OrWord(w, m uint64) {
 	s.words[w] |= m
 }
 
-// Has reports whether i is in the set.
-func (s *Set) Has(i uint64) bool {
-	w := i / 64
-	return w < uint64(len(s.words)) && s.words[w]&(1<<(i%64)) != 0
+// Word returns bitmap word w: bit b is set when w*64+b is in the set.
+// A word past the end of the set is zero.
+func (s *Set) Word(w uint64) uint64 {
+	if w < uint64(len(s.words)) {
+		return s.words[w]
+	}
+	return 0
 }
 
-// Remove deletes i. Removing an absent element is a no-op.
-func (s *Set) Remove(i uint64) {
-	w := i / 64
+// AndNotWord deletes w*64+b for every set bit b of m — 64 Removes in
+// one. Deleting absent elements is a no-op.
+func (s *Set) AndNotWord(w, m uint64) {
 	if w < uint64(len(s.words)) {
-		s.words[w] &^= 1 << (i % 64)
+		s.words[w] &^= m
 	}
 }
 
@@ -47,10 +54,11 @@ func (s *Set) Len() uint64 {
 // Count is Len: the number of elements, one OnesCount64 per word.
 func (s *Set) Count() uint64 { return s.Len() }
 
-// UnionWith adds every element of o to s, word at a time.
+// UnionWith adds every element of o to s, word at a time, growing s in
+// one step when o is longer.
 func (s *Set) UnionWith(o *Set) {
-	for uint64(len(s.words)) < uint64(len(o.words)) {
-		s.words = append(s.words, 0)
+	if n := len(o.words) - len(s.words); n > 0 {
+		s.words = append(s.words, make([]uint64, n)...)
 	}
 	for i, w := range o.words {
 		s.words[i] |= w
@@ -63,7 +71,7 @@ func (s *Set) UnionWith(o *Set) {
 //
 //	for i, ok := s.NextSet(0); ok; i, ok = s.NextSet(i + 1) { ... }
 //
-// Removing the current element (or any element ≤ i) during the loop is
+// Deleting the current element (or any element ≤ i) during the loop is
 // safe: the scan never revisits positions below the cursor.
 func (s *Set) NextSet(from uint64) (uint64, bool) {
 	w := from / 64

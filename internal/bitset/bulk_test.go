@@ -26,10 +26,18 @@ func TestPropertyBulkOpsMatchPerBit(t *testing.T) {
 
 		union := a.Clone()
 		union.UnionWith(b)
+		// Words past either set's end read as zero and delete nothing.
+		diff := a.Clone()
+		for w := uint64(0); w < limit/64+2; w++ {
+			diff.AndNotWord(w, b.Word(w))
+		}
 
-		for i := uint64(0); i < limit; i++ {
-			if want := a.Has(i) || b.Has(i); union.Has(i) != want {
+		for i := uint64(0); i < limit+128; i++ {
+			if want := has(a, i) || has(b, i); has(union, i) != want {
 				t.Fatalf("trial %d: UnionWith wrong at %d", trial, i)
+			}
+			if want := has(a, i) && !has(b, i); has(diff, i) != want {
+				t.Fatalf("trial %d: AndNotWord wrong at %d", trial, i)
 			}
 		}
 		if union.Count() != union.Len() {
@@ -63,8 +71,8 @@ func TestPropertyNextSetMatchesForEach(t *testing.T) {
 	}
 }
 
-// TestNextSetRemoveDuringIteration pins the contract finishDrain relies
-// on: removing the current element mid-loop must not derail the scan.
+// TestNextSetRemoveDuringIteration pins NextSet's contract: deleting
+// the current element mid-loop must not derail the scan.
 func TestNextSetRemoveDuringIteration(t *testing.T) {
 	s := &Set{}
 	for _, i := range []uint64{0, 1, 63, 64, 65, 127, 128, 500} {
@@ -73,7 +81,7 @@ func TestNextSetRemoveDuringIteration(t *testing.T) {
 	var got []uint64
 	for i, ok := s.NextSet(0); ok; i, ok = s.NextSet(i + 1) {
 		got = append(got, i)
-		s.Remove(i)
+		remove(s, i)
 	}
 	want := []uint64{0, 1, 63, 64, 65, 127, 128, 500}
 	if len(got) != len(want) {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/ckptspec"
@@ -122,10 +123,20 @@ type Checkpointer struct {
 	excludedAccum uint64
 	hashes        map[uint64]uint64 // page addr → last persisted content hash
 
-	// CoW accounting drain state (TrackCow).
+	// CoW accounting drain state (TrackCow). The sets are refilled in
+	// place by every capture; drainR/drainDS cache the last faulting
+	// region's entry, since consecutive faults repeat the region.
 	drainUntil des.Time
 	drainSet   map[*mem.Region]*bitset.Set
-	cow        func(*mem.Region, uint64) // cowFault as the log's OnFault value
+	drainR     *mem.Region
+	drainDS    *bitset.Set
+	cow        func(*mem.Region, uint64, uint64) // cowFault as the log's OnFault value
+
+	// live and regions are the scratch every capture refills — the
+	// space's regions and the segment's region table: the capture reads
+	// them and nothing keeps them.
+	live    []*mem.Region
+	regions []RegionInfo
 }
 
 // NewCheckpointer creates a checkpointer. Call Start to begin capturing
@@ -151,6 +162,7 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 	c.log.OnMap = c.onMap
 	if opts.TrackCow {
 		c.cow = c.cowFault // installed on the log while a segment drains
+		c.drainSet = make(map[*mem.Region]*bitset.Set)
 	}
 	if opts.DedupUnchanged {
 		c.hashes = make(map[uint64]uint64)
@@ -234,13 +246,42 @@ func (c *Checkpointer) Rebase(seq uint64) {
 // cowFault is the CoW accounting (TrackCow): a write to a page captured
 // by a still-draining segment forces a pre-image copy in an overlapped
 // implementation. It is the log's fault observer from a capture until
-// the first fault after the segment has drained.
-func (c *Checkpointer) cowFault(r *mem.Region, idx uint64) {
+// the first fault after the segment has drained, and it takes the
+// faulting pages m of bitmap word w of r a word at a time.
+func (c *Checkpointer) cowFault(r *mem.Region, w, m uint64) {
 	if c.eng.Now() >= c.drainUntil {
-		c.drainSet, c.log.OnFault = nil, nil
-	} else if ds := c.drainSet[r]; ds != nil && ds.Has(idx) {
-		ds.Remove(idx) // copy taken once per page per drain
-		c.stats.CowCopyBytes += c.space.PageSize()
+		c.log.OnFault = nil
+		return
+	}
+	if r != c.drainR {
+		c.drainR, c.drainDS = r, c.drainSet[r]
+	}
+	if c.drainDS == nil {
+		return
+	}
+	if hit := c.drainDS.Word(w) & m; hit != 0 {
+		c.drainDS.AndNotWord(w, hit) // copy taken once per page per drain
+		c.stats.CowCopyBytes += uint64(bits.OnesCount64(hit)) * c.space.PageSize()
+	}
+}
+
+// fillDrain makes the pages the log holds now the drain set of the
+// segment being captured, refilling the sets of the last drain in place.
+func (c *Checkpointer) fillDrain(live []*mem.Region) {
+	c.log.OnFault = c.cow
+	c.drainR, c.drainDS = nil, nil
+	for _, ds := range c.drainSet {
+		ds.Clear()
+	}
+	for _, r := range live {
+		if rs := c.log.Pages(r); rs != nil {
+			ds := c.drainSet[r]
+			if ds == nil {
+				ds = bitset.New(r.Pages())
+				c.drainSet[r] = ds
+			}
+			ds.UnionWith(rs)
+		}
 	}
 }
 
@@ -251,19 +292,19 @@ func (c *Checkpointer) onMap(r *mem.Region, mapped bool, pages uint64) {
 		c.excludedAccum += pages
 		delete(c.omitted, r)
 		delete(c.drainSet, r)
+		c.drainR, c.drainDS = nil, nil
 	}
 }
 
-// regionTable is the segment's region table: the checkpointable regions
-// among live that were not omitted.
-func (c *Checkpointer) regionTable(live []*mem.Region) []RegionInfo {
-	var out []RegionInfo
+// regionTable appends the segment's region table to dst: the
+// checkpointable regions among live that were not omitted.
+func (c *Checkpointer) regionTable(dst []RegionInfo, live []*mem.Region) []RegionInfo {
 	for _, r := range live {
 		if r.Kind().Checkpointable() && !c.omitted[r] {
-			out = append(out, RegionInfo{Start: r.Start(), Size: r.Size(), Kind: r.Kind()})
+			dst = append(dst, RegionInfo{Start: r.Start(), Size: r.Size(), Kind: r.Kind()})
 		}
 	}
-	return out
+	return dst
 }
 
 // Checkpoint captures a segment — full when due, incremental otherwise —
@@ -281,7 +322,9 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	c.took = true
 	// Regions are walked in address order — never the log's map order,
 	// which would make the stored bytes differ between identical runs.
-	live := c.space.Regions()
+	c.live = c.space.AppendRegions(c.live[:0])
+	live := c.live
+	c.regions = c.regionTable(c.regions[:0], live)
 	hdr := Segment{
 		Rank:        c.opts.Rank,
 		Seq:         c.seq,
@@ -290,7 +333,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		ContentFree: c.space.Phantom(),
 		PageSize:    c.space.PageSize(),
 		TakenAt:     c.eng.Now(),
-		Regions:     c.regionTable(live),
+		Regions:     c.regions,
 	}
 	ps := c.space.PageSize()
 	var maxPages uint64
@@ -312,9 +355,16 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		if !c.log.Watches(r) {
 			continue
 		}
+		// A content-free record is its page's address alone, so
+		// those are written straight from the region's extent (full)
+		// or its dirty set, a bitmap word at a time (incremental).
 		if kind == Full {
-			for idx := uint64(0); idx < r.Pages(); idx++ {
-				c.capturePage(&w, kind, r, idx)
+			if w.contentFree {
+				w.addrRun(r.Start(), ps, r.Pages())
+			} else {
+				for idx := uint64(0); idx < r.Pages(); idx++ {
+					c.capturePage(&w, kind, r, idx)
+				}
 			}
 			// A full capture copies current contents, DMA'd or not —
 			// the silent set is absorbed into this self-contained base.
@@ -326,7 +376,16 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		// replays their stale pre-DMA contents. Count them as the
 		// segment's corruption risk.
 		silentPages += r.SilentPages()
-		if rs := c.log.Pages(r); rs != nil {
+		rs := c.log.Pages(r)
+		switch {
+		case rs == nil:
+		case w.contentFree:
+			for wi, n := uint64(0), (r.Pages()+63)/64; wi < n; wi++ {
+				if m := rs.Word(wi); m != 0 {
+					w.addrWord(r.PageAddr(wi*64), ps, m)
+				}
+			}
+		default:
 			for idx, ok := rs.NextSet(0); ok; idx, ok = rs.NextSet(idx + 1) {
 				c.capturePage(&w, kind, r, idx)
 			}
@@ -334,13 +393,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	// CoW drain window for the next segment's accounting.
 	if c.opts.TrackCow {
-		c.drainSet = make(map[*mem.Region]*bitset.Set)
-		c.log.OnFault = c.cow
-		for _, r := range live {
-			if rs := c.log.Pages(r); rs != nil {
-				c.drainSet[r] = rs.Clone()
-			}
-		}
+		c.fillDrain(live)
 	}
 	// Reset dirty state and re-protect: the next delta starts now.
 	c.log.Reset()

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -371,7 +372,7 @@ func TestHandlerChainingWithSecondConsumer(t *testing.T) {
 	c.Checkpoint()
 	var seen int
 	outer := mem.NewDirtyLog(sp)
-	outer.OnFault = func(*mem.Region, uint64) { seen++ }
+	outer.OnFault = func(_ *mem.Region, _, m uint64) { seen += bits.OnesCount64(m) }
 	outer.Open()
 	sp.WriteRange(r.Start(), 4*pageSize)
 	res, _ := c.Checkpoint()

@@ -62,7 +62,7 @@ func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
 // still names the line's sequence, so a two-phase prepare can delete
 // what the ranks before the failure persisted.
 func (co *Coordinator) capture() (GlobalResult, error) {
-	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
+	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now(), PerRank: make([]Result, 0, len(co.cps))}
 	for _, c := range co.cps {
 		res, err := c.Checkpoint()
 		if err != nil {

@@ -12,6 +12,8 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -190,6 +192,39 @@ func (w *segWriter) page(addr uint64, data []byte) {
 	w.buf = append(w.buf, pageHasData)
 	w.buf = append(w.buf, data...)
 	w.payload += uint64(len(data))
+}
+
+// addrRun appends the content-free records of n consecutive pages, the
+// first at addr: a whole region of a full capture.
+func (w *segWriter) addrRun(addr, ps, n uint64) {
+	for rec := w.addrs(n); len(rec) >= 8; rec = rec[8:] {
+		binary.LittleEndian.PutUint64(rec, addr)
+		addr += ps
+	}
+}
+
+// addrWord appends the content-free records of the pages of bitmap word
+// m, in ascending order: bit b is the page at base + b·ps. A full word —
+// what a sweep leaves — is a run.
+func (w *segWriter) addrWord(base, ps, m uint64) {
+	if m == ^uint64(0) {
+		w.addrRun(base, ps, 64)
+		return
+	}
+	rec := w.addrs(uint64(bits.OnesCount64(m)))
+	for i := 0; m != 0; m &= m - 1 {
+		binary.LittleEndian.PutUint64(rec[i:i+8], base+uint64(bits.TrailingZeros64(m))*ps)
+		i += 8
+	}
+}
+
+// addrs extends the buffer by n content-free records, counted, and
+// returns them for the caller to fill.
+func (w *segWriter) addrs(n uint64) []byte {
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, int(8*n))[:off+int(8*n)]
+	w.pages += n
+	return w.buf[off:]
 }
 
 // finish patches the page count and returns the buffer with the encoded

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/storage"
 )
 
@@ -70,9 +71,10 @@ func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
 
 // checkRegionTable rejects a region table Restore could not map as
 // written: an entry unaligned to pageSize or empty, one wrapping past the
-// top of the address space, one not after its predecessor (the
-// checkpointer writes the table in address order, so an overlap is
-// exactly that), or one whose kind is not checkpointable data memory.
+// top of the address space, one over the stack every address space maps
+// from creation, one not after its predecessor (the checkpointer writes
+// the table in address order, so an overlap is exactly that), or one
+// whose kind is not checkpointable data memory.
 func checkRegionTable(regions []RegionInfo, pageSize uint64) error {
 	var end uint64
 	for i, ri := range regions {
@@ -81,6 +83,8 @@ func checkRegionTable(regions []RegionInfo, pageSize uint64) error {
 			return fmt.Errorf("region %d (%#x, %d bytes) is not whole %d-byte pages", i, ri.Start, ri.Size, pageSize)
 		case ri.Start+ri.Size <= ri.Start:
 			return fmt.Errorf("region %d (%#x, %d bytes) wraps the address space", i, ri.Start, ri.Size)
+		case ri.Start < mem.StackTop && mem.StackTop-mem.StackSize < ri.Start+ri.Size:
+			return fmt.Errorf("region %d (%#x, %d bytes) overlaps the stack", i, ri.Start, ri.Size)
 		case i > 0 && ri.Start < end:
 			return fmt.Errorf("region %d at %#x overlaps or precedes region %d", i, ri.Start, i-1)
 		case !ri.Kind.Checkpointable():

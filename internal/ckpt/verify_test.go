@@ -208,6 +208,10 @@ func TestRegionTableVerifiesAsRestores(t *testing.T) {
 		{"wrapping", []RegionInfo{{^uint64(0) &^ (ps - 1), 2 * ps, mem.Mmap}}, false},
 		{"unknown kind", []RegionInfo{{base, ps, mem.Kind(200)}}, false},
 		{"stack kind", []RegionInfo{{base, ps, mem.Stack}}, false},
+		{"below the stack", []RegionInfo{{mem.StackTop - mem.StackSize - 2*ps, 2 * ps, mem.Mmap}}, true},
+		{"over the stack's base", []RegionInfo{{mem.StackTop - mem.StackSize - ps, 2 * ps, mem.Mmap}}, false},
+		{"inside the stack", []RegionInfo{{mem.StackTop - ps, ps, mem.Data}}, false},
+		{"above the stack", []RegionInfo{{mem.StackTop, ps, mem.Mmap}}, true},
 	}
 	for _, c := range cases {
 		seg := &Segment{Kind: Full, PageSize: ps, Regions: c.regions}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -119,10 +120,18 @@ type arrayRig struct {
 	reg    *mem.Region
 }
 
+// onFault records the address of every page a word delivery faults, in
+// ascending order.
+func (g *arrayRig) onFault(r *mem.Region, w, m uint64) {
+	for ; m != 0; m &= m - 1 {
+		g.faults = append(g.faults, r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))))
+	}
+}
+
 func newArrayRig(t *testing.T, ps uint64, phantom, staged bool, n int) *arrayRig {
 	g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: phantom})}
 	log := mem.NewDirtyLog(g.space)
-	log.OnFault = func(r *mem.Region, idx uint64) { g.faults = append(g.faults, r.PageAddr(idx)) }
+	log.OnFault = g.onFault
 	log.Open()
 	a, err := NewArray(g.space, n)
 	if err != nil {
@@ -363,7 +372,7 @@ func TestStencilMatchesReference(t *testing.T) {
 		build := func() (*Stencil2D, *arrayRig) {
 			g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: c.ps})}
 			log := mem.NewDirtyLog(g.space)
-			log.OnFault = func(r *mem.Region, idx uint64) { g.faults = append(g.faults, r.PageAddr(idx)) }
+			log.OnFault = g.onFault
 			log.Open()
 			var s *Stencil2D
 			var err error

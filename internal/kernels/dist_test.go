@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/des"
@@ -147,7 +148,7 @@ func TestDistStencilHaloWritesAreTracked(t *testing.T) {
 			log.Exclude(r)
 		}
 	}
-	log.OnFault = func(*mem.Region, uint64) { haloFaults++ }
+	log.OnFault = func(_ *mem.Region, _, m uint64) { haloFaults += bits.OnesCount64(m) }
 	log.Open()
 	done := false
 	d.Run(1, nil, func() { done = true })

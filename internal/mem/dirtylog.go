@@ -26,7 +26,7 @@ import (
 // Faults are delivered a bitmap word at a time: a WriteRange hands the
 // logs a word's protected pages at once, log by log from the top of the
 // stack, and a single fault is the one-bit case. Each OnFault observer
-// sees its own log's pages in ascending order.
+// sees its own log's deliveries, a word each, in ascending page order.
 //
 // An OnFault observer must not change protection: it runs in the middle
 // of a delivery that has already decided which pages fault.
@@ -42,9 +42,10 @@ type DirtyLog struct {
 	lastR   *Region
 	lastSet *bitset.Set
 
-	// OnFault, when set, observes each page the log records, after it is
-	// logged and unprotected.
-	OnFault func(r *Region, idx uint64)
+	// OnFault, when set, observes each word delivery the log records,
+	// after its pages are logged and unprotected: pages w*64+b of r for
+	// every set bit b of m (m is never zero).
+	OnFault func(r *Region, w, m uint64)
 	// OnMap, when set, observes region lifetime while the log is open.
 	// For a newly mapped region pages is the number of pages the log
 	// just protected (zero when it does not watch the region); for an
@@ -160,7 +161,7 @@ func (l *DirtyLog) setFor(r *Region) *bitset.Set {
 	}
 	rs := l.sets[r]
 	if rs == nil {
-		rs = &bitset.Set{}
+		rs = bitset.New(r.Pages())
 		l.sets[r] = rs
 	}
 	return rs
@@ -180,8 +181,8 @@ func (l *DirtyLog) record(r *Region, w, m uint64) bool {
 	l.lastSet.OrWord(w, m)
 	r.wp[w] &^= m
 	l.faults += uint64(bits.OnesCount64(m))
-	for ; m != 0 && l.OnFault != nil; m &= m - 1 {
-		l.OnFault(r, w*64+uint64(bits.TrailingZeros64(m)))
+	if l.OnFault != nil {
+		l.OnFault(r, w, m)
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -18,8 +19,8 @@ import (
 // the fault counts depend on exactly that.
 //
 // A WriteRange hands the logs a bitmap word at a time, a Write or a
-// store run a page at a time; each log's OnFault must see the same
-// pages, in ascending order, either way.
+// store run a page at a time; each log's OnFault, its words expanded,
+// must see the same pages, in ascending order, either way.
 type page struct {
 	r   *Region
 	idx uint64
@@ -55,11 +56,16 @@ func newRefSpace(t *testing.T, nLogs int) *refSpace {
 	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}}
 	for i := 0; i < nLogs; i++ {
 		l := &refLog{log: NewDirtyLog(m.s), excluded: map[*Region]bool{}, pages: map[page]bool{}}
-		l.log.OnFault = func(r *Region, idx uint64) {
-			l.seenFaults++
-			l.gotSeq = append(l.gotSeq, page{r, idx})
-			if r.Protected(r.PageAddr(idx)) || !l.log.Pages(r).Has(idx) {
-				t.Errorf("OnFault(%v page %d) before the page was logged and unprotected", r.kind, idx)
+		l.log.OnFault = func(r *Region, w, m uint64) {
+			if m == 0 {
+				t.Errorf("OnFault(%v word %d) with an empty mask", r.kind, w)
+			}
+			if r.wp[w]&m != 0 || l.log.Pages(r).Word(w)&m != m {
+				t.Errorf("OnFault(%v word %d, %#x) before the pages were logged and unprotected", r.kind, w, m)
+			}
+			for ; m != 0; m &= m - 1 {
+				l.seenFaults++
+				l.gotSeq = append(l.gotSeq, page{r, w*64 + uint64(bits.TrailingZeros64(m))})
 			}
 		}
 		l.log.OnMap = func(_ *Region, mapped bool, pages uint64) {
@@ -493,7 +499,7 @@ func TestDirtyLogFaultDoesNotAllocate(t *testing.T) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(512 * s.PageSize())
 	a, b := NewDirtyLog(s), NewDirtyLog(s)
-	b.OnFault = func(*Region, uint64) {}
+	b.OnFault = func(*Region, uint64, uint64) {}
 	a.Open()
 	b.Open()
 	sweep := func() {
@@ -535,8 +541,8 @@ func TestDirtyLogSegvWhenNoLogRecords(t *testing.T) {
 }
 
 // Stacked logs take a sweep's faults a bitmap word at a time, top of
-// the stack first, each in ascending order, and a delivery into an
-// existing set allocates nothing.
+// the stack first, each in ascending order — one OnFault call per word
+// and log — and a delivery into an existing set allocates nothing.
 func TestDirtyLogWordDelivery(t *testing.T) {
 	type seen struct {
 		log string
@@ -545,9 +551,17 @@ func TestDirtyLogWordDelivery(t *testing.T) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(130 * s.PageSize())
 	var got []seen
+	calls := 0
+	observe := func(log string) func(*Region, uint64, uint64) {
+		return func(_ *Region, w, m uint64) {
+			calls++
+			for ; m != 0; m &= m - 1 {
+				got = append(got, seen{log, w*64 + uint64(bits.TrailingZeros64(m))})
+			}
+		}
+	}
 	a, b := NewDirtyLog(s), NewDirtyLog(s)
-	a.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"a", idx}) }
-	b.OnFault = func(_ *Region, idx uint64) { got = append(got, seen{"b", idx}) }
+	a.OnFault, b.OnFault = observe("a"), observe("b")
 	a.Open()
 	b.Open() // the top of the stack
 	if err := s.WriteRange(r.Start()+5*s.PageSize(), 120*s.PageSize()); err != nil {
@@ -565,6 +579,9 @@ func TestDirtyLogWordDelivery(t *testing.T) {
 	add(64, 125, "b", "a")
 	if !slices.Equal(got, want) {
 		t.Fatalf("OnFault order %v, want %v", got, want)
+	}
+	if calls != 4 {
+		t.Fatalf("%d OnFault calls for two words under two logs, want 4", calls)
 	}
 	a.OnFault, b.OnFault = nil, nil
 	sweep := func() {

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // Fault is a page SetFaultHandler hands its h.
 //
 // Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
@@ -14,6 +16,10 @@ type Fault struct {
 // Kept only for the frozen benchmark/ harness; ROADMAP item 3 deletes it.
 func (s *AddressSpace) SetFaultHandler(h func(Fault)) {
 	l := NewDirtyLog(s)
-	l.OnFault = func(r *Region, idx uint64) { h(Fault{Page: r.PageAddr(idx), Region: r}) }
+	l.OnFault = func(r *Region, w, m uint64) {
+		for ; m != 0; m &= m - 1 {
+			h(Fault{Page: r.PageAddr(w*64 + uint64(bits.TrailingZeros64(m))), Region: r})
+		}
+	}
 	l.Open()
 }

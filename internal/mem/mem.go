@@ -99,10 +99,16 @@ type Config struct {
 
 // Layout constants. Addresses are synthetic; only page arithmetic matters.
 const (
-	dataBase  uint64 = 0x0000_4000_0000_0000
-	mmapBase  uint64 = 0x0000_2000_0000_0000
-	stackTop  uint64 = 0x0000_7fff_ffff_0000
-	stackSize uint64 = 64 * 1024 // paper: max observed stack < 42 KB
+	dataBase uint64 = 0x0000_4000_0000_0000
+	mmapBase uint64 = 0x0000_2000_0000_0000
+)
+
+// The stack's fixed span, [StackTop-StackSize, StackTop): every address
+// space maps its stack there from creation, so no other region can be
+// mapped over it.
+const (
+	StackTop  uint64 = 0x0000_7fff_ffff_0000
+	StackSize uint64 = 64 * 1024 // paper: max observed stack < 42 KB
 )
 
 // Region is a contiguous page-aligned mapping.
@@ -300,7 +306,7 @@ func NewAddressSpace(cfg Config) *AddressSpace {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two", cfg.PageSize))
 	}
 	s := &AddressSpace{cfg: cfg, mmapNext: mmapBase, pageShift: uint(bits.TrailingZeros64(cfg.PageSize))}
-	s.insert(stackTop-stackSize, stackSize, Stack)
+	s.insert(StackTop-StackSize, StackSize, Stack)
 	return s
 }
 
@@ -445,9 +451,13 @@ func (s *AddressSpace) Find(addr uint64) *Region {
 // Regions returns the live regions in address order. The returned slice
 // is a copy; the regions themselves are shared.
 func (s *AddressSpace) Regions() []*Region {
-	out := make([]*Region, len(s.regions))
-	copy(out, s.regions)
-	return out
+	return s.AppendRegions(make([]*Region, 0, len(s.regions)))
+}
+
+// AppendRegions appends the live regions, in address order, to dst and
+// returns the extended slice: Regions into a caller's reused buffer.
+func (s *AddressSpace) AppendRegions(dst []*Region) []*Region {
+	return append(dst, s.regions...)
 }
 
 // Footprint returns the total mapped bytes of checkpointable (non-stack)

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -75,7 +76,7 @@ func TestStackNotInFootprint(t *testing.T) {
 	if s.Footprint() != 0 {
 		t.Fatalf("empty space footprint = %d, want 0 (stack excluded)", s.Footprint())
 	}
-	if st := s.Find(stackTop - 1); st == nil || st.Kind() != Stack {
+	if st := s.Find(StackTop - 1); st == nil || st.Kind() != Stack {
 		t.Fatal("stack region missing")
 	}
 }
@@ -173,11 +174,20 @@ func TestWriteUnmappedAndCrossRegion(t *testing.T) {
 	}
 }
 
+// appendPages appends the pages w*64+b of every set bit b of m to dst,
+// in ascending order: an OnFault word delivery, expanded.
+func appendPages(dst []uint64, w, m uint64) []uint64 {
+	for ; m != 0; m &= m - 1 {
+		dst = append(dst, w*64+uint64(bits.TrailingZeros64(m)))
+	}
+	return dst
+}
+
 // countFaults opens a dirty log on s whose OnFault appends each page it
-// records to *pages.
+// records to *pages, its words expanded in ascending order.
 func countFaults(s *AddressSpace, pages *[]uint64) *DirtyLog {
 	l := NewDirtyLog(s)
-	l.OnFault = func(_ *Region, idx uint64) { *pages = append(*pages, idx) }
+	l.OnFault = func(_ *Region, w, m uint64) { *pages = appendPages(*pages, w, m) }
 	l.Open()
 	return l
 }
@@ -242,7 +252,7 @@ func TestReadNeverFaults(t *testing.T) {
 	s := newBacked(t)
 	r, _ := s.Mmap(4096)
 	l := NewDirtyLog(s)
-	l.OnFault = func(*Region, uint64) { t.Fatal("read delivered a fault") }
+	l.OnFault = func(*Region, uint64, uint64) { t.Fatal("read delivered a fault") }
 	l.Open()
 	if err := s.Read(r.Start(), make([]byte, 100)); err != nil {
 		t.Fatal(err)
@@ -330,7 +340,7 @@ func TestProtectAllData(t *testing.T) {
 	if !m.Protected(m.Start()) {
 		t.Fatal("mmap page not protected")
 	}
-	if s.Find(stackTop-1).ProtectedPages() != 0 {
+	if s.Find(StackTop-1).ProtectedPages() != 0 {
 		t.Fatal("stack was protected — the paper's library cannot protect the stack")
 	}
 	log.Close()

@@ -139,7 +139,7 @@ func newRunRig(ps uint64, phantom bool, pages uint64) *runRig {
 	g := &runRig{s: NewAddressSpace(Config{PageSize: ps, Phantom: phantom})}
 	g.r, _ = g.s.Mmap(pages * ps)
 	g.log = NewDirtyLog(g.s)
-	g.log.OnFault = func(_ *Region, idx uint64) { g.faults = append(g.faults, idx) }
+	g.log.OnFault = func(_ *Region, w, m uint64) { g.faults = appendPages(g.faults, w, m) }
 	g.log.Open()
 	clear(g.r.wp)
 	g.r.armed = false

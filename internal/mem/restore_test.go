@@ -84,7 +84,7 @@ func TestPeekAndLoadPage(t *testing.T) {
 	}
 	// LoadPage bypasses protection and faults.
 	l := NewDirtyLog(s)
-	l.OnFault = func(*Region, uint64) { t.Fatal("LoadPage delivered a fault") }
+	l.OnFault = func(*Region, uint64, uint64) { t.Fatal("LoadPage delivered a fault") }
 	l.Open()
 	data := bytes.Repeat([]byte{9}, 4096)
 	r.LoadPage(1, data)

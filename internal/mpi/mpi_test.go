@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/des"
@@ -28,7 +29,7 @@ func openLog(w *World, id int, faults *int) {
 	l := mem.NewDirtyLog(w.Rank(id).Space())
 	l.Exclude(w.BounceRegion(id))
 	if faults != nil {
-		l.OnFault = func(*mem.Region, uint64) { *faults++ }
+		l.OnFault = func(_ *mem.Region, _, m uint64) { *faults += bits.OnesCount64(m) }
 	}
 	l.Open()
 }
