@@ -493,23 +493,34 @@ func (c *Checkpointer) skipUnchanged(kind Kind, addr uint64, data []byte) bool {
 // lends: raw page records alias what the store holds and are read-only,
 // as every reader here (verify, restore) treats them.
 func LoadSegment(store storage.Store, rank int, seq uint64) (*Segment, error) {
+	seg, _, err := loadSegment(store, rank, seq, new(Segment))
+	return seg, err
+}
+
+// loadSegment is LoadSegment decoding into seg (decodeSegment), that also
+// returns the segment's encoded size: the bytes a restore reads for it.
+func loadSegment(store storage.Store, rank int, seq uint64, seg *Segment) (*Segment, uint64, error) {
 	data, err := store.Get(SegmentKey(rank, seq))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	seg, err := DecodeSegment(data)
+	seg, err = decodeSegment(seg, data)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: segment rank %d seq %d undecodable (%v): %w", rank, seq, err, storage.ErrCorrupt)
+		return nil, 0, fmt.Errorf("ckpt: segment rank %d seq %d undecodable (%v): %w", rank, seq, err, storage.ErrCorrupt)
 	}
-	return seg, nil
+	return seg, uint64(len(data)), nil
 }
 
 // Restore rebuilds the state captured for rank up to and including
-// targetSeq into space. The space must be backed and must contain no
-// checkpointable regions (a fresh process image); region layout is taken
-// from the target segment and page contents are replayed from the chain's
-// base full segment forward, skipping pages whose regions no longer exist
-// at the target — rolled-forward memory exclusion.
+// targetSeq into space. The space must be backed, have the chain's page
+// size and contain no checkpointable regions (a fresh process image).
+// Restore is walkChain replaying pages, so on a chain VerifyChain rejects
+// it returns VerifyChain's error, and it replays no segment the walk has
+// not proven. At the chain's base it recreates the target segment's
+// region layout; it then replays each segment's pages from the base
+// forward, skipping pages whose regions no longer exist at the target —
+// rolled-forward memory exclusion — and pages outside every region it
+// recreated, such as the stack's.
 func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.AddressSpace) error {
 	if space.Phantom() {
 		return fmt.Errorf("ckpt: cannot restore into a phantom address space")
@@ -519,55 +530,32 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 			return fmt.Errorf("ckpt: restore target already has a %v region", r.Kind())
 		}
 	}
-	target, err := LoadSegment(store, rank, targetSeq)
-	if err != nil {
-		return fmt.Errorf("ckpt: load target: %w", err)
-	}
-	if target.PageSize != space.PageSize() {
-		return fmt.Errorf("ckpt: page size mismatch: segment %d, space %d", target.PageSize, space.PageSize())
-	}
-	if err := checkRegionTable(target.Regions, target.PageSize); err != nil {
-		return fmt.Errorf("ckpt: restore: %w", err)
-	}
-	// Recreate the layout of the target segment.
-	for _, ri := range target.Regions {
-		if _, err := space.MapAt(ri.Start, ri.Size, ri.Kind); err != nil {
-			return fmt.Errorf("ckpt: recreate region: %w", err)
-		}
-	}
-	// Replay pages from the epoch base forward.
 	var zero []byte
-	for seq := target.Epoch; seq <= targetSeq; seq++ {
-		seg := target
-		if seq != targetSeq {
-			if seg, err = LoadSegment(store, rank, seq); err != nil {
-				return fmt.Errorf("ckpt: load chain segment %d: %w", seq, err)
+	return walkChain(store, rank, targetSeq, func(target, seg *Segment, _ uint64) error {
+		if seg.Seq == target.Epoch {
+			if target.PageSize != space.PageSize() {
+				return fmt.Errorf("ckpt: page size mismatch: segment %d, space %d", target.PageSize, space.PageSize())
 			}
-		}
-		if seq == target.Epoch && seg.Kind != Full {
-			return fmt.Errorf("ckpt: chain base %d is not a full segment", seq)
-		}
-		if seg.ContentFree {
-			return fmt.Errorf("ckpt: segment %d is content-free; cannot restore data", seq)
+			for _, ri := range target.Regions {
+				if _, err := space.MapAt(ri.Start, ri.Size, ri.Kind); err != nil {
+					return fmt.Errorf("ckpt: recreate region: %w", err)
+				}
+			}
 		}
 		for _, p := range seg.Pages {
 			r := space.Find(p.Addr)
-			if r == nil {
-				continue // page's region gone by target time: excluded
+			if r == nil || !r.Kind().Checkpointable() {
+				continue // region gone by target time (excluded), or the stack
 			}
-			idx := r.PageIndex(p.Addr)
-			if p.Data == nil {
-				// Zero page: only meaningful if something nonzero
-				// was there before, which replay order guarantees
-				// is handled by overwriting.
+			data := p.Data
+			if data == nil { // an elided zero page overwrites what replay put there
 				if zero == nil {
 					zero = make([]byte, space.PageSize())
 				}
-				r.LoadPage(idx, zero)
-				continue
+				data = zero
 			}
-			r.LoadPage(idx, p.Data)
+			r.LoadPage(r.PageIndex(p.Addr), data)
 		}
-	}
-	return nil
+		return nil
+	})
 }

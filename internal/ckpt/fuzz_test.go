@@ -2,9 +2,12 @@ package ckpt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/mem"
+	"repro/internal/storage"
 )
 
 // Fuzz targets for every parser that consumes bytes a decayed storage
@@ -150,6 +153,129 @@ func FuzzDecodeCommitMarker(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeCommitMarker(m), data) {
 			t.Fatal("accepted marker did not re-encode to itself")
+		}
+	})
+}
+
+// fuzzBase is where fuzzChain's one region starts.
+const fuzzBase = 0x1000_0000
+
+// fuzzChain is rank 0's chain 0(F) 1 2 of 512-byte pages over one
+// four-page region: what FuzzVerifyAgreesWithRestore mutates.
+func fuzzChain() []*Segment {
+	const ps, base = 512, fuzzBase
+	page := func(i uint64, b byte) PageRecord {
+		return PageRecord{Addr: base + i*ps, Data: bytes.Repeat([]byte{b}, ps)}
+	}
+	regions := []RegionInfo{{Start: base, Size: 4 * ps, Kind: mem.Mmap}}
+	return []*Segment{
+		{Seq: 0, Kind: Full, PageSize: ps, Regions: slices.Clone(regions), Pages: []PageRecord{page(0, 1), page(1, 2), {Addr: base + 2*ps}, page(3, 3)}},
+		{Seq: 1, Kind: Incremental, PageSize: ps, Regions: slices.Clone(regions), Pages: []PageRecord{page(0, 4)}},
+		{Seq: 2, Kind: Incremental, PageSize: ps, Regions: slices.Clone(regions), Pages: []PageRecord{page(1, 5)}},
+	}
+}
+
+// fuzzAddr maps a byte to an address near the chain's region, inside or
+// around the stack, or far up the address space.
+func fuzzAddr(v byte) uint64 {
+	off := uint64(v/4) * 256
+	switch v % 4 {
+	case 0:
+		return fuzzBase - 1024 + off
+	case 1:
+		return mem.StackTop - mem.StackSize + off
+	case 2:
+		return mem.StackTop - 1024 + off
+	}
+	return uint64(v) << 56
+}
+
+// FuzzVerifyAgreesWithRestore: VerifyChain and Restore are one chain
+// walk, so on any chain — headers, region tables and page records
+// mutated, then re-encoded so every segment is valid bytes — VerifyChain
+// returns nil exactly when Restore into a fresh space with the target's
+// page size does, an error is the same error from both, and Restore
+// never panics. ops is read in triples: segment, field, value. Sizes and
+// page sizes stay small: a space allocates a per-page table on MapAt.
+func FuzzVerifyAgreesWithRestore(f *testing.F) {
+	f.Add(uint8(2), []byte{})
+	f.Add(uint8(2), []byte{1, 5, 4, 1, 12, 3}) // mid-chain page size 1024, and a 1024-byte page
+	f.Add(uint8(2), []byte{1, 2, 3})           // mid-chain foreign epoch
+	f.Add(uint8(2), []byte{2, 2, 3})           // target epoch after the target
+	f.Add(uint8(2), []byte{1, 0, 1})           // mid-chain rank label
+	f.Add(uint8(2), []byte{1, 3, 0})           // mid-chain full kind
+	f.Add(uint8(2), []byte{1, 11, 1})          // page record at the stack
+	f.Add(uint8(1), []byte{0, 4, 1})           // content-free base
+	f.Add(uint8(2), []byte{0, 15, 0})          // missing base
+	f.Add(uint8(2), []byte{2, 9, 1})           // second region over the stack
+	f.Fuzz(func(t *testing.T, target uint8, ops []byte) {
+		chain := fuzzChain()
+		missing := make([]bool, len(chain))
+		for ; len(ops) >= 3; ops = ops[3:] {
+			i, v := int(ops[0])%len(chain), ops[2]
+			s := chain[i]
+			switch ops[1] % 16 {
+			case 0:
+				s.Rank = int(v % 3)
+			case 1:
+				s.Seq = uint64(v % 4)
+			case 2:
+				s.Epoch = uint64(v % 4)
+			case 3:
+				s.Kind = Kind(v % 2)
+			case 4:
+				s.ContentFree = v%2 == 1
+			case 5:
+				s.PageSize = []uint64{0, 256, 512, 768, 1024, 4096}[v%6]
+			case 6:
+				if n := len(s.Regions); n > 0 {
+					s.Regions[n-1].Start = fuzzAddr(v)
+				}
+			case 7:
+				if n := len(s.Regions); n > 0 {
+					s.Regions[n-1].Size = uint64(v%8) * 256
+				}
+			case 8:
+				if n := len(s.Regions); n > 0 {
+					s.Regions[n-1].Kind = mem.Kind(v % 6)
+				}
+			case 9:
+				s.Regions = append(s.Regions, RegionInfo{Start: fuzzAddr(v), Size: 512, Kind: mem.Mmap})
+			case 10:
+				s.Regions = s.Regions[:len(s.Regions)/2]
+			case 11:
+				if len(s.Pages) > 0 {
+					s.Pages[int(v)%len(s.Pages)].Addr = fuzzAddr(v)
+				}
+			case 12:
+				if len(s.Pages) > 0 {
+					s.Pages[int(v)%len(s.Pages)].Data = bytes.Repeat([]byte{0xee}, []int{0, 256, 512, 1024}[v%4])
+				}
+			case 13:
+				s.Pages = append(s.Pages, PageRecord{Addr: fuzzAddr(v), Data: bytes.Repeat([]byte{v}, 512)})
+			case 14:
+				s.Pages = nil
+			default:
+				missing[i] = true
+			}
+		}
+		store := storage.NewMemStore()
+		for i, s := range chain {
+			if !missing[i] {
+				if err := store.Put(SegmentKey(0, uint64(i)), s.Encode()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		seq := uint64(target) % uint64(len(chain))
+		verr := VerifyChain(store, 0, seq)
+		ps := uint64(512)
+		if seg, err := LoadSegment(store, 0, seq); err == nil {
+			ps = seg.PageSize
+		}
+		rerr := Restore(store, 0, seq, mem.NewAddressSpace(mem.Config{PageSize: ps}))
+		if (verr == nil) != (rerr == nil) || verr != nil && verr.Error() != rerr.Error() {
+			t.Fatalf("VerifyChain = %v, Restore = %v", verr, rerr)
 		}
 	})
 }

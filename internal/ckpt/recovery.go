@@ -133,20 +133,26 @@ func appendPadded(b []byte, v uint64, width int) []byte {
 
 // ChainVolume returns the total encoded bytes that a restore of the
 // given rank to targetSeq must read: the chain's base full segment plus
-// every delta up to the target. Together with a sink's read bandwidth
-// this gives the restart-cost term of the efficiency model.
+// every delta up to the target. It is walkChain summing the size of each
+// segment the walk fetched, so it prices only a chain VerifyChain proves
+// and fails with VerifyChain's error otherwise. Together with a sink's
+// read bandwidth this gives the restart-cost term of the efficiency model.
 func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error) {
-	target, err := LoadSegment(store, rank, targetSeq)
+	var total uint64
+	err := walkChain(store, rank, targetSeq, func(_, _ *Segment, size uint64) error {
+		total += size
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	var total uint64
-	for seq := target.Epoch; seq <= targetSeq; seq++ {
-		data, err := store.Get(SegmentKey(rank, seq))
-		if err != nil {
-			return 0, fmt.Errorf("ckpt: chain segment %d: %w", seq, err)
-		}
-		total += uint64(len(data))
+	// The target is fetched again, last, and its bytes are not used:
+	// FaultyStore draws one fault per operation, so this Get keeps the
+	// operation sequence recovery runs are pinned to. Reading each chain
+	// once for verify, price and restore removes it, as a deliberate
+	// change of those runs.
+	if _, err := store.Get(SegmentKey(rank, targetSeq)); err != nil {
+		return 0, fmt.Errorf("ckpt: chain segment %d: %w", targetSeq, err)
 	}
 	return total, nil
 }
@@ -156,8 +162,9 @@ func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error
 // unwrap the cause with the standard taxonomy — errors.Is(err,
 // storage.ErrNotFound) distinguishes a rank whose segment is simply
 // missing from errors.Is(err, storage.ErrCorrupt), a segment whose
-// bytes failed integrity or decode — and so can report (or route
-// around) a torn line precisely instead of guessing from message text.
+// bytes failed integrity or decode, or that decodes but does not chain
+// (walkChain) — and so can report (or route around) a torn line
+// precisely instead of guessing from message text.
 type RestoreError struct {
 	// Rank is the rank whose restore chain failed.
 	Rank int

@@ -277,7 +277,12 @@ func (d *decoder) u64() (uint64, error) {
 // and bounds. Raw page records alias data rather than copying it, so the
 // caller must not reuse data while the segment is live — and must not
 // write through the segment when data is a store's Get result.
-func DecodeSegment(data []byte) (*Segment, error) {
+func DecodeSegment(data []byte) (*Segment, error) { return decodeSegment(new(Segment), data) }
+
+// decodeSegment is DecodeSegment into s, reusing the capacity of its
+// Regions and Pages: a chain walk decodes every mid-chain segment into
+// one Segment.
+func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)
 	if err != nil || string(magic) != segmentMagic {
@@ -287,7 +292,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if err != nil || ver != segmentVersion {
 		return nil, fmt.Errorf("ckpt: unsupported version %d", ver)
 	}
-	s := &Segment{}
+	*s = Segment{Regions: s.Regions[:0], Pages: s.Pages[:0]}
 	rank, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -315,7 +320,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if s.PageSize, err = d.u64(); err != nil {
 		return nil, err
 	}
-	if s.PageSize == 0 || s.PageSize > 1<<30 {
+	if s.PageSize == 0 || s.PageSize > 1<<30 || s.PageSize&(s.PageSize-1) != 0 {
 		return nil, fmt.Errorf("ckpt: implausible page size %d", s.PageSize)
 	}
 	at, err := d.u64()
@@ -330,7 +335,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if uint64(nr)*17 > uint64(len(data)) {
 		return nil, fmt.Errorf("ckpt: region count %d exceeds segment size", nr)
 	}
-	s.Regions = make([]RegionInfo, nr)
+	s.Regions = slices.Grow(s.Regions, int(nr))[:nr]
 	for i := range s.Regions {
 		if s.Regions[i].Start, err = d.u64(); err != nil {
 			return nil, err
@@ -357,7 +362,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if np > uint64(len(data)-d.off)/minRec {
 		return nil, fmt.Errorf("ckpt: page count %d exceeds segment size", np)
 	}
-	s.Pages = make([]PageRecord, 0, np)
+	s.Pages = slices.Grow(s.Pages, int(np))
 	for i := uint64(0); i < np; i++ {
 		var p PageRecord
 		if p.Addr, err = d.u64(); err != nil {

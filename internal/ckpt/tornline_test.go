@@ -41,34 +41,56 @@ func TestRestoreErrorMissingSegment(t *testing.T) {
 	}
 }
 
-// A restore that hits undecodable segment bytes must distinguish itself
-// from a missing segment: same *RestoreError shape, cause typed
-// storage.ErrCorrupt.
+// A restore that hits a segment that is there but damaged must
+// distinguish itself from a missing segment: same *RestoreError shape,
+// cause typed storage.ErrCorrupt — whether the segment's bytes do not
+// decode or it decodes but does not chain (a mid-chain segment of a
+// foreign epoch, or a page size no address space has).
 func TestRestoreErrorCorruptSegment(t *testing.T) {
-	store := storage.NewMemStore()
-	eng, co, _ := commitRig(t, 3, store)
-	var commitErr error
-	co.BeginTwoPhase(func(_ GlobalResult, e error) { commitErr = e })
-	eng.Run(des.MaxTime)
-	if commitErr != nil {
-		t.Fatal(commitErr)
-	}
-	if err := store.Put(SegmentKey(2, 0), []byte("not a segment")); err != nil {
-		t.Fatal(err)
-	}
-	_, err := RestoreAll(store, 3, 0)
-	var re *RestoreError
-	if !errors.As(err, &re) {
-		t.Fatalf("restore failure not a *RestoreError: %v", err)
-	}
-	if re.Rank != 2 || re.Seq != 0 {
-		t.Fatalf("RestoreError names rank %d seq %d, want 2/0", re.Rank, re.Seq)
-	}
-	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("undecodable segment not typed ErrCorrupt: %v", err)
-	}
-	if errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("corrupt segment mis-typed as missing: %v", err)
+	for _, tc := range []struct {
+		name   string
+		line   uint64                          // the line restored
+		damage func(*testing.T, storage.Store) // damages one of rank 2's segments
+	}{
+		{"undecodable", 0, func(t *testing.T, store storage.Store) {
+			if err := store.Put(SegmentKey(2, 0), []byte("not a segment")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"foreign epoch", 2, func(t *testing.T, store storage.Store) {
+			craftSegment(t, store, 2, 1, func(s *Segment) { s.Epoch = 7 })
+		}},
+		{"page size not a power of two", 2, func(t *testing.T, store storage.Store) {
+			craftSegment(t, store, 2, 2, func(s *Segment) { s.PageSize = 768 })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewMemStore()
+			eng, co, _ := commitRig(t, 3, store)
+			for line := 0; line < 3; line++ {
+				var commitErr error
+				co.BeginTwoPhase(func(_ GlobalResult, e error) { commitErr = e })
+				eng.Run(des.MaxTime)
+				if commitErr != nil {
+					t.Fatal(commitErr)
+				}
+			}
+			tc.damage(t, store)
+			_, err := RestoreAll(store, 3, tc.line)
+			var re *RestoreError
+			if !errors.As(err, &re) {
+				t.Fatalf("restore failure not a *RestoreError: %v", err)
+			}
+			if re.Rank != 2 || re.Seq != tc.line {
+				t.Fatalf("RestoreError names rank %d seq %d, want 2/%d", re.Rank, re.Seq, tc.line)
+			}
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("damaged segment not typed ErrCorrupt: %v", err)
+			}
+			if errors.Is(err, storage.ErrNotFound) {
+				t.Fatalf("corrupt segment mis-typed as missing: %v", err)
+			}
+		})
 	}
 }
 

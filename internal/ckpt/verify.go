@@ -19,51 +19,76 @@ import (
 // a restore that will blow up mid-recovery.
 
 // VerifyChain checks that rank's restore chain ending at targetSeq is
-// complete and sound: every segment from the chain's base full segment
-// through the target fetches, passes the storage tier's integrity
-// checks, decodes, and is chain-consistent (full base, matching epochs,
-// one page size, restorable content), and the target's region table is
-// one Restore maps as written (checkRegionTable). A nil return means
-// Restore to targetSeq will not fail on the data path.
+// complete and sound: it is walkChain with no visitor, so a nil return
+// means Restore to targetSeq replays that chain, and an error is the one
+// Restore would return.
 func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
-	target, err := LoadSegment(store, rank, targetSeq)
+	return walkChain(store, rank, targetSeq, nil)
+}
+
+// walkChain is the one place a restore chain is judged: VerifyChain,
+// ChainVolume and Restore all call it. It fetches rank's target segment
+// targetSeq, then the chain from its base full segment forward: Gets
+// target, then epoch … targetSeq-1. Every segment must fetch, pass the
+// storage tier's integrity checks and decode. The target must carry its
+// own labels, an epoch not after it and a region table Restore maps as
+// written (checkRegionTable). Every segment must carry its labels, its
+// kind (full base, then incremental), the chain's epoch and page size,
+// and content.
+//
+// visit, when non-nil, receives each proven segment in replay order,
+// base first and target last, with the target and the segment's encoded
+// size; its error ends the walk. It must not keep seg: the walk decodes
+// every mid-chain segment into one Segment.
+//
+// A fetch failure keeps the storage tier's typed cause, and a segment
+// that decodes but does not chain is typed storage.ErrCorrupt. A
+// content-free segment is a sound phantom segment, not damage, so it is
+// rejected untyped.
+func walkChain(store storage.Store, rank int, targetSeq uint64, visit func(target, seg *Segment, size uint64) error) error {
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("ckpt: verify rank %d seq %d: %s: %w", rank, targetSeq, fmt.Sprintf(format, args...), storage.ErrCorrupt)
+	}
+	segs := new([2]Segment) // the target, and every mid-chain segment in turn
+	target, size, err := loadSegment(store, rank, targetSeq, &segs[0])
 	if err != nil {
 		return fmt.Errorf("ckpt: verify rank %d seq %d: %w", rank, targetSeq, err)
 	}
 	if target.Rank != rank || target.Seq != targetSeq {
-		return fmt.Errorf("ckpt: verify rank %d seq %d: segment labeled rank %d seq %d",
-			rank, targetSeq, target.Rank, target.Seq)
+		return corrupt("segment labeled rank %d seq %d", target.Rank, target.Seq)
 	}
 	if target.Epoch > targetSeq {
-		return fmt.Errorf("ckpt: verify rank %d seq %d: epoch %d after target", rank, targetSeq, target.Epoch)
+		return corrupt("epoch %d after target", target.Epoch)
 	}
 	if err := checkRegionTable(target.Regions, target.PageSize); err != nil {
-		return fmt.Errorf("ckpt: verify rank %d seq %d: %w", rank, targetSeq, err)
+		return corrupt("%v", err)
 	}
 	for seq := target.Epoch; seq <= targetSeq; seq++ {
-		seg := target
+		seg, n := target, size
 		if seq != targetSeq {
-			if seg, err = LoadSegment(store, rank, seq); err != nil {
+			if seg, n, err = loadSegment(store, rank, seq, &segs[1]); err != nil {
 				return fmt.Errorf("ckpt: verify rank %d seq %d: chain segment %d: %w", rank, targetSeq, seq, err)
 			}
 		}
 		switch {
 		case seg.Rank != rank || seg.Seq != seq:
-			return fmt.Errorf("ckpt: verify rank %d seq %d: segment %d labeled rank %d seq %d",
-				rank, targetSeq, seq, seg.Rank, seg.Seq)
+			return corrupt("segment %d labeled rank %d seq %d", seq, seg.Rank, seg.Seq)
 		case seq == target.Epoch && seg.Kind != Full:
-			return fmt.Errorf("ckpt: verify rank %d seq %d: chain base %d is %s", rank, targetSeq, seq, seg.Kind)
+			return corrupt("chain base %d is %s", seq, seg.Kind)
 		case seq != target.Epoch && seg.Kind != Incremental:
-			return fmt.Errorf("ckpt: verify rank %d seq %d: mid-chain segment %d is %s", rank, targetSeq, seq, seg.Kind)
+			return corrupt("mid-chain segment %d is %s", seq, seg.Kind)
 		case seg.Epoch != target.Epoch:
-			return fmt.Errorf("ckpt: verify rank %d seq %d: segment %d epoch %d != chain epoch %d",
-				rank, targetSeq, seq, seg.Epoch, target.Epoch)
+			return corrupt("segment %d epoch %d != chain epoch %d", seq, seg.Epoch, target.Epoch)
 		case seg.PageSize != target.PageSize:
-			return fmt.Errorf("ckpt: verify rank %d seq %d: segment %d page size %d != %d",
-				rank, targetSeq, seq, seg.PageSize, target.PageSize)
+			return corrupt("segment %d page size %d != %d", seq, seg.PageSize, target.PageSize)
 		case seg.ContentFree:
 			return fmt.Errorf("ckpt: verify rank %d seq %d: segment %d is content-free, not restorable",
 				rank, targetSeq, seq)
+		}
+		if visit != nil {
+			if err := visit(target, seg, n); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

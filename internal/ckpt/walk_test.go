@@ -1,0 +1,130 @@
+package ckpt
+
+import (
+	"bytes"
+	"errors"
+	"slices"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/storage"
+)
+
+// craftSegment decodes rank's segment seq from store, lets edit change
+// it and puts it back re-encoded, so the stored bytes are a valid
+// segment that lies.
+func craftSegment(t *testing.T, store storage.Store, rank int, seq uint64, edit func(*Segment)) {
+	t.Helper()
+	seg, err := LoadSegment(store, rank, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(seg)
+	if err := store.Put(SegmentKey(rank, seq), seg.Encode()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Restore is the chain walk VerifyChain is, so on a chain 0(F) 1 2 with
+// one lying segment it returns VerifyChain's error, typed
+// storage.ErrCorrupt, where it used to panic or replay the foreign page;
+// and a page record aimed at the stack, which every space maps from
+// creation, is skipped like a page of an unmapped region.
+func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
+	const ps = 512
+	// foreign replaces s's pages with one n-byte page of 0xee at addr, or
+	// at the start of s's first region when addr is 0.
+	foreign := func(s *Segment, n int, addr uint64) {
+		if addr == 0 {
+			addr = s.Regions[0].Start
+		}
+		s.Pages = []PageRecord{{Addr: addr, Data: bytes.Repeat([]byte{0xee}, n)}}
+	}
+	for _, tc := range []struct {
+		name string
+		seq  uint64
+		edit func(*Segment)
+	}{
+		{"mid-chain page size", 1, func(s *Segment) { s.PageSize = 2 * ps; foreign(s, 2*ps, 0) }},
+		{"mid-chain foreign epoch", 1, func(s *Segment) { s.Epoch = 7; foreign(s, ps, 0) }},
+		{"target epoch after the target", 2, func(s *Segment) { s.Epoch = 7 }},
+		{"mid-chain rank label", 1, func(s *Segment) { s.Rank = 1 }},
+		{"mid-chain seq label", 1, func(s *Segment) { s.Seq = 5 }},
+		{"mid-chain full kind", 1, func(s *Segment) { s.Kind = Full }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, _ := buildChains(t, 1, 3, 3)
+			craftSegment(t, store, 0, tc.seq, tc.edit)
+			verr := VerifyChain(store, 0, 2)
+			if verr == nil {
+				t.Fatal("VerifyChain accepted the lying segment")
+			}
+			rerr := Restore(store, 0, 2, mem.NewAddressSpace(mem.Config{PageSize: ps}))
+			if rerr == nil || rerr.Error() != verr.Error() {
+				t.Fatalf("Restore = %v, want VerifyChain's %v", rerr, verr)
+			}
+			if !errors.Is(rerr, storage.ErrCorrupt) {
+				t.Fatalf("a segment that decodes but does not chain is not typed storage.ErrCorrupt: %v", rerr)
+			}
+		})
+	}
+	t.Run("page at the stack", func(t *testing.T) {
+		store, _ := buildChains(t, 1, 3, 3)
+		stack := mem.StackTop - mem.StackSize
+		craftSegment(t, store, 0, 1, func(s *Segment) { foreign(s, ps, stack) })
+		if err := VerifyChain(store, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		space := mem.NewAddressSpace(mem.Config{PageSize: ps})
+		if err := Restore(store, 0, 2, space); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, ps)
+		if err := space.Read(stack, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, ps)) {
+			t.Fatalf("Restore wrote into the stack: % x…", got[:8])
+		}
+	})
+}
+
+// getLog is a store that records the key of every Get.
+type getLog struct {
+	storage.Store
+	keys []string
+}
+
+func (s *getLog) Get(key string) ([]byte, error) {
+	s.keys = append(s.keys, key)
+	return s.Store.Get(key)
+}
+
+// FaultyStore draws one fault per operation, so the Gets each chain
+// reader issues, in order, are part of every faulted run's output. Over
+// two ranks' chains 0(F) 1 2 this pins them: a change that moves one
+// moves golden cells, and has to edit this test on purpose.
+func TestChainReadersGetSequence(t *testing.T) {
+	inner, _ := buildChains(t, 2, 3, 3)
+	k := SegmentKey
+	for _, tc := range []struct {
+		name string
+		read func(storage.Store) error
+		want []string
+	}{
+		{"VerifyChain", func(s storage.Store) error { return VerifyChain(s, 1, 2) },
+			[]string{k(1, 2), k(1, 0), k(1, 1)}},
+		{"ChainVolume", func(s storage.Store) error { _, err := ChainVolume(s, 1, 2); return err },
+			[]string{k(1, 2), k(1, 0), k(1, 1), k(1, 2)}},
+		{"RestoreAll", func(s storage.Store) error { _, err := RestoreAll(s, 2, 2); return err },
+			[]string{k(0, 2), k(0, 2), k(0, 0), k(0, 1), k(1, 2), k(1, 0), k(1, 1)}},
+	} {
+		log := &getLog{Store: inner}
+		if err := tc.read(log); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(log.keys, tc.want) {
+			t.Errorf("%s Gets %q, want %q", tc.name, log.keys, tc.want)
+		}
+	}
+}
