@@ -196,7 +196,8 @@ func fuzzAddr(v byte) uint64 {
 // returns nil exactly when Restore into a fresh space with the target's
 // page size does, an error is the same error from both, and Restore
 // never panics. ops is read in triples: segment, field, value. Sizes and
-// page sizes stay small: a space allocates a per-page table on MapAt.
+// page sizes stay small, or pass maxRegionSize, which the walk refuses:
+// a restore makes a region's whole slab on its first page.
 func FuzzVerifyAgreesWithRestore(f *testing.F) {
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(2), []byte{1, 5, 4, 1, 12, 3}) // mid-chain page size 1024, and a 1024-byte page
@@ -208,6 +209,7 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 4, 1})           // content-free base
 	f.Add(uint8(2), []byte{0, 15, 0})          // missing base
 	f.Add(uint8(2), []byte{2, 9, 1})           // second region over the stack
+	f.Add(uint8(2), []byte{2, 7, 128 + 4})     // target region of terabytes
 	f.Fuzz(func(t *testing.T, target uint8, ops []byte) {
 		chain := fuzzChain()
 		missing := make([]bool, len(chain))
@@ -233,7 +235,7 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 				}
 			case 7:
 				if n := len(s.Regions); n > 0 {
-					s.Regions[n-1].Size = uint64(v%8) * 256
+					s.Regions[n-1].Size = uint64(v%8) * 256 << (v / 128 * 32) // v ≥ 128: terabytes
 				}
 			case 8:
 				if n := len(s.Regions); n > 0 {

@@ -187,3 +187,34 @@ func TestRestoreAllValidation(t *testing.T) {
 		t.Fatal("missing segments accepted")
 	}
 }
+
+// BenchmarkRestoreBacked restores the supervised stencil's shape:
+// RestoreAll of one rank's chain 0(F) 1 2 over a 1 MiB backed heap of
+// 4 KiB pages, half of it rewritten per line — a LoadPage for every
+// page record the chain replays.
+func BenchmarkRestoreBacked(b *testing.B) {
+	eng := des.NewEngine()
+	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+	store := storage.NewMemStore()
+	c, _ := NewCheckpointer(eng, sp, Options{Store: store, FullEvery: 3})
+	r, _ := sp.Mmap(256 * pageSize)
+	row := bytes.Repeat([]byte{0xA5}, 128*pageSize)
+	c.Start()
+	for i := 0; i < 3; i++ {
+		row[0] = byte(i)
+		if err := sp.Write(r.Start()+uint64(i%2)*uint64(len(row)), row); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(r.Size()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreAll(store, 1, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -94,12 +94,22 @@ func walkChain(store storage.Store, rank int, targetSeq uint64, visit func(targe
 	return nil
 }
 
+// maxRegionSize bounds one entry of a region table. Restore maps every
+// region before it reads a page record: MapAt makes the region's
+// protection bitmap, and its first page makes the whole-region slab. So
+// a size that rotted into the terabytes would allocate before any page
+// could prove the chain wrong. The largest footprint the paper measures
+// is about 1 GB per process (Sage-1000MB), so no region a checkpointer
+// writes comes near 4 GB.
+const maxRegionSize = 1 << 32
+
 // checkRegionTable rejects a region table Restore could not map as
 // written: an entry unaligned to pageSize or empty, one wrapping past the
-// top of the address space, one over the stack every address space maps
-// from creation, one not after its predecessor (the checkpointer writes
-// the table in address order, so an overlap is exactly that), or one
-// whose kind is not checkpointable data memory.
+// top of the address space, one larger than maxRegionSize, one over the
+// stack every address space maps from creation, one not after its
+// predecessor (the checkpointer writes the table in address order, so an
+// overlap is exactly that), or one whose kind is not checkpointable data
+// memory.
 func checkRegionTable(regions []RegionInfo, pageSize uint64) error {
 	var end uint64
 	for i, ri := range regions {
@@ -108,6 +118,8 @@ func checkRegionTable(regions []RegionInfo, pageSize uint64) error {
 			return fmt.Errorf("region %d (%#x, %d bytes) is not whole %d-byte pages", i, ri.Start, ri.Size, pageSize)
 		case ri.Start+ri.Size <= ri.Start:
 			return fmt.Errorf("region %d (%#x, %d bytes) wraps the address space", i, ri.Start, ri.Size)
+		case ri.Size > maxRegionSize:
+			return fmt.Errorf("region %d (%#x, %d bytes) is larger than %d bytes", i, ri.Start, ri.Size, uint64(maxRegionSize))
 		case ri.Start < mem.StackTop && mem.StackTop-mem.StackSize < ri.Start+ri.Size:
 			return fmt.Errorf("region %d (%#x, %d bytes) overlaps the stack", i, ri.Start, ri.Size)
 		case i > 0 && ri.Start < end:

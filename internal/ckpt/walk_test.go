@@ -27,9 +27,10 @@ func craftSegment(t *testing.T, store storage.Store, rank int, seq uint64, edit 
 
 // Restore is the chain walk VerifyChain is, so on a chain 0(F) 1 2 with
 // one lying segment it returns VerifyChain's error, typed
-// storage.ErrCorrupt, where it used to panic or replay the foreign page;
-// and a page record aimed at the stack, which every space maps from
-// creation, is skipped like a page of an unmapped region.
+// storage.ErrCorrupt, where it used to panic, replay the foreign page or
+// map a region of terabytes; and a page record aimed at the stack, which
+// every space maps from creation, is skipped like a page of an unmapped
+// region.
 func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 	const ps = 512
 	// foreign replaces s's pages with one n-byte page of 0xee at addr, or
@@ -51,6 +52,7 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 		{"mid-chain rank label", 1, func(s *Segment) { s.Rank = 1 }},
 		{"mid-chain seq label", 1, func(s *Segment) { s.Seq = 5 }},
 		{"mid-chain full kind", 1, func(s *Segment) { s.Kind = Full }},
+		{"target region of terabytes", 2, func(s *Segment) { s.Regions[len(s.Regions)-1].Size = 1 << 40 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, _ := buildChains(t, 1, 3, 3)

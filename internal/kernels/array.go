@@ -4,17 +4,17 @@
 // the simulated MMU: an Array opens a mem.PageRun over the elements it is
 // about to write, the run delivers the write fault of each protected
 // page exactly as a byte-wise AddressSpace.Write would, and the floats
-// are copied straight into the page storage it lends (reads copy out of
-// it the same way): a float64 and its 8 page bytes are the same memory.
-// Stencil2D.Step does not even copy its input rows: it reads them as
-// views of the pages a load run lends. A load view is read-only, and may
-// be held across the calls of one Step, because no region can be
-// unmapped inside it. The kernels are scaled-down, genuine counterparts
-// of the paper's applications (Sweep3D's wavefront, LU's SSOR, BT/SP's
-// ADI, FT's FFT): the synthetic models in internal/workload reproduce
-// the paper's published write patterns at full scale, while these
-// kernels validate that the tracker and checkpointer observe *real*
-// programs correctly — double-buffered page alternation, in-place
+// are copied straight into the region storage it lends (reads copy out
+// of it the same way): a float64 and its 8 page bytes are the same
+// memory. Stencil2D.Step does not even copy its input rows: it reads
+// them as views of the storage a load run lends. A load view is
+// read-only, and may be held across the calls of one Step, because no
+// region can be unmapped inside it. The kernels are scaled-down, genuine
+// counterparts of the paper's applications (Sweep3D's wavefront, LU's
+// SSOR, BT/SP's ADI, FT's FFT): the synthetic models in internal/workload
+// reproduce the paper's published write patterns at full scale, while
+// these kernels validate that the tracker and checkpointer observe
+// *real* programs correctly — double-buffered page alternation, in-place
 // sweeps, transpose bursts — and that checkpoint/restore preserves real
 // computations.
 package kernels
@@ -36,13 +36,17 @@ type Array struct {
 	n     int
 }
 
-// checkElems refuses an array of n elements on a space whose pages are
-// smaller than one element: elements are coded in place in page storage,
-// so none may straddle a page. Arrays start page-aligned and a page size
-// is a power of two, so from 8 bytes up none does.
+// checkElems refuses an array of n elements on a phantom space, which
+// has no storage, or on a space whose pages are smaller than one
+// element: elements are coded in place in page storage, so none may
+// straddle a page. Arrays start page-aligned and a page size is a power
+// of two, so from 8 bytes up none does.
 func checkElems(space *mem.AddressSpace, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("kernels: array length %d", n)
+	}
+	if space.Phantom() {
+		return fmt.Errorf("kernels: arrays need a backed address space")
 	}
 	if space.PageSize() < 8 {
 		return fmt.Errorf("kernels: page size %d is smaller than one float64", space.PageSize())
@@ -106,67 +110,42 @@ func (a *Array) Write(src []float64, off int) error {
 	return storeFloats(a.space, a.base+uint64(off)*8, src)
 }
 
-// rowView returns elements [off, off+len(buf)) for reading: a view of
-// their page's storage when one written page holds them all, else buf
-// with the elements loaded into it. A view is read-only and valid until
-// the array's region is unmapped.
-func (a *Array) rowView(buf []float64, off int) ([]float64, error) {
-	if err := a.check(off, len(buf)); err != nil {
+// rowView returns elements [off, off+n) for reading, as a view of the
+// storage a load run lends: read-only, and valid until the array's
+// region is unmapped.
+func (a *Array) rowView(off, n int) ([]float64, error) {
+	if err := a.check(off, n); err != nil {
 		return nil, err
 	}
-	addr := a.base + uint64(off)*8
-	b, err := lend(a.space, addr, uint64(len(buf))*8)
-	if b != nil || err != nil {
-		return view[float64](b), err
-	}
-	return buf, loadFloats(a.space, addr, buf)
-}
-
-// lend returns the n bytes at addr as the storage of the one written page
-// that holds them all, read-only, or nil when no page does: the bytes
-// span pages, or their page was never written (and reads as zeros).
-func lend(space *mem.AddressSpace, addr, n uint64) ([]byte, error) {
-	run, err := space.LoadRun(addr, n)
+	run, err := a.space.LoadRun(a.base+uint64(off)*8, uint64(n)*8)
 	if err != nil {
 		return nil, err
 	}
-	if b, _ := run.Next(); uint64(len(b)) == n {
-		return b, nil
-	}
-	return nil, nil
+	b, _ := run.Next()
+	return view[float64](b), nil
 }
 
 // loadFloats decodes the len(dst) elements stored at addr, which must be
-// element-aligned within its page.
+// element-aligned.
 func loadFloats(space *mem.AddressSpace, addr uint64, dst []float64) error {
 	run, err := space.LoadRun(addr, uint64(len(dst))*8)
 	if err != nil {
 		return err
 	}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		if n /= 8; b != nil {
-			decodeFloats(dst[:n], b)
-		} else {
-			clear(dst[:n])
-		}
-		dst = dst[n:]
-	}
+	b, _ := run.Next()
+	decodeFloats(dst, b)
 	return nil
 }
 
-// storeFloats encodes src into memory at addr (element-aligned within
-// its page), each page faulting first if it is protected.
+// storeFloats encodes src into memory at addr (element-aligned), each
+// protected page faulting first.
 func storeFloats(space *mem.AddressSpace, addr uint64, src []float64) error {
 	run, err := space.StoreRun(addr, uint64(len(src))*8)
 	if err != nil {
 		return err
 	}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		if n /= 8; b != nil {
-			encodeFloats(b, src[:n])
-		}
-		src = src[n:]
-	}
+	b, _ := run.Next()
+	encodeFloats(b, src)
 	return run.Err()
 }
 
@@ -182,9 +161,9 @@ func encodeFloats(b []byte, src []float64) { copy(view[float64](b), src) }
 // view reinterprets s as the []To over the same memory: the one place
 // the package looks at page bytes as floats (or floats as bytes). A
 // []byte viewed as floats must start 8-byte aligned, which every chunk a
-// PageRun lends at an element-aligned address does: pages are allocated
-// whole, and elements never straddle them (checkElems). The view aliases
-// s: it is valid, and writable, exactly as long as s is.
+// PageRun lends at an element-aligned address does: a region's storage
+// is one make, and arrays start page-aligned in it. The view aliases s:
+// it is valid, and writable, exactly as long as s is.
 func view[To, From byte | float64](s []From) []To {
 	var to To
 	var from From

@@ -128,8 +128,8 @@ func (g *arrayRig) onFault(r *mem.Region, w, m uint64) {
 	}
 }
 
-func newArrayRig(t *testing.T, ps uint64, phantom, staged bool, n int) *arrayRig {
-	g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: phantom})}
+func newArrayRig(t *testing.T, ps uint64, staged bool, n int) *arrayRig {
+	g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: ps})}
 	log := mem.NewDirtyLog(g.space)
 	log.OnFault = g.onFault
 	log.Open()
@@ -149,89 +149,93 @@ func newArrayRig(t *testing.T, ps uint64, phantom, staged bool, n int) *arrayRig
 // start mid-page, end mid-page and span three pages and more, over pages
 // never written, with the array re-protected now and then — driven
 // through the old staging implementation on one space and the in-place
-// one on another. Equal before and after, for every page size, backed
-// and phantom: the values read (as bits), the space Digest, Faults(),
-// WrittenBytes() and the sequence of faulting pages.
+// one on another. Equal before and after, for every page size: the
+// values read (as bits), the space Digest, Faults(), WrittenBytes() and
+// the sequence of faulting pages. (Arrays refuse a phantom space:
+// TestArrayRefusesSubElementPages.)
 func TestArrayMatchesStagingOracle(t *testing.T) {
 	for _, ps := range []uint64{8, 256, 4096, 16384} {
-		for _, phantom := range []bool{false, true} {
-			perPage := int(ps / 8)
-			n := 5*perPage + 3
-			rng := rand.New(rand.NewPCG(ps, 24))
-			old, cur := newArrayRig(t, ps, phantom, true, n), newArrayRig(t, ps, phantom, false, n)
-			var spanned bool
-			for step := 0; step < 150; step++ {
-				off := rng.IntN(n)
-				k := 1 + rng.IntN(min(n-off, 3*perPage+perPage/2+2))
-				if step%10 == 0 { // from the middle of page 0 to the middle of page 3
-					off, k = perPage/2, 3*perPage
-				}
-				spanned = spanned || (off+k-1)/perPage-off/perPage >= 3
-				where := fmt.Sprintf("page size %d phantom %v step %d: [%d,%d)", ps, phantom, step, off, off+k)
-				switch op := rng.IntN(8); {
-				case op < 4:
-					vals := make([]float64, k)
-					for i := range vals {
-						if vals[i] = rng.NormFloat64(); rng.IntN(4) == 0 {
-							vals[i] = awkward[rng.IntN(len(awkward))]
-						}
-					}
-					if errOld, errCur := old.write(vals, off), cur.write(vals, off); errOld != nil || errCur != nil {
-						t.Fatalf("%s: write: staging %v, in place %v", where, errOld, errCur)
-					}
-				case op < 7:
-					want, got := make([]float64, k), make([]float64, k)
-					for i := range got {
-						got[i] = 99 // a never-written page must overwrite this with zero
-					}
-					if errOld, errCur := old.read(want, off), cur.read(got, off); errOld != nil || errCur != nil {
-						t.Fatalf("%s: read: staging %v, in place %v", where, errOld, errCur)
-					}
-					if !sameBits(got, want) {
-						t.Fatalf("%s: read different values", where)
-					}
-				default:
-					old.reg.ProtectAll()
-					cur.reg.ProtectAll()
-				}
-				if old.space.Faults() != cur.space.Faults() || old.space.WrittenBytes() != cur.space.WrittenBytes() ||
-					!slices.Equal(old.faults, cur.faults) || old.space.Digest(nil) != cur.space.Digest(nil) {
-					t.Fatalf("%s: staging left %d faults %d bytes digest %x faulted pages %#x\n in place %d faults %d bytes digest %x faulted pages %#x", where,
-						old.space.Faults(), old.space.WrittenBytes(), old.space.Digest(nil), old.faults,
-						cur.space.Faults(), cur.space.WrittenBytes(), cur.space.Digest(nil), cur.faults)
-				}
+		perPage := int(ps / 8)
+		n := 5*perPage + 3
+		rng := rand.New(rand.NewPCG(ps, 24))
+		old, cur := newArrayRig(t, ps, true, n), newArrayRig(t, ps, false, n)
+		var spanned bool
+		for step := 0; step < 150; step++ {
+			off := rng.IntN(n)
+			k := 1 + rng.IntN(min(n-off, 3*perPage+perPage/2+2))
+			if step%10 == 0 { // from the middle of page 0 to the middle of page 3
+				off, k = perPage/2, 3*perPage
 			}
-			if !spanned || cur.space.Faults() == 0 {
-				t.Fatalf("page size %d: the script never spanned three pages or never faulted", ps)
+			spanned = spanned || (off+k-1)/perPage-off/perPage >= 3
+			where := fmt.Sprintf("page size %d step %d: [%d,%d)", ps, step, off, off+k)
+			switch op := rng.IntN(8); {
+			case op < 4:
+				vals := make([]float64, k)
+				for i := range vals {
+					if vals[i] = rng.NormFloat64(); rng.IntN(4) == 0 {
+						vals[i] = awkward[rng.IntN(len(awkward))]
+					}
+				}
+				if errOld, errCur := old.write(vals, off), cur.write(vals, off); errOld != nil || errCur != nil {
+					t.Fatalf("%s: write: staging %v, in place %v", where, errOld, errCur)
+				}
+			case op < 7:
+				want, got := make([]float64, k), make([]float64, k)
+				for i := range got {
+					got[i] = 99 // a never-written page must overwrite this with zero
+				}
+				if errOld, errCur := old.read(want, off), cur.read(got, off); errOld != nil || errCur != nil {
+					t.Fatalf("%s: read: staging %v, in place %v", where, errOld, errCur)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("%s: read different values", where)
+				}
+			default:
+				old.reg.ProtectAll()
+				cur.reg.ProtectAll()
 			}
+			if old.space.Faults() != cur.space.Faults() || old.space.WrittenBytes() != cur.space.WrittenBytes() ||
+				!slices.Equal(old.faults, cur.faults) || old.space.Digest(nil) != cur.space.Digest(nil) {
+				t.Fatalf("%s: staging left %d faults %d bytes digest %x faulted pages %#x\n in place %d faults %d bytes digest %x faulted pages %#x", where,
+					old.space.Faults(), old.space.WrittenBytes(), old.space.Digest(nil), old.faults,
+					cur.space.Faults(), cur.space.WrittenBytes(), cur.space.Digest(nil), cur.faults)
+			}
+		}
+		if !spanned || cur.space.Faults() == 0 {
+			t.Fatalf("page size %d: the script never spanned three pages or never faulted", ps)
 		}
 	}
 }
 
 // TestArrayRefusesSubElementPages: floats are coded in place in page
-// storage, so an element may not straddle pages. Any power of two is a
-// legal page size; below 8 bytes the constructors say no — they do not
-// panic later in a row access.
+// storage, so an element may not straddle pages, and there must be
+// storage. Any power of two is a legal page size; below 8 bytes, or on
+// a phantom space, the constructors say no — they do not panic later in
+// a row access.
 func TestArrayRefusesSubElementPages(t *testing.T) {
-	for _, ps := range []uint64{1, 2, 4} {
-		sp := mem.NewAddressSpace(mem.Config{PageSize: ps})
+	for _, c := range []struct {
+		ps      uint64
+		phantom bool
+	}{{1, false}, {2, false}, {4, false}, {4096, true}} {
+		ps, where := c.ps, fmt.Sprintf("%d-byte pages (phantom %v)", c.ps, c.phantom)
+		sp := mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: c.phantom})
 		if a, err := NewArray(sp, 4); err == nil {
-			t.Errorf("NewArray on %d-byte pages returned %v", ps, a)
+			t.Errorf("NewArray on %s returned %v", where, a)
 		}
 		r, _ := sp.Mmap(64)
 		if a, err := AttachArray(sp, r.Start(), 4); err == nil {
-			t.Errorf("AttachArray on %d-byte pages returned %v", ps, a)
+			t.Errorf("AttachArray on %s returned %v", where, a)
 		}
 		if _, err := NewStencil2D(sp, 4, 4, 1); err == nil {
-			t.Errorf("NewStencil2D on %d-byte pages succeeded", ps)
+			t.Errorf("NewStencil2D on %s succeeded", where)
 		}
 		eng := des.NewEngine()
-		w, err := mpi.NewWorld(eng, mpi.QsNet(), mpi.Direct, []*mem.AddressSpace{sp, mem.NewAddressSpace(mem.Config{PageSize: ps})})
+		w, err := mpi.NewWorld(eng, mpi.QsNet(), mpi.Direct, []*mem.AddressSpace{sp, mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: c.phantom})})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewDistPut(eng, w, 16, 1, 1, des.Millisecond); err == nil {
-			t.Errorf("NewDistPut on %d-byte pages succeeded", ps)
+			t.Errorf("NewDistPut on %s succeeded", where)
 		}
 	}
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 8})
@@ -336,7 +340,7 @@ func jacobi(g []float64, nx int) []float64 {
 // 256-byte pages), rows that share one (4096: two a page) or straddle a
 // page boundary (16384, 2400-byte rows), and pages never written, which
 // must read as zeros: an attached grid of which only a few rows were
-// ever set. A warm Step allocates nothing, fallback rows included.
+// ever set. A warm Step allocates nothing.
 func TestStencilMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		ps       uint64
@@ -394,8 +398,8 @@ func TestStencilMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := range s.rows { // a never-written page must overwrite this with zero
-				s.rows[i] = 99
+			for i := range s.out { // a never-written page must overwrite this with zero
+				s.out[i] = 99
 			}
 			return s, g
 		}

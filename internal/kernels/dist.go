@@ -35,7 +35,6 @@ type DistStencil struct {
 	onIter    func(iter int, done func())
 	doneAll   func()
 	targetIts int
-	halo      []byte // rowBytes' buffer for a row no one written page holds
 }
 
 // tags for halo messages: from above (row arrives at local row 0) and
@@ -58,7 +57,7 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 	}
 	d := &DistStencil{
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime, halo: make([]byte, nx*8),
+		boundary: boundary, computeT: computeTime,
 	}
 	for i := 0; i < world.Size(); i++ {
 		g, err := NewStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, boundary)
@@ -92,7 +91,7 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boundary float64, computeTime des.Time, iter int) (*DistStencil, error) {
 	d := &DistStencil{
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime, iter: iter, halo: make([]byte, nx*8),
+		boundary: boundary, computeT: computeTime, iter: iter,
 	}
 	for i := 0; i < world.Size(); i++ {
 		g, err := AttachStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, iter)
@@ -124,20 +123,15 @@ func (d *DistStencil) Run(target int, onIter func(iter int, done func()), onDone
 	d.iterate()
 }
 
-// rowBytes returns local row y of rank i's current buffer as raw bytes,
-// valid until the next call: the page storage itself when the row sits
-// in one written page (SendData copies it at injection, the one copy a
-// halo row makes), the reusable halo buffer when no one written page
-// holds it.
+// rowBytes returns local row y of rank i's current buffer as raw bytes:
+// the grid's storage itself, which SendData copies at injection — the
+// one copy a halo row makes.
 func (d *DistStencil) rowBytes(i, y int) []byte {
-	space, addr := d.grids[i].Cur().space, d.rowAddr(i, y)
-	b, err := lend(space, addr, uint64(len(d.halo)))
-	if err == nil && b == nil {
-		b, err = d.halo, space.Read(addr, d.halo)
-	}
+	run, err := d.grids[i].Cur().space.LoadRun(d.rowAddr(i, y), uint64(d.nx)*8)
 	if err != nil {
 		panic(fmt.Sprintf("kernels: halo read: %v", err))
 	}
+	b, _ := run.Next()
 	return b
 }
 

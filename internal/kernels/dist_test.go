@@ -161,10 +161,10 @@ func TestDistStencilHaloWritesAreTracked(t *testing.T) {
 	}
 }
 
-// TestHaloRowDoesNotAllocate: a halo row leaves as the page storage it
-// sits in, or — when it straddles pages — through the solver's one halo
-// buffer; either way reading it allocates nothing, and the bytes are the
-// row's, zeros included where a page was never written.
+// TestHaloRowDoesNotAllocate: a halo row leaves as the grid storage it
+// sits in, within one page or straddling two; reading it allocates
+// nothing, and the bytes are the row's, zeros included where a page was
+// never written.
 func TestHaloRowDoesNotAllocate(t *testing.T) {
 	// 384-element rows are 3 KB: on 4 KB pages rows 0, 3 and 4 sit in one
 	// page, rows 1 and 2 straddle two. 2048-element rows span four pages,

@@ -16,7 +16,7 @@ type Stencil2D struct {
 	a, b   *Array
 	work   *Array // scratch row: fully rewritten before any read, every sweep
 	iter   int
-	rows   []float64 // Step's three row buffers (rowBuf) and its out row, 4*nx
+	out    []float64 // Step's out row, nx
 }
 
 // NewStencil2D allocates the two grid buffers in space, with boundary
@@ -37,7 +37,7 @@ func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stenc
 	if err != nil {
 		return nil, err
 	}
-	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work, rows: make([]float64, 4*nx)}
+	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work, out: make([]float64, nx)}
 	// Boundary rows/columns hold the boundary value in both buffers.
 	row := make([]float64, nx)
 	for i := range row {
@@ -77,7 +77,7 @@ func AttachStencil2D(space *mem.AddressSpace, nx, ny, iter int) (*Stencil2D, err
 	if err != nil {
 		return nil, err
 	}
-	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter, rows: make([]float64, 4*nx)}, nil
+	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter, out: make([]float64, nx)}, nil
 }
 
 // SetRow writes initial conditions into row y of *both* buffers, so the
@@ -112,24 +112,22 @@ func (s *Stencil2D) next() *Array {
 func (s *Stencil2D) Iter() int { return s.iter }
 
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
-// It reads cur's rows in place (Array.rowView): a row on one written page
-// is that page's storage, any other row is loaded into the row buffer
-// rowBuf(y), and rows y-1, y and y+1 never share one.
+// It reads cur's rows in place: each is a view of cur's storage
+// (Array.rowView).
 func (s *Stencil2D) Step() error {
-	cur, nxt := s.Cur(), s.next()
-	out := s.rows[3*s.nx:]
-	mid, err := cur.rowView(s.rowBuf(0), 0)
+	cur, nxt, out := s.Cur(), s.next(), s.out
+	mid, err := cur.rowView(0, s.nx)
 	if err != nil {
 		return err
 	}
-	down, err := cur.rowView(s.rowBuf(1), s.nx)
+	down, err := cur.rowView(s.nx, s.nx)
 	if err != nil {
 		return err
 	}
 	for y := 1; y < s.ny-1; y++ {
 		up := mid
 		mid = down
-		if down, err = cur.rowView(s.rowBuf(y+1), (y+1)*s.nx); err != nil {
+		if down, err = cur.rowView((y+1)*s.nx, s.nx); err != nil {
 			return err
 		}
 		// One common length, and mid's right-hand neighbours as a slice
@@ -159,13 +157,6 @@ func (s *Stencil2D) Step() error {
 	}
 	s.iter++
 	return nil
-}
-
-// rowBuf is the buffer Step loads row y into when it cannot read it in
-// place: one of three, in turn.
-func (s *Stencil2D) rowBuf(y int) []float64 {
-	i := y % 3 * s.nx
-	return s.rows[i : i+s.nx]
 }
 
 // run performs n sweeps.

@@ -47,6 +47,28 @@ func TestZeroAllocPhantomWriteRange(t *testing.T) {
 	}
 }
 
+// TestUntouchedArenaCostsNoContents: a backed arena makes its contents
+// on its first run or LoadPage, never at map time, so mapping and
+// unmapping a 1 MB arena nothing touches (an MPI bounce arena) allocates
+// exactly what the same pair does on a phantom space.
+func TestUntouchedArenaCostsNoContents(t *testing.T) {
+	allocs := func(phantom bool) float64 {
+		s := NewAddressSpace(Config{Phantom: phantom})
+		return testing.AllocsPerRun(100, func() {
+			r, err := s.Mmap(1 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Munmap(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if backed, phantom := allocs(false), allocs(true); backed != phantom {
+		t.Fatalf("Mmap+Munmap of an untouched 1 MB arena: %v allocs backed, %v phantom", backed, phantom)
+	}
+}
+
 // TestFastPathStatsMatchSlowPath: the same Write issued against
 // protected pages (a fault each, then the store) and unprotected ones
 // (the store alone) must leave the same bytes in memory and the same

@@ -65,8 +65,12 @@ func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
 		if s.cfg.Phantom {
 			continue
 		}
-		for idx := uint64(0); idx < r.Pages(); idx++ {
-			pd := r.data[idx]
+		ps := s.cfg.PageSize
+		for off := uint64(0); off < r.size; off += ps {
+			var pd []byte // a region with no slab is all zero
+			if r.slab != nil {
+				pd = r.slab[off : off+ps]
+			}
 			if pageIsZero(pd) {
 				h.bytes([]byte{zeroPageMark})
 				continue

@@ -29,7 +29,7 @@ func (s *AddressSpace) WriteDirect(addr uint64, data []byte) (silentBytes uint64
 	}
 	silentBytes = r.markSilent(addr, n)
 	if !s.cfg.Phantom {
-		r.copyIn(addr, data)
+		copy(r.store(addr, n), data)
 	}
 	s.writeBytes += n
 	return silentBytes, nil

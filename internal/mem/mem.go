@@ -118,7 +118,7 @@ type Region struct {
 	kind  Kind
 
 	space *AddressSpace
-	wp    []uint64 // write-protect bitmap, one bit per page
+	wp    []uint64 // write-protect bitmap, one bit per page (see written)
 	// silent marks pages a DMA write (WriteDirect) landed on while they
 	// were write-protected: modified memory no dirty log ever saw —
 	// the NIC-vs-mprotect conflict of §4.2 made observable. Allocated
@@ -126,8 +126,11 @@ type Region struct {
 	// finally delivered for the page (the tracker sees it after all) or
 	// when the page is explicitly reconciled (ReplaySilent).
 	silent []uint64
-	data   [][]byte // per-page contents; nil slices until first backed write
-	dead   bool
+	// slab holds a backed region's contents, page after page. It is made
+	// zeroed, whole, on the region's first run or LoadPage, never at map
+	// time: a region nothing touches costs no host memory.
+	slab []byte
+	dead bool
 	// armed records that some page may be protected: ProtectAll and
 	// SetProtected(…, true) set it, and only a wholesale clear of wp
 	// (DirtyLog.Close) unsets it. Unset ⇒ wp is all zero, so a write to
@@ -249,13 +252,17 @@ func (r *Region) ClearSilent() {
 }
 
 // PeekPage returns the contents of the page at the given index without
-// materialising it: nil means the page was never written (all zero).
-// It panics in phantom mode.
+// making it: nil means the page was never written (all zero). It panics
+// in phantom mode.
 func (r *Region) PeekPage(idx uint64) []byte {
 	if r.space.cfg.Phantom {
 		panic("mem: PeekPage on phantom address space")
 	}
-	return r.data[idx]
+	if r.written()[idx/64]&(1<<(idx%64)) == 0 {
+		return nil
+	}
+	ps := r.space.cfg.PageSize
+	return r.slab[idx*ps : (idx+1)*ps : (idx+1)*ps]
 }
 
 // LoadPage overwrites the page at the given index with data (len must be
@@ -268,10 +275,35 @@ func (r *Region) LoadPage(idx uint64, data []byte) {
 	if uint64(len(data)) != r.space.cfg.PageSize {
 		panic(fmt.Sprintf("mem: LoadPage with %d bytes, want one page (%d)", len(data), r.space.cfg.PageSize))
 	}
-	if r.data[idx] == nil {
-		r.data[idx] = make([]byte, r.space.cfg.PageSize)
+	copy(r.store(r.PageAddr(idx), uint64(len(data))), data)
+}
+
+// written is a backed region's written-page bitmap: the pages a store, a
+// raw store (DMA, fill) or LoadPage made, even all-zero ones; PeekPage
+// returns nil for the rest. It is wp's capacity past its length, so a
+// backed region's two bitmaps are one allocation and the Region struct,
+// of which phantom runs map thousands, carries no second slice header.
+func (r *Region) written() []uint64 { return r.wp[len(r.wp):cap(r.wp)] }
+
+// bytes returns the slab's n bytes at addr, a range inside r, making the
+// slab on first use.
+func (r *Region) bytes(addr, n uint64) []byte {
+	if r.slab == nil {
+		r.slab = make([]byte, r.size)
 	}
-	copy(r.data[idx], data)
+	off := addr - r.start
+	return r.slab[off : off+n : off+n]
+}
+
+// store is bytes for a write: it marks the pages of the range written.
+func (r *Region) store(addr, n uint64) []byte {
+	b, written := r.bytes(addr, n), r.written()
+	first, last := r.PageIndex(addr), r.PageIndex(addr+n-1)
+	for w := first / 64; w <= last/64; w++ {
+		lo, hi := max(first, w*64)%64, min(last, w*64+63)%64
+		written[w] |= ^uint64(0) << lo & (^uint64(0) >> (63 - hi))
+	}
+	return b
 }
 
 // AddressSpace is a simulated process address space.
@@ -331,10 +363,11 @@ func (s *AddressSpace) roundUp(n uint64) uint64 {
 // insert creates a region and splices it into the sorted live list.
 func (s *AddressSpace) insert(start, size uint64, kind Kind) *Region {
 	r := &Region{start: start, size: size, kind: kind, space: s}
-	nPages := size >> s.pageShift
-	r.wp = make([]uint64, (nPages+63)/64)
-	if !s.cfg.Phantom {
-		r.data = make([][]byte, nPages)
+	n := (size>>s.pageShift + 63) / 64
+	if s.cfg.Phantom {
+		r.wp = make([]uint64, n)
+	} else {
+		r.wp = make([]uint64, n, 2*n) // and written
 	}
 	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].start >= start })
 	s.regions = append(s.regions, nil)
@@ -517,56 +550,45 @@ func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 	return r, nil
 }
 
-// PageRun is a cursor over the page storage behind one byte range of a
-// region: each Next lends the caller the next page's bytes, clipped to
-// the range, so a consumer that knows its own element layout reads or
-// writes memory in place instead of staging through a buffer.
+// PageRun lends the caller the storage behind one byte range of a
+// region, so a consumer that knows its own element layout reads or
+// writes memory in place instead of staging through a buffer. Next
+// lends the whole range at once: a region's pages are one slab.
 //
-// The lend contract: a chunk is the page's own storage — valid until
-// its region is unmapped, so retained no longer than the caller can
-// rule that out (kernels' Stencil2D.Step holds its load chunks across
-// one sweep); a store run's chunk is the caller's to overwrite, a read
-// run's is not. A phantom space lends nothing (a nil chunk) but walks,
-// faults and counts identically.
+// The lend contract: a chunk is the region's own storage — valid until
+// the region is unmapped, so retained no longer than the caller can rule
+// that out (kernels' Stencil2D.Step holds its load chunks across one
+// sweep); a store run's chunk is the caller's to overwrite, a read run's
+// is not. A phantom space lends nothing (a nil chunk) but faults and
+// counts identically.
 //
 // It is a value: hold it in a local, it allocates nothing.
 type PageRun struct {
 	r     *Region
-	addr  uint64 // next byte to lend
-	left  uint64 // bytes of the range not lent yet
-	total uint64 // a completed store run counts this many bytes written
-	mode  runMode
+	addr  uint64
+	n     uint64 // bytes of the range not lent yet
+	store bool
 	err   error
 }
 
-type runMode uint8
-
-const (
-	runRead  runMode = iota // never faults; a never-written page lends nil
-	runStore                // faults on protected pages, materialises, counts
-	runRaw                  // materialises only: stores below protection (DMA, fill)
-)
-
 // StoreRun begins a CPU store of n bytes at addr: the range is located
-// once, then each Next delivers the write fault for its page if (and
-// only if) the page is protected — the same fault order and logs as
-// Write, which is this loop with a copy in it — and lends the page. A
-// protected page no open log records ends the run with ErrSegv, earlier
-// pages stored and nothing counted; the Next that lends the last page
-// counts the n bytes.
+// once, and Next first delivers the write faults of its protected pages
+// in ascending page order — the same faults and logs as WriteRange —
+// then lends the range and counts the n bytes. A protected page no open
+// log records ends the run with ErrSegv: Next lends only the pages
+// before it, to be stored, and counts nothing.
 func (s *AddressSpace) StoreRun(addr, n uint64) (PageRun, error) {
-	return s.run(addr, n, runStore)
+	return s.run(addr, n, true)
 }
 
 // LoadRun begins a read of n bytes at addr. Reads never fault (the paper
-// tracks write accesses only) and never materialise: a page that was
-// never written, and every page of a phantom space, lends nil, meaning
-// all zero.
+// tracks write accesses only) and never mark a page written: a page
+// that was never written lends zeros, and PeekPage still reports it nil.
 func (s *AddressSpace) LoadRun(addr, n uint64) (PageRun, error) {
-	return s.run(addr, n, runRead)
+	return s.run(addr, n, false)
 }
 
-func (s *AddressSpace) run(addr, n uint64, mode runMode) (PageRun, error) {
+func (s *AddressSpace) run(addr, n uint64, store bool) (PageRun, error) {
 	if n == 0 {
 		return PageRun{}, nil
 	}
@@ -574,41 +596,34 @@ func (s *AddressSpace) run(addr, n uint64, mode runMode) (PageRun, error) {
 	if err != nil {
 		return PageRun{}, err
 	}
-	return PageRun{r: r, addr: addr, left: n, total: n, mode: mode}, nil
+	return PageRun{r: r, addr: addr, n: n, store: store}, nil
 }
 
-// Next lends the next page of the range: n bytes of it, n > 0, in b —
-// or, where there is no storage to lend (see LoadRun and the phantom
-// rule), n bytes and a nil b. n is 0 when the range is exhausted or a
-// store faulted fatally (see Err).
+// Next lends the range: n bytes of storage in b, n > 0 — or, on a
+// phantom space, n bytes and a nil b. A store run that died with ErrSegv
+// lends only the bytes before the page it died on (see Err). n is 0 once
+// the range is lent, or when a store died on its first page.
 func (p *PageRun) Next() (b []byte, n int) {
-	if p.left == 0 || p.err != nil {
+	if p.n == 0 {
 		return nil, 0
 	}
-	r := p.r
-	s := r.space
-	ps := s.cfg.PageSize
-	idx := r.PageIndex(p.addr)
-	po := p.addr & (ps - 1)
-	size := min(ps-po, p.left)
-	if p.mode == runStore && r.wp[idx/64]&(1<<(idx%64)) != 0 && !s.faultWord(r, idx/64, 1<<(idx%64)) {
-		p.err = fmt.Errorf("%w: write to %#x", ErrSegv, p.addr)
-		return nil, 0
-	}
-	if !s.cfg.Phantom {
-		pd := r.data[idx]
-		if pd == nil && p.mode != runRead {
-			pd = make([]byte, ps)
-			r.data[idx] = pd
-		}
-		if pd != nil {
-			b = pd[po : po+size : po+size]
+	r, s := p.r, p.r.space
+	end := p.addr + p.n
+	if p.store {
+		if end = s.deliver(r, p.addr, p.n); end == p.addr+p.n {
+			s.writeBytes += p.n
+		} else {
+			p.err = fmt.Errorf("%w: write to %#x", ErrSegv, end)
 		}
 	}
-	p.addr += size
-	p.left -= size
-	if p.left == 0 && p.mode == runStore {
-		s.writeBytes += p.total
+	size := end - p.addr
+	p.n = 0
+	switch {
+	case size == 0 || s.cfg.Phantom:
+	case p.store:
+		b = r.store(p.addr, size)
+	default:
+		b = r.bytes(p.addr, size)
 	}
 	return b, int(size)
 }
@@ -616,13 +631,19 @@ func (p *PageRun) Next() (b []byte, n int) {
 // Err returns the ErrSegv that ended a store run early, if any.
 func (p *PageRun) Err() error { return p.err }
 
-// copyIn stores data into the region starting at addr, below protection.
-// The caller guarantees the range lies inside the region.
-func (r *Region) copyIn(addr uint64, data []byte) {
-	run := PageRun{r: r, addr: addr, left: uint64(len(data)), mode: runRaw}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		data = data[copy(b, data):]
+// deliver delivers the write faults on the protected pages of [addr,
+// addr+n), a range inside r, a bitmap word at a time in ascending page
+// order (faultWord), and returns where the write stops: addr+n, or the
+// first page no open log records — never before addr — where it fails
+// with ErrSegv.
+func (s *AddressSpace) deliver(r *Region, addr, n uint64) uint64 {
+	last := r.PageIndex(addr + n - 1)
+	for w, m := r.protected(r.PageIndex(addr), last); m != 0; w, m = r.protected(w*64+64, last) {
+		if !s.faultWord(r, w, m) {
+			return max(r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))), addr)
+		}
 	}
+	return addr + n
 }
 
 // Write stores data at addr, faulting on protected pages first. In
@@ -633,27 +654,24 @@ func (s *AddressSpace) Write(addr uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		copy(b, data)
-		data = data[n:]
-	}
+	b, _ := run.Next()
+	copy(b, data)
 	return run.Err()
 }
 
 // Read copies memory at addr into buf. Reads never fault: the paper
 // tracks write accesses only. Reading in phantom mode zero-fills.
+//
+//lint:ignore deadexport byte-wise probe the ckpt, migrate, mpi and kernels tests read memory back with
 func (s *AddressSpace) Read(addr uint64, buf []byte) error {
 	run, err := s.LoadRun(addr, uint64(len(buf)))
 	if err != nil {
 		return err
 	}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		if b != nil {
-			copy(buf, b)
-		} else {
-			clear(buf[:n])
-		}
-		buf = buf[n:]
+	if b, _ := run.Next(); b != nil {
+		copy(buf, b)
+	} else {
+		clear(buf)
 	}
 	return nil
 }
@@ -686,11 +704,8 @@ func (s *AddressSpace) RewriteRange(addr, n, k uint64) error {
 	if err != nil {
 		return err
 	}
-	last := r.PageIndex(addr + n - 1)
-	for w, m := r.protected(r.PageIndex(addr), last); m != 0; w, m = r.protected(w*64+64, last) {
-		if !s.faultWord(r, w, m) {
-			return fmt.Errorf("%w: write to %#x", ErrSegv, max(r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))), addr))
-		}
+	if end := s.deliver(r, addr, n); end != addr+n {
+		return fmt.Errorf("%w: write to %#x", ErrSegv, end)
 	}
 	s.writeBytes += (k - 1) * n
 	s.writeSeq += byte(k - 1)
@@ -708,11 +723,8 @@ func (s *AddressSpace) fill(r *Region, addr, n uint64) {
 		return
 	}
 	s.writeSeq++
-	v := s.writeSeq
-	run := PageRun{r: r, addr: addr, left: n, mode: runRaw}
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		for i := range b {
-			b[i] = v
-		}
+	b, v := r.store(addr, n), s.writeSeq
+	for i := range b {
+		b[i] = v
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // oracleWrite and oracleRead are AddressSpace.Write and Read as they
-// were before they became loops over a PageRun — their own page walk,
-// fault first (the one-bit case of faultWord), then a copy — kept as
-// the reference the accessor is compared against.
+// were before they became a PageRun — their own page walk, fault first
+// (the one-bit case of faultWord), then a copy of that page alone — kept
+// as the reference the accessor is compared against.
 func oracleWrite(s *AddressSpace, addr uint64, data []byte) error {
 	n := uint64(len(data))
 	if n == 0 {
@@ -30,12 +30,7 @@ func oracleWrite(s *AddressSpace, addr uint64, data []byte) error {
 			return fmt.Errorf("%w: write to %#x", ErrSegv, addr+off)
 		}
 		if !s.cfg.Phantom {
-			idx := r.PageIndex(addr + off)
-			if r.data[idx] == nil {
-				r.data[idx] = make([]byte, ps)
-			}
-			po := (addr + off) & (ps - 1)
-			copy(r.data[idx][po:po+chunk], data[off:off+chunk])
+			copy(r.store(addr+off, chunk), data[off:off+chunk])
 		}
 		off += chunk
 	}
@@ -60,7 +55,7 @@ func oracleRead(s *AddressSpace, addr uint64, buf []byte) error {
 	for off := uint64(0); off < n; {
 		chunk := min(n-off, (addr+off+ps)&^(ps-1)-(addr+off))
 		po := (addr + off) & (ps - 1)
-		if pd := r.data[r.PageIndex(addr+off)]; pd != nil {
+		if pd := r.PeekPage(r.PageIndex(addr + off)); pd != nil {
 			copy(buf[off:off+chunk], pd[po:po+chunk])
 		} else {
 			clear(buf[off : off+chunk])
@@ -71,16 +66,17 @@ func oracleRead(s *AddressSpace, addr uint64, buf []byte) error {
 }
 
 // storeThrough and loadThrough are what a PageRun consumer writes: the
-// store (load) of data, a lent page at a time. They also check the
-// lend contract — chunk lengths add up to the range, a chunk cannot be
-// appended past its end, a phantom space lends nothing, and a read
-// never materialises.
+// store (load) of data, through whatever chunks the run lends. They
+// also check the lend contract — one chunk, the whole range unless the
+// store died, that cannot be appended past its end; a phantom space
+// lends nothing and a backed one never lends nil.
 func storeThrough(t *testing.T, s *AddressSpace, addr uint64, data []byte) error {
 	t.Helper()
 	run, err := s.StoreRun(addr, uint64(len(data)))
 	if err != nil {
 		return err
 	}
+	chunks := 0
 	for b, n := run.Next(); n > 0; b, n = run.Next() {
 		switch {
 		case s.Phantom() && b != nil:
@@ -89,7 +85,10 @@ func storeThrough(t *testing.T, s *AddressSpace, addr uint64, data []byte) error
 			t.Fatalf("store run lent len %d cap %d for a %d-byte chunk", len(b), cap(b), n)
 		case n > len(data):
 			t.Fatalf("store run lent %d bytes, %d left in the range", n, len(data))
+		case chunks > 0:
+			t.Fatalf("store run lent a second chunk of %d bytes", n)
 		}
+		chunks++
 		copy(b, data)
 		data = data[n:]
 	}
@@ -106,8 +105,8 @@ func loadThrough(t *testing.T, s *AddressSpace, addr uint64, buf []byte) error {
 		return err
 	}
 	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		if b != nil && (s.Phantom() || len(b) != n || cap(b) != n) {
-			t.Fatalf("load run lent len %d cap %d for a %d-byte chunk (phantom %v)", len(b), cap(b), n, s.Phantom())
+		if (b != nil) == s.Phantom() || b != nil && (len(b) != len(buf) || cap(b) != len(buf)) || n != len(buf) {
+			t.Fatalf("load run lent len %d cap %d (nil %v) for %d of %d bytes (phantom %v)", len(b), cap(b), b == nil, n, len(buf), s.Phantom())
 		}
 		if b != nil {
 			copy(buf, b)
@@ -157,24 +156,49 @@ func (g *runRig) stick(stuck bool) {
 }
 
 func (g *runRig) state() string {
-	var prot []uint64
+	var prot, never []uint64
 	for idx := uint64(0); idx < g.r.Pages(); idx++ {
 		if g.r.Protected(g.r.PageAddr(idx)) {
 			prot = append(prot, idx)
 		}
+		if !g.s.Phantom() && g.r.PeekPage(idx) == nil {
+			never = append(never, idx)
+		}
 	}
-	return fmt.Sprintf("faults %d written %d silent %d digest %x protected %v faulted pages %v",
-		g.s.Faults(), g.s.WrittenBytes(), g.s.SilentDirtyBytes(), g.s.Digest(nil), prot, g.faults)
+	return fmt.Sprintf("region %#x faults %d written %d silent %d digest %x protected %v never written %v faulted pages %v",
+		g.r.Start(), g.s.Faults(), g.s.WrittenBytes(), g.s.SilentDirtyBytes(), g.s.Digest(nil), prot, never, g.faults)
+}
+
+// remap unmaps the rig's region and maps a new one of the same size,
+// which reuses its address and starts with no page written.
+func (g *runRig) remap(t *testing.T) {
+	t.Helper()
+	start := g.r.Start()
+	if err := g.s.Munmap(g.r); err != nil {
+		t.Fatal(err)
+	}
+	r, err := g.s.Mmap(g.r.Size())
+	if err != nil || r.Start() != start {
+		t.Fatalf("re-Mmap at %#x: %v", start, err)
+	}
+	for idx := uint64(0); idx < r.Pages() && !g.s.Phantom(); idx++ {
+		if r.PeekPage(idx) != nil {
+			t.Fatalf("page %d of a re-mapped region reads as written", idx)
+		}
+	}
+	g.r = r
 }
 
 // TestPageRunMatchesOracle: the same random script — protect, DMA,
 // CPU stores and reads that start mid-page, end mid-page and span
 // several pages, some dying on a stuck page (the one protected page of
-// a region the log does not record) — run through the old Write/Read
-// on one space and through PageRuns on another leaves every observable
-// alike: contents (Digest and the bytes read back), Faults,
-// WrittenBytes, silent bytes, protection bits and the recorded fault
-// sequence, page by page.
+// a region the log does not record), restores' LoadPage (all-zero pages
+// too) and an unmap with a re-map at the reused address — run through
+// the old page-by-page Write/Read on one space and through PageRuns on
+// another leaves every observable alike: contents (Digest and the bytes
+// read back), Faults, WrittenBytes, silent bytes, protection bits, the
+// pages PeekPage reports never written and the recorded fault sequence,
+// page by page.
 func TestPageRunMatchesOracle(t *testing.T) {
 	for _, ps := range []uint64{8, 256, 4096} {
 		for _, phantom := range []bool{false, true} {
@@ -188,7 +212,7 @@ func TestPageRunMatchesOracle(t *testing.T) {
 					n := (last-first)*ps + 1 + rng.Uint64N(ps-off)
 					rel := first*ps + off
 					where := fmt.Sprintf("page size %d phantom %v seed %d step %d", ps, phantom, seed, step)
-					switch op := rng.IntN(10); {
+					switch op := rng.IntN(12); {
 					case op < 5:
 						data := make([]byte, n)
 						for i := range data {
@@ -227,10 +251,23 @@ func TestPageRunMatchesOracle(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-					default:
+					case op == 9:
 						for _, g := range []*runRig{old, run} {
 							g.stick(false)
 							g.s.ReplaySilent()
+						}
+					case op == 10 && !phantom:
+						data := make([]byte, ps)
+						if rng.IntN(2) == 0 {
+							for i := range data {
+								data[i] = byte(rng.Uint32())
+							}
+						}
+						copy(old.r.store(old.r.PageAddr(first), ps), data)
+						run.r.LoadPage(first, data)
+					default:
+						for _, g := range []*runRig{old, run} {
+							g.remap(t)
 						}
 					}
 					if a, b := old.state(), run.state(); a != b {
@@ -247,31 +284,37 @@ func TestPageRunMatchesOracle(t *testing.T) {
 
 // TestStoreRunSegvKeepsEarlierPages spells out the partial state a
 // store that dies midway leaves, the one Write always left: pages
-// before the stuck one are stored and unprotected, the stuck page got
-// its fault and stays protected, later pages are untouched, and none
-// of the bytes count as written.
+// before the stuck one are lent, stored and unprotected, the stuck page
+// got its fault and stays protected, later pages are untouched, and
+// none of the bytes count as written.
 func TestStoreRunSegvKeepsEarlierPages(t *testing.T) {
 	g := newRunRig(256, false, 12)
 	g.r.ProtectAll()
+	if err := g.s.Write(g.r.PageAddr(1)-1, []byte{0, 0}); err != nil { // pages 0 and 1 fault and are recorded
+		t.Fatal(err)
+	}
+	g.stick(true) // page 2 is stuck
+	written := g.s.WrittenBytes()
 	data := bytes.Repeat([]byte{0xAB}, 4*256)
 	run, _ := g.s.StoreRun(g.r.Start()+10, uint64(len(data)))
-	chunks := 0
+	var lens []int
 	for b, n := run.Next(); n > 0; b, n = run.Next() {
 		copy(b, data)
 		data = data[n:]
-		if chunks++; chunks == 2 {
-			g.stick(true) // pages 0 and 1 faulted and were recorded; page 2 is stuck
-		}
+		lens = append(lens, n)
 	}
 	err := run.Err()
 	if !errors.Is(err, ErrSegv) || !strings.HasSuffix(err.Error(), fmt.Sprintf("%#x", g.r.PageAddr(2))) {
 		t.Fatalf("store over a stuck page: %v, want ErrSegv at %#x", err, g.r.PageAddr(2))
 	}
+	if !slices.Equal(lens, []int{2*256 - 10}) {
+		t.Fatalf("store run lent chunks %v, want the %d bytes before the stuck page", lens, 2*256-10)
+	}
 	if !slices.Equal(g.faults, []uint64{0, 1}) || g.s.Faults() != 3 {
 		t.Fatalf("recorded pages %v, space %d faults; want [0 1], 3 (the stuck page's too)", g.faults, g.s.Faults())
 	}
-	if g.s.WrittenBytes() != 0 {
-		t.Fatalf("a store that died counted %d bytes", g.s.WrittenBytes())
+	if g.s.WrittenBytes() != written {
+		t.Fatalf("a store that died counted %d bytes", g.s.WrittenBytes()-written)
 	}
 	for idx, want := range []bool{false, false, true, true} {
 		if g.r.Protected(g.r.PageAddr(uint64(idx))) != want {
@@ -282,7 +325,7 @@ func TestStoreRunSegvKeepsEarlierPages(t *testing.T) {
 		t.Fatal("pages before the stuck one were not stored")
 	}
 	if g.r.PeekPage(2) != nil || g.r.PeekPage(3) != nil {
-		t.Fatal("the stuck page or one after it was materialised")
+		t.Fatal("the stuck page or one after it was marked written")
 	}
 	// A run that ended in ErrSegv stays ended.
 	run, _ = g.s.StoreRun(g.r.PageAddr(2), 8)
@@ -294,12 +337,14 @@ func TestStoreRunSegvKeepsEarlierPages(t *testing.T) {
 	}
 }
 
-// TestLoadRunNeverMaterialises: reading never-written memory lends nil
-// and leaves the page table as it was — Digest's zero-page equivalence
-// and PeekPage's nil both depend on it.
+// TestLoadRunNeverMaterialises: reading lends the range as one chunk —
+// zeros where pages were never written, of a region never touched too —
+// without faulting and without marking a page written: Digest's
+// zero-page equivalence and PeekPage's nil both depend on it.
 func TestLoadRunNeverMaterialises(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 256})
 	r, _ := s.Mmap(4 * 256)
+	fresh, _ := s.Mmap(2 * 256)
 	r.ProtectAll()
 	if err := s.Write(r.PageAddr(1)+5, []byte{1, 2, 3}); !errors.Is(err, ErrSegv) {
 		t.Fatalf("write with no log open: %v", err)
@@ -308,24 +353,34 @@ func TestLoadRunNeverMaterialises(t *testing.T) {
 	if err := s.Write(r.PageAddr(1)+5, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	faults := s.Faults()
-	run, err := s.LoadRun(r.Start()+200, 3*256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lens []int
-	var lent []bool
-	for b, n := run.Next(); n > 0; b, n = run.Next() {
-		lens, lent = append(lens, n), append(lent, b != nil)
-		if b != nil && !bytes.Equal(b[5:8], []byte{1, 2, 3}) {
-			t.Fatalf("lent page holds %v", b[:8])
+	faults, digest := s.Faults(), s.Digest(nil)
+	for _, c := range []struct {
+		r    *Region
+		addr uint64
+		n    int
+	}{{r, r.Start() + 200, 3 * 256}, {fresh, fresh.Start() + 3, 2*256 - 3}} {
+		run, err := s.LoadRun(c.addr, uint64(c.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, c.n)
+		if c.r == r {
+			copy(want[256-200+5:], []byte{1, 2, 3})
+		}
+		var lens []int
+		for b, n := run.Next(); n > 0; b, n = run.Next() {
+			lens = append(lens, n)
+			if !bytes.Equal(b, want) {
+				t.Fatalf("load run at %#x lent % x…", c.addr, b[:8])
+			}
+		}
+		if !slices.Equal(lens, []int{c.n}) {
+			t.Fatalf("load run at %#x lent chunks %v, want one of %d bytes", c.addr, lens, c.n)
 		}
 	}
-	if !slices.Equal(lens, []int{56, 256, 256, 200}) || !slices.Equal(lent, []bool{false, true, false, false}) {
-		t.Fatalf("chunks %v lent %v", lens, lent)
-	}
-	if s.Faults() != faults || r.PeekPage(0) != nil || r.PeekPage(2) != nil || r.PeekPage(3) != nil {
-		t.Fatal("a load run faulted or materialised a page")
+	if s.Faults() != faults || r.PeekPage(0) != nil || r.PeekPage(2) != nil || r.PeekPage(3) != nil ||
+		fresh.PeekPage(0) != nil || fresh.PeekPage(1) != nil || s.Digest(nil) != digest {
+		t.Fatal("a load run faulted or marked a page written")
 	}
 }
 

@@ -71,7 +71,7 @@ func oracleWriteDirect(s *AddressSpace, addr uint64, data []byte) (silentBytes u
 		off += chunk
 	}
 	if !s.cfg.Phantom {
-		r.copyIn(addr, data)
+		copy(r.store(addr, n), data)
 	}
 	s.writeBytes += n
 	return silentBytes, nil
