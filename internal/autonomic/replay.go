@@ -6,12 +6,13 @@ package autonomic
 // storage outages, silent at-rest bit flips — and stitched back together
 // by restore-and-replay finishes in the *bit-identical* process image of
 // a run that never failed. ValidateReplay measures that claim directly:
-// it runs the same seeded configuration twice, once failure-free and
-// once under a compiled chaos plan, and compares final per-rank address
-// space digests and the gathered solution checksum.
+// it runs the configuration's Reference and the same configuration
+// under a compiled chaos plan, and Compare judges the two by final
+// per-rank address space digests and the gathered solution checksum.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/des"
@@ -20,7 +21,9 @@ import (
 
 // ReplayOutcome is the verdict of one equivalence validation.
 type ReplayOutcome struct {
-	// Reference is the failure-free run's report.
+	// Reference is the report of the configuration's Reference run:
+	// failure-free, and without the layers that only protect committed
+	// lines.
 	Reference *Report
 	// Injected is the chaos run's report.
 	Injected *Report
@@ -39,15 +42,44 @@ type ReplayOutcome struct {
 // BitExact reports full replay equivalence: digests and checksum.
 func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMatch }
 
-// ValidateReplay runs cfg once failure-free and once under the given
-// chaos schedule (compiled with cfg.Seed), then compares the final
-// states bit for bit. The injected run hosts the supervisor on a fresh
-// engine bound to a chaos driver, with the driver's timed storage faults
-// and bit flips interposed *below* an integrity envelope and a retry
-// layer — flips surface as read-back corruption, outages as refusals the
+// Reference runs the answer cfg's computation must replay to: Run of
+// cfg without its failure sources (MTBF, NetFaults, Chaos, Store,
+// Engine) and without the four layers that only protect committed lines
+// (TwoPhaseCommit, MultiLevel, HeartbeatPeriod, Spec). A protection
+// layer that writes into application memory therefore perturbs only the
+// run it protects, never the reference. The workload, grid, Ranks,
+// Iterations and ComputeTime stay, and so does the checkpoint schedule —
+// CkptEvery, Sink and RDMA — because a line lands a one-sided ring's
+// in-flight puts before its next sweep (the drain protocol does, and so
+// does the commit pause), so where lines are cut is part of the answer
+// (see kernels.DistPut).
+func Reference(cfg Config) (*Report, error) {
+	cfg.MTBF, cfg.NetFaults, cfg.Chaos, cfg.Store, cfg.Engine = 0, nil, nil, nil, nil
+	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
+	return Run(cfg)
+}
+
+// Compare judges run against its reference: every rank's final
+// address-space digest and the gathered checksum must be bit-identical.
+// It is the one comparison every replay verdict is made by.
+func Compare(ref, run *Report) *ReplayOutcome {
+	return &ReplayOutcome{
+		Reference:     ref,
+		Injected:      run,
+		DigestsMatch:  slices.Equal(ref.SpaceDigests, run.SpaceDigests),
+		ChecksumMatch: ref.Checksum == run.Checksum,
+	}
+}
+
+// ValidateReplay runs cfg's Reference and cfg under the given chaos
+// schedule (compiled with cfg.Seed), then Compares the final states bit
+// for bit. The injected run hosts the supervisor on a fresh engine
+// bound to a chaos driver, with the driver's timed storage faults and
+// bit flips interposed *below* an integrity envelope and a retry layer —
+// flips surface as read-back corruption, outages as refusals the
 // retries may or may not outlast. MTBF-driven Poisson failures are
-// disabled in both runs so the plan is the sole failure source and every
-// entry in the injected report's FailureLog is attributable to it.
+// disabled so the plan is the sole failure source and every entry in
+// the injected report's FailureLog is attributable to it.
 func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 	// Hardened stack with chaos interposed at the bottom: bit flips
 	// corrupt enveloped bytes so IntegrityStore surfaces ErrCorrupt on
@@ -64,53 +96,32 @@ func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 // and chaos driver and returns the store the supervisor writes through.
 // This is how alternative sinks — a networked checkpoint-store service,
 // a mirror group — are put under the same bit-exactness contract as the
-// default hardened stack: the reference run keeps the pristine in-memory
-// store, so any acked-but-lost write in the injected stack shows up as a
-// digest divergence.
+// default hardened stack: the Reference keeps a pristine in-memory
+// store, so any acked-but-lost write in the injected stack shows up as
+// a digest divergence.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
 	plan, err := sched.Compile(cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: replay validation: %w", err)
 	}
-
-	ref := cfg
-	ref.MTBF = 0
-	ref.NetFaults = nil
-	ref.Store = nil
-	ref.Engine = nil
-	ref.Chaos = nil
-	refReport, err := Run(ref)
+	ref, err := Reference(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: reference run: %w", err)
 	}
 
 	eng := des.NewEngine()
 	driver := chaos.NewDriver(eng, plan)
-	inj := cfg
-	inj.MTBF = 0
-	inj.Engine = eng
-	inj.Chaos = driver
-	inj.Store = build(eng, driver)
-	injReport, err := Run(inj)
+	cfg.MTBF = 0
+	cfg.Engine = eng
+	cfg.Chaos = driver
+	cfg.Store = build(eng, driver)
+	inj, err := Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)
 	}
 
-	out := &ReplayOutcome{
-		Reference:     refReport,
-		Injected:      injReport,
-		Stats:         driver.Stats(),
-		Plan:          plan,
-		ChecksumMatch: refReport.Checksum == injReport.Checksum,
-		DigestsMatch:  len(refReport.SpaceDigests) == len(injReport.SpaceDigests),
-	}
-	if out.DigestsMatch {
-		for i, d := range refReport.SpaceDigests {
-			if injReport.SpaceDigests[i] != d {
-				out.DigestsMatch = false
-				break
-			}
-		}
-	}
+	out := Compare(ref, inj)
+	out.Stats = driver.Stats()
+	out.Plan = plan
 	return out, nil
 }

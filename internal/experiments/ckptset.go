@@ -52,6 +52,20 @@ type ckptSetWorkload struct {
 	factory    autonomic.SoloFactory
 }
 
+// config is the supervised run A19 replays the kernel in, protected by
+// spec s (nil: whole-process protection).
+func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
+	return autonomic.Config{
+		Workload:    w.factory,
+		Ranks:       1,
+		Iterations:  w.iterations,
+		CkptEvery:   3,
+		ComputeTime: 50 * des.Millisecond,
+		Seed:        11,
+		Spec:        s,
+	}
+}
+
 func ckptSetWorkloads() []ckptSetWorkload {
 	grid := func(build func(sp *mem.AddressSpace) (autonomic.SoloKernel, error),
 		rebind func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error)) autonomic.SoloFactory {
@@ -226,16 +240,7 @@ func CkptSetAblation() ([]CkptSetRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ckptset %s/%s volume: %w", w.name, mode, err)
 			}
-			cfg := autonomic.Config{
-				Workload:    w.factory,
-				Ranks:       1,
-				Iterations:  w.iterations,
-				CkptEvery:   3,
-				ComputeTime: 50 * des.Millisecond,
-				Seed:        11,
-				Spec:        s,
-			}
-			out, err := autonomic.ValidateReplayStore(cfg, crash,
+			out, err := autonomic.ValidateReplayStore(w.config(s), crash,
 				func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ckptset %s/%s replay: %w", w.name, mode, err)

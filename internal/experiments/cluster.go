@@ -51,43 +51,49 @@ func clusterGrid() (loss []float64, periods []des.Time, slices []int) {
 		[]int{5, 10}
 }
 
-// FaultyClusterAblation runs the A15 grid over the given failure seeds
-// (nil → a default sweep of three). Every run uses the heartbeat
-// detector and two-phase commit; the loss axis also drives proportional
-// duplication and delay jitter.
-func FaultyClusterAblation(seeds []uint64) ([]ClusterRow, error) {
-	// Ground truth: same computation, no failures, clean network.
-	clean := smallJacobi(4, 0)
-	clean.Sink = nfsClassSink
-	ref, err := autonomic.Run(clean)
-	if err != nil {
-		return nil, err
+// clusterCell is one A15 cell's variant of a seed's smallJacobi run:
+// heartbeat detection and two-phase commit on every run, and a loss
+// rate that also drives proportional duplication and delay jitter.
+func clusterCell(cfg autonomic.Config, lr float64, period des.Time, every int) autonomic.Config {
+	cfg.CkptEvery = every
+	cfg.MTBF = 3 * des.Second
+	cfg.Sink = nfsClassSink
+	cfg.TwoPhaseCommit = true
+	cfg.HeartbeatPeriod = period
+	if lr > 0 {
+		cfg.NetFaults = &mpi.NetFaultConfig{
+			Seed:      cfg.Seed*131 + 17,
+			DropRate:  lr,
+			DupRate:   lr / 5,
+			JitterMax: 200 * des.Microsecond,
+		}
 	}
+	return cfg
+}
 
+// FaultyClusterAblation runs the A15 grid over the given failure seeds
+// (nil → a default sweep of three).
+func FaultyClusterAblation(seeds []uint64) ([]ClusterRow, error) {
 	loss, periods, slices := clusterGrid()
+	// A cell's Reference drops its network faults, detector and commit
+	// protocol and keeps its timeslice: one reference per timeslice.
+	refs := make([]*autonomic.Report, len(slices))
+	for j, every := range slices {
+		var err error
+		if refs[j], err = autonomic.Reference(clusterCell(smallJacobi(4, 0), loss[0], periods[0], every)); err != nil {
+			return nil, err
+		}
+	}
 	var rows []ClusterRow
 	for _, lr := range loss {
 		for _, period := range periods {
-			for _, every := range slices {
+			for j, every := range slices {
 				row := ClusterRow{LossRate: lr, Period: period, CkptEvery: every}
 				var latSum des.Time
 				var latN int
 				row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-					cfg.CkptEvery = every
-					cfg.MTBF = 3 * des.Second
-					cfg.Sink = nfsClassSink
-					cfg.TwoPhaseCommit = true
-					cfg.HeartbeatPeriod = period
-					if lr > 0 {
-						cfg.NetFaults = &mpi.NetFaultConfig{
-							Seed:      cfg.Seed*131 + 17,
-							DropRate:  lr,
-							DupRate:   lr / 5,
-							JitterMax: 200 * des.Microsecond,
-						}
-					}
-					rep, err := autonomic.Run(cfg)
-					return rep, err != nil || rep.Checksum == ref.Checksum, err
+					rep, err := autonomic.Run(clusterCell(cfg, lr, period, every))
+					return rep, err != nil || autonomic.Compare(refs[j], rep).BitExact(), err
 				}, func(rep *autonomic.Report) {
 					row.Failures += rep.Failures
 					row.Recoveries += rep.Recoveries

@@ -75,10 +75,21 @@ func multiLevelSchemes() []multiLevelScheme {
 	}
 }
 
+// multiLevelCell is one A21 cell's variant of a seed's smallJacobi run.
+func multiLevelCell(cfg autonomic.Config, sc multiLevelScheme, domains *cluster.DomainMap, every int) autonomic.Config {
+	cfg.CkptEvery = every
+	cfg.MultiLevel = &autonomic.MultiLevelOptions{
+		Scheme:      sc.scheme,
+		Domains:     domains,
+		GlobalEvery: sc.globalEvery,
+	}
+	return cfg
+}
+
 // MultiLevelAblation runs the A21 grid over the given seeds (nil → the
 // default sweep of three). Every cell replays a correlated domain-crash
 // through autonomic.ValidateReplay, so bit-exactness is checked against
-// a failure-free reference of the same seed, per run.
+// the cell's autonomic.Reference, which runs no hierarchy.
 func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 	sched, err := chaos.ParseSchedule("domain-crash at 2500ms..30s domain d1")
 	if err != nil {
@@ -95,13 +106,7 @@ func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 				}
 				row := MultiLevelRow{Scheme: sc.name, DomainSize: domainSize, CkptEvery: every, ZeroGlobal: true}
 				row.SweepStats = sweepSeeds(seeds, ranks, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-					cfg.CkptEvery = every
-					cfg.MultiLevel = &autonomic.MultiLevelOptions{
-						Scheme:      sc.scheme,
-						Domains:     domains,
-						GlobalEvery: sc.globalEvery,
-					}
-					out, err := autonomic.ValidateReplay(cfg, sched)
+					out, err := autonomic.ValidateReplay(multiLevelCell(cfg, sc, domains, every), sched)
 					if err != nil {
 						return nil, false, err
 					}

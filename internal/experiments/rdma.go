@@ -114,11 +114,14 @@ func RDMAAblation() ([]RDMARow, error) {
 	for _, putEvery := range []int{1, 4} {
 		for _, pages := range []int{1, 8} {
 			for _, reg := range rdmaRegimes() {
-				cfg := rdmaExperimentConfig(putEvery, pages, reg.Opts())
-				rep, err := autonomic.Run(cfg)
+				out, err := autonomic.ValidateReplayStore(rdmaExperimentConfig(putEvery, pages, reg.Opts()), crash,
+					func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
 				if err != nil {
-					return nil, fmt.Errorf("experiments: rdma %s run: %w", reg.Name, err)
+					return nil, fmt.Errorf("experiments: rdma %s replay: %w", reg.Name, err)
 				}
+				// The cell sets nothing Reference drops, so its reference
+				// is the failure-free run the row reports.
+				rep := out.Reference
 				if !rep.Completed {
 					return nil, fmt.Errorf("experiments: rdma %s run did not complete", reg.Name)
 				}
@@ -135,18 +138,13 @@ func RDMAAblation() ([]RDMARow, error) {
 					SilentKB:       float64(rep.SilentDirtyBytes) / 1024,
 					ChainSilentKB:  float64(rep.CheckpointSilentBytes) / 1024,
 					PhaseTime:      rep.DrainPhaseTime,
+					BitExact:       out.BitExact(),
 				}
 				for p := 0; p < mpi.NumDrainPhases; p++ {
 					if mpi.DrainPhase(p) != mpi.PhaseCheckpoint {
 						row.DrainTime += rep.DrainPhaseTime[p]
 					}
 				}
-				out, err := autonomic.ValidateReplayStore(cfg, crash,
-					func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
-				if err != nil {
-					return nil, fmt.Errorf("experiments: rdma %s replay: %w", reg.Name, err)
-				}
-				row.BitExact = out.BitExact()
 				rows = append(rows, row)
 			}
 		}

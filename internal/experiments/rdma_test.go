@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/autonomic"
 )
 
 // A18's headline claims: naive Direct bakes a nonzero under-count into
@@ -61,5 +64,30 @@ func TestRDMAAblation(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDistPutDrainAnswerDependsOnSchedule is the tripwire for what
+// autonomic.Reference keeps: under the drain protocol a checkpoint line
+// lands in-flight puts before the next sweep, so A18's drain ring at put
+// interval 1 computes a different answer when its lines are cut every 3
+// iterations than every 12. The checkpoint schedule may leave the
+// reference only once this stops holding.
+func TestDistPutDrainAnswerDependsOnSchedule(t *testing.T) {
+	var digests [2][]uint64
+	for i, every := range []int{3, 12} {
+		cfg := rdmaExperimentConfig(1, 1, &autonomic.RDMAOptions{Mode: autonomic.RDMADrain})
+		cfg.CkptEvery = every
+		rep, err := autonomic.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Completed {
+			t.Fatalf("every %d: run did not complete", every)
+		}
+		digests[i] = rep.SpaceDigests
+	}
+	if slices.Equal(digests[0], digests[1]) {
+		t.Fatalf("a line every 3 and every 12 iterations end in the same digests %x", digests[0])
 	}
 }

@@ -23,11 +23,16 @@ import (
 // (The halo-exchanging kernels are immune by accident: they re-receive
 // halos before every read. One-sided windows have no such re-send.)
 //
-// Timing contract: a put injected at an iteration boundary is read no
-// earlier than the *second* sweep after it (the landing costs one
-// transfer time, the next sweep runs synchronously at the boundary), so
-// the computation is a pure function of the iteration/checkpoint
-// schedule — the property replay-equivalence validation relies on.
+// Timing contract: a put injected at an iteration boundary lands one
+// transfer time later. At a boundary with no checkpoint the next sweep
+// runs synchronously, so the put is first read by the *second* sweep
+// after it. At a checkpoint boundary the next sweep waits for the line:
+// the drain protocol lands every in-flight put before the cut, and the
+// commit pause outlasts a landing in every mode, so the *next* sweep
+// reads it. The computation is therefore a pure function of the
+// iteration and checkpoint schedule. A restore replays the same
+// schedule, which is what replay equivalence relies on, and it is why
+// autonomic.Reference keeps CkptEvery, Sink and RDMA.
 type DistPut struct {
 	world *mpi.World
 	eng   *des.Engine
