@@ -6,16 +6,20 @@
 // page exactly as a byte-wise AddressSpace.Write would, and the floats
 // are copied straight into the region storage it lends (reads copy out
 // of it the same way): a float64 and its 8 page bytes are the same
-// memory. Stencil2D.Step does not even copy its input rows: it reads
-// them as views of the storage a load run lends. A load view is
-// read-only, and may be held across the calls of one Step, because no
-// region can be unmapped inside it. The kernels are scaled-down, genuine
-// counterparts of the paper's applications (Sweep3D's wavefront, LU's
-// SSOR, BT/SP's ADI, FT's FFT): the synthetic models in internal/workload
-// reproduce the paper's published write patterns at full scale, while
-// these kernels validate that the tracker and checkpointer observe
-// *real* programs correctly — double-buffered page alternation, in-place
-// sweeps, transpose bursts — and that checkpoint/restore preserves real
+// memory. Stencil2D, SSOR, Wavefront and ADI read their grids as views
+// of the storage a load run lends, one view per sweep or step; only a
+// row a solver updates in place is copied out first. Stencil2D.Step also
+// stores its output rows through one view a store run lends, opened
+// after the sweep's first write to its scratch row. A load view is
+// read-only. A view may be held across the calls of one sweep: a sweep
+// fires no events, so nothing inside it can unmap a region or re-protect
+// a page. The kernels are scaled-down, genuine counterparts of the
+// paper's applications (Sweep3D's wavefront, LU's SSOR, BT/SP's ADI,
+// FT's FFT): the synthetic models in internal/workload reproduce the
+// paper's published write patterns at full scale, while these kernels
+// validate that the tracker and checkpointer observe *real* programs
+// correctly — double-buffered page alternation, in-place sweeps,
+// transpose bursts — and that checkpoint/restore preserves real
 // computations.
 package kernels
 
@@ -123,6 +127,26 @@ func (a *Array) rowView(off, n int) ([]float64, error) {
 	}
 	b, _ := run.Next()
 	return view[float64](b), nil
+}
+
+// storeView returns elements [off, off+n) for writing, as a view of the
+// storage a store run lends once the write faults of the range's
+// protected pages are delivered. It is valid, like a load view, until
+// the region is unmapped, but a page re-protected after the view was
+// taken would take its stores unseen: it is held only where nothing can
+// re-protect a page (one Stencil2D.Step). A run that dies with
+// mem.ErrSegv lends only the elements before the page it died on, and
+// that error comes back with them.
+func (a *Array) storeView(off, n int) ([]float64, error) {
+	if err := a.check(off, n); err != nil {
+		return nil, err
+	}
+	run, err := a.space.StoreRun(a.base+uint64(off)*8, uint64(n)*8)
+	if err != nil {
+		return nil, err
+	}
+	b, _ := run.Next()
+	return view[float64](b), run.Err()
 }
 
 // loadFloats decodes the len(dst) elements stored at addr, which must be

@@ -279,12 +279,14 @@ func BenchmarkFloatCodec(b *testing.B) {
 	}
 }
 
+// staged is a's staging oracle.
+func staged(a *Array) *stagingArray { return &stagingArray{space: a.space, base: a.base} }
+
 // stagingStep is Stencil2D.Step as it was before it read rows in place:
 // every row loaded into a buffer of its own, and every access coded
 // element by element through the staging oracle. The in-place Step is
 // held to it.
 func stagingStep(s *Stencil2D) error {
-	staged := func(a *Array) *stagingArray { return &stagingArray{space: a.space, base: a.base} }
 	cur, nxt, work := staged(s.Cur()), staged(s.next()), staged(s.work)
 	nx := s.nx
 	up, mid, down, out := make([]float64, nx), make([]float64, nx), make([]float64, nx), make([]float64, nx)
@@ -317,6 +319,266 @@ func stagingStep(s *Stencil2D) error {
 	return nil
 }
 
+// stagingSSORStep, stagingWavefrontStep and stagingADIStep are the
+// solvers' iterations as they were before they read through load views:
+// every row or element loaded into a buffer of its own, every relaxed,
+// swept or solved row read back from the scratch arena after it is
+// written there, and every access coded element by element through the
+// staging oracle. The in-place solvers are held to them.
+func stagingSSORStep(s *SSOR) error {
+	u, work := staged(s.u), staged(s.work)
+	for _, backward := range []bool{false, true} {
+		up := make([]float64, s.nx)
+		mid := make([]float64, s.nx)
+		down := make([]float64, s.nx)
+		ys := make([]int, 0, s.ny-2)
+		if backward {
+			for y := s.ny - 2; y >= 1; y-- {
+				ys = append(ys, y)
+			}
+		} else {
+			for y := 1; y < s.ny-1; y++ {
+				ys = append(ys, y)
+			}
+		}
+		for _, y := range ys {
+			if err := u.Read(up, (y-1)*s.nx); err != nil {
+				return err
+			}
+			if err := u.Read(mid, y*s.nx); err != nil {
+				return err
+			}
+			if err := u.Read(down, (y+1)*s.nx); err != nil {
+				return err
+			}
+			if backward {
+				for x := s.nx - 2; x >= 1; x-- {
+					gs := 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
+					mid[x] += s.omega * (gs - mid[x])
+				}
+			} else {
+				for x := 1; x < s.nx-1; x++ {
+					gs := 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
+					mid[x] += s.omega * (gs - mid[x])
+				}
+			}
+			if err := work.Write(mid, 0); err != nil {
+				return err
+			}
+			if err := work.Read(mid, 0); err != nil {
+				return err
+			}
+			if err := u.Write(mid, y*s.nx); err != nil {
+				return err
+			}
+		}
+	}
+	s.iter++
+	return nil
+}
+
+func stagingWavefrontStep(w *Wavefront) error {
+	v, work := staged(w.v), staged(w.work)
+	for _, c := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+		ox, oy := c[0], c[1]
+		prev := make([]float64, w.nx)
+		cur := make([]float64, w.nx)
+		for i := 0; i < w.ny; i++ {
+			y := i
+			if oy == 1 {
+				y = w.ny - 1 - i
+			}
+			if err := v.Read(cur, y*w.nx); err != nil {
+				return err
+			}
+			if i > 0 {
+				for j := 1; j < w.nx; j++ {
+					x := j
+					if ox == 1 {
+						x = w.nx - 1 - j
+					}
+					upwindX := x - 1
+					if ox == 1 {
+						upwindX = x + 1
+					}
+					cur[x] = 0.5*cur[upwindX] + 0.5*prev[x] + 0.01
+				}
+				if err := work.Write(cur, 0); err != nil {
+					return err
+				}
+				if err := work.Read(cur, 0); err != nil {
+					return err
+				}
+				if err := v.Write(cur, y*w.nx); err != nil {
+					return err
+				}
+			}
+			prev, cur = cur, prev
+		}
+	}
+	w.iter++
+	return nil
+}
+
+func stagingADIStep(a *ADI) error {
+	u, work := staged(a.u), staged(a.work)
+	row := make([]float64, a.nx)
+	for y := 0; y < a.ny; y++ {
+		if err := u.Read(row, y*a.nx); err != nil {
+			return err
+		}
+		thomas(row, make([]float64, a.nx), a.lambda)
+		if err := work.Write(row, 0); err != nil {
+			return err
+		}
+		if err := work.Read(row, 0); err != nil {
+			return err
+		}
+		if err := u.Write(row, y*a.nx); err != nil {
+			return err
+		}
+	}
+	col := make([]float64, a.ny)
+	one := make([]float64, 1)
+	for x := 0; x < a.nx; x++ {
+		for y := 0; y < a.ny; y++ {
+			if err := u.Read(one, y*a.nx+x); err != nil {
+				return err
+			}
+			col[y] = one[0]
+		}
+		thomas(col, make([]float64, a.ny), a.lambda)
+		if err := work.Write(col, a.nx); err != nil {
+			return err
+		}
+		if err := work.Read(col, a.nx); err != nil {
+			return err
+		}
+		for y := 0; y < a.ny; y++ {
+			one[0] = col[y]
+			if err := u.Write(one, y*a.nx+x); err != nil {
+				return err
+			}
+		}
+	}
+	a.iter++
+	return nil
+}
+
+// TestSolversMatchStagingOracle: SSOR, Wavefront and ADI read their grid
+// through load views and write exactly as their staging bodies did. For
+// each, over several iterations on pages of 8 to 16,384 bytes — rows
+// that span pages, share one or straddle a boundary, and pages never
+// written — with the grid, the scratch arena or both re-protected
+// between iterations, the solver and its staging body leave the same
+// Faults(), WrittenBytes(), faulting-page sequence and space Digest, and
+// the same grid bit for bit. A warm iteration allocates nothing.
+func TestSolversMatchStagingOracle(t *testing.T) {
+	type built struct {
+		step, staging func() error
+		grid, work    *Array
+	}
+	for _, k := range []struct {
+		name  string
+		build func(sp *mem.AddressSpace, nx, ny int) (built, error)
+	}{
+		{"SSOR", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
+			s, err := NewSSOR(sp, nx, ny, 1.5, 1.3)
+			if err != nil {
+				return built{}, err
+			}
+			return built{s.Step, func() error { return stagingSSORStep(s) }, s.u, s.work}, nil
+		}},
+		{"Wavefront", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
+			w, err := NewWavefront(sp, nx, ny, 0.75)
+			if err != nil {
+				return built{}, err
+			}
+			return built{w.Step, func() error { return stagingWavefrontStep(w) }, w.v, w.work}, nil
+		}},
+		{"ADI", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
+			a, err := NewADI(sp, nx, ny, 2.5, 0.4)
+			if err != nil {
+				return built{}, err
+			}
+			return built{a.Step, func() error { return stagingADIStep(a) }, a.u, a.work}, nil
+		}},
+	} {
+		for _, c := range []struct {
+			ps     uint64
+			nx, ny int
+		}{{8, 5, 7}, {256, 40, 9}, {4096, 300, 12}, {16384, 4500, 6}} {
+			name := fmt.Sprintf("%s, page size %d, %dx%d", k.name, c.ps, c.nx, c.ny)
+			rng := rand.New(rand.NewPCG(c.ps, uint64(c.nx)))
+			seeded := make([]float64, c.nx)
+			for i := range seeded {
+				if seeded[i] = rng.NormFloat64(); rng.IntN(5) == 0 {
+					seeded[i] = awkward[rng.IntN(5)] // zeros and subnormals: infinities and NaNs would flood the grid
+				}
+			}
+			build := func() (built, *arrayRig) {
+				g := &arrayRig{space: mem.NewAddressSpace(mem.Config{PageSize: c.ps})}
+				log := mem.NewDirtyLog(g.space)
+				log.OnFault = g.onFault
+				log.Open()
+				b, err := k.build(g.space, c.nx, c.ny)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := b.grid.Write(seeded[1:c.nx-1], c.ny/2*c.nx+1); err != nil {
+					t.Fatal(err)
+				}
+				return b, g
+			}
+			s, cur := build()
+			oracle, old := build()
+			got, want := make([]float64, c.nx*c.ny), make([]float64, c.nx*c.ny)
+			for it := 1; it <= 6; it++ {
+				var protect []*Array
+				switch it % 3 {
+				case 0:
+					protect = []*Array{s.grid, s.work, oracle.grid, oracle.work}
+				case 1:
+					protect = []*Array{s.work, oracle.work}
+				case 2:
+					protect = []*Array{s.grid, oracle.grid}
+				}
+				for _, a := range protect {
+					a.Region().ProtectAll()
+				}
+				if errCur, errOld := s.step(), oracle.staging(); errCur != nil || errOld != nil {
+					t.Fatalf("%s iteration %d: in place %v, staging %v", name, it, errCur, errOld)
+				}
+				if err := s.grid.Read(got, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := oracle.grid.Read(want, 0); err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("%s iteration %d: the grid is not the staging body's", name, it)
+				}
+				if old.space.Faults() != cur.space.Faults() || old.space.WrittenBytes() != cur.space.WrittenBytes() ||
+					!slices.Equal(old.faults, cur.faults) || old.space.Digest(nil) != cur.space.Digest(nil) {
+					t.Fatalf("%s iteration %d: staging left %d faults %d bytes digest %x faulted pages %#x\n in place %d faults %d bytes digest %x faulted pages %#x",
+						name, it, old.space.Faults(), old.space.WrittenBytes(), old.space.Digest(nil), old.faults,
+						cur.space.Faults(), cur.space.WrittenBytes(), cur.space.Digest(nil), cur.faults)
+				}
+			}
+			if len(cur.faults) == 0 {
+				t.Fatalf("%s: no iteration faulted", name)
+			}
+			if n := testing.AllocsPerRun(3, func() {
+				if err := s.step(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: warm iteration: %v allocs, want 0", name, n)
+			}
+		}
+	}
+}
+
 // jacobi is one sweep of the plain-[]float64 Jacobi iteration over an
 // nx-wide grid, in Step's order of operations: rows 0 and ny-1 and
 // every row's edge elements carry over, each interior cell is the mean
@@ -340,17 +602,23 @@ func jacobi(g []float64, nx int) []float64 {
 // 256-byte pages), rows that share one (4096: two a page) or straddle a
 // page boundary (16384, 2400-byte rows), and pages never written, which
 // must read as zeros: an attached grid of which only a few rows were
-// ever set. A warm Step allocates nothing.
+// ever set. Some cases re-protect one arena alone before every sweep —
+// only the scratch row, or only the grid the sweep writes — so a sweep
+// faults on the scratch page alone or on the grid's pages alone. A warm
+// Step allocates nothing.
 func TestStencilMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		ps       uint64
 		nx, ny   int
-		attached bool // AttachStencil2D over fresh arenas: rows never set are pages never written
+		attached bool   // AttachStencil2D over fresh arenas: rows never set are pages never written
+		only     string // "work" or "next": re-protect that arena alone, every sweep
 	}{
-		{8, 5, 7, false}, {256, 40, 9, false}, {256, 100, 6, false},
-		{4096, 256, 12, false}, {16384, 300, 20, false}, {16384, 256, 40, true},
+		{8, 5, 7, false, ""}, {256, 40, 9, false, ""}, {256, 100, 6, false, ""},
+		{4096, 256, 12, false, ""}, {16384, 300, 20, false, ""}, {16384, 256, 40, true, ""},
+		{8, 5, 7, false, "work"}, {4096, 256, 12, false, "work"}, {16384, 300, 20, false, "work"},
+		{8, 5, 7, false, "next"}, {4096, 256, 12, false, "next"}, {16384, 300, 20, false, "next"},
 	} {
-		name := fmt.Sprintf("page size %d, %dx%d, attached %v", c.ps, c.nx, c.ny, c.attached)
+		name := fmt.Sprintf("page size %d, %dx%d, attached %v, re-protect %q", c.ps, c.nx, c.ny, c.attached, c.only)
 		rng := rand.New(rand.NewPCG(c.ps, uint64(c.nx)))
 		ref := make([]float64, c.nx*c.ny)
 		if !c.attached {
@@ -407,7 +675,14 @@ func TestStencilMatchesReference(t *testing.T) {
 		oracle, old := build()
 		got := make([]float64, c.nx*c.ny)
 		for sweep := 1; sweep <= 6; sweep++ {
-			if sweep%3 == 0 {
+			switch {
+			case c.only == "work":
+				s.work.Region().ProtectAll()
+				oracle.work.Region().ProtectAll()
+			case c.only == "next":
+				s.next().Region().ProtectAll()
+				oracle.next().Region().ProtectAll()
+			case sweep%3 == 0:
 				for _, g := range []*arrayRig{cur, old} {
 					for _, r := range g.space.Regions() {
 						r.ProtectAll()

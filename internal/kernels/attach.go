@@ -70,7 +70,7 @@ func AttachSSOR(space *mem.AddressSpace, nx, ny int, omega float64, iter int) (*
 	if err != nil {
 		return nil, err
 	}
-	return &SSOR{nx: nx, ny: ny, u: bufs[0], work: bufs[1], omega: omega, iter: iter}, nil
+	return &SSOR{nx: nx, ny: ny, u: bufs[0], work: bufs[1], omega: omega, iter: iter, mid: make([]float64, nx)}, nil
 }
 
 // AttachWavefront rebuilds a Wavefront handle over a restored space.
@@ -82,7 +82,7 @@ func AttachWavefront(space *mem.AddressSpace, nx, ny, iter int) (*Wavefront, err
 	if err != nil {
 		return nil, err
 	}
-	return &Wavefront{nx: nx, ny: ny, v: bufs[0], work: bufs[1], iter: iter}, nil
+	return &Wavefront{nx: nx, ny: ny, v: bufs[0], work: bufs[1], iter: iter, row: make([]float64, nx)}, nil
 }
 
 // AttachADI rebuilds an ADI handle over a restored space. lambda must
@@ -95,7 +95,9 @@ func AttachADI(space *mem.AddressSpace, nx, ny int, lambda float64, iter int) (*
 	if err != nil {
 		return nil, err
 	}
-	return &ADI{nx: nx, ny: ny, u: bufs[0], work: bufs[1], lambda: lambda, iter: iter}, nil
+	a := &ADI{nx: nx, ny: ny, u: bufs[0], work: bufs[1], lambda: lambda, iter: iter}
+	a.bufs()
+	return a, nil
 }
 
 // AttachFFT rebuilds an FFT handle over a restored space; pass is the

@@ -35,6 +35,14 @@ type DistStencil struct {
 	onIter    func(iter int, done func())
 	doneAll   func()
 	targetIts int
+
+	// halos counts the halo receives of this iteration still
+	// outstanding. The callbacks an iteration hands the engine and the
+	// world are bound once (bind): a halo's arrival, the end of the
+	// sweep's compute time, and the continuation to the next iteration.
+	halos             int
+	arrived           func(mpi.Message)
+	computed, proceed func()
 }
 
 // tags for halo messages: from above (row arrives at local row 0) and
@@ -59,6 +67,7 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
 		boundary: boundary, computeT: computeTime,
 	}
+	d.bind()
 	for i := 0; i < world.Size(); i++ {
 		g, err := NewStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, boundary)
 		if err != nil {
@@ -93,6 +102,7 @@ func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, b
 		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
 		boundary: boundary, computeT: computeTime, iter: iter,
 	}
+	d.bind()
 	for i := 0; i < world.Size(); i++ {
 		g, err := AttachStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, iter)
 		if err != nil {
@@ -140,6 +150,34 @@ func (d *DistStencil) rowAddr(i, y int) uint64 {
 	return d.grids[i].Cur().base + uint64(y*d.nx*8)
 }
 
+// bind makes the iteration's callbacks, once per solver.
+func (d *DistStencil) bind() {
+	d.arrived = func(mpi.Message) {
+		if d.stopped {
+			return
+		}
+		if d.halos--; d.halos == 0 {
+			d.sweep()
+		}
+	}
+	d.computed = func() {
+		if d.stopped {
+			return
+		}
+		d.iter++
+		if d.onIter != nil {
+			d.onIter(d.iter, d.proceed)
+			return
+		}
+		d.proceed()
+	}
+	d.proceed = func() {
+		if !d.stopped {
+			d.iterate()
+		}
+	}
+}
+
 // iterate performs one halo exchange + sweep across all ranks.
 func (d *DistStencil) iterate() {
 	if d.stopped {
@@ -153,40 +191,18 @@ func (d *DistStencil) iterate() {
 	}
 	n := d.world.Size()
 	ny := d.rowsPerRank + 2
-	// Count the halo receives each rank expects this iteration.
-	pending := make([]int, n)
-	completed := 0
-	total := 0
-	arrive := func(rank int) func(mpi.Message) {
-		return func(mpi.Message) {
-			if d.stopped {
-				return
-			}
-			pending[rank]--
-			completed++
-			if completed == total {
-				d.sweep()
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			pending[i]++ // halo from above
-		}
-		if i < n-1 {
-			pending[i]++ // halo from below
-		}
-		total += pending[i]
-	}
+	// Every rank but the last expects a halo from below, every rank but
+	// the first one from above.
+	d.halos = 2 * (n - 1)
 	// Post receives first (destination: the current buffer's halo rows),
 	// then inject sends.
 	for i := 0; i < n; i++ {
 		r := d.world.Rank(i)
 		if i > 0 {
-			r.Recv(i-1, tagFromAbove, d.rowAddr(i, 0), arrive(i))
+			r.Recv(i-1, tagFromAbove, d.rowAddr(i, 0), d.arrived)
 		}
 		if i < n-1 {
-			r.Recv(i+1, tagFromBelow, d.rowAddr(i, ny-1), arrive(i))
+			r.Recv(i+1, tagFromBelow, d.rowAddr(i, ny-1), d.arrived)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -200,7 +216,7 @@ func (d *DistStencil) iterate() {
 			r.SendData(i+1, tagFromAbove, d.rowBytes(i, ny-2), nil)
 		}
 	}
-	if total == 0 {
+	if n == 1 {
 		// Single rank: no exchange.
 		d.sweep()
 	}
@@ -218,22 +234,7 @@ func (d *DistStencil) sweep() {
 			panic(fmt.Sprintf("kernels: dist sweep: %v", err))
 		}
 	}
-	d.eng.After(d.computeT, func() {
-		if d.stopped {
-			return
-		}
-		d.iter++
-		next := func() {
-			if !d.stopped {
-				d.iterate()
-			}
-		}
-		if d.onIter != nil {
-			d.onIter(d.iter, next)
-			return
-		}
-		next()
-	})
+	d.eng.After(d.computeT, d.computed)
 }
 
 // Gather assembles the global interior (all owned rows, top to bottom)

@@ -200,6 +200,41 @@ func TestHaloRowDoesNotAllocate(t *testing.T) {
 
 var sinkRow []byte
 
+// TestDistStencilIterationAllocs: the halo counter and the callbacks an
+// iteration schedules belong to the solver, bound once, so a warm
+// iteration allocates exactly what SendData must: one payload copy per
+// halo row, 2·(ranks−1) of them — with and without an iteration hook.
+func TestDistStencilIterationAllocs(t *testing.T) {
+	for _, ranks := range []int{1, 2, 4} {
+		for _, hooked := range []bool{false, true} {
+			eng, w := distWorld(t, ranks)
+			d, err := NewDistStencil(eng, w, 64, 16, 1, des.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hook func(int, func())
+			if hooked {
+				hook = func(_ int, next func()) { next() }
+			}
+			done := false
+			onDone := func() { done = true }
+			iteration := func() {
+				done = false
+				d.Run(d.Iter()+1, hook, onDone)
+				eng.Run(des.MaxTime)
+				if !done {
+					t.Fatalf("%d ranks: iteration incomplete", ranks)
+				}
+			}
+			iteration()
+			iteration()
+			if n, want := testing.AllocsPerRun(20, iteration), float64(2*(ranks-1)); n != want {
+				t.Errorf("%d ranks, hook %v: warm iteration: %v allocs, want %v (the SendData payloads)", ranks, hooked, n, want)
+			}
+		}
+	}
+}
+
 func BenchmarkDistStencilIteration(b *testing.B) {
 	eng := des.NewEngine()
 	spaces := make([]*mem.AddressSpace, 4)

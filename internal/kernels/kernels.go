@@ -112,27 +112,25 @@ func (s *Stencil2D) next() *Array {
 func (s *Stencil2D) Iter() int { return s.iter }
 
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
-// It reads cur's rows in place: each is a view of cur's storage
-// (Array.rowView).
+// It makes two memory runs per sweep plus one per interior row. It reads
+// cur in place, through one load view of the whole grid (Array.rowView).
+// Each row is computed into the private out row and written to the
+// scratch arena, then copied into its slot of one store view over next's
+// interior rows (Array.storeView). That view is opened right after the
+// sweep's first scratch write, so pages fault in the order row-by-row
+// stores fault them: the scratch page, then next's pages ascending.
 func (s *Stencil2D) Step() error {
-	cur, nxt, out := s.Cur(), s.next(), s.out
-	mid, err := cur.rowView(0, s.nx)
+	nx, nxt, out := s.nx, s.next(), s.out
+	grid, err := s.Cur().rowView(0, nx*s.ny)
 	if err != nil {
 		return err
 	}
-	down, err := cur.rowView(s.nx, s.nx)
-	if err != nil {
-		return err
-	}
+	var rows []float64 // next's interior rows, lent after the first scratch write
 	for y := 1; y < s.ny-1; y++ {
-		up := mid
-		mid = down
-		if down, err = cur.rowView((y+1)*s.nx, s.nx); err != nil {
-			return err
-		}
 		// One common length, and mid's right-hand neighbours as a slice
 		// of their own, so the inner loop carries no bounds check.
-		up, mid, down := up[:len(out)], mid[:len(out)], down[:len(out)]
+		up, mid, down := grid[(y-1)*nx:], grid[y*nx:], grid[(y+1)*nx:]
+		up, mid, down = up[:len(out)], mid[:len(out)], down[:len(out)]
 		right := mid[1:]
 		out[0] = mid[0]
 		out[len(out)-1] = mid[len(out)-1]
@@ -148,10 +146,12 @@ func (s *Stencil2D) Step() error {
 		if err := s.work.Write(out, 0); err != nil {
 			return err
 		}
-		if err := s.work.Read(out, 0); err != nil {
-			return err
+		if y == 1 {
+			rows, err = nxt.storeView(nx, (s.ny-2)*nx)
 		}
-		if err := nxt.Write(out, y*s.nx); err != nil {
+		// A store run cut short by ErrSegv stops the sweep in the row
+		// that holds the page it died on, that row stored up to it.
+		if copy(rows[min((y-1)*nx, len(rows)):], out) < len(out) {
 			return err
 		}
 	}
@@ -180,6 +180,7 @@ type SSOR struct {
 	work   *Array // scratch row: fully rewritten before any read, every sweep
 	omega  float64
 	iter   int
+	mid    []float64 // the row a sweep relaxes, nx
 }
 
 // NewSSOR allocates the grid with the given boundary value and
@@ -199,7 +200,7 @@ func NewSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSO
 	if err != nil {
 		return nil, err
 	}
-	s := &SSOR{nx: nx, ny: ny, u: u, work: work, omega: omega}
+	s := &SSOR{nx: nx, ny: ny, u: u, work: work, omega: omega, mid: make([]float64, nx)}
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = boundary
@@ -230,37 +231,30 @@ func (s *SSOR) grid() *Array { return s.u }
 // Iter returns completed iterations.
 func (s *SSOR) Iter() int { return s.iter }
 
+// sweep relaxes the interior rows in place, top down or bottom up. It
+// reads u through one load view (Array.rowView): a row's neighbours as
+// they lie, the row itself copied into mid first, as it is updated in
+// place. Each relaxed row is written to the scratch arena, then to u.
 func (s *SSOR) sweep(backward bool) error {
-	up := make([]float64, s.nx)
-	mid := make([]float64, s.nx)
-	down := make([]float64, s.nx)
-	ys := make([]int, 0, s.ny-2)
-	if backward {
-		for y := s.ny - 2; y >= 1; y-- {
-			ys = append(ys, y)
-		}
-	} else {
-		for y := 1; y < s.ny-1; y++ {
-			ys = append(ys, y)
-		}
+	nx, mid := s.nx, s.mid
+	grid, err := s.u.rowView(0, nx*s.ny)
+	if err != nil {
+		return err
 	}
-	for _, y := range ys {
-		if err := s.u.Read(up, (y-1)*s.nx); err != nil {
-			return err
-		}
-		if err := s.u.Read(mid, y*s.nx); err != nil {
-			return err
-		}
-		if err := s.u.Read(down, (y+1)*s.nx); err != nil {
-			return err
-		}
+	for i := 1; i < s.ny-1; i++ {
+		y := i
 		if backward {
-			for x := s.nx - 2; x >= 1; x-- {
+			y = s.ny - 1 - i
+		}
+		up, down := grid[(y-1)*nx:y*nx], grid[(y+1)*nx:(y+2)*nx]
+		copy(mid, grid[y*nx:])
+		if backward {
+			for x := nx - 2; x >= 1; x-- {
 				gs := 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
 				mid[x] += s.omega * (gs - mid[x])
 			}
 		} else {
-			for x := 1; x < s.nx-1; x++ {
+			for x := 1; x < nx-1; x++ {
 				gs := 0.25 * (up[x] + down[x] + mid[x-1] + mid[x+1])
 				mid[x] += s.omega * (gs - mid[x])
 			}
@@ -270,10 +264,7 @@ func (s *SSOR) sweep(backward bool) error {
 		if err := s.work.Write(mid, 0); err != nil {
 			return err
 		}
-		if err := s.work.Read(mid, 0); err != nil {
-			return err
-		}
-		if err := s.u.Write(mid, y*s.nx); err != nil {
+		if err := s.u.Write(mid, y*nx); err != nil {
 			return err
 		}
 	}
@@ -301,6 +292,7 @@ type Wavefront struct {
 	v      *Array
 	work   *Array // scratch row: fully rewritten before any read, every sweep
 	iter   int
+	row    []float64 // the row a sweep updates, nx
 }
 
 // NewWavefront allocates the grid initialised to seed along the edges.
@@ -316,7 +308,7 @@ func NewWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront
 	if err != nil {
 		return nil, err
 	}
-	w := &Wavefront{nx: nx, ny: ny, v: v, work: work}
+	w := &Wavefront{nx: nx, ny: ny, v: v, work: work, row: make([]float64, nx)}
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = seed
@@ -341,43 +333,41 @@ func (w *Wavefront) Iter() int { return w.iter }
 
 // sweepFrom runs one directional sweep with origin corner (ox, oy) in
 // {0,1}^2: cells are visited moving away from the origin, each updated
-// from its two upwind neighbours.
+// from its two upwind neighbours. It reads v through one load view
+// (Array.rowView): the upwind row as it lies (already swept, and
+// written back), the row being swept copied into w.row first.
 func (w *Wavefront) sweepFrom(ox, oy int) error {
-	prev := make([]float64, w.nx)
-	cur := make([]float64, w.nx)
-	for i := 0; i < w.ny; i++ {
-		y := i
+	nx, cur := w.nx, w.row
+	grid, err := w.v.rowView(0, nx*w.ny)
+	if err != nil {
+		return err
+	}
+	for i := 1; i < w.ny; i++ {
+		y, py := i, i-1
 		if oy == 1 {
-			y = w.ny - 1 - i
+			y, py = w.ny-1-i, w.ny-i
 		}
-		if err := w.v.Read(cur, y*w.nx); err != nil {
+		prev := grid[py*nx : (py+1)*nx]
+		copy(cur, grid[y*nx:])
+		for j := 1; j < nx; j++ {
+			x := j
+			if ox == 1 {
+				x = nx - 1 - j
+			}
+			upwindX := x - 1
+			if ox == 1 {
+				upwindX = x + 1
+			}
+			cur[x] = 0.5*cur[upwindX] + 0.5*prev[x] + 0.01
+		}
+		// Stage the swept row through the scratch arena (rewritten at
+		// offset 0 every row, dead across iteration boundaries).
+		if err := w.work.Write(cur, 0); err != nil {
 			return err
 		}
-		if i > 0 {
-			for j := 1; j < w.nx; j++ {
-				x := j
-				if ox == 1 {
-					x = w.nx - 1 - j
-				}
-				upwindX := x - 1
-				if ox == 1 {
-					upwindX = x + 1
-				}
-				cur[x] = 0.5*cur[upwindX] + 0.5*prev[x] + 0.01
-			}
-			// Stage the swept row through the scratch arena (rewritten
-			// at offset 0 every row, dead across iteration boundaries).
-			if err := w.work.Write(cur, 0); err != nil {
-				return err
-			}
-			if err := w.work.Read(cur, 0); err != nil {
-				return err
-			}
-			if err := w.v.Write(cur, y*w.nx); err != nil {
-				return err
-			}
+		if err := w.v.Write(cur, y*nx); err != nil {
+			return err
 		}
-		prev, cur = cur, prev
 	}
 	return nil
 }
@@ -403,6 +393,9 @@ type ADI struct {
 	work   *Array // scratch: row slot at 0, column slot at nx; rewritten every solve
 	iter   int
 	lambda float64 // implicit coupling strength
+	// A step's right-hand sides, a row (nx) and a column (ny), and
+	// thomas's coefficients (max(nx, ny)).
+	row, col, c []float64
 }
 
 // NewADI allocates the grid with the given initial interior value.
@@ -422,6 +415,7 @@ func NewADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI,
 		return nil, err
 	}
 	a := &ADI{nx: nx, ny: ny, u: u, work: work, lambda: lambda}
+	a.bufs()
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = initial
@@ -440,11 +434,17 @@ func (a *ADI) grid() *Array { return a.u }
 // Iter returns completed iterations.
 func (a *ADI) Iter() int { return a.iter }
 
+// bufs makes the step's row, column and coefficient buffers.
+func (a *ADI) bufs() {
+	a.row, a.col, a.c = make([]float64, a.nx), make([]float64, a.ny), make([]float64, max(a.nx, a.ny))
+}
+
 // thomas solves the constant-coefficient tridiagonal system
-// (1+2L) x_i - L x_{i-1} - L x_{i+1} = d_i in place on d.
-func thomas(d []float64, lambda float64) {
+// (1+2L) x_i - L x_{i-1} - L x_{i+1} = d_i in place on d, with c (at
+// least len(d) long, contents ignored) for the eliminated coefficients.
+func thomas(d, c []float64, lambda float64) {
 	n := len(d)
-	c := make([]float64, n)
+	c = c[:n]
 	b := 1 + 2*lambda
 	c[0] = -lambda / b
 	d[0] /= b
@@ -460,48 +460,42 @@ func thomas(d []float64, lambda float64) {
 	}
 }
 
-// Step performs one ADI iteration: row solves then column solves.
+// Step performs one ADI iteration: row solves then column solves. It
+// reads u through one load view (Array.rowView), each row and column
+// copied into a right-hand side of the solver's own, as the solve is in
+// place. Writes go through u: a solved row in one call, a solved column
+// element by element.
 func (a *ADI) Step() error {
+	nx, row, col := a.nx, a.row, a.col
+	grid, err := a.u.rowView(0, nx*a.ny)
+	if err != nil {
+		return err
+	}
 	// Row direction.
-	row := make([]float64, a.nx)
 	for y := 0; y < a.ny; y++ {
-		if err := a.u.Read(row, y*a.nx); err != nil {
-			return err
-		}
-		thomas(row, a.lambda)
+		copy(row, grid[y*nx:])
+		thomas(row, a.c, a.lambda)
 		// Stage the solved row through the scratch arena's row slot
 		// (rewritten at offset 0 every solve, dead across iterations).
 		if err := a.work.Write(row, 0); err != nil {
 			return err
 		}
-		if err := a.work.Read(row, 0); err != nil {
-			return err
-		}
-		if err := a.u.Write(row, y*a.nx); err != nil {
+		if err := a.u.Write(row, y*nx); err != nil {
 			return err
 		}
 	}
 	// Column direction: gather, solve, scatter.
-	col := make([]float64, a.ny)
-	one := make([]float64, 1)
-	for x := 0; x < a.nx; x++ {
-		for y := 0; y < a.ny; y++ {
-			if err := a.u.Read(one, y*a.nx+x); err != nil {
-				return err
-			}
-			col[y] = one[0]
+	for x := 0; x < nx; x++ {
+		for y := range col {
+			col[y] = grid[y*nx+x]
 		}
-		thomas(col, a.lambda)
+		thomas(col, a.c, a.lambda)
 		// Column slot of the scratch arena, at offset nx.
-		if err := a.work.Write(col, a.nx); err != nil {
+		if err := a.work.Write(col, nx); err != nil {
 			return err
 		}
-		if err := a.work.Read(col, a.nx); err != nil {
-			return err
-		}
-		for y := 0; y < a.ny; y++ {
-			one[0] = col[y]
-			if err := a.u.Write(one, y*a.nx+x); err != nil {
+		for y := range col {
+			if err := a.u.Write(col[y:y+1], y*nx+x); err != nil {
 				return err
 			}
 		}

@@ -354,7 +354,7 @@ func TestThomasSolvesTridiagonal(t *testing.T) {
 			d[i] -= lambda * x[i+1]
 		}
 	}
-	thomas(d, lambda)
+	thomas(d, make([]float64, n), lambda)
 	for i := range x {
 		if math.Abs(d[i]-x[i]) > 1e-10 {
 			t.Fatalf("thomas: x[%d] = %v, want %v", i, d[i], x[i])

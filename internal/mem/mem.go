@@ -557,10 +557,15 @@ func (s *AddressSpace) checkRange(addr, n uint64) (*Region, error) {
 //
 // The lend contract: a chunk is the region's own storage — valid until
 // the region is unmapped, so retained no longer than the caller can rule
-// that out (kernels' Stencil2D.Step holds its load chunks across one
-// sweep); a store run's chunk is the caller's to overwrite, a read run's
-// is not. A phantom space lends nothing (a nil chunk) but faults and
-// counts identically.
+// that out; a store run's chunk is the caller's to overwrite, a read
+// run's is not. A store chunk's faults are delivered before it is lent,
+// so it is also held no longer than the caller can rule out a page of it
+// being re-protected: a store into it after that would go unseen. The
+// kernels' Stencil2D.Step holds a load chunk and a store chunk across
+// one sweep. A sweep fires no events, so nothing can unmap a region or
+// re-protect a page between the run's faults and the sweep's end. A
+// phantom space lends nothing (a nil chunk) but faults and counts
+// identically.
 //
 // It is a value: hold it in a local, it allocates nothing.
 type PageRun struct {
