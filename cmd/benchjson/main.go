@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go test -bench . -benchmem ./... | benchjson > BENCH.json
-//	benchjson -compare BENCH_44.json BENCH.json
+//	benchjson -compare BENCH_45.json BENCH.json
 package main
 
 import (

@@ -438,10 +438,11 @@ func Example_failure_recovery() {
 	// The original space and kernel state are now lost.
 
 	// ---- Phase 2: restore and resume ------------------------------
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := ckpt.Restore(store, 0, lastSeq, fresh); err != nil {
+	spaces, err := ckpt.RestoreAll(store, 1, lastSeq)
+	if err != nil {
 		log.Fatal(err)
 	}
+	fresh := spaces[0]
 	fmt.Printf("restored rank 0 to checkpoint %d: %d regions, %.1f KB of state\n",
 		lastSeq, len(fresh.Regions())-1, float64(fresh.Footprint())/1024)
 
@@ -618,10 +619,10 @@ func Example_hardened_storage() {
 
 	// The hardened stack: two mirrored replicas, each retry-wrapped and
 	// integrity-enveloped over a deterministic fault injector. Replica A
-	// is clean but dies for good after 80 storage operations; replica B
+	// is clean but dies for good after 40 storage operations; replica B
 	// survives but tears writes, rots at rest and drops requests.
 	dieA := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed: 1, OutageAfterOps: 80,
+		Seed: 1, OutageAfterOps: 40,
 	})
 	rotB := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
 		Seed: 2, TransientRate: 0.10, TornWriteRate: 0.08, CorruptRate: 0.08,
@@ -645,7 +646,7 @@ func Example_hardened_storage() {
 
 	fmt.Printf("distributed Jacobi, %d ranks, %d iterations, checkpoint every %d\n",
 		cfg.Ranks, cfg.Iterations, cfg.CkptEvery)
-	fmt.Printf("storage: 2-way mirror; replica A dies after 80 ops, replica B decays\n\n")
+	fmt.Printf("storage: 2-way mirror; replica A dies after 40 ops, replica B decays\n\n")
 
 	fmt.Printf("%-30s %14s %14s\n", "", "pristine", "hardened+faults")
 	fmt.Printf("%-30s %14d %14d\n", "node failures survived", clean.Failures, rep.Failures)
@@ -674,23 +675,23 @@ func Example_hardened_storage() {
 
 	// Output:
 	// distributed Jacobi, 4 ranks, 60 iterations, checkpoint every 5
-	// storage: 2-way mirror; replica A dies after 80 ops, replica B decays
+	// storage: 2-way mirror; replica A dies after 40 ops, replica B decays
 	//
 	//                                      pristine hardened+faults
-	// node failures survived                      0             11
-	// degraded recoveries                         0              4
+	// node failures survived                      0             13
+	// degraded recoveries                         0              7
 	// checkpoints refused                         0              0
-	// iterations rolled back                      0             49
-	// efficiency                              99.5%          43.1%
+	// iterations rolled back                      0             76
+	// efficiency                              99.5%          34.9%
 	// final checksum                   76827.509159   76827.509159
 	//
 	// what the storage tier did, and what the stack absorbed:
-	//   replica A: 80 ops served, then permanently down (476 rejected)
-	//   replica B: 51 transients, 5 torn writes, 2 bit flips
-	//   retries absorbed: 0 (A) + 51 (B)
-	//   mirror: 380 failover reads, 0 read-repairs, 52 degraded writes
+	//   replica A: 40 ops served, then permanently down (391 rejected)
+	//   replica B: 41 transients, 8 torn writes, 4 bit flips
+	//   retries absorbed: 0 (A) + 41 (B)
+	//   mirror: 249 failover reads, 0 read-repairs, 72 degraded writes
 	//
-	// bit-identical result through 11 node failures on decaying storage.
+	// bit-identical result through 13 node failures on decaying storage.
 }
 
 // Quickstart: measure one application's incremental-checkpointing

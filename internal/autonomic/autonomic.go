@@ -343,9 +343,12 @@ type Report struct {
 	L2ExchangeTime des.Time
 	// LevelReadBytes/LevelReadTime break every recovery's reads down by
 	// tier (indexed by redundancy.LevelLocal/LevelParity/LevelGlobal) —
-	// the per-level accounting the A21 ablation plots. A recovery that
-	// never touches LevelGlobal restored entirely from local chains and
-	// partner parity.
+	// the per-level accounting the A21 ablation plots. A recovery reads
+	// each chain segment of a candidate line once, so a recovery that
+	// restores the newest line charges exactly that line's chain bytes;
+	// a candidate abandoned at a damaged rank adds the prefix it read. A
+	// recovery that never touches LevelGlobal restored entirely from
+	// local chains and partner parity.
 	LevelReadBytes [redundancy.LevelCount]uint64
 	LevelReadTime  [redundancy.LevelCount]des.Time
 	// ParityRebuilds counts segments reconstructed from surviving
@@ -949,16 +952,13 @@ func (s *Supervisor) scheduleRecovery(failIter int) {
 }
 
 // selectAndRestore finds the newest recovery line the storage tier can
-// prove — every rank's chain fetched, integrity-checked and decoded —
-// and restores it. It reads through one store: the global store, or the
+// prove — every rank's chain fetched, integrity-checked, decoded and
+// replayed — and restores it in one pass (ckpt.RestoreLatest), reading
+// each chain once. It reads through one store: the global store, or the
 // hierarchy's tiered view under multi-level (L1, then an L2 parity
 // rebuild, then L3, with the view's per-level accounting folded into the
-// report). Verification races ongoing sink decay (a replica's
-// op-countdown outage can land between proving a line and reading it
-// back), so a read failure re-verifies against the shifted world and
-// falls down to the next surviving line instead of aborting the run.
-// When no line survives the selection is a scratch restart.
-func (s *Supervisor) selectAndRestore() (sel selection, err error) {
+// report). When no line survives the selection is a scratch restart.
+func (s *Supervisor) selectAndRestore() (selection, error) {
 	src := s.store
 	var view *redundancy.RecoveryView
 	if s.ml != nil {
@@ -966,83 +966,27 @@ func (s *Supervisor) selectAndRestore() (sel selection, err error) {
 		src = view
 		defer s.foldViewStats(view)
 	}
-	// The trust rule. The claim is what the store advertises before any
-	// data is touched; a recovery is degraded when the line it restores
-	// falls short of it. Under two-phase commit the claim is the newest
-	// COMMIT marker and only marker-committed lines may be restored;
-	// otherwise it is the newest line every rank has a segment for, and
-	// the newest fully verifiable line wins.
-	claim, latest := ckpt.LatestConsistentSeq, ckpt.LatestVerifiableSeq
-	if s.cfg.TwoPhaseCommit {
-		claim, latest = newestMarker, ckpt.LatestCommittedSeq
-	}
-	best, claimed, err := claim(src, s.cfg.Ranks)
+	// The claim is what the store advertises before any data is touched;
+	// a recovery is degraded when the line it restores falls short of it.
+	best, claimed, err := ckpt.LatestClaimedSeq(src, s.cfg.Ranks, s.cfg.TwoPhaseCommit)
 	if err != nil {
 		return selection{}, err
 	}
-	for attempt := 0; attempt <= len(s.lineIter)+1; attempt++ {
-		line, ok, err := latest(src, s.cfg.Ranks)
-		if err != nil {
-			return selection{}, err
-		}
-		if !ok {
-			break
-		}
-		// The read price is the one place the tier shows. The global
-		// store prices Σ ChainVolume at the sink (read ≈ write bandwidth)
-		// before the restore; the view prices the bytes each level
-		// served, after it.
-		var chain uint64
-		if view == nil {
-			if chain = s.chainVolume(line); chain == 0 {
-				continue // line decayed under us: re-verify
-			}
-		}
-		spaces, err := ckpt.RestoreAll(src, s.cfg.Ranks, line)
-		if err != nil {
-			continue
-		}
-		sel = selection{spaces: spaces, line: line, ok: true, readTime: s.cfg.Sink.WriteTime(chain)}
+	rec, ok, err := ckpt.RestoreLatest(src, s.cfg.Ranks, s.cfg.TwoPhaseCommit)
+	if err != nil {
+		return selection{}, err
+	}
+	sel := selection{spaces: rec.Spaces, line: rec.Seq, ok: ok, degraded: claimed && (!ok || rec.Seq < best)}
+	// The read price is the one place the tier shows: the global store
+	// prices the restored chains at the sink (read ≈ write bandwidth),
+	// the view the bytes each level served.
+	if ok {
+		sel.readTime = s.cfg.Sink.WriteTime(rec.Bytes)
 		if view != nil {
 			sel.readTime = s.tierReadTime(view.Stats())
 		}
-		break
 	}
-	sel.degraded = claimed && (!sel.ok || sel.line < best)
 	return sel, nil
-}
-
-// newestMarker returns the newest line store holds a COMMIT marker for,
-// unverified: the two-phase claim. It takes a rank count only to share
-// ckpt.LatestConsistentSeq's signature.
-func newestMarker(store storage.Store, _ int) (uint64, bool, error) {
-	keys, err := store.Keys()
-	if err != nil {
-		return 0, false, err
-	}
-	var best uint64
-	ok := false
-	for _, k := range keys {
-		var seq uint64
-		if ckpt.ParseCommitKey(k, &seq) && (!ok || seq > best) {
-			best, ok = seq, true
-		}
-	}
-	return best, ok, nil
-}
-
-// chainVolume sums every rank's chain bytes up to line in the global
-// store, or 0 when some chain no longer reads back.
-func (s *Supervisor) chainVolume(line uint64) uint64 {
-	var chain uint64
-	for r := 0; r < s.cfg.Ranks; r++ {
-		v, err := ckpt.ChainVolume(s.store, r, line)
-		if err != nil {
-			return 0
-		}
-		chain += v
-	}
-	return chain
 }
 
 // recover rebuilds the team around the selected line (a scratch restart

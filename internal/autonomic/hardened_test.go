@@ -52,7 +52,7 @@ func TestHardenedStorageRecovery(t *testing.T) {
 		cfg.RestartOverhead = 500 * des.Millisecond
 		// Fresh store per run: the wrappers are mutable (fault streams,
 		// outage state), so determinism is per-store-lifetime.
-		store, fa, fb := hardenedStore(t, 60)
+		store, fa, fb := hardenedStore(t, 30)
 		cfg.Store = store
 		rep, err := Run(cfg)
 		if err != nil {

@@ -485,20 +485,14 @@ func (c *Checkpointer) skipUnchanged(kind Kind, addr uint64, data []byte) bool {
 	return kind == Incremental && seen && prev == h
 }
 
-// LoadSegment fetches and decodes one segment of this checkpointer's rank.
-// A fetch failure keeps the storage tier's typed cause (ErrNotFound,
-// ErrCorrupt, ErrUnavailable, ErrTransient); bytes that fetched but do
-// not decode are typed storage.ErrCorrupt, so callers can tell a missing
-// segment from a rotten one with errors.Is alone. The bytes are what Get
-// lends: raw page records alias what the store holds and are read-only,
-// as every reader here (verify, restore) treats them.
-func LoadSegment(store storage.Store, rank int, seq uint64) (*Segment, error) {
-	seg, _, err := loadSegment(store, rank, seq, new(Segment))
-	return seg, err
-}
-
-// loadSegment is LoadSegment decoding into seg (decodeSegment), that also
-// returns the segment's encoded size: the bytes a restore reads for it.
+// loadSegment fetches one segment of rank and decodes it into seg
+// (decodeSegment), returning it with its encoded size: the bytes a
+// restore reads for it. A fetch failure keeps the storage tier's typed
+// cause (ErrNotFound, ErrCorrupt, ErrUnavailable, ErrTransient); bytes
+// that fetched but do not decode are typed storage.ErrCorrupt, so callers
+// can tell a missing segment from a rotten one with errors.Is alone. The
+// bytes are what Get lends: raw page records alias what the store holds
+// and are read-only, as every reader here (verify, restore) treats them.
 func loadSegment(store storage.Store, rank int, seq uint64, seg *Segment) (*Segment, uint64, error) {
 	data, err := store.Get(SegmentKey(rank, seq))
 	if err != nil {
@@ -511,46 +505,39 @@ func loadSegment(store storage.Store, rank int, seq uint64, seg *Segment) (*Segm
 	return seg, uint64(len(data)), nil
 }
 
-// Restore rebuilds the state captured for rank up to and including
-// targetSeq into space. The space must be backed, have the chain's page
-// size and contain no checkpointable regions (a fresh process image).
-// Restore is walkChain replaying pages, so on a chain VerifyChain rejects
-// it returns VerifyChain's error, and it replays no segment the walk has
-// not proven. At the chain's base it recreates the target segment's
-// region layout; it then replays each segment's pages from the base
-// forward, skipping pages whose regions no longer exist at the target —
-// rolled-forward memory exclusion — and pages outside every region it
-// recreated, such as the stack's.
-func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.AddressSpace) error {
-	if space.Phantom() {
-		return fmt.Errorf("ckpt: cannot restore into a phantom address space")
-	}
-	for _, r := range space.Regions() {
-		if r.Kind().Checkpointable() {
-			return fmt.Errorf("ckpt: restore target already has a %v region", r.Kind())
-		}
-	}
+// replayChain is the one page-replay body: walkChain with a visitor
+// that, at the chain's base, makes a fresh backed address space with the
+// target's page size and recreates the target's region layout in it,
+// then replays each segment's pages from the base forward. It skips
+// pages whose regions no longer exist at the target — rolled-forward
+// memory exclusion — and pages outside every region it recreated, such
+// as the stack's. So on a chain VerifyChain rejects it returns
+// VerifyChain's error, and it replays no segment the walk has not
+// proven. It returns the space and the chain's encoded bytes, the sum
+// ChainVolume reports for the same chain.
+func replayChain(store storage.Store, rank int, targetSeq uint64) (*mem.AddressSpace, uint64, error) {
+	var sp *mem.AddressSpace
+	var read uint64
 	var zero []byte
-	return walkChain(store, rank, targetSeq, func(target, seg *Segment, _ uint64) error {
+	err := walkChain(store, rank, targetSeq, func(target, seg *Segment, size uint64) error {
+		read += size
 		if seg.Seq == target.Epoch {
-			if target.PageSize != space.PageSize() {
-				return fmt.Errorf("ckpt: page size mismatch: segment %d, space %d", target.PageSize, space.PageSize())
-			}
+			sp = mem.NewAddressSpace(mem.Config{PageSize: target.PageSize})
 			for _, ri := range target.Regions {
-				if _, err := space.MapAt(ri.Start, ri.Size, ri.Kind); err != nil {
+				if _, err := sp.MapAt(ri.Start, ri.Size, ri.Kind); err != nil {
 					return fmt.Errorf("ckpt: recreate region: %w", err)
 				}
 			}
 		}
 		for _, p := range seg.Pages {
-			r := space.Find(p.Addr)
+			r := sp.Find(p.Addr)
 			if r == nil || !r.Kind().Checkpointable() {
 				continue // region gone by target time (excluded), or the stack
 			}
 			data := p.Data
 			if data == nil { // an elided zero page overwrites what replay put there
 				if zero == nil {
-					zero = make([]byte, space.PageSize())
+					zero = make([]byte, sp.PageSize())
 				}
 				data = zero
 			}
@@ -558,4 +545,8 @@ func Restore(store storage.Store, rank int, targetSeq uint64, space *mem.Address
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return sp, read, nil
 }

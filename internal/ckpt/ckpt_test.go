@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
@@ -248,8 +249,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 	c.Checkpoint() // seq 1: delta
 
 	// Restore into a fresh space and compare every checkpointable byte.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-	if err := Restore(store, 0, 1, fresh); err != nil {
+	fresh, _, err := replayChain(store, 0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range sp.Regions() {
@@ -274,21 +275,14 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// A restore of a line the store does not hold names the rank and line
+// and keeps the storage tier's typed cause.
 func TestRestoreValidation(t *testing.T) {
-	_, _, c, store := newCkpt(t)
-	_ = c
-	phantom := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
-	if err := Restore(store, 0, 0, phantom); err == nil {
-		t.Fatal("phantom restore accepted")
-	}
-	occupied := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-	occupied.Mmap(pageSize)
-	if err := Restore(store, 0, 0, occupied); err == nil {
-		t.Fatal("occupied restore target accepted")
-	}
-	clean := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-	if err := Restore(store, 0, 99, clean); err == nil {
-		t.Fatal("missing segment accepted")
+	_, _, _, store := newCkpt(t)
+	_, err := RestoreAll(store, 1, 99)
+	var re *RestoreError
+	if !errors.As(err, &re) || re.Rank != 0 || re.Seq != 99 || !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("restore of a missing line: %v", err)
 	}
 }
 
@@ -468,8 +462,8 @@ func TestPropertyCheckpointRestoreIdentity(t *testing.T) {
 		if !did {
 			return true
 		}
-		fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-		if err := Restore(store, 0, lastSeq, fresh); err != nil {
+		fresh, _, err := replayChain(store, 0, lastSeq)
+		if err != nil {
 			return false
 		}
 		got := make([]byte, pages*512)
@@ -485,11 +479,11 @@ func TestPropertyCheckpointRestoreIdentity(t *testing.T) {
 
 func TestLoadSegmentMissing(t *testing.T) {
 	store := storage.NewMemStore()
-	if _, err := LoadSegment(store, 0, 0); err == nil {
+	if _, _, err := loadSegment(store, 0, 0, new(Segment)); err == nil {
 		t.Fatal("missing segment loaded")
 	}
 	store.Put("rank000/seg000000", []byte("garbage"))
-	if _, err := LoadSegment(store, 0, 0); err == nil {
+	if _, _, err := loadSegment(store, 0, 0, new(Segment)); err == nil {
 		t.Fatal("garbage segment loaded")
 	}
 }

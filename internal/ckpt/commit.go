@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/des"
@@ -232,10 +231,10 @@ func (co *Coordinator) deleteLine(seq uint64) {
 	}
 }
 
-// VerifyCommittedLine checks that seq has a readable, well-formed COMMIT
-// marker for the given rank count and that every rank's chain verifies
-// end to end — the two-phase trust rule.
-func VerifyCommittedLine(store storage.Store, ranks int, seq uint64) error {
+// checkMarker is the two-phase trust rule's test of line seq before any
+// segment is read: its COMMIT marker reads back, decodes, and names seq
+// and the given rank count.
+func checkMarker(store storage.Store, ranks int, seq uint64) error {
 	data, err := store.Get(CommitKey(seq))
 	if err != nil {
 		return fmt.Errorf("ckpt: line %d: commit marker: %w", seq, err)
@@ -247,33 +246,5 @@ func VerifyCommittedLine(store storage.Store, ranks int, seq uint64) error {
 	if m.Seq != seq || m.Ranks != ranks {
 		return fmt.Errorf("ckpt: line %d: marker labeled seq %d ranks %d", seq, m.Seq, m.Ranks)
 	}
-	return VerifyLine(store, ranks, seq)
-}
-
-// LatestCommittedSeq returns the newest line recovery may trust under
-// two-phase commit: a sequence with a verified COMMIT marker whose every
-// chain verifies. Lines with damaged or missing markers are skipped, not
-// errors; ok is false when no committed line survives.
-func LatestCommittedSeq(store storage.Store, ranks int) (seq uint64, ok bool, err error) {
-	if ranks <= 0 {
-		return 0, false, nil
-	}
-	keys, err := store.Keys()
-	if err != nil {
-		return 0, false, err
-	}
-	var candidates []uint64
-	for _, k := range keys {
-		var s uint64
-		if ParseCommitKey(k, &s) {
-			candidates = append(candidates, s)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] > candidates[j] })
-	for _, s := range candidates {
-		if VerifyCommittedLine(store, ranks, s) == nil {
-			return s, true, nil
-		}
-	}
-	return 0, false, nil
+	return nil
 }

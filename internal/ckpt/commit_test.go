@@ -70,7 +70,7 @@ func TestCommitMarkerRoundTrip(t *testing.T) {
 }
 
 // TestParseCommitKeyIsCanonical: a key CommitKey never prints names no
-// line. LatestCommittedSeq fetches CommitKey(seq), so a parser that read
+// line. RestoreLatest fetches CommitKey(seq), so a parser that read
 // "commit/seq42" as line 42 would let the two-phase claim count a marker
 // recovery then cannot find.
 func TestParseCommitKeyIsCanonical(t *testing.T) {
@@ -124,11 +124,11 @@ func TestTwoPhaseCommitCompletes(t *testing.T) {
 	if g.Seq != 0 || len(g.PerRank) != 3 {
 		t.Fatalf("result = %+v", g)
 	}
-	seq, ok, err := LatestCommittedSeq(store, 3)
-	if err != nil || !ok || seq != 0 {
-		t.Fatalf("LatestCommittedSeq = %d/%v/%v", seq, ok, err)
+	rec, ok, err := RestoreLatest(store, 3, true)
+	if err != nil || !ok || rec.Seq != 0 {
+		t.Fatalf("RestoreLatest = %d/%v/%v", rec.Seq, ok, err)
 	}
-	if err := VerifyCommittedLine(store, 3, 0); err != nil {
+	if err := checkMarker(store, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, pending := co.PendingSeq(); pending {
@@ -179,13 +179,14 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 		}
 	}
 	// Recovery falls back to the previous committed line.
-	seq, ok, err := LatestCommittedSeq(store, 3)
-	if err != nil || !ok || seq != 0 {
-		t.Fatalf("fallback line = %d/%v/%v, want 0/true", seq, ok, err)
+	rec, ok, err := RestoreLatest(store, 3, true)
+	if err != nil || !ok || rec.Seq != 0 {
+		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
-	if err := VerifyCommittedLine(store, 3, 1); err == nil {
-		t.Fatal("aborted line verified as committed")
+	if err := checkMarker(store, 3, 1); err == nil {
+		t.Fatal("aborted line's marker accepted")
 	}
+	checkOnePass(t, store, 3)
 }
 
 // A prepare-phase storage refusal surfaces the storage error itself,
@@ -230,16 +231,18 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 	if err := store.Put(CommitKey(1), []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	seq, ok, err := LatestCommittedSeq(store, 2)
-	if err != nil || !ok || seq != 0 {
-		t.Fatalf("with damaged marker: %d/%v/%v, want 0/true", seq, ok, err)
+	rec, ok, err := RestoreLatest(store, 2, true)
+	if err != nil || !ok || rec.Seq != 0 {
+		t.Fatalf("with damaged marker: %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
+	checkOnePass(t, store, 2)
 	// Delete it entirely: same answer.
 	if err := store.Delete(CommitKey(1)); err != nil {
 		t.Fatal(err)
 	}
-	seq, ok, _ = LatestCommittedSeq(store, 2)
-	if !ok || seq != 0 {
-		t.Fatalf("with missing marker: %d/%v, want 0/true", seq, ok)
+	rec, ok, _ = RestoreLatest(store, 2, true)
+	if !ok || rec.Seq != 0 {
+		t.Fatalf("with missing marker: %d/%v, want 0/true", rec.Seq, ok)
 	}
+	checkOnePass(t, store, 2)
 }

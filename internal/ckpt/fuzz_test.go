@@ -190,14 +190,18 @@ func fuzzAddr(v byte) uint64 {
 	return uint64(v) << 56
 }
 
-// FuzzVerifyAgreesWithRestore: VerifyChain and Restore are one chain
-// walk, so on any chain — headers, region tables and page records
-// mutated, then re-encoded so every segment is valid bytes — VerifyChain
-// returns nil exactly when Restore into a fresh space with the target's
-// page size does, an error is the same error from both, and Restore
-// never panics. ops is read in triples: segment, field, value. Sizes and
-// page sizes stay small, or pass maxRegionSize, which the walk refuses:
-// a restore makes a region's whole slab on its first page.
+// FuzzVerifyAgreesWithRestore: VerifyChain and a restore (replayChain)
+// are one chain walk, so on any chain — headers, region tables and page
+// records mutated, then re-encoded so every segment is valid bytes —
+// VerifyChain returns nil exactly when the restore into a fresh space
+// with the target's page size does, an error is the same error from
+// both, and the restore never panics. Each line also has a COMMIT
+// marker, which may be corrupt, labeled another line or rank count, or
+// missing; on the store RestoreLatest picks, prices and restores under
+// both trust rules what the separate passes do (checkOnePass). ops is
+// read in triples: segment (or marker), field, value. Sizes and page
+// sizes stay small, or pass maxRegionSize, which the walk refuses: a
+// restore makes a region's whole slab on its first page.
 func FuzzVerifyAgreesWithRestore(f *testing.F) {
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(2), []byte{1, 5, 4, 1, 12, 3}) // mid-chain page size 1024, and a 1024-byte page
@@ -210,13 +214,21 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 15, 0})          // missing base
 	f.Add(uint8(2), []byte{2, 9, 1})           // second region over the stack
 	f.Add(uint8(2), []byte{2, 7, 128 + 4})     // target region of terabytes
+	f.Add(uint8(2), []byte{2, 16, 0})          // corrupt newest marker
+	f.Add(uint8(2), []byte{2, 17, 1})          // newest marker labeled line 1
+	f.Add(uint8(2), []byte{2, 18, 2})          // newest marker for two ranks
+	f.Add(uint8(2), []byte{2, 19, 0, 1, 3, 0}) // newest marker missing, mid-chain full kind
 	f.Fuzz(func(t *testing.T, target uint8, ops []byte) {
 		chain := fuzzChain()
 		missing := make([]bool, len(chain))
+		markers := make([][]byte, len(chain))
+		for i := range markers {
+			markers[i] = EncodeCommitMarker(CommitMarker{Seq: uint64(i), Ranks: 1})
+		}
 		for ; len(ops) >= 3; ops = ops[3:] {
 			i, v := int(ops[0])%len(chain), ops[2]
 			s := chain[i]
-			switch ops[1] % 16 {
+			switch ops[1] % 20 {
 			case 0:
 				s.Rank = int(v % 3)
 			case 1:
@@ -257,8 +269,16 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 				s.Pages = append(s.Pages, PageRecord{Addr: fuzzAddr(v), Data: bytes.Repeat([]byte{v}, 512)})
 			case 14:
 				s.Pages = nil
-			default:
+			case 15:
 				missing[i] = true
+			case 16:
+				markers[i] = []byte{v}
+			case 17:
+				markers[i] = EncodeCommitMarker(CommitMarker{Seq: uint64(v % 4), Ranks: 1})
+			case 18:
+				markers[i] = EncodeCommitMarker(CommitMarker{Seq: uint64(i), Ranks: int(v % 3)})
+			default:
+				markers[i] = nil
 			}
 		}
 		store := storage.NewMemStore()
@@ -268,16 +288,18 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
+			if markers[i] != nil {
+				if err := store.Put(CommitKey(uint64(i)), markers[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		checkOnePass(t, store, 1)
 		seq := uint64(target) % uint64(len(chain))
 		verr := VerifyChain(store, 0, seq)
-		ps := uint64(512)
-		if seg, err := LoadSegment(store, 0, seq); err == nil {
-			ps = seg.PageSize
-		}
-		rerr := Restore(store, 0, seq, mem.NewAddressSpace(mem.Config{PageSize: ps}))
+		_, _, rerr := replayChain(store, 0, seq)
 		if (verr == nil) != (rerr == nil) || verr != nil && verr.Error() != rerr.Error() {
-			t.Fatalf("VerifyChain = %v, Restore = %v", verr, rerr)
+			t.Fatalf("VerifyChain = %v, replayChain = %v", verr, rerr)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -134,9 +135,11 @@ func appendPadded(b []byte, v uint64, width int) []byte {
 // ChainVolume returns the total encoded bytes that a restore of the
 // given rank to targetSeq must read: the chain's base full segment plus
 // every delta up to the target. It is walkChain summing the size of each
-// segment the walk fetched, so it prices only a chain VerifyChain proves
-// and fails with VerifyChain's error otherwise. Together with a sink's
-// read bandwidth this gives the restart-cost term of the efficiency model.
+// segment the walk fetched, so it reads the chain once, in a restore's
+// order, prices only a chain VerifyChain proves and fails with
+// VerifyChain's error otherwise. Together with a sink's read bandwidth
+// this gives the restart-cost term of the efficiency model; a recovery
+// gets the same sum from the restore itself (RestoreLatest).
 func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error) {
 	var total uint64
 	err := walkChain(store, rank, targetSeq, func(_, _ *Segment, size uint64) error {
@@ -145,14 +148,6 @@ func ChainVolume(store storage.Store, rank int, targetSeq uint64) (uint64, error
 	})
 	if err != nil {
 		return 0, err
-	}
-	// The target is fetched again, last, and its bytes are not used:
-	// FaultyStore draws one fault per operation, so this Get keeps the
-	// operation sequence recovery runs are pinned to. Reading each chain
-	// once for verify, price and restore removes it, as a deliberate
-	// change of those runs.
-	if _, err := store.Get(SegmentKey(rank, targetSeq)); err != nil {
-		return 0, fmt.Errorf("ckpt: chain segment %d: %w", targetSeq, err)
 	}
 	return total, nil
 }
@@ -183,25 +178,133 @@ func (e *RestoreError) Error() string {
 func (e *RestoreError) Unwrap() error { return e.Err }
 
 // RestoreAll restores every rank to the given coordinated sequence
-// number, returning one fresh address space per rank. Page size is taken
-// from rank 0's target segment. Any per-rank failure is returned as a
-// *RestoreError naming the rank and sequence that failed, with the
+// number, returning one fresh address space per rank, made with the page
+// size of that rank's target segment. Any per-rank failure is returned as
+// a *RestoreError naming the rank and sequence that failed, with the
 // cause wrapped.
 func RestoreAll(store storage.Store, ranks int, seq uint64) ([]*mem.AddressSpace, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("ckpt: RestoreAll with %d ranks", ranks)
 	}
-	base, err := LoadSegment(store, 0, seq)
-	if err != nil {
-		return nil, &RestoreError{Rank: 0, Seq: seq, Err: err}
-	}
+	spaces, _, err := restoreLine(store, ranks, seq)
+	return spaces, err
+}
+
+// restoreLine is RestoreAll's body: each rank's chain to seq replayed
+// once, in rank order, into a fresh space with its target's page size.
+// It also returns the encoded bytes the walks read, Σ ChainVolume.
+func restoreLine(store storage.Store, ranks int, seq uint64) ([]*mem.AddressSpace, uint64, error) {
 	spaces := make([]*mem.AddressSpace, ranks)
-	for r := 0; r < ranks; r++ {
-		sp := mem.NewAddressSpace(mem.Config{PageSize: base.PageSize})
-		if err := Restore(store, r, seq, sp); err != nil {
-			return nil, &RestoreError{Rank: r, Seq: seq, Err: err}
+	var read uint64
+	for r := range spaces {
+		sp, n, err := replayChain(store, r, seq)
+		if err != nil {
+			return nil, 0, &RestoreError{Rank: r, Seq: seq, Err: err}
 		}
-		spaces[r] = sp
+		spaces[r], read = sp, read+n
 	}
-	return spaces, nil
+	return spaces, read, nil
+}
+
+// Recovered is the line a recovery restored.
+type Recovered struct {
+	// Seq is the coordinated line.
+	Seq uint64
+	// Spaces holds one restored address space per rank.
+	Spaces []*mem.AddressSpace
+	// Bytes is the encoded bytes of every rank's chain, read once: the
+	// line's Σ ChainVolume.
+	Bytes uint64
+}
+
+// RestoreLatest is recovery in one pass: it scans candidate lines newest
+// first under the trust rule (newestLine; committed selects two-phase
+// commit) and restores each candidate's every chain through walkChain
+// exactly once, returning the first line every rank restores. A line
+// that fails at some rank is abandoned there, so a store whose newest
+// line is torn at rank r is read as rank 0…r-1's chains, rank r's failing
+// prefix, then the older line's chains. ok is false when no candidate
+// restores; the error is reserved for the key listing failing.
+func RestoreLatest(store storage.Store, ranks int, committed bool) (rec Recovered, ok bool, err error) {
+	rec.Seq, ok, err = newestLine(store, ranks, committed, func(seq uint64) (err error) {
+		rec.Spaces, rec.Bytes, err = restoreLine(store, ranks, seq)
+		return err
+	})
+	return rec, ok, err // a failed candidate left rec zero
+}
+
+// newestLine is the one candidate scanner of both trust rules. It lists
+// the store's keys once and offers each candidate line to try, newest
+// first, returning the first line try accepts. Under the plain rule a
+// line is a candidate when every rank holds a segment key for it. Under
+// two-phase commit (committed) it is a candidate when it has a COMMIT
+// marker key, and is offered to try only after checkMarker reads that
+// marker back well formed. ok is false when no candidate is accepted;
+// the error is the key listing's.
+func newestLine(store storage.Store, ranks int, committed bool, try func(seq uint64) error) (seq uint64, ok bool, err error) {
+	if ranks <= 0 {
+		return 0, false, nil
+	}
+	keys, err := store.Keys()
+	if err != nil {
+		return 0, false, err
+	}
+	var candidates []uint64
+	if committed {
+		candidates = markedLines(keys)
+	} else {
+		held := make(map[uint64]int) // ranks holding each seq; keys are a set
+		for _, k := range keys {
+			var rank int
+			var s uint64
+			if ParseSegmentKey(k, &rank, &s) && rank < ranks {
+				if held[s]++; held[s] == ranks {
+					candidates = append(candidates, s)
+				}
+			}
+		}
+	}
+	slices.Sort(candidates)
+	for i := len(candidates) - 1; i >= 0; i-- {
+		s := candidates[i]
+		if committed && checkMarker(store, ranks, s) != nil {
+			continue
+		}
+		if try(s) == nil {
+			return s, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// markedLines returns the lines keys hold a COMMIT marker key for.
+func markedLines(keys []string) []uint64 {
+	var lines []uint64
+	for _, k := range keys {
+		var s uint64
+		if ParseCommitKey(k, &s) {
+			lines = append(lines, s)
+		}
+	}
+	return lines
+}
+
+// LatestClaimedSeq returns the line the store advertises before any data
+// is read, under the trust rule recovery uses: the newest line with a
+// COMMIT marker key under two-phase commit (committed), otherwise
+// LatestConsistentSeq. A recovery is degraded when the line it restores
+// falls short of this claim.
+func LatestClaimedSeq(store storage.Store, ranks int, committed bool) (seq uint64, ok bool, err error) {
+	if !committed {
+		return LatestConsistentSeq(store, ranks)
+	}
+	keys, err := store.Keys()
+	if err != nil {
+		return 0, false, err
+	}
+	lines := markedLines(keys)
+	if len(lines) == 0 {
+		return 0, false, nil
+	}
+	return slices.Max(lines), true, nil
 }

@@ -173,8 +173,8 @@ func TestCheckpointerCompression(t *testing.T) {
 		t.Fatalf("duration %v not reduced by compression", res.Duration)
 	}
 	// Restore still exact.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := Restore(store, 0, 0, fresh); err != nil {
+	fresh, _, err := replayChain(store, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 8*4096)
@@ -215,8 +215,8 @@ func TestCheckpointerDedup(t *testing.T) {
 	res3, _ := c.Checkpoint()
 	want := make([]byte, 4*4096)
 	sp.Read(r.Start(), want)
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := Restore(store, 0, res3.Seq, fresh); err != nil {
+	fresh, _, err := replayChain(store, 0, res3.Seq)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4*4096)
@@ -277,8 +277,8 @@ func TestPropertyDedupCompressRestoreIdentity(t *testing.T) {
 		if !did {
 			return true
 		}
-		fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-		if Restore(store, 0, lastSeq, fresh) != nil {
+		fresh, _, err := replayChain(store, 0, lastSeq)
+		if err != nil {
 			return false
 		}
 		got := make([]byte, pages*512)

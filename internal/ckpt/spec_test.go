@@ -75,8 +75,8 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	}
 
 	// Restore recreates BOTH regions — the excluded one zero-filled.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	if err := Restore(store, 0, 1, fresh); err != nil {
+	fresh, _, err := replayChain(store, 0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var mmaps int

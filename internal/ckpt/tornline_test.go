@@ -39,6 +39,7 @@ func TestRestoreErrorMissingSegment(t *testing.T) {
 	if errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("missing segment mis-typed as corrupt: %v", err)
 	}
+	checkOnePass(t, store, 3)
 }
 
 // A restore that hits a segment that is there but damaged must
@@ -90,6 +91,7 @@ func TestRestoreErrorCorruptSegment(t *testing.T) {
 			if errors.Is(err, storage.ErrNotFound) {
 				t.Fatalf("corrupt segment mis-typed as missing: %v", err)
 			}
+			checkOnePass(t, store, 3)
 		})
 	}
 }
@@ -131,23 +133,23 @@ func TestCrashBetweenPrepareAndCommitFallsBack(t *testing.T) {
 	if err := VerifyLine(store, 3, 1); err != nil {
 		t.Fatalf("torn line's segments should verify individually: %v", err)
 	}
-	// But without a marker the two-phase trust rule rejects it.
-	if err := VerifyCommittedLine(store, 3, 1); err == nil {
+	// But without a marker the two-phase trust rule rejects it, and
+	// recovery restores the fallback line.
+	if err := checkMarker(store, 3, 1); err == nil {
 		t.Fatal("markerless line accepted as committed")
 	}
-	seq, ok, err = LatestCommittedSeq(store, 3)
-	if err != nil || !ok || seq != 0 {
-		t.Fatalf("fallback line = %d/%v/%v, want 0/true", seq, ok, err)
+	rec, ok, err := RestoreLatest(store, 3, true)
+	if err != nil || !ok || rec.Seq != 0 {
+		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
-	// And the fallback line restores.
-	if _, err := RestoreAll(store, 3, seq); err != nil {
-		t.Fatalf("fallback restore: %v", err)
+	if plain, _ := checkOnePass(t, store, 3); plain.Seq != 1 {
+		t.Fatalf("the plain rule restored line %d, want the torn line 1", plain.Seq)
 	}
 }
 
 // The complementary tear: the marker survived but a rank's segment did
-// not (storage loss after commit). VerifyCommittedLine rejects the line
-// and selection falls back.
+// not (storage loss after commit). The marker still checks out, but the
+// line does not restore, and recovery falls back.
 func TestTornCommittedLineFallsBack(t *testing.T) {
 	store := storage.NewMemStore()
 	eng, co, spaces := commitRig(t, 3, store)
@@ -163,11 +165,12 @@ func TestTornCommittedLineFallsBack(t *testing.T) {
 	if err := store.Delete(SegmentKey(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCommittedLine(store, 3, 1); err == nil {
-		t.Fatal("line with a missing segment accepted despite its marker")
+	if err := checkMarker(store, 3, 1); err != nil {
+		t.Fatalf("the surviving marker: %v", err)
 	}
-	seq, ok, err := LatestCommittedSeq(store, 3)
-	if err != nil || !ok || seq != 0 {
-		t.Fatalf("fallback line = %d/%v/%v, want 0/true", seq, ok, err)
+	rec, ok, err := RestoreLatest(store, 3, true)
+	if err != nil || !ok || rec.Seq != 0 {
+		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
+	checkOnePass(t, store, 3)
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/storage"
@@ -15,26 +14,27 @@ import (
 // restore chain is actually readable and decodable. VerifyChain proves
 // it for one rank, VerifyLine for a full coordinated line, and
 // LatestVerifiableSeq picks the newest line that survives proof —
-// skipping corrupt or incomplete lines instead of handing the supervisor
-// a restore that will blow up mid-recovery.
+// skipping corrupt or incomplete lines. Recovery itself proves a line by
+// restoring it: RestoreLatest scans the same candidates and keeps the
+// first line whose every chain replays, so each chain is read once.
 
 // VerifyChain checks that rank's restore chain ending at targetSeq is
 // complete and sound: it is walkChain with no visitor, so a nil return
-// means Restore to targetSeq replays that chain, and an error is the one
-// Restore would return.
+// means a restore to targetSeq (replayChain) replays that chain, and an
+// error is the one the restore would return.
 func VerifyChain(store storage.Store, rank int, targetSeq uint64) error {
 	return walkChain(store, rank, targetSeq, nil)
 }
 
 // walkChain is the one place a restore chain is judged: VerifyChain,
-// ChainVolume and Restore all call it. It fetches rank's target segment
-// targetSeq, then the chain from its base full segment forward: Gets
-// target, then epoch … targetSeq-1. Every segment must fetch, pass the
-// storage tier's integrity checks and decode. The target must carry its
-// own labels, an epoch not after it and a region table Restore maps as
-// written (checkRegionTable). Every segment must carry its labels, its
-// kind (full base, then incremental), the chain's epoch and page size,
-// and content.
+// ChainVolume and replayChain (RestoreAll, RestoreLatest) all call it.
+// It fetches rank's target segment targetSeq, then the chain from its
+// base full segment forward: Gets target, then epoch … targetSeq-1.
+// Every segment must fetch, pass the storage tier's integrity checks and
+// decode. The target must carry its own labels, an epoch not after it and
+// a region table replayChain maps as written (checkRegionTable). Every
+// segment must carry its labels, its kind (full base, then incremental),
+// the chain's epoch and page size, and content.
 //
 // visit, when non-nil, receives each proven segment in replay order,
 // base first and target last, with the target and the segment's encoded
@@ -94,7 +94,7 @@ func walkChain(store storage.Store, rank int, targetSeq uint64, visit func(targe
 	return nil
 }
 
-// maxRegionSize bounds one entry of a region table. Restore maps every
+// maxRegionSize bounds one entry of a region table. A restore maps every
 // region before it reads a page record: MapAt makes the region's
 // protection bitmap, and its first page makes the whole-region slab. So
 // a size that rotted into the terabytes would allocate before any page
@@ -103,7 +103,7 @@ func walkChain(store storage.Store, rank int, targetSeq uint64, visit func(targe
 // writes comes near 4 GB.
 const maxRegionSize = 1 << 32
 
-// checkRegionTable rejects a region table Restore could not map as
+// checkRegionTable rejects a region table a restore could not map as
 // written: an entry unaligned to pageSize or empty, one wrapping past the
 // top of the address space, one larger than maxRegionSize, one over the
 // stack every address space maps from creation, one not after its
@@ -144,51 +144,13 @@ func VerifyLine(store storage.Store, ranks int, seq uint64) error {
 }
 
 // LatestVerifiableSeq returns the newest coordinated recovery line whose
-// every chain verifies end to end, scanning candidate lines newest
-// first and skipping any that are incomplete (a rank missing the
-// sequence) or damaged (torn, corrupt, mis-chained segments). ok is
-// false when no line at all survives verification — the caller must
-// restart from scratch. The error return is reserved for the key
-// listing itself failing; per-line damage never surfaces as an error.
+// every chain verifies end to end: newestLine under the plain trust rule,
+// proving each candidate with VerifyLine instead of restoring it. It
+// skips lines that are incomplete (a rank missing the sequence) or
+// damaged (torn, corrupt, mis-chained segments). ok is false when no line
+// at all survives verification — the caller must restart from scratch.
+// The error return is reserved for the key listing itself failing;
+// per-line damage never surfaces as an error.
 func LatestVerifiableSeq(store storage.Store, ranks int) (seq uint64, ok bool, err error) {
-	if ranks <= 0 {
-		return 0, false, nil
-	}
-	keys, err := store.Keys()
-	if err != nil {
-		return 0, false, err
-	}
-	// Candidate lines: sequences present (as keys) for every rank.
-	perRank := make([]map[uint64]bool, ranks)
-	for i := range perRank {
-		perRank[i] = make(map[uint64]bool)
-	}
-	for _, k := range keys {
-		var rank int
-		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) || rank < 0 || rank >= ranks {
-			continue
-		}
-		perRank[rank][s] = true
-	}
-	var candidates []uint64
-	for s := range perRank[0] {
-		common := true
-		for r := 1; r < ranks; r++ {
-			if !perRank[r][s] {
-				common = false
-				break
-			}
-		}
-		if common {
-			candidates = append(candidates, s)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] > candidates[j] })
-	for _, s := range candidates {
-		if VerifyLine(store, ranks, s) == nil {
-			return s, true, nil
-		}
-	}
-	return 0, false, nil
+	return newestLine(store, ranks, false, func(seq uint64) error { return VerifyLine(store, ranks, seq) })
 }

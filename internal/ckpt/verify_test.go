@@ -102,6 +102,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 	if err != nil || !ok || seq != 4 {
 		t.Fatalf("pristine: seq=%d ok=%v err=%v", seq, ok, err)
 	}
+	checkOnePass(t, store, 2)
 
 	// Corrupt rank 1's newest segment: line 4 is out, 3 still proves.
 	frame, _ := raw.Get(keyFor(1, 4))
@@ -109,6 +110,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 	if seq, ok, _ = LatestVerifiableSeq(store, 2); !ok || seq != 3 {
 		t.Fatalf("after corrupting (1,4): seq=%d ok=%v, want 3", seq, ok)
 	}
+	checkOnePass(t, store, 2)
 	// LatestConsistentSeq still blindly trusts the key space.
 	if blind, ok, _ := LatestConsistentSeq(store, 2); !ok || blind != 4 {
 		t.Fatalf("consistent-seq baseline moved: %d %v", blind, ok)
@@ -120,6 +122,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 	if seq, ok, _ = LatestVerifiableSeq(store, 2); !ok || seq != 2 {
 		t.Fatalf("after losing a base: seq=%d ok=%v, want 2", seq, ok)
 	}
+	checkOnePass(t, store, 2)
 
 	// Wreck everything: no line survives.
 	for _, k := range mustKeys(t, raw) {
@@ -133,6 +136,7 @@ func TestLatestVerifiableSeqSkipsDamagedLines(t *testing.T) {
 	if _, ok, err = LatestVerifiableSeq(store, 2); err != nil || ok {
 		t.Fatalf("fully corrupt store: ok=%v err=%v, want no line", ok, err)
 	}
+	checkOnePass(t, store, 2)
 	// Zero or negative ranks: no line, no panic.
 	if _, ok, _ := LatestVerifiableSeq(store, 0); ok {
 		t.Fatal("zero ranks reported a line")
@@ -177,8 +181,8 @@ func TestVerifiedRestoreEquality(t *testing.T) {
 	if err != nil || !ok || seq != 1 {
 		t.Fatalf("line: seq=%d ok=%v err=%v", seq, ok, err)
 	}
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 512})
-	if err := Restore(store, 0, seq, fresh); err != nil {
+	fresh, _, err := replayChain(store, 0, seq)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4*512)
@@ -190,7 +194,7 @@ func TestVerifiedRestoreEquality(t *testing.T) {
 	}
 }
 
-// VerifyChain approves exactly the region tables Restore maps as
+// VerifyChain approves exactly the region tables a restore maps as
 // written: a one-segment full chain per table, verified, then restored.
 func TestRegionTableVerifiesAsRestores(t *testing.T) {
 	const ps = 4096
@@ -223,10 +227,9 @@ func TestRegionTableVerifiesAsRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 		verr := VerifyChain(store, 0, 0)
-		space := mem.NewAddressSpace(mem.Config{PageSize: ps})
-		rerr := Restore(store, 0, 0, space)
+		space, _, rerr := replayChain(store, 0, 0)
 		if (verr == nil) != c.ok || (rerr == nil) != c.ok {
-			t.Errorf("%s: VerifyChain = %v, Restore = %v; want both to succeed = %v", c.name, verr, rerr, c.ok)
+			t.Errorf("%s: VerifyChain = %v, replayChain = %v; want both to succeed = %v", c.name, verr, rerr, c.ok)
 			continue
 		}
 		if c.ok {

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // segment that lies.
 func craftSegment(t *testing.T, store storage.Store, rank int, seq uint64, edit func(*Segment)) {
 	t.Helper()
-	seg, err := LoadSegment(store, rank, seq)
+	seg, _, err := loadSegment(store, rank, seq, new(Segment))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +26,12 @@ func craftSegment(t *testing.T, store storage.Store, rank int, seq uint64, edit 
 	}
 }
 
-// Restore is the chain walk VerifyChain is, so on a chain 0(F) 1 2 with
-// one lying segment it returns VerifyChain's error, typed
-// storage.ErrCorrupt, where it used to panic, replay the foreign page or
-// map a region of terabytes; and a page record aimed at the stack, which
-// every space maps from creation, is skipped like a page of an unmapped
-// region.
+// A restore (replayChain) is the chain walk VerifyChain is, so on a
+// chain 0(F) 1 2 with one lying segment it returns VerifyChain's error,
+// typed storage.ErrCorrupt, where it used to panic, replay the foreign
+// page or map a region of terabytes; and a page record aimed at the
+// stack, which every space maps from creation, is skipped like a page of
+// an unmapped region.
 func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 	const ps = 512
 	// foreign replaces s's pages with one n-byte page of 0xee at addr, or
@@ -61,13 +62,14 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 			if verr == nil {
 				t.Fatal("VerifyChain accepted the lying segment")
 			}
-			rerr := Restore(store, 0, 2, mem.NewAddressSpace(mem.Config{PageSize: ps}))
+			_, _, rerr := replayChain(store, 0, 2)
 			if rerr == nil || rerr.Error() != verr.Error() {
-				t.Fatalf("Restore = %v, want VerifyChain's %v", rerr, verr)
+				t.Fatalf("replayChain = %v, want VerifyChain's %v", rerr, verr)
 			}
 			if !errors.Is(rerr, storage.ErrCorrupt) {
 				t.Fatalf("a segment that decodes but does not chain is not typed storage.ErrCorrupt: %v", rerr)
 			}
+			checkOnePass(t, store, 1)
 		})
 	}
 	t.Run("page at the stack", func(t *testing.T) {
@@ -77,8 +79,8 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 		if err := VerifyChain(store, 0, 2); err != nil {
 			t.Fatal(err)
 		}
-		space := mem.NewAddressSpace(mem.Config{PageSize: ps})
-		if err := Restore(store, 0, 2, space); err != nil {
+		space, _, err := replayChain(store, 0, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, ps)
@@ -86,7 +88,7 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, make([]byte, ps)) {
-			t.Fatalf("Restore wrote into the stack: % x…", got[:8])
+			t.Fatalf("replayChain wrote into the stack: % x…", got[:8])
 		}
 	})
 }
@@ -105,23 +107,38 @@ func (s *getLog) Get(key string) ([]byte, error) {
 // FaultyStore draws one fault per operation, so the Gets each chain
 // reader issues, in order, are part of every faulted run's output. Over
 // two ranks' chains 0(F) 1 2 this pins them: a change that moves one
-// moves golden cells, and has to edit this test on purpose.
+// moves golden cells, and has to edit this test on purpose. Every reader
+// fetches each chain segment once: the target, then base … target-1.
+// RestoreLatest over a store whose newest line is torn at rank 1 reads
+// rank 0's chain, rank 1's failing prefix, then the older line's chains.
 func TestChainReadersGetSequence(t *testing.T) {
 	inner, _ := buildChains(t, 2, 3, 3)
+	torn, raw := buildChains(t, 2, 3, 3)
+	if err := raw.Put(SegmentKey(1, 2), []byte("torn")); err != nil {
+		t.Fatal(err)
+	}
 	k := SegmentKey
 	for _, tc := range []struct {
-		name string
-		read func(storage.Store) error
-		want []string
+		name  string
+		store storage.Store
+		read  func(storage.Store) error
+		want  []string
 	}{
-		{"VerifyChain", func(s storage.Store) error { return VerifyChain(s, 1, 2) },
+		{"VerifyChain", inner, func(s storage.Store) error { return VerifyChain(s, 1, 2) },
 			[]string{k(1, 2), k(1, 0), k(1, 1)}},
-		{"ChainVolume", func(s storage.Store) error { _, err := ChainVolume(s, 1, 2); return err },
-			[]string{k(1, 2), k(1, 0), k(1, 1), k(1, 2)}},
-		{"RestoreAll", func(s storage.Store) error { _, err := RestoreAll(s, 2, 2); return err },
-			[]string{k(0, 2), k(0, 2), k(0, 0), k(0, 1), k(1, 2), k(1, 0), k(1, 1)}},
+		{"ChainVolume", inner, func(s storage.Store) error { _, err := ChainVolume(s, 1, 2); return err },
+			[]string{k(1, 2), k(1, 0), k(1, 1)}},
+		{"RestoreAll", inner, func(s storage.Store) error { _, err := RestoreAll(s, 2, 2); return err },
+			[]string{k(0, 2), k(0, 0), k(0, 1), k(1, 2), k(1, 0), k(1, 1)}},
+		{"RestoreLatest torn at rank 1", torn, func(s storage.Store) error {
+			rec, ok, err := RestoreLatest(s, 2, false)
+			if err == nil && (!ok || rec.Seq != 1) {
+				err = fmt.Errorf("restored line %d/%v, want 1", rec.Seq, ok)
+			}
+			return err
+		}, []string{k(0, 2), k(0, 0), k(0, 1), k(1, 2), k(0, 1), k(0, 0), k(1, 1), k(1, 0)}},
 	} {
-		log := &getLog{Store: inner}
+		log := &getLog{Store: tc.store}
 		if err := tc.read(log); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

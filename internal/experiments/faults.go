@@ -58,8 +58,8 @@ func faultScenarios() []faultScenario {
 		{name: "transient", replicas: 1, decay: storage.FaultConfig{TransientRate: 0.15}},
 		{name: "decay", replicas: 1, decay: decay},
 		{name: "decay", replicas: 2, decay: decay},
-		{name: "outage", replicas: 1, outageOps: 60},
-		{name: "outage+decay", replicas: 2, decay: decay, outageOps: 60},
+		{name: "outage", replicas: 1, outageOps: 30},
+		{name: "outage+decay", replicas: 2, decay: decay, outageOps: 30},
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Attach constructors rebuild kernel handles over a *restored* address
-// space: after ckpt.Restore recreates the regions at their original
+// space: after ckpt.RestoreAll recreates the regions at their original
 // addresses with their checkpointed contents, these functions locate the
 // kernel's arenas and resume computation from the checkpointed iteration.
 // Together with the New constructors they give every kernel a full
@@ -17,7 +17,7 @@ import (
 // arenaLayout rebinds a kernel's full arena layout: one element count
 // per arena, in the order the New constructor allocates them. Mmap
 // bump-allocates monotonically and kernels never unmap, so address
-// order equals allocation order, and a restore (ckpt.Restore → MapAt)
+// order equals allocation order, and a restore (ckpt.RestoreAll → MapAt)
 // recreates every region at its original address — including regions a
 // protection spec excluded from capture, which come back zero-filled
 // but still present. Candidate regions are those whose (page-rounded)

@@ -59,10 +59,11 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 		}
 	}
 	// Crash. Restore and resume.
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := ckpt.Restore(store, 0, lastSeq, fresh); err != nil {
+	spaces, err := ckpt.RestoreAll(store, 1, lastSeq)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := spaces[0]
 	resumed, err := AttachSSOR(fresh, nx, ny, 1.3, lastIter)
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +102,11 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 			lastIter, lastSeq = i, res.Seq
 		}
 	}
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := ckpt.Restore(store, 0, lastSeq, fresh); err != nil {
+	spaces, err := ckpt.RestoreAll(store, 1, lastSeq)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := spaces[0]
 	resumed, err := AttachWavefront(fresh, nx, ny, lastIter)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +140,11 @@ func TestADICrashRestoreResume(t *testing.T) {
 			lastIter, lastSeq = i, res.Seq
 		}
 	}
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := ckpt.Restore(store, 0, lastSeq, fresh); err != nil {
+	spaces, err := ckpt.RestoreAll(store, 1, lastSeq)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := spaces[0]
 	resumed, err := AttachADI(fresh, nx, ny, 0.5, lastIter)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +197,11 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	f.Pass()
 	f.Pass()
 
-	fresh := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	if err := ckpt.Restore(store, 0, res.Seq, fresh); err != nil {
+	spaces, err := ckpt.RestoreAll(store, 1, res.Seq)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := spaces[0]
 	resumed, err := AttachFFT(fresh, n, crashAfter)
 	if err != nil {
 		t.Fatal(err)

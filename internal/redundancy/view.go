@@ -53,17 +53,20 @@ type ViewStats struct {
 }
 
 // RecoveryView is the tiered read path over a Hierarchy: it implements
-// storage.Store so the existing recovery machinery — VerifyChain,
-// LatestVerifiableSeq, ChainVolume, RestoreAll — transparently reads
-// L1 first, then rebuilds lost segments from surviving parity shards,
-// then falls back to L3. Every level is integrity-checked (segment
-// decode at L1, frame + member CRCs at L2), so a corrupt copy degrades
-// the read to the next tier instead of surfacing torn bytes.
+// storage.Store so the recovery machinery — ckpt.RestoreLatest, and
+// VerifyChain, LatestVerifiableSeq, ChainVolume, RestoreAll —
+// transparently reads L1 first, then rebuilds lost segments from
+// surviving parity shards, then falls back to L3. Every level is
+// integrity-checked (segment decode at L1, frame + member CRCs at L2), so
+// a corrupt copy degrades the read to the next tier instead of surfacing
+// torn bytes.
 //
-// The view is read-only and caches L2 rebuilds: a segment rebuilt once
-// is served from the cache (still accounted to L2) for the rest of the
-// recovery, so repeated chain walks don't re-run the codec. Use a fresh
-// view per recovery.
+// The view is read-only and accounts every Get; a recovery reads each
+// chain segment once, so its stats charge each chain byte once. One
+// rebuild reconstructs every member of a parity group at that line, and
+// the view caches them: a sibling member's segment is then served from
+// the cache (accounted to L2) instead of re-running the codec. Use a
+// fresh view per recovery.
 type RecoveryView struct {
 	h       *Hierarchy
 	rebuilt map[string][]byte

@@ -3,6 +3,7 @@ package redundancy
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -79,6 +80,110 @@ func TestViewRebuildsLostRankWithoutL3(t *testing.T) {
 	// Read-repair healed the victim's L1 for the next recovery.
 	if _, err := f.h.Local(victim).Get(ckpt.SegmentKey(victim, latest)); err != nil {
 		t.Fatalf("repaired segment not back on L1: %v", err)
+	}
+}
+
+// countGets is a store that counts its Gets.
+type countGets struct {
+	storage.Store
+	n int
+}
+
+func (s *countGets) Get(key string) ([]byte, error) {
+	s.n++
+	return s.Store.Get(key)
+}
+
+// chainOf returns how many segments rank's chain to line holds and
+// their encoded bytes, read through a fresh view.
+func chainOf(t *testing.T, f *fixture, rank int, line uint64) (segs int, bytes uint64) {
+	t.Helper()
+	c := &countGets{Store: f.h.NewView()}
+	n, err := ckpt.ChainVolume(c, rank, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.n, n
+}
+
+// recoverOnce is one recovery through a fresh view: the newest line,
+// restored bit-exact, with the view's stats.
+func recoverOnce(t *testing.T, f *fixture) (ckpt.Recovered, ViewStats) {
+	t.Helper()
+	v := f.h.NewView()
+	rec, ok, err := ckpt.RestoreLatest(v, f.h.Ranks(), false)
+	if err != nil || !ok || rec.Seq != uint64(f.lines-1) {
+		t.Fatalf("RestoreLatest = line %d, %v, %v; want %d", rec.Seq, ok, err, f.lines-1)
+	}
+	for i, sp := range rec.Spaces {
+		if got := sp.Digest(nil); got != f.digests[i] {
+			t.Fatalf("rank %d digest %#x, want %#x — restore not bit-exact", i, got, f.digests[i])
+		}
+	}
+	return rec, v.Stats()
+}
+
+// A recovery through the view reads each chain segment once: over a
+// healthy hierarchy it charges Σ LevelBytes = the line's chain bytes, in
+// one Get per segment, all from L1.
+func TestViewRecoveryChargesEachChainByteOnce(t *testing.T) {
+	f := buildFixture(t, Config{
+		Scheme:      Scheme{Kind: XOR, K: 2, M: 1},
+		Domains:     domains(t, 4, 1),
+		Global:      storage.NewMemStore(),
+		GlobalEvery: 1000,
+	}, 4)
+	rec, st := recoverOnce(t, f)
+	var segs int
+	var chain uint64
+	for r := 0; r < f.h.Ranks(); r++ {
+		n, b := chainOf(t, f, r, rec.Seq)
+		segs, chain = segs+n, chain+b
+	}
+	reads := st.LevelReads[LevelLocal] + st.LevelReads[LevelParity] + st.LevelReads[LevelGlobal]
+	charged := st.LevelBytes[LevelLocal] + st.LevelBytes[LevelParity] + st.LevelBytes[LevelGlobal]
+	if reads != uint64(segs) || charged != chain || rec.Bytes != chain {
+		t.Fatalf("charged %d B in %d Gets (restore read %d B) for a %d-segment line of %d B", charged, reads, rec.Bytes, segs, chain)
+	}
+	if st.LevelBytes[LevelLocal] != chain {
+		t.Fatalf("healthy recovery left L1: %+v", st)
+	}
+}
+
+// The same over a lost rank rebuilt from parity: each lost segment is
+// rebuilt once, the view still charges each chain byte once, and L2
+// serves at least the lost chain and at most its group's chains.
+func TestViewRecoveryChargesRebuiltBytesOnce(t *testing.T) {
+	f := buildFixture(t, Config{
+		Scheme:      Scheme{Kind: XOR, K: 2, M: 1},
+		Domains:     domains(t, 4, 1),
+		Global:      storage.NewMemStore(),
+		GlobalEvery: 1000,
+	}, 4)
+	g := f.h.Groups()[0]
+	victim := g.Members[0]
+	if err := f.h.WipeRank(victim); err != nil {
+		t.Fatal(err)
+	}
+	rec, st := recoverOnce(t, f)
+	var chain, group uint64
+	lostSegs, lost := chainOf(t, f, victim, rec.Seq)
+	for r := 0; r < f.h.Ranks(); r++ {
+		_, b := chainOf(t, f, r, rec.Seq)
+		chain += b
+		if slices.Contains(g.Members, r) {
+			group += b
+		}
+	}
+	charged := st.LevelBytes[LevelLocal] + st.LevelBytes[LevelParity] + st.LevelBytes[LevelGlobal]
+	if charged != chain || rec.Bytes != chain {
+		t.Fatalf("charged %d B (restore read %d B) for a line of %d B: %+v", charged, rec.Bytes, chain, st)
+	}
+	if l2 := st.LevelBytes[LevelParity]; l2 < lost || l2 > group || st.LevelBytes[LevelGlobal] != 0 {
+		t.Fatalf("L2 served %d B; the lost chain is %d B, its group's chains %d B: %+v", l2, lost, group, st)
+	}
+	if st.Rebuilds != uint64(lostSegs) {
+		t.Fatalf("%d rebuilds for a lost chain of %d segments", st.Rebuilds, lostSegs)
 	}
 }
 
