@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go test -bench . -benchmem ./... | benchjson > BENCH.json
-//	benchjson -compare BENCH_45.json BENCH.json
+//	benchjson -compare BENCH_<n>.json BENCH.json   # the newest committed snapshot
 package main
 
 import (

@@ -770,7 +770,7 @@ func Example_rdma_drain() {
 			CkptEvery:   3,
 			ComputeTime: 50 * des.Millisecond,
 			Seed:        11,
-			RDMA:        &autonomic.RDMAOptions{Mode: mode},
+			RDMA:        mode,
 		}
 	}
 

@@ -66,7 +66,10 @@ func (f StencilFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Com
 	return kernels.AttachDistStencil(eng, world, f.Nx, f.RowsPerRank, f.Boundary, f.ComputeTime, iter)
 }
 
-// Config parameterises a supervised run.
+// Config is a supervised run: what it computes, how it checkpoints and
+// what fails. It carries no engine and no chaos driver — Run builds its
+// own engine, and ValidateReplayStore the injected run's engine and
+// driver.
 type Config struct {
 	// Workload picks the computation; nil selects a StencilFactory
 	// built from the grid fields below.
@@ -113,21 +116,6 @@ type Config struct {
 	// supervisor notices failures immediately — the paper's idealised
 	// constant-overhead assumption.
 	HeartbeatPeriod des.Time
-	// Engine, when non-nil, hosts the run on an existing (fresh, clock
-	// at zero) engine instead of a private one. Chaos wiring needs this:
-	// a chaos.Driver binds to an engine before Run, so the driver's
-	// timed storage faults, bit-flip instants and crash schedule share
-	// the run's virtual clock.
-	Engine *des.Engine
-	// Chaos, when non-nil, drives deterministic scheduled failures from
-	// a compiled fault plan bound to Engine: node crashes at planned
-	// instants, crashes aimed inside checkpoint commit windows, and — via
-	// the driver's MergeNetFaults, applied automatically — planned
-	// network partitions and brownouts. Storage-layer chaos (outages,
-	// brownouts, bit flips) rides the store the caller wrapped with
-	// Driver.WrapStore. Chaos composes with MTBF: most chaos runs set
-	// MTBF to zero so the plan is the sole failure source.
-	Chaos *chaos.Driver
 	// TwoPhaseCommit switches coordinated checkpoints to the
 	// prepare/commit protocol: ranks write segments in the prepare
 	// phase and a per-line COMMIT marker is written only after every
@@ -135,12 +123,14 @@ type Config struct {
 	// lines, so a mid-checkpoint failure can never surface a line the
 	// key space merely advertises.
 	TwoPhaseCommit bool
-	// RDMA, when non-nil, runs the team over an OS-bypass interconnect
-	// (mpi.Direct with registered memory regions): one-sided NIC writes
-	// land without raising tracker faults. Mode selects naive
-	// checkpointing (measure the silent under-count) or the drain
-	// protocol (close it). See RDMAOptions.
-	RDMA *RDMAOptions
+	// RDMA picks how NIC writes land. The zero value delivers every
+	// message through bounce buffers the CPU copies out, so the tracker
+	// sees every write. RDMANaive and RDMADrain run the team over an
+	// OS-bypass interconnect (mpi.Direct with registered memory regions):
+	// one-sided NIC writes land without raising tracker faults, and the
+	// mode picks naive checkpointing (measure the silent under-count) or
+	// the drain protocol (close it).
+	RDMA RDMAMode
 	// Spec, when non-nil, applies a protection-region spec to every
 	// rank's checkpointer: regions the ckptset analyzer classified as
 	// recomputable are excluded from protection and capture (the
@@ -155,7 +145,8 @@ type Config struct {
 	// only every GlobalEvery lines. Failures wipe the victims' L1
 	// stores; recovery reads through the tiers — L1, L2 rebuild, L3 —
 	// with per-level accounting in the report. The chaos DSL's
-	// domain-crash fault kills whole failure domains at once.
+	// domain-crash fault kills whole failure domains at once, so a plan
+	// that holds one needs MultiLevel (see ValidateReplayStore).
 	MultiLevel *MultiLevelOptions
 }
 
@@ -211,9 +202,18 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: grid %dx%d", c.Nx, c.RowsPerRank)
 	case c.Iterations < 1 || c.CkptEvery < 1:
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
-	case c.Chaos != nil && c.MultiLevel == nil && len(c.Chaos.Plan().DomainCrashes) > 0:
+	}
+	return nil
+}
+
+// admit refuses a chaos plan holding faults c has no instant to land: a
+// domain crash needs MultiLevel's failure domains, and a
+// crash-during-drain needs the drain protocol.
+func (c Config) admit(p *chaos.Plan) error {
+	switch {
+	case len(p.DomainCrashes) > 0 && c.MultiLevel == nil:
 		return fmt.Errorf("autonomic: chaos plan holds domain-crash faults, but without MultiLevel the run has no failure domains")
-	case c.Chaos != nil && (c.RDMA == nil || c.RDMA.Mode != RDMADrain) && len(c.Chaos.Plan().DrainCrashes) > 0:
+	case len(p.DrainCrashes) > 0 && c.RDMA != RDMADrain:
 		return fmt.Errorf("autonomic: chaos plan holds crash-during-drain faults, but the run has no RDMA drain protocol")
 	}
 	return nil
@@ -246,6 +246,9 @@ type FailureEvent struct {
 	WastedCheckpoints int
 	// Downtime is the virtual time from the failure to the rebuilt
 	// team resuming — detection, selection, chain read, respawn.
+	// Failures absorbed by one recovery share its end, so their windows
+	// overlap and the sum of FailureLog[].Downtime counts that overlap
+	// twice: the sum can exceed the run's real downtime.
 	Downtime des.Time
 }
 
@@ -278,7 +281,11 @@ type Report struct {
 	// FalseSuspicions counts heartbeat silences that crossed the
 	// timeout for a peer that was in fact alive (loss-induced).
 	FalseSuspicions int
-	// LostIterations is the work rolled back across all failures.
+	// LostIterations is the work rolled back across all failures: per
+	// recovery, the distance from the iteration being recovered to the
+	// restored line. Nested failures absorbed by one recovery are counted
+	// once here but once each in FailureLog, so the sum of
+	// FailureLog[].LostIterations can exceed this total.
 	LostIterations int
 	// Elapsed is the end-to-end virtual time; Ideal is the failure- and
 	// checkpoint-free compute time; Efficiency = Ideal/Elapsed.
@@ -352,15 +359,12 @@ type Report struct {
 	LevelReadBytes [redundancy.LevelCount]uint64
 	LevelReadTime  [redundancy.LevelCount]des.Time
 	// ParityRebuilds counts segments reconstructed from surviving
-	// shards; ParityRebuildFailures, rebuild attempts that fell through
-	// to L3; CorruptParityShards, shards the frame CRC rejected;
-	// ParityRepairs/ParityRepairFailures, read-repair write-backs of
-	// rebuilt segments onto the owner's L1 (and the best-effort misses).
-	ParityRebuilds        uint64
-	ParityRebuildFailures uint64
-	CorruptParityShards   uint64
-	ParityRepairs         uint64
-	ParityRepairFailures  uint64
+	// shards; CorruptParityShards, shards the frame CRC rejected;
+	// ParityRepairs, read-repair write-backs of rebuilt segments onto the
+	// owner's L1.
+	ParityRebuilds      uint64
+	CorruptParityShards uint64
+	ParityRepairs       uint64
 }
 
 // team is one incarnation of the computation (between failures).
@@ -379,6 +383,7 @@ type team struct {
 type Supervisor struct {
 	cfg   Config
 	eng   *des.Engine
+	chaos *chaos.Driver // nil unless ValidateReplayStore injects a plan
 	store storage.Store
 	rng   *rand.Rand
 
@@ -409,9 +414,20 @@ type Supervisor struct {
 	storeDown       int       // consecutive recoveries deferred by an unavailable store
 }
 
-// Run executes the configured computation under supervision and returns
-// the report. The final checksum is filled in on success.
+// Run executes the configured computation under supervision on a fresh
+// engine and returns the report. The final checksum is filled in on
+// success.
 func Run(cfg Config) (*Report, error) {
+	return run(cfg, des.NewEngine(), nil)
+}
+
+// run is Run on eng (fresh, clock at zero), with driver (nil for none)
+// driving scheduled failures from a compiled plan bound to eng: node
+// crashes at planned instants, crashes aimed inside commit windows and
+// drain phases, and the plan's network partitions and brownouts.
+// Storage-layer chaos rides the store the caller wrapped with
+// Driver.WrapStore. The plan composes with MTBF.
+func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -427,18 +443,15 @@ func Run(cfg Config) (*Report, error) {
 	if store == nil {
 		store = storage.NewMemStore()
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = des.NewEngine()
-	}
-	if cfg.Chaos != nil {
+	if driver != nil {
 		// Fold the plan's partition/brownout windows into the interconnect
 		// fault config every team incarnation is built with.
-		cfg.NetFaults = cfg.Chaos.MergeNetFaults(cfg.NetFaults)
+		cfg.NetFaults = driver.MergeNetFaults(cfg.NetFaults)
 	}
 	s := &Supervisor{
 		cfg:        cfg,
 		eng:        eng,
+		chaos:      driver,
 		store:      store,
 		rng:        rand.New(rand.NewPCG(cfg.Seed, 0xA57)),
 		lineIter:   make(map[uint64]int),
@@ -456,8 +469,8 @@ func Run(cfg Config) (*Report, error) {
 	s.cur = t
 	s.startTeam()
 	s.scheduleFailure()
-	if cfg.Chaos != nil {
-		cfg.Chaos.StartCrashes(s.onFailure)
+	if driver != nil {
+		driver.StartCrashes(s.onFailure)
 	}
 	s.eng.Run(des.MaxTime)
 	if s.failed != nil {
@@ -484,14 +497,14 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		}
 	}
 	mode := mpi.Bounce
-	if cfg.RDMA != nil {
+	if cfg.RDMA != rdmaOff {
 		mode = mpi.Direct
 	}
 	world, err := mpi.NewWorld(s.eng, mpi.QsNet(), mode, spaces)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RDMA != nil {
+	if cfg.RDMA != rdmaOff {
 		// Before the workload maps its arenas: the bounce fallback arenas
 		// must exist before checkpointer exclusion below.
 		if err := world.EnableRDMA(); err != nil {
@@ -513,7 +526,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		return nil, err
 	}
 	t := &team{world: world, d: d}
-	if cfg.RDMA != nil {
+	if cfg.RDMA != rdmaOff {
 		// The workload's arenas exist now; pin them with the NIC before
 		// the team starts iterating.
 		t.regCost = register(world)
@@ -585,7 +598,7 @@ func (s *Supervisor) startTeam() {
 			// Quiescent point: coordinated checkpoint, then pause for the
 			// stop-and-copy commit before resuming. A drain-mode RDMA team
 			// wraps the commit in the drain/re-register protocol.
-			if s.cfg.RDMA != nil && s.cfg.RDMA.Mode == RDMADrain {
+			if s.cfg.RDMA == RDMADrain {
 				s.drainCheckpoint(t, iter, next)
 				return
 			}
@@ -680,7 +693,7 @@ func (s *Supervisor) lineRefused(t *team, err error, cont func()) {
 // stop-and-copy pause otherwise (before the line's parity lands). A plan
 // may aim a node crash or a whole failure domain strictly inside it.
 func (s *Supervisor) aimCommitCrashes(end des.Time) {
-	c := s.cfg.Chaos
+	c := s.chaos
 	if c == nil {
 		return
 	}

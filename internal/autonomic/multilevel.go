@@ -71,7 +71,7 @@ func (s *Supervisor) buildHierarchy(global storage.Store) error {
 		Global:      global,
 		GlobalEvery: opts.GlobalEvery,
 		Net:         mpi.QsNet(),
-		Direct:      s.cfg.RDMA != nil,
+		Direct:      s.cfg.RDMA != rdmaOff,
 	})
 	if err != nil {
 		return err
@@ -139,10 +139,8 @@ func (s *Supervisor) foldViewStats(view *redundancy.RecoveryView) {
 		s.report.LevelReadBytes[i] += st.LevelBytes[i]
 	}
 	s.report.ParityRebuilds += st.Rebuilds
-	s.report.ParityRebuildFailures += st.RebuildFailures
 	s.report.CorruptParityShards += st.CorruptShards
 	s.report.ParityRepairs += st.RepairedBack
-	s.report.ParityRepairFailures += st.RepairWriteFailures
 }
 
 // tierReadTime prices a tiered restore: each level's bytes at the model

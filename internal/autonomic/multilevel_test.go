@@ -312,7 +312,6 @@ func TestMultiLevelConfigErrors(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.Chaos = nil
 	cfg.MultiLevel.Scheme = redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 0}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("invalid scheme accepted")

@@ -6,9 +6,9 @@
 // application memory defeats mprotect-based write tracking: DMA stores
 // raise no faults, so the incremental working set silently under-counts
 // and incremental checkpoints omit NIC-written pages. The supervisor can
-// run its world in that regime (RDMAOptions.Mode = RDMANaive) and
-// *measure* the resulting corruption risk, or run the drain protocol
-// (RDMADrain, the default): at every checkpoint boundary a six-phase
+// run its world in that regime (Config.RDMA = RDMANaive) and *measure*
+// the resulting corruption risk, or run the drain protocol
+// (RDMADrain): at every checkpoint boundary a six-phase
 // state machine quiesces traffic, drains in-flight one-sided writes,
 // deregisters the NIC regions — replaying every suppressed write fault
 // so the tracker sees the true dirty set — cuts the line, re-registers,
@@ -18,46 +18,30 @@
 package autonomic
 
 import (
-	"fmt"
-
 	"repro/internal/des"
 	"repro/internal/kernels"
 	"repro/internal/mpi"
 )
 
-// RDMAMode selects how the supervisor checkpoints a registered-memory
-// world.
+// RDMAMode selects how NIC writes reach a supervised world and how the
+// supervisor checkpoints it. The zero value is bounce delivery.
 type RDMAMode uint8
 
 const (
-	// RDMADrain (the default) runs the drain/re-register protocol at
-	// every checkpoint boundary, so incremental lines capture the true
-	// dirty set.
-	RDMADrain RDMAMode = iota
-	// RDMANaive checkpoints without draining: DMA-written pages stay
-	// silent and incremental lines under-count — the failure mode the
-	// report's SilentDirtyBytes quantifies and restores corrupt.
+	// rdmaOff (the zero value) delivers through bounce buffers the CPU
+	// copies out, faulting: the tracker sees every write.
+	rdmaOff RDMAMode = iota
+	// RDMADrain puts the world in Direct (OS-bypass) delivery with
+	// registered memory regions and runs the drain/re-register protocol
+	// at every checkpoint boundary, so incremental lines capture the
+	// true dirty set.
+	RDMADrain
+	// RDMANaive is Direct delivery checkpointed without draining:
+	// DMA-written pages stay silent and incremental lines under-count —
+	// the failure mode the report's SilentDirtyBytes quantifies and
+	// restores corrupt.
 	RDMANaive
 )
-
-// String names the mode.
-func (m RDMAMode) String() string {
-	switch m {
-	case RDMADrain:
-		return "drain"
-	case RDMANaive:
-		return "naive"
-	default:
-		return fmt.Sprintf("autonomic.RDMAMode(%d)", m)
-	}
-}
-
-// RDMAOptions puts the supervised world in Direct (OS-bypass) delivery
-// mode with registered memory regions.
-type RDMAOptions struct {
-	// Mode picks naive Direct checkpointing or the drain protocol.
-	Mode RDMAMode
-}
 
 // drainTimeout bounds the DrainInFlight phase; ranks still awaiting
 // traffic when it expires are degraded to bounce-buffer delivery.
@@ -126,7 +110,7 @@ func register(w *mpi.World) des.Time {
 // harvestRDMA folds a dying (or finishing) team's NIC counters into the
 // report. Idempotent per team: a nested failure must not double-count.
 func (s *Supervisor) harvestRDMA(t *team) {
-	if s.cfg.RDMA == nil || t == nil || t.harvested {
+	if s.cfg.RDMA == rdmaOff || t == nil || t.harvested {
 		return
 	}
 	t.harvested = true
@@ -174,7 +158,7 @@ type drainRound struct {
 // targeted phase kills a node on the spot, the adversarial instant for
 // this protocol. It reports whether the round survived.
 func (d *drainRound) enter(p mpi.DrainPhase) bool {
-	if c := d.s.cfg.Chaos; c != nil && c.DrainCrashHit(p, d.s.eng.Now()) {
+	if c := d.s.chaos; c != nil && c.DrainCrashHit(p, d.s.eng.Now()) {
 		d.s.onFailure()
 		return false
 	}

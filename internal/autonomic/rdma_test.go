@@ -22,7 +22,7 @@ func rdmaConfig(mode RDMAMode) Config {
 		CkptEvery:   3,
 		ComputeTime: 50 * des.Millisecond,
 		Seed:        11,
-		RDMA:        &RDMAOptions{Mode: mode},
+		RDMA:        mode,
 	}
 }
 

@@ -43,18 +43,18 @@ type ReplayOutcome struct {
 func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMatch }
 
 // Reference runs the answer cfg's computation must replay to: Run of
-// cfg without its failure sources (MTBF, NetFaults, Chaos, Store,
-// Engine) and without the four layers that only protect committed lines
-// (TwoPhaseCommit, MultiLevel, HeartbeatPeriod, Spec). A protection
-// layer that writes into application memory therefore perturbs only the
-// run it protects, never the reference. The workload, grid, Ranks,
-// Iterations and ComputeTime stay, and so does the checkpoint schedule —
-// CkptEvery, Sink and RDMA — because a line lands a one-sided ring's
-// in-flight puts before its next sweep (the drain protocol does, and so
-// does the commit pause), so where lines are cut is part of the answer
-// (see kernels.DistPut).
+// cfg without its failure sources (MTBF, NetFaults, Store) and without
+// the four layers that only protect committed lines (TwoPhaseCommit,
+// MultiLevel, HeartbeatPeriod, Spec). A protection layer that writes
+// into application memory therefore perturbs only the run it protects,
+// never the reference. The workload, grid, Ranks, Iterations and
+// ComputeTime stay, and so does the checkpoint schedule — CkptEvery,
+// Sink and RDMA — because a line lands a one-sided ring's in-flight puts
+// before its next sweep (the drain protocol does, and so does the commit
+// pause), so where lines are cut is part of the answer (see
+// kernels.DistPut).
 func Reference(cfg Config) (*Report, error) {
-	cfg.MTBF, cfg.NetFaults, cfg.Chaos, cfg.Store, cfg.Engine = 0, nil, nil, nil, nil
+	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, nil
 	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
 	return Run(cfg)
 }
@@ -73,13 +73,12 @@ func Compare(ref, run *Report) *ReplayOutcome {
 
 // ValidateReplay runs cfg's Reference and cfg under the given chaos
 // schedule (compiled with cfg.Seed), then Compares the final states bit
-// for bit. The injected run hosts the supervisor on a fresh engine
-// bound to a chaos driver, with the driver's timed storage faults and
-// bit flips interposed *below* an integrity envelope and a retry layer —
-// flips surface as read-back corruption, outages as refusals the
-// retries may or may not outlast. MTBF-driven Poisson failures are
-// disabled so the plan is the sole failure source and every entry in
-// the injected report's FailureLog is attributable to it.
+// for bit. The injected run's timed storage faults and bit flips are
+// interposed *below* an integrity envelope and a retry layer — flips
+// surface as read-back corruption, outages as refusals the retries may
+// or may not outlast. MTBF-driven Poisson failures are disabled so the
+// plan is the sole failure source and every entry in the injected
+// report's FailureLog is attributable to it.
 func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 	// Hardened stack with chaos interposed at the bottom: bit flips
 	// corrupt enveloped bytes so IntegrityStore surfaces ErrCorrupt on
@@ -92,17 +91,23 @@ func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 }
 
 // ValidateReplayStore is ValidateReplay with a caller-supplied storage
-// stack for the injected run: build receives the injected run's engine
-// and chaos driver and returns the store the supervisor writes through.
-// This is how alternative sinks — a networked checkpoint-store service,
-// a mirror group — are put under the same bit-exactness contract as the
-// default hardened stack: the Reference keeps a pristine in-memory
-// store, so any acked-but-lost write in the injected stack shows up as
-// a digest divergence.
+// stack for the injected run. The validator owns the injected run's
+// wiring: it builds a fresh engine and binds a chaos driver for the
+// compiled plan to it, and build receives both and returns the store
+// the supervisor writes through. This is how alternative sinks — a
+// networked checkpoint-store service, a mirror group — are put under
+// the same bit-exactness contract as the default hardened stack: the
+// Reference keeps a pristine in-memory store, so any acked-but-lost
+// write in the injected stack shows up as a digest divergence. A plan
+// holding faults cfg has no instant to land is refused before either
+// run starts and before build is called.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
 	plan, err := sched.Compile(cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: replay validation: %w", err)
+	}
+	if err := cfg.admit(plan); err != nil {
+		return nil, err
 	}
 	ref, err := Reference(cfg)
 	if err != nil {
@@ -112,10 +117,8 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 	eng := des.NewEngine()
 	driver := chaos.NewDriver(eng, plan)
 	cfg.MTBF = 0
-	cfg.Engine = eng
-	cfg.Chaos = driver
 	cfg.Store = build(eng, driver)
-	inj, err := Run(cfg)
+	inj, err := run(cfg, eng, driver)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/des"
+	"repro/internal/mpi"
 	"repro/internal/redundancy"
 	"repro/internal/storage"
 )
@@ -141,48 +142,56 @@ bitflip at 1200ms..15s count 4
 	}
 }
 
-// runUnder runs cfg bound to a chaos driver for sched on a fresh engine.
-func runUnder(t *testing.T, cfg Config, sched string) (*des.Engine, error) {
+// countingFactory counts the computations a run builds: every run,
+// reference or injected, builds one before its first event.
+type countingFactory struct {
+	Factory
+	built *int
+}
+
+func (f countingFactory) New(eng *des.Engine, world *mpi.World) (Computation, error) {
+	*f.built++
+	return f.Factory.New(eng, world)
+}
+
+// refusedBeforeRun asks ValidateReplayStore to check cfg under sched and
+// asserts the refusal came before anything ran: no run built its
+// computation, and the store builder — called after the reference run,
+// before the injected one — was never called.
+func refusedBeforeRun(t *testing.T, cfg Config, sched string) {
 	t.Helper()
 	s, err := chaos.ParseSchedule(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.Compile(cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
+	built, called := 0, false
+	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
+	_, err = ValidateReplayStore(cfg, s, func(*des.Engine, *chaos.Driver) storage.Store {
+		called = true
+		return storage.NewMemStore()
+	})
+	if err == nil {
+		t.Fatalf("%q accepted with MultiLevel %v, RDMA %v", sched, cfg.MultiLevel != nil, cfg.RDMA)
 	}
-	cfg.Engine = des.NewEngine()
-	cfg.Chaos = chaos.NewDriver(cfg.Engine, plan)
-	_, err = Run(cfg)
-	return cfg.Engine, err
+	if built != 0 {
+		t.Fatalf("refused after %d runs built their computation, want before the first", built)
+	}
+	if called {
+		t.Fatal("refused after the store builder was called, want before either run")
+	}
 }
 
-// A domain crash needs failure domains: without MultiLevel the run is
-// rejected before its first event instead of spending the fault.
+// A domain crash needs failure domains: without MultiLevel the plan is
+// refused before either run instead of spending the fault.
 func TestChaosRejectsDomainCrashWithoutMultiLevel(t *testing.T) {
-	eng, err := runUnder(t, chaosBaseConfig(3), "domain-crash at 1s..30s domain d0")
-	if err == nil {
-		t.Fatal("domain-crash accepted without MultiLevel")
-	}
-	if eng.Fired() != 0 {
-		t.Fatalf("rejected after %d events, want before the first", eng.Fired())
-	}
+	refusedBeforeRun(t, chaosBaseConfig(3), "domain-crash at 1s..30s domain d0")
 }
 
 // A crash-during-drain fault needs the drain protocol: without RDMA, or
-// under naive RDMA, the run is rejected before its first event instead
-// of never asking the fault.
+// under naive RDMA, the plan is refused before either run instead of
+// never asking the fault.
 func TestChaosRejectsDrainCrashWithoutDrain(t *testing.T) {
-	for _, rdma := range []*RDMAOptions{nil, {Mode: RDMANaive}} {
-		cfg := rdmaConfig(RDMANaive)
-		cfg.RDMA = rdma
-		eng, err := runUnder(t, cfg, "crash-during-drain at 0s..60s phase deregister")
-		if err == nil {
-			t.Fatalf("crash-during-drain accepted with RDMA %+v", rdma)
-		}
-		if eng.Fired() != 0 {
-			t.Fatalf("rejected after %d events, want before the first", eng.Fired())
-		}
+	for _, mode := range []RDMAMode{rdmaOff, RDMANaive} {
+		refusedBeforeRun(t, rdmaConfig(mode), "crash-during-drain at 0s..60s phase deregister")
 	}
 }

@@ -13,13 +13,21 @@
 // a virtual-time window, an optional correlation group, and seeded
 // jitter. Compile resolves the schedule against one seed into a Plan of
 // concrete virtual-time events, and a Driver binds the plan to a
-// des.Engine and drives the existing injectors through one interface:
+// des.Engine and drives the existing injectors through one interface.
+// The replay validator in internal/autonomic owns that wiring: a caller
+// hands it a run's config and a schedule,
 //
 //	sched, _ := chaos.ParseSchedule(text)
-//	plan, _ := sched.Compile(seed)
+//	out, _ := autonomic.ValidateReplay(cfg, sched)
+//
+// and the validator compiles the plan, refuses faults the config has no
+// instant for, and wires the injected run:
+//
+//	plan, _ := sched.Compile(cfg.Seed)
+//	eng := des.NewEngine()
 //	drv := chaos.NewDriver(eng, plan)
 //	store := drv.WrapStore(storage.NewMemStore()) // timed outages, brownouts, bit-flips
-//	cfg.NetFaults = drv.MergeNetFaults(cfg.NetFaults)
+//	netFaults := drv.MergeNetFaults(cfg.NetFaults)
 //	drv.StartCrashes(killNode)
 //
 // Same schedule, same seed → the same faults at the same virtual

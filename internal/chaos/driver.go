@@ -65,10 +65,6 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 // Stats returns a copy of the injection counters.
 func (d *Driver) Stats() Stats { return d.stats }
 
-// Plan returns the compiled plan the driver executes, so a consumer can
-// reject faults its configuration has no instant to land.
-func (d *Driver) Plan() *Plan { return d.plan }
-
 // StartCrashes schedules every planned node-kill instant; each fires
 // kill. Call once, before the engine runs.
 func (d *Driver) StartCrashes(kill func()) {

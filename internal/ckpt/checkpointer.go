@@ -86,7 +86,6 @@ type Stats struct {
 	FullPages     uint64
 	DeltaPages    uint64
 	TotalBytes    uint64
-	TotalDuration des.Time
 	CowCopyBytes  uint64
 	ExcludedPages uint64
 	// DedupSkippedPages counts dirty pages dropped because their
@@ -449,7 +448,6 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		c.stats.DeltaPages += res.Pages
 	}
 	c.stats.TotalBytes += res.Bytes
-	c.stats.TotalDuration += res.Duration
 	c.stats.ExcludedPages += res.ExcludedPages
 	c.stats.DedupSkippedPages += dedupSkipped
 	c.stats.PayloadBytes += payload

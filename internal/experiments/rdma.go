@@ -73,7 +73,7 @@ type RDMARow struct {
 
 // rdmaExperimentConfig is the supervised one-sided ring every A18 cell
 // runs: 3 ranks, 12 iterations, a line every 3.
-func rdmaExperimentConfig(putEvery, pages int, rdma *autonomic.RDMAOptions) autonomic.Config {
+func rdmaExperimentConfig(putEvery, pages int, rdma autonomic.RDMAMode) autonomic.Config {
 	return autonomic.Config{
 		Workload: autonomic.PutFactory{
 			Pages: pages, PutEvery: putEvery, Seed: 2.5,
@@ -88,19 +88,15 @@ func rdmaExperimentConfig(putEvery, pages int, rdma *autonomic.RDMAOptions) auto
 	}
 }
 
-// rdmaRegimes enumerates the three delivery regimes.
-func rdmaRegimes() []struct {
+// rdmaRegimes enumerates the three delivery regimes; bounce is the zero
+// mode.
+var rdmaRegimes = []struct {
 	Name string
-	Opts func() *autonomic.RDMAOptions
-} {
-	return []struct {
-		Name string
-		Opts func() *autonomic.RDMAOptions
-	}{
-		{"bounce", func() *autonomic.RDMAOptions { return nil }},
-		{"naive", func() *autonomic.RDMAOptions { return &autonomic.RDMAOptions{Mode: autonomic.RDMANaive} }},
-		{"drain", func() *autonomic.RDMAOptions { return &autonomic.RDMAOptions{Mode: autonomic.RDMADrain} }},
-	}
+	Mode autonomic.RDMAMode
+}{
+	{"bounce", 0},
+	{"naive", autonomic.RDMANaive},
+	{"drain", autonomic.RDMADrain},
 }
 
 // RDMAAblation sweeps regime × message rate × registered footprint and
@@ -113,8 +109,8 @@ func RDMAAblation() ([]RDMARow, error) {
 	var rows []RDMARow
 	for _, putEvery := range []int{1, 4} {
 		for _, pages := range []int{1, 8} {
-			for _, reg := range rdmaRegimes() {
-				out, err := autonomic.ValidateReplayStore(rdmaExperimentConfig(putEvery, pages, reg.Opts()), crash,
+			for _, reg := range rdmaRegimes {
+				out, err := autonomic.ValidateReplayStore(rdmaExperimentConfig(putEvery, pages, reg.Mode), crash,
 					func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
 				if err != nil {
 					return nil, fmt.Errorf("experiments: rdma %s replay: %w", reg.Name, err)

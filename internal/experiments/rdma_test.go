@@ -76,7 +76,7 @@ func TestRDMAAblation(t *testing.T) {
 func TestDistPutDrainAnswerDependsOnSchedule(t *testing.T) {
 	var digests [2][]uint64
 	for i, every := range []int{3, 12} {
-		cfg := rdmaExperimentConfig(1, 1, &autonomic.RDMAOptions{Mode: autonomic.RDMADrain})
+		cfg := rdmaExperimentConfig(1, 1, autonomic.RDMADrain)
 		cfg.CkptEvery = every
 		rep, err := autonomic.Run(cfg)
 		if err != nil {

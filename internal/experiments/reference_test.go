@@ -17,7 +17,7 @@ import (
 // every protection layer of the run it judges. It is kept here as the
 // comparator that proves dropping those layers changes no answer.
 func failureFreeRun(cfg autonomic.Config) (*autonomic.Report, error) {
-	cfg.MTBF, cfg.NetFaults, cfg.Chaos, cfg.Store, cfg.Engine = 0, nil, nil, nil, nil
+	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, nil
 	return autonomic.Run(cfg)
 }
 
@@ -51,8 +51,8 @@ func referenceFamilies(t *testing.T, seed uint64) []namedConfig {
 	}
 	for _, putEvery := range []int{1, 4} {
 		for _, pages := range []int{1, 8} {
-			for _, reg := range rdmaRegimes() {
-				cfg := rdmaExperimentConfig(putEvery, pages, reg.Opts())
+			for _, reg := range rdmaRegimes {
+				cfg := rdmaExperimentConfig(putEvery, pages, reg.Mode)
 				cfg.Seed = seed
 				add(fmt.Sprintf("A18/%s/put%d/pages%d", reg.Name, putEvery, pages), cfg)
 			}
