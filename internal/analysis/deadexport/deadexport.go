@@ -342,7 +342,8 @@ func (d *decl) setChain(info *types.Info, e ast.Expr) {
 }
 
 // reach marks obj live, and with it whatever its declaration uses and
-// sets. A live type brings along the methods interfaces call it by.
+// sets. A live type brings along the methods interfaces call it by,
+// including those it promotes from an embedded field.
 func (idx *index) reach(obj types.Object) {
 	if idx.live[obj] {
 		return
@@ -361,6 +362,13 @@ func (idx *index) reach(obj types.Object) {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); idx.viaInterface(named, m) {
 					idx.reach(m)
+				}
+			}
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				sel := ms.At(i)
+				if m := sel.Obj().(*types.Func); len(sel.Index()) > 1 && idx.viaInterface(named, m) {
+					idx.reach(origin(m))
 				}
 			}
 		}

@@ -129,6 +129,24 @@ type Mem struct{}
 
 func (Mem) Size() int { return 0 }
 
+// Shape is satisfied by Square only with both halves: Area promoted from
+// the unexported base it embeds, Name declared on Square itself. user
+// calls both only through the interface. A promoted method no interface
+// asks for is judged like any other.
+type Shape interface {
+	Area() int
+	Name() string
+}
+
+type Square struct{ base }
+
+func (Square) Name() string { return "square" }
+
+type base struct{ side int }
+
+func (b base) Area() int      { return b.side * b.side }
+func (b base) Perimeter() int { return 4 * b.side } // want `exported method Perimeter`
+
 // Err reaches package errors through Error and the unnamed
 // interface{ Unwrap() error }.
 type Err struct{ cause error }

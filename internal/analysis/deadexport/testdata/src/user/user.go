@@ -6,6 +6,7 @@ import "golden.test/deadexport"
 
 func Use() (int, error) {
 	var s deadexport.Sizer = deadexport.Mem{}
+	var sh deadexport.Shape = deadexport.Square{}
 	t := deadexport.T{}
 	o := deadexport.Options{Keyed: 1, Chosen: 2}
 	o.Counts[0]++
@@ -13,7 +14,7 @@ func Use() (int, error) {
 	p := &o.Addr
 	pair := deadexport.Pair{1, 2}
 	deadexport.Configure(&o)
-	return t.UsedMethod() + s.Size() + *p + pair.A + o.NeverSet + o.SetByDead, deadexport.UsedElsewhere()
+	return t.UsedMethod() + s.Size() + sh.Area() + len(sh.Name()) + *p + pair.A + o.NeverSet + o.SetByDead, deadexport.UsedElsewhere()
 }
 
 // Abandoned is what is left of a caller nothing calls any more: its

@@ -29,7 +29,10 @@ import (
 )
 
 // Computation is a distributed, resumable, stoppable iterative program —
-// the contract both kernels' Dist* types satisfy.
+// the contract kernels.DistStencil, kernels.DistPut and kernels.Solo
+// satisfy through one iteration loop. An iteration completes when its
+// compute time has elapsed after its work: a failure inside that delay
+// lands at the iterations completed before it.
 type Computation interface {
 	// Run iterates to target; onIter (optional) runs after each
 	// completed iteration with a continuation; onDone at completion.
@@ -63,7 +66,7 @@ func (f StencilFactory) New(eng *des.Engine, world *mpi.World) (Computation, err
 
 // Attach implements Factory.
 func (f StencilFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Computation, error) {
-	return kernels.AttachDistStencil(eng, world, f.Nx, f.RowsPerRank, f.Boundary, f.ComputeTime, iter)
+	return kernels.AttachDistStencil(eng, world, f.Nx, f.RowsPerRank, f.ComputeTime, iter)
 }
 
 // Config is a supervised run: what it computes, how it checkpoints and
@@ -151,8 +154,8 @@ type Config struct {
 }
 
 // SpecBound is the optional Computation extension that ties a rank's
-// live arenas to protection-spec names. kernels' Dist* types and the
-// solo adapter implement it.
+// live arenas to protection-spec names. kernels.DistStencil and
+// kernels.Solo implement it.
 type SpecBound interface {
 	ProtectionBindings(rank int) []ckptspec.Binding
 }
@@ -965,9 +968,11 @@ func (s *Supervisor) scheduleRecovery(failIter int) {
 }
 
 // selectAndRestore finds the newest recovery line the storage tier can
-// prove — every rank's chain fetched, integrity-checked, decoded and
+// prove — every rank's chain fetched, decoded, judged by VerifyChain and
 // replayed — and restores it in one pass (ckpt.RestoreLatest), reading
-// each chain once. It reads through one store: the global store, or the
+// each chain once. Payload bytes are only as trustworthy as the store
+// stack: an IntegrityStore catches flipped bits, a raw or L1 store does
+// not. It reads through one store: the global store, or the
 // hierarchy's tiered view under multi-level (L1, then an L2 parity
 // rebuild, then L3, with the view's per-level accounting folded into the
 // report). When no line survives the selection is a scratch restart.

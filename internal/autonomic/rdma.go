@@ -84,7 +84,7 @@ func (f PutFactory) New(eng *des.Engine, world *mpi.World) (Computation, error) 
 // Attach implements Factory.
 func (f PutFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Computation, error) {
 	f = f.withDefaults()
-	return kernels.AttachDistPut(eng, world, f.Pages, f.PutEvery, f.Seed, f.ComputeTime, iter)
+	return kernels.AttachDistPut(eng, world, f.Pages, f.PutEvery, f.ComputeTime, iter)
 }
 
 // register pins every rank's checkpointable regions with the NIC and

@@ -3,34 +3,23 @@ package autonomic
 import (
 	"fmt"
 
-	"repro/internal/ckptspec"
 	"repro/internal/des"
+	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/mpi"
 )
 
-// SoloKernel is the face a single-address-space kernel presents to the
-// supervisor: stepped iteration, solution export, and spec bindings.
-// All of kernels' single-space types (Stencil2D, SSOR, Wavefront, ADI,
-// FFT) satisfy it structurally.
-type SoloKernel interface {
-	Step() error
-	Iter() int
-	Values() ([]float64, error)
-	ProtectionBindings() []ckptspec.Binding
-}
-
-// SoloFactory supervises a single-space kernel on rank 0, adapting it
-// to the distributed Computation contract so solo kernels run under
-// the same checkpoint/crash/restore/replay machinery as the MPI
-// workloads — the vehicle for per-kernel spec ablations.
+// SoloFactory supervises a single-space kernel on rank 0 as a
+// kernels.Solo, so solo kernels run under the same checkpoint/crash/
+// restore/replay machinery as the MPI workloads — the vehicle for
+// per-kernel spec ablations.
 type SoloFactory struct {
 	// ComputeTime is the virtual cost of one step.
 	ComputeTime des.Time
 	// Build constructs the kernel fresh in space.
-	Build func(space *mem.AddressSpace) (SoloKernel, error)
+	Build func(space *mem.AddressSpace) (kernels.SoloKernel, error)
 	// Rebind re-attaches the kernel over a restored space at iter.
-	Rebind func(space *mem.AddressSpace, iter int) (SoloKernel, error)
+	Rebind func(space *mem.AddressSpace, iter int) (kernels.SoloKernel, error)
 }
 
 // New implements Factory.
@@ -39,7 +28,7 @@ func (f SoloFactory) New(eng *des.Engine, world *mpi.World) (Computation, error)
 	if err != nil {
 		return nil, err
 	}
-	return &soloComputation{eng: eng, k: k, computeT: f.ComputeTime}, nil
+	return kernels.NewSolo(eng, k, f.ComputeTime)
 }
 
 // Attach implements Factory.
@@ -51,72 +40,5 @@ func (f SoloFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Comput
 	if err != nil {
 		return nil, err
 	}
-	return &soloComputation{eng: eng, k: k, computeT: f.ComputeTime}, nil
-}
-
-// soloComputation steps the kernel synchronously and pays ComputeTime
-// of virtual time per iteration, mirroring the Dist* iterate shape.
-type soloComputation struct {
-	eng      *des.Engine
-	k        SoloKernel
-	computeT des.Time
-
-	target  int
-	onIter  func(iter int, next func())
-	onDone  func()
-	stopped bool
-}
-
-// Run implements Computation.
-func (s *soloComputation) Run(target int, onIter func(iter int, next func()), onDone func()) {
-	s.target, s.onIter, s.onDone = target, onIter, onDone
-	s.iterate()
-}
-
-func (s *soloComputation) iterate() {
-	if s.stopped {
-		return
-	}
-	if s.k.Iter() >= s.target {
-		if s.onDone != nil {
-			s.onDone()
-		}
-		return
-	}
-	if err := s.k.Step(); err != nil {
-		panic(fmt.Sprintf("autonomic: solo step: %v", err))
-	}
-	s.eng.After(s.computeT, func() {
-		if s.stopped {
-			return
-		}
-		next := func() {
-			if !s.stopped {
-				s.iterate()
-			}
-		}
-		if s.onIter != nil {
-			s.onIter(s.k.Iter(), next)
-			return
-		}
-		next()
-	})
-}
-
-// Stop implements Computation.
-func (s *soloComputation) Stop() { s.stopped = true }
-
-// Iter implements Computation.
-func (s *soloComputation) Iter() int { return s.k.Iter() }
-
-// Gather implements Computation.
-func (s *soloComputation) Gather() ([]float64, error) { return s.k.Values() }
-
-// ProtectionBindings implements SpecBound; rank is always 0 for a solo
-// computation.
-func (s *soloComputation) ProtectionBindings(rank int) []ckptspec.Binding {
-	if rank != 0 {
-		return nil
-	}
-	return s.k.ProtectionBindings()
+	return kernels.NewSolo(eng, k, f.ComputeTime)
 }

@@ -7,15 +7,16 @@ import (
 	"repro/internal/des"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/mpi"
 )
 
 func stencilSolo() SoloFactory {
 	return SoloFactory{
 		ComputeTime: 50 * des.Millisecond,
-		Build: func(sp *mem.AddressSpace) (SoloKernel, error) {
+		Build: func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
 			return kernels.NewStencil2D(sp, 16, 16, 1.0)
 		},
-		Rebind: func(sp *mem.AddressSpace, iter int) (SoloKernel, error) {
+		Rebind: func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 			return kernels.AttachStencil2D(sp, 16, 16, iter)
 		},
 	}
@@ -24,7 +25,7 @@ func stencilSolo() SoloFactory {
 func fftSolo(n int) SoloFactory {
 	return SoloFactory{
 		ComputeTime: 50 * des.Millisecond,
-		Build: func(sp *mem.AddressSpace) (SoloKernel, error) {
+		Build: func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
 			f, err := kernels.NewFFT(sp, n)
 			if err != nil {
 				return nil, err
@@ -38,7 +39,7 @@ func fftSolo(n int) SoloFactory {
 			}
 			return f, nil
 		},
-		Rebind: func(sp *mem.AddressSpace, iter int) (SoloKernel, error) {
+		Rebind: func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 			return kernels.AttachFFT(sp, n, iter)
 		},
 	}
@@ -134,5 +135,112 @@ func TestSoloSpecMatchesWholeProtection(t *testing.T) {
 	}
 	if speced.CheckpointVolumeMB >= whole.CheckpointVolumeMB {
 		t.Errorf("spec saved nothing: %.3f MB vs %.3f MB", speced.CheckpointVolumeMB, whole.CheckpointVolumeMB)
+	}
+}
+
+// TestConstructorsRefuseNonPositiveComputeTime: every fresh start and
+// every restore of the three supervised computations refuses a
+// non-positive compute time. Each restore runs over spaces its fresh
+// start laid out, so the attach itself would succeed.
+func TestConstructorsRefuseNonPositiveComputeTime(t *testing.T) {
+	type build func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error)
+	stencil := func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+		return kernels.NewDistStencil(eng, w, 8, 3, 1, ct)
+	}
+	put := func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+		return kernels.NewDistPut(eng, w, 1, 1, 1, ct)
+	}
+	solo := func(ct des.Time) SoloFactory {
+		f := stencilSolo()
+		f.ComputeTime = ct
+		return f
+	}
+	soloNew := func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+		return solo(ct).New(eng, w)
+	}
+	restored := func(fresh build, attach build) build {
+		return func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+			if _, err := fresh(eng, w, des.Millisecond); err != nil {
+				return nil, err
+			}
+			return attach(eng, w, ct)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		b    build
+	}{
+		{"NewDistStencil", stencil},
+		{"AttachDistStencil", restored(stencil, func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+			return kernels.AttachDistStencil(eng, w, 8, 3, ct, 0)
+		})},
+		{"NewDistPut", put},
+		{"AttachDistPut", restored(put, func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+			return kernels.AttachDistPut(eng, w, 1, 1, ct, 0)
+		})},
+		{"SoloFactory.New", soloNew},
+		{"SoloFactory.Attach", restored(soloNew, func(eng *des.Engine, w *mpi.World, ct des.Time) (Computation, error) {
+			return solo(ct).Attach(eng, w, 0)
+		})},
+	} {
+		for _, ct := range []des.Time{des.Millisecond, 0, -des.Millisecond} {
+			eng := des.NewEngine()
+			spaces := []*mem.AddressSpace{
+				mem.NewAddressSpace(mem.Config{PageSize: 4096}),
+				mem.NewAddressSpace(mem.Config{PageSize: 4096}),
+			}
+			w, err := mpi.NewWorld(eng, mpi.QsNet(), mpi.Bounce, spaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.b(eng, w, ct)
+			if ok := ct > 0; ok != (err == nil) {
+				t.Errorf("%s, compute time %v: err = %v", c.name, ct, err)
+			}
+		}
+	}
+}
+
+// TestSoloFailureMidDelayLandsAtCompletedIterations: a crash inside a
+// sweep's compute delay lands at the iterations completed at that
+// instant — the kernel has already stepped, the iteration has not
+// completed — for a solo run exactly as for the distributed stencil.
+func TestSoloFailureMidDelayLandsAtCompletedIterations(t *testing.T) {
+	const computeT = 50 * des.Millisecond
+	// No checkpoint before the end, so the sweeps run back to back and
+	// the crash at 125-126 ms is inside the third one's delay.
+	sched, err := chaos.ParseSchedule("crash at 125ms..126ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		w    Factory
+	}{
+		{"solo", stencilSolo()},
+		{"dist-stencil", StencilFactory{Nx: 16, RowsPerRank: 14, Boundary: 1, ComputeTime: computeT}},
+	} {
+		out, err := ValidateReplay(Config{
+			Workload:    c.w,
+			Ranks:       1,
+			Iterations:  6,
+			CkptEvery:   6,
+			ComputeTime: computeT,
+			Seed:        7,
+		}, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := out.Injected.FailureLog
+		if len(log) != 1 {
+			t.Fatalf("%s: %d failures, want 1", c.name, len(log))
+		}
+		if ev, want := log[0], 2; ev.Iter != want || ev.LostIterations != want {
+			t.Errorf("%s: failure at %v: Iter %d, LostIterations %d; want %d completed",
+				c.name, ev.At, ev.Iter, ev.LostIterations, want)
+		}
+		if !out.BitExact() {
+			t.Errorf("%s: replay diverged", c.name)
+		}
 	}
 }

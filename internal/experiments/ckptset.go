@@ -67,8 +67,8 @@ func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
 }
 
 func ckptSetWorkloads() []ckptSetWorkload {
-	grid := func(build func(sp *mem.AddressSpace) (autonomic.SoloKernel, error),
-		rebind func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error)) autonomic.SoloFactory {
+	grid := func(build func(sp *mem.AddressSpace) (kernels.SoloKernel, error),
+		rebind func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error)) autonomic.SoloFactory {
 		return autonomic.SoloFactory{
 			ComputeTime: 50 * des.Millisecond,
 			Build:       build,
@@ -78,27 +78,27 @@ func ckptSetWorkloads() []ckptSetWorkload {
 	const n = 64
 	return []ckptSetWorkload{
 		{"stencil", 12, grid(
-			func(sp *mem.AddressSpace) (autonomic.SoloKernel, error) { return kernels.NewStencil2D(sp, n, n, 1) },
-			func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewStencil2D(sp, n, n, 1) },
+			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 				return kernels.AttachStencil2D(sp, n, n, iter)
 			})},
 		{"ssor", 12, grid(
-			func(sp *mem.AddressSpace) (autonomic.SoloKernel, error) { return kernels.NewSSOR(sp, n, n, 1, 1.2) },
-			func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewSSOR(sp, n, n, 1, 1.2) },
+			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 				return kernels.AttachSSOR(sp, n, n, 1.2, iter)
 			})},
 		{"wavefront", 12, grid(
-			func(sp *mem.AddressSpace) (autonomic.SoloKernel, error) { return kernels.NewWavefront(sp, n, n, 1) },
-			func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewWavefront(sp, n, n, 1) },
+			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 				return kernels.AttachWavefront(sp, n, n, iter)
 			})},
 		{"adi", 12, grid(
-			func(sp *mem.AddressSpace) (autonomic.SoloKernel, error) { return kernels.NewADI(sp, n, n, 1, 0.5) },
-			func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewADI(sp, n, n, 1, 0.5) },
+			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 				return kernels.AttachADI(sp, n, n, 0.5, iter)
 			})},
 		{"fft", 12, grid(
-			func(sp *mem.AddressSpace) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
 				f, err := kernels.NewFFT(sp, 4096)
 				if err != nil {
 					return nil, err
@@ -112,7 +112,7 @@ func ckptSetWorkloads() []ckptSetWorkload {
 				}
 				return f, nil
 			},
-			func(sp *mem.AddressSpace, iter int) (autonomic.SoloKernel, error) {
+			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
 				return kernels.AttachFFT(sp, 4096, iter)
 			})},
 	}

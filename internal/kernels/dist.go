@@ -22,27 +22,16 @@ import (
 // distributed solution is bit-identical to a single-rank Stencil2D on the
 // equivalent global grid (asserted by tests).
 type DistStencil struct {
+	loop
 	world *mpi.World
-	eng   *des.Engine
 
 	nx, rowsPerRank int
-	boundary        float64
 	grids           []*Stencil2D
 
-	iter      int
-	stopped   bool
-	computeT  des.Time
-	onIter    func(iter int, done func())
-	doneAll   func()
-	targetIts int
-
 	// halos counts the halo receives of this iteration still
-	// outstanding. The callbacks an iteration hands the engine and the
-	// world are bound once (bind): a halo's arrival, the end of the
-	// sweep's compute time, and the continuation to the next iteration.
-	halos             int
-	arrived           func(mpi.Message)
-	computed, proceed func()
+	// outstanding; arrived, bound once, is every halo's arrival.
+	halos   int
+	arrived func(mpi.Message)
 }
 
 // tags for halo messages: from above (row arrives at local row 0) and
@@ -57,17 +46,10 @@ const (
 // world's address spaces must be backed. computeTime is the virtual time
 // one sweep takes (the DES has no implicit cost for host computation).
 func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boundary float64, computeTime des.Time) (*DistStencil, error) {
-	if nx < 3 || rowsPerRank < 1 {
-		return nil, fmt.Errorf("kernels: dist stencil %dx%d too small", nx, rowsPerRank)
+	d, err := newDistStencil(eng, world, nx, rowsPerRank, computeTime, 0)
+	if err != nil {
+		return nil, err
 	}
-	if computeTime <= 0 {
-		return nil, fmt.Errorf("kernels: compute time must be positive")
-	}
-	d := &DistStencil{
-		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime,
-	}
-	d.bind()
 	for i := 0; i < world.Size(); i++ {
 		g, err := NewStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, boundary)
 		if err != nil {
@@ -97,12 +79,11 @@ func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boun
 // AttachDistStencil rebuilds the solver over restored address spaces (one
 // per rank of the world), resuming at the given completed-iteration
 // count.
-func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boundary float64, computeTime des.Time, iter int) (*DistStencil, error) {
-	d := &DistStencil{
-		world: world, eng: eng, nx: nx, rowsPerRank: rowsPerRank,
-		boundary: boundary, computeT: computeTime, iter: iter,
+func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, computeTime des.Time, iter int) (*DistStencil, error) {
+	d, err := newDistStencil(eng, world, nx, rowsPerRank, computeTime, iter)
+	if err != nil {
+		return nil, err
 	}
-	d.bind()
 	for i := 0; i < world.Size(); i++ {
 		g, err := AttachStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, iter)
 		if err != nil {
@@ -113,24 +94,25 @@ func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, b
 	return d, nil
 }
 
-// Iter returns the completed iteration count.
-func (d *DistStencil) Iter() int { return d.iter }
-
-// Stop makes all pending iteration callbacks no-ops — the failure path:
-// the computation is abandoned, whatever events remain in the engine fire
-// harmlessly against the dead instance.
-func (d *DistStencil) Stop() { d.stopped = true }
-
-// Run executes iterations until the total completed count reaches target,
-// then calls onDone. onIter (optional) runs after every completed
-// iteration — before the next one starts — with a continuation the
-// callback must invoke to proceed (letting callers insert checkpoint
-// pauses at the quiescent barrier point).
-func (d *DistStencil) Run(target int, onIter func(iter int, done func()), onDone func()) {
-	d.targetIts = target
-	d.onIter = onIter
-	d.doneAll = onDone
-	d.iterate()
+// newDistStencil checks the shape, binds the iteration loop at iter and
+// the halo arrival callback; the constructors add the grids.
+func newDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, computeTime des.Time, iter int) (*DistStencil, error) {
+	if nx < 3 || rowsPerRank < 1 {
+		return nil, fmt.Errorf("kernels: dist stencil %dx%d too small", nx, rowsPerRank)
+	}
+	d := &DistStencil{world: world, nx: nx, rowsPerRank: rowsPerRank}
+	if err := d.init(eng, computeTime, iter, d.exchange, nil); err != nil {
+		return nil, err
+	}
+	d.arrived = func(mpi.Message) {
+		if d.stopped {
+			return
+		}
+		if d.halos--; d.halos == 0 {
+			d.sweep()
+		}
+	}
+	return d, nil
 }
 
 // rowBytes returns local row y of rank i's current buffer as raw bytes:
@@ -150,45 +132,9 @@ func (d *DistStencil) rowAddr(i, y int) uint64 {
 	return d.grids[i].Cur().base + uint64(y*d.nx*8)
 }
 
-// bind makes the iteration's callbacks, once per solver.
-func (d *DistStencil) bind() {
-	d.arrived = func(mpi.Message) {
-		if d.stopped {
-			return
-		}
-		if d.halos--; d.halos == 0 {
-			d.sweep()
-		}
-	}
-	d.computed = func() {
-		if d.stopped {
-			return
-		}
-		d.iter++
-		if d.onIter != nil {
-			d.onIter(d.iter, d.proceed)
-			return
-		}
-		d.proceed()
-	}
-	d.proceed = func() {
-		if !d.stopped {
-			d.iterate()
-		}
-	}
-}
-
-// iterate performs one halo exchange + sweep across all ranks.
-func (d *DistStencil) iterate() {
-	if d.stopped {
-		return
-	}
-	if d.iter >= d.targetIts {
-		if d.doneAll != nil {
-			d.doneAll()
-		}
-		return
-	}
+// exchange begins an iteration: every rank's halo exchange, then the
+// sweep once the last halo has landed.
+func (d *DistStencil) exchange() {
 	n := d.world.Size()
 	ny := d.rowsPerRank + 2
 	// Every rank but the last expects a halo from below, every rank but
@@ -222,19 +168,15 @@ func (d *DistStencil) iterate() {
 	}
 }
 
-// sweep runs every rank's local Jacobi step after the exchange, charges
-// the compute time, synchronises, and hands control to the iteration
-// hook.
+// sweep runs every rank's local Jacobi step after the exchange and hands
+// the iteration back to the loop.
 func (d *DistStencil) sweep() {
-	if d.stopped {
-		return
-	}
 	for _, g := range d.grids {
 		if err := g.Step(); err != nil {
 			panic(fmt.Sprintf("kernels: dist sweep: %v", err))
 		}
 	}
-	d.eng.After(d.computeT, d.computed)
+	d.charge()
 }
 
 // Gather assembles the global interior (all owned rows, top to bottom)

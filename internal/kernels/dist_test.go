@@ -129,6 +129,29 @@ func TestDistStencilValidation(t *testing.T) {
 	if _, err := NewDistStencil(eng, w, 8, 3, 1, 0); err == nil {
 		t.Fatal("zero compute time accepted")
 	}
+	// A restore is checked the way a fresh start is, over spaces that
+	// hold a valid 8x3 layout.
+	if _, err := NewDistStencil(eng, w, 8, 3, 1, des.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AttachDistStencil(eng, w, 8, 3, des.Millisecond, 2); err != nil {
+		t.Fatalf("valid attach refused: %v", err)
+	}
+	for _, c := range []struct {
+		name     string
+		nx, rows int
+		computeT des.Time
+		iter     int
+	}{
+		{"tiny grid", 2, 3, des.Millisecond, 2},
+		{"zero rows", 8, 0, des.Millisecond, 2},
+		{"zero compute time", 8, 3, 0, 2},
+		{"negative iteration count", 8, 3, des.Millisecond, -1},
+	} {
+		if _, err := AttachDistStencil(eng, w, c.nx, c.rows, c.computeT, c.iter); err == nil {
+			t.Errorf("attach: %s accepted", c.name)
+		}
+	}
 }
 
 func TestDistStencilHaloWritesAreTracked(t *testing.T) {
@@ -212,23 +235,7 @@ func TestDistStencilIterationAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hook func(int, func())
-			if hooked {
-				hook = func(_ int, next func()) { next() }
-			}
-			done := false
-			onDone := func() { done = true }
-			iteration := func() {
-				done = false
-				d.Run(d.Iter()+1, hook, onDone)
-				eng.Run(des.MaxTime)
-				if !done {
-					t.Fatalf("%d ranks: iteration incomplete", ranks)
-				}
-			}
-			iteration()
-			iteration()
-			if n, want := testing.AllocsPerRun(20, iteration), float64(2*(ranks-1)); n != want {
+			if n, want := warmIterationAllocs(t, eng, d, hooked), float64(2*(ranks-1)); n != want {
 				t.Errorf("%d ranks, hook %v: warm iteration: %v allocs, want %v (the SendData payloads)", ranks, hooked, n, want)
 			}
 		}

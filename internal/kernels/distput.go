@@ -34,20 +34,12 @@ import (
 // schedule, which is what replay equivalence relies on, and it is why
 // autonomic.Reference keeps CkptEvery, Sink and RDMA.
 type DistPut struct {
+	loop
 	world *mpi.World
-	eng   *des.Engine
 
 	pages    int // pages per buffer (window and accumulator alike)
 	putEvery int
-	seed     float64
 	arenas   []*mem.Region
-
-	iter      int
-	stopped   bool
-	computeT  des.Time
-	onIter    func(iter int, done func())
-	doneAll   func()
-	targetIts int
 
 	w, a []float64 // sweep's and putPayload's window and accumulator values
 }
@@ -56,7 +48,7 @@ type DistPut struct {
 // 2*pages pages (window first, accumulator second). putEvery must be
 // >= 1; pages >= 1. The world's address spaces must be backed.
 func NewDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed float64, computeTime des.Time) (*DistPut, error) {
-	d, err := newDistPut(eng, world, pages, putEvery, seed, computeTime)
+	d, err := newDistPut(eng, world, pages, putEvery, computeTime, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +80,11 @@ func NewDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed flo
 // at the given completed-iteration count. Arenas are recovered by size
 // (one 2*pages-page Mmap region per rank, distinct from the 1 MB bounce
 // arenas).
-func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed float64, computeTime des.Time, iter int) (*DistPut, error) {
-	d, err := newDistPut(eng, world, pages, putEvery, seed, computeTime)
+func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeTime des.Time, iter int) (*DistPut, error) {
+	d, err := newDistPut(eng, world, pages, putEvery, computeTime, iter)
 	if err != nil {
 		return nil, err
 	}
-	d.iter = iter
 	for i := 0; i < world.Size(); i++ {
 		sp := world.Rank(i).Space()
 		want := uint64(2*pages) * sp.PageSize()
@@ -112,12 +103,9 @@ func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed 
 	return d, nil
 }
 
-func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed float64, computeTime des.Time) (*DistPut, error) {
+func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeTime des.Time, iter int) (*DistPut, error) {
 	if pages < 1 || putEvery < 1 {
 		return nil, fmt.Errorf("kernels: dist put pages %d / putEvery %d", pages, putEvery)
-	}
-	if computeTime <= 0 {
-		return nil, fmt.Errorf("kernels: compute time must be positive")
 	}
 	// Window and accumulator are float64 arrays in all but type.
 	sp := world.Rank(0).Space()
@@ -125,11 +113,14 @@ func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed flo
 		return nil, err
 	}
 	n := pages * int(sp.PageSize()) / 8
-	return &DistPut{
-		world: world, eng: eng, pages: pages, putEvery: putEvery,
-		seed: seed, computeT: computeTime,
+	d := &DistPut{
+		world: world, pages: pages, putEvery: putEvery,
 		w: make([]float64, n), a: make([]float64, n),
-	}, nil
+	}
+	if err := d.init(eng, computeTime, iter, d.sweeps, d.inject); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // vals is the float64 count of one buffer.
@@ -150,70 +141,34 @@ func (d *DistPut) writeVals(i int, addr uint64, vals []float64) error {
 	return storeFloats(d.world.Rank(i).Space(), addr, vals)
 }
 
-// Iter returns the completed iteration count.
-func (d *DistPut) Iter() int { return d.iter }
-
-// Stop makes all pending callbacks no-ops (the failure path).
-func (d *DistPut) Stop() { d.stopped = true }
-
-// Run executes iterations until the completed count reaches target, then
-// calls onDone. onIter (optional) runs after every completed iteration
-// with a continuation — the coordinated-checkpoint hook. One-sided puts
-// are injected at the boundary *before* onIter fires, so a checkpoint
-// trigger finds them genuinely in flight: that is the traffic the drain
-// protocol exists to land.
-func (d *DistPut) Run(target int, onIter func(iter int, done func()), onDone func()) {
-	d.targetIts = target
-	d.onIter = onIter
-	d.doneAll = onDone
-	d.iterate()
-}
-
-// iterate performs one sweep (CPU: A += 0.5*W + 1e-3) across all ranks,
-// charges the compute time, injects the boundary's puts, and hands
-// control to the iteration hook.
-func (d *DistPut) iterate() {
-	if d.stopped {
-		return
-	}
-	if d.iter >= d.targetIts {
-		if d.doneAll != nil {
-			d.doneAll()
-		}
-		return
-	}
+// sweeps begins an iteration: one sweep (CPU: A += 0.5*W + 1e-3) across
+// all ranks, then the compute time.
+func (d *DistPut) sweeps() {
 	for i := 0; i < d.world.Size(); i++ {
 		if err := d.sweep(i); err != nil {
 			panic(fmt.Sprintf("kernels: put sweep: %v", err))
 		}
 	}
-	d.eng.After(d.computeT, func() {
-		if d.stopped {
-			return
+	d.charge()
+}
+
+// inject ends every PutEvery-th iteration: each rank Puts into its right
+// neighbour's window. The puts leave *before* the iteration hook fires,
+// so a checkpoint trigger finds them genuinely in flight: that is the
+// traffic the drain protocol exists to land.
+func (d *DistPut) inject() {
+	n := d.world.Size()
+	if n == 1 || d.iter%d.putEvery != 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
+		payload, err := d.putPayload(i)
+		if err != nil {
+			panic(fmt.Sprintf("kernels: put payload: %v", err))
 		}
-		d.iter++
-		if d.world.Size() > 1 && d.iter%d.putEvery == 0 {
-			n := d.world.Size()
-			for i := 0; i < n; i++ {
-				payload, err := d.putPayload(i)
-				if err != nil {
-					panic(fmt.Sprintf("kernels: put payload: %v", err))
-				}
-				dst := (i + 1) % n
-				d.world.Rank(i).Put(dst, d.wAddr(dst), payload, nil)
-			}
-		}
-		next := func() {
-			if !d.stopped {
-				d.iterate()
-			}
-		}
-		if d.onIter != nil {
-			d.onIter(d.iter, next)
-			return
-		}
-		next()
-	})
+		dst := (i + 1) % n
+		d.world.Rank(i).Put(dst, d.wAddr(dst), payload, nil)
+	}
 }
 
 // sweep folds rank i's window into its accumulator with ordinary

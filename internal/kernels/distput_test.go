@@ -175,7 +175,7 @@ func TestAttachDistPutResumesState(t *testing.T) {
 	eng.Run(des.MaxTime)
 
 	// Re-attach over the same (live) spaces and keep going.
-	d2, err := AttachDistPut(eng, w, 1, 2, 3.0, 50*des.Microsecond, d.Iter())
+	d2, err := AttachDistPut(eng, w, 1, 2, 50*des.Microsecond, d.Iter())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,132 @@
+package kernels
+
+import (
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/mem"
+	"repro/internal/mpi"
+)
+
+// warmIterationAllocs runs c one iteration at a time to completion and
+// returns the allocations of a warm iteration, with or without an
+// iteration hook.
+func warmIterationAllocs(t *testing.T, eng *des.Engine, c interface {
+	Run(target int, onIter func(iter int, next func()), onDone func())
+	Iter() int
+}, hooked bool) float64 {
+	t.Helper()
+	var hook func(int, func())
+	if hooked {
+		hook = func(_ int, next func()) { next() }
+	}
+	done := false
+	onDone := func() { done = true }
+	iteration := func() {
+		done = false
+		c.Run(c.Iter()+1, hook, onDone)
+		eng.Run(des.MaxTime)
+		if !done {
+			t.Fatalf("iteration %d incomplete", c.Iter()+1)
+		}
+	}
+	iteration()
+	iteration()
+	return testing.AllocsPerRun(20, iteration)
+}
+
+// TestDistPutIterationAllocs: with no put due in the run, a warm
+// iteration of the ring allocates nothing — the loop's callbacks and the
+// end-of-iteration put step are bound once.
+func TestDistPutIterationAllocs(t *testing.T) {
+	for _, ranks := range []int{1, 2, 4} {
+		for _, hooked := range []bool{false, true} {
+			eng, w := putWorld(t, ranks, mpi.Bounce)
+			d, err := NewDistPut(eng, w, 2, 1<<20, 0.5, des.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := warmIterationAllocs(t, eng, d, hooked); n != 0 {
+				t.Errorf("%d ranks, hook %v: warm iteration: %v allocs, want 0", ranks, hooked, n)
+			}
+		}
+	}
+}
+
+// TestSoloIterationAllocs: a warm solo iteration allocates nothing
+// beyond what its kernel's Step allocates alone.
+func TestSoloIterationAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(sp *mem.AddressSpace) (SoloKernel, error)
+	}{
+		{"stencil", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewStencil2D(sp, 32, 32, 1) }},
+		{"ssor", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewSSOR(sp, 32, 32, 1, 1.2) }},
+		{"wavefront", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewWavefront(sp, 32, 32, 1) }},
+		{"adi", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewADI(sp, 32, 32, 1, 0.5) }},
+	}
+	for _, kc := range cases {
+		alone, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if err := alone.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		step()
+		want := testing.AllocsPerRun(20, step)
+		for _, hooked := range []bool{false, true} {
+			k, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := des.NewEngine()
+			s, err := NewSolo(eng, k, des.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := warmIterationAllocs(t, eng, s, hooked); n > want {
+				t.Errorf("%s, hook %v: warm iteration: %v allocs, want <= %v (the kernel's Step)", kc.name, hooked, n, want)
+			}
+		}
+	}
+}
+
+// TestLoopCompletesAfterComputeTime pins the one definition of a
+// completed iteration: the loop's count advances when the compute time
+// after an iteration's work has elapsed, not when the work is done —
+// for a solo kernel whose own counter Step has already advanced too.
+func TestLoopCompletesAfterComputeTime(t *testing.T) {
+	const computeT = 10 * des.Millisecond
+	eng := des.NewEngine()
+	k, err := NewStencil2D(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolo(eng, k, computeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooks []des.Time
+	s.Run(3, func(iter int, next func()) {
+		if iter != len(hooks)+1 || s.Iter() != iter || k.Iter() != iter {
+			t.Errorf("hook at %v: iter %d, loop %d, kernel %d", eng.Now(), iter, s.Iter(), k.Iter())
+		}
+		hooks = append(hooks, eng.Now())
+		next()
+	}, nil)
+	// Mid-delay of the second iteration: the kernel has stepped, the
+	// iteration has not completed.
+	eng.Run(computeT + computeT/2)
+	if s.Iter() != 1 || k.Iter() != 2 {
+		t.Errorf("mid-delay: loop %d, kernel %d; want 1 and 2", s.Iter(), k.Iter())
+	}
+	eng.Run(des.MaxTime)
+	if want := []des.Time{computeT, 2 * computeT, 3 * computeT}; len(hooks) != 3 ||
+		hooks[0] != want[0] || hooks[1] != want[1] || hooks[2] != want[2] {
+		t.Errorf("iterations completed at %v, want %v", hooks, want)
+	}
+}

@@ -484,31 +484,9 @@ func (h *Hierarchy) SaveManifest(dir string) error {
 // NewFileHierarchy builds a file-backed hierarchy under dir and saves
 // its manifest, so the layout is self-describing on disk.
 func NewFileHierarchy(dir string, scheme Scheme, domains *cluster.DomainMap, globalEvery int, net mpi.Network) (*Hierarchy, error) {
-	global, err := storage.NewFileStore(filepath.Join(dir, "global"))
+	h, err := openFileHierarchy(dir, scheme, domains, globalEvery, net)
 	if err != nil {
 		return nil, err
-	}
-	var ferr error
-	h, err := NewHierarchy(Config{
-		Scheme:      scheme,
-		Domains:     domains,
-		Global:      global,
-		GlobalEvery: globalEvery,
-		Net:         net,
-		NewLocal: func(rank int) storage.Store {
-			fs, err := storage.NewFileStore(filepath.Join(dir, "local", fmt.Sprintf("rank%03d", rank)))
-			if err != nil {
-				ferr = err
-				return storage.NewMemStore()
-			}
-			return fs
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	if err := h.SaveManifest(dir); err != nil {
 		return nil, err
@@ -596,6 +574,13 @@ func LoadFileHierarchy(dir string) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openFileHierarchy(dir, scheme, dm, globalEvery, mpi.QsNet())
+}
+
+// openFileHierarchy builds a hierarchy over the file stores under dir:
+// the global store in dir/global and rank r's L1 store in
+// dir/local/rankNNN.
+func openFileHierarchy(dir string, scheme Scheme, domains *cluster.DomainMap, globalEvery int, net mpi.Network) (*Hierarchy, error) {
 	global, err := storage.NewFileStore(filepath.Join(dir, "global"))
 	if err != nil {
 		return nil, err
@@ -603,10 +588,10 @@ func LoadFileHierarchy(dir string) (*Hierarchy, error) {
 	var ferr error
 	h, err := NewHierarchy(Config{
 		Scheme:      scheme,
-		Domains:     dm,
+		Domains:     domains,
 		Global:      global,
 		GlobalEvery: globalEvery,
-		Net:         mpi.QsNet(),
+		Net:         net,
 		NewLocal: func(rank int) storage.Store {
 			fs, err := storage.NewFileStore(filepath.Join(dir, "local", fmt.Sprintf("rank%03d", rank)))
 			if err != nil {

@@ -56,10 +56,12 @@ type ViewStats struct {
 // storage.Store so the recovery machinery — ckpt.RestoreLatest, and
 // VerifyChain, LatestVerifiableSeq, ChainVolume, RestoreAll —
 // transparently reads L1 first, then rebuilds lost segments from
-// surviving parity shards, then falls back to L3. Every level is
-// integrity-checked (segment decode at L1, frame + member CRCs at L2), so
-// a corrupt copy degrades the read to the next tier instead of surfacing
-// torn bytes.
+// surviving parity shards, then falls back to L3. An L1 copy is only
+// structurally checked: one that no longer decodes as a segment
+// (a torn header or record table) degrades the read to the next tier,
+// but a flipped payload bit decodes fine and is served. L2 rebuilds are
+// integrity-checked by the frame and member CRCs. L3 bytes are whatever
+// the global store's own stack guarantees.
 //
 // The view is read-only and accounts every Get; a recovery reads each
 // chain segment once, so its stats charge each chain byte once. One
