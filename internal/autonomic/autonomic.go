@@ -205,6 +205,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: grid %dx%d", c.Nx, c.RowsPerRank)
 	case c.Iterations < 1 || c.CkptEvery < 1:
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
+	case c.RestartOverhead < 0:
+		return fmt.Errorf("autonomic: negative restart overhead %v", c.RestartOverhead)
 	}
 	return nil
 }
@@ -506,13 +508,6 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	world, err := mpi.NewWorld(s.eng, mpi.QsNet(), mode, spaces)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.RDMA != rdmaOff {
-		// Before the workload maps its arenas: the bounce fallback arenas
-		// must exist before checkpointer exclusion below.
-		if err := world.EnableRDMA(); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.NetFaults != nil {
 		if err := world.SetFaults(*cfg.NetFaults); err != nil {

@@ -150,6 +150,13 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Fatal("tiny grid accepted")
 	}
+	// A negative overhead would schedule the first recovery in the past.
+	bad = baseConfig()
+	bad.MTBF = 2 * des.Second
+	bad.RestartOverhead = -3 * des.Second
+	if _, err := Run(bad); err == nil {
+		t.Fatal("negative restart overhead accepted")
+	}
 }
 
 func TestEfficiencyDegradesWithFailureRate(t *testing.T) {

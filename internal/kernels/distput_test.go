@@ -107,11 +107,6 @@ func TestDistPutMatchesSerialModel(t *testing.T) {
 func TestDistPutDirectVsBounceDirtySets(t *testing.T) {
 	run := func(mode mpi.DeliveryMode, rdma bool) (faults, silent uint64, gather []float64) {
 		eng, w := putWorld(t, 2, mode)
-		if rdma {
-			if err := w.EnableRDMA(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		d, err := NewDistPut(eng, w, 1, 1, 2.0, 50*des.Microsecond)
 		if err != nil {
 			t.Fatal(err)

@@ -3,9 +3,9 @@ package mpi
 import "repro/internal/des"
 
 // Counted messages. On a world whose fabric loses nothing and whose
-// transfer time does not depend on load — Bounce mode, no fault model, no
-// RDMA — a size-only message whose sender waits for no completion and
-// whose receive has no continuation has a closed-form effect: the sender
+// transfer time does not depend on load — Bounce mode, no fault model — a
+// size-only message whose sender waits for no completion and whose
+// receive has no continuation has a closed-form effect: the sender
 // counts it as it leaves, and CountedDelay later the receiver has landed
 // it, copied it out of the bounce buffer and finished the receive. When
 // nothing observes the receiver in between, the message needs no flight
@@ -17,8 +17,8 @@ import "repro/internal/des"
 
 // mustCount panics unless counted messages are exact on w.
 func (w *World) mustCount() {
-	if w.mode != Bounce || w.faults != nil || w.rdma != nil {
-		panic("mpi: counted messages need a loss-free Bounce world without RDMA")
+	if w.mode != Bounce || w.faults != nil {
+		panic("mpi: counted messages need a loss-free Bounce world")
 	}
 }
 
@@ -51,5 +51,6 @@ func (r *Rank) CountRecvs(addr, bytes uint64, k int) {
 	}
 	r.stats.BounceCopyBytes += uint64(k) * bytes
 	r.fill(addr, bytes, k)
-	r.received(bytes, k)
+	r.stats.Recvs += uint64(k)
+	r.landed(bytes, k)
 }

@@ -107,20 +107,16 @@ func TestCountedMatchesMessages(t *testing.T) {
 	}
 }
 
-// TestCountedPanicsOffTheExactWorld: a fault model, Direct mode and RDMA
-// each make a message's effect depend on more than its size and send
-// time, so every counted entry point refuses them.
+// TestCountedPanicsOffTheExactWorld: a fault model and Direct mode (the
+// registered-memory NIC) each make a message's effect depend on more than
+// its size and send time, so every counted entry point refuses them.
 func TestCountedPanicsOffTheExactWorld(t *testing.T) {
 	_, faulty := testWorld(t, 2, Bounce)
 	if err := faulty.SetFaults(NetFaultConfig{Seed: 1, DropRate: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	_, direct := testWorld(t, 2, Direct)
-	_, rdma := testWorld(t, 2, Direct)
-	if err := rdma.EnableRDMA(); err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range map[string]*World{"faults": faulty, "Direct": direct, "RDMA": rdma} {
+	for name, w := range map[string]*World{"faults": faulty, "Direct": direct} {
 		for call, fn := range map[string]func(){
 			"CountedDelay": func() { w.CountedDelay(64) },
 			"CountSends":   func() { w.Rank(0).CountSends(64, 1) },

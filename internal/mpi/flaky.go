@@ -12,8 +12,9 @@ package mpi
 //     by the World, so a given seed reproduces the exact packet fate
 //     sequence — and therefore the exact virtual timeline — every run.
 //
-//   - Plain Send/SendData keep their exactly-once contract by riding an
-//     ack/retransmit-with-backoff (ARQ) schedule: the full retransmit
+//   - Plain Send/SendData and one-sided Put keep their exactly-once
+//     contract by riding an ack/retransmit-with-backoff (ARQ) schedule
+//     (Rank.inject): the full retransmit
 //     plan is drawn at injection time, the payload is delivered at the
 //     first surviving copy's arrival, and the sender completes when the
 //     first ack survives the return path. Loss costs time, never data,
@@ -224,18 +225,6 @@ func (f *netFaults) suppressDup() {
 	if f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate {
 		f.stats.DupDeliveries++
 		f.stats.SuppressedDups++
-	}
-}
-
-// sendFaulty routes a plain (exactly-once) send through the ARQ model:
-// delivery at the first surviving copy, sender completion at the first
-// surviving ack.
-func (w *World) sendFaulty(r *Rank, msg Message, onComplete func()) {
-	deliver, ack := w.planARQ(msg.Bytes)
-	w.faults.suppressDup()
-	w.post(r, msg, w.eng.Now()+deliver)
-	if onComplete != nil {
-		w.eng.After(ack, onComplete)
 	}
 }
 

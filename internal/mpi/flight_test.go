@@ -233,3 +233,77 @@ func BenchmarkRingExchange(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
 	b.ReportMetric(float64(testing.AllocsPerRun(20, rg.round))/ranks, "allocs/msg")
 }
+
+// putRing is an n-rank ring of one-sided writes: in each round every rank
+// puts one payload into a window its right neighbour registered. A Bounce
+// world ignores the registrations and lands every put via the bounce
+// arena.
+type putRing struct {
+	run  func(des.Time) uint64
+	w    *World
+	wins []uint64
+	data []byte
+}
+
+func newPutRing(tb testing.TB, run func(des.Time) uint64, w *World) *putRing {
+	tb.Helper()
+	pr := &putRing{run: run, w: w, data: make([]byte, ringMsgBytes)}
+	for i := 0; i < w.Size(); i++ {
+		r := w.Rank(i)
+		win := r.Space().MapData(4 * ringMsgBytes)
+		r.RegisterMemory(win)
+		pr.wins = append(pr.wins, win.Start())
+	}
+	return pr
+}
+
+func (pr *putRing) round() {
+	n := pr.w.Size()
+	for i := 0; i < n; i++ {
+		dst := (i + 1) % n
+		pr.w.Rank(i).Put(dst, pr.wins[dst], pr.data, nil)
+	}
+	pr.run(des.MaxTime)
+}
+
+// TestPutAllocatesOnlyItsPayload: once the free lists are warm, a put
+// travels the pooled message record like a two-sided message, so its one
+// allocation is the payload copy it takes at injection — whether it lands
+// by DMA or through the bounce arena.
+func TestPutAllocatesOnlyItsPayload(t *testing.T) {
+	const ranks = 4
+	for _, mode := range []DeliveryMode{Bounce, Direct} {
+		eng, w := phantomWorld(t, ranks, mode)
+		pr := newPutRing(t, eng.Run, w)
+		for i := 0; i < 4; i++ {
+			pr.round()
+		}
+		if allocs := testing.AllocsPerRun(200, pr.round) / ranks; allocs != 1 {
+			t.Errorf("mode %d: a warm put allocates %v, want 1 (its payload copy)", mode, allocs)
+		}
+		for i := 0; i < ranks; i++ {
+			st := w.Rank(i).Stats()
+			if st.Puts == 0 || st.BytesReceived != st.Puts*ringMsgBytes || st.Recvs != 0 {
+				t.Fatalf("mode %d rank %d: stats %+v", mode, i, st)
+			}
+		}
+	}
+}
+
+// BenchmarkPutRing is the one-sided rung of the ladder: one put,
+// injection to DMA landing, on an 8-rank registered Direct ring.
+func BenchmarkPutRing(b *testing.B) {
+	const ranks = 8
+	eng, w := phantomWorld(b, ranks, Direct)
+	pr := newPutRing(b, eng.Run, w)
+	pr.round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr.round()
+	}
+	b.StopTimer()
+	puts := float64(b.N) * ranks
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/puts, "ns/put")
+	b.ReportMetric(float64(testing.AllocsPerRun(20, pr.round))/ranks, "allocs/put")
+}

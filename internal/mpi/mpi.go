@@ -6,12 +6,14 @@
 //
 // The package also reproduces the interaction the paper describes in §4.2
 // between a user-level memory-protection tracker and a NIC capable of
-// writing directly into user memory: in Direct mode, deliveries into
-// write-protected pages fail (the hardware analogue of the "problems" the
-// paper reports), while in Bounce mode the NIC deposits messages into an
-// unprotected bounce buffer and the CPU copies them to their destination,
-// taking ordinary write faults that the tracker observes — the paper's
-// workaround, with its "unavoidable overhead".
+// writing directly into user memory. In Direct mode the NIC DMAs into
+// registered memory (rdma.go): the write takes no fault, so a protected
+// page it lands on becomes silent-dirty, invisible to the tracker — the
+// hardware analogue of the "problems" the paper reports. Every other
+// delivery, and every delivery in Bounce mode, lands in an unprotected
+// bounce buffer and the CPU copies it to its destination, taking ordinary
+// write faults that the tracker observes — the paper's workaround, with
+// its "unavoidable overhead".
 //
 // Completion is continuation-passing: every operation takes a callback run
 // at the operation's virtual completion time. This keeps the simulation
@@ -40,9 +42,10 @@ const (
 	// copies the payload to its destination, faulting like any other
 	// write.
 	Bounce DeliveryMode = iota
-	// Direct models zero-copy DMA into the destination buffer. Writes
-	// bypass the CPU entirely, so they take no write faults — and fail
-	// outright when the destination page is write-protected.
+	// Direct models an RDMA NIC: zero-copy DMA into registered memory
+	// (rdma.go), bypassing the CPU and so taking no write faults. A
+	// destination the rank has not registered, or a rank degraded by
+	// the drain protocol, falls back to the bounce path.
 	Direct
 )
 
@@ -119,17 +122,19 @@ type pendingRecv struct {
 // flight is the record of one message in flight, from injection until its
 // receive has finished. It carries the message, the receive it matched and
 // its own two event callbacks, bound once when the record is first made, so
-// moving a message along send → deliver → complete → bounce copy → finish
-// schedules existing func values and allocates nothing.
+// moving a message along inject → deliver → complete → bounce copy → finish
+// schedules existing func values and allocates nothing. A one-sided put is
+// a flight whose receive is preset at injection: it lands without matching.
 //
-// Records are recycled through per-rank free lists: send takes the record
-// from the sender's list and finish returns it there, so a rank that only
-// receives pools nothing and a sender keeps reusing its own records
-// whatever its peers do. In between the record belongs to whichever event
-// holds it.
+// Records are recycled through per-rank free lists: post takes the
+// record from the sender's list and finish returns it there, so a rank
+// that only receives pools nothing and a sender keeps reusing its own
+// records whatever its peers do. In between the record belongs to
+// whichever event holds it.
 type flight struct {
 	msg  Message
 	recv pendingRecv // the matched receive, valid from complete to finish
+	put  bool        // a one-sided write: recv is preset, deliver skips matching
 
 	land   func() // arrival at the destination NIC: Rank.deliver
 	copied func() // end of the bounce-buffer copy: store, then finish
@@ -159,12 +164,13 @@ func (r *Rank) takeFlight() *flight {
 }
 
 // post injects msg, which src is sending, to arrive at its destination's
-// NIC at virtual time at.
-func (w *World) post(src *Rank, msg Message, at des.Time) {
+// NIC at virtual time at, and returns its record.
+func (w *World) post(src *Rank, msg Message, at des.Time) *flight {
 	f := src.takeFlight()
 	f.msg = msg
 	w.trackDelivery(msg.Dst)
 	w.eng.Schedule(at, f.land)
+	return f
 }
 
 // deque is a FIFO of values with cheap removal at the head — where matching
@@ -219,7 +225,6 @@ type Stats struct {
 	Puts             uint64 // one-sided RDMA writes injected
 	BytesSent        uint64
 	BytesReceived    uint64
-	NICConflicts     uint64 // Direct-mode deliveries that hit protected pages
 	BounceCopyBytes  uint64 // bytes copied out of the bounce buffer by the CPU
 	CollectiveCalls  uint64
 	BarrierWaitTotal des.Time // total time ranks spent waiting in barriers
@@ -242,7 +247,7 @@ type Rank struct {
 	id    int
 	space *mem.AddressSpace
 
-	bounce      *mem.Region        // unprotected landing zone (Bounce mode / degraded RDMA)
+	bounce      *mem.Region        // unprotected landing zone of every bounce delivery
 	recvQ       deque[pendingRecv] // posted receives, in post order
 	arrived     deque[*flight]     // unexpected messages, in arrival order
 	freeFlights []*flight          // recycled records; see flight
@@ -292,29 +297,32 @@ type World struct {
 	// (see flaky.go). Nil means a perfect network.
 	faults *netFaults
 
-	// rdma, when non-nil, is the registered-memory model installed by
-	// EnableRDMA (see rdma.go). Nil worlds skip in-flight tracking.
+	// rdma is the in-flight bookkeeping of a Direct world's drain
+	// protocol (see rdma.go); nil in Bounce mode, which skips it.
 	rdma *rdmaState
 }
 
 // NewWorld creates n ranks, each owning one of the provided address
-// spaces (len(spaces) must equal n). In Bounce mode each rank gets a
-// 1 MB bounce arena mapped outside tracker protection.
+// spaces (len(spaces) must equal n). Each rank gets a 1 MB bounce arena
+// mapped outside tracker protection; a Direct world also counts its
+// deliveries in flight, for AwaitDrain.
 func NewWorld(eng *des.Engine, net Network, mode DeliveryMode, spaces []*mem.AddressSpace) (*World, error) {
 	if len(spaces) == 0 {
 		return nil, fmt.Errorf("mpi: world needs at least one rank")
 	}
+	if mode != Bounce && mode != Direct {
+		return nil, fmt.Errorf("mpi: unknown delivery mode %d", mode)
+	}
 	w := &World{eng: eng, net: net, mode: mode}
 	for i, sp := range spaces {
-		r := &Rank{world: w, id: i, space: sp}
-		if mode == Bounce {
-			b, err := sp.Mmap(1 << 20)
-			if err != nil {
-				return nil, fmt.Errorf("mpi: bounce buffer for rank %d: %w", i, err)
-			}
-			r.bounce = b
+		b, err := sp.Mmap(1 << 20)
+		if err != nil {
+			return nil, fmt.Errorf("mpi: bounce buffer for rank %d: %w", i, err)
 		}
-		w.ranks = append(w.ranks, r)
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, space: sp, bounce: b})
+	}
+	if mode == Direct {
+		w.rdma = &rdmaState{inflight: make([]int, len(spaces))}
 	}
 	return w, nil
 }
@@ -325,7 +333,7 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// BounceRegion returns rank i's bounce arena (nil in Direct mode).
+// BounceRegion returns rank i's bounce arena.
 // The tracker must leave this region unprotected, exactly as the paper's
 // library keeps its network landing zone writable.
 func (w *World) BounceRegion(i int) *mem.Region { return w.ranks[i].bounce }
@@ -350,21 +358,28 @@ func (r *Rank) send(dst, tag int, bytes uint64, payload []byte, onComplete func(
 	if dst < 0 || dst >= len(r.world.ranks) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
-	w := r.world
 	r.stats.Sends++
 	r.stats.BytesSent += bytes
-	msg := Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: w.eng.Now()}
+	r.inject(Message{Src: r.id, Dst: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: r.world.eng.Now()}, onComplete)
+}
+
+// inject puts an exactly-once message on the wire and returns its record.
+// On a perfect fabric it arrives one transfer later and the sender
+// completes after one latency (eager injection); on a lossy one both ride
+// the ARQ schedule: delivery at the first surviving copy, completion at
+// the first surviving ack.
+func (r *Rank) inject(msg Message, onComplete func()) *flight {
+	w := r.world
+	deliver, ack := w.net.transfer(msg.Bytes), w.net.Latency
 	if w.faults != nil {
-		// Lossy fabric: exactly-once delivery rides the ARQ schedule;
-		// the sender completes at the first surviving ack.
-		w.sendFaulty(r, msg, onComplete)
-		return
+		deliver, ack = w.planARQ(msg.Bytes)
+		w.faults.suppressDup()
 	}
-	w.post(r, msg, w.eng.Now()+w.net.transfer(bytes))
+	f := w.post(r, msg, w.eng.Now()+deliver)
 	if onComplete != nil {
-		// Eager injection: sender-side overhead is one latency.
-		w.eng.After(w.net.Latency, onComplete)
+		w.eng.After(ack, onComplete)
 	}
+	return f
 }
 
 // Recv posts a receive on r for a message from src (or AnySource) with the
@@ -389,10 +404,16 @@ func (pr *pendingRecv) matches(m *Message) bool {
 	return (pr.key.src == AnySource || pr.key.src == m.Src) && pr.key.tag == m.Tag
 }
 
-// deliver handles a message arriving at the NIC at the current time.
+// deliver handles a message arriving at the NIC at the current time: a
+// put lands at once, a two-sided message takes the first posted receive
+// it matches or waits in the unexpected queue.
 func (r *Rank) deliver(f *flight) {
 	r.world.untrackDelivery(r.id)
 	f.msg.DeliveredAt = r.world.eng.Now()
+	if f.put {
+		r.complete(f)
+		return
+	}
 	for i := 0; i < r.recvQ.len(); i++ {
 		if r.recvQ.at(i).matches(&f.msg) {
 			f.recv = r.recvQ.remove(i)
@@ -403,25 +424,27 @@ func (r *Rank) deliver(f *flight) {
 	r.arrived.push(f)
 }
 
-// finish ends a matched receive once its payload has landed: the record
-// back to its sender's free list, counters, the delivery hook, then the
-// receive's continuation.
+// finish ends a receive or a put once its payload has landed: the record
+// back to its sender's free list, counters (a put is no receive), the
+// delivery hook, then the receive's continuation.
 func (r *Rank) finish(f *flight) {
-	m, fn := f.msg, f.recv.fn
-	f.msg.Payload, f.recv.fn = nil, nil
+	m, fn, put := f.msg, f.recv.fn, f.put
+	f.msg.Payload, f.recv, f.put = nil, pendingRecv{}, false
 	if src := r.world.ranks[m.Src]; len(src.freeFlights) < maxFreeFlights {
 		src.freeFlights = append(src.freeFlights, f)
 	}
-	r.received(m.Bytes, 1)
+	if !put {
+		r.stats.Recvs++
+	}
+	r.landed(m.Bytes, 1)
 	if fn != nil {
 		fn(m)
 	}
 }
 
-// received counts k finished receives of bytes each, at the current time:
-// the counters, then the delivery hook once per receive.
-func (r *Rank) received(bytes uint64, k int) {
-	r.stats.Recvs += uint64(k)
+// landed counts k payloads of bytes each delivered at the current time:
+// the byte counter, then the delivery hook once per payload.
+func (r *Rank) landed(bytes uint64, k int) {
 	r.stats.BytesReceived += uint64(k) * bytes
 	if r.onDeliver != nil {
 		for ; k > 0; k-- {
@@ -430,49 +453,25 @@ func (r *Rank) received(bytes uint64, k int) {
 	}
 }
 
-// complete finishes a matched receive: the payload is written into the
-// destination buffer per the delivery mode, then finish runs.
+// complete lands a matched receive's (or a put's) payload in its
+// destination buffer, then finish runs. In a Direct world a registered
+// destination takes the zero-copy DMA path: the write bypasses the CPU,
+// so protected pages become silent-dirty instead of faulting. Everything
+// else — a Bounce world, an unregistered destination (a NIC refusing an
+// unpinned address), a degraded rank — lands via the bounce arena.
 func (r *Rank) complete(f *flight) {
-	w := r.world
 	pr, m := &f.recv, &f.msg
-	if pr.addr == 0 || m.Bytes == 0 {
+	switch {
+	case pr.addr == 0 || m.Bytes == 0:
 		r.finish(f)
-		return
-	}
-	switch w.mode {
-	case Direct:
-		if w.rdma != nil {
-			// Registered-memory model: a registered destination takes
-			// the zero-copy DMA path — the write bypasses the CPU, so
-			// protected pages become silent-dirty instead of faulting.
-			// Unregistered destinations (and degraded ranks) fall back
-			// to the bounce arena, like a NIC refusing an unpinned
-			// address.
-			if !r.degraded && r.registeredSpan(pr.addr, m.Bytes) {
-				if m.Payload != nil {
-					r.dmaStore(pr.addr, m.Payload)
-				} else {
-					r.dmaStoreRange(pr.addr, m.Bytes)
-				}
-				r.finish(f)
-				return
-			}
-			r.bounceDeliver(f)
-			return
+	case r.world.mode == Direct && !r.degraded && r.registeredSpan(pr.addr, m.Bytes):
+		if m.Payload != nil {
+			r.dmaStore(pr.addr, m.Payload)
+		} else {
+			r.dmaStoreRange(pr.addr, m.Bytes)
 		}
-		// DMA: no CPU involvement, no write faults — but a protected
-		// destination page is a conflict the hardware cannot resolve.
-		if r.pageSpanProtected(pr.addr, m.Bytes) {
-			r.stats.NICConflicts++
-			// The payload is dropped; tracking below the NIC is
-			// impossible, which is precisely why the paper's
-			// library intercepts receive calls.
-			r.finish(f)
-			return
-		}
-		r.store(pr.addr, m.Bytes, m.Payload)
 		r.finish(f)
-	case Bounce:
+	default:
 		r.bounceDeliver(f)
 	}
 }
@@ -487,27 +486,9 @@ func (r *Rank) bounceDeliver(f *flight) {
 	w.eng.After(w.net.copyTime(f.msg.Bytes), f.copied)
 }
 
-// pageSpanProtected reports whether any page in [addr, addr+n) is
-// write-protected.
-func (r *Rank) pageSpanProtected(addr, n uint64) bool {
-	reg := r.space.Find(addr)
-	if reg == nil {
-		return false
-	}
-	ps := r.space.PageSize()
-	end := min(addr+n, reg.End())
-	for pa := addr &^ (ps - 1); pa < end; pa += ps {
-		if reg.Protected(pa) {
-			return true
-		}
-	}
-	return false
-}
-
 // store lands n delivered bytes (real payload when non-nil, synthetic
-// fill otherwise) at addr, clamped to the destination region. In Direct
-// mode all target pages are already unprotected so no faults fire; in
-// Bounce mode this is the CPU copy, faulting like any application store.
+// fill otherwise) at addr, clamped to the destination region: a CPU
+// copy, faulting like any application store.
 func (r *Rank) store(addr, n uint64, payload []byte) {
 	if payload == nil {
 		r.fill(addr, n, 1)
@@ -635,10 +616,7 @@ func (r *Rank) allReduceDone(c allReduceCall) {
 	if c.dest != 0 && c.bytes > 0 {
 		r.copyOut(c.dest, c.bytes)
 	}
-	r.stats.BytesReceived += c.bytes * uint64(logTwo(len(w.ranks)))
-	if r.onDeliver != nil {
-		r.onDeliver(c.bytes*uint64(logTwo(len(w.ranks))), w.eng.Now())
-	}
+	r.landed(c.bytes*uint64(logTwo(len(w.ranks))), 1)
 	if c.fn != nil {
 		c.fn()
 	}

@@ -39,6 +39,10 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(eng, QsNet(), Direct, nil); err == nil {
 		t.Fatal("empty world accepted")
 	}
+	sp := []*mem.AddressSpace{mem.NewAddressSpace(mem.Config{PageSize: 4096})}
+	if _, err := NewWorld(eng, QsNet(), DeliveryMode(2), sp); err == nil {
+		t.Fatal("unknown delivery mode accepted")
+	}
 }
 
 func TestSendRecvDirect(t *testing.T) {
@@ -123,27 +127,6 @@ func TestSendCompletionTime(t *testing.T) {
 	eng.Run(des.MaxTime)
 	if at != QsNet().Latency {
 		t.Fatalf("sender completion at %v, want %v (eager)", at, QsNet().Latency)
-	}
-}
-
-// Direct-mode DMA into protected pages is a conflict: the payload is
-// dropped and counted — the problem described in §4.2.
-func TestDirectModeNICConflict(t *testing.T) {
-	eng, w := testWorld(t, 2, Direct)
-	r1 := w.Rank(1)
-	buf, _ := r1.Space().Mmap(1 << 16)
-	openLog(w, 1, nil)
-
-	faultsBefore := r1.Space().Faults()
-	r1.Recv(0, 0, buf.Start(), func(Message) {})
-	w.Rank(0).Send(1, 0, 8192, nil)
-	eng.Run(des.MaxTime)
-
-	if r1.Stats().NICConflicts != 1 {
-		t.Fatalf("NICConflicts = %d, want 1", r1.Stats().NICConflicts)
-	}
-	if r1.Space().Faults() != faultsBefore {
-		t.Fatal("DMA delivery must not take CPU write faults")
 	}
 }
 

@@ -1,14 +1,15 @@
 package mpi
 
-// RDMA registered memory and checkpoint-time drain: the production
-// alternative to the paper's bounce-buffer workaround. An RDMA-capable
-// NIC writes only into memory the application has *registered* (pinned
-// and mapped into the NIC's translation table, at real per-page cost).
-// Registered-region deliveries are zero-copy and take no write faults —
-// which is exactly the §4.2 conflict: a write-protection tracker never
-// sees them, so the incremental write set silently under-counts. Here
-// the under-count is first-class: Direct deliveries into protected
-// pages land via mem.WriteDirect, which marks them silent-dirty, and
+// RDMA registered memory and checkpoint-time drain: the NIC model of a
+// Direct world, the production alternative to the paper's bounce-buffer
+// workaround. An RDMA-capable NIC writes only into memory the
+// application has *registered* (pinned and mapped into the NIC's
+// translation table, at real per-page cost). Registered-region
+// deliveries are zero-copy and take no write faults — which is exactly
+// the §4.2 conflict: a write-protection tracker never sees them, so the
+// incremental write set silently under-counts. Here the under-count is
+// first-class: Direct deliveries into protected pages land via
+// mem.WriteDirect, which marks them silent-dirty, and
 // Stats.SilentDirtyBytes/DirectBypassBytes make the bypass observable.
 //
 // Checkpointing safely therefore requires a drain protocol (Cao et
@@ -87,36 +88,15 @@ const (
 	RDMAReconnectLatency = 100 * des.Microsecond
 )
 
-// rdmaState is the World's RDMA bookkeeping, installed by EnableRDMA.
+// rdmaState is a Direct world's in-flight bookkeeping, made by NewWorld.
 type rdmaState struct {
 	inflight []int // scheduled-but-unlanded deliveries, by destination rank
 	total    int
 }
 
-// EnableRDMA installs the registered-memory model on a Direct-mode
-// world: each rank gets a bounce arena too (unprotected, tracker-
-// excluded) so it can degrade to bounce-buffer delivery when its
-// destination is unregistered or the drain protocol times out.
-func (w *World) EnableRDMA() error {
-	if w.mode != Direct {
-		return fmt.Errorf("mpi: EnableRDMA requires Direct mode, world is %v", w.mode)
-	}
-	for _, r := range w.ranks {
-		if r.bounce != nil {
-			continue
-		}
-		b, err := r.space.Mmap(1 << 20)
-		if err != nil {
-			return fmt.Errorf("mpi: bounce buffer for rank %d: %w", r.id, err)
-		}
-		r.bounce = b
-	}
-	w.rdma = &rdmaState{inflight: make([]int, len(w.ranks))}
-	return nil
-}
-
 // RegisterCost returns the des-clock cost of registering (or
-// deregistering) a region of the given page count.
+// deregistering) a region of the given page count; zero in a Bounce
+// world, whose NIC registers nothing.
 func (w *World) RegisterCost(pages uint64) des.Time {
 	if w.rdma == nil {
 		return 0
@@ -124,9 +104,9 @@ func (w *World) RegisterCost(pages uint64) des.Time {
 	return registerBase + des.Time(pages)*registerPerPage
 }
 
-// RegisterMemory pins reg with the NIC so Direct deliveries into it are
-// zero-copy, until DeregisterAll. The caller accounts the registration
-// latency via World.RegisterCost.
+// RegisterMemory pins reg with the NIC so deliveries into it are
+// zero-copy in a Direct world, until DeregisterAll. The caller accounts
+// the registration latency via World.RegisterCost.
 func (r *Rank) RegisterMemory(reg *mem.Region) {
 	r.registered = append(r.registered, reg)
 	r.stats.RegisteredBytes += reg.Size()
@@ -220,7 +200,7 @@ func (w *World) strandedRanks() []int {
 // those ranks to bounce mode rather than checkpointing a torn region.
 func (w *World) AwaitDrain(timeout des.Time, fn func(stranded []int)) {
 	if w.rdma == nil {
-		panic("mpi: AwaitDrain without EnableRDMA")
+		panic("mpi: AwaitDrain on a Bounce world")
 	}
 	start := w.eng.Now()
 	var poll func()
@@ -241,61 +221,23 @@ func (w *World) AwaitDrain(timeout des.Time, fn func(stranded []int)) {
 // Put performs a one-sided RDMA write: data lands at destAddr in rank
 // dst's address space when the transfer arrives, with no matching Recv
 // — the defining property of one-sided operations, and the reason they
-// are invisible to receive-side interception. In Direct mode with the
-// destination registered the payload lands via DMA (no faults, silent-
-// dirty marking); otherwise it falls back to the bounce path. Under an
-// installed fault model the write rides the exactly-once ARQ schedule.
-// onComplete (optional) runs at the sender's completion (local ack).
+// are invisible to receive-side interception. It is a message whose
+// receive is preset: it rides the same injection (the exactly-once ARQ
+// schedule under an installed fault model) and lands the same way — by
+// DMA into a registered destination of a Direct world, via the bounce
+// arena otherwise. A landed put counts in BytesReceived and calls the
+// delivery hook, but is no Recv. onComplete (optional) runs at the
+// sender's completion (local ack).
 func (r *Rank) Put(dst int, destAddr uint64, data []byte, onComplete func()) {
 	if dst < 0 || dst >= len(r.world.ranks) {
 		panic(fmt.Sprintf("mpi: put to invalid rank %d", dst))
 	}
-	w := r.world
 	n := uint64(len(data))
 	r.stats.Puts++
 	r.stats.BytesSent += n
-	payload := append([]byte(nil), data...)
-	target := w.ranks[dst]
-	if w.faults != nil {
-		deliver, ack := w.planARQ(n)
-		w.faults.suppressDup()
-		w.trackDelivery(dst)
-		w.eng.After(deliver, func() { target.landPut(destAddr, payload) })
-		if onComplete != nil {
-			w.eng.After(ack, onComplete)
-		}
-		return
-	}
-	w.trackDelivery(dst)
-	w.eng.After(w.net.transfer(n), func() { target.landPut(destAddr, payload) })
-	if onComplete != nil {
-		w.eng.After(w.net.Latency, onComplete)
-	}
-}
-
-// landPut lands a one-sided write at the destination NIC.
-func (r *Rank) landPut(addr uint64, payload []byte) {
-	w := r.world
-	w.untrackDelivery(r.id)
-	n := uint64(len(payload))
-	done := func() {
-		r.stats.BytesReceived += n
-		if r.onDeliver != nil {
-			r.onDeliver(n, w.eng.Now())
-		}
-	}
-	if w.mode == Direct && !r.degraded && r.registeredSpan(addr, n) {
-		r.dmaStore(addr, payload)
-		done()
-		return
-	}
-	// Unregistered target, degraded rank, or a Bounce-mode world: the
-	// NIC lands in the bounce arena and the CPU copies out, faulting.
-	w.eng.After(w.net.copyTime(n), func() {
-		r.stats.BounceCopyBytes += n
-		r.store(addr, n, payload)
-		done()
-	})
+	msg := Message{Src: r.id, Dst: dst, Bytes: n, Payload: append([]byte(nil), data...), SentAt: r.world.eng.Now()}
+	f := r.inject(msg, onComplete)
+	f.put, f.recv.addr = true, destAddr
 }
 
 // dmaStore lands payload at addr with DMA semantics: zero-copy, no

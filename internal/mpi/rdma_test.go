@@ -5,16 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/mem"
 )
-
-func rdmaWorld(t *testing.T, n int) (*des.Engine, *World) {
-	t.Helper()
-	eng, w := testWorld(t, n, Direct)
-	if err := w.EnableRDMA(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, w
-}
 
 func TestDrainPhaseNamesRoundTrip(t *testing.T) {
 	for i := 0; i < NumDrainPhases; i++ {
@@ -32,15 +24,8 @@ func TestDrainPhaseNamesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEnableRDMARequiresDirect(t *testing.T) {
-	_, w := testWorld(t, 2, Bounce)
-	if err := w.EnableRDMA(); err == nil {
-		t.Fatal("EnableRDMA accepted a Bounce world")
-	}
-}
-
 func TestRegisteredDeliveryMarksSilent(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	buf := r1.Space().MapData(1 << 16)
 	r1.RegisterMemory(buf)
@@ -58,9 +43,6 @@ func TestRegisteredDeliveryMarksSilent(t *testing.T) {
 	if st.SilentDirtyBytes != 8192 {
 		t.Fatalf("SilentDirtyBytes = %d, want 8192", st.SilentDirtyBytes)
 	}
-	if st.NICConflicts != 0 {
-		t.Fatalf("NICConflicts = %d under the registered-memory model, want 0", st.NICConflicts)
-	}
 	if r1.Space().Faults() != 0 {
 		t.Fatalf("DMA delivery raised %d faults", r1.Space().Faults())
 	}
@@ -77,7 +59,7 @@ func TestRegisteredDeliveryMarksSilent(t *testing.T) {
 }
 
 func TestUnregisteredDeliveryFallsBackToBounce(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	buf := r1.Space().MapData(1 << 16)
 	var faults int
@@ -99,7 +81,7 @@ func TestUnregisteredDeliveryFallsBackToBounce(t *testing.T) {
 }
 
 func TestRegisterAllDataAndDeregister(t *testing.T) {
-	_, w := rdmaWorld(t, 1)
+	_, w := testWorld(t, 1, Direct)
 	r := w.Rank(0)
 	d := r.Space().MapData(4 * 4096)
 	pages := r.RegisterAllData()
@@ -130,7 +112,7 @@ func TestRegisterAllDataAndDeregister(t *testing.T) {
 }
 
 func TestPutOneSidedDelivery(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	win := r1.Space().MapData(4096)
 	r1.RegisterMemory(win)
@@ -166,7 +148,7 @@ func TestPutOneSidedDelivery(t *testing.T) {
 }
 
 func TestPutUnderFaultsExactlyOnce(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	if err := w.SetFaults(NetFaultConfig{Seed: 3, DropRate: 0.4, DupRate: 0.3}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +169,7 @@ func TestPutUnderFaultsExactlyOnce(t *testing.T) {
 }
 
 func TestAwaitDrainCompletes(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	win := r1.Space().MapData(1 << 20)
 	r1.RegisterMemory(win)
@@ -206,7 +188,7 @@ func TestAwaitDrainCompletes(t *testing.T) {
 }
 
 func TestAwaitDrainTimeoutReportsStranded(t *testing.T) {
-	eng, w := rdmaWorld(t, 3)
+	eng, w := testWorld(t, 3, Direct)
 	r0, r2 := w.Rank(0), w.Rank(2)
 	win := r2.Space().MapData(1 << 20)
 	r2.RegisterMemory(win)
@@ -223,7 +205,7 @@ func TestAwaitDrainTimeoutReportsStranded(t *testing.T) {
 }
 
 func TestDegradedRankUsesBouncePath(t *testing.T) {
-	eng, w := rdmaWorld(t, 2)
+	eng, w := testWorld(t, 2, Direct)
 	r0, r1 := w.Rank(0), w.Rank(1)
 	win := r1.Space().MapData(4096)
 	r1.RegisterMemory(win)
@@ -246,11 +228,118 @@ func TestDegradedRankUsesBouncePath(t *testing.T) {
 }
 
 func TestAwaitDrainWithoutRDMAPanics(t *testing.T) {
-	_, w := testWorld(t, 1, Direct)
+	_, w := testWorld(t, 1, Bounce)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AwaitDrain without EnableRDMA did not panic")
+			t.Fatal("AwaitDrain on a Bounce world did not panic")
 		}
 	}()
 	w.AwaitDrain(0, func([]int) {})
+}
+
+// TestDirectWorldReadyAtConstruction: NewWorld alone builds the
+// registered-memory world — a bounce arena on every rank, registration
+// priced, and a drain that waits for a put to land.
+func TestDirectWorldReadyAtConstruction(t *testing.T) {
+	eng, w := testWorld(t, 3, Direct)
+	for i := 0; i < w.Size(); i++ {
+		if b := w.BounceRegion(i); b == nil || b.Size() != 1<<20 || b.Kind() != mem.Mmap {
+			t.Fatalf("rank %d bounce arena %v, want a 1 MB mmap region", i, b)
+		}
+	}
+	if got, want := w.RegisterCost(4), registerBase+4*registerPerPage; got != want {
+		t.Fatalf("RegisterCost(4) = %v, want %v", got, want)
+	}
+	r2 := w.Rank(2)
+	win := r2.Space().MapData(4096)
+	r2.RegisterMemory(win)
+	var landedAt, drainedAt des.Time = -1, -1
+	r2.SetDeliveryHook(func(_ uint64, at des.Time) { landedAt = at })
+	w.Rank(0).Put(2, win.Start(), []byte{1, 2, 3}, nil)
+	w.AwaitDrain(0, func(s []int) {
+		if s != nil {
+			t.Errorf("stranded %v with no timeout", s)
+		}
+		drainedAt = eng.Now()
+	})
+	eng.Run(des.MaxTime)
+	if landedAt < 0 || drainedAt < landedAt {
+		t.Fatalf("put landed at %v, drain ended at %v: want the drain after the landing", landedAt, drainedAt)
+	}
+}
+
+// TestPutLandingTable pins where and when a put lands and what it counts
+// on each of its paths: DMA into a registered destination, the bounce
+// fallback of an unregistered one, a degraded rank, a Bounce world, and
+// the ARQ schedule of a lossy fabric. The rows hold the values a put
+// produced when it had a landing path of its own, apart from complete's.
+// A put is no receive, so Recvs stays 0 throughout.
+func TestPutLandingTable(t *testing.T) {
+	const n = 8192 // two pages
+	for _, c := range []struct {
+		name                     string
+		mode                     DeliveryMode
+		register, degrade, lossy bool
+
+		at                     des.Time
+		bounce, bypass, silent uint64
+		faults                 int
+	}{
+		{name: "registered", mode: Direct, register: true, at: 11102, bypass: n, silent: n},
+		{name: "unregistered", mode: Direct, at: 15198, bounce: n, faults: 2},
+		{name: "degraded", mode: Direct, register: true, degrade: true, at: 15198, bounce: n, faults: 2},
+		{name: "bounce-world", mode: Bounce, register: true, at: 15198, bounce: n, faults: 2},
+		{name: "lossy", mode: Direct, register: true, lossy: true, at: 56289, bypass: n, silent: n},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, w := testWorld(t, 2, c.mode)
+			if c.lossy {
+				if err := w.SetFaults(NetFaultConfig{Seed: 4, DropRate: 0.6, JitterMax: des.Microsecond}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r0, r1 := w.Rank(0), w.Rank(1)
+			win := r1.Space().MapData(4 * 4096)
+			if c.register {
+				r1.RegisterMemory(win)
+			}
+			if c.degrade {
+				r1.DegradeToBounce()
+			}
+			var faults int
+			openLog(w, 1, &faults)
+			var hooks []des.Time
+			r1.SetDeliveryHook(func(b uint64, at des.Time) {
+				if b != n {
+					t.Errorf("delivery hook saw %d bytes, want %d", b, n)
+				}
+				hooks = append(hooks, at)
+			})
+			payload := bytes.Repeat([]byte{0x5a}, n)
+			r0.Put(1, win.Start(), payload, nil)
+			eng.Run(des.MaxTime)
+
+			st := r1.Stats()
+			if len(hooks) != 1 || hooks[0] != c.at {
+				t.Errorf("delivery hook calls %d, want one at %d", hooks, c.at)
+			}
+			if st.BytesReceived != n || st.BounceCopyBytes != c.bounce || st.DirectBypassBytes != c.bypass || st.SilentDirtyBytes != c.silent {
+				t.Errorf("received/bounce/bypass/silent = %d/%d/%d/%d, want %d/%d/%d/%d",
+					st.BytesReceived, st.BounceCopyBytes, st.DirectBypassBytes, st.SilentDirtyBytes, n, c.bounce, c.bypass, c.silent)
+			}
+			if faults != c.faults {
+				t.Errorf("write faults = %d, want %d", faults, c.faults)
+			}
+			if st.Recvs != 0 {
+				t.Errorf("Recvs = %d after a put, want 0", st.Recvs)
+			}
+			got := make([]byte, n)
+			if err := r1.Space().Read(win.Start(), got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Error("payload did not land")
+			}
+		})
+	}
 }
