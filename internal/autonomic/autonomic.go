@@ -91,7 +91,7 @@ type Config struct {
 	// ComputeTime is the virtual cost of one sweep.
 	ComputeTime des.Time
 	// MTBF is the *system* mean time between failures; zero disables
-	// failure injection.
+	// failure injection, and a negative value is refused.
 	MTBF des.Time
 	// RestartOverhead is the fixed downtime per failure (detection,
 	// reboot, re-spawn) on top of the chain-read time.
@@ -112,7 +112,8 @@ type Config struct {
 	// windows, all seeded and deterministic (see mpi.NetFaultConfig).
 	NetFaults *mpi.NetFaultConfig
 	// HeartbeatPeriod, when > 0 (and Ranks > 1), runs a gossip-style
-	// heartbeat failure detector over the (possibly flaky) interconnect.
+	// heartbeat failure detector over the (possibly flaky) interconnect;
+	// a negative period is refused.
 	// Failures are then *detected* rather than observed instantly: the
 	// measured detection latency of each failure is added to its
 	// downtime and recorded in the report. With the detector off, the
@@ -207,6 +208,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
 	case c.RestartOverhead < 0:
 		return fmt.Errorf("autonomic: negative restart overhead %v", c.RestartOverhead)
+	case c.MTBF < 0:
+		return fmt.Errorf("autonomic: negative MTBF %v (zero disables failures)", c.MTBF)
+	case c.HeartbeatPeriod < 0:
+		return fmt.Errorf("autonomic: negative heartbeat period %v (zero disables the detector)", c.HeartbeatPeriod)
 	}
 	return nil
 }

@@ -157,6 +157,18 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Fatal("negative restart overhead accepted")
 	}
+	// Zero switches failures and the detector off; a negative value is
+	// a mistake, not a synonym.
+	bad = baseConfig()
+	bad.MTBF = -des.Second
+	if _, err := Run(bad); err == nil {
+		t.Fatal("negative MTBF accepted")
+	}
+	bad = baseConfig()
+	bad.HeartbeatPeriod = -des.Second
+	if _, err := Run(bad); err == nil {
+		t.Fatal("negative heartbeat period accepted")
+	}
 }
 
 func TestEfficiencyDegradesWithFailureRate(t *testing.T) {

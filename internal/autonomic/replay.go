@@ -53,11 +53,36 @@ func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMat
 // before its next sweep (the drain protocol does, and so does the commit
 // pause), so where lines are cut is part of the answer (see
 // kernels.DistPut).
+//
+// With no failure source and no detector nothing fails, so the run
+// never restores and nothing reads its lines back: they go to a store
+// that keeps nothing (discardStore). Every line is still captured,
+// counted and charged its sink time exactly as a kept one.
 func Reference(cfg Config) (*Report, error) {
-	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, nil
+	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, discardStore{}
 	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
 	return Run(cfg)
 }
+
+// discardStore is the Reference's store: Put borrows the segment and
+// drops it, so every line is written and none is kept. It is no
+// storage.OwnedPutter, so each checkpointer encodes every capture into
+// one reused buffer.
+type discardStore struct{}
+
+func (discardStore) Put(string, []byte) error { return nil }
+
+func (discardStore) Get(key string) ([]byte, error) {
+	return nil, fmt.Errorf("key %q: %w", key, storage.ErrNotFound)
+}
+
+func (discardStore) Delete(key string) error {
+	return fmt.Errorf("key %q: %w", key, storage.ErrNotFound)
+}
+
+func (discardStore) Keys() ([]string, error) { return nil, nil }
+
+func (discardStore) Size() (uint64, error) { return 0, nil }
 
 // Compare judges run against its reference: every rank's final
 // address-space digest and the gathered checksum must be bit-identical.

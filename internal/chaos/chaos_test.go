@@ -66,6 +66,7 @@ func TestParseScheduleRejects(t *testing.T) {
 		"dangling option":  "crash at 1s..2s count",
 		"unknown option":   "crash at 1s..2s colour red",
 		"bad count":        "crash at 1s..2s count x",
+		"zero count":       "crash at 1s..2s count 0",
 		"huge count":       "crash at 1s..2s count 1000000",
 		"bad drop":         "partition at 1s..2s drop 1.5",
 		"nan drop":         "partition at 1s..2s drop NaN",

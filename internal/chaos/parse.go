@@ -23,8 +23,8 @@ import (
 //	domain-crash at 5s..20s domain d1
 //
 // Every line is "<kind> at <from>..<to>" followed by optional key/value
-// pairs (jitter <dur>, count <n>, group <name>, drop <p>, slow <x>,
-// rate <p>, phase <name>, domain <name>). Durations use Go syntax ("1.5s", "300ms") and denote
+// pairs (jitter <dur>, count <n> with n >= 1, group <name>, drop <p>,
+// slow <x>, rate <p>, phase <name>, domain <name>). Durations use Go syntax ("1.5s", "300ms") and denote
 // virtual time. ParseSchedule returns a typed error naming the offending
 // line for any malformed input; it never panics, however hostile the
 // bytes (FuzzParseSchedule holds it to that).
@@ -99,6 +99,11 @@ func parseSpec(fields []string) (Spec, error) {
 			n, err := strconv.Atoi(val)
 			if err != nil {
 				return sp, fmt.Errorf("count %q: %w", val, err)
+			}
+			// Only the struct's zero value means the default of one: a
+			// written count says how many events there are.
+			if n < 1 {
+				return sp, fmt.Errorf("%s: count %d (a written count is at least 1)", fields[0], n)
 			}
 			sp.Count = n
 		case "group":

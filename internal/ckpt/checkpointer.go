@@ -136,6 +136,10 @@ type Checkpointer struct {
 	// them and nothing keeps them.
 	live    []*mem.Region
 	regions []RegionInfo
+	// lent is the last segment encoded for a store that only borrows (no
+	// storage.OwnedPutter): Put copies what it keeps, so the next capture
+	// encodes into the same buffer. A keeping store is given a fresh one.
+	lent []byte
 }
 
 // NewCheckpointer creates a checkpointer. Call Start to begin capturing
@@ -346,9 +350,16 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 			maxPages += rs.Count()
 		}
 	}
+	// A borrowing store is lent the checkpointer's one encode buffer; a
+	// keeping store gets a fresh one to keep.
+	_, keeps := c.opts.Store.(storage.OwnedPutter)
+	var dst []byte
+	if !keeps {
+		dst = c.lent[:0]
+	}
 	// The bound also reserves the integrity envelope's room, so a sealing
 	// store seals the given-away segment where it lies.
-	w := newSegWriter(nil, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps)+storage.SealRoom, c.opts.Compress)
+	w := newSegWriter(dst, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps)+storage.SealRoom, c.opts.Compress)
 	var silentPages uint64
 	for _, r := range live {
 		if !c.log.Watches(r) {
@@ -407,15 +418,19 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		payload = w.payload
 	}
 	key := SegmentKey(c.opts.Rank, c.seq)
-	// enc is fresh and dropped here, so a store that keeps values in
-	// memory may keep this one — but only when the writer's size bound
-	// was exact, leaving just the envelope's room: zero-elided, RLE and
-	// dedup segments come out shorter, and a keeping store would retain
-	// the slack for the line's life.
+	// A keeping store's enc is fresh and dropped here, so the store may
+	// keep it — but only when the writer's size bound was exact, leaving
+	// just the envelope's room: zero-elided, RLE and dedup segments come
+	// out shorter, and the store would retain the slack for the line's
+	// life. A borrowing store's enc is lent and encodes the next capture.
 	var err error
-	if len(enc)+storage.SealRoom == cap(enc) {
+	switch {
+	case !keeps:
+		c.lent = enc
+		err = c.opts.Store.Put(key, enc)
+	case len(enc)+storage.SealRoom == cap(enc):
 		err = storage.PutOwned(c.opts.Store, key, enc)
-	} else {
+	default:
 		err = c.opts.Store.Put(key, enc)
 	}
 	if err != nil {

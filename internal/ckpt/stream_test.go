@@ -479,3 +479,81 @@ func TestCheckpointGivesExactSegmentsAway(t *testing.T) {
 		}
 	}
 }
+
+// lastPutStore is a borrowing store — no storage.OwnedPutter — that
+// copies each Put into one buffer of its own, keeping the last segment
+// without allocating once that buffer is large enough.
+type lastPutStore struct {
+	storage.Store
+	last []byte
+}
+
+func (s *lastPutStore) Put(_ string, data []byte) error {
+	s.last = append(s.last[:0], data...)
+	return nil
+}
+
+// TestBorrowingStoreIsLentOneBuffer: a store that only borrows is lent
+// the checkpointer's encode buffer, and every later capture encodes into
+// that same buffer, so a warm raw capture allocates no segment buffer —
+// only its key (RLE allocates per page; that is not the segment). The
+// bytes it lends are the ones a MemStore-backed twin keeps, full and
+// incremental, raw and compressed.
+func TestBorrowingStoreIsLentOneBuffer(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		type twin struct {
+			sp *mem.AddressSpace
+			r  *mem.Region
+			c  *Checkpointer
+		}
+		build := func(store storage.Store) twin {
+			sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+			r, _ := sp.Mmap(64 * pageSize)
+			c, err := NewCheckpointer(des.NewEngine(), sp, Options{Store: store, FullEvery: 4, Compress: compress})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			return twin{sp, r, c}
+		}
+		row := make([]byte, 16*pageSize)
+		step := func(tw twin, i int) {
+			for j := range row {
+				row[j] = byte(i*31 + j*7 + j>>9)
+			}
+			clear(row[:pageSize]) // a zero page, so the segment comes out short of its bound
+			if err := tw.sp.Write(tw.r.Start()+uint64(i%4)*uint64(len(row)), row); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tw.c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		lent, kept := &lastPutStore{}, storage.NewMemStore()
+		a, b := build(lent), build(kept)
+		for i := 0; i < 9; i++ {
+			step(a, i)
+			step(b, i)
+			want, err := kept.Get(SegmentKey(0, uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lent.last, want) {
+				t.Fatalf("compress=%v line %d: the borrowing store was lent other bytes than the MemStore keeps", compress, i)
+			}
+		}
+
+		if compress {
+			continue
+		}
+		i := 9
+		allocs := testing.AllocsPerRun(20, func() {
+			step(a, i)
+			i++
+		})
+		if allocs != 1 {
+			t.Errorf("a warm capture into a borrowing store allocates %v, want 1 (its key; the segment reuses the lent buffer)", allocs)
+		}
+	}
+}

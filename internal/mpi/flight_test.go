@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -267,9 +268,9 @@ func (pr *putRing) round() {
 }
 
 // TestPutAllocatesOnlyItsPayload: once the free lists are warm, a put
-// travels the pooled message record like a two-sided message, so its one
-// allocation is the payload copy it takes at injection — whether it lands
-// by DMA or through the bounce arena.
+// travels the pooled message record like a two-sided message, and its
+// payload copy lands in the buffer that record already holds, so it
+// allocates nothing — whether it lands by DMA or through the bounce arena.
 func TestPutAllocatesOnlyItsPayload(t *testing.T) {
 	const ranks = 4
 	for _, mode := range []DeliveryMode{Bounce, Direct} {
@@ -278,8 +279,8 @@ func TestPutAllocatesOnlyItsPayload(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			pr.round()
 		}
-		if allocs := testing.AllocsPerRun(200, pr.round) / ranks; allocs != 1 {
-			t.Errorf("mode %d: a warm put allocates %v, want 1 (its payload copy)", mode, allocs)
+		if allocs := testing.AllocsPerRun(200, pr.round) / ranks; allocs != 0 {
+			t.Errorf("mode %d: a warm put allocates %v, want 0 (its payload copy reuses its record's buffer)", mode, allocs)
 		}
 		for i := 0; i < ranks; i++ {
 			st := w.Rank(i).Stats()
@@ -306,4 +307,103 @@ func BenchmarkPutRing(b *testing.B) {
 	puts := float64(b.N) * ranks
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/puts, "ns/put")
 	b.ReportMetric(float64(testing.AllocsPerRun(20, pr.round))/ranks, "allocs/put")
+}
+
+// TestSendDataPayloadsIndependent: a payload is copied into its message's
+// record at injection, so two sends from one rank in flight at once —
+// the sender overwriting its buffer straight after each call — deliver
+// their own bytes to their own receivers: in the continuation's
+// m.Payload and in the destination buffer, with the receive posted first
+// or the message waiting unexpected, through the bounce arena or by DMA.
+// Later rounds run on warm records, whose buffers an earlier message
+// left behind.
+func TestSendDataPayloadsIndependent(t *testing.T) {
+	const n = 3000
+	for _, mode := range []DeliveryMode{Bounce, Direct} {
+		eng, w := testWorld(t, 3, mode)
+		dsts := make([]uint64, 3)
+		for i := 1; i < 3; i++ {
+			reg := w.Rank(i).Space().MapData(1 << 14)
+			if mode == Direct {
+				w.Rank(i).RegisterMemory(reg)
+			}
+			dsts[i] = reg.Start()
+		}
+		send := make([]byte, n)
+		for round := 0; round < 4; round++ {
+			want := [3][]byte{}
+			for dst := 1; dst < 3; dst++ {
+				want[dst] = bytes.Repeat([]byte{byte(16*round + dst)}, n)
+			}
+			done := 0
+			recv := func(dst int) {
+				w.Rank(dst).Recv(0, round, dsts[dst], func(m Message) {
+					if !bytes.Equal(m.Payload, want[dst]) {
+						t.Errorf("mode %d round %d: rank %d's continuation reads another payload", mode, round, dst)
+					}
+					got := make([]byte, n)
+					if err := w.Rank(dst).Space().Read(dsts[dst], got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want[dst]) {
+						t.Errorf("mode %d round %d: rank %d's buffer holds another payload", mode, round, dst)
+					}
+					done++
+				})
+			}
+			posted := round%2 == 0
+			if posted {
+				recv(1)
+				recv(2)
+			}
+			for dst := 1; dst < 3; dst++ {
+				copy(send, want[dst])
+				w.Rank(0).SendData(dst, round, send, nil)
+				clear(send)
+			}
+			if !posted {
+				eng.Run(des.MaxTime) // both wait in their receivers' unexpected queues
+				recv(1)
+				recv(2)
+			}
+			eng.Run(des.MaxTime)
+			if done != 2 {
+				t.Fatalf("mode %d round %d: %d of 2 receives completed", mode, round, done)
+			}
+		}
+	}
+}
+
+// TestContinuationSendKeepsPayload: a receive's payload is lent until
+// its continuation returns, so a continuation that makes the original
+// sender send again — same length, into whatever record the sender has
+// free — still reads its own message intact afterwards.
+func TestContinuationSendKeepsPayload(t *testing.T) {
+	for _, mode := range []DeliveryMode{Bounce, Direct} {
+		eng, w := testWorld(t, 2, mode)
+		r0, r1 := w.Rank(0), w.Rank(1)
+		dst := r1.Space().MapData(1 << 14).Start()
+		first := bytes.Repeat([]byte{0xA1}, 512)
+		second := bytes.Repeat([]byte{0xB2}, 512)
+		var replies int
+		for round := 0; round < 3; round++ {
+			r1.Recv(0, 0, dst, func(m Message) {
+				r0.SendData(1, 1, second, nil)
+				if !bytes.Equal(m.Payload, first) {
+					t.Errorf("mode %d round %d: the payload changed under its continuation", mode, round)
+				}
+			})
+			r1.Recv(0, 1, 0, func(m Message) {
+				if !bytes.Equal(m.Payload, second) {
+					t.Errorf("mode %d round %d: the continuation's send delivered another payload", mode, round)
+				}
+				replies++
+			})
+			r0.SendData(1, 0, first, nil)
+			eng.Run(des.MaxTime)
+		}
+		if replies != 3 {
+			t.Fatalf("mode %d: %d of 3 continuation sends delivered", mode, replies)
+		}
+	}
 }

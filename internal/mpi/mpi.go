@@ -99,8 +99,12 @@ type Message struct {
 	Src, Dst int
 	Tag      int
 	Bytes    uint64
-	// Payload carries the message bytes when the sender used SendData;
-	// nil for size-only sends, whose delivery writes a synthetic fill.
+	// Payload carries the message bytes when the sender used SendData
+	// or Put; nil for size-only sends, whose delivery writes a synthetic
+	// fill. It is lent to the receive's continuation: the bytes are the
+	// message's pooled record, read-only and intact until the
+	// continuation returns, and reused after. A continuation that keeps
+	// them copies them first.
 	Payload []byte
 	// SentAt is the virtual time the sender injected the message.
 	SentAt des.Time
@@ -130,11 +134,13 @@ type pendingRecv struct {
 // record from the sender's list and finish returns it there, so a rank
 // that only receives pools nothing and a sender keeps reusing its own
 // records whatever its peers do. In between the record belongs to
-// whichever event holds it.
+// whichever event holds it. A record keeps its payload buffer across
+// uses, so a warm sender copies each payload into bytes it already has.
 type flight struct {
 	msg  Message
 	recv pendingRecv // the matched receive, valid from complete to finish
 	put  bool        // a one-sided write: recv is preset, deliver skips matching
+	buf  []byte      // the payload copy msg.Payload lends; reused by the next message
 
 	land   func() // arrival at the destination NIC: Rank.deliver
 	copied func() // end of the bounce-buffer copy: store, then finish
@@ -164,9 +170,17 @@ func (r *Rank) takeFlight() *flight {
 }
 
 // post injects msg, which src is sending, to arrive at its destination's
-// NIC at virtual time at, and returns its record.
+// NIC at virtual time at, and returns its record. A payload is copied
+// into the record, like a NIC reading the send buffer, so the sender may
+// reuse msg.Payload as soon as post returns.
 func (w *World) post(src *Rank, msg Message, at des.Time) *flight {
 	f := src.takeFlight()
+	if len(msg.Payload) > 0 {
+		f.buf = append(f.buf[:0], msg.Payload...)
+		msg.Payload = f.buf[:len(f.buf):len(f.buf)]
+	} else {
+		msg.Payload = nil
+	}
 	f.msg = msg
 	w.trackDelivery(msg.Dst)
 	w.eng.Schedule(at, f.land)
@@ -347,11 +361,11 @@ func (r *Rank) Send(dst, tag int, bytes uint64, onComplete func()) {
 }
 
 // SendData injects a message carrying real bytes; the receiver's buffer
-// ends up holding exactly data. The slice is copied at injection, like a
-// NIC reading the send buffer, so the caller may reuse it immediately.
+// ends up holding exactly data. The slice is copied at injection (into
+// the message's record, see post), so the caller may reuse it
+// immediately.
 func (r *Rank) SendData(dst, tag int, data []byte, onComplete func()) {
-	payload := append([]byte(nil), data...)
-	r.send(dst, tag, uint64(len(payload)), payload, onComplete)
+	r.send(dst, tag, uint64(len(data)), data, onComplete)
 }
 
 func (r *Rank) send(dst, tag int, bytes uint64, payload []byte, onComplete func()) {
@@ -424,21 +438,23 @@ func (r *Rank) deliver(f *flight) {
 	r.arrived.push(f)
 }
 
-// finish ends a receive or a put once its payload has landed: the record
-// back to its sender's free list, counters (a put is no receive), the
-// delivery hook, then the receive's continuation.
+// finish ends a receive or a put once its payload has landed: counters
+// (a put is no receive), the delivery hook, the receive's continuation,
+// then the record back to its sender's free list. The record goes back
+// last because the continuation reads the payload the record holds: a
+// continuation that makes the same sender send again takes another one.
 func (r *Rank) finish(f *flight) {
-	m, fn, put := f.msg, f.recv.fn, f.put
-	f.msg.Payload, f.recv, f.put = nil, pendingRecv{}, false
-	if src := r.world.ranks[m.Src]; len(src.freeFlights) < maxFreeFlights {
-		src.freeFlights = append(src.freeFlights, f)
-	}
-	if !put {
+	m, fn := f.msg, f.recv.fn
+	if !f.put {
 		r.stats.Recvs++
 	}
 	r.landed(m.Bytes, 1)
 	if fn != nil {
 		fn(m)
+	}
+	f.recv, f.put = pendingRecv{}, false
+	if src := r.world.ranks[m.Src]; len(src.freeFlights) < maxFreeFlights {
+		src.freeFlights = append(src.freeFlights, f)
 	}
 }
 

@@ -235,7 +235,7 @@ func (r *Rank) Put(dst int, destAddr uint64, data []byte, onComplete func()) {
 	n := uint64(len(data))
 	r.stats.Puts++
 	r.stats.BytesSent += n
-	msg := Message{Src: r.id, Dst: dst, Bytes: n, Payload: append([]byte(nil), data...), SentAt: r.world.eng.Now()}
+	msg := Message{Src: r.id, Dst: dst, Bytes: n, Payload: data, SentAt: r.world.eng.Now()}
 	f := r.inject(msg, onComplete)
 	f.put, f.recv.addr = true, destAddr
 }
