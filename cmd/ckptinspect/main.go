@@ -137,7 +137,7 @@ func run(args []string, w io.Writer) error {
 	if ok {
 		fmt.Fprintf(w, "latest consistent recovery line: seq %d\n", seq)
 	} else {
-		fmt.Fprintln(w, "NO consistent recovery line (some rank has no segments)")
+		fmt.Fprintln(w, "NO consistent recovery line (no sequence every rank holds)")
 	}
 	if !*verify {
 		return nil

@@ -135,9 +135,9 @@ type Config struct {
 	// mode picks naive checkpointing (measure the silent under-count) or
 	// the drain protocol (close it).
 	RDMA RDMAMode
-	// Spec, when non-nil, applies a protection-region spec to every
-	// rank's checkpointer: regions the ckptset analyzer classified as
-	// recomputable are excluded from protection and capture (the
+	// Spec, when non-nil, is applied to every rank's space before its
+	// checkpointer starts: regions the ckptset analyzer classified as
+	// recomputable are marked, so no log protects or captures them (the
 	// restore recreates them zero-filled), and their recompute hooks
 	// run on every re-attach before the team resumes. The workload
 	// must implement SpecBound to participate; others run unchanged.
@@ -552,14 +552,14 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		if err != nil {
 			return nil, err
 		}
-		c.Exclude(world.BounceRegion(i))
 		if cfg.Spec != nil {
 			if sb, ok := d.(SpecBound); ok {
-				excluded := c.ApplySpec(cfg.Spec, sb.ProtectionBindings(i))
+				marked := cfg.Spec.Apply(sb.ProtectionBindings(i))
 				if !fresh {
-					// The restore recreated excluded arenas zero-filled;
-					// rebuild derivable contents before iterating resumes.
-					for _, b := range excluded {
+					// The restore recreated recomputable arenas
+					// zero-filled; rebuild derivable contents before
+					// iterating resumes.
+					for _, b := range marked {
 						if b.Recompute == nil {
 							continue
 						}
@@ -771,14 +771,12 @@ func (s *Supervisor) finish(t *team) {
 	s.report.Iterations = t.d.Iter()
 	s.report.Checksum = sum
 	// Per-rank digests of the final process images, restricted to the
-	// checkpoint contract: bounce buffers carry transient wire payloads
+	// checkpoint contract: bounce arenas carry transient wire payloads
 	// and stacks are excluded from checkpoints, so neither may vote on
 	// replay equivalence.
-	for i, c := range t.cps {
-		bounce := t.world.BounceRegion(i)
-		s.report.SpaceDigests = append(s.report.SpaceDigests, c.Space().Digest(func(r *mem.Region) bool {
-			return r == bounce || !r.Kind().Checkpointable()
-		}))
+	outside := func(r *mem.Region) bool { return !r.Kind().Checkpointable() }
+	for _, c := range t.cps {
+		s.report.SpaceDigests = append(s.report.SpaceDigests, c.Space().Digest(outside))
 	}
 	s.eng.Stop()
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bitset"
-	"repro/internal/ckptspec"
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/storage"
@@ -107,13 +106,10 @@ type Checkpointer struct {
 	space *mem.AddressSpace
 	opts  Options
 
-	// log protects and captures every region it watches; Exclude and
-	// ExcludeData both take a region out of it.
+	// log protects and captures every region it watches: checkpointable
+	// data not marked recomputable. A marked region stays in the region
+	// table, so a restore recreates it zero-filled.
 	log *mem.DirtyLog
-	// omitted regions (Exclude) are also left out of every segment's
-	// region table, so a restore does not recreate them; a region whose
-	// data alone is excluded stays in the table and comes back zero-filled.
-	omitted map[*mem.Region]bool
 
 	seq           uint64
 	epoch         uint64
@@ -155,12 +151,11 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 		return nil, fmt.Errorf("ckpt: compression and dedup need page contents (backed address space)")
 	}
 	c := &Checkpointer{
-		eng:     eng,
-		space:   space,
-		opts:    opts,
-		seq:     opts.StartSeq,
-		log:     mem.NewDirtyLog(space),
-		omitted: make(map[*mem.Region]bool),
+		eng:   eng,
+		space: space,
+		opts:  opts,
+		seq:   opts.StartSeq,
+		log:   mem.NewDirtyLog(space),
 	}
 	c.log.OnMap = c.onMap
 	if opts.TrackCow {
@@ -173,40 +168,11 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 	return c, nil
 }
 
-// Exclude marks a region as never checkpointed (bounce buffers and other
-// transport scratch space). Call before Start. Excluding a region twice
-// is a no-op, and excluded regions vanish from segment region tables —
-// a restore does not recreate them.
-func (c *Checkpointer) Exclude(r *mem.Region) {
-	if r != nil {
-		c.omitted[r] = true
-		c.log.Exclude(r)
-	}
-}
-
-// ExcludeData marks a region's *contents* as recomputable: the region
-// stays in every segment's region table, so a restore recreates it at
-// its original address (zero-filled), but its pages are never
-// protected, captured, or counted toward a line. This is the runtime
-// half of a ckptspec Recomputable classification — callers re-derive
-// the contents after a restore (recompute hook) or rely on the kernel
-// fully rewriting them before any read. Call before Start; idempotent.
-func (c *Checkpointer) ExcludeData(r *mem.Region) { c.log.Exclude(r) }
-
-// ApplySpec excludes the data of every binding the spec classifies as
-// recomputable and returns those bindings, so the caller can run their
-// recompute hooks after a restore. Bindings absent from the spec stay
-// protected.
-func (c *Checkpointer) ApplySpec(spec *ckptspec.Spec, bindings []ckptspec.Binding) []ckptspec.Binding {
-	if spec == nil {
-		return nil
-	}
-	ex := spec.Recomputable(bindings)
-	for _, b := range ex {
-		c.ExcludeData(b.Region)
-	}
-	return ex
-}
+// Exclude is accepted and ignored: a bounce arena (mem.Bounce) is
+// never checkpointed by its kind, and recomputable data is marked on its
+// region (ckptspec.Spec.Apply). Kept only for the frozen benchmark/
+// harness; ROADMAP item 5 deletes it.
+func (c *Checkpointer) Exclude(*mem.Region) {}
 
 // Start opens the checkpointer's dirty log: it protects all data memory,
 // and the log stacks over any other log open on the space.
@@ -293,17 +259,16 @@ func (c *Checkpointer) fillDrain(live []*mem.Region) {
 func (c *Checkpointer) onMap(r *mem.Region, mapped bool, pages uint64) {
 	if !mapped {
 		c.excludedAccum += pages
-		delete(c.omitted, r)
 		delete(c.drainSet, r)
 		c.drainR, c.drainDS = nil, nil
 	}
 }
 
 // regionTable appends the segment's region table to dst: the
-// checkpointable regions among live that were not omitted.
+// checkpointable regions among live, recomputable ones included.
 func (c *Checkpointer) regionTable(dst []RegionInfo, live []*mem.Region) []RegionInfo {
 	for _, r := range live {
-		if r.Kind().Checkpointable() && !c.omitted[r] {
+		if r.Kind().Checkpointable() {
 			dst = append(dst, RegionInfo{Start: r.Start(), Size: r.Size(), Kind: r.Kind()})
 		}
 	}

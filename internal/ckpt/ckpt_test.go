@@ -306,8 +306,7 @@ func TestMemoryExclusionInCheckpoint(t *testing.T) {
 
 func TestExcludedRegionNotCaptured(t *testing.T) {
 	_, sp, c, _ := newCkpt(t)
-	bounce, _ := sp.Mmap(4 * pageSize)
-	c.Exclude(bounce)
+	bounce, _ := sp.MapBounce(4 * pageSize)
 	c.Start()
 	res, _ := c.Checkpoint()
 	if res.Pages != 0 {

@@ -13,8 +13,8 @@ import (
 )
 
 // modelRegion is a region as the per-page models below see it: whether
-// the checkpointer captures it, whether its table entry is omitted, and
-// the pages written since the last capture.
+// the checkpointer captures it, whether its table entry is omitted (a
+// bounce arena), and the pages written since the last capture.
 type modelRegion struct {
 	r        *mem.Region
 	captured bool
@@ -50,6 +50,17 @@ func (m *modelSpace) mmap(pages uint64) *modelRegion {
 		m.t.Fatal(err)
 	}
 	mr := &modelRegion{r: r, captured: true, dirty: map[uint64]bool{}}
+	m.regs = append(m.regs, mr)
+	return mr
+}
+
+// bounce maps a bounce arena: never captured, never in a region table.
+func (m *modelSpace) bounce(pages uint64) *modelRegion {
+	r, err := m.sp.MapBounce(pages * pageSize)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	mr := &modelRegion{r: r, omitted: true, dirty: map[uint64]bool{}}
 	m.regs = append(m.regs, mr)
 	return mr
 }
@@ -112,8 +123,9 @@ func (m *modelSpace) byAddress() []*modelRegion {
 // extent (full) or its dirty set's words (incremental). Its bytes must
 // be what Segment.AppendEncode makes of the page list a per-page model
 // of the same script materialises: full and incremental captures, page
-// counts off word boundaries, several regions, Exclude and ExcludeData
-// regions, and arenas unmapped and mapped mid-interval.
+// counts off word boundaries, several regions, a bounce arena and a
+// region marked recomputable, and arenas unmapped and mapped
+// mid-interval.
 func TestContentFreeCaptureMatchesModel(t *testing.T) {
 	var fulls, incrementals, dropped int
 	for trial := uint64(0); trial < 12; trial++ {
@@ -129,10 +141,9 @@ func TestContentFreeCaptureMatchesModel(t *testing.T) {
 		for _, pages := range oddPages[:4+trial%5] {
 			m.mmap(pages)
 		}
-		omitted, dataless := m.mmap(70), m.mmap(129)
-		c.Exclude(omitted.r)
-		omitted.captured, omitted.omitted = false, true
-		c.ExcludeData(dataless.r)
+		m.bounce(70)
+		dataless := m.mmap(129)
+		dataless.r.MarkRecomputable()
 		dataless.captured = false
 		c.Start()
 
@@ -225,7 +236,7 @@ func TestCowCopyBytesMatchesPageModel(t *testing.T) {
 		for _, pages := range oddPages[trial%4 : 5+trial%5] {
 			m.mmap(pages)
 		}
-		c.ExcludeData(m.mmap(65).r)
+		m.mmap(65).r.MarkRecomputable()
 		m.regs[len(m.regs)-1].captured = false
 		c.Start()
 		var tracker *mem.DirtyLog

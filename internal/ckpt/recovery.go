@@ -18,46 +18,13 @@ import (
 // recovery line is simply the largest sequence present in the store for
 // *all* ranks.
 
-// LatestConsistentSeq scans the store and returns the largest segment
-// sequence number persisted by every one of the given ranks — the most
-// recent consistent recovery line. ok is false when some rank has no
-// segment at all.
+// LatestConsistentSeq returns the newest segment sequence number every
+// one of the given ranks holds a segment key for — the most recent
+// consistent recovery line, by the candidate rule RestoreLatest uses
+// without two-phase commit. It trusts the key space and reads no
+// segment. ok is false when no line is held by every rank.
 func LatestConsistentSeq(store storage.Store, ranks int) (seq uint64, ok bool, err error) {
-	keys, err := store.Keys()
-	if err != nil {
-		return 0, false, err
-	}
-	// maxSeq[r] is the largest contiguous-or-not sequence seen per rank;
-	// consistency needs the *minimum across ranks* of those maxima, and
-	// the chosen seq must exist for every rank — with coordinated
-	// checkpointing sequences are dense, so min-of-max suffices.
-	maxSeq := make(map[int]uint64, ranks)
-	seen := make(map[int]bool, ranks)
-	for _, k := range keys {
-		var rank int
-		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) {
-			continue
-		}
-		if rank < 0 || rank >= ranks {
-			continue
-		}
-		if !seen[rank] || s > maxSeq[rank] {
-			maxSeq[rank] = s
-		}
-		seen[rank] = true
-	}
-	if len(seen) < ranks {
-		return 0, false, nil
-	}
-	first := true
-	for r := 0; r < ranks; r++ {
-		if first || maxSeq[r] < seq {
-			seq = maxSeq[r]
-			first = false
-		}
-	}
-	return seq, true, nil
+	return newestLine(store, ranks, false, func(uint64) error { return nil })
 }
 
 // SegmentKey returns the store key of one rank's segment — the layout
@@ -257,7 +224,7 @@ func newestLine(store storage.Store, ranks int, committed bool, try func(seq uin
 		for _, k := range keys {
 			var rank int
 			var s uint64
-			if ParseSegmentKey(k, &rank, &s) && rank < ranks {
+			if ParseSegmentKey(k, &rank, &s) && rank >= 0 && rank < ranks {
 				if held[s]++; held[s] == ranks {
 					candidates = append(candidates, s)
 				}

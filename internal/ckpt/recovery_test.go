@@ -57,6 +57,23 @@ func TestLatestConsistentSeq(t *testing.T) {
 	if seq, ok, _ := LatestConsistentSeq(store, 2); !ok || seq != 1 {
 		t.Fatal("foreign keys disturbed the scan")
 	}
+	// No ranks hold no line.
+	if seq, ok, err := LatestConsistentSeq(store, 0); err != nil || ok {
+		t.Fatalf("0 ranks: seq=%d ok=%v err=%v, want no line", seq, ok, err)
+	}
+	// Sequences need not be dense: the line is the newest one every rank
+	// holds, not the smallest of the ranks' newest.
+	sparse := storage.NewMemStore()
+	for _, k := range []struct {
+		rank int
+		seq  uint64
+	}{{0, 1}, {0, 3}, {1, 1}, {1, 2}} {
+		seg := &Segment{Rank: k.rank, Seq: k.seq, Kind: Full, PageSize: 512}
+		sparse.Put(keyFor(k.rank, k.seq), seg.Encode())
+	}
+	if seq, ok, err := LatestConsistentSeq(sparse, 2); err != nil || !ok || seq != 1 {
+		t.Fatalf("rank 0 {1,3}, rank 1 {1,2}: seq=%d ok=%v err=%v, want 1 true", seq, ok, err)
+	}
 }
 
 func keyFor(rank int, seq uint64) string {

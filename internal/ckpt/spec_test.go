@@ -10,7 +10,7 @@ import (
 )
 
 // TestExcludeDataDroppedButRestored is the spec-exclusion contract:
-// an ExcludeData'd region is never protected or captured, yet it stays
+// a region marked recomputable is never protected or captured, yet it stays
 // in every segment's region table so a restore recreates it at its
 // original address — zero-filled, ready for a recompute hook.
 func TestExcludeDataDroppedButRestored(t *testing.T) {
@@ -29,8 +29,8 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ExcludeData(scratch)
-	c.ExcludeData(scratch) // idempotent
+	scratch.MarkRecomputable()
+	scratch.MarkRecomputable() // idempotent
 	c.Start()
 	defer c.Stop()
 
@@ -107,8 +107,9 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	}
 }
 
-// TestCheckpointerApplySpec covers the spec → exclusion plumbing and
-// that bindings absent from the spec stay protected.
+// TestCheckpointerApplySpec covers the spec → checkpointer plumbing
+// (Spec.Apply marks, the checkpointer's log skips) and that bindings
+// absent from the spec stay protected.
 func TestCheckpointerApplySpec(t *testing.T) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 512})
@@ -128,16 +129,17 @@ func TestCheckpointerApplySpec(t *testing.T) {
 		{Name: "K.scratch", Region: scratch},
 		{Name: "K.other", Region: unlisted},
 	}
-	ex := c.ApplySpec(spec, bindings)
+	ex := spec.Apply(bindings)
 	if len(ex) != 1 || ex[0].Region != scratch {
-		t.Fatalf("ApplySpec excluded %+v, want just K.scratch", ex)
+		t.Fatalf("Apply marked %+v, want just K.scratch", ex)
 	}
-	// Re-applying is idempotent and a nil spec excludes nothing.
-	if ex2 := c.ApplySpec(spec, bindings); len(ex2) != 1 || ex2[0].Region != scratch {
-		t.Fatalf("second ApplySpec = %+v", ex2)
+	// Re-applying is idempotent and a nil spec marks nothing.
+	if ex2 := spec.Apply(bindings); len(ex2) != 1 || ex2[0].Region != scratch {
+		t.Fatalf("second Apply = %+v", ex2)
 	}
-	if c.ApplySpec(nil, bindings) != nil {
-		t.Fatalf("nil spec excluded bindings")
+	var none *ckptspec.Spec
+	if none.Apply(bindings) != nil {
+		t.Fatalf("nil spec marked bindings")
 	}
 	c.Start()
 	defer c.Stop()

@@ -105,13 +105,21 @@ func TestRecomputableSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sample()
-	got := s.Recomputable([]Binding{
+	got := s.Apply([]Binding{
 		{Name: "SSOR.u", Region: r1},
 		{Name: "SSOR.work", Region: r2},
 		{Name: "SSOR.work", Region: nil}, // unbound slot: skipped
 		{Name: "unlisted.x", Region: r1}, // absent from spec: protected
 	})
 	if len(got) != 1 || got[0].Region != r2 {
-		t.Fatalf("Recomputable = %+v, want just SSOR.work", got)
+		t.Fatalf("Apply = %+v, want just SSOR.work", got)
+	}
+	// Only the recomputable region is marked: a log watches r1, not r2.
+	if l := mem.NewDirtyLog(sp); !l.Watches(r1) || l.Watches(r2) {
+		t.Fatalf("after Apply a log watches r1 %v, r2 %v; want true, false", l.Watches(r1), l.Watches(r2))
+	}
+	var none *Spec
+	if got := none.Apply([]Binding{{Name: "SSOR.work", Region: r1}}); got != nil {
+		t.Fatalf("nil spec applied %+v", got)
 	}
 }

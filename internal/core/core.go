@@ -195,7 +195,6 @@ func Protect(cfg ProtectConfig) (*ProtectResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Exclude(r.World.BounceRegion(i))
 		c.Start()
 		cps = append(cps, c)
 	}

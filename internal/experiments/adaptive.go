@@ -55,7 +55,6 @@ func AdaptiveAlignment(opts RunOpts, interval des.Time) ([]AdaptiveRow, error) {
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
-		c.Exclude(r.World.BounceRegion(0))
 		c.Start()
 		if _, err := c.Checkpoint(); err != nil { // baseline full, uncounted
 			return AdaptiveRow{}, err

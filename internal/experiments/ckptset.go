@@ -131,9 +131,7 @@ func measureIWS(w ckptSetWorkload, spec *ckptspec.Spec) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if spec != nil {
-		tr.ApplySpec(spec, k.ProtectionBindings())
-	}
+	spec.Apply(k.ProtectionBindings())
 	tr.Start()
 	var stepErr error
 	for i := 0; i < w.iterations; i++ {
@@ -175,9 +173,7 @@ func measureVolume(w ckptSetWorkload, spec *ckptspec.Spec) (fullKB, incrKB float
 	}
 	bindings := k.ProtectionBindings()
 	regions = len(bindings)
-	if spec != nil {
-		excluded = len(cp.ApplySpec(spec, bindings))
-	}
+	excluded = len(spec.Apply(bindings))
 	cp.Start()
 	var runErr error
 	var fullPages, incrPages uint64

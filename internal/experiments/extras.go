@@ -86,7 +86,6 @@ func ckptRun(spec workload.Spec, opts RunOpts, phase float64, n int) (cowBytes, 
 	if err != nil {
 		return 0, 0, err
 	}
-	c.Exclude(r.World.BounceRegion(0))
 	c.Start()
 	if _, err := c.Checkpoint(); err != nil { // baseline full, not compared
 		return 0, 0, err
@@ -172,7 +171,6 @@ func AblationIncremental(opts RunOpts, interval des.Time) (*IncrementalResult, e
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		c.Exclude(r.World.BounceRegion(0))
 		c.Start()
 		co, err := ckpt.NewCoordinator(r.Eng, []*ckpt.Checkpointer{c})
 		if err != nil {

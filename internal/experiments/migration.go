@@ -51,7 +51,6 @@ func MigrationPhases(opts RunOpts) ([]MigrationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Exclude(r.World.BounceRegion(0))
 		period := spec.PeriodAt(opts.Ranks)
 		trigger := r.Eng.Now() + period + des.Time(float64(period)*ph.frac)
 		var res migrate.Result

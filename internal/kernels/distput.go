@@ -78,8 +78,8 @@ func NewDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed flo
 
 // AttachDistPut rebuilds the ring over restored address spaces, resuming
 // at the given completed-iteration count. Arenas are recovered by size
-// (one 2*pages-page Mmap region per rank, distinct from the 1 MB bounce
-// arenas).
+// (one 2*pages-page Mmap region per rank; the bounce arenas are of
+// kind mem.Bounce).
 func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeTime des.Time, iter int) (*DistPut, error) {
 	d, err := newDistPut(eng, world, pages, putEvery, computeTime, iter)
 	if err != nil {
@@ -90,7 +90,7 @@ func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, compu
 		want := uint64(2*pages) * sp.PageSize()
 		var arena *mem.Region
 		for _, r := range sp.Regions() {
-			if r.Kind() == mem.Mmap && r.Size() == want && r != world.BounceRegion(i) {
+			if r.Kind() == mem.Mmap && r.Size() == want {
 				arena = r
 				break
 			}

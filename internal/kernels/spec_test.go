@@ -88,7 +88,7 @@ func TestBindingsCoverSpec(t *testing.T) {
 				t.Errorf("%s: binding %s has nil region", b.name, bd.Name)
 			}
 		}
-		ex := spec.Recomputable(bindings)
+		ex := spec.Apply(bindings)
 		var exNames []string
 		for _, e := range ex {
 			exNames = append(exNames, e.Name)

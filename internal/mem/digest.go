@@ -48,8 +48,8 @@ const (
 // Digest returns a 64-bit FNV-1a digest of the space's live region
 // layout and page contents. Regions are visited in address order (the
 // space's canonical order), so the digest is deterministic. skip, when
-// non-nil, excludes regions — callers exclude communication bounce
-// buffers and other state outside the checkpoint contract. A
+// non-nil, excludes regions — callers exclude bounce arenas, stacks and
+// other state outside the checkpoint contract. A
 // never-written (nil) page and a materialised all-zero page digest
 // identically. In phantom mode only the layout is digested, since pages
 // carry no contents by construction.

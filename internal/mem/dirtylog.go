@@ -18,10 +18,9 @@ import (
 // event goes to them, and nothing else. Logs stack: an event reaches the
 // most recently opened log first. Every log keeps its own sets — stacked
 // observers reset on different clocks over the same protection bits —
-// and records only regions it watches: a fault another log's protection
-// raised on a region this one excludes is that log's to record and
-// unprotect. A fault on a region no open log records is unhandled: the
-// write fails with ErrSegv.
+// over the same regions: what a log watches is a property of the region
+// (its kind, MarkRecomputable), not of the log. A fault on a region no
+// open log records is unhandled: the write fails with ErrSegv.
 //
 // Faults are delivered a bitmap word at a time: a WriteRange hands the
 // logs a word's protected pages at once, log by log from the top of the
@@ -31,10 +30,9 @@ import (
 // An OnFault observer must not change protection: it runs in the middle
 // of a delivery that has already decided which pages fault.
 type DirtyLog struct {
-	space    *AddressSpace
-	sets     map[*Region]*bitset.Set // created on a region's first fault
-	excluded map[*Region]bool
-	faults   uint64
+	space  *AddressSpace
+	sets   map[*Region]*bitset.Set // created on a region's first fault
+	faults uint64
 
 	// Consecutive faults overwhelmingly repeat the region (a sweep walks
 	// one arena), so the map lookup and the watch test are skipped while
@@ -56,22 +54,14 @@ type DirtyLog struct {
 
 // NewDirtyLog creates a closed, empty log over s.
 func NewDirtyLog(s *AddressSpace) *DirtyLog {
-	return &DirtyLog{space: s, sets: make(map[*Region]*bitset.Set), excluded: make(map[*Region]bool)}
+	return &DirtyLog{space: s, sets: make(map[*Region]*bitset.Set)}
 }
 
-// Exclude marks r as never protected and never logged by this log (the
-// MPI bounce buffer, recomputable arenas). A nil region is ignored.
-func (l *DirtyLog) Exclude(r *Region) {
-	if r != nil {
-		l.excluded[r] = true
-		l.lastR, l.lastSet = nil, nil
-	}
-}
-
-// Watches reports whether the log protects and logs r: data memory
-// (everything but the stack, §4.2) that was not excluded.
+// Watches reports whether the log protects and logs r: checkpointable
+// data memory (neither the stack nor a bounce arena, §4.2) that was not
+// marked recomputable. Every log on a space watches the same regions.
 func (l *DirtyLog) Watches(r *Region) bool {
-	return r.kind.Checkpointable() && !l.excluded[r]
+	return r.kind.Checkpointable() && !r.recomputable
 }
 
 // Open starts logging: it write-protects every watched region and
@@ -204,8 +194,5 @@ func (l *DirtyLog) mapEvent(r *Region, mapped bool) {
 	}
 	if l.OnMap != nil {
 		l.OnMap(r, mapped, pages)
-	}
-	if !mapped {
-		delete(l.excluded, r)
 	}
 }

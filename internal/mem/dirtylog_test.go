@@ -12,8 +12,8 @@ import (
 
 // The model the log is tested against, written the slow obvious way: one
 // map entry per page, no bitmaps, no caches. For each log it is "the
-// pages written since my last Reset that I watch and that are still
-// mapped"; the protection bits are modelled too, because they are
+// pages written since my last Reset that are watched and still mapped"
+// — every log watches the regions the space does not mark recomputable; the protection bits are modelled too, because they are
 // shared — a page faults when *any* log protected it since its last
 // fault and a Close unprotects everything under every other log — and
 // the fault counts depend on exactly that.
@@ -27,11 +27,10 @@ type page struct {
 }
 
 type refLog struct {
-	log      *DirtyLog
-	open     bool
-	excluded map[*Region]bool
-	pages    map[page]bool // may hold pages of dead regions
-	faults   uint64
+	log    *DirtyLog
+	open   bool
+	pages  map[page]bool // may hold pages of dead regions
+	faults uint64
 
 	// What the log's observers reported against what the model expects.
 	seenFaults                  uint64
@@ -42,20 +41,21 @@ type refLog struct {
 }
 
 type refSpace struct {
-	t      *testing.T
-	s      *AddressSpace
-	prot   map[page]bool
-	silent map[page]bool
-	logs   []*refLog
-	faults uint64
+	t            *testing.T
+	s            *AddressSpace
+	prot         map[page]bool
+	silent       map[page]bool
+	recomputable map[*Region]bool
+	logs         []*refLog
+	faults       uint64
 	// Bytes written, CPU or NIC — the space's WrittenBytes.
 	written uint64
 }
 
 func newRefSpace(t *testing.T, nLogs int) *refSpace {
-	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}}
+	m := &refSpace{t: t, s: NewAddressSpace(Config{PageSize: 256}), prot: map[page]bool{}, silent: map[page]bool{}, recomputable: map[*Region]bool{}}
 	for i := 0; i < nLogs; i++ {
-		l := &refLog{log: NewDirtyLog(m.s), excluded: map[*Region]bool{}, pages: map[page]bool{}}
+		l := &refLog{log: NewDirtyLog(m.s), pages: map[page]bool{}}
 		l.log.OnFault = func(r *Region, w, m uint64) {
 			if m == 0 {
 				t.Errorf("OnFault(%v word %d) with an empty mask", r.kind, w)
@@ -81,17 +81,17 @@ func newRefSpace(t *testing.T, nLogs int) *refSpace {
 	return m
 }
 
-func (l *refLog) watches(r *Region) bool { return r.kind != Stack && !l.excluded[r] }
+func (m *refSpace) watches(r *Region) bool { return r.kind != Stack && !m.recomputable[r] }
 
-func (m *refSpace) exclude(l *refLog, r *Region) {
-	l.excluded[r] = true
-	l.log.Exclude(r)
+func (m *refSpace) markRecomputable(r *Region) {
+	m.recomputable[r] = true
+	r.MarkRecomputable()
 }
 
-func (m *refSpace) protect(l *refLog) uint64 {
+func (m *refSpace) protect() uint64 {
 	var n uint64
 	for _, r := range m.s.Regions() {
-		if l.watches(r) {
+		if m.watches(r) {
 			for idx := uint64(0); idx < r.Pages(); idx++ {
 				m.prot[page{r, idx}] = true
 			}
@@ -103,14 +103,14 @@ func (m *refSpace) protect(l *refLog) uint64 {
 
 func (m *refSpace) open(l *refLog) {
 	l.open = true
-	if got, want := l.log.Open(), m.protect(l); got != want {
+	if got, want := l.log.Open(), m.protect(); got != want {
 		m.t.Fatalf("Open protected %d pages, model %d", got, want)
 	}
 }
 
 func (m *refSpace) reset(l *refLog) {
 	clear(l.pages)
-	if got, want := l.log.Reset(), m.protect(l); got != want {
+	if got, want := l.log.Reset(), m.protect(); got != want {
 		m.t.Fatalf("Reset protected %d pages, model %d", got, want)
 	}
 }
@@ -121,14 +121,14 @@ func (m *refSpace) close(l *refLog) {
 	l.log.Close()
 }
 
-// fault is one delivered write fault: every open log watching the region
-// records the page, and the page is writable again.
+// fault is one delivered write fault: every open log records the page
+// of a watched region, and the page is writable again.
 func (m *refSpace) fault(p page) {
 	m.faults++
 	delete(m.prot, p)
 	delete(m.silent, p)
 	for _, l := range m.logs {
-		if l.open && l.watches(p.r) {
+		if l.open && m.watches(p.r) {
 			l.pages[p] = true
 			l.faults++
 			l.wantSeq = append(l.wantSeq, p)
@@ -176,7 +176,7 @@ func (m *refSpace) mapped(r *Region) {
 			continue
 		}
 		l.wantMapEvents++
-		if l.watches(r) {
+		if m.watches(r) {
 			for idx := uint64(0); idx < r.Pages(); idx++ {
 				m.prot[page{r, idx}] = true
 			}
@@ -198,7 +198,6 @@ func (m *refSpace) unmapped(r *Region) {
 				delete(l.pages, p)
 			}
 		}
-		delete(l.excluded, r)
 	}
 }
 
@@ -384,20 +383,18 @@ func TestDirtyLogMatchesModel(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, uint64(nLogs)))
 			m := newRefSpace(t, nLogs)
 			s, ps := m.s, m.s.PageSize()
-			// A process image to start from, with per-log exclusions.
+			// A process image to start from, some of it marked
+			// recomputable before any log opens.
 			arena, _ := s.Mmap(5 * ps)
 			initial := []*Region{s.MapData(3 * ps), arena}
 			for i := 0; i < 3; i++ {
 				r, _ := s.Mmap((2 + rng.Uint64N(6)) * ps)
 				initial = append(initial, r)
 			}
-			for _, l := range m.logs {
-				for _, r := range initial {
-					if rng.IntN(4) == 0 {
-						m.exclude(l, r)
-					}
+			for _, r := range initial {
+				if rng.IntN(4) == 0 {
+					m.markRecomputable(r)
 				}
-				l.log.Exclude(nil)
 			}
 			where := func(i int, what string) string {
 				return fmt.Sprintf("%d logs, seed %d, step %d (%s)", nLogs, seed, i, what)
@@ -523,9 +520,8 @@ func TestDirtyLogFaultDoesNotAllocate(t *testing.T) {
 func TestDirtyLogSegvWhenNoLogRecords(t *testing.T) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(130 * s.PageSize())
+	r.MarkRecomputable()
 	a, b := NewDirtyLog(s), NewDirtyLog(s)
-	a.Exclude(r)
-	b.Exclude(r)
 	a.Open()
 	b.Open()
 	r.ProtectAll()

@@ -52,6 +52,10 @@ const (
 	// Stack is the process stack. It cannot be write-protected: the
 	// SIGSEGV catcher itself needs a writable stack (§4.2).
 	Stack
+	// Bounce is an MPI landing zone (MapBounce): the NIC deposits
+	// messages there, so the paper's library keeps it writable and out
+	// of every checkpoint (§4.2). It is never on the wire.
+	Bounce
 )
 
 // String returns the conventional name of the region kind.
@@ -67,12 +71,15 @@ func (k Kind) String() string {
 		return "mmap"
 	case Stack:
 		return "stack"
+	case Bounce:
+		return "bounce"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Checkpointable reports whether regions of this kind belong to the data
-// memory the paper checkpoints: every kind above except the stack.
+// memory the paper checkpoints: every kind above except the stack and a
+// bounce arena.
 func (k Kind) Checkpointable() bool { return k < Stack }
 
 // Errors returned by address-space operations.
@@ -116,6 +123,9 @@ type Region struct {
 	start uint64
 	size  uint64 // bytes, multiple of page size
 	kind  Kind
+	// recomputable marks data no dirty log watches (MarkRecomputable):
+	// its contents are rebuilt after a restore, not captured.
+	recomputable bool
 
 	space *AddressSpace
 	wp    []uint64 // write-protect bitmap, one bit per page (see written)
@@ -149,6 +159,13 @@ func (r *Region) End() uint64 { return r.start + r.size }
 
 // Kind returns the region's classification.
 func (r *Region) Kind() Kind { return r.kind }
+
+// MarkRecomputable takes r's contents out of the data every dirty log
+// protects and logs — the runtime half of a protection spec's
+// Recomputable class. r stays checkpointable: segment region tables keep
+// it, so a restore recreates it zero-filled. Mark before any log opens on
+// the space.
+func (r *Region) MarkRecomputable() { r.recomputable = true }
 
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() uint64 { return r.size >> r.space.pageShift }
@@ -406,7 +423,14 @@ func (s *AddressSpace) MapData(size uint64) *Region {
 // workload that repeatedly frees and reallocates same-sized arenas — as
 // Sage's Fortran90 allocator does — observes remapping at recycled
 // addresses.
-func (s *AddressSpace) Mmap(size uint64) (*Region, error) {
+func (s *AddressSpace) Mmap(size uint64) (*Region, error) { return s.mmap(size, Mmap) }
+
+// MapBounce maps an MPI bounce arena of at least size bytes where Mmap
+// would have placed an arena. No dirty log watches it and no checkpoint
+// holds it, but it counts toward the footprint.
+func (s *AddressSpace) MapBounce(size uint64) (*Region, error) { return s.mmap(size, Bounce) }
+
+func (s *AddressSpace) mmap(size uint64, kind Kind) (*Region, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("%w: mmap of zero bytes", ErrBadRange)
 	}
@@ -427,7 +451,7 @@ func (s *AddressSpace) Mmap(size uint64) (*Region, error) {
 		start = s.mmapNext
 		s.mmapNext += size
 	}
-	r := s.insert(start, size, Mmap)
+	r := s.insert(start, size, kind)
 	s.mapEvent(r, true)
 	return r, nil
 }
@@ -493,12 +517,12 @@ func (s *AddressSpace) AppendRegions(dst []*Region) []*Region {
 	return append(dst, s.regions...)
 }
 
-// Footprint returns the total mapped bytes of checkpointable (non-stack)
-// regions — the paper's "memory footprint".
+// Footprint returns the total mapped bytes of non-stack regions — the
+// paper's "memory footprint", bounce arenas included.
 func (s *AddressSpace) Footprint() uint64 {
 	var n uint64
 	for _, r := range s.regions {
-		if r.kind.Checkpointable() {
+		if r.kind != Stack {
 			n += r.size
 		}
 	}

@@ -16,14 +16,17 @@ func newBacked(t *testing.T) *AddressSpace {
 }
 
 func TestKindStrings(t *testing.T) {
-	cases := map[Kind]string{Data: "data", BSS: "bss", Heap: "heap", Mmap: "mmap", Stack: "stack"}
+	cases := map[Kind]string{Data: "data", BSS: "bss", Heap: "heap", Mmap: "mmap", Stack: "stack", Bounce: "bounce"}
 	for k, want := range cases {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	if !Data.Checkpointable() || Stack.Checkpointable() {
-		t.Error("Checkpointable: data must be, stack must not be")
+	if !Data.Checkpointable() || Stack.Checkpointable() || Bounce.Checkpointable() {
+		t.Error("Checkpointable: data must be, stack and bounce must not be")
+	}
+	if Data != 0 || BSS != 1 || Heap != 2 || Mmap != 3 || Stack != 4 {
+		t.Error("segment region tables store Kind on the wire: its numbers must not move")
 	}
 }
 
@@ -78,6 +81,43 @@ func TestStackNotInFootprint(t *testing.T) {
 	}
 	if st := s.Find(StackTop - 1); st == nil || st.Kind() != Stack {
 		t.Fatal("stack region missing")
+	}
+}
+
+// A bounce arena lands exactly where Mmap would have put an arena — in a
+// freed slot first-fit, else at the bump pointer — and counts toward
+// the footprint, but no dirty log protects it and Munmap refuses it.
+func TestMapBounceLandsWhereMmapWould(t *testing.T) {
+	script := func(last func(*AddressSpace, uint64) (*Region, error)) (*AddressSpace, []*Region) {
+		s := newBacked(t)
+		a, _ := s.Mmap(3 * 4096)
+		s.Mmap(4096)
+		s.Munmap(a)
+		fit, _ := last(s, 2*4096) // first-fit into a's slot
+		bump, _ := last(s, 1<<20) // past the end
+		tail, _ := last(s, 4096)  // what is left of a's slot
+		return s, []*Region{fit, bump, tail}
+	}
+	_, arenas := script((*AddressSpace).Mmap)
+	s, bounces := script((*AddressSpace).MapBounce)
+	for i, b := range bounces {
+		if b.Start() != arenas[i].Start() || b.Size() != arenas[i].Size() || b.Kind() != Bounce {
+			t.Fatalf("bounce %d: %v at %#x (%d bytes), want bounce at Mmap's %#x (%d bytes)",
+				i, b.Kind(), b.Start(), b.Size(), arenas[i].Start(), arenas[i].Size())
+		}
+	}
+	if got, want := s.Footprint(), uint64(4096+2*4096+1<<20+4096); got != want {
+		t.Fatalf("footprint %d, want %d (bounce arenas included)", got, want)
+	}
+	l := NewDirtyLog(s)
+	if got := l.Open(); got != 1 {
+		t.Fatalf("Open protected %d pages, want 1 (the plain arena only)", got)
+	}
+	if err := s.WriteRange(bounces[1].Start(), bounces[1].Size()); err != nil || s.Faults() != 0 || l.Watches(bounces[1]) {
+		t.Fatalf("write to a bounce arena: err %v, %d faults, watched %v", err, s.Faults(), l.Watches(bounces[1]))
+	}
+	if err := s.Munmap(bounces[0]); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("Munmap of a bounce arena: %v, want ErrBadRange", err)
 	}
 }
 
@@ -224,8 +264,8 @@ func TestProtectionFaultDelivery(t *testing.T) {
 func TestSegvWhenHandlerLeavesProtected(t *testing.T) {
 	s := newBacked(t)
 	r, _ := s.Mmap(4096)
+	r.MarkRecomputable()
 	l := NewDirtyLog(s)
-	l.Exclude(r)
 	l.Open()
 	r.ProtectAll()
 	if err := s.Write(r.Start()+5, []byte{1}); !errors.Is(err, ErrSegv) {
@@ -537,15 +577,15 @@ func BenchmarkWriteRangeColdSweep(b *testing.B) {
 }
 
 // BenchmarkWriteRangeHotSweep sweeps a region nothing ever protected —
-// the open DirtyLog excludes it: it times the untracked skip (no
+// it is marked recomputable, so the open DirtyLog does not watch it: it times the untracked skip (no
 // protection walk at all) — the 63 ranks of an IWS run without a
 // tracker — not a re-sweep of faulted pages, which is
 // BenchmarkWriteRangeFaultedSweep.
 func BenchmarkWriteRangeHotSweep(b *testing.B) {
 	s := NewAddressSpace(Config{Phantom: true})
 	r, _ := s.Mmap(64 * 1024 * 1024)
+	r.MarkRecomputable()
 	l := NewDirtyLog(s)
-	l.Exclude(r)
 	l.Open()
 	b.SetBytes(64 * 1024 * 1024)
 	b.ReportAllocs()

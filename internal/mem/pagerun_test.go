@@ -147,12 +147,8 @@ func newRunRig(ps uint64, phantom bool, pages uint64) *runRig {
 
 // stick makes the log stop (or resume) recording the rig's region.
 func (g *runRig) stick(stuck bool) {
-	if stuck {
-		g.log.Exclude(g.r)
-	} else {
-		delete(g.log.excluded, g.r)
-		g.log.lastR, g.log.lastSet = nil, nil
-	}
+	g.r.recomputable = stuck
+	g.log.lastR, g.log.lastSet = nil, nil
 }
 
 func (g *runRig) state() string {

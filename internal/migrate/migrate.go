@@ -107,9 +107,6 @@ func New(eng *des.Engine, src, dst *mem.AddressSpace) (*Migrator, error) {
 	return m, nil
 }
 
-// Exclude skips a region (transport bounce buffers).
-func (m *Migrator) Exclude(r *mem.Region) { m.log.Exclude(r) }
-
 // Run starts the migration; onDone fires at the virtual time the
 // destination is complete and consistent.
 func (m *Migrator) Run(onDone func(Result, error)) error {

@@ -318,8 +318,9 @@ type World struct {
 
 // NewWorld creates n ranks, each owning one of the provided address
 // spaces (len(spaces) must equal n). Each rank gets a 1 MB bounce arena
-// mapped outside tracker protection; a Direct world also counts its
-// deliveries in flight, for AwaitDrain.
+// (mem.AddressSpace.MapBounce): no dirty log watches it and no
+// checkpoint holds it. A Direct world also counts its deliveries in
+// flight, for AwaitDrain.
 func NewWorld(eng *des.Engine, net Network, mode DeliveryMode, spaces []*mem.AddressSpace) (*World, error) {
 	if len(spaces) == 0 {
 		return nil, fmt.Errorf("mpi: world needs at least one rank")
@@ -329,7 +330,7 @@ func NewWorld(eng *des.Engine, net Network, mode DeliveryMode, spaces []*mem.Add
 	}
 	w := &World{eng: eng, net: net, mode: mode}
 	for i, sp := range spaces {
-		b, err := sp.Mmap(1 << 20)
+		b, err := sp.MapBounce(1 << 20)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: bounce buffer for rank %d: %w", i, err)
 		}
@@ -347,9 +348,9 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// BounceRegion returns rank i's bounce arena.
-// The tracker must leave this region unprotected, exactly as the paper's
-// library keeps its network landing zone writable.
+// BounceRegion returns rank i's bounce arena. Its kind, mem.Bounce,
+// already keeps it writable and out of every checkpoint, exactly as the
+// paper's library keeps its network landing zone.
 func (w *World) BounceRegion(i int) *mem.Region { return w.ranks[i].bounce }
 
 // Send injects a message of the given size from r to dst. The payload

@@ -22,12 +22,11 @@ func testWorld(t *testing.T, n int, mode DeliveryMode) (*des.Engine, *World) {
 	return eng, w
 }
 
-// openLog opens a dirty log over rank id's data memory, leaving its
-// bounce buffer unprotected as the tracker does; faults, when not nil,
+// openLog opens a dirty log over rank id's data memory — its bounce
+// arena, of kind mem.Bounce, stays unprotected; faults, when not nil,
 // counts the pages it records.
 func openLog(w *World, id int, faults *int) {
 	l := mem.NewDirtyLog(w.Rank(id).Space())
-	l.Exclude(w.BounceRegion(id))
 	if faults != nil {
 		l.OnFault = func(_ *mem.Region, _, m uint64) { *faults += bits.OnesCount64(m) }
 	}
@@ -174,7 +173,7 @@ func TestBounceModeFaultsNaturally(t *testing.T) {
 	if w.BounceRegion(1) == nil {
 		t.Fatal("bounce region missing")
 	}
-	if w.BounceRegion(0).Kind() != mem.Mmap {
+	if w.BounceRegion(0).Kind() != mem.Bounce {
 		t.Fatal("bounce region kind")
 	}
 }

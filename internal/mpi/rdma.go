@@ -117,7 +117,7 @@ func (r *Rank) RegisterMemory(reg *mem.Region) {
 // address order. Returns the total registered pages.
 func (r *Rank) RegisterAllData() (pages uint64) {
 	for _, reg := range r.space.Regions() {
-		if !reg.Kind().Checkpointable() || reg == r.bounce {
+		if !reg.Kind().Checkpointable() {
 			continue
 		}
 		r.RegisterMemory(reg)

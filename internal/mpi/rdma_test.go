@@ -243,8 +243,8 @@ func TestAwaitDrainWithoutRDMAPanics(t *testing.T) {
 func TestDirectWorldReadyAtConstruction(t *testing.T) {
 	eng, w := testWorld(t, 3, Direct)
 	for i := 0; i < w.Size(); i++ {
-		if b := w.BounceRegion(i); b == nil || b.Size() != 1<<20 || b.Kind() != mem.Mmap {
-			t.Fatalf("rank %d bounce arena %v, want a 1 MB mmap region", i, b)
+		if b := w.BounceRegion(i); b == nil || b.Size() != 1<<20 || b.Kind() != mem.Bounce {
+			t.Fatalf("rank %d bounce arena %v, want a 1 MB bounce region", i, b)
 		}
 	}
 	if got, want := w.RegisterCost(4), registerBase+4*registerPerPage; got != want {

@@ -9,9 +9,9 @@ import (
 )
 
 // TestApplySpecExcludesRecomputable is the tracker half of the ckptset
-// regression: a spec-excluded region is never protected (its writes
-// take no faults and never enter the IWS), and excluding an
-// already-excluded region stays idempotent.
+// regression: a region Spec.Apply marked is never protected (its writes
+// take no faults and never enter the IWS), and marking an already
+// marked region stays idempotent.
 func TestApplySpecExcludesRecomputable(t *testing.T) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
@@ -29,17 +29,18 @@ func TestApplySpecExcludesRecomputable(t *testing.T) {
 		{Name: "K.grid", Region: grid},
 		{Name: "K.scratch", Region: scratch},
 	}
-	ex := tr.ApplySpec(spec, bindings)
+	ex := spec.Apply(bindings)
 	if len(ex) != 1 || ex[0].Region != scratch {
-		t.Fatalf("ApplySpec excluded %+v, want just K.scratch", ex)
+		t.Fatalf("Apply marked %+v, want just K.scratch", ex)
 	}
-	// Idempotent: applying again (Exclude of an excluded region) is a
-	// no-op with the same result.
-	if ex2 := tr.ApplySpec(spec, bindings); len(ex2) != 1 || ex2[0].Region != scratch {
+	// Idempotent: applying again (marking a marked region) is a no-op
+	// with the same result.
+	if ex2 := spec.Apply(bindings); len(ex2) != 1 || ex2[0].Region != scratch {
 		t.Fatalf("re-apply = %+v", ex2)
 	}
-	if got := tr.ApplySpec(nil, bindings); got != nil {
-		t.Fatalf("nil spec excluded %+v", got)
+	var none *ckptspec.Spec
+	if got := none.Apply(bindings); got != nil {
+		t.Fatalf("nil spec marked %+v", got)
 	}
 
 	tr.Start()

@@ -10,8 +10,8 @@ import (
 	"repro/internal/storage"
 )
 
-// A tracker and a CoW-accounting checkpointer stacked on one space, each
-// with its own exclusion and its own clock (1 s alarms, checkpoints at
+// A tracker and a CoW-accounting checkpointer stacked on one space, both
+// skipping a region marked recomputable, each on its own clock (1 s alarms, checkpoints at
 // 0.7 s and 1.7 s), under a fixed script that crosses every path the
 // two share: a page re-protected by the other mechanism faults twice in
 // one slice, a region is mapped and two others unmapped dirty (one
@@ -34,10 +34,9 @@ func TestStackedCountsFixedScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ExcludeData(scratch)
+	scratch.MarkRecomputable()
 	c.Start()
 	tr, _ := New(eng, sp, Options{Timeslice: des.Second})
-	tr.Exclude(scratch)
 	tr.Start()
 
 	var results []ckpt.Result
@@ -51,7 +50,7 @@ func TestStackedCountsFixedScript(t *testing.T) {
 	at := func(ms int, fn func()) { eng.Schedule(des.Time(ms)*des.Millisecond, fn) }
 	at(100, func() {
 		sp.WriteRange(a.Start(), 6*pageSize)
-		sp.WriteRange(scratch.Start(), 4*pageSize) // excluded by both: no fault
+		sp.WriteRange(scratch.Start(), 4*pageSize) // watched by neither: no fault
 		sp.WriteRange(h6.Start(), 6*pageSize)
 		sp.WriteRange(h4.Start(), 4*pageSize)
 	})

@@ -22,7 +22,6 @@ package tracker
 import (
 	"fmt"
 
-	"repro/internal/ckptspec"
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -131,36 +130,12 @@ func New(eng *des.Engine, space *mem.AddressSpace, opts Options) (*Tracker, erro
 	return t, nil
 }
 
-// Exclude marks a region as never write-protected and never counted in
-// the IWS. The MPI bounce buffer must be excluded: the paper's library
-// keeps its network landing zone writable so the NIC can deposit messages
-// (§4.2). Call before Start.
-func (t *Tracker) Exclude(r *mem.Region) { t.log.Exclude(r) }
-
-// ApplySpec excludes every binding the spec classifies as recomputable
-// — the regions the ckptset analysis proved are never read across an
-// iteration boundary — and returns those bindings. The measured IWS
-// then covers only the must-checkpoint set. Bindings absent from the
-// spec stay protected; re-applying a spec is idempotent (Exclude of an
-// already-excluded region is a no-op).
-func (t *Tracker) ApplySpec(spec *ckptspec.Spec, bindings []ckptspec.Binding) []ckptspec.Binding {
-	if spec == nil {
-		return nil
-	}
-	ex := spec.Recomputable(bindings)
-	for _, b := range ex {
-		t.Exclude(b.Region)
-	}
-	return ex
-}
-
 // AttachRank subscribes the tracker to an MPI rank's payload deliveries
-// for the data-received series (Fig 1b), and excludes the rank's bounce
-// buffer when present. Call before Start.
+// for the data-received series (Fig 1b). The rank's bounce arena needs
+// no call: its kind keeps it out of every dirty log. Call before Start.
 func (t *Tracker) AttachRank(w *mpi.World, rankID int) {
 	r := w.Rank(rankID)
 	t.rank = r
-	t.Exclude(w.BounceRegion(rankID))
 	t.prevDeliver = r.SetDeliveryHook(func(b uint64, _ des.Time) {
 		t.sliceRecv += b
 	})

@@ -176,8 +176,7 @@ func TestDoubleStartPanics(t *testing.T) {
 
 func TestExcludedRegionNotTracked(t *testing.T) {
 	eng, sp, tr := setup(t, des.Second)
-	bounce, _ := sp.Mmap(16 * pageSize)
-	tr.Exclude(bounce)
+	bounce, _ := sp.MapBounce(16 * pageSize)
 	tr.Start()
 	if bounce.ProtectedPages() != 0 {
 		t.Fatal("excluded region was protected")
@@ -222,7 +221,7 @@ func TestRecvAccountingViaMPI(t *testing.T) {
 	if ss[0].IWSPages != 3 {
 		t.Fatalf("IWS = %d pages, want 3 (bounce copy not tracked)", ss[0].IWSPages)
 	}
-	// Bounce buffer itself must be excluded from protection.
+	// The bounce arena itself is never protected.
 	if w.BounceRegion(1).ProtectedPages() != 0 {
 		t.Fatal("bounce buffer protected")
 	}
