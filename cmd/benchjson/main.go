@@ -7,7 +7,9 @@
 // With -compare it instead reads two such files and prints a
 // per-benchmark before/after table. The gate is allocs/op, which a change
 // controls: the exit status is 1 when it rises, by more than the noise
-// allowance (see allocSlack), on any benchmark present in both files.
+// allowance (see allocSlack), on any benchmark present in both files, or
+// when a benchmark of the old file is missing from the new one — a
+// deleted benchmark would otherwise leave the gate unnoticed.
 // ns/op depends on the host the snapshot was taken on and is reported
 // with its ratio only.
 //
@@ -107,7 +109,8 @@ func allocSlack(old int64) int64 { return max(8, old/200) }
 
 // compare writes the before/after table of the benchmarks present in both
 // snapshots, in name order, then the names present in only one. It returns
-// how many benchmarks raised allocs/op.
+// how many benchmarks fail the gate: those that raised allocs/op and those
+// only in old.
 func compare(w io.Writer, old, cur map[string]Record) int {
 	var both, onlyOld, onlyNew []string
 	for name := range old {
@@ -144,7 +147,8 @@ func compare(w io.Writer, old, cur map[string]Record) int {
 	}
 	tw.Flush()
 	for _, name := range onlyOld {
-		fmt.Fprintf(w, "only in old: %s\n", name)
+		fmt.Fprintf(w, "only in old: %s  GONE\n", name)
+		worse++
 	}
 	for _, name := range onlyNew {
 		fmt.Fprintf(w, "only in new: %s\n", name)
@@ -164,7 +168,7 @@ func runCompare(oldPath, newPath string) int {
 		return 2
 	}
 	if worse := compare(os.Stdout, old, cur); worse > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: allocs/op rose on %d benchmark(s) against %s\n", worse, oldPath)
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) of %s allocate more or are gone\n", worse, oldPath)
 		return 1
 	}
 	return 0

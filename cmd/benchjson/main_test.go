@@ -60,8 +60,8 @@ func TestCompare(t *testing.T) {
 		"BenchmarkNew": {Name: "BenchmarkNew-2", NsPerOp: 1, AllocsPerOp: 1},
 	}
 	var out strings.Builder
-	if worse := compare(&out, old, cur); worse != 1 {
-		t.Errorf("compare reported %d regressions, want 1 (BenchmarkB)\n%s", worse, out.String())
+	if worse := compare(&out, old, cur); worse != 2 {
+		t.Errorf("compare reported %d gate failures, want 2 (BenchmarkB up, BenchmarkGone gone)\n%s", worse, out.String())
 	}
 	for _, want := range []string{"2.50", "0.50", "ALLOCS UP", "only in old: BenchmarkGone", "only in new: BenchmarkNew"} {
 		if !strings.Contains(out.String(), want) {
@@ -70,6 +70,33 @@ func TestCompare(t *testing.T) {
 	}
 	if strings.Count(out.String(), "ALLOCS UP") != 1 {
 		t.Errorf("more than one benchmark marked:\n%s", out.String())
+	}
+}
+
+// A benchmark the old snapshot has and the new one lacks fails the gate,
+// through the exit status, however few it allocated; one only in the new
+// snapshot does not.
+func TestCompareFailsOnVanishedBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	old := write("old.json", `[{"name":"BenchmarkKept-4","allocs_per_op":0},{"name":"BenchmarkGone-4","allocs_per_op":0}]`)
+	gone := write("gone.json", `[{"name":"BenchmarkKept-2","allocs_per_op":0}]`)
+	grown := write("grown.json", `[{"name":"BenchmarkKept-2","allocs_per_op":0},{"name":"BenchmarkGone-2","allocs_per_op":0},{"name":"BenchmarkNew-2","allocs_per_op":5}]`)
+	if code := runCompare(old, gone); code != 1 {
+		t.Errorf("a vanished benchmark: exit %d, want 1", code)
+	}
+	if code := runCompare(old, grown); code != 0 {
+		t.Errorf("every old benchmark kept, one added: exit %d, want 0", code)
+	}
+	var out strings.Builder
+	if worse := compare(&out, map[string]Record{"BenchmarkGone": {AllocsPerOp: -1}}, nil); worse != 1 || !strings.Contains(out.String(), "only in old: BenchmarkGone  GONE") {
+		t.Errorf("a vanished benchmark without an allocs count: %d failures\n%s", worse, out.String())
 	}
 }
 

@@ -121,7 +121,7 @@ func run(args []string, w io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(w, "%-6d %-6d %-12s %-8d %10d %12d %11.1fs\n",
-			ref.rank, seg.Seq, seg.Kind, seg.Epoch, len(seg.Pages), len(data), seg.TakenAt.Seconds())
+			ref.rank, seg.Seq, seg.Kind, seg.Epoch, seg.PageTotal(), len(data), seg.TakenAt.Seconds())
 		if err := ckpt.VerifyChain(store, ref.rank, ref.seq); err != nil {
 			fmt.Fprintf(w, "       ^ chain error: %v\n", err)
 			problems++

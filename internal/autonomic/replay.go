@@ -122,8 +122,10 @@ func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 // the supervisor writes through. This is how alternative sinks — a
 // networked checkpoint-store service, a mirror group — are put under
 // the same bit-exactness contract as the default hardened stack: the
-// Reference keeps a pristine in-memory store, so any acked-but-lost
-// write in the injected stack shows up as a digest divergence. A plan
+// Reference runs failure-free and never reads a line back (its store
+// keeps nothing, discardStore), so an acked-but-lost write in the
+// injected stack surfaces when a recovery restores from it, as a
+// divergence in Compare's digests. A plan
 // holding faults cfg has no instant to land is refused before either
 // run starts and before build is called.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {

@@ -171,7 +171,7 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 // Exclude is accepted and ignored: a bounce arena (mem.Bounce) is
 // never checkpointed by its kind, and recomputable data is marked on its
 // region (ckptspec.Spec.Apply). Kept only for the frozen benchmark/
-// harness; ROADMAP item 5 deletes it.
+// harness; ROADMAP item 8 deletes it.
 func (c *Checkpointer) Exclude(*mem.Region) {}
 
 // Start opens the checkpointer's dirty log: it protects all data memory,
@@ -304,16 +304,37 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		Regions:     c.regions,
 	}
 	ps := c.space.PageSize()
+	// The size pass counts the candidate pages and, content-free, the
+	// runs the writer will make of them by its own rule, so a
+	// content-free or raw buffer is exact.
 	var maxPages uint64
+	runs := runTail{ps: ps}
 	for _, r := range live {
 		if !c.log.Watches(r) {
 			continue
 		}
-		if kind == Full {
+		rs := c.log.Pages(r)
+		switch {
+		case kind == Full:
 			maxPages += r.Pages()
-		} else if rs := c.log.Pages(r); rs != nil {
+			if hdr.ContentFree && r.Pages() > 0 {
+				runs.extend(r.Start(), r.Pages())
+			}
+		case rs == nil:
+		case hdr.ContentFree:
+			for wi, n := uint64(0), (r.Pages()+63)/64; wi < n; wi++ {
+				if m := rs.Word(wi); m != 0 {
+					maxPages += uint64(bits.OnesCount64(m))
+					runs.word(r.PageAddr(wi*64), m)
+				}
+			}
+		default:
 			maxPages += rs.Count()
 		}
+	}
+	recCap := maxPages * recordCap(c.opts.Compress, ps)
+	if hdr.ContentFree {
+		recCap = runLen * runs.runs
 	}
 	// A borrowing store is lent the checkpointer's one encode buffer; a
 	// keeping store gets a fresh one to keep.
@@ -324,18 +345,18 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	// The bound also reserves the integrity envelope's room, so a sealing
 	// store seals the given-away segment where it lies.
-	w := newSegWriter(dst, &hdr, maxPages*recordCap(hdr.ContentFree, c.opts.Compress, ps)+storage.SealRoom, c.opts.Compress)
+	w := newSegWriter(dst, &hdr, recCap+storage.SealRoom, c.opts.Compress)
 	var silentPages uint64
 	for _, r := range live {
 		if !c.log.Watches(r) {
 			continue
 		}
-		// A content-free record is its page's address alone, so
-		// those are written straight from the region's extent (full)
-		// or its dirty set, a bitmap word at a time (incremental).
+		// Content-free records are page runs, so those are written
+		// straight from the region's extent (full) or its dirty set, a
+		// bitmap word at a time (incremental).
 		if kind == Full {
 			if w.contentFree {
-				w.addrRun(r.Start(), ps, r.Pages())
+				w.addrRun(r.Start(), r.Pages())
 			} else {
 				for idx := uint64(0); idx < r.Pages(); idx++ {
 					c.capturePage(&w, kind, r, idx)
@@ -357,7 +378,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		case w.contentFree:
 			for wi, n := uint64(0), (r.Pages()+63)/64; wi < n; wi++ {
 				if m := rs.Word(wi); m != 0 {
-					w.addrWord(r.PageAddr(wi*64), ps, m)
+					w.addrWord(r.PageAddr(wi*64), m)
 				}
 			}
 		default:

@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,17 +61,85 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// A content-free segment's pages are page runs on the wire: consecutive
+// records coalesce, a gap starts a run, and the decoded runs re-encode
+// to the same bytes.
 func TestSegmentContentFreeRoundTrip(t *testing.T) {
 	seg := &Segment{
 		Rank: 1, Seq: 0, Kind: Full, ContentFree: true, PageSize: pageSize,
-		Pages: []PageRecord{{Addr: 0x1000}, {Addr: 0x2000}},
+		Pages: []PageRecord{{Addr: 0x1000}, {Addr: 0x2000}, {Addr: 0x5000}},
 	}
-	dec, err := DecodeSegment(seg.Encode())
+	enc := seg.Encode()
+	dec, err := DecodeSegment(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.ContentFree || len(dec.Pages) != 2 || dec.Pages[0].Addr != 0x1000 {
+	want := []PageRun{{Addr: 0x1000, Pages: 2}, {Addr: 0x5000, Pages: 1}}
+	if !dec.ContentFree || len(dec.Pages) != 0 || !slices.Equal(dec.Runs, want) || dec.PageTotal() != 3 {
 		t.Fatalf("content-free round trip: %+v", dec)
+	}
+	if !bytes.Equal(dec.Encode(), enc) {
+		t.Fatal("decoded runs re-encode to other bytes")
+	}
+}
+
+// The decoder accepts only canonical page runs, so whatever it accepts
+// re-encodes byte for byte, and it never sizes anything by the pages a
+// run claims.
+func TestDecodeRejectsNonCanonicalRuns(t *testing.T) {
+	const top = ^uint64(0) &^ (pageSize - 1) // the highest page's address
+	cases := []struct {
+		name  string
+		runs  []PageRun
+		count uint64 // run count written; 0 means len(runs)
+	}{
+		{"empty run", []PageRun{{Addr: 0x1000, Pages: 0}}, 0},
+		{"unaligned", []PageRun{{Addr: 0x1001, Pages: 1}}, 0},
+		{"descending", []PageRun{{Addr: 0x8000, Pages: 1}, {Addr: 0x1000, Pages: 1}}, 0},
+		{"adjacent", []PageRun{{Addr: 0x1000, Pages: 2}, {Addr: 0x3000, Pages: 1}}, 0},
+		{"overlapping", []PageRun{{Addr: 0x1000, Pages: 4}, {Addr: 0x3000, Pages: 4}}, 0},
+		{"same start", []PageRun{{Addr: 0x1000, Pages: 1}, {Addr: 0x1000, Pages: 1}}, 0},
+		{"count beyond the bytes", []PageRun{{Addr: 0x1000, Pages: 1}}, 2},
+		{"huge count", []PageRun{{Addr: 0x1000, Pages: 1}}, 1 << 60},
+		{"page total overflows", []PageRun{{Addr: 0, Pages: 1 << 52}}, 0},
+		{"run wraps the top", []PageRun{{Addr: top, Pages: 2}}, 0},
+		{"run ends at 2^64", []PageRun{{Addr: top, Pages: 1}}, 0},
+	}
+	le := binary.LittleEndian
+	for _, tc := range cases {
+		// The header of a content-free segment with no records, then the
+		// runs exactly as given: Encode would coalesce them.
+		hdr := (&Segment{ContentFree: true, PageSize: pageSize}).Encode()
+		count := tc.count
+		if count == 0 {
+			count = uint64(len(tc.runs))
+		}
+		le.PutUint64(hdr[len(hdr)-8:], count)
+		for _, r := range tc.runs {
+			hdr = le.AppendUint64(le.AppendUint64(hdr, r.Addr), r.Pages)
+		}
+		if seg, err := DecodeSegment(hdr); err == nil {
+			t.Errorf("%s: accepted, %d runs", tc.name, len(seg.Runs))
+		}
+	}
+	// The content-free flag is 0 or 1: any other byte would re-encode as 1.
+	flag := (&Segment{ContentFree: true, PageSize: pageSize}).Encode()
+	flag[4+4+4+8+8+1] = 2
+	if _, err := DecodeSegment(flag); err == nil {
+		t.Error("content-free flag 2 accepted")
+	}
+	// Canonical runs are accepted, however many pages they claim, and
+	// the decode allocates the segment and its runs alone.
+	ok := (&Segment{ContentFree: true, PageSize: pageSize}).Encode()
+	le.PutUint64(ok[len(ok)-8:], 2)
+	for _, r := range []PageRun{{Addr: 0x1000, Pages: 2}, {Addr: 0x4000, Pages: 1 << 40}} {
+		ok = le.AppendUint64(le.AppendUint64(ok, r.Addr), r.Pages)
+	}
+	if seg, err := DecodeSegment(ok); err != nil || seg.PageTotal() != 2+1<<40 {
+		t.Fatalf("canonical runs: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeSegment(ok) }); allocs > 2 {
+		t.Errorf("decoding two runs of 2^40 pages allocates %v times, want 2 (the segment and its runs)", allocs)
 	}
 }
 

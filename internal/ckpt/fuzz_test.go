@@ -39,6 +39,12 @@ func FuzzDecodeSegment(f *testing.F) {
 	full.ContentFree = true
 	full.Pages = full.Pages[2:]
 	f.Add(full.Encode())
+	// Content-free runs: pages coalesced across a record and a run, a
+	// gap, then a long run.
+	runs := fuzzSegment()
+	runs.ContentFree = true
+	runs.Runs = []PageRun{{Addr: 256, Pages: 1}, {Addr: 1024, Pages: 3}, {Addr: 4096, Pages: 1 << 20}}
+	f.Add(runs.Encode())
 	f.Add([]byte("ICKP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,13 +52,19 @@ func FuzzDecodeSegment(f *testing.F) {
 		if err != nil {
 			return // typed rejection is the contract; a panic fails the fuzz
 		}
-		// Anything accepted must re-encode and re-decode to itself.
-		s2, err := DecodeSegment(s.Encode())
+		// Anything accepted must re-encode and re-decode to itself, and
+		// content-free runs, being canonical, to the very same bytes.
+		enc := s.Encode()
+		if s.ContentFree && !bytes.Equal(enc, data) {
+			t.Fatal("accepted content-free segment re-encodes to other bytes")
+		}
+		s2, err := DecodeSegment(enc)
 		if err != nil {
 			t.Fatalf("accepted segment did not re-decode: %v", err)
 		}
 		if s2.Rank != s.Rank || s2.Seq != s.Seq || s2.Epoch != s.Epoch ||
-			s2.Kind != s.Kind || len(s2.Pages) != len(s.Pages) {
+			s2.Kind != s.Kind || len(s2.Pages) != len(s.Pages) ||
+			len(s2.Runs) != len(s.Runs) || s2.PageTotal() != s.PageTotal() {
 			t.Fatalf("re-decode mismatch: %+v vs %+v", s2, s)
 		}
 	})

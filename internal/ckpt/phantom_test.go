@@ -303,3 +303,59 @@ func TestCowCopyBytesMatchesPageModel(t *testing.T) {
 			copies, closed, unmapsInDrain, stacked)
 	}
 }
+
+// The size pass counts a content-free capture's page runs by the
+// writer's own rule, so every phantom segment — full or incremental,
+// runs crossing bitmap words and adjacent regions, arenas unmapped and
+// mapped between captures — is exact: a keeping store is given it with
+// only the envelope's room spare.
+func TestContentFreeSegmentsAreExact(t *testing.T) {
+	var multiRun int
+	for trial := uint64(0); trial < 8; trial++ {
+		m := newModelSpace(t, 200+trial)
+		store := &handoffStore{Store: storage.NewMemStore(), owned: map[string]bool{}, slack: map[string]int{}}
+		c, err := NewCheckpointer(m.eng, m.sp, Options{Store: store, FullEvery: int(trial % 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pages := range oddPages {
+			m.mmap(pages)
+		}
+		c.Start()
+		for seq := uint64(0); seq < 12; seq++ {
+			m.advance(des.Second)
+			for step := m.rng.IntN(10); step >= 0; step-- {
+				switch k := m.rng.IntN(10); {
+				case k == 0 && len(m.regs) > 3:
+					m.unmapOne()
+				case k == 1:
+					m.mmap(oddPages[m.rng.IntN(len(oddPages))])
+				default:
+					m.write()
+				}
+			}
+			if _, err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			key := SegmentKey(0, seq)
+			if !store.owned[key] || store.slack[key] != storage.SealRoom {
+				t.Fatalf("trial %d seq %d: given away %v with %d bytes spare, want the %d-byte envelope room",
+					trial, seq, store.owned[key], store.slack[key], storage.SealRoom)
+			}
+			data, err := store.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := DecodeSegment(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seg.Runs) > 1 {
+				multiRun++
+			}
+		}
+	}
+	if multiRun == 0 {
+		t.Fatal("no segment held more than one run")
+	}
+}

@@ -46,12 +46,20 @@ type RegionInfo struct {
 	Kind  mem.Kind
 }
 
-// PageRecord is one saved page. Data is nil in content-free segments
-// (phantom address spaces, used for volume accounting at full scale) and
-// for all-zero pages that were never materialised.
+// PageRecord is one saved page. Data is nil for all-zero pages that were
+// never materialised. A content-free segment (phantom address spaces,
+// used for volume accounting at full scale) records no page data, so
+// its encoder coalesces its records into page runs.
 type PageRecord struct {
 	Addr uint64
 	Data []byte
+}
+
+// PageRun is Pages consecutive pages of a content-free segment, the
+// first at Addr: the wire form of content-free records.
+type PageRun struct {
+	Addr  uint64
+	Pages uint64
 }
 
 // Segment is one checkpoint of one rank.
@@ -64,16 +72,37 @@ type Segment struct {
 	PageSize    uint64
 	TakenAt     des.Time
 	Regions     []RegionInfo
-	Pages       []PageRecord
+	// Pages are the page records, in the order they are encoded. A
+	// decoded content-free segment has none: its pages are Runs, never
+	// expanded, so a decode allocates in proportion to its input.
+	Pages []PageRecord
+	// Runs are a content-free segment's pages as decoded: canonical
+	// (non-empty, page-aligned, ascending, none adjacent to the next).
+	// Encode writes them after Pages.
+	Runs []PageRun
+}
+
+// PageTotal returns the number of pages the segment records, in Pages
+// and Runs together.
+func (s *Segment) PageTotal() uint64 {
+	n := uint64(len(s.Pages))
+	for _, r := range s.Runs {
+		n += r.Pages
+	}
+	return n
 }
 
 const (
-	segmentMagic   = "ICKP"
-	segmentVersion = 1
+	segmentMagic = "ICKP"
+	// segmentVersion 2 records a content-free segment's pages as page
+	// runs; version 1, one address per page, is not read.
+	segmentVersion = 2
 	// page record header values
 	pageZero    = 0 // never-written page, elided
 	pageHasData = 1 // raw page bytes follow
 	pageRLE     = 2 // u32 stream length + RLE stream follow
+	// runLen is the wire size of a page run: start address and count.
+	runLen = 16
 )
 
 // Encode serialises the segment to a portable little-endian byte stream
@@ -96,12 +125,30 @@ func (s *Segment) AppendEncode(dst []byte) []byte {
 // the quantity a bandwidth-limited sink has to absorb.
 func (s *Segment) encode(dst []byte, compress bool) ([]byte, uint64) {
 	var size uint64
-	for _, p := range s.Pages {
-		size += recordCap(s.ContentFree, compress, uint64(len(p.Data)))
+	if s.ContentFree {
+		t := runTail{ps: s.PageSize}
+		for _, p := range s.Pages {
+			t.extend(p.Addr, 1)
+		}
+		for _, r := range s.Runs {
+			if r.Pages > 0 {
+				t.extend(r.Addr, r.Pages)
+			}
+		}
+		size = runLen * t.runs
+	} else {
+		for _, p := range s.Pages {
+			size += recordCap(compress, uint64(len(p.Data)))
+		}
 	}
 	w := newSegWriter(dst, s, size, compress)
 	for _, p := range s.Pages {
 		w.page(p.Addr, p.Data)
+	}
+	if s.ContentFree {
+		for _, r := range s.Runs {
+			w.addrRun(r.Addr, r.Pages)
+		}
 	}
 	return w.finish(), w.payload
 }
@@ -111,41 +158,73 @@ func (s *Segment) encode(dst []byte, compress bool) ([]byte, uint64) {
 // size, capture time and region count.
 const segHeaderLen = 4 + 4 + 4 + 8 + 8 + 1 + 1 + 8 + 8 + 4
 
-// segWriter is the one segment encoder. It streams page records into a
+// segWriter is the one segment encoder. It streams records into a
 // single buffer sized up front — the header and region table are
-// fixed-size and the caller bounds the page records — so a capture moves
+// fixed-size and the caller bounds the records — so a capture moves
 // each page byte once, from the live page into the wire form, and no
-// append reallocates.
+// append reallocates. A content-free segment's records are page runs.
 type segWriter struct {
 	buf         []byte
-	countOff    int // offset of the u64 page count, patched by finish
+	countOff    int // offset of the u64 record count, patched by finish
 	contentFree bool
 	compress    bool
 	pages       uint64
-	payload     uint64 // page-data bytes written, after zero elision and RLE
+	payload     uint64  // page-data bytes written, after zero elision and RLE
+	tail        runTail // content-free: the runs written so far
+}
+
+// runTail is the content-free run rule, which the writer and a
+// capture's size pass share so that they agree on the record count:
+// pages that start where the last run ends extend it, any others start
+// a run.
+type runTail struct {
+	ps   uint64
+	runs uint64 // runs started
+	end  uint64 // address just past the last run
+}
+
+// extend adds n ≥ 1 pages, the first at addr, and reports whether they
+// extend the last run rather than start one.
+func (t *runTail) extend(addr, n uint64) bool {
+	ext := t.runs > 0 && addr == t.end
+	if !ext {
+		t.runs++
+	}
+	t.end = addr + n*t.ps
+	return ext
+}
+
+// word adds the pages of bitmap word m ≠ 0 — bit b is the page at
+// base + b·ps — as segWriter.addrWord writes them: a run starts at each
+// set bit whose lower neighbour is clear, bit 0's lower neighbour being
+// the page before base, set when the last run ends at base.
+func (t *runTail) word(base, m uint64) {
+	var carry uint64
+	if t.runs > 0 && t.end == base {
+		carry = 1
+	}
+	t.runs += uint64(bits.OnesCount64(m &^ (m<<1 | carry)))
+	t.end = base + uint64(64-bits.LeadingZeros64(m))*t.ps
 }
 
 // recordCap is the most one page record with n data bytes can occupy:
-// the address, plus — unless content-free — a flag and the data. It is
-// exact for raw and content-free records; zero pages and RLE only shrink
-// one (an RLE record spends 4 bytes on a length to save at least 1).
-func recordCap(contentFree, compress bool, n uint64) uint64 {
-	if contentFree {
-		return 8
-	}
+// the address, a flag and the data. It is exact for raw records; zero
+// pages and RLE only shrink one (an RLE record spends 4 bytes on a
+// length to save at least 1).
+func recordCap(compress bool, n uint64) uint64 {
 	if compress {
 		n += 3
 	}
 	return 8 + 1 + n
 }
 
-// newSegWriter appends hdr's header and region table (hdr.Pages is
-// ignored) to dst and reserves pageCap bytes for the page records to
-// come — in dst's own spare capacity when that suffices.
-func newSegWriter(dst []byte, hdr *Segment, pageCap uint64, compress bool) segWriter {
+// newSegWriter appends hdr's header and region table (hdr.Pages and
+// hdr.Runs are ignored) to dst and reserves recCap bytes for the records
+// to come — in dst's own spare capacity when that suffices.
+func newSegWriter(dst []byte, hdr *Segment, recCap uint64, compress bool) segWriter {
 	le := binary.LittleEndian
 	buf := dst
-	if need := segHeaderLen + 17*len(hdr.Regions) + 8 + int(pageCap); cap(buf)-len(buf) < need {
+	if need := segHeaderLen + 17*len(hdr.Regions) + 8 + int(recCap); cap(buf)-len(buf) < need {
 		buf = append(make([]byte, 0, len(dst)+need), dst...)
 	}
 	buf = append(buf, segmentMagic...)
@@ -165,18 +244,24 @@ func newSegWriter(dst []byte, hdr *Segment, pageCap uint64, compress bool) segWr
 		buf = le.AppendUint64(buf, r.Size)
 		buf = append(buf, byte(r.Kind))
 	}
-	return segWriter{buf: le.AppendUint64(buf, 0), countOff: len(buf), contentFree: hdr.ContentFree, compress: compress}
+	return segWriter{
+		buf: le.AppendUint64(buf, 0), countOff: len(buf),
+		contentFree: hdr.ContentFree, compress: compress, tail: runTail{ps: hdr.PageSize},
+	}
 }
 
 // page appends one page record. data is read, never retained: nil is an
-// elided zero page, and content-free segments record the address only.
+// elided zero page, and a content-free segment records the page alone,
+// as a one-page run.
 func (w *segWriter) page(addr uint64, data []byte) {
+	if w.contentFree {
+		w.addrRun(addr, 1)
+		return
+	}
 	le := binary.LittleEndian
 	w.pages++
 	w.buf = le.AppendUint64(w.buf, addr)
 	switch {
-	case w.contentFree:
-		return
 	case data == nil:
 		w.buf = append(w.buf, pageZero)
 		return
@@ -194,43 +279,43 @@ func (w *segWriter) page(addr uint64, data []byte) {
 	w.payload += uint64(len(data))
 }
 
-// addrRun appends the content-free records of n consecutive pages, the
-// first at addr: a whole region of a full capture.
-func (w *segWriter) addrRun(addr, ps, n uint64) {
-	for rec := w.addrs(n); len(rec) >= 8; rec = rec[8:] {
-		binary.LittleEndian.PutUint64(rec, addr)
-		addr += ps
-	}
-}
-
-// addrWord appends the content-free records of the pages of bitmap word
-// m, in ascending order: bit b is the page at base + b·ps. A full word —
-// what a sweep leaves — is a run.
-func (w *segWriter) addrWord(base, ps, m uint64) {
-	if m == ^uint64(0) {
-		w.addrRun(base, ps, 64)
+// addrRun records n consecutive pages of a content-free segment, the
+// first at addr — a whole region of a full capture — as one run, or as
+// more of the last run when that ends at addr.
+func (w *segWriter) addrRun(addr, n uint64) {
+	if n == 0 {
 		return
 	}
-	rec := w.addrs(uint64(bits.OnesCount64(m)))
-	for i := 0; m != 0; m &= m - 1 {
-		binary.LittleEndian.PutUint64(rec[i:i+8], base+uint64(bits.TrailingZeros64(m))*ps)
-		i += 8
+	le := binary.LittleEndian
+	w.pages += n
+	if w.tail.extend(addr, n) {
+		count := w.buf[len(w.buf)-8:]
+		le.PutUint64(count, le.Uint64(count)+n)
+		return
+	}
+	w.buf = le.AppendUint64(le.AppendUint64(w.buf, addr), n)
+}
+
+// addrWord records the pages of bitmap word m of a content-free segment
+// — bit b is the page at base + b·ps — a run of set bits at a time, the
+// first extending the last run when that ends at base.
+func (w *segWriter) addrWord(base, m uint64) {
+	for m != 0 {
+		lo := bits.TrailingZeros64(m)
+		n := bits.TrailingZeros64(^(m >> lo))
+		w.addrRun(base+uint64(lo)*w.tail.ps, uint64(n))
+		m &^= (uint64(1)<<n - 1) << lo
 	}
 }
 
-// addrs extends the buffer by n content-free records, counted, and
-// returns them for the caller to fill.
-func (w *segWriter) addrs(n uint64) []byte {
-	off := len(w.buf)
-	w.buf = slices.Grow(w.buf, int(8*n))[:off+int(8*n)]
-	w.pages += n
-	return w.buf[off:]
-}
-
-// finish patches the page count and returns the buffer with the encoded
-// segment appended.
+// finish patches the record count — pages, or a content-free segment's
+// runs — and returns the buffer with the encoded segment appended.
 func (w *segWriter) finish() []byte {
-	binary.LittleEndian.PutUint64(w.buf[w.countOff:], w.pages)
+	n := w.pages
+	if w.contentFree {
+		n = w.tail.runs
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.countOff:], n)
 	return w.buf
 }
 
@@ -247,6 +332,14 @@ func (d *decoder) need(n int) ([]byte, error) {
 	out := d.b[d.off : d.off+n]
 	d.off += n
 	return out, nil
+}
+
+// trailing refuses bytes left after the last record.
+func (d *decoder) trailing() error {
+	if d.off != len(d.b) {
+		return fmt.Errorf("ckpt: %d trailing bytes", len(d.b)-d.off)
+	}
+	return nil
 }
 
 func (d *decoder) u8() (byte, error) {
@@ -276,12 +369,14 @@ func (d *decoder) u64() (uint64, error) {
 // DecodeSegment parses a segment encoded by Encode, validating structure
 // and bounds. Raw page records alias data rather than copying it, so the
 // caller must not reuse data while the segment is live — and must not
-// write through the segment when data is a store's Get result.
+// write through the segment when data is a store's Get result. A
+// content-free segment decodes into Runs and only canonical runs are
+// accepted, so every segment it accepts re-encodes to the same bytes.
 func DecodeSegment(data []byte) (*Segment, error) { return decodeSegment(new(Segment), data) }
 
 // decodeSegment is DecodeSegment into s, reusing the capacity of its
-// Regions and Pages: a chain walk decodes every mid-chain segment into
-// one Segment.
+// Regions, Pages and Runs: a chain walk decodes every mid-chain segment
+// into one Segment.
 func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)
@@ -292,7 +387,7 @@ func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 	if err != nil || ver != segmentVersion {
 		return nil, fmt.Errorf("ckpt: unsupported version %d", ver)
 	}
-	*s = Segment{Regions: s.Regions[:0], Pages: s.Pages[:0]}
+	*s = Segment{Regions: s.Regions[:0], Pages: s.Pages[:0], Runs: s.Runs[:0]}
 	rank, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -316,7 +411,10 @@ func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ContentFree = cf != 0
+	if cf > 1 {
+		return nil, fmt.Errorf("ckpt: bad content-free flag %d", cf)
+	}
+	s.ContentFree = cf == 1
 	if s.PageSize, err = d.u64(); err != nil {
 		return nil, err
 	}
@@ -353,13 +451,15 @@ func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every page record costs at least its address (plus a flag byte
-	// unless content-free), so np is bounded by the bytes actually left.
-	minRec := uint64(9)
 	if s.ContentFree {
-		minRec = 8
+		if err := s.decodeRuns(d, np); err != nil {
+			return nil, err
+		}
+		return s, d.trailing()
 	}
-	if np > uint64(len(data)-d.off)/minRec {
+	// Every page record costs at least its address and a flag byte, so
+	// np is bounded by the bytes actually left.
+	if np > uint64(len(data)-d.off)/9 {
 		return nil, fmt.Errorf("ckpt: page count %d exceeds segment size", np)
 	}
 	s.Pages = slices.Grow(s.Pages, int(np))
@@ -368,41 +468,74 @@ func decodeSegment(s *Segment, data []byte) (*Segment, error) {
 		if p.Addr, err = d.u64(); err != nil {
 			return nil, err
 		}
-		if !s.ContentFree {
-			flag, err := d.u8()
+		flag, err := d.u8()
+		if err != nil {
+			return nil, err
+		}
+		switch flag {
+		case pageZero:
+			// elided zero page
+		case pageHasData:
+			raw, err := d.need(int(s.PageSize))
 			if err != nil {
 				return nil, err
 			}
-			switch flag {
-			case pageZero:
-				// elided zero page
-			case pageHasData:
-				raw, err := d.need(int(s.PageSize))
-				if err != nil {
-					return nil, err
-				}
-				p.Data = raw[:len(raw):len(raw)]
-			case pageRLE:
-				n, err := d.u32()
-				if err != nil {
-					return nil, err
-				}
-				stream, err := d.need(int(n))
-				if err != nil {
-					return nil, err
-				}
-				p.Data, err = rleDecompress(stream, int(s.PageSize))
-				if err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("ckpt: bad page flag %d", flag)
+			p.Data = raw[:len(raw):len(raw)]
+		case pageRLE:
+			n, err := d.u32()
+			if err != nil {
+				return nil, err
 			}
+			stream, err := d.need(int(n))
+			if err != nil {
+				return nil, err
+			}
+			p.Data, err = rleDecompress(stream, int(s.PageSize))
+			if err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("ckpt: bad page flag %d", flag)
 		}
 		s.Pages = append(s.Pages, p)
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes", len(data)-d.off)
+	return s, d.trailing()
+}
+
+// decodeRuns reads a content-free segment's n page runs into s.Runs,
+// refusing any that are not canonical — empty, unaligned, running past
+// the top of the address space, or not after the previous run's end
+// (descending, overlapping or adjacent). The runs are never expanded
+// into pages.
+func (s *Segment) decodeRuns(d *decoder, n uint64) error {
+	if n > uint64(len(d.b)-d.off)/runLen {
+		return fmt.Errorf("ckpt: run count %d exceeds segment size", n)
 	}
-	return s, nil
+	s.Runs = slices.Grow(s.Runs, int(n))
+	var end uint64
+	for i := uint64(0); i < n; i++ {
+		var r PageRun
+		var err error
+		if r.Addr, err = d.u64(); err != nil {
+			return err
+		}
+		if r.Pages, err = d.u64(); err != nil {
+			return err
+		}
+		hi, span := bits.Mul64(r.Pages, s.PageSize)
+		stop, carry := bits.Add64(r.Addr, span, 0)
+		switch {
+		case r.Pages == 0:
+			return fmt.Errorf("ckpt: empty page run at %#x", r.Addr)
+		case r.Addr%s.PageSize != 0:
+			return fmt.Errorf("ckpt: page run at %#x not page-aligned", r.Addr)
+		case hi != 0 || carry != 0:
+			return fmt.Errorf("ckpt: page run at %#x of %d pages overflows the address space", r.Addr, r.Pages)
+		case i > 0 && r.Addr <= end:
+			return fmt.Errorf("ckpt: page run at %#x not after the previous run's end %#x", r.Addr, end)
+		}
+		end = stop
+		s.Runs = append(s.Runs, r)
+	}
+	return nil
 }

@@ -13,9 +13,33 @@ import (
 	"repro/internal/storage"
 )
 
+// oracleRuns coalesces a content-free segment's Pages, then its non-empty
+// Runs, into page runs: a record extends the last run when it starts at
+// the last run's start plus its pages.
+func oracleRuns(s *Segment) []PageRun {
+	var runs []PageRun
+	add := func(addr, n uint64) {
+		if last := len(runs) - 1; last >= 0 && runs[last].Addr+runs[last].Pages*s.PageSize == addr {
+			runs[last].Pages += n
+			return
+		}
+		runs = append(runs, PageRun{Addr: addr, Pages: n})
+	}
+	for _, p := range s.Pages {
+		add(p.Addr, 1)
+	}
+	for _, r := range s.Runs {
+		if r.Pages > 0 {
+			add(r.Addr, r.Pages)
+		}
+	}
+	return runs
+}
+
 // oracleEncode is the materialise-then-encode serialiser Checkpoint used
-// before it streamed: a bytes.Buffer fed from a []PageRecord. It is kept
-// as the reference the streaming writer's bytes are compared against.
+// before it streamed: a bytes.Buffer fed from a []PageRecord (content-free:
+// the page runs oracleRuns makes of it). It is kept as the reference the
+// streaming writer's bytes are compared against.
 func oracleEncode(s *Segment, compress bool) ([]byte, uint64) {
 	var payload uint64
 	var buf bytes.Buffer
@@ -42,12 +66,18 @@ func oracleEncode(s *Segment, compress bool) ([]byte, uint64) {
 		w64(r.Size)
 		buf.WriteByte(byte(r.Kind))
 	}
+	if s.ContentFree {
+		runs := oracleRuns(s)
+		w64(uint64(len(runs)))
+		for _, r := range runs {
+			w64(r.Addr)
+			w64(r.Pages)
+		}
+		return buf.Bytes(), 0
+	}
 	w64(uint64(len(s.Pages)))
 	for _, p := range s.Pages {
 		w64(p.Addr)
-		if s.ContentFree {
-			continue
-		}
 		switch {
 		case p.Data == nil:
 			buf.WriteByte(pageZero)
@@ -164,7 +194,7 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 					sp.Write(r.PageAddr(idx), page)
 				}
 			}
-			var skippedTotal, zeroPages, shrunk uint64
+			var skippedTotal, zeroPages, shrunk, multiRun uint64
 			for round := 0; round < 10; round++ {
 				eng.Schedule(eng.Now()+des.Second, func() {})
 				eng.Run(des.MaxTime)
@@ -208,10 +238,16 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if want.ContentFree { // decoded as runs, never pages
+					want.Pages, want.Runs = nil, oracleRuns(want)
+				}
 				if !reflect.DeepEqual(dec, want) {
 					t.Fatalf("round %d: decoded segment differs from the captured one", round)
 				}
 				skippedTotal += skipped
+				if tc.phantom && len(want.Runs) > 1 {
+					multiRun++
+				}
 				for _, p := range want.Pages {
 					if p.Data == nil && !tc.phantom {
 						zeroPages++
@@ -231,6 +267,9 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 			if !tc.phantom && zeroPages == 0 {
 				t.Error("no never-written page was ever captured")
 			}
+			if tc.phantom && multiRun == 0 {
+				t.Error("no content-free segment ever held more than one page run")
+			}
 		})
 	}
 }
@@ -238,7 +277,9 @@ func TestStreamedCaptureMatchesOracle(t *testing.T) {
 // TestEncodeMatchesOracle checks the materialised-segment entry points
 // (Encode, and AppendEncode into a caller's buffer) against the same
 // oracle — including records a capture never produces (short data,
-// content-free records that carry data).
+// content-free records that carry data, content-free pages given both
+// as records and as runs, empty runs among them) — and that the buffer
+// Encode allocates is exactly the segment.
 func TestEncodeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 9))
 	var reused []byte // AppendEncode's buffer, dirty with the previous segment
@@ -269,11 +310,22 @@ func TestEncodeMatchesOracle(t *testing.T) {
 			}
 			seg.Pages = append(seg.Pages, p)
 		}
+		for n := rng.IntN(6); seg.ContentFree && n > 0; n-- {
+			// Near the last record or run, so some pages extend it.
+			addr := rng.Uint64()
+			if last := len(seg.Pages) - 1; last >= 0 && rng.IntN(2) == 0 {
+				addr = seg.Pages[last].Addr + uint64(rng.IntN(3))*seg.PageSize
+			}
+			if last := len(seg.Runs) - 1; last >= 0 && rng.IntN(2) == 0 {
+				addr = seg.Runs[last].Addr + seg.Runs[last].Pages*seg.PageSize
+			}
+			seg.Runs = append(seg.Runs, PageRun{Addr: addr, Pages: rng.Uint64N(4)})
+		}
 		want, _ := oracleEncode(seg, false)
 		if got := seg.Encode(); !bytes.Equal(got, want) {
 			t.Fatalf("segment %d: Encode differs from the oracle", i)
-		} else if !seg.ContentFree && cap(got) != len(got) {
-			t.Fatalf("segment %d: raw encode reserved %d bytes for %d", i, cap(got), len(got))
+		} else if cap(got) != len(got) {
+			t.Fatalf("segment %d: encode reserved %d bytes for %d", i, cap(got), len(got))
 		}
 		// The same bytes appended to a reused, dirty buffer — in place
 		// when its capacity suffices — and behind a prefix left intact.
@@ -321,12 +373,12 @@ type discardStore struct{ storage.Store }
 func (discardStore) Put(string, []byte) error { return nil }
 
 // TestPhantomCheckpointAllocsIndependentOfPages: a content-free capture
-// streams straight from the bitsets into one presized buffer, and its
-// drain sets and scratch slices are reused, so a warm checkpoint
-// allocates the segment buffer and its key and nothing else, whatever
-// the page count.
+// streams page runs straight from the bitsets into one buffer, and its
+// drain sets and scratch slices are reused, so a warm checkpoint into a
+// borrowing store allocates the segment's key and nothing else, and
+// half a region dirtied in one sweep is one run whatever the page count.
 func TestPhantomCheckpointAllocsIndependentOfPages(t *testing.T) {
-	allocs := func(pages uint64, fullEvery int) float64 {
+	capture := func(pages uint64, fullEvery int) (allocs float64, bytes uint64) {
 		eng := des.NewEngine()
 		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize, Phantom: true})
 		c, err := NewCheckpointer(eng, sp, Options{Store: discardStore{}, FullEvery: fullEvery, TrackCow: true})
@@ -335,20 +387,27 @@ func TestPhantomCheckpointAllocsIndependentOfPages(t *testing.T) {
 		}
 		r, _ := sp.Mmap(pages * pageSize)
 		c.Start()
-		return testing.AllocsPerRun(20, func() {
+		allocs = testing.AllocsPerRun(20, func() {
 			sp.WriteRange(r.Start(), pages/2*pageSize)
-			if _, err := c.Checkpoint(); err != nil {
+			res, err := c.Checkpoint()
+			if err != nil {
 				t.Fatal(err)
 			}
+			bytes = res.Bytes
 		})
+		return allocs, bytes
 	}
 	for _, mode := range []struct {
 		name      string
 		fullEvery int
 	}{{"full", 1}, {"incremental", 0}} {
-		small, large := allocs(64, mode.fullEvery), allocs(64<<10, mode.fullEvery)
-		if small > 2 || large > 2 {
-			t.Errorf("%s: %v allocs per checkpoint of 64 pages, %v of 64 Ki pages; want 2, the segment and its key", mode.name, small, large)
+		small, smallBytes := capture(64, mode.fullEvery)
+		large, largeBytes := capture(64<<10, mode.fullEvery)
+		if small != 1 || large != 1 {
+			t.Errorf("%s: %v allocs per checkpoint of 64 pages, %v of 64 Ki pages; want 1, the key", mode.name, small, large)
+		}
+		if smallBytes != largeBytes {
+			t.Errorf("%s: a capture of 64 pages encodes to %d bytes, of 64 Ki pages to %d; want equal (one run each)", mode.name, smallBytes, largeBytes)
 		}
 	}
 }
@@ -376,7 +435,7 @@ func benchPhantom(b *testing.B, fullEvery int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(res.Bytes))
+		b.SetBytes(int64(res.PageBytes)) // the modelled page volume, not the run records
 	}
 }
 

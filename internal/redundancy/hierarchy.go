@@ -459,7 +459,8 @@ func (h *Hierarchy) CorruptParity(seq uint64, rng *rand.Rand) (string, bool) {
 //
 // so cmd/ckptinspect can reopen the whole hierarchy from a directory.
 
-// SaveManifest writes the hierarchy's geometry under dir.
+// SaveManifest writes the hierarchy's geometry under dir, crash-atomically:
+// a re-save leaves the old manifest or the new one, never a torn file.
 func (h *Hierarchy) SaveManifest(dir string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "multilevel v1\n")
@@ -475,10 +476,7 @@ func (h *Hierarchy) SaveManifest(dir string) error {
 			fmt.Fprintf(&b, "\n")
 		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "manifest"), []byte(b.String()), 0o644)
+	return storage.WriteFileAtomic(filepath.Join(dir, "manifest"), []byte(b.String()))
 }
 
 // NewFileHierarchy builds a file-backed hierarchy under dir and saves

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -372,6 +374,42 @@ func TestFileHierarchyManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadFileHierarchy(t.TempDir()); err == nil {
 		t.Fatal("empty dir loaded")
+	}
+}
+
+// A re-saved manifest replaces the old one whole: the reload reads the
+// new geometry, and the write leaves no temp file beside it.
+func TestFileHierarchyManifestResave(t *testing.T) {
+	dir := t.TempDir()
+	dm, err := cluster.DomainMapFromGroups(4, map[string][]int{"rack0": {0}, "rack1": {1}, "rack2": {2}, "rack3": {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFileHierarchy(dir, Scheme{Kind: XOR, K: 2, M: 1}, dm, 2, mpi.QsNet()); err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewFileHierarchy(dir, Scheme{Kind: RS, K: 2, M: 2}, dm, 5, mpi.QsNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SaveManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadFileHierarchy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Scheme() != h.Scheme() || got.GlobalEvery() != 5 || got.Ranks() != h.Ranks() {
+		t.Fatalf("reloaded the old manifest: scheme %v every %d ranks %d", got.Scheme(), got.GlobalEvery(), got.Ranks())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("temp file %s left beside the manifest", e.Name())
+		}
 	}
 }
 

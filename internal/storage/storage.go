@@ -279,45 +279,50 @@ func (s *FileStore) path(key string) (string, error) {
 	return p, nil
 }
 
-// Put implements Store. The write is crash-atomic: data goes to a
-// uniquely named temp file in the destination directory, is flushed to
-// the device, and is then renamed over the key — readers see either the
-// old value or the complete new one, never a torn file (the failure the
-// fault injector models; a real crashed writer must not produce it).
+// Put implements Store. The write is crash-atomic (WriteFileAtomic), so
+// readers see either the old value or the complete new one, never a torn
+// file (the failure the fault injector models; a real crashed writer
+// must not produce it).
 func (s *FileStore) Put(key string, data []byte) error {
 	p, err := s.path(key)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, filepath.Base(p)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("storage: key %q: %w", key, err)
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: key %q: %w", key, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: key %q: %w", key, err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(p, data); err != nil {
 		return fmt.Errorf("storage: key %q: %w", key, err)
 	}
 	return nil
+}
+
+// WriteFileAtomic writes data to path crash-atomically, making path's
+// directory when it is missing: data goes to a uniquely named temp file
+// beside path (its name is path's with ".tmp" and a suffix, which
+// FileStore's Keys skips), is flushed to the device, and is then renamed
+// over path. A failed write removes its temp file.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Get implements Store.
