@@ -395,12 +395,12 @@ type Supervisor struct {
 	eng   *des.Engine
 	chaos *chaos.Driver // nil unless ValidateReplayStore injects a plan
 	store storage.Store
-	rng   *rand.Rand
+	rng   rand.Rand // the failure stream; it and its source live in s
+	pcg   rand.PCG
 
 	cur          *team
-	lastLineIter int             // iteration of the line a recovery would target
-	lineIter     map[uint64]int  // committed line seq → iteration it captured
-	wastedSeqs   map[uint64]bool // line seqs already charged as wasted to some failure
+	lastLineIter int                   // iteration of the line a recovery would target
+	lines        map[uint64]lineRecord // committed line seq → what it captured
 	nextSeq      uint64
 	report       Report
 	failed       error
@@ -422,6 +422,14 @@ type Supervisor struct {
 	pendingFailIter int       // iteration count at the failure being recovered
 	unrecovered     int       // failures absorbed since the last completed recovery
 	storeDown       int       // consecutive recoveries deferred by an unavailable store
+}
+
+// lineRecord is what the supervisor knows of a committed line: the
+// iteration it captured, and whether a rollback already charged it as
+// wasted to some failure.
+type lineRecord struct {
+	iter   int
+	wasted bool
 }
 
 // Run executes the configured computation under supervision on a fresh
@@ -459,14 +467,14 @@ func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 		cfg.NetFaults = driver.MergeNetFaults(cfg.NetFaults)
 	}
 	s := &Supervisor{
-		cfg:        cfg,
-		eng:        eng,
-		chaos:      driver,
-		store:      store,
-		rng:        rand.New(rand.NewPCG(cfg.Seed, 0xA57)),
-		lineIter:   make(map[uint64]int),
-		wastedSeqs: make(map[uint64]bool),
+		cfg:   cfg,
+		eng:   eng,
+		chaos: driver,
+		store: store,
+		lines: make(map[uint64]lineRecord),
 	}
+	s.pcg.Seed(cfg.Seed, 0xA57)
+	s.rng = *rand.New(&s.pcg)
 	if cfg.MultiLevel != nil {
 		if err := s.buildHierarchy(store); err != nil {
 			return nil, err
@@ -486,12 +494,15 @@ func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 	if s.failed != nil {
 		return nil, s.failed
 	}
-	s.report.Elapsed = s.eng.Now()
-	s.report.Ideal = des.Time(cfg.Iterations) * cfg.ComputeTime
-	if s.report.Elapsed > 0 {
-		s.report.Efficiency = s.report.Ideal.Seconds() / s.report.Elapsed.Seconds()
+	// A copy, not &s.report: a held report must not keep the run's
+	// engine, teams, address spaces and stores reachable.
+	rep := s.report
+	rep.Elapsed = s.eng.Now()
+	rep.Ideal = des.Time(cfg.Iterations) * cfg.ComputeTime
+	if rep.Elapsed > 0 {
+		rep.Efficiency = rep.Ideal.Seconds() / rep.Elapsed.Seconds()
 	}
-	return &s.report, nil
+	return &rep, nil
 }
 
 // buildTeam constructs a new world/solver/checkpointer incarnation.
@@ -664,7 +675,7 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 func (s *Supervisor) lineDone(g ckpt.GlobalResult, iter int, pause des.Time) {
 	s.nextSeq = g.Seq + 1
 	s.lastLineIter = iter
-	s.lineIter[g.Seq] = iter
+	s.lines[g.Seq] = lineRecord{iter: iter}
 	s.report.CommittedLines++
 	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
 	s.report.CommitTime += pause
@@ -1013,7 +1024,7 @@ func (s *Supervisor) recover(sel selection, failIter int) {
 	}
 	startIter := 0
 	if sel.ok {
-		startIter = s.lineIter[sel.line]
+		startIter = s.lines[sel.line].iter
 	}
 	s.lastLineIter = startIter
 	s.report.LostIterations += failIter - startIter
@@ -1045,9 +1056,9 @@ func (s *Supervisor) recover(sel selection, failIter int) {
 // lines are never double-counted.
 func (s *Supervisor) closeFailureRecords(startIter int) {
 	wasted := 0
-	for seq, iter := range s.lineIter {
-		if iter > startIter && !s.wastedSeqs[seq] {
-			s.wastedSeqs[seq] = true
+	for seq, l := range s.lines {
+		if l.iter > startIter && !l.wasted {
+			s.lines[seq] = lineRecord{iter: l.iter, wasted: true}
 			wasted++
 		}
 	}

@@ -123,6 +123,26 @@ func TestFailureBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWastedLinesChargedOnce: a rollback charges the committed lines
+// past the restored iteration as wasted, each line at most once — a
+// second rollback to the same point charges only the line the replay
+// committed since, under a fresh seq.
+func TestWastedLinesChargedOnce(t *testing.T) {
+	s := &Supervisor{lines: map[uint64]lineRecord{1: {iter: 5}, 2: {iter: 10}, 3: {iter: 15}}}
+	s.closeFailureRecords(5)
+	if s.report.WastedCheckpoints != 2 {
+		t.Fatalf("first rollback to iteration 5 wasted %d lines, want 2", s.report.WastedCheckpoints)
+	}
+	s.lines[4] = lineRecord{iter: 10}
+	s.closeFailureRecords(5)
+	if s.report.WastedCheckpoints != 3 {
+		t.Fatalf("second rollback brought the total to %d wasted lines, want 3", s.report.WastedCheckpoints)
+	}
+	if got := s.lines[2]; got.iter != 10 {
+		t.Fatalf("a wasted line restores to iteration %d, want 10", got.iter)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := baseConfig()
 	cfg.MTBF = 2 * des.Second

@@ -13,6 +13,7 @@ package autonomic
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/des"
@@ -58,10 +59,77 @@ func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMat
 // never restores and nothing reads its lines back: they go to a store
 // that keeps nothing (discardStore). Every line is still captured,
 // counted and charged its sink time exactly as a kept one.
+//
+// A reference whose workload is one of this package's value factories
+// (StencilFactory, PutFactory, or nil for the former) runs once per
+// process: later calls with the same stripped config, whatever their
+// Seed, return a copy of the first report (see referenceKey). Every
+// call gets its own copy, so a caller may change what it is given.
 func Reference(cfg Config) (*Report, error) {
+	cfg = referenceConfig(cfg)
+	key, memo := referenceKey(cfg)
+	if memo {
+		refMemo.Lock()
+		rep, hit := refMemo.m[key]
+		refMemo.Unlock()
+		if hit {
+			c := rep.clone()
+			return &c, nil
+		}
+	}
+	rep, err := Run(cfg)
+	if err != nil || !memo {
+		return rep, err
+	}
+	refMemo.Lock()
+	refMemo.m[key] = rep.clone()
+	refMemo.Unlock()
+	return rep, nil
+}
+
+// referenceConfig is cfg without its failure sources and protection
+// layers, writing to a store that keeps nothing, with its defaults
+// filled in: the run Reference makes.
+func referenceConfig(cfg Config) Config {
 	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, discardStore{}
 	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
-	return Run(cfg)
+	return cfg.withDefaults()
+}
+
+// refMemo holds the reports of the references this process has run, by
+// referenceKey. Two concurrent misses on one key both run and store
+// equal reports.
+var refMemo = struct {
+	sync.Mutex
+	m map[Config]Report
+}{m: make(map[Config]Report)}
+
+// referenceKey is the memo key of the reference config cfg and whether
+// its report may be memoised at all. The key is cfg with Seed zeroed: a
+// run reads Seed only through its failure rng (MTBF failures, a
+// detector's extra victims, multi-level victims) and the
+// parity-corruption rng (MultiLevel), and a reference has none of
+// these. Only this package's value factories are memoised, because
+// their value is their behaviour; any other Factory — a SoloFactory
+// holds funcs, a caller's decorator may count or trace — runs every
+// time. A config holding a NaN never equals itself, so it is not
+// memoised either.
+func referenceKey(cfg Config) (Config, bool) {
+	cfg.Seed = 0
+	switch cfg.Workload.(type) {
+	case StencilFactory, PutFactory:
+		return cfg, cfg == cfg
+	}
+	return cfg, false
+}
+
+// clone is a copy of r sharing no slice with it.
+func (r *Report) clone() Report {
+	c := *r
+	c.DetectionLatencies = slices.Clone(r.DetectionLatencies)
+	c.FailureLog = slices.Clone(r.FailureLog)
+	c.SpaceDigests = slices.Clone(r.SpaceDigests)
+	return c
 }
 
 // discardStore is the Reference's store: Put borrows the segment and

@@ -2,9 +2,14 @@ package autonomic
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/des"
+	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/redundancy"
 	"repro/internal/storage"
 )
@@ -44,20 +49,192 @@ func TestReferenceDiscardsOnlyTheBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkReferenceRun is one heal-stencil-shaped Reference per op: an
-// 8-rank backed stencil cutting a line every 5 of 80 sweeps, the
-// failure-free half of every replay validation.
-func BenchmarkReferenceRun(b *testing.B) {
-	cfg := Config{
+// TestReportDoesNotPinItsRun: a held Report keeps none of its run
+// alive — not the supervisor, and through it not the engine, the teams,
+// their address spaces or the stores. The probe is the run's workload:
+// a factory only the supervisor's config points to, whose finalizer
+// runs once the supervisor is garbage.
+func TestReportDoesNotPinItsRun(t *testing.T) {
+	w := &StencilFactory{Nx: 32, RowsPerRank: 8, Boundary: 9, ComputeTime: 200 * des.Millisecond}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(w, func(*StencilFactory) { close(freed) })
+	cfg := baseConfig()
+	cfg.Workload = w
+	rep, err := Run(cfg)
+	if err != nil || !rep.Completed {
+		t.Fatalf("run: completed %v, %v", rep != nil && rep.Completed, err)
+	}
+	w, cfg = nil, Config{}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(rep)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the supervisor outlives its run while its report is held")
+	runtime.KeepAlive(rep)
+}
+
+// heal-stencil is the replay suite's largest reference: an 8-rank
+// backed stencil, the benchmark's shape.
+func healStencilConfig(seed uint64) Config {
+	return Config{
 		Ranks: 8, Nx: 256, RowsPerRank: 64, Boundary: 9,
 		Iterations: 80, CkptEvery: 5,
 		ComputeTime:     250 * des.Millisecond,
 		RestartOverhead: des.Second,
 		TwoPhaseCommit:  true,
+		Seed:            seed,
 	}
+}
+
+// valueFactoryConfigs are the replay suite's configs whose workload is
+// a value factory (nil → StencilFactory, or PutFactory), at seed.
+func valueFactoryConfigs(t *testing.T, seed uint64) map[string]Config {
+	twoPhase := chaosBaseConfig(seed)
+	twoPhase.TwoPhaseCommit = true
+	xor := mlBaseConfig(seed, MultiLevelOptions{
+		Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
+		Domains: mlDomains(t, 4, 1),
+	})
+	xor.TwoPhaseCommit = true
+	drain, naive := rdmaConfig(RDMADrain), rdmaConfig(RDMANaive)
+	drain.Seed, naive.Seed = seed, seed
+	base := baseConfig()
+	base.Seed = seed
+	return map[string]Config{
+		"chaos":          chaosBaseConfig(seed),
+		"chaos 2pc":      twoPhase,
+		"base":           base,
+		"multilevel xor": xor,
+		"multilevel rs":  mlBaseConfig(seed, MultiLevelOptions{Scheme: redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2}}),
+		"put drain":      drain,
+		"put naive":      naive,
+		"heal-stencil":   healStencilConfig(seed),
+	}
+}
+
+// TestReplayReferenceMemoIsSeedIndependent pins what the memo key
+// relies on: a failure-free run does not read Seed. At every seed, the
+// memoised Reference of each replay-suite config equals, field for
+// field, a fresh Run of its stripped config at that seed. The first
+// seed fills the memo; at the later ones the first call already hits,
+// allocating only its copy.
+func TestReplayReferenceMemoIsSeedIndependent(t *testing.T) {
+	for i, seed := range []uint64{3, 5, 9} {
+		for name, cfg := range valueFactoryConfigs(t, seed) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ref, err := Reference(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s seed %d: reference: %v", name, seed, err)
+			}
+			if n := after.Mallocs - before.Mallocs; i > 0 && n > 4 {
+				t.Errorf("%s seed %d: the reference allocated %d times, want a memo hit's copy", name, seed, n)
+			}
+			fresh, err := Run(referenceConfig(cfg))
+			if err != nil {
+				t.Fatalf("%s seed %d: fresh run: %v", name, seed, err)
+			}
+			if !ref.Completed || !reflect.DeepEqual(ref, fresh) {
+				t.Errorf("%s seed %d: memoised reference differs from a fresh run:\nmemo  %+v\nfresh %+v", name, seed, ref, fresh)
+			}
+		}
+	}
+}
+
+// TestReplayReferenceRunsOtherFactoriesEveryCall: a factory's identity
+// says nothing about its behaviour unless it is one of this package's
+// value factories, so a SoloFactory's or a decorator's reference is
+// built on every call.
+func TestReplayReferenceRunsOtherFactoriesEveryCall(t *testing.T) {
+	var built int
+	solo := stencilSolo()
+	build := solo.Build
+	solo.Build = func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
+		built++
+		return build(sp)
+	}
+	soloCfg := Config{Workload: solo, Ranks: 1, Iterations: 6, CkptEvery: 2, ComputeTime: 50 * des.Millisecond}
+	decorated := baseConfig()
+	decorated.Workload = countingFactory{Factory: decorated.withDefaults().Workload, built: &built}
+	for name, cfg := range map[string]Config{"solo": soloCfg, "decorator": decorated} {
+		built = 0
+		for i := 0; i < 3; i++ {
+			if _, err := Reference(cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if built != 3 {
+			t.Errorf("%s: 3 references built %d computations, want 3", name, built)
+		}
+	}
+}
+
+// TestReplayReferenceConcurrentCallsAgree: concurrent calls on one key,
+// misses and hits alike, all return equal reports.
+func TestReplayReferenceConcurrentCallsAgree(t *testing.T) {
+	cfg := chaosBaseConfig(1)
+	cfg.Iterations = 23 // a key no other test fills
+	reps := make([]*Report, 6)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := Reference(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			reps[i] = rep
+		}()
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if rep == nil || !rep.Completed || !reflect.DeepEqual(rep, reps[0]) {
+			t.Fatalf("call %d: %+v, call 0: %+v", i, rep, reps[0])
+		}
+	}
+}
+
+// TestReplayReferenceHitsAreCopies: what a caller does to the report it
+// was given never reaches the memo.
+func TestReplayReferenceHitsAreCopies(t *testing.T) {
+	cfg := rdmaConfig(RDMADrain)
+	want, err := Run(referenceConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := Reference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: %+v, want %+v", i, got, want)
+		}
+		got.Checksum++
+		got.SpaceDigests[0] ^= 1
+		got.SpaceDigests = append(got.SpaceDigests, 7)
+		got.FailureLog = append(got.FailureLog, FailureEvent{Iter: 1})
+		got.DrainPhaseTime[0]++
+	}
+}
+
+// BenchmarkReferenceRun is one heal-stencil-shaped reference run per
+// op: an 8-rank backed stencil cutting a line every 5 of 80 sweeps, the
+// failure-free half of every replay validation. It runs the reference
+// config directly, because Reference would answer every op after the
+// first from its memo.
+func BenchmarkReferenceRun(b *testing.B) {
+	cfg := referenceConfig(healStencilConfig(0))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := Reference(cfg)
+		rep, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

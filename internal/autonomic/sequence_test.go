@@ -123,15 +123,7 @@ bitflip at 1200ms..15s count 4
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{6, 13, 16} {
-		cfg := Config{
-			Ranks: 8, Nx: 256, RowsPerRank: 64, Boundary: 9,
-			Iterations: 80, CkptEvery: 5,
-			ComputeTime:     250 * des.Millisecond,
-			RestartOverhead: des.Second,
-			TwoPhaseCommit:  true,
-			Seed:            seed,
-		}
-		out, err := ValidateReplay(cfg, sched)
+		out, err := ValidateReplay(healStencilConfig(seed), sched)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -75,25 +75,15 @@ func clusterCell(cfg autonomic.Config, lr float64, period des.Time, every int) a
 // (nil → a default sweep of three).
 func FaultyClusterAblation(seeds []uint64) ([]ClusterRow, error) {
 	loss, periods, slices := clusterGrid()
-	// A cell's Reference drops its network faults, detector and commit
-	// protocol and keeps its timeslice: one reference per timeslice.
-	refs := make([]*autonomic.Report, len(slices))
-	for j, every := range slices {
-		var err error
-		if refs[j], err = autonomic.Reference(clusterCell(smallJacobi(4, 0), loss[0], periods[0], every)); err != nil {
-			return nil, err
-		}
-	}
 	var rows []ClusterRow
 	for _, lr := range loss {
 		for _, period := range periods {
-			for j, every := range slices {
+			for _, every := range slices {
 				row := ClusterRow{LossRate: lr, Period: period, CkptEvery: every}
 				var latSum des.Time
 				var latN int
 				row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-					rep, err := autonomic.Run(clusterCell(cfg, lr, period, every))
-					return rep, err != nil || autonomic.Compare(refs[j], rep).BitExact(), err
+					return runAgainstReference(clusterCell(cfg, lr, period, every))
 				}, func(rep *autonomic.Report) {
 					row.Failures += rep.Failures
 					row.Recoveries += rep.Recoveries

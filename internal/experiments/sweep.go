@@ -92,6 +92,23 @@ func sweepSeeds(seeds []uint64, ranks int,
 	return st
 }
 
+// runAgainstReference is a sweepSeeds run: cfg supervised, judged
+// bit for bit against its (memoised) autonomic.Reference. The storage
+// tier winning — an unmirrored outage, an exhausted failure budget — is
+// a legitimate outcome, recorded as an incomplete run rather than a
+// divergence, so a run that errors keeps its exact verdict.
+func runAgainstReference(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+	rep, err := autonomic.Run(cfg)
+	if err != nil {
+		return nil, true, err
+	}
+	ref, err := autonomic.Reference(cfg)
+	if err != nil {
+		return rep, false, err
+	}
+	return rep, autonomic.Compare(ref, rep).BitExact(), nil
+}
+
 // yesNo renders a verdict column.
 func yesNo(v bool) string {
 	if v {

@@ -298,7 +298,8 @@ func (s *FileStore) Put(key string, data []byte) error {
 // directory when it is missing: data goes to a uniquely named temp file
 // beside path (its name is path's with ".tmp" and a suffix, which
 // FileStore's Keys skips), is flushed to the device, and is then renamed
-// over path. A failed write removes its temp file.
+// over path; the directory is flushed last, so the rename itself
+// survives a crash. A failed write removes its temp file.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -321,6 +322,21 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries to the device. It is a variable so a
+// test can make it fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -183,6 +183,37 @@ func TestFileStorePutAtomicity(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicSyncsDirectory: the rename is flushed by syncing
+// path's directory, and a failed directory sync is the write's error —
+// the file is in place, but a crash could still undo the rename.
+func TestWriteFileAtomicSyncsDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	path := filepath.Join(dir, "manifest")
+	var synced []string
+	failSync := errors.New("directory sync failed")
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return failSync
+	}
+	if err := WriteFileAtomic(path, []byte("v1")); !errors.Is(err, failSync) {
+		t.Fatalf("WriteFileAtomic = %v, want the directory sync error", err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("synced %q, want [%q]", synced, dir)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "v1" {
+		t.Fatalf("file after a failed directory sync = %q, %v; want the renamed v1", got, err)
+	}
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Put("r/seg", []byte("x")); !errors.Is(err, failSync) {
+		t.Fatalf("FileStore.Put = %v, want the directory sync error", err)
+	}
+}
+
 func TestMemStoreIsolation(t *testing.T) {
 	s := NewMemStore()
 	data := []byte("abc")
