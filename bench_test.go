@@ -64,7 +64,7 @@ func BenchmarkSelfHealing(b *testing.B) {
 			Ranks: 8, Nx: 64, RowsPerRank: 16, Boundary: 100,
 			Iterations: 60, CkptEvery: 5,
 			ComputeTime: 250 * des.Millisecond,
-			MTBF:        4 * des.Second, RestartOverhead: des.Second,
+			Faults:      "crash every exp 4s", RestartOverhead: des.Second,
 			Seed: 11,
 		})
 		if err != nil {
@@ -117,7 +117,7 @@ func BenchmarkTwoPhaseCommit(b *testing.B) {
 		Ranks: 8, Nx: 64, RowsPerRank: 16, Boundary: 100,
 		Iterations: 40, CkptEvery: 5,
 		ComputeTime: 250 * des.Millisecond,
-		MTBF:        4 * des.Second, RestartOverhead: des.Second,
+		Faults:      "crash every exp 4s", RestartOverhead: des.Second,
 		Seed: 11,
 	}
 	for i := 0; i < b.N; i++ {

@@ -519,18 +519,14 @@ func Example_flaky_network() {
 	// The cluster under test: 10% message loss with duplicates and
 	// jitter, and a mid-run degradation window where the fabric gets
 	// dramatically worse.
-	cfg.NetFaults = &mpi.NetFaultConfig{
-		Seed:      23,
-		DropRate:  0.10,
-		DupRate:   0.02,
-		JitterMax: 300 * des.Microsecond,
-		Windows: []mpi.DegradedWindow{
-			{From: 10 * des.Second, To: 14 * des.Second, ExtraDrop: 0.25, SlowFactor: 4},
-		},
-	}
+	// Nodes fail every ~10 s on top.
+	cfg.Faults = `
+net loss 0.10 dup 0.02 jitter 300us seed 23
+brownout at 10s..14s drop 0.25 slow 4
+crash every exp 10s
+`
 	cfg.HeartbeatPeriod = 50 * des.Millisecond // timeout defaults to 4x
 	cfg.TwoPhaseCommit = true
-	cfg.MTBF = 10 * des.Second
 	cfg.RestartOverhead = 500 * des.Millisecond
 
 	rep, err := autonomic.Run(cfg)
@@ -636,7 +632,7 @@ func Example_hardened_storage() {
 		log.Fatal(err)
 	}
 
-	cfg.MTBF = 3 * des.Second
+	cfg.Faults = "crash every exp 3s"
 	cfg.RestartOverhead = 500 * des.Millisecond
 	cfg.Store = mirror
 	rep, err := autonomic.Run(cfg)
@@ -920,7 +916,7 @@ func Example_self_healing() {
 	}
 
 	// Same computation on a machine failing every ~4 seconds.
-	cfg.MTBF = 4 * des.Second
+	cfg.Faults = "crash every exp 4s"
 	cfg.RestartOverhead = des.Second
 	rep, err := autonomic.Run(cfg)
 	if err != nil {

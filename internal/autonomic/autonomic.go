@@ -71,8 +71,8 @@ func (f StencilFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Com
 
 // Config is a supervised run: what it computes, how it checkpoints and
 // what fails. It carries no engine and no chaos driver — Run builds its
-// own engine, and ValidateReplayStore the injected run's engine and
-// driver.
+// own engine and, for a non-empty Faults, the driver of its compiled
+// plan; ValidateReplayStore builds the injected run's.
 type Config struct {
 	// Workload picks the computation; nil selects a StencilFactory
 	// built from the grid fields below.
@@ -90,9 +90,13 @@ type Config struct {
 	CkptEvery int
 	// ComputeTime is the virtual cost of one sweep.
 	ComputeTime des.Time
-	// MTBF is the *system* mean time between failures; zero disables
-	// failure injection, and a negative value is refused.
-	MTBF des.Time
+	// Faults is what fails, in the chaos schedule language (see
+	// chaos.ParseSchedule), compiled with Seed: "crash every exp 4s" is a
+	// machine failing every ~4 s (the system MTBF), "net loss 0.1 dup
+	// 0.02 jitter 300us seed 23" a flaky interconnect, and every other
+	// line one planned fault. Storage lines strike the store the run
+	// writes through, from above. Empty means nothing fails.
+	Faults string
 	// RestartOverhead is the fixed downtime per failure (detection,
 	// reboot, re-spawn) on top of the chain-read time.
 	RestartOverhead des.Time
@@ -107,10 +111,6 @@ type Config struct {
 	// Seed drives failure times deterministically.
 	Seed uint64
 
-	// NetFaults, when non-nil, runs the team over a flaky interconnect:
-	// drop and duplication, delay jitter, and degradation
-	// windows, all seeded and deterministic (see mpi.NetFaultConfig).
-	NetFaults *mpi.NetFaultConfig
 	// HeartbeatPeriod, when > 0 (and Ranks > 1), runs a gossip-style
 	// heartbeat failure detector over the (possibly flaky) interconnect;
 	// a negative period is refused.
@@ -149,8 +149,9 @@ type Config struct {
 	// only every GlobalEvery lines. Failures wipe the victims' L1
 	// stores; recovery reads through the tiers — L1, L2 rebuild, L3 —
 	// with per-level accounting in the report. The chaos DSL's
-	// domain-crash fault kills whole failure domains at once, so a plan
-	// that holds one needs MultiLevel (see ValidateReplayStore).
+	// domain-crash fault kills whole failure domains at once and its
+	// parity-flip rots placed parity, so a plan that holds either needs
+	// MultiLevel (see Config.plan).
 	MultiLevel *MultiLevelOptions
 }
 
@@ -208,25 +209,40 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
 	case c.RestartOverhead < 0:
 		return fmt.Errorf("autonomic: negative restart overhead %v", c.RestartOverhead)
-	case c.MTBF < 0:
-		return fmt.Errorf("autonomic: negative MTBF %v (zero disables failures)", c.MTBF)
 	case c.HeartbeatPeriod < 0:
 		return fmt.Errorf("autonomic: negative heartbeat period %v (zero disables the detector)", c.HeartbeatPeriod)
 	}
 	return nil
 }
 
-// admit refuses a chaos plan holding faults c has no instant to land: a
-// domain crash needs MultiLevel's failure domains, and a
-// crash-during-drain needs the drain protocol.
-func (c Config) admit(p *chaos.Plan) error {
-	switch {
-	case len(p.DomainCrashes) > 0 && c.MultiLevel == nil:
-		return fmt.Errorf("autonomic: chaos plan holds domain-crash faults, but without MultiLevel the run has no failure domains")
-	case len(p.DrainCrashes) > 0 && c.RDMA != RDMADrain:
-		return fmt.Errorf("autonomic: chaos plan holds crash-during-drain faults, but the run has no RDMA drain protocol")
+// plan compiles c's Faults and extra (nil for none) as one schedule with
+// c's Seed, and refuses a plan holding faults c has no instant to land:
+// a domain crash needs MultiLevel's failure domains, a parity flip its
+// parity, and a crash-during-drain needs the drain protocol.
+func (c Config) plan(extra *chaos.Schedule) (*chaos.Plan, error) {
+	sched := extra
+	if c.Faults != "" {
+		own, err := chaos.ParseSchedule(c.Faults)
+		if err != nil {
+			return nil, fmt.Errorf("autonomic: faults: %w", err)
+		}
+		if extra != nil {
+			own.Specs = append(own.Specs, extra.Specs...)
+		}
+		sched = own
 	}
-	return nil
+	p, err := sched.Compile(c.Seed)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(p.DomainCrashes) > 0 && c.MultiLevel == nil:
+		return nil, fmt.Errorf("autonomic: chaos plan holds domain-crash faults, but without MultiLevel the run has no failure domains")
+	case len(p.ParityFlips) > 0 && c.MultiLevel == nil:
+		return nil, fmt.Errorf("autonomic: chaos plan holds parity-flip faults, but without MultiLevel the run places no parity")
+	case len(p.DrainCrashes) > 0 && c.RDMA != RDMADrain:
+		return nil, fmt.Errorf("autonomic: chaos plan holds crash-during-drain faults, but the run has no RDMA drain protocol")
+	}
+	return p, nil
 }
 
 // FailureEvent is the per-failure lost-work record: when the failure
@@ -393,7 +409,7 @@ type team struct {
 type Supervisor struct {
 	cfg   Config
 	eng   *des.Engine
-	chaos *chaos.Driver // nil unless ValidateReplayStore injects a plan
+	chaos *chaos.Driver // nil when nothing fails
 	store storage.Store
 	rng   rand.Rand // the failure stream; it and its source live in s
 	pcg   rand.PCG
@@ -433,18 +449,33 @@ type lineRecord struct {
 }
 
 // Run executes the configured computation under supervision on a fresh
-// engine and returns the report. The final checksum is filled in on
-// success.
+// engine, driving cfg.Faults compiled with cfg.Seed, and returns the
+// report. The final checksum is filled in on success.
 func Run(cfg Config) (*Report, error) {
-	return run(cfg, des.NewEngine(), nil)
+	eng := des.NewEngine()
+	if cfg.Faults == "" {
+		return run(cfg, eng, nil)
+	}
+	plan, err := cfg.plan(nil)
+	if err != nil {
+		return nil, err
+	}
+	driver := chaos.NewDriver(eng, plan)
+	if plan.HitsStorage() {
+		if cfg.Store == nil {
+			cfg.Store = storage.NewMemStore()
+		}
+		cfg.Store = driver.WrapStore(cfg.Store)
+	}
+	return run(cfg, eng, driver)
 }
 
 // run is Run on eng (fresh, clock at zero), with driver (nil for none)
-// driving scheduled failures from a compiled plan bound to eng: node
+// driving a compiled plan bound to eng: the Poisson failure clock, node
 // crashes at planned instants, crashes aimed inside commit windows and
-// drain phases, and the plan's network partitions and brownouts.
+// drain phases, parity flips, and the plan's interconnect faults.
 // Storage-layer chaos rides the store the caller wrapped with
-// Driver.WrapStore. The plan composes with MTBF.
+// Driver.WrapStore.
 func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -460,11 +491,6 @@ func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 	store := cfg.Store
 	if store == nil {
 		store = storage.NewMemStore()
-	}
-	if driver != nil {
-		// Fold the plan's partition/brownout windows into the interconnect
-		// fault config every team incarnation is built with.
-		cfg.NetFaults = driver.MergeNetFaults(cfg.NetFaults)
 	}
 	s := &Supervisor{
 		cfg:   cfg,
@@ -525,8 +551,9 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NetFaults != nil {
-		if err := world.SetFaults(*cfg.NetFaults); err != nil {
+	if s.chaos != nil && s.chaos.Plan().Net != nil {
+		// The plan's interconnect: steady loss plus partition/brownout windows.
+		if err := world.SetFaults(*s.chaos.Plan().Net); err != nil {
 			return nil, err
 		}
 	}
@@ -740,11 +767,9 @@ func (s *Supervisor) protect(t *team, seq uint64, cont func()) {
 	}
 	s.report.L2ExchangeTime += rep.Time
 	s.report.ParityVolumeMB += float64(rep.ParityBytes) / 1e6
-	for _, at := range s.cfg.MultiLevel.CorruptParityAt {
-		if at == seq {
-			if _, ok := s.ml.CorruptParity(seq, s.mlRng); ok {
-				s.report.InjectedParityCorruptions++
-			}
+	if s.chaos != nil && s.chaos.ParityFlipHit(s.eng.Now()) {
+		if _, ok := s.ml.CorruptParity(seq, s.mlRng); ok {
+			s.report.InjectedParityCorruptions++
 		}
 	}
 	s.eng.After(rep.Time, func() {
@@ -792,12 +817,12 @@ func (s *Supervisor) finish(t *team) {
 	s.eng.Stop()
 }
 
-// scheduleFailure arms the next failure event.
+// scheduleFailure arms the plan's Poisson clock's next failure event.
 func (s *Supervisor) scheduleFailure() {
-	if s.cfg.MTBF <= 0 {
+	if s.chaos == nil || s.chaos.Plan().CrashMean <= 0 {
 		return
 	}
-	delay := des.FromSeconds(s.rng.ExpFloat64() * s.cfg.MTBF.Seconds())
+	delay := des.FromSeconds(s.rng.ExpFloat64() * s.chaos.Plan().CrashMean.Seconds())
 	if delay < des.Millisecond {
 		delay = des.Millisecond
 	}
@@ -868,8 +893,11 @@ func (s *Supervisor) onFailure() {
 	}
 	// A commit window open at the failure instant can never produce a
 	// trusted line: the abort deletes the prepared segments and the
-	// COMMIT marker is never written.
-	t.co.AbortPending(fmt.Errorf("rank failure at %v", s.eng.Now()))
+	// COMMIT marker is never written. The reason is only worth building
+	// for a round that is open.
+	if _, open := t.co.PendingSeq(); open {
+		t.co.AbortPending(fmt.Errorf("rank failure at %v", s.eng.Now()))
+	}
 	// The computation is gone either way: the dead rank's halo partners
 	// stall within an iteration, and the stall propagates.
 	s.harvestRDMA(t)

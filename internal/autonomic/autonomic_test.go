@@ -16,7 +16,7 @@ import (
 func referenceChecksum(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	clean := cfg
-	clean.MTBF = 0
+	clean.Faults = ""
 	rep, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +63,31 @@ func TestRunWithoutFailures(t *testing.T) {
 	}
 }
 
+// A storage line in Faults strikes the store Run writes through: lines
+// cut inside the outage are refused, and the run still completes with
+// the failure-free answer.
+func TestRunDrivesStorageFaults(t *testing.T) {
+	cfg := baseConfig()
+	want := referenceChecksum(t, cfg)
+	cfg.Faults = "storage-outage at 1s..3s"
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.Checksum != want {
+		t.Fatalf("completed %v, checksum %v, want %v", rep.Completed, rep.Checksum, want)
+	}
+	if rep.CheckpointFailures == 0 {
+		t.Fatal("no line refused inside the outage — the storage line never landed")
+	}
+}
+
 func TestSelfHealingExactness(t *testing.T) {
 	cfg := baseConfig()
 	want := referenceChecksum(t, cfg)
 
 	// MTBF of ~3 s against an ~8+ s run: several failures guaranteed.
-	cfg.MTBF = 3 * des.Second
+	cfg.Faults = "crash every exp 3s"
 	cfg.RestartOverhead = 500 * des.Millisecond
 	rep, err := Run(cfg)
 	if err != nil {
@@ -109,7 +128,7 @@ func TestFailureBeforeFirstCheckpoint(t *testing.T) {
 	want := referenceChecksum(t, cfg)
 	// Force an early failure: tiny MTBF for the first hit, but the
 	// run is short so usually one failure before any checkpoint.
-	cfg.MTBF = 1500 * des.Millisecond
+	cfg.Faults = "crash every exp 1500ms"
 	cfg.RestartOverhead = 100 * des.Millisecond
 	rep, err := Run(cfg)
 	if err != nil {
@@ -145,7 +164,7 @@ func TestWastedLinesChargedOnce(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := baseConfig()
-	cfg.MTBF = 2 * des.Second
+	cfg.Faults = "crash every exp 2s"
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,18 +191,32 @@ func TestValidation(t *testing.T) {
 	}
 	// A negative overhead would schedule the first recovery in the past.
 	bad = baseConfig()
-	bad.MTBF = 2 * des.Second
+	bad.Faults = "crash every exp 2s"
 	bad.RestartOverhead = -3 * des.Second
 	if _, err := Run(bad); err == nil {
 		t.Fatal("negative restart overhead accepted")
 	}
-	// Zero switches failures and the detector off; a negative value is
-	// a mistake, not a synonym.
-	bad = baseConfig()
-	bad.MTBF = -des.Second
-	if _, err := Run(bad); err == nil {
-		t.Fatal("negative MTBF accepted")
+	// An empty Faults switches failures off; a Poisson clock whose mean is
+	// not positive is a mistake, not a synonym, and so is a malformed
+	// line or a fault with no instant to land.
+	for _, faults := range []string{
+		"crash every exp -1s",
+		"crash every exp 0s",
+		"crash every exp",
+		"crash every exp 1s\ncrash every exp 2s",
+		"net loss 1.5",
+		"net loss NaN",
+		"net dup 1",
+		"parity-flip at 0s..10s",
+	} {
+		bad = baseConfig()
+		bad.Faults = faults
+		if _, err := Run(bad); err == nil {
+			t.Fatalf("faults %q accepted", faults)
+		}
 	}
+	// A zero detector period switches the detector off; a negative one is
+	// refused.
 	bad = baseConfig()
 	bad.HeartbeatPeriod = -des.Second
 	if _, err := Run(bad); err == nil {
@@ -192,9 +225,9 @@ func TestValidation(t *testing.T) {
 }
 
 func TestEfficiencyDegradesWithFailureRate(t *testing.T) {
-	effAt := func(mtbf des.Time) float64 {
+	effAt := func(faults string) float64 {
 		cfg := baseConfig()
-		cfg.MTBF = mtbf
+		cfg.Faults = faults
 		rep, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -204,8 +237,8 @@ func TestEfficiencyDegradesWithFailureRate(t *testing.T) {
 		}
 		return rep.Efficiency
 	}
-	healthy := effAt(60 * des.Second)
-	sick := effAt(2 * des.Second)
+	healthy := effAt("crash every exp 60s")
+	sick := effAt("crash every exp 2s")
 	if sick >= healthy {
 		t.Fatalf("efficiency at 2s MTBF (%v) not below 60s MTBF (%v)", sick, healthy)
 	}
@@ -221,7 +254,7 @@ func TestEfficiencyDegradesWithFailureRate(t *testing.T) {
 func TestSameSeedRunsLeaveIdenticalStores(t *testing.T) {
 	run := func() *storage.MemStore {
 		cfg := baseConfig()
-		cfg.MTBF = 2 * des.Second
+		cfg.Faults = "crash every exp 2s"
 		store := storage.NewMemStore()
 		cfg.Store = store
 		rep, err := Run(cfg)

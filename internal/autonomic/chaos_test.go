@@ -202,3 +202,37 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayPoissonCrashesUnderNetAndStorageChaos crosses the
+// supervisor's Poisson failure clock — a chaos line of the config's own
+// Faults — with a network partition, a storage brownout and heartbeat
+// detection from the validator's schedule. The clock keeps firing during
+// the partition, the brownout and recovery alike, and every run must
+// still replay bit-exact.
+func TestReplayPoissonCrashesUnderNetAndStorageChaos(t *testing.T) {
+	sched, err := chaos.ParseSchedule("partition at 2s..4s drop 0.9\nstorage-brownout at 5s..7s rate 0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range chaosSeeds {
+		cfg := chaosBaseConfig(seed)
+		cfg.Faults = "crash every exp 3s"
+		cfg.HeartbeatPeriod = 50 * des.Millisecond
+		out, err := ValidateReplay(cfg, sched)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rep := out.Injected
+		if out.Plan.CrashMean != 3*des.Second || out.Plan.Net == nil || len(out.Plan.Brownouts) != 1 {
+			t.Fatalf("seed %d: plan did not compose the clock with the schedule: %+v", seed, out.Plan)
+		}
+		if rep.Failures < 2 || len(rep.DetectionLatencies) == 0 {
+			t.Fatalf("seed %d: %d failures, %d detections — the clock proves nothing",
+				seed, rep.Failures, len(rep.DetectionLatencies))
+		}
+		if out.Stats.BrownoutDrops == 0 {
+			t.Errorf("seed %d: the storage brownout dropped nothing", seed)
+		}
+		checkBitExact(t, out, seed)
+	}
+}

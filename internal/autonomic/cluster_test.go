@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/des"
-	"repro/internal/mpi"
 	"repro/internal/storage"
 )
 
@@ -23,7 +22,7 @@ func clusterConfig() Config {
 		ComputeTime: 200 * des.Millisecond,
 		// ~0.5 MB of pages per line at SCSI bandwidth keeps the commit
 		// window wide relative to MTBF.
-		MTBF:            6 * des.Second,
+		Faults:          "crash every exp 6s",
 		RestartOverhead: 500 * des.Millisecond,
 		Seed:            11,
 	}
@@ -73,7 +72,7 @@ func TestAbortedCommitsVsCheckpointFailures(t *testing.T) {
 	// Outage store, no failures: every round after the outage is refused
 	// in prepare. AbortedCommits must stay zero.
 	cfg := clusterConfig()
-	cfg.MTBF = 0
+	cfg.Faults = ""
 	cfg.TwoPhaseCommit = true
 	// 8 rounds of 4 segment Puts + 1 marker Put = 40 ops total; a
 	// boundary of 18 lands the outage mid-prepare of round 4.
@@ -168,12 +167,10 @@ func TestFullClusterFaultsDeterministic(t *testing.T) {
 	want := referenceChecksum(t, cfg)
 	cfg.TwoPhaseCommit = true
 	cfg.HeartbeatPeriod = 50 * des.Millisecond
-	cfg.NetFaults = &mpi.NetFaultConfig{
-		Seed:      cfg.Seed,
-		DropRate:  0.05,
-		DupRate:   0.01,
-		JitterMax: 200 * des.Microsecond,
+	flaky := func(seed uint64) string {
+		return fmt.Sprintf("crash every exp 6s\nnet loss 0.05 dup 0.01 jitter 200us seed %d", seed)
 	}
+	cfg.Faults = flaky(cfg.Seed)
 
 	run := func() *Report {
 		rep, err := Run(cfg)
@@ -199,7 +196,7 @@ func TestFullClusterFaultsDeterministic(t *testing.T) {
 
 	// A different seed must explore a different fault schedule.
 	cfg.Seed++
-	cfg.NetFaults.Seed++
+	cfg.Faults = flaky(cfg.Seed)
 	rep3 := run()
 	if !rep3.Completed || rep3.Checksum != want {
 		t.Fatalf("reseeded run wrong: %+v", rep3)

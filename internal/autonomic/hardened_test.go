@@ -48,7 +48,7 @@ func TestHardenedStorageRecovery(t *testing.T) {
 
 	run := func() (*Report, *storage.FaultyStore, *storage.FaultyStore) {
 		cfg := baseConfig()
-		cfg.MTBF = 3 * des.Second
+		cfg.Faults = "crash every exp 3s"
 		cfg.RestartOverhead = 500 * des.Millisecond
 		// Fresh store per run: the wrappers are mutable (fault streams,
 		// outage state), so determinism is per-store-lifetime.

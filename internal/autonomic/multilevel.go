@@ -36,12 +36,6 @@ type MultiLevelOptions struct {
 	// FullEvery is the checkpointer epoch length (0 → one full segment
 	// per incarnation, deltas after).
 	FullEvery int
-	// CorruptParityAt lists lines whose freshly placed parity shard is
-	// bit-flipped right after the encode — the injected at-rest rot that
-	// must degrade the rebuild to L3, never tear a restore.
-	//
-	//lint:ignore deadexport fault injector: the only way to drive corrupt parity → L3 fallback end to end, which the multilevel tests do
-	CorruptParityAt []uint64
 }
 
 func (o MultiLevelOptions) withDefaults(ranks int) (MultiLevelOptions, error) {

@@ -214,11 +214,12 @@ func TestMultiLevelCorruptParityDegradesToL3(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 5, 9} {
 		cfg := mlBaseConfig(seed, MultiLevelOptions{
-			Scheme:          redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
-			Domains:         mlDomains(t, 4, 1),
-			GlobalEvery:     1,
-			CorruptParityAt: []uint64{0, 1, 2, 3, 4, 5, 6, 7},
+			Scheme:      redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
+			Domains:     mlDomains(t, 4, 1),
+			GlobalEvery: 1,
 		})
+		// The parity of the first eight lines placed rots at rest.
+		cfg.Faults = "parity-flip at 0s..1h count 8"
 		out, err := ValidateReplay(cfg, sched)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

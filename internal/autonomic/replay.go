@@ -44,7 +44,7 @@ type ReplayOutcome struct {
 func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMatch }
 
 // Reference runs the answer cfg's computation must replay to: Run of
-// cfg without its failure sources (MTBF, NetFaults, Store) and without
+// cfg without its failure sources (Faults, Store) and without
 // the four layers that only protect committed lines (TwoPhaseCommit,
 // MultiLevel, HeartbeatPeriod, Spec). A protection layer that writes
 // into application memory therefore perturbs only the run it protects,
@@ -91,7 +91,7 @@ func Reference(cfg Config) (*Report, error) {
 // layers, writing to a store that keeps nothing, with its defaults
 // filled in: the run Reference makes.
 func referenceConfig(cfg Config) Config {
-	cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, discardStore{}
+	cfg.Faults, cfg.Store = "", discardStore{}
 	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
 	return cfg.withDefaults()
 }
@@ -106,8 +106,8 @@ var refMemo = struct {
 
 // referenceKey is the memo key of the reference config cfg and whether
 // its report may be memoised at all. The key is cfg with Seed zeroed: a
-// run reads Seed only through its failure rng (MTBF failures, a
-// detector's extra victims, multi-level victims) and the
+// run reads Seed only through its Faults' plan, its failure rng (Poisson
+// failures, a detector's extra victims, multi-level victims) and the
 // parity-corruption rng (MultiLevel), and a reference has none of
 // these. Only this package's value factories are memoised, because
 // their value is their behaviour; any other Factory — a SoloFactory
@@ -164,14 +164,14 @@ func Compare(ref, run *Report) *ReplayOutcome {
 	}
 }
 
-// ValidateReplay runs cfg's Reference and cfg under the given chaos
-// schedule (compiled with cfg.Seed), then Compares the final states bit
-// for bit. The injected run's timed storage faults and bit flips are
-// interposed *below* an integrity envelope and a retry layer — flips
-// surface as read-back corruption, outages as refusals the retries may
-// or may not outlast. MTBF-driven Poisson failures are disabled so the
-// plan is the sole failure source and every entry in the injected
-// report's FailureLog is attributable to it.
+// ValidateReplay runs cfg's Reference and cfg under cfg.Faults and the
+// given chaos schedule (compiled as one, with cfg.Seed), then Compares
+// the final states bit for bit. The injected run's timed storage faults
+// and bit flips are interposed *below* an integrity envelope and a retry
+// layer — flips surface as read-back corruption, outages as refusals the
+// retries may or may not outlast. The plan is the run's sole failure
+// source, so every entry in the injected report's FailureLog is
+// attributable to it.
 func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 	// Hardened stack with chaos interposed at the bottom: bit flips
 	// corrupt enveloped bytes so IntegrityStore surfaces ErrCorrupt on
@@ -193,16 +193,17 @@ func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 // Reference runs failure-free and never reads a line back (its store
 // keeps nothing, discardStore), so an acked-but-lost write in the
 // injected stack surfaces when a recovery restores from it, as a
-// divergence in Compare's digests. A plan
+// divergence in Compare's digests. The injected run's plan is
+// cfg.Faults followed by sched (nil when cfg.Faults holds every fault),
+// compiled as one schedule; a plan
 // holding faults cfg has no instant to land is refused before either
-// run starts and before build is called.
+// run starts and before build is called, and one holding storage faults
+// is refused before the injected run if build never wrapped a store
+// with the driver (Driver.WrapStore), where they would silently vanish.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
-	plan, err := sched.Compile(cfg.Seed)
+	plan, err := cfg.plan(sched)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: replay validation: %w", err)
-	}
-	if err := cfg.admit(plan); err != nil {
-		return nil, err
 	}
 	ref, err := Reference(cfg)
 	if err != nil {
@@ -211,8 +212,10 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 
 	eng := des.NewEngine()
 	driver := chaos.NewDriver(eng, plan)
-	cfg.MTBF = 0
 	cfg.Store = build(eng, driver)
+	if plan.HitsStorage() && !driver.Wraps() {
+		return nil, fmt.Errorf("autonomic: replay validation: the plan's storage faults have no store to strike: build never called Driver.WrapStore")
+	}
 	inj, err := run(cfg, eng, driver)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)

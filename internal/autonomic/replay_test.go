@@ -23,7 +23,7 @@ import (
 // multi-level hierarchy.
 func TestReferenceDiscardsOnlyTheBytes(t *testing.T) {
 	stencil := baseConfig()
-	stencil.MTBF, stencil.HeartbeatPeriod, stencil.TwoPhaseCommit = 3*des.Second, 50*des.Millisecond, true
+	stencil.Faults, stencil.HeartbeatPeriod, stencil.TwoPhaseCommit = "crash every exp 3s", 50*des.Millisecond, true
 	for name, cfg := range map[string]Config{
 		"stencil":    stencil,
 		"put drain":  rdmaConfig(RDMADrain),
@@ -34,7 +34,7 @@ func TestReferenceDiscardsOnlyTheBytes(t *testing.T) {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
 		kept := storage.NewMemStore()
-		cfg.MTBF, cfg.NetFaults, cfg.Store = 0, nil, kept
+		cfg.Faults, cfg.Store = "", kept
 		cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
 		got, err := Run(cfg)
 		if err != nil {

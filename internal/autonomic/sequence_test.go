@@ -187,3 +187,39 @@ func TestChaosRejectsDrainCrashWithoutDrain(t *testing.T) {
 		refusedBeforeRun(t, rdmaConfig(mode), "crash-during-drain at 0s..60s phase deregister")
 	}
 }
+
+// A parity flip needs placed parity: without MultiLevel the plan is
+// refused before either run, whether the line comes from the config's
+// Faults or from the validator's schedule, and Run refuses it too.
+func TestChaosRejectsParityFlipWithoutMultiLevel(t *testing.T) {
+	refusedBeforeRun(t, chaosBaseConfig(3), "parity-flip at 0s..30s count 2")
+	cfg := chaosBaseConfig(3)
+	cfg.Faults = "parity-flip at 0s..30s"
+	refusedBeforeRun(t, cfg, "crash at 1s..2s")
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Run accepted a parity flip without MultiLevel")
+	}
+}
+
+// Storage lines land only on a store the driver wraps: a build function
+// that never calls WrapStore gets the plan refused before the injected
+// run, instead of a verdict on faults that never fired.
+func TestChaosRejectsStorageFaultsNoStoreMeets(t *testing.T) {
+	cfg := chaosBaseConfig(3)
+	cfg.Faults = "storage-outage at 1s..3s\ncrash at 6s..7s"
+	built := 0
+	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
+	_, err := ValidateReplayStore(cfg, nil, func(*des.Engine, *chaos.Driver) storage.Store { return storage.NewMemStore() })
+	if err == nil {
+		t.Fatal("storage faults accepted by a build function that never wrapped a store")
+	}
+	if built != 1 {
+		t.Fatalf("%d runs built their computation, want only the reference", built)
+	}
+	out, err := ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+		return d.WrapStore(storage.NewMemStore())
+	})
+	if err != nil || out.Stats.OutageRefusals == 0 {
+		t.Fatalf("wrapped store: %v, stats %+v", err, out.Stats)
+	}
+}

@@ -1,33 +1,33 @@
 // Package chaos is a deterministic, seed-driven fault-schedule engine.
 //
-// The repo already injects faults per layer — storage.FaultyStore rots a
-// sink, mpi.NetFaultConfig degrades the interconnect, the autonomic
-// supervisor kills nodes on a Poisson clock — but each layer rolls its
-// own dice, so "crash while the network is partitioned and the sink is
-// browning out" cannot be expressed, let alone reproduced. This package
-// turns adversarial failure timing into data: a declarative Schedule
-// lists fault specs (node crashes, crashes aimed inside checkpoint commit
-// windows, crashes at RDMA drain-protocol phase entries, network
-// partitions and brownouts, storage outages and brownouts, silent
-// bit-flips of stored checkpoint payloads), each with
-// a virtual-time window, an optional correlation group, and seeded
-// jitter. Compile resolves the schedule against one seed into a Plan of
-// concrete virtual-time events, and a Driver binds the plan to a
-// des.Engine and drives the existing injectors through one interface.
-// The replay validator in internal/autonomic owns that wiring: a caller
-// hands it a run's config and a schedule,
+// Every failure a supervised run suffers is a line of one schedule
+// language: the supervisor's Poisson node-failure clock, the
+// interconnect's steady loss, duplication and jitter, node crashes,
+// crashes aimed inside checkpoint commit windows, crashes at RDMA
+// drain-protocol phase entries, network partitions and brownouts,
+// storage outages and brownouts, silent bit-flips of stored checkpoint
+// payloads and of freshly placed parity shards — so "crash while the
+// network is partitioned and the sink is browning out" is one piece of
+// data, reproducible bit for bit. Each spec has a virtual-time window, an
+// optional correlation group, and seeded jitter. Compile resolves the
+// schedule against one seed into a Plan of concrete virtual-time
+// events, and a Driver binds the plan to a des.Engine and drives the
+// existing injectors through one interface. A run names its faults as
+// text (autonomic.Config.Faults); the supervisor compiles them with the
+// run's seed, and the replay validator in internal/autonomic compiles
+// them together with a caller's schedule:
 //
 //	sched, _ := chaos.ParseSchedule(text)
 //	out, _ := autonomic.ValidateReplay(cfg, sched)
 //
-// and the validator compiles the plan, refuses faults the config has no
+// The validator compiles the plan, refuses faults the config has no
 // instant for, and wires the injected run:
 //
 //	plan, _ := sched.Compile(cfg.Seed)
 //	eng := des.NewEngine()
 //	drv := chaos.NewDriver(eng, plan)
 //	store := drv.WrapStore(storage.NewMemStore()) // timed outages, brownouts, bit-flips
-//	netFaults := drv.MergeNetFaults(cfg.NetFaults)
+//	world.SetFaults(*plan.Net)                    // steady loss plus partition/brownout windows
 //	drv.StartCrashes(killNode)
 //
 // Same schedule, same seed → the same faults at the same virtual
@@ -85,32 +85,46 @@ const (
 	// multi-level hierarchy's domain-disjoint placement must absorb.
 	// Each Count consumes one commit round.
 	DomainCrash
+	// PoissonCrash is the supervisor's failure clock: node crashes at
+	// exponentially distributed intervals of mean Mean, re-armed from
+	// each failure instant, drawn from the supervisor's own failure
+	// stream rather than at compile time.
+	PoissonCrash
+	// Net is the interconnect's steady whole-run fault model: per-packet
+	// loss Drop, duplication Dup and delay jitter up to Jitter, drawn
+	// from a packet stream seeded by Seed. Partition and brownout
+	// windows compose with it.
+	Net
+	// ParityFlip bit-flips the parity shard of a line right after the
+	// multi-level hierarchy placed it, for a line whose parity is placed
+	// inside the spec's window. Each Count consumes one line.
+	ParityFlip
+	// kindCount bounds the valid kinds.
+	kindCount
 )
+
+// kindNames spells each kind the way the schedule language does.
+var kindNames = [kindCount]string{
+	Crash:           "crash",
+	CommitCrash:     "commit-crash",
+	Partition:       "partition",
+	Brownout:        "brownout",
+	StorageOutage:   "storage-outage",
+	StorageBrownout: "storage-brownout",
+	BitFlip:         "bitflip",
+	DrainCrash:      "crash-during-drain",
+	DomainCrash:     "domain-crash",
+	PoissonCrash:    "crash every",
+	Net:             "net",
+	ParityFlip:      "parity-flip",
+}
 
 // String names the kind the way the schedule language spells it.
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case CommitCrash:
-		return "commit-crash"
-	case Partition:
-		return "partition"
-	case Brownout:
-		return "brownout"
-	case StorageOutage:
-		return "storage-outage"
-	case StorageBrownout:
-		return "storage-brownout"
-	case BitFlip:
-		return "bitflip"
-	case DrainCrash:
-		return "crash-during-drain"
-	case DomainCrash:
-		return "domain-crash"
-	default:
-		return fmt.Sprintf("chaos.Kind(%d)", k)
+	if k < kindCount {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("chaos.Kind(%d)", k)
 }
 
 // Spec is one declarative fault: a kind, a virtual-time window it lands
@@ -127,6 +141,7 @@ type Spec struct {
 	From, To des.Time
 	// Jitter adds a uniform seeded offset in [0, Jitter) to each drawn
 	// instant (instant kinds) or shifts the whole window (window kinds).
+	// On a Net line it bounds each packet's delay jitter instead.
 	Jitter des.Time
 	// Count is the number of events drawn for instant kinds and the
 	// number of commit rounds a CommitCrash consumes (0 → 1). Window
@@ -138,8 +153,11 @@ type Spec struct {
 	// adversary) instead of independent ones.
 	Group string
 	// Drop is the extra packet-loss probability of Partition (default
-	// 0.85) and Brownout (default 0.2) windows.
+	// 0.85) and Brownout (default 0.2) windows, and a Net line's steady
+	// loss.
 	Drop float64
+	// Dup is a Net line's packet-duplication probability.
+	Dup float64
 	// Slow is Brownout's transfer-time multiplier (default 2).
 	Slow float64
 	// Rate is StorageBrownout's per-operation drop probability
@@ -151,6 +169,11 @@ type Spec struct {
 	// Domain names the failure domain a DomainCrash kills (a domain
 	// name from the run's cluster.DomainMap, e.g. "d1").
 	Domain string
+	// Mean is a PoissonCrash's mean time between failures.
+	Mean des.Time
+	// Seed seeds a Net line's packet stream; zero derives it from the
+	// compile seed, as a plan holding only windows does.
+	Seed uint64
 }
 
 // Schedule is a declarative list of fault specs — the unit that parses,
@@ -165,41 +188,60 @@ func (s *Schedule) Validate() error {
 	if s == nil {
 		return fmt.Errorf("chaos: nil schedule")
 	}
+	var seen [kindCount]bool
 	for i, sp := range s.Specs {
-		prefix := fmt.Sprintf("chaos: spec %d (%s)", i, sp.Kind)
+		// Named only on error: every Run with Faults validates its lines.
+		spec := func() string { return fmt.Sprintf("chaos: spec %d (%s)", i, sp.Kind) }
 		switch {
-		case sp.Kind > DomainCrash:
+		case sp.Kind >= kindCount:
 			return fmt.Errorf("chaos: spec %d: unknown kind %d", i, sp.Kind)
 		case sp.From < 0 || sp.To < sp.From:
-			return fmt.Errorf("%s: window [%v, %v] is not ordered and non-negative", prefix, sp.From, sp.To)
+			return fmt.Errorf("%s: window [%v, %v] is not ordered and non-negative", spec(), sp.From, sp.To)
 		case sp.Jitter < 0:
-			return fmt.Errorf("%s: negative jitter %v", prefix, sp.Jitter)
+			return fmt.Errorf("%s: negative jitter %v", spec(), sp.Jitter)
 		case sp.Count < 0:
-			return fmt.Errorf("%s: negative count %d", prefix, sp.Count)
+			return fmt.Errorf("%s: negative count %d", spec(), sp.Count)
 		case sp.Count > maxEventsPerSpec:
-			return fmt.Errorf("%s: count %d exceeds the per-spec cap %d", prefix, sp.Count, maxEventsPerSpec)
+			return fmt.Errorf("%s: count %d exceeds the per-spec cap %d", spec(), sp.Count, maxEventsPerSpec)
 		case !(sp.Drop >= 0 && sp.Drop < 1): // also rejects NaN
-			return fmt.Errorf("%s: drop %v out of [0, 1)", prefix, sp.Drop)
+			return fmt.Errorf("%s: drop %v out of [0, 1)", spec(), sp.Drop)
 		case !(sp.Rate >= 0 && sp.Rate < 1):
-			return fmt.Errorf("%s: rate %v out of [0, 1)", prefix, sp.Rate)
+			return fmt.Errorf("%s: rate %v out of [0, 1)", spec(), sp.Rate)
+		case !(sp.Dup >= 0 && sp.Dup < 1):
+			return fmt.Errorf("%s: dup %v out of [0, 1)", spec(), sp.Dup)
 		case !(sp.Slow >= 0) || sp.Slow > maxSlowFactor:
-			return fmt.Errorf("%s: slow factor %v out of [0, %v]", prefix, sp.Slow, float64(maxSlowFactor))
+			return fmt.Errorf("%s: slow factor %v out of [0, %v]", spec(), sp.Slow, float64(maxSlowFactor))
+		case sp.Kind >= PoissonCrash && (sp.Group != "" || sp.Kind != Net && sp.Jitter != 0):
+			// The supervisor's, the fabric's and the hierarchy's own
+			// streams draw the last three kinds; compiling them draws nothing.
+			return fmt.Errorf("%s: draws nothing at compile time, so takes no group or jitter", spec())
+		case (sp.Kind == PoissonCrash || sp.Kind == Net) && seen[sp.Kind]:
+			return fmt.Errorf("%s: a schedule holds at most one", spec())
 		}
+		seen[sp.Kind] = true
 		switch sp.Kind {
-		case Partition, Brownout, StorageOutage, StorageBrownout:
+		case PoissonCrash:
+			if sp.Mean <= 0 {
+				return fmt.Errorf("%s: mean %v is not positive", spec(), sp.Mean)
+			}
+		case Net:
+			if sp.Drop == 0 && sp.Dup == 0 && sp.Jitter == 0 {
+				return fmt.Errorf("%s: degrades nothing (want loss, dup or jitter)", spec())
+			}
+		case Partition, Brownout, StorageOutage, StorageBrownout, ParityFlip:
 			if sp.To == sp.From {
-				return fmt.Errorf("%s: window kinds need a non-empty window", prefix)
+				return fmt.Errorf("%s: window kinds need a non-empty window", spec())
 			}
 		case DrainCrash:
 			if _, err := mpi.ParseDrainPhase(sp.Phase); err != nil {
-				return fmt.Errorf("%s: %w", prefix, err)
+				return fmt.Errorf("%s: %w", spec(), err)
 			}
 		case DomainCrash:
 			if sp.To == sp.From {
-				return fmt.Errorf("%s: needs a non-empty window to catch a commit round", prefix)
+				return fmt.Errorf("%s: needs a non-empty window to catch a commit round", spec())
 			}
 			if sp.Domain == "" {
-				return fmt.Errorf("%s: needs a domain name (domain <name>)", prefix)
+				return fmt.Errorf("%s: needs a domain name (domain <name>)", spec())
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,9 +33,12 @@ storage-brownout at 2s..10s rate 0.5
 bitflip at 1200ms..5s count 4
 crash-during-drain at 1s..20s phase deregister count 2
 domain-crash at 5s..20s domain d1
+parity-flip at 0s..30s count 8
+crash every exp 3s
+net loss 0.05 dup 0.01 jitter 200us seed 410
 `)
-	if len(s.Specs) != 9 {
-		t.Fatalf("parsed %d specs, want 9", len(s.Specs))
+	if len(s.Specs) != 12 {
+		t.Fatalf("parsed %d specs, want 12", len(s.Specs))
 	}
 	sp := s.Specs[0]
 	if sp.Kind != Crash || sp.From != 2*des.Second || sp.To != 8*des.Second ||
@@ -51,6 +56,16 @@ domain-crash at 5s..20s domain d1
 	}
 	if s.Specs[8].Kind != DomainCrash || s.Specs[8].Domain != "d1" {
 		t.Fatalf("domain-crash spec = %+v", s.Specs[8])
+	}
+	if sp := s.Specs[9]; sp.Kind != ParityFlip || sp.To != 30*des.Second || sp.Count != 8 {
+		t.Fatalf("parity-flip spec = %+v", sp)
+	}
+	if sp := s.Specs[10]; sp.Kind != PoissonCrash || sp.Mean != 3*des.Second {
+		t.Fatalf("crash every spec = %+v", sp)
+	}
+	if sp := s.Specs[11]; sp.Kind != Net || sp.Drop != 0.05 || sp.Dup != 0.01 ||
+		sp.Jitter != 200*des.Microsecond || sp.Seed != 410 {
+		t.Fatalf("net spec = %+v", sp)
 	}
 }
 
@@ -77,6 +92,27 @@ func TestParseScheduleRejects(t *testing.T) {
 		"garbage duration": "crash at eleventy..2s",
 		"drain no phase":   "crash-during-drain at 1s..2s",
 		"drain bad phase":  "crash-during-drain at 1s..2s phase warp",
+		"every no exp":     "crash every 3s",
+		"every no mean":    "crash every exp",
+		"every zero mean":  "crash every exp 0s",
+		"every neg mean":   "crash every exp -1s",
+		"every jitter":     "crash every exp 3s jitter 1s",
+		"every group":      "crash every exp 3s group g",
+		"two clocks":       "crash every exp 3s\ncrash every exp 4s",
+		"every window":     "crash every exp 3s at 1s..2s",
+		"net at window":    "net at 1s..2s loss 0.1",
+		"net nothing":      "net",
+		"net seed only":    "net seed 4",
+		"net bad loss":     "net loss 1",
+		"net nan dup":      "net dup NaN",
+		"net zero seed":    "net loss 0.1 seed 0",
+		"net bad seed":     "net loss 0.1 seed -3",
+		"net group":        "net loss 0.1 group g",
+		"two nets":         "net loss 0.1\nnet dup 0.1",
+		"flip no window":   "parity-flip",
+		"flip empty":       "parity-flip at 1s..1s",
+		"flip jitter":      "parity-flip at 1s..2s jitter 1s",
+		"flip group":       "parity-flip at 1s..2s group g",
 	} {
 		if _, err := ParseSchedule(text); err == nil {
 			t.Errorf("%s: %q accepted", name, text)
@@ -116,7 +152,7 @@ bitflip at 1s..5s count 2
 	if same {
 		t.Fatalf("seed 42 and 43 compiled identical crash instants: %v", a.Crashes)
 	}
-	if len(a.Crashes) != 3 || len(a.BitFlips) != 2 || len(a.NetWindows) != 1 {
+	if len(a.Crashes) != 3 || len(a.BitFlips) != 2 || a.Net == nil || len(a.Net.Windows) != 1 {
 		t.Fatalf("plan shape: %+v", a)
 	}
 	for i := 1; i < len(a.Crashes); i++ {
@@ -148,24 +184,79 @@ crash at 100s..110s group g
 	}
 }
 
+// horizon returns the virtual time after which p injects nothing more
+// (whole-run faults have no end of their own).
+func horizon(p *Plan) des.Time {
+	var h des.Time
+	for _, t := range p.Crashes {
+		h = max(h, t)
+	}
+	for _, t := range p.BitFlips {
+		h = max(h, t)
+	}
+	windows := slices.Concat(p.CommitCrashes, p.Outages, p.ParityFlips)
+	for _, w := range p.Brownouts {
+		windows = append(windows, w.Window)
+	}
+	for _, w := range p.DrainCrashes {
+		windows = append(windows, w.Window)
+	}
+	for _, w := range p.DomainCrashes {
+		windows = append(windows, w.Window)
+	}
+	if p.Net != nil {
+		for _, w := range p.Net.Windows {
+			windows = append(windows, Window{From: w.From, To: w.To})
+		}
+	}
+	for _, w := range windows {
+		h = max(h, w.To)
+	}
+	return h
+}
+
+// events counts p's discrete injections (crashes, commit kills, bit and
+// parity flips); windows and whole-run faults count once each.
+func events(p *Plan) int {
+	n := len(p.Crashes) + len(p.CommitCrashes) + len(p.BitFlips) +
+		len(p.Outages) + len(p.Brownouts) + len(p.DrainCrashes) +
+		len(p.DomainCrashes) + len(p.ParityFlips)
+	if p.CrashMean > 0 {
+		n++
+	}
+	if p.Net != nil {
+		n += len(p.Net.Windows)
+		if p.Net.DropRate > 0 || p.Net.DupRate > 0 || p.Net.JitterMax > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlanHorizonAndEvents(t *testing.T) {
 	s := mustParse(t, "crash at 1s..2s\nstorage-outage at 5s..9s")
 	p, err := s.Compile(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := p.horizon(); h != 9*des.Second {
+	if h := horizon(p); h != 9*des.Second {
 		t.Fatalf("horizon %v, want 9s", h)
 	}
-	if p.events() != 2 {
-		t.Fatalf("events %d, want 2", p.events())
+	if events(p) != 2 {
+		t.Fatalf("events %d, want 2", events(p))
 	}
 }
 
 func TestValidateRejectsHostileSpecs(t *testing.T) {
 	nan := func() float64 { var z float64; return z / z }() // NaN without math import
 	for name, sp := range map[string]Spec{
-		"unknown kind": {Kind: DrainCrash + 1, To: des.Second},
+		"unknown kind": {Kind: kindCount, To: des.Second},
+		"huge kind":    {Kind: kindCount + 7, To: des.Second},
+		"zero mean":    {Kind: PoissonCrash},
+		"neg mean":     {Kind: PoissonCrash, Mean: -des.Second},
+		"nan dup":      {Kind: Net, Dup: nan},
+		"net nothing":  {Kind: Net, Seed: 9},
+		"flip empty":   {Kind: ParityFlip, From: des.Second, To: des.Second},
 		"drain phase":  {Kind: DrainCrash, To: des.Second, Phase: "warp"},
 		"neg window":   {Kind: Crash, From: -1},
 		"nan drop":     {Kind: Partition, To: des.Second, Drop: nan},
@@ -267,25 +358,32 @@ func TestDriverBitFlipMiss(t *testing.T) {
 	}
 }
 
-func TestMergeNetFaults(t *testing.T) {
-	s := mustParse(t, "partition at 2s..4s drop 0.9")
-	p, _ := s.Compile(5)
-	d := NewDriver(des.NewEngine(), p)
-
-	// nil base: a fresh config seeded from the plan.
-	cfg := d.MergeNetFaults(nil)
-	if cfg == nil || len(cfg.Windows) != 1 || cfg.Windows[0].ExtraDrop != 0.9 {
-		t.Fatalf("merged from nil: %+v", cfg)
+// The plan's interconnect model: a plan holding only windows is seeded
+// from the plan, a net line brings its steady loss, duplication, jitter
+// and seed with the windows composed in spec order, and a schedule that
+// degrades no link leaves the network bit-for-bit clean (no model).
+func TestCompiledNetFaults(t *testing.T) {
+	p, _ := mustParse(t, "partition at 2s..4s drop 0.9").Compile(5)
+	if p.Net == nil || p.Net.Seed != 5^0x9E77 || len(p.Net.Windows) != 1 || p.Net.Windows[0].ExtraDrop != 0.9 ||
+		p.Net.DropRate != 0 || p.Net.DupRate != 0 || p.Net.JitterMax != 0 {
+		t.Fatalf("windows only: %+v", p.Net)
 	}
 
-	// Non-nil base: copied, not mutated.
-	base := &mpi.NetFaultConfig{Seed: 77, Windows: []mpi.DegradedWindow{{From: 0, To: des.Second}}}
-	merged := d.MergeNetFaults(base)
-	if len(base.Windows) != 1 {
-		t.Fatal("base mutated")
+	p, _ = mustParse(t, "brownout at 6s..9s drop 0.3 slow 2.5\nnet loss 0.1 dup 0.02 jitter 300us seed 77\npartition at 1s..2s").Compile(5)
+	want := mpi.NetFaultConfig{Seed: 77, DropRate: 0.1, DupRate: 0.02, JitterMax: 300 * des.Microsecond, Windows: []mpi.DegradedWindow{
+		{From: 6 * des.Second, To: 9 * des.Second, ExtraDrop: 0.3, SlowFactor: 2.5},
+		{From: 1 * des.Second, To: 2 * des.Second, ExtraDrop: 0.85, SlowFactor: 1},
+	}}
+	if p.Net == nil || !reflect.DeepEqual(*p.Net, want) {
+		t.Fatalf("net line with windows: %+v, want %+v", p.Net, want)
 	}
-	if merged.Seed != 77 || len(merged.Windows) != 2 {
-		t.Fatalf("merged: %+v", merged)
+	if p, _ := mustParse(t, "net jitter 1ms").Compile(5); p.Net == nil || p.Net.Seed != 5^0x9E77 {
+		t.Fatalf("net line without a seed: %+v", p.Net)
+	}
+
+	p, _ = mustParse(t, "crash at 1s..2s\nstorage-outage at 3s..4s\ncrash every exp 1s").Compile(5)
+	if p.Net != nil {
+		t.Fatalf("clean network compiled a fault model: %+v", p.Net)
 	}
 }
 
@@ -397,6 +495,14 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Add("domain-crash at 5s..20s domain d1 count 2 jitter 100ms")
 	f.Add("domain-crash at 5s..20s")
 	f.Add("domain-crash at 5s..5s domain d0")
+	f.Add("crash every exp 3s")
+	f.Add("crash every exp 0s")
+	f.Add("crash every exp 3s jitter 1s\ncrash every exp 4s")
+	f.Add("net loss 0.05 dup 0.01 jitter 200us seed 410")
+	f.Add("net loss 0.1\npartition at 2s..4s\nnet dup 0.5")
+	f.Add("net seed 0")
+	f.Add("parity-flip at 0s..30s count 8")
+	f.Add("parity-flip at 1s..1s group g")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSchedule(text)
 		if err != nil {
@@ -415,7 +521,7 @@ func FuzzParseSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parsed schedule fails compilation: %v", err)
 		}
-		if p.events() == 0 {
+		if events(p) == 0 {
 			t.Fatal("non-empty schedule compiled to zero events")
 		}
 		// Round-trip sanity on spec kinds' names.

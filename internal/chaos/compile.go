@@ -1,9 +1,10 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mpi"
@@ -52,9 +53,18 @@ type Plan struct {
 	// CommitCrashes are windows inside which checkpoint commit rounds are
 	// killed mid-commit, one round per entry.
 	CommitCrashes []Window
-	// NetWindows are the compiled partition/brownout fabric degradations
-	// in mpi's native form.
-	NetWindows []mpi.DegradedWindow
+	// Net is the run's interconnect fault model in mpi's native form: the
+	// net line's steady loss, duplication and jitter, with the
+	// partition/brownout windows in spec order. Its packet stream is
+	// seeded by the net line's seed, else by Seed^0x9E77. Nil when the
+	// schedule degrades no link: a clean network stays bit-for-bit clean.
+	Net *mpi.NetFaultConfig
+	// CrashMean is the mean of the supervisor's Poisson failure clock
+	// (zero: no clock).
+	CrashMean des.Time
+	// ParityFlips are windows inside which a line's freshly placed parity
+	// is bit-flipped, one line per entry.
+	ParityFlips []Window
 	// Outages are storage dead-air windows (every operation refused).
 	Outages []Window
 	// Brownouts are storage degradation windows (seeded fractional drop).
@@ -69,49 +79,9 @@ type Plan struct {
 	DomainCrashes []DomainCrashWindow
 }
 
-// horizon returns the virtual time after which the plan injects nothing
-// more — useful for sizing runs so every fault actually lands.
-func (p *Plan) horizon() des.Time {
-	var h des.Time
-	grow := func(t des.Time) {
-		if t > h {
-			h = t
-		}
-	}
-	for _, t := range p.Crashes {
-		grow(t)
-	}
-	for _, t := range p.BitFlips {
-		grow(t)
-	}
-	for _, w := range p.CommitCrashes {
-		grow(w.To)
-	}
-	for _, w := range p.NetWindows {
-		grow(w.To)
-	}
-	for _, w := range p.Outages {
-		grow(w.To)
-	}
-	for _, w := range p.Brownouts {
-		grow(w.To)
-	}
-	for _, w := range p.DrainCrashes {
-		grow(w.To)
-	}
-	for _, w := range p.DomainCrashes {
-		grow(w.To)
-	}
-	return h
-}
-
-// events reports how many discrete injections the plan holds (crashes,
-// commit kills, bit flips) — windows count once each.
-func (p *Plan) events() int {
-	return len(p.Crashes) + len(p.CommitCrashes) + len(p.BitFlips) +
-		len(p.NetWindows) + len(p.Outages) + len(p.Brownouts) +
-		len(p.DrainCrashes) + len(p.DomainCrashes)
-}
+// HitsStorage reports whether the plan holds storage faults: outages,
+// brownouts or bit flips, which land only on a store the driver wraps.
+func (p *Plan) HitsStorage() bool { return len(p.Outages)+len(p.Brownouts)+len(p.BitFlips) > 0 }
 
 // Compile resolves the schedule's seeded draws into a Plan. The same
 // (schedule, seed) pair always yields the identical plan; different
@@ -123,38 +93,43 @@ func (s *Schedule) Compile(seed uint64) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xC4A05))
+	// The stream is seeded on the first draw: a schedule of whole-run
+	// lines draws nothing.
+	var rng *rand.Rand
+	draw := func() float64 {
+		if rng == nil {
+			rng = rand.New(rand.NewPCG(seed, 0xC4A05))
+		}
+		return rng.Float64()
+	}
 	groupBase := make(map[string]float64)
 	// base returns the spec's fractional position draw: the group's
 	// shared draw when grouped (drawn on first use, in spec order, so
 	// compilation stays deterministic), a fresh one otherwise.
 	base := func(sp Spec) float64 {
 		if sp.Group == "" {
-			return rng.Float64()
+			return draw()
 		}
 		f, ok := groupBase[sp.Group]
 		if !ok {
-			f = rng.Float64()
+			f = draw()
 			groupBase[sp.Group] = f
 		}
 		return f
 	}
 	p := &Plan{Seed: seed}
+	var net Spec // the net line, if any
+	var windows []mpi.DegradedWindow
 	for _, sp := range s.Specs {
-		count := sp.Count
-		if count == 0 {
-			count = 1
-		}
+		count := cmp.Or(sp.Count, 1)
 		switch sp.Kind {
 		case Crash, BitFlip:
 			for i := 0; i < count; i++ {
 				at := sp.From + des.Time(base(sp)*float64(sp.To-sp.From))
 				if sp.Jitter > 0 {
-					at += des.Time(rng.Float64() * float64(sp.Jitter))
+					at += des.Time(draw() * float64(sp.Jitter))
 				}
-				if at > sp.To {
-					at = sp.To
-				}
+				at = min(at, sp.To)
 				if sp.Kind == Crash {
 					p.Crashes = append(p.Crashes, at)
 				} else {
@@ -167,28 +142,13 @@ func (s *Schedule) Compile(seed uint64) (*Plan, error) {
 				p.CommitCrashes = append(p.CommitCrashes, w)
 			}
 		case Partition:
-			drop := sp.Drop
-			if drop == 0 {
-				drop = 0.85
-			}
-			p.NetWindows = append(p.NetWindows, degraded(shiftWindow(sp, base(sp)), drop, 1))
+			windows = append(windows, degraded(shiftWindow(sp, base(sp)), cmp.Or(sp.Drop, 0.85), 1))
 		case Brownout:
-			drop, slow := sp.Drop, sp.Slow
-			if drop == 0 {
-				drop = 0.2
-			}
-			if slow == 0 {
-				slow = 2
-			}
-			p.NetWindows = append(p.NetWindows, degraded(shiftWindow(sp, base(sp)), drop, slow))
+			windows = append(windows, degraded(shiftWindow(sp, base(sp)), cmp.Or(sp.Drop, 0.2), cmp.Or(sp.Slow, 2)))
 		case StorageOutage:
 			p.Outages = append(p.Outages, shiftWindow(sp, base(sp)))
 		case StorageBrownout:
-			rate := sp.Rate
-			if rate == 0 {
-				rate = 0.5
-			}
-			p.Brownouts = append(p.Brownouts, BrownoutWindow{Window: shiftWindow(sp, base(sp)), Rate: rate})
+			p.Brownouts = append(p.Brownouts, BrownoutWindow{Window: shiftWindow(sp, base(sp)), Rate: cmp.Or(sp.Rate, 0.5)})
 		case DrainCrash:
 			phase, err := mpi.ParseDrainPhase(sp.Phase)
 			if err != nil {
@@ -203,12 +163,21 @@ func (s *Schedule) Compile(seed uint64) (*Plan, error) {
 			for i := 0; i < count; i++ {
 				p.DomainCrashes = append(p.DomainCrashes, DomainCrashWindow{Window: w, Domain: sp.Domain})
 			}
-		default:
-			return nil, fmt.Errorf("chaos: compile: unknown kind %d", sp.Kind)
+		case PoissonCrash:
+			p.CrashMean = sp.Mean
+		case Net:
+			net = sp
+		case ParityFlip:
+			for i := 0; i < count; i++ {
+				p.ParityFlips = append(p.ParityFlips, Window{From: sp.From, To: sp.To})
+			}
 		}
 	}
-	sort.Slice(p.Crashes, func(i, j int) bool { return p.Crashes[i] < p.Crashes[j] })
-	sort.Slice(p.BitFlips, func(i, j int) bool { return p.BitFlips[i] < p.BitFlips[j] })
+	if net.Kind == Net || len(windows) > 0 {
+		p.Net = &mpi.NetFaultConfig{Seed: cmp.Or(net.Seed, seed^0x9E77), DropRate: net.Drop, DupRate: net.Dup, JitterMax: net.Jitter, Windows: windows}
+	}
+	slices.Sort(p.Crashes)
+	slices.Sort(p.BitFlips)
 	return p, nil
 }
 

@@ -37,12 +37,14 @@ type Stats struct {
 type Driver struct {
 	eng  *des.Engine
 	plan *Plan
-	rng  *rand.Rand
+	rng  rand.Rand // the driver's stream; it and its source live in d
+	pcg  rand.PCG
 
 	stats      Stats
 	commitUsed []bool
 	drainUsed  []bool
 	domainUsed []bool
+	flipUsed   []bool // parity-flip windows consumed
 	flipTarget storage.Store
 }
 
@@ -52,18 +54,25 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 	if eng == nil || plan == nil {
 		panic("chaos: NewDriver needs an engine and a compiled plan")
 	}
-	return &Driver{
+	d := &Driver{
 		eng:        eng,
 		plan:       plan,
-		rng:        rand.New(rand.NewPCG(plan.Seed, 0xD21F)),
+		pcg:        *rand.NewPCG(plan.Seed, 0xD21F),
 		commitUsed: make([]bool, len(plan.CommitCrashes)),
 		drainUsed:  make([]bool, len(plan.DrainCrashes)),
 		domainUsed: make([]bool, len(plan.DomainCrashes)),
+		flipUsed:   make([]bool, len(plan.ParityFlips)),
 	}
+	d.rng = *rand.New(&d.pcg)
+	return d
 }
 
 // Stats returns a copy of the injection counters.
 func (d *Driver) Stats() Stats { return d.stats }
+
+// Wraps reports whether WrapStore has given the plan's storage faults a
+// store to strike.
+func (d *Driver) Wraps() bool { return d.flipTarget != nil }
 
 // StartCrashes schedules every planned node-kill instant; each fires
 // kill. Call once, before the engine runs.
@@ -90,19 +99,11 @@ func (d *Driver) StartCrashes(kill func()) {
 // most one planned commit-crash window per call and returns a seeded
 // delay strictly inside [0, lastAck-now).
 func (d *Driver) CommitCrashDelay(now, lastAck des.Time) (des.Time, bool) {
-	for i, w := range d.plan.CommitCrashes {
-		if d.commitUsed[i] || !w.contains(now) {
-			continue
-		}
-		d.commitUsed[i] = true
-		d.stats.CommitCrashes++
-		span := lastAck - now
-		if span <= 0 {
-			return 0, true
-		}
-		return des.Time(d.rng.Float64() * float64(span)), true
+	if consume(d.commitUsed, func(i int) bool { return d.plan.CommitCrashes[i].contains(now) }) < 0 {
+		return 0, false
 	}
-	return 0, false
+	d.stats.CommitCrashes++
+	return d.delayInside(lastAck - now), true
 }
 
 // DomainCrashDelay asks whether a checkpoint-commit pause opening at now
@@ -113,19 +114,21 @@ func (d *Driver) CommitCrashDelay(now, lastAck des.Time) (des.Time, bool) {
 // lands — so the correlated loss hits the hierarchy at its most
 // adversarial instant.
 func (d *Driver) DomainCrashDelay(now, pauseEnd des.Time) (string, des.Time, bool) {
-	for i, w := range d.plan.DomainCrashes {
-		if d.domainUsed[i] || !w.contains(now) {
-			continue
-		}
-		d.domainUsed[i] = true
-		d.stats.DomainCrashes++
-		span := pauseEnd - now
-		if span <= 0 {
-			return w.Domain, 0, true
-		}
-		return w.Domain, des.Time(d.rng.Float64() * float64(span)), true
+	i := consume(d.domainUsed, func(i int) bool { return d.plan.DomainCrashes[i].contains(now) })
+	if i < 0 {
+		return "", 0, false
 	}
-	return "", 0, false
+	d.stats.DomainCrashes++
+	return d.plan.DomainCrashes[i].Domain, d.delayInside(pauseEnd - now), true
+}
+
+// delayInside draws a seeded delay strictly inside [0, span); an empty
+// span gives zero.
+func (d *Driver) delayInside(span des.Time) des.Time {
+	if span <= 0 {
+		return 0
+	}
+	return des.Time(d.rng.Float64() * float64(span))
 }
 
 // DrainCrashHit asks whether the drain protocol's entry into phase p at
@@ -133,37 +136,40 @@ func (d *Driver) DomainCrashDelay(now, pauseEnd des.Time) (string, des.Time, boo
 // drain-crash window per call, so a schedule with Count n kills n drain
 // rounds at the same phase.
 func (d *Driver) DrainCrashHit(p mpi.DrainPhase, now des.Time) bool {
-	for i, w := range d.plan.DrainCrashes {
-		if d.drainUsed[i] || w.Phase != p || !w.contains(now) {
-			continue
-		}
-		d.drainUsed[i] = true
-		d.stats.DrainCrashes++
-		return true
+	if consume(d.drainUsed, func(i int) bool {
+		w := d.plan.DrainCrashes[i]
+		return w.Phase == p && w.contains(now)
+	}) < 0 {
+		return false
 	}
-	return false
+	d.stats.DrainCrashes++
+	return true
 }
 
-// MergeNetFaults folds the plan's partition/brownout windows into an
-// interconnect fault config: base (which may be nil) is copied, never
-// mutated. With no network windows in the plan, base passes through
-// untouched — a clean network stays bit-for-bit clean.
-func (d *Driver) MergeNetFaults(base *mpi.NetFaultConfig) *mpi.NetFaultConfig {
-	if len(d.plan.NetWindows) == 0 {
-		return base
-	}
-	var cfg mpi.NetFaultConfig
-	if base != nil {
-		cfg = *base
-	} else {
-		cfg.Seed = d.plan.Seed ^ 0x9E77
-	}
-	windows := make([]mpi.DegradedWindow, 0, len(cfg.Windows)+len(d.plan.NetWindows))
-	windows = append(windows, cfg.Windows...)
-	windows = append(windows, d.plan.NetWindows...)
-	cfg.Windows = windows
-	return &cfg
+// ParityFlipHit asks whether the parity a multi-level hierarchy placed
+// at virtual time now should be bit-flipped at rest. It consumes at most
+// one planned parity-flip window per call, so a schedule with Count n
+// flips n lines' parity.
+func (d *Driver) ParityFlipHit(now des.Time) bool {
+	return consume(d.flipUsed, func(i int) bool { return d.plan.ParityFlips[i].contains(now) }) >= 0
 }
+
+// consume marks and returns the first planned entry i not yet used that
+// hit accepts, or -1: each planned entry fires at most once.
+func consume(used []bool, hit func(i int) bool) int {
+	for i := range used {
+		if !used[i] && hit(i) {
+			used[i] = true
+			return i
+		}
+	}
+	return -1
+}
+
+// Plan returns the compiled plan the driver executes. The supervisor
+// reads the whole-run parts from it: the Poisson failure clock and the
+// interconnect fault model.
+func (d *Driver) Plan() *Plan { return d.plan }
 
 // WrapStore interposes the plan's timed storage faults on inner and
 // schedules the plan's bit-flip instants against it. Outage windows

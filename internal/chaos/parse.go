@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,31 +22,29 @@ import (
 //	bitflip at 1200ms..5s count 4
 //	crash-during-drain at 1s..20s phase deregister
 //	domain-crash at 5s..20s domain d1
+//	parity-flip at 0s..30s count 8
+//	crash every exp 3s
+//	net loss 0.05 dup 0.01 jitter 200us seed 410
 //
 // Every line is "<kind> at <from>..<to>" followed by optional key/value
 // pairs (jitter <dur>, count <n> with n >= 1, group <name>, drop <p>,
-// slow <x>, rate <p>, phase <name>, domain <name>). Durations use Go syntax ("1.5s", "300ms") and denote
+// slow <x>, rate <p>, phase <name>, domain <name>), with two whole-run
+// exceptions that carry no window: "crash every exp <mean>", the
+// supervisor's Poisson failure clock, and "net" followed by its pairs
+// (loss <p>, dup <p>, jitter <dur>, seed <n> with n >= 1), the
+// interconnect's steady fault model. A parity-flip's window holds the
+// instants a line's parity is placed; each count flips one line's.
+// Durations use Go syntax ("1.5s", "300ms") and denote
 // virtual time. ParseSchedule returns a typed error naming the offending
 // line for any malformed input; it never panics, however hostile the
 // bytes (FuzzParseSchedule holds it to that).
 
-// kindNames maps the language's kind tokens to Kind values.
-var kindNames = map[string]Kind{
-	"crash":              Crash,
-	"commit-crash":       CommitCrash,
-	"partition":          Partition,
-	"brownout":           Brownout,
-	"storage-outage":     StorageOutage,
-	"storage-brownout":   StorageBrownout,
-	"bitflip":            BitFlip,
-	"crash-during-drain": DrainCrash,
-	"domain-crash":       DomainCrash,
-}
-
 // ParseSchedule parses the schedule language and validates the result.
 func ParseSchedule(text string) (*Schedule, error) {
 	var s Schedule
-	for ln, line := range strings.Split(text, "\n") {
+	for ln := 1; text != ""; ln++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -55,7 +54,7 @@ func ParseSchedule(text string) (*Schedule, error) {
 		}
 		sp, err := parseSpec(fields)
 		if err != nil {
-			return nil, fmt.Errorf("chaos: line %d: %w", ln+1, err)
+			return nil, fmt.Errorf("chaos: line %d: %w", ln, err)
 		}
 		s.Specs = append(s.Specs, sp)
 	}
@@ -71,20 +70,34 @@ func ParseSchedule(text string) (*Schedule, error) {
 // parseSpec parses one non-empty line's fields into a Spec.
 func parseSpec(fields []string) (Spec, error) {
 	var sp Spec
-	kind, ok := kindNames[fields[0]]
-	if !ok {
+	k := slices.Index(kindNames[:], fields[0])
+	if k < 0 {
 		return sp, fmt.Errorf("unknown fault kind %q", fields[0])
 	}
-	sp.Kind = kind
-	if len(fields) < 3 || fields[1] != "at" {
-		return sp, fmt.Errorf("%s: want %q followed by a window, got %v", fields[0], "at", fields[1:])
+	sp.Kind = Kind(k)
+	var rest []string
+	var err error
+	switch {
+	case sp.Kind == Net:
+		rest = fields[1:]
+	case sp.Kind == Crash && len(fields) > 1 && fields[1] == "every":
+		sp.Kind = PoissonCrash
+		if len(fields) < 4 || fields[2] != "exp" {
+			return sp, fmt.Errorf("crash every: want %q followed by a mean, got %q", "exp", strings.Join(fields[2:], " "))
+		}
+		if sp.Mean, err = parseDur(fields[3]); err != nil {
+			return sp, fmt.Errorf("crash every exp: %w", err)
+		}
+		rest = fields[4:]
+	default:
+		if len(fields) < 3 || fields[1] != "at" {
+			return sp, fmt.Errorf("%s: want %q followed by a window, got %q", fields[0], "at", strings.Join(fields[1:], " "))
+		}
+		if sp.From, sp.To, err = parseWindow(fields[2]); err != nil {
+			return sp, fmt.Errorf("%s: %w", fields[0], err)
+		}
+		rest = fields[3:]
 	}
-	from, to, err := parseWindow(fields[2])
-	if err != nil {
-		return sp, fmt.Errorf("%s: %w", fields[0], err)
-	}
-	sp.From, sp.To = from, to
-	rest := fields[3:]
 	if len(rest)%2 != 0 {
 		return sp, fmt.Errorf("%s: dangling option %q (options are key/value pairs)", fields[0], rest[len(rest)-1])
 	}
@@ -108,9 +121,18 @@ func parseSpec(fields []string) (Spec, error) {
 			sp.Count = n
 		case "group":
 			sp.Group = val
-		case "drop":
+		case "drop", "loss":
 			if sp.Drop, err = parseProb(val); err != nil {
-				return sp, fmt.Errorf("drop: %w", err)
+				return sp, fmt.Errorf("%s: %w", key, err)
+			}
+		case "dup":
+			if sp.Dup, err = parseProb(val); err != nil {
+				return sp, fmt.Errorf("dup: %w", err)
+			}
+		case "seed":
+			// As with count, only the struct's zero value means "derive it".
+			if sp.Seed, err = strconv.ParseUint(val, 10, 64); err != nil || sp.Seed == 0 {
+				return sp, fmt.Errorf("seed %q: want an integer >= 1", val)
 			}
 		case "slow":
 			f, err := strconv.ParseFloat(val, 64)

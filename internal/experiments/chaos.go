@@ -84,15 +84,12 @@ func ChaosReplayAblation(seeds []uint64) ([]ChaosRow, error) {
 		row := ChaosRow{Schedule: sc.Name, ConfiguredInterval: des.Time(base.CkptEvery) * base.ComputeTime}
 		var commitSum, elapsedSum des.Time
 		var lines int
-		var out *autonomic.ReplayOutcome
-		row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+		row.SweepStats = sweepSeeds(seeds, 4, false, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
 			cfg.Sink = nfsClassSink
 			cfg.TwoPhaseCommit = sc.TwoPhase
-			if out, err = autonomic.ValidateReplay(cfg, sched); err != nil {
-				return nil, false, err
-			}
-			return out.Injected, out.BitExact(), nil
-		}, func(rep *autonomic.Report) {
+			return autonomic.ValidateReplay(cfg, sched)
+		}, func(out *autonomic.ReplayOutcome) {
+			rep := out.Injected
 			row.BitFlips += out.Stats.BitFlips
 			row.Failures += rep.Failures
 			row.LostIterations += rep.LostIterations

@@ -5,8 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
+	"repro/internal/chaos"
 	"repro/internal/des"
-	"repro/internal/mpi"
+	"repro/internal/storage"
 )
 
 // A15: cluster-fault ablation. A14 dropped the stable-storage
@@ -56,17 +57,12 @@ func clusterGrid() (loss []float64, periods []des.Time, slices []int) {
 // rate that also drives proportional duplication and delay jitter.
 func clusterCell(cfg autonomic.Config, lr float64, period des.Time, every int) autonomic.Config {
 	cfg.CkptEvery = every
-	cfg.MTBF = 3 * des.Second
+	cfg.Faults = "crash every exp 3s"
 	cfg.Sink = nfsClassSink
 	cfg.TwoPhaseCommit = true
 	cfg.HeartbeatPeriod = period
 	if lr > 0 {
-		cfg.NetFaults = &mpi.NetFaultConfig{
-			Seed:      cfg.Seed*131 + 17,
-			DropRate:  lr,
-			DupRate:   lr / 5,
-			JitterMax: 200 * des.Microsecond,
-		}
+		cfg.Faults += fmt.Sprintf("\nnet loss %v dup %v jitter 200us seed %d", lr, lr/5, cfg.Seed*131+17)
 	}
 	return cfg
 }
@@ -82,9 +78,11 @@ func FaultyClusterAblation(seeds []uint64) ([]ClusterRow, error) {
 				row := ClusterRow{LossRate: lr, Period: period, CkptEvery: every}
 				var latSum des.Time
 				var latN int
-				row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-					return runAgainstReference(clusterCell(cfg, lr, period, every))
-				}, func(rep *autonomic.Report) {
+				row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
+					return autonomic.ValidateReplayStore(clusterCell(cfg, lr, period, every), nil,
+						func(*des.Engine, *chaos.Driver) storage.Store { return storage.NewMemStore() })
+				}, func(out *autonomic.ReplayOutcome) {
+					rep := out.Injected
 					row.Failures += rep.Failures
 					row.Recoveries += rep.Recoveries
 					row.AbortedCommits += rep.AbortedCommits

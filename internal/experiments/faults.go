@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
+	"repro/internal/chaos"
 	"repro/internal/des"
 	"repro/internal/storage"
 )
@@ -97,14 +98,15 @@ func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
 	var rows []FaultRow
 	for _, sc := range faultScenarios() {
 		row := FaultRow{Scenario: sc.name, Replicas: sc.replicas}
-		row.SweepStats = sweepSeeds(seeds, 4, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
+		// The storage tier winning is a legitimate outcome of this grid:
+		// an injected run that dies is incomplete, not divergent.
+		row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
 			store, tops, mirror, err := hardenedStack(sc, cfg.Seed)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			cfg.MTBF = 3 * des.Second
-			cfg.Store = store
-			rep, exact, err := runAgainstReference(cfg)
+			cfg.Faults = "crash every exp 3s"
+			out, err := autonomic.ValidateReplayStore(cfg, nil, func(*des.Engine, *chaos.Driver) storage.Store { return store })
 			for _, t := range tops {
 				row.Retries += t.Stats().Retries
 			}
@@ -113,8 +115,9 @@ func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
 				row.Failovers += uint64(st.FailoverReads)
 				row.Repairs += uint64(st.ReadRepairs)
 			}
-			return rep, exact, err
-		}, func(rep *autonomic.Report) {
+			return out, err
+		}, func(out *autonomic.ReplayOutcome) {
+			rep := out.Injected
 			row.Recoveries += rep.Recoveries
 			row.Degraded += rep.DegradedRecoveries
 			row.CkptFailures += rep.CheckpointFailures

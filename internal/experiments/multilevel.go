@@ -105,13 +105,10 @@ func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 					return nil, err
 				}
 				row := MultiLevelRow{Scheme: sc.name, DomainSize: domainSize, CkptEvery: every, ZeroGlobal: true}
-				row.SweepStats = sweepSeeds(seeds, ranks, func(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-					out, err := autonomic.ValidateReplay(multiLevelCell(cfg, sc, domains, every), sched)
-					if err != nil {
-						return nil, false, err
-					}
-					return out.Injected, out.BitExact(), nil
-				}, func(rep *autonomic.Report) {
+				row.SweepStats = sweepSeeds(seeds, ranks, false, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
+					return autonomic.ValidateReplay(multiLevelCell(cfg, sc, domains, every), sched)
+				}, func(out *autonomic.ReplayOutcome) {
+					rep := out.Injected
 					row.Failures += rep.Failures
 					row.DomainCrashes += rep.DomainCrashes
 					row.RanksLost += rep.DomainCrashes * domainSize

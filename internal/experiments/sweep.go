@@ -49,16 +49,16 @@ func smallJacobi(ranks int, seed uint64) autonomic.Config {
 }
 
 // sweepSeeds aggregates one row over the failure seeds (nil → a default
-// sweep of three). run executes the row's variant of the seed's
-// smallJacobi config and returns the supervisor's report, whether the
-// run kept bit-exactness, and any error. A run that errors or does not
-// complete is counted, not completed, and still folds its exact verdict
-// in — so a sweep whose runs may legitimately die (A14's unmirrored
-// outage) returns true alongside the error. add folds a completed run's
-// counters into the caller's row.
-func sweepSeeds(seeds []uint64, ranks int,
-	run func(autonomic.Config) (*autonomic.Report, bool, error),
-	add func(*autonomic.Report)) SweepStats {
+// sweep of three). validate judges the row's variant of the seed's
+// smallJacobi config against its autonomic.Reference, through the replay
+// validator. A run that errors or does not complete is counted, not
+// completed; an error keeps the row's exact verdict only when mayDie
+// says the injected run may legitimately die (A14's unmirrored outage,
+// an exhausted failure budget), and breaks it otherwise. add folds a
+// completed run's outcome into the caller's row.
+func sweepSeeds(seeds []uint64, ranks int, mayDie bool,
+	validate func(autonomic.Config) (*autonomic.ReplayOutcome, error),
+	add func(*autonomic.ReplayOutcome)) SweepStats {
 	if len(seeds) == 0 {
 		seeds = []uint64{3, 5, 9}
 	}
@@ -68,9 +68,14 @@ func sweepSeeds(seeds []uint64, ranks int,
 	var downN int
 	for _, seed := range seeds {
 		st.Runs++
-		rep, exact, err := run(smallJacobi(ranks, seed))
-		st.BitExact = st.BitExact && exact
-		if err != nil || !rep.Completed {
+		out, err := validate(smallJacobi(ranks, seed))
+		if err != nil {
+			st.BitExact = st.BitExact && mayDie
+			continue
+		}
+		st.BitExact = st.BitExact && out.BitExact()
+		rep := out.Injected
+		if !rep.Completed {
 			continue
 		}
 		st.Completed++
@@ -79,7 +84,7 @@ func sweepSeeds(seeds []uint64, ranks int,
 			downSum += ev.Downtime
 			downN++
 		}
-		add(rep)
+		add(out)
 	}
 	if st.Completed > 0 {
 		st.MeanEfficiency = effSum / float64(st.Completed)
@@ -90,23 +95,6 @@ func sweepSeeds(seeds []uint64, ranks int,
 		st.MeanDowntime = downSum / des.Time(downN)
 	}
 	return st
-}
-
-// runAgainstReference is a sweepSeeds run: cfg supervised, judged
-// bit for bit against its (memoised) autonomic.Reference. The storage
-// tier winning — an unmirrored outage, an exhausted failure budget — is
-// a legitimate outcome, recorded as an incomplete run rather than a
-// divergence, so a run that errors keeps its exact verdict.
-func runAgainstReference(cfg autonomic.Config) (*autonomic.Report, bool, error) {
-	rep, err := autonomic.Run(cfg)
-	if err != nil {
-		return nil, true, err
-	}
-	ref, err := autonomic.Reference(cfg)
-	if err != nil {
-		return rep, false, err
-	}
-	return rep, autonomic.Compare(ref, rep).BitExact(), nil
 }
 
 // yesNo renders a verdict column.
