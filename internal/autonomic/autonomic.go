@@ -14,7 +14,6 @@ package autonomic
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/chaos"
 	"repro/internal/ckpt"
@@ -411,8 +410,6 @@ type Supervisor struct {
 	eng   *des.Engine
 	chaos *chaos.Driver // nil when nothing fails
 	store storage.Store
-	rng   rand.Rand // the failure stream; it and its source live in s
-	pcg   rand.PCG
 
 	cur          *team
 	lastLineIter int                   // iteration of the line a recovery would target
@@ -422,12 +419,9 @@ type Supervisor struct {
 	failed       error
 
 	// Multi-level checkpointing state (nil/unused without
-	// Config.MultiLevel). mlRng is a dedicated stream for parity-
-	// corruption injection so the failure rng's draw sequence stays
-	// bit-identical to legacy runs. pendingVictims is the rank set a
-	// domain crash preloaded for the next failure event.
+	// Config.MultiLevel). pendingVictims is the rank set a domain crash
+	// preloaded for the next failure event.
 	ml             *redundancy.Hierarchy
-	mlRng          *rand.Rand
 	pendingVictims []int
 
 	// Failure/recovery state machine. Failures are re-armed from the
@@ -499,8 +493,6 @@ func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 		store: store,
 		lines: make(map[uint64]lineRecord),
 	}
-	s.pcg.Seed(cfg.Seed, 0xA57)
-	s.rng = *rand.New(&s.pcg)
 	if cfg.MultiLevel != nil {
 		if err := s.buildHierarchy(store); err != nil {
 			return nil, err
@@ -767,9 +759,11 @@ func (s *Supervisor) protect(t *team, seq uint64, cont func()) {
 	}
 	s.report.L2ExchangeTime += rep.Time
 	s.report.ParityVolumeMB += float64(rep.ParityBytes) / 1e6
-	if s.chaos != nil && s.chaos.ParityFlipHit(s.eng.Now()) {
-		if _, ok := s.ml.CorruptParity(seq, s.mlRng); ok {
-			s.report.InjectedParityCorruptions++
+	if s.chaos != nil {
+		if bits, hit := s.chaos.ParityFlipHit(s.eng.Now()); hit {
+			if _, ok := s.ml.CorruptParity(seq, bits); ok {
+				s.report.InjectedParityCorruptions++
+			}
 		}
 	}
 	s.eng.After(rep.Time, func() {
@@ -819,14 +813,12 @@ func (s *Supervisor) finish(t *team) {
 
 // scheduleFailure arms the plan's Poisson clock's next failure event.
 func (s *Supervisor) scheduleFailure() {
-	if s.chaos == nil || s.chaos.Plan().CrashMean <= 0 {
+	if s.chaos == nil {
 		return
 	}
-	delay := des.FromSeconds(s.rng.ExpFloat64() * s.chaos.Plan().CrashMean.Seconds())
-	if delay < des.Millisecond {
-		delay = des.Millisecond
+	if delay, ok := s.chaos.NextFailure(); ok {
+		s.eng.After(delay, s.onFailure)
 	}
-	s.eng.After(delay, s.onFailure)
 }
 
 // onFailure kills a node. With the heartbeat detector off the
@@ -914,11 +906,11 @@ func (s *Supervisor) onFailure() {
 
 // killAnother silences the victims in t's heartbeat detector — the
 // preset victim set of a domain crash under multi-level, otherwise one
-// more live rank picked at random. Detection continues unless nobody is
-// left alive to observe anything.
+// more live rank the plan's driver picks. Detection continues unless
+// nobody is left alive to observe anything.
 func (s *Supervisor) killAnother(t *team, victims []int) {
 	if len(victims) == 0 {
-		start := s.rng.IntN(s.cfg.Ranks)
+		start := s.chaos.Victim(s.cfg.Ranks)
 		for i := 0; i < s.cfg.Ranks; i++ {
 			if v := (start + i) % s.cfg.Ranks; !t.det.Failed(v) {
 				victims = []int{v}

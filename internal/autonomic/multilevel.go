@@ -11,7 +11,6 @@ package autonomic
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -71,7 +70,6 @@ func (s *Supervisor) buildHierarchy(global storage.Store) error {
 		return err
 	}
 	s.ml = h
-	s.mlRng = rand.New(rand.NewPCG(s.cfg.Seed, 0xEC2))
 	return nil
 }
 
@@ -104,9 +102,8 @@ func (s *Supervisor) domainCrash(name string) {
 
 // takeVictims resolves which ranks this failure event kills and wipes
 // their L1 stores — the node-local device dies with the node. Under a
-// domain crash the victims were preset; otherwise one seeded rank dies.
-// Legacy (non-multi-level) runs return nil without consuming entropy,
-// keeping their event streams bit-identical.
+// domain crash the victims were preset; otherwise the plan's driver
+// picks one rank. Single-level runs return nil without a draw.
 func (s *Supervisor) takeVictims() []int {
 	if s.ml == nil {
 		return nil
@@ -114,7 +111,7 @@ func (s *Supervisor) takeVictims() []int {
 	victims := s.pendingVictims
 	s.pendingVictims = nil
 	if len(victims) == 0 {
-		victims = []int{s.rng.IntN(s.cfg.Ranks)}
+		victims = []int{s.chaos.Victim(s.cfg.Ranks)}
 	}
 	for _, v := range victims {
 		if err := s.ml.WipeRank(v); err != nil {

@@ -132,12 +132,11 @@ func TestDrainCrashEveryPhaseReplaysBitExact(t *testing.T) {
 func TestDrainTimeoutDegradesToBounce(t *testing.T) {
 	store := storage.NewMemStore()
 	cfg := rdmaConfig(RDMADrain)
-	// 128-page (512 KiB) puts over a fabric browned out 50× (with the
-	// brownout's default 20 % extra loss) for the whole run take ~29ms
-	// against the 10ms drain budget: the transfer cannot land in time, so
-	// every rank strands at the first boundary.
+	// 128-page (512 KiB) puts over a fabric browned out 50× for the
+	// whole run take ~29ms against the 10ms drain budget: the transfer
+	// cannot land in time, so every rank strands at the first boundary.
 	cfg.Workload = PutFactory{Pages: 128, PutEvery: 1, Seed: 1.0, ComputeTime: 50 * des.Millisecond}
-	cfg.Faults = "brownout at 0s..1h slow 50"
+	cfg.Faults = "brownout at 0s..1h slow 50 drop 0"
 	cfg.Store = store
 	rep, err := Run(cfg)
 	if err != nil {

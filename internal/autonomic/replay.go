@@ -61,10 +61,10 @@ func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMat
 // counted and charged its sink time exactly as a kept one.
 //
 // A reference whose workload is one of this package's value factories
-// (StencilFactory, PutFactory, or nil for the former) runs once per
-// process: later calls with the same stripped config, whatever their
-// Seed, return a copy of the first report (see referenceKey). Every
-// call gets its own copy, so a caller may change what it is given.
+// (StencilFactory, PutFactory, SoloFactory, or nil for the first) runs
+// once per process: later calls with the same stripped config, whatever
+// their Seed, return a copy of the first report (see referenceKey).
+// Every call gets its own copy, so a caller may change what it is given.
 func Reference(cfg Config) (*Report, error) {
 	cfg = referenceConfig(cfg)
 	key, memo := referenceKey(cfg)
@@ -105,19 +105,17 @@ var refMemo = struct {
 }{m: make(map[Config]Report)}
 
 // referenceKey is the memo key of the reference config cfg and whether
-// its report may be memoised at all. The key is cfg with Seed zeroed: a
-// run reads Seed only through its Faults' plan, its failure rng (Poisson
-// failures, a detector's extra victims, multi-level victims) and the
-// parity-corruption rng (MultiLevel), and a reference has none of
-// these. Only this package's value factories are memoised, because
-// their value is their behaviour; any other Factory — a SoloFactory
-// holds funcs, a caller's decorator may count or trace — runs every
-// time. A config holding a NaN never equals itself, so it is not
-// memoised either.
+// its report may be memoised at all. A stripped config value determines
+// its run, and a run reads Seed only through its compiled plan, which a
+// reference has none of: the key is cfg with Seed zeroed. Only this
+// package's value factories are memoised, because their value is their
+// behaviour; any other Factory — a caller's decorator may count or
+// trace — runs every time. A config holding a NaN never equals itself,
+// so it is not memoised either.
 func referenceKey(cfg Config) (Config, bool) {
 	cfg.Seed = 0
 	switch cfg.Workload.(type) {
-	case StencilFactory, PutFactory:
+	case StencilFactory, PutFactory, SoloFactory:
 		return cfg, cfg == cfg
 	}
 	return cfg, false

@@ -1,6 +1,7 @@
 package autonomic
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/redundancy"
 	"repro/internal/storage"
 )
@@ -117,61 +117,87 @@ func valueFactoryConfigs(t *testing.T, seed uint64) map[string]Config {
 	}
 }
 
+// ckptSetConfigs are A19's supervised kernels (experiments' ckptset
+// sweep) at seed, each whole config followed by its spec config: the
+// two differ only in Spec, which the reference strips.
+func ckptSetConfigs(t *testing.T, seed uint64) []Config {
+	spec, err := kernels.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Config
+	for _, k := range []struct {
+		name string
+		n    int
+	}{{"stencil", 64}, {"ssor", 64}, {"wavefront", 64}, {"adi", 64}, {"fft", 4096}} {
+		whole := Config{
+			Workload:    SoloFactory{Kernel: k.name, N: k.n, ComputeTime: 50 * des.Millisecond},
+			Ranks:       1,
+			Iterations:  12,
+			CkptEvery:   3,
+			ComputeTime: 50 * des.Millisecond,
+			Seed:        seed,
+		}
+		speced := whole
+		speced.Spec = spec
+		out = append(out, whole, speced)
+	}
+	return out
+}
+
 // TestReplayReferenceMemoIsSeedIndependent pins what the memo key
 // relies on: a failure-free run does not read Seed. At every seed, the
 // memoised Reference of each replay-suite config equals, field for
 // field, a fresh Run of its stripped config at that seed. The first
 // seed fills the memo; at the later ones the first call already hits,
-// allocating only its copy.
+// allocating only its copy. A19's spec configs hit at every seed, on
+// the entry their whole config filled.
 func TestReplayReferenceMemoIsSeedIndependent(t *testing.T) {
+	check := func(name string, seed uint64, cfg Config, hit bool) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ref, err := Reference(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s seed %d: reference: %v", name, seed, err)
+		}
+		if n := after.Mallocs - before.Mallocs; hit && n > 4 {
+			t.Errorf("%s seed %d: the reference allocated %d times, want a memo hit's copy", name, seed, n)
+		}
+		fresh, err := Run(referenceConfig(cfg))
+		if err != nil {
+			t.Fatalf("%s seed %d: fresh run: %v", name, seed, err)
+		}
+		if !ref.Completed || !reflect.DeepEqual(ref, fresh) {
+			t.Errorf("%s seed %d: memoised reference differs from a fresh run:\nmemo  %+v\nfresh %+v", name, seed, ref, fresh)
+		}
+	}
 	for i, seed := range []uint64{3, 5, 9} {
 		for name, cfg := range valueFactoryConfigs(t, seed) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			ref, err := Reference(cfg)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatalf("%s seed %d: reference: %v", name, seed, err)
-			}
-			if n := after.Mallocs - before.Mallocs; i > 0 && n > 4 {
-				t.Errorf("%s seed %d: the reference allocated %d times, want a memo hit's copy", name, seed, n)
-			}
-			fresh, err := Run(referenceConfig(cfg))
-			if err != nil {
-				t.Fatalf("%s seed %d: fresh run: %v", name, seed, err)
-			}
-			if !ref.Completed || !reflect.DeepEqual(ref, fresh) {
-				t.Errorf("%s seed %d: memoised reference differs from a fresh run:\nmemo  %+v\nfresh %+v", name, seed, ref, fresh)
-			}
+			check(name, seed, cfg, i > 0)
+		}
+		for _, cfg := range ckptSetConfigs(t, seed) {
+			name := fmt.Sprintf("A19 %s spec=%v", cfg.Workload.(SoloFactory).Kernel, cfg.Spec != nil)
+			check(name, seed, cfg, i > 0 || cfg.Spec != nil)
 		}
 	}
 }
 
 // TestReplayReferenceRunsOtherFactoriesEveryCall: a factory's identity
 // says nothing about its behaviour unless it is one of this package's
-// value factories, so a SoloFactory's or a decorator's reference is
-// built on every call.
+// value factories, so a decorator's reference is built on every call.
 func TestReplayReferenceRunsOtherFactoriesEveryCall(t *testing.T) {
 	var built int
-	solo := stencilSolo()
-	build := solo.Build
-	solo.Build = func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
-		built++
-		return build(sp)
+	cfg := baseConfig()
+	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
+	for i := 0; i < 3; i++ {
+		if _, err := Reference(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	soloCfg := Config{Workload: solo, Ranks: 1, Iterations: 6, CkptEvery: 2, ComputeTime: 50 * des.Millisecond}
-	decorated := baseConfig()
-	decorated.Workload = countingFactory{Factory: decorated.withDefaults().Workload, built: &built}
-	for name, cfg := range map[string]Config{"solo": soloCfg, "decorator": decorated} {
-		built = 0
-		for i := 0; i < 3; i++ {
-			if _, err := Reference(cfg); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		if built != 3 {
-			t.Errorf("%s: 3 references built %d computations, want 3", name, built)
-		}
+	if built != 3 {
+		t.Errorf("3 references built %d computations, want 3", built)
 	}
 }
 

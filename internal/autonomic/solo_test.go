@@ -11,38 +11,11 @@ import (
 )
 
 func stencilSolo() SoloFactory {
-	return SoloFactory{
-		ComputeTime: 50 * des.Millisecond,
-		Build: func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
-			return kernels.NewStencil2D(sp, 16, 16, 1.0)
-		},
-		Rebind: func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-			return kernels.AttachStencil2D(sp, 16, 16, iter)
-		},
-	}
+	return SoloFactory{Kernel: "stencil", N: 16, ComputeTime: 50 * des.Millisecond}
 }
 
 func fftSolo(n int) SoloFactory {
-	return SoloFactory{
-		ComputeTime: 50 * des.Millisecond,
-		Build: func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
-			f, err := kernels.NewFFT(sp, n)
-			if err != nil {
-				return nil, err
-			}
-			sig := make([]complex128, n)
-			for i := range sig {
-				sig[i] = complex(float64(i%17)-8, float64(i%5))
-			}
-			if err := f.Load(sig); err != nil {
-				return nil, err
-			}
-			return f, nil
-		},
-		Rebind: func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-			return kernels.AttachFFT(sp, n, iter)
-		},
-	}
+	return SoloFactory{Kernel: "fft", N: n, ComputeTime: 50 * des.Millisecond}
 }
 
 // TestSoloRunsUnderSupervision adapts a single-space kernel to the

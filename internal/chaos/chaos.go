@@ -128,8 +128,9 @@ func (k Kind) String() string {
 }
 
 // Spec is one declarative fault: a kind, a virtual-time window it lands
-// in, and knobs whose meaning depends on the kind. The zero values of
-// the knobs select per-kind defaults (see Validate).
+// in, and knobs whose meaning depends on the kind. ParseSchedule fills
+// in each kind's defaults before it reads a line's options; Compile
+// takes Drop, Slow and Rate as written.
 type Spec struct {
 	Kind Kind
 	// From and To bound the fault's virtual-time window. Instant kinds
@@ -152,16 +153,17 @@ type Spec struct {
 	// position of their windows — correlated, bursty failures (stdchk's
 	// adversary) instead of independent ones.
 	Group string
-	// Drop is the extra packet-loss probability of Partition (default
-	// 0.85) and Brownout (default 0.2) windows, and a Net line's steady
-	// loss.
+	// Drop is the extra packet-loss probability of Partition (parsed
+	// default 0.85) and Brownout (parsed default 0.2) windows, and a Net
+	// line's steady loss.
 	Drop float64
 	// Dup is a Net line's packet-duplication probability.
 	Dup float64
-	// Slow is Brownout's transfer-time multiplier (default 2).
+	// Slow is Brownout's transfer-time multiplier (parsed default 2;
+	// zero, like one, does not slow).
 	Slow float64
-	// Rate is StorageBrownout's per-operation drop probability
-	// (default 0.5).
+	// Rate is StorageBrownout's per-operation drop probability (parsed
+	// default 0.5).
 	Rate float64
 	// Phase is the drain-protocol phase token a DrainCrash targets
 	// (one of mpi's drain phase names, e.g. "deregister").

@@ -387,6 +387,49 @@ func TestCompiledNetFaults(t *testing.T) {
 	}
 }
 
+// An option a line omits takes its kind's default, and a written zero
+// is zero, parsed and compiled: a partition that drops nothing, a
+// brownout that only slows or only drops, a storage brownout that
+// refuses nothing.
+func TestWrittenZeroIsZero(t *testing.T) {
+	for _, c := range []struct {
+		text             string
+		drop, slow, rate float64 // as parsed
+	}{
+		{"partition at 1s..2s", 0.85, 0, 0},
+		{"partition at 1s..2s drop 0", 0, 0, 0},
+		{"brownout at 1s..2s", 0.2, 2, 0},
+		{"brownout at 1s..2s drop 0", 0, 2, 0},
+		{"brownout at 1s..2s slow 0", 0.2, 0, 0},
+		{"brownout at 0s..1h slow 50 drop 0", 0, 50, 0},
+		{"storage-brownout at 1s..2s", 0, 0, 0.5},
+		{"storage-brownout at 1s..2s rate 0", 0, 0, 0},
+	} {
+		s := mustParse(t, c.text)
+		if sp := s.Specs[0]; sp.Drop != c.drop || sp.Slow != c.slow || sp.Rate != c.rate {
+			t.Errorf("%q parsed drop %v slow %v rate %v, want %v %v %v", c.text, sp.Drop, sp.Slow, sp.Rate, c.drop, c.slow, c.rate)
+		}
+		p, err := s.Compile(1)
+		if err != nil {
+			t.Fatalf("%q: %v", c.text, err)
+		}
+		switch s.Specs[0].Kind {
+		case StorageBrownout:
+			if got := p.Brownouts[0].Rate; got != c.rate {
+				t.Errorf("%q compiled rate %v, want %v", c.text, got, c.rate)
+			}
+		default:
+			slow := c.slow
+			if s.Specs[0].Kind == Partition {
+				slow = 1
+			}
+			if w := p.Net.Windows[0]; w.ExtraDrop != c.drop || w.SlowFactor != slow {
+				t.Errorf("%q compiled drop %v slow %v, want %v %v", c.text, w.ExtraDrop, w.SlowFactor, c.drop, slow)
+			}
+		}
+	}
+}
+
 func TestCommitCrashDelayConsumesWindows(t *testing.T) {
 	s := mustParse(t, "commit-crash at 1s..10s count 2")
 	p, _ := s.Compile(3)
@@ -503,6 +546,10 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Add("net seed 0")
 	f.Add("parity-flip at 0s..30s count 8")
 	f.Add("parity-flip at 1s..1s group g")
+	f.Add("partition at 1s..2s drop 0")
+	f.Add("brownout at 0s..1h slow 50 drop 0")
+	f.Add("brownout at 1s..2s slow 0")
+	f.Add("storage-brownout at 1s..2s rate 0")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSchedule(text)
 		if err != nil {

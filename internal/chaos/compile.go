@@ -142,13 +142,13 @@ func (s *Schedule) Compile(seed uint64) (*Plan, error) {
 				p.CommitCrashes = append(p.CommitCrashes, w)
 			}
 		case Partition:
-			windows = append(windows, degraded(shiftWindow(sp, base(sp)), cmp.Or(sp.Drop, 0.85), 1))
+			windows = append(windows, degraded(shiftWindow(sp, base(sp)), sp.Drop, 1))
 		case Brownout:
-			windows = append(windows, degraded(shiftWindow(sp, base(sp)), cmp.Or(sp.Drop, 0.2), cmp.Or(sp.Slow, 2)))
+			windows = append(windows, degraded(shiftWindow(sp, base(sp)), sp.Drop, sp.Slow))
 		case StorageOutage:
 			p.Outages = append(p.Outages, shiftWindow(sp, base(sp)))
 		case StorageBrownout:
-			p.Brownouts = append(p.Brownouts, BrownoutWindow{Window: shiftWindow(sp, base(sp)), Rate: cmp.Or(sp.Rate, 0.5)})
+			p.Brownouts = append(p.Brownouts, BrownoutWindow{Window: shiftWindow(sp, base(sp)), Rate: sp.Rate})
 		case DrainCrash:
 			phase, err := mpi.ParseDrainPhase(sp.Phase)
 			if err != nil {

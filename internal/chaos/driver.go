@@ -32,13 +32,17 @@ type Stats struct {
 
 // Driver binds a compiled Plan to a des.Engine and drives the existing
 // per-layer injectors through one interface. One driver serves one run:
-// it owns seeded streams whose draws are ordered by the engine's
-// deterministic event order.
+// it makes every random draw the run's faults take, from three streams
+// seeded by the plan's Seed, each drawn in the engine's deterministic
+// event order. The streams and their sources live in d.
 type Driver struct {
 	eng  *des.Engine
 	plan *Plan
-	rng  rand.Rand // the driver's stream; it and its source live in d
-	pcg  rand.PCG
+	// rng places commit and domain crashes, picks bit flips and rolls
+	// storage brownouts; fail draws the Poisson clock's delays and the
+	// ranks failures take; parity picks the bit a parity flip flips.
+	rng, fail, parity       rand.Rand
+	pcg, failPCG, parityPCG rand.PCG
 
 	stats      Stats
 	commitUsed []bool
@@ -58,12 +62,16 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 		eng:        eng,
 		plan:       plan,
 		pcg:        *rand.NewPCG(plan.Seed, 0xD21F),
+		failPCG:    *rand.NewPCG(plan.Seed, 0xA57),
+		parityPCG:  *rand.NewPCG(plan.Seed, 0xEC2),
 		commitUsed: make([]bool, len(plan.CommitCrashes)),
 		drainUsed:  make([]bool, len(plan.DrainCrashes)),
 		domainUsed: make([]bool, len(plan.DomainCrashes)),
 		flipUsed:   make([]bool, len(plan.ParityFlips)),
 	}
 	d.rng = *rand.New(&d.pcg)
+	d.fail = *rand.New(&d.failPCG)
+	d.parity = *rand.New(&d.parityPCG)
 	return d
 }
 
@@ -147,12 +155,29 @@ func (d *Driver) DrainCrashHit(p mpi.DrainPhase, now des.Time) bool {
 }
 
 // ParityFlipHit asks whether the parity a multi-level hierarchy placed
-// at virtual time now should be bit-flipped at rest. It consumes at most
-// one planned parity-flip window per call, so a schedule with Count n
-// flips n lines' parity.
-func (d *Driver) ParityFlipHit(now des.Time) bool {
-	return consume(d.flipUsed, func(i int) bool { return d.plan.ParityFlips[i].contains(now) }) >= 0
+// at virtual time now should be bit-flipped at rest, and on a hit
+// returns the stream that picks the bit. It consumes at most one planned
+// parity-flip window per call, so a schedule with Count n flips n lines'
+// parity.
+func (d *Driver) ParityFlipHit(now des.Time) (*rand.Rand, bool) {
+	if consume(d.flipUsed, func(i int) bool { return d.plan.ParityFlips[i].contains(now) }) < 0 {
+		return nil, false
+	}
+	return &d.parity, true
 }
+
+// NextFailure draws the delay to the plan's Poisson clock's next
+// failure, never under a millisecond; ok is false when the plan has no
+// clock.
+func (d *Driver) NextFailure() (delay des.Time, ok bool) {
+	if d.plan.CrashMean <= 0 {
+		return 0, false
+	}
+	return max(des.FromSeconds(d.fail.ExpFloat64()*d.plan.CrashMean.Seconds()), des.Millisecond), true
+}
+
+// Victim draws the rank in [0, ranks) a failure takes.
+func (d *Driver) Victim(ranks int) int { return d.fail.IntN(ranks) }
 
 // consume marks and returns the first planned entry i not yet used that
 // hit accepts, or -1: each planned entry fires at most once.
@@ -167,8 +192,7 @@ func consume(used []bool, hit func(i int) bool) int {
 }
 
 // Plan returns the compiled plan the driver executes. The supervisor
-// reads the whole-run parts from it: the Poisson failure clock and the
-// interconnect fault model.
+// reads the interconnect fault model from it.
 func (d *Driver) Plan() *Plan { return d.plan }
 
 // WrapStore interposes the plan's timed storage faults on inner and

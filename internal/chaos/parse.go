@@ -33,7 +33,11 @@ import (
 // supervisor's Poisson failure clock, and "net" followed by its pairs
 // (loss <p>, dup <p>, jitter <dur>, seed <n> with n >= 1), the
 // interconnect's steady fault model. A parity-flip's window holds the
-// instants a line's parity is placed; each count flips one line's.
+// instants a line's parity is placed; each count flips one line's. An
+// option a line omits takes its kind's default (partition drop 0.85;
+// brownout drop 0.2 and slow 2; storage-brownout rate 0.5), and a
+// written zero is zero: "brownout at 0s..1h slow 50 drop 0" slows the
+// fabric and loses nothing, and "slow 0" does not slow it.
 // Durations use Go syntax ("1.5s", "300ms") and denote
 // virtual time. ParseSchedule returns a typed error naming the offending
 // line for any malformed input; it never panics, however hostile the
@@ -69,11 +73,12 @@ func ParseSchedule(text string) (*Schedule, error) {
 
 // parseSpec parses one non-empty line's fields into a Spec.
 func parseSpec(fields []string) (Spec, error) {
-	var sp Spec
 	k := slices.Index(kindNames[:], fields[0])
 	if k < 0 {
-		return sp, fmt.Errorf("unknown fault kind %q", fields[0])
+		return Spec{}, fmt.Errorf("unknown fault kind %q", fields[0])
 	}
+	// The kind's defaults come first, so a written zero overwrites them.
+	sp := kindDefaults[k]
 	sp.Kind = Kind(k)
 	var rest []string
 	var err error
@@ -156,6 +161,14 @@ func parseSpec(fields []string) (Spec, error) {
 		}
 	}
 	return sp, nil
+}
+
+// kindDefaults holds each kind's option defaults: what a line that
+// omits the option gets.
+var kindDefaults = [kindCount]Spec{
+	Partition:       {Drop: 0.85},
+	Brownout:        {Drop: 0.2, Slow: 2},
+	StorageBrownout: {Rate: 0.5},
 }
 
 // parseWindow parses "<from>..<to>" with both bounds Go durations.

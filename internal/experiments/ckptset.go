@@ -45,18 +45,19 @@ type CkptSetRow struct {
 	BitExact bool
 }
 
-// ckptSetWorkload is one supervised kernel of the A19 sweep.
+// ckptSetWorkload is one supervised kernel of the A19 sweep: a named
+// kernel (kernels.NewSoloKernel) sized by n, stepped iterations times.
 type ckptSetWorkload struct {
 	name       string
+	n          int
 	iterations int
-	factory    autonomic.SoloFactory
 }
 
 // config is the supervised run A19 replays the kernel in, protected by
 // spec s (nil: whole-process protection).
 func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
 	return autonomic.Config{
-		Workload:    w.factory,
+		Workload:    autonomic.SoloFactory{Kernel: w.name, N: w.n, ComputeTime: 50 * des.Millisecond},
 		Ranks:       1,
 		Iterations:  w.iterations,
 		CkptEvery:   3,
@@ -66,56 +67,13 @@ func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
 	}
 }
 
-func ckptSetWorkloads() []ckptSetWorkload {
-	grid := func(build func(sp *mem.AddressSpace) (kernels.SoloKernel, error),
-		rebind func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error)) autonomic.SoloFactory {
-		return autonomic.SoloFactory{
-			ComputeTime: 50 * des.Millisecond,
-			Build:       build,
-			Rebind:      rebind,
-		}
-	}
-	const n = 64
-	return []ckptSetWorkload{
-		{"stencil", 12, grid(
-			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewStencil2D(sp, n, n, 1) },
-			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-				return kernels.AttachStencil2D(sp, n, n, iter)
-			})},
-		{"ssor", 12, grid(
-			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewSSOR(sp, n, n, 1, 1.2) },
-			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-				return kernels.AttachSSOR(sp, n, n, 1.2, iter)
-			})},
-		{"wavefront", 12, grid(
-			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewWavefront(sp, n, n, 1) },
-			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-				return kernels.AttachWavefront(sp, n, n, iter)
-			})},
-		{"adi", 12, grid(
-			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) { return kernels.NewADI(sp, n, n, 1, 0.5) },
-			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-				return kernels.AttachADI(sp, n, n, 0.5, iter)
-			})},
-		{"fft", 12, grid(
-			func(sp *mem.AddressSpace) (kernels.SoloKernel, error) {
-				f, err := kernels.NewFFT(sp, 4096)
-				if err != nil {
-					return nil, err
-				}
-				sig := make([]complex128, 4096)
-				for i := range sig {
-					sig[i] = complex(float64(i%31)-15, float64(i%7)-3)
-				}
-				if err := f.Load(sig); err != nil {
-					return nil, err
-				}
-				return f, nil
-			},
-			func(sp *mem.AddressSpace, iter int) (kernels.SoloKernel, error) {
-				return kernels.AttachFFT(sp, 4096, iter)
-			})},
-	}
+// ckptSetWorkloads are A19's kernels: 64×64 grids and a 4096-point FFT.
+var ckptSetWorkloads = []ckptSetWorkload{
+	{"stencil", 64, 12},
+	{"ssor", 64, 12},
+	{"wavefront", 64, 12},
+	{"adi", 64, 12},
+	{"fft", 4096, 12},
 }
 
 // measureIWS runs the kernel under the tracker alone and returns the
@@ -123,7 +81,7 @@ func ckptSetWorkloads() []ckptSetWorkload {
 func measureIWS(w ckptSetWorkload, spec *ckptspec.Spec) (float64, error) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	k, err := w.factory.Build(sp)
+	k, err := kernels.NewSoloKernel(w.name, sp, w.n)
 	if err != nil {
 		return 0, err
 	}
@@ -163,7 +121,7 @@ func measureIWS(w ckptSetWorkload, spec *ckptspec.Spec) (float64, error) {
 func measureVolume(w ckptSetWorkload, spec *ckptspec.Spec) (fullKB, incrKB float64, regions, excluded int, err error) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 4096})
-	k, err := w.factory.Build(sp)
+	k, err := kernels.NewSoloKernel(w.name, sp, w.n)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -222,7 +180,7 @@ func CkptSetAblation() ([]CkptSetRow, error) {
 		return nil, fmt.Errorf("experiments: ckptset crash schedule: %w", err)
 	}
 	var rows []CkptSetRow
-	for _, w := range ckptSetWorkloads() {
+	for _, w := range ckptSetWorkloads {
 		for _, mode := range []string{"whole", "spec"} {
 			var s *ckptspec.Spec
 			if mode == "spec" {

@@ -62,7 +62,7 @@ func referenceFamilies(t *testing.T, seed uint64) []namedConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range ckptSetWorkloads() {
+	for _, w := range ckptSetWorkloads {
 		cfg := w.config(spec)
 		cfg.Seed = seed
 		add("A19/"+w.name, cfg)

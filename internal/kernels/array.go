@@ -195,6 +195,15 @@ func view[To, From byte | float64](s []From) []To {
 	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(s))), n)
 }
 
+// values returns a copy of every element.
+func (a *Array) values() ([]float64, error) {
+	out := make([]float64, a.n)
+	if err := a.Read(out, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // checksum returns the sum of all elements — a cheap integrity probe for
 // checkpoint/restore equivalence tests.
 func (a *Array) checksum() (float64, error) {

@@ -483,21 +483,21 @@ func TestSolversMatchStagingOracle(t *testing.T) {
 		build func(sp *mem.AddressSpace, nx, ny int) (built, error)
 	}{
 		{"SSOR", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			s, err := NewSSOR(sp, nx, ny, 1.5, 1.3)
+			s, err := newSSOR(sp, nx, ny, 1.5, 1.3)
 			if err != nil {
 				return built{}, err
 			}
 			return built{s.Step, func() error { return stagingSSORStep(s) }, s.u, s.work}, nil
 		}},
 		{"Wavefront", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			w, err := NewWavefront(sp, nx, ny, 0.75)
+			w, err := newWavefront(sp, nx, ny, 0.75)
 			if err != nil {
 				return built{}, err
 			}
 			return built{w.Step, func() error { return stagingWavefrontStep(w) }, w.v, w.work}, nil
 		}},
 		{"ADI", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			a, err := NewADI(sp, nx, ny, 2.5, 0.4)
+			a, err := newADI(sp, nx, ny, 2.5, 0.4)
 			if err != nil {
 				return built{}, err
 			}

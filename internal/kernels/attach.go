@@ -59,10 +59,10 @@ func arenaLayout(space *mem.AddressSpace, elems ...int) ([]*Array, error) {
 	return out, nil
 }
 
-// AttachSSOR rebuilds an SSOR handle over a restored space. omega must
+// attachSSOR rebuilds an SSOR handle over a restored space. omega must
 // match the original; iter is the completed-iteration count at the
 // checkpoint.
-func AttachSSOR(space *mem.AddressSpace, nx, ny int, omega float64, iter int) (*SSOR, error) {
+func attachSSOR(space *mem.AddressSpace, nx, ny int, omega float64, iter int) (*SSOR, error) {
 	if nx < 3 || ny < 3 || omega <= 0 || omega >= 2 || iter < 0 {
 		return nil, fmt.Errorf("kernels: bad SSOR attach parameters")
 	}
@@ -73,8 +73,8 @@ func AttachSSOR(space *mem.AddressSpace, nx, ny int, omega float64, iter int) (*
 	return &SSOR{nx: nx, ny: ny, u: bufs[0], work: bufs[1], omega: omega, iter: iter, mid: make([]float64, nx)}, nil
 }
 
-// AttachWavefront rebuilds a Wavefront handle over a restored space.
-func AttachWavefront(space *mem.AddressSpace, nx, ny, iter int) (*Wavefront, error) {
+// attachWavefront rebuilds a Wavefront handle over a restored space.
+func attachWavefront(space *mem.AddressSpace, nx, ny, iter int) (*Wavefront, error) {
 	if nx < 2 || ny < 2 || iter < 0 {
 		return nil, fmt.Errorf("kernels: bad wavefront attach parameters")
 	}
@@ -85,9 +85,9 @@ func AttachWavefront(space *mem.AddressSpace, nx, ny, iter int) (*Wavefront, err
 	return &Wavefront{nx: nx, ny: ny, v: bufs[0], work: bufs[1], iter: iter, row: make([]float64, nx)}, nil
 }
 
-// AttachADI rebuilds an ADI handle over a restored space. lambda must
+// attachADI rebuilds an ADI handle over a restored space. lambda must
 // match the original.
-func AttachADI(space *mem.AddressSpace, nx, ny int, lambda float64, iter int) (*ADI, error) {
+func attachADI(space *mem.AddressSpace, nx, ny int, lambda float64, iter int) (*ADI, error) {
 	if nx < 3 || ny < 3 || lambda <= 0 || iter < 0 {
 		return nil, fmt.Errorf("kernels: bad ADI attach parameters")
 	}
@@ -100,10 +100,10 @@ func AttachADI(space *mem.AddressSpace, nx, ny int, lambda float64, iter int) (*
 	return a, nil
 }
 
-// AttachFFT rebuilds an FFT handle over a restored space; pass is the
+// attachFFT rebuilds an FFT handle over a restored space; pass is the
 // number of butterfly passes completed at the checkpoint (the ping-pong
 // parity selects which buffer holds the live data).
-func AttachFFT(space *mem.AddressSpace, n, pass int) (*FFT, error) {
+func attachFFT(space *mem.AddressSpace, n, pass int) (*FFT, error) {
 	if n < 2 || n&(n-1) != 0 || pass < 0 {
 		return nil, fmt.Errorf("kernels: bad FFT attach parameters")
 	}

@@ -20,9 +20,9 @@ type FFT struct {
 	pass int    // completed butterfly passes (for mid-transform ckpt tests)
 }
 
-// NewFFT allocates ping-pong buffers for an n-point transform (n a power
+// newFFT allocates ping-pong buffers for an n-point transform (n a power
 // of two).
-func NewFFT(space *mem.AddressSpace, n int) (*FFT, error) {
+func newFFT(space *mem.AddressSpace, n int) (*FFT, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("kernels: FFT size %d is not a power of two >= 2", n)
 	}
@@ -61,8 +61,8 @@ func (f *FFT) fillTwiddles() error {
 	return f.tw.Write(buf, 0)
 }
 
-// Load writes the input signal into the primary buffer.
-func (f *FFT) Load(signal []complex128) error {
+// load writes the input signal into the primary buffer.
+func (f *FFT) load(signal []complex128) error {
 	if len(signal) != f.n {
 		return fmt.Errorf("kernels: FFT input length %d, want %d", len(signal), f.n)
 	}
@@ -92,10 +92,10 @@ func log2(n int) int {
 	return p
 }
 
-// Pass performs one Stockham butterfly pass (there are log2(n) in total).
-// Exposing single passes lets checkpoint tests interrupt the transform
-// midway.
-func (f *FFT) Pass() error {
+// Step performs one Stockham butterfly pass (there are log2(n) in
+// total), so the passes supervise like iterations and a checkpoint can
+// interrupt the transform midway.
+func (f *FFT) Step() error {
 	src, dst := f.cur()
 	n := f.n
 	l := 1 << f.pass // current butterfly span
@@ -146,9 +146,8 @@ func (f *FFT) Pass() error {
 
 // result reads the spectrum out of the buffer holding the latest pass.
 func (f *FFT) result() ([]complex128, error) {
-	src, _ := f.cur()
-	buf := make([]float64, 2*f.n)
-	if err := src.Read(buf, 0); err != nil {
+	buf, err := f.Values()
+	if err != nil {
 		return nil, err
 	}
 	out := make([]complex128, f.n)

@@ -32,17 +32,17 @@ func protect(t *testing.T, sp *mem.AddressSpace) (*ckpt.Checkpointer, *storage.M
 func TestSSORCrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 16, 16, 40, 23
 	// Uninterrupted reference.
-	ref, _ := NewSSOR(space(), nx, ny, 4, 1.3)
+	ref, _ := newSSOR(space(), nx, ny, 4, 1.3)
 	for i := 0; i < total; i++ {
 		if err := ref.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, _ := ref.grid().checksum()
+	want, _ := ref.u.checksum()
 
 	// Protected run, checkpoint every 5 iterations, crash at 23.
 	sp := space()
-	s, _ := NewSSOR(sp, nx, ny, 4, 1.3)
+	s, _ := newSSOR(sp, nx, ny, 4, 1.3)
 	c, store := protect(t, sp)
 	lastIter := -1
 	var lastSeq uint64
@@ -64,7 +64,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := AttachSSOR(fresh, nx, ny, 1.3, lastIter)
+	resumed, err := attachSSOR(fresh, nx, ny, 1.3, lastIter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := resumed.grid().checksum()
+	got, _ := resumed.u.checksum()
 	if got != want {
 		t.Fatalf("SSOR resume checksum %v != reference %v", got, want)
 	}
@@ -81,14 +81,14 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 
 func TestWavefrontCrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 14, 11, 12, 7
-	ref, _ := NewWavefront(space(), nx, ny, 2)
+	ref, _ := newWavefront(space(), nx, ny, 2)
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.grid().checksum()
+	want, _ := ref.v.checksum()
 
 	sp := space()
-	w, _ := NewWavefront(sp, nx, ny, 2)
+	w, _ := newWavefront(sp, nx, ny, 2)
 	c, store := protect(t, sp)
 	var lastSeq uint64
 	lastIter := 0
@@ -107,14 +107,14 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := AttachWavefront(fresh, nx, ny, lastIter)
+	resumed, err := attachWavefront(fresh, nx, ny, lastIter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.grid().checksum()
+	got, _ := resumed.v.checksum()
 	if got != want {
 		t.Fatalf("wavefront resume checksum %v != %v", got, want)
 	}
@@ -122,14 +122,14 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 
 func TestADICrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 12, 12, 10, 6
-	ref, _ := NewADI(space(), nx, ny, 9, 0.5)
+	ref, _ := newADI(space(), nx, ny, 9, 0.5)
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
-	want, _ := ref.grid().checksum()
+	want, _ := ref.u.checksum()
 
 	sp := space()
-	a, _ := NewADI(sp, nx, ny, 9, 0.5)
+	a, _ := newADI(sp, nx, ny, 9, 0.5)
 	c, store := protect(t, sp)
 	var lastSeq uint64
 	lastIter := 0
@@ -145,14 +145,14 @@ func TestADICrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := AttachADI(fresh, nx, ny, 0.5, lastIter)
+	resumed, err := attachADI(fresh, nx, ny, 0.5, lastIter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := lastIter + 1; i <= total; i++ {
 		resumed.Step()
 	}
-	got, _ := resumed.grid().checksum()
+	got, _ := resumed.u.checksum()
 	if got != want {
 		t.Fatalf("ADI resume checksum %v != %v", got, want)
 	}
@@ -168,16 +168,16 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	for i := range signal {
 		signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 	}
-	ref, _ := NewFFT(space(), n)
-	ref.Load(signal)
+	ref, _ := newFFT(space(), n)
+	ref.load(signal)
 	want, err := transform(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sp := space()
-	f, _ := NewFFT(sp, n)
-	f.Load(signal)
+	f, _ := newFFT(sp, n)
+	f.load(signal)
 	c, store := protect(t, sp)
 	passes := 0
 	for 1<<passes < n {
@@ -185,7 +185,7 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	}
 	crashAfter := passes / 2
 	for p := 0; p < crashAfter; p++ {
-		if err := f.Pass(); err != nil {
+		if err := f.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,20 +194,20 @@ func TestFFTCrashMidTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More passes that the crash destroys.
-	f.Pass()
-	f.Pass()
+	f.Step()
+	f.Step()
 
 	spaces, err := ckpt.RestoreAll(store, 1, res.Seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := AttachFFT(fresh, n, crashAfter)
+	resumed, err := attachFFT(fresh, n, crashAfter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := crashAfter; p < passes; p++ {
-		if err := resumed.Pass(); err != nil {
+		if err := resumed.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,19 +263,19 @@ func TestStencilUnderTracker(t *testing.T) {
 
 func TestAttachValidation(t *testing.T) {
 	sp := space()
-	if _, err := AttachSSOR(sp, 2, 2, 1.2, 0); err == nil {
+	if _, err := attachSSOR(sp, 2, 2, 1.2, 0); err == nil {
 		t.Fatal("bad dims accepted")
 	}
-	if _, err := AttachSSOR(sp, 16, 16, 1.2, 0); err == nil {
+	if _, err := attachSSOR(sp, 16, 16, 1.2, 0); err == nil {
 		t.Fatal("attach with no arenas accepted")
 	}
-	if _, err := AttachFFT(sp, 12, 0); err == nil {
+	if _, err := attachFFT(sp, 12, 0); err == nil {
 		t.Fatal("non-power-of-two FFT attach accepted")
 	}
-	if _, err := AttachWavefront(sp, 1, 5, 0); err == nil {
+	if _, err := attachWavefront(sp, 1, 5, 0); err == nil {
 		t.Fatal("bad wavefront dims accepted")
 	}
-	if _, err := AttachADI(sp, 12, 12, 0, 0); err == nil {
+	if _, err := attachADI(sp, 12, 12, 0, 0); err == nil {
 		t.Fatal("bad lambda accepted")
 	}
 	if _, err := AttachArray(sp, 0x1234, 10); err == nil {

@@ -183,9 +183,9 @@ type SSOR struct {
 	mid    []float64 // the row a sweep relaxes, nx
 }
 
-// NewSSOR allocates the grid with the given boundary value and
+// newSSOR allocates the grid with the given boundary value and
 // relaxation factor omega in (0, 2).
-func NewSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSOR, error) {
+func newSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSOR, error) {
 	if nx < 3 || ny < 3 {
 		return nil, fmt.Errorf("kernels: ssor grid %dx%d too small", nx, ny)
 	}
@@ -222,11 +222,6 @@ func NewSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSO
 	}
 	return s, nil
 }
-
-// grid returns the solution array, for the tests. It stays a method:
-// ckptset classifies a returned arena as escaping, and the committed
-// kernels.ckptspec records that reason (likewise Wavefront and ADI).
-func (s *SSOR) grid() *Array { return s.u }
 
 // Iter returns completed iterations.
 func (s *SSOR) Iter() int { return s.iter }
@@ -295,8 +290,8 @@ type Wavefront struct {
 	row    []float64 // the row a sweep updates, nx
 }
 
-// NewWavefront allocates the grid initialised to seed along the edges.
-func NewWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront, error) {
+// newWavefront allocates the grid initialised to seed along the edges.
+func newWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront, error) {
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("kernels: wavefront grid %dx%d too small", nx, ny)
 	}
@@ -324,9 +319,6 @@ func NewWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront
 	}
 	return w, nil
 }
-
-// grid returns the solution array.
-func (w *Wavefront) grid() *Array { return w.v }
 
 // Iter returns completed iterations.
 func (w *Wavefront) Iter() int { return w.iter }
@@ -398,8 +390,8 @@ type ADI struct {
 	row, col, c []float64
 }
 
-// NewADI allocates the grid with the given initial interior value.
-func NewADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI, error) {
+// newADI allocates the grid with the given initial interior value.
+func newADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI, error) {
 	if nx < 3 || ny < 3 {
 		return nil, fmt.Errorf("kernels: adi grid %dx%d too small", nx, ny)
 	}
@@ -427,9 +419,6 @@ func NewADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI,
 	}
 	return a, nil
 }
-
-// grid returns the solution array.
-func (a *ADI) grid() *Array { return a.u }
 
 // Iter returns completed iterations.
 func (a *ADI) Iter() int { return a.iter }

@@ -24,7 +24,7 @@ func at(a *Array, i int) (float64, error) {
 // transform runs every remaining pass and returns the spectrum.
 func transform(f *FFT) ([]complex128, error) {
 	for p := 0; p < log2(f.n); p++ {
-		if err := f.Pass(); err != nil {
+		if err := f.Step(); err != nil {
 			return nil, err
 		}
 	}
@@ -172,7 +172,7 @@ func TestStencilDoubleBufferAlternation(t *testing.T) {
 
 func TestSSORConverges(t *testing.T) {
 	sp := space()
-	s, err := NewSSOR(sp, 16, 16, 4, 1.2)
+	s, err := newSSOR(sp, 16, 16, 4, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSSORConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, _ := at(s.grid(), 8*16+8)
+	v, _ := at(s.u, 8*16+8)
 	if math.Abs(v-4) > 0.01 {
 		t.Fatalf("SSOR interior = %v, want ~4", v)
 	}
@@ -192,10 +192,10 @@ func TestSSORConverges(t *testing.T) {
 
 func TestSSORValidation(t *testing.T) {
 	sp := space()
-	if _, err := NewSSOR(sp, 2, 16, 1, 1); err == nil {
+	if _, err := newSSOR(sp, 2, 16, 1, 1); err == nil {
 		t.Fatal("tiny grid accepted")
 	}
-	if _, err := NewSSOR(sp, 16, 16, 1, 2.5); err == nil {
+	if _, err := newSSOR(sp, 16, 16, 1, 2.5); err == nil {
 		t.Fatal("omega out of range accepted")
 	}
 }
@@ -218,10 +218,10 @@ func TestSSORFasterThanJacobi(t *testing.T) {
 		}
 	}()
 	ssorIters := func() int {
-		s, _ := NewSSOR(space(), 16, 16, target, 1.5)
+		s, _ := newSSOR(space(), 16, 16, target, 1.5)
 		for i := 1; ; i++ {
 			s.Step()
-			v, _ := at(s.grid(), 8*16+8)
+			v, _ := at(s.u, 8*16+8)
 			if math.Abs(v-target) < 0.05 {
 				return i
 			}
@@ -277,7 +277,7 @@ func wavefrontReference(nx, ny, iters int, seed float64) []float64 {
 
 func TestWavefrontMatchesReference(t *testing.T) {
 	sp := space()
-	w, err := NewWavefront(sp, 12, 9, 3)
+	w, err := newWavefront(sp, 12, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestWavefrontMatchesReference(t *testing.T) {
 	}
 	want := wavefrontReference(12, 9, 3, 3)
 	got := make([]float64, 12*9)
-	if err := w.grid().Read(got, 0); err != nil {
+	if err := w.v.Read(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -303,17 +303,17 @@ func TestWavefrontMatchesReference(t *testing.T) {
 
 func TestADISmoothing(t *testing.T) {
 	sp := space()
-	a, err := NewADI(sp, 12, 12, 9, 0.5)
+	a, err := newADI(sp, 12, 12, 9, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := a.grid().checksum()
+	before, _ := a.u.checksum()
 	for i := 0; i < 5; i++ {
 		if err := a.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, _ := a.grid().checksum()
+	after, _ := a.u.checksum()
 	// The implicit operator damps the solution toward zero (homogeneous
 	// Dirichlet at the implicit boundaries) while keeping it positive
 	// and bounded.
@@ -327,10 +327,10 @@ func TestADISmoothing(t *testing.T) {
 
 func TestADIValidation(t *testing.T) {
 	sp := space()
-	if _, err := NewADI(sp, 2, 12, 1, 0.5); err == nil {
+	if _, err := newADI(sp, 2, 12, 1, 0.5); err == nil {
 		t.Fatal("tiny grid accepted")
 	}
-	if _, err := NewADI(sp, 12, 12, 1, 0); err == nil {
+	if _, err := newADI(sp, 12, 12, 1, 0); err == nil {
 		t.Fatal("zero lambda accepted")
 	}
 }
@@ -364,7 +364,7 @@ func TestThomasSolvesTridiagonal(t *testing.T) {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{2, 8, 64, 256} {
-		f, err := NewFFT(space(), n)
+		f, err := newFFT(space(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		for i := range signal {
 			signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 		}
-		if err := f.Load(signal); err != nil {
+		if err := f.load(signal); err != nil {
 			t.Fatal(err)
 		}
 		got, err := transform(f)
@@ -390,11 +390,11 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestFFTValidation(t *testing.T) {
-	if _, err := NewFFT(space(), 12); err == nil {
+	if _, err := newFFT(space(), 12); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
-	f, _ := NewFFT(space(), 8)
-	if err := f.Load(make([]complex128, 5)); err == nil {
+	f, _ := newFFT(space(), 8)
+	if err := f.load(make([]complex128, 5)); err == nil {
 		t.Fatal("wrong input length accepted")
 	}
 }
@@ -410,11 +410,11 @@ func TestPropertyFFTPureTone(t *testing.T) {
 			angle := 2 * math.Pi * float64(bin) * float64(t) / float64(n)
 			signal[t] = cmplx.Exp(complex(0, angle))
 		}
-		fft, err := NewFFT(space(), n)
+		fft, err := newFFT(space(), n)
 		if err != nil {
 			return false
 		}
-		if fft.Load(signal) != nil {
+		if fft.load(signal) != nil {
 			return false
 		}
 		out, err := transform(fft)
@@ -448,8 +448,8 @@ func TestPropertyFFTParseval(t *testing.T) {
 			signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 			timeE += real(signal[i])*real(signal[i]) + imag(signal[i])*imag(signal[i])
 		}
-		fft, _ := NewFFT(space(), n)
-		fft.Load(signal)
+		fft, _ := newFFT(space(), n)
+		fft.load(signal)
 		out, err := transform(fft)
 		if err != nil {
 			return false
@@ -477,14 +477,14 @@ func BenchmarkStencilStep(b *testing.B) {
 }
 
 func BenchmarkFFT1K(b *testing.B) {
-	f, _ := NewFFT(space(), 1024)
+	f, _ := newFFT(space(), 1024)
 	signal := make([]complex128, 1024)
 	for i := range signal {
 		signal[i] = complex(float64(i%7), 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Load(signal)
+		f.load(signal)
 		if _, err := transform(f); err != nil {
 			b.Fatal(err)
 		}

@@ -53,20 +53,17 @@ func TestDistPutIterationAllocs(t *testing.T) {
 	}
 }
 
-// TestSoloIterationAllocs: a warm solo iteration allocates nothing
-// beyond what its kernel's Step allocates alone.
+// TestSoloIterationAllocs: a warm solo iteration of every named kernel
+// allocates nothing beyond what its kernel's Step allocates alone. The
+// FFT is left out: its transform ends after log2(n) passes, too few to
+// warm up and measure.
 func TestSoloIterationAllocs(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func(sp *mem.AddressSpace) (SoloKernel, error)
-	}{
-		{"stencil", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewStencil2D(sp, 32, 32, 1) }},
-		{"ssor", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewSSOR(sp, 32, 32, 1, 1.2) }},
-		{"wavefront", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewWavefront(sp, 32, 32, 1) }},
-		{"adi", func(sp *mem.AddressSpace) (SoloKernel, error) { return NewADI(sp, 32, 32, 1, 0.5) }},
-	}
-	for _, kc := range cases {
-		alone, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}))
+	for _, name := range soloNames() {
+		if name == "fft" {
+			continue
+		}
+		kc := soloKernels[name]
+		alone, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +76,7 @@ func TestSoloIterationAllocs(t *testing.T) {
 		step()
 		want := testing.AllocsPerRun(20, step)
 		for _, hooked := range []bool{false, true} {
-			k, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}))
+			k, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 32)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +86,7 @@ func TestSoloIterationAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := warmIterationAllocs(t, eng, s, hooked); n > want {
-				t.Errorf("%s, hook %v: warm iteration: %v allocs, want <= %v (the kernel's Step)", kc.name, hooked, n, want)
+				t.Errorf("%s, hook %v: warm iteration: %v allocs, want <= %v (the kernel's Step)", name, hooked, n, want)
 			}
 		}
 	}

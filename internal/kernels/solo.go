@@ -2,22 +2,101 @@ package kernels
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/ckptspec"
 	"repro/internal/des"
+	"repro/internal/mem"
 )
 
 // SoloKernel is the face a single-address-space kernel presents to the
 // supervisor: stepped iteration, solution export, and spec bindings.
 // All of this package's single-space types (Stencil2D, SSOR, Wavefront,
 // ADI, FFT) satisfy it: the Values accessors below give each a uniform
-// way to export its full solution state for verification, and FFT
-// aliases Pass as Step so the butterfly passes count as iterations.
+// way to export its full solution state for verification, and an FFT
+// step is one butterfly pass, so the passes count as iterations.
 type SoloKernel interface {
 	Step() error
 	Iter() int
 	Values() ([]float64, error)
 	ProtectionBindings() []ckptspec.Binding
+}
+
+// soloKernels is the one table of the single-space kernels a run names
+// (NewSoloKernel). Each is sized by one n, an n×n grid or n points for
+// the FFT; every other parameter is fixed: boundary, seed and initial
+// value 1, SSOR ω 1.2, ADI λ 0.5, and the FFT signal
+// complex(i%31-15, i%7-3).
+var soloKernels = map[string]struct {
+	build  func(space *mem.AddressSpace, n int) (SoloKernel, error)
+	attach func(space *mem.AddressSpace, n, iter int) (SoloKernel, error)
+}{
+	"stencil": {
+		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return NewStencil2D(sp, n, n, 1) },
+		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return AttachStencil2D(sp, n, n, iter) }},
+	"ssor": {
+		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newSSOR(sp, n, n, 1, soloOmega) },
+		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) {
+			return attachSSOR(sp, n, n, soloOmega, iter)
+		}},
+	"wavefront": {
+		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newWavefront(sp, n, n, 1) },
+		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return attachWavefront(sp, n, n, iter) }},
+	"adi": {
+		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newADI(sp, n, n, 1, soloLambda) },
+		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) {
+			return attachADI(sp, n, n, soloLambda, iter)
+		}},
+	"fft": {
+		func(sp *mem.AddressSpace, n int) (SoloKernel, error) {
+			f, err := newFFT(sp, n)
+			if err != nil {
+				return nil, err
+			}
+			sig := make([]complex128, n)
+			for i := range sig {
+				sig[i] = complex(float64(i%31)-15, float64(i%7)-3)
+			}
+			if err := f.load(sig); err != nil {
+				return nil, err
+			}
+			return f, nil
+		},
+		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return attachFFT(sp, n, iter) }},
+}
+
+// The named SSOR's relaxation factor and the named ADI's implicit step.
+const soloOmega, soloLambda = 1.2, 0.5
+
+// NewSoloKernel builds the named single-space kernel (adi, fft, ssor,
+// stencil or wavefront) fresh in space, sized by n.
+func NewSoloKernel(name string, space *mem.AddressSpace, n int) (SoloKernel, error) {
+	k, ok := soloKernels[name]
+	if !ok {
+		return nil, unknownSolo(name)
+	}
+	return k.build(space, n)
+}
+
+// AttachSoloKernel re-attaches the named kernel, sized by n, over a
+// restored space at iteration iter.
+func AttachSoloKernel(name string, space *mem.AddressSpace, n, iter int) (SoloKernel, error) {
+	k, ok := soloKernels[name]
+	if !ok {
+		return nil, unknownSolo(name)
+	}
+	return k.attach(space, n, iter)
+}
+
+// unknownSolo refuses a name soloKernels lacks, listing the ones it has.
+func unknownSolo(name string) error {
+	var names []string
+	for n := range soloKernels {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return fmt.Errorf("kernels: unknown solo kernel %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // Solo supervises a single-space kernel as a one-rank computation: the
@@ -59,44 +138,16 @@ func (s *Solo) ProtectionBindings(rank int) []ckptspec.Binding {
 }
 
 // Values returns the current solution buffer's contents.
-func (s *Stencil2D) Values() ([]float64, error) {
-	out := make([]float64, s.nx*s.ny)
-	if err := s.Cur().Read(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (s *Stencil2D) Values() ([]float64, error) { return s.Cur().values() }
 
 // Values returns the grid contents.
-func (s *SSOR) Values() ([]float64, error) {
-	out := make([]float64, s.nx*s.ny)
-	if err := s.u.Read(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (s *SSOR) Values() ([]float64, error) { return s.u.values() }
 
 // Values returns the grid contents.
-func (w *Wavefront) Values() ([]float64, error) {
-	out := make([]float64, w.nx*w.ny)
-	if err := w.v.Read(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (w *Wavefront) Values() ([]float64, error) { return w.v.values() }
 
 // Values returns the grid contents.
-func (a *ADI) Values() ([]float64, error) {
-	out := make([]float64, a.nx*a.ny)
-	if err := a.u.Read(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Step performs one butterfly pass, so the transform's log2(n) passes
-// supervise like iterations.
-func (f *FFT) Step() error { return f.Pass() }
+func (a *ADI) Values() ([]float64, error) { return a.u.values() }
 
 // Iter returns completed butterfly passes.
 func (f *FFT) Iter() int { return f.pass }
@@ -105,9 +156,5 @@ func (f *FFT) Iter() int { return f.pass }
 // holding the latest pass.
 func (f *FFT) Values() ([]float64, error) {
 	src, _ := f.cur()
-	out := make([]float64, 2*f.n)
-	if err := src.Read(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return src.values()
 }
