@@ -607,38 +607,39 @@ func Example_hardened_storage() {
 		Seed:        11,
 	}
 
-	// Ground truth: no failures, pristine in-memory store.
-	clean, err := autonomic.Run(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The hardened stack: two mirrored replicas, each retry-wrapped and
-	// integrity-enveloped over a deterministic fault injector. Replica A
-	// is clean but dies for good after 40 storage operations; replica B
-	// survives but tears writes, rots at rest and drops requests.
-	dieA := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed: 1, OutageAfterOps: 40,
-	})
-	rotB := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed: 2, TransientRate: 0.10, TornWriteRate: 0.08, CorruptRate: 0.08,
-	})
-	replica := func(f *storage.FaultyStore) *storage.ResilientStore {
-		return storage.NewResilientStore(storage.NewIntegrityStore(f), storage.DefaultRetryPolicy())
-	}
-	ra, rb := replica(dieA), replica(rotB)
-	mirror, err := storage.NewMirrorStore(ra, rb)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cfg.Faults = "crash every exp 3s"
+	// What fails is text: node failures, and the decay of each replica
+	// of a two-way mirror. Replica A (store 0) is clean but dies for good
+	// after 40 storage operations; replica B (store 1) survives but
+	// tears writes, rots at rest and drops requests.
+	cfg.Faults = `crash every exp 3s
+storage-decay die-after 40 seed 1 store 0
+storage-decay transient 0.10 torn 0.08 corrupt 0.08 seed 2 store 1`
 	cfg.RestartOverhead = 500 * des.Millisecond
-	cfg.Store = mirror
-	rep, err := autonomic.Run(cfg)
+
+	// The hardened stack: each replica retry-wrapped and
+	// integrity-enveloped over the chaos driver's store i, the i-th it
+	// wraps, so the decay sits below the envelope.
+	var drv *chaos.Driver
+	var ra, rb *storage.ResilientStore
+	var mirror *storage.MirrorStore
+	out, err := autonomic.ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+		drv = d
+		replica := func() *storage.ResilientStore {
+			return storage.NewResilientStore(storage.NewIntegrityStore(d.WrapStore(storage.NewMemStore())), storage.DefaultRetryPolicy())
+		}
+		ra, rb = replica(), replica()
+		m, err := storage.NewMirrorStore(ra, rb)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mirror = m
+		return m
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The ground truth is the validator's failure-free reference run.
+	clean, rep := out.Reference, out.Injected
 
 	fmt.Printf("distributed Jacobi, %d ranks, %d iterations, checkpoint every %d\n",
 		cfg.Ranks, cfg.Iterations, cfg.CkptEvery)
@@ -652,12 +653,12 @@ func Example_hardened_storage() {
 	fmt.Printf("%-30s %13.1f%% %13.1f%%\n", "efficiency", clean.Efficiency*100, rep.Efficiency*100)
 	fmt.Printf("%-30s %14.6f %14.6f\n", "final checksum", clean.Checksum, rep.Checksum)
 
-	stA, stB, mst := dieA.Stats(), rotB.Stats(), mirror.Stats()
+	stA, stB, mst := drv.StoreStats(0), drv.StoreStats(1), mirror.Stats()
 	fmt.Printf("\nwhat the storage tier did, and what the stack absorbed:\n")
 	fmt.Printf("  replica A: %d ops served, then permanently down (%d rejected)\n",
 		stA.Ops-stA.Unavailable, stA.Unavailable)
 	fmt.Printf("  replica B: %d transients, %d torn writes, %d bit flips\n",
-		stB.Transients, stB.TornWrites, stB.BitFlips)
+		stB.Transients, stB.TornWrites, stB.Corruptions)
 	fmt.Printf("  retries absorbed: %d (A) + %d (B)\n",
 		ra.Stats().Retries, rb.Stats().Retries)
 	fmt.Printf("  mirror: %d failover reads, %d read-repairs, %d degraded writes\n",

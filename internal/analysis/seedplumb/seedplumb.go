@@ -4,7 +4,7 @@
 // harness, not a sweep over seeds, not a bisection of a divergent run
 // — can vary the randomness. Constructors must accept a seed (or a
 // ready *rand.Rand / rand.Source) and thread it down, the way
-// autonomic.New, storage.NewFaultyStore, and mpi.NewFlakyWorld do.
+// chaos.Schedule.Compile and experiments.ServiceAblation do.
 package seedplumb
 
 import (

@@ -102,10 +102,13 @@ type Config struct {
 	// Sink models stable storage (zero → SCSI).
 	Sink storage.Model
 	// Store overrides the stable-storage backend (nil → a fresh
-	// in-memory store). Stack the hardening wrappers — per-replica
+	// in-memory store). Its wrappers only harden — per-replica
 	// storage.IntegrityStore + storage.ResilientStore under a
-	// storage.MirrorStore — to run the supervisor against a storage
-	// tier that tears writes, rots at rest, drops requests, or dies.
+	// storage.MirrorStore. What fails is text: Faults' storage lines
+	// (a storage-decay line tears writes, rots at rest, drops requests
+	// or dies) strike this store from above, as store 0; to put decay
+	// under a hardening stack, or on several replicas, wrap each replica
+	// with the driver inside ValidateReplayStore's build instead.
 	Store storage.Store
 	// Seed drives failure times deterministically.
 	Seed uint64
@@ -468,9 +471,14 @@ func Run(cfg Config) (*Report, error) {
 // driving a compiled plan bound to eng: the Poisson failure clock, node
 // crashes at planned instants, crashes aimed inside commit windows and
 // drain phases, parity flips, and the plan's interconnect faults.
-// Storage-layer chaos rides the store the caller wrapped with
-// Driver.WrapStore.
+// Storage-layer chaos rides the stores the caller wrapped with
+// Driver.WrapStore; a plan whose storage lines strike a store nothing
+// wrapped is refused before anything runs, where its faults would
+// silently vanish (Run wraps only Config.Store, as store 0).
 func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
+	if driver != nil && !driver.Wraps() {
+		return nil, fmt.Errorf("autonomic: the plan's storage lines strike a store never wrapped with Driver.WrapStore (store i is the i-th wrapped)")
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -72,13 +72,10 @@ func TestAbortedCommitsVsCheckpointFailures(t *testing.T) {
 	// Outage store, no failures: every round after the outage is refused
 	// in prepare. AbortedCommits must stay zero.
 	cfg := clusterConfig()
-	cfg.Faults = ""
-	cfg.TwoPhaseCommit = true
 	// 8 rounds of 4 segment Puts + 1 marker Put = 40 ops total; a
 	// boundary of 18 lands the outage mid-prepare of round 4.
-	cfg.Store = storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed: 5, OutageAfterOps: 18,
-	})
+	cfg.Faults = "storage-decay die-after 18"
+	cfg.TwoPhaseCommit = true
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

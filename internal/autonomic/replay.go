@@ -195,9 +195,10 @@ func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
 // cfg.Faults followed by sched (nil when cfg.Faults holds every fault),
 // compiled as one schedule; a plan
 // holding faults cfg has no instant to land is refused before either
-// run starts and before build is called, and one holding storage faults
-// is refused before the injected run if build never wrapped a store
-// with the driver (Driver.WrapStore), where they would silently vanish.
+// run starts and before build is called, and one whose storage lines
+// strike store i is refused before the injected run computes anything
+// if build did not wrap i+1 stores with the driver (Driver.WrapStore),
+// where they would silently vanish.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
 	plan, err := cfg.plan(sched)
 	if err != nil {
@@ -211,9 +212,6 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 	eng := des.NewEngine()
 	driver := chaos.NewDriver(eng, plan)
 	cfg.Store = build(eng, driver)
-	if plan.HitsStorage() && !driver.Wraps() {
-		return nil, fmt.Errorf("autonomic: replay validation: the plan's storage faults have no store to strike: build never called Driver.WrapStore")
-	}
 	inj, err := run(cfg, eng, driver)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)

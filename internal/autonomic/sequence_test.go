@@ -222,4 +222,20 @@ func TestChaosRejectsStorageFaultsNoStoreMeets(t *testing.T) {
 	if err != nil || out.Stats.OutageRefusals == 0 {
 		t.Fatalf("wrapped store: %v, stats %+v", err, out.Stats)
 	}
+
+	// A decay line on store 1 needs a second WrapStore call: one is
+	// refused before the injected run, and Run, which wraps only
+	// Config.Store, refuses it before anything is built.
+	cfg.Faults = "storage-decay transient 0.1 store 1\ncrash at 6s..7s"
+	built = 0
+	_, err = ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+		return d.WrapStore(storage.NewMemStore())
+	})
+	if err == nil || built != 1 {
+		t.Fatalf("decay on an unwrapped store 1: err %v, %d runs built", err, built)
+	}
+	built = 0
+	if _, err := Run(cfg); err == nil || built != 0 {
+		t.Fatalf("Run accepted decay on store 1 (err %v, %d runs built)", err, built)
+	}
 }

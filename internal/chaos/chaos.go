@@ -5,8 +5,9 @@
 // interconnect's steady loss, duplication and jitter, node crashes,
 // crashes aimed inside checkpoint commit windows, crashes at RDMA
 // drain-protocol phase entries, network partitions and brownouts,
-// storage outages and brownouts, silent bit-flips of stored checkpoint
-// payloads and of freshly placed parity shards — so "crash while the
+// storage outages and brownouts, each store's whole-run decay (dropped
+// requests, torn writes, rot, death), silent bit-flips of stored
+// checkpoint payloads and of freshly placed parity shards — so "crash while the
 // network is partitioned and the sink is browning out" is one piece of
 // data, reproducible bit for bit. Each spec has a virtual-time window, an
 // optional correlation group, and seeded jitter. Compile resolves the
@@ -26,7 +27,7 @@
 //	plan, _ := sched.Compile(cfg.Seed)
 //	eng := des.NewEngine()
 //	drv := chaos.NewDriver(eng, plan)
-//	store := drv.WrapStore(storage.NewMemStore()) // timed outages, brownouts, bit-flips
+//	store := drv.WrapStore(storage.NewMemStore()) // store 0: timed outages, brownouts, bit-flips, its decay
 //	world.SetFaults(*plan.Net)                    // steady loss plus partition/brownout windows
 //	drv.StartCrashes(killNode)
 //
@@ -39,6 +40,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mpi"
@@ -99,6 +101,14 @@ const (
 	// multi-level hierarchy placed it, for a line whose parity is placed
 	// inside the spec's window. Each Count consumes one line.
 	ParityFlip
+	// StorageDecay is one wrapped store's whole-run decay: each
+	// operation may fail transiently (Transient), a Put may persist only
+	// half its bytes and report success (Torn) or persist a copy with
+	// one bit flipped (Corrupt), and after DieAfter operations the store
+	// refuses everything for good (storage.ErrUnavailable) — a dead
+	// device or a lost diskless partner. Its draws come from its own
+	// stream, seeded by Seed; Store names which wrapped store it strikes.
+	StorageDecay
 	// kindCount bounds the valid kinds.
 	kindCount
 )
@@ -117,6 +127,7 @@ var kindNames = [kindCount]string{
 	PoissonCrash:    "crash every",
 	Net:             "net",
 	ParityFlip:      "parity-flip",
+	StorageDecay:    "storage-decay",
 }
 
 // String names the kind the way the schedule language spells it.
@@ -174,8 +185,20 @@ type Spec struct {
 	// Mean is a PoissonCrash's mean time between failures.
 	Mean des.Time
 	// Seed seeds a Net line's packet stream; zero derives it from the
-	// compile seed, as a plan holding only windows does.
+	// compile seed, as a plan holding only windows does. A StorageDecay
+	// line's stream is PCG(Seed, 0xFA17), zero included.
 	Seed uint64
+	// Transient, Torn and Corrupt are a StorageDecay line's
+	// per-operation probabilities in [0, 1]: a transient refusal of a
+	// Put, Get or Delete, and a torn or bit-flipped Put.
+	Transient, Torn, Corrupt float64
+	// DieAfter, when positive, kills a StorageDecay line's store for
+	// good after that many operations.
+	DieAfter int
+	// Store is the index of the wrapped store a StorageDecay line
+	// strikes: the i-th Driver.WrapStore call's. The timed storage kinds
+	// always strike store 0.
+	Store int
 }
 
 // Schedule is a declarative list of fault specs — the unit that parses,
@@ -214,9 +237,12 @@ func (s *Schedule) Validate() error {
 		case !(sp.Slow >= 0) || sp.Slow > maxSlowFactor:
 			return fmt.Errorf("%s: slow factor %v out of [0, %v]", spec(), sp.Slow, float64(maxSlowFactor))
 		case sp.Kind >= PoissonCrash && (sp.Group != "" || sp.Kind != Net && sp.Jitter != 0):
-			// The supervisor's, the fabric's and the hierarchy's own
-			// streams draw the last three kinds; compiling them draws nothing.
+			// The supervisor's, the fabric's, the hierarchy's and the
+			// stores' own streams draw the last four kinds; compiling
+			// them draws nothing.
 			return fmt.Errorf("%s: draws nothing at compile time, so takes no group or jitter", spec())
+		case sp.Store != 0 && sp.Kind != StorageDecay:
+			return fmt.Errorf("%s: only a storage-decay line names a store (timed storage lines strike store 0)", spec())
 		case (sp.Kind == PoissonCrash || sp.Kind == Net) && seen[sp.Kind]:
 			return fmt.Errorf("%s: a schedule holds at most one", spec())
 		}
@@ -229,6 +255,21 @@ func (s *Schedule) Validate() error {
 		case Net:
 			if sp.Drop == 0 && sp.Dup == 0 && sp.Jitter == 0 {
 				return fmt.Errorf("%s: degrades nothing (want loss, dup or jitter)", spec())
+			}
+		case StorageDecay:
+			switch {
+			case sp.Count != 0:
+				return fmt.Errorf("%s: is one whole-run line, so takes no count", spec())
+			case !isUnit(sp.Transient) || !isUnit(sp.Torn) || !isUnit(sp.Corrupt):
+				return fmt.Errorf("%s: rates transient %v, torn %v, corrupt %v not all in [0, 1]", spec(), sp.Transient, sp.Torn, sp.Corrupt)
+			case sp.DieAfter < 0:
+				return fmt.Errorf("%s: negative die-after %d", spec(), sp.DieAfter)
+			case sp.Store < 0:
+				return fmt.Errorf("%s: negative store %d", spec(), sp.Store)
+			case sp.Transient == 0 && sp.Torn == 0 && sp.Corrupt == 0 && sp.DieAfter == 0:
+				return fmt.Errorf("%s: degrades nothing (want transient, torn, corrupt or die-after)", spec())
+			case slices.ContainsFunc(s.Specs[:i], func(o Spec) bool { return o.Kind == StorageDecay && o.Store == sp.Store }):
+				return fmt.Errorf("%s: store %d already decays (one decay line per store)", spec(), sp.Store)
 			}
 		case Partition, Brownout, StorageOutage, StorageBrownout, ParityFlip:
 			if sp.To == sp.From {
@@ -249,6 +290,9 @@ func (s *Schedule) Validate() error {
 	}
 	return nil
 }
+
+// isUnit reports whether p is a probability in [0, 1]; NaN is not.
+func isUnit(p float64) bool { return p >= 0 && p <= 1 }
 
 // maxEventsPerSpec bounds Count so a hostile schedule cannot compile
 // into an event flood.

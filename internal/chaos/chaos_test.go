@@ -36,9 +36,10 @@ domain-crash at 5s..20s domain d1
 parity-flip at 0s..30s count 8
 crash every exp 3s
 net loss 0.05 dup 0.01 jitter 200us seed 410
+storage-decay transient 0.08 torn 0.05 corrupt 1 die-after 30 seed 0 store 1
 `)
-	if len(s.Specs) != 12 {
-		t.Fatalf("parsed %d specs, want 12", len(s.Specs))
+	if len(s.Specs) != 13 {
+		t.Fatalf("parsed %d specs, want 13", len(s.Specs))
 	}
 	sp := s.Specs[0]
 	if sp.Kind != Crash || sp.From != 2*des.Second || sp.To != 8*des.Second ||
@@ -66,6 +67,10 @@ net loss 0.05 dup 0.01 jitter 200us seed 410
 	if sp := s.Specs[11]; sp.Kind != Net || sp.Drop != 0.05 || sp.Dup != 0.01 ||
 		sp.Jitter != 200*des.Microsecond || sp.Seed != 410 {
 		t.Fatalf("net spec = %+v", sp)
+	}
+	if sp := s.Specs[12]; sp.Kind != StorageDecay || sp.Transient != 0.08 || sp.Torn != 0.05 ||
+		sp.Corrupt != 1 || sp.DieAfter != 30 || sp.Seed != 0 || sp.Store != 1 {
+		t.Fatalf("storage-decay spec = %+v", sp)
 	}
 }
 
@@ -113,6 +118,20 @@ func TestParseScheduleRejects(t *testing.T) {
 		"flip empty":       "parity-flip at 1s..1s",
 		"flip jitter":      "parity-flip at 1s..2s jitter 1s",
 		"flip group":       "parity-flip at 1s..2s group g",
+		"decay nothing":    "storage-decay",
+		"decay seed only":  "storage-decay seed 4 store 1",
+		"decay at window":  "storage-decay at 1s..2s transient 0.1",
+		"decay big rate":   "storage-decay torn 1.5",
+		"decay nan rate":   "storage-decay corrupt NaN",
+		"decay zero die":   "storage-decay die-after 0",
+		"decay neg die":    "storage-decay die-after -3",
+		"decay neg store":  "storage-decay transient 0.1 store -1",
+		"decay bad seed":   "storage-decay transient 0.1 seed -1",
+		"decay twice":      "storage-decay transient 0.1\nstorage-decay die-after 9 store 0",
+		"decay jitter":     "storage-decay transient 0.1 jitter 1s",
+		"decay count":      "storage-decay transient 0.1 count 2",
+		"decay group":      "storage-decay transient 0.1 group g",
+		"timed store":      "storage-outage at 1s..2s store 1",
 	} {
 		if _, err := ParseSchedule(text); err == nil {
 			t.Errorf("%s: %q accepted", name, text)
@@ -220,7 +239,7 @@ func horizon(p *Plan) des.Time {
 func events(p *Plan) int {
 	n := len(p.Crashes) + len(p.CommitCrashes) + len(p.BitFlips) +
 		len(p.Outages) + len(p.Brownouts) + len(p.DrainCrashes) +
-		len(p.DomainCrashes) + len(p.ParityFlips)
+		len(p.DomainCrashes) + len(p.ParityFlips) + len(p.Decays)
 	if p.CrashMean > 0 {
 		n++
 	}
@@ -262,6 +281,10 @@ func TestValidateRejectsHostileSpecs(t *testing.T) {
 		"nan drop":     {Kind: Partition, To: des.Second, Drop: nan},
 		"nan rate":     {Kind: StorageBrownout, To: des.Second, Rate: nan},
 		"nan slow":     {Kind: Brownout, To: des.Second, Slow: nan},
+		"decay nan":    {Kind: StorageDecay, Transient: nan},
+		"decay big":    {Kind: StorageDecay, Torn: 2},
+		"decay neg":    {Kind: StorageDecay, DieAfter: -1},
+		"decay store":  {Kind: StorageDecay, DieAfter: 1, Store: -2},
 	} {
 		s := &Schedule{Specs: []Spec{sp}}
 		if err := s.Validate(); err == nil {
@@ -550,6 +573,12 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Add("brownout at 0s..1h slow 50 drop 0")
 	f.Add("brownout at 1s..2s slow 0")
 	f.Add("storage-brownout at 1s..2s rate 0")
+	f.Add("storage-decay transient 0.08 torn 0.05 corrupt 0.05 die-after 30 seed 7 store 1")
+	f.Add("storage-decay die-after 40 seed 1 store 0\nstorage-decay transient 1 seed 18446744073709551615 store 1")
+	f.Add("storage-decay seed 0")
+	f.Add("storage-decay corrupt 1 store 9223372036854775807")
+	f.Add("storage-decay torn 0.5\nstorage-decay torn 0.5")
+	f.Add("storage-outage at 1s..2s store 0\nstorage-decay die-after 1 count 1")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSchedule(text)
 		if err != nil {
@@ -570,6 +599,11 @@ func FuzzParseSchedule(f *testing.F) {
 		}
 		if events(p) == 0 {
 			t.Fatal("non-empty schedule compiled to zero events")
+		}
+		// Before any WrapStore call, a driver wraps every store the
+		// plan strikes exactly when it strikes none.
+		if NewDriver(des.NewEngine(), p).Wraps() == p.HitsStorage() {
+			t.Fatalf("Wraps with no store wrapped = %v for a plan hitting storage = %v", !p.HitsStorage(), p.HitsStorage())
 		}
 		// Round-trip sanity on spec kinds' names.
 		for _, sp := range s.Specs {

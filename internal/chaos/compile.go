@@ -77,11 +77,17 @@ type Plan struct {
 	// DomainCrashes are windows inside which checkpoint-commit rounds
 	// kill a whole failure domain mid-commit, one round per entry.
 	DomainCrashes []DomainCrashWindow
+	// Decays are the storage-decay lines as written, at most one per
+	// store: a decay draws at run time, from its own seeded stream.
+	Decays []Spec
 }
 
 // HitsStorage reports whether the plan holds storage faults: outages,
-// brownouts or bit flips, which land only on a store the driver wraps.
-func (p *Plan) HitsStorage() bool { return len(p.Outages)+len(p.Brownouts)+len(p.BitFlips) > 0 }
+// brownouts, bit flips or decay, which land only on a store the driver
+// wraps.
+func (p *Plan) HitsStorage() bool {
+	return len(p.Outages)+len(p.Brownouts)+len(p.BitFlips)+len(p.Decays) > 0
+}
 
 // Compile resolves the schedule's seeded draws into a Plan. The same
 // (schedule, seed) pair always yields the identical plan; different
@@ -171,6 +177,8 @@ func (s *Schedule) Compile(seed uint64) (*Plan, error) {
 			for i := 0; i < count; i++ {
 				p.ParityFlips = append(p.ParityFlips, Window{From: sp.From, To: sp.To})
 			}
+		case StorageDecay:
+			p.Decays = append(p.Decays, sp)
 		}
 	}
 	if net.Kind == Net || len(windows) > 0 {

@@ -30,11 +30,25 @@ type Stats struct {
 	OutageRefusals, BrownoutDrops uint64
 }
 
+// StoreStats counts what one wrapped store saw: every operation the
+// timed windows let through, and what its decay line did to them.
+type StoreStats struct {
+	Ops uint64
+	// Transients counts operations refused with storage.ErrTransient.
+	Transients uint64
+	// TornWrites counts Puts that persisted only a prefix; Corruptions
+	// counts Puts that persisted a copy with one bit flipped.
+	TornWrites, Corruptions uint64
+	// Unavailable counts operations refused once die-after ran out.
+	Unavailable uint64
+}
+
 // Driver binds a compiled Plan to a des.Engine and drives the existing
 // per-layer injectors through one interface. One driver serves one run:
 // it makes every random draw the run's faults take, from three streams
 // seeded by the plan's Seed, each drawn in the engine's deterministic
-// event order. The streams and their sources live in d.
+// event order. The streams and their sources live in d. A storage-decay
+// line draws from its own store's stream instead (faultStore.rng).
 type Driver struct {
 	eng  *des.Engine
 	plan *Plan
@@ -48,8 +62,8 @@ type Driver struct {
 	commitUsed []bool
 	drainUsed  []bool
 	domainUsed []bool
-	flipUsed   []bool // parity-flip windows consumed
-	flipTarget storage.Store
+	flipUsed   []bool        // parity-flip windows consumed
+	stores     []*faultStore // wrapped stores, in WrapStore call order
 }
 
 // NewDriver binds plan to eng. The engine must be fresh (virtual time
@@ -78,9 +92,25 @@ func NewDriver(eng *des.Engine, plan *Plan) *Driver {
 // Stats returns a copy of the injection counters.
 func (d *Driver) Stats() Stats { return d.stats }
 
-// Wraps reports whether WrapStore has given the plan's storage faults a
-// store to strike.
-func (d *Driver) Wraps() bool { return d.flipTarget != nil }
+// StoreStats returns a copy of wrapped store i's counters (i counts
+// WrapStore calls from 0).
+//
+//lint:ignore deadexport decay counters Example_hardened_storage prints and the decay tests assert on
+func (d *Driver) StoreStats(i int) StoreStats { return d.stores[i].stats }
+
+// Wraps reports whether WrapStore has wrapped every store the plan's
+// storage lines strike: store 0 for the timed lines, a decay line's own.
+func (d *Driver) Wraps() bool {
+	if len(d.stores) == 0 && d.plan.HitsStorage() {
+		return false
+	}
+	for _, dc := range d.plan.Decays {
+		if dc.Store >= len(d.stores) {
+			return false
+		}
+	}
+	return true
+}
 
 // StartCrashes schedules every planned node-kill instant; each fires
 // kill. Call once, before the engine runs.
@@ -195,123 +225,176 @@ func consume(used []bool, hit func(i int) bool) int {
 // reads the interconnect fault model from it.
 func (d *Driver) Plan() *Plan { return d.plan }
 
-// WrapStore interposes the plan's timed storage faults on inner and
-// schedules the plan's bit-flip instants against it. Outage windows
-// refuse every operation with storage.ErrUnavailable; brownout windows
-// drop a seeded fraction with storage.ErrTransient; bit flips replace a
+// WrapStore interposes the plan's storage faults on inner; call i
+// wraps store i. Store 0 takes the timed lines: outage windows refuse
+// every operation with storage.ErrUnavailable, brownout windows drop a
+// seeded fraction with storage.ErrTransient, and bit flips replace a
 // stored value with a flipped copy through inner itself, below whatever
 // integrity or retry layers the caller stacks on top — silent at-rest
-// corruption that only an integrity envelope can surface. Call once per
-// run.
+// corruption that only an integrity envelope can surface. A
+// storage-decay line strikes the store it names, after the timed
+// windows let an operation through.
 func (d *Driver) WrapStore(inner storage.Store) storage.Store {
-	if d.flipTarget != nil {
-		panic("chaos: WrapStore called twice")
-	}
-	d.flipTarget = inner
-	for _, at := range d.plan.BitFlips {
-		if at < d.eng.Now() {
-			continue
+	s := &faultStore{d: d, inner: inner, timed: len(d.stores) == 0}
+	for _, dc := range d.plan.Decays {
+		if dc.Store == len(d.stores) {
+			s.decay, s.pcg = dc, *rand.NewPCG(dc.Seed, 0xFA17)
+			s.rng = *rand.New(&s.pcg)
 		}
-		d.eng.Schedule(at, d.flipBit)
 	}
-	return &timedStore{d: d, inner: inner}
+	d.stores = append(d.stores, s)
+	if s.timed {
+		for _, at := range d.plan.BitFlips {
+			if at < d.eng.Now() {
+				continue
+			}
+			d.eng.Schedule(at, d.flipBit)
+		}
+	}
+	return s
 }
 
-// flipBit corrupts one seeded bit of one seeded stored payload, chosen
-// uniformly over the store's (sorted, deterministic) key listing at the
-// flip instant. A payload already enveloped by an IntegrityStore above
-// the wrap point is corrupted envelope and all, so read-back fails the
-// CRC — exactly how at-rest rot surfaces in a hardened tier.
+// flipBit corrupts one seeded bit of one seeded stored payload of store
+// 0, chosen uniformly over the store's (sorted, deterministic) key
+// listing at the flip instant. A payload already enveloped by an
+// IntegrityStore above the wrap point is corrupted envelope and all, so
+// read-back fails the CRC — exactly how at-rest rot surfaces in a
+// hardened tier.
 func (d *Driver) flipBit() {
-	keys, err := d.flipTarget.Keys()
+	target := d.stores[0].inner
+	keys, err := target.Keys()
 	if err != nil || len(keys) == 0 {
 		d.stats.BitFlipMisses++
 		return
 	}
 	key := keys[d.rng.IntN(len(keys))]
-	data, err := d.flipTarget.Get(key)
+	data, err := target.Get(key)
 	if err != nil || len(data) == 0 {
 		d.stats.BitFlipMisses++
 		return
 	}
-	if err := d.flipTarget.Put(key, storage.FlipBit(data, d.rng.IntN(len(data)*8))); err != nil {
+	if err := target.Put(key, storage.FlipBit(data, d.rng.IntN(len(data)*8))); err != nil {
 		d.stats.BitFlipMisses++
 		return
 	}
 	d.stats.BitFlips++
 }
 
-// timedStore is the storage.Store wrapper that evaluates the plan's
-// outage and brownout windows against the engine's virtual clock on
-// every operation.
-type timedStore struct {
+// faultStore is the storage.Store wrapper WrapStore returns. Every
+// operation first meets the plan's outage and brownout windows, against
+// the engine's virtual clock (store 0 only), then the store's decay
+// line, if it has one.
+type faultStore struct {
 	d     *Driver
 	inner storage.Store
+	timed bool // store 0: the timed lines strike it
+	// decay is the store's storage-decay line (zero Kind when none); rng
+	// is its stream, drawn only by it.
+	decay Spec
+	pcg   rand.PCG
+	rng   rand.Rand
+	stats StoreStats
 }
 
-// check evaluates the timed windows for one operation.
-func (s *timedStore) check(op string) error {
-	now := s.d.eng.Now()
-	for _, w := range s.d.plan.Outages {
-		if w.contains(now) {
-			s.d.stats.OutageRefusals++
-			return fmt.Errorf("chaos: %s at %v inside storage outage [%v, %v): %w",
-				op, now, w.From, w.To, storage.ErrUnavailable)
+// check admits one operation: the timed windows, then the op count,
+// die-after and, when rolled (Put, Get and Delete), the transient roll.
+func (s *faultStore) check(op string, rolled bool) error {
+	if s.timed {
+		now := s.d.eng.Now()
+		for _, w := range s.d.plan.Outages {
+			if w.contains(now) {
+				s.d.stats.OutageRefusals++
+				return fmt.Errorf("chaos: %s at %v inside storage outage [%v, %v): %w",
+					op, now, w.From, w.To, storage.ErrUnavailable)
+			}
+		}
+		for _, w := range s.d.plan.Brownouts {
+			if w.contains(now) && s.d.rng.Float64() < w.Rate {
+				s.d.stats.BrownoutDrops++
+				return fmt.Errorf("chaos: %s at %v dropped by storage brownout: %w", op, now, storage.ErrTransient)
+			}
 		}
 	}
-	for _, w := range s.d.plan.Brownouts {
-		if w.contains(now) && s.d.rng.Float64() < w.Rate {
-			s.d.stats.BrownoutDrops++
-			return fmt.Errorf("chaos: %s at %v dropped by storage brownout: %w", op, now, storage.ErrTransient)
-		}
+	s.stats.Ops++
+	switch {
+	case s.decay.DieAfter > 0 && s.stats.Ops > uint64(s.decay.DieAfter):
+		s.stats.Unavailable++
+		return errDead
+	case rolled && s.roll(s.decay.Transient):
+		s.stats.Transients++
+		return errDropped
 	}
 	return nil
 }
 
+// A decay refusal formats nothing per call: the layers above name the
+// key, and a dead device answers every call the same.
+var (
+	errDead    = fmt.Errorf("chaos: storage decay: the store died after its die-after operations: %w", storage.ErrUnavailable)
+	errDropped = fmt.Errorf("chaos: storage decay dropped the operation: %w", storage.ErrTransient)
+)
+
+// roll draws one decay fault; a zero rate draws nothing.
+func (s *faultStore) roll(rate float64) bool { return rate > 0 && s.rng.Float64() < rate }
+
 // Put implements storage.Store.
-func (s *timedStore) Put(key string, data []byte) error {
-	if err := s.check("put"); err != nil {
-		return err
-	}
-	return s.inner.Put(key, data)
+func (s *faultStore) Put(key string, data []byte) error { return s.put(key, data, storage.Store.Put) }
+
+// PutOwned implements storage.OwnedPutter: the faults apply as for Put,
+// and ownership of whatever reaches inner passes through to it.
+func (s *faultStore) PutOwned(key string, data []byte) error {
+	return s.put(key, data, storage.PutOwned)
 }
 
-// PutOwned implements storage.OwnedPutter: the windows apply as for Put,
-// and ownership of data passes through to inner.
-func (s *timedStore) PutOwned(key string, data []byte) error {
-	if err := s.check("put"); err != nil {
+// put is Put and PutOwned: after the gate, a torn roll persists a
+// strict prefix and reports success — the sink lied — and then a
+// corrupt roll persists a copy with one seeded bit flipped. The
+// prefix's capacity is clipped, so a sealing layer below cannot write
+// its envelope over payload bytes a sibling keeps.
+func (s *faultStore) put(key string, data []byte, put func(storage.Store, string, []byte) error) error {
+	if err := s.check("put", true); err != nil {
 		return err
 	}
-	return storage.PutOwned(s.inner, key, data)
+	if s.roll(s.decay.Torn) {
+		s.stats.TornWrites++
+		n := len(data) / 2
+		return put(s.inner, key, data[:n:n])
+	}
+	if s.roll(s.decay.Corrupt) && len(data) > 0 {
+		s.stats.Corruptions++
+		return put(s.inner, key, storage.FlipBit(data, s.rng.IntN(len(data)*8)))
+	}
+	return put(s.inner, key, data)
 }
 
 // Get implements storage.Store.
-func (s *timedStore) Get(key string) ([]byte, error) {
-	if err := s.check("get"); err != nil {
+func (s *faultStore) Get(key string) ([]byte, error) {
+	if err := s.check("get", true); err != nil {
 		return nil, err
 	}
 	return s.inner.Get(key)
 }
 
 // Delete implements storage.Store.
-func (s *timedStore) Delete(key string) error {
-	if err := s.check("delete"); err != nil {
+func (s *faultStore) Delete(key string) error {
+	if err := s.check("delete", true); err != nil {
 		return err
 	}
 	return s.inner.Delete(key)
 }
 
-// Keys implements storage.Store.
-func (s *timedStore) Keys() ([]string, error) {
-	if err := s.check("keys"); err != nil {
+// Keys implements storage.Store. Metadata reads meet the windows and
+// die-after but not the decay rates: listings are cheap and local.
+func (s *faultStore) Keys() ([]string, error) {
+	if err := s.check("keys", false); err != nil {
 		return nil, err
 	}
 	return s.inner.Keys()
 }
 
 // Size implements storage.Store.
-func (s *timedStore) Size() (uint64, error) {
-	if err := s.check("size"); err != nil {
+func (s *faultStore) Size() (uint64, error) {
+	if err := s.check("size", false); err != nil {
 		return 0, err
 	}
 	return s.inner.Size()

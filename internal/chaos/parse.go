@@ -25,14 +25,20 @@ import (
 //	parity-flip at 0s..30s count 8
 //	crash every exp 3s
 //	net loss 0.05 dup 0.01 jitter 200us seed 410
+//	storage-decay transient 0.08 torn 0.05 corrupt 0.05 die-after 30 seed 7 store 1
 //
 // Every line is "<kind> at <from>..<to>" followed by optional key/value
 // pairs (jitter <dur>, count <n> with n >= 1, group <name>, drop <p>,
-// slow <x>, rate <p>, phase <name>, domain <name>), with two whole-run
+// slow <x>, rate <p>, phase <name>, domain <name>), with three whole-run
 // exceptions that carry no window: "crash every exp <mean>", the
-// supervisor's Poisson failure clock, and "net" followed by its pairs
+// supervisor's Poisson failure clock; "net" followed by its pairs
 // (loss <p>, dup <p>, jitter <dur>, seed <n> with n >= 1), the
-// interconnect's steady fault model. A parity-flip's window holds the
+// interconnect's steady fault model; and "storage-decay" followed by
+// its pairs (transient <p>, torn <p>, corrupt <p> with p in [0, 1],
+// die-after <n> with n >= 1, seed <n> with any n, store <i>), one
+// wrapped store's per-operation decay — store i is the i-th store the
+// driver wraps (default 0), and timed storage lines always strike
+// store 0. A parity-flip's window holds the
 // instants a line's parity is placed; each count flips one line's. An
 // option a line omits takes its kind's default (partition drop 0.85;
 // brownout drop 0.2 and slow 2; storage-brownout rate 0.5), and a
@@ -83,7 +89,7 @@ func parseSpec(fields []string) (Spec, error) {
 	var rest []string
 	var err error
 	switch {
-	case sp.Kind == Net:
+	case sp.Kind == Net || sp.Kind == StorageDecay:
 		rest = fields[1:]
 	case sp.Kind == Crash && len(fields) > 1 && fields[1] == "every":
 		sp.Kind = PoissonCrash
@@ -110,9 +116,7 @@ func parseSpec(fields []string) (Spec, error) {
 		key, val := rest[i], rest[i+1]
 		switch key {
 		case "jitter":
-			if sp.Jitter, err = parseDur(val); err != nil {
-				return sp, fmt.Errorf("jitter: %w", err)
-			}
+			sp.Jitter, err = parseDur(val)
 		case "count":
 			n, err := strconv.Atoi(val)
 			if err != nil {
@@ -127,16 +131,13 @@ func parseSpec(fields []string) (Spec, error) {
 		case "group":
 			sp.Group = val
 		case "drop", "loss":
-			if sp.Drop, err = parseProb(val); err != nil {
-				return sp, fmt.Errorf("%s: %w", key, err)
-			}
+			sp.Drop, err = parseProb(val, false)
 		case "dup":
-			if sp.Dup, err = parseProb(val); err != nil {
-				return sp, fmt.Errorf("dup: %w", err)
-			}
+			sp.Dup, err = parseProb(val, false)
 		case "seed":
-			// As with count, only the struct's zero value means "derive it".
-			if sp.Seed, err = strconv.ParseUint(val, 10, 64); err != nil || sp.Seed == 0 {
+			// As with count, only the struct's zero value means "derive
+			// it" — except on a decay line, whose stream seed 0 names.
+			if sp.Seed, err = strconv.ParseUint(val, 10, 64); err != nil || sp.Seed == 0 && sp.Kind != StorageDecay {
 				return sp, fmt.Errorf("seed %q: want an integer >= 1", val)
 			}
 		case "slow":
@@ -149,8 +150,21 @@ func parseSpec(fields []string) (Spec, error) {
 			}
 			sp.Slow = f
 		case "rate":
-			if sp.Rate, err = parseProb(val); err != nil {
-				return sp, fmt.Errorf("rate: %w", err)
+			sp.Rate, err = parseProb(val, false)
+		case "transient":
+			sp.Transient, err = parseProb(val, true)
+		case "torn":
+			sp.Torn, err = parseProb(val, true)
+		case "corrupt":
+			sp.Corrupt, err = parseProb(val, true)
+		case "die-after":
+			// As with count, a written die-after is at least one operation.
+			if sp.DieAfter, err = strconv.Atoi(val); err != nil || sp.DieAfter < 1 {
+				return sp, fmt.Errorf("die-after %q: want an integer >= 1", val)
+			}
+		case "store":
+			if sp.Store, err = strconv.Atoi(val); err != nil || sp.Store < 0 {
+				return sp, fmt.Errorf("store %q: want an integer >= 0", val)
 			}
 		case "phase":
 			sp.Phase = val
@@ -158,6 +172,9 @@ func parseSpec(fields []string) (Spec, error) {
 			sp.Domain = val
 		default:
 			return sp, fmt.Errorf("%s: unknown option %q", fields[0], key)
+		}
+		if err != nil { // a value lexer refused val
+			return sp, fmt.Errorf("%s: %w", key, err)
 		}
 	}
 	return sp, nil
@@ -200,14 +217,19 @@ func parseDur(s string) (des.Time, error) {
 	return des.Time(d.Nanoseconds()), nil
 }
 
-// parseProb parses a probability literal, requiring [0, 1).
-func parseProb(s string) (float64, error) {
+// parseProb parses a probability literal, requiring [0, 1), or [0, 1]
+// when closed.
+func parseProb(s string, closed bool) (float64, error) {
 	p, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("probability %q: %w", s, err)
 	}
-	if !(p >= 0 && p < 1) { // written to also reject NaN
-		return 0, fmt.Errorf("probability %v out of [0, 1)", p)
+	if !isUnit(p) || p == 1 && !closed {
+		hi := ")"
+		if closed {
+			hi = "]"
+		}
+		return 0, fmt.Errorf("probability %v out of [0, 1%s", p, hi)
 	}
 	return p, nil
 }

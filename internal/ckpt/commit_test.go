@@ -193,10 +193,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 // not ErrCommitAborted — the caller distinguishes refused from
 // rolled-back.
 func TestPrepareRefusalIsNotAbort(t *testing.T) {
-	faulty := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed: 1, OutageAfterOps: 1,
-	})
-	_, co, _ := commitRig(t, 2, faulty)
+	_, co, _ := commitRig(t, 2, &dyingStore{Store: storage.NewMemStore(), up: 1})
 	var err error
 	co.BeginTwoPhase(func(_ GlobalResult, e error) { err = e })
 	if err == nil {
@@ -245,4 +242,55 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 		t.Fatalf("with missing marker: %d/%v, want 0/true", rec.Seq, ok)
 	}
 	checkOnePass(t, store, 2)
+}
+
+// dyingStore is a device that serves its first up operations, then
+// fails every call with storage.ErrUnavailable.
+type dyingStore struct {
+	storage.Store
+	up int
+}
+
+// alive spends one operation, or reports the device dead.
+func (s *dyingStore) alive() error {
+	if s.up == 0 {
+		return storage.ErrUnavailable
+	}
+	s.up--
+	return nil
+}
+
+func (s *dyingStore) Put(key string, data []byte) error {
+	if err := s.alive(); err != nil {
+		return err
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *dyingStore) Get(key string) ([]byte, error) {
+	if err := s.alive(); err != nil {
+		return nil, err
+	}
+	return s.Store.Get(key)
+}
+
+func (s *dyingStore) Delete(key string) error {
+	if err := s.alive(); err != nil {
+		return err
+	}
+	return s.Store.Delete(key)
+}
+
+func (s *dyingStore) Keys() ([]string, error) {
+	if err := s.alive(); err != nil {
+		return nil, err
+	}
+	return s.Store.Keys()
+}
+
+func (s *dyingStore) Size() (uint64, error) {
+	if err := s.alive(); err != nil {
+		return 0, err
+	}
+	return s.Store.Size()
 }

@@ -168,8 +168,7 @@ func del(t *testing.T, s storage.Store, key string) {
 // A store whose key listing fails is the one pass's only error, under
 // either rule; with no ranks there is no line and no error.
 func TestRestoreLatestErrors(t *testing.T) {
-	down := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{})
-	down.Kill()
+	down := &dyingStore{Store: storage.NewMemStore()}
 	for _, rule := range []bool{false, true} {
 		if _, ok, err := RestoreLatest(down, 2, rule); err == nil || ok {
 			t.Fatalf("committed=%v: a failed key listing gave ok=%v err=%v", rule, ok, err)

@@ -104,10 +104,10 @@ func (s *getLog) Get(key string) ([]byte, error) {
 	return s.Store.Get(key)
 }
 
-// FaultyStore draws one fault per operation, so the Gets each chain
-// reader issues, in order, are part of every faulted run's output. Over
-// two ranks' chains 0(F) 1 2 this pins them: a change that moves one
-// moves golden cells, and has to edit this test on purpose. Every reader
+// A storage-decay line draws one fault per operation, so the Gets each
+// chain reader issues, in order, are part of every faulted run's output.
+// Over two ranks' chains 0(F) 1 2 this pins them: a change that moves
+// one moves golden cells, and has to edit this test on purpose. Every reader
 // fetches each chain segment once: the target, then base … target-1.
 // RestoreLatest over a store whose newest line is torn at rank 1 reads
 // rank 0's chain, rank 1's failing prefix, then the older line's chains.

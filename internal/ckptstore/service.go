@@ -102,7 +102,7 @@ const (
 // Stats are the service's observable counters. All byte counts are
 // payload bytes, all latencies virtual time.
 type Stats struct {
-	Puts, Gets, Deletes uint64
+	Puts, Gets uint64
 	// AckedPuts/AckedBytes count Puts the service accepted (at any
 	// durability level); an acked Put is never silently dropped.
 	AckedPuts  uint64
@@ -723,7 +723,6 @@ func (s *Service) readOrder() []int {
 // del removes a key: replicated when quorum is reachable, otherwise a
 // journaled tombstone.
 func (s *Service) del(f *Frame) error {
-	s.stats.Deletes++
 	if s.spillPath() {
 		s.journalPut(f.Key, nil, true)
 		return nil

@@ -41,51 +41,55 @@ type FaultRow struct {
 // faultScenario is one storage configuration under test.
 type faultScenario struct {
 	name string
-	// replicas is the mirror width.
-	replicas int
-	// decay is the fault profile of every replica (seeded per replica).
-	decay storage.FaultConfig
-	// outageOps, when positive, kills replica 0 permanently after that
-	// many operations.
-	outageOps int
+	// decay holds each replica's storage-decay fault fields ("": a
+	// clean replica); its length is the mirror width.
+	decay []string
 }
 
 // faultScenarios returns the A14 grid: each fault class alone and
-// mirrored, plus the clean baseline and the kitchen-sink stack.
+// mirrored, plus the clean baseline and the kitchen-sink stack. The
+// dying replica is otherwise clean: its loss, not its decay, is the
+// injected fault.
 func faultScenarios() []faultScenario {
-	decay := storage.FaultConfig{TransientRate: 0.08, TornWriteRate: 0.05, CorruptRate: 0.05}
+	const decay, dies = "transient 0.08 torn 0.05 corrupt 0.05", "die-after 30"
 	return []faultScenario{
-		{name: "clean", replicas: 1},
-		{name: "transient", replicas: 1, decay: storage.FaultConfig{TransientRate: 0.15}},
-		{name: "decay", replicas: 1, decay: decay},
-		{name: "decay", replicas: 2, decay: decay},
-		{name: "outage", replicas: 1, outageOps: 30},
-		{name: "outage+decay", replicas: 2, decay: decay, outageOps: 30},
+		{name: "clean", decay: []string{""}},
+		{name: "transient", decay: []string{"transient 0.15"}},
+		{name: "decay", decay: []string{decay}},
+		{name: "decay", decay: []string{decay, decay}},
+		{name: "outage", decay: []string{dies}},
+		{name: "outage+decay", decay: []string{dies, decay}},
 	}
 }
 
+// faults returns the scenario's schedule at seed: the node-failure
+// clock plus one storage-decay line per degraded replica, replica i's
+// on store i with stream seed seed·97+i.
+func (sc faultScenario) faults(seed uint64) string {
+	text := "crash every exp 3s"
+	for i, line := range sc.decay {
+		if line != "" {
+			text += fmt.Sprintf("\nstorage-decay %s seed %d store %d", line, seed*97+uint64(i), i)
+		}
+	}
+	return text
+}
+
 // hardenedStack builds one scenario's storage tier: per replica
-// Resilient(Integrity(Faulty(Mem))), mirrored when replicas > 1. It
-// returns the assembled store plus the wrapper handles for counters.
-func hardenedStack(sc faultScenario, seed uint64) (storage.Store, []*storage.ResilientStore, *storage.MirrorStore, error) {
+// Resilient(Integrity(wrap(Mem))), wrapped in replica order so replica
+// i is the driver's store i, mirrored when there are several. It returns
+// the assembled store plus the wrapper handles for counters.
+func hardenedStack(sc faultScenario, wrap func(storage.Store) storage.Store) (storage.Store, []*storage.ResilientStore, *storage.MirrorStore, error) {
 	var tops []*storage.ResilientStore
 	var stores []storage.Store
-	for i := 0; i < sc.replicas; i++ {
-		cfg := sc.decay
-		cfg.Seed = seed*97 + uint64(i)
-		if i == 0 && sc.outageOps > 0 {
-			// The dying replica is otherwise clean: its loss, not its
-			// decay, is the injected fault.
-			cfg = storage.FaultConfig{Seed: cfg.Seed, OutageAfterOps: sc.outageOps}
-		}
+	for range sc.decay {
 		r := storage.NewResilientStore(
-			storage.NewIntegrityStore(
-				storage.NewFaultyStore(storage.NewMemStore(), cfg)),
+			storage.NewIntegrityStore(wrap(storage.NewMemStore())),
 			storage.DefaultRetryPolicy())
 		tops = append(tops, r)
 		stores = append(stores, r)
 	}
-	if sc.replicas == 1 {
+	if len(stores) == 1 {
 		return tops[0], tops, nil, nil
 	}
 	m, err := storage.NewMirrorStore(stores...)
@@ -97,16 +101,22 @@ func hardenedStack(sc faultScenario, seed uint64) (storage.Store, []*storage.Res
 func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
 	var rows []FaultRow
 	for _, sc := range faultScenarios() {
-		row := FaultRow{Scenario: sc.name, Replicas: sc.replicas}
+		row := FaultRow{Scenario: sc.name, Replicas: len(sc.decay)}
 		// The storage tier winning is a legitimate outcome of this grid:
 		// an injected run that dies is incomplete, not divergent.
 		row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
-			store, tops, mirror, err := hardenedStack(sc, cfg.Seed)
-			if err != nil {
-				return nil, err
+			var tops []*storage.ResilientStore
+			var mirror *storage.MirrorStore
+			var stackErr error
+			cfg.Faults = sc.faults(cfg.Seed)
+			out, err := autonomic.ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+				var store storage.Store
+				store, tops, mirror, stackErr = hardenedStack(sc, d.WrapStore)
+				return store
+			})
+			if stackErr != nil {
+				return nil, stackErr
 			}
-			cfg.Faults = "crash every exp 3s"
-			out, err := autonomic.ValidateReplayStore(cfg, nil, func(*des.Engine, *chaos.Driver) storage.Store { return store })
 			for _, t := range tops {
 				row.Retries += t.Stats().Retries
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/ckptstore"
 	"repro/internal/des"
@@ -124,10 +125,19 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 		horizon   = (ticks + 2) * timeslice // slack for drain after last tick
 	)
 	eng := des.NewEngine()
-	flaky := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{
-		Seed:          seed ^ 0xF1A2,
-		TransientRate: faultyRate(faulted),
-	})
+	var flaky storage.Store = storage.NewMemStore()
+	if faulted {
+		// The flaky follower: 5 % of its operations fail transiently.
+		sched, err := chaos.ParseSchedule(fmt.Sprintf("storage-decay transient 0.05 seed %d", seed^0xF1A2))
+		if err != nil {
+			return ServiceRow{}, fmt.Errorf("experiments: A17: %w", err)
+		}
+		plan, err := sched.Compile(seed)
+		if err != nil {
+			return ServiceRow{}, fmt.Errorf("experiments: A17: %w", err)
+		}
+		flaky = chaos.NewDriver(eng, plan).WrapStore(flaky)
+	}
 	svc, err := ckptstore.New(ckptstore.Config{
 		Engine:   eng,
 		Replicas: []storage.Store{storage.NewMemStore(), storage.NewMemStore(), flaky},
@@ -230,14 +240,6 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 		}
 	}
 	return row, nil
-}
-
-// faultyRate returns the flaky follower's transient rate for a cell.
-func faultyRate(faulted bool) float64 {
-	if faulted {
-		return 0.05
-	}
-	return 0
 }
 
 // latencyPercentile returns the p-th percentile (0 < p <= 1) of the

@@ -18,6 +18,9 @@ type FFT struct {
 	x, y *Array // interleaved re/im pairs: 2n float64 each
 	tw   *Array // twiddle table: exp(-iπ m/(n/2)) for m in [0, n/2), re/im interleaved
 	pass int    // completed butterfly passes (for mid-transform ckpt tests)
+	// in, out and twid are Step's scratch: the pass's source, its
+	// result and the twiddle table, made on the first Step.
+	in, out, twid []float64
 }
 
 // newFFT allocates ping-pong buffers for an n-point transform (n a power
@@ -103,8 +106,10 @@ func (f *FFT) Step() error {
 	if l > half {
 		return fmt.Errorf("kernels: FFT pass %d beyond the %d passes of a %d-point transform", f.pass, log2(n), n)
 	}
-	in := make([]float64, 2*n)
-	out := make([]float64, 2*n)
+	if f.in == nil {
+		f.in, f.out, f.twid = make([]float64, 2*n), make([]float64, 2*n), make([]float64, 2*half)
+	}
+	in, out, twid := f.in, f.out, f.twid
 	if err := src.Read(in, 0); err != nil {
 		return err
 	}
@@ -113,7 +118,6 @@ func (f *FFT) Step() error {
 	// exactly with float64 rounding, so -π·m/half and -π·j/l round to
 	// the same value and the looked-up twiddles are bit-identical to
 	// the previously inlined cmplx.Exp.
-	twid := make([]float64, 2*half)
 	if err := f.tw.Read(twid, 0); err != nil {
 		return err
 	}

@@ -399,6 +399,30 @@ func TestFFTValidation(t *testing.T) {
 	}
 }
 
+// TestFFTWarmPassAllocFree: a pass reads, butterflies and writes
+// through the handle's own scratch, so once the first Step made it, a
+// pass allocates nothing.
+func TestFFTWarmPassAllocFree(t *testing.T) {
+	f, err := newFFT(space(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.load(make([]complex128, 256)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transform(f); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		f.pass %= log2(f.n)
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm FFT pass allocates %v times, want 0", n)
+	}
+}
+
 // Property: FFT of a pure tone concentrates all energy in one bin.
 func TestPropertyFFTPureTone(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -72,16 +72,6 @@ type NetFaultStats struct {
 	Retransmits uint64
 	// DupDeliveries counts duplicated packets drawn by the model.
 	DupDeliveries uint64
-	// SuppressedDups counts duplicates the ARQ receiver deduplicated.
-	SuppressedDups uint64
-	// ForcedDeliveries counts plain sends whose whole plan was
-	// drawn lost and were delivered by the terminal forced attempt.
-	ForcedDeliveries uint64
-	// CollectiveRetransmits counts barrier/collective rounds that lost
-	// at least one packet and paid a retransmit round.
-	CollectiveRetransmits uint64
-	// JitterTotal accumulates injected jitter.
-	JitterTotal des.Time
 }
 
 // netFaults is the World's installed fault state. Every packet fate is
@@ -166,9 +156,7 @@ func (f *netFaults) jitter() des.Time {
 	if f.cfg.JitterMax <= 0 {
 		return 0
 	}
-	j := des.Time(f.rng.Int64N(int64(f.cfg.JitterMax)))
-	f.stats.JitterTotal += j
-	return j
+	return des.Time(f.rng.Int64N(int64(f.cfg.JitterMax)))
 }
 
 // rto returns the initial retransmission timeout for a message size; it
@@ -209,7 +197,6 @@ func (w *World) planARQ(bytes uint64) (deliver, ack des.Time) {
 		start += rto << uint(min(k, 6))
 	}
 	if !delivered {
-		f.stats.ForcedDeliveries++
 		deliver = start + w.scaledTransfer(bytes, now+start)
 	}
 	if !acked {
@@ -224,7 +211,6 @@ func (w *World) planARQ(bytes uint64) (deliver, ack des.Time) {
 func (f *netFaults) suppressDup() {
 	if f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate {
 		f.stats.DupDeliveries++
-		f.stats.SuppressedDups++
 	}
 }
 
@@ -291,7 +277,6 @@ func (w *World) barrierPenalty(rounds, ranks int, at des.Time) des.Time {
 		}
 		penalty += jmax
 		if lost {
-			f.stats.CollectiveRetransmits++
 			penalty += rto
 		}
 	}

@@ -269,7 +269,7 @@ func TestViewDistrustsRottenLocalCopy(t *testing.T) {
 // repaired segment from L1 afterwards.
 func TestViewReadRepairThroughDegradedMirror(t *testing.T) {
 	var mirror *storage.MirrorStore
-	var deadReplica *storage.FaultyStore
+	var deadReplica *deadStore
 	victim := -1
 	cfg := Config{
 		Scheme:      Scheme{Kind: XOR, K: 2, M: 1},
@@ -282,7 +282,7 @@ func TestViewReadRepairThroughDegradedMirror(t *testing.T) {
 			return storage.NewMemStore()
 		}
 		victim = rank
-		deadReplica = storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{})
+		deadReplica = &deadStore{Store: storage.NewMemStore()}
 		m, err := storage.NewMirrorStore(deadReplica, storage.NewMemStore())
 		if err != nil {
 			panic(err)
@@ -299,7 +299,7 @@ func TestViewReadRepairThroughDegradedMirror(t *testing.T) {
 	if err := f.h.WipeRank(victim); err != nil {
 		t.Fatal(err)
 	}
-	deadReplica.Kill()
+	deadReplica.down = true
 	before := mirror.Stats().PutQuorumFailures
 
 	v := f.h.NewView()
@@ -328,7 +328,7 @@ func TestViewReadRepairThroughDegradedMirror(t *testing.T) {
 // A fully dead L1 makes the write-back fail: the read still succeeds
 // (best-effort repair) and the miss is tallied.
 func TestViewRepairWriteFailureIsBestEffort(t *testing.T) {
-	var replicas []*storage.FaultyStore
+	var replicas []*deadStore
 	cfg := Config{
 		Scheme:      Scheme{Kind: XOR, K: 2, M: 1},
 		Domains:     domains(t, 4, 1),
@@ -339,9 +339,9 @@ func TestViewRepairWriteFailureIsBestEffort(t *testing.T) {
 		if rank != 0 {
 			return storage.NewMemStore()
 		}
-		a := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{})
-		b := storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{})
-		replicas = []*storage.FaultyStore{a, b}
+		a := &deadStore{Store: storage.NewMemStore()}
+		b := &deadStore{Store: storage.NewMemStore()}
+		replicas = []*deadStore{a, b}
 		m, err := storage.NewMirrorStore(a, b)
 		if err != nil {
 			panic(err)
@@ -353,7 +353,7 @@ func TestViewRepairWriteFailureIsBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range replicas {
-		r.Kill()
+		r.down = true
 	}
 	v := f.h.NewView()
 	restoreAndCheck(t, f, v)
@@ -429,4 +429,46 @@ func TestViewRejectsForeignKeys(t *testing.T) {
 	if st := v.Stats(); st != (ViewStats{}) {
 		t.Fatalf("misses were accounted: %+v", st)
 	}
+}
+
+// deadStore stands in for a lost L1 replica: once down, every call
+// fails with storage.ErrUnavailable.
+type deadStore struct {
+	storage.Store
+	down bool
+}
+
+func (s *deadStore) Put(key string, data []byte) error {
+	if s.down {
+		return storage.ErrUnavailable
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *deadStore) Get(key string) ([]byte, error) {
+	if s.down {
+		return nil, storage.ErrUnavailable
+	}
+	return s.Store.Get(key)
+}
+
+func (s *deadStore) Delete(key string) error {
+	if s.down {
+		return storage.ErrUnavailable
+	}
+	return s.Store.Delete(key)
+}
+
+func (s *deadStore) Keys() ([]string, error) {
+	if s.down {
+		return nil, storage.ErrUnavailable
+	}
+	return s.Store.Keys()
+}
+
+func (s *deadStore) Size() (uint64, error) {
+	if s.down {
+		return 0, storage.ErrUnavailable
+	}
+	return s.Store.Size()
 }

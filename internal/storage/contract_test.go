@@ -49,9 +49,12 @@ func contractCases(t *testing.T) []contractCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Decay that strikes only past the suite's operations: the rows
+	// exercise the decay wrapper's pass-through paths.
+	decay := decayDriver(t, "storage-decay die-after 1000000000 seed 1 store 0\nstorage-decay die-after 1000000000 seed 1 store 1")
 	mirror, err := storage.NewMirrorStore(
 		storage.NewResilientStore(storage.NewIntegrityStore(storage.NewMemStore()), storage.RetryPolicy{}),
-		storage.NewResilientStore(storage.NewIntegrityStore(storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})), storage.RetryPolicy{}),
+		storage.NewResilientStore(storage.NewIntegrityStore(decay.WrapStore(storage.NewMemStore())), storage.RetryPolicy{}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +76,7 @@ func contractCases(t *testing.T) []contractCase {
 		{name: "file", get: file},
 		{name: "integrity(mem)", get: storage.NewIntegrityStore(storage.NewMemStore())},
 		{name: "resilient(mem)", get: storage.NewResilientStore(storage.NewMemStore(), storage.RetryPolicy{})},
-		{name: "faulty(mem)", get: storage.NewFaultyStore(storage.NewMemStore(), storage.FaultConfig{Seed: 1})},
+		{name: "faulty(mem)", get: decay.WrapStore(storage.NewMemStore())},
 		{name: "mirror stack", get: mirror},
 		{name: "chaos timed(mem)", get: timed},
 		{name: "rank store", get: h.RankStore(1)},
@@ -81,6 +84,21 @@ func contractCases(t *testing.T) []contractCase {
 		{name: "ckptstore client", get: client, settle: settle},
 		{name: "ckptstore service view", get: svc.View(), put: client, settle: settle},
 	}
+}
+
+// decayDriver compiles a schedule of storage-decay lines into a
+// driver on a fresh engine: its i-th WrapStore call makes store i.
+func decayDriver(t testing.TB, text string) *chaos.Driver {
+	t.Helper()
+	sched, err := chaos.ParseSchedule(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaos.NewDriver(des.NewEngine(), plan)
 }
 
 // contractHierarchy is an XOR 2+1 hierarchy over four single-rank
@@ -202,8 +220,8 @@ func TestStoreBufferOwnership(t *testing.T) {
 }
 
 // TestBitFlipsLeaveLentBuffersIntact: every fault injector that corrupts
-// a stored value — FaultyStore's CorruptRate, chaos.Driver's bit flips
-// and Hierarchy.CorruptParity — replaces it with a flipped copy,
+// a stored value — a storage-decay line's corrupt rate, chaos.Driver's
+// bit flips and Hierarchy.CorruptParity — replaces it with a flipped copy,
 // so a buffer Get lent before the flip still holds the bytes it held.
 func TestBitFlipsLeaveLentBuffersIntact(t *testing.T) {
 	want := contractValue(0xA5)
@@ -227,9 +245,9 @@ func TestBitFlipsLeaveLentBuffersIntact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty := storage.NewFaultyStore(mem, storage.FaultConfig{Seed: 3, CorruptRate: 1})
-		if err := faulty.Put(contractKey, lent); err != nil || faulty.Stats().BitFlips != 1 {
-			t.Fatalf("put: %v, stats %+v", err, faulty.Stats())
+		d := decayDriver(t, "storage-decay corrupt 1 seed 3")
+		if err := d.WrapStore(mem).Put(contractKey, lent); err != nil || d.StoreStats(0).Corruptions != 1 {
+			t.Fatalf("put: %v, stats %+v", err, d.StoreStats(0))
 		}
 		check(t, mem, contractKey, lent, want)
 	})

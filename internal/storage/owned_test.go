@@ -10,7 +10,7 @@ import (
 func TestPutOwnedKeepsBuffer(t *testing.T) {
 	mem := NewMemStore()
 	data := []byte("owned")
-	if err := PutOwned(NewFaultyStore(mem, FaultConfig{}), "k", data); err != nil {
+	if err := PutOwned(NewResilientStore(mem, RetryPolicy{}), "k", data); err != nil {
 		t.Fatal(err)
 	}
 	if &mem.m["k"][0] != &data[0] {
@@ -120,34 +120,6 @@ func TestSiblingSealWritesNothing(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTornWriteClipsCapacity: a torn write forwards a prefix with its
-// capacity clipped. Without the clip, the IntegrityStore below the
-// injector would seal the prefix in place, writing its envelope over
-// payload bytes the second replica keeps — and that replica's CRC,
-// computed after, would vouch for the damage.
-func TestTornWriteClipsCapacity(t *testing.T) {
-	torn := NewFaultyStore(NewIntegrityStore(NewMemStore()), FaultConfig{Seed: 5, TornWriteRate: 1})
-	intact := NewMemStore()
-	m, err := NewMirrorStore(torn, NewIntegrityStore(intact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte("0123456789abcdef"), 16)
-	if err := m.PutOwned("k", sealable(want)); err != nil {
-		t.Fatal(err)
-	}
-	if torn.Stats().TornWrites != 1 {
-		t.Fatalf("stats %+v: the write was not torn", torn.Stats())
-	}
-	frame, err := intact.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Open(frame); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("replica 1 opens to %q… (err %v), want the original bytes", got[:min(len(got), 16)], err)
 	}
 }
 
