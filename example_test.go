@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/ckptstore"
 	"repro/internal/core"
@@ -75,23 +74,6 @@ func Example_burst_aligned() {
 // and under the plan, and compares the final per-rank address-space
 // digests and checksum bit for bit.
 func Example_chaos_replay() {
-	sched, err := chaos.ParseSchedule(`
-# One correlated burst: the fabric partitions and a node dies inside it.
-partition at 2s..4s drop 0.9 group burst
-crash at 2s..4s group burst
-
-# A crash aimed inside a two-phase prepare->commit window.
-commit-crash at 5s..30s
-
-# The storage tier browns out while recovery may need it.
-storage-brownout at 5s..7s rate 0.3
-
-# Silent at-rest corruption of stored checkpoint payloads.
-bitflip at 2s..9s count 3
-`)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := autonomic.Config{
 		Ranks:           4,
 		Nx:              32,
@@ -104,9 +86,26 @@ bitflip at 2s..9s count 3
 		Sink:            storage.Model{Name: "nfs-class", Latency: 5 * des.Millisecond, Bandwidth: 2e4},
 		Seed:            11,
 		TwoPhaseCommit:  true,
+		// One hardened replica: the storage lines strike below its
+		// integrity envelope and retry layer.
+		Replicas: 1,
 	}
+	cfg.Faults = `
+# One correlated burst: the fabric partitions and a node dies inside it.
+partition at 2s..4s drop 0.9 group burst
+crash at 2s..4s group burst
 
-	out, err := autonomic.ValidateReplay(cfg, sched)
+# A crash aimed inside a two-phase prepare->commit window.
+commit-crash at 5s..30s
+
+# The storage tier browns out while recovery may need it.
+storage-brownout at 5s..7s rate 0.3
+
+# Silent at-rest corruption of stored checkpoint payloads.
+bitflip at 2s..9s count 3
+`
+
+	out, err := autonomic.ValidateReplay(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -596,6 +595,8 @@ crash every exp 10s
 // lines when the newest one rotted, and the final answer is still
 // bit-identical to a failure-free run on pristine storage.
 func Example_hardened_storage() {
+	// The hardened stack is two mirrored replicas, each integrity-
+	// enveloped and retry-wrapped over the chaos driver's store i.
 	cfg := autonomic.Config{
 		Ranks:       4,
 		Nx:          48,
@@ -605,6 +606,7 @@ func Example_hardened_storage() {
 		CkptEvery:   5,
 		ComputeTime: 200 * des.Millisecond,
 		Seed:        11,
+		Replicas:    2,
 	}
 
 	// What fails is text: node failures, and the decay of each replica
@@ -616,25 +618,7 @@ storage-decay die-after 40 seed 1 store 0
 storage-decay transient 0.10 torn 0.08 corrupt 0.08 seed 2 store 1`
 	cfg.RestartOverhead = 500 * des.Millisecond
 
-	// The hardened stack: each replica retry-wrapped and
-	// integrity-enveloped over the chaos driver's store i, the i-th it
-	// wraps, so the decay sits below the envelope.
-	var drv *chaos.Driver
-	var ra, rb *storage.ResilientStore
-	var mirror *storage.MirrorStore
-	out, err := autonomic.ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
-		drv = d
-		replica := func() *storage.ResilientStore {
-			return storage.NewResilientStore(storage.NewIntegrityStore(d.WrapStore(storage.NewMemStore())), storage.DefaultRetryPolicy())
-		}
-		ra, rb = replica(), replica()
-		m, err := storage.NewMirrorStore(ra, rb)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mirror = m
-		return m
-	})
+	out, err := autonomic.ValidateReplay(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -653,14 +637,14 @@ storage-decay transient 0.10 torn 0.08 corrupt 0.08 seed 2 store 1`
 	fmt.Printf("%-30s %13.1f%% %13.1f%%\n", "efficiency", clean.Efficiency*100, rep.Efficiency*100)
 	fmt.Printf("%-30s %14.6f %14.6f\n", "final checksum", clean.Checksum, rep.Checksum)
 
-	stA, stB, mst := drv.StoreStats(0), drv.StoreStats(1), mirror.Stats()
+	stA, stB, mst := rep.Decay[0], rep.Decay[1], rep.Mirror
 	fmt.Printf("\nwhat the storage tier did, and what the stack absorbed:\n")
 	fmt.Printf("  replica A: %d ops served, then permanently down (%d rejected)\n",
 		stA.Ops-stA.Unavailable, stA.Unavailable)
 	fmt.Printf("  replica B: %d transients, %d torn writes, %d bit flips\n",
 		stB.Transients, stB.TornWrites, stB.Corruptions)
 	fmt.Printf("  retries absorbed: %d (A) + %d (B)\n",
-		ra.Stats().Retries, rb.Stats().Retries)
+		rep.Retry[0].Retries, rep.Retry[1].Retries)
 	fmt.Printf("  mirror: %d failover reads, %d read-repairs, %d degraded writes\n",
 		mst.FailoverReads, mst.ReadRepairs, mst.DegradedPuts)
 
@@ -768,20 +752,17 @@ func Example_rdma_drain() {
 			ComputeTime: 50 * des.Millisecond,
 			Seed:        11,
 			RDMA:        mode,
+			// One node dies mid-run, past the second committed line,
+			// while puts are in flight.
+			Faults:   "crash at 400ms..410ms",
+			Replicas: 1,
 		}
-	}
-
-	// One node dies mid-run, past the second committed line, while puts
-	// are in flight.
-	sched, err := chaos.ParseSchedule("crash at 400ms..410ms")
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	fmt.Println("one-sided-Put ring, 3 ranks, 12 iterations, line every 3, NIC writing Direct")
 	fmt.Println()
 
-	naive, err := autonomic.ValidateReplay(config(autonomic.RDMANaive), sched)
+	naive, err := autonomic.ValidateReplay(config(autonomic.RDMANaive))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -796,7 +777,7 @@ func Example_rdma_drain() {
 	}
 	fmt.Println()
 
-	out, err := autonomic.ValidateReplay(config(autonomic.RDMADrain), sched)
+	out, err := autonomic.ValidateReplay(config(autonomic.RDMADrain))
 	if err != nil {
 		log.Fatal(err)
 	}

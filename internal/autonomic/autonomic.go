@@ -68,10 +68,11 @@ func (f StencilFactory) Attach(eng *des.Engine, world *mpi.World, iter int) (Com
 	return kernels.AttachDistStencil(eng, world, f.Nx, f.RowsPerRank, f.ComputeTime, iter)
 }
 
-// Config is a supervised run: what it computes, how it checkpoints and
-// what fails. It carries no engine and no chaos driver — Run builds its
-// own engine and, for a non-empty Faults, the driver of its compiled
-// plan; ValidateReplayStore builds the injected run's.
+// Config is a supervised run: what it computes, how it checkpoints,
+// what its stable storage is and what fails. It carries no engine, no
+// chaos driver and no storage stack — Run builds its own engine, for a
+// non-empty Faults the chaos driver of its compiled plan, and the stack
+// Store and Replicas describe.
 type Config struct {
 	// Workload picks the computation; nil selects a StencilFactory
 	// built from the grid fields below.
@@ -93,23 +94,31 @@ type Config struct {
 	// chaos.ParseSchedule), compiled with Seed: "crash every exp 4s" is a
 	// machine failing every ~4 s (the system MTBF), "net loss 0.1 dup
 	// 0.02 jitter 300us seed 23" a flaky interconnect, and every other
-	// line one planned fault. Storage lines strike the store the run
-	// writes through, from above. Empty means nothing fails.
+	// line one planned fault. Storage lines strike the bottom of the
+	// storage stack, below any hardening (see Replicas). Empty means
+	// nothing fails.
 	Faults string
 	// RestartOverhead is the fixed downtime per failure (detection,
 	// reboot, re-spawn) on top of the chain-read time.
 	RestartOverhead des.Time
 	// Sink models stable storage (zero → SCSI).
 	Sink storage.Model
-	// Store overrides the stable-storage backend (nil → a fresh
-	// in-memory store). Its wrappers only harden — per-replica
-	// storage.IntegrityStore + storage.ResilientStore under a
-	// storage.MirrorStore. What fails is text: Faults' storage lines
-	// (a storage-decay line tears writes, rots at rest, drops requests
-	// or dies) strike this store from above, as store 0; to put decay
-	// under a hardening stack, or on several replicas, wrap each replica
-	// with the driver inside ValidateReplayStore's build instead.
+	// Store is the stable-storage backend, where the bytes land (nil →
+	// a fresh in-memory store): a storage.FileStore, or a store a test
+	// logs through. It holds no hardening; that is Replicas.
 	Store storage.Store
+	// Replicas is the hardening. Zero writes to the backend alone. n >= 1
+	// builds n replicas, replica i being a backend → the chaos driver's
+	// store i → storage.IntegrityStore → storage.ResilientStore
+	// (storage.DefaultRetryPolicy), mirrored by a storage.MirrorStore
+	// when n >= 2. One replica's backend is Store; two or more get a
+	// fresh in-memory backend each, so Store must then be nil
+	// (ErrStoreWithReplicas). Faults' storage lines strike below the
+	// envelope: the timed lines strike store 0, a storage-decay line the
+	// store it names, and a line naming store max(1, n) or beyond is
+	// refused (ErrUnreachableStore). Report.Decay, Retry and Mirror count
+	// what the stack did.
+	Replicas int
 	// Seed drives failure times deterministically.
 	Seed uint64
 
@@ -213,15 +222,34 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: negative restart overhead %v", c.RestartOverhead)
 	case c.HeartbeatPeriod < 0:
 		return fmt.Errorf("autonomic: negative heartbeat period %v (zero disables the detector)", c.HeartbeatPeriod)
+	case c.Replicas < 0:
+		return fmt.Errorf("autonomic: %d replicas", c.Replicas)
+	case c.Store != nil && c.Replicas >= 2:
+		return fmt.Errorf("%w (%d replicas)", ErrStoreWithReplicas, c.Replicas)
 	}
 	return nil
 }
 
+// ErrStoreWithReplicas refuses a config that sets a backend Store
+// together with two or more Replicas: each replica needs a backend of
+// its own.
+var ErrStoreWithReplicas = errors.New("autonomic: a backend Store serves one replica, not a mirror")
+
+// ErrUnreachableStore refuses a plan whose storage-decay line names a
+// store the config's storage stack does not build: store i needs
+// max(1, Replicas) > i.
+var ErrUnreachableStore = errors.New("autonomic: a storage-decay line strikes a store the stack does not build")
+
 // plan compiles c's Faults and extra (nil for none) as one schedule with
-// c's Seed, and refuses a plan holding faults c has no instant to land:
-// a domain crash needs MultiLevel's failure domains, a parity flip its
-// parity, and a crash-during-drain needs the drain protocol.
+// c's Seed — nil when both are empty: nothing fails — and refuses a plan
+// holding faults c has no place to land: a storage-decay line on store i
+// needs a stack of more than i stores, a domain crash MultiLevel's
+// failure domains, a parity flip its parity, and a crash-during-drain
+// the drain protocol.
 func (c Config) plan(extra *chaos.Schedule) (*chaos.Plan, error) {
+	if c.Faults == "" && extra == nil {
+		return nil, nil
+	}
 	sched := extra
 	if c.Faults != "" {
 		own, err := chaos.ParseSchedule(c.Faults)
@@ -234,9 +262,15 @@ func (c Config) plan(extra *chaos.Schedule) (*chaos.Plan, error) {
 		sched = own
 	}
 	p, err := sched.Compile(c.Seed)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
+	}
+	for _, dc := range p.Decays {
+		if n := max(1, c.Replicas); dc.Store >= n {
+			return nil, fmt.Errorf("%w: store %d of %d", ErrUnreachableStore, dc.Store, n)
+		}
+	}
+	switch {
 	case len(p.DomainCrashes) > 0 && c.MultiLevel == nil:
 		return nil, fmt.Errorf("autonomic: chaos plan holds domain-crash faults, but without MultiLevel the run has no failure domains")
 	case len(p.ParityFlips) > 0 && c.MultiLevel == nil:
@@ -393,6 +427,15 @@ type Report struct {
 	ParityRebuilds      uint64
 	CorruptParityShards uint64
 	ParityRepairs       uint64
+	// Decay holds, per store a storage-decay line can strike (store i:
+	// replica i, or the backend when Replicas is zero), the operations
+	// it saw below the envelope and what its decay line did to them; nil
+	// when the plan strikes no storage. Retry holds each replica's retry
+	// counters (nil without hardening), and Mirror the mirror's
+	// failovers, repairs and degraded writes over two or more replicas.
+	Decay  []chaos.StoreStats
+	Retry  []storage.RetryStats
+	Mirror storage.MirrorStats
 }
 
 // team is one incarnation of the computation (between failures).
@@ -413,6 +456,9 @@ type Supervisor struct {
 	eng   *des.Engine
 	chaos *chaos.Driver // nil when nothing fails
 	store storage.Store
+	// replicas are the hardened replicas (Config.Replicas), each a
+	// *storage.ResilientStore, kept for their counters.
+	replicas []storage.Store
 
 	cur          *team
 	lastLineIter int                   // iteration of the line a recovery would target
@@ -446,79 +492,69 @@ type lineRecord struct {
 }
 
 // Run executes the configured computation under supervision on a fresh
-// engine, driving cfg.Faults compiled with cfg.Seed, and returns the
-// report. The final checksum is filled in on success.
+// engine, with the storage stack Store and Replicas describe and
+// cfg.Faults compiled with cfg.Seed, and returns the report. The final
+// checksum is filled in on success.
 func Run(cfg Config) (*Report, error) {
-	eng := des.NewEngine()
-	if cfg.Faults == "" {
-		return run(cfg, eng, nil)
-	}
 	plan, err := cfg.plan(nil)
 	if err != nil {
 		return nil, err
 	}
-	driver := chaos.NewDriver(eng, plan)
-	if plan.HitsStorage() {
-		if cfg.Store == nil {
-			cfg.Store = storage.NewMemStore()
-		}
-		cfg.Store = driver.WrapStore(cfg.Store)
-	}
-	return run(cfg, eng, driver)
+	rep, _, err := run(cfg, plan, nil)
+	return rep, err
 }
 
-// run is Run on eng (fresh, clock at zero), with driver (nil for none)
-// driving a compiled plan bound to eng: the Poisson failure clock, node
-// crashes at planned instants, crashes aimed inside commit windows and
-// drain phases, parity flips, and the plan's interconnect faults.
-// Storage-layer chaos rides the stores the caller wrapped with
-// Driver.WrapStore; a plan whose storage lines strike a store nothing
-// wrapped is refused before anything runs, where its faults would
-// silently vanish (Run wraps only Config.Store, as store 0).
-func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
-	if driver != nil && !driver.Wraps() {
-		return nil, fmt.Errorf("autonomic: the plan's storage lines strike a store never wrapped with Driver.WrapStore (store i is the i-th wrapped)")
-	}
+// run is Run under a compiled plan (nil when nothing fails), driven by a
+// chaos driver bound to the run's fresh engine: the Poisson failure
+// clock, node crashes at planned instants, crashes aimed inside commit
+// windows and drain phases, parity flips, the plan's interconnect
+// faults, and storage faults on the stores the driver wraps. It returns
+// the driver too (nil for none). The run writes through the stack
+// cfg.Store and cfg.Replicas describe or, for a non-nil build
+// (ValidateReplayStore's), through the store build returns; a plan
+// whose storage lines strike a store build never wrapped is refused
+// before anything runs, where its faults would silently vanish.
+func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) storage.Store) (*Report, *chaos.Driver, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.MultiLevel != nil {
 		opts, err := cfg.MultiLevel.withDefaults(cfg.Ranks)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cfg.MultiLevel = &opts
 	}
-	store := cfg.Store
-	if store == nil {
-		store = storage.NewMemStore()
+	s := &Supervisor{cfg: cfg, eng: des.NewEngine(), lines: make(map[uint64]lineRecord)}
+	if plan != nil {
+		s.chaos = chaos.NewDriver(s.eng, plan)
 	}
-	s := &Supervisor{
-		cfg:   cfg,
-		eng:   eng,
-		chaos: driver,
-		store: store,
-		lines: make(map[uint64]lineRecord),
+	if build == nil {
+		if err := s.buildStorage(); err != nil {
+			return nil, nil, err
+		}
+	} else if s.store = build(s.eng, s.chaos); !s.chaos.Wraps() {
+		return nil, nil, fmt.Errorf("autonomic: the plan's storage lines strike a store never wrapped with Driver.WrapStore (store i is the i-th wrapped)")
 	}
 	if cfg.MultiLevel != nil {
-		if err := s.buildHierarchy(store); err != nil {
-			return nil, err
+		if err := s.buildHierarchy(s.store); err != nil {
+			return nil, nil, err
 		}
 	}
 	t, err := s.buildTeam(nil, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.cur = t
 	s.startTeam()
 	s.scheduleFailure()
-	if driver != nil {
-		driver.StartCrashes(s.onFailure)
+	if s.chaos != nil {
+		s.chaos.StartCrashes(s.onFailure)
 	}
 	s.eng.Run(des.MaxTime)
 	if s.failed != nil {
-		return nil, s.failed
+		return nil, nil, s.failed
 	}
 	// A copy, not &s.report: a held report must not keep the run's
 	// engine, teams, address spaces and stores reachable.
@@ -528,7 +564,53 @@ func run(cfg Config, eng *des.Engine, driver *chaos.Driver) (*Report, error) {
 	if rep.Elapsed > 0 {
 		rep.Efficiency = rep.Ideal.Seconds() / rep.Elapsed.Seconds()
 	}
-	return &rep, nil
+	if s.hitsStorage() {
+		for i := range max(1, len(s.replicas)) {
+			rep.Decay = append(rep.Decay, s.chaos.StoreStats(i))
+		}
+	}
+	for _, r := range s.replicas {
+		rep.Retry = append(rep.Retry, r.(*storage.ResilientStore).Stats())
+	}
+	if m, ok := s.store.(*storage.MirrorStore); ok {
+		rep.Mirror = m.Stats()
+	}
+	return &rep, s.chaos, nil
+}
+
+// hitsStorage reports whether the run's plan strikes storage, and so
+// whether the driver wraps the storage stack's stores.
+func (s *Supervisor) hitsStorage() bool {
+	return s.chaos != nil && s.chaos.Plan().HitsStorage()
+}
+
+// buildStorage builds the stack cfg.Store and cfg.Replicas describe (see
+// Config.Replicas), keeping the hardening's counters for the report.
+func (s *Supervisor) buildStorage() error {
+	backend := func() storage.Store {
+		b := s.cfg.Store
+		if b == nil {
+			b = storage.NewMemStore()
+		}
+		if s.hitsStorage() {
+			b = s.chaos.WrapStore(b)
+		}
+		return b
+	}
+	if s.cfg.Replicas == 0 {
+		s.store = backend()
+		return nil
+	}
+	s.replicas = make([]storage.Store, s.cfg.Replicas)
+	for i := range s.replicas {
+		s.replicas[i] = storage.NewResilientStore(storage.NewIntegrityStore(backend()), storage.DefaultRetryPolicy())
+	}
+	if s.store = s.replicas[0]; len(s.replicas) == 1 {
+		return nil
+	}
+	m, err := storage.NewMirrorStore(s.replicas...)
+	s.store = m
+	return err
 }
 
 // buildTeam constructs a new world/solver/checkpointer incarnation.
@@ -734,11 +816,10 @@ func (s *Supervisor) lineRefused(t *team, err error, cont func()) {
 // stop-and-copy pause otherwise (before the line's parity lands). A plan
 // may aim a node crash or a whole failure domain strictly inside it.
 func (s *Supervisor) aimCommitCrashes(end des.Time) {
-	c := s.chaos
+	c, now := s.chaos, s.eng.Now()
 	if c == nil {
 		return
 	}
-	now := s.eng.Now()
 	if delay, hit := c.CommitCrashDelay(now, end); hit {
 		s.eng.After(delay, s.onFailure)
 	}

@@ -3,7 +3,6 @@ package autonomic
 import (
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/des"
 	"repro/internal/storage"
 )
@@ -54,14 +53,11 @@ func TestChaosReplayEquivalence(t *testing.T) {
 	for _, sc := range chaosSchedules {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			sched, err := chaos.ParseSchedule(sc.text)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
 			for _, seed := range chaosSeeds {
 				cfg := chaosBaseConfig(seed)
 				cfg.TwoPhaseCommit = sc.twoPhase
-				out, err := ValidateReplay(cfg, sched)
+				cfg.Faults, cfg.Replicas = sc.text, 1
+				out, err := ValidateReplay(cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -109,15 +105,12 @@ func TestChaosReplayEquivalence(t *testing.T) {
 // back to the previous committed line — yet the replay still converges
 // to the bit-exact reference.
 func TestChaosCommitCrash(t *testing.T) {
-	sched, err := chaos.ParseSchedule("commit-crash at 1s..30s count 2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	hit := false
 	for _, seed := range chaosSeeds {
 		cfg := chaosBaseConfig(seed)
 		cfg.TwoPhaseCommit = true
-		out, err := ValidateReplay(cfg, sched)
+		cfg.Faults, cfg.Replicas = "commit-crash at 1s..30s count 2", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -152,13 +145,10 @@ func TestChaosCommitCrash(t *testing.T) {
 // pass rejects the damaged line and falls back — a degraded recovery —
 // while the final state stays bit-exact.
 func TestChaosBitFlipDegradesRecovery(t *testing.T) {
-	sched, err := chaos.ParseSchedule(
-		"bitflip at 2s..9s count 6\ncrash at 9s..10s count 1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range chaosSeeds {
-		out, err := ValidateReplay(chaosBaseConfig(seed), sched)
+		cfg := chaosBaseConfig(seed)
+		cfg.Faults, cfg.Replicas = "bitflip at 2s..9s count 6\ncrash at 9s..10s count 1", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -178,12 +168,10 @@ func TestChaosBitFlipDegradesRecovery(t *testing.T) {
 // schedule must produce byte-for-byte identical reports — same failure
 // instants, same recovery landings, same digests.
 func TestChaosDeterminism(t *testing.T) {
-	sched, err := chaos.ParseSchedule(chaosSchedules[2].text)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func() *ReplayOutcome {
-		out, err := ValidateReplay(chaosBaseConfig(7), sched)
+		cfg := chaosBaseConfig(7)
+		cfg.Faults, cfg.Replicas = chaosSchedules[2].text, 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,19 +194,16 @@ func TestChaosDeterminism(t *testing.T) {
 // TestReplayPoissonCrashesUnderNetAndStorageChaos crosses the
 // supervisor's Poisson failure clock — a chaos line of the config's own
 // Faults — with a network partition, a storage brownout and heartbeat
-// detection from the validator's schedule. The clock keeps firing during
+// detection, the lines after it. The clock keeps firing during
 // the partition, the brownout and recovery alike, and every run must
 // still replay bit-exact.
 func TestReplayPoissonCrashesUnderNetAndStorageChaos(t *testing.T) {
-	sched, err := chaos.ParseSchedule("partition at 2s..4s drop 0.9\nstorage-brownout at 5s..7s rate 0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range chaosSeeds {
 		cfg := chaosBaseConfig(seed)
-		cfg.Faults = "crash every exp 3s"
+		cfg.Faults = "crash every exp 3s\npartition at 2s..4s drop 0.9\nstorage-brownout at 5s..7s rate 0.4"
+		cfg.Replicas = 1
 		cfg.HeartbeatPeriod = 50 * des.Millisecond
-		out, err := ValidateReplay(cfg, sched)
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package autonomic
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,24 +9,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/storage"
 )
-
-// mirroredStack is a build function for ValidateReplayStore: two
-// mirrored replicas, each retry-wrapped and integrity-enveloped over
-// the driver's store i, so a storage-decay line on store 0 or 1 strikes
-// one replica below its envelope. It keeps the driver in *drv.
-func mirroredStack(t *testing.T, drv **chaos.Driver) func(*des.Engine, *chaos.Driver) storage.Store {
-	return func(_ *des.Engine, d *chaos.Driver) storage.Store {
-		*drv = d
-		replica := func() storage.Store {
-			return storage.NewResilientStore(storage.NewIntegrityStore(d.WrapStore(storage.NewMemStore())), storage.DefaultRetryPolicy())
-		}
-		m, err := storage.NewMirrorStore(replica(), replica())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-}
 
 // TestHardenedStorageRecovery is the hardened tier's acceptance test:
 // node failures land on a storage tier that simultaneously corrupts
@@ -40,33 +23,31 @@ func mirroredStack(t *testing.T, drv **chaos.Driver) func(*des.Engine, *chaos.Dr
 func TestHardenedStorageRecovery(t *testing.T) {
 	want := referenceChecksum(t, baseConfig())
 
-	run := func() (*Report, *chaos.Driver) {
+	run := func() *Report {
 		cfg := baseConfig()
+		cfg.Replicas = 2
 		cfg.Faults = `crash every exp 3s
 storage-decay die-after 30 seed 11 store 0
 storage-decay transient 0.10 torn 0.10 corrupt 0.10 seed 12 store 1`
 		cfg.RestartOverhead = 500 * des.Millisecond
-		// Fresh stack per run: the wrappers are mutable (fault streams,
-		// op counts), so determinism is per-store-lifetime.
-		var drv *chaos.Driver
-		out, err := ValidateReplayStore(cfg, nil, mirroredStack(t, &drv))
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("supervised run failed: %v", err)
 		}
-		return out.Injected, drv
+		return out.Injected
 	}
 
-	rep, drv := run()
+	rep := run()
 	if !rep.Completed {
 		t.Fatalf("run did not complete: %+v", rep)
 	}
 	if rep.Failures == 0 {
 		t.Fatal("no node failures injected — test proves nothing")
 	}
-	if drv.StoreStats(0).Unavailable == 0 {
+	if rep.Decay[0].Unavailable == 0 {
 		t.Fatal("replica A never hit its permanent outage")
 	}
-	if st := drv.StoreStats(1); st.TornWrites == 0 || st.Corruptions == 0 || st.Transients == 0 {
+	if st := rep.Decay[1]; st.TornWrites == 0 || st.Corruptions == 0 || st.Transients == 0 {
 		t.Fatalf("replica B injected too little: %+v", st)
 	}
 	// The headline: the storage tier lied, tore, rotted and died, and
@@ -85,9 +66,9 @@ storage-decay transient 0.10 torn 0.10 corrupt 0.10 seed 12 store 1`
 			rep.DegradedRecoveries, rep.Recoveries)
 	}
 
-	// Deterministic: an identical fresh stack replays the identical run,
-	// fault for fault.
-	rep2, _ := run()
+	// Deterministic: every run builds a fresh stack, so the same config
+	// replays the identical run, fault for fault.
+	rep2 := run()
 	if fmt.Sprintf("%+v", rep) != fmt.Sprintf("%+v", rep2) {
 		t.Fatalf("non-deterministic under faults:\n  %+v\nvs\n  %+v", rep, rep2)
 	}
@@ -102,12 +83,12 @@ func TestReplayStorageDecayUnderCrashesAndPartition(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Seed = seed
 		cfg.RestartOverhead = 500 * des.Millisecond
+		cfg.Replicas = 2
 		cfg.Faults = fmt.Sprintf(`crash every exp 3s
 partition at 2s..4s
 storage-decay transient 0.08 torn 0.05 corrupt 0.05 seed %d store 0
 storage-decay transient 0.08 torn 0.05 corrupt 0.05 seed %d store 1`, seed*97, seed*97+1)
-		var drv *chaos.Driver
-		out, err := ValidateReplayStore(cfg, nil, mirroredStack(t, &drv))
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -118,23 +99,23 @@ storage-decay transient 0.08 torn 0.05 corrupt 0.05 seed %d store 1`, seed*97, s
 			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v)", seed, out.DigestsMatch, out.ChecksumMatch)
 		}
 		for i := 0; i < 2; i++ {
-			if st := drv.StoreStats(i); st.Transients+st.TornWrites+st.Corruptions == 0 {
+			if st := out.Injected.Decay[i]; st.Transients+st.TornWrites+st.Corruptions == 0 {
 				t.Fatalf("seed %d: replica %d never decayed: %+v", seed, i, st)
 			}
 		}
 	}
 }
 
-// TestCheckpointFailuresSurvived: with no mirror and a single flaky
+// TestCheckpointFailuresSurvived: with no hardening and a single flaky
 // sink, some coordinated checkpoints fail outright. The supervisor must
 // absorb them — count the failure, re-base the chains — and still
 // finish with the right answer.
 func TestCheckpointFailuresSurvived(t *testing.T) {
 	want := referenceChecksum(t, baseConfig())
 
+	// No retry layer (zero Replicas): every injected transient reaches
+	// the coordinator.
 	cfg := baseConfig()
-	// No retry layer: every injected transient reaches the coordinator.
-	cfg.Store = storage.NewIntegrityStore(storage.NewMemStore())
 	cfg.Faults = "storage-decay transient 0.15 seed 7"
 	rep, err := Run(cfg)
 	if err != nil {
@@ -149,5 +130,60 @@ func TestCheckpointFailuresSurvived(t *testing.T) {
 	if rep.Checksum != want {
 		t.Fatalf("checksum %v != reference %v after %d checkpoint failures",
 			rep.Checksum, want, rep.CheckpointFailures)
+	}
+}
+
+// TestReplayCorruptDecayBelowTheMirror: a storage-decay corrupt line in
+// Faults strikes replica 0 below its integrity envelope, so read-back
+// rejects every rotten segment and the mirror serves replica 1's copy.
+// Every seed completes bit-exact, and the line's counters show it
+// rotted segments. (Above a caller's mirror, where Run once placed it,
+// the envelope sealed the damage and seeds 5 and 13 diverged.)
+func TestReplayCorruptDecayBelowTheMirror(t *testing.T) {
+	for _, seed := range []uint64{3, 5, 9, 11, 13} {
+		cfg := baseConfig()
+		cfg.Seed = seed
+		cfg.RestartOverhead = 500 * des.Millisecond
+		cfg.Replicas = 2
+		cfg.Faults = fmt.Sprintf("crash every exp 3s\nstorage-decay corrupt 0.2 seed %d store 0", seed)
+		out, err := ValidateReplay(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rep := out.Injected
+		if !rep.Completed || rep.Failures == 0 {
+			t.Fatalf("seed %d: completed %v after %d failures — test proves nothing", seed, rep.Completed, rep.Failures)
+		}
+		if !out.BitExact() {
+			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v)", seed, out.DigestsMatch, out.ChecksumMatch)
+		}
+		if d := rep.Decay; d[0].Corruptions == 0 || d[1] != (chaos.StoreStats{Ops: d[1].Ops}) {
+			t.Fatalf("seed %d: decay counters %+v, want corruptions on store 0 only", seed, d)
+		}
+	}
+}
+
+// TestHardenedStoreIsOneReplicasBackend: Store is where one replica's bytes
+// land — integrity-enveloped — and a backend cannot be shared by a
+// mirror: Store with two replicas is refused before anything runs.
+func TestHardenedStoreIsOneReplicasBackend(t *testing.T) {
+	cfg := baseConfig()
+	backend := storage.NewMemStore()
+	cfg.Store, cfg.Replicas = backend, 1
+	rep, err := Run(cfg)
+	if err != nil || !rep.Completed {
+		t.Fatalf("one replica over Store: %v", err)
+	}
+	keys, err := backend.Keys()
+	if err != nil || len(keys) == 0 {
+		t.Fatalf("the backend holds %d keys (%v), want the run's segments", len(keys), err)
+	}
+	sealed, _ := backend.Get(keys[0])
+	if _, err := storage.Open(sealed); err != nil {
+		t.Fatalf("%s is not enveloped: %v", keys[0], err)
+	}
+	cfg.Replicas = 2
+	if _, err := Run(cfg); !errors.Is(err, ErrStoreWithReplicas) {
+		t.Fatalf("Store with two replicas: %v, want ErrStoreWithReplicas", err)
 	}
 }

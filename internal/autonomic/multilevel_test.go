@@ -3,7 +3,6 @@ package autonomic
 import (
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/redundancy"
@@ -98,16 +97,13 @@ func TestMultiLevelHealthyRunMatchesLegacy(t *testing.T) {
 // m=2 matters — two crashes can wipe two ranks of the same parity group
 // before read-repair heals the first, which XOR's m=1 cannot absorb.
 func TestMultiLevelCrashRecoversFromParityZeroL3(t *testing.T) {
-	sched, err := chaos.ParseSchedule("crash at 1500ms..6s count 2 jitter 400ms")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range []uint64{3, 5, 9} {
 		cfg := mlBaseConfig(seed, MultiLevelOptions{
 			Scheme:  redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2},
 			Domains: mlDomains(t, 4, 1),
 		})
-		out, err := ValidateReplay(cfg, sched)
+		cfg.Faults, cfg.Replicas = "crash at 1500ms..6s count 2 jitter 400ms", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -136,17 +132,14 @@ func TestMultiLevelCrashRecoversFromParityZeroL3(t *testing.T) {
 // because placement put at most one shard of each parity group in the
 // crashed domain. One fault, one failure event, two dead ranks.
 func TestMultiLevelDomainCrashReplaysBitExact(t *testing.T) {
-	sched, err := chaos.ParseSchedule("domain-crash at 2500ms..30s domain d1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range []uint64{3, 5, 9} {
 		cfg := mlBaseConfig(seed, MultiLevelOptions{
 			Scheme:  redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2},
 			Domains: mlDomains(t, 8, 2),
 		})
 		cfg.Ranks = 8
-		out, err := ValidateReplay(cfg, sched)
+		cfg.Faults, cfg.Replicas = "domain-crash at 2500ms..30s domain d1", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -176,17 +169,14 @@ func TestMultiLevelDomainCrashReplaysBitExact(t *testing.T) {
 // victim's tickers go silent at once, a survivor declares the death,
 // and the measured detection latency lands in the report.
 func TestMultiLevelDomainCrashDetected(t *testing.T) {
-	sched, err := chaos.ParseSchedule("domain-crash at 1s..30s domain d0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := mlBaseConfig(3, MultiLevelOptions{
 		Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
 		Domains: mlDomains(t, 8, 2),
 	})
 	cfg.Ranks = 8
 	cfg.HeartbeatPeriod = 50 * des.Millisecond
-	out, err := ValidateReplay(cfg, sched)
+	cfg.Faults, cfg.Replicas = "domain-crash at 1s..30s domain d0", 1
+	out, err := ValidateReplay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +198,6 @@ func TestMultiLevelDomainCrashDetected(t *testing.T) {
 // group-0 member under round-robin placement — to guarantee recovery
 // actually consults the rotten shard.
 func TestMultiLevelCorruptParityDegradesToL3(t *testing.T) {
-	sched, err := chaos.ParseSchedule("domain-crash at 2500ms..30s domain d0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range []uint64{3, 5, 9} {
 		cfg := mlBaseConfig(seed, MultiLevelOptions{
 			Scheme:      redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
@@ -219,8 +205,9 @@ func TestMultiLevelCorruptParityDegradesToL3(t *testing.T) {
 			GlobalEvery: 1,
 		})
 		// The parity of the first eight lines placed rots at rest.
-		cfg.Faults = "parity-flip at 0s..1h count 8"
-		out, err := ValidateReplay(cfg, sched)
+		cfg.Faults = "parity-flip at 0s..1h count 8\ndomain-crash at 2500ms..30s domain d0"
+		cfg.Replicas = 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -242,15 +229,12 @@ func TestMultiLevelCorruptParityDegradesToL3(t *testing.T) {
 // surviving L1 chains and the global store. The scheme=None baseline of
 // the A21 ablation.
 func TestMultiLevelSchemeNoneFallsBackToL3(t *testing.T) {
-	sched, err := chaos.ParseSchedule("crash at 2s..8s count 1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := mlBaseConfig(5, MultiLevelOptions{
 		Scheme:      redundancy.Scheme{Kind: redundancy.None},
 		GlobalEvery: 1,
 	})
-	out, err := ValidateReplay(cfg, sched)
+	cfg.Faults, cfg.Replicas = "crash at 2s..8s count 1", 1
+	out, err := ValidateReplay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,17 +249,14 @@ func TestMultiLevelSchemeNoneFallsBackToL3(t *testing.T) {
 }
 
 func TestMultiLevelDeterminism(t *testing.T) {
-	sched, err := chaos.ParseSchedule("domain-crash at 1s..30s domain d1\ncrash at 4s..9s count 1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func() *Report {
 		cfg := mlBaseConfig(9, MultiLevelOptions{
 			Scheme:  redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2},
 			Domains: mlDomains(t, 8, 2),
 		})
 		cfg.Ranks = 8
-		out, err := ValidateReplay(cfg, sched)
+		cfg.Faults, cfg.Replicas = "domain-crash at 1s..30s domain d1\ncrash at 4s..9s count 1", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,15 +303,12 @@ func TestMultiLevelConfigErrors(t *testing.T) {
 // An unknown domain name in the chaos plan is a hard configuration
 // error, not a silent no-op.
 func TestMultiLevelUnknownDomainFails(t *testing.T) {
-	sched, err := chaos.ParseSchedule("domain-crash at 1s..30s domain rack9")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := mlBaseConfig(3, MultiLevelOptions{
 		Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
 		Domains: mlDomains(t, 4, 1),
 	})
-	if _, err := ValidateReplay(cfg, sched); err == nil {
+	cfg.Faults, cfg.Replicas = "domain-crash at 1s..30s domain rack9", 1
+	if _, err := ValidateReplay(cfg); err == nil {
 		t.Fatal("unknown domain accepted")
 	}
 }

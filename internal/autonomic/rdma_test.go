@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/mpi"
@@ -84,17 +83,11 @@ func TestDrainCrashEveryPhaseReplaysBitExact(t *testing.T) {
 	for p := 0; p < mpi.NumDrainPhases; p++ {
 		phase := mpi.DrainPhase(p)
 		t.Run(phase.String(), func(t *testing.T) {
-			sched, err := chaos.ParseSchedule(
-				fmt.Sprintf("crash-during-drain at 0s..60s phase %s", phase))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var injStore storage.Store
-			out, err := ValidateReplayStore(rdmaConfig(RDMADrain), sched,
-				func(_ *des.Engine, _ *chaos.Driver) storage.Store {
-					injStore = storage.NewMemStore()
-					return injStore
-				})
+			injStore := storage.NewMemStore()
+			cfg := rdmaConfig(RDMADrain)
+			cfg.Faults = fmt.Sprintf("crash-during-drain at 0s..60s phase %s", phase)
+			cfg.Store = injStore
+			out, err := ValidateReplay(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,12 +165,9 @@ func TestNaiveDirectCrashRestoreDiverges(t *testing.T) {
 	// Mid-run, past the second committed line (iteration 6 at ~300ms
 	// virtual), so the restore replays from a chain that misses silent
 	// window pages.
-	sched, err := chaos.ParseSchedule("crash at 400ms..410ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ValidateReplayStore(rdmaConfig(RDMANaive), sched,
-		func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
+	naive, drain := rdmaConfig(RDMANaive), rdmaConfig(RDMADrain)
+	naive.Faults, drain.Faults = "crash at 400ms..410ms", "crash at 400ms..410ms"
+	out, err := ValidateReplay(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +178,7 @@ func TestNaiveDirectCrashRestoreDiverges(t *testing.T) {
 		t.Fatal("naive Direct crash-restore replayed bit-exactly — the under-count has no teeth")
 	}
 
-	drainOut, err := ValidateReplayStore(rdmaConfig(RDMADrain), sched,
-		func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
+	drainOut, err := ValidateReplay(drain)
 	if err != nil {
 		t.Fatal(err)
 	}

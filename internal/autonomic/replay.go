@@ -11,6 +11,7 @@ package autonomic
 // per-rank address space digests and the gathered solution checksum.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -30,7 +31,8 @@ type ReplayOutcome struct {
 	Injected *Report
 	// Stats counts what the chaos driver actually injected.
 	Stats chaos.Stats
-	// Plan is the compiled fault plan the injected run executed.
+	// Plan is the compiled fault plan the injected run executed (nil
+	// when nothing fails).
 	Plan *chaos.Plan
 	// DigestsMatch reports that every rank's final address-space digest
 	// is bit-identical between the two runs.
@@ -44,16 +46,16 @@ type ReplayOutcome struct {
 func (o *ReplayOutcome) BitExact() bool { return o.DigestsMatch && o.ChecksumMatch }
 
 // Reference runs the answer cfg's computation must replay to: Run of
-// cfg without its failure sources (Faults, Store) and without
-// the four layers that only protect committed lines (TwoPhaseCommit,
-// MultiLevel, HeartbeatPeriod, Spec). A protection layer that writes
-// into application memory therefore perturbs only the run it protects,
-// never the reference. The workload, grid, Ranks, Iterations and
-// ComputeTime stay, and so does the checkpoint schedule — CkptEvery,
-// Sink and RDMA — because a line lands a one-sided ring's in-flight puts
-// before its next sweep (the drain protocol does, and so does the commit
-// pause), so where lines are cut is part of the answer (see
-// kernels.DistPut).
+// cfg without its failure sources (Faults), its storage stack (Store,
+// Replicas) and the four layers that only protect committed lines
+// (TwoPhaseCommit, MultiLevel, HeartbeatPeriod, Spec). A protection
+// layer that writes into application memory therefore perturbs only
+// the run it protects, never the reference. The workload, grid, Ranks,
+// Iterations and ComputeTime stay, and so does the checkpoint schedule
+// — CkptEvery, Sink and RDMA — because a line lands a one-sided ring's
+// in-flight puts before its next sweep (the drain protocol does, and so
+// does the commit pause), so where lines are cut is part of the answer
+// (see kernels.DistPut).
 //
 // With no failure source and no detector nothing fails, so the run
 // never restores and nothing reads its lines back: they go to a store
@@ -91,7 +93,7 @@ func Reference(cfg Config) (*Report, error) {
 // layers, writing to a store that keeps nothing, with its defaults
 // filled in: the run Reference makes.
 func referenceConfig(cfg Config) Config {
-	cfg.Faults, cfg.Store = "", discardStore{}
+	cfg.Faults, cfg.Store, cfg.Replicas = "", discardStore{}, 0
 	cfg.TwoPhaseCommit, cfg.MultiLevel, cfg.HeartbeatPeriod, cfg.Spec = false, nil, 0, nil
 	return cfg.withDefaults()
 }
@@ -127,6 +129,9 @@ func (r *Report) clone() Report {
 	c.DetectionLatencies = slices.Clone(r.DetectionLatencies)
 	c.FailureLog = slices.Clone(r.FailureLog)
 	c.SpaceDigests = slices.Clone(r.SpaceDigests)
+	c.Decay = slices.Clone(r.Decay)
+	c.Retry = slices.Clone(r.Retry)
+	c.Mirror.ReplicaErrors = slices.Clone(r.Mirror.ReplicaErrors)
 	return c
 }
 
@@ -162,44 +167,40 @@ func Compare(ref, run *Report) *ReplayOutcome {
 	}
 }
 
-// ValidateReplay runs cfg's Reference and cfg under cfg.Faults and the
-// given chaos schedule (compiled as one, with cfg.Seed), then Compares
-// the final states bit for bit. The injected run's timed storage faults
-// and bit flips are interposed *below* an integrity envelope and a retry
-// layer — flips surface as read-back corruption, outages as refusals the
-// retries may or may not outlast. The plan is the run's sole failure
-// source, so every entry in the injected report's FailureLog is
-// attributable to it.
-func ValidateReplay(cfg Config, sched *chaos.Schedule) (*ReplayOutcome, error) {
-	// Hardened stack with chaos interposed at the bottom: bit flips
-	// corrupt enveloped bytes so IntegrityStore surfaces ErrCorrupt on
-	// read-back; outage/brownout refusals bubble through the retry layer.
-	return ValidateReplayStore(cfg, sched, func(_ *des.Engine, driver *chaos.Driver) storage.Store {
-		return storage.NewResilientStore(
-			storage.NewIntegrityStore(driver.WrapStore(storage.NewMemStore())),
-			storage.DefaultRetryPolicy())
-	})
+// ValidateReplay runs cfg's Reference and cfg itself — under cfg.Faults,
+// on the storage stack cfg.Store and cfg.Replicas describe — and
+// Compares the final states bit for bit. The plan is compiled once, and
+// one holding faults cfg has no place to land is refused before either
+// run starts. It is the injected run's sole failure source, so every
+// entry in the injected report's FailureLog is attributable to it. With
+// Replicas >= 1 the storage lines strike below an integrity envelope and
+// a retry layer: flips surface as read-back corruption, outages as
+// refusals the retries may or may not outlast.
+func ValidateReplay(cfg Config) (*ReplayOutcome, error) {
+	return validateReplay(cfg, nil, nil)
 }
 
-// ValidateReplayStore is ValidateReplay with a caller-supplied storage
-// stack for the injected run. The validator owns the injected run's
-// wiring: it builds a fresh engine and binds a chaos driver for the
-// compiled plan to it, and build receives both and returns the store
-// the supervisor writes through. This is how alternative sinks — a
-// networked checkpoint-store service, a mirror group — are put under
-// the same bit-exactness contract as the default hardened stack: the
-// Reference runs failure-free and never reads a line back (its store
-// keeps nothing, discardStore), so an acked-but-lost write in the
-// injected stack surfaces when a recovery restores from it, as a
-// divergence in Compare's digests. The injected run's plan is
-// cfg.Faults followed by sched (nil when cfg.Faults holds every fault),
-// compiled as one schedule; a plan
-// holding faults cfg has no instant to land is refused before either
-// run starts and before build is called, and one whose storage lines
-// strike store i is refused before the injected run computes anything
-// if build did not wrap i+1 stores with the driver (Driver.WrapStore),
-// where they would silently vanish.
+// ValidateReplayStore is ValidateReplay with a caller-built storage
+// stack for the injected run, kept for its two callers: the frozen
+// benchmark's heal workloads (benchmark/workloads.go) and the
+// engine-bound checkpoint-store service of service_test.go. Every other
+// stack is a Config value (Store, Replicas). The validator builds the
+// injected run's fresh engine and binds a chaos driver for the compiled
+// plan to it, and build receives both and returns the store the
+// supervisor writes through. The plan is cfg.Faults followed by sched
+// (nil when cfg.Faults holds every fault), compiled as one schedule and
+// refused, as ValidateReplay's is, before either run starts and before
+// build is called; one whose storage lines strike store i is refused
+// before the injected run computes anything if build did not wrap i+1
+// stores with the driver (Driver.WrapStore), where they would silently
+// vanish.
 func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
+	return validateReplay(cfg, cmp.Or(sched, &chaos.Schedule{}), build)
+}
+
+// validateReplay is ValidateReplayStore, with build nil for the stack
+// cfg describes.
+func validateReplay(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
 	plan, err := cfg.plan(sched)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: replay validation: %w", err)
@@ -208,17 +209,14 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: reference run: %w", err)
 	}
-
-	eng := des.NewEngine()
-	driver := chaos.NewDriver(eng, plan)
-	cfg.Store = build(eng, driver)
-	inj, err := run(cfg, eng, driver)
+	inj, driver, err := run(cfg, plan, build)
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)
 	}
-
 	out := Compare(ref, inj)
-	out.Stats = driver.Stats()
+	if driver != nil {
+		out.Stats = driver.Stats()
+	}
 	out.Plan = plan
 	return out, nil
 }

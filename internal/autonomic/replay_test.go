@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/des"
 	"repro/internal/kernels"
 	"repro/internal/redundancy"
@@ -151,7 +152,9 @@ func ckptSetConfigs(t *testing.T, seed uint64) []Config {
 // field, a fresh Run of its stripped config at that seed. The first
 // seed fills the memo; at the later ones the first call already hits,
 // allocating only its copy. A19's spec configs hit at every seed, on
-// the entry their whole config filled.
+// the entry their whole config filled, and so does every storage stack
+// (Replicas, Store) on its plain config's entry: the reference strips
+// the stack.
 func TestReplayReferenceMemoIsSeedIndependent(t *testing.T) {
 	check := func(name string, seed uint64, cfg Config, hit bool) {
 		t.Helper()
@@ -176,6 +179,11 @@ func TestReplayReferenceMemoIsSeedIndependent(t *testing.T) {
 	for i, seed := range []uint64{3, 5, 9} {
 		for name, cfg := range valueFactoryConfigs(t, seed) {
 			check(name, seed, cfg, i > 0)
+			mirrored, backed := cfg, cfg
+			mirrored.Replicas = 2
+			backed.Store, backed.Replicas = storage.NewMemStore(), 1
+			check(name+" mirrored", seed, mirrored, true)
+			check(name+" backed", seed, backed, true)
 		}
 		for _, cfg := range ckptSetConfigs(t, seed) {
 			name := fmt.Sprintf("A19 %s spec=%v", cfg.Workload.(SoloFactory).Kernel, cfg.Spec != nil)
@@ -248,6 +256,44 @@ func TestReplayReferenceHitsAreCopies(t *testing.T) {
 		got.SpaceDigests = append(got.SpaceDigests, 7)
 		got.FailureLog = append(got.FailureLog, FailureEvent{Iter: 1})
 		got.DrainPhaseTime[0]++
+	}
+}
+
+// TestReplayReferenceCopiesStorageCounters: clone deep-copies the
+// storage counters, so what a caller does to the copy it was given never
+// reaches a memo entry that carries them. A reference strips the storage
+// stack, so the entry here is planted.
+func TestReplayReferenceCopiesStorageCounters(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Iterations = 19 // a key no other test fills
+	key, memo := referenceKey(referenceConfig(cfg))
+	if !memo {
+		t.Fatal("baseConfig's reference is not memoised")
+	}
+	planted := func() Report {
+		return Report{
+			Completed: true,
+			Decay:     []chaos.StoreStats{{Ops: 1}},
+			Retry:     []storage.RetryStats{{Retries: 2}},
+			Mirror:    storage.MirrorStats{ReplicaErrors: []uint64{3, 4}},
+		}
+	}
+	refMemo.Lock()
+	refMemo.m[key] = planted()
+	refMemo.Unlock()
+	defer func() {
+		refMemo.Lock()
+		delete(refMemo.m, key)
+		refMemo.Unlock()
+	}()
+	for i := 0; i < 3; i++ {
+		got, err := Reference(cfg)
+		if want := planted(); err != nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("call %d: %+v (%v), want the planted entry %+v", i, got, err, want)
+		}
+		got.Decay[0].Ops++
+		got.Retry[0].Retries++
+		got.Mirror.ReplicaErrors[0]++
 	}
 }
 

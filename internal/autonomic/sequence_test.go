@@ -1,9 +1,10 @@
 package autonomic
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/mpi"
@@ -37,21 +38,15 @@ func TestMultiLevelTwoPhaseReplayBitExact(t *testing.T) {
 		{"domain-crash", "domain-crash at 2500ms..30s domain d1"},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			sched, err := chaos.ParseSchedule(sc.text)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, seed := range []uint64{3, 5, 9, 11} {
 				cfg := mlBaseConfig(seed, MultiLevelOptions{
 					Scheme:  redundancy.Scheme{Kind: redundancy.XOR, K: 2, M: 1},
 					Domains: mlDomains(t, 4, 1),
 				})
 				cfg.TwoPhaseCommit = true
-				var l3 *readLog
-				out, err := ValidateReplayStore(cfg, sched, func(_ *des.Engine, d *chaos.Driver) storage.Store {
-					l3 = &readLog{Store: d.WrapStore(storage.NewMemStore())}
-					return l3
-				})
+				l3 := &readLog{Store: storage.NewMemStore()}
+				cfg.Faults, cfg.Store = sc.text, l3
+				out, err := ValidateReplay(cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -85,12 +80,10 @@ func TestMultiLevelTwoPhaseReplayBitExact(t *testing.T) {
 // stop-and-copy pause. The line was recorded at the cut, so the failure
 // restores the very line it interrupted and loses no iteration.
 func TestReplayPlainCommitCrashLands(t *testing.T) {
-	sched, err := chaos.ParseSchedule("commit-crash at 1s..30s count 2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, seed := range chaosSeeds {
-		out, err := ValidateReplay(chaosBaseConfig(seed), sched)
+		cfg := chaosBaseConfig(seed)
+		cfg.Faults, cfg.Replicas = "commit-crash at 1s..30s count 2", 1
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -109,21 +102,21 @@ func TestReplayPlainCommitCrashLands(t *testing.T) {
 
 // A crash whose recovery finds the store inside an outage waits it out,
 // one restart overhead at a time, instead of aborting the run. These are
-// the benchmark's heal-stencil configuration and schedule without the
-// mirror that hides the outage; at these seeds the claim step's Keys()
-// used to fail with storage.ErrUnavailable and abort the run.
+// the benchmark's heal-stencil configuration and schedule on one
+// replica, without the mirror that hides the outage; at these seeds the
+// claim step's Keys() used to fail with storage.ErrUnavailable and abort
+// the run.
 func TestReplayWaitsOutStorageOutage(t *testing.T) {
-	sched, err := chaos.ParseSchedule(`
+	for _, seed := range []uint64{6, 13, 16} {
+		cfg := healStencilConfig(seed)
+		cfg.Replicas = 1
+		cfg.Faults = `
 crash at 2s..12s count 2 jitter 300ms
 commit-crash at 1s..20s count 1
 storage-outage at 7s..8s
 bitflip at 1200ms..15s count 4
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []uint64{6, 13, 16} {
-		out, err := ValidateReplay(healStencilConfig(seed), sched)
+`
+		out, err := ValidateReplay(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -146,37 +139,36 @@ func (f countingFactory) New(eng *des.Engine, world *mpi.World) (Computation, er
 	return f.Factory.New(eng, world)
 }
 
-// refusedBeforeRun asks ValidateReplayStore to check cfg under sched and
-// asserts the refusal came before anything ran: no run built its
-// computation, and the store builder — called after the reference run,
-// before the injected one — was never called.
-func refusedBeforeRun(t *testing.T, cfg Config, sched string) {
+// refusedBeforeRun asserts that ValidateReplay and Run both refuse cfg
+// before anything ran — no run built its computation — and returns the
+// validator's error.
+func refusedBeforeRun(t *testing.T, cfg Config) error {
 	t.Helper()
-	s, err := chaos.ParseSchedule(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, called := 0, false
+	built := 0
 	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
-	_, err = ValidateReplayStore(cfg, s, func(*des.Engine, *chaos.Driver) storage.Store {
-		called = true
-		return storage.NewMemStore()
-	})
+	_, err := ValidateReplay(cfg)
 	if err == nil {
-		t.Fatalf("%q accepted with MultiLevel %v, RDMA %v", sched, cfg.MultiLevel != nil, cfg.RDMA)
+		t.Fatalf("%q accepted with MultiLevel %v, RDMA %v, %d replicas", cfg.Faults, cfg.MultiLevel != nil, cfg.RDMA, cfg.Replicas)
+	}
+	if _, runErr := Run(cfg); runErr == nil {
+		t.Fatalf("Run accepted %q", cfg.Faults)
 	}
 	if built != 0 {
 		t.Fatalf("refused after %d runs built their computation, want before the first", built)
 	}
-	if called {
-		t.Fatal("refused after the store builder was called, want before either run")
-	}
+	return err
+}
+
+// withFaults is cfg failing as faults says.
+func withFaults(cfg Config, faults string) Config {
+	cfg.Faults = faults
+	return cfg
 }
 
 // A domain crash needs failure domains: without MultiLevel the plan is
 // refused before either run instead of spending the fault.
 func TestChaosRejectsDomainCrashWithoutMultiLevel(t *testing.T) {
-	refusedBeforeRun(t, chaosBaseConfig(3), "domain-crash at 1s..30s domain d0")
+	refusedBeforeRun(t, withFaults(chaosBaseConfig(3), "domain-crash at 1s..30s domain d0"))
 }
 
 // A crash-during-drain fault needs the drain protocol: without RDMA, or
@@ -184,58 +176,46 @@ func TestChaosRejectsDomainCrashWithoutMultiLevel(t *testing.T) {
 // never asking the fault.
 func TestChaosRejectsDrainCrashWithoutDrain(t *testing.T) {
 	for _, mode := range []RDMAMode{rdmaOff, RDMANaive} {
-		refusedBeforeRun(t, rdmaConfig(mode), "crash-during-drain at 0s..60s phase deregister")
+		refusedBeforeRun(t, withFaults(rdmaConfig(mode), "crash-during-drain at 0s..60s phase deregister"))
 	}
 }
 
 // A parity flip needs placed parity: without MultiLevel the plan is
-// refused before either run, whether the line comes from the config's
-// Faults or from the validator's schedule, and Run refuses it too.
+// refused before either run, wherever the line stands in Faults.
 func TestChaosRejectsParityFlipWithoutMultiLevel(t *testing.T) {
-	refusedBeforeRun(t, chaosBaseConfig(3), "parity-flip at 0s..30s count 2")
-	cfg := chaosBaseConfig(3)
-	cfg.Faults = "parity-flip at 0s..30s"
-	refusedBeforeRun(t, cfg, "crash at 1s..2s")
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Run accepted a parity flip without MultiLevel")
-	}
+	refusedBeforeRun(t, withFaults(chaosBaseConfig(3), "parity-flip at 0s..30s count 2"))
+	refusedBeforeRun(t, withFaults(chaosBaseConfig(3), "parity-flip at 0s..30s\ncrash at 1s..2s"))
+	refusedBeforeRun(t, withFaults(chaosBaseConfig(3), "crash at 1s..2s\nparity-flip at 0s..30s"))
 }
 
-// Storage lines land only on a store the driver wraps: a build function
-// that never calls WrapStore gets the plan refused before the injected
-// run, instead of a verdict on faults that never fired.
+// Storage lines land only on a store the stack builds. The timed lines
+// strike store 0, which every stack has: the backend alone, or replica
+// 0. A storage-decay line naming store i needs max(1, Replicas) > i; one
+// beyond is refused by ValidateReplay and Run alike before either run,
+// instead of a verdict on faults that never fired, and one within lands
+// on its replica only.
 func TestChaosRejectsStorageFaultsNoStoreMeets(t *testing.T) {
 	cfg := chaosBaseConfig(3)
-	cfg.Faults = "storage-outage at 1s..3s\ncrash at 6s..7s"
-	built := 0
-	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
-	_, err := ValidateReplayStore(cfg, nil, func(*des.Engine, *chaos.Driver) storage.Store { return storage.NewMemStore() })
-	if err == nil {
-		t.Fatal("storage faults accepted by a build function that never wrapped a store")
+	for _, n := range []int{0, 1, 2} {
+		cfg.Faults, cfg.Replicas = "storage-outage at 1s..3s\ncrash at 6s..7s", n
+		out, err := ValidateReplay(cfg)
+		if err != nil || out.Stats.OutageRefusals == 0 {
+			t.Fatalf("%d replicas: %v, stats %+v", n, err, out.Stats)
+		}
 	}
-	if built != 1 {
-		t.Fatalf("%d runs built their computation, want only the reference", built)
+	for _, c := range []struct{ store, replicas int }{{1, 0}, {1, 1}, {2, 2}} {
+		cfg.Faults = fmt.Sprintf("storage-decay transient 0.1 store %d\ncrash at 6s..7s", c.store)
+		cfg.Replicas = c.replicas
+		if err := refusedBeforeRun(t, cfg); !errors.Is(err, ErrUnreachableStore) {
+			t.Fatalf("decay on store %d of %d replicas: %v, want ErrUnreachableStore", c.store, c.replicas, err)
+		}
 	}
-	out, err := ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
-		return d.WrapStore(storage.NewMemStore())
-	})
-	if err != nil || out.Stats.OutageRefusals == 0 {
-		t.Fatalf("wrapped store: %v, stats %+v", err, out.Stats)
+	cfg.Faults, cfg.Replicas = "storage-decay transient 0.1 seed 4 store 1\ncrash at 6s..7s", 2
+	out, err := ValidateReplay(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A decay line on store 1 needs a second WrapStore call: one is
-	// refused before the injected run, and Run, which wraps only
-	// Config.Store, refuses it before anything is built.
-	cfg.Faults = "storage-decay transient 0.1 store 1\ncrash at 6s..7s"
-	built = 0
-	_, err = ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
-		return d.WrapStore(storage.NewMemStore())
-	})
-	if err == nil || built != 1 {
-		t.Fatalf("decay on an unwrapped store 1: err %v, %d runs built", err, built)
-	}
-	built = 0
-	if _, err := Run(cfg); err == nil || built != 0 {
-		t.Fatalf("Run accepted decay on store 1 (err %v, %d runs built)", err, built)
+	if rep := out.Injected; rep.Decay[0].Transients != 0 || rep.Decay[1].Transients == 0 || rep.Retry[1].Retries == 0 {
+		t.Fatalf("decay on store 1 of 2: decay %+v, retry %+v", rep.Decay, rep.Retry)
 	}
 }

@@ -197,3 +197,27 @@ func TestServiceReplayDeterminism(t *testing.T) {
 		t.Fatalf("reports diverge: %+v vs %+v", a.Injected, b.Injected)
 	}
 }
+
+// ValidateReplayStore's build owns the wrapping, so a build that never
+// calls WrapStore gets a plan that strikes storage refused after the
+// reference and before the injected run computes anything, instead of
+// a verdict on faults that never fired.
+func TestValidateReplayStoreRefusesUnwrappedStorageFaults(t *testing.T) {
+	cfg := chaosBaseConfig(3)
+	cfg.Faults = "storage-outage at 1s..3s\ncrash at 6s..7s"
+	built := 0
+	cfg.Workload = countingFactory{Factory: cfg.withDefaults().Workload, built: &built}
+	_, err := ValidateReplayStore(cfg, nil, func(*des.Engine, *chaos.Driver) storage.Store { return storage.NewMemStore() })
+	if err == nil {
+		t.Fatal("storage faults accepted by a build function that never wrapped a store")
+	}
+	if built != 1 {
+		t.Fatalf("%d runs built their computation, want only the reference", built)
+	}
+	out, err := ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
+		return d.WrapStore(storage.NewMemStore())
+	})
+	if err != nil || out.Stats.OutageRefusals == 0 {
+		t.Fatalf("wrapped store: %v, stats %+v", err, out.Stats)
+	}
+}

@@ -3,7 +3,6 @@ package autonomic
 import (
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/des"
 	"repro/internal/kernels"
 	"repro/internal/mem"
@@ -59,12 +58,10 @@ func TestSoloSpecReplayBitExact(t *testing.T) {
 		ComputeTime: 50 * des.Millisecond,
 		Seed:        11,
 		Spec:        spec,
+		Faults:      "crash at 260ms..270ms",
+		Replicas:    1,
 	}
-	sched, err := chaos.ParseSchedule("crash at 260ms..270ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ValidateReplay(cfg, sched)
+	out, err := ValidateReplay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +179,6 @@ func TestSoloFailureMidDelayLandsAtCompletedIterations(t *testing.T) {
 	const computeT = 50 * des.Millisecond
 	// No checkpoint before the end, so the sweeps run back to back and
 	// the crash at 125-126 ms is inside the third one's delay.
-	sched, err := chaos.ParseSchedule("crash at 125ms..126ms")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
 		w    Factory
@@ -200,7 +193,9 @@ func TestSoloFailureMidDelayLandsAtCompletedIterations(t *testing.T) {
 			CkptEvery:   6,
 			ComputeTime: computeT,
 			Seed:        7,
-		}, sched)
+			Faults:      "crash at 125ms..126ms",
+			Replicas:    1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,21 +14,22 @@
 // schedule against one seed into a Plan of concrete virtual-time
 // events, and a Driver binds the plan to a des.Engine and drives the
 // existing injectors through one interface. A run names its faults as
-// text (autonomic.Config.Faults); the supervisor compiles them with the
-// run's seed, and the replay validator in internal/autonomic compiles
-// them together with a caller's schedule:
+// text (autonomic.Config.Faults), and the run's storage stack is part of
+// the same config value (autonomic.Config.Replicas); the replay
+// validator in internal/autonomic runs both:
 //
-//	sched, _ := chaos.ParseSchedule(text)
-//	out, _ := autonomic.ValidateReplay(cfg, sched)
+//	cfg.Faults, cfg.Replicas = text, 2
+//	out, _ := autonomic.ValidateReplay(cfg)
 //
-// The validator compiles the plan, refuses faults the config has no
-// instant for, and wires the injected run:
+// The supervisor compiles the plan with the run's seed, refuses faults
+// the config has no instant or store for, and wires the run:
 //
+//	sched, _ := chaos.ParseSchedule(cfg.Faults)
 //	plan, _ := sched.Compile(cfg.Seed)
 //	eng := des.NewEngine()
 //	drv := chaos.NewDriver(eng, plan)
-//	store := drv.WrapStore(storage.NewMemStore()) // store 0: timed outages, brownouts, bit-flips, its decay
-//	world.SetFaults(*plan.Net)                    // steady loss plus partition/brownout windows
+//	backend := drv.WrapStore(storage.NewMemStore()) // store i: replica i's backend; store 0 also takes the timed outages, brownouts, bit-flips
+//	world.SetFaults(*plan.Net)                      // steady loss plus partition/brownout windows
 //	drv.StartCrashes(killNode)
 //
 // Same schedule, same seed → the same faults at the same virtual

@@ -94,8 +94,6 @@ func (d *Driver) Stats() Stats { return d.stats }
 
 // StoreStats returns a copy of wrapped store i's counters (i counts
 // WrapStore calls from 0).
-//
-//lint:ignore deadexport decay counters Example_hardened_storage prints and the decay tests assert on
 func (d *Driver) StoreStats(i int) StoreStats { return d.stores[i].stats }
 
 // Wraps reports whether WrapStore has wrapped every store the plan's

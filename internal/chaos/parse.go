@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/des"
 )
@@ -51,14 +52,22 @@ import (
 
 // ParseSchedule parses the schedule language and validates the result.
 func ParseSchedule(text string) (*Schedule, error) {
-	var s Schedule
+	s := Schedule{Specs: make([]Spec, 0, strings.Count(text, "\n")+1)}
+	var buf [16]string
 	for ln := 1; text != ""; ln++ {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(line)
+		fields := buf[:0] // strings.Fields(line), without its allocation
+		for rest := strings.TrimLeftFunc(line, unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
+			end := strings.IndexFunc(rest, unicode.IsSpace)
+			if end < 0 {
+				end = len(rest)
+			}
+			fields, rest = append(fields, rest[:end]), rest[end:]
+		}
 		if len(fields) == 0 {
 			continue
 		}

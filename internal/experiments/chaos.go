@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/des"
 )
 
@@ -77,17 +76,14 @@ func ChaosReplayAblation(seeds []uint64) ([]ChaosRow, error) {
 	base := smallJacobi(4, 0)
 	var rows []ChaosRow
 	for _, sc := range chaosExperimentSchedules() {
-		sched, err := chaos.ParseSchedule(sc.Text)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: schedule %q: %w", sc.Name, err)
-		}
 		row := ChaosRow{Schedule: sc.Name, ConfiguredInterval: des.Time(base.CkptEvery) * base.ComputeTime}
 		var commitSum, elapsedSum des.Time
 		var lines int
-		row.SweepStats = sweepSeeds(seeds, 4, false, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
+		row.SweepStats = sweepSeeds(seeds, 4, false, func(cfg autonomic.Config) autonomic.Config {
 			cfg.Sink = nfsClassSink
 			cfg.TwoPhaseCommit = sc.TwoPhase
-			return autonomic.ValidateReplay(cfg, sched)
+			cfg.Faults, cfg.Replicas = sc.Text, 1
+			return cfg
 		}, func(out *autonomic.ReplayOutcome) {
 			rep := out.Injected
 			row.BitFlips += out.Stats.BitFlips

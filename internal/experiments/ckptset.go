@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/ckptspec"
 	"repro/internal/des"
@@ -54,7 +53,7 @@ type ckptSetWorkload struct {
 }
 
 // config is the supervised run A19 replays the kernel in, protected by
-// spec s (nil: whole-process protection).
+// spec s (nil: whole-process protection), with one node crash.
 func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
 	return autonomic.Config{
 		Workload:    autonomic.SoloFactory{Kernel: w.name, N: w.n, ComputeTime: 50 * des.Millisecond},
@@ -64,6 +63,7 @@ func (w ckptSetWorkload) config(s *ckptspec.Spec) autonomic.Config {
 		ComputeTime: 50 * des.Millisecond,
 		Seed:        11,
 		Spec:        s,
+		Faults:      "crash at 400ms..410ms",
 	}
 }
 
@@ -92,12 +92,13 @@ func measureIWS(w ckptSetWorkload, spec *ckptspec.Spec) (float64, error) {
 	spec.Apply(k.ProtectionBindings())
 	tr.Start()
 	var stepErr error
+	step := func() {
+		if stepErr == nil {
+			stepErr = k.Step()
+		}
+	}
 	for i := 0; i < w.iterations; i++ {
-		eng.Schedule(des.Time(i)*des.Second+des.Millisecond, func() {
-			if stepErr == nil {
-				stepErr = k.Step()
-			}
-		})
+		eng.Schedule(des.Time(i)*des.Second+des.Millisecond, step)
 	}
 	eng.Run(des.Time(w.iterations+1) * des.Second)
 	tr.Stop()
@@ -175,10 +176,6 @@ func CkptSetAblation() ([]CkptSetRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: kernels spec: %w", err)
 	}
-	crash, err := chaos.ParseSchedule("crash at 400ms..410ms")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ckptset crash schedule: %w", err)
-	}
 	var rows []CkptSetRow
 	for _, w := range ckptSetWorkloads {
 		for _, mode := range []string{"whole", "spec"} {
@@ -194,8 +191,7 @@ func CkptSetAblation() ([]CkptSetRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ckptset %s/%s volume: %w", w.name, mode, err)
 			}
-			out, err := autonomic.ValidateReplayStore(w.config(s), crash,
-				func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
+			out, err := autonomic.ValidateReplay(w.config(s))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ckptset %s/%s replay: %w", w.name, mode, err)
 			}

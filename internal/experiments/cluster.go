@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/des"
-	"repro/internal/storage"
 )
 
 // A15: cluster-fault ablation. A14 dropped the stable-storage
@@ -78,9 +76,8 @@ func FaultyClusterAblation(seeds []uint64) ([]ClusterRow, error) {
 				row := ClusterRow{LossRate: lr, Period: period, CkptEvery: every}
 				var latSum des.Time
 				var latN int
-				row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
-					return autonomic.ValidateReplayStore(clusterCell(cfg, lr, period, every), nil,
-						func(*des.Engine, *chaos.Driver) storage.Store { return storage.NewMemStore() })
+				row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) autonomic.Config {
+					return clusterCell(cfg, lr, period, every)
 				}, func(out *autonomic.ReplayOutcome) {
 					rep := out.Injected
 					row.Failures += rep.Failures

@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
-	"repro/internal/des"
-	"repro/internal/storage"
 )
 
 // A14: storage-fault ablation. The paper's feasibility argument assumes
@@ -75,62 +72,30 @@ func (sc faultScenario) faults(seed uint64) string {
 	return text
 }
 
-// hardenedStack builds one scenario's storage tier: per replica
-// Resilient(Integrity(wrap(Mem))), wrapped in replica order so replica
-// i is the driver's store i, mirrored when there are several. It returns
-// the assembled store plus the wrapper handles for counters.
-func hardenedStack(sc faultScenario, wrap func(storage.Store) storage.Store) (storage.Store, []*storage.ResilientStore, *storage.MirrorStore, error) {
-	var tops []*storage.ResilientStore
-	var stores []storage.Store
-	for range sc.decay {
-		r := storage.NewResilientStore(
-			storage.NewIntegrityStore(wrap(storage.NewMemStore())),
-			storage.DefaultRetryPolicy())
-		tops = append(tops, r)
-		stores = append(stores, r)
-	}
-	if len(stores) == 1 {
-		return tops[0], tops, nil, nil
-	}
-	m, err := storage.NewMirrorStore(stores...)
-	return m, tops, m, err
-}
-
 // StorageFaultAblation runs the A14 grid over the given failure seeds
-// (nil → a default sweep of three).
+// (nil → a default sweep of three). Each scenario's storage tier is the
+// config's hardened stack: one replica per decay entry, each integrity-
+// enveloped and retry-wrapped over the chaos driver's store i, mirrored
+// when there are several.
 func StorageFaultAblation(seeds []uint64) ([]FaultRow, error) {
 	var rows []FaultRow
 	for _, sc := range faultScenarios() {
 		row := FaultRow{Scenario: sc.name, Replicas: len(sc.decay)}
 		// The storage tier winning is a legitimate outcome of this grid:
 		// an injected run that dies is incomplete, not divergent.
-		row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
-			var tops []*storage.ResilientStore
-			var mirror *storage.MirrorStore
-			var stackErr error
-			cfg.Faults = sc.faults(cfg.Seed)
-			out, err := autonomic.ValidateReplayStore(cfg, nil, func(_ *des.Engine, d *chaos.Driver) storage.Store {
-				var store storage.Store
-				store, tops, mirror, stackErr = hardenedStack(sc, d.WrapStore)
-				return store
-			})
-			if stackErr != nil {
-				return nil, stackErr
-			}
-			for _, t := range tops {
-				row.Retries += t.Stats().Retries
-			}
-			if mirror != nil {
-				st := mirror.Stats()
-				row.Failovers += uint64(st.FailoverReads)
-				row.Repairs += uint64(st.ReadRepairs)
-			}
-			return out, err
+		row.SweepStats = sweepSeeds(seeds, 4, true, func(cfg autonomic.Config) autonomic.Config {
+			cfg.Faults, cfg.Replicas = sc.faults(cfg.Seed), len(sc.decay)
+			return cfg
 		}, func(out *autonomic.ReplayOutcome) {
 			rep := out.Injected
 			row.Recoveries += rep.Recoveries
 			row.Degraded += rep.DegradedRecoveries
 			row.CkptFailures += rep.CheckpointFailures
+			for _, st := range rep.Retry {
+				row.Retries += st.Retries
+			}
+			row.Failovers += rep.Mirror.FailoverReads
+			row.Repairs += rep.Mirror.ReadRepairs
 		})
 		rows = append(rows, row)
 	}

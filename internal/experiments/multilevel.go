@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/redundancy"
@@ -91,10 +90,6 @@ func multiLevelCell(cfg autonomic.Config, sc multiLevelScheme, domains *cluster.
 // through autonomic.ValidateReplay, so bit-exactness is checked against
 // the cell's autonomic.Reference, which runs no hierarchy.
 func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
-	sched, err := chaos.ParseSchedule("domain-crash at 2500ms..30s domain d1")
-	if err != nil {
-		return nil, err
-	}
 	const ranks = 8
 	var rows []MultiLevelRow
 	for _, sc := range multiLevelSchemes() {
@@ -105,8 +100,10 @@ func MultiLevelAblation(seeds []uint64) ([]MultiLevelRow, error) {
 					return nil, err
 				}
 				row := MultiLevelRow{Scheme: sc.name, DomainSize: domainSize, CkptEvery: every, ZeroGlobal: true}
-				row.SweepStats = sweepSeeds(seeds, ranks, false, func(cfg autonomic.Config) (*autonomic.ReplayOutcome, error) {
-					return autonomic.ValidateReplay(multiLevelCell(cfg, sc, domains, every), sched)
+				row.SweepStats = sweepSeeds(seeds, ranks, false, func(cfg autonomic.Config) autonomic.Config {
+					cfg = multiLevelCell(cfg, sc, domains, every)
+					cfg.Faults, cfg.Replicas = "domain-crash at 2500ms..30s domain d1", 1
+					return cfg
 				}, func(out *autonomic.ReplayOutcome) {
 					rep := out.Injected
 					row.Failures += rep.Failures

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/autonomic"
-	"repro/internal/chaos"
 	"repro/internal/des"
 	"repro/internal/mpi"
-	"repro/internal/storage"
 )
 
 // A18: RDMA direct-write checkpointing ablation. The paper's §4.2 flags
@@ -72,7 +70,8 @@ type RDMARow struct {
 }
 
 // rdmaExperimentConfig is the supervised one-sided ring every A18 cell
-// runs: 3 ranks, 12 iterations, a line every 3.
+// runs: 3 ranks, 12 iterations, a line every 3, one node crash past the
+// second line while puts are in flight.
 func rdmaExperimentConfig(putEvery, pages int, rdma autonomic.RDMAMode) autonomic.Config {
 	return autonomic.Config{
 		Workload: autonomic.PutFactory{
@@ -85,6 +84,7 @@ func rdmaExperimentConfig(putEvery, pages int, rdma autonomic.RDMAMode) autonomi
 		ComputeTime: 50 * des.Millisecond,
 		Seed:        11,
 		RDMA:        rdma,
+		Faults:      "crash at 400ms..410ms",
 	}
 }
 
@@ -102,16 +102,11 @@ var rdmaRegimes = []struct {
 // RDMAAblation sweeps regime × message rate × registered footprint and
 // returns one row per cell.
 func RDMAAblation() ([]RDMARow, error) {
-	crash, err := chaos.ParseSchedule("crash at 400ms..410ms")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rdma crash schedule: %w", err)
-	}
 	var rows []RDMARow
 	for _, putEvery := range []int{1, 4} {
 		for _, pages := range []int{1, 8} {
 			for _, reg := range rdmaRegimes {
-				out, err := autonomic.ValidateReplayStore(rdmaExperimentConfig(putEvery, pages, reg.Mode), crash,
-					func(_ *des.Engine, _ *chaos.Driver) storage.Store { return storage.NewMemStore() })
+				out, err := autonomic.ValidateReplay(rdmaExperimentConfig(putEvery, pages, reg.Mode))
 				if err != nil {
 					return nil, fmt.Errorf("experiments: rdma %s replay: %w", reg.Name, err)
 				}

@@ -77,7 +77,7 @@ func TestDistPutDrainAnswerDependsOnSchedule(t *testing.T) {
 	var digests [2][]uint64
 	for i, every := range []int{3, 12} {
 		cfg := rdmaExperimentConfig(1, 1, autonomic.RDMADrain)
-		cfg.CkptEvery = every
+		cfg.CkptEvery, cfg.Faults = every, ""
 		rep, err := autonomic.Run(cfg)
 		if err != nil {
 			t.Fatal(err)

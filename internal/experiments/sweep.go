@@ -49,15 +49,15 @@ func smallJacobi(ranks int, seed uint64) autonomic.Config {
 }
 
 // sweepSeeds aggregates one row over the failure seeds (nil → a default
-// sweep of three). validate judges the row's variant of the seed's
-// smallJacobi config against its autonomic.Reference, through the replay
-// validator. A run that errors or does not complete is counted, not
+// sweep of three). cell turns the seed's smallJacobi config into the
+// row's, and autonomic.ValidateReplay judges it against its
+// autonomic.Reference. A run that errors or does not complete is counted, not
 // completed; an error keeps the row's exact verdict only when mayDie
 // says the injected run may legitimately die (A14's unmirrored outage,
 // an exhausted failure budget), and breaks it otherwise. add folds a
 // completed run's outcome into the caller's row.
 func sweepSeeds(seeds []uint64, ranks int, mayDie bool,
-	validate func(autonomic.Config) (*autonomic.ReplayOutcome, error),
+	cell func(autonomic.Config) autonomic.Config,
 	add func(*autonomic.ReplayOutcome)) SweepStats {
 	if len(seeds) == 0 {
 		seeds = []uint64{3, 5, 9}
@@ -68,7 +68,7 @@ func sweepSeeds(seeds []uint64, ranks int, mayDie bool,
 	var downN int
 	for _, seed := range seeds {
 		st.Runs++
-		out, err := validate(smallJacobi(ranks, seed))
+		out, err := autonomic.ValidateReplay(cell(smallJacobi(ranks, seed)))
 		if err != nil {
 			st.BitExact = st.BitExact && mayDie
 			continue
