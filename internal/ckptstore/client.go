@@ -10,18 +10,25 @@ import (
 // so the supervisor, two-phase commit, and ResilientStore compose with
 // the service exactly as with any other store.
 //
-// Buffer ownership follows storage.Store: Put borrows data (the request
-// is encoded into the client's one reused wire buffer, and the service
-// copies whatever it keeps before Handle returns), and Get's result stays
-// intact (it is the payload of a response buffer nothing else
-// references).
+// A request goes out as two buffers, as a networked client would send it
+// with writev: its header, encoded into the client's one reused wire
+// buffer, and the caller's payload beside it. No payload byte is copied
+// on the way out; a put the service refuses moves none at all.
+//
+// Buffer ownership follows storage.Store: Put borrows data (the service
+// copies whatever it keeps before it answers), and Get's result stays
+// intact (it is the payload of a fresh response buffer nothing else
+// references). Put and Delete answers carry no payload, so they are
+// decoded from a second buffer the client reuses.
 type Client struct {
 	svc    *Service
 	id     uint32
 	nextID uint64
-	// wire is the request encoding buffer, reused across ops: every
-	// attempt — shed, retried or acked — encodes without allocating.
+	// wire is the request header buffer and resp the put/delete
+	// response buffer, each reused across ops: every attempt — shed,
+	// retried or acked — encodes and is answered without allocating.
 	wire []byte
+	resp []byte
 }
 
 // Client returns a connection for the given client id (one per rank).
@@ -29,11 +36,10 @@ func (s *Service) Client(id uint32) *Client {
 	return &Client{svc: s, id: id}
 }
 
-// roundTrip encodes the request, hands it to the service, decodes the
-// response and returns its payload, translating the wire status back
-// into the storage error taxonomy. A request the frame format cannot
-// carry is refused before it is encoded, with a permanent
-// ErrFrameTooLarge.
+// roundTrip hands the request to the service, decodes the response and
+// returns its payload, translating the wire status back into the storage
+// error taxonomy. A request the frame format cannot carry is refused
+// before it is encoded, with a permanent ErrFrameTooLarge.
 func (c *Client) roundTrip(req *Frame) ([]byte, error) {
 	if err := checkSize(req.Key, len(req.Payload)); err != nil {
 		return nil, fmt.Errorf("ckptstore: client %d: %s: %w", c.id, req.Op, err)
@@ -43,13 +49,23 @@ func (c *Client) roundTrip(req *Frame) ([]byte, error) {
 	req.Client = c.id
 	req.ID = c.nextID
 	req.Deadline = c.svc.cfg.OpDeadline
-	c.wire = req.AppendEncode(c.wire[:0])
-	respBytes, err := c.svc.Handle(c.wire)
+	c.wire = req.appendHeader(c.wire[:0])
+	// A nil dst asks for a fresh response: what a Get, Keys or Size
+	// returns is its caller's.
+	var dst []byte
+	reuse := req.Op == OpPut || req.Op == OpDelete
+	if reuse {
+		dst = c.resp[:0]
+	}
+	respBytes, err := c.svc.handle(c.wire, req.Payload, dst)
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: client %d: %w", c.id, err)
 	}
-	resp, err := DecodeFrame(respBytes)
-	if err != nil {
+	if reuse {
+		c.resp = respBytes
+	}
+	var resp Frame
+	if err := resp.decodeWhole(respBytes); err != nil {
 		return nil, fmt.Errorf("ckptstore: client %d: bad response: %w", c.id, err)
 	}
 	if resp.Kind != KindResponse || resp.Op != req.Op || resp.ID != req.ID {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/storage"
@@ -115,29 +116,50 @@ func statusOf(err error) Status {
 
 // Err maps a wire status back to the storage error taxonomy, preserving
 // the classification the service computed: overload stays transient
-// (retryable), deadline stays permanent.
+// (retryable), deadline stays permanent. The error is formatted only if
+// someone reads its text — a saturated service refuses most puts, and
+// most refusals are retried or counted, never printed.
 func (st Status) Err(op Op, key string) error {
-	switch st {
-	case StatusOK:
+	if st == StatusOK {
 		return nil
+	}
+	return &statusError{op: op, key: key, st: st}
+}
+
+// statusError is a non-OK Status on the client side: its text is
+// "ckptstore: <op> <quoted key>: <sentinel>" and it wraps the status's
+// sentinel.
+type statusError struct {
+	op  Op
+	key string
+	st  Status
+}
+
+func (e *statusError) Error() string {
+	return "ckptstore: " + e.op.String() + " " + strconv.Quote(e.key) + ": " + e.Unwrap().Error()
+}
+
+func (e *statusError) Unwrap() error {
+	switch e.st {
 	case StatusNotFound:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrNotFound)
+		return storage.ErrNotFound
 	case StatusCorrupt:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrCorrupt)
+		return storage.ErrCorrupt
 	case StatusTransient:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrTransient)
+		return storage.ErrTransient
 	case StatusOverload:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrOverload)
+		return storage.ErrOverload
 	case StatusDeadline:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrDeadlineExceeded)
+		return storage.ErrDeadlineExceeded
 	default:
-		return fmt.Errorf("ckptstore: %s %q: %w", op, key, storage.ErrUnavailable)
+		return storage.ErrUnavailable
 	}
 }
 
 // Frame is one request or response on the client↔service wire.
 //
-// Layout (little-endian, fixed header then two length-prefixed fields):
+// Layout (little-endian): a header — fixed fields, the key, the payload
+// length — then the payload:
 //
 //	magic    [4]byte  "CKSF"
 //	version  uint8    1
@@ -148,7 +170,12 @@ func (st Status) Err(op Op, key string) error {
 //	id       uint64   per-client request sequence number
 //	deadline int64    virtual-time deadline in ns (0 = none; >= 0)
 //	keylen   uint16   + key bytes
-//	paylen   uint32   + payload bytes
+//	paylen   uint32
+//	payload  [paylen]byte
+//
+// A sender may hand the header and the payload over as two buffers, as
+// a networked client would with writev: the frame is their
+// concatenation, and the one parser takes the pair.
 //
 // The codec is canonical: for every frame Decode accepts,
 // Encode(Decode(b)) reproduces b byte-for-byte (the fuzz invariant).
@@ -163,8 +190,8 @@ type Frame struct {
 	Payload  []byte
 }
 
-// frameHeaderLen is the fixed-size prefix before the two variable
-// fields: magic(4) ver(1) kind(1) op(1) status(1) client(4) id(8)
+// frameHeaderLen is the fixed-size part of the header, everything but
+// the key: magic(4) ver(1) kind(1) op(1) status(1) client(4) id(8)
 // deadline(8) keylen(2) paylen(4).
 const frameHeaderLen = 4 + 1 + 1 + 1 + 1 + 4 + 8 + 8 + 2 + 4
 
@@ -200,10 +227,16 @@ func (f *Frame) Encode() []byte {
 }
 
 // AppendEncode appends the frame's wire form to dst and returns the
-// extended slice — the one encoder. Key and Payload are read, never
-// retained, so a caller that passes a reused buffer encodes without
-// allocating once the buffer has grown to its largest frame.
+// extended slice. Key and Payload are read, never retained, so a caller
+// that passes a reused buffer encodes without allocating once the buffer
+// has grown to its largest frame.
 func (f *Frame) AppendEncode(dst []byte) []byte {
+	return append(f.appendHeader(dst), f.Payload...)
+}
+
+// appendHeader appends the frame's header — everything before the
+// payload, paylen included — to dst: the one encoder.
+func (f *Frame) appendHeader(dst []byte) []byte {
 	dst = append(dst, frameMagic...)
 	dst = append(dst, frameVersion, f.Kind, uint8(f.Op), uint8(f.Status))
 	dst = binary.LittleEndian.AppendUint32(dst, f.Client)
@@ -211,13 +244,12 @@ func (f *Frame) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Deadline))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Key)))
 	dst = append(dst, f.Key...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	dst = append(dst, f.Payload...)
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
 }
 
-// DecodeFrame parses one frame, rejecting anything Encode could not
-// have produced.
+// DecodeFrame parses one contiguous frame, rejecting anything Encode
+// could not have produced. It is the one parser (Frame.decode) on b
+// split at the end of its header.
 //
 // Buffer ownership: the returned Payload aliases b (capacity-clipped, so
 // appending to it cannot reach past the frame) — decoding moves no
@@ -226,16 +258,34 @@ func (f *Frame) AppendEncode(dst []byte) []byte {
 // string and therefore always a copy.
 func DecodeFrame(b []byte) (*Frame, error) {
 	f := new(Frame)
-	if err := f.decode(b); err != nil {
+	if err := f.decodeWhole(b); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// decode is DecodeFrame into an existing Frame; split out so that
-// DecodeFrame stays small enough to inline and a caller whose frame does
+// decodeWhole is decode on a contiguous frame. Kept apart so that
+// DecodeFrame stays small enough to inline, and a caller whose frame does
 // not escape keeps it on the stack.
-func (f *Frame) decode(b []byte) error {
+func (f *Frame) decodeWhole(b []byte) error { return f.decode(splitFrame(b)) }
+
+// splitFrame splits a contiguous frame at the end of its header, as far
+// as b holds one; decode judges both parts.
+func splitFrame(b []byte) (header, payload []byte) {
+	n := len(b)
+	if n >= frameHeaderLen {
+		n = min(n, frameHeaderLen+int(binary.LittleEndian.Uint16(b[28:])))
+	}
+	return b[:n], b[n:]
+}
+
+// decode parses a frame given as its header and its payload — the one
+// parser, for a contiguous frame (DecodeFrame, Service.Handle) and a
+// split one (Client) alike. header must hold exactly the header and
+// payload exactly paylen bytes. The decoded Payload aliases payload,
+// capacity-clipped.
+func (f *Frame) decode(header, payload []byte) error {
+	b := header
 	if len(b) < frameHeaderLen {
 		return fmt.Errorf("%w: %d bytes, want >= %d", ErrBadFrame, len(b), frameHeaderLen)
 	}
@@ -270,15 +320,16 @@ func (f *Frame) decode(b []byte) error {
 	if len(rest) < keyLen+4 {
 		return fmt.Errorf("%w: truncated key", ErrBadFrame)
 	}
+	if len(rest) > keyLen+4 {
+		return fmt.Errorf("%w: %d trailing header bytes", ErrBadFrame, len(rest)-keyLen-4)
+	}
 	f.Key = string(rest[:keyLen])
-	rest = rest[keyLen:]
-	payLen := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if len(rest) != payLen {
-		return fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(rest))
+	payLen := int(binary.LittleEndian.Uint32(rest[keyLen:]))
+	if len(payload) != payLen {
+		return fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(payload))
 	}
 	if payLen > 0 {
-		f.Payload = rest[:payLen:payLen]
+		f.Payload = payload[:payLen:payLen]
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -90,6 +91,28 @@ func TestStatusPreservesTaxonomy(t *testing.T) {
 			}
 			if tc.in != nil && !errors.Is(err, tc.in) {
 				t.Errorf("status %d lost sentinel %v", tc.status, tc.in)
+			}
+		}
+	}
+}
+
+// TestStatusErrMatchesFormatted: Status.Err's error reads and classifies
+// as the fmt.Errorf it replaces, for every non-OK status, every op and a
+// key %q must escape.
+func TestStatusErrMatchesFormatted(t *testing.T) {
+	sentinels := []error{storage.ErrNotFound, storage.ErrCorrupt, storage.ErrUnavailable, storage.ErrTransient, storage.ErrOverload, storage.ErrDeadlineExceeded}
+	const key = "rank000/seg\"000001\"\n"
+	for st := StatusNotFound; st <= StatusDeadline; st++ {
+		for op := OpPut; op <= OpSize; op++ {
+			err := st.Err(op, key)
+			want := fmt.Errorf("ckptstore: %s %q: %w", op, key, sentinels[st-1])
+			if err.Error() != want.Error() {
+				t.Errorf("status %d, %s: text %q, want %q", st, op, err, want)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) != errors.Is(want, s) {
+					t.Errorf("status %d, %s: errors.Is(err, %v) = %v, want %v", st, op, s, errors.Is(err, s), errors.Is(want, s))
+				}
 			}
 		}
 	}

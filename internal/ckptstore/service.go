@@ -490,7 +490,9 @@ func (s *Service) View() storage.Store { return (*serviceView)(s) }
 
 // Handle services one encoded request frame and returns the encoded
 // response. Transport errors (unparseable frames) are returned as Go
-// errors; storage-level failures travel inside the response status.
+// errors; storage-level failures travel inside the response status. It
+// is the contiguous case of what a Client sends: req split at the end of
+// its header.
 //
 // Buffer ownership: Handle borrows req. The decoded payload aliases it,
 // and a put that comes to rest clones it once and gives that frozen
@@ -498,24 +500,33 @@ func (s *Service) View() storage.Store { return (*serviceView)(s) }
 // refers to req once Handle returns and the caller may reuse it at once.
 // The response is a fresh buffer the caller owns.
 func (s *Service) Handle(req []byte) ([]byte, error) {
-	f, err := DecodeFrame(req)
-	if err != nil {
+	header, payload := splitFrame(req)
+	return s.handle(header, payload, nil)
+}
+
+// handle services one request given as its header and its payload, and
+// appends the encoded response to dst — or, when dst is nil, returns it
+// in a fresh buffer of its exact size. Both request buffers are borrowed
+// as Handle's req is.
+func (s *Service) handle(header, payload, dst []byte) ([]byte, error) {
+	var f Frame
+	if err := f.decode(header, payload); err != nil {
 		return nil, err
 	}
 	if f.Kind != KindRequest {
 		return nil, fmt.Errorf("%w: service got a non-request frame", ErrBadFrame)
 	}
-	resp := &Frame{Kind: KindResponse, Op: f.Op, Client: f.Client, ID: f.ID}
+	resp := Frame{Kind: KindResponse, Op: f.Op, Client: f.Client, ID: f.ID}
 	var opErr error
 	switch f.Op {
 	case OpPut:
-		opErr = s.put(f)
+		opErr = s.put(&f)
 	case OpGet:
 		var data []byte
 		data, opErr = s.get(f.Key)
 		resp.Payload = data
 	case OpDelete:
-		opErr = s.del(f)
+		opErr = s.del(&f)
 	case OpKeys:
 		var keys []string
 		keys, opErr = s.View().Keys()
@@ -530,12 +541,15 @@ func (s *Service) Handle(req []byte) ([]byte, error) {
 		}
 	}
 	resp.Status = statusOf(opErr)
-	return resp.Encode(), nil
+	if dst == nil {
+		return resp.Encode(), nil
+	}
+	return resp.AppendEncode(dst), nil
 }
 
-// put's refusals. Handle collapses each to a status byte (statusOf) and
-// the client rebuilds the detailed, per-key text from it (Status.Err), so
-// the service side formats nothing per call — under saturation most puts
+// put's refusals. handle collapses each to a status byte (statusOf), and
+// the client's Status.Err error formats the per-key text only if it is
+// read, so nothing is formatted per call — under saturation most puts
 // end here.
 var (
 	errPastDeadline = fmt.Errorf("ckptstore: put would complete past its deadline: %w", storage.ErrDeadlineExceeded)

@@ -15,7 +15,7 @@ import (
 // newTestService builds a 3-replica service over MemStores with fast
 // defaults suitable for unit tests. Returns the service, its engine,
 // and the raw replicas for inspection.
-func newTestService(t *testing.T, mutate func(*Config)) (*Service, *des.Engine, []*storage.MemStore) {
+func newTestService(t testing.TB, mutate func(*Config)) (*Service, *des.Engine, []*storage.MemStore) {
 	t.Helper()
 	eng := des.NewEngine()
 	mems := []*storage.MemStore{storage.NewMemStore(), storage.NewMemStore(), storage.NewMemStore()}

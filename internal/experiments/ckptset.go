@@ -136,29 +136,31 @@ func measureVolume(w ckptSetWorkload, spec *ckptspec.Spec) (fullKB, incrKB float
 	cp.Start()
 	var runErr error
 	var fullPages, incrPages uint64
+	steps := 0 // the events fire in schedule order, one step each
+	step := func() {
+		steps++
+		if runErr != nil {
+			return
+		}
+		if runErr = k.Step(); runErr != nil {
+			return
+		}
+		if steps%3 != 0 {
+			return
+		}
+		res, cerr := cp.Checkpoint()
+		if cerr != nil {
+			runErr = cerr
+			return
+		}
+		if res.Kind == ckpt.Full {
+			fullPages += res.Pages
+		} else {
+			incrPages += res.Pages
+		}
+	}
 	for i := 0; i < w.iterations; i++ {
-		step := i
-		eng.Schedule(des.Time(step)*des.Second+des.Millisecond, func() {
-			if runErr != nil {
-				return
-			}
-			if runErr = k.Step(); runErr != nil {
-				return
-			}
-			if (step+1)%3 != 0 {
-				return
-			}
-			res, cerr := cp.Checkpoint()
-			if cerr != nil {
-				runErr = cerr
-				return
-			}
-			if res.Kind == ckpt.Full {
-				fullPages += res.Pages
-			} else {
-				incrPages += res.Pages
-			}
-		})
+		eng.Schedule(des.Time(i)*des.Second+des.Millisecond, step)
 	}
 	eng.Run(des.Time(w.iterations+1) * des.Second)
 	cp.Stop()

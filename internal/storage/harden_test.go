@@ -315,6 +315,68 @@ func TestResilientStoreDeadlineCapsBackoff(t *testing.T) {
 	}
 }
 
+// refusingStore fails every Put with err.
+type refusingStore struct {
+	Store
+	err error
+}
+
+func (r refusingStore) Put(string, []byte) error { return r.err }
+
+// TestResilientStoreGiveUpErrors pins both give-up errors to the
+// fmt.Errorf text they are formatted lazily in place of, and their
+// classification: an exhausted attempt budget wraps the transient
+// cause; a deadline give-up names the cause but wraps only
+// ErrDeadlineExceeded.
+func TestResilientStoreGiveUpErrors(t *testing.T) {
+	const key = "rank000/seg\"1\""
+	cause := fmt.Errorf("svc: %w", ErrOverload)
+	for _, tc := range []struct {
+		name   string
+		policy RetryPolicy
+		want   func(g *giveUpError) error
+		is     map[error]bool
+	}{
+		{
+			name:   "attempt budget",
+			policy: RetryPolicy{MaxAttempts: 4, BaseDelay: 1, MaxDelay: 4, Seed: 2},
+			want: func(g *giveUpError) error {
+				return fmt.Errorf("storage: %s %q failed after %d attempts: %w", "put", key, 4, cause)
+			},
+			is: map[error]bool{ErrTransient: true, ErrOverload: true, ErrDeadlineExceeded: false, ErrNotFound: false},
+		},
+		{
+			name:   "deadline",
+			policy: RetryPolicy{MaxAttempts: 20, BaseDelay: 16, MaxDelay: 1 << 20, Deadline: 50, Seed: 5},
+			want: func(g *giveUpError) error {
+				return fmt.Errorf("storage: %s %q: backoff %v would exceed deadline %v after %d attempts (%v): %w",
+					"put", key, g.backoff, des.Time(50), g.attempts, cause, ErrDeadlineExceeded)
+			},
+			is: map[error]bool{ErrTransient: false, ErrOverload: false, ErrDeadlineExceeded: true, ErrNotFound: false},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewResilientStore(refusingStore{Store: NewMemStore(), err: cause}, tc.policy)
+			err := s.Put(key, []byte("v"))
+			var g *giveUpError
+			if !errors.As(err, &g) {
+				t.Fatalf("err = %#v, want a *giveUpError", err)
+			}
+			if tc.policy.Deadline > 0 && (g.backoff <= tc.policy.Deadline || g.attempts >= tc.policy.MaxAttempts) {
+				t.Fatalf("deadline give-up at backoff %v after %d attempts", g.backoff, g.attempts)
+			}
+			if want := tc.want(g); err.Error() != want.Error() {
+				t.Fatalf("text\n %q\nwant\n %q", err, want)
+			}
+			for sentinel, want := range tc.is {
+				if errors.Is(err, sentinel) != want {
+					t.Errorf("errors.Is(err, %v) = %v, want %v", sentinel, !want, want)
+				}
+			}
+		})
+	}
+}
+
 func TestOverloadClassifiesTransient(t *testing.T) {
 	wrapped := fmt.Errorf("service put %q: %w", "k", ErrOverload)
 	if !IsTransient(wrapped) {

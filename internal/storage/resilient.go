@@ -108,19 +108,16 @@ func (s *ResilientStore) do(what, key string, op func() error) error {
 		}
 		if attempt >= s.policy.MaxAttempts {
 			s.stats.Exhausted++
-			return fmt.Errorf("storage: %s %q failed after %d attempts: %w", what, key, attempt, err)
+			return &giveUpError{what: what, key: key, attempts: attempt, cause: err}
 		}
 		// Full jitter over the current window keeps concurrent retriers
 		// from synchronising, deterministically per seed.
 		wait := des.Time(s.rng.Int64N(int64(delay) + 1))
 		if s.policy.Deadline > 0 && opBackoff+wait > s.policy.Deadline {
 			// The next wait would outlast the op's virtual-time budget.
-			// Stop with a *permanent* error: the transient cause is kept
-			// for the message but deliberately not wrapped, so the
-			// deadline class wins the errors.Is classification.
 			s.stats.Exhausted++
-			return fmt.Errorf("storage: %s %q: backoff %v would exceed deadline %v after %d attempts (%v): %w",
-				what, key, opBackoff+wait, s.policy.Deadline, attempt, err, ErrDeadlineExceeded)
+			return &giveUpError{what: what, key: key, attempts: attempt, cause: err,
+				backoff: opBackoff + wait, deadline: s.policy.Deadline}
 		}
 		opBackoff += wait
 		s.stats.Backoff += wait
@@ -129,6 +126,37 @@ func (s *ResilientStore) do(what, key string, op func() error) error {
 			delay = s.policy.MaxDelay
 		}
 	}
+}
+
+// giveUpError is the retry loop giving up on an op whose last attempt
+// failed with the transient cause: its attempt budget is spent, or
+// (deadline > 0) the next backoff would take the op's total to backoff,
+// past deadline. A saturated store gives up often and the caller mostly
+// counts the failure, so the text is formatted only when read.
+type giveUpError struct {
+	what, key         string
+	attempts          int
+	cause             error
+	backoff, deadline des.Time
+}
+
+func (e *giveUpError) Error() string {
+	if e.deadline == 0 {
+		return fmt.Sprintf("storage: %s %q failed after %d attempts: %v", e.what, e.key, e.attempts, e.cause)
+	}
+	return fmt.Sprintf("storage: %s %q: backoff %v would exceed deadline %v after %d attempts (%v): %v",
+		e.what, e.key, e.backoff, e.deadline, e.attempts, e.cause, ErrDeadlineExceeded)
+}
+
+// Unwrap returns the transient cause when the attempt budget ran out. A
+// deadline give-up is *permanent*: the cause is kept for the text but
+// deliberately not wrapped, so the deadline class wins the errors.Is
+// classification.
+func (e *giveUpError) Unwrap() error {
+	if e.deadline == 0 {
+		return e.cause
+	}
+	return ErrDeadlineExceeded
 }
 
 // Put implements Store.
