@@ -378,23 +378,21 @@ func Example_failure_recovery() {
 		crashAt    = 37 // iterations completed when the "failure" hits
 	)
 	// step advances st to iteration upto; checksum sums its current grid.
-	step := func(st *kernels.Stencil2D, upto int) {
+	step := func(st kernels.SoloKernel, upto int) {
 		for st.Iter() < upto {
 			if err := st.Step(); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	checksum := func(st *kernels.Stencil2D) float64 {
-		row := make([]float64, nx)
+	checksum := func(st kernels.SoloKernel) float64 {
+		grid, err := st.Values()
+		if err != nil {
+			log.Fatal(err)
+		}
 		var sum float64
-		for y := 0; y < ny; y++ {
-			if err := st.Cur().Read(row, y*nx); err != nil {
-				log.Fatal(err)
-			}
-			for _, v := range row {
-				sum += v
-			}
+		for _, v := range grid {
+			sum += v
 		}
 		return sum
 	}
@@ -445,11 +443,12 @@ func Example_failure_recovery() {
 	fmt.Printf("restored rank 0 to checkpoint %d: %d regions, %.1f KB of state\n",
 		lastSeq, len(fresh.Regions())-1, float64(fresh.Footprint())/1024)
 
-	// Re-attach the kernel to the restored memory: the grids live at
-	// the same addresses, so a kernel constructed the same way resumes
-	// from the restored contents after rolling back to iteration
+	// Re-attach the kernel to the restored memory: the named stencil's
+	// constructor runs again over the restored grids, which live at the
+	// same addresses and hold the boundary, so the kernel resumes from
+	// the restored contents after rolling back to iteration
 	// lastCkptIter.
-	resumed, err := kernels.AttachStencil2D(fresh, nx, ny, lastCkptIter)
+	resumed, err := kernels.AttachSoloKernel("stencil", fresh, nx, lastCkptIter)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,6 @@ func (c *Client) roundTrip(req *Frame) ([]byte, error) {
 	req.Kind = KindRequest
 	req.Client = c.id
 	req.ID = c.nextID
-	req.Deadline = c.svc.cfg.OpDeadline
 	c.wire = req.appendHeader(c.wire[:0])
 	// A nil dst asks for a fresh response: what a Get, Keys or Size
 	// returns is its caller's.

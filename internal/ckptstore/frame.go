@@ -2,13 +2,13 @@
 // service: a leader/follower replication group fronted by an admission
 // controller, running entirely on internal/des virtual time. Many
 // clients (one per rank) speak a small binary frame protocol to a
-// frontend that batches and write-coalesces segment Puts, replicates
-// them to followers via quorum writes, sheds load with typed overload
-// errors when saturated, degrades gracefully as replicas fail
-// (sync-replicate → async-replicate → local-spill → refuse), and
-// promotes the freshest follower when the leader crashes — resuming
-// from the last quorum-acknowledged segment with ckpt.VerifyChain
-// choosing the recovery line.
+// frontend that batches segment Puts, replicates them to followers via
+// quorum writes, sheds load with typed overload errors when saturated,
+// degrades gracefully as replicas fail (sync-replicate →
+// async-replicate → local-spill → refuse), and promotes the freshest
+// follower when the leader crashes — resuming from the last
+// quorum-acknowledged segment with ckpt.VerifyChain choosing the
+// recovery line.
 //
 // The service exposes storage.Store through Client, so every existing
 // consumer — the autonomic supervisor, two-phase commit, the chaos
@@ -22,7 +22,6 @@ import (
 	"math"
 	"strconv"
 
-	"repro/internal/des"
 	"repro/internal/storage"
 )
 
@@ -34,8 +33,10 @@ var ErrBadFrame = errors.New("ckptstore: malformed service frame")
 // Frame).
 const frameMagic = "CKSF"
 
-// frameVersion is the only wire version this codec accepts.
-const frameVersion = 1
+// frameVersion is the only wire version this codec accepts. Version 2
+// carries no per-request deadline: a put's deadline is the service's
+// Config.OpDeadline.
+const frameVersion = 2
 
 // Frame kinds.
 const (
@@ -162,13 +163,12 @@ func (e *statusError) Unwrap() error {
 // length — then the payload:
 //
 //	magic    [4]byte  "CKSF"
-//	version  uint8    1
+//	version  uint8    2
 //	kind     uint8    0 = request, 1 = response
 //	op       uint8    OpPut..OpSize
 //	status   uint8    response outcome (0 in requests)
 //	client   uint32   issuing client id
 //	id       uint64   per-client request sequence number
-//	deadline int64    virtual-time deadline in ns (0 = none; >= 0)
 //	keylen   uint16   + key bytes
 //	paylen   uint32
 //	payload  [paylen]byte
@@ -180,20 +180,19 @@ func (e *statusError) Unwrap() error {
 // The codec is canonical: for every frame Decode accepts,
 // Encode(Decode(b)) reproduces b byte-for-byte (the fuzz invariant).
 type Frame struct {
-	Kind     uint8
-	Op       Op
-	Status   Status
-	Client   uint32
-	ID       uint64
-	Deadline des.Time
-	Key      string
-	Payload  []byte
+	Kind    uint8
+	Op      Op
+	Status  Status
+	Client  uint32
+	ID      uint64
+	Key     string
+	Payload []byte
 }
 
 // frameHeaderLen is the fixed-size part of the header, everything but
 // the key: magic(4) ver(1) kind(1) op(1) status(1) client(4) id(8)
-// deadline(8) keylen(2) paylen(4).
-const frameHeaderLen = 4 + 1 + 1 + 1 + 1 + 4 + 8 + 8 + 2 + 4
+// keylen(2) paylen(4).
+const frameHeaderLen = 4 + 1 + 1 + 1 + 1 + 4 + 8 + 2 + 4
 
 // ErrFrameTooLarge reports a request the wire format cannot carry: the
 // key does not fit the u16 length field or the payload the u32 one.
@@ -241,7 +240,6 @@ func (f *Frame) appendHeader(dst []byte) []byte {
 	dst = append(dst, frameVersion, f.Kind, uint8(f.Op), uint8(f.Status))
 	dst = binary.LittleEndian.AppendUint32(dst, f.Client)
 	dst = binary.LittleEndian.AppendUint64(dst, f.ID)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Deadline))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Key)))
 	dst = append(dst, f.Key...)
 	return binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
@@ -274,7 +272,7 @@ func (f *Frame) decodeWhole(b []byte) error { return f.decode(splitFrame(b)) }
 func splitFrame(b []byte) (header, payload []byte) {
 	n := len(b)
 	if n >= frameHeaderLen {
-		n = min(n, frameHeaderLen+int(binary.LittleEndian.Uint16(b[28:])))
+		n = min(n, frameHeaderLen+int(binary.LittleEndian.Uint16(b[20:])))
 	}
 	return b[:n], b[n:]
 }
@@ -310,13 +308,8 @@ func (f *Frame) decode(header, payload []byte) error {
 	}
 	f.Client = binary.LittleEndian.Uint32(b[8:])
 	f.ID = binary.LittleEndian.Uint64(b[12:])
-	dl := binary.LittleEndian.Uint64(b[20:])
-	if int64(dl) < 0 {
-		return fmt.Errorf("%w: negative deadline", ErrBadFrame)
-	}
-	f.Deadline = des.Time(dl)
-	keyLen := int(binary.LittleEndian.Uint16(b[28:]))
-	rest := b[30:]
+	keyLen := int(binary.LittleEndian.Uint16(b[20:]))
+	rest := b[22:]
 	if len(rest) < keyLen+4 {
 		return fmt.Errorf("%w: truncated key", ErrBadFrame)
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
-		{Kind: KindRequest, Op: OpPut, Client: 7, ID: 42, Deadline: 12345, Key: "rank003/seg000009", Payload: []byte("segment bytes")},
+		{Kind: KindRequest, Op: OpPut, Client: 7, ID: 42, Key: "rank003/seg000009", Payload: []byte("segment bytes")},
 		{Kind: KindRequest, Op: OpGet, Client: 0, ID: 1, Key: "commit/seq000001"},
 		{Kind: KindRequest, Op: OpKeys, Client: 99, ID: 3},
 		{Kind: KindResponse, Op: OpPut, Status: StatusOverload, Client: 7, ID: 42, Key: ""},
@@ -49,7 +49,8 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		"status in req":    mutate(good, 7, uint8(StatusOverload)),
 		"trailing bytes":   append(append([]byte(nil), good...), 0xFF),
 		"truncated body":   good[:len(good)-1],
-		"oversized keylen": mutate(good, 28, 0xFF),
+		"oversized keylen": mutate(good, 20, 0xFF),
+		"version 1":        mutate(good, 4, 1),
 	}
 	for name, b := range cases {
 		if _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
@@ -172,7 +173,7 @@ func TestDecodeFrameAliasesInput(t *testing.T) {
 // TestAppendEncodeReusesBuffer: AppendEncode is Encode onto the end of
 // dst, and a buffer that has grown once encodes without allocating.
 func TestAppendEncodeReusesBuffer(t *testing.T) {
-	f := &Frame{Kind: KindRequest, Op: OpPut, Client: 7, ID: 42, Deadline: 5, Key: "rank003/seg000009", Payload: bytes.Repeat([]byte{0xAB}, 4096)}
+	f := &Frame{Kind: KindRequest, Op: OpPut, Client: 7, ID: 42, Key: "rank003/seg000009", Payload: bytes.Repeat([]byte{0xAB}, 4096)}
 	want := f.Encode()
 	got := f.AppendEncode([]byte("prefix"))
 	if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], want) {

@@ -17,7 +17,7 @@ import (
 // than paylen.
 func FuzzParseServiceFrame(f *testing.F) {
 	seeds := []*Frame{
-		{Kind: KindRequest, Op: OpPut, Client: 3, ID: 17, Deadline: 1 << 20, Key: "rank000/seg000001", Payload: []byte("pages")},
+		{Kind: KindRequest, Op: OpPut, Client: 3, ID: 17, Key: "rank000/seg000001", Payload: []byte("pages")},
 		{Kind: KindRequest, Op: OpGet, Key: "commit/seq000004"},
 		{Kind: KindRequest, Op: OpKeys},
 		{Kind: KindRequest, Op: OpSize},
@@ -61,7 +61,7 @@ func FuzzParseServiceFrame(f *testing.F) {
 			t.Fatalf("split decode of an accepted frame: %v", err)
 		}
 		if split.Kind != fr.Kind || split.Op != fr.Op || split.Status != fr.Status || split.Client != fr.Client ||
-			split.ID != fr.ID || split.Deadline != fr.Deadline || split.Key != fr.Key || !bytes.Equal(split.Payload, fr.Payload) {
+			split.ID != fr.ID || split.Key != fr.Key || !bytes.Equal(split.Payload, fr.Payload) {
 			t.Fatalf("split decode %+v, contiguous %+v", split, *fr)
 		}
 		n := len(header)

@@ -242,7 +242,7 @@ func TestPutAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Close the batch window and retire the in-flight bytes, so
-			// the next put is a fresh sync write, not a coalesced one.
+			// the next put opens a batch of its own.
 			eng.Run(eng.Now() + des.Second)
 		}
 		acked()
@@ -262,7 +262,7 @@ func TestPutAllocationBudget(t *testing.T) {
 				t.Fatalf("replica %d holds its own copy (err %v): the put copied per replica", i+1, err)
 			}
 		}
-		if st := svc.Stats(); st.SyncAcks != st.Puts || st.CoalescedPuts != 0 {
+		if st := svc.Stats(); st.SyncAcks != st.Puts || st.Batches != st.Puts {
 			t.Fatalf("stats: %+v", st)
 		}
 		t.Logf("acked put: %.0f bytes for one %d-byte copy shared by %d replicas", b, payloadLen, len(mems))

@@ -83,7 +83,7 @@ type Config struct {
 
 const (
 	// batchWindow is how long the frontend holds a batch open to
-	// coalesce Puts across clients. Ops joining an open batch pay only
+	// gather Puts across clients. Ops joining an open batch pay only
 	// serialization, not another link latency.
 	batchWindow = 2 * des.Millisecond
 	// drainPeriod is how often journaled replication debt is re-offered
@@ -116,9 +116,8 @@ type Stats struct {
 	// QuorumFailures counts Puts that reached fewer than quorum
 	// replicas on their first (synchronous) attempt.
 	QuorumFailures uint64
-	// Batching efficiency.
-	Batches       uint64
-	CoalescedPuts uint64
+	// Batches counts batch windows opened.
+	Batches uint64
 	// FailoverReads counts Gets served by a non-leader replica.
 	FailoverReads uint64
 	// Journal flow.
@@ -171,8 +170,7 @@ type Service struct {
 	perClient map[uint32]uint64
 
 	// Batching: an open batch absorbs Puts until batchEnd.
-	batchEnd  des.Time
-	batchKeys map[string]bool
+	batchEnd des.Time
 	// done is put's scratch for the per-replica completion times.
 	done []des.Time
 
@@ -216,7 +214,6 @@ func New(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		eng:       cfg.Engine,
 		perClient: make(map[uint32]uint64),
-		batchKeys: make(map[string]bool),
 		journal:   make(map[string]journalEntry),
 		spillCap:  spillCapacity,
 		quorum:    len(cfg.Replicas)/2 + 1,
@@ -567,11 +564,9 @@ func (s *Service) put(f *Frame) error {
 	now := s.eng.Now()
 
 	// Batch membership: the first Put opens a window and pays the link
-	// latency; later Puts inside it pay serialization only. A duplicate
-	// key inside one window is coalesced outright — the frontend's
-	// write-combining across retries and re-bases.
+	// latency; later Puts inside it pay serialization only. Each one,
+	// a key the window already holds included, is written in full.
 	newBatch := now >= s.batchEnd
-	coalesced := !newBatch && s.batchKeys[f.Key]
 	link := mpi.QsNet() // the client↔frontend and frontend↔replica interconnect
 	linkCost := des.Time(float64(n) / link.Bandwidth * float64(des.Second))
 	if newBatch {
@@ -582,7 +577,7 @@ func (s *Service) put(f *Frame) error {
 	// finishes persisting. Spilled writes cost only the wire leg.
 	arrive := now + linkCost
 	completion := arrive
-	if !coalesced && !s.promoting && s.upCount() > 0 {
+	if !s.promoting && s.upCount() > 0 {
 		done := s.done[:0]
 		for _, r := range s.reps {
 			if r.down {
@@ -596,11 +591,7 @@ func (s *Service) put(f *Frame) error {
 	}
 
 	// Admission: refuse before mutating anything.
-	deadline := f.Deadline
-	if s.cfg.OpDeadline > 0 && (deadline == 0 || s.cfg.OpDeadline < deadline) {
-		deadline = s.cfg.OpDeadline
-	}
-	if deadline > 0 && completion-now > deadline {
+	if s.cfg.OpDeadline > 0 && completion-now > s.cfg.OpDeadline {
 		s.stats.DeadlineRefusals++
 		return errPastDeadline
 	}
@@ -622,12 +613,7 @@ func (s *Service) put(f *Frame) error {
 	// Commit: account the batch and the in-flight window.
 	if newBatch {
 		s.batchEnd = now + batchWindow
-		clear(s.batchKeys)
 		s.stats.Batches++
-	}
-	s.batchKeys[f.Key] = true
-	if coalesced {
-		s.stats.CoalescedPuts++
 	}
 	s.inflight += n
 	s.perClient[f.Client] += n
@@ -644,18 +630,12 @@ func (s *Service) put(f *Frame) error {
 		s.stats.SpillAcks++
 		s.refreshMode("put spilled")
 	default:
-		acks := 0
-		var data []byte
-		if !coalesced {
-			data = bytes.Clone(f.Payload)
-			acks = s.writeAll(f.Key, data, false)
-			for _, r := range s.reps {
-				if !r.down && completion > r.busyUntil {
-					r.busyUntil = completion
-				}
+		data := bytes.Clone(f.Payload)
+		acks := s.writeAll(f.Key, data, false)
+		for _, r := range s.reps {
+			if !r.down && completion > r.busyUntil {
+				r.busyUntil = completion
 			}
-		} else {
-			acks = s.quorum // the covering write already carries this key
 		}
 		switch {
 		case acks >= s.quorum:

@@ -223,34 +223,53 @@ func TestServiceDeadlineRefusal(t *testing.T) {
 	}
 }
 
-func TestServiceBatchingAndCoalescing(t *testing.T) {
+// TestServiceBatching: puts inside one window share its batch, and the
+// first put after the window closes opens a new one.
+func TestServiceBatching(t *testing.T) {
 	svc, eng, _ := newTestService(t, nil)
 	a, b := svc.Client(1), svc.Client(2)
-	// Three puts inside one window: one batch; the duplicate key is
-	// write-coalesced.
-	if err := a.Put("x", []byte("v1")); err != nil {
-		t.Fatal(err)
+	for _, p := range []struct {
+		c        *Client
+		key, val string
+	}{{a, "x", "v1"}, {b, "y", "w"}, {a, "x", "v2"}} {
+		if err := p.c.Put(p.key, []byte(p.val)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.Put("y", []byte("w")); err != nil {
-		t.Fatal(err)
+	if st := svc.Stats(); st.Batches != 1 || st.SyncAcks != 3 {
+		t.Fatalf("Batches = %d, SyncAcks = %d, want 1 and 3", st.Batches, st.SyncAcks)
 	}
-	if err := a.Put("x", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	st := svc.Stats()
-	if st.Batches != 1 {
-		t.Fatalf("Batches = %d, want 1", st.Batches)
-	}
-	if st.CoalescedPuts != 1 {
-		t.Fatalf("CoalescedPuts = %d, want 1", st.CoalescedPuts)
-	}
-	// After the window closes, a new put opens a new batch.
 	eng.Run(eng.Now() + 20*des.Millisecond)
 	if err := a.Put("z", []byte("u")); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.Batches != 2 {
 		t.Fatalf("Batches = %d, want 2", st.Batches)
+	}
+}
+
+// TestServiceRePutInsideBatchIsWritten: a second put of a key inside the
+// batch window that holds its first is acked only once its own bytes
+// are written, so a Get — through the service or from any replica —
+// returns the second value.
+func TestServiceRePutInsideBatchIsWritten(t *testing.T) {
+	svc, _, mems := newTestService(t, nil)
+	c := svc.Client(1)
+	for _, v := range []string{"first", "second"} {
+		if err := c.Put("a", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats(); st.Batches != 1 {
+		t.Fatalf("Batches = %d: the two puts did not share a window", st.Batches)
+	}
+	if got, err := c.Get("a"); err != nil || string(got) != "second" {
+		t.Fatalf("Get = %q, %v; want \"second\"", got, err)
+	}
+	for i, m := range mems {
+		if got, err := m.Get("a"); err != nil || string(got) != "second" {
+			t.Fatalf("replica %d holds %q, %v; want \"second\"", i, got, err)
+		}
 	}
 }
 

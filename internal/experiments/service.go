@@ -43,9 +43,14 @@ type ServiceRow struct {
 	// Sheds counts admission refusals (budget + fairness); Deadlines
 	// counts up-front deadline refusals.
 	Sheds, Deadlines uint64
-	// QuorumFailures counts puts that missed quorum on first attempt;
-	// Coalesced counts write-combined duplicate keys.
-	QuorumFailures, Coalesced uint64
+	// QuorumFailures counts puts that missed quorum on first attempt.
+	QuorumFailures uint64
+	// Coalesced is always zero: the service writes every put, a key
+	// already in the open batch included. The column stays so the
+	// table's layout does not move.
+	//
+	//lint:ignore deadexport kept at zero for the table's coal column and for readers of the row
+	Coalesced uint64
 	// SyncAcks/AsyncAcks/SpillAcks split acks by durability at ack time.
 	SyncAcks, AsyncAcks, SpillAcks uint64
 	// Failovers and ModeChanges count the failover protocol's work.
@@ -225,7 +230,6 @@ func serviceRun(seed uint64, clients int, faulted bool) (ServiceRow, error) {
 	row.Sheds = st.OverloadSheds + st.FairnessSheds
 	row.Deadlines = st.DeadlineRefusals
 	row.QuorumFailures = st.QuorumFailures
-	row.Coalesced = st.CoalescedPuts
 	row.SyncAcks, row.AsyncAcks, row.SpillAcks = st.SyncAcks, st.AsyncAcks, st.SpillAcks
 	row.Failovers = st.Failovers
 	row.ModeChanges = st.ModeChanges

@@ -58,33 +58,71 @@ func checkElems(space *mem.AddressSpace, n int) error {
 	return nil
 }
 
-// NewArray maps a fresh arena holding n float64s.
-func NewArray(space *mem.AddressSpace, n int) (*Array, error) {
-	if err := checkElems(space, n); err != nil {
+// arenas is where a kernel's one constructor gets its arenas. Fresh, it
+// maps each one. Restored, it hands out the Mmap regions of a space a
+// restore (ckpt.RestoreAll) recreated, in address order: the order the
+// fresh build allocated them in, because Mmap bump-allocates and kernels
+// never unmap. A restored arena must be the page-rounded size asked for,
+// and the constructor must bind every one (bound), so a restored layout
+// is the fresh one or nothing. It keeps the arenas' start addresses, not
+// their regions: the ckptset analysis would read a region field as a
+// protection region of its own.
+type arenas struct {
+	space    *mem.AddressSpace
+	restored bool
+	starts   []uint64 // restored: the arenas not yet handed out, in address order
+}
+
+// freshArenas maps a kernel's arenas anew in space.
+func freshArenas(space *mem.AddressSpace) *arenas { return &arenas{space: space} }
+
+// restoredArenas hands out the arenas a restore recreated in space.
+func restoredArenas(space *mem.AddressSpace) *arenas {
+	src := &arenas{space: space, restored: true}
+	for _, r := range space.Regions() {
+		if r.Kind() == mem.Mmap {
+			src.starts = append(src.starts, r.Start())
+		}
+	}
+	return src
+}
+
+// region returns the next arena of size bytes, page-rounded.
+func (src *arenas) region(size uint64) (*mem.Region, error) {
+	if !src.restored {
+		return src.space.Mmap(size)
+	}
+	if len(src.starts) == 0 {
+		return nil, fmt.Errorf("kernels: restored space holds no arena for %d bytes", size)
+	}
+	r := src.space.Find(src.starts[0])
+	ps := src.space.PageSize()
+	if want := (size + ps - 1) &^ (ps - 1); r.Size() != want {
+		return nil, fmt.Errorf("kernels: restored arena at %#x holds %d bytes, want %d", r.Start(), r.Size(), want)
+	}
+	src.starts = src.starts[1:]
+	return r, nil
+}
+
+// array returns the next arena as an Array of n float64s.
+func (src *arenas) array(n int) (*Array, error) {
+	if err := checkElems(src.space, n); err != nil {
 		return nil, err
 	}
-	reg, err := space.Mmap(uint64(n) * 8)
+	reg, err := src.region(uint64(n) * 8)
 	if err != nil {
 		return nil, err
 	}
-	return &Array{space: space, reg: reg, base: reg.Start(), n: n}, nil
+	return &Array{space: src.space, reg: reg, base: reg.Start(), n: n}, nil
 }
 
-// AttachArray rebinds an Array to an existing region starting at addr —
-// the restore path, where checkpointed arenas already exist in the
-// address space at their original locations.
-func AttachArray(space *mem.AddressSpace, addr uint64, n int) (*Array, error) {
-	if err := checkElems(space, n); err != nil {
-		return nil, err
+// bound refuses a restored space holding arenas the constructor did not
+// bind.
+func (src *arenas) bound() error {
+	if len(src.starts) > 0 {
+		return fmt.Errorf("kernels: restored space holds %d arenas the kernel did not bind", len(src.starts))
 	}
-	reg := space.Find(addr)
-	if reg == nil || reg.Start() != addr {
-		return nil, fmt.Errorf("kernels: no region starts at %#x", addr)
-	}
-	if reg.Size() < uint64(n)*8 {
-		return nil, fmt.Errorf("kernels: region at %#x holds %d bytes, need %d", addr, reg.Size(), n*8)
-	}
-	return &Array{space: space, reg: reg, base: addr, n: n}, nil
+	return nil
 }
 
 // Region returns the backing region.

@@ -133,7 +133,7 @@ func newArrayRig(t *testing.T, ps uint64, staged bool, n int) *arrayRig {
 	log := mem.NewDirtyLog(g.space)
 	log.OnFault = g.onFault
 	log.Open()
-	a, err := NewArray(g.space, n)
+	a, err := freshArenas(g.space).array(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestArrayRefusesSubElementPages(t *testing.T) {
 	}{{1, false}, {2, false}, {4, false}, {4096, true}} {
 		ps, where := c.ps, fmt.Sprintf("%d-byte pages (phantom %v)", c.ps, c.phantom)
 		sp := mem.NewAddressSpace(mem.Config{PageSize: ps, Phantom: c.phantom})
-		if a, err := NewArray(sp, 4); err == nil {
-			t.Errorf("NewArray on %s returned %v", where, a)
+		if a, err := freshArenas(sp).array(4); err == nil {
+			t.Errorf("a fresh array on %s returned %v", where, a)
 		}
-		r, _ := sp.Mmap(64)
-		if a, err := AttachArray(sp, r.Start(), 4); err == nil {
-			t.Errorf("AttachArray on %s returned %v", where, a)
+		sp.Mmap(64)
+		if a, err := restoredArenas(sp).array(4); err == nil {
+			t.Errorf("a restored array on %s returned %v", where, a)
 		}
 		if _, err := NewStencil2D(sp, 4, 4, 1); err == nil {
 			t.Errorf("NewStencil2D on %s succeeded", where)
@@ -239,9 +239,9 @@ func TestArrayRefusesSubElementPages(t *testing.T) {
 		}
 	}
 	sp := mem.NewAddressSpace(mem.Config{PageSize: 8})
-	a, err := NewArray(sp, 5)
+	a, err := freshArenas(sp).array(5)
 	if err != nil {
-		t.Fatalf("NewArray on 8-byte pages: %v", err)
+		t.Fatalf("an array on 8-byte pages: %v", err)
 	}
 	if err := a.Write(awkward[:5], 0); err != nil {
 		t.Fatal(err)
@@ -483,21 +483,21 @@ func TestSolversMatchStagingOracle(t *testing.T) {
 		build func(sp *mem.AddressSpace, nx, ny int) (built, error)
 	}{
 		{"SSOR", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			s, err := newSSOR(sp, nx, ny, 1.5, 1.3)
+			s, err := newSSOR(freshArenas(sp), nx, ny, 0, 1.5, 1.3)
 			if err != nil {
 				return built{}, err
 			}
 			return built{s.Step, func() error { return stagingSSORStep(s) }, s.u, s.work}, nil
 		}},
 		{"Wavefront", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			w, err := newWavefront(sp, nx, ny, 0.75)
+			w, err := newWavefront(freshArenas(sp), nx, ny, 0, 0.75)
 			if err != nil {
 				return built{}, err
 			}
 			return built{w.Step, func() error { return stagingWavefrontStep(w) }, w.v, w.work}, nil
 		}},
 		{"ADI", func(sp *mem.AddressSpace, nx, ny int) (built, error) {
-			a, err := newADI(sp, nx, ny, 2.5, 0.4)
+			a, err := newADI(freshArenas(sp), nx, ny, 0, 2.5, 0.4)
 			if err != nil {
 				return built{}, err
 			}
@@ -601,16 +601,17 @@ func jacobi(g []float64, nx int) []float64 {
 // the staging Step's. The grids cover rows that span pages (8- and
 // 256-byte pages), rows that share one (4096: two a page) or straddle a
 // page boundary (16384, 2400-byte rows), and pages never written, which
-// must read as zeros: an attached grid of which only a few rows were
-// ever set. Some cases re-protect one arena alone before every sweep —
-// only the scratch row, or only the grid the sweep writes — so a sweep
+// must read as zeros: a grid built over restored, never-written arenas,
+// of which only a few rows were ever set. Some cases re-protect one
+// arena alone before every sweep — only the scratch row, or only the
+// grid the sweep writes — so a sweep
 // faults on the scratch page alone or on the grid's pages alone. A warm
 // Step allocates nothing.
 func TestStencilMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		ps       uint64
 		nx, ny   int
-		attached bool   // AttachStencil2D over fresh arenas: rows never set are pages never written
+		attached bool   // built over restored, never-written arenas: rows never set are pages never written
 		only     string // "work" or "next": re-protect that arena alone, every sweep
 	}{
 		{8, 5, 7, false, ""}, {256, 40, 9, false, ""}, {256, 100, 6, false, ""},
@@ -654,7 +655,7 @@ func TestStencilMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				s, err = AttachStencil2D(g.space, c.nx, c.ny, 0)
+				s, err = newStencil2D(restoredArenas(g.space), c.nx, c.ny, 0, 0)
 			} else {
 				s, err = NewStencil2D(g.space, c.nx, c.ny, 1.5)
 			}

@@ -46,57 +46,21 @@ const (
 // world's address spaces must be backed. computeTime is the virtual time
 // one sweep takes (the DES has no implicit cost for host computation).
 func NewDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, boundary float64, computeTime des.Time) (*DistStencil, error) {
-	d, err := newDistStencil(eng, world, nx, rowsPerRank, computeTime, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < world.Size(); i++ {
-		g, err := NewStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, boundary)
-		if err != nil {
-			return nil, err
-		}
-		// Interior halo rows start at zero like the global interior;
-		// NewStencil2D seeded them with the boundary value. They are
-		// overwritten by the first exchange before any read, except on
-		// the outermost ranks where they *are* the global boundary.
-		zero := make([]float64, nx)
-		zero[0], zero[nx-1] = boundary, boundary
-		if i != 0 {
-			if err := g.SetRow(0, zero); err != nil {
-				return nil, err
-			}
-		}
-		if i != world.Size()-1 {
-			if err := g.SetRow(rowsPerRank+1, zero); err != nil {
-				return nil, err
-			}
-		}
-		d.grids = append(d.grids, g)
-	}
-	return d, nil
+	return newDistStencil(eng, world, false, nx, rowsPerRank, 0, boundary, computeTime)
 }
 
 // AttachDistStencil rebuilds the solver over restored address spaces (one
 // per rank of the world), resuming at the given completed-iteration
 // count.
 func AttachDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, computeTime des.Time, iter int) (*DistStencil, error) {
-	d, err := newDistStencil(eng, world, nx, rowsPerRank, computeTime, iter)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < world.Size(); i++ {
-		g, err := AttachStencil2D(world.Rank(i).Space(), nx, rowsPerRank+2, iter)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: rank %d: %w", i, err)
-		}
-		d.grids = append(d.grids, g)
-	}
-	return d, nil
+	return newDistStencil(eng, world, true, nx, rowsPerRank, iter, 0, computeTime)
 }
 
 // newDistStencil checks the shape, binds the iteration loop at iter and
-// the halo arrival callback; the constructors add the grids.
-func newDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, computeTime des.Time, iter int) (*DistStencil, error) {
+// the halo arrival callback, then builds each rank's strip over its
+// space's arenas, restored or fresh.
+func newDistStencil(eng *des.Engine, world *mpi.World, restored bool,
+	nx, rowsPerRank, iter int, boundary float64, computeTime des.Time) (*DistStencil, error) {
 	if nx < 3 || rowsPerRank < 1 {
 		return nil, fmt.Errorf("kernels: dist stencil %dx%d too small", nx, rowsPerRank)
 	}
@@ -110,6 +74,39 @@ func newDistStencil(eng *des.Engine, world *mpi.World, nx, rowsPerRank int, comp
 		}
 		if d.halos--; d.halos == 0 {
 			d.sweep()
+		}
+	}
+	for i := 0; i < world.Size(); i++ {
+		src := freshArenas(world.Rank(i).Space())
+		if restored {
+			src = restoredArenas(world.Rank(i).Space())
+		}
+		g, err := newStencil2D(src, nx, rowsPerRank+2, iter, boundary)
+		if err == nil {
+			err = src.bound()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("kernels: rank %d: %w", i, err)
+		}
+		d.grids = append(d.grids, g)
+		if restored {
+			continue
+		}
+		// Interior halo rows start at zero like the global interior;
+		// newStencil2D seeded them with the boundary value. They are
+		// overwritten by the first exchange before any read, except on
+		// the outermost ranks where they *are* the global boundary.
+		zero := make([]float64, nx)
+		zero[0], zero[nx-1] = boundary, boundary
+		if i != 0 {
+			if err := g.SetRow(0, zero); err != nil {
+				return nil, err
+			}
+		}
+		if i != world.Size()-1 {
+			if err := g.SetRow(rowsPerRank+1, zero); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return d, nil

@@ -48,62 +48,20 @@ type DistPut struct {
 // 2*pages pages (window first, accumulator second). putEvery must be
 // >= 1; pages >= 1. The world's address spaces must be backed.
 func NewDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, seed float64, computeTime des.Time) (*DistPut, error) {
-	d, err := newDistPut(eng, world, pages, putEvery, computeTime, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < world.Size(); i++ {
-		sp := world.Rank(i).Space()
-		arena, err := sp.Mmap(uint64(2*pages) * sp.PageSize())
-		if err != nil {
-			return nil, fmt.Errorf("kernels: put arena for rank %d: %w", i, err)
-		}
-		d.arenas = append(d.arenas, arena)
-		vals := make([]float64, d.vals())
-		for j := range vals {
-			vals[j] = seed + float64(i) + float64(j)*1e-3
-		}
-		if err := d.writeVals(i, d.wAddr(i), vals); err != nil {
-			return nil, err
-		}
-		for j := range vals {
-			vals[j] = 0
-		}
-		if err := d.writeVals(i, d.aAddr(i), vals); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return newDistPut(eng, world, false, pages, putEvery, 0, seed, computeTime)
 }
 
 // AttachDistPut rebuilds the ring over restored address spaces, resuming
-// at the given completed-iteration count. Arenas are recovered by size
-// (one 2*pages-page Mmap region per rank; the bounce arenas are of
-// kind mem.Bounce).
+// at the given completed-iteration count.
 func AttachDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeTime des.Time, iter int) (*DistPut, error) {
-	d, err := newDistPut(eng, world, pages, putEvery, computeTime, iter)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < world.Size(); i++ {
-		sp := world.Rank(i).Space()
-		want := uint64(2*pages) * sp.PageSize()
-		var arena *mem.Region
-		for _, r := range sp.Regions() {
-			if r.Kind() == mem.Mmap && r.Size() == want {
-				arena = r
-				break
-			}
-		}
-		if arena == nil {
-			return nil, fmt.Errorf("kernels: rank %d: no %d-byte put arena in restored space", i, want)
-		}
-		d.arenas = append(d.arenas, arena)
-	}
-	return d, nil
+	return newDistPut(eng, world, true, pages, putEvery, iter, 0, computeTime)
 }
 
-func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeTime des.Time, iter int) (*DistPut, error) {
+// newDistPut builds the ring at iteration iter over each rank space's
+// arena, restored or fresh. A fresh window holds seed + rank + j·1e-3 at
+// element j, a fresh accumulator zero.
+func newDistPut(eng *des.Engine, world *mpi.World, restored bool,
+	pages, putEvery, iter int, seed float64, computeTime des.Time) (*DistPut, error) {
 	if pages < 1 || putEvery < 1 {
 		return nil, fmt.Errorf("kernels: dist put pages %d / putEvery %d", pages, putEvery)
 	}
@@ -119,6 +77,37 @@ func newDistPut(eng *des.Engine, world *mpi.World, pages, putEvery int, computeT
 	}
 	if err := d.init(eng, computeTime, iter, d.sweeps, d.inject); err != nil {
 		return nil, err
+	}
+	for i := 0; i < world.Size(); i++ {
+		sp := world.Rank(i).Space()
+		src := freshArenas(sp)
+		if restored {
+			src = restoredArenas(sp)
+		}
+		arena, err := src.region(uint64(2*pages) * sp.PageSize())
+		if err == nil {
+			err = src.bound()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("kernels: put arena for rank %d: %w", i, err)
+		}
+		d.arenas = append(d.arenas, arena)
+		if restored {
+			continue
+		}
+		vals := make([]float64, d.vals())
+		for j := range vals {
+			vals[j] = seed + float64(i) + float64(j)*1e-3
+		}
+		if err := d.writeVals(i, d.wAddr(i), vals); err != nil {
+			return nil, err
+		}
+		for j := range vals {
+			vals[j] = 0
+		}
+		if err := d.writeVals(i, d.aAddr(i), vals); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
 }

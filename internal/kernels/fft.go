@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-
-	"repro/internal/mem"
 )
 
 // FFT is an out-of-place iterative radix-2 Stockham FFT whose complex
@@ -23,25 +21,30 @@ type FFT struct {
 	in, out, twid []float64
 }
 
-// newFFT allocates ping-pong buffers for an n-point transform (n a power
-// of two).
-func newFFT(space *mem.AddressSpace, n int) (*FFT, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("kernels: FFT size %d is not a power of two >= 2", n)
+// newFFT builds an n-point transform (n a power of two) over src's
+// ping-pong buffers and twiddle table, after pass butterfly passes (the
+// ping-pong parity selects which buffer holds the live data). A fresh
+// build fills the table; load gives it its signal.
+func newFFT(src *arenas, n, pass int) (*FFT, error) {
+	if n < 2 || n&(n-1) != 0 || pass < 0 {
+		return nil, fmt.Errorf("kernels: FFT size %d is not a power of two >= 2, or pass %d < 0", n, pass)
 	}
-	x, err := NewArray(space, 2*n)
+	x, err := src.array(2 * n)
 	if err != nil {
 		return nil, err
 	}
-	y, err := NewArray(space, 2*n)
+	y, err := src.array(2 * n)
 	if err != nil {
 		return nil, err
 	}
-	tw, err := NewArray(space, n)
+	tw, err := src.array(n)
 	if err != nil {
 		return nil, err
 	}
-	f := &FFT{n: n, x: x, y: y, tw: tw}
+	f := &FFT{n: n, x: x, y: y, tw: tw, pass: pass}
+	if src.restored {
+		return f, nil
+	}
 	if err := f.fillTwiddles(); err != nil {
 		return nil, err
 	}

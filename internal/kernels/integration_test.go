@@ -3,11 +3,14 @@ package kernels
 import (
 	"math/cmplx"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/ckptspec"
 	"repro/internal/des"
 	"repro/internal/mem"
+	"repro/internal/mpi"
 	"repro/internal/storage"
 	"repro/internal/tracker"
 )
@@ -32,7 +35,7 @@ func protect(t *testing.T, sp *mem.AddressSpace) (*ckpt.Checkpointer, *storage.M
 func TestSSORCrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 16, 16, 40, 23
 	// Uninterrupted reference.
-	ref, _ := newSSOR(space(), nx, ny, 4, 1.3)
+	ref, _ := newSSOR(freshArenas(space()), nx, ny, 0, 4, 1.3)
 	for i := 0; i < total; i++ {
 		if err := ref.Step(); err != nil {
 			t.Fatal(err)
@@ -42,7 +45,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 
 	// Protected run, checkpoint every 5 iterations, crash at 23.
 	sp := space()
-	s, _ := newSSOR(sp, nx, ny, 4, 1.3)
+	s, _ := newSSOR(freshArenas(sp), nx, ny, 0, 4, 1.3)
 	c, store := protect(t, sp)
 	lastIter := -1
 	var lastSeq uint64
@@ -64,7 +67,7 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := attachSSOR(fresh, nx, ny, 1.3, lastIter)
+	resumed, err := newSSOR(restoredArenas(fresh), nx, ny, lastIter, 0, 1.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +84,14 @@ func TestSSORCrashRestoreResume(t *testing.T) {
 
 func TestWavefrontCrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 14, 11, 12, 7
-	ref, _ := newWavefront(space(), nx, ny, 2)
+	ref, _ := newWavefront(freshArenas(space()), nx, ny, 0, 2)
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
 	want, _ := ref.v.checksum()
 
 	sp := space()
-	w, _ := newWavefront(sp, nx, ny, 2)
+	w, _ := newWavefront(freshArenas(sp), nx, ny, 0, 2)
 	c, store := protect(t, sp)
 	var lastSeq uint64
 	lastIter := 0
@@ -107,7 +110,7 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := attachWavefront(fresh, nx, ny, lastIter)
+	resumed, err := newWavefront(restoredArenas(fresh), nx, ny, lastIter, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +125,14 @@ func TestWavefrontCrashRestoreResume(t *testing.T) {
 
 func TestADICrashRestoreResume(t *testing.T) {
 	const nx, ny, total, crash = 12, 12, 10, 6
-	ref, _ := newADI(space(), nx, ny, 9, 0.5)
+	ref, _ := newADI(freshArenas(space()), nx, ny, 0, 9, 0.5)
 	for i := 0; i < total; i++ {
 		ref.Step()
 	}
 	want, _ := ref.u.checksum()
 
 	sp := space()
-	a, _ := newADI(sp, nx, ny, 9, 0.5)
+	a, _ := newADI(freshArenas(sp), nx, ny, 0, 9, 0.5)
 	c, store := protect(t, sp)
 	var lastSeq uint64
 	lastIter := 0
@@ -145,7 +148,7 @@ func TestADICrashRestoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := attachADI(fresh, nx, ny, 0.5, lastIter)
+	resumed, err := newADI(restoredArenas(fresh), nx, ny, lastIter, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	for i := range signal {
 		signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 	}
-	ref, _ := newFFT(space(), n)
+	ref, _ := newFFT(freshArenas(space()), n, 0)
 	ref.load(signal)
 	want, err := transform(ref)
 	if err != nil {
@@ -176,7 +179,7 @@ func TestFFTCrashMidTransform(t *testing.T) {
 	}
 
 	sp := space()
-	f, _ := newFFT(sp, n)
+	f, _ := newFFT(freshArenas(sp), n, 0)
 	f.load(signal)
 	c, store := protect(t, sp)
 	passes := 0
@@ -202,7 +205,7 @@ func TestFFTCrashMidTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := spaces[0]
-	resumed, err := attachFFT(fresh, n, crashAfter)
+	resumed, err := newFFT(restoredArenas(fresh), n, crashAfter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,24 +264,206 @@ func TestStencilUnderTracker(t *testing.T) {
 	}
 }
 
+// TestAttachValidation: a restore checks its parameters the way a fresh
+// start does, before it asks for an arena. Each case runs over a space
+// holding the fresh build of the valid kernel, so only the bad parameter
+// can refuse it.
 func TestAttachValidation(t *testing.T) {
-	sp := space()
-	if _, err := attachSSOR(sp, 2, 2, 1.2, 0); err == nil {
-		t.Fatal("bad dims accepted")
+	for _, c := range []struct {
+		name       string
+		fresh, bad func(src *arenas) error
+	}{
+		{"bad SSOR dims",
+			func(src *arenas) error { _, err := newSSOR(src, 16, 16, 0, 1, 1.2); return err },
+			func(src *arenas) error { _, err := newSSOR(src, 2, 2, 0, 0, 1.2); return err }},
+		{"negative SSOR iteration",
+			func(src *arenas) error { _, err := newSSOR(src, 16, 16, 0, 1, 1.2); return err },
+			func(src *arenas) error { _, err := newSSOR(src, 16, 16, -1, 0, 1.2); return err }},
+		{"non-power-of-two FFT",
+			func(src *arenas) error { _, err := newFFT(src, 16, 0); return err },
+			func(src *arenas) error { _, err := newFFT(src, 12, 0); return err }},
+		{"bad wavefront dims",
+			func(src *arenas) error { _, err := newWavefront(src, 5, 5, 0, 1); return err },
+			func(src *arenas) error { _, err := newWavefront(src, 1, 5, 0, 0); return err }},
+		{"bad ADI lambda",
+			func(src *arenas) error { _, err := newADI(src, 12, 12, 0, 1, 0.5); return err },
+			func(src *arenas) error { _, err := newADI(src, 12, 12, 0, 0, 0); return err }},
+		{"negative stencil iteration",
+			func(src *arenas) error { _, err := newStencil2D(src, 8, 8, 0, 1); return err },
+			func(src *arenas) error { _, err := newStencil2D(src, 8, 8, -1, 0); return err }},
+	} {
+		sp := space()
+		if err := c.fresh(freshArenas(sp)); err != nil {
+			t.Fatalf("%s: fresh build: %v", c.name, err)
+		}
+		err := c.bad(restoredArenas(sp))
+		if err == nil || strings.Contains(err.Error(), "arena") {
+			t.Errorf("%s: restore err = %v, want a parameter refusal", c.name, err)
+		}
 	}
-	if _, err := attachSSOR(sp, 16, 16, 1.2, 0); err == nil {
-		t.Fatal("attach with no arenas accepted")
+}
+
+// TestArenaSourceRebindsTheFreshLayout: each kernel's one constructor,
+// run over the spaces ckpt.RestoreAll rebuilds from a full checkpoint,
+// binds every arena at the address the fresh build put it. A restored
+// space (rank 0's) missing its last arena, holding one extra, or whose
+// last arena is a page too big is refused.
+func TestArenaSourceRebindsTheFreshLayout(t *testing.T) {
+	// A build returns the regions it bound, rank by rank.
+	type build func(spaces []*mem.AddressSpace) ([]*mem.Region, error)
+	regions := func(bs []ckptspec.Binding) []*mem.Region {
+		var rs []*mem.Region
+		for _, b := range bs {
+			rs = append(rs, b.Region)
+		}
+		return rs
 	}
-	if _, err := attachFFT(sp, 12, 0); err == nil {
-		t.Fatal("non-power-of-two FFT attach accepted")
+	solo := func(name string) (build, build) {
+		run := func(attach bool) build {
+			return func(spaces []*mem.AddressSpace) ([]*mem.Region, error) {
+				var k SoloKernel
+				var err error
+				if attach {
+					k, err = AttachSoloKernel(name, spaces[0], 16, 3)
+				} else {
+					k, err = NewSoloKernel(name, spaces[0], 16)
+				}
+				if err != nil {
+					return nil, err
+				}
+				return regions(k.ProtectionBindings()), nil
+			}
+		}
+		return run(false), run(true)
 	}
-	if _, err := attachWavefront(sp, 1, 5, 0); err == nil {
-		t.Fatal("bad wavefront dims accepted")
+	world := func(spaces []*mem.AddressSpace) (*des.Engine, *mpi.World) {
+		eng := des.NewEngine()
+		w, err := mpi.NewWorld(eng, mpi.QsNet(), mpi.Bounce, spaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, w
 	}
-	if _, err := attachADI(sp, 12, 12, 0, 0); err == nil {
-		t.Fatal("bad lambda accepted")
+	dist := func(attach bool) build {
+		return func(spaces []*mem.AddressSpace) ([]*mem.Region, error) {
+			eng, w := world(spaces)
+			var d *DistStencil
+			var err error
+			if attach {
+				d, err = AttachDistStencil(eng, w, 8, 3, des.Millisecond, 2)
+			} else {
+				d, err = NewDistStencil(eng, w, 8, 3, 1, des.Millisecond)
+			}
+			if err != nil {
+				return nil, err
+			}
+			var rs []*mem.Region
+			for i := range spaces {
+				rs = append(rs, regions(d.ProtectionBindings(i))...)
+			}
+			return rs, nil
+		}
 	}
-	if _, err := AttachArray(sp, 0x1234, 10); err == nil {
-		t.Fatal("attach at unmapped address accepted")
+	put := func(attach bool) build {
+		return func(spaces []*mem.AddressSpace) ([]*mem.Region, error) {
+			eng, w := world(spaces)
+			var d *DistPut
+			var err error
+			if attach {
+				d, err = AttachDistPut(eng, w, 2, 1, des.Millisecond, 2)
+			} else {
+				d, err = NewDistPut(eng, w, 2, 1, 1, des.Millisecond)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return d.arenas, nil
+		}
+	}
+	type kernel struct {
+		name           string
+		ranks          int
+		fresh, restore build
+	}
+	var kernels []kernel
+	for _, name := range soloNames() {
+		fresh, restore := solo(name)
+		kernels = append(kernels, kernel{name, 1, fresh, restore})
+	}
+	kernels = append(kernels, kernel{"dist stencil", 2, dist(false), dist(true)}, kernel{"dist put", 2, put(false), put(true)})
+
+	lastArena := func(sp *mem.AddressSpace) *mem.Region {
+		var last *mem.Region
+		for _, r := range sp.Regions() {
+			if r.Kind() == mem.Mmap {
+				last = r
+			}
+		}
+		return last
+	}
+	mutations := []struct {
+		name   string
+		mutate func(sp *mem.AddressSpace) error
+	}{
+		{"missing its last arena", func(sp *mem.AddressSpace) error { return sp.Munmap(lastArena(sp)) }},
+		{"holding an extra arena", func(sp *mem.AddressSpace) error { _, err := sp.Mmap(sp.PageSize()); return err }},
+		{"with its last arena a page too big", func(sp *mem.AddressSpace) error {
+			r := lastArena(sp)
+			start, size := r.Start(), r.Size()
+			if err := sp.Munmap(r); err != nil {
+				return err
+			}
+			_, err := sp.MapAt(start, size+sp.PageSize(), mem.Mmap)
+			return err
+		}},
+	}
+	for _, k := range kernels {
+		spaces := make([]*mem.AddressSpace, k.ranks)
+		for i := range spaces {
+			spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: 4096})
+		}
+		want, err := k.fresh(spaces)
+		if err != nil {
+			t.Fatalf("%s: fresh build: %v", k.name, err)
+		}
+		store := storage.NewMemStore()
+		for i, sp := range spaces {
+			c, err := ckpt.NewCheckpointer(des.NewEngine(), sp, ckpt.Options{Rank: i, Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			if res, err := c.Checkpoint(); err != nil || res.Kind != ckpt.Full {
+				t.Fatalf("%s: rank %d checkpoint: %v, %v", k.name, i, res.Kind, err)
+			}
+		}
+		restore := func() []*mem.AddressSpace {
+			restored, err := ckpt.RestoreAll(store, k.ranks, 0)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", k.name, err)
+			}
+			return restored
+		}
+		got, err := k.restore(restore())
+		if err != nil {
+			t.Fatalf("%s: restored build: %v", k.name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: restored build bound %d arenas, fresh %d", k.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Start() != want[i].Start() {
+				t.Errorf("%s: arena %d restored at %#x, fresh at %#x", k.name, i, got[i].Start(), want[i].Start())
+			}
+		}
+		for _, m := range mutations {
+			restored := restore()
+			if err := m.mutate(restored[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.restore(restored); err == nil {
+				t.Errorf("%s: restored space %s accepted", k.name, m.name)
+			}
+		}
 	}
 }

@@ -22,22 +22,33 @@ type Stencil2D struct {
 // NewStencil2D allocates the two grid buffers in space, with boundary
 // values boundary and interior zero.
 func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stencil2D, error) {
-	if nx < 3 || ny < 3 {
-		return nil, fmt.Errorf("kernels: stencil grid %dx%d too small", nx, ny)
+	return newStencil2D(freshArenas(space), nx, ny, 0, boundary)
+}
+
+// newStencil2D builds a Stencil2D at iteration iter (which selects the
+// current buffer) over src's arenas a, b and the scratch row. Fresh
+// grids get boundary values boundary and a zero interior; restored ones
+// keep their contents.
+func newStencil2D(src *arenas, nx, ny, iter int, boundary float64) (*Stencil2D, error) {
+	if nx < 3 || ny < 3 || iter < 0 {
+		return nil, fmt.Errorf("kernels: stencil grid %dx%d at iteration %d", nx, ny, iter)
 	}
-	a, err := NewArray(space, nx*ny)
+	a, err := src.array(nx * ny)
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewArray(space, nx*ny)
+	b, err := src.array(nx * ny)
 	if err != nil {
 		return nil, err
 	}
-	work, err := NewArray(space, nx)
+	work, err := src.array(nx)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work, out: make([]float64, nx)}
+	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work, iter: iter, out: make([]float64, nx)}
+	if src.restored {
+		return s, nil
+	}
 	// Boundary rows/columns hold the boundary value in both buffers.
 	row := make([]float64, nx)
 	for i := range row {
@@ -61,23 +72,6 @@ func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stenc
 		}
 	}
 	return s, nil
-}
-
-// AttachStencil2D rebuilds a Stencil2D handle over a restored address
-// space. The arenas must have been created by NewStencil2D with the
-// same dimensions; they are rebound by allocation-order layout matching
-// (NewStencil2D allocates a, b, then the scratch row). iter sets the
-// completed-iteration count, which selects the current buffer — pass
-// the iteration the checkpoint was taken at.
-func AttachStencil2D(space *mem.AddressSpace, nx, ny, iter int) (*Stencil2D, error) {
-	if nx < 3 || ny < 3 || iter < 0 {
-		return nil, fmt.Errorf("kernels: bad attach parameters %dx%d iter %d", nx, ny, iter)
-	}
-	bufs, err := arenaLayout(space, nx*ny, nx*ny, nx)
-	if err != nil {
-		return nil, err
-	}
-	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter, out: make([]float64, nx)}, nil
 }
 
 // SetRow writes initial conditions into row y of *both* buffers, so the
@@ -183,24 +177,28 @@ type SSOR struct {
 	mid    []float64 // the row a sweep relaxes, nx
 }
 
-// newSSOR allocates the grid with the given boundary value and
-// relaxation factor omega in (0, 2).
-func newSSOR(space *mem.AddressSpace, nx, ny int, boundary, omega float64) (*SSOR, error) {
-	if nx < 3 || ny < 3 {
-		return nil, fmt.Errorf("kernels: ssor grid %dx%d too small", nx, ny)
+// newSSOR builds an SSOR at iteration iter over src's grid and scratch
+// row, with relaxation factor omega in (0, 2). A fresh grid gets
+// boundary values boundary and a zero interior.
+func newSSOR(src *arenas, nx, ny, iter int, boundary, omega float64) (*SSOR, error) {
+	if nx < 3 || ny < 3 || iter < 0 {
+		return nil, fmt.Errorf("kernels: ssor grid %dx%d at iteration %d", nx, ny, iter)
 	}
 	if omega <= 0 || omega >= 2 {
 		return nil, fmt.Errorf("kernels: ssor omega %v out of (0,2)", omega)
 	}
-	u, err := NewArray(space, nx*ny)
+	u, err := src.array(nx * ny)
 	if err != nil {
 		return nil, err
 	}
-	work, err := NewArray(space, nx)
+	work, err := src.array(nx)
 	if err != nil {
 		return nil, err
 	}
-	s := &SSOR{nx: nx, ny: ny, u: u, work: work, omega: omega, mid: make([]float64, nx)}
+	s := &SSOR{nx: nx, ny: ny, u: u, work: work, omega: omega, iter: iter, mid: make([]float64, nx)}
+	if src.restored {
+		return s, nil
+	}
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = boundary
@@ -290,20 +288,25 @@ type Wavefront struct {
 	row    []float64 // the row a sweep updates, nx
 }
 
-// newWavefront allocates the grid initialised to seed along the edges.
-func newWavefront(space *mem.AddressSpace, nx, ny int, seed float64) (*Wavefront, error) {
-	if nx < 2 || ny < 2 {
-		return nil, fmt.Errorf("kernels: wavefront grid %dx%d too small", nx, ny)
+// newWavefront builds a Wavefront at iteration iter over src's grid and
+// scratch row. A fresh grid is seed along its top and left edges, zero
+// elsewhere.
+func newWavefront(src *arenas, nx, ny, iter int, seed float64) (*Wavefront, error) {
+	if nx < 2 || ny < 2 || iter < 0 {
+		return nil, fmt.Errorf("kernels: wavefront grid %dx%d at iteration %d", nx, ny, iter)
 	}
-	v, err := NewArray(space, nx*ny)
+	v, err := src.array(nx * ny)
 	if err != nil {
 		return nil, err
 	}
-	work, err := NewArray(space, nx)
+	work, err := src.array(nx)
 	if err != nil {
 		return nil, err
 	}
-	w := &Wavefront{nx: nx, ny: ny, v: v, work: work, row: make([]float64, nx)}
+	w := &Wavefront{nx: nx, ny: ny, v: v, work: work, iter: iter, row: make([]float64, nx)}
+	if src.restored {
+		return w, nil
+	}
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = seed
@@ -390,24 +393,28 @@ type ADI struct {
 	row, col, c []float64
 }
 
-// newADI allocates the grid with the given initial interior value.
-func newADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI, error) {
-	if nx < 3 || ny < 3 {
-		return nil, fmt.Errorf("kernels: adi grid %dx%d too small", nx, ny)
+// newADI builds an ADI at iteration iter over src's grid and scratch,
+// with implicit step lambda > 0. A fresh grid holds initial everywhere.
+func newADI(src *arenas, nx, ny, iter int, initial, lambda float64) (*ADI, error) {
+	if nx < 3 || ny < 3 || iter < 0 {
+		return nil, fmt.Errorf("kernels: adi grid %dx%d at iteration %d", nx, ny, iter)
 	}
 	if lambda <= 0 {
 		return nil, fmt.Errorf("kernels: adi lambda %v must be positive", lambda)
 	}
-	u, err := NewArray(space, nx*ny)
+	u, err := src.array(nx * ny)
 	if err != nil {
 		return nil, err
 	}
-	work, err := NewArray(space, nx+ny)
+	work, err := src.array(nx + ny)
 	if err != nil {
 		return nil, err
 	}
-	a := &ADI{nx: nx, ny: ny, u: u, work: work, lambda: lambda}
-	a.bufs()
+	a := &ADI{nx: nx, ny: ny, u: u, work: work, iter: iter, lambda: lambda,
+		row: make([]float64, nx), col: make([]float64, ny), c: make([]float64, max(nx, ny))}
+	if src.restored {
+		return a, nil
+	}
 	row := make([]float64, nx)
 	for i := range row {
 		row[i] = initial
@@ -422,11 +429,6 @@ func newADI(space *mem.AddressSpace, nx, ny int, initial, lambda float64) (*ADI,
 
 // Iter returns completed iterations.
 func (a *ADI) Iter() int { return a.iter }
-
-// bufs makes the step's row, column and coefficient buffers.
-func (a *ADI) bufs() {
-	a.row, a.col, a.c = make([]float64, a.nx), make([]float64, a.ny), make([]float64, max(a.nx, a.ny))
-}
 
 // thomas solves the constant-coefficient tridiagonal system
 // (1+2L) x_i - L x_{i-1} - L x_{i+1} = d_i in place on d, with c (at

@@ -33,11 +33,11 @@ func transform(f *FFT) ([]complex128, error) {
 
 func TestArrayBasics(t *testing.T) {
 	sp := space()
-	a, err := NewArray(sp, 1000)
+	a, err := freshArenas(sp).array(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewArray(sp, 0); err == nil {
+	if _, err := freshArenas(sp).array(0); err == nil {
 		t.Fatal("zero-length array accepted")
 	}
 	src := []float64{1.5, -2.25, math.Pi}
@@ -72,7 +72,7 @@ func TestArrayBasics(t *testing.T) {
 // Property: Write/Read round-trips arbitrary finite float64s.
 func TestPropertyArrayRoundTrip(t *testing.T) {
 	sp := space()
-	a, _ := NewArray(sp, 256)
+	a, _ := freshArenas(sp).array(256)
 	f := func(vals []float64, off uint8) bool {
 		if len(vals) > 200 {
 			vals = vals[:200]
@@ -172,7 +172,7 @@ func TestStencilDoubleBufferAlternation(t *testing.T) {
 
 func TestSSORConverges(t *testing.T) {
 	sp := space()
-	s, err := newSSOR(sp, 16, 16, 4, 1.2)
+	s, err := newSSOR(freshArenas(sp), 16, 16, 0, 4, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +192,10 @@ func TestSSORConverges(t *testing.T) {
 
 func TestSSORValidation(t *testing.T) {
 	sp := space()
-	if _, err := newSSOR(sp, 2, 16, 1, 1); err == nil {
+	if _, err := newSSOR(freshArenas(sp), 2, 16, 0, 1, 1); err == nil {
 		t.Fatal("tiny grid accepted")
 	}
-	if _, err := newSSOR(sp, 16, 16, 1, 2.5); err == nil {
+	if _, err := newSSOR(freshArenas(sp), 16, 16, 0, 1, 2.5); err == nil {
 		t.Fatal("omega out of range accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestSSORFasterThanJacobi(t *testing.T) {
 		}
 	}()
 	ssorIters := func() int {
-		s, _ := newSSOR(space(), 16, 16, target, 1.5)
+		s, _ := newSSOR(freshArenas(space()), 16, 16, 0, target, 1.5)
 		for i := 1; ; i++ {
 			s.Step()
 			v, _ := at(s.u, 8*16+8)
@@ -277,7 +277,7 @@ func wavefrontReference(nx, ny, iters int, seed float64) []float64 {
 
 func TestWavefrontMatchesReference(t *testing.T) {
 	sp := space()
-	w, err := newWavefront(sp, 12, 9, 3)
+	w, err := newWavefront(freshArenas(sp), 12, 9, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestWavefrontMatchesReference(t *testing.T) {
 
 func TestADISmoothing(t *testing.T) {
 	sp := space()
-	a, err := newADI(sp, 12, 12, 9, 0.5)
+	a, err := newADI(freshArenas(sp), 12, 12, 0, 9, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +327,10 @@ func TestADISmoothing(t *testing.T) {
 
 func TestADIValidation(t *testing.T) {
 	sp := space()
-	if _, err := newADI(sp, 2, 12, 1, 0.5); err == nil {
+	if _, err := newADI(freshArenas(sp), 2, 12, 0, 1, 0.5); err == nil {
 		t.Fatal("tiny grid accepted")
 	}
-	if _, err := newADI(sp, 12, 12, 1, 0); err == nil {
+	if _, err := newADI(freshArenas(sp), 12, 12, 0, 1, 0); err == nil {
 		t.Fatal("zero lambda accepted")
 	}
 }
@@ -364,7 +364,7 @@ func TestThomasSolvesTridiagonal(t *testing.T) {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{2, 8, 64, 256} {
-		f, err := newFFT(space(), n)
+		f, err := newFFT(freshArenas(space()), n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,10 +390,10 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestFFTValidation(t *testing.T) {
-	if _, err := newFFT(space(), 12); err == nil {
+	if _, err := newFFT(freshArenas(space()), 12, 0); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
-	f, _ := newFFT(space(), 8)
+	f, _ := newFFT(freshArenas(space()), 8, 0)
 	if err := f.load(make([]complex128, 5)); err == nil {
 		t.Fatal("wrong input length accepted")
 	}
@@ -403,7 +403,7 @@ func TestFFTValidation(t *testing.T) {
 // through the handle's own scratch, so once the first Step made it, a
 // pass allocates nothing.
 func TestFFTWarmPassAllocFree(t *testing.T) {
-	f, err := newFFT(space(), 256)
+	f, err := newFFT(freshArenas(space()), 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestPropertyFFTPureTone(t *testing.T) {
 			angle := 2 * math.Pi * float64(bin) * float64(t) / float64(n)
 			signal[t] = cmplx.Exp(complex(0, angle))
 		}
-		fft, err := newFFT(space(), n)
+		fft, err := newFFT(freshArenas(space()), n, 0)
 		if err != nil {
 			return false
 		}
@@ -472,7 +472,7 @@ func TestPropertyFFTParseval(t *testing.T) {
 			signal[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 			timeE += real(signal[i])*real(signal[i]) + imag(signal[i])*imag(signal[i])
 		}
-		fft, _ := newFFT(space(), n)
+		fft, _ := newFFT(freshArenas(space()), n, 0)
 		fft.load(signal)
 		out, err := transform(fft)
 		if err != nil {
@@ -501,7 +501,7 @@ func BenchmarkStencilStep(b *testing.B) {
 }
 
 func BenchmarkFFT1K(b *testing.B) {
-	f, _ := newFFT(space(), 1024)
+	f, _ := newFFT(freshArenas(space()), 1024, 0)
 	signal := make([]complex128, 1024)
 	for i := range signal {
 		signal[i] = complex(float64(i%7), 0)
@@ -520,7 +520,7 @@ func BenchmarkFFT1K(b *testing.B) {
 // warm pages they allocate nothing, and neither does a whole Jacobi
 // sweep.
 func TestArrayRowIOZeroAlloc(t *testing.T) {
-	a, err := NewArray(space(), 64*256)
+	a, err := freshArenas(space()).array(64 * 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +565,7 @@ func TestArrayRowIOZeroAlloc(t *testing.T) {
 // BenchmarkArrayRowIO is the supervised stencil's row traffic: one
 // 256-element row written and read back.
 func BenchmarkArrayRowIO(b *testing.B) {
-	a, _ := NewArray(space(), 64*256)
+	a, _ := freshArenas(space()).array(64 * 256)
 	row := make([]float64, 256)
 	b.SetBytes(2 * 256 * 8)
 	b.ReportAllocs()

@@ -62,8 +62,10 @@ func TestSoloIterationAllocs(t *testing.T) {
 		if name == "fft" {
 			continue
 		}
-		kc := soloKernels[name]
-		alone, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 32)
+		build := func() (SoloKernel, error) {
+			return NewSoloKernel(name, mem.NewAddressSpace(mem.Config{PageSize: 4096}), 32)
+		}
+		alone, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func TestSoloIterationAllocs(t *testing.T) {
 		step()
 		want := testing.AllocsPerRun(20, step)
 		for _, hooked := range []bool{false, true} {
-			k, err := kc.build(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 32)
+			k, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}

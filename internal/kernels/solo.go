@@ -27,43 +27,25 @@ type SoloKernel interface {
 // (NewSoloKernel). Each is sized by one n, an n×n grid or n points for
 // the FFT; every other parameter is fixed: boundary, seed and initial
 // value 1, SSOR ω 1.2, ADI λ 0.5, and the FFT signal
-// complex(i%31-15, i%7-3).
-var soloKernels = map[string]struct {
-	build  func(space *mem.AddressSpace, n int) (SoloKernel, error)
-	attach func(space *mem.AddressSpace, n, iter int) (SoloKernel, error)
-}{
-	"stencil": {
-		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return NewStencil2D(sp, n, n, 1) },
-		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return AttachStencil2D(sp, n, n, iter) }},
-	"ssor": {
-		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newSSOR(sp, n, n, 1, soloOmega) },
-		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) {
-			return attachSSOR(sp, n, n, soloOmega, iter)
-		}},
-	"wavefront": {
-		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newWavefront(sp, n, n, 1) },
-		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return attachWavefront(sp, n, n, iter) }},
-	"adi": {
-		func(sp *mem.AddressSpace, n int) (SoloKernel, error) { return newADI(sp, n, n, 1, soloLambda) },
-		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) {
-			return attachADI(sp, n, n, soloLambda, iter)
-		}},
-	"fft": {
-		func(sp *mem.AddressSpace, n int) (SoloKernel, error) {
-			f, err := newFFT(sp, n)
-			if err != nil {
-				return nil, err
-			}
-			sig := make([]complex128, n)
-			for i := range sig {
-				sig[i] = complex(float64(i%31)-15, float64(i%7)-3)
-			}
-			if err := f.load(sig); err != nil {
-				return nil, err
-			}
-			return f, nil
-		},
-		func(sp *mem.AddressSpace, n, iter int) (SoloKernel, error) { return attachFFT(sp, n, iter) }},
+// complex(i%31-15, i%7-3). An entry builds its kernel at iteration iter
+// over src's arenas, which NewSoloKernel maps and AttachSoloKernel finds
+// restored.
+var soloKernels = map[string]func(src *arenas, n, iter int) (SoloKernel, error){
+	"stencil":   func(src *arenas, n, iter int) (SoloKernel, error) { return newStencil2D(src, n, n, iter, 1) },
+	"ssor":      func(src *arenas, n, iter int) (SoloKernel, error) { return newSSOR(src, n, n, iter, 1, soloOmega) },
+	"wavefront": func(src *arenas, n, iter int) (SoloKernel, error) { return newWavefront(src, n, n, iter, 1) },
+	"adi":       func(src *arenas, n, iter int) (SoloKernel, error) { return newADI(src, n, n, iter, 1, soloLambda) },
+	"fft": func(src *arenas, n, iter int) (SoloKernel, error) {
+		f, err := newFFT(src, n, iter)
+		if err != nil || src.restored {
+			return f, err
+		}
+		sig := make([]complex128, n)
+		for i := range sig {
+			sig[i] = complex(float64(i%31)-15, float64(i%7)-3)
+		}
+		return f, f.load(sig)
+	},
 }
 
 // The named SSOR's relaxation factor and the named ADI's implicit step.
@@ -72,21 +54,30 @@ const soloOmega, soloLambda = 1.2, 0.5
 // NewSoloKernel builds the named single-space kernel (adi, fft, ssor,
 // stencil or wavefront) fresh in space, sized by n.
 func NewSoloKernel(name string, space *mem.AddressSpace, n int) (SoloKernel, error) {
-	k, ok := soloKernels[name]
-	if !ok {
-		return nil, unknownSolo(name)
-	}
-	return k.build(space, n)
+	return soloKernel(name, freshArenas(space), n, 0)
 }
 
-// AttachSoloKernel re-attaches the named kernel, sized by n, over a
+// AttachSoloKernel rebuilds the named kernel, sized by n, over a
 // restored space at iteration iter.
 func AttachSoloKernel(name string, space *mem.AddressSpace, n, iter int) (SoloKernel, error) {
-	k, ok := soloKernels[name]
+	return soloKernel(name, restoredArenas(space), n, iter)
+}
+
+// soloKernel builds the named kernel over src's arenas, binding all of
+// them.
+func soloKernel(name string, src *arenas, n, iter int) (SoloKernel, error) {
+	build, ok := soloKernels[name]
 	if !ok {
 		return nil, unknownSolo(name)
 	}
-	return k.attach(space, n, iter)
+	k, err := build(src, n, iter)
+	if err == nil {
+		err = src.bound()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
 // unknownSolo refuses a name soloKernels lacks, listing the ones it has.

@@ -69,10 +69,10 @@ func TestBindingsCoverSpec(t *testing.T) {
 		needsHooks []string
 	}{
 		{"stencil", func() (bound, error) { return NewStencil2D(space(), 8, 8, 1) }, []string{"Stencil2D.work"}, nil},
-		{"ssor", func() (bound, error) { return newSSOR(space(), 8, 8, 1, 1.2) }, []string{"SSOR.work"}, nil},
-		{"wavefront", func() (bound, error) { return newWavefront(space(), 8, 8, 1) }, []string{"Wavefront.work"}, nil},
-		{"adi", func() (bound, error) { return newADI(space(), 8, 8, 1, 0.5) }, []string{"ADI.work"}, nil},
-		{"fft", func() (bound, error) { return newFFT(space(), 64) }, []string{"FFT.tw", "FFT.x"}, []string{"FFT.tw"}},
+		{"ssor", func() (bound, error) { return newSSOR(freshArenas(space()), 8, 8, 0, 1, 1.2) }, []string{"SSOR.work"}, nil},
+		{"wavefront", func() (bound, error) { return newWavefront(freshArenas(space()), 8, 8, 0, 1) }, []string{"Wavefront.work"}, nil},
+		{"adi", func() (bound, error) { return newADI(freshArenas(space()), 8, 8, 0, 1, 0.5) }, []string{"ADI.work"}, nil},
+		{"fft", func() (bound, error) { return newFFT(freshArenas(space()), 64, 0) }, []string{"FFT.tw", "FFT.x"}, []string{"FFT.tw"}},
 	}
 	for _, b := range build {
 		k, err := b.kernel()
