@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -35,8 +34,7 @@ type DirtyLog struct {
 	faults uint64
 
 	// Consecutive faults overwhelmingly repeat the region (a sweep walks
-	// one arena), so the map lookup and the watch test are skipped while
-	// it does. lastSet is nil for a region the log does not record.
+	// one arena), so the map lookup is skipped while it does.
 	lastR   *Region
 	lastSet *bitset.Set
 
@@ -60,9 +58,7 @@ func NewDirtyLog(s *AddressSpace) *DirtyLog {
 // Watches reports whether the log protects and logs r: checkpointable
 // data memory (neither the stack nor a bounce arena, §4.2) that was not
 // marked recomputable. Every log on a space watches the same regions.
-func (l *DirtyLog) Watches(r *Region) bool {
-	return r.kind.Checkpointable() && !r.recomputable
-}
+func (l *DirtyLog) Watches(r *Region) bool { return r.watched() }
 
 // Open starts logging: it write-protects every watched region and
 // returns the pages protected. Sets logged before an earlier Close are
@@ -92,8 +88,7 @@ func (l *DirtyLog) Close() {
 	s.logs = slices.Delete(s.logs, i, i+1)
 	l.lastR, l.lastSet = nil, nil
 	for _, r := range s.regions {
-		clear(r.wp)
-		r.armed = false
+		r.unprotectAll()
 	}
 }
 
@@ -143,38 +138,14 @@ func (l *DirtyLog) Count() uint64 {
 func (l *DirtyLog) Faults() uint64 { return l.faults }
 
 // setFor returns the set r's faults are logged in, creating it on the
-// region's first fault, or nil when they are not this log's to record.
-// Only an open log is asked.
+// region's first fault. Only an open log that watches r is asked.
 func (l *DirtyLog) setFor(r *Region) *bitset.Set {
-	if !l.Watches(r) {
-		return nil
-	}
 	rs := l.sets[r]
 	if rs == nil {
 		rs = bitset.New(r.Pages())
 		l.sets[r] = rs
 	}
 	return rs
-}
-
-// record is what the paper's SIGSEGV catcher does, for the faulting
-// pages m of bitmap word w of r: log them and unprotect them so later
-// writes in the interval proceed at full speed. It reports whether r's
-// faults are the log's to record.
-func (l *DirtyLog) record(r *Region, w, m uint64) bool {
-	if r != l.lastR {
-		l.lastR, l.lastSet = r, l.setFor(r)
-	}
-	if l.lastSet == nil {
-		return false
-	}
-	l.lastSet.OrWord(w, m)
-	r.wp[w] &^= m
-	l.faults += uint64(bits.OnesCount64(m))
-	if l.OnFault != nil {
-		l.OnFault(r, w, m)
-	}
-	return true
 }
 
 // mapEvent mirrors the library's mmap/munmap interception (§4.1): a new

@@ -110,7 +110,7 @@ func (s *AddressSpace) ReplaySilent() uint64 {
 		for w, m := range r.silent {
 			pages += uint64(bits.OnesCount64(m))
 			for ; m != 0 && !s.faultWord(r, uint64(w), m); m &= m - 1 {
-				r.wp[w] &^= m & -m
+				r.unprotect(uint64(w), m&-m)
 			}
 		}
 	}

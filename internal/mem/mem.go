@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -128,7 +129,7 @@ type Region struct {
 	recomputable bool
 
 	space *AddressSpace
-	wp    []uint64 // write-protect bitmap, one bit per page (see written)
+	wp    []uint64 // write-protect bitmap, one bit per page (see summary, written)
 	// silent marks pages a DMA write (WriteDirect) landed on while they
 	// were write-protected: modified memory no dirty log ever saw —
 	// the NIC-vs-mprotect conflict of §4.2 made observable. Allocated
@@ -143,8 +144,9 @@ type Region struct {
 	dead bool
 	// armed records that some page may be protected: ProtectAll and
 	// SetProtected(…, true) set it, and only a wholesale clear of wp
-	// (DirtyLog.Close) unsets it. Unset ⇒ wp is all zero, so a write to
-	// memory nobody protects skips the protection walk.
+	// and its summary (unprotectAll, DirtyLog.Close's) unsets it.
+	// Unset ⇒ wp and the summary are all zero, so a write to memory
+	// nobody protects skips the protection walk.
 	armed bool
 }
 
@@ -166,6 +168,11 @@ func (r *Region) Kind() Kind { return r.kind }
 // it, so a restore recreates it zero-filled. Mark before any log opens on
 // the space.
 func (r *Region) MarkRecomputable() { r.recomputable = true }
+
+// watched reports whether the open dirty logs protect and log r:
+// checkpointable data memory (neither the stack nor a bounce arena,
+// §4.2) that was not marked recomputable.
+func (r *Region) watched() bool { return r.kind.Checkpointable() && !r.recomputable }
 
 // Pages returns the number of pages in the region.
 func (r *Region) Pages() uint64 { return r.size >> r.space.pageShift }
@@ -192,35 +199,83 @@ func (r *Region) Protected(addr uint64) bool {
 func (r *Region) SetProtected(addr uint64, protected bool) {
 	idx := r.PageIndex(addr)
 	if protected {
-		r.wp[idx/64] |= 1 << (idx % 64)
-		r.armed = true
+		r.protect(idx/64, 1<<(idx%64))
 	} else {
-		r.wp[idx/64] &^= 1 << (idx % 64)
+		r.unprotect(idx/64, 1<<(idx%64))
 	}
 }
 
 // ProtectAll sets write protection on every page of the region.
 func (r *Region) ProtectAll() {
-	for i := range r.wp {
-		r.wp[i] = ^uint64(0)
+	n := uint64(len(r.wp))
+	all := r.wp[:n+summaryWords(n)]
+	for i := range all {
+		all[i] = ^uint64(0)
 	}
-	r.trimBitmap()
+	// Only the last word of each bitmap has bits past its end: the
+	// pages past the region's last, the words past wp's last.
+	if rem := r.Pages() % 64; rem != 0 {
+		r.wp[n-1] &= 1<<rem - 1
+	}
+	if sum := r.summary(); len(sum) > 0 && n%64 != 0 {
+		sum[len(sum)-1] &= 1<<(n%64) - 1
+	}
 	r.armed = true
+}
+
+// protect write-protects the pages m of bitmap word w: the one setter
+// of wp bits, which sets the word's summary bit with them.
+func (r *Region) protect(w, m uint64) {
+	if r.wp[w] |= m; len(r.wp) > 1 {
+		r.wp[len(r.wp):cap(r.wp)][w/64] |= 1 << (w % 64) // summary()
+	}
+	r.armed = true
+}
+
+// unprotect clears write protection on the pages m of bitmap word w:
+// the one clearer of wp bits, which clears the word's summary bit when
+// the word goes to zero.
+func (r *Region) unprotect(w, m uint64) {
+	v := r.wp[w] &^ m
+	if r.wp[w] = v; v == 0 && len(r.wp) > 1 {
+		r.wp[len(r.wp):cap(r.wp)][w/64] &^= 1 << (w % 64) // summary()
+	}
+}
+
+// unprotectAll clears write protection on every page of the region:
+// the bitmap and its summary, one contiguous range, and armed.
+func (r *Region) unprotectAll() {
+	n := uint64(len(r.wp))
+	clear(r.wp[:n+summaryWords(n)])
+	r.armed = false
 }
 
 // protected is the one walk of the protection bitmap: the first bitmap
 // word w at or after page from's that holds protected pages of [from,
 // last], and m, the mask of those pages in it — m is 0 when there are
-// none. Unprotected memory is skipped a word (64 pages) at a time, and
-// a region nothing protected is skipped whole.
+// none. A region nothing protected is skipped whole. Past from's own
+// word the walk hops through the summary to the next word holding
+// protected pages: one summary load and a count of trailing zeros per
+// 64 bitmap words (4,096 pages). A bitmap of one word has no summary,
+// and its walk never leaves that word.
 func (r *Region) protected(from, last uint64) (w, m uint64) {
 	if !r.armed || from > last {
 		return 0, 0
 	}
 	w, lw := from/64, last/64
 	m = r.wp[w] &^ (1<<(from%64) - 1)
-	for m == 0 && w < lw {
+	if m == 0 && w < lw {
+		sum := r.wp[len(r.wp):cap(r.wp)] // summary()
 		w++
+		s, sm := w/64, sum[w/64]&^(1<<(w%64)-1)
+		for sm == 0 && s < lw/64 {
+			s++
+			sm = sum[s]
+		}
+		// sm == 0 leaves w = 64·s+64, past lw.
+		if w = s*64 + uint64(bits.TrailingZeros64(sm)); w > lw {
+			return 0, 0
+		}
 		m = r.wp[w]
 	}
 	if w == lw {
@@ -229,12 +284,25 @@ func (r *Region) protected(from, last uint64) (w, m uint64) {
 	return w, m
 }
 
-// trimBitmap clears bits beyond the last page so popcounts stay exact.
-func (r *Region) trimBitmap() {
-	n := r.Pages()
-	if rem := n % 64; rem != 0 && len(r.wp) > 0 {
-		r.wp[len(r.wp)-1] &= (1 << rem) - 1
+// summaryWords is the length of the summary of an n-word protection
+// bitmap: a bit per word, none for a single word.
+func summaryWords(n uint64) uint64 {
+	if n <= 1 {
+		return 0
 	}
+	return (n + 63) / 64
+}
+
+// summary is the protection bitmap's summary: bit i of word s is set
+// iff wp[64·s+i] != 0, kept exact by protect, unprotect, ProtectAll and
+// unprotectAll, the only writers of wp. It follows wp in wp's own
+// allocation (see written). The per-word paths (protect, unprotect, the
+// walk) index r.wp[len(r.wp):cap(r.wp)] instead, where the summary
+// exists (len(r.wp) > 1): slicing it to its length costs them a
+// measurable share of a fault.
+func (r *Region) summary() []uint64 {
+	n := uint64(len(r.wp))
+	return r.wp[n : n+summaryWords(n)]
 }
 
 // ProtectedPages returns the number of currently protected pages.
@@ -297,10 +365,14 @@ func (r *Region) LoadPage(idx uint64, data []byte) {
 
 // written is a backed region's written-page bitmap: the pages a store, a
 // raw store (DMA, fill) or LoadPage made, even all-zero ones; PeekPage
-// returns nil for the rest. It is wp's capacity past its length, so a
-// backed region's two bitmaps are one allocation and the Region struct,
-// of which phantom runs map thousands, carries no second slice header.
-func (r *Region) written() []uint64 { return r.wp[len(r.wp):cap(r.wp)] }
+// returns nil for the rest. A region's bitmaps are one allocation, wp
+// then its summary then (backed only) written, each found from len(wp),
+// so the Region struct, of which phantom runs map thousands, carries no
+// second slice header.
+func (r *Region) written() []uint64 {
+	n := uint64(len(r.wp))
+	return r.wp[n+summaryWords(n) : cap(r.wp)]
+}
 
 // bytes returns the slab's n bytes at addr, a range inside r, making the
 // slab on first use.
@@ -382,9 +454,9 @@ func (s *AddressSpace) insert(start, size uint64, kind Kind) *Region {
 	r := &Region{start: start, size: size, kind: kind, space: s}
 	n := (size>>s.pageShift + 63) / 64
 	if s.cfg.Phantom {
-		r.wp = make([]uint64, n)
+		r.wp = make([]uint64, n, n+summaryWords(n)) // and summary
 	} else {
-		r.wp = make([]uint64, n, 2*n) // and written
+		r.wp = make([]uint64, n, 2*n+summaryWords(n)) // and summary, written
 	}
 	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].start >= start })
 	s.regions = append(s.regions, nil)
@@ -473,6 +545,8 @@ func (s *AddressSpace) Munmap(r *Region) error {
 // restore path, which must recreate regions at their original addresses.
 // start must be page-aligned, the page-rounded range must not wrap past
 // the top of the address space, and it must not overlap any live region.
+// The range leaves the arena free list (a span it covers part of keeps
+// the rest), so no later Mmap hands it out again.
 func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 	rounded := s.roundUp(size)
 	if start%s.cfg.PageSize != 0 || size == 0 || start+rounded <= start {
@@ -484,12 +558,34 @@ func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 			return nil, fmt.Errorf("%w: MapAt overlaps %v region at %#x", ErrBadRange, r.kind, r.start)
 		}
 	}
+	s.reserve(start, start+size)
 	r := s.insert(start, size, kind)
 	if kind == Mmap && start+size > s.mmapNext {
 		s.mmapNext = start + size
 	}
 	s.mapEvent(r, true)
 	return r, nil
+}
+
+// reserve takes [start, end) out of the arena free list: each free span
+// it overlaps is dropped, trimmed or split around it, in place.
+func (s *AddressSpace) reserve(start, end uint64) {
+	for i := 0; i < len(s.mmapFree); i++ {
+		f := s.mmapFree[i]
+		if f.start >= end || f.start+f.size <= start {
+			continue
+		}
+		var rest [2]span
+		k := 0
+		if f.start < start {
+			rest[k], k = span{f.start, start - f.start}, k+1
+		}
+		if f.start+f.size > end {
+			rest[k], k = span{end, f.start + f.size - end}, k+1
+		}
+		s.mmapFree = slices.Replace(s.mmapFree, i, i+1, rest[:k]...)
+		i += k - 1
+	}
 }
 
 // Find returns the live region containing addr, or nil.
@@ -539,19 +635,33 @@ func (s *AddressSpace) mapEvent(r *Region, mapped bool) {
 
 // faultWord delivers the write faults on the protected pages m of bitmap
 // word w of r: the one delivery body, of which a single fault is the
-// one-bit case. Each open log that records r, top of the stack first,
-// logs the pages and unprotects them; the space then counts the faults
-// and clears them from the silent bits (a delivered fault means the
-// page is observed after all, so an earlier DMA write to it is no
-// longer silent). When no log records r, only the lowest page of m
-// faults — it is counted and un-silenced but stays protected — and
-// faultWord reports false: the write fails there with ErrSegv.
+// one-bit case. When the open logs record r (every log watches the
+// same regions), it does what the paper's SIGSEGV catcher does: it
+// unprotects the pages once, so later writes in the interval proceed
+// at full speed — the word's summary bit clears if the word goes to
+// zero — and then each log, top of the stack first, logs them and
+// hands them to its OnFault. The space then counts the faults and
+// clears them from the silent bits (a delivered fault means the page
+// is observed after all, so an earlier DMA write to it is no longer
+// silent). When no log records r, only the lowest page of m faults —
+// it is counted and un-silenced but stays protected — and faultWord
+// reports false: the write fails there with ErrSegv.
 func (s *AddressSpace) faultWord(r *Region, w, m uint64) bool {
-	recorded := false
-	for i := len(s.logs) - 1; i >= 0; i-- {
-		recorded = s.logs[i].record(r, w, m) || recorded
-	}
-	if !recorded {
+	recorded := len(s.logs) > 0 && r.watched()
+	if recorded {
+		r.unprotect(w, m)
+		for i := len(s.logs) - 1; i >= 0; i-- {
+			l := s.logs[i]
+			if r != l.lastR {
+				l.lastR, l.lastSet = r, l.setFor(r)
+			}
+			l.lastSet.OrWord(w, m)
+			l.faults += uint64(bits.OnesCount64(m))
+			if l.OnFault != nil {
+				l.OnFault(r, w, m)
+			}
+		}
+	} else {
 		m &= -m
 	}
 	s.faults += uint64(bits.OnesCount64(m))
@@ -666,10 +776,16 @@ func (p *PageRun) Err() error { return p.err }
 // first page no open log records — never before addr — where it fails
 // with ErrSegv.
 func (s *AddressSpace) deliver(r *Region, addr, n uint64) uint64 {
+	if !r.armed { // nothing protected: no walk
+		return addr + n
+	}
 	last := r.PageIndex(addr + n - 1)
 	for w, m := r.protected(r.PageIndex(addr), last); m != 0; w, m = r.protected(w*64+64, last) {
 		if !s.faultWord(r, w, m) {
 			return max(r.PageAddr(w*64+uint64(bits.TrailingZeros64(m))), addr)
+		}
+		if w == last/64 { // the range's last word: nothing left to walk
+			break
 		}
 	}
 	return addr + n
@@ -708,9 +824,10 @@ func (s *AddressSpace) Read(addr uint64, buf []byte) error {
 // WriteRange marks the whole byte range [addr, addr+n) as written,
 // faulting on each protected page it touches, without supplying contents.
 // It is the bulk path used by synthetic workloads sweeping large extents:
-// unprotected pages are skipped a bitmap word (64 pages) at a time, a
-// region nothing protected costs no walk at all, and the protected pages
-// of a word are delivered to the open logs at once (faultWord). A
+// unprotected memory is skipped through the bitmap's summary, 4,096
+// pages per load (protected), a region nothing protected costs no walk
+// at all, and the protected pages of a word are delivered to the open
+// logs at once (faultWord). A
 // protected page of a region no open log records ends the write with
 // ErrSegv, the pages before it faulted and nothing filled. In backed
 // mode the range is filled with a rolling per-call byte value so

@@ -618,6 +618,28 @@ func BenchmarkWriteRangeFaultedSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteRangeSparseSweep re-sweeps a region under an open
+// DirtyLog whose only protected page is its last: each sweep's walk
+// crosses the 63 clear bitmap words before it — one summary word — to
+// deliver one fault. It times the hop a sparsely re-protected arena pays.
+func BenchmarkWriteRangeSparseSweep(b *testing.B) {
+	s := NewAddressSpace(Config{Phantom: true})
+	r, _ := s.Mmap(64 * 1024 * 1024)
+	NewDirtyLog(s).Open()
+	if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(64 * 1024 * 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.SetProtected(r.End()-1, true)
+		if err := s.WriteRange(r.Start(), r.Size()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBackedWrite(b *testing.B) {
 	s := NewAddressSpace(Config{})
 	r, _ := s.Mmap(1024 * 1024)

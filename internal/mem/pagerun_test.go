@@ -140,8 +140,7 @@ func newRunRig(ps uint64, phantom bool, pages uint64) *runRig {
 	g.log = NewDirtyLog(g.s)
 	g.log.OnFault = func(_ *Region, w, m uint64) { g.faults = appendPages(g.faults, w, m) }
 	g.log.Open()
-	clear(g.r.wp)
-	g.r.armed = false
+	g.r.unprotectAll()
 	return g
 }
 
@@ -235,7 +234,7 @@ func TestPageRunMatchesOracle(t *testing.T) {
 						for _, g := range []*runRig{old, run} {
 							g.stick(stick)
 							if stick {
-								clear(g.r.wp)
+								g.r.unprotectAll()
 								g.r.SetProtected(g.r.PageAddr(pg), true)
 							} else {
 								g.r.ProtectAll()

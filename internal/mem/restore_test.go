@@ -54,6 +54,52 @@ func TestMapAtValidation(t *testing.T) {
 	}
 }
 
+// TestMapAtTakesItsRangeFromTheFreeList: a range MapAt maps is no longer
+// free, so Mmap never places a second live arena on it. MapAt over a
+// whole freed arena drops its span; inside one, it trims or splits the
+// span and Mmap still reuses what is left, first fit.
+func TestMapAtTakesItsRangeFromTheFreeList(t *testing.T) {
+	const ps = 4096
+	for _, c := range []struct {
+		name       string
+		freed      uint64 // size of the arena mapped and unmapped first
+		at, size   uint64 // MapAt's offset into it and size
+		next       []uint64
+		wantOffset []int64 // each next Mmap's offset into the freed arena; -1: fresh memory
+	}{
+		{"whole", 2 * ps, 0, 2 * ps, []uint64{ps}, []int64{-1}},
+		{"head", 4 * ps, 0, ps, []uint64{3 * ps, ps}, []int64{ps, -1}},
+		{"tail", 4 * ps, 3 * ps, ps, []uint64{3 * ps, ps}, []int64{0, -1}},
+		{"middle", 4 * ps, ps, ps, []uint64{ps, 2 * ps, ps}, []int64{0, 2 * ps, -1}},
+	} {
+		s := NewAddressSpace(Config{PageSize: ps, Phantom: true})
+		a, _ := s.Mmap(c.freed)
+		base := a.Start()
+		if err := s.Munmap(a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.MapAt(base+c.at, c.size, Mmap); err != nil {
+			t.Fatalf("%s: MapAt: %v", c.name, err)
+		}
+		for i, size := range c.next {
+			r, err := s.Mmap(size)
+			if err != nil {
+				t.Fatalf("%s: Mmap(%d): %v", c.name, size, err)
+			}
+			regs := s.Regions()
+			for j := 1; j < len(regs); j++ {
+				if regs[j-1].End() > regs[j].Start() {
+					t.Fatalf("%s: Mmap(%d) at %#x: live regions [%#x, %#x) and [%#x, %#x) overlap",
+						c.name, size, r.Start(), regs[j-1].Start(), regs[j-1].End(), regs[j].Start(), regs[j].End())
+				}
+			}
+			if fresh := r.Start() >= base+c.freed; c.wantOffset[i] < 0 != fresh || !fresh && int64(r.Start()-base) != c.wantOffset[i] {
+				t.Errorf("%s: Mmap(%d) at offset %d of the freed arena, want %d (-1: past it)", c.name, size, int64(r.Start()-base), c.wantOffset[i])
+			}
+		}
+	}
+}
+
 func TestMapAtMmapAdvancesAllocator(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096})
 	// Restore an mmap region, then a fresh Mmap must not collide.
