@@ -122,10 +122,12 @@ type Checkpointer struct {
 	// place by every capture; drainR/drainDS cache the last faulting
 	// region's entry, since consecutive faults repeat the region.
 	drainUntil des.Time
+	drainEnd   des.Event // closeDrain's event at drainUntil
 	drainSet   map[*mem.Region]*bitset.Set
 	drainR     *mem.Region
 	drainDS    *bitset.Set
 	cow        func(*mem.Region, uint64, uint64) // cowFault as the log's OnFault value
+	drained    func()                            // closeDrain, bound once
 
 	// live and regions are the scratch every capture refills — the
 	// space's regions and the segment's region table: the capture reads
@@ -160,6 +162,7 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 	c.log.OnMap = c.onMap
 	if opts.TrackCow {
 		c.cow = c.cowFault // installed on the log while a segment drains
+		c.drained = c.closeDrain
 		c.drainSet = make(map[*mem.Region]*bitset.Set)
 	}
 	if opts.DedupUnchanged {
@@ -215,8 +218,12 @@ func (c *Checkpointer) Rebase(seq uint64) {
 // cowFault is the CoW accounting (TrackCow): a write to a page captured
 // by a still-draining segment forces a pre-image copy in an overlapped
 // implementation. It is the log's fault observer from a capture until
-// the first fault after the segment has drained, and it takes the
-// faulting pages m of bitmap word w of r a word at a time.
+// the segment has drained, and it takes the faulting pages m of bitmap
+// word w of r a word at a time. A fault is in the window when the clock
+// is before drainUntil. A fault a settled write takes (mem's settle
+// hook, des.Event.Settle) runs with the clock at the last firing it
+// stands for, which is on its own side of drainUntil because the window
+// closes with an event there (closeDrain), and that event settles first.
 func (c *Checkpointer) cowFault(r *mem.Region, w, m uint64) {
 	if c.eng.Now() >= c.drainUntil {
 		c.log.OnFault = nil
@@ -232,6 +239,21 @@ func (c *Checkpointer) cowFault(r *mem.Region, w, m uint64) {
 		c.drainDS.AndNotWord(w, hit) // copy taken once per page per drain
 		c.stats.CowCopyBytes += uint64(bits.OnesCount64(hit)) * c.space.PageSize()
 	}
+}
+
+// closeDrain is the drain window's end, an event at drainUntil. Reading
+// the log settles the space (mem.AddressSpace.SetSettle): held writes
+// due before drainUntil fault inside the window, those due at its instant
+// outside it, as they would have one by one. Then the observer goes. One
+// event is pending at a time: a capture whose window ends later leaves
+// it, and it moves itself on to the new end.
+func (c *Checkpointer) closeDrain() {
+	if c.eng.Now() < c.drainUntil {
+		c.drainEnd = c.eng.Schedule(c.drainUntil, c.drained)
+		return
+	}
+	c.log.Faults()
+	c.log.OnFault = nil
 }
 
 // fillDrain makes the pages the log holds now the drain set of the
@@ -439,6 +461,10 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	if c.opts.TrackCow {
 		c.drainUntil = c.eng.Now() + res.Duration
+		if !c.drainEnd.Pending() || c.drainEnd.Time() > c.drainUntil {
+			c.drainEnd.Cancel()
+			c.drainEnd = c.eng.Schedule(c.drainUntil, c.drained)
+		}
 	}
 	c.excludedAccum = 0
 	c.seq++

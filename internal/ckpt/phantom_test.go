@@ -107,9 +107,11 @@ func (m *modelSpace) write() (mr *modelRegion, lo, hi uint64) {
 	return mr, lo, hi
 }
 
+// advance moves the clock on by d, running the events due by then (a
+// TrackCow checkpointer's drain end among them).
 func (m *modelSpace) advance(d des.Time) {
 	m.eng.Schedule(m.eng.Now()+d, func() {})
-	m.eng.Run(des.MaxTime)
+	m.eng.Run(m.eng.Now() + d)
 }
 
 // byAddress returns the live regions in address order.

@@ -25,14 +25,16 @@
 // one heap node however many firings remain, with the order and event
 // counts it would have had if every firing had been scheduled up front.
 //
-// Event count is O(observed firings): a series whose intermediate states
-// nothing reads can be held (HoldSeries), standing for all its firings as
-// one event at its last firing's key, whose counted callback is handed
-// the number of firings at once — so an activity that can do n firings'
-// work in closed form pays O(1) for them — and released (Event.Release)
-// into the ordinary series the moment something might read them: the
-// firings already due run at once, one by one, and the rest keep their
-// keys.
+// Event count is O(observations), not O(firings): a series whose
+// intermediate states nothing reads can be held (HoldSeries), standing
+// for all its firings as one event at its last firing's key, whose
+// counted callback is handed the number of firings at once — so an
+// activity that can do n firings' work in closed form pays O(1) for
+// them. Whatever reads its state settles it first (Event.Settle): the
+// firings due so far run as one counted call and the rest stay held, so
+// a series read k times costs k calls and one event. A hold can also be
+// released (Event.Release) into the ordinary series: the firings already
+// due run at once, one by one, and the rest keep their keys.
 //
 // The heap's key compare is a branch-free 128-bit borrow chain, and a
 // sift picks the smallest of four children arithmetically from it: the

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // An event series is one callback fired n times that occupies exactly one
@@ -29,14 +30,17 @@ import (
 // node at the block's last key (at(n-1), seq0+n-1) and, when that node
 // fires, calls its counted callback once with the number of firings it
 // stands for: one event, and one call, instead of n, for an activity whose
-// intermediate states nothing reads and that can do n firings' work in
-// closed form. Release turns the hold back into the ordinary series at any
-// point — the firings already due run at once, one call each, the rest
-// keep their reserved keys and fire one at a time — so a hold that is
-// released before anything could tell the difference is indistinguishable
-// from ScheduleSeries. The last key is the one the ordinary series' last
-// firing carries, so a never-released hold still ties with same-instant
-// events exactly as that firing would.
+// intermediate states nothing reads between observations and that can do
+// n firings' work in closed form. Settle is the observation: the firings
+// due so far run as counted calls, each at the clock of the last firing it
+// stands for, and the rest stay held behind the same node. Release turns
+// the hold back into the ordinary series at any point — the firings
+// already due run at once, one call each, the rest keep their reserved
+// keys and fire one at a time — so a hold that is released before
+// anything could tell the difference is indistinguishable from
+// ScheduleSeries. The last key is the one the ordinary series' last
+// firing carries, so a hold still ties with same-instant events exactly
+// as that firing would.
 
 // series is the arena record behind a multi-firing slot: firing k is due at
 // first + k*step, or at first + offsets[k] when offsets is non-nil. (Whether
@@ -76,14 +80,16 @@ func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
 	return e.scheduleSeries(first, step, nil, n, fn, nil)
 }
 
-// HoldSeries is ScheduleSeries for an activity nothing observes until it
-// is over: it reserves the same n sequence numbers, but its one queue
-// entry waits at the last firing's key and, when it fires, calls fn once
-// with runs = n: one event at that instant standing for all n firings.
-// fn must do runs firings' work and must not rely on the clock or on
-// events in between. Release on the returned handle turns the hold back
-// into the ordinary series, whose firings each call fn(1); Cancel drops
-// it.
+// HoldSeries is ScheduleSeries for an activity nothing observes except
+// through Settle: it reserves the same n sequence numbers, but its one
+// queue entry waits at the last firing's key and, when it fires, calls fn
+// once with runs = n: one event at that instant standing for all n
+// firings (or for those no Settle ran). fn must do runs firings' work and
+// must not rely on events in between; the clock it sees is the instant of
+// the last firing it stands for (a Release runs the firings it catches up
+// at its own instant). Release on the returned handle turns the
+// hold back into the ordinary series, whose firings each call fn(1);
+// Cancel drops it.
 func (e *Engine) HoldSeries(first, step Time, n int, fn func(runs int)) Event {
 	if fn == nil {
 		panic("des: hold with nil callback")
@@ -134,6 +140,58 @@ func (ev Event) Release() {
 		// both nodes have left the heap (reap).
 		s.twin = true
 		e.push(sr.key(sr.k, ev.slot))
+	}
+}
+
+// Settle runs a held series' firings that are due — those Release would
+// run — as counted calls, and keeps the rest held: the hold's node stays
+// at the last firing's key and, when it fires, stands for what is left.
+// The due firings of instants before the clock's are one call, made with
+// the clock at the last of them; those of the clock's own instant (keyed
+// before the running event) are a second call, at that instant. So a
+// callback that reads the clock never sees a firing of an earlier
+// instant at the running one: an event at instant t settles whatever is
+// due before t on t's far side. The hold's last firing is never due: its
+// node would have fired. On any other handle — a single event, an
+// ordinary series, a hold already released, fired or cancelled, the zero
+// Event — Settle does nothing.
+func (ev Event) Settle() {
+	e := ev.eng
+	if e == nil {
+		return
+	}
+	s := &e.slots[ev.slot]
+	if s.gen != ev.gen || s.dead || !s.held {
+		return
+	}
+	idx := s.ser - 1
+	sr := &e.series[idx]
+	bound := heapNode{at: e.now, seq: e.nowSeq}
+	if !sr.key(sr.k, ev.slot).before(bound) {
+		return // nothing due: read again since the last settle, or not begun
+	}
+	count, k0 := sr.count, sr.k
+	due := sr.k + int32(sort.Search(int(sr.n-1-sr.k), func(i int) bool {
+		return !sr.key(sr.k+int32(i), ev.slot).before(bound)
+	}))
+	early := sr.k + int32(sort.Search(int(due-sr.k), func(i int) bool {
+		return sr.time(sr.k+int32(i)) >= e.now
+	}))
+	if early > k0 {
+		last := sr.key(early-1, ev.slot)
+		sr.k = early
+		now, nowSeq := e.now, e.nowSeq
+		e.now, e.nowSeq = last.at, last.seq
+		count(int(early - k0))
+		e.now, e.nowSeq = now, nowSeq
+		// Callbacks may grow the arenas or cancel the series: re-read both.
+		if s, sr = &e.slots[ev.slot], &e.series[idx]; s.dead {
+			return
+		}
+	}
+	if due > early {
+		sr.k = due
+		count(int(due - early))
 	}
 }
 

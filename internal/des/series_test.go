@@ -400,6 +400,69 @@ func TestHeldReleaseAfterStep(t *testing.T) {
 	}
 }
 
+// Settle runs a hold's due firings as counted calls and keeps the rest
+// held: inside an event, those of earlier instants as one call at the
+// last of them, those of the event's own instant keyed before it as a
+// second call at that instant; between calls, what Release would run.
+// The hold's node still fires once, for what is left, and no settle is
+// an event.
+func TestSettleRunsDueFiringsAndKeepsTheHold(t *testing.T) {
+	type call struct {
+		runs int
+		at   Time
+	}
+	eng := NewEngine()
+	var calls []call
+	var ev Event
+	ev = eng.HoldSeries(10*Microsecond, 10*Microsecond, 10, func(r int) {
+		calls = append(calls, call{r, eng.Now()})
+		ev.Settle() // a settle inside a settled call has nothing left to run
+	})
+	eng.Schedule(35*Microsecond, ev.Settle)
+	eng.Schedule(60*Microsecond, ev.Settle) // keyed after the firing at 60 µs
+	eng.Schedule(60*Microsecond, func() {}) // and a no-op settle point after it
+	eng.Run(75 * Microsecond)
+	ev.Settle() // between calls: the firing at 70 µs, which a Run to 75 µs passed
+	ev.Settle()
+	eng.Run(MaxTime)
+	want := []call{{3, 30 * Microsecond}, {2, 50 * Microsecond}, {1, 60 * Microsecond}, {1, 70 * Microsecond}, {3, 100 * Microsecond}}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("counted calls %v, want %v", calls, want)
+	}
+	if eng.Fired() != 4 || eng.Pending() != 0 || ev.Pending() {
+		t.Fatalf("%d events, %d nodes left, pending %v; want 4 (the hold's node and three others), none", eng.Fired(), eng.Pending(), ev.Pending())
+	}
+
+	// Settled between calls (the clock's instant is the bound a Run
+	// stopped at), then released: the rest fire one by one at their keys.
+	calls = nil
+	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 6, func(r int) { calls = append(calls, call{r, eng.Now()}) })
+	base := eng.Now()
+	eng.Run(base + 2*Microsecond)
+	ev.Settle()
+	eng.Run(base + 3*Microsecond)
+	ev.Release()
+	eng.Run(MaxTime)
+	want = []call{{1, base + Microsecond}, {1, base + 2*Microsecond}, {1, base + 3*Microsecond}, {1, base + 4*Microsecond}, {1, base + 5*Microsecond}, {1, base + 6*Microsecond}}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("settled then released: calls %v, want %v", calls, want)
+	}
+
+	// Settle does nothing on anything but a pending hold.
+	n := 0
+	single := eng.After(Microsecond, func() { n++ })
+	ordinary := eng.ScheduleSeries(eng.Now()+Microsecond, Microsecond, 3, func() { n++ })
+	released := eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, func(r int) { n += r })
+	released.Release()
+	eng.Run(eng.Now() + 2*Microsecond)
+	for _, h := range []Event{{}, single, ordinary, released, ev} {
+		h.Settle()
+	}
+	if eng.Run(MaxTime); n != 7 {
+		t.Fatalf("no-op settles: %d firings, want 7", n)
+	}
+}
+
 // A hold over explicit offsets (HoldSeriesAt), released between calls at
 // any point, is ScheduleSeriesAt with the firings already due caught up at
 // the release: against same-instant events scheduled before and after it
@@ -655,9 +718,9 @@ func TestZeroAllocSeries(t *testing.T) {
 	}
 }
 
-// Holding, firing and releasing a series allocate nothing once the arenas
-// have grown: neither the one event of a hold nor the second node a release
-// queues.
+// Holding, firing, releasing and settling a series allocate nothing once
+// the arenas have grown: neither the one event of a hold nor the second
+// node a release queues nor a settle's search.
 func TestZeroAllocHeldSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func(int) {}
@@ -680,6 +743,15 @@ func TestZeroAllocHeldSeries(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hold + release + fire allocates %v/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		ev := eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
+		eng.Run(eng.Now() + 3*Microsecond)
+		ev.Settle()
+		eng.Run(MaxTime)
+	})
+	if allocs != 0 {
+		t.Errorf("hold + settle + fire allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -54,6 +54,7 @@ const (
 // identically. In phantom mode only the layout is digested, since pages
 // carry no contents by construction.
 func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
+	s.settle()
 	h := digestState(fnvOffset64)
 	for _, r := range s.regions {
 		if skip != nil && skip(r) {

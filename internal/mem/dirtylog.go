@@ -67,6 +67,7 @@ func (l *DirtyLog) Open() uint64 {
 	if l.IsOpen() {
 		panic("mem: dirty log already open")
 	}
+	l.space.settle()
 	l.space.logs = append(l.space.logs, l)
 	l.lastR, l.lastSet = nil, nil
 	return l.protect()
@@ -85,6 +86,7 @@ func (l *DirtyLog) Close() {
 	if i < 0 {
 		return
 	}
+	s.settle()
 	s.logs = slices.Delete(s.logs, i, i+1)
 	l.lastR, l.lastSet = nil, nil
 	for _, r := range s.regions {
@@ -95,6 +97,7 @@ func (l *DirtyLog) Close() {
 // Reset forgets every logged page and re-protects the watched regions,
 // returning the pages protected: the next interval starts now.
 func (l *DirtyLog) Reset() uint64 {
+	l.space.settle()
 	for r, rs := range l.sets {
 		if r.dead { // unmapped while the log was closed
 			delete(l.sets, r)
@@ -109,7 +112,7 @@ func (l *DirtyLog) protect() uint64 {
 	var pages uint64
 	for _, r := range l.space.regions {
 		if l.Watches(r) {
-			r.ProtectAll()
+			r.protectAll()
 			pages += r.Pages()
 		}
 	}
@@ -118,11 +121,15 @@ func (l *DirtyLog) protect() uint64 {
 
 // Pages returns the logged page indexes of r, or nil when none were
 // logged. The set is the log's own: read it, do not keep or change it.
-func (l *DirtyLog) Pages(r *Region) *bitset.Set { return l.sets[r] }
+func (l *DirtyLog) Pages(r *Region) *bitset.Set {
+	l.space.settle()
+	return l.sets[r]
+}
 
 // Count returns the number of logged pages that are still mapped: pages
 // of live regions.
 func (l *DirtyLog) Count() uint64 {
+	l.space.settle()
 	var n uint64
 	for r, rs := range l.sets {
 		if !r.dead {
@@ -135,7 +142,10 @@ func (l *DirtyLog) Count() uint64 {
 // Faults returns the number of write faults the log has recorded since
 // it was created. It can exceed the pages ever logged: a page another
 // log re-protected faults again within this log's interval.
-func (l *DirtyLog) Faults() uint64 { return l.faults }
+func (l *DirtyLog) Faults() uint64 {
+	l.space.settle()
+	return l.faults
+}
 
 // setFor returns the set r's faults are logged in, creating it on the
 // region's first fault. Only an open log that watches r is asked.
@@ -156,7 +166,7 @@ func (l *DirtyLog) mapEvent(r *Region, mapped bool) {
 	var pages uint64
 	if mapped {
 		if l.Watches(r) {
-			r.ProtectAll()
+			r.protectAll()
 			pages = r.Pages()
 		}
 	} else if rs := l.sets[r]; rs != nil {

@@ -19,6 +19,7 @@ import "math/bits"
 // that were protected at write time, i.e. the bytes the write-fault
 // tracker did not observe.
 func (s *AddressSpace) WriteDirect(addr uint64, data []byte) (silentBytes uint64, err error) {
+	s.settle() // a DMA write's silence depends on protection
 	n := uint64(len(data))
 	if n == 0 {
 		return 0, nil
@@ -42,6 +43,7 @@ func (s *AddressSpace) WriteDirect(addr uint64, data []byte) (silentBytes uint64
 // WriteRange so contents remain deterministic. It returns the number
 // of bytes that landed on protected (now silent) pages.
 func (s *AddressSpace) WriteRangeDirect(addr, n uint64) (silentBytes uint64, err error) {
+	s.settle() // a DMA write's silence depends on protection
 	if n == 0 {
 		return 0, nil
 	}
@@ -88,9 +90,10 @@ func (r *Region) markSilent(addr, n uint64) uint64 {
 // on fault tracking alone would omit. This is the ground-truth
 // under-count of the incremental write set.
 func (s *AddressSpace) SilentDirtyBytes() uint64 {
+	s.settle()
 	var pages uint64
 	for _, r := range s.regions {
-		pages += r.SilentPages()
+		pages += r.silentPages()
 	}
 	return pages * s.cfg.PageSize
 }
@@ -105,6 +108,7 @@ func (s *AddressSpace) SilentDirtyBytes() uint64 {
 // log records still takes its fault and is then unprotected, so it is
 // never checkpointed torn. Returns the number of pages replayed.
 func (s *AddressSpace) ReplaySilent() uint64 {
+	s.settle()
 	var pages uint64
 	for _, r := range s.regions {
 		for w, m := range r.silent {

@@ -197,6 +197,7 @@ func (r *Region) Protected(addr uint64) bool {
 
 // SetProtected sets or clears write protection on the page holding addr.
 func (r *Region) SetProtected(addr uint64, protected bool) {
+	r.space.settle()
 	idx := r.PageIndex(addr)
 	if protected {
 		r.protect(idx/64, 1<<(idx%64))
@@ -207,6 +208,13 @@ func (r *Region) SetProtected(addr uint64, protected bool) {
 
 // ProtectAll sets write protection on every page of the region.
 func (r *Region) ProtectAll() {
+	r.space.settle()
+	r.protectAll()
+}
+
+// protectAll is ProtectAll inside an entry point that has settled the
+// space: a log's Open and Reset protect region by region.
+func (r *Region) protectAll() {
 	n := uint64(len(r.wp))
 	all := r.wp[:n+summaryWords(n)]
 	for i := range all {
@@ -309,6 +317,7 @@ func (r *Region) summary() []uint64 {
 //
 //lint:ignore deadexport protection-state probe the tracker tests assert on
 func (r *Region) ProtectedPages() uint64 {
+	r.space.settle()
 	var n uint64
 	for _, w := range r.wp {
 		n += uint64(bits.OnesCount64(w))
@@ -320,6 +329,13 @@ func (r *Region) ProtectedPages() uint64 {
 // contents changed underneath the protection machinery and are therefore
 // missing from any fault-derived dirty set.
 func (r *Region) SilentPages() uint64 {
+	r.space.settle()
+	return r.silentPages()
+}
+
+// silentPages is SilentPages inside an entry point that has settled the
+// space (SilentDirtyBytes, region by region).
+func (r *Region) silentPages() uint64 {
 	var n uint64
 	for _, w := range r.silent {
 		n += uint64(bits.OnesCount64(w))
@@ -331,6 +347,7 @@ func (r *Region) SilentPages() uint64 {
 // this: it captures current page contents regardless of dirty sets, so
 // the DMA'd data is in the chain after all.
 func (r *Region) ClearSilent() {
+	r.space.settle()
 	for i := range r.silent {
 		r.silent[i] = 0
 	}
@@ -412,6 +429,9 @@ type AddressSpace struct {
 	faults     uint64 // total write faults delivered
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
 	writeSeq   byte   // rolling fill value for backed WriteRange/RewriteRange
+
+	// settleFn is the owner's hook (SetSettle), nil when it has none.
+	settleFn func()
 }
 
 type span struct{ start, size uint64 }
@@ -431,6 +451,29 @@ func NewAddressSpace(cfg Config) *AddressSpace {
 	return s
 }
 
+// SetSettle installs fn as the space's settle hook: the space calls it
+// before every entry point that reads dirty state (a DirtyLog's Pages,
+// Count and Faults; the space's Faults, WrittenBytes, Digest and silent
+// set; a region's ProtectedPages and SilentPages), changes protection (a
+// log's Open, Close and Reset; ProtectAll, SetProtected, ClearSilent,
+// ReplaySilent; a DMA write, whose silence depends on protection) or
+// changes the mapping (MapData, Mmap, MapBounce, Munmap, MapAt). It is
+// for an owner that defers writes nobody can see yet — a workload's held
+// sweep ticks — and must make them before anything can tell: fn brings
+// the space up to the running instant. CPU writes do not call it: which
+// pages an interval's writes fault does not depend on their order. fn
+// may be called again from inside itself (a write it makes reaches an
+// observer that reads); it must then have nothing left to do. A nil fn
+// removes the hook.
+func (s *AddressSpace) SetSettle(fn func()) { s.settleFn = fn }
+
+// settle calls the settle hook, if any (SetSettle).
+func (s *AddressSpace) settle() {
+	if s.settleFn != nil {
+		s.settleFn()
+	}
+}
+
 // PageSize returns the page size in bytes.
 func (s *AddressSpace) PageSize() uint64 { return s.cfg.PageSize }
 
@@ -438,11 +481,17 @@ func (s *AddressSpace) PageSize() uint64 { return s.cfg.PageSize }
 func (s *AddressSpace) Phantom() bool { return s.cfg.Phantom }
 
 // Faults returns the total number of write faults delivered so far.
-func (s *AddressSpace) Faults() uint64 { return s.faults }
+func (s *AddressSpace) Faults() uint64 {
+	s.settle()
+	return s.faults
+}
 
 // WrittenBytes returns the total number of bytes logically written (the
 // sum of Write/WriteRange lengths, not page-rounded).
-func (s *AddressSpace) WrittenBytes() uint64 { return s.writeBytes }
+func (s *AddressSpace) WrittenBytes() uint64 {
+	s.settle()
+	return s.writeBytes
+}
 
 func (s *AddressSpace) roundUp(n uint64) uint64 {
 	ps := s.cfg.PageSize
@@ -480,6 +529,7 @@ func (s *AddressSpace) remove(r *Region) {
 
 // MapData maps the initialized-data region. It may be called once.
 func (s *AddressSpace) MapData(size uint64) *Region {
+	s.settle()
 	for _, r := range s.regions {
 		if r.kind == Data {
 			panic("mem: data region already mapped")
@@ -503,6 +553,7 @@ func (s *AddressSpace) Mmap(size uint64) (*Region, error) { return s.mmap(size, 
 func (s *AddressSpace) MapBounce(size uint64) (*Region, error) { return s.mmap(size, Bounce) }
 
 func (s *AddressSpace) mmap(size uint64, kind Kind) (*Region, error) {
+	s.settle()
 	if size == 0 {
 		return nil, fmt.Errorf("%w: mmap of zero bytes", ErrBadRange)
 	}
@@ -532,6 +583,7 @@ func (s *AddressSpace) mmap(size uint64, kind Kind) (*Region, error) {
 // exist: their protection state and contents are discarded, which is what
 // enables the paper's memory-exclusion optimisation (§4.2).
 func (s *AddressSpace) Munmap(r *Region) error {
+	s.settle()
 	if r == nil || r.dead || r.kind != Mmap || r.space != s {
 		return fmt.Errorf("%w: munmap of invalid region", ErrBadRange)
 	}
@@ -548,6 +600,7 @@ func (s *AddressSpace) Munmap(r *Region) error {
 // The range leaves the arena free list (a span it covers part of keeps
 // the rest), so no later Mmap hands it out again.
 func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
+	s.settle()
 	rounded := s.roundUp(size)
 	if start%s.cfg.PageSize != 0 || size == 0 || start+rounded <= start {
 		return nil, fmt.Errorf("%w: MapAt(%#x, %d)", ErrBadRange, start, size)
@@ -560,7 +613,9 @@ func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 	}
 	s.reserve(start, start+size)
 	r := s.insert(start, size, kind)
-	if kind == Mmap && start+size > s.mmapNext {
+	// Any region reaching past the bump pointer in the arena range moves
+	// it on, whatever its kind, so no later Mmap is placed inside it.
+	if start < dataBase && start+size > s.mmapNext {
 		s.mmapNext = start + size
 	}
 	s.mapEvent(r, true)

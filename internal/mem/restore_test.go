@@ -117,6 +117,28 @@ func TestMapAtMmapAdvancesAllocator(t *testing.T) {
 	}
 }
 
+// TestMapAtAnyKindAdvancesAllocator: a region of any kind mapped at the
+// bump pointer moves it on, so the next Mmap is not placed inside it.
+func TestMapAtAnyKindAdvancesAllocator(t *testing.T) {
+	const ps = 4096
+	s := NewAddressSpace(Config{PageSize: ps, Phantom: true})
+	a, err := s.Mmap(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bss, err := s.MapAt(a.End(), ps, BSS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Mmap(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Start() < bss.End() && bss.Start() < b.End() {
+		t.Fatalf("Mmap after MapAt(%#x, BSS) returned %#x, inside the BSS region", bss.Start(), b.Start())
+	}
+}
+
 func TestPeekAndLoadPage(t *testing.T) {
 	s := NewAddressSpace(Config{PageSize: 4096})
 	r, _ := s.Mmap(2 * 4096)

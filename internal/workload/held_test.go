@@ -2,12 +2,14 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/mem"
 	"repro/internal/mpi"
+	"repro/internal/tracker"
 )
 
 // heldCases are small specs for the corners of a held sub-burst's closed
@@ -65,15 +67,16 @@ func TestOverrunKeepsEachSeriesParameters(t *testing.T) {
 	}
 }
 
-// TestHeldSweepsMatchTickByTick: holding the sub-bursts of ranks nobody
-// was handed changes how many events run, not what they write. For every
-// spec at 4 ranks (the registry's and heldCases), a runner with every rank
-// handed out at New (every sweep tick by tick) and one with only rank 0
-// handed out (ranks 1-3 held, each unreleased sub-burst one closed-form
-// step) agree on each space's written bytes, footprint and digest and
-// each rank's sweep cursor after every Run window. Rank 2 is handed out
-// mid-burst, after Steps to the same event in both runners: the dirty log
-// opened on it then sees the same pages fault in both.
+// TestHeldSweepsMatchTickByTick: holding sub-bursts changes how many
+// events run, not what they write. For every spec at 4 ranks (the
+// registry's and heldCases), a runner with every rank handed out at New
+// and every sweep tick by tick (TickByTick) and one with only rank 0
+// handed out (every sub-burst held; ranks 1-3 settled only when a Run
+// returns, each unreleased sub-burst one closed-form step) agree on each
+// space's written bytes, footprint and digest and each rank's sweep
+// cursor after every Run window. Rank 2 is handed out mid-burst, after
+// Steps to the same event in both runners: the dirty log opened on it
+// then sees the same pages fault in both.
 func TestHeldSweepsMatchTickByTick(t *testing.T) {
 	const ranks = 4
 	for _, spec := range append(All(), heldCases()...) {
@@ -88,7 +91,10 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 				}
 				return r
 			}
-			open, held := build(ranks), build(1)
+			restore := TickByTick()
+			open := build(ranks)
+			restore()
+			held := build(1)
 			runners := []*Runner{open, held}
 			same := func(when string, all bool) {
 				t.Helper()
@@ -97,6 +103,8 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 						continue // still held mid-run
 					}
 					a, b := open.spaces[i], held.spaces[i]
+					a.Digest(nil) // settles a handed-out rank, so its cursor is current
+					b.Digest(nil)
 					ca, cb := open.apps[i].cursor, held.apps[i].cursor
 					if a.WrittenBytes() != b.WrittenBytes() || a.Footprint() != b.Footprint() || a.Digest(nil) != b.Digest(nil) || ca != cb {
 						t.Fatalf("%s, rank %d: written/footprint/digest/cursor %d/%d/%x/%d tick by tick, %d/%d/%x/%d held",
@@ -146,6 +154,73 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 				t.Fatalf("held runner fired %d events, tick by tick %d: nothing was held", held.Eng.Fired(), open.Eng.Fired())
 			}
 		})
+	}
+}
+
+// TestObservedSweepsMatchTickByTick: settling the held sub-bursts of
+// observed ranks changes how many events run, not what any observer
+// sees. For every spec at 4 ranks (the registry's and heldCases), with
+// every rank handed out and tracked from iteration 0 at a 1 s and a 2 s
+// timeslice, a runner whose sweeps tick one by one (TickByTick) and one
+// whose trackers settle them at each alarm give every rank the same
+// samples — IWS pages, faults, footprint, received bytes, overhead, all
+// of a Sample — and the same fault totals, over three periods or twelve
+// slices, whichever is longer.
+func TestObservedSweepsMatchTickByTick(t *testing.T) {
+	const ranks = 4
+	for _, spec := range append(All(), heldCases()...) {
+		for _, ts := range []des.Time{des.Second, 2 * des.Second} {
+			t.Run(fmt.Sprintf("%s/%v", spec.Name, ts), func(t *testing.T) {
+				run := func(ticks bool) (*Runner, []*tracker.Tracker) {
+					if ticks {
+						defer TickByTick()()
+					}
+					r, err := New(spec, Config{Ranks: ranks, Seed: 7})
+					if err != nil {
+						t.Fatal(err)
+					}
+					trs := make([]*tracker.Tracker, ranks)
+					for i := range trs {
+						if trs[i], err = tracker.New(r.Eng, r.Space(i), tracker.Options{Timeslice: ts}); err != nil {
+							t.Fatal(err)
+						}
+						trs[i].AttachRank(r.World, i)
+					}
+					if err := r.RunToIterZero(); err != nil {
+						t.Fatal(err)
+					}
+					for _, tr := range trs {
+						tr.Start()
+					}
+					r.Run(r.Now() + max(3*spec.PeriodAt(ranks), 12*ts))
+					return r, trs
+				}
+				open, want := run(true)
+				held, got := run(false)
+				var faults uint64
+				for i := range want {
+					a, b := want[i].Samples(), got[i].Samples()
+					if len(a) == 0 || !slices.Equal(a, b) {
+						for j := range min(len(a), len(b)) {
+							if a[j] != b[j] {
+								t.Fatalf("rank %d sample %d: tick by tick %+v, settled %+v", i, j, a[j], b[j])
+							}
+						}
+						t.Fatalf("rank %d: %d samples tick by tick, %d settled", i, len(a), len(b))
+					}
+					if want[i].TotalFaults() != got[i].TotalFaults() {
+						t.Fatalf("rank %d: %d faults tick by tick, %d settled", i, want[i].TotalFaults(), got[i].TotalFaults())
+					}
+					faults += got[i].TotalFaults()
+				}
+				if faults == 0 {
+					t.Fatal("no tracker saw a fault: the check is vacuous")
+				}
+				if held.Eng.Fired() >= open.Eng.Fired() {
+					t.Fatalf("settled runner fired %d events, tick by tick %d: nothing was held", held.Eng.Fired(), open.Eng.Fired())
+				}
+			})
+		}
 	}
 }
 
@@ -251,10 +326,11 @@ func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
 	}
 }
 
-// TestSideDoorProtectionPanics: a rank's sweeps run held until Runner.Space
-// hands its space out, so a dirty log opened through the World's side door
-// would miss the ticks it was opened for. The first held tick to find a
-// write fault on the space panics instead.
+// TestSideDoorProtectionPanics: a rank's sweeps run held, settled only
+// through the hook Runner.Space installs when it hands the space out, so a
+// dirty log opened through the World's side door would miss the ticks it
+// was opened for. The first held tick to find a write fault on the space
+// panics instead.
 func TestSideDoorProtectionPanics(t *testing.T) {
 	r, err := New(tiny(), Config{Ranks: 2, Seed: 1})
 	if err != nil {

@@ -28,6 +28,11 @@ type Config struct {
 // clamped to [100 µs, maxTick]. The initialization sweep ticks at maxTick.
 const maxTick = 50 * des.Millisecond
 
+// tickByTick is a test seam (export_test.go): a runner New builds while
+// it is set makes every sub-burst an ordinary series, tick by tick — the
+// reference the held sweeps are checked against.
+var tickByTick bool
+
 func (c Config) withDefaults(spec Spec) Config {
 	if c.Ranks == 0 {
 		c.Ranks = spec.RefRanks
@@ -57,6 +62,8 @@ type Runner struct {
 	sendAt  []des.Time
 
 	iterZero des.Time // when rank 0 started iteration 0; 0 until known
+
+	ticks bool // tickByTick when New built the runner
 }
 
 // New builds the engine, address spaces, MPI world (on the paper's QsNet
@@ -74,7 +81,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		// the feasibility experiments need.
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
-	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine()}
+	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine(), ticks: tickByTick}
 	// One backing array for every rank's sub-burst records.
 	bursts := make([]subBurst, cfg.Ranks*len(spec.RateProfile))
 	world, err := mpi.NewWorld(r.Eng, mpi.QsNet(), mpi.Bounce, spaces)
@@ -100,19 +107,26 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 }
 
 // Space hands out rank i's address space: the door every tracker,
-// checkpointer and migrator attaches through. Until a rank's space has been
-// handed out, nothing can observe it mid-burst, so the runner holds each of
-// its sweep sub-bursts as one event (des.Engine.HoldSeries), and the
-// messages its left neighbour sends it as two (startIteration); handing
-// it out releases them into ordinary series, so whatever
-// attaches sees exactly the state, and from then on the writes, of a run
-// that never held anything. Hand a space out before attaching anything to
-// it; World.Rank(i).Space() is no substitute — a sweep tick panics if it
-// finds that a never-handed-out space took a write fault.
+// checkpointer and migrator attaches through. Every rank's sweep
+// sub-bursts run held (des.Engine.HoldSeries): one event at each
+// sub-burst's last tick, standing for the ticks since anything last
+// looked. Handing a space out installs its settle hook
+// (mem.AddressSpace.SetSettle), so whatever reads its dirty state,
+// changes its protection or maps it first runs the ticks due so far, in
+// closed form (des.Event.Settle, app.sweep): an observer sees exactly
+// the state, and from then on the writes, of a run that ticked one by
+// one. The messages the rank's left neighbour sends it are held until it
+// is handed out (startIteration); the hand-out releases them into the
+// message path. Hand a space out before attaching anything to it;
+// World.Rank(i).Space() is no substitute — it has no hook, and a sweep
+// panics if it finds that a never-handed-out space took a write fault.
 func (r *Runner) Space(i int) *mem.AddressSpace {
 	a := r.apps[i]
-	a.handed = true
-	a.release()
+	if !a.handed {
+		a.handed = true
+		a.space.SetSettle(a.settleBursts)
+		a.releaseLinks()
+	}
 	return r.spaces[i]
 }
 
@@ -125,13 +139,16 @@ func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 // Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
 func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
-// Run advances the simulation until the given virtual time. Held
-// sub-bursts and messages are released when it returns, so between runs
-// every rank — handed out or not — is in its tick-by-tick state.
+// Run advances the simulation until the given virtual time. When it
+// returns, every rank's held sub-bursts are settled and its held messages
+// released, so between runs every rank — handed out or not, read through
+// Space or World.Rank(i).Space() — is in its tick-by-tick state, and a
+// run made in windows holds its sub-bursts as one made at once does.
 func (r *Runner) Run(until des.Time) {
 	r.Eng.Run(until)
 	for _, a := range r.apps {
-		a.release()
+		a.settleBursts()
+		a.releaseLinks()
 	}
 }
 
@@ -247,23 +264,27 @@ type app struct {
 }
 
 // subBurst is one rate-profile entry of a rank's iterations: the sweep
-// callbacks bound to it once (newApp) and the parameters they read, which
-// each iteration sets for its own series.
+// callback bound to it once (newApp) and the parameters it reads, which
+// each iteration sets for its own hold.
 type subBurst struct {
 	perTick uint64 // bytes a tick sweeps, in iteration iter
 	iter    int
 	sweep   func(runs int) // a.sweep(perTick, iter, runs): a hold's callback
-	tick    func()         // sweep(1): a handed rank's ordinary series
 	held    des.Event      // the entry's latest hold
 }
 
-// release turns the rank's held sub-bursts, sends and incoming messages
-// into ordinary series, running the firings already due
-// (des.Event.Release).
-func (a *app) release() {
+// settleBursts runs the ticks of the rank's held sub-bursts that are due
+// (des.Event.Settle), in time order: the sub-bursts of an iteration
+// follow one another and share the cursor.
+func (a *app) settleBursts() {
 	for i := range a.bursts {
-		a.bursts[i].held.Release()
+		a.bursts[i].held.Settle()
 	}
+}
+
+// releaseLinks turns the rank's held sends and incoming messages into
+// ordinary series, running the firings already due (des.Event.Release).
+func (a *app) releaseLinks() {
 	a.booked.Release()
 	a.deposits.Release()
 }
@@ -325,7 +346,6 @@ func (a *app) bind(bursts []subBurst) {
 	for i := range bursts {
 		b := &bursts[i]
 		b.sweep = func(runs int) { a.sweep(b.perTick, b.iter, runs) }
-		b.tick = func() { b.sweep(1) }
 	}
 	// Dynamic applications map their transient arena for the duration
 	// of the processing burst (§4.1: Fortran90 allocates per cycle).
@@ -350,6 +370,12 @@ func (a *app) bind(bursts []subBurst) {
 	// convergence checks).
 	a.periodEnd = func() { a.rank.AllReduce(8, a.stripBase, a.nextIteration) }
 	a.nextIteration = func() {
+		// A burst that overran its period still holds sub-bursts: they
+		// run the ticks due before now while iter and the cursor are
+		// still theirs, then go on as ordinary series (startIteration).
+		for i := range a.bursts {
+			a.bursts[i].held.Release()
+		}
 		a.iter++
 		a.startIteration()
 	}
@@ -489,35 +515,30 @@ func (a *app) startIteration() {
 	tick = max(min(tick, maxTick), 100*des.Microsecond)
 	// A burst overrunning its period leaves last iteration's sub-bursts
 	// running into this one (a series' last tick precedes its burst end).
-	// Its holds become ordinary rather than being forgotten; they still
-	// read the sub-burst entries, so this iteration's series get callbacks
-	// of their own; and it holds nothing, since the spans would change
-	// under a held sub-burst when last iteration's burst end unmaps the
-	// transient arena (sweep).
+	// Its holds became ordinary rather than being forgotten
+	// (nextIteration); they still read the sub-burst entries, so this
+	// iteration's series get callbacks of their own; and it holds
+	// nothing, since the spans would change under a held sub-burst when
+	// last iteration's burst end unmaps the transient arena (sweep). A
+	// runner ticking one by one (tickByTick) makes its series the same
+	// way.
 	overrun := a.burstEnd.Pending()
 	for bi, mult := range profile {
 		rate := meanRate * mult
 		perTick := uint64(rate * tick.Seconds())
 		start := jitter + des.Time(bi)*subDur
 		b := &a.bursts[bi]
-		b.held.Release()
-		sweep, doTick := b.sweep, b.tick
-		if overrun {
+		// The sub-burst's ticks, every tick from start+tick to
+		// start+subDur, are one series: one queue entry, not one per tick,
+		// and held, one event at the last tick, whose observers settle
+		// the ticks due whenever they look (Space).
+		first, n := iterStart+start+tick, int(subDur/tick)
+		if overrun || a.r.ticks {
 			iter := a.iter
-			sweep = func(runs int) { a.sweep(perTick, iter, runs) }
-			doTick = func() { sweep(1) }
+			eng.ScheduleSeries(first, tick, n, func() { a.sweep(perTick, iter, 1) })
 		} else {
 			b.perTick, b.iter = perTick, a.iter
-		}
-		// The sub-burst's ticks, every tick from start+tick to
-		// start+subDur, are one series: one queue entry, not one per tick.
-		// On a rank nothing observes (Space) they are also one event, at
-		// the last tick, until the space is handed out or the run returns.
-		first, n := iterStart+start+tick, int(subDur/tick)
-		if a.handed || overrun {
-			eng.ScheduleSeries(first, tick, n, doTick)
-		} else {
-			b.held = eng.HoldSeries(first, tick, n, sweep)
+			b.held = eng.HoldSeries(first, tick, n, b.sweep)
 		}
 	}
 
@@ -551,30 +572,39 @@ func (a *app) startIteration() {
 // constant DwellMB to every timeslice's IWS — the hot-inner-array
 // behaviour.
 //
-// runs > 1 is a held sub-burst (des.Engine.HoldSeries) on a space never
-// handed out, so never armed: its ticks' only effects are the cursor and
-// the byte count. So it sweeps runs·perTick bytes in one pass — the same
-// bytes and pages as runs ticks — and rewrites the last tick's dwell
-// window runs times. That needs the spans its ticks read to be one set.
-// They are: a burst maps its transient arena before its first tick and
-// unmaps it after its last, an iteration holds nothing while the last
-// one's burst runs on, and the next iteration releases the holds. A held
-// sweep checks it.
+// runs > 1 is a held sub-burst's node or a settle (des.Event.Settle):
+// ticks nothing read between, whose writes are made in closed form, on a
+// space that may be armed. Between two reads only which pages the ticks
+// write matters, and how many bytes. So it makes the first tick as one,
+// then the other runs-1: their runs-1 forward pieces in one pass, and the
+// last one's dwell window runs-1 times (RewriteRange). That writes the
+// same bytes as runs ticks and the same pages: every later tick's window
+// ends at its own cursor and starts no earlier than the first tick's,
+// so it lies inside the first tick's window and the forward pass; the
+// union of the windows is the first window and the forward pass. That
+// needs the spans its ticks read to be one set. They are: a burst maps
+// its transient arena before its first tick and unmaps it after its last
+// (Mmap and Munmap settle first), an iteration holds nothing while the
+// last one's burst runs on, and the next iteration releases the holds. A
+// held sweep checks it.
 func (a *app) sweep(perTick uint64, iter, runs int) {
 	if runs > 1 && (iter != a.iter || (a.transient != nil) != (a.transientBytes > 0)) {
 		panic(fmt.Sprintf("workload %s rank %d: held sub-burst of iteration %d ends in iteration %d with the transient arena mapped %v", a.r.Spec.Name, a.id, iter, a.iter, a.transient != nil))
 	}
 	spans := a.iterationSpans()
-	n := uint64(runs) * perTick
-	a.writeAcross(spans, a.cursor, n, 1)
-	a.cursor += n
-	if a.dwellBytes > 0 {
-		var total uint64
-		for _, sp := range spans {
-			total += sp.size
+	var total uint64
+	for _, sp := range spans {
+		total += sp.size
+	}
+	for _, k := range [2]uint64{1, uint64(runs) - 1} {
+		if k == 0 {
+			break
 		}
-		if a.dwellBytes < total {
-			a.writeAcross(spans, a.cursor+total-a.dwellBytes, a.dwellBytes, uint64(runs))
+		n := k * perTick
+		a.writeAcross(spans, a.cursor, n, 1)
+		a.cursor += n
+		if a.dwellBytes > 0 && a.dwellBytes < total {
+			a.writeAcross(spans, a.cursor+total-a.dwellBytes, a.dwellBytes, k)
 		}
 	}
 	if !a.handed && a.space.Faults() != 0 {
