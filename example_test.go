@@ -168,10 +168,10 @@ bitflip at 2s..9s count 3
 	//       2.346s      8               5        3     2.990s       0
 	//       7.372s     15      yes      0       15     0.500s       1
 	//
-	// rank 0 digest: a1fcb1e217fd7748 vs a1fcb1e217fd7748
-	// rank 1 digest: 3983c596aaa4ce9e vs 3983c596aaa4ce9e
-	// rank 2 digest: 595b63f4ea0be0a3 vs 595b63f4ea0be0a3
-	// rank 3 digest: 5e6dfb43ccf7e6b1 vs 5e6dfb43ccf7e6b1
+	// rank 0 digest: 944fe792b16b6906 vs 944fe792b16b6906
+	// rank 1 digest: 3640d5a91f60a33f vs 3640d5a91f60a33f
+	// rank 2 digest: 2e4443495cbf42f7 vs 2e4443495cbf42f7
+	// rank 3 digest: 4ae137dfefaa36a9 vs 4ae137dfefaa36a9
 	//
 	// replay is BIT-EXACT: torn apart 2 times, restored, replayed — same bytes.
 }
@@ -815,9 +815,9 @@ func Example_rdma_drain() {
 	//   silent dirty reconciled:    624.0 KB
 	//   baked into committed lines:   0.0 KB
 	//   per-phase latency (µs):    quiesce=20 drain=80 deregister=50 checkpoint=20410 reregister=50 reconnect=400
-	//   rank 0 digest: 3a910da9b39b827a vs 3a910da9b39b827a
-	//   rank 1 digest: dd6b5d28b588a2cb vs dd6b5d28b588a2cb
-	//   rank 2 digest: d4ed7554d810c1ab vs d4ed7554d810c1ab
+	//   rank 0 digest: 350045d14b7f8461 vs 350045d14b7f8461
+	//   rank 1 digest: ef8f8150a8504c07 vs ef8f8150a8504c07
+	//   rank 2 digest: af8b36d74138daa4 vs af8b36d74138daa4
 	//
 	// drain replay is BIT-EXACT: crashed at 0.402s with puts in flight, restored, replayed — same bytes.
 }

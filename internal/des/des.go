@@ -21,12 +21,12 @@
 //
 // Queue depth is O(live activities), not O(scheduled firings): an activity
 // that fires many times — a sweep's ticks, an iteration's sends — is one
-// event series (ScheduleSeries/ScheduleSeriesAt, series.go) holding exactly
+// event series (ScheduleSeriesAt, series.go) holding exactly
 // one heap node however many firings remain, with the order and event
 // counts it would have had if every firing had been scheduled up front.
 //
 // Event count is O(observations), not O(firings): a series whose
-// intermediate states nothing reads can be held (HoldSeries), standing
+// intermediate states nothing reads can be held (HoldSeriesAt), standing
 // for all its firings as one event at its last firing's key, whose
 // counted callback is handed the number of firings at once — so an
 // activity that can do n firings' work in closed form pays O(1) for

@@ -26,7 +26,7 @@ import (
 // cancelled stay queued until each is popped; a cancelled series leaves one
 // dead node. What fires, and when, is still identical.
 //
-// Held series. HoldSeries reserves the same block, but queues its one
+// Held series. holdSeries reserves the same block, but queues its one
 // node at the block's last key (at(n-1), seq0+n-1) and, when that node
 // fires, calls its counted callback once with the number of firings it
 // stands for: one event, and one call, instead of n, for an activity whose
@@ -38,7 +38,7 @@ import (
 // already due run at once, one call each, the rest keep their reserved
 // keys and fire one at a time — so a hold that is released before
 // anything could tell the difference is indistinguishable from
-// ScheduleSeries. The last key is the one the ordinary series' last
+// scheduleSeries. The last key is the one the ordinary series' last
 // firing carries, so a hold still ties with same-instant events exactly
 // as that firing would.
 
@@ -50,7 +50,7 @@ type series struct {
 	offsets     []Time // borrowed from the caller; not modified
 	k, n        int32  // pending firing, total firings
 	seq0        uint64 // sequence number reserved for firing 0
-	// count is a hold's callback (HoldSeries, HoldSeriesAt), handed the
+	// count is a hold's callback (holdSeries, HoldSeriesAt), handed the
 	// number of firings each call stands for; nil for any other series.
 	count func(runs int)
 }
@@ -71,16 +71,18 @@ func (s *series) key(k int32, slot int32) heapNode {
 	return heapNode{at: s.time(k), seq: s.seq0 + uint64(k), slot: slot}
 }
 
-// ScheduleSeries queues fn to fire n times, at first, first+step, …,
+// scheduleSeries queues fn to fire n times, at first, first+step, …,
 // first+(n-1)*step. It is equivalent to n Schedule calls made now, in time
 // order, but holds one queue entry. step must not be negative; n == 0
 // queues nothing and returns the zero Event. The returned handle covers
-// the whole series: Cancel drops every firing still to come.
-func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
-	return e.scheduleSeries(first, step, nil, n, fn, nil)
+// the whole series: Cancel drops every firing still to come. The
+// fixed-step forms (scheduleSeries, holdSeries) are this package's own,
+// for its tests and rungs; programs use the offsets forms.
+func (e *Engine) scheduleSeries(first, step Time, n int, fn func()) Event {
+	return e.newSeries(first, step, nil, n, fn, nil)
 }
 
-// HoldSeries is ScheduleSeries for an activity nothing observes except
+// holdSeries is scheduleSeries for an activity nothing observes except
 // through Settle: it reserves the same n sequence numbers, but its one
 // queue entry waits at the last firing's key and, when it fires, calls fn
 // once with runs = n: one event at that instant standing for all n
@@ -90,15 +92,15 @@ func (e *Engine) ScheduleSeries(first, step Time, n int, fn func()) Event {
 // at its own instant). Release on the returned handle turns the
 // hold back into the ordinary series, whose firings each call fn(1);
 // Cancel drops it.
-func (e *Engine) HoldSeries(first, step Time, n int, fn func(runs int)) Event {
+func (e *Engine) holdSeries(first, step Time, n int, fn func(runs int)) Event {
 	if fn == nil {
 		panic("des: hold with nil callback")
 	}
-	return e.scheduleSeries(first, step, nil, n, nil, fn)
+	return e.newSeries(first, step, nil, n, nil, fn)
 }
 
-// Release turns a held series (HoldSeries, HoldSeriesAt) into the series
-// ScheduleSeries (ScheduleSeriesAt) would have made. The firings that
+// Release turns a held series (holdSeries, HoldSeriesAt) into the series
+// scheduleSeries (ScheduleSeriesAt) would have made. The firings that
 // series would already have made run now, in order: inside a callback,
 // those keyed before the running event; between calls, those keyed at or
 // before the last event fired, or at or before the bound a Run stopped at
@@ -202,10 +204,10 @@ func (ev Event) Settle() {
 // borrowed, not copied: it must stay unmodified until the series has
 // finished or been cancelled. One list may back any number of series.
 func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
-	return e.scheduleSeries(base, 0, offsets, len(offsets), fn, nil)
+	return e.newSeries(base, 0, offsets, len(offsets), fn, nil)
 }
 
-// HoldSeriesAt is HoldSeries over explicit offsets: the hold of
+// HoldSeriesAt is holdSeries over explicit offsets: the hold of
 // ScheduleSeriesAt(base, offsets, ·), one event at base+offsets[n-1]
 // calling fn(len(offsets)) unless released first. offsets is borrowed as
 // ScheduleSeriesAt borrows it.
@@ -213,12 +215,12 @@ func (e *Engine) HoldSeriesAt(base Time, offsets []Time, fn func(runs int)) Even
 	if fn == nil {
 		panic("des: hold with nil callback")
 	}
-	return e.scheduleSeries(base, 0, offsets, len(offsets), nil, fn)
+	return e.newSeries(base, 0, offsets, len(offsets), nil, fn)
 }
 
-// scheduleSeries is the core both series shapes share; a non-nil count
+// newSeries is the core both series shapes share; a non-nil count
 // makes the series a hold.
-func (e *Engine) scheduleSeries(first, step Time, offsets []Time, n int, fn func(), count func(int)) Event {
+func (e *Engine) newSeries(first, step Time, offsets []Time, n int, fn func(), count func(int)) Event {
 	if n < 0 || n > math.MaxInt32 || step < 0 {
 		panic(fmt.Sprintf("des: series of %d firings with step %v", n, step))
 	}

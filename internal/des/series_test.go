@@ -16,7 +16,7 @@ import (
 // A script is a random program of single events and series, with
 // cancellations before and during the run and callbacks that schedule
 // further events as they fire. It is played twice: once through
-// ScheduleSeries*, once through the bulk loop the series replaces.
+// scheduleSeries*, once through the bulk loop the series replaces.
 
 // opSpec is one scripted activity on one engine.
 type opSpec struct {
@@ -25,7 +25,7 @@ type opSpec struct {
 	n       int    // firings; 1 with offsets == nil is a single event
 	offsets []Time // explicit firing offsets from first
 	cancel  bool   // cancelled straight after scheduling
-	hold    bool   // a HoldSeries series; scripts never cancel one
+	hold    bool   // a holdSeries series; scripts never cancel one
 
 	// What a single event does when it fires.
 	kill    int  // cancel activity kill-1 of the same engine
@@ -90,7 +90,7 @@ func (p *player) schedule() {
 			if o.offsets != nil {
 				ev = p.eng.HoldSeriesAt(o.first, o.offsets, count)
 			} else {
-				ev = p.eng.HoldSeries(o.first, o.step, o.n, count)
+				ev = p.eng.holdSeries(o.first, o.step, o.n, count)
 			}
 			p.cancel[id] = func() {}
 			if p.holds != neverRelease {
@@ -115,7 +115,7 @@ func (p *player) schedule() {
 			}
 		default:
 			// Straight into the core both series shapes share.
-			ev := p.eng.scheduleSeries(o.first, o.step, o.offsets, o.n, fn, nil)
+			ev := p.eng.newSeries(o.first, o.step, o.offsets, o.n, fn, nil)
 			p.cancel[id] = func() { ev.Cancel() }
 			p.release[id] = ev.Release // a no-op on an ordinary series
 		}
@@ -186,7 +186,7 @@ func randomScript(rng *rand.Rand, cancels bool) []opSpec {
 	return ops
 }
 
-// addHolds turns some of a script's series, uniform (HoldSeries) and
+// addHolds turns some of a script's series, uniform (holdSeries) and
 // explicit (HoldSeriesAt), into holds and some of its inert single events
 // into releases of a random activity (a hold, or anything else, on which
 // Release must do nothing).
@@ -369,7 +369,7 @@ func TestHeldReleaseAfterStep(t *testing.T) {
 	eng := NewEngine()
 	var got []Time
 	var runs []int
-	ev := eng.HoldSeries(Microsecond, Microsecond, 10, func(r int) {
+	ev := eng.holdSeries(Microsecond, Microsecond, 10, func(r int) {
 		runs = append(runs, r)
 		for ; r > 0; r-- {
 			got = append(got, eng.Now())
@@ -390,7 +390,7 @@ func TestHeldReleaseAfterStep(t *testing.T) {
 	// Never released, the hold is one event and one call for all ten.
 	runs, got = nil, nil
 	before := eng.Fired()
-	eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 10, func(r int) {
+	eng.holdSeries(eng.Now()+Microsecond, Microsecond, 10, func(r int) {
 		runs = append(runs, r)
 		got = append(got, eng.Now())
 	})
@@ -414,7 +414,7 @@ func TestSettleRunsDueFiringsAndKeepsTheHold(t *testing.T) {
 	eng := NewEngine()
 	var calls []call
 	var ev Event
-	ev = eng.HoldSeries(10*Microsecond, 10*Microsecond, 10, func(r int) {
+	ev = eng.holdSeries(10*Microsecond, 10*Microsecond, 10, func(r int) {
 		calls = append(calls, call{r, eng.Now()})
 		ev.Settle() // a settle inside a settled call has nothing left to run
 	})
@@ -436,7 +436,7 @@ func TestSettleRunsDueFiringsAndKeepsTheHold(t *testing.T) {
 	// Settled between calls (the clock's instant is the bound a Run
 	// stopped at), then released: the rest fire one by one at their keys.
 	calls = nil
-	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 6, func(r int) { calls = append(calls, call{r, eng.Now()}) })
+	ev = eng.holdSeries(eng.Now()+Microsecond, Microsecond, 6, func(r int) { calls = append(calls, call{r, eng.Now()}) })
 	base := eng.Now()
 	eng.Run(base + 2*Microsecond)
 	ev.Settle()
@@ -451,8 +451,8 @@ func TestSettleRunsDueFiringsAndKeepsTheHold(t *testing.T) {
 	// Settle does nothing on anything but a pending hold.
 	n := 0
 	single := eng.After(Microsecond, func() { n++ })
-	ordinary := eng.ScheduleSeries(eng.Now()+Microsecond, Microsecond, 3, func() { n++ })
-	released := eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, func(r int) { n += r })
+	ordinary := eng.scheduleSeries(eng.Now()+Microsecond, Microsecond, 3, func() { n++ })
+	released := eng.holdSeries(eng.Now()+Microsecond, Microsecond, 3, func(r int) { n += r })
 	released.Release()
 	eng.Run(eng.Now() + 2*Microsecond)
 	for _, h := range []Event{{}, single, ordinary, released, ev} {
@@ -572,7 +572,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	n := 0
 	fn := func() { n++ }
 	count := func(runs int) { n += runs }
-	ev := eng.HoldSeries(Microsecond, Microsecond, 5, count)
+	ev := eng.holdSeries(Microsecond, Microsecond, 5, count)
 	if !ev.Pending() || ev.Time() != Microsecond || !ev.Cancel() {
 		t.Fatal("a hold must be pending from its first firing's time until cancelled")
 	}
@@ -582,7 +582,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 		t.Fatalf("cancelled hold fired %d times, %d nodes left", n, eng.Pending())
 	}
 
-	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 5, count)
+	ev = eng.holdSeries(eng.Now()+Microsecond, Microsecond, 5, count)
 	eng.Run(eng.Now() + 2*Microsecond)
 	ev.Release() // catches up two firings; two nodes queued from here
 	if n != 2 || eng.Pending() != 2 || !ev.Cancel() {
@@ -594,7 +594,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 	}
 
 	// A released hold finishing normally frees its slot once, after both nodes.
-	ev = eng.HoldSeries(eng.Now()+Microsecond, Microsecond, 3, count)
+	ev = eng.holdSeries(eng.Now()+Microsecond, Microsecond, 3, count)
 	ev.Release()
 	ev.Release()
 	eng.Run(MaxTime)
@@ -604,8 +604,8 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 
 	before := eng.Fired()
 	single := eng.After(Microsecond, fn)
-	ordinary := eng.ScheduleSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
-	fired := eng.HoldSeries(eng.Now()+Microsecond, 0, 2, count)
+	ordinary := eng.scheduleSeries(eng.Now()+Microsecond, Microsecond, 3, fn)
+	fired := eng.holdSeries(eng.Now()+Microsecond, 0, 2, count)
 	eng.Run(eng.Now() + Microsecond)
 	for _, h := range []Event{{}, single, ordinary, fired} {
 		h.Release()
@@ -620,7 +620,7 @@ func TestHeldCancelAndNoOpRelease(t *testing.T) {
 func TestSeriesHoldsOneNode(t *testing.T) {
 	eng := NewEngine()
 	n := 0
-	ev := eng.ScheduleSeries(Microsecond, Microsecond, 1000, func() { n++ })
+	ev := eng.scheduleSeries(Microsecond, Microsecond, 1000, func() { n++ })
 	for i := 0; i < 999; i++ {
 		if eng.Pending() != 1 || !ev.Pending() {
 			t.Fatalf("after %d firings: %d nodes queued, handle pending %v", i, eng.Pending(), ev.Pending())
@@ -631,7 +631,7 @@ func TestSeriesHoldsOneNode(t *testing.T) {
 	if n != 1000 || eng.Pending() != 0 || ev.Pending() || eng.Now() != 1000*Microsecond {
 		t.Fatalf("fired %d, %d queued, pending %v, now %v", n, eng.Pending(), ev.Pending(), eng.Now())
 	}
-	if ev := eng.ScheduleSeries(eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
+	if ev := eng.scheduleSeries(eng.Now(), 0, 0, func() {}); ev != (Event{}) || eng.Pending() != 0 {
 		t.Fatal("an empty series queued something")
 	}
 }
@@ -641,7 +641,7 @@ func TestSeriesHoldsOneNode(t *testing.T) {
 func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 	eng := NewEngine()
 	n := 0
-	ev := eng.ScheduleSeries(Microsecond, Microsecond, 10, func() { n++ })
+	ev := eng.scheduleSeries(Microsecond, Microsecond, 10, func() { n++ })
 	eng.Run(3 * Microsecond)
 	if !ev.Cancel() || ev.Cancel() || ev.Pending() {
 		t.Fatal("first Cancel must report pending, the second not")
@@ -664,7 +664,7 @@ func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 	}
 	// The cancelled series' slot and record are reusable.
 	k := 0
-	eng.ScheduleSeries(eng.Now(), 1, 4, func() { k++ })
+	eng.scheduleSeries(eng.Now(), 1, 4, func() { k++ })
 	eng.Run(MaxTime)
 	if k != 4 {
 		t.Fatalf("series after a cancelled one fired %d times, want 4", k)
@@ -686,9 +686,9 @@ func TestSeriesRejectsBadSchedules(t *testing.T) {
 	eng.Run(MaxTime)
 	fn := func() {}
 	mustPanic("decreasing times", func() { eng.ScheduleSeriesAt(10, []Time{0, 5, 4, 9}, fn) })
-	mustPanic("negative step", func() { eng.ScheduleSeries(10, -1, 3, fn) })
-	mustPanic("first firing in the past", func() { eng.ScheduleSeries(9, 1, 3, fn) })
-	mustPanic("nil callback", func() { eng.ScheduleSeries(10, 1, 3, nil) })
+	mustPanic("negative step", func() { eng.scheduleSeries(10, -1, 3, fn) })
+	mustPanic("first firing in the past", func() { eng.scheduleSeries(9, 1, 3, fn) })
+	mustPanic("nil callback", func() { eng.scheduleSeries(10, 1, 3, nil) })
 	if eng.Pending() != 0 {
 		t.Fatalf("rejected series left %d nodes queued", eng.Pending())
 	}
@@ -700,10 +700,10 @@ func TestZeroAllocSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		eng.ScheduleSeries(Time(i), Microsecond, 4, fn)
+		eng.scheduleSeries(Time(i), Microsecond, 4, fn)
 	}
 	eng.Run(MaxTime)
-	eng.ScheduleSeries(eng.Now(), Microsecond, 1<<30, fn)
+	eng.scheduleSeries(eng.Now(), Microsecond, 1<<30, fn)
 	offsets := []Time{1, 2, 3, 5}
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
 		t.Errorf("series firing allocates %v/op, want 0", allocs)
@@ -725,18 +725,18 @@ func TestZeroAllocHeldSeries(t *testing.T) {
 	eng := NewEngine()
 	fn := func(int) {}
 	for i := 0; i < 64; i++ {
-		eng.HoldSeries(Time(i), Microsecond, 4, fn).Release()
+		eng.holdSeries(Time(i), Microsecond, 4, fn).Release()
 	}
 	eng.Run(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
-		eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
+		eng.holdSeries(eng.Now(), Microsecond, 8, fn)
 		eng.Step()
 	})
 	if allocs != 0 {
 		t.Errorf("hold + fire allocates %v/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(1000, func() {
-		ev := eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
+		ev := eng.holdSeries(eng.Now(), Microsecond, 8, fn)
 		eng.Run(eng.Now() + 3*Microsecond)
 		ev.Release()
 		eng.Run(MaxTime)
@@ -745,7 +745,7 @@ func TestZeroAllocHeldSeries(t *testing.T) {
 		t.Errorf("hold + release + fire allocates %v/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(1000, func() {
-		ev := eng.HoldSeries(eng.Now(), Microsecond, 8, fn)
+		ev := eng.holdSeries(eng.Now(), Microsecond, 8, fn)
 		eng.Run(eng.Now() + 3*Microsecond)
 		ev.Settle()
 		eng.Run(MaxTime)
@@ -778,7 +778,7 @@ func BenchmarkSeriesDeep(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities*firings), "ns/event")
 	}
 	b.Run("series", func(b *testing.B) {
-		run(b, activities*firings, func(e *Engine, first Time) { e.ScheduleSeries(first, Microsecond, firings, fn) })
+		run(b, activities*firings, func(e *Engine, first Time) { e.scheduleSeries(first, Microsecond, firings, fn) })
 	})
 	b.Run("bulk", func(b *testing.B) {
 		run(b, activities*firings, func(e *Engine, first Time) {
@@ -788,7 +788,7 @@ func BenchmarkSeriesDeep(b *testing.B) {
 		})
 	})
 	b.Run("held", func(b *testing.B) {
-		run(b, activities, func(e *Engine, first Time) { e.HoldSeries(first, Microsecond, firings, count) })
+		run(b, activities, func(e *Engine, first Time) { e.holdSeries(first, Microsecond, firings, count) })
 	})
 }
 
@@ -828,7 +828,7 @@ func BenchmarkSeriesIrregular(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings), "ns/event")
 	}
 	b.Run("series", func(b *testing.B) {
-		run(b, func(e *Engine, a int) { e.ScheduleSeries(first[a], step[a], len(offsets[a]), fn) })
+		run(b, func(e *Engine, a int) { e.scheduleSeries(first[a], step[a], len(offsets[a]), fn) })
 	})
 	b.Run("held", func(b *testing.B) {
 		run(b, func(e *Engine, a int) { e.HoldSeriesAt(first[a], offsets[a], count) })

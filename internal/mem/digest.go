@@ -1,5 +1,7 @@
 package mem
 
+import "encoding/binary"
+
 // Address-space digests: a 64-bit fingerprint of region layout and page
 // contents, used by the crash–restore–replay equivalence validator to
 // assert that a restored-and-replayed run ends in the *bit-identical*
@@ -7,32 +9,38 @@ package mem
 // a floating-point checksum of the gathered solution, because it covers
 // every checkpointable byte, not just the answer array.
 
-// fnv64 constants (FNV-1a).
+// The digest starts from FNV-1a's offset and multiplies by its prime,
+// but mixes a 64-bit word per step (digestState.word): the state takes
+// the word, is multiplied by the prime, whose carries move low bits up,
+// and folded by a shift, which moves the product's high bits down. Both
+// are bijections of the state, so states that differ before a word
+// differ after it, and a single changed word changes the digest.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// digestState accumulates an FNV-1a hash.
+// digestState accumulates the digest.
 type digestState uint64
 
-func (h *digestState) bytes(p []byte) {
-	x := uint64(*h)
-	for _, b := range p {
-		x ^= uint64(b)
-		x *= fnvPrime64
-	}
-	*h = digestState(x)
+// word mixes one 64-bit word into the state.
+func (h *digestState) word(v uint64) {
+	x := (uint64(*h) ^ v) * fnvPrime64
+	*h = digestState(x ^ x>>29)
 }
 
-func (h *digestState) u64(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= v & 0xff
-		x *= fnvPrime64
-		v >>= 8
+// bytes mixes p in, eight bytes (little-endian) per step; a tail of
+// fewer than eight bytes is one word, zero-padded above its length.
+func (h *digestState) bytes(p []byte) {
+	for len(p) >= 8 {
+		h.word(binary.LittleEndian.Uint64(p))
+		p = p[8:]
 	}
-	*h = digestState(x)
+	if len(p) > 0 {
+		var tail [8]byte
+		copy(tail[:], p)
+		h.word(binary.LittleEndian.Uint64(tail[:]) | uint64(len(p))<<56)
+	}
 }
 
 // zeroPageMark and dataPageMark disambiguate the per-page encoding: each
@@ -45,7 +53,7 @@ const (
 	dataPageMark = 0xA5
 )
 
-// Digest returns a 64-bit FNV-1a digest of the space's live region
+// Digest returns a 64-bit digest of the space's live region
 // layout and page contents. Regions are visited in address order (the
 // space's canonical order), so the digest is deterministic. skip, when
 // non-nil, excludes regions — callers exclude bounce arenas, stacks and
@@ -60,9 +68,9 @@ func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
 		if skip != nil && skip(r) {
 			continue
 		}
-		h.u64(uint64(r.kind))
-		h.u64(r.start)
-		h.u64(r.size)
+		h.word(uint64(r.kind))
+		h.word(r.start)
+		h.word(r.size)
 		if s.cfg.Phantom {
 			continue
 		}
@@ -73,10 +81,10 @@ func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
 				pd = r.slab[off : off+ps]
 			}
 			if pageIsZero(pd) {
-				h.bytes([]byte{zeroPageMark})
+				h.word(zeroPageMark)
 				continue
 			}
-			h.bytes([]byte{dataPageMark})
+			h.word(dataPageMark)
 			h.bytes(pd)
 		}
 	}
@@ -84,12 +92,19 @@ func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
 }
 
 // pageIsZero reports whether the page holds only zero bytes (a nil page
-// was never written and is all-zero by definition).
+// was never written and is all-zero by definition), a word at a time.
 func pageIsZero(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
+	var or uint64
+	for len(p) >= 32 {
+		or |= binary.LittleEndian.Uint64(p) | binary.LittleEndian.Uint64(p[8:]) |
+			binary.LittleEndian.Uint64(p[16:]) | binary.LittleEndian.Uint64(p[24:])
+		if or != 0 {
 			return false
 		}
+		p = p[32:]
 	}
-	return true
+	for _, b := range p {
+		or |= uint64(b)
+	}
+	return or == 0
 }

@@ -65,7 +65,7 @@ func (r *Region) markSilent(addr, n uint64) uint64 {
 	var pages uint64
 	for w, m := r.protected(first, last); m != 0; w, m = r.protected(w*64+64, last) {
 		if r.silent == nil {
-			r.silent = make([]uint64, len(r.wp))
+			r.silent = make([]uint64, r.words())
 		}
 		r.silent[w] |= m
 		pages += uint64(bits.OnesCount64(m))

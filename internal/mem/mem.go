@@ -129,7 +129,11 @@ type Region struct {
 	recomputable bool
 
 	space *AddressSpace
-	wp    []uint64 // write-protect bitmap, one bit per page (see summary, written)
+	// wp is the write-protect bitmap, one bit per page (see summary,
+	// written): nil until something protects the region or, backed,
+	// writes it (bitmaps), so a region nothing protects or writes costs
+	// no bitmap.
+	wp []uint64
 	// silent marks pages a DMA write (WriteDirect) landed on while they
 	// were write-protected: modified memory no dirty log ever saw —
 	// the NIC-vs-mprotect conflict of §4.2 made observable. Allocated
@@ -145,8 +149,8 @@ type Region struct {
 	// armed records that some page may be protected: ProtectAll and
 	// SetProtected(…, true) set it, and only a wholesale clear of wp
 	// and its summary (unprotectAll, DirtyLog.Close's) unsets it.
-	// Unset ⇒ wp and the summary are all zero, so a write to memory
-	// nobody protects skips the protection walk.
+	// Unset ⇒ wp and the summary are all zero or not made, so a write
+	// to memory nobody protects skips the protection walk.
 	armed bool
 }
 
@@ -191,6 +195,9 @@ func (r *Region) PageAddr(idx uint64) uint64 {
 
 // Protected reports whether the page holding addr is write-protected.
 func (r *Region) Protected(addr uint64) bool {
+	if !r.armed {
+		return false
+	}
 	idx := r.PageIndex(addr)
 	return r.wp[idx/64]&(1<<(idx%64)) != 0
 }
@@ -201,7 +208,7 @@ func (r *Region) SetProtected(addr uint64, protected bool) {
 	idx := r.PageIndex(addr)
 	if protected {
 		r.protect(idx/64, 1<<(idx%64))
-	} else {
+	} else if r.wp != nil {
 		r.unprotect(idx/64, 1<<(idx%64))
 	}
 }
@@ -215,6 +222,7 @@ func (r *Region) ProtectAll() {
 // protectAll is ProtectAll inside an entry point that has settled the
 // space: a log's Open and Reset protect region by region.
 func (r *Region) protectAll() {
+	r.bitmaps()
 	n := uint64(len(r.wp))
 	all := r.wp[:n+summaryWords(n)]
 	for i := range all {
@@ -234,6 +242,7 @@ func (r *Region) protectAll() {
 // protect write-protects the pages m of bitmap word w: the one setter
 // of wp bits, which sets the word's summary bit with them.
 func (r *Region) protect(w, m uint64) {
+	r.bitmaps()
 	if r.wp[w] |= m; len(r.wp) > 1 {
 		r.wp[len(r.wp):cap(r.wp)][w/64] |= 1 << (w % 64) // summary()
 	}
@@ -254,7 +263,7 @@ func (r *Region) unprotect(w, m uint64) {
 // the bitmap and its summary, one contiguous range, and armed.
 func (r *Region) unprotectAll() {
 	n := uint64(len(r.wp))
-	clear(r.wp[:n+summaryWords(n)])
+	clear(r.wp[:n+summaryWords(n)]) // nothing when not made
 	r.armed = false
 }
 
@@ -290,6 +299,25 @@ func (r *Region) protected(from, last uint64) (w, m uint64) {
 		m &= ^uint64(0) >> (63 - last%64)
 	}
 	return w, m
+}
+
+// words is the length of r's protection bitmap: a bit per page.
+func (r *Region) words() uint64 { return (r.Pages() + 63) / 64 }
+
+// bitmaps makes r's bitmaps, all zero, unless they are made: one
+// allocation, wp then its summary then (backed only) written, each
+// found from len(wp), so the Region struct, of which phantom runs map
+// thousands, carries no second slice header.
+func (r *Region) bitmaps() {
+	if r.wp != nil {
+		return
+	}
+	n := r.words()
+	if r.space.cfg.Phantom {
+		r.wp = make([]uint64, n, n+summaryWords(n)) // and summary
+	} else {
+		r.wp = make([]uint64, n, 2*n+summaryWords(n)) // and summary, written
+	}
 }
 
 // summaryWords is the length of the summary of an n-word protection
@@ -360,7 +388,7 @@ func (r *Region) PeekPage(idx uint64) []byte {
 	if r.space.cfg.Phantom {
 		panic("mem: PeekPage on phantom address space")
 	}
-	if r.written()[idx/64]&(1<<(idx%64)) == 0 {
+	if r.wp == nil || r.written()[idx/64]&(1<<(idx%64)) == 0 {
 		return nil
 	}
 	ps := r.space.cfg.PageSize
@@ -382,10 +410,7 @@ func (r *Region) LoadPage(idx uint64, data []byte) {
 
 // written is a backed region's written-page bitmap: the pages a store, a
 // raw store (DMA, fill) or LoadPage made, even all-zero ones; PeekPage
-// returns nil for the rest. A region's bitmaps are one allocation, wp
-// then its summary then (backed only) written, each found from len(wp),
-// so the Region struct, of which phantom runs map thousands, carries no
-// second slice header.
+// returns nil for the rest. It is the last of r's bitmaps (bitmaps).
 func (r *Region) written() []uint64 {
 	n := uint64(len(r.wp))
 	return r.wp[n+summaryWords(n) : cap(r.wp)]
@@ -401,8 +426,10 @@ func (r *Region) bytes(addr, n uint64) []byte {
 	return r.slab[off : off+n : off+n]
 }
 
-// store is bytes for a write: it marks the pages of the range written.
+// store is bytes for a write: it marks the pages of the range written,
+// making the bitmaps on the region's first write.
 func (r *Region) store(addr, n uint64) []byte {
+	r.bitmaps()
 	b, written := r.bytes(addr, n), r.written()
 	first, last := r.PageIndex(addr), r.PageIndex(addr+n-1)
 	for w := first / 64; w <= last/64; w++ {
@@ -501,12 +528,6 @@ func (s *AddressSpace) roundUp(n uint64) uint64 {
 // insert creates a region and splices it into the sorted live list.
 func (s *AddressSpace) insert(start, size uint64, kind Kind) *Region {
 	r := &Region{start: start, size: size, kind: kind, space: s}
-	n := (size>>s.pageShift + 63) / 64
-	if s.cfg.Phantom {
-		r.wp = make([]uint64, n, n+summaryWords(n)) // and summary
-	} else {
-		r.wp = make([]uint64, n, 2*n+summaryWords(n)) // and summary, written
-	}
 	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].start >= start })
 	s.regions = append(s.regions, nil)
 	copy(s.regions[i+1:], s.regions[i:])

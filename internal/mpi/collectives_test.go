@@ -129,6 +129,89 @@ func TestAllReduceRoundAllocFree(t *testing.T) {
 	}
 }
 
+// A Barrier round allocates nothing once the world has released one
+// generation: the release is one event with a callback bound to the
+// world, over a kept list of continuations.
+func TestBarrierRoundAllocFree(t *testing.T) {
+	eng, w := testWorld(t, 4, Bounce)
+	done := 0
+	fn := func() { done++ }
+	round := func() {
+		for i := 0; i < 4; i++ {
+			w.Rank(i).Barrier(fn)
+		}
+		eng.Run(des.MaxTime)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("a Barrier round allocates %v times", allocs)
+	}
+	if done != 4*52 {
+		t.Fatalf("%d continuations ran, want %d", done, 4*52)
+	}
+}
+
+// TestCollectiveSameInstantOrder pins how a collective's continuations
+// interleave with other events at their instant, for Barrier (the
+// release) and AllReduce (the completion): an event queued at that
+// instant before the last arrival runs before every continuation, the
+// continuations run in arrival order, and an event a continuation
+// queues at Now() runs after every continuation of its generation.
+func TestCollectiveSameInstantOrder(t *testing.T) {
+	const n, bytes = 4, 4096
+	for _, allReduce := range []bool{false, true} {
+		eng, w := testWorld(t, n, Bounce)
+		at := w.net.Latency * des.Time(logTwo(n))
+		if allReduce {
+			at += w.collectiveXfer(des.Time(logTwo(n)), bytes, at)
+		}
+		var order []string
+		arrive := func(rank int) {
+			fn := func() {
+				if eng.Now() != at {
+					t.Errorf("allreduce %v: rank %d's continuation ran at %v, want %v", allReduce, rank, eng.Now(), at)
+				}
+				order = append(order, fmt.Sprint("c", rank))
+				eng.Schedule(eng.Now(), func() { order = append(order, fmt.Sprint("q", rank)) })
+			}
+			if allReduce {
+				w.Rank(rank).AllReduce(bytes, 0, fn)
+			} else {
+				w.Rank(rank).Barrier(fn)
+			}
+		}
+		for _, rank := range []int{2, 0, 3} {
+			arrive(rank)
+		}
+		eng.Schedule(at, func() { order = append(order, "early") })
+		arrive(1)
+		eng.Run(des.MaxTime)
+		want := "[early c2 c0 c3 c1 q2 q0 q3 q1]"
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("allreduce %v: events ran as %s, want %s", allReduce, got, want)
+		}
+	}
+}
+
+// Barrier generations may overlap: when every rank calls Barrier again
+// before the last generation's release, the two generations release in
+// order, each at its own instant, each running its own continuations.
+func TestBarrierGenerationsOverlap(t *testing.T) {
+	eng, w := testWorld(t, 2, Bounce)
+	var order []string
+	for gen := 1; gen <= 2; gen++ {
+		for rank := 0; rank < 2; rank++ {
+			w.Rank(rank).Barrier(func() { order = append(order, fmt.Sprintf("g%d r%d at %v", gen, rank, eng.Now())) })
+		}
+	}
+	eng.Run(des.MaxTime)
+	at := w.net.Latency
+	want := fmt.Sprint([]string{"g1 r0 at " + at.String(), "g1 r1 at " + at.String(), "g2 r0 at " + at.String(), "g2 r1 at " + at.String()})
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("continuations ran as %s, want %s", got, want)
+	}
+}
+
 // A rank that calls AllReduce again before its last call completed keeps
 // each call on its own arguments: both continuations run, in order, and
 // each call's bytes are received.

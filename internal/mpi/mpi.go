@@ -25,6 +25,7 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mem"
@@ -271,12 +272,13 @@ type Rank struct {
 	registered []*mem.Region // NIC-pinned regions (see rdma.go)
 	degraded   bool          // sticky bounce-mode fallback after drain timeout
 
-	// ar is the rank's AllReduce in flight (call, while busy) and its two
-	// continuations, bound on the first call (AllReduce).
+	// ar is the rank's AllReduce in flight (call, while busy) and, bound
+	// on the first completion that needs an event of its own (release),
+	// finishAllReduce as a func value.
 	ar struct {
-		call          allReduceCall
-		busy          bool
-		release, done func()
+		call allReduceCall
+		busy bool
+		done func()
 	}
 }
 
@@ -302,10 +304,19 @@ type World struct {
 	mode  DeliveryMode
 	ranks []*Rank
 
-	barrierArrived int
-	barrierFns     []func()
-	barrierMax     des.Time
-	barrierFirst   des.Time
+	// A barrier generation: the open one's arrivals, in arrival order,
+	// and its first and last arrival times. A complete generation is
+	// released by one event (release): the other buffer, released, holds
+	// its arrivals while that event is queued (releasing). An AllReduce
+	// generation completes by one event too (finish), over the ranks in
+	// finishing.
+	arrivals, released []arrival
+	barrierMax         des.Time
+	barrierFirst       des.Time
+	releasing          bool
+	finishing          []*Rank
+	// The two events' callbacks, bound once (NewWorld).
+	releaseFn, finishFn func()
 
 	// faults, when non-nil, is the installed interconnect fault model
 	// (see flaky.go). Nil means a perfect network.
@@ -339,6 +350,12 @@ func NewWorld(eng *des.Engine, net Network, mode DeliveryMode, spaces []*mem.Add
 	if mode == Direct {
 		w.rdma = &rdmaState{inflight: make([]int, len(spaces))}
 	}
+	w.releaseFn = func() {
+		w.release(w.released)
+		clear(w.released)
+		w.released, w.releasing = w.released[:0], false
+	}
+	w.finishFn = w.finish
 	return w, nil
 }
 
@@ -537,22 +554,37 @@ func logTwo(n int) int {
 // Barrier blocks r until every rank in the world has called Barrier for
 // the same generation. All continuations run at the same virtual time:
 // lastArrival + latency*ceil(log2 N), the dissemination-barrier cost.
-// Each rank's continuation fires as its own release event, in arrival
-// order.
-func (r *Rank) Barrier(fn func()) {
+// One release event runs the generation's continuations, in arrival
+// order. That is what one release event per rank would do: those events
+// would hold consecutive sequence numbers at one instant, so nothing
+// could run between them, and whatever a continuation queues at that
+// instant runs after all of them either way. A nil continuation is
+// skipped.
+func (r *Rank) Barrier(fn func()) { r.arrive(arrival{fn: fn}) }
+
+// arrival is one rank's entry in a barrier generation: the continuation
+// its release runs or, for an AllReduce waiting on the rank (AllReduce),
+// the rank.
+type arrival struct {
+	fn func()
+	ar *Rank
+}
+
+// arrive enters a into the open barrier generation and, when it is the
+// last arrival, queues the generation's release.
+func (r *Rank) arrive(a arrival) {
 	w := r.world
 	r.stats.CollectiveCalls++
 	now := w.eng.Now()
-	if w.barrierArrived == 0 {
+	if len(w.arrivals) == 0 {
 		w.barrierMax = now
 		w.barrierFirst = now
 	}
 	if now > w.barrierMax {
 		w.barrierMax = now
 	}
-	w.barrierArrived++
-	w.barrierFns = append(w.barrierFns, fn)
-	if w.barrierArrived < len(w.ranks) {
+	w.arrivals = append(w.arrivals, a)
+	if len(w.arrivals) < len(w.ranks) {
 		return
 	}
 	release := w.barrierMax + w.net.Latency*des.Time(logTwo(len(w.ranks)))
@@ -563,53 +595,96 @@ func (r *Rank) Barrier(fn func()) {
 	for _, rk := range w.ranks {
 		rk.stats.BarrierWaitTotal += wait
 	}
-	w.barrierArrived = 0
-	// One release event per rank, in arrival order. Nothing runs before
-	// this returns, so the list's backing array is free for the next
-	// generation as soon as its continuations are handed to the engine.
-	for _, f := range w.barrierFns {
-		w.eng.Schedule(release, orNoop(f))
+	if w.releasing {
+		// The last generation's release is still queued (ranks called
+		// again before their continuations ran): this one gets a list
+		// and an event of its own.
+		gen := slices.Clone(w.arrivals)
+		clear(w.arrivals)
+		w.arrivals = w.arrivals[:0]
+		w.eng.Schedule(release, func() { w.release(gen) })
+		return
 	}
-	clear(w.barrierFns)
-	w.barrierFns = w.barrierFns[:0]
+	w.arrivals, w.released = w.released, w.arrivals
+	w.releasing = true
+	w.eng.Schedule(release, w.releaseFn)
 }
 
-// orNoop substitutes one shared no-op for a nil continuation, so a rank
-// that passed none still gets its release event (and Fired() its count)
-// without a wrapper closure per rank.
-func orNoop(f func()) func() {
-	if f == nil {
-		return noop
+// release runs a barrier generation's continuations at its release; an
+// AllReduce waiting on its rank queues its completion at release + xfer.
+// A generation of such AllReduces, all of one size, completes by one
+// event (finish) at that instant instead: xfer is the same for every
+// rank and draws nothing, and the per-rank completions would hold
+// consecutive sequence numbers too. No other such generation's
+// completion is queued: each rank arrives in one once, and stays busy
+// until its completion ran.
+func (w *World) release(gen []arrival) {
+	if bytes, ok := sameAllReduce(gen); ok {
+		for _, a := range gen {
+			w.finishing = append(w.finishing, a.ar)
+		}
+		w.eng.After(w.collectiveXfer(des.Time(logTwo(len(w.ranks))), bytes, w.eng.Now()), w.finishFn)
+		return
 	}
-	return f
+	for _, a := range gen {
+		switch r := a.ar; {
+		case r != nil:
+			if r.ar.done == nil {
+				r.ar.done = r.finishAllReduce
+			}
+			r.allReduceXfer(r.ar.call.bytes, r.ar.done)
+		case a.fn != nil:
+			a.fn()
+		}
+	}
 }
 
-func noop() {}
+// sameAllReduce reports whether every arrival of gen is an AllReduce
+// waiting on its rank, and of which common size.
+func sameAllReduce(gen []arrival) (bytes uint64, ok bool) {
+	for i, a := range gen {
+		if a.ar == nil || (i > 0 && a.ar.ar.call.bytes != bytes) {
+			return 0, false
+		}
+		bytes = a.ar.ar.call.bytes
+	}
+	return bytes, true
+}
+
+// finish completes the AllReduce generation in w.finishing, rank by rank
+// in arrival order.
+func (w *World) finish() {
+	for _, r := range w.finishing {
+		r.finishAllReduce()
+	}
+	clear(w.finishing)
+	w.finishing = w.finishing[:0]
+}
 
 // AllReduce performs a global reduction of bytes payload per rank,
 // depositing the result at destAddr in every rank's space (0 to skip the
 // write). Completion follows barrier synchronisation plus the
 // recursive-doubling transfer cost: log2(N) steps of (latency + bytes/bw).
 //
-// A rank's continuations are bound once and read the call's arguments
-// from the rank (allReduceCall); a call made while the rank's previous
-// one is still in flight gets continuations of its own.
+// The call's arguments wait on the rank (allReduceCall), and its
+// generation's release completes it (release, finish); a call made while
+// the rank's previous one is still in flight gets continuations of its
+// own.
 func (r *Rank) AllReduce(bytes uint64, destAddr uint64, fn func()) {
 	c := allReduceCall{bytes: bytes, dest: destAddr, fn: fn}
 	if r.ar.busy {
 		r.Barrier(func() { r.allReduceXfer(c.bytes, func() { r.allReduceDone(c) }) })
 		return
 	}
-	if r.ar.release == nil {
-		r.ar.release = func() { r.allReduceXfer(r.ar.call.bytes, r.ar.done) }
-		r.ar.done = func() {
-			c := r.ar.call
-			r.ar.call, r.ar.busy = allReduceCall{}, false
-			r.allReduceDone(c)
-		}
-	}
 	r.ar.call, r.ar.busy = c, true
-	r.Barrier(r.ar.release)
+	r.arrive(arrival{ar: r})
+}
+
+// finishAllReduce completes the rank's AllReduce in flight.
+func (r *Rank) finishAllReduce() {
+	c := r.ar.call
+	r.ar.call, r.ar.busy = allReduceCall{}, false
+	r.allReduceDone(c)
 }
 
 // allReduceCall is one AllReduce's arguments.

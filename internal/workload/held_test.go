@@ -165,7 +165,8 @@ func TestHeldSweepsMatchTickByTick(t *testing.T) {
 // whose trackers settle them at each alarm give every rank the same
 // samples — IWS pages, faults, footprint, received bytes, overhead, all
 // of a Sample — and the same fault totals, over three periods or twelve
-// slices, whichever is longer.
+// slices, whichever is longer. Two more cases per spec settle across
+// sub-burst boundaries and mid-burst (below).
 func TestObservedSweepsMatchTickByTick(t *testing.T) {
 	const ranks = 4
 	for _, spec := range append(All(), heldCases()...) {
@@ -221,6 +222,112 @@ func TestObservedSweepsMatchTickByTick(t *testing.T) {
 				}
 			})
 		}
+		// A burst is one hold over all its sub-bursts, so a settle can
+		// span sub-bursts of different rates: a dirty log reset every
+		// sub-burst and a third makes every reset's settle cross a
+		// boundary, and Run windows that end mid-burst settle part of a
+		// burst between windows. What each rank's log and space count
+		// at every reset and window end is what ticking one by one
+		// counts.
+		t.Run(spec.Name+"/log-reset-across-sub-bursts", func(t *testing.T) {
+			subDur := spec.BurstDuration(ranks) / des.Time(len(spec.RateProfile))
+			every := subDur + subDur/3
+			run := func(ticks bool) ([]string, *Runner) {
+				if ticks {
+					defer TickByTick()()
+				}
+				r, err := New(spec, Config{Ranks: ranks, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs := make([]*mem.DirtyLog, ranks)
+				for i := range logs {
+					logs[i] = mem.NewDirtyLog(r.Space(i))
+				}
+				if err := r.RunToIterZero(); err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range logs {
+					l.Open()
+				}
+				var seen []string
+				reset := r.Eng.NewTicker(every, func(at des.Time) {
+					for i, l := range logs {
+						seen = append(seen, fmt.Sprintf("%v rank %d: %d pages, %d faults, %d bytes written", at, i, l.Count(), l.Faults(), r.spaces[i].WrittenBytes()))
+						l.Reset()
+					}
+				})
+				r.Run(r.Now() + 3*spec.PeriodAt(ranks))
+				reset.Stop()
+				var faults uint64
+				for _, l := range logs {
+					faults += l.Faults()
+				}
+				if faults == 0 {
+					t.Fatal("no log saw a fault: the check is vacuous")
+				}
+				return seen, r
+			}
+			want, open := run(true)
+			got, held := run(false)
+			sameLines(t, want, got)
+			if held.Eng.Fired() >= open.Eng.Fired() {
+				t.Fatalf("settled runner fired %d events, tick by tick %d: nothing was held", held.Eng.Fired(), open.Eng.Fired())
+			}
+		})
+		t.Run(spec.Name+"/run-ends-mid-burst", func(t *testing.T) {
+			period, burst := spec.PeriodAt(ranks), spec.BurstDuration(ranks)
+			run := func(ticks bool) []string {
+				if ticks {
+					defer TickByTick()()
+				}
+				r, err := New(spec, Config{Ranks: ranks, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				trs := make([]*tracker.Tracker, ranks)
+				for i := range trs {
+					if trs[i], err = tracker.New(r.Eng, r.Space(i), tracker.Options{Timeslice: des.Second}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.RunToIterZero(); err != nil {
+					t.Fatal(err)
+				}
+				for _, tr := range trs {
+					tr.Start()
+				}
+				var seen []string
+				for k := range 4 {
+					end := r.IterZero() + des.Time(k)*period + burst*des.Time(2*k+1)/9
+					r.Run(end)
+					for i, tr := range trs {
+						seen = append(seen, fmt.Sprintf("window %d rank %d: %d faults, %d bytes written, %d samples", k, i, tr.TotalFaults(), r.spaces[i].WrittenBytes(), len(tr.Samples())))
+					}
+				}
+				for i, tr := range trs {
+					for j, sm := range tr.Samples() {
+						seen = append(seen, fmt.Sprintf("rank %d sample %d: %+v", i, j, sm))
+					}
+				}
+				return seen
+			}
+			sameLines(t, run(true), run(false))
+		})
+	}
+}
+
+// sameLines fails t at the first line where got differs from want, the
+// tick-by-tick reference.
+func sameLines(t *testing.T, want, got []string) {
+	t.Helper()
+	for i := range min(len(want), len(got)) {
+		if want[i] != got[i] {
+			t.Fatalf("tick by tick %s\nsettled      %s", want[i], got[i])
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%d observations tick by tick, %d settled", len(want), len(got))
 	}
 }
 

@@ -29,7 +29,7 @@ type Config struct {
 const maxTick = 50 * des.Millisecond
 
 // tickByTick is a test seam (export_test.go): a runner New builds while
-// it is set makes every sub-burst an ordinary series, tick by tick — the
+// it is set makes every burst an ordinary series, tick by tick — the
 // reference the held sweeps are checked against.
 var tickByTick bool
 
@@ -56,12 +56,23 @@ type Runner struct {
 	apps   []*app
 
 	// Per-spec schedules every rank shares, computed once: the sub-burst
-	// rate profile scaled to mean 1, and each send's offset from the start
-	// of its iteration (non-decreasing; the ranks' send series borrow it).
-	profile []float64
-	sendAt  []des.Time
+	// rate profile scaled to mean 1, each sweep tick's offset from the
+	// start of its processing burst (subTicks to a sub-burst) and each
+	// send's offset from the start of its iteration (both non-decreasing;
+	// the ranks' burst and send series borrow them).
+	profile  []float64
+	tickAt   []des.Time
+	subTicks int
+	tick     des.Time // the sweep tick
+	sendAt   []des.Time
 
 	iterZero des.Time // when rank 0 started iteration 0; 0 until known
+
+	// The ranks whose iteration ends at endAt, in the order they started
+	// it, and the one event that ends them (endPeriod).
+	ending     []*app
+	endAt      des.Time
+	endPeriods func()
 
 	ticks bool // tickByTick when New built the runner
 }
@@ -82,36 +93,65 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
 	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine(), ticks: tickByTick}
-	// One backing array for every rank's sub-burst records.
-	bursts := make([]subBurst, cfg.Ranks*len(spec.RateProfile))
+	// One backing array for every rank's sub-burst rates.
+	perTick := make([]uint64, cfg.Ranks*len(spec.RateProfile))
 	world, err := mpi.NewWorld(r.Eng, mpi.QsNet(), mpi.Bounce, spaces)
 	if err != nil {
 		return nil, err
 	}
 	r.World = world
 	for i := 0; i < cfg.Ranks; i++ {
-		a, err := newApp(r, i, bursts[i*len(spec.RateProfile):(i+1)*len(spec.RateProfile)])
+		a, err := newApp(r, i, perTick[i*len(spec.RateProfile):(i+1)*len(spec.RateProfile)])
 		if err != nil {
 			return nil, err
 		}
 		r.apps = append(r.apps, a)
 	}
 	r.profile = normalize(spec.RateProfile)
+	r.tickAt, r.subTicks, r.tick = tickOffsets(spec, cfg.Ranks)
 	r.sendAt = sendOffsets(spec, cfg.Ranks, r.apps[0].nMsgs)
-	// All ranks begin initialization at t=0.
-	for _, a := range r.apps {
-		a := a
-		a.eng.Schedule(0, func() { a.startInit() })
+	// All ranks begin initialization at t=0, in rank order, from one
+	// event: per-rank events would hold consecutive sequence numbers, so
+	// nothing could run between them.
+	r.Eng.Schedule(0, func() {
+		for _, a := range r.apps {
+			a.startInit()
+		}
+	})
+	r.endPeriods = func() {
+		for _, a := range r.ending {
+			a.rank.AllReduce(8, a.stripBase, a.nextIteration)
+		}
+		clear(r.ending)
+		r.ending = r.ending[:0]
 	}
 	return r, nil
 }
 
+// endPeriod queues a's period end, at which it joins the global
+// reduction that synchronises the ranks and starts the next iteration
+// (the paper's codes end iterations with global convergence checks).
+// Every rank starts an iteration at the reduction's completion, so
+// every rank's period ends at one instant: one event (endPeriods) makes
+// their arrivals in the order they started. Per-rank events could be
+// interleaved at that instant only by events of other ranks' iterations
+// — ticks, a burst end, messages — none of which reads or changes what
+// an arrival does on a world that loses nothing.
+func (r *Runner) endPeriod(a *app, at des.Time) {
+	if len(r.ending) == 0 {
+		r.endAt = at
+		r.Eng.Schedule(at, r.endPeriods)
+	} else if at != r.endAt {
+		panic(fmt.Sprintf("workload %s rank %d: period ends at %v, the other ranks' at %v", r.Spec.Name, a.id, at, r.endAt))
+	}
+	r.ending = append(r.ending, a)
+}
+
 // Space hands out rank i's address space: the door every tracker,
-// checkpointer and migrator attaches through. Every rank's sweep
-// sub-bursts run held (des.Engine.HoldSeries): one event at each
-// sub-burst's last tick, standing for the ticks since anything last
-// looked. Handing a space out installs its settle hook
-// (mem.AddressSpace.SetSettle), so whatever reads its dirty state,
+// checkpointer and migrator attaches through. Every rank's processing
+// bursts run held (des.Engine.HoldSeriesAt): one event at the burst's
+// last tick, standing for the ticks since anything last looked. Handing
+// a space out installs its settle hook (mem.AddressSpace.SetSettle), so whatever reads its dirty state,
 // changes its protection or maps it first runs the ticks due so far, in
 // closed form (des.Event.Settle, app.sweep): an observer sees exactly
 // the state, and from then on the writes, of a run that ticked one by
@@ -140,10 +180,10 @@ func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
 // Run advances the simulation until the given virtual time. When it
-// returns, every rank's held sub-bursts are settled and its held messages
+// returns, every rank's held burst is settled and its held messages
 // released, so between runs every rank — handed out or not, read through
 // Space or World.Rank(i).Space() — is in its tick-by-tick state, and a
-// run made in windows holds its sub-bursts as one made at once does.
+// run made in windows holds its bursts as one made at once does.
 func (r *Runner) Run(until des.Time) {
 	r.Eng.Run(until)
 	for _, a := range r.apps {
@@ -242,45 +282,39 @@ type app struct {
 	cursor    uint64  // sweep position within the iteration's spans
 	spanBuf   [2]span // scratch backing for iterationSpans
 
-	handed   bool       // Runner.Space has handed the space out
-	bursts   []subBurst // one per rate-profile entry
-	burstEnd des.Event  // the iteration's unmapTransient
+	handed   bool      // Runner.Space has handed the space out
+	burst    procBurst // the iteration's processing burst, held
+	burstEnd des.Time  // when the latest iteration's processing burst ends
 
 	// A ring link into a rank nobody was handed is counted (startIteration):
 	// booked is this rank's latest hold of its sends, deposits the latest
-	// hold of the messages into it, recvsHeld tells postRecvs that this
-	// iteration's receives are those deposits, and deposited counts them.
+	// hold of the messages into it, and deposited counts them.
 	booked, deposits des.Event
-	recvsHeld        bool
 	deposited        int
 	slots            int // message slots in the ghost strip
 
 	// The iteration's other callbacks, bound once (newApp) so that an
 	// iteration allocates none: they read what they need from the app.
-	mapTransient, unmapTransient, periodEnd, nextIteration, postRecvs, send func()
+	mapTransient, unmapTransient, nextIteration, postRecvs, send func()
+	// sweepHeld is the held burst's callback, a.sweepBurst(&a.burst, runs).
+	sweepHeld func(runs int)
 	// The counted link's two callbacks, bound on its first hold (holdLink),
 	// so that a runner whose ranks are all handed out makes neither.
 	book, deposit func(runs int)
 }
 
-// subBurst is one rate-profile entry of a rank's iterations: the sweep
-// callback bound to it once (newApp) and the parameters it reads, which
-// each iteration sets for its own hold.
-type subBurst struct {
-	perTick uint64 // bytes a tick sweeps, in iteration iter
+// procBurst is one iteration's processing burst: its sub-bursts' rates, the
+// iteration, and how many of its ticks (Runner.tickAt) have run.
+type procBurst struct {
+	perTick []uint64 // bytes a tick of each sub-burst sweeps
 	iter    int
-	sweep   func(runs int) // a.sweep(perTick, iter, runs): a hold's callback
-	held    des.Event      // the entry's latest hold
+	k       int
+	held    des.Event // the burst's hold, while it is one
 }
 
-// settleBursts runs the ticks of the rank's held sub-bursts that are due
-// (des.Event.Settle), in time order: the sub-bursts of an iteration
-// follow one another and share the cursor.
-func (a *app) settleBursts() {
-	for i := range a.bursts {
-		a.bursts[i].held.Settle()
-	}
-}
+// settleBursts runs the ticks of the rank's held burst that are due
+// (des.Event.Settle).
+func (a *app) settleBursts() { a.burst.held.Settle() }
 
 // releaseLinks turns the rank's held sends and incoming messages into
 // ordinary series, running the firings already due (des.Event.Release).
@@ -289,7 +323,7 @@ func (a *app) releaseLinks() {
 	a.deposits.Release()
 }
 
-func newApp(r *Runner, id int, bursts []subBurst) (*app, error) {
+func newApp(r *Runner, id int, perTick []uint64) (*app, error) {
 	s := r.Spec
 	a := &app{
 		r:     r,
@@ -335,18 +369,15 @@ func newApp(r *Runner, id int, bursts []subBurst) (*app, error) {
 	a.arena = arena
 	a.sweepBase = arena.Start()
 	a.stripBase = arena.Start() + max(a.persistentWS+a.shiftBytes, spikeSpan)
-	a.bind(bursts)
+	a.bind(perTick)
 	return a, nil
 }
 
 // bind makes the callbacks every iteration schedules, once per rank.
-func (a *app) bind(bursts []subBurst) {
+func (a *app) bind(perTick []uint64) {
 	s := a.r.Spec
-	a.bursts = bursts
-	for i := range bursts {
-		b := &bursts[i]
-		b.sweep = func(runs int) { a.sweep(b.perTick, b.iter, runs) }
-	}
+	a.burst.perTick = perTick
+	a.sweepHeld = func(runs int) { a.sweepBurst(&a.burst, runs) }
 	// Dynamic applications map their transient arena for the duration
 	// of the processing burst (§4.1: Fortran90 allocates per cycle).
 	a.mapTransient = func() {
@@ -365,17 +396,11 @@ func (a *app) bind(bursts []subBurst) {
 			a.transient = nil
 		}
 	}
-	// Global reduction at period end synchronises ranks and starts the
-	// next iteration (the paper's codes end iterations with global
-	// convergence checks).
-	a.periodEnd = func() { a.rank.AllReduce(8, a.stripBase, a.nextIteration) }
 	a.nextIteration = func() {
-		// A burst that overran its period still holds sub-bursts: they
-		// run the ticks due before now while iter and the cursor are
-		// still theirs, then go on as ordinary series (startIteration).
-		for i := range a.bursts {
-			a.bursts[i].held.Release()
-		}
+		// A burst that overran its period is still held: it runs the
+		// ticks due before now while iter and the cursor are still its
+		// own, then goes on as an ordinary series (startIteration).
+		a.burst.held.Release()
 		a.iter++
 		a.startIteration()
 	}
@@ -385,9 +410,6 @@ func (a *app) bind(bursts []subBurst) {
 	// Post all receives at burst end; they match sends as they arrive.
 	a.slots = max(1, int(a.stripBytes/a.msgBytes))
 	a.postRecvs = func() {
-		if a.recvsHeld {
-			return
-		}
 		for j := 0; j < a.nMsgs; j++ {
 			a.rank.Recv(mpi.AnySource, 0, a.slotAddr(j), nil)
 		}
@@ -509,58 +531,69 @@ func (a *app) startIteration() {
 	if s.IsSpike(a.iter) {
 		meanRate = s.SpikeSweeps * (s.WorkingSetMB + s.SpikeExtraMB) * MB / burst.Seconds()
 	}
-	profile := a.r.profile
-	subDur := burst / des.Time(len(profile))
-	tick := subDur / 12
-	tick = max(min(tick, maxTick), 100*des.Microsecond)
-	// A burst overrunning its period leaves last iteration's sub-bursts
-	// running into this one (a series' last tick precedes its burst end).
-	// Its holds became ordinary rather than being forgotten
-	// (nextIteration); they still read the sub-burst entries, so this
-	// iteration's series get callbacks of their own; and it holds
-	// nothing, since the spans would change under a held sub-burst when
-	// last iteration's burst end unmaps the transient arena (sweep). A
-	// runner ticking one by one (tickByTick) makes its series the same
-	// way.
-	overrun := a.burstEnd.Pending()
-	for bi, mult := range profile {
-		rate := meanRate * mult
-		perTick := uint64(rate * tick.Seconds())
-		start := jitter + des.Time(bi)*subDur
-		b := &a.bursts[bi]
-		// The sub-burst's ticks, every tick from start+tick to
-		// start+subDur, are one series: one queue entry, not one per tick,
-		// and held, one event at the last tick, whose observers settle
-		// the ticks due whenever they look (Space).
-		first, n := iterStart+start+tick, int(subDur/tick)
-		if overrun || a.r.ticks {
-			iter := a.iter
-			eng.ScheduleSeries(first, tick, n, func() { a.sweep(perTick, iter, 1) })
-		} else {
-			b.perTick, b.iter = perTick, a.iter
-			b.held = eng.HoldSeries(first, tick, n, b.sweep)
-		}
+	// A burst overrunning its period leaves last iteration's ticks
+	// running into this one (a tick precedes its burst end). Its hold
+	// became ordinary rather than being forgotten (nextIteration); it
+	// still reads a.burst, so this iteration's series gets a record and a
+	// callback of its own; and it holds nothing, since the spans would
+	// change under a held burst when last iteration's burst end unmaps
+	// the transient arena (sweep). A runner ticking one by one
+	// (tickByTick) makes its series the same way. The last burst ends
+	// before now exactly when its end passed: a burst end is queued before
+	// its iteration's collective, so at a tie it has come and gone.
+	overrun := a.burstEnd > iterStart
+	a.burstEnd = iterStart + jitter + burst
+	b := &a.burst
+	if overrun || a.r.ticks {
+		b = &procBurst{perTick: make([]uint64, len(a.burst.perTick))}
 	}
-
-	a.burstEnd = eng.After(jitter+burst, a.unmapTransient)
+	b.iter, b.k = a.iter, 0
+	for bi, mult := range a.r.profile {
+		b.perTick[bi] = uint64(meanRate * mult * a.r.tick.Seconds())
+	}
+	// The burst's ticks, every sub-burst's from one tick past its start to
+	// its end, are one series over the shared offsets: one queue entry,
+	// not one per tick, and held, one event at the burst's last tick,
+	// whose observers settle the ticks due whenever they look (Space).
+	if b == &a.burst {
+		b.held = eng.HoldSeriesAt(iterStart+jitter, a.r.tickAt, a.sweepHeld)
+	} else {
+		eng.ScheduleSeriesAt(iterStart+jitter, a.r.tickAt, func() { a.sweepBurst(b, 1) })
+	}
+	if s.Dynamic && a.transientBytes > 0 {
+		eng.Schedule(a.burstEnd, a.unmapTransient)
+	}
 
 	// Communication burst: ring exchange with the right neighbour in
 	// clumps spread across the window between burst end and period end.
 	if a.nMsgs > 0 {
-		// Receives are posted at burst end; the iteration's sends are one
-		// series over the shared offsets, or two holds when nobody was
-		// handed the receiver (holdLink).
-		eng.Schedule(iterStart+burst, a.postRecvs)
+		// The iteration's sends are one series over the shared offsets,
+		// into receives the receiver posts at its burst end; or two holds
+		// when nobody was handed the receiver (holdLink), which then
+		// posts none.
 		rcv := a.r.apps[(a.id+1)%a.r.Cfg.Ranks]
 		if rcv.handed {
-			rcv.recvsHeld = false
+			eng.Schedule(iterStart+burst, rcv.postRecvs)
 			eng.ScheduleSeriesAt(iterStart, a.r.sendAt, a.send)
 		} else {
 			a.holdLink(rcv, iterStart)
 		}
 	}
 
-	eng.Schedule(iterStart+period, a.periodEnd)
+	a.r.endPeriod(a, iterStart+period)
+}
+
+// sweepBurst runs the next runs ticks of b, the processing burst of
+// iteration b.iter: the ticks of each sub-burst they reach are one sweep
+// at that sub-burst's rate.
+func (a *app) sweepBurst(b *procBurst, runs int) {
+	for runs > 0 {
+		sub := b.k / a.r.subTicks
+		m := min(runs, (sub+1)*a.r.subTicks-b.k)
+		b.k += m
+		runs -= m
+		a.sweep(b.perTick[sub], b.iter, m)
+	}
 }
 
 // sweep is a sub-burst's tick body, for runs ticks at once; perTick and
@@ -572,7 +605,8 @@ func (a *app) startIteration() {
 // constant DwellMB to every timeslice's IWS — the hot-inner-array
 // behaviour.
 //
-// runs > 1 is a held sub-burst's node or a settle (des.Event.Settle):
+// runs > 1 is a held burst's node or a settle (des.Event.Settle), cut at
+// sub-burst boundaries (sweepBurst):
 // ticks nothing read between, whose writes are made in closed form, on a
 // space that may be armed. Between two reads only which pages the ticks
 // write matters, and how many bytes. So it makes the first tick as one,
@@ -585,7 +619,7 @@ func (a *app) startIteration() {
 // needs the spans its ticks read to be one set. They are: a burst maps
 // its transient arena before its first tick and unmaps it after its last
 // (Mmap and Munmap settle first), an iteration holds nothing while the
-// last one's burst runs on, and the next iteration releases the holds. A
+// last one's burst runs on, and the next iteration releases the hold. A
 // held sweep checks it.
 func (a *app) sweep(perTick uint64, iter, runs int) {
 	if runs > 1 && (iter != a.iter || (a.transient != nil) != (a.transientBytes > 0)) {
@@ -626,10 +660,11 @@ func (a *app) sweep(perTick uint64, iter, runs int) {
 // before its period, and sendOffsets starts the sends after the burst).
 // So message k lands at iterStart+sendAt[k]+transfer into receive k and is
 // copied out copyTime later to slotAddr(k), as the deposit does; rcv posts
-// none of its own. The sender decides for its link, at iteration start: a
-// rank handed out after its own startIteration at that instant
-// (RunToIterZero stops right after rank 0's) gets the iteration's messages
-// by the message path when its left neighbour starts after the hand-out.
+// none of its own. The sender decides for its link, at iteration start,
+// and only the message path has rcv post receives (startIteration). Every
+// rank starts an iteration in one event, the reduction's completion, so a
+// rank handed out at that instant (as after RunToIterZero) gets the
+// iteration's messages counted: the hand-out releases its deposits.
 func (a *app) holdLink(rcv *app, iterStart des.Time) {
 	eng := a.eng
 	if a.book == nil {
@@ -645,7 +680,6 @@ func (a *app) holdLink(rcv *app, iterStart des.Time) {
 	}
 	rcv.deposits.Release()
 	rcv.deposits = eng.HoldSeriesAt(iterStart+a.r.World.CountedDelay(a.msgBytes), a.r.sendAt, rcv.deposit)
-	rcv.recvsHeld = true
 }
 
 // depositHeld lands runs of the messages into this rank: the next ones in
@@ -672,6 +706,25 @@ func (a *app) depositHeld(runs int) {
 		a.rank.CountRecvs(a.slotAddr(s), a.msgBytes, k)
 	}
 	a.deposited += runs
+}
+
+// tickOffsets returns when each sweep tick of an iteration's processing
+// burst runs, as offsets from the burst's start, how many ticks each
+// sub-burst has, and the tick: the burst is cut into one sub-burst per
+// rate-profile entry, each into ticks of a twelfth of it, clamped to
+// [100 µs, maxTick], from one tick past its start to its end.
+func tickOffsets(s Spec, ranks int) (at []des.Time, subTicks int, tick des.Time) {
+	subs := len(s.RateProfile)
+	subDur := s.BurstDuration(ranks) / des.Time(subs)
+	tick = max(min(subDur/12, maxTick), 100*des.Microsecond)
+	subTicks = int(subDur / tick)
+	at = make([]des.Time, 0, subs*subTicks)
+	for bi := range subs {
+		for j := 1; j <= subTicks; j++ {
+			at = append(at, des.Time(bi)*subDur+des.Time(j)*tick)
+		}
+	}
+	return at, subTicks, tick
 }
 
 // sendOffsets returns when each of an iteration's nMsgs ring sends leaves,
