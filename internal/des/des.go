@@ -24,6 +24,8 @@
 // event series (ScheduleSeriesAt, series.go) holding exactly
 // one heap node however many firings remain, with the order and event
 // counts it would have had if every firing had been scheduled up front.
+// Its firing offsets are an Offsets, checked non-decreasing once, when
+// the list is made (NewOffsets), however many series borrow it.
 //
 // Event count is O(observations), not O(firings): a series whose
 // intermediate states nothing reads can be held (HoldSeriesAt), standing

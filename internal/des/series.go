@@ -47,7 +47,7 @@ import (
 // the slot is held lives in the slot, which has room for it.)
 type series struct {
 	first, step Time
-	offsets     []Time // borrowed from the caller; not modified
+	offsets     []Time // an Offsets' list, borrowed; not modified
 	k, n        int32  // pending firing, total firings
 	seq0        uint64 // sequence number reserved for firing 0
 	// count is a hold's callback (holdSeries, HoldSeriesAt), handed the
@@ -197,37 +197,48 @@ func (ev Event) Settle() {
 	}
 }
 
-// ScheduleSeriesAt queues fn to fire len(offsets) times, firing k at
-// base+offsets[k]: the series form of one Schedule call per entry, in
-// slice order. offsets must be non-decreasing (checked here — a decreasing
-// list would fire out of the order its sequence numbers imply) and is
-// borrowed, not copied: it must stay unmodified until the series has
-// finished or been cancelled. One list may back any number of series.
-func (e *Engine) ScheduleSeriesAt(base Time, offsets []Time, fn func()) Event {
-	return e.newSeries(base, 0, offsets, len(offsets), fn, nil)
+// Offsets is a list of firing times relative to a series' base, checked
+// non-decreasing once, when it is made (NewOffsets): a decreasing list
+// would fire out of the order its sequence numbers imply. The zero value
+// is the empty list. One Offsets may back any number of series.
+type Offsets struct{ at []Time }
+
+// NewOffsets checks that at is non-decreasing, panicking at the first
+// entry that is not, and wraps it. at is borrowed, not copied: it must
+// stay unmodified while any series over it has firings to come.
+func NewOffsets(at []Time) Offsets {
+	for i := 1; i < len(at); i++ {
+		if at[i] < at[i-1] {
+			panic(fmt.Sprintf("des: series times decrease at entry %d: %v after %v", i, at[i], at[i-1]))
+		}
+	}
+	return Offsets{at}
+}
+
+// ScheduleSeriesAt queues fn to fire once per entry of offsets, firing k
+// at base+offsets[k]: the series form of one Schedule call per entry, in
+// list order. The list was checked when it was made (NewOffsets), so
+// starting a series walks none of it.
+func (e *Engine) ScheduleSeriesAt(base Time, offsets Offsets, fn func()) Event {
+	return e.newSeries(base, 0, offsets.at, len(offsets.at), fn, nil)
 }
 
 // HoldSeriesAt is holdSeries over explicit offsets: the hold of
 // ScheduleSeriesAt(base, offsets, ·), one event at base+offsets[n-1]
-// calling fn(len(offsets)) unless released first. offsets is borrowed as
-// ScheduleSeriesAt borrows it.
-func (e *Engine) HoldSeriesAt(base Time, offsets []Time, fn func(runs int)) Event {
+// calling fn(n) unless settled or released first.
+func (e *Engine) HoldSeriesAt(base Time, offsets Offsets, fn func(runs int)) Event {
 	if fn == nil {
 		panic("des: hold with nil callback")
 	}
-	return e.newSeries(base, 0, offsets, len(offsets), nil, fn)
+	return e.newSeries(base, 0, offsets.at, len(offsets.at), nil, fn)
 }
 
 // newSeries is the core both series shapes share; a non-nil count
-// makes the series a hold.
+// makes the series a hold. offsets, when non-nil, is non-decreasing
+// (NewOffsets).
 func (e *Engine) newSeries(first, step Time, offsets []Time, n int, fn func(), count func(int)) Event {
 	if n < 0 || n > math.MaxInt32 || step < 0 {
 		panic(fmt.Sprintf("des: series of %d firings with step %v", n, step))
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			panic(fmt.Sprintf("des: series times decrease at entry %d: %v after %v", i, offsets[i], offsets[i-1]))
-		}
 	}
 	if n == 0 {
 		return Event{}

@@ -88,7 +88,7 @@ func (p *player) schedule() {
 			}
 			var ev Event
 			if o.offsets != nil {
-				ev = p.eng.HoldSeriesAt(o.first, o.offsets, count)
+				ev = p.eng.HoldSeriesAt(o.first, NewOffsets(o.offsets), count)
 			} else {
 				ev = p.eng.holdSeries(o.first, o.step, o.n, count)
 			}
@@ -486,14 +486,14 @@ func TestHoldSeriesAtMatchesScheduleSeriesAt(t *testing.T) {
 		}
 		var ev Event
 		if hold {
-			ev = eng.HoldSeriesAt(base, offsets, func(r int) {
+			ev = eng.HoldSeriesAt(base, NewOffsets(offsets), func(r int) {
 				runs = append(runs, r)
 				for ; r > 0; r-- {
 					rec(series)()
 				}
 			})
 		} else {
-			ev = eng.ScheduleSeriesAt(base, offsets, rec(series))
+			ev = eng.ScheduleSeriesAt(base, NewOffsets(offsets), rec(series))
 		}
 		seq := eng.seq
 		for i, off := range offsets {
@@ -653,7 +653,7 @@ func TestSeriesCancelDropsRemainingFirings(t *testing.T) {
 
 	var self Event
 	m := 0
-	self = eng.ScheduleSeriesAt(eng.Now(), []Time{1, 2, 2, 5, 9}, func() {
+	self = eng.ScheduleSeriesAt(eng.Now(), NewOffsets([]Time{1, 2, 2, 5, 9}), func() {
 		if m++; m == 3 {
 			self.Cancel()
 		}
@@ -685,7 +685,9 @@ func TestSeriesRejectsBadSchedules(t *testing.T) {
 	eng.Schedule(10, func() {})
 	eng.Run(MaxTime)
 	fn := func() {}
-	mustPanic("decreasing times", func() { eng.ScheduleSeriesAt(10, []Time{0, 5, 4, 9}, fn) })
+	// An offsets list is checked once, when it is made, not per series.
+	mustPanic("decreasing times", func() { NewOffsets([]Time{0, 5, 4, 9}) })
+	NewOffsets([]Time{0, 5, 5, 9}) // repeats are not a decrease
 	mustPanic("negative step", func() { eng.scheduleSeries(10, -1, 3, fn) })
 	mustPanic("first firing in the past", func() { eng.scheduleSeries(9, 1, 3, fn) })
 	mustPanic("nil callback", func() { eng.scheduleSeries(10, 1, 3, nil) })
@@ -704,7 +706,7 @@ func TestZeroAllocSeries(t *testing.T) {
 	}
 	eng.Run(MaxTime)
 	eng.scheduleSeries(eng.Now(), Microsecond, 1<<30, fn)
-	offsets := []Time{1, 2, 3, 5}
+	offsets := NewOffsets([]Time{1, 2, 3, 5})
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
 		t.Errorf("series firing allocates %v/op, want 0", allocs)
 	}
@@ -797,22 +799,23 @@ func BenchmarkSeriesDeep(b *testing.B) {
 // queue of a 64-rank run, where BenchmarkSeriesDeep's activities fire in
 // a fixed rotation. series queues each activity as an ordinary series;
 // held as a hold over the same firing times given as offsets
-// (HoldSeriesAt, what a ring link into a rank nobody was handed runs its
+// (HoldSeriesAt, what every ring link of a workload runner runs its
 // messages as): one event and one counted call per activity. ns/event is
 // per firing.
 func BenchmarkSeriesIrregular(b *testing.B) {
 	const activities = 200
 	rng := rand.New(rand.NewPCG(1, 2))
 	first, step := make([]Time, activities), make([]Time, activities)
-	offsets := make([][]Time, activities)
+	offsets := make([]Offsets, activities)
 	var firings int
 	for a := range step {
 		first[a], step[a] = Time(rng.IntN(5000))*Microsecond, Time(1+rng.IntN(5000))*Microsecond
-		offsets[a] = make([]Time, 2*Second/step[a])
-		for k := range offsets[a] {
-			offsets[a][k] = Time(k) * step[a]
+		at := make([]Time, 2*Second/step[a])
+		for k := range at {
+			at[k] = Time(k) * step[a]
 		}
-		firings += len(offsets[a])
+		offsets[a] = NewOffsets(at)
+		firings += len(at)
 	}
 	fn := func() {}
 	count := func(int) {}
@@ -828,7 +831,7 @@ func BenchmarkSeriesIrregular(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*firings), "ns/event")
 	}
 	b.Run("series", func(b *testing.B) {
-		run(b, func(e *Engine, a int) { e.scheduleSeries(first[a], step[a], len(offsets[a]), fn) })
+		run(b, func(e *Engine, a int) { e.scheduleSeries(first[a], step[a], len(offsets[a].at), fn) })
 	})
 	b.Run("held", func(b *testing.B) {
 		run(b, func(e *Engine, a int) { e.HoldSeriesAt(first[a], offsets[a], count) })

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/mem"
 )
 
 // TestCountedMatchesMessages: on a Bounce world, counting a ring's
-// size-only messages (CountSends at the send, CountRecvs CountedDelay
-// later) leaves every rank where the message path does — counters, the
+// size-only messages (CountSends at the send, CountRecvs into the
+// receiver's strip CountedDelay later) leaves every rank where the
+// message path does — counters, the
 // delivery hook's calls and times, written bytes, contents and the faults
 // an open dirty log takes — at every instant, a message between its
 // landing and its copy end included. CountRecvs of k messages is k calls
@@ -53,11 +55,11 @@ func TestCountedMatchesMessages(t *testing.T) {
 					// The last clump's tail: two messages into one slot at once.
 				case k == msgs-2:
 					eng.Schedule(at, func() { src.CountSends(bytes, 2) })
-					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(addr(k), bytes, 1) })
-					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(addr(k+1), bytes, 1) })
+					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(sd.bufs[dst.id], bytes, slots, k%slots, 1) })
+					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(sd.bufs[dst.id], bytes, slots, (k+1)%slots, 1) })
 				default:
 					eng.Schedule(at, func() { src.CountSends(bytes, 1) })
-					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(addr(k), bytes, 1) })
+					eng.Schedule(at+w.CountedDelay(bytes), func() { dst.CountRecvs(sd.bufs[dst.id], bytes, slots, k%slots, 1) })
 				}
 			}
 		}
@@ -98,12 +100,72 @@ func TestCountedMatchesMessages(t *testing.T) {
 		addrs = append(addrs, buf.Start())
 	}
 	for k := 0; k < 3; k++ {
-		w1.Rank(0).CountRecvs(addrs[0], bytes, 1)
+		w1.Rank(0).CountRecvs(addrs[0], bytes, 1, 0, 1)
 	}
-	wk.Rank(0).CountRecvs(addrs[1], bytes, 3)
+	wk.Rank(0).CountRecvs(addrs[1], bytes, 1, 0, 3)
 	a, b := w1.Rank(0), wk.Rank(0)
 	if a.Stats() != b.Stats() || a.Space().WrittenBytes() != b.Space().WrittenBytes() || a.Space().Digest(nil) != b.Space().Digest(nil) {
 		t.Fatalf("three counted receives: %+v one at a time, %+v at once", a.Stats(), b.Stats())
+	}
+}
+
+// TestCountedStripRunMatchesSingleReceives: on a phantom space a run of
+// counted receives into a ring strip is one store per lap of the strip
+// (fillStrip), not one per message. On an armed space it leaves the rank
+// where the same messages received one at a time, slot by slot, leave
+// it: counters, written bytes, the faults the space and an open dirty log
+// take, and the delivery hook's calls. Runs start at the strip's first
+// slot and mid-strip, stay in one lap, wrap once, wrap several times and
+// end mid-lap; messages straddle page boundaries. A strip that overhangs
+// its region is clamped slot by slot, as single receives are.
+func TestCountedStripRunMatchesSingleReceives(t *testing.T) {
+	const bytes, slots, page = 6000, 7, 4096
+	type side struct {
+		r             *Rank
+		strip         uint64
+		faults, hooks *int
+	}
+	build := func(overhang bool) side {
+		space := mem.NewAddressSpace(mem.Config{PageSize: page, Phantom: true})
+		w, err := NewWorld(des.NewEngine(), QsNet(), Bounce, []*mem.AddressSpace{space})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := space.Mmap(slots*bytes + 2*page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := side{r: w.Rank(0), strip: buf.Start() + 1000, faults: new(int), hooks: new(int)}
+		if overhang {
+			sd.strip = buf.End() - 5*bytes/2
+		}
+		sd.r.SetDeliveryHook(func(uint64, des.Time) { *sd.hooks++ })
+		openLog(w, 0, sd.faults)
+		return sd
+	}
+	for _, c := range []struct {
+		first, k int
+		overhang bool
+	}{
+		{0, 1, false}, {3, 2, false}, {0, slots, false}, {3, 4, false}, {5, slots, false},
+		{2, 3*slots + 4, false}, {6, 30, false}, {0, 2 * slots, false}, {4, 0, false},
+		{1, 2*slots + 3, true},
+	} {
+		one, run := build(c.overhang), build(c.overhang)
+		for i := range c.k {
+			one.r.CountRecvs(one.strip+uint64((c.first+i)%slots)*bytes, bytes, 1, 0, 1)
+		}
+		run.r.CountRecvs(run.strip, bytes, slots, c.first, c.k)
+		a, b := one.r, run.r
+		if a.Stats() != b.Stats() || a.Space().WrittenBytes() != b.Space().WrittenBytes() || a.Space().Faults() != b.Space().Faults() ||
+			*one.faults != *run.faults || *one.hooks != *run.hooks {
+			t.Fatalf("%+v: one at a time %+v, %d B written, %d/%d faults, %d hook calls; as a run %+v, %d B, %d/%d faults, %d calls",
+				c, a.Stats(), a.Space().WrittenBytes(), a.Space().Faults(), *one.faults, *one.hooks,
+				b.Stats(), b.Space().WrittenBytes(), b.Space().Faults(), *run.faults, *run.hooks)
+		}
+		if c.k > 0 && *run.faults == 0 {
+			t.Fatalf("%+v: the strip took no fault: the check is vacuous", c)
+		}
 	}
 }
 
@@ -120,7 +182,7 @@ func TestCountedPanicsOffTheExactWorld(t *testing.T) {
 		for call, fn := range map[string]func(){
 			"CountedDelay": func() { w.CountedDelay(64) },
 			"CountSends":   func() { w.Rank(0).CountSends(64, 1) },
-			"CountRecvs":   func() { w.Rank(1).CountRecvs(4096, 64, 1) },
+			"CountRecvs":   func() { w.Rank(1).CountRecvs(4096, 64, 1, 0, 1) },
 		} {
 			func() {
 				defer func() {

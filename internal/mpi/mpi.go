@@ -290,7 +290,11 @@ func (r *Rank) Stats() Stats { return r.stats }
 
 // SetDeliveryHook installs fn to observe every payload delivery (the
 // tracker uses this to build the paper's "data received per timeslice"
-// series, Fig 1b). It returns the previous hook.
+// series, Fig 1b). It returns the previous hook. at is the clock when the
+// payload is delivered; a run of counted receives (CountRecvs) delivers
+// its messages at the clock of its one call, so a workload runner's
+// settled deposits report the instant of the settled run's last message,
+// not each message's own copy end. No hook in this repository reads at.
 func (r *Rank) SetDeliveryHook(fn func(bytes uint64, at des.Time)) func(uint64, des.Time) {
 	old := r.onDeliver
 	r.onDeliver = fn

@@ -11,18 +11,28 @@ import (
 // in core.Protect's shape without its captures: Sage-1000MB's model at 8
 // ranks, every rank handed out under an open DirtyLog that is reset every
 // 10 s, run for two periods from iteration 0. The model's ring messages
-// are left out (CommMB 0): into a handed-out rank each is three events of
-// the message path, which would bury the sweep path this rung measures.
-// events/op is the engine's Fired() over the run — sweep events, the
-// transient arena's map and unmap, the reductions and the resets — and
-// ns/op and allocs/op cover the run alone.
-func BenchmarkObservedSweep(b *testing.B) {
+// are left out (CommMB 0), so the rung measures the sweep path alone
+// (BenchmarkObservedRing leaves them in). events/op is the engine's
+// Fired() over the run — sweep events, the transient arena's map and
+// unmap, the reductions and the resets — and ns/op and allocs/op cover
+// the run alone.
+func BenchmarkObservedSweep(b *testing.B) { benchObserved(b, false) }
+
+// BenchmarkObservedRing is BenchmarkObservedSweep's shape with
+// Sage-1000MB's ring messages left in: every link runs into an observed
+// rank, whose deposits the resets settle (on the message path each
+// message is three events: its send, NIC landing and copy end).
+func BenchmarkObservedRing(b *testing.B) { benchObserved(b, true) }
+
+func benchObserved(b *testing.B, messages bool) {
 	const ranks = 8
 	spec, err := ByName("Sage-1000MB")
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec.CommMB = 0
+	if !messages {
+		spec.CommMB = 0
+	}
 	var events uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

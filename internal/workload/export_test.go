@@ -8,3 +8,13 @@ func TickByTick() (restore func()) {
 	tickByTick = true
 	return func() { tickByTick = false }
 }
+
+// MessageByMessage makes the runners New builds, until restore is called,
+// send every ring message through the message path — a send, a landing
+// and a copy end each — instead of counting the link: the reference a
+// counted link's settles are checked against, also through callers that
+// build their own runner (core.Protect).
+func MessageByMessage() (restore func()) {
+	messageByMessage = true
+	return func() { messageByMessage = false }
+}

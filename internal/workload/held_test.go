@@ -172,49 +172,9 @@ func TestObservedSweepsMatchTickByTick(t *testing.T) {
 	for _, spec := range append(All(), heldCases()...) {
 		for _, ts := range []des.Time{des.Second, 2 * des.Second} {
 			t.Run(fmt.Sprintf("%s/%v", spec.Name, ts), func(t *testing.T) {
-				run := func(ticks bool) (*Runner, []*tracker.Tracker) {
-					if ticks {
-						defer TickByTick()()
-					}
-					r, err := New(spec, Config{Ranks: ranks, Seed: 7})
-					if err != nil {
-						t.Fatal(err)
-					}
-					trs := make([]*tracker.Tracker, ranks)
-					for i := range trs {
-						if trs[i], err = tracker.New(r.Eng, r.Space(i), tracker.Options{Timeslice: ts}); err != nil {
-							t.Fatal(err)
-						}
-						trs[i].AttachRank(r.World, i)
-					}
-					if err := r.RunToIterZero(); err != nil {
-						t.Fatal(err)
-					}
-					for _, tr := range trs {
-						tr.Start()
-					}
-					r.Run(r.Now() + max(3*spec.PeriodAt(ranks), 12*ts))
-					return r, trs
-				}
-				open, want := run(true)
-				held, got := run(false)
-				var faults uint64
-				for i := range want {
-					a, b := want[i].Samples(), got[i].Samples()
-					if len(a) == 0 || !slices.Equal(a, b) {
-						for j := range min(len(a), len(b)) {
-							if a[j] != b[j] {
-								t.Fatalf("rank %d sample %d: tick by tick %+v, settled %+v", i, j, a[j], b[j])
-							}
-						}
-						t.Fatalf("rank %d: %d samples tick by tick, %d settled", i, len(a), len(b))
-					}
-					if want[i].TotalFaults() != got[i].TotalFaults() {
-						t.Fatalf("rank %d: %d faults tick by tick, %d settled", i, want[i].TotalFaults(), got[i].TotalFaults())
-					}
-					faults += got[i].TotalFaults()
-				}
-				if faults == 0 {
+				open, want := trackEveryRank(t, spec, ranks, ts, TickByTick)
+				held, got := trackEveryRank(t, spec, ranks, ts, nil)
+				if sameSamples(t, "tick by tick", want, got) == 0 {
 					t.Fatal("no tracker saw a fault: the check is vacuous")
 				}
 				if held.Eng.Fired() >= open.Eng.Fired() {
@@ -317,6 +277,60 @@ func TestObservedSweepsMatchTickByTick(t *testing.T) {
 	}
 }
 
+// trackEveryRank builds spec at the given ranks, under seam (a test seam's
+// setter, or nil for none), hands every rank out to a tracker at
+// timeslice ts that also counts the rank's deliveries (AttachRank), and
+// runs from iteration 0 for three periods or twelve slices, whichever is
+// longer.
+func trackEveryRank(t *testing.T, spec Spec, ranks int, ts des.Time, seam func() (restore func())) (*Runner, []*tracker.Tracker) {
+	t.Helper()
+	if seam != nil {
+		defer seam()()
+	}
+	r, err := New(spec, Config{Ranks: ranks, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]*tracker.Tracker, ranks)
+	for i := range trs {
+		if trs[i], err = tracker.New(r.Eng, r.Space(i), tracker.Options{Timeslice: ts}); err != nil {
+			t.Fatal(err)
+		}
+		trs[i].AttachRank(r.World, i)
+	}
+	if err := r.RunToIterZero(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trs {
+		tr.Start()
+	}
+	r.Run(r.Now() + max(3*spec.PeriodAt(ranks), 12*ts))
+	return r, trs
+}
+
+// sameSamples fails t unless each rank's tracker in got took the samples
+// and the faults its reference in want (the ref seam's run) took, and
+// returns the faults got's trackers took.
+func sameSamples(t *testing.T, ref string, want, got []*tracker.Tracker) (faults uint64) {
+	t.Helper()
+	for i := range want {
+		a, b := want[i].Samples(), got[i].Samples()
+		if len(a) == 0 || !slices.Equal(a, b) {
+			for j := range min(len(a), len(b)) {
+				if a[j] != b[j] {
+					t.Fatalf("rank %d sample %d: %s %+v, held %+v", i, j, ref, a[j], b[j])
+				}
+			}
+			t.Fatalf("rank %d: %d samples %s, %d held", i, len(a), ref, len(b))
+		}
+		if want[i].TotalFaults() != got[i].TotalFaults() {
+			t.Fatalf("rank %d: %d faults %s, %d held", i, want[i].TotalFaults(), ref, got[i].TotalFaults())
+		}
+		faults += got[i].TotalFaults()
+	}
+	return faults
+}
+
 // sameLines fails t at the first line where got differs from want, the
 // tick-by-tick reference.
 func sameLines(t *testing.T, want, got []string) {
@@ -331,17 +345,19 @@ func sameLines(t *testing.T, want, got []string) {
 	}
 }
 
-// TestHeldMessagesMatchMessageByMessage: counting the ring links into
-// ranks nobody was handed (holdLink) changes how many events run, not what
-// any rank counts or writes. For every spec at 4 ranks (the registry's and
-// heldCases), a runner with every rank handed out at New (every message
-// sent, landed and copied as events) and one with none handed out agree on
-// every handed rank's mpi.Stats, written bytes, footprint and digest at
-// each hand-out, and on every rank's after each Run window:
-//   - ranks 0 and 1 are handed out at the RunToIterZero instant, after
-//     rank 0's startIteration and before the others' (as AdaptiveAlignment
-//     does): rank 0's own link to rank 1 was decided, and held, before
-//     either was handed out;
+// TestHeldMessagesMatchMessageByMessage: counting the ring links
+// (holdLink) changes how many events run, not what any rank counts or
+// writes. For every spec at 4 ranks (the registry's and heldCases), a
+// runner that sends every message through the message path
+// (MessageByMessage: a send, a NIC landing and a copy end each), every
+// rank handed out at New, and one that counts every link, its ranks
+// handed out late, agree on every handed rank's mpi.Stats, written
+// bytes, footprint and digest at each hand-out (its space read first,
+// which settles it), and on every rank's after each Run window:
+//   - ranks 0 and 1 are handed out when RunToIterZero returns, after
+//     every rank's startIteration of iteration 0 (as AdaptiveAlignment
+//     hands rank 0 out): the links into and out of both are already
+//     held, and the hand-out settles them;
 //   - a Run window ends between the first message's landing and the end
 //     of its copy out of the bounce buffer;
 //   - rank 2 is handed out mid-clump, after Steps to the same event in
@@ -364,16 +380,20 @@ func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
 				}
 				return r
 			}
-			open, held := build(ranks), build(0)
+			restore := MessageByMessage()
+			open := build(ranks)
+			restore()
+			held := build(0)
 			runners := []*Runner{open, held}
 			same := func(when string, handed int) {
 				t.Helper()
 				for i := 0; i < handed; i++ {
 					a, b := open.World.Rank(i), held.World.Rank(i)
 					sa, sb := open.spaces[i], held.spaces[i]
-					if a.Stats() != b.Stats() || sa.WrittenBytes() != sb.WrittenBytes() || sa.Footprint() != sb.Footprint() || sa.Digest(nil) != sb.Digest(nil) {
+					da, db := sa.Digest(nil), sb.Digest(nil) // settles a handed-out rank's deposits
+					if a.Stats() != b.Stats() || sa.WrittenBytes() != sb.WrittenBytes() || sa.Footprint() != sb.Footprint() || da != db {
 						t.Fatalf("%s, rank %d: message by message %+v, written/footprint/digest %d/%d/%x; held %+v, %d/%d/%x",
-							when, i, a.Stats(), sa.WrittenBytes(), sa.Footprint(), sa.Digest(nil), b.Stats(), sb.WrittenBytes(), sb.Footprint(), sb.Digest(nil))
+							when, i, a.Stats(), sa.WrittenBytes(), sa.Footprint(), da, b.Stats(), sb.WrittenBytes(), sb.Footprint(), db)
 					}
 				}
 			}
@@ -391,8 +411,9 @@ func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
 
 			net := mpi.QsNet()
 			msg := uint64(spec.CommMsgKB * 1024)
+			sendAt := sendOffsets(spec, ranks, open.apps[0].nMsgs)
 			midCopy := func(k int) des.Time {
-				return open.IterZero() + open.sendAt[k] + net.TransferTime(msg) + net.CopyTime(msg)/2
+				return open.IterZero() + sendAt[k] + net.TransferTime(msg) + net.CopyTime(msg)/2
 			}
 			for _, r := range runners {
 				r.Run(midCopy(0))
@@ -404,7 +425,7 @@ func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
 
 			// Step both runners to the same event, with message n/2 of
 			// iteration 0 landed and not yet copied, and hand rank 2 out.
-			mark := max(midCopy(len(open.sendAt)/2), open.Now()+1)
+			mark := max(midCopy(len(sendAt)/2), open.Now()+1)
 			for _, r := range runners {
 				marked := false
 				r.Eng.Schedule(mark, func() { marked = true })
@@ -433,6 +454,52 @@ func TestHeldMessagesMatchMessageByMessage(t *testing.T) {
 	}
 }
 
+// TestObservedMessagesMatchMessageByMessage: counting the ring links into
+// observed ranks, and settling their deposits whenever an observer reads,
+// changes how many events run, not what any observer sees. For every spec
+// at 4 ranks (the registry's and heldCases), with every rank handed out
+// and tracked from iteration 0 at a 1 s and a 2 s timeslice, its
+// deliveries counted (AttachRank), a runner sending every message through
+// the message path (MessageByMessage) and one counting every link give
+// every rank the same samples — received bytes, faults, IWS bytes, all of
+// a Sample — the same fault totals, and the same mpi.Stats, written bytes
+// and digest, over three periods or twelve slices, whichever is longer;
+// the counted runner fires fewer events. TestProtectCountedMatchesMessageByMessage
+// is the core.Protect case.
+func TestObservedMessagesMatchMessageByMessage(t *testing.T) {
+	const ranks = 4
+	for _, spec := range append(All(), heldCases()...) {
+		for _, ts := range []des.Time{des.Second, 2 * des.Second} {
+			t.Run(fmt.Sprintf("%s/%v", spec.Name, ts), func(t *testing.T) {
+				if spec.CommMB == 0 {
+					t.Skip("no messages")
+				}
+				open, want := trackEveryRank(t, spec, ranks, ts, MessageByMessage)
+				counted, got := trackEveryRank(t, spec, ranks, ts, nil)
+				sameSamples(t, "message by message", want, got)
+				var recv uint64
+				for i := range want {
+					ra, rb := open.World.Rank(i), counted.World.Rank(i)
+					sa, sb := open.spaces[i], counted.spaces[i]
+					if ra.Stats() != rb.Stats() || sa.WrittenBytes() != sb.WrittenBytes() || sa.Digest(nil) != sb.Digest(nil) {
+						t.Fatalf("rank %d: message by message %+v, %d B written, digest %x; counted %+v, %d B, %x",
+							i, ra.Stats(), sa.WrittenBytes(), sa.Digest(nil), rb.Stats(), sb.WrittenBytes(), sb.Digest(nil))
+					}
+					for _, sm := range got[i].Samples() {
+						recv += sm.RecvBytes
+					}
+				}
+				if recv == 0 {
+					t.Fatal("no sample counted a received byte: the check is vacuous")
+				}
+				if counted.Eng.Fired() >= open.Eng.Fired() {
+					t.Fatalf("counted runner fired %d events, message by message %d: nothing was held", counted.Eng.Fired(), open.Eng.Fired())
+				}
+			})
+		}
+	}
+}
+
 // TestSideDoorProtectionPanics: a rank's sweeps run held, settled only
 // through the hook Runner.Space installs when it hands the space out, so a
 // dirty log opened through the World's side door would miss the ticks it
@@ -453,24 +520,22 @@ func TestSideDoorProtectionPanics(t *testing.T) {
 	r.Run(r.durationFor(2))
 }
 
-// TestHeldDepositChecksItsPreconditions: a deposit hold that fires
-// unreleased stands for a whole iteration on a rank never handed out and
-// never armed (depositHeld); one that finds otherwise panics rather than
-// count what the message path would not have done.
+// TestHeldDepositChecksItsPreconditions: a deposit hold is one
+// iteration's messages, so a run of deposits (depositHeld) never goes past
+// the iteration's last message; one that would panics rather than land
+// messages in the slots of an iteration that has not begun.
 func TestHeldDepositChecksItsPreconditions(t *testing.T) {
-	for name, spoil := range map[string]func(a *app){
-		"handed out":  func(a *app) { a.handed = true },
-		"faulted":     func(a *app) { log := mem.NewDirtyLog(a.space); log.Open(); _ = a.space.WriteRange(a.stripBase, 1) },
-		"mid-stream":  func(a *app) { a.deposited = 1 },
-		"partial run": func(a *app) { a.nMsgs++ },
+	for name, spoil := range map[string]func(a *app) int{
+		"mid-stream":          func(a *app) int { a.deposited = 1; return a.nMsgs },
+		"past the iteration":  func(a *app) int { return a.nMsgs + 1 },
+		"past the next start": func(a *app) int { a.deposited = 2*a.nMsgs - 1; return 2 },
 	} {
 		r, err := New(tiny(), Config{Ranks: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := r.apps[1]
-		runs := a.nMsgs
-		spoil(a)
+		runs := spoil(a)
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.Contains(msg, "held deposit") {

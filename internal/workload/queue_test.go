@@ -33,8 +33,9 @@ func TestEventQueueStaysShallow(t *testing.T) {
 
 // TestSendOffsetsMonotone: every spec's send schedule is non-decreasing at
 // small, reference and large scale — the precondition of holding an
-// iteration's sends as one series (des panics on a decreasing list) — and
-// stays inside the iteration's communication window.
+// iteration's sends as one series (des.NewOffsets panics on a decreasing
+// list, so New would) — and stays inside the iteration's communication
+// window.
 func TestSendOffsetsMonotone(t *testing.T) {
 	for _, s := range append(All(), tiny()) {
 		for _, ranks := range []int{2, 8, s.RefRanks, 4 * s.RefRanks} {
@@ -42,7 +43,7 @@ func TestSendOffsetsMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			at := r.sendAt
+			at := sendOffsets(s, ranks, r.apps[0].nMsgs)
 			if len(at) != r.apps[0].nMsgs {
 				t.Fatalf("%s/%d: %d offsets for %d messages", s.Name, ranks, len(at), r.apps[0].nMsgs)
 			}

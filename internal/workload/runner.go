@@ -33,6 +33,13 @@ const maxTick = 50 * des.Millisecond
 // reference the held sweeps are checked against.
 var tickByTick bool
 
+// messageByMessage is the other test seam (export_test.go): a runner New
+// builds while it is set sends every ring message through the message
+// path — a send, a NIC landing and a copy end each, into receives the
+// receiver posts at its burst end — the reference the counted links are
+// checked against.
+var messageByMessage bool
+
 func (c Config) withDefaults(spec Spec) Config {
 	if c.Ranks == 0 {
 		c.Ranks = spec.RefRanks
@@ -58,13 +65,14 @@ type Runner struct {
 	// Per-spec schedules every rank shares, computed once: the sub-burst
 	// rate profile scaled to mean 1, each sweep tick's offset from the
 	// start of its processing burst (subTicks to a sub-burst) and each
-	// send's offset from the start of its iteration (both non-decreasing;
-	// the ranks' burst and send series borrow them).
+	// send's offset from the start of its iteration (both checked
+	// non-decreasing once, here; the ranks' burst and link series borrow
+	// them).
 	profile  []float64
-	tickAt   []des.Time
+	tickAt   des.Offsets
 	subTicks int
 	tick     des.Time // the sweep tick
-	sendAt   []des.Time
+	sendAt   des.Offsets
 
 	iterZero des.Time // when rank 0 started iteration 0; 0 until known
 
@@ -74,7 +82,8 @@ type Runner struct {
 	endAt      des.Time
 	endPeriods func()
 
-	ticks bool // tickByTick when New built the runner
+	ticks    bool // tickByTick when New built the runner
+	messages bool // messageByMessage when New built the runner
 }
 
 // New builds the engine, address spaces, MPI world (on the paper's QsNet
@@ -92,7 +101,7 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		// the feasibility experiments need.
 		spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: cfg.PageSize, Phantom: true})
 	}
-	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine(), ticks: tickByTick}
+	r := &Runner{Spec: spec, Cfg: cfg, spaces: spaces, Eng: des.NewEngine(), ticks: tickByTick, messages: messageByMessage}
 	// One backing array for every rank's sub-burst rates.
 	perTick := make([]uint64, cfg.Ranks*len(spec.RateProfile))
 	world, err := mpi.NewWorld(r.Eng, mpi.QsNet(), mpi.Bounce, spaces)
@@ -108,8 +117,9 @@ func New(spec Spec, cfg Config) (*Runner, error) {
 		r.apps = append(r.apps, a)
 	}
 	r.profile = normalize(spec.RateProfile)
-	r.tickAt, r.subTicks, r.tick = tickOffsets(spec, cfg.Ranks)
-	r.sendAt = sendOffsets(spec, cfg.Ranks, r.apps[0].nMsgs)
+	tickAt, subTicks, tick := tickOffsets(spec, cfg.Ranks)
+	r.tickAt, r.subTicks, r.tick = des.NewOffsets(tickAt), subTicks, tick
+	r.sendAt = des.NewOffsets(sendOffsets(spec, cfg.Ranks, r.apps[0].nMsgs))
 	// All ranks begin initialization at t=0, in rank order, from one
 	// event: per-rank events would hold consecutive sequence numbers, so
 	// nothing could run between them.
@@ -150,22 +160,24 @@ func (r *Runner) endPeriod(a *app, at des.Time) {
 // Space hands out rank i's address space: the door every tracker,
 // checkpointer and migrator attaches through. Every rank's processing
 // bursts run held (des.Engine.HoldSeriesAt): one event at the burst's
-// last tick, standing for the ticks since anything last looked. Handing
-// a space out installs its settle hook (mem.AddressSpace.SetSettle), so whatever reads its dirty state,
-// changes its protection or maps it first runs the ticks due so far, in
-// closed form (des.Event.Settle, app.sweep): an observer sees exactly
-// the state, and from then on the writes, of a run that ticked one by
-// one. The messages the rank's left neighbour sends it are held until it
-// is handed out (startIteration); the hand-out releases them into the
-// message path. Hand a space out before attaching anything to it;
+// last tick, standing for the ticks since anything last looked; so do
+// the messages its left neighbour sends it, one event per iteration
+// (holdLink). Handing a space out installs its settle hook
+// (mem.AddressSpace.SetSettle), so whatever reads its dirty state,
+// changes its protection or maps it first runs the ticks and deposits
+// due so far, in closed form (des.Event.Settle, app.sweep,
+// app.depositHeld): an observer sees exactly the state, and from then on
+// the writes and deliveries, of a run that ticked and sent one by one.
+// The rank's mpi counters are current between Runs and once anything
+// has read its space. Hand a space out before attaching anything to it;
 // World.Rank(i).Space() is no substitute — it has no hook, and a sweep
 // panics if it finds that a never-handed-out space took a write fault.
 func (r *Runner) Space(i int) *mem.AddressSpace {
 	a := r.apps[i]
 	if !a.handed {
 		a.handed = true
-		a.space.SetSettle(a.settleBursts)
-		a.releaseLinks()
+		a.space.SetSettle(a.settle)
+		a.settle()
 	}
 	return r.spaces[i]
 }
@@ -180,15 +192,15 @@ func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
 // Run advances the simulation until the given virtual time. When it
-// returns, every rank's held burst is settled and its held messages
-// released, so between runs every rank — handed out or not, read through
-// Space or World.Rank(i).Space() — is in its tick-by-tick state, and a
-// run made in windows holds its bursts as one made at once does.
+// returns, every rank's held burst and held link ends are settled, so
+// between runs every rank — handed out or not, read through Space,
+// World.Rank(i).Space() or its mpi counters — is in its tick-by-tick,
+// message-by-message state, and a run made in windows holds its bursts
+// and links as one made at once does.
 func (r *Runner) Run(until des.Time) {
 	r.Eng.Run(until)
 	for _, a := range r.apps {
-		a.settleBursts()
-		a.releaseLinks()
+		a.settle()
 	}
 }
 
@@ -286,21 +298,23 @@ type app struct {
 	burst    procBurst // the iteration's processing burst, held
 	burstEnd des.Time  // when the latest iteration's processing burst ends
 
-	// A ring link into a rank nobody was handed is counted (startIteration):
-	// booked is this rank's latest hold of its sends, deposits the latest
-	// hold of the messages into it, and deposited counts them.
+	// Every ring link is counted (holdLink): booked is this rank's latest
+	// hold of its sends, deposits the latest hold of the messages into it,
+	// and deposited counts them.
 	booked, deposits des.Event
 	deposited        int
 	slots            int // message slots in the ghost strip
 
 	// The iteration's other callbacks, bound once (newApp) so that an
 	// iteration allocates none: they read what they need from the app.
-	mapTransient, unmapTransient, nextIteration, postRecvs, send func()
-	// sweepHeld is the held burst's callback, a.sweepBurst(&a.burst, runs).
-	sweepHeld func(runs int)
-	// The counted link's two callbacks, bound on its first hold (holdLink),
-	// so that a runner whose ranks are all handed out makes neither.
-	book, deposit func(runs int)
+	mapTransient, unmapTransient, nextIteration func()
+	// sweepHeld is the held burst's callback, a.sweepBurst(&a.burst, runs);
+	// book and deposit are the counted link's, the sender's and the
+	// receiver's end.
+	sweepHeld, book, deposit func(runs int)
+	// The message path's callbacks, bound only under the messageByMessage
+	// seam.
+	postRecvs, send func()
 }
 
 // procBurst is one iteration's processing burst: its sub-bursts' rates, the
@@ -312,15 +326,13 @@ type procBurst struct {
 	held    des.Event // the burst's hold, while it is one
 }
 
-// settleBursts runs the ticks of the rank's held burst that are due
-// (des.Event.Settle).
-func (a *app) settleBursts() { a.burst.held.Settle() }
-
-// releaseLinks turns the rank's held sends and incoming messages into
-// ordinary series, running the firings already due (des.Event.Release).
-func (a *app) releaseLinks() {
-	a.booked.Release()
-	a.deposits.Release()
+// settle runs what is due of the rank's holds (des.Event.Settle): the
+// ticks of its burst, the deposits of the messages into it and the
+// bookings of its own sends.
+func (a *app) settle() {
+	a.burst.held.Settle()
+	a.deposits.Settle()
+	a.booked.Settle()
 }
 
 func newApp(r *Runner, id int, perTick []uint64) (*app, error) {
@@ -407,8 +419,13 @@ func (a *app) bind(perTick []uint64) {
 	if a.nMsgs == 0 {
 		return
 	}
-	// Post all receives at burst end; they match sends as they arrive.
 	a.slots = max(1, int(a.stripBytes/a.msgBytes))
+	a.book = func(runs int) { a.rank.CountSends(a.msgBytes, runs) }
+	a.deposit = a.depositHeld
+	if !a.r.messages {
+		return
+	}
+	// Post all receives at burst end; they match sends as they arrive.
 	a.postRecvs = func() {
 		for j := 0; j < a.nMsgs; j++ {
 			a.rank.Recv(mpi.AnySource, 0, a.slotAddr(j), nil)
@@ -565,14 +582,13 @@ func (a *app) startIteration() {
 	}
 
 	// Communication burst: ring exchange with the right neighbour in
-	// clumps spread across the window between burst end and period end.
+	// clumps spread across the window between burst end and period end,
+	// counted (holdLink); the messageByMessage seam sends them as one
+	// series over the shared offsets, into receives the receiver posts
+	// at its burst end.
 	if a.nMsgs > 0 {
-		// The iteration's sends are one series over the shared offsets,
-		// into receives the receiver posts at its burst end; or two holds
-		// when nobody was handed the receiver (holdLink), which then
-		// posts none.
 		rcv := a.r.apps[(a.id+1)%a.r.Cfg.Ranks]
-		if rcv.handed {
+		if a.r.messages {
 			eng.Schedule(iterStart+burst, rcv.postRecvs)
 			eng.ScheduleSeriesAt(iterStart, a.r.sendAt, a.send)
 		} else {
@@ -646,65 +662,44 @@ func (a *app) sweep(perTick uint64, iter, runs int) {
 	}
 }
 
-// holdLink counts this iteration's messages to rcv, a rank nobody was
-// handed: the sends are a hold of this rank's bookings over the shared
-// offsets, released at once if this rank was handed out, and the receives
-// a hold of rcv's deposits over the same offsets, CountedDelay later.
+// holdLink counts this iteration's messages to rcv: the sends are a hold
+// of this rank's bookings over the shared offsets, and the receives a
+// hold of rcv's deposits over the same offsets, CountedDelay later. Each
+// is one event per iteration; an observer of either rank settles what is
+// due whenever it reads the rank's space (Space), and Run settles both
+// between windows.
 //
 // That is exact because nothing can tell a message from its counted ends.
 // The runner's world loses nothing and takes the same time for every
 // message of a size (mpi.World.CountedDelay), no send has a completion,
 // no receive a continuation, and rcv's receives — the only ones its left
-// neighbour's messages can match, taken in post order — are posted at
-// burst end, before the first message lands (a valid spec's burst ends
+// neighbour's messages can match, taken in post order — would be posted
+// at burst end, before the first message lands (a valid spec's burst ends
 // before its period, and sendOffsets starts the sends after the burst).
 // So message k lands at iterStart+sendAt[k]+transfer into receive k and is
-// copied out copyTime later to slotAddr(k), as the deposit does; rcv posts
-// none of its own. The sender decides for its link, at iteration start,
-// and only the message path has rcv post receives (startIteration). Every
-// rank starts an iteration in one event, the reduction's completion, so a
-// rank handed out at that instant (as after RunToIterZero) gets the
-// iteration's messages counted: the hand-out releases its deposits.
+// copied out copyTime later to slotAddr(k), as the deposit does. What an
+// observer of rcv can see of that copy — its faults, its written bytes,
+// its delivery-hook calls — is settled before the observer reads: the
+// copies are CPU writes, whose faults do not depend on their order.
 func (a *app) holdLink(rcv *app, iterStart des.Time) {
 	eng := a.eng
-	if a.book == nil {
-		a.book = func(runs int) { a.rank.CountSends(a.msgBytes, runs) }
-	}
-	if rcv.deposit == nil {
-		rcv.deposit = rcv.depositHeld
-	}
 	a.booked.Release()
 	a.booked = eng.HoldSeriesAt(iterStart, a.r.sendAt, a.book)
-	if a.handed {
-		a.booked.Release()
-	}
 	rcv.deposits.Release()
 	rcv.deposits = eng.HoldSeriesAt(iterStart+a.r.World.CountedDelay(a.msgBytes), a.r.sendAt, rcv.deposit)
 }
 
 // depositHeld lands runs of the messages into this rank: the next ones in
-// iteration order, each into its slot (slotAddr). runs > 1 is a held
-// deposit, never released, of a whole iteration on a rank never handed
-// out, so never armed: its only effects are counters and written bytes,
-// which do not depend on the order of the writes, so each slot takes its
-// share at once. A held deposit checks that.
+// iteration order, each into its slot (slotAddr), as one counted receive
+// into the ghost strip — one store per lap of the strip
+// (mpi.Rank.CountRecvs). A run is a settle's or the hold's last event, and
+// never leaves its iteration: a deposit hold is one iteration's messages.
 func (a *app) depositHeld(runs int) {
 	j := a.deposited % a.nMsgs
-	if runs == 1 {
-		a.rank.CountRecvs(a.slotAddr(j), a.msgBytes, 1)
-		a.deposited++
-		return
+	if j+runs > a.nMsgs {
+		panic(fmt.Sprintf("workload %s rank %d: held deposit of %d messages from message %d runs past the iteration's %d", a.r.Spec.Name, a.id, runs, j, a.nMsgs))
 	}
-	if a.handed || a.space.Faults() != 0 || j != 0 || runs != a.nMsgs {
-		panic(fmt.Sprintf("workload %s rank %d: held deposit of %d messages from message %d on a space handed out %v with %d write faults", a.r.Spec.Name, a.id, runs, j, a.handed, a.space.Faults()))
-	}
-	for s := 0; s < min(a.slots, runs); s++ {
-		k := runs / a.slots
-		if s < runs%a.slots {
-			k++
-		}
-		a.rank.CountRecvs(a.slotAddr(s), a.msgBytes, k)
-	}
+	a.rank.CountRecvs(a.stripBase, a.msgBytes, a.slots, j%a.slots, runs)
 	a.deposited += runs
 }
 
