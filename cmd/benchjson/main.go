@@ -1,8 +1,10 @@
 // Command benchjson converts `go test -bench -benchmem` output on
 // stdin into machine-readable JSON on stdout: one record per benchmark
 // with ns/op, B/op and allocs/op, sorted by name so the output is
-// byte-stable across runs of the same measurements. CI archives the
-// result (BENCH.json) as a per-commit performance artifact.
+// byte-stable across runs of the same measurements. The lines of one
+// benchmark run several times (-count) merge into one record (see
+// merge). CI archives the result (BENCH.json) as a per-commit
+// performance artifact.
 //
 // With -compare it instead reads two such files and prints a
 // per-benchmark before/after table. The gate is allocs/op, which a change
@@ -15,7 +17,7 @@
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | benchjson > BENCH.json
+//	go test -bench . -benchmem -count 3 ./... | benchjson > BENCH.json
 //	benchjson -compare BENCH_<n>.json BENCH.json   # the newest committed snapshot
 package main
 
@@ -100,11 +102,12 @@ func readRecords(path string) (map[string]Record, error) {
 }
 
 // allocSlack is how far allocs/op may rise before the gate trips. A
-// snapshot times each benchmark for one iteration, so its count includes
-// whatever the runtime allocated meanwhile: two snapshots of one binary on
-// one host differ by up to 5 allocations on the small benchmarks and 0.1 %
-// on the whole-artefact ones (EXPERIMENTS.md § Simulator wall-clock). The
-// allowance is the larger of 8 allocations and 0.5 %.
+// snapshot (`make benchjson`) times each benchmark for one iteration,
+// three times over, and keeps the fewest allocations (merge); a count
+// still includes whatever the runtime allocated meanwhile, and two
+// snapshots of one tree differ by up to 0.15 % on the whole-artefact
+// benchmarks (EXPERIMENTS.md § A space's allocator state is its live
+// regions). The allowance is the larger of 8 allocations and 0.5 %.
 func allocSlack(old int64) int64 { return max(8, old/200) }
 
 // compare writes the before/after table of the benchmarks present in both
@@ -156,6 +159,35 @@ func compare(w io.Writer, old, cur map[string]Record) int {
 	return worse
 }
 
+// merge sorts recs by name and folds the records of each name — one
+// benchmark's runs under -count — into one: the fewest allocs/op and
+// B/op, since a run's count is the code's own plus whatever the runtime
+// allocated meanwhile, the median ns/op (the upper of the middle two for
+// an even count) and the iterations summed.
+func merge(recs []Record) []Record {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
+	var out []Record
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].Name == recs[i].Name {
+			j++
+		}
+		m, ns := recs[i], make([]float64, 0, j-i)
+		m.Iterations = 0
+		for _, r := range recs[i:j] {
+			m.Iterations += r.Iterations
+			m.BytesPerOp = min(m.BytesPerOp, r.BytesPerOp)
+			m.AllocsPerOp = min(m.AllocsPerOp, r.AllocsPerOp)
+			ns = append(ns, r.NsPerOp)
+		}
+		sort.Float64s(ns)
+		m.NsPerOp = ns[len(ns)/2]
+		out = append(out, m)
+		i = j
+	}
+	return out
+}
+
 func runCompare(oldPath, newPath string) int {
 	old, err := readRecords(oldPath)
 	if err != nil {
@@ -196,8 +228,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-	out, err := json.MarshalIndent(recs, "", "  ")
+	out, err := json.MarshalIndent(merge(recs), "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

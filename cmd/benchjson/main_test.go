@@ -46,6 +46,30 @@ func TestParseLine(t *testing.T) {
 	}
 }
 
+// Three runs of one benchmark merge into one record: the fewest allocs/op
+// and B/op, the median ns/op, the iterations summed; a benchmark run once
+// passes through, and the output stays sorted by name.
+func TestMergeKeepsFewestAllocsAndMedianTime(t *testing.T) {
+	got := merge([]Record{
+		{Name: "BenchmarkZ-2", Iterations: 1, NsPerOp: 30, BytesPerOp: 900, AllocsPerOp: 8},
+		{Name: "BenchmarkA-2", Iterations: 5, NsPerOp: 7, BytesPerOp: -1, AllocsPerOp: -1},
+		{Name: "BenchmarkZ-2", Iterations: 1, NsPerOp: 10, BytesPerOp: 700, AllocsPerOp: 4},
+		{Name: "BenchmarkZ-2", Iterations: 1, NsPerOp: 20, BytesPerOp: 800, AllocsPerOp: 3},
+	})
+	want := []Record{
+		{Name: "BenchmarkA-2", Iterations: 5, NsPerOp: 7, BytesPerOp: -1, AllocsPerOp: -1},
+		{Name: "BenchmarkZ-2", Iterations: 3, NsPerOp: 20, BytesPerOp: 700, AllocsPerOp: 3},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merge = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestCompare(t *testing.T) {
 	old := map[string]Record{
 		"BenchmarkA":    {Name: "BenchmarkA-8", NsPerOp: 100, AllocsPerOp: 1000},

@@ -174,7 +174,7 @@ func NewCheckpointer(eng *des.Engine, space *mem.AddressSpace, opts Options) (*C
 // Exclude is accepted and ignored: a bounce arena (mem.Bounce) is
 // never checkpointed by its kind, and recomputable data is marked on its
 // region (ckptspec.Spec.Apply). Kept only for the frozen benchmark/
-// harness; ROADMAP item 8 deletes it.
+// harness; ROADMAP's "Benchmark v2" item deletes it.
 func (c *Checkpointer) Exclude(*mem.Region) {}
 
 // Start opens the checkpointer's dirty log: it protects all data memory,

@@ -49,7 +49,7 @@ type MeasureConfig struct {
 	// Seed makes runs reproducible (0 → a fixed default).
 	Seed uint64
 	// Shards is accepted and ignored: every run is on one engine.
-	// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+	// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 	Shards int
 }
 

@@ -61,8 +61,9 @@ func checkElems(space *mem.AddressSpace, n int) error {
 // arenas is where a kernel's one constructor gets its arenas. Fresh, it
 // maps each one. Restored, it hands out the Mmap regions of a space a
 // restore (ckpt.RestoreAll) recreated, in address order: the order the
-// fresh build allocated them in, because Mmap bump-allocates and kernels
-// never unmap. A restored arena must be the page-rounded size asked for,
+// fresh build allocated them in, because Mmap places an arena at the
+// lowest free address and kernels never unmap, so each arena lands above
+// the last. A restored arena must be the page-rounded size asked for,
 // and the constructor must bind every one (bound), so a restored layout
 // is the fresh one or nothing. It keeps the arenas' start addresses, not
 // their regions: the ckptset analysis would read a region field as a

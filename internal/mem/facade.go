@@ -4,7 +4,7 @@ import "math/bits"
 
 // Fault is a page SetFaultHandler hands its h.
 //
-// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 type Fault struct {
 	Page   uint64 // the page's base address
 	Region *Region
@@ -13,7 +13,7 @@ type Fault struct {
 // SetFaultHandler opens a DirtyLog on s whose OnFault hands h each page
 // it records, in ascending order and already unprotected.
 //
-// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 func (s *AddressSpace) SetFaultHandler(h func(Fault)) {
 	l := NewDirtyLog(s)
 	l.OnFault = func(r *Region, w, m uint64) {

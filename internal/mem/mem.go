@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -449,9 +448,7 @@ type AddressSpace struct {
 
 	pageShift uint // log2(PageSize)
 
-	mmapNext uint64
-	mmapFree []span  // reusable gaps from unmapped arenas
-	lastHit  *Region // single-entry lookup cache
+	lastHit *Region // single-entry lookup cache
 
 	faults     uint64 // total write faults delivered
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
@@ -460,8 +457,6 @@ type AddressSpace struct {
 	// settleFn is the owner's hook (SetSettle), nil when it has none.
 	settleFn func()
 }
-
-type span struct{ start, size uint64 }
 
 // NewAddressSpace creates an empty address space with a stack region
 // already mapped (the stack exists from process start and is never
@@ -473,7 +468,7 @@ func NewAddressSpace(cfg Config) *AddressSpace {
 	if cfg.PageSize&(cfg.PageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two", cfg.PageSize))
 	}
-	s := &AddressSpace{cfg: cfg, mmapNext: mmapBase, pageShift: uint(bits.TrailingZeros64(cfg.PageSize))}
+	s := &AddressSpace{cfg: cfg, pageShift: uint(bits.TrailingZeros64(cfg.PageSize))}
 	s.insert(StackTop-StackSize, StackSize, Stack)
 	return s
 }
@@ -562,10 +557,13 @@ func (s *AddressSpace) MapData(size uint64) *Region {
 }
 
 // Mmap maps a new anonymous arena of at least size bytes (page-rounded)
-// and returns its region. Freed arena slots are reused first-fit, so a
-// workload that repeatedly frees and reallocates same-sized arenas — as
-// Sage's Fortran90 allocator does — observes remapping at recycled
-// addresses.
+// and returns its region, at the lowest address from the arena base up
+// that no live region overlaps: address-ordered first fit over the gaps
+// the live regions leave. A workload that frees and re-maps same-sized
+// arenas — as Sage's Fortran90 allocator does — observes remapping at
+// recycled addresses. The placement reads nothing but the live regions,
+// so a space a restore recreated with MapAt places its next arenas where
+// the original would have.
 func (s *AddressSpace) Mmap(size uint64) (*Region, error) { return s.mmap(size, Mmap) }
 
 // MapBounce maps an MPI bounce arena of at least size bytes where Mmap
@@ -575,27 +573,22 @@ func (s *AddressSpace) MapBounce(size uint64) (*Region, error) { return s.mmap(s
 
 func (s *AddressSpace) mmap(size uint64, kind Kind) (*Region, error) {
 	s.settle()
-	if size == 0 {
-		return nil, fmt.Errorf("%w: mmap of zero bytes", ErrBadRange)
+	rounded := s.roundUp(size) // 0 for a size of 0 and one that wraps
+	if rounded == 0 {
+		return nil, fmt.Errorf("%w: mmap of %d bytes", ErrBadRange, size)
 	}
-	size = s.roundUp(size)
-	start := uint64(0)
-	for i, f := range s.mmapFree {
-		if f.size >= size {
-			start = f.start
-			if f.size == size {
-				s.mmapFree = append(s.mmapFree[:i], s.mmapFree[i+1:]...)
-			} else {
-				s.mmapFree[i] = span{f.start + size, f.size - size}
-			}
-			break
+	size = rounded
+	at := mmapBase // the candidate start: no region passed so far reaches past it
+	for _, r := range s.regions {
+		if r.start >= at && r.start-at >= size {
+			break // the gap below r holds the arena
 		}
+		at = max(at, r.End())
 	}
-	if start == 0 {
-		start = s.mmapNext
-		s.mmapNext += size
+	if at+size < at {
+		return nil, fmt.Errorf("%w: no room for an arena of %d bytes", ErrBadRange, size)
 	}
-	r := s.insert(start, size, kind)
+	r := s.insert(at, size, kind)
 	s.mapEvent(r, true)
 	return r, nil
 }
@@ -609,7 +602,6 @@ func (s *AddressSpace) Munmap(r *Region) error {
 		return fmt.Errorf("%w: munmap of invalid region", ErrBadRange)
 	}
 	s.remove(r)
-	s.mmapFree = append(s.mmapFree, span{r.start, r.size})
 	s.mapEvent(r, false)
 	return nil
 }
@@ -618,8 +610,8 @@ func (s *AddressSpace) Munmap(r *Region) error {
 // restore path, which must recreate regions at their original addresses.
 // start must be page-aligned, the page-rounded range must not wrap past
 // the top of the address space, and it must not overlap any live region.
-// The range leaves the arena free list (a span it covers part of keeps
-// the rest), so no later Mmap hands it out again.
+// Being live, the region is one no later Mmap places an arena over,
+// whatever its kind.
 func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 	s.settle()
 	rounded := s.roundUp(size)
@@ -632,36 +624,9 @@ func (s *AddressSpace) MapAt(start, size uint64, kind Kind) (*Region, error) {
 			return nil, fmt.Errorf("%w: MapAt overlaps %v region at %#x", ErrBadRange, r.kind, r.start)
 		}
 	}
-	s.reserve(start, start+size)
 	r := s.insert(start, size, kind)
-	// Any region reaching past the bump pointer in the arena range moves
-	// it on, whatever its kind, so no later Mmap is placed inside it.
-	if start < dataBase && start+size > s.mmapNext {
-		s.mmapNext = start + size
-	}
 	s.mapEvent(r, true)
 	return r, nil
-}
-
-// reserve takes [start, end) out of the arena free list: each free span
-// it overlaps is dropped, trimmed or split around it, in place.
-func (s *AddressSpace) reserve(start, end uint64) {
-	for i := 0; i < len(s.mmapFree); i++ {
-		f := s.mmapFree[i]
-		if f.start >= end || f.start+f.size <= start {
-			continue
-		}
-		var rest [2]span
-		k := 0
-		if f.start < start {
-			rest[k], k = span{f.start, start - f.start}, k+1
-		}
-		if f.start+f.size > end {
-			rest[k], k = span{end, f.start + f.size - end}, k+1
-		}
-		s.mmapFree = slices.Replace(s.mmapFree, i, i+1, rest[:k]...)
-		i += k - 1
-	}
 }
 
 // Find returns the live region containing addr, or nil.

@@ -84,16 +84,17 @@ func TestStackNotInFootprint(t *testing.T) {
 	}
 }
 
-// A bounce arena lands exactly where Mmap would have put an arena — in a
-// freed slot first-fit, else at the bump pointer — and counts toward
-// the footprint, but no dirty log protects it and Munmap refuses it.
+// A bounce arena lands exactly where Mmap would have put an arena — in
+// the lowest gap between live regions that holds it, else past the
+// highest — and counts toward the footprint, but no dirty log protects
+// it and Munmap refuses it.
 func TestMapBounceLandsWhereMmapWould(t *testing.T) {
 	script := func(last func(*AddressSpace, uint64) (*Region, error)) (*AddressSpace, []*Region) {
 		s := newBacked(t)
 		a, _ := s.Mmap(3 * 4096)
 		s.Mmap(4096)
 		s.Munmap(a)
-		fit, _ := last(s, 2*4096) // first-fit into a's slot
+		fit, _ := last(s, 2*4096) // first fit into a's slot
 		bump, _ := last(s, 1<<20) // past the end
 		tail, _ := last(s, 4096)  // what is left of a's slot
 		return s, []*Region{fit, bump, tail}
@@ -159,10 +160,14 @@ func TestMmapMunmapReuse(t *testing.T) {
 	}
 }
 
+// Mmap refuses a size of zero, one that wraps when rounded to pages and
+// one whose arena would wrap past the top of the address space.
 func TestMmapZeroFails(t *testing.T) {
 	s := newBacked(t)
-	if _, err := s.Mmap(0); err == nil {
-		t.Fatal("mmap(0) succeeded")
+	for _, size := range []uint64{0, ^uint64(0), ^uint64(0) &^ 4095} {
+		if r, err := s.Mmap(size); !errors.Is(err, ErrBadRange) {
+			t.Fatalf("mmap(%#x) = %v, %v; want ErrBadRange", size, r, err)
+		}
 	}
 }
 

@@ -54,11 +54,11 @@ func TestMapAtValidation(t *testing.T) {
 	}
 }
 
-// TestMapAtTakesItsRangeFromTheFreeList: a range MapAt maps is no longer
-// free, so Mmap never places a second live arena on it. MapAt over a
-// whole freed arena drops its span; inside one, it trims or splits the
-// span and Mmap still reuses what is left, first fit.
-func TestMapAtTakesItsRangeFromTheFreeList(t *testing.T) {
+// TestMmapPlacesAroundMapAtRanges: a range MapAt maps is a live region,
+// so Mmap never places a second live arena on it. MapAt over a whole
+// freed arena leaves no gap there; over its head, tail or middle, Mmap
+// still fills what is left of the arena, first fit in address order.
+func TestMmapPlacesAroundMapAtRanges(t *testing.T) {
 	const ps = 4096
 	for _, c := range []struct {
 		name       string
@@ -117,8 +117,9 @@ func TestMapAtMmapAdvancesAllocator(t *testing.T) {
 	}
 }
 
-// TestMapAtAnyKindAdvancesAllocator: a region of any kind mapped at the
-// bump pointer moves it on, so the next Mmap is not placed inside it.
+// TestMapAtAnyKindAdvancesAllocator: a region of any kind mapped right
+// after the last arena is live like one, so the next Mmap is not placed
+// inside it.
 func TestMapAtAnyKindAdvancesAllocator(t *testing.T) {
 	const ps = 4096
 	s := NewAddressSpace(Config{PageSize: ps, Phantom: true})

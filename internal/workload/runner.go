@@ -20,7 +20,7 @@ type Config struct {
 	// Seed drives per-rank jitter; runs with equal seeds are identical.
 	Seed uint64
 	// Shards is accepted and ignored: every run is on one engine.
-	// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+	// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 	Shards int
 }
 
@@ -183,12 +183,12 @@ func (r *Runner) Space(i int) *mem.AddressSpace {
 }
 
 // EngineFor returns r.Eng, whatever i.
-// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 func (r *Runner) EngineFor(int) *des.Engine { return r.Eng }
 
 // CriticalPathEvents returns r.Eng.Fired(): on one engine every event is
 // on the critical path.
-// Kept only for the frozen benchmark/ harness; ROADMAP item 8 deletes it.
+// Kept only for the frozen benchmark/ harness; ROADMAP's "Benchmark v2" item deletes it.
 func (r *Runner) CriticalPathEvents() uint64 { return r.Eng.Fired() }
 
 // Run advances the simulation until the given virtual time. When it
