@@ -440,11 +440,14 @@ type Report struct {
 
 // team is one incarnation of the computation (between failures).
 type team struct {
-	world *mpi.World
-	d     Computation
-	cps   []*ckpt.Checkpointer
-	co    *ckpt.Coordinator
-	det   *cluster.Detector // nil unless HeartbeatPeriod > 0 and Ranks > 1
+	// spaces are the ranks' address spaces; once the team is stopped,
+	// the next recovery may replace them (ckpt.RestoreLatest).
+	spaces []*mem.AddressSpace
+	world  *mpi.World
+	d      Computation
+	cps    []*ckpt.Checkpointer
+	co     *ckpt.Coordinator
+	det    *cluster.Detector // nil unless HeartbeatPeriod > 0 and Ranks > 1
 
 	regCost   des.Time // NIC registration latency paid before iterating
 	harvested bool     // RDMA counters already folded into the report
@@ -481,6 +484,16 @@ type Supervisor struct {
 	pendingFailIter int       // iteration count at the failure being recovered
 	unrecovered     int       // failures absorbed since the last completed recovery
 	storeDown       int       // consecutive recoveries deferred by an unavailable store
+
+	// dead holds, per rank, the space whose slabs the next recovery
+	// inherits (mem.AddressSpace.Inherit): the stopped team's, a
+	// cancelled recovery's restored one, or an abandoned candidate
+	// line's. nil while a team runs.
+	dead []*mem.AddressSpace
+
+	// trail is what the run digests into states (see trailKind).
+	trail  trailKind
+	states trail
 }
 
 // lineRecord is what the supervisor knows of a committed line: the
@@ -500,7 +513,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, _, err := run(cfg, plan, nil)
+	rep, _, _, err := run(cfg, plan, nil, noTrail)
 	return rep, err
 }
 
@@ -513,40 +526,44 @@ func Run(cfg Config) (*Report, error) {
 // cfg.Store and cfg.Replicas describe or, for a non-nil build
 // (ValidateReplayStore's), through the store build returns; a plan
 // whose storage lines strike a store build never wrapped is refused
-// before anything runs, where its faults would silently vanish.
-func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) storage.Store) (*Report, *chaos.Driver, error) {
+// before anything runs, where its faults would silently vanish. kind
+// selects the states the run digests into the trail it returns.
+func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) storage.Store, kind trailKind) (*Report, trail, *chaos.Driver, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if cfg.MultiLevel != nil {
 		opts, err := cfg.MultiLevel.withDefaults(cfg.Ranks)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		cfg.MultiLevel = &opts
 	}
-	s := &Supervisor{cfg: cfg, eng: des.NewEngine(), lines: make(map[uint64]lineRecord)}
+	s := &Supervisor{cfg: cfg, eng: des.NewEngine(), lines: make(map[uint64]lineRecord), trail: kind}
 	if plan != nil {
 		s.chaos = chaos.NewDriver(s.eng, plan)
 	}
 	if build == nil {
 		if err := s.buildStorage(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	} else if s.store = build(s.eng, s.chaos); !s.chaos.Wraps() {
-		return nil, nil, fmt.Errorf("autonomic: the plan's storage lines strike a store never wrapped with Driver.WrapStore (store i is the i-th wrapped)")
+		return nil, nil, nil, fmt.Errorf("autonomic: the plan's storage lines strike a store never wrapped with Driver.WrapStore (store i is the i-th wrapped)")
 	}
 	if cfg.MultiLevel != nil {
 		if err := s.buildHierarchy(s.store); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	t, err := s.buildTeam(nil, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	s.cur = t
+	if kind == lineTrail {
+		s.record(t, 0, -1)
+	}
 	s.startTeam()
 	s.scheduleFailure()
 	if s.chaos != nil {
@@ -554,7 +571,7 @@ func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) st
 	}
 	s.eng.Run(des.MaxTime)
 	if s.failed != nil {
-		return nil, nil, s.failed
+		return nil, nil, nil, s.failed
 	}
 	// A copy, not &s.report: a held report must not keep the run's
 	// engine, teams, address spaces and stores reachable.
@@ -575,7 +592,7 @@ func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) st
 	if m, ok := s.store.(*storage.MirrorStore); ok {
 		rep.Mirror = m.Stats()
 	}
-	return &rep, s.chaos, nil
+	return &rep, s.states, s.chaos, nil
 }
 
 // hitsStorage reports whether the run's plan strikes storage, and so
@@ -615,7 +632,10 @@ func (s *Supervisor) buildStorage() error {
 
 // buildTeam constructs a new world/solver/checkpointer incarnation.
 // spaces is nil for a fresh start, or the restored address spaces after a
-// failure; startIter is the iteration count the state corresponds to.
+// failure; startIter is the iteration count the state corresponds to. A
+// fresh start after a failure (a scratch restart) inherits the dead
+// spaces' slabs, so its arenas, mapped where the dead team's were, make
+// none.
 func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team, error) {
 	cfg := s.cfg
 	fresh := spaces == nil
@@ -623,6 +643,9 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		spaces = make([]*mem.AddressSpace, cfg.Ranks)
 		for i := range spaces {
 			spaces[i] = mem.NewAddressSpace(mem.Config{PageSize: 4096})
+			if s.dead != nil {
+				spaces[i].Inherit(s.dead[i])
+			}
 		}
 	}
 	mode := mpi.Bounce
@@ -648,7 +671,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	if err != nil {
 		return nil, err
 	}
-	t := &team{world: world, d: d}
+	t := &team{spaces: spaces, world: world, d: d}
 	if cfg.RDMA != rdmaOff {
 		// The workload's arenas exist now; pin them with the NIC before
 		// the team starts iterating.
@@ -752,6 +775,9 @@ func (s *Supervisor) startTeam() {
 // leaves the computation unharmed: cont still runs, the run just carries
 // on without that line.
 func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
+	if s.trail == lineTrail {
+		s.record(t, iter, -1)
+	}
 	if !s.cfg.TwoPhaseCommit {
 		g, err := t.co.GlobalCheckpoint()
 		if err != nil {
@@ -986,6 +1012,7 @@ func (s *Supervisor) onFailure() {
 	for _, c := range t.cps {
 		c.Stop()
 	}
+	s.dead = t.spaces
 	if t.det != nil {
 		s.killAnother(t, victims)
 		return // a survivor's timeout will fire onDetected
@@ -1088,9 +1115,12 @@ func (s *Supervisor) scheduleRecovery(failIter int) {
 // selectAndRestore finds the newest recovery line the storage tier can
 // prove — every rank's chain fetched, decoded, judged by VerifyChain and
 // replayed — and restores it in one pass (ckpt.RestoreLatest), reading
-// each chain once. Payload bytes are only as trustworthy as the store
-// stack: an IntegrityStore catches flipped bits, a raw or L1 store does
-// not. It reads through one store: the global store, or the
+// each chain once, into the slabs of the spaces the recovery replaces
+// (s.dead). The restored spaces then hold those slabs: they are what a
+// nested failure's redo inherits, and a scratch restart inherits what
+// the abandoned candidates left in s.dead. Payload bytes are only as
+// trustworthy as the store stack: an IntegrityStore catches flipped
+// bits, a raw or L1 store does not. It reads through one store: the global store, or the
 // hierarchy's tiered view under multi-level (L1, then an L2 parity
 // rebuild, then L3, with the view's per-level accounting folded into the
 // report). When no line survives the selection is a scratch restart.
@@ -1108,9 +1138,12 @@ func (s *Supervisor) selectAndRestore() (selection, error) {
 	if err != nil {
 		return selection{}, err
 	}
-	rec, ok, err := ckpt.RestoreLatest(src, s.cfg.Ranks, s.cfg.TwoPhaseCommit)
+	rec, ok, err := ckpt.RestoreLatest(src, s.cfg.Ranks, s.cfg.TwoPhaseCommit, s.dead)
 	if err != nil {
 		return selection{}, err
+	}
+	if ok {
+		s.dead = rec.Spaces
 	}
 	sel := selection{spaces: rec.Spaces, line: rec.Seq, ok: ok, degraded: claimed && (!ok || rec.Seq < best)}
 	// The read price is the one place the tier shows: the global store
@@ -1143,7 +1176,10 @@ func (s *Supervisor) recover(sel selection, failIter int) {
 		s.fail(err)
 		return
 	}
-	s.cur = t
+	s.cur, s.dead = t, nil
+	if s.trail == restoreTrail {
+		s.record(t, startIter, len(s.report.FailureLog)-1)
+	}
 	// One completed recovery covers every failure absorbed since the
 	// last one (nested failures redo the same recovery), so on success
 	// Recoveries == Failures still holds.

@@ -132,7 +132,7 @@ func TestChaosCommitCrash(t *testing.T) {
 			t.Errorf("seed %d: no failure recorded as during-commit", seed)
 		}
 		if !out.BitExact() {
-			t.Errorf("seed %d: commit-crash replay not bit-exact", seed)
+			t.Errorf("seed %d: commit-crash replay not bit-exact (diverged %+v)", seed, out.Diverged)
 		}
 	}
 	if !hit {
@@ -159,7 +159,7 @@ func TestChaosBitFlipDegradesRecovery(t *testing.T) {
 			t.Errorf("seed %d: flips never forced a degraded recovery", seed)
 		}
 		if !out.BitExact() {
-			t.Errorf("seed %d: bit-flip replay not bit-exact", seed)
+			t.Errorf("seed %d: bit-flip replay not bit-exact (diverged %+v)", seed, out.Diverged)
 		}
 	}
 }

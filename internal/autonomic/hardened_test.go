@@ -96,7 +96,7 @@ storage-decay transient 0.08 torn 0.05 corrupt 0.05 seed %d store 1`, seed*97, s
 			t.Fatalf("seed %d: completed %v after %d failures — test proves nothing", seed, rep.Completed, rep.Failures)
 		}
 		if !out.BitExact() {
-			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v)", seed, out.DigestsMatch, out.ChecksumMatch)
+			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v, recovery %+v)", seed, out.DigestsMatch, out.ChecksumMatch, out.Diverged)
 		}
 		for i := 0; i < 2; i++ {
 			if st := out.Injected.Decay[i]; st.Transients+st.TornWrites+st.Corruptions == 0 {
@@ -155,7 +155,7 @@ func TestReplayCorruptDecayBelowTheMirror(t *testing.T) {
 			t.Fatalf("seed %d: completed %v after %d failures — test proves nothing", seed, rep.Completed, rep.Failures)
 		}
 		if !out.BitExact() {
-			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v)", seed, out.DigestsMatch, out.ChecksumMatch)
+			t.Fatalf("seed %d: replay diverged (digests %v, checksum %v, recovery %+v)", seed, out.DigestsMatch, out.ChecksumMatch, out.Diverged)
 		}
 		if d := rep.Decay; d[0].Corruptions == 0 || d[1] != (chaos.StoreStats{Ops: d[1].Ops}) {
 			t.Fatalf("seed %d: decay counters %+v, want corruptions on store 0 only", seed, d)

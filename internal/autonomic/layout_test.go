@@ -367,6 +367,6 @@ func TestFreeingComputationReplaysAtTheReferenceLayout(t *testing.T) {
 		t.Error(d)
 	}
 	if !out.BitExact() {
-		t.Errorf("replay not bit-exact after %d failures: digests match %v, checksum match %v", out.Injected.Failures, out.DigestsMatch, out.ChecksumMatch)
+		t.Errorf("replay not bit-exact after %d failures: digests match %v, checksum match %v, diverged %+v", out.Injected.Failures, out.DigestsMatch, out.ChecksumMatch, out.Diverged)
 	}
 }

@@ -52,6 +52,10 @@ func checkBitExact(t *testing.T, out *ReplayOutcome, seed uint64) {
 		t.Errorf("seed %d: final address-space digests diverge: %x vs %x",
 			seed, rep.SpaceDigests, out.Reference.SpaceDigests)
 	}
+	if d := out.Diverged; d != nil {
+		t.Errorf("seed %d: failure %d's recovery resumed from another state than the reference's at iteration %d, at rank %d",
+			seed, d.Failure, d.Iter, d.Rank)
+	}
 }
 
 // A healthy multi-level run computes the same answer as a legacy run of

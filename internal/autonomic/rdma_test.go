@@ -99,9 +99,9 @@ func TestDrainCrashEveryPhaseReplaysBitExact(t *testing.T) {
 					out.Injected.Failures, out.Injected.Recoveries)
 			}
 			if !out.BitExact() {
-				t.Fatalf("crash during %v did not replay bit-exactly: digests %v vs %v, checksum %v vs %v",
+				t.Fatalf("crash during %v did not replay bit-exactly: digests %v vs %v, checksum %v vs %v, recovery %+v",
 					phase, out.Reference.SpaceDigests, out.Injected.SpaceDigests,
-					out.Reference.Checksum, out.Injected.Checksum)
+					out.Reference.Checksum, out.Injected.Checksum, out.Diverged)
 			}
 			// The chain the injected run left behind is verifiable end to
 			// end at its newest consistent line.
@@ -186,6 +186,6 @@ func TestNaiveDirectCrashRestoreDiverges(t *testing.T) {
 		t.Fatalf("planned crash never fired under drain: %+v", drainOut.Injected)
 	}
 	if !drainOut.BitExact() {
-		t.Fatal("drain protocol did not restore bit-exactness for the same crash")
+		t.Fatalf("drain protocol did not restore bit-exactness for the same crash (diverged %+v)", drainOut.Diverged)
 	}
 }

@@ -279,7 +279,7 @@ func TestReplayReferenceCopiesStorageCounters(t *testing.T) {
 		}
 	}
 	refMemo.Lock()
-	refMemo.m[key] = planted()
+	refMemo.m[key] = refEntry{rep: planted()}
 	refMemo.Unlock()
 	defer func() {
 		refMemo.Lock()

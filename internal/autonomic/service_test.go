@@ -98,8 +98,8 @@ func TestServiceReplayEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: chaos plan injected no failures — test proves nothing", seed)
 		}
 		if !out.BitExact() {
-			t.Errorf("seed %d: service replay not bit-exact (digests %v, checksum %v)",
-				seed, out.DigestsMatch, out.ChecksumMatch)
+			t.Errorf("seed %d: service replay not bit-exact (digests %v, checksum %v, recovery %+v)",
+				seed, out.DigestsMatch, out.ChecksumMatch, out.Diverged)
 		}
 		st := (*svcp).Stats()
 		if st.LeaderCrashes == 0 || st.Failovers == 0 {
@@ -160,7 +160,7 @@ func TestServiceReplayCrashDuringPromotion(t *testing.T) {
 			t.Fatalf("seed %d: injected run did not complete", seed)
 		}
 		if !out.BitExact() {
-			t.Errorf("seed %d: crash-during-promotion replay not bit-exact", seed)
+			t.Errorf("seed %d: crash-during-promotion replay not bit-exact (diverged %+v)", seed, out.Diverged)
 		}
 		st := svc.Stats()
 		if st.Failovers == 0 {

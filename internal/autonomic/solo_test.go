@@ -69,8 +69,8 @@ func TestSoloSpecReplayBitExact(t *testing.T) {
 		t.Fatal("chaos injected no failure; the test exercised nothing")
 	}
 	if !out.BitExact() {
-		t.Errorf("spec-excluded replay diverged: digests=%v checksum=%v",
-			out.DigestsMatch, out.ChecksumMatch)
+		t.Errorf("spec-excluded replay diverged: digests=%v checksum=%v recovery=%+v",
+			out.DigestsMatch, out.ChecksumMatch, out.Diverged)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestSoloFailureMidDelayLandsAtCompletedIterations(t *testing.T) {
 				c.name, ev.At, ev.Iter, ev.LostIterations, want)
 		}
 		if !out.BitExact() {
-			t.Errorf("%s: replay diverged", c.name)
+			t.Errorf("%s: replay diverged (recovery %+v)", c.name, out.Diverged)
 		}
 	}
 }

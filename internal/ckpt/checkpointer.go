@@ -117,6 +117,12 @@ type Checkpointer struct {
 	stats         Stats
 	excludedAccum uint64
 	hashes        map[uint64]uint64 // page addr → last persisted content hash
+	// mapped holds the watched regions of a backed space mapped since the
+	// last capture. An incremental captures each whole, as a full capture
+	// does, because a freed and re-mapped arena's pages read zero where
+	// nothing wrote them: only a record of every page overwrites what an
+	// earlier incarnation at the same addresses left in the chain.
+	mapped map[*mem.Region]struct{}
 
 	// CoW accounting drain state (TrackCow). The sets are refilled in
 	// place by every capture; drainR/drainDS cache the last faulting
@@ -276,13 +282,21 @@ func (c *Checkpointer) fillDrain(live []*mem.Region) {
 	}
 }
 
-// onMap accounts memory exclusion: dirty pages dropped with an unmapped
-// region are reported by the next checkpoint.
+// onMap accounts memory exclusion — dirty pages dropped with an
+// unmapped region are reported by the next checkpoint — and notes a
+// watched backed region mapped since the last capture (mapped).
 func (c *Checkpointer) onMap(r *mem.Region, mapped bool, pages uint64) {
-	if !mapped {
+	switch {
+	case !mapped:
 		c.excludedAccum += pages
 		delete(c.drainSet, r)
 		c.drainR, c.drainDS = nil, nil
+		delete(c.mapped, r)
+	case !c.space.Phantom() && c.log.Watches(r):
+		if c.mapped == nil {
+			c.mapped = make(map[*mem.Region]struct{})
+		}
+		c.mapped[r] = struct{}{}
 	}
 }
 
@@ -337,7 +351,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		}
 		rs := c.log.Pages(r)
 		switch {
-		case kind == Full:
+		case c.whole(kind, r):
 			maxPages += r.Pages()
 			if hdr.ContentFree && r.Pages() > 0 {
 				runs.extend(r.Start(), r.Pages())
@@ -376,7 +390,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 		// Content-free records are page runs, so those are written
 		// straight from the region's extent (full) or its dirty set, a
 		// bitmap word at a time (incremental).
-		if kind == Full {
+		if c.whole(kind, r) {
 			if w.contentFree {
 				w.addrRun(r.Start(), r.Pages())
 			} else {
@@ -415,6 +429,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	// Reset dirty state and re-protect: the next delta starts now.
 	c.log.Reset()
+	clear(c.mapped)
 
 	enc := w.finish()
 	dedupSkipped := maxPages - w.pages // every candidate page is written or elided
@@ -482,6 +497,17 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	return res, nil
 }
 
+// whole reports whether a capture of the given kind records every page
+// of r: a full one does, and so does an incremental one of a region
+// mapped since the last capture (mapped).
+func (c *Checkpointer) whole(kind Kind, r *mem.Region) bool {
+	if kind == Full {
+		return true
+	}
+	_, fresh := c.mapped[r]
+	return fresh
+}
+
 // capturePage streams page idx of r into w, reading the live page in
 // place, unless content dedup elides it.
 func (c *Checkpointer) capturePage(w *segWriter, kind Kind, r *mem.Region, idx uint64) {
@@ -531,16 +557,22 @@ func loadSegment(store storage.Store, rank int, seq uint64, seg *Segment) (*Segm
 }
 
 // replayChain is the one page-replay body: walkChain with a visitor
-// that, at the chain's base, makes a fresh backed address space with the
-// target's page size and recreates the target's region layout in it,
-// then replays each segment's pages from the base forward. It skips
-// pages whose regions no longer exist at the target — rolled-forward
-// memory exclusion — and pages outside every region it recreated, such
-// as the stack's. So on a chain VerifyChain rejects it returns
-// VerifyChain's error, and it replays no segment the walk has not
-// proven. It returns the space and the chain's encoded bytes, the sum
+// that, at the chain's base, makes a backed address space with the
+// target's page size, recreates the target's region layout in it and
+// has it inherit dead's slabs (mem.AddressSpace.Inherit; dead is the
+// space the restore replaces, or nil), then replays each segment's pages
+// from the base forward. A recreated region of a dead region's start, size and
+// kind takes that region's slab, cleared, and every page record of the
+// chain overwrites its page, so the restored bytes are a fresh space's.
+// It skips pages whose regions no longer exist at the target — rolled-
+// forward memory exclusion — and pages outside every region it
+// recreated, such as the stack's. So on a chain VerifyChain rejects it
+// returns VerifyChain's error, and it replays no segment the walk has not
+// proven; the space it made before the walk failed, if any, is returned
+// with the error, holding what it inherited, for the next restore to
+// inherit. It returns the space and the chain's encoded bytes, the sum
 // ChainVolume reports for the same chain.
-func replayChain(store storage.Store, rank int, targetSeq uint64) (*mem.AddressSpace, uint64, error) {
+func replayChain(store storage.Store, rank int, targetSeq uint64, dead *mem.AddressSpace) (*mem.AddressSpace, uint64, error) {
 	var sp *mem.AddressSpace
 	var read uint64
 	var zero []byte
@@ -553,6 +585,7 @@ func replayChain(store storage.Store, rank int, targetSeq uint64) (*mem.AddressS
 					return fmt.Errorf("ckpt: recreate region: %w", err)
 				}
 			}
+			sp.Inherit(dead)
 		}
 		for _, p := range seg.Pages {
 			r := sp.Find(p.Addr)
@@ -571,7 +604,7 @@ func replayChain(store storage.Store, rank int, targetSeq uint64) (*mem.AddressS
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return sp, 0, err
 	}
 	return sp, read, nil
 }

@@ -319,7 +319,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	c.Checkpoint() // seq 1: delta
 
 	// Restore into a fresh space and compare every checkpointable byte.
-	fresh, _, err := replayChain(store, 0, 1)
+	fresh, _, err := replayChain(store, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestPropertyCheckpointRestoreIdentity(t *testing.T) {
 		if !did {
 			return true
 		}
-		fresh, _, err := replayChain(store, 0, lastSeq)
+		fresh, _, err := replayChain(store, 0, lastSeq, nil)
 		if err != nil {
 			return false
 		}

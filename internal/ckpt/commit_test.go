@@ -124,7 +124,7 @@ func TestTwoPhaseCommitCompletes(t *testing.T) {
 	if g.Seq != 0 || len(g.PerRank) != 3 {
 		t.Fatalf("result = %+v", g)
 	}
-	rec, ok, err := RestoreLatest(store, 3, true)
+	rec, ok, err := RestoreLatest(store, 3, true, nil)
 	if err != nil || !ok || rec.Seq != 0 {
 		t.Fatalf("RestoreLatest = %d/%v/%v", rec.Seq, ok, err)
 	}
@@ -179,7 +179,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 		}
 	}
 	// Recovery falls back to the previous committed line.
-	rec, ok, err := RestoreLatest(store, 3, true)
+	rec, ok, err := RestoreLatest(store, 3, true, nil)
 	if err != nil || !ok || rec.Seq != 0 {
 		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
@@ -228,7 +228,7 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 	if err := store.Put(CommitKey(1), []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := RestoreLatest(store, 2, true)
+	rec, ok, err := RestoreLatest(store, 2, true, nil)
 	if err != nil || !ok || rec.Seq != 0 {
 		t.Fatalf("with damaged marker: %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
@@ -237,7 +237,7 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 	if err := store.Delete(CommitKey(1)); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, _ = RestoreLatest(store, 2, true)
+	rec, ok, _ = RestoreLatest(store, 2, true, nil)
 	if !ok || rec.Seq != 0 {
 		t.Fatalf("with missing marker: %d/%v, want 0/true", rec.Seq, ok)
 	}

@@ -309,7 +309,7 @@ func FuzzVerifyAgreesWithRestore(f *testing.F) {
 		checkOnePass(t, store, 1)
 		seq := uint64(target) % uint64(len(chain))
 		verr := VerifyChain(store, 0, seq)
-		_, _, rerr := replayChain(store, 0, seq)
+		_, _, rerr := replayChain(store, 0, seq, nil)
 		if (verr == nil) != (rerr == nil) || verr != nil && verr.Error() != rerr.Error() {
 			t.Fatalf("VerifyChain = %v, replayChain = %v", verr, rerr)
 		}

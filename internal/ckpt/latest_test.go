@@ -50,7 +50,7 @@ func committedOracle(store storage.Store, ranks int) (uint64, bool) {
 func checkOnePass(t testing.TB, store storage.Store, ranks int) (plain, committed Recovered) {
 	t.Helper()
 	for _, rule := range []bool{false, true} {
-		rec, ok, err := RestoreLatest(store, ranks, rule)
+		rec, ok, err := RestoreLatest(store, ranks, rule, nil)
 		if err != nil {
 			t.Fatalf("RestoreLatest(committed=%v): %v", rule, err)
 		}
@@ -170,10 +170,10 @@ func del(t *testing.T, s storage.Store, key string) {
 func TestRestoreLatestErrors(t *testing.T) {
 	down := &dyingStore{Store: storage.NewMemStore()}
 	for _, rule := range []bool{false, true} {
-		if _, ok, err := RestoreLatest(down, 2, rule); err == nil || ok {
+		if _, ok, err := RestoreLatest(down, 2, rule, nil); err == nil || ok {
 			t.Fatalf("committed=%v: a failed key listing gave ok=%v err=%v", rule, ok, err)
 		}
-		if _, ok, err := RestoreLatest(storage.NewMemStore(), 0, rule); err != nil || ok {
+		if _, ok, err := RestoreLatest(storage.NewMemStore(), 0, rule, nil); err != nil || ok {
 			t.Fatalf("committed=%v: zero ranks gave ok=%v err=%v", rule, ok, err)
 		}
 	}

@@ -153,22 +153,38 @@ func RestoreAll(store storage.Store, ranks int, seq uint64) ([]*mem.AddressSpace
 	if ranks <= 0 {
 		return nil, fmt.Errorf("ckpt: RestoreAll with %d ranks", ranks)
 	}
-	spaces, _, err := restoreLine(store, ranks, seq)
+	spaces, _, err := restoreLine(store, ranks, seq, nil)
 	return spaces, err
 }
 
 // restoreLine is RestoreAll's body: each rank's chain to seq replayed
-// once, in rank order, into a fresh space with its target's page size.
-// It also returns the encoded bytes the walks read, Σ ChainVolume.
-func restoreLine(store storage.Store, ranks int, seq uint64) ([]*mem.AddressSpace, uint64, error) {
+// once, in rank order, into a space with its target's page size that
+// inherits the slabs of dead[rank] (replayChain), the space it replaces.
+// It also returns the encoded bytes the walks read, Σ ChainVolume. dead
+// is nil (every space fresh) or holds one space per rank, nil where a
+// rank has none. A line that fails at some rank leaves, in dead, the
+// spaces it made for the ranks up to that one in their donors' places:
+// they hold the donors' slabs now, and the next restore inherits them.
+func restoreLine(store storage.Store, ranks int, seq uint64, dead []*mem.AddressSpace) ([]*mem.AddressSpace, uint64, error) {
 	spaces := make([]*mem.AddressSpace, ranks)
 	var read uint64
 	for r := range spaces {
-		sp, n, err := replayChain(store, r, seq)
+		var donor *mem.AddressSpace
+		if dead != nil {
+			donor = dead[r]
+		}
+		sp, n, err := replayChain(store, r, seq, donor)
+		spaces[r], read = sp, read+n
 		if err != nil {
+			if dead != nil {
+				for i, sp := range spaces[:r+1] {
+					if sp != nil {
+						dead[i] = sp
+					}
+				}
+			}
 			return nil, 0, &RestoreError{Rank: r, Seq: seq, Err: err}
 		}
-		spaces[r], read = sp, read+n
 	}
 	return spaces, read, nil
 }
@@ -192,9 +208,16 @@ type Recovered struct {
 // line is torn at rank r is read as rank 0…r-1's chains, rank r's failing
 // prefix, then the older line's chains. ok is false when no candidate
 // restores; the error is reserved for the key listing failing.
-func RestoreLatest(store storage.Store, ranks int, committed bool) (rec Recovered, ok bool, err error) {
+//
+// dead is nil or holds, per rank, the space the recovery replaces (nil
+// where a rank has none): each restored space inherits its rank's slabs
+// (mem.AddressSpace.Inherit), so a recovery makes no slab a dead space
+// already holds. An abandoned candidate's spaces take their donors'
+// places in dead, so the next candidate inherits from them and, when no
+// candidate restores, dead holds what a scratch build should inherit.
+func RestoreLatest(store storage.Store, ranks int, committed bool, dead []*mem.AddressSpace) (rec Recovered, ok bool, err error) {
 	rec.Seq, ok, err = newestLine(store, ranks, committed, func(seq uint64) (err error) {
-		rec.Spaces, rec.Bytes, err = restoreLine(store, ranks, seq)
+		rec.Spaces, rec.Bytes, err = restoreLine(store, ranks, seq, dead)
 		return err
 	})
 	return rec, ok, err // a failed candidate left rec zero

@@ -173,7 +173,7 @@ func TestCheckpointerCompression(t *testing.T) {
 		t.Fatalf("duration %v not reduced by compression", res.Duration)
 	}
 	// Restore still exact.
-	fresh, _, err := replayChain(store, 0, 0)
+	fresh, _, err := replayChain(store, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCheckpointerDedup(t *testing.T) {
 	res3, _ := c.Checkpoint()
 	want := make([]byte, 4*4096)
 	sp.Read(r.Start(), want)
-	fresh, _, err := replayChain(store, 0, res3.Seq)
+	fresh, _, err := replayChain(store, 0, res3.Seq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPropertyDedupCompressRestoreIdentity(t *testing.T) {
 		if !did {
 			return true
 		}
-		fresh, _, err := replayChain(store, 0, lastSeq)
+		fresh, _, err := replayChain(store, 0, lastSeq, nil)
 		if err != nil {
 			return false
 		}

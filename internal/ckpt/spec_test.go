@@ -75,7 +75,7 @@ func TestExcludeDataDroppedButRestored(t *testing.T) {
 	}
 
 	// Restore recreates BOTH regions — the excluded one zero-filled.
-	fresh, _, err := replayChain(store, 0, 1)
+	fresh, _, err := replayChain(store, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestCrashBetweenPrepareAndCommitFallsBack(t *testing.T) {
 	if err := checkMarker(store, 3, 1); err == nil {
 		t.Fatal("markerless line accepted as committed")
 	}
-	rec, ok, err := RestoreLatest(store, 3, true)
+	rec, ok, err := RestoreLatest(store, 3, true, nil)
 	if err != nil || !ok || rec.Seq != 0 {
 		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}
@@ -168,7 +168,7 @@ func TestTornCommittedLineFallsBack(t *testing.T) {
 	if err := checkMarker(store, 3, 1); err != nil {
 		t.Fatalf("the surviving marker: %v", err)
 	}
-	rec, ok, err := RestoreLatest(store, 3, true)
+	rec, ok, err := RestoreLatest(store, 3, true, nil)
 	if err != nil || !ok || rec.Seq != 0 {
 		t.Fatalf("fallback line = %d/%v/%v, want 0/true", rec.Seq, ok, err)
 	}

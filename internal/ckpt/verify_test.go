@@ -181,7 +181,7 @@ func TestVerifiedRestoreEquality(t *testing.T) {
 	if err != nil || !ok || seq != 1 {
 		t.Fatalf("line: seq=%d ok=%v err=%v", seq, ok, err)
 	}
-	fresh, _, err := replayChain(store, 0, seq)
+	fresh, _, err := replayChain(store, 0, seq, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRegionTableVerifiesAsRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 		verr := VerifyChain(store, 0, 0)
-		space, _, rerr := replayChain(store, 0, 0)
+		space, _, rerr := replayChain(store, 0, 0, nil)
 		if (verr == nil) != c.ok || (rerr == nil) != c.ok {
 			t.Errorf("%s: VerifyChain = %v, replayChain = %v; want both to succeed = %v", c.name, verr, rerr, c.ok)
 			continue

@@ -62,7 +62,7 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 			if verr == nil {
 				t.Fatal("VerifyChain accepted the lying segment")
 			}
-			_, _, rerr := replayChain(store, 0, 2)
+			_, _, rerr := replayChain(store, 0, 2, nil)
 			if rerr == nil || rerr.Error() != verr.Error() {
 				t.Fatalf("replayChain = %v, want VerifyChain's %v", rerr, verr)
 			}
@@ -79,7 +79,7 @@ func TestRestoreErrorAgreesWithVerifyChain(t *testing.T) {
 		if err := VerifyChain(store, 0, 2); err != nil {
 			t.Fatal(err)
 		}
-		space, _, err := replayChain(store, 0, 2)
+		space, _, err := replayChain(store, 0, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestChainReadersGetSequence(t *testing.T) {
 		{"RestoreAll", inner, func(s storage.Store) error { _, err := RestoreAll(s, 2, 2); return err },
 			[]string{k(0, 2), k(0, 0), k(0, 1), k(1, 2), k(1, 0), k(1, 1)}},
 		{"RestoreLatest torn at rank 1", torn, func(s storage.Store) error {
-			rec, ok, err := RestoreLatest(s, 2, false)
+			rec, ok, err := RestoreLatest(s, 2, false, nil)
 			if err == nil && (!ok || rec.Seq != 1) {
 				err = fmt.Errorf("restored line %d/%v, want 1", rec.Seq, ok)
 			}

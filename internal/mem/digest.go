@@ -65,30 +65,43 @@ func (s *AddressSpace) Digest(skip func(*Region) bool) uint64 {
 	s.settle()
 	h := digestState(fnvOffset64)
 	for _, r := range s.regions {
-		if skip != nil && skip(r) {
-			continue
-		}
-		h.word(uint64(r.kind))
-		h.word(r.start)
-		h.word(r.size)
-		if s.cfg.Phantom {
-			continue
-		}
-		ps := s.cfg.PageSize
-		for off := uint64(0); off < r.size; off += ps {
-			var pd []byte // a region with no slab is all zero
-			if r.slab != nil {
-				pd = r.slab[off : off+ps]
-			}
-			if pageIsZero(pd) {
-				h.word(zeroPageMark)
-				continue
-			}
-			h.word(dataPageMark)
-			h.bytes(pd)
+		if skip == nil || !skip(r) {
+			h.region(r)
 		}
 	}
 	return uint64(h)
+}
+
+// Digest returns the digest of r alone: what its space's Digest returns
+// when it skips every other region.
+func (r *Region) Digest() uint64 {
+	r.space.settle()
+	h := digestState(fnvOffset64)
+	h.region(r)
+	return uint64(h)
+}
+
+// region mixes r's kind, start, size and, backed, its pages into h.
+func (h *digestState) region(r *Region) {
+	h.word(uint64(r.kind))
+	h.word(r.start)
+	h.word(r.size)
+	if r.space.cfg.Phantom {
+		return
+	}
+	ps := r.space.cfg.PageSize
+	for off := uint64(0); off < r.size; off += ps {
+		var pd []byte // a region with no slab is all zero
+		if r.slab != nil {
+			pd = r.slab[off : off+ps]
+		}
+		if pageIsZero(pd) {
+			h.word(zeroPageMark)
+			continue
+		}
+		h.word(dataPageMark)
+		h.bytes(pd)
+	}
 }
 
 // pageIsZero reports whether the page holds only zero bytes (a nil page

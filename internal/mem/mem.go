@@ -142,7 +142,9 @@ type Region struct {
 	silent []uint64
 	// slab holds a backed region's contents, page after page. It is made
 	// zeroed, whole, on the region's first run or LoadPage, never at map
-	// time: a region nothing touches costs no host memory.
+	// time, so a region nothing touches costs no host memory — unless the
+	// region took a dead space's slab of its start, size and kind when it
+	// was mapped (Inherit), cleared there.
 	slab []byte
 	dead bool
 	// armed records that some page may be protected: ProtectAll and
@@ -171,6 +173,11 @@ func (r *Region) Kind() Kind { return r.kind }
 // it, so a restore recreates it zero-filled. Mark before any log opens on
 // the space.
 func (r *Region) MarkRecomputable() { r.recomputable = true }
+
+// Recomputable reports whether r was marked recomputable
+// (MarkRecomputable): its contents are rebuilt after a restore, so a
+// restore does not hold them.
+func (r *Region) Recomputable() bool { return r.recomputable }
 
 // watched reports whether the open dirty logs protect and log r:
 // checkpointable data memory (neither the stack nor a bounce arena,
@@ -446,16 +453,22 @@ type AddressSpace struct {
 	// write faults and map events.
 	logs []*DirtyLog
 
-	pageShift uint // log2(PageSize)
+	pageShift uint8 // log2(PageSize)
+	writeSeq  byte  // rolling fill value for backed WriteRange/RewriteRange
 
 	lastHit *Region // single-entry lookup cache
 
 	faults     uint64 // total write faults delivered
 	writeBytes uint64 // total bytes written (logical, not page-rounded)
-	writeSeq   byte   // rolling fill value for backed WriteRange/RewriteRange
 
 	// settleFn is the owner's hook (SetSettle), nil when it has none.
 	settleFn func()
+
+	// spares lists the dead spaces' regions whose slabs s was given
+	// (Inherit) and no region of s has taken yet; nil until s inherits.
+	// A pointer, so that a space that never inherits — every phantom
+	// one — is no larger for it; the list passes from heir to heir.
+	spares *[]*Region
 }
 
 // NewAddressSpace creates an empty address space with a stack region
@@ -468,7 +481,7 @@ func NewAddressSpace(cfg Config) *AddressSpace {
 	if cfg.PageSize&(cfg.PageSize-1) != 0 {
 		panic(fmt.Sprintf("mem: page size %d is not a power of two", cfg.PageSize))
 	}
-	s := &AddressSpace{cfg: cfg, pageShift: uint(bits.TrailingZeros64(cfg.PageSize))}
+	s := &AddressSpace{cfg: cfg, pageShift: uint8(bits.TrailingZeros64(cfg.PageSize))}
 	s.insert(StackTop-StackSize, StackSize, Stack)
 	return s
 }
@@ -527,6 +540,9 @@ func (s *AddressSpace) insert(start, size uint64, kind Kind) *Region {
 	s.regions = append(s.regions, nil)
 	copy(s.regions[i+1:], s.regions[i:])
 	s.regions[i] = r
+	if s.spares != nil && len(*s.spares) > 0 {
+		s.adopt(r)
+	}
 	return r
 }
 

@@ -111,7 +111,7 @@ func chainOf(t *testing.T, f *fixture, rank int, line uint64) (segs int, bytes u
 func recoverOnce(t *testing.T, f *fixture) (ckpt.Recovered, ViewStats) {
 	t.Helper()
 	v := f.h.NewView()
-	rec, ok, err := ckpt.RestoreLatest(v, f.h.Ranks(), false)
+	rec, ok, err := ckpt.RestoreLatest(v, f.h.Ranks(), false, nil)
 	if err != nil || !ok || rec.Seq != uint64(f.lines-1) {
 		t.Fatalf("RestoreLatest = line %d, %v, %v; want %d", rec.Seq, ok, err, f.lines-1)
 	}

@@ -16,6 +16,10 @@ import (
 // two share: a page re-protected by the other mechanism faults twice in
 // one slice, a region is mapped and two others unmapped dirty (one
 // before the full checkpoint, one after it), a NIC write is replayed.
+// The delta records a 3 dirty pages and the region mapped since the full
+// checkpoint whole (n 5, 2 of them written): a restore must read its
+// unwritten pages as zero, whatever an earlier arena at its addresses
+// left in the chain.
 // Every number is pinned: a change to the shared mechanism that moves
 // one must say why.
 func TestStackedCountsFixedScript(t *testing.T) {
@@ -89,7 +93,7 @@ func TestStackedCountsFixedScript(t *testing.T) {
 slice 1: iws 2 faults 7 excluded 5 overhead 293600
 slice 2: iws 1 faults 1 excluded 0 overhead 219600
 seq 0 full: pages 22 excluded 4 silent 0
-seq 1 incremental: pages 5 excluded 5 silent 0
+seq 1 incremental: pages 8 excluded 5 silent 0
 tracker faults 27 overhead 1160400; space faults 27; cow pages 3`
 	if got != want {
 		t.Fatalf("stacked counts moved:\n%s\nwant:\n%s", got, want)
