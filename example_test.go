@@ -933,3 +933,87 @@ func Example_self_healing() {
 	//
 	// self-healed through 4 failures with a bit-identical result.
 }
+
+// Where the time went: a supervised run's virtual time is one ledger.
+// The supervisor is in exactly one state at every instant — computing,
+// committing a line, down after a failure, or redoing the slice a
+// failure cut — so the states partition the elapsed time with no
+// remainder. Costs are a different kind of number: CommitTime is every
+// line's pause summed, and a failure's Downtime its own span, so nested
+// failures' downtimes overlap where the ledger's down slice is their
+// union. The run is the heal-stencil schedule on a 4-rank stencil with
+// the heartbeat detector on.
+func Example_time_ledger() {
+	cfg := autonomic.Config{
+		Ranks:           4,
+		Nx:              32,
+		RowsPerRank:     8,
+		Boundary:        9,
+		Iterations:      40,
+		CkptEvery:       5,
+		ComputeTime:     250 * des.Millisecond,
+		RestartOverhead: des.Second,
+		HeartbeatPeriod: 50 * des.Millisecond,
+		TwoPhaseCommit:  true,
+		Replicas:        2,
+		Seed:            13,
+		Faults: `
+crash at 2s..12s count 2 jitter 300ms
+commit-crash at 1s..20s count 1
+storage-outage at 7s..8s
+bitflip at 1200ms..15s count 4
+`,
+	}
+	rep, err := autonomic.Run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("distributed Jacobi, %d ranks, %d iterations, checkpoint every %d, seed %d\n",
+		cfg.Ranks, cfg.Iterations, cfg.CkptEvery, cfg.Seed)
+	fmt.Printf("%d failures, %d iterations rolled back\n\n", rep.Failures, rep.LostIterations)
+	var sum des.Time
+	for st, d := range rep.Ledger {
+		fmt.Printf("%-14s %10v %6.1f%%\n", autonomic.State(st), d, 100*d.Seconds()/rep.Elapsed.Seconds())
+		sum += d
+	}
+	fmt.Printf("%-14s %10v\n\n", "elapsed", rep.Elapsed)
+
+	fmt.Printf("compute = %d iterations x %v + %.0f us of halo exchange\n",
+		rep.Iterations+rep.LostIterations, cfg.ComputeTime, float64(rep.ExchangeTime)/float64(des.Microsecond))
+	var downs des.Time
+	for _, ev := range rep.FailureLog {
+		downs += ev.Downtime
+	}
+	fmt.Printf("per-failure downtimes sum to %v; down, their union, is %v\n", downs, rep.Ledger[autonomic.Down])
+	fmt.Printf("commit cost %v over %d lines; the commit slice is %v\n",
+		rep.CommitTime, rep.CommittedLines, rep.Ledger[autonomic.Commit])
+	if sum == rep.Elapsed {
+		fmt.Println("\nthe ledger closes: its states sum to the elapsed time exactly.")
+	} else {
+		fmt.Printf("\nLEDGER OPEN: states sum to %d ns, elapsed %d ns\n", sum, rep.Elapsed)
+	}
+
+	// Output:
+	// distributed Jacobi, 4 ranks, 40 iterations, checkpoint every 5, seed 13
+	// 3 failures, 5 iterations rolled back
+	//
+	// compute           11.250s   77.4%
+	// registration       0.000s    0.0%
+	// commit             0.040s    0.3%
+	// parity             0.000s    0.0%
+	// quiesce            0.000s    0.0%
+	// drain              0.000s    0.0%
+	// deregister         0.000s    0.0%
+	// reregister         0.000s    0.0%
+	// reconnect          0.000s    0.0%
+	// down               3.015s   20.7%
+	// lost               0.234s    1.6%
+	// elapsed           14.540s
+	//
+	// compute = 45 iterations x 0.250s + 109 us of halo exchange
+	// per-failure downtimes sum to 4.021s; down, their union, is 3.015s
+	// commit cost 0.040s over 8 lines; the commit slice is 0.040s
+	//
+	// the ledger closes: its states sum to the elapsed time exactly.
+}

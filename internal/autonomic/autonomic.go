@@ -40,6 +40,9 @@ type Computation interface {
 	Stop()
 	// Iter reports completed iterations.
 	Iter() int
+	// Exchanged reports the exchange time of the completed iterations:
+	// what each waited on its halos before its compute time started.
+	Exchanged() des.Time
 	// Gather returns the global solution for verification.
 	Gather() ([]float64, error)
 }
@@ -306,11 +309,12 @@ type FailureEvent struct {
 	// charged to at most one failure. Recorded on the batch's first
 	// event.
 	WastedCheckpoints int
-	// Downtime is the virtual time from the failure to the rebuilt
-	// team resuming — detection, selection, chain read, respawn.
-	// Failures absorbed by one recovery share its end, so their windows
-	// overlap and the sum of FailureLog[].Downtime counts that overlap
-	// twice: the sum can exceed the run's real downtime.
+	// Downtime is a span, not a slice of the ledger: the virtual time
+	// from this failure to the rebuilt team resuming — detection,
+	// selection, chain read, respawn. Failures absorbed by one recovery
+	// share its end, so their windows overlap and the sum of
+	// FailureLog[].Downtime counts that overlap twice: the sum can exceed
+	// the run's real downtime, which is Report.Ledger[Down].
 	Downtime des.Time
 }
 
@@ -350,12 +354,27 @@ type Report struct {
 	// FailureLog[].LostIterations can exceed this total.
 	LostIterations int
 	// Elapsed is the end-to-end virtual time; Ideal is the failure- and
-	// checkpoint-free compute time; Efficiency = Ideal/Elapsed.
+	// checkpoint-free compute time, Iterations·ComputeTime, which leaves
+	// communication out: a failure-free run's Elapsed exceeds Ideal by its
+	// checkpoints and its ExchangeTime. Efficiency = Ideal/Elapsed.
 	Elapsed, Ideal des.Time
 	Efficiency     float64
+	// Ledger partitions Elapsed by State: every instant of the run is
+	// charged to the one state the supervisor was in, so the states sum
+	// to Elapsed exactly, and Ledger[Compute] is
+	// (Iterations+LostIterations)·ComputeTime plus ExchangeTime.
+	Ledger [NumStates]des.Time
+	// ExchangeTime is the halo exchange of every completed iteration,
+	// rolled back ones included (Computation.Exchanged): a part of
+	// Ledger[Compute].
+	ExchangeTime des.Time
 	// CheckpointVolumeMB is the total page payload persisted.
 	CheckpointVolumeMB float64
-	// CommitTime is the cumulative stop-and-copy pause.
+	// CommitTime is a cost, not a slice of the ledger: the sum of every
+	// committed line's commit pause (Young's per-line checkpoint cost,
+	// summed), charged in full when the line is recorded. A crash inside
+	// a plain stop-and-copy pause stops the team with the pause's rest
+	// already in CommitTime, so it can overlap downtime.
 	CommitTime des.Time
 	// CommittedLines counts coordinated checkpoint lines the run
 	// recorded as trustworthy (marker-committed under two-phase).
@@ -374,23 +393,20 @@ type Report struct {
 	// compares against a failure-free run.
 	SpaceDigests []uint64
 	// DrainRounds counts executions of the checkpoint-time RDMA drain
-	// protocol; DrainPhaseTime breaks their cumulative cost down per
-	// phase (indexed by mpi.DrainPhase); DrainTimeouts counts ranks the
-	// DrainInFlight deadline stranded into bounce-buffer degradation.
-	DrainRounds    int
-	DrainPhaseTime [mpi.NumDrainPhases]des.Time
-	DrainTimeouts  int
-	// RegistrationTime is the cumulative team-startup NIC memory-
-	// registration cost (initial and after every respawn).
-	RegistrationTime des.Time
+	// protocol; DrainPhaseTime is a view of the ledger (indexed by
+	// mpi.DrainPhase): each phase's completed slices, the checkpoint
+	// phase's being the rounds' Commit and Parity slices. DrainTimeouts
+	// counts ranks the DrainInFlight deadline stranded into bounce-buffer
+	// degradation.
+	DrainRounds, DrainTimeouts int
+	DrainPhaseTime             [mpi.NumDrainPhases]des.Time
 	// DirectBypassBytes counts NIC bytes that landed via DMA without
 	// tracker faults, summed over every team incarnation;
 	// SilentDirtyBytes is the portion that hit protected pages — the
 	// ground-truth IWS under-count. Under the drain protocol the silent
 	// set is reconciled before every line; under naive Direct it is the
 	// corruption the restore path inherits.
-	DirectBypassBytes uint64
-	SilentDirtyBytes  uint64
+	DirectBypassBytes, SilentDirtyBytes uint64
 	// CheckpointSilentBytes sums the per-checkpoint corruption risk
 	// (ckpt.Result.SilentDirtyBytes) over every line the run cut — the
 	// under-count actually baked into the stored chain. The drain
@@ -402,12 +418,11 @@ type Report struct {
 	// ParityEncodeFailures, lines left without L2 protection because
 	// the parity exchange failed; InjectedParityCorruptions, parity
 	// shards the chaos schedule bit-flipped at rest.
-	DomainCrashes             int
-	ParityEncodeFailures      int
-	InjectedParityCorruptions int
+	DomainCrashes, ParityEncodeFailures, InjectedParityCorruptions int
 	// ParityVolumeMB is the parity payload exchanged between partners;
-	// L2ExchangeTime its cumulative link cost (part of the commit
-	// pause under multi-level).
+	// L2ExchangeTime is a cost, each encoded line's link time summed,
+	// charged in full when the exchange starts: a crash inside it can
+	// overlap downtime. Ledger[Parity] is the slice the exchanges took.
 	ParityVolumeMB float64
 	L2ExchangeTime des.Time
 	// LevelReadBytes/LevelReadTime break every recovery's reads down by
@@ -424,9 +439,7 @@ type Report struct {
 	// shards; CorruptParityShards, shards the frame CRC rejected;
 	// ParityRepairs, read-repair write-backs of rebuilt segments onto the
 	// owner's L1.
-	ParityRebuilds      uint64
-	CorruptParityShards uint64
-	ParityRepairs       uint64
+	ParityRebuilds, CorruptParityShards, ParityRepairs uint64
 	// Decay holds, per store a storage-decay line can strike (store i:
 	// replica i, or the backend when Replicas is zero), the operations
 	// it saw below the envelope and what its decay line did to them; nil
@@ -449,8 +462,7 @@ type team struct {
 	co     *ckpt.Coordinator
 	det    *cluster.Detector // nil unless HeartbeatPeriod > 0 and Ranks > 1
 
-	regCost   des.Time // NIC registration latency paid before iterating
-	harvested bool     // RDMA counters already folded into the report
+	regCost des.Time // NIC registration latency paid before iterating
 }
 
 // Supervisor drives a run to completion through failures.
@@ -463,12 +475,11 @@ type Supervisor struct {
 	// *storage.ResilientStore, kept for their counters.
 	replicas []storage.Store
 
-	cur          *team
-	lastLineIter int                   // iteration of the line a recovery would target
-	lines        map[uint64]lineRecord // committed line seq → what it captured
-	nextSeq      uint64
-	report       Report
-	failed       error
+	cur     *team
+	lines   map[uint64]lineRecord // committed line seq → what it captured
+	nextSeq uint64
+	report  Report
+	failed  error
 
 	// Multi-level checkpointing state (nil/unused without
 	// Config.MultiLevel). pendingVictims is the rank set a domain crash
@@ -494,6 +505,10 @@ type Supervisor struct {
 	// trail is what the run digests into states (see trailKind).
 	trail  trailKind
 	states trail
+
+	// state is the ledger's open slice, entered at since (see enter).
+	state State
+	since des.Time
 }
 
 // lineRecord is what the supervisor knows of a committed line: the
@@ -573,6 +588,7 @@ func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) st
 	if s.failed != nil {
 		return nil, nil, nil, s.failed
 	}
+	s.closeLedger()
 	// A copy, not &s.report: a held report must not keep the run's
 	// engine, teams, address spaces and stores reachable.
 	rep := s.report
@@ -581,7 +597,7 @@ func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) st
 	if rep.Elapsed > 0 {
 		rep.Efficiency = rep.Ideal.Seconds() / rep.Elapsed.Seconds()
 	}
-	if s.hitsStorage() {
+	if s.chaos != nil && s.chaos.Plan().HitsStorage() {
 		for i := range max(1, len(s.replicas)) {
 			rep.Decay = append(rep.Decay, s.chaos.StoreStats(i))
 		}
@@ -595,12 +611,6 @@ func run(cfg Config, plan *chaos.Plan, build func(*des.Engine, *chaos.Driver) st
 	return &rep, s.states, s.chaos, nil
 }
 
-// hitsStorage reports whether the run's plan strikes storage, and so
-// whether the driver wraps the storage stack's stores.
-func (s *Supervisor) hitsStorage() bool {
-	return s.chaos != nil && s.chaos.Plan().HitsStorage()
-}
-
 // buildStorage builds the stack cfg.Store and cfg.Replicas describe (see
 // Config.Replicas), keeping the hardening's counters for the report.
 func (s *Supervisor) buildStorage() error {
@@ -609,7 +619,7 @@ func (s *Supervisor) buildStorage() error {
 		if b == nil {
 			b = storage.NewMemStore()
 		}
-		if s.hitsStorage() {
+		if s.chaos != nil && s.chaos.Plan().HitsStorage() {
 			b = s.chaos.WrapStore(b)
 		}
 		return b
@@ -695,21 +705,15 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Spec != nil {
-			if sb, ok := d.(SpecBound); ok {
-				marked := cfg.Spec.Apply(sb.ProtectionBindings(i))
-				if !fresh {
-					// The restore recreated recomputable arenas
-					// zero-filled; rebuild derivable contents before
-					// iterating resumes.
-					for _, b := range marked {
-						if b.Recompute == nil {
-							continue
-						}
-						if err := b.Recompute(); err != nil {
-							return nil, fmt.Errorf("autonomic: recompute %s: %w", b.Name, err)
-						}
-					}
+		if sb, ok := d.(SpecBound); ok && cfg.Spec != nil {
+			for _, b := range cfg.Spec.Apply(sb.ProtectionBindings(i)) {
+				// The restore recreated recomputable arenas zero-filled;
+				// rebuild derivable contents before iterating resumes.
+				if fresh || b.Recompute == nil {
+					continue
+				}
+				if err := b.Recompute(); err != nil {
+					return nil, fmt.Errorf("autonomic: recompute %s: %w", b.Name, err)
 				}
 			}
 		}
@@ -736,7 +740,9 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 func (s *Supervisor) startTeam() {
 	t := s.cur
 	run := func() {
+		s.enter(Compute)
 		t.d.Run(s.cfg.Iterations, func(iter int, next func()) {
+			s.enter(Compute) // an iteration boundary
 			if iter%s.cfg.CkptEvery != 0 && iter != s.cfg.Iterations {
 				next()
 				return
@@ -754,7 +760,7 @@ func (s *Supervisor) startTeam() {
 		})
 	}
 	if t.regCost > 0 {
-		s.report.RegistrationTime += t.regCost
+		s.enter(Registration)
 		s.eng.After(t.regCost, func() {
 			if s.live(t) {
 				run()
@@ -775,6 +781,7 @@ func (s *Supervisor) startTeam() {
 // leaves the computation unharmed: cont still runs, the run just carries
 // on without that line.
 func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
+	s.enter(Commit)
 	if s.trail == lineTrail {
 		s.record(t, iter, -1)
 	}
@@ -809,7 +816,6 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 // starts from, the iteration a recovery to it resumes at, and its cost.
 func (s *Supervisor) lineDone(g ckpt.GlobalResult, iter int, pause des.Time) {
 	s.nextSeq = g.Seq + 1
-	s.lastLineIter = iter
 	s.lines[g.Seq] = lineRecord{iter: iter}
 	s.report.CommittedLines++
 	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
@@ -833,7 +839,7 @@ func (s *Supervisor) lineRefused(t *team, err error, cont func()) {
 		return
 	}
 	s.nextSeq = t.co.Resync()
-	cont()
+	s.resume(cont)
 }
 
 // aimCommitCrashes is the commit window's chaos hook. The window opens
@@ -863,15 +869,16 @@ func (s *Supervisor) protect(t *team, seq uint64, cont func()) {
 		return
 	}
 	if s.ml == nil {
-		cont()
+		s.resume(cont)
 		return
 	}
 	rep, err := s.ml.EncodeLine(seq)
 	if err != nil {
 		s.report.ParityEncodeFailures++
-		cont()
+		s.resume(cont)
 		return
 	}
+	s.enter(Parity)
 	s.report.L2ExchangeTime += rep.Time
 	s.report.ParityVolumeMB += float64(rep.ParityBytes) / 1e6
 	if s.chaos != nil {
@@ -883,7 +890,7 @@ func (s *Supervisor) protect(t *team, seq uint64, cont func()) {
 	}
 	s.eng.After(rep.Time, func() {
 		if s.live(t) {
-			cont()
+			s.resume(cont)
 		}
 	})
 }
@@ -896,25 +903,36 @@ func (s *Supervisor) live(t *team) bool {
 	return s.cur == t && !s.detecting && !s.report.Completed && s.failed == nil
 }
 
+// harvest folds the counters of a team that stopped — at a failure, or
+// at completion, so once per team — into the report: its completed
+// iterations' exchange time, and its NIC's and checkpointers' RDMA
+// counters.
+func (s *Supervisor) harvest(t *team) {
+	s.report.ExchangeTime += t.d.Exchanged()
+	for i := 0; i < t.world.Size(); i++ {
+		st := t.world.Rank(i).Stats()
+		s.report.DirectBypassBytes += st.DirectBypassBytes
+		s.report.SilentDirtyBytes += st.SilentDirtyBytes
+	}
+	for _, c := range t.cps {
+		s.report.CheckpointSilentBytes += c.Stats().SilentDirtyBytes
+	}
+}
+
 // finish completes the run: gather the verification checksum.
 func (s *Supervisor) finish(t *team) {
-	s.harvestRDMA(t)
-	if t.det != nil {
-		t.det.Stop()
-		s.report.FalseSuspicions += t.det.FalseSuspicions()
-	}
+	s.harvest(t)
+	s.endDetection(t)
 	vals, err := t.d.Gather()
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	var sum float64
 	for _, v := range vals {
-		sum += v
+		s.report.Checksum += v
 	}
 	s.report.Completed = true
 	s.report.Iterations = t.d.Iter()
-	s.report.Checksum = sum
 	// Per-rank digests of the final process images, restricted to the
 	// checkpoint contract: bounce arenas carry transient wire payloads
 	// and stacks are excluded from checkpoints, so neither may vote on
@@ -943,9 +961,6 @@ func (s *Supervisor) scheduleFailure() {
 // survivor to declare the death. The next failure is re-armed from the
 // failure instant, so failures can land during detection or recovery.
 func (s *Supervisor) onFailure() {
-	if s.report.Completed || s.failed != nil {
-		return
-	}
 	if s.report.Failures >= maxFailures {
 		s.fail(fmt.Errorf("autonomic: exceeded %d failures", maxFailures))
 		return
@@ -993,6 +1008,8 @@ func (s *Supervisor) onFailure() {
 
 	t := s.cur
 	s.pendingFailIter = t.d.Iter()
+	s.state = Lost // the failure cut the open slice
+	s.enter(Down)
 	if t.det != nil {
 		s.detecting = true
 	} else {
@@ -1007,8 +1024,8 @@ func (s *Supervisor) onFailure() {
 	}
 	// The computation is gone either way: the dead rank's halo partners
 	// stall within an iteration, and the stall propagates.
-	s.harvestRDMA(t)
 	t.d.Stop()
+	s.harvest(t)
 	for _, c := range t.cps {
 		c.Stop()
 	}
@@ -1046,40 +1063,45 @@ func (s *Supervisor) killAnother(t *team, victims []int) {
 // no survivor can declare anything. The spawner's own liveness timeout
 // stands in for peer detection, at the detector's timeout cost.
 func (s *Supervisor) abandonDetection(t *team) {
-	s.detecting = false
-	s.cur = nil
-	t.det.Stop()
-	s.report.FalseSuspicions += t.det.FalseSuspicions()
-	failIter := s.pendingFailIter
+	s.endDetection(t)
 	s.eng.After(cluster.HeartbeatTimeout(s.cfg.HeartbeatPeriod), func() {
-		if s.report.Completed || s.failed != nil || s.cur != nil || s.pendingRecovery.Pending() {
-			return
+		// A failure while the spawner waits changes no iteration: the
+		// team is already stopped.
+		if s.cur == nil && !s.pendingRecovery.Pending() {
+			s.scheduleRecovery(s.pendingFailIter)
 		}
-		s.scheduleRecovery(failIter)
 	})
+}
+
+// endDetection stops team t's heartbeat detector, if it runs one, and
+// counts its false suspicions. t no longer owns the future: a detection
+// that ended hands it to recovery, a finished run to nobody. The ledger
+// does not move: detection is part of Down, and completion ends the run.
+func (s *Supervisor) endDetection(t *team) {
+	s.detecting, s.cur = false, nil
+	if t.det != nil {
+		t.det.Stop()
+		s.report.FalseSuspicions += t.det.FalseSuspicions()
+	}
 }
 
 // onDetected runs when a surviving rank's heartbeat timeout declares the
 // victim dead: record the measured detection latency and start recovery.
 func (s *Supervisor) onDetected(t *team, d cluster.Detection) {
-	if s.report.Completed || s.failed != nil || !s.detecting || s.cur != t {
+	if !s.detecting || s.cur != t {
 		return
 	}
-	s.detecting = false
-	s.cur = nil
-	t.det.Stop()
-	s.report.FalseSuspicions += t.det.FalseSuspicions()
+	s.endDetection(t)
 	s.report.DetectionLatencies = append(s.report.DetectionLatencies, d.Latency())
 	s.scheduleRecovery(s.pendingFailIter)
 }
 
 // selection is what one recovery found: the restored spaces (nil for a
-// scratch restart), the line they hold, whether any line survived,
-// whether it fell short of the store's claim, and the chain-read time.
+// scratch restart), the iteration they hold (0 for a scratch restart),
+// whether they fell short of the store's claim, and the chain-read time.
 type selection struct {
 	spaces   []*mem.AddressSpace
-	line     uint64
-	ok       bool
+	iter     int
 	degraded bool
 	readTime des.Time
 }
@@ -1142,14 +1164,13 @@ func (s *Supervisor) selectAndRestore() (selection, error) {
 	if err != nil {
 		return selection{}, err
 	}
-	if ok {
-		s.dead = rec.Spaces
-	}
-	sel := selection{spaces: rec.Spaces, line: rec.Seq, ok: ok, degraded: claimed && (!ok || rec.Seq < best)}
+	sel := selection{spaces: rec.Spaces, degraded: claimed && (!ok || rec.Seq < best)}
 	// The read price is the one place the tier shows: the global store
 	// prices the restored chains at the sink (read ≈ write bandwidth),
 	// the view the bytes each level served.
 	if ok {
+		s.dead = rec.Spaces
+		sel.iter = s.lines[rec.Seq].iter
 		sel.readTime = s.cfg.Sink.WriteTime(rec.Bytes)
 		if view != nil {
 			sel.readTime = s.tierReadTime(view.Stats())
@@ -1161,14 +1182,7 @@ func (s *Supervisor) selectAndRestore() (selection, error) {
 // recover rebuilds the team around the selected line (a scratch restart
 // when no verifiable checkpoint survived).
 func (s *Supervisor) recover(sel selection, failIter int) {
-	if s.report.Completed || s.failed != nil {
-		return
-	}
-	startIter := 0
-	if sel.ok {
-		startIter = s.lines[sel.line].iter
-	}
-	s.lastLineIter = startIter
+	startIter := sel.iter
 	s.report.LostIterations += failIter - startIter
 	s.closeFailureRecords(startIter)
 	t, err := s.buildTeam(sel.spaces, startIter)
@@ -1209,10 +1223,7 @@ func (s *Supervisor) closeFailureRecords(startIter int) {
 	}
 	s.report.WastedCheckpoints += wasted
 	n := len(s.report.FailureLog)
-	batch := s.unrecovered
-	if batch > n {
-		batch = n
-	}
+	batch := min(s.unrecovered, n)
 	for i := n - batch; i < n; i++ {
 		ev := &s.report.FailureLog[i]
 		ev.RestoredIter = startIter

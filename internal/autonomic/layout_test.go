@@ -314,6 +314,10 @@ func (c *freeingComp) Stop() { c.stop = true }
 
 func (c *freeingComp) Iter() int { return c.iter }
 
+// Exchanged is zero: an iteration steps every rank at once, waiting on
+// nothing before its compute time.
+func (c *freeingComp) Exchanged() des.Time { return 0 }
+
 func (c *freeingComp) Gather() ([]float64, error) {
 	var all []float64
 	for _, r := range c.ranks {

@@ -86,9 +86,6 @@ func (s *Supervisor) rankStore(i int) storage.Store {
 // domainCrash is the chaos DSL's correlated failure: every rank of the
 // named failure domain dies at once, local stores and all, mid-commit.
 func (s *Supervisor) domainCrash(name string) {
-	if s.report.Completed || s.failed != nil {
-		return
-	}
 	dm := s.cfg.MultiLevel.Domains
 	d, ok := dm.Index(name)
 	if !ok {
@@ -137,20 +134,18 @@ func (s *Supervisor) foldViewStats(view *redundancy.RecoveryView) {
 // tierReadTime prices a tiered restore: each level's bytes at the model
 // of the tier that served them, charged per level to the report.
 func (s *Supervisor) tierReadTime(st redundancy.ViewStats) des.Time {
-	var lr [redundancy.LevelCount]des.Time
-	if n := st.LevelBytes[redundancy.LevelLocal]; n > 0 {
-		lr[redundancy.LevelLocal] = storage.NVMeSink().WriteTime(n)
-	}
-	if n := st.LevelBytes[redundancy.LevelParity]; n > 0 {
-		lr[redundancy.LevelParity] = mpi.QsNet().TransferTime(n)
-	}
-	if n := st.LevelBytes[redundancy.LevelGlobal]; n > 0 {
-		lr[redundancy.LevelGlobal] = s.cfg.Sink.WriteTime(n)
+	price := [redundancy.LevelCount]func(uint64) des.Time{
+		redundancy.LevelLocal:  storage.NVMeSink().WriteTime,
+		redundancy.LevelParity: mpi.QsNet().TransferTime,
+		redundancy.LevelGlobal: s.cfg.Sink.WriteTime,
 	}
 	var total des.Time
-	for i, t := range lr {
-		s.report.LevelReadTime[i] += t
-		total += t
+	for i, n := range st.LevelBytes {
+		if n > 0 {
+			t := price[i](n)
+			s.report.LevelReadTime[i] += t
+			total += t
+		}
 	}
 	return total
 }

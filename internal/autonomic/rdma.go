@@ -107,23 +107,6 @@ func register(w *mpi.World) des.Time {
 	return w.RegisterCost(maxPages)
 }
 
-// harvestRDMA folds a dying (or finishing) team's NIC counters into the
-// report. Idempotent per team: a nested failure must not double-count.
-func (s *Supervisor) harvestRDMA(t *team) {
-	if s.cfg.RDMA == rdmaOff || t == nil || t.harvested {
-		return
-	}
-	t.harvested = true
-	for i := 0; i < t.world.Size(); i++ {
-		st := t.world.Rank(i).Stats()
-		s.report.DirectBypassBytes += st.DirectBypassBytes
-		s.report.SilentDirtyBytes += st.SilentDirtyBytes
-	}
-	for _, c := range t.cps {
-		s.report.CheckpointSilentBytes += c.Stats().SilentDirtyBytes
-	}
-}
-
 // drainCheckpoint runs the checkpoint-time drain protocol for team t at
 // iteration iter, then resumes the computation via next. The six phases
 // run strictly in order on the des clock, each accounted separately:
@@ -131,15 +114,16 @@ func (s *Supervisor) harvestRDMA(t *team) {
 //	Quiesce → DrainInFlight → Deregister → Checkpoint → Reregister → Reconnect
 //
 // Every phase ends in the same step (see drainRound.step): the liveness
-// guard, the phase's charge, and the chaos hook (crash-during-drain) at
-// the next phase's entry, so a node crash mid-protocol abandons the
-// round cleanly and the recovery path owns the future. A DrainInFlight
+// guard, then the next phase's entry (drainRound.enter), which opens its
+// slice of the ledger and runs the chaos hook (crash-during-drain), so a
+// node crash mid-protocol abandons the round cleanly and the recovery
+// path owns the future. A DrainInFlight
 // timeout degrades the stranded ranks to bounce-buffer delivery — the
 // checkpoint proceeds over a consistent (reconciled) image rather than
 // a torn region.
 func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
 	s.report.DrainRounds++
-	d := &drainRound{s: s, t: t, iter: iter, next: next, phaseStart: s.eng.Now()}
+	d := &drainRound{s: s, t: t, iter: iter, next: next}
 	if d.enter(mpi.PhaseQuiesce) {
 		s.eng.After(mpi.RDMAQuiesceDelay, d.quiesced)
 	}
@@ -147,35 +131,37 @@ func (s *Supervisor) drainCheckpoint(t *team, iter int, next func()) {
 
 // drainRound is one drain protocol round in flight.
 type drainRound struct {
-	s          *Supervisor
-	t          *team
-	iter       int
-	next       func()
-	phaseStart des.Time
+	s    *Supervisor
+	t    *team
+	iter int
+	next func()
 }
 
-// enter fires the chaos plan's crash-during-drain faults: entering a
-// targeted phase kills a node on the spot, the adversarial instant for
-// this protocol. It reports whether the round survived.
+// enter opens phase p's slice of the ledger and fires the chaos plan's
+// crash-during-drain faults: entering a targeted phase kills a node on
+// the spot, the adversarial instant for this protocol. It reports
+// whether the round survived.
 func (d *drainRound) enter(p mpi.DrainPhase) bool {
-	if c := d.s.chaos; c != nil && c.DrainCrashHit(p, d.s.eng.Now()) {
-		d.s.onFailure()
+	s := d.s
+	s.enter(drainStates[p])
+	if s.chaos != nil && s.chaos.DrainCrashHit(p, s.eng.Now()) {
+		s.onFailure()
 		return false
 	}
 	return true
 }
 
-// step ends phase p: guard the team's liveness, charge the phase's time,
-// and enter the next phase. It reports whether the round continues.
+// step ends phase p: guard the team's liveness and enter the next phase,
+// or, after the last, Compute. It reports whether the round continues.
 func (d *drainRound) step(p mpi.DrainPhase) bool {
-	s := d.s
-	if !s.live(d.t) {
+	if !d.s.live(d.t) {
 		return false
 	}
-	now := s.eng.Now()
-	s.report.DrainPhaseTime[p] += now - d.phaseStart
-	d.phaseStart = now
-	return int(p)+1 == mpi.NumDrainPhases || d.enter(p+1)
+	if int(p)+1 < mpi.NumDrainPhases {
+		return d.enter(p + 1)
+	}
+	d.s.enter(Compute)
+	return true
 }
 
 func (d *drainRound) quiesced() {

@@ -44,7 +44,7 @@ func TestDrainRunAccountsPhases(t *testing.T) {
 			t.Fatalf("phase %v accumulated no latency: %v", mpi.DrainPhase(p), rep.DrainPhaseTime)
 		}
 	}
-	if rep.RegistrationTime <= 0 {
+	if rep.Ledger[Registration] <= 0 {
 		t.Fatal("registration cost never hit the clock")
 	}
 	if rep.DirectBypassBytes == 0 || rep.SilentDirtyBytes == 0 {

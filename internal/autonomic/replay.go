@@ -303,33 +303,15 @@ type discardStore struct{}
 
 func (discardStore) Put(string, []byte) error { return nil }
 
-func (discardStore) Get(key string) ([]byte, error) {
-	return nil, fmt.Errorf("key %q: %w", key, storage.ErrNotFound)
-}
+func (discardStore) Get(key string) ([]byte, error) { return nil, notFound(key) }
 
-func (discardStore) Delete(key string) error {
-	return fmt.Errorf("key %q: %w", key, storage.ErrNotFound)
-}
+func (discardStore) Delete(key string) error { return notFound(key) }
+
+func notFound(key string) error { return fmt.Errorf("key %q: %w", key, storage.ErrNotFound) }
 
 func (discardStore) Keys() ([]string, error) { return nil, nil }
 
 func (discardStore) Size() (uint64, error) { return 0, nil }
-
-// compare judges run against its reference: every recovery's resumed
-// state must be the reference's at the iteration it resumed from (the
-// trails: refTrail the reference's, runTrail run's), and every rank's
-// final address-space digest and the gathered checksum must be
-// bit-identical. It is the one comparison every replay verdict is made
-// by.
-func compare(ref, run *Report, refTrail, runTrail trail) *ReplayOutcome {
-	return &ReplayOutcome{
-		Reference:     ref,
-		Injected:      run,
-		DigestsMatch:  slices.Equal(ref.SpaceDigests, run.SpaceDigests),
-		ChecksumMatch: ref.Checksum == run.Checksum,
-		Diverged:      refTrail.diverged(runTrail),
-	}
-}
 
 // ValidateReplay runs cfg's Reference and cfg itself — under cfg.Faults,
 // on the storage stack cfg.Store and cfg.Replicas describe — and
@@ -365,7 +347,10 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 }
 
 // validateReplay is ValidateReplayStore, with build nil for the stack
-// cfg describes.
+// cfg describes. It is the one comparison every replay verdict is made
+// by: every recovery's resumed state must be the reference's at the
+// iteration it resumed from (the trails), and every rank's final
+// address-space digest and the gathered checksum must be bit-identical.
 func validateReplay(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *chaos.Driver) storage.Store) (*ReplayOutcome, error) {
 	plan, err := cfg.plan(sched)
 	if err != nil {
@@ -379,10 +364,14 @@ func validateReplay(cfg Config, sched *chaos.Schedule, build func(*des.Engine, *
 	if err != nil {
 		return nil, fmt.Errorf("autonomic: injected run: %w", err)
 	}
-	out := compare(ref, inj, refTrail, injTrail)
+	out := &ReplayOutcome{
+		Reference: ref, Injected: inj, Plan: plan,
+		DigestsMatch:  slices.Equal(ref.SpaceDigests, inj.SpaceDigests),
+		ChecksumMatch: ref.Checksum == inj.Checksum,
+		Diverged:      refTrail.diverged(injTrail),
+	}
 	if driver != nil {
 		out.Stats = driver.Stats()
 	}
-	out.Plan = plan
 	return out, nil
 }

@@ -146,27 +146,48 @@ func ckptSetConfigs(t *testing.T, seed uint64) []Config {
 	return out
 }
 
+// memoTrail returns the trail the memo holds for cfg's reference, nil
+// when it holds none. A hit hands out the entry's own trail, so a
+// reference whose trail is the one held before the call was a hit.
+func memoTrail(cfg Config) *trailState {
+	key, _ := referenceKey(referenceConfig(cfg))
+	refMemo.Lock()
+	defer refMemo.Unlock()
+	if e, ok := refMemo.m[key]; ok && len(e.trail) > 0 {
+		return &e.trail[0]
+	}
+	return nil
+}
+
 // TestReplayReferenceMemoIsSeedIndependent pins what the memo key
 // relies on: a failure-free run does not read Seed. At every seed, the
 // memoised Reference of each replay-suite config equals, field for
 // field, a fresh Run of its stripped config at that seed. The first
-// seed fills the memo; at the later ones the first call already hits,
-// allocating only its copy. A19's spec configs hit at every seed, on
-// the entry their whole config filled, and so does every storage stack
-// (Replicas, Store) on its plain config's entry: the reference strips
-// the stack.
+// seed fills the memo; at the later ones the first call already hits:
+// it hands out the entry's trail, and a hit allocates only its copy.
+// A19's spec configs hit at every seed, on the entry their whole config
+// filled, and so does every storage stack (Replicas, Store) on its plain
+// config's entry: the reference strips the stack.
 func TestReplayReferenceMemoIsSeedIndependent(t *testing.T) {
 	check := func(name string, seed uint64, cfg Config, hit bool) {
 		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ref, err := Reference(cfg)
-		runtime.ReadMemStats(&after)
+		held := memoTrail(cfg)
+		ref, tr, err := reference(cfg)
 		if err != nil {
 			t.Fatalf("%s seed %d: reference: %v", name, seed, err)
 		}
-		if n := after.Mallocs - before.Mallocs; hit && n > 4 {
-			t.Errorf("%s seed %d: the reference allocated %d times, want a memo hit's copy", name, seed, n)
+		if hit {
+			if held == nil || len(tr) == 0 || &tr[0] != held {
+				t.Errorf("%s seed %d: the reference ran, want a memo hit", name, seed)
+			}
+			n := testing.AllocsPerRun(5, func() {
+				if _, err := Reference(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > 4 {
+				t.Errorf("%s seed %d: a memo hit allocated %v times, want only its copy", name, seed, n)
+			}
 		}
 		fresh, err := Run(referenceConfig(cfg))
 		if err != nil {

@@ -65,8 +65,9 @@ type Detector struct {
 	hear []func(mpi.Message)
 	// lastHeard[observer][peer] is the last time observer heard peer.
 	lastHeard [][]des.Time
-	// suspected[observer][peer] latches a fired suspicion until a fresh
-	// heartbeat clears it (so one silence counts once per observer).
+	// suspected[observer][peer] latches a fired suspicion of a live peer
+	// until a fresh heartbeat clears it (so one silence counts once per
+	// observer); a suspected peer that then fails is still declared.
 	suspected [][]bool
 	failed    []bool
 	failedAt  []des.Time
@@ -160,15 +161,15 @@ func (d *Detector) check(i int, now des.Time) {
 		return
 	}
 	for j := 0; j < d.w.Size(); j++ {
-		if j == i || d.suspected[i][j] {
+		if j == i || d.suspected[i][j] && !d.failed[j] {
 			continue
 		}
 		if now-d.lastHeard[i][j] <= HeartbeatTimeout(d.period) {
 			continue
 		}
-		d.suspected[i][j] = true
 		if !d.failed[j] {
 			// The peer is alive; the fabric ate its heartbeats.
+			d.suspected[i][j] = true
 			d.falseSusp++
 			continue
 		}

@@ -171,3 +171,41 @@ func TestHeartbeatsReuseTheirContinuation(t *testing.T) {
 		t.Fatalf("%d false suspicions on a clean network", d.FalseSuspicions())
 	}
 }
+
+// A rank its observer already suspects — the fabric ate its heartbeats
+// while it lived — is still declared when it then fails: the latched
+// suspicion keeps one silence of a live peer from counting twice, it
+// does not make the observer deaf to the death. Before, a rank every
+// survivor suspected at its death was never declared, and a supervised
+// run waited on the detection forever.
+func TestSuspectedRankIsDeclaredWhenItFails(t *testing.T) {
+	period := 50 * des.Millisecond
+	eng, w := hbWorld(t, 2, &mpi.NetFaultConfig{
+		Seed:    1,
+		Windows: []mpi.DegradedWindow{{From: 0, To: 2 * des.Second, ExtraDrop: 1}},
+	})
+	d, err := NewDetector(eng, w, period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Detection
+	d.OnDeath = func(det Detection) { got = append(got, det); eng.Stop() }
+	d.Start()
+	var poll *des.Ticker
+	poll = eng.NewTicker(period/2, func(des.Time) {
+		if d.suspected[0][1] {
+			d.MarkFailed(1)
+			poll.Stop()
+		}
+	})
+	eng.Run(5 * des.Second)
+	if !d.Failed(1) {
+		t.Fatal("rank 0 never suspected rank 1: the test proves nothing")
+	}
+	if len(got) != 1 || got[0].Rank != 1 {
+		t.Fatalf("detections %+v, want rank 1 declared", got)
+	}
+	if lat := got[0].Latency(); lat > period {
+		t.Errorf("latency %v: an observer that already suspected the rank declares it at its next check", lat)
+	}
+}

@@ -123,7 +123,7 @@ func RDMAAblation() ([]RDMARow, error) {
 					Elapsed:        rep.Elapsed,
 					Efficiency:     rep.Efficiency,
 					CommitTime:     rep.CommitTime,
-					RegisterTime:   rep.RegistrationTime,
+					RegisterTime:   rep.Ledger[autonomic.Registration],
 					DrainTimeouts:  rep.DrainTimeouts,
 					DirectBypassKB: float64(rep.DirectBypassBytes) / 1024,
 					SilentKB:       float64(rep.SilentDirtyBytes) / 1024,

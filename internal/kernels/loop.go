@@ -18,6 +18,11 @@ import (
 // advances, when the compute time has elapsed after that: this is the
 // one place a sweep in flight begins and ends. end (optional) runs at
 // completion, before onIter.
+//
+// The span from begin to charge is the iteration's exchange: the time
+// it waits on its halos before its compute time starts (zero for an
+// iteration whose work is synchronous). It is measured here, so it is
+// the one measurement solo and distributed computations share.
 type loop struct {
 	eng      *des.Engine
 	computeT des.Time
@@ -26,6 +31,10 @@ type loop struct {
 	stopped      bool
 	onIter       func(iter int, next func())
 	onDone       func()
+
+	// begun is when the iteration in flight began, span its exchange
+	// once charged; exchanged sums the completed iterations' spans.
+	begun, span, exchanged des.Time
 
 	begin, end        func()
 	computed, proceed func()
@@ -49,6 +58,11 @@ func (l *loop) init(eng *des.Engine, computeT des.Time, iter int, begin, end fun
 
 // Iter returns the completed iteration count.
 func (l *loop) Iter() int { return l.iter }
+
+// Exchanged returns the exchange time of the completed iterations: each
+// one's span from beginning to charging its compute time. An iteration
+// a Stop cut is not counted.
+func (l *loop) Exchanged() des.Time { return l.exchanged }
 
 // Stop makes all pending iteration callbacks no-ops — the failure path:
 // the computation is abandoned, whatever events remain in the engine
@@ -76,11 +90,16 @@ func (l *loop) next() {
 		}
 		return
 	}
+	l.begun = l.eng.Now()
 	l.begin()
 }
 
-// charge hands the iteration back to the loop: its compute time starts.
-func (l *loop) charge() { l.eng.After(l.computeT, l.computed) }
+// charge hands the iteration back to the loop: its exchange ends and
+// its compute time starts.
+func (l *loop) charge() {
+	l.span = l.eng.Now() - l.begun
+	l.eng.After(l.computeT, l.computed)
+}
 
 // complete ends the iteration whose compute time has elapsed.
 func (l *loop) complete() {
@@ -88,6 +107,7 @@ func (l *loop) complete() {
 		return
 	}
 	l.iter++
+	l.exchanged += l.span
 	if l.end != nil {
 		l.end()
 	}

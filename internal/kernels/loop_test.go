@@ -129,3 +129,58 @@ func TestLoopCompletesAfterComputeTime(t *testing.T) {
 		t.Errorf("iterations completed at %v, want %v", hooks, want)
 	}
 }
+
+// TestLoopExchangeIsBeginToCharge: an iteration's exchange is its span
+// from beginning to charging its compute time, so a run's clock is its
+// iterations' compute time plus Exchanged exactly; a solo step charges
+// at once and exchanges nothing, and an iteration Stop cuts inside its
+// exchange is not counted.
+func TestLoopExchangeIsBeginToCharge(t *testing.T) {
+	const computeT, iters = 10 * des.Millisecond, 6
+	eng, w := distWorld(t, 4)
+	d, err := NewDistStencil(eng, w, 16, 4, 7.5, computeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atBoundary []des.Time
+	d.Run(iters, func(iter int, next func()) {
+		atBoundary = append(atBoundary, d.Exchanged())
+		next()
+	}, nil)
+	eng.Run(des.MaxTime)
+	if d.Exchanged() <= 0 || eng.Now() != iters*computeT+d.Exchanged() {
+		t.Errorf("clock %v after %d iterations of %v, exchange %v: want the sum", eng.Now(), iters, computeT, d.Exchanged())
+	}
+	for i := 1; i < len(atBoundary); i++ {
+		if step := atBoundary[i] - atBoundary[i-1]; step != atBoundary[0] {
+			t.Errorf("iteration %d exchanged %v, iteration 1 %v: a halo exchange on an idle fabric takes one time", i+1, step, atBoundary[0])
+		}
+	}
+
+	eng, w = distWorld(t, 4)
+	if d, err = NewDistStencil(eng, w, 16, 4, 7.5, computeT); err != nil {
+		t.Fatal(err)
+	}
+	d.Run(iters, nil, nil)
+	eng.Run(2*computeT + 2*atBoundary[0] + atBoundary[0]/2) // inside the third exchange
+	d.Stop()
+	eng.Run(des.MaxTime)
+	if d.Iter() != 2 || d.Exchanged() != atBoundary[1] {
+		t.Errorf("stopped in the third exchange: %d iterations, exchange %v; want 2 and %v", d.Iter(), d.Exchanged(), atBoundary[1])
+	}
+
+	eng = des.NewEngine()
+	k, err := NewStencil2D(mem.NewAddressSpace(mem.Config{PageSize: 4096}), 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolo(eng, k, computeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3, nil, nil)
+	eng.Run(des.MaxTime)
+	if s.Exchanged() != 0 || eng.Now() != 3*computeT {
+		t.Errorf("solo: exchange %v, clock %v; want 0 and %v", s.Exchanged(), eng.Now(), 3*computeT)
+	}
+}
